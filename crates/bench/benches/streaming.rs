@@ -75,57 +75,6 @@ fn bench_monitor_ingest(c: &mut Criterion) {
     group.finish();
 }
 
-/// Channel-overhead reduction from observation batching, measured at
-/// `WorldScale::experiment()` — the scale where the ROADMAP found
-/// per-message overhead dominating. The streamed pipeline report is
-/// batch-size-invariant (test-enforced), so the spread across batch sizes is
-/// pure channel cost.
-fn bench_observation_batching(c: &mut Criterion) {
-    let engine = Engine::build(scenarios::paper_world(7, WorldScale::experiment())).unwrap();
-    let watched: Vec<Ipv6Prefix> = engine
-        .pools()
-        .iter()
-        .filter(|p| p.config.prefix.len() <= 48)
-        .flat_map(|p| p.config.prefix.subnets(48).unwrap())
-        .take(8)
-        .collect();
-    let mut group = c.benchmark_group("streaming/batching_experiment_scale");
-    group.sample_size(10);
-    for observation_batch in [1usize, 64, 256] {
-        group.bench_with_input(
-            BenchmarkId::new("monitor_2_windows", observation_batch),
-            &observation_batch,
-            |b, &observation_batch| {
-                let config = MonitorConfig {
-                    shards: 2,
-                    observation_batch,
-                    windows: 2,
-                    ..MonitorConfig::default()
-                };
-                b.iter(|| {
-                    StreamMonitor::new(config.clone()).run(black_box(&engine), black_box(&watched))
-                })
-            },
-        );
-    }
-    for observation_batch in [1usize, 256] {
-        group.bench_with_input(
-            BenchmarkId::new("pipeline", observation_batch),
-            &observation_batch,
-            |b, &observation_batch| {
-                let config = StreamConfig {
-                    pipeline: small_config(),
-                    shards: 2,
-                    observation_batch,
-                    ..StreamConfig::default()
-                };
-                b.iter(|| StreamPipeline::new(config.clone()).run(black_box(&engine)))
-            },
-        );
-    }
-    group.finish();
-}
-
 /// A transport wrapper charging a deterministic CPU cost per probe,
 /// approximating what a real prober pays per packet (syscalls, checksums,
 /// pcap parsing) that the simnet's in-memory probe does not. Producer
@@ -206,7 +155,6 @@ fn bench_producer_scaling(c: &mut Criterion) {
                     pipeline: small_config(),
                     shards: 2,
                     producers,
-                    observation_batch: 64,
                     ..StreamConfig::default()
                 };
                 b.iter(|| StreamPipeline::new(config.clone()).run(black_box(&engine)))
@@ -226,7 +174,6 @@ fn bench_producer_scaling(c: &mut Criterion) {
                     pipeline: small_config(),
                     shards: 2,
                     producers,
-                    observation_batch: 64,
                     ..StreamConfig::default()
                 };
                 b.iter(|| StreamPipeline::new(config.clone()).run(black_box(&costly)))
@@ -281,22 +228,15 @@ impl scent_stream::ObservationSource for ReplaySlice<'_> {
 /// classify over pre-probed observations, with the probing (even the free
 /// in-memory simnet probe costs ~0.5µs) and seed machinery of the full
 /// pipeline stripped away so the per-observation path cost is the thing
-/// measured. `fast/<S>x<P>` points (S shards × P producers) run the
-/// steady-state path as the engine configures it — batched channel
-/// payloads, recycled batch buffers, a precomputed seq → shard table —
-/// while `legacy/<S>x1` points run [`ShardRouter::new`]'s per-observation
-/// dispatch (one channel message per observation, one longest-prefix trie
-/// walk per route, no recycling): the in-tree regression baseline. Note the
-/// legacy arm still folds through the *flattened* classify step (the fast
-/// hasher ships with the crate), so the fast/legacy ratio here understates
-/// the full speedup over the pre-flattening engine — docs/PERFORMANCE.md
-/// records both this in-tree ratio and the measured gap against the actual
-/// pre-flattening commit. Producer points > 1 only spread wall-clock on
-/// multi-core hosts; see `bench_producer_scaling` for why the spread
-/// flattens on one CPU.
+/// measured. `fast/<S>x<P>` points (S shards × P producers) drive the same
+/// [`IngestEngine`](scent_stream::IngestEngine) the pipeline and the monitor
+/// do — batched channel payloads, recycled batch buffers, a precomputed
+/// seq → shard table. Producer points > 1 only spread wall-clock on
+/// multi-core hosts; see `bench_producer_scaling` for why the spread flattens
+/// on one CPU.
 fn bench_hot_path(c: &mut Criterion) {
     use scent_stream::{
-        scan_seq_shards, spawn_producers, spawn_shards, ObservationSource, ScanStream, ShardMap,
+        scan_seq_shards, IngestEngine, IngestOptions, ObservationSource, ScanStream, ShardMap,
     };
 
     let engine = Engine::build(scenarios::paper_world(7, WorldScale::experiment())).unwrap();
@@ -312,7 +252,6 @@ fn bench_hot_path(c: &mut Criterion) {
     let targets = scent_prober::TargetGenerator::new(0x5eed).per_candidate_48(&watched, 56);
     const SEED: u64 = 0x5eed;
     const CAPACITY: usize = 256;
-    const BATCH: usize = 64;
     // Probe once, up front: every bench point replays this identical
     // observation sequence (in seq order, so strided slices reproduce
     // exactly what sliced scan streams would feed the merged clock).
@@ -337,35 +276,24 @@ fn bench_hot_path(c: &mut Criterion) {
                 |b, &(shards, producers)| {
                     b.iter(|| {
                         std::thread::scope(|scope| {
-                            let (senders, handles) = spawn_shards(scope, shards, CAPACITY, None);
                             let map = ShardMap::new(&engine.rib().entries(), shards);
-                            let mut router =
-                                scent_stream::ShardRouter::with_map(map, senders, BATCH)
-                                    .with_pool_slots(shards * (CAPACITY + 2));
-                            let table = scan_seq_shards(router.map(), &targets, SEED);
-                            router.set_seq_shards(table);
-                            let routed = if producers == 1 {
-                                let mut replay = ReplaySlice {
+                            let table = scan_seq_shards(&map, &targets, SEED);
+                            let mut ingest =
+                                IngestEngine::open(scope, map, CAPACITY, IngestOptions::default());
+                            ingest.router().set_seq_shards(table);
+                            let sources: Vec<_> = (0..producers)
+                                .map(|k| ReplaySlice {
                                     observations: black_box(&observations),
-                                    next: 0,
-                                    step: 1,
-                                };
-                                router.route_stream(&mut replay)
-                            } else {
-                                let sources: Vec<_> = (0..producers)
-                                    .map(|k| ReplaySlice {
-                                        observations: black_box(&observations),
-                                        next: k,
-                                        step: producers,
-                                    })
-                                    .collect();
-                                let mut clock = spawn_producers(scope, sources, CAPACITY);
-                                router.route_stream(&mut clock)
-                            };
-                            router.shutdown();
-                            let classified: u64 = handles
-                                .into_iter()
-                                .map(|h| h.join().unwrap().observations)
+                                    next: k,
+                                    step: producers,
+                                })
+                                .collect();
+                            let routed = ingest.drive(sources, None, |_, _| {});
+                            let classified: u64 = ingest
+                                .close()
+                                .expect("no panic injected")
+                                .iter()
+                                .map(|state| state.observations)
                                 .sum();
                             assert_eq!(classified, routed);
                             black_box(classified)
@@ -374,34 +302,6 @@ fn bench_hot_path(c: &mut Criterion) {
                 },
             );
         }
-    }
-    for shards in [1usize, 4, 16] {
-        group.bench_with_input(
-            BenchmarkId::new("legacy", format!("{shards}x1")),
-            &shards,
-            |b, &shards| {
-                b.iter(|| {
-                    std::thread::scope(|scope| {
-                        let (senders, handles) = spawn_shards(scope, shards, CAPACITY, None);
-                        let mut router =
-                            scent_stream::ShardRouter::new(&engine.rib().entries(), senders);
-                        let mut replay = ReplaySlice {
-                            observations: black_box(&observations),
-                            next: 0,
-                            step: 1,
-                        };
-                        let routed = router.route_stream(&mut replay);
-                        router.shutdown();
-                        let classified: u64 = handles
-                            .into_iter()
-                            .map(|h| h.join().unwrap().observations)
-                            .sum();
-                        assert_eq!(classified, routed);
-                        black_box(classified)
-                    })
-                })
-            },
-        );
     }
     group.finish();
 }
@@ -693,8 +593,8 @@ fn bench_discovery(c: &mut Criterion) {
 criterion_group! {
     name = streaming;
     config = Criterion::default().sample_size(10);
-    targets = bench_batch_vs_streaming, bench_monitor_ingest, bench_observation_batching,
-        bench_hot_path, bench_producer_scaling, bench_watch_churn, bench_telemetry_overhead,
+    targets = bench_batch_vs_streaming, bench_monitor_ingest, bench_hot_path,
+        bench_producer_scaling, bench_watch_churn, bench_telemetry_overhead,
         bench_checkpoint, bench_scheduler, bench_discovery
 }
 criterion_main!(streaming);

@@ -23,7 +23,7 @@
 //! {
 //!   "schema": 1,
 //!   "benches": {
-//!     "streaming/batching_experiment_scale/pipeline/1": {"mean_ns": 12, "min_ns": 10}
+//!     "streaming/producers_experiment_scale/pipeline/1": {"mean_ns": 12, "min_ns": 10}
 //!   }
 //! }
 //! ```

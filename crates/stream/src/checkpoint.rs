@@ -212,7 +212,9 @@ pub fn config_fingerprint(cfg: &MonitorConfig, watched_48s: &[Ipv6Prefix]) -> u6
     w.put_usize(cfg.shards);
     w.put_usize(cfg.producers);
     w.put_usize(cfg.channel_capacity);
-    w.put_usize(cfg.observation_batch);
+    // Once a config field; kept in its position so snapshots written while
+    // it was one (at its default, this constant) still resume.
+    w.put_usize(crate::engine::OBSERVATION_BATCH);
     w.put_u64(cfg.seed);
     w.put_u64(cfg.packets_per_second);
     w.put_u8(cfg.granularity);

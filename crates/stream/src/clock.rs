@@ -27,22 +27,21 @@
 //! stream for any producer count** — which is what lets the sharded pipeline
 //! and monitor keep their batch ≡ streamed report-equality guarantees while
 //! probing in parallel. Producers run on scoped threads feeding bounded
-//! channels ([`spawn_producers`]); since the merge only ever pops by key and
-//! each channel is FIFO, OS scheduling cannot reorder the merged output.
+//! channels ([`spawn_producers`](crate::engine::spawn_producers)); since the
+//! merge only ever pops by key and each channel is FIFO, OS scheduling cannot
+//! reorder the merged output.
 //!
 //! [`ScanStreamBuilder::slice`]: crate::source::ScanStreamBuilder::slice
 //! [`ContinuousStreamBuilder::slice`]: crate::source::ContinuousStreamBuilder::slice
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-use std::sync::mpsc::{Receiver, SyncSender};
-use std::sync::Arc;
-use std::thread;
+use std::sync::mpsc::Receiver;
 
 use scent_simnet::SimTime;
 use scent_telemetry::StreamObserver;
 
-use crate::buffer::{batch_pool, BatchReturn, PoolCounters};
+use crate::buffer::BatchReturn;
 use crate::observation::{Observation, ObservationSource};
 
 /// The heap key observations merge on: virtual send time, then tenant, then
@@ -116,13 +115,6 @@ impl<S: ObservationSource> ObservationSource for MergedClock<S> {
     }
 }
 
-/// Observations accumulated per producer-channel message. Purely a transport
-/// optimization: the merge consumes per observation either way, so batching
-/// never affects the merged sequence — it only amortizes the per-message
-/// channel rendezvous, which would otherwise dominate the consumer at high
-/// ingest rates.
-const PRODUCER_BATCH: usize = 64;
-
 /// An [`ObservationSource`] reading from a producer thread's channel (in
 /// batches, yielded one observation at a time). The stream ends when the
 /// producer hangs up (its slice is exhausted).
@@ -140,6 +132,19 @@ pub struct ChannelSource {
     cursor: usize,
     /// Where drained buffers go home to (the producer thread's pool).
     recycle: BatchReturn,
+}
+
+impl ChannelSource {
+    /// Read batches from `receiver`, sending drained buffers home over
+    /// `recycle`.
+    pub(crate) fn new(receiver: Receiver<Vec<Observation>>, recycle: BatchReturn) -> Self {
+        ChannelSource {
+            receiver,
+            buffered: Vec::new(),
+            cursor: 0,
+            recycle,
+        }
+    }
 }
 
 impl ObservationSource for ChannelSource {
@@ -228,89 +233,12 @@ impl<S: ObservationSource> ObservationSource for CountedSource<'_, S> {
     }
 }
 
-/// Run each source on its own scoped producer thread, feeding a bounded
-/// channel of `channel_capacity` messages (batches of up to 64 observations
-/// each), and return the merged clock over the channels.
-///
-/// Producers probe concurrently (this is where multi-producer throughput
-/// comes from), but the merged sequence is reconstructed deterministically by
-/// [`MergedClock`], so thread scheduling never leaks into results. A producer
-/// thread exits when its source is exhausted or when the clock is dropped
-/// (its channel hangs up); producer panics propagate when the scope joins.
-pub fn spawn_producers<'scope, S>(
-    scope: &'scope thread::Scope<'scope, '_>,
-    sources: Vec<S>,
-    channel_capacity: usize,
-) -> MergedClock<ChannelSource>
-where
-    S: ObservationSource + Send + 'scope,
-{
-    spawn_producers_counted(scope, sources, channel_capacity).0
-}
-
-/// [`spawn_producers`] returning, alongside the clock, each producer's
-/// buffer-pool counters (index-aligned with `sources`).
-///
-/// Every producer → merge edge recycles its batch buffers: the merge side
-/// returns each drained buffer over a bounded channel, and the producer
-/// refills from returned buffers before touching the allocator. The
-/// counters make the property observable — after warm-up, `allocated` stays
-/// put (bounded by the channel capacity plus the buffers in hand, never by
-/// observation volume) while `recycled` tracks throughput. This is the
-/// handle the hot-path allocation regression test asserts on.
-pub fn spawn_producers_counted<'scope, S>(
-    scope: &'scope thread::Scope<'scope, '_>,
-    sources: Vec<S>,
-    channel_capacity: usize,
-) -> (MergedClock<ChannelSource>, Vec<Arc<PoolCounters>>)
-where
-    S: ObservationSource + Send + 'scope,
-{
-    assert!(!sources.is_empty(), "at least one producer");
-    assert!(channel_capacity > 0, "bounded channels need capacity");
-    let mut channels = Vec::with_capacity(sources.len());
-    let mut counters = Vec::with_capacity(sources.len());
-    for mut source in sources {
-        let (tx, rx): (SyncSender<Vec<Observation>>, _) =
-            std::sync::mpsc::sync_channel(channel_capacity);
-        // The recycle channel mirrors the data channel: at most
-        // `channel_capacity` batches are queued ahead of the merge, plus one
-        // in the producer's hands and one in the merge's, so
-        // `channel_capacity + 2` transit slots mean no return is ever
-        // dropped and the edge's buffer population stays fixed.
-        let (mut pool, home) = batch_pool(PRODUCER_BATCH, channel_capacity + 2);
-        counters.push(pool.counters());
-        scope.spawn(move || {
-            let mut batch = pool.take();
-            while let Some(obs) = source.next_observation() {
-                batch.push(obs);
-                if batch.len() == PRODUCER_BATCH
-                    && tx.send(std::mem::replace(&mut batch, pool.take())).is_err()
-                {
-                    // The clock stopped listening; stop probing.
-                    return;
-                }
-            }
-            if !batch.is_empty() {
-                let _ = tx.send(batch);
-            }
-        });
-        channels.push(ChannelSource {
-            receiver: rx,
-            buffered: Vec::new(),
-            cursor: 0,
-            recycle: home,
-        });
-    }
-    (MergedClock::new(channels), counters)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::observation::Phase;
     use crate::source::ScanStream;
-    use scent_prober::{TargetGenerator, TargetStream};
+    use scent_prober::TargetGenerator;
     use scent_simnet::{scenarios, Engine};
 
     fn obs(sent_at: u64, window: u64, seq: u64) -> Observation {
@@ -432,59 +360,5 @@ mod tests {
                 previous = Some(producer);
             }
         }
-    }
-
-    #[test]
-    fn threaded_producers_match_inline_merge() {
-        let engine = Engine::build(scenarios::continuous_world(9)).unwrap();
-        let pool = engine.pools()[0].config.prefix;
-        let watched = [pool.nth_subnet(48, 0).unwrap()];
-        let windows = 3u64;
-        let make = |k: usize, producers: usize| {
-            let targets = TargetStream::new(&TargetGenerator::new(4), &watched, 56, 11, true)
-                .slice(k, producers);
-            let per_window = targets.slice_len() as u64;
-            LimitedSource::new(
-                crate::source::ContinuousStream::builder(&engine, targets)
-                    .start(SimTime::at(10, 9))
-                    .build(),
-                per_window * windows,
-            )
-        };
-        let mut inline = MergedClock::new((0..4).map(|k| make(k, 4)).collect());
-        let want: Vec<Observation> = std::iter::from_fn(|| inline.next_observation()).collect();
-        assert_eq!(want.len() as u64, 256 * windows);
-        std::thread::scope(|scope| {
-            let mut clock = spawn_producers(scope, (0..4).map(|k| make(k, 4)).collect(), 64);
-            let got: Vec<Observation> = std::iter::from_fn(|| clock.next_observation()).collect();
-            assert_eq!(got, want);
-        });
-    }
-
-    #[test]
-    fn dropping_the_clock_stops_producers() {
-        let engine = Engine::build(scenarios::continuous_world(9)).unwrap();
-        let pool = engine.pools()[0].config.prefix;
-        let watched = [pool.nth_subnet(48, 0).unwrap()];
-        std::thread::scope(|scope| {
-            // Unlimited continuous producers: only the hang-up ends them.
-            let sources: Vec<_> = (0..2)
-                .map(|k| {
-                    let targets =
-                        TargetStream::new(&TargetGenerator::new(4), &watched, 56, 11, true)
-                            .slice(k, 2);
-                    crate::source::ContinuousStream::builder(&engine, targets)
-                        .start(SimTime::at(10, 9))
-                        .build()
-                })
-                .collect();
-            let mut clock = spawn_producers(scope, sources, 8);
-            for _ in 0..100 {
-                assert!(clock.next_observation().is_some());
-            }
-            drop(clock);
-            // The scope exits only if both producer threads noticed the
-            // hang-up and returned.
-        });
     }
 }

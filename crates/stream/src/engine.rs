@@ -1,0 +1,445 @@
+//! The ingest engine: one owner for the shard pool's whole lifecycle.
+//!
+//! The paper's method is one loop run at two time scales — probe a permuted
+//! target list, classify the EUI-64 responses per /48, repeat a day later —
+//! and [`IngestEngine`] is that loop's machinery, once: spawn the shard
+//! workers, build the [`ShardRouter`] around the caller's [`ShardMap`] with
+//! the recycle pool sized for everything that can be in flight,
+//! [`drive`](IngestEngine::drive) producer sources through the merged clock
+//! into the shards, and [`close`](IngestEngine::close) into the final shard
+//! states or a typed error. [`StreamPipeline`](crate::pipeline::StreamPipeline)
+//! drives it once per scan phase, [`MonitorSession`](crate::monitor::MonitorSession)
+//! once per epoch; the hot-path bench and the allocation regression test
+//! drive it with replayed observations.
+//!
+//! Workers live for one engine — one pipeline run, one monitor epoch — so
+//! making them outlive an epoch is a change to this module alone.
+
+use std::sync::mpsc::{Receiver, Sender};
+use std::thread;
+
+use scent_core::rotation_detect::RotationEvent;
+use scent_telemetry::StreamObserver;
+
+use crate::buffer::batch_pool;
+use crate::clock::{ChannelSource, MergedClock};
+use crate::error::StreamError;
+use crate::observation::{Observation, ObservationSource};
+use crate::observe::RateReplica;
+use crate::router::{ShardMap, ShardRouter};
+use crate::shard::{ShardInference, ShardMsg};
+
+/// Observations accumulated per router → shard channel message. A constant,
+/// not a knob: 64 was promoted from the batching bench (per-message
+/// rendezvous dominated below it; 256 bought under 1 % on the monitor), and
+/// batching never changes a report — per-shard delivery order is the same at
+/// any size. Live rotation events reach their listener per delivered batch.
+pub(crate) const OBSERVATION_BATCH: usize = 64;
+
+/// Observations accumulated per producer-channel message. Purely a transport
+/// optimization: the merge consumes per observation either way, so batching
+/// never affects the merged sequence — it only amortizes the per-message
+/// channel rendezvous, which would otherwise dominate the consumer at high
+/// ingest rates.
+const PRODUCER_BATCH: usize = 64;
+
+/// What an [`IngestEngine`]'s workers are spawned with; the default is a
+/// fresh, unobserved shard pool.
+#[derive(Default)]
+pub struct IngestOptions<'t> {
+    /// Telemetry: routing order and stalls from the control thread, ingest
+    /// progress from each worker, rate replay from [`IngestEngine::drive`].
+    pub observer: Option<&'t dyn StreamObserver>,
+    /// Receives every rotation event the moment a shard detects it.
+    pub live_events: Option<Sender<RotationEvent>>,
+    /// One inference state per shard (index-aligned) for the workers to start
+    /// from — how a monitor carries state across epochs and a resumed run
+    /// hands back what its snapshot held. `None` starts every shard empty.
+    pub initial: Option<Vec<ShardInference>>,
+    /// Fault injection: this shard's worker panics on its first batch.
+    pub inject_panic: Option<usize>,
+}
+
+/// The worker loop: ingest until every sender is dropped, then return the
+/// final state. With `poison` set the worker panics on its first batch — the
+/// fault-injection hook the panic-propagation tests drive.
+fn worker(
+    shard: usize,
+    receiver: Receiver<ShardMsg>,
+    live_events: Option<Sender<RotationEvent>>,
+    observer: Option<&dyn StreamObserver>,
+    mut state: ShardInference,
+    poison: bool,
+) -> ShardInference {
+    let mut recycler: Option<crate::buffer::BatchReturn> = None;
+    while let Ok(msg) = receiver.recv() {
+        match msg {
+            ShardMsg::ObserveBatch(_) if poison => {
+                panic!("injected shard panic (shard {shard})");
+            }
+            ShardMsg::ObserveBatch(batch) => {
+                for obs in &batch {
+                    let event = state.ingest(obs);
+                    if let (Some(event), Some(live)) = (event, live_events.as_ref()) {
+                        // The monitor may have stopped listening; that must
+                        // not kill the shard.
+                        let _ = live.send(event);
+                    }
+                }
+                if let Some(observer) = observer {
+                    observer.on_shard_progress(shard, batch.len() as u64);
+                }
+                if let Some(home) = &recycler {
+                    home.give(batch);
+                }
+            }
+            ShardMsg::AttachRecycler(home) => {
+                recycler = Some(home);
+            }
+            ShardMsg::Flush(reply) => {
+                let _ = reply.send(state.clone());
+            }
+            ShardMsg::Compact(window) => {
+                state.compact_before(window);
+            }
+        }
+    }
+    state
+}
+
+/// Run each source on its own scoped producer thread, feeding a bounded
+/// channel of `channel_capacity` messages (batches of up to 64 observations
+/// each), and return the merged clock over the channels.
+///
+/// Producers probe concurrently (this is where multi-producer throughput
+/// comes from), but the merged sequence is reconstructed deterministically by
+/// [`MergedClock`], so thread scheduling never leaks into results. Every
+/// producer → merge edge recycles its batch buffers: the merge side returns
+/// each drained buffer over a bounded channel, and the producer refills from
+/// returned buffers before touching the allocator. A producer thread exits
+/// when its source is exhausted or when the clock is dropped (its channel
+/// hangs up); producer panics propagate when the scope joins.
+pub fn spawn_producers<'scope, S>(
+    scope: &'scope thread::Scope<'scope, '_>,
+    sources: Vec<S>,
+    channel_capacity: usize,
+) -> MergedClock<ChannelSource>
+where
+    S: ObservationSource + Send + 'scope,
+{
+    assert!(!sources.is_empty(), "at least one producer");
+    assert!(channel_capacity > 0, "bounded channels need capacity");
+    let mut channels = Vec::with_capacity(sources.len());
+    for mut source in sources {
+        let (tx, rx) = std::sync::mpsc::sync_channel(channel_capacity);
+        // The recycle channel mirrors the data channel: at most
+        // `channel_capacity` batches are queued ahead of the merge, plus one
+        // in the producer's hands and one in the merge's, so
+        // `channel_capacity + 2` transit slots mean no return is ever
+        // dropped and the edge's buffer population stays fixed.
+        let (mut pool, home) = batch_pool(PRODUCER_BATCH, channel_capacity + 2);
+        scope.spawn(move || {
+            let mut batch = pool.take();
+            while let Some(obs) = source.next_observation() {
+                batch.push(obs);
+                if batch.len() == PRODUCER_BATCH
+                    && tx.send(std::mem::replace(&mut batch, pool.take())).is_err()
+                {
+                    // The clock stopped listening; stop probing.
+                    return;
+                }
+            }
+            if !batch.is_empty() {
+                let _ = tx.send(batch);
+            }
+        });
+        channels.push(ChannelSource::new(rx, home));
+    }
+    MergedClock::new(channels)
+}
+
+/// A running shard pool: the workers, the router feeding them, and the scope
+/// its producer threads spawn into. See the [module docs](self).
+pub struct IngestEngine<'scope, 'env> {
+    scope: &'scope thread::Scope<'scope, 'env>,
+    router: ShardRouter<'scope>,
+    handles: Vec<thread::ScopedJoinHandle<'scope, ShardInference>>,
+    observer: Option<&'scope dyn StreamObserver>,
+    channel_capacity: usize,
+}
+
+impl<'scope, 'env> IngestEngine<'scope, 'env> {
+    /// Spawn one worker per shard of `map`, each behind a bounded channel of
+    /// `channel_capacity` messages, and build the router around them.
+    ///
+    /// The recycle pool is built once, sized to the maximum batch population
+    /// that can be in flight — per shard, the channel's queue plus one buffer
+    /// in the router's and one in the worker's hands — so steady-state
+    /// routing never allocates and no returned buffer is ever dropped.
+    pub fn open(
+        scope: &'scope thread::Scope<'scope, 'env>,
+        map: ShardMap,
+        channel_capacity: usize,
+        options: IngestOptions<'scope>,
+    ) -> Self {
+        assert!(channel_capacity > 0, "bounded channels need capacity");
+        let IngestOptions {
+            observer,
+            live_events,
+            initial,
+            inject_panic,
+        } = options;
+        let shards = map.shards();
+        let initial = match initial {
+            Some(states) => {
+                assert_eq!(states.len(), shards, "one seeded state per shard");
+                states
+            }
+            None => vec![ShardInference::new(); shards],
+        };
+        let mut senders = Vec::with_capacity(shards);
+        let mut handles = Vec::with_capacity(shards);
+        for (shard, seed) in initial.into_iter().enumerate() {
+            let (tx, rx) = std::sync::mpsc::sync_channel(channel_capacity);
+            let live = live_events.clone();
+            let poison = inject_panic == Some(shard);
+            senders.push(tx);
+            handles.push(scope.spawn(move || worker(shard, rx, live, observer, seed, poison)));
+        }
+        let mut router = ShardRouter::with_pool(
+            map,
+            senders,
+            OBSERVATION_BATCH,
+            shards * (channel_capacity + 2),
+        );
+        if let Some(observer) = observer {
+            router = router.with_observer(observer);
+        }
+        IngestEngine {
+            scope,
+            router,
+            handles,
+            observer,
+            channel_capacity,
+        }
+    }
+
+    /// The router, for everything that happens between drives: installing a
+    /// phase's or epoch's seq → shard table, flushing partial states at a
+    /// boundary, compacting, routing boundary probes, reading the stall count
+    /// or the dead shard.
+    pub fn router(&mut self) -> &mut ShardRouter<'scope> {
+        &mut self.router
+    }
+
+    /// Route every observation of `sources` (producer `k` = `sources[k]`)
+    /// into the shards in merged clock order, returning how many were routed:
+    /// inline on this thread for a single source, through one producer thread
+    /// per source and the [`MergedClock`] otherwise.
+    ///
+    /// Before it is routed, each observation is fed to the merge-side
+    /// `replica` (when one is given and an observer is attached), so rate
+    /// telemetry is journaled in deterministic clock order, and then to
+    /// `hook` together with the router — the caller's per-observation fold,
+    /// monomorphised into the loop.
+    ///
+    /// Once a shard is dead the merged state can no longer be completed, so
+    /// the drive stops (hanging up its producers) — and a drive that starts
+    /// with a shard already dead pulls no observation and spawns no producer.
+    pub fn drive<S, F>(&mut self, sources: Vec<S>, replica: Option<RateReplica>, hook: F) -> u64
+    where
+        S: ObservationSource + Send + 'scope,
+        F: FnMut(&mut ShardRouter<'scope>, &Observation),
+    {
+        if self.router.dead_shard().is_some() {
+            return 0;
+        }
+        let before = self.router.routed();
+        if sources.len() == 1 {
+            let source = sources.into_iter().next().expect("one source");
+            self.ingest(source, replica, hook);
+        } else {
+            let clock = spawn_producers(self.scope, sources, self.channel_capacity);
+            self.ingest(clock, replica, hook);
+        }
+        self.router.routed() - before
+    }
+
+    fn ingest<S, F>(&mut self, mut source: S, mut replica: Option<RateReplica>, mut hook: F)
+    where
+        S: ObservationSource,
+        F: FnMut(&mut ShardRouter<'scope>, &Observation),
+    {
+        while self.router.dead_shard().is_none() {
+            let Some(obs) = source.next_observation() else {
+                break;
+            };
+            if let (Some(replica), Some(observer)) = (replica.as_mut(), self.observer) {
+                replica.observe(&obs, observer);
+            }
+            hook(&mut self.router, &obs);
+            self.router.route(obs);
+        }
+    }
+
+    /// Shut the stream down and hand back the final shard states, in shard
+    /// order. Every worker is joined even after a death — surviving shards
+    /// drain first — and the first dead shard is reported as
+    /// [`StreamError::ShardPanicked`], never re-raised on this thread.
+    pub fn close(self) -> Result<Vec<ShardInference>, StreamError> {
+        self.router.shutdown();
+        let mut states = Vec::with_capacity(self.handles.len());
+        let mut panicked = None;
+        for (shard, handle) in self.handles.into_iter().enumerate() {
+            match handle.join() {
+                Ok(state) => states.push(state),
+                Err(_) => {
+                    panicked.get_or_insert(shard);
+                }
+            }
+        }
+        match panicked {
+            Some(shard) => Err(StreamError::ShardPanicked { shard }),
+            None => Ok(states),
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::clock::LimitedSource;
+    use crate::observation::Phase;
+    use crate::source::ContinuousStream;
+    use scent_ipv6::Eui64;
+    use scent_prober::{TargetGenerator, TargetStream};
+    use scent_simnet::{scenarios, Engine, SimTime};
+    use std::sync::atomic::{AtomicU64, Ordering};
+
+    /// One watched /48 of the continuous world, as strided continuous
+    /// producers: the monitor's epoch sources in miniature.
+    fn producers(engine: &Engine, of: usize) -> Vec<ContinuousStream<'_, Engine>> {
+        let watched = [engine.pools()[0].config.prefix.nth_subnet(48, 0).unwrap()];
+        (0..of)
+            .map(|k| {
+                let targets = TargetStream::new(&TargetGenerator::new(4), &watched, 56, 11, true)
+                    .slice(k, of);
+                ContinuousStream::builder(engine, targets)
+                    .start(SimTime::at(10, 9))
+                    .build()
+            })
+            .collect()
+    }
+
+    #[test]
+    fn workers_flush_and_return_state() {
+        let rib = scent_bgp::Rib::new();
+        let source = Eui64::from_mac("c8:0e:14:01:02:03".parse().unwrap())
+            .with_prefix64(0x2001_0db8_0001_0000);
+        let obs = Observation {
+            phase: Phase::Expansion,
+            tenant: 0,
+            window: 0,
+            seq: 0,
+            target: "2001:db8:1::1".parse().unwrap(),
+            sent_at: SimTime::at(1, 0),
+            response: Some(scent_prober::ResponseRecord {
+                source,
+                kind: scent_simnet::ReplyKind::TimeExceeded,
+            }),
+        };
+        std::thread::scope(|scope| {
+            let map = ShardMap::new(&rib.entries(), 2);
+            let owner = map.shard_for(obs.target);
+            let mut engine = IngestEngine::open(scope, map, 8, IngestOptions::default());
+            engine.router().route(obs);
+            // Flush delivers the partial batch and sees it (FIFO).
+            let partial = engine.router().flush();
+            assert_eq!(partial[owner].validated.len(), 1);
+            let finals = engine.close().unwrap();
+            assert_eq!(finals[owner].observations, 1);
+            assert_eq!(finals[1 - owner].observations, 0);
+        });
+    }
+
+    /// Many sources driven through producer threads and the merged clock
+    /// reach the hook — and the shards — in exactly the inline merge's order.
+    #[test]
+    fn threaded_drive_matches_inline_merge() {
+        let world = Engine::build(scenarios::continuous_world(9)).unwrap();
+        let windows = 3u64;
+        let limited = || -> Vec<_> {
+            producers(&world, 4)
+                .into_iter()
+                .map(|stream| {
+                    let limit = stream.slice_len() as u64 * windows;
+                    LimitedSource::new(stream, limit)
+                })
+                .collect()
+        };
+        let mut inline = MergedClock::new(limited());
+        let want: Vec<Observation> = std::iter::from_fn(|| inline.next_observation()).collect();
+        assert_eq!(want.len() as u64, 256 * windows);
+        std::thread::scope(|scope| {
+            let map = ShardMap::new(&world.rib().entries(), 2);
+            let mut engine = IngestEngine::open(scope, map, 64, IngestOptions::default());
+            let mut got = Vec::new();
+            let routed = engine.drive(limited(), None, |_, obs| got.push(*obs));
+            assert_eq!(got, want);
+            assert_eq!(routed, want.len() as u64);
+            let classified: u64 = engine.close().unwrap().iter().map(|s| s.observations).sum();
+            assert_eq!(classified, routed);
+        });
+    }
+
+    /// An endless source that counts how often it is pulled.
+    struct Counting<'a>(&'a AtomicU64);
+
+    impl ObservationSource for Counting<'_> {
+        fn next_observation(&mut self) -> Option<Observation> {
+            self.0.fetch_add(1, Ordering::Relaxed);
+            Some(Observation {
+                phase: Phase::Density,
+                tenant: 0,
+                window: 0,
+                seq: 0,
+                target: "2001:db8::1".parse().unwrap(),
+                sent_at: SimTime::at(0, 0),
+                response: None,
+            })
+        }
+    }
+
+    /// A shard death ends the drive it happens in — hanging up producers
+    /// that would otherwise probe forever — and every later drive returns
+    /// without pulling an observation or spawning a producer; the close then
+    /// reports the dead shard as a typed error.
+    #[test]
+    fn dead_shard_stops_this_drive_and_every_later_one() {
+        let world = Engine::build(scenarios::continuous_world(9)).unwrap();
+        let pulls = AtomicU64::new(0);
+        let closed = std::thread::scope(|scope| {
+            let map = ShardMap::new(&world.rib().entries(), 1);
+            let options = IngestOptions {
+                inject_panic: Some(0),
+                ..IngestOptions::default()
+            };
+            let mut engine = IngestEngine::open(scope, map, 8, options);
+            // Unlimited producers: only the worker's death ends this drive,
+            // and the scope exits only if both producer threads noticed the
+            // clock hang up and returned.
+            engine.drive(producers(&world, 2), None, |_, _| {});
+            assert_eq!(engine.router().dead_shard(), Some(0));
+            assert_eq!(engine.drive(vec![Counting(&pulls)], None, |_, _| {}), 0);
+            let many = vec![Counting(&pulls), Counting(&pulls)];
+            assert_eq!(engine.drive(many, None, |_, _| {}), 0);
+            engine.close()
+        });
+        assert_eq!(
+            pulls.load(Ordering::Relaxed),
+            0,
+            "no probe after a shard died"
+        );
+        assert_eq!(closed.unwrap_err(), StreamError::ShardPanicked { shard: 0 });
+    }
+}

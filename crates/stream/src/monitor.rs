@@ -33,12 +33,13 @@ use scent_simnet::{SimDuration, SimTime};
 use scent_telemetry::{EpochSummary, StreamObserver};
 
 use crate::checkpoint::{config_fingerprint, world_fingerprint, MonitorSnapshot, StopSignal};
-use crate::clock::{spawn_producers, CountedSource, LimitedSource};
+use crate::clock::{CountedSource, LimitedSource};
+use crate::engine::{IngestEngine, IngestOptions};
 use crate::error::StreamError;
-use crate::observation::ObservationSource;
+use crate::observation::{Observation, Phase};
 use crate::observe::RateReplica;
-use crate::router::{ShardMap, ShardRouter};
-use crate::shard::{spawn_shards_seeded, ShardInference};
+use crate::router::ShardMap;
+use crate::shard::ShardInference;
 use crate::source::ContinuousStream;
 
 /// Live watch-list churn configuration: how a continuous monitor revises its
@@ -116,16 +117,14 @@ pub struct MonitorConfig {
     /// producer replays the same deterministic rate trajectory locally).
     pub producers: usize,
     /// Bounded per-shard queue capacity, in messages. Also the per-producer
-    /// channel capacity when `producers > 1` — producer channels carry
-    /// batches of up to 64 observations per message, so a producer can run
-    /// up to `64 * channel_capacity` observations ahead of the merge.
+    /// channel capacity when `producers > 1`. Both edges carry up to 64
+    /// observations per message — a constant, not a knob: 64 was promoted
+    /// from the batching bench (per-message rendezvous dominated below it,
+    /// 256 bought under 1 % on the monitor) and batch size never changes a
+    /// report. So a producer can run up to `64 * channel_capacity`
+    /// observations ahead of the merge, and live [`RotationEvent`]s are
+    /// emitted per delivered batch rather than per probe.
     pub channel_capacity: usize,
-    /// Observations accumulated per channel message. Larger batches amortize
-    /// channel overhead; live [`RotationEvent`]s are then emitted per
-    /// delivered batch rather than per probe. The default of 64 was promoted
-    /// from the `streaming/batching_experiment_scale` bench; set it to 1 for
-    /// per-probe event latency.
-    pub observation_batch: usize,
     /// Seed controlling target generation and probe order.
     pub seed: u64,
     /// Probe budget per second (the ceiling the AIMD feedback recovers to).
@@ -208,7 +207,6 @@ impl Default for MonitorConfig {
             shards: 2,
             producers: 1,
             channel_capacity: 1024,
-            observation_batch: 64,
             seed: 0x57ae,
             packets_per_second: 10_000,
             granularity: 56,
@@ -871,32 +869,35 @@ impl<'a, B: ProbeTransport + WorldView + ?Sized> MonitorSession<'a, B> {
         // the merge side's hot path.)
         let mut epoch_density: scent_core::FastMap<Ipv6Prefix, DensityAccumulator> =
             scent_core::FastMap::default();
+        // One stream per producer, owned out here and lent to the engine, so
+        // a single producer's pacer can be read once the epoch has drained.
+        let mut streams: Vec<_> = (0..cfg.producers)
+            .map(|k| build_stream(watched, start_window, k, cfg.producers))
+            .collect();
 
-        let (states, stalls, final_rate, stopping, panicked) = std::thread::scope(|scope| {
-            let (senders, handles) = spawn_shards_seeded(
+        let (closed, stalls, stopping) = std::thread::scope(|scope| {
+            let mut engine = IngestEngine::open(
                 scope,
-                cfg.shards,
+                shard_map,
                 cfg.channel_capacity,
-                Some(live_tx),
-                observer,
-                Some(initial),
-                cfg.inject_shard_panic,
+                IngestOptions {
+                    observer,
+                    live_events: Some(live_tx),
+                    initial: Some(initial),
+                    inject_panic: cfg.inject_shard_panic,
+                },
             );
-            let mut router = ShardRouter::with_map(shard_map, senders, cfg.observation_batch)
-                .with_pool_slots(cfg.shards * (cfg.channel_capacity + 2));
-            if let Some(telemetry) = observer {
-                router = router.with_observer(telemetry);
-            }
             // This epoch's watch list probes one window-invariant permuted
             // order, so a position → shard table computed once here replaces
             // the per-observation trie walk for the whole epoch.
-            let table = crate::source::continuous_seq_shards(router.map(), &make_targets(watched));
-            router.set_seq_shards(table);
+            let table =
+                crate::source::continuous_seq_shards(engine.router().map(), &make_targets(watched));
+            engine.router().set_seq_shards(table);
             // A fresh merge-side rate replica per epoch, mirroring the
             // epoch's fresh producer pacers (each epoch's revised target
             // set is paced from scratch) — only worth building when both
             // feedback and an observer are on.
-            let mut replica = match (feedback_map, observer) {
+            let replica = match (feedback_map, observer) {
                 (Some(map), Some(_)) => Some(RateReplica::continuous(
                     cfg.start,
                     pps,
@@ -906,77 +907,31 @@ impl<'a, B: ProbeTransport + WorldView + ?Sized> MonitorSession<'a, B> {
                 )),
                 _ => None,
             };
-            let mut ingest =
-                |router: &mut ShardRouter<'_>,
-                 epoch_density: &mut scent_core::FastMap<Ipv6Prefix, DensityAccumulator>,
-                 obs: crate::observation::Observation| {
-                    if let (Some(replica), Some(telemetry)) = (replica.as_mut(), observer) {
-                        replica.observe(&obs, telemetry);
-                    }
-                    if cfg.churn.is_some() {
-                        epoch_density
-                            .entry(obs.target_48())
-                            .or_default()
-                            .observe(&obs.record());
-                    }
-                    if obs.window > current_window {
-                        current_window = obs.window;
-                        if let Some(keep) = cfg.retention_windows {
-                            if current_window > keep {
-                                router.compact_before(current_window - keep);
-                            }
+            let sources: Vec<_> = streams
+                .iter_mut()
+                .enumerate()
+                .map(|(k, stream)| {
+                    let limit = stream.slice_len() as u64 * len;
+                    CountedSource::new(LimitedSource::new(stream, limit), k, observer)
+                })
+                .collect();
+            engine.drive(sources, replica, |router, obs| {
+                if cfg.churn.is_some() {
+                    epoch_density
+                        .entry(obs.target_48())
+                        .or_default()
+                        .observe(&obs.record());
+                }
+                if obs.window > current_window {
+                    current_window = obs.window;
+                    if let Some(keep) = cfg.retention_windows {
+                        if current_window > keep {
+                            router.compact_before(current_window - keep);
                         }
                     }
-                    router.route(obs);
-                };
-
-            let stopping;
-            let final_rate = if cfg.producers == 1 {
-                let mut stream =
-                    CountedSource::new(build_stream(watched, start_window, 0, 1), 0, observer);
-                let total = stream.inner().window_len() as u64 * len;
-                for _ in 0..total {
-                    if router.dead_shard().is_some() {
-                        break;
-                    }
-                    let Some(obs) = stream.next_observation() else {
-                        break;
-                    };
-                    ingest(&mut router, &mut epoch_density, obs);
                 }
-                stopping = stop_flag.as_ref().is_some_and(StopSignal::is_stopped);
-                stream.inner().rate()
-            } else {
-                let sources: Vec<_> = (0..cfg.producers)
-                    .map(|k| {
-                        let stream = build_stream(watched, start_window, k, cfg.producers);
-                        let limit = stream.slice_len() as u64 * len;
-                        CountedSource::new(LimitedSource::new(stream, limit), k, observer)
-                    })
-                    .collect();
-                let mut clock = spawn_producers(scope, sources, cfg.channel_capacity);
-                while let Some(obs) = clock.next_observation() {
-                    if router.dead_shard().is_some() {
-                        break;
-                    }
-                    ingest(&mut router, &mut epoch_density, obs);
-                }
-                stopping = stop_flag.as_ref().is_some_and(StopSignal::is_stopped);
-                // The producers' pacers ended on their own threads; replay
-                // the (deterministic) trajectory probe-free to report the
-                // same end-of-epoch rate the single-producer run holds.
-                // Only the final epoch's rate is ever reported (the pacer
-                // restarts each epoch), and without feedback the rate never
-                // moves, so skip the replay everywhere else — unless a stop
-                // makes this boundary the effective end of the run.
-                if cfg.rate_feedback && (epoch + 1 == epochs_len || stopping) {
-                    let mut replay = build_stream(watched, start_window, 0, 1);
-                    replay.replay_windows(len);
-                    replay.rate()
-                } else {
-                    pps
-                }
-            };
+            });
+            let stopping = stop_flag.as_ref().is_some_and(StopSignal::is_stopped);
 
             // Boundary discovery cycle — run inside the scope so the sweep's
             // expansion-phase observations route into the live shards and
@@ -985,6 +940,7 @@ impl<'a, B: ProbeTransport + WorldView + ?Sized> MonitorSession<'a, B> {
             // it is invariant across producer counts by construction; the
             // final boundary is skipped like the watch revision (its
             // candidates could never be probed).
+            let router = engine.router();
             if let (Some(tree), Some(dcfg)) = (discovery.as_mut(), cfg.discovery.as_ref()) {
                 if epoch + 1 < epochs_len && router.dead_shard().is_none() {
                     // Discovery targets are not in this epoch's seq table;
@@ -1016,8 +972,8 @@ impl<'a, B: ProbeTransport + WorldView + ?Sized> MonitorSession<'a, B> {
                             plan.iter().map(|probe| probe.target).collect();
                         let scan = scanner.scan(world, &targets, boundary);
                         for record in &scan.records {
-                            router.route(crate::observation::Observation {
-                                phase: crate::observation::Phase::Expansion,
+                            router.route(Observation {
+                                phase: Phase::Expansion,
                                 tenant,
                                 window: start_window + len - 1,
                                 seq,
@@ -1035,34 +991,34 @@ impl<'a, B: ProbeTransport + WorldView + ?Sized> MonitorSession<'a, B> {
             }
 
             let stalls = router.stalls();
-            router.shutdown();
-            // Join every worker even after a death: surviving shards drain
-            // and hand back their state; the dead shard is recorded, never
-            // re-raised on this thread.
-            let mut panicked: Option<usize> = None;
-            let mut states = Vec::with_capacity(handles.len());
-            for (shard, handle) in handles.into_iter().enumerate() {
-                match handle.join() {
-                    Ok(state) => states.push(state),
-                    Err(_) => {
-                        if panicked.is_none() {
-                            panicked = Some(shard);
-                        }
-                        states.push(ShardInference::new());
-                    }
-                }
-            }
-            (states, stalls, final_rate, stopping, panicked)
+            (engine.close(), stalls, stopping)
         });
 
         self.stalls += stalls;
         self.discovery = discovery;
-        if let Some(shard) = panicked {
-            self.failed = true;
-            return Err(StreamError::ShardPanicked { shard });
-        }
-        self.states = states;
-        self.final_rate = final_rate;
+        self.states = match closed {
+            Ok(states) => states,
+            Err(err) => {
+                self.failed = true;
+                return Err(err);
+            }
+        };
+        self.final_rate = if cfg.producers == 1 {
+            streams[0].rate()
+        } else if cfg.rate_feedback && (epoch + 1 == epochs_len || stopping) {
+            // The producers' pacers ended on their own slices; replay the
+            // (deterministic) trajectory probe-free to report the same
+            // end-of-epoch rate the single-producer run holds. Only the
+            // final epoch's rate is ever reported (the pacer restarts each
+            // epoch), and without feedback the rate never moves, so skip
+            // the replay everywhere else — unless a stop makes this
+            // boundary the effective end of the run.
+            let mut replay = build_stream(watched, start_window, 0, 1);
+            replay.replay_windows(len);
+            replay.rate()
+        } else {
+            pps
+        };
         self.current_window = current_window;
 
         // Close the epoch: re-expand the blocks around the watched space
@@ -1500,21 +1456,14 @@ mod tests {
     }
 
     #[test]
-    fn monitor_is_deterministic_across_shard_counts_batching_and_producers() {
+    fn monitor_is_deterministic_across_shard_counts_and_producers() {
         let world = scenarios::continuous_world(37);
         let mut reports = Vec::new();
-        for (shards, observation_batch, producers) in [
-            (1usize, 1usize, 1usize),
-            (3, 1, 1),
-            (3, 128, 1),
-            (2, 1, 4),
-            (3, 64, 8),
-        ] {
+        for (shards, producers) in [(1usize, 1usize), (3, 1), (2, 4), (3, 8)] {
             let engine = Engine::build(world.clone()).unwrap();
             let watched = watched_48s(&engine);
             let monitor = StreamMonitor::new(MonitorConfig {
                 shards,
-                observation_batch,
                 producers,
                 windows: 3,
                 ..MonitorConfig::default()

@@ -96,6 +96,14 @@ pub trait ObservationSource {
     fn next_observation(&mut self) -> Option<Observation>;
 }
 
+/// A borrowed source is a source: lets a caller drive a stream it still
+/// wants afterwards (the monitor reads its pacer's end-of-epoch rate).
+impl<S: ObservationSource + ?Sized> ObservationSource for &mut S {
+    fn next_observation(&mut self) -> Option<Observation> {
+        (**self).next_observation()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

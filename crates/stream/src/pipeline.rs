@@ -19,22 +19,25 @@
 //! sequence is bit-identical to the single-producer scan, so the report
 //! equality holds for any producer count (also test-enforced).
 
+use std::net::Ipv6Addr;
+
 use serde::{Deserialize, Serialize};
 
 use scent_core::pipeline::RotatingCounts;
 use scent_core::rotation_detect::WindowedRotationDetector;
 use scent_core::{DensityReport, PipelineConfig, PipelineReport, SeedExpansion};
 use scent_prober::{ProbeTransport, QueueModel, SeedCampaign, TargetGenerator, WorldView};
-use scent_simnet::SimDuration;
+use scent_simnet::{SimDuration, SimTime};
 
 use scent_telemetry::StreamObserver;
 
-use crate::clock::{spawn_producers, CountedSource};
+use crate::clock::CountedSource;
+use crate::engine::{IngestEngine, IngestOptions};
 use crate::error::StreamError;
-use crate::observation::{Observation, ObservationSource, Phase};
+use crate::observation::Phase;
 use crate::observe::RateReplica;
-use crate::router::{ShardMap, ShardRouter};
-use crate::shard::{spawn_shards_observed, ShardInference};
+use crate::router::ShardMap;
+use crate::shard::ShardInference;
 use crate::source::{scan_seq_shards, ScanStream};
 
 /// Streaming engine configuration.
@@ -50,15 +53,13 @@ pub struct StreamConfig {
     /// report — bit-identical for any count.
     pub producers: usize,
     /// Bounded per-shard queue capacity, in messages. Also the per-producer
-    /// channel capacity when `producers > 1` — producer channels carry
-    /// batches of up to 64 observations per message, so a producer can run
-    /// up to `64 * channel_capacity` observations ahead of the merge.
+    /// channel capacity when `producers > 1`. Both edges carry up to 64
+    /// observations per message — a constant, not a knob: 64 was promoted
+    /// from the batching bench (per-message rendezvous dominated below it,
+    /// 256 bought under 1 % on the monitor) and batch size never changes a
+    /// report — so a producer can run up to `64 * channel_capacity`
+    /// observations ahead of the merge.
     pub channel_capacity: usize,
-    /// Observations accumulated per channel message. Larger batches amortize
-    /// channel overhead without changing the report; the default of 64 was
-    /// promoted from the `streaming/batching_experiment_scale` bench, where
-    /// per-message rendezvous dominated at experiment scale.
-    pub observation_batch: usize,
     /// Whether every phase's scan adapts its rate to the deterministic
     /// virtual-queue model (AIMD against [`StreamConfig::queue_model`]).
     /// Off by default: the fixed-rate trajectory matches the batch pipeline
@@ -81,68 +82,23 @@ impl Default for StreamConfig {
             shards: 2,
             producers: 1,
             channel_capacity: 1024,
-            observation_batch: 64,
             rate_feedback: false,
             queue_model: QueueModel::default(),
         }
     }
 }
 
-/// Attach the virtual-queue feedback model to a scan builder when one is
-/// configured (`shard_map` is `Some` exactly when feedback is on).
-fn attach_feedback<'a, B: ProbeTransport + ?Sized>(
-    builder: crate::source::ScanStreamBuilder<'a, B>,
-    shard_map: &Option<ShardMap>,
-    queue_model: QueueModel,
-) -> crate::source::ScanStreamBuilder<'a, B> {
-    match shard_map {
-        Some(map) => builder.feedback(queue_model, map.clone()),
-        None => builder,
-    }
-}
-
-/// Drive a set of per-producer sources into the router: directly for a
-/// single producer, through threaded producers and the merged clock
-/// otherwise. Every merged observation is fed through the merge-side
-/// [`RateReplica`] (when one is attached) before it is routed, so rate
-/// telemetry is journaled in deterministic clock order. Returns the number
-/// of observations this phase routed.
-fn route_producers<'t, 'scope, S>(
-    scope: &'scope std::thread::Scope<'scope, '_>,
-    router: &mut ShardRouter<'t>,
-    sources: Vec<S>,
-    channel_capacity: usize,
-    mut replica: Option<RateReplica>,
-    observer: Option<&dyn StreamObserver>,
-) -> u64
-where
-    S: ObservationSource + Send + 'scope,
-{
-    let before = router.routed();
-    let mut route = |router: &mut ShardRouter<'t>, obs: Observation| {
-        if let (Some(replica), Some(observer)) = (replica.as_mut(), observer) {
-            replica.observe(&obs, observer);
-        }
-        router.route(obs);
-    };
-    if sources.len() == 1 {
-        let mut source = sources.into_iter().next().expect("one source");
-        while let Some(obs) = source.next_observation() {
-            if router.dead_shard().is_some() {
-                break;
-            }
-            route(router, obs);
-        }
-    } else {
-        let mut clock = spawn_producers(scope, sources, channel_capacity);
-        while let Some(obs) = clock.next_observation() {
-            if router.dead_shard().is_some() {
-                break;
-            }
-            route(router, obs);
-        }
-    }
-    router.routed() - before
+/// One scan of the streamed pipeline: what to probe, in which permuted
+/// order, how fast and from when.
+struct Scan<'t> {
+    phase: Phase,
+    /// The snapshot this scan is. Windows above 0 re-probe window 0's list
+    /// in window 0's order, and route by the table it installed.
+    window: u64,
+    targets: &'t [Ipv6Addr],
+    seed: u64,
+    rate_pps: u64,
+    start: SimTime,
 }
 
 /// The streamed discovery pipeline.
@@ -216,8 +172,7 @@ impl StreamPipeline {
             telemetry.on_run_start(self.config.shards, self.config.producers);
         }
         let cfg = &self.config.pipeline;
-        let producers = self.config.producers;
-        assert!(producers > 0, "at least one producer");
+        assert!(self.config.producers > 0, "at least one producer");
 
         // Step 0: stale seed traceroute campaign (bootstrap, not streamed —
         // it predates the monitor by construction).
@@ -230,190 +185,109 @@ impl StreamPipeline {
         // routing by construction.
         let shard_map = ShardMap::new(&world.rib().entries(), self.config.shards);
         let feedback_map = self.config.rate_feedback.then(|| shard_map.clone());
-        let queue_model = &self.config.queue_model;
-        let with_feedback = |builder| attach_feedback(builder, &feedback_map, queue_model.clone());
-        // A fresh merge-side rate replica per scan phase, mirroring each
-        // phase's fresh producer pacers — only worth building when both
-        // feedback and an observer are on.
-        let replica_for = |start, rate| match (&feedback_map, observer) {
-            (Some(map), Some(_)) => Some(RateReplica::scan(
-                start,
-                rate,
-                queue_model.clone(),
-                map.clone(),
-            )),
-            _ => None,
-        };
 
         let report = std::thread::scope(|scope| {
-            let (senders, handles) = spawn_shards_observed(
+            let mut engine = IngestEngine::open(
                 scope,
-                self.config.shards,
+                shard_map,
                 self.config.channel_capacity,
-                None,
-                observer,
-            );
-            // Size the recycle pool to the maximum batch population that can
-            // be in flight at once (per shard: the channel's queue plus one
-            // buffer in each side's hands), so steady state never allocates.
-            let mut router =
-                ShardRouter::with_map(shard_map, senders, self.config.observation_batch)
-                    .with_pool_slots(self.config.shards * (self.config.channel_capacity + 2));
-            if let Some(telemetry) = observer {
-                router = router.with_observer(telemetry);
-            }
-
-            // Step 1: expansion & validation (§4.1), streamed. Same targets,
-            // order and pacing as `SeedExpansion::run`.
-            let candidates = SeedExpansion::candidate_48s(&seed_32s, cfg.max_48s_per_seed);
-            let generator = TargetGenerator::new(cfg.seed);
-            let expansion_targets: Vec<_> = candidates
-                .iter()
-                .map(|c| generator.random_addr_in(c))
-                .collect();
-            // Each phase probes one fixed target list in one fixed permuted
-            // order, so a position → shard table computed once replaces the
-            // per-observation trie walk for the whole phase.
-            let table = scan_seq_shards(router.map(), &expansion_targets, cfg.seed ^ 0x9e37);
-            router.set_seq_shards(table);
-            let sources: Vec<_> = (0..producers)
-                .map(|k| {
-                    CountedSource::new(
-                        with_feedback(
-                            ScanStream::builder(world, expansion_targets.clone())
-                                .phase(Phase::Expansion)
-                                .seed(cfg.seed ^ 0x9e37)
-                                .rate_pps(10_000)
-                                .start(cfg.expansion_time)
-                                .slice(k, producers),
-                        )
-                        .build(),
-                        k,
-                        observer,
-                    )
-                })
-                .collect();
-            let routed = route_producers(
-                scope,
-                &mut router,
-                sources,
-                self.config.channel_capacity,
-                replica_for(cfg.expansion_time, 10_000),
-                observer,
-            );
-            if let Some(telemetry) = observer {
-                telemetry.on_phase_close("expansion", routed);
-            }
-            let after_expansion = ShardInference::merge_all(router.flush());
-            let validated: Vec<_> = after_expansion.validated.iter().copied().collect();
-
-            // Step 2: density inference (§4.2), streamed. Same generator and
-            // scanner parameters as the batch pipeline.
-            let density_generator = TargetGenerator::new(cfg.seed ^ 0xdead);
-            let density_targets =
-                density_generator.per_candidate_48(&validated, cfg.density_granularity);
-            let density_start = cfg.expansion_time + SimDuration::from_hours(2);
-            let table = scan_seq_shards(router.map(), &density_targets, cfg.seed);
-            router.set_seq_shards(table);
-            let sources: Vec<_> = (0..producers)
-                .map(|k| {
-                    CountedSource::new(
-                        with_feedback(
-                            ScanStream::builder(world, density_targets.clone())
-                                .phase(Phase::Density)
-                                .seed(cfg.seed)
-                                .rate_pps(cfg.packets_per_second)
-                                .start(density_start)
-                                .slice(k, producers),
-                        )
-                        .build(),
-                        k,
-                        observer,
-                    )
-                })
-                .collect();
-            let routed = route_producers(
-                scope,
-                &mut router,
-                sources,
-                self.config.channel_capacity,
-                replica_for(density_start, cfg.packets_per_second),
-                observer,
-            );
-            if let Some(telemetry) = observer {
-                telemetry.on_phase_close("density", routed);
-            }
-            let after_density = ShardInference::merge_all(router.flush());
-            let density = DensityReport::from_accumulators(&validated, &after_density.density);
-            let high = density.high_density();
-
-            // Step 3: rotation detection (§4.3) as two streamed snapshot
-            // windows 24 hours apart.
-            let detection_targets =
-                density_generator.per_candidate_48(&high, cfg.detection_granularity);
-            let mut detection_routed = 0u64;
-            // Both snapshot windows replay the identical permuted order, so
-            // one table serves both.
-            let table = scan_seq_shards(router.map(), &detection_targets, cfg.seed);
-            router.set_seq_shards(table);
-            for window in 0..2u64 {
-                let start = cfg.first_snapshot
-                    + SimDuration::from_secs(SimDuration::from_days(1).as_secs() * window);
-                let sources: Vec<_> = (0..producers)
-                    .map(|k| {
-                        CountedSource::new(
-                            with_feedback(
-                                ScanStream::builder(world, detection_targets.clone())
-                                    .phase(Phase::Detection)
-                                    .window(window)
-                                    .seed(cfg.seed)
-                                    .rate_pps(cfg.packets_per_second)
-                                    .start(start)
-                                    .slice(k, producers),
-                            )
-                            .build(),
-                            k,
-                            observer,
-                        )
-                    })
-                    .collect();
-                detection_routed += route_producers(
-                    scope,
-                    &mut router,
-                    sources,
-                    self.config.channel_capacity,
-                    replica_for(start, cfg.packets_per_second),
+                IngestOptions {
                     observer,
-                );
-            }
-            if let Some(telemetry) = observer {
-                telemetry.on_phase_close("detection", detection_routed);
-            }
-
-            // Shut the stream down and fold the final shard states. Join
-            // every worker even after a death: surviving shards drain and
-            // hand back their state; the dead shard is reported as a typed
-            // error, never re-raised on this thread.
-            router.shutdown();
-            let mut states = Vec::with_capacity(handles.len());
-            let mut panicked: Option<usize> = None;
-            for (shard, handle) in handles.into_iter().enumerate() {
-                match handle.join() {
-                    Ok(state) => {
-                        if let Some(telemetry) = observer {
-                            telemetry.on_shard_final(shard, state.observations);
-                        }
-                        states.push(state);
-                    }
-                    Err(_) => {
-                        if panicked.is_none() {
-                            panicked = Some(shard);
-                        }
-                    }
+                    ..IngestOptions::default()
+                },
+            );
+            // Each phase's target list depends on the previous phase's
+            // merged result. A shard death ends the scans at that phase's
+            // boundary: the merged state can no longer be completed, so
+            // building and probing the later phases would only waste probes.
+            let scanned = 'scans: {
+                // Step 1: expansion & validation (§4.1), streamed. Same
+                // targets, order and pacing as `SeedExpansion::run`.
+                let candidates = SeedExpansion::candidate_48s(&seed_32s, cfg.max_48s_per_seed);
+                let generator = TargetGenerator::new(cfg.seed);
+                let expansion_targets: Vec<_> = candidates
+                    .iter()
+                    .map(|c| generator.random_addr_in(c))
+                    .collect();
+                let expansion = Scan {
+                    phase: Phase::Expansion,
+                    window: 0,
+                    targets: &expansion_targets,
+                    seed: cfg.seed ^ 0x9e37,
+                    rate_pps: 10_000,
+                    start: cfg.expansion_time,
+                };
+                let Some(routed) =
+                    self.scan_phase(&mut engine, world, observer, &feedback_map, expansion)
+                else {
+                    break 'scans None;
+                };
+                if let Some(telemetry) = observer {
+                    telemetry.on_phase_close("expansion", routed);
                 }
-            }
-            if let Some(shard) = panicked {
-                return Err(StreamError::ShardPanicked { shard });
+                let after_expansion = ShardInference::merge_all(engine.router().flush());
+                let validated: Vec<_> = after_expansion.validated.iter().copied().collect();
+
+                // Step 2: density inference (§4.2), streamed. Same generator
+                // and scanner parameters as the batch pipeline.
+                let density_generator = TargetGenerator::new(cfg.seed ^ 0xdead);
+                let density_targets =
+                    density_generator.per_candidate_48(&validated, cfg.density_granularity);
+                let density = Scan {
+                    phase: Phase::Density,
+                    window: 0,
+                    targets: &density_targets,
+                    seed: cfg.seed,
+                    rate_pps: cfg.packets_per_second,
+                    start: cfg.expansion_time + SimDuration::from_hours(2),
+                };
+                let Some(routed) =
+                    self.scan_phase(&mut engine, world, observer, &feedback_map, density)
+                else {
+                    break 'scans None;
+                };
+                if let Some(telemetry) = observer {
+                    telemetry.on_phase_close("density", routed);
+                }
+                let after_density = ShardInference::merge_all(engine.router().flush());
+                let density = DensityReport::from_accumulators(&validated, &after_density.density);
+                let high = density.high_density();
+
+                // Step 3: rotation detection (§4.3) as two streamed snapshot
+                // windows 24 hours apart.
+                let detection_targets =
+                    density_generator.per_candidate_48(&high, cfg.detection_granularity);
+                let mut detection_routed = 0u64;
+                for window in 0..2u64 {
+                    let snapshot = Scan {
+                        phase: Phase::Detection,
+                        window,
+                        targets: &detection_targets,
+                        seed: cfg.seed,
+                        rate_pps: cfg.packets_per_second,
+                        start: cfg.first_snapshot
+                            + SimDuration::from_secs(SimDuration::from_days(1).as_secs() * window),
+                    };
+                    let Some(routed) =
+                        self.scan_phase(&mut engine, world, observer, &feedback_map, snapshot)
+                    else {
+                        break 'scans None;
+                    };
+                    detection_routed += routed;
+                }
+                if let Some(telemetry) = observer {
+                    telemetry.on_phase_close("detection", detection_routed);
+                }
+                Some((candidates.len(), validated.len(), density, high.len()))
+            };
+
+            let states = engine.close()?;
+            let (expansion_probed, validated_48s, density, high_density) =
+                scanned.expect("a dead shard fails the close");
+            if let Some(telemetry) = observer {
+                for (shard, state) in states.iter().enumerate() {
+                    telemetry.on_shard_final(shard, state.observations);
+                }
             }
             let merged = ShardInference::merge_all(states);
 
@@ -425,9 +299,9 @@ impl StreamPipeline {
             Ok(PipelineReport {
                 seed_unique_48s: seed_unique.len(),
                 seed_32s: seed_32s.len(),
-                expansion_probed: candidates.len() as u64,
-                validated_48s: validated.len(),
-                high_density: high.len(),
+                expansion_probed: expansion_probed as u64,
+                validated_48s,
+                high_density,
                 low_density: density.low_density().len(),
                 no_response: density.no_response().len(),
                 rotating_ases: rotating_counts.per_asn.len(),
@@ -443,6 +317,57 @@ impl StreamPipeline {
             telemetry.on_wall_span("pipeline_run", started.elapsed().as_nanos() as u64);
         }
         report
+    }
+
+    /// Stream one scan through the engine — `producers` strided slices of
+    /// the same permuted pass, recombined by the merged clock — and return
+    /// how many observations it routed, or `None` once a shard has died.
+    ///
+    /// Every scan starts from fresh pacers (and, with feedback and an
+    /// observer on, a fresh merge-side rate replica mirroring them).
+    fn scan_phase<'scope, B: ProbeTransport + WorldView + ?Sized>(
+        &self,
+        engine: &mut IngestEngine<'scope, '_>,
+        world: &'scope B,
+        observer: Option<&'scope dyn StreamObserver>,
+        feedback_map: &Option<ShardMap>,
+        scan: Scan<'_>,
+    ) -> Option<u64> {
+        let producers = self.config.producers;
+        let queue_model = &self.config.queue_model;
+        if scan.window == 0 {
+            // A scan probes one fixed target list in one fixed permuted
+            // order, so a position → shard table computed once replaces the
+            // per-observation trie walk for every window over it.
+            let table = scan_seq_shards(engine.router().map(), scan.targets, scan.seed);
+            engine.router().set_seq_shards(table);
+        }
+        let sources: Vec<_> = (0..producers)
+            .map(|k| {
+                let mut builder = ScanStream::builder(world, scan.targets.to_vec())
+                    .phase(scan.phase)
+                    .window(scan.window)
+                    .seed(scan.seed)
+                    .rate_pps(scan.rate_pps)
+                    .start(scan.start)
+                    .slice(k, producers);
+                if let Some(map) = feedback_map {
+                    builder = builder.feedback(queue_model.clone(), map.clone());
+                }
+                CountedSource::new(builder.build(), k, observer)
+            })
+            .collect();
+        let replica = match (feedback_map, observer) {
+            (Some(map), Some(_)) => Some(RateReplica::scan(
+                scan.start,
+                scan.rate_pps,
+                queue_model.clone(),
+                map.clone(),
+            )),
+            _ => None,
+        };
+        let routed = engine.drive(sources, replica, |_, _| {});
+        engine.router().dead_shard().is_none().then_some(routed)
     }
 }
 
@@ -475,30 +400,6 @@ mod tests {
             "a vacuous equality proves nothing"
         );
         assert!(streamed.high_density > 0);
-    }
-
-    /// Regression for the promoted default (`observation_batch = 64`): the
-    /// report is invariant between the new default, per-probe delivery and
-    /// an even larger batch.
-    #[test]
-    fn observation_batching_does_not_change_the_report() {
-        let world = scenarios::paper_world(71, WorldScale::small());
-        let engine = Engine::build(world).unwrap();
-        let default_batch = StreamPipeline::with_shards(small_config(), 2)
-            .run(&engine)
-            .unwrap();
-        for observation_batch in [1usize, 256] {
-            let batched = StreamPipeline::new(StreamConfig {
-                pipeline: small_config(),
-                shards: 2,
-                observation_batch,
-                ..StreamConfig::default()
-            })
-            .run(&engine)
-            .unwrap();
-            assert_eq!(default_batch, batched, "batch={observation_batch}");
-        }
-        assert!(!default_batch.rotating_48s.is_empty());
     }
 
     /// Feedback-on streamed runs stay producer-count-invariant: the

@@ -10,15 +10,15 @@
 //! per-identifier inference state never splits across shards.
 //!
 //! Channels are bounded: when a shard's queue is full, [`ShardRouter::route`]
-//! blocks (delivering every observation) and reports the stall so the caller
-//! can feed it back into the prober's rate limiter.
+//! blocks (delivering every observation) and counts the stall
+//! ([`ShardRouter::stalls`]).
 //!
-//! Observations can optionally be *batched* per channel message
-//! ([`ShardRouter::with_batch`]): the router accumulates up to N observations
-//! per shard and delivers them as one [`ShardMsg::ObserveBatch`], amortizing
-//! the per-message channel overhead that dominates at high ingest rates.
-//! Per-shard delivery order is unchanged, so batching never affects the
-//! merged report — only throughput.
+//! Observations are *batched* per channel message: the router accumulates
+//! up to N observations per shard and delivers them as one
+//! [`ShardMsg::ObserveBatch`], amortizing the per-message channel overhead
+//! that dominates at high ingest rates. Per-shard delivery order is the same
+//! at any batch size (a batch of one is a one-element `ObserveBatch`), so
+//! batching never affects the merged report — only throughput.
 //!
 //! Observations carry a tenant tag (see
 //! [`Observation::tenant`](crate::observation::Observation::tenant)), but the
@@ -40,29 +40,15 @@ use scent_ipv6::{addr_to_u128, Ipv6Prefix};
 use scent_simnet::det::hash2;
 use scent_telemetry::StreamObserver;
 
-use crate::buffer::{batch_pool, BatchPool, PoolCounters};
-use crate::observation::{Observation, ObservationSource};
+use crate::buffer::{batch_pool, BatchPool, BatchReturn, PoolCounters};
+use crate::observation::Observation;
 use crate::shard::ShardMsg;
 
-/// Default recycle-channel slots per shard when the caller doesn't size the
-/// pool explicitly ([`ShardRouter::with_pool_slots`]): enough transit room
-/// that a promptly-draining shard set recycles every buffer, without
+/// Recycle-channel slots per shard when [`ShardRouter::with_map`]'s caller
+/// doesn't size the pool ([`ShardRouter::with_pool_slots`]): enough transit
+/// room that a promptly-draining shard set recycles every buffer, without
 /// reserving channel storage proportional to a possibly huge queue capacity.
 const DEFAULT_POOL_SLOTS_PER_SHARD: usize = 32;
-
-/// The outcome of routing one observation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RouteOutcome {
-    /// The shard the observation was delivered (or buffered) to.
-    pub shard: usize,
-    /// Whether this call attempted a channel delivery at all. With an
-    /// observation batch above 1, only the route that fills a batch delivers;
-    /// rate-feedback callers should react to delivering routes only, or the
-    /// buffered majority drowns out every stall signal.
-    pub delivered: bool,
-    /// Whether delivery had to wait for queue space (backpressure).
-    pub backpressured: bool,
-}
 
 /// The pure target → shard mapping the router is built on.
 ///
@@ -153,10 +139,9 @@ pub struct ShardRouter<'t> {
     routed: u64,
     batch: usize,
     buffers: Vec<Vec<Observation>>,
-    /// Recycled batch buffers (batching on): shard workers return drained
-    /// `ObserveBatch` buffers here, so steady-state delivery allocates
-    /// nothing. `None` exactly when `batch == 1` (no buffers exist).
-    pool: Option<BatchPool>,
+    /// Recycled batch buffers: shard workers return drained `ObserveBatch`
+    /// buffers here, so steady-state delivery allocates nothing.
+    pool: BatchPool,
     /// Precomputed seq → shard routing table ([`ShardRouter::set_seq_shards`]);
     /// positions beyond its length (or all of them, when absent) fall back
     /// to the [`ShardMap`] trie walk.
@@ -166,79 +151,69 @@ pub struct ShardRouter<'t> {
 }
 
 impl<'t> ShardRouter<'t> {
-    /// Build a router over the announced prefixes of a RIB, delivering to
-    /// `senders` (one per shard), one observation per channel message.
-    pub fn new(entries: &[RibEntry], senders: Vec<std::sync::mpsc::SyncSender<ShardMsg>>) -> Self {
-        Self::with_batch(entries, senders, 1)
-    }
-
-    /// Build a router that accumulates up to `batch` observations per shard
-    /// before delivering them as a single channel message. `batch == 1`
-    /// behaves exactly like [`ShardRouter::new`]; larger batches trade event
-    /// latency for channel throughput.
-    pub fn with_batch(
-        entries: &[RibEntry],
-        senders: Vec<std::sync::mpsc::SyncSender<ShardMsg>>,
-        batch: usize,
-    ) -> Self {
-        let map = ShardMap::new(entries, senders.len());
-        Self::with_map(map, senders, batch)
-    }
-
-    /// Build a router around an existing [`ShardMap`]. This is how a caller
-    /// that also needs the mapping elsewhere (the virtual-queue feedback
-    /// model) guarantees — by construction, not by convention — that the
-    /// router and the feedback model route every target identically.
+    /// Build a router around a [`ShardMap`], delivering to `senders` (one per
+    /// mapped shard) in messages of up to `batch` observations. Taking the
+    /// map rather than building one is how a caller that also needs the
+    /// mapping elsewhere (the virtual-queue feedback model) guarantees — by
+    /// construction, not by convention — that the router and the feedback
+    /// model route every target identically.
     pub fn with_map(
         map: ShardMap,
         senders: Vec<std::sync::mpsc::SyncSender<ShardMsg>>,
         batch: usize,
     ) -> Self {
+        let slots = senders.len() * DEFAULT_POOL_SLOTS_PER_SHARD;
+        Self::with_pool(map, senders, batch, slots)
+    }
+
+    /// [`ShardRouter::with_map`] with the recycle pool built once at its
+    /// final size of `slots` transit slots — what the
+    /// [`IngestEngine`](crate::engine::IngestEngine), which knows its
+    /// channel capacity, constructs.
+    pub(crate) fn with_pool(
+        map: ShardMap,
+        senders: Vec<std::sync::mpsc::SyncSender<ShardMsg>>,
+        batch: usize,
+        slots: usize,
+    ) -> Self {
         assert!(!senders.is_empty(), "at least one shard");
         assert_eq!(map.shards(), senders.len(), "one sender per mapped shard");
-        assert!(batch > 0, "batch size must be non-zero");
-        let shards = senders.len();
+        let (pool, home) = batch_pool(batch, slots);
         let mut router = ShardRouter {
             map,
-            buffers: vec![Vec::with_capacity(batch); shards],
+            buffers: vec![Vec::with_capacity(batch); senders.len()],
             senders,
             stalls: 0,
             routed: 0,
             batch,
-            pool: None,
+            pool,
             seq_shards: None,
             observer: None,
             dead: None,
         };
-        if batch > 1 {
-            router.install_pool(shards * DEFAULT_POOL_SLOTS_PER_SHARD);
-        }
+        router.attach(home);
         router
     }
 
-    /// (Re)build the recycle pool with `slots` transit slots and hand every
-    /// worker a return handle.
-    fn install_pool(&mut self, slots: usize) {
-        let (pool, home) = batch_pool(self.batch, slots);
+    /// Hand every worker the pool's return handle.
+    fn attach(&mut self, home: BatchReturn) {
         for (shard, sender) in self.senders.iter().enumerate() {
             if sender.send(ShardMsg::AttachRecycler(home.clone())).is_err() {
                 self.dead.get_or_insert(shard);
             }
         }
-        self.pool = Some(pool);
     }
 
-    /// Resize the batch-buffer recycle pool to `slots` transit slots (the
+    /// Rebuild the batch-buffer recycle pool with `slots` transit slots (the
     /// default is a modest per-shard constant). Size it to the maximum
     /// number of buffers simultaneously in flight —
     /// `shards × (channel capacity + 2)` covers every queue position plus
     /// one buffer in the router's and one in each worker's hands — and no
-    /// return is ever dropped. No-op when batching is off (`batch == 1`:
-    /// there are no buffers to recycle).
+    /// return is ever dropped.
     pub fn with_pool_slots(mut self, slots: usize) -> Self {
-        if self.batch > 1 {
-            self.install_pool(slots);
-        }
+        let (pool, home) = batch_pool(self.batch, slots);
+        self.pool = pool;
+        self.attach(home);
         self
     }
 
@@ -247,15 +222,12 @@ impl<'t> ShardRouter<'t> {
     /// in-flight population, steady-state routing provably never allocates
     /// — what the hot-path allocation regression test asserts.
     pub fn prefill_buffers(&mut self, buffers: usize) {
-        if let Some(pool) = self.pool.as_mut() {
-            pool.prefill(buffers);
-        }
+        self.pool.prefill(buffers);
     }
 
-    /// A handle on the batch-buffer pool's allocation/recycle counters, or
-    /// `None` when batching is off.
-    pub fn buffer_counters(&self) -> Option<std::sync::Arc<PoolCounters>> {
-        self.pool.as_ref().map(BatchPool::counters)
+    /// A handle on the batch-buffer pool's allocation/recycle counters.
+    pub fn buffer_counters(&self) -> std::sync::Arc<PoolCounters> {
+        self.pool.counters()
     }
 
     /// Attach a telemetry observer: every routed observation is reported via
@@ -264,11 +236,6 @@ impl<'t> ShardRouter<'t> {
     pub fn with_observer(mut self, observer: &'t dyn StreamObserver) -> Self {
         self.observer = Some(observer);
         self
-    }
-
-    /// The shard a target address routes to (see [`ShardMap::shard_for`]).
-    pub fn shard_for(&self, target: Ipv6Addr) -> usize {
-        self.map.shard_for(target)
     }
 
     /// The pure target → shard mapping this router routes by — what a caller
@@ -303,10 +270,10 @@ impl<'t> ShardRouter<'t> {
         self.seq_shards.take()
     }
 
-    /// Deliver one observation to its shard (or buffer it until the shard's
-    /// batch fills). Blocks when a delivery finds the shard's queue full; the
-    /// outcome reports whether it had to.
-    pub fn route(&mut self, obs: Observation) -> RouteOutcome {
+    /// Buffer one observation for its shard, delivering the shard's batch
+    /// once it fills. Blocks when a delivery finds the shard's queue full
+    /// (counted in [`ShardRouter::stalls`]).
+    pub fn route(&mut self, obs: Observation) {
         let shard = match &self.seq_shards {
             Some(table) if (obs.seq as usize) < table.len() => {
                 let shard = table[obs.seq as usize] as usize;
@@ -323,71 +290,32 @@ impl<'t> ShardRouter<'t> {
         if let Some(observer) = self.observer {
             observer.on_routed(shard, obs.window, obs.sent_at, obs.response.is_some());
         }
-        if self.batch <= 1 {
-            let backpressured = self.deliver(shard, ShardMsg::Observe(obs));
-            return RouteOutcome {
-                shard,
-                delivered: true,
-                backpressured,
-            };
-        }
         self.buffers[shard].push(obs);
         if self.buffers[shard].len() >= self.batch {
-            let backpressured = self.flush_buffer(shard);
-            RouteOutcome {
-                shard,
-                delivered: true,
-                backpressured,
-            }
-        } else {
-            RouteOutcome {
-                shard,
-                delivered: false,
-                backpressured: false,
-            }
+            self.flush_buffer(shard);
         }
-    }
-
-    /// Drain an observation source into the shards, one route per
-    /// observation, returning how many were routed. This is the ingest loop
-    /// of the streamed pipeline: the source may be a single scan stream or a
-    /// [`MergedClock`](crate::clock::MergedClock) over many producers — the
-    /// router cannot tell the difference, which is the point.
-    pub fn route_stream<S: ObservationSource + ?Sized>(&mut self, source: &mut S) -> u64 {
-        let mut routed = 0;
-        while let Some(obs) = source.next_observation() {
-            self.route(obs);
-            routed += 1;
-        }
-        routed
     }
 
     /// Send one message, blocking on a full queue and counting the stall.
     /// A hung-up channel means the worker died (panicked); the shard is
     /// recorded as dead and the message dropped rather than panicking the
     /// control thread.
-    fn deliver(&mut self, shard: usize, msg: ShardMsg) -> bool {
+    fn deliver(&mut self, shard: usize, msg: ShardMsg) {
         match self.senders[shard].try_send(msg) {
-            Ok(()) => false,
+            Ok(()) => {}
             Err(std::sync::mpsc::TrySendError::Full(msg)) => {
                 self.stalls += 1;
                 if let Some(observer) = self.observer {
                     observer.on_stall(shard);
                 }
                 if self.senders[shard].send(msg).is_err() {
-                    self.note_dead(shard);
+                    self.dead.get_or_insert(shard);
                 }
-                true
             }
             Err(std::sync::mpsc::TrySendError::Disconnected(_)) => {
-                self.note_dead(shard);
-                false
+                self.dead.get_or_insert(shard);
             }
         }
-    }
-
-    fn note_dead(&mut self, shard: usize) {
-        self.dead.get_or_insert(shard);
     }
 
     /// The first shard whose worker hung up mid-run (its thread panicked),
@@ -401,16 +329,12 @@ impl<'t> ShardRouter<'t> {
     /// Deliver a shard's buffered batch, if any. The replacement buffer
     /// comes from the recycle pool — in steady state a worker-returned one,
     /// so delivery allocates nothing per batch.
-    fn flush_buffer(&mut self, shard: usize) -> bool {
+    fn flush_buffer(&mut self, shard: usize) {
         if self.buffers[shard].is_empty() {
-            return false;
+            return;
         }
-        let empty = match self.pool.as_mut() {
-            Some(pool) => pool.take(),
-            None => Vec::with_capacity(self.batch),
-        };
-        let batch = std::mem::replace(&mut self.buffers[shard], empty);
-        self.deliver(shard, ShardMsg::ObserveBatch(batch))
+        let batch = std::mem::replace(&mut self.buffers[shard], self.pool.take());
+        self.deliver(shard, ShardMsg::ObserveBatch(batch));
     }
 
     /// Deliver every shard's buffered batch.
@@ -454,11 +378,6 @@ impl<'t> ShardRouter<'t> {
         }
     }
 
-    /// Number of shards.
-    pub fn shards(&self) -> usize {
-        self.senders.len()
-    }
-
     /// Observations routed so far.
     pub fn routed(&self) -> u64 {
         self.routed
@@ -480,7 +399,6 @@ impl<'t> ShardRouter<'t> {
 mod tests {
     use super::*;
     use crate::observation::Phase;
-    use crate::shard::spawn_shards;
     use scent_bgp::{Asn, Rib};
     use scent_simnet::SimTime;
 
@@ -505,94 +423,75 @@ mod tests {
         }
     }
 
+    /// A single-shard router over `sender`, delivering `batch` observations
+    /// per message.
+    fn router(sender: std::sync::mpsc::SyncSender<ShardMsg>, batch: usize) -> ShardRouter<'static> {
+        ShardRouter::with_map(ShardMap::new(&rib().entries(), 1), vec![sender], batch)
+    }
+
     #[test]
     fn same_announcement_routes_to_same_shard() {
-        std::thread::scope(|scope| {
-            let (senders, handles) = spawn_shards(scope, 3, 64, None);
-            let router = ShardRouter::new(&rib().entries(), senders);
-            assert_eq!(router.shards(), 3);
-            // Everything inside one /32 lands on one shard.
-            let a = router.shard_for("2001:16b8:1::1".parse().unwrap());
-            let b = router.shard_for("2001:16b8:ffff::1".parse().unwrap());
-            assert_eq!(a, b);
-            // A sub-/32 announcement keeps its space with the covering /26.
-            let c = router.shard_for("2a01:c01::1".parse().unwrap());
-            let d = router.shard_for("2a01:c3f::1".parse().unwrap());
-            assert_eq!(c, d);
-            // Unannounced space still routes deterministically.
-            let e = router.shard_for("3fff::1".parse().unwrap());
-            assert_eq!(e, router.shard_for("3fff:0:1::2".parse().unwrap()));
-            router.shutdown();
-            for handle in handles {
-                handle.join().unwrap();
-            }
-        });
+        let map = ShardMap::new(&rib().entries(), 3);
+        assert_eq!(map.shards(), 3);
+        // Everything inside one /32 lands on one shard.
+        let a = map.shard_for("2001:16b8:1::1".parse().unwrap());
+        let b = map.shard_for("2001:16b8:ffff::1".parse().unwrap());
+        assert_eq!(a, b);
+        // A sub-/32 announcement keeps its space with the covering /26.
+        let c = map.shard_for("2a01:c01::1".parse().unwrap());
+        let d = map.shard_for("2a01:c3f::1".parse().unwrap());
+        assert_eq!(c, d);
+        // Unannounced space still routes deterministically.
+        let e = map.shard_for("3fff::1".parse().unwrap());
+        assert_eq!(e, map.shard_for("3fff:0:1::2".parse().unwrap()));
     }
 
+    /// The virtual-queue feedback model evaluates shard assignment on its own
+    /// [`ShardMap`], away from the router's; two builds over the same RIB
+    /// must never diverge.
     #[test]
-    fn routing_is_deterministic_across_router_builds() {
-        std::thread::scope(|scope| {
-            let (s1, h1) = spawn_shards(scope, 4, 64, None);
-            let (s2, h2) = spawn_shards(scope, 4, 64, None);
-            let r1 = ShardRouter::new(&rib().entries(), s1);
-            let r2 = ShardRouter::new(&rib().entries(), s2);
-            for target in ["2001:16b8:1::1", "2a02:27b0:200::9", "2803:9810:100::3"] {
-                let t: Ipv6Addr = target.parse().unwrap();
-                assert_eq!(r1.shard_for(t), r2.shard_for(t));
-            }
-            r1.shutdown();
-            r2.shutdown();
-            for handle in h1.into_iter().chain(h2) {
-                handle.join().unwrap();
-            }
-        });
+    fn routing_is_deterministic_across_map_builds() {
+        let m1 = ShardMap::new(&rib().entries(), 5);
+        let m2 = ShardMap::new(&rib().entries(), 5);
+        for target in [
+            "2001:16b8:1::1",
+            "2a02:27b0:200::9",
+            "2803:9810:100::3",
+            "2a01:c3f::1",
+            "3fff::1",
+        ] {
+            let t: Ipv6Addr = target.parse().unwrap();
+            assert_eq!(m1.shard_for(t), m2.shard_for(t), "{target}");
+        }
     }
 
-    /// The standalone [`ShardMap`] must agree with the router exactly — the
-    /// virtual-queue feedback model evaluates shard assignment away from the
-    /// router and the two must never diverge.
-    #[test]
-    fn shard_map_agrees_with_the_router() {
-        std::thread::scope(|scope| {
-            let (senders, handles) = spawn_shards(scope, 5, 64, None);
-            let router = ShardRouter::new(&rib().entries(), senders);
-            let map = ShardMap::new(&rib().entries(), 5);
-            assert_eq!(map.shards(), 5);
-            for target in [
-                "2001:16b8:1::1",
-                "2a02:27b0:200::9",
-                "2803:9810:100::3",
-                "2a01:c3f::1",
-                "3fff::1",
-            ] {
-                let t: Ipv6Addr = target.parse().unwrap();
-                assert_eq!(router.shard_for(t), map.shard_for(t), "{target}");
-            }
-            router.shutdown();
-            for handle in handles {
-                handle.join().unwrap();
-            }
-        });
-    }
-
+    /// Every observation arrives, in routing order, at any batch size: full
+    /// batches as they fill, the remainder on the shutdown flush — and a
+    /// batch of one is just a one-element `ObserveBatch`.
     #[test]
     fn batched_routing_delivers_every_observation() {
-        std::thread::scope(|scope| {
-            let (senders, handles) = spawn_shards(scope, 2, 8, None);
-            // Batch of 4 with 10 observations: two full batches plus a
-            // remainder that only the shutdown flush delivers.
-            let mut router = ShardRouter::with_batch(&rib().entries(), senders, 4);
-            for i in 0..10 {
-                router.route(obs(&format!("2001:16b8::{i:x}")));
+        for batch in [1usize, 4] {
+            let (tx, rx) = std::sync::mpsc::sync_channel(16);
+            let mut router = router(tx, batch);
+            let sent: Vec<Observation> =
+                (0..10).map(|i| obs(&format!("2001:16b8::{i:x}"))).collect();
+            for o in &sent {
+                router.route(*o);
             }
             assert_eq!(router.routed(), 10);
             router.shutdown();
-            let total: u64 = handles
-                .into_iter()
-                .map(|h| h.join().unwrap().observations)
-                .sum();
-            assert_eq!(total, 10, "shutdown must flush partial batches");
-        });
+            let mut messages = 0;
+            let mut delivered = Vec::new();
+            for msg in rx {
+                if let ShardMsg::ObserveBatch(observations) = msg {
+                    assert!(observations.len() <= batch);
+                    messages += 1;
+                    delivered.extend(observations);
+                }
+            }
+            assert_eq!(delivered, sent, "batch={batch}");
+            assert_eq!(messages, 10usize.div_ceil(batch), "batch={batch}");
+        }
     }
 
     /// A worker that hangs up mid-run (panicked thread) must not panic the
@@ -601,12 +500,10 @@ mod tests {
     fn dead_shard_is_recorded_not_panicked() {
         let (tx, rx) = std::sync::mpsc::sync_channel(1);
         drop(rx); // The "worker" is already gone.
-        let mut router = ShardRouter::new(&rib().entries(), vec![tx]);
-        assert_eq!(router.dead_shard(), None);
-        let outcome = router.route(obs("2001:16b8::1"));
-        assert_eq!(outcome.shard, 0);
+        let mut router = router(tx, 1);
         assert_eq!(router.dead_shard(), Some(0));
-        // Further traffic, compaction and flush all stay non-panicking.
+        // Traffic, compaction and flush all stay non-panicking.
+        router.route(obs("2001:16b8::1"));
         router.route(obs("2001:16b8::2"));
         router.compact_before(5);
         let states = router.flush();
@@ -624,25 +521,19 @@ mod tests {
             let consumer = scope.spawn(move || {
                 let mut seen = 0usize;
                 while let Ok(msg) = rx.recv() {
-                    if matches!(msg, ShardMsg::Observe(_)) {
-                        seen += 1;
+                    if let ShardMsg::ObserveBatch(batch) = msg {
+                        seen += batch.len();
                     }
                     std::thread::sleep(std::time::Duration::from_millis(2));
                 }
                 seen
             });
-            let mut router = ShardRouter::new(&rib().entries(), vec![tx]);
-            let mut backpressured = 0;
+            let mut router = router(tx, 1);
             for i in 0..20 {
-                let outcome = router.route(obs(&format!("2001:16b8::{i:x}")));
-                assert_eq!(outcome.shard, 0);
-                if outcome.backpressured {
-                    backpressured += 1;
-                }
+                router.route(obs(&format!("2001:16b8::{i:x}")));
             }
             assert_eq!(router.routed(), 20);
-            assert!(backpressured > 0, "tiny queue must stall");
-            assert_eq!(router.stalls(), backpressured);
+            assert!(router.stalls() > 0, "tiny queue must stall");
             router.shutdown();
             assert_eq!(consumer.join().unwrap(), 20, "nothing may be dropped");
         });

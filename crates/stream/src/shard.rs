@@ -1,5 +1,6 @@
-//! Inference shards: worker threads that fold observations into the
-//! incremental classifiers of `scent-core`.
+//! Inference shards: the state each worker thread of the
+//! [`IngestEngine`](crate::engine::IngestEngine) folds observations into —
+//! the incremental classifiers of `scent-core` — and the messages it is fed.
 //!
 //! Each shard owns the complete inference state for the address space routed
 //! to it — expansion validation, density accumulators, the windowed rotation
@@ -12,8 +13,7 @@
 
 use std::collections::BTreeSet;
 use std::net::Ipv6Addr;
-use std::sync::mpsc::{Receiver, Sender, SyncSender};
-use std::thread;
+use std::sync::mpsc::Sender;
 
 use scent_core::density::DensityAccumulator;
 use scent_core::fasthash::{FastMap, FastSet};
@@ -21,25 +21,20 @@ use scent_core::rotation_detect::{RotationEvent, WindowedRotationDetector};
 use scent_core::tracker::IncrementalTracker;
 use scent_core::SeedExpansion;
 use scent_ipv6::{Eui64, Ipv6Prefix};
-use scent_telemetry::StreamObserver;
 
 use crate::observation::{Observation, Phase};
 
 /// A message delivered to a shard worker.
 pub enum ShardMsg {
-    /// Fold one observation into the shard's state.
-    Observe(Observation),
     /// Fold a batch of observations into the shard's state, in order. One
-    /// channel message per batch amortizes per-message overhead when the
-    /// router runs with an observation-batching knob above 1.
+    /// channel message per batch amortizes the per-message channel overhead.
     ObserveBatch(Vec<Observation>),
     /// Adopt a recycler for batch buffers: after folding each subsequent
     /// [`ShardMsg::ObserveBatch`], the worker clears the buffer and sends it
     /// back to the router's [`BatchPool`](crate::buffer::BatchPool) instead
-    /// of dropping it. Sent once by the router at construction (when
-    /// observation batching is on); a worker without one simply drops drained
-    /// buffers — recycling is an allocation optimization, never a
-    /// correctness requirement.
+    /// of dropping it. Sent by the router when it builds its pool; a worker
+    /// without one simply drops drained buffers — recycling is an allocation
+    /// optimization, never a correctness requirement.
     AttachRecycler(crate::buffer::BatchReturn),
     /// Snapshot the shard's current inference state and send it back. The
     /// channel is FIFO, so the snapshot reflects every observation routed
@@ -183,146 +178,6 @@ impl ShardInference {
     }
 }
 
-/// The worker loop: ingest until every sender is dropped, then return the
-/// final state. With `poison` set the worker panics on its first
-/// observation — the fault-injection hook the panic-propagation tests drive.
-fn worker(
-    shard: usize,
-    receiver: Receiver<ShardMsg>,
-    live_events: Option<Sender<RotationEvent>>,
-    observer: Option<&dyn StreamObserver>,
-    initial: ShardInference,
-    poison: bool,
-) -> ShardInference {
-    let mut state = initial;
-    let mut recycler: Option<crate::buffer::BatchReturn> = None;
-    let observe = |state: &mut ShardInference, obs: &Observation| {
-        let event = state.ingest(obs);
-        if let (Some(event), Some(live)) = (event, live_events.as_ref()) {
-            // The monitor may have stopped listening; that must not
-            // kill the shard.
-            let _ = live.send(event);
-        }
-    };
-    while let Ok(msg) = receiver.recv() {
-        match msg {
-            ShardMsg::Observe(_) | ShardMsg::ObserveBatch(_) if poison => {
-                panic!("injected shard panic (shard {shard})");
-            }
-            ShardMsg::Observe(obs) => {
-                observe(&mut state, &obs);
-                if let Some(observer) = observer {
-                    observer.on_shard_progress(shard, 1);
-                }
-            }
-            ShardMsg::ObserveBatch(batch) => {
-                for obs in &batch {
-                    observe(&mut state, obs);
-                }
-                if let Some(observer) = observer {
-                    observer.on_shard_progress(shard, batch.len() as u64);
-                }
-                if let Some(home) = &recycler {
-                    home.give(batch);
-                }
-            }
-            ShardMsg::AttachRecycler(home) => {
-                recycler = Some(home);
-            }
-            ShardMsg::Flush(reply) => {
-                let _ = reply.send(state.clone());
-            }
-            ShardMsg::Compact(window) => {
-                state.compact_before(window);
-            }
-        }
-    }
-    state
-}
-
-/// Spawn `shards` worker threads with bounded input channels of
-/// `channel_capacity` messages each. Returns the senders (hand them to a
-/// [`ShardRouter`](crate::router::ShardRouter)) and the join handles whose
-/// results are the final shard states. `live_events`, when given, receives
-/// every rotation event the moment a shard detects it.
-pub fn spawn_shards<'scope, 'env>(
-    scope: &'scope thread::Scope<'scope, 'env>,
-    shards: usize,
-    channel_capacity: usize,
-    live_events: Option<Sender<RotationEvent>>,
-) -> (
-    Vec<SyncSender<ShardMsg>>,
-    Vec<thread::ScopedJoinHandle<'scope, ShardInference>>,
-) {
-    spawn_shards_observed(scope, shards, channel_capacity, live_events, None)
-}
-
-/// [`spawn_shards`] with a telemetry observer: each worker reports its
-/// ingest progress via [`StreamObserver::on_shard_progress`] (wall-clock
-/// tier — the counts are deterministic, the interleaving is the
-/// scheduler's).
-pub fn spawn_shards_observed<'scope, 'env>(
-    scope: &'scope thread::Scope<'scope, 'env>,
-    shards: usize,
-    channel_capacity: usize,
-    live_events: Option<Sender<RotationEvent>>,
-    observer: Option<&'scope dyn StreamObserver>,
-) -> (
-    Vec<SyncSender<ShardMsg>>,
-    Vec<thread::ScopedJoinHandle<'scope, ShardInference>>,
-) {
-    spawn_shards_seeded(
-        scope,
-        shards,
-        channel_capacity,
-        live_events,
-        observer,
-        None,
-        None,
-    )
-}
-
-/// [`spawn_shards_observed`] with seeded initial states — how a
-/// checkpoint-resumed monitor hands each worker the inference state it held
-/// when the snapshot was captured. `initial`, when given, must hold exactly
-/// one state per shard (index-aligned); `None` starts every shard empty.
-/// `inject_panic`, when given, poisons that shard's worker to panic on its
-/// first observation — the fault-injection hook the panic-propagation tests
-/// drive end to end.
-#[allow(clippy::too_many_arguments)]
-pub fn spawn_shards_seeded<'scope, 'env>(
-    scope: &'scope thread::Scope<'scope, 'env>,
-    shards: usize,
-    channel_capacity: usize,
-    live_events: Option<Sender<RotationEvent>>,
-    observer: Option<&'scope dyn StreamObserver>,
-    initial: Option<Vec<ShardInference>>,
-    inject_panic: Option<usize>,
-) -> (
-    Vec<SyncSender<ShardMsg>>,
-    Vec<thread::ScopedJoinHandle<'scope, ShardInference>>,
-) {
-    assert!(shards > 0, "at least one shard");
-    assert!(channel_capacity > 0, "bounded channels need capacity");
-    let initial = match initial {
-        Some(states) => {
-            assert_eq!(states.len(), shards, "one seeded state per shard");
-            states
-        }
-        None => vec![ShardInference::new(); shards],
-    };
-    let mut senders = Vec::with_capacity(shards);
-    let mut handles = Vec::with_capacity(shards);
-    for (shard, seed) in initial.into_iter().enumerate() {
-        let (tx, rx) = std::sync::mpsc::sync_channel(channel_capacity);
-        let live = live_events.clone();
-        let poison = inject_panic == Some(shard);
-        senders.push(tx);
-        handles.push(scope.spawn(move || worker(shard, rx, live, observer, seed, poison)));
-    }
-    (senders, handles)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -424,32 +279,5 @@ mod tests {
         let acc = &merged.density[&"2001:db8:1::/48".parse().unwrap()];
         assert_eq!(acc.probes, 2);
         assert!(acc.responded);
-    }
-
-    #[test]
-    fn workers_flush_and_return_state() {
-        std::thread::scope(|scope| {
-            let (senders, handles) = spawn_shards(scope, 2, 8, None);
-            let eui1 = eui_addr(0x2001_0db8_0001_0000);
-            senders[0]
-                .send(ShardMsg::Observe(obs(
-                    Phase::Expansion,
-                    0,
-                    0,
-                    "2001:db8:1::1",
-                    Some(&eui1),
-                )))
-                .unwrap();
-            // Flush sees the observation (FIFO).
-            let (tx, rx) = std::sync::mpsc::channel();
-            senders[0].send(ShardMsg::Flush(tx)).unwrap();
-            let partial = rx.recv().unwrap();
-            assert_eq!(partial.validated.len(), 1);
-            drop(senders);
-            let finals: Vec<ShardInference> =
-                handles.into_iter().map(|h| h.join().unwrap()).collect();
-            assert_eq!(finals[0].observations, 1);
-            assert_eq!(finals[1].observations, 0);
-        });
     }
 }

@@ -5,9 +5,11 @@
 //! observation from producer to shard performs **zero heap allocations**:
 //! batches travel in recycled fixed-capacity buffers, shard resolution is an
 //! array index into a precomputed seq → shard table, and `Observation`
-//! itself is `Copy`. These tests pin the property two ways — with a counting
-//! global allocator on the routing thread, and with the buffer pools' own
-//! allocate/recycle counters — so it can't silently rot.
+//! itself is `Copy`. These tests pin the property with a counting global
+//! allocator — on the routing thread, cross-checked against the router
+//! pool's own allocate/recycle counters, and on the producer threads — so it
+//! can't silently rot. Both drive the data plane the way the pipeline and
+//! the monitor do: through the `IngestEngine`.
 //!
 //! This is an integration-test binary on purpose: a `#[global_allocator]`
 //! is process-wide, and the library forbids `unsafe` (`GlobalAlloc` needs
@@ -19,10 +21,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use scent_bgp::{Asn, Rib};
 use scent_simnet::SimTime;
-use scent_stream::{
-    spawn_producers_counted, spawn_shards, Observation, ObservationSource, Phase, ShardMap,
-    ShardRouter,
-};
+use scent_stream::{IngestEngine, IngestOptions, Observation, ObservationSource, Phase, ShardMap};
 
 /// Counts this thread's heap allocations (alloc paths only — frees are
 /// irrelevant to the "does the hot path allocate?" question). Thread-local
@@ -104,14 +103,23 @@ fn observation(seq: u64, target: std::net::Ipv6Addr) -> Observation {
     }
 }
 
-/// Routing through a warmed-up batched router performs zero heap
-/// allocations on the control thread, and the pool counters agree: every
-/// buffer the run ever used came from the prefill.
+/// A replay of pre-generated observations.
+struct Replay<'a>(std::slice::Iter<'a, Observation>);
+
+impl ObservationSource for Replay<'_> {
+    fn next_observation(&mut self) -> Option<Observation> {
+        self.0.next().copied()
+    }
+}
+
+/// Driving a warmed-up engine performs zero heap allocations on the control
+/// thread, and the pool counters agree: every buffer the run ever used came
+/// from the prefill.
 #[test]
 fn routing_steady_state_allocates_nothing() {
     const SHARDS: usize = 2;
     const CAPACITY: usize = 64; // channel capacity, in batch messages
-    const BATCH: usize = 64;
+
     // Covers every buffer that can simultaneously be outside the pool:
     // per shard, the channel queue plus one buffer in the router's and one
     // in the worker's hands (the "+1" is slack for the rotation itself).
@@ -129,36 +137,33 @@ fn routing_steady_state_allocates_nothing() {
         .collect();
 
     std::thread::scope(|scope| {
-        let (senders, handles) = spawn_shards(scope, SHARDS, CAPACITY, None);
         let map = ShardMap::new(&rib.entries(), SHARDS);
-        let mut router =
-            ShardRouter::with_map(map, senders, BATCH).with_pool_slots(SHARDS * (CAPACITY + 2));
-        router.prefill_buffers(PREFILL);
-        let table = router.map().seq_table(targets.iter().copied());
-        router.set_seq_shards(table);
+        let table = map.seq_table(targets.iter().copied());
+        let mut engine = IngestEngine::open(scope, map, CAPACITY, IngestOptions::default());
+        engine.router().prefill_buffers(PREFILL);
+        engine.router().set_seq_shards(table);
 
         // Warm-up: one pass, then a flush so the workers have drained (and
         // returned) everything queued before the measured section starts.
-        for obs in &observations[..1024] {
-            router.route(*obs);
-        }
-        let _ = router.flush();
+        engine.drive(vec![Replay(observations[..1024].iter())], None, |_, _| {});
+        let _ = engine.router().flush();
 
         // Measured steady state. 2048 observations = 32 full batches, well
         // under the CAPACITY-message queue, so even a descheduled worker
         // can't force the router into a blocking (parking) send here.
+        let measured = vec![Replay(observations[1024..3072].iter())];
+        let mut hooked = 0u64;
         let before = thread_allocations();
-        for obs in &observations[1024..3072] {
-            router.route(*obs);
-        }
+        let routed = engine.drive(measured, None, |_, _| hooked += 1);
         let after = thread_allocations();
         assert_eq!(
             after - before,
             0,
-            "steady-state routing must not touch the allocator on the control thread"
+            "a steady-state drive must not touch the allocator on the control thread"
         );
+        assert_eq!((routed, hooked), (2048, 2048));
 
-        let counters = router.buffer_counters().expect("batching is on");
+        let counters = engine.router().buffer_counters();
         assert_eq!(
             counters.allocated(),
             PREFILL as u64,
@@ -169,26 +174,34 @@ fn routing_steady_state_allocates_nothing() {
             "the measured pass must have reused buffers"
         );
 
-        router.shutdown();
-        let total: u64 = handles
-            .into_iter()
-            .map(|h| h.join().unwrap().observations)
+        let total: u64 = engine
+            .close()
+            .expect("no panic injected")
+            .iter()
+            .map(|state| state.observations)
             .sum();
         assert_eq!(total, 3072, "recycling must not lose observations");
     });
 }
 
 /// A synthetic producer slice: yields its strided positions of a fixed
-/// global sequence, like a sliced scan stream does.
-struct SyntheticSlice {
+/// global sequence, like a sliced scan stream does, and records how many
+/// allocations its producer thread performed between its first and its
+/// latest pull — the producer's batch-buffer takes, and nothing else.
+struct SyntheticSlice<'a> {
     next: u64,
     step: u64,
     limit: u64,
     targets: Vec<std::net::Ipv6Addr>,
+    first_pull: Option<u64>,
+    allocations: &'a AtomicU64,
 }
 
-impl ObservationSource for SyntheticSlice {
+impl ObservationSource for SyntheticSlice<'_> {
     fn next_observation(&mut self) -> Option<Observation> {
+        let now = thread_allocations();
+        let first = *self.first_pull.get_or_insert(now);
+        self.allocations.store(now - first, Ordering::Relaxed);
         if self.next >= self.limit {
             return None;
         }
@@ -200,16 +213,19 @@ impl ObservationSource for SyntheticSlice {
 }
 
 /// The producer → merge edge recycles its batch buffers: across a run long
-/// enough to wrap the bounded channel many times, each producer's pool
-/// serves the overwhelming majority of takes from returned buffers, keeping
-/// the buffer population bounded by the channel — not by ingest volume.
+/// enough to wrap the bounded channel many times, each producer thread
+/// serves the overwhelming majority of its buffer takes from returned
+/// buffers, keeping the buffer population bounded by the channel — not by
+/// ingest volume.
 #[test]
 fn producer_edge_recycles_batch_buffers() {
     const PRODUCERS: u64 = 2;
     const CAPACITY: usize = 4; // batches in flight per producer channel
     const LIMIT: u64 = 8192; // total observations = 64 batches per producer
 
+    let rib = rib();
     let targets = targets(64);
+    let allocations = [AtomicU64::new(0), AtomicU64::new(0)];
     std::thread::scope(|scope| {
         let sources: Vec<SyntheticSlice> = (0..PRODUCERS)
             .map(|k| SyntheticSlice {
@@ -217,37 +233,30 @@ fn producer_edge_recycles_batch_buffers() {
                 step: PRODUCERS,
                 limit: LIMIT,
                 targets: targets.clone(),
+                first_pull: None,
+                allocations: &allocations[k as usize],
             })
             .collect();
-        let (mut clock, counters) = spawn_producers_counted(scope, sources, CAPACITY);
-        let mut merged = 0u64;
-        let mut last_seq = None;
-        while let Some(obs) = clock.next_observation() {
-            // The merge must still see the exact global sequence — recycling
-            // changes where buffer memory came from, never what's in it.
-            assert_eq!(
-                Some(obs.seq),
-                last_seq.map_or(Some(0), |s: u64| Some(s + 1))
-            );
-            last_seq = Some(obs.seq);
-            merged += 1;
-        }
+        let map = ShardMap::new(&rib.entries(), 1);
+        let mut engine = IngestEngine::open(scope, map, CAPACITY, IngestOptions::default());
+        // The merge must still see the exact global sequence — recycling
+        // changes where buffer memory came from, never what's in it.
+        let mut next_seq = 0u64;
+        let merged = engine.drive(sources, None, |_, obs| {
+            assert_eq!(obs.seq, next_seq);
+            next_seq += 1;
+        });
         assert_eq!(merged, LIMIT);
-
-        assert_eq!(counters.len(), PRODUCERS as usize);
-        let batches_per_producer = LIMIT / PRODUCERS / 64;
-        for (k, pool) in counters.iter().enumerate() {
-            assert!(
-                pool.allocated() >= 1,
-                "producer {k} allocated at least its first buffer"
-            );
-            assert!(
-                pool.allocated() < batches_per_producer,
-                "producer {k} allocated {} of {} batches — recycling is not working",
-                pool.allocated(),
-                batches_per_producer
-            );
-            assert!(pool.recycled() > 0, "producer {k} never recycled");
-        }
+        engine.close().expect("no panic injected");
     });
+
+    let batches_per_producer = LIMIT / PRODUCERS / 64;
+    for (k, allocated) in allocations.iter().enumerate() {
+        let allocated = allocated.load(Ordering::Relaxed);
+        assert!(
+            allocated < batches_per_producer,
+            "producer {k} allocated {allocated} times for {batches_per_producer} batches — \
+             recycling is not working"
+        );
+    }
 }

@@ -69,7 +69,6 @@ fn run() -> Result<(), ScentError> {
         .window_interval(SimDuration::from_days(1))
         .start(start)
         .max_tracked(5)
-        .observation_batch(64)
         .mode(CampaignMode::Monitor {
             windows: 14,
             shards: 2,
@@ -188,7 +187,6 @@ fn run() -> Result<(), ScentError> {
             .window_interval(SimDuration::from_days(1))
             .start(start)
             .max_tracked(5)
-            .observation_batch(64)
             .mode(CampaignMode::Monitor {
                 windows: 14,
                 shards: 2,

@@ -221,7 +221,6 @@ impl Campaign {
             pipeline: PipelineConfig::default(),
             mode: CampaignMode::Batch,
             channel_capacity: 1024,
-            observation_batch: 64,
             watched: Vec::new(),
             granularity: None,
             window_interval: SimDuration::from_days(1),
@@ -254,7 +253,6 @@ pub struct CampaignBuilder<'t, W> {
     pipeline: PipelineConfig,
     mode: CampaignMode,
     channel_capacity: usize,
-    observation_batch: usize,
     watched: Vec<Ipv6Prefix>,
     granularity: Option<u8>,
     window_interval: SimDuration,
@@ -279,7 +277,6 @@ impl<W: std::fmt::Debug> std::fmt::Debug for CampaignBuilder<'_, W> {
             .field("pipeline", &self.pipeline)
             .field("mode", &self.mode)
             .field("channel_capacity", &self.channel_capacity)
-            .field("observation_batch", &self.observation_batch)
             .field("watched", &self.watched)
             .field("granularity", &self.granularity)
             .field("window_interval", &self.window_interval)
@@ -337,15 +334,6 @@ impl<'t, W> CampaignBuilder<'t, W> {
     /// Bounded per-shard queue capacity, in messages (default: 1024).
     pub fn channel_capacity(mut self, channel_capacity: usize) -> Self {
         self.channel_capacity = channel_capacity;
-        self
-    }
-
-    /// Observations accumulated per channel message (default: 64, promoted
-    /// from the `streaming/batching_experiment_scale` bench). Larger batches
-    /// amortize channel overhead without changing the report; set 1 for
-    /// per-probe live-event latency in monitor mode.
-    pub fn observation_batch(mut self, observation_batch: usize) -> Self {
-        self.observation_batch = observation_batch;
         self
     }
 
@@ -534,7 +522,6 @@ impl<'t, W> CampaignBuilder<'t, W> {
             pipeline: self.pipeline,
             mode: self.mode,
             channel_capacity: self.channel_capacity,
-            observation_batch: self.observation_batch,
             watched: self.watched,
             granularity: self.granularity,
             window_interval: self.window_interval,
@@ -569,7 +556,6 @@ impl<'t> CampaignBuilder<'t, ()> {
             pipeline: self.pipeline,
             mode: self.mode,
             channel_capacity: self.channel_capacity,
-            observation_batch: self.observation_batch,
             watched: self.watched,
             granularity: self.granularity,
             window_interval: self.window_interval,
@@ -594,9 +580,6 @@ impl<B: ProbeTransport + WorldView + ?Sized> CampaignBuilder<'_, &B> {
     pub fn run(self) -> Result<CampaignReport, ScentError> {
         if self.channel_capacity == 0 {
             return Err(CampaignError::ZeroChannelCapacity.into());
-        }
-        if self.observation_batch == 0 {
-            return Err(CampaignError::ZeroObservationBatch.into());
         }
         if self.rate_feedback && !self.queue_model.is_valid() {
             return Err(CampaignError::InvalidQueueModel.into());
@@ -663,7 +646,6 @@ impl<B: ProbeTransport + WorldView + ?Sized> CampaignBuilder<'_, &B> {
                     shards,
                     producers,
                     channel_capacity: self.channel_capacity,
-                    observation_batch: self.observation_batch,
                     rate_feedback: self.rate_feedback,
                     queue_model: self.queue_model,
                 };
@@ -694,7 +676,6 @@ impl<B: ProbeTransport + WorldView + ?Sized> CampaignBuilder<'_, &B> {
                     shards,
                     producers,
                     channel_capacity: self.channel_capacity,
-                    observation_batch: self.observation_batch,
                     seed: self.pipeline.seed,
                     packets_per_second: self.pipeline.packets_per_second,
                     granularity: self
@@ -789,16 +770,6 @@ mod tests {
         assert_eq!(
             err,
             ScentError::Campaign(CampaignError::ZeroChannelCapacity)
-        );
-
-        let err = Campaign::builder()
-            .world(&engine)
-            .observation_batch(0)
-            .run()
-            .unwrap_err();
-        assert_eq!(
-            err,
-            ScentError::Campaign(CampaignError::ZeroObservationBatch)
         );
 
         let err = Campaign::builder()

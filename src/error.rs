@@ -24,9 +24,6 @@ pub enum CampaignError {
     NoProducers,
     /// The bounded shard channels were given zero capacity.
     ZeroChannelCapacity,
-    /// The observation-batching knob was set to zero (batches must hold at
-    /// least one observation).
-    ZeroObservationBatch,
     /// A monitoring campaign has no watched /48s to probe.
     EmptyWatchList,
     /// A monitoring campaign was asked to observe zero windows.
@@ -89,9 +86,6 @@ impl fmt::Display for CampaignError {
             }
             CampaignError::ZeroChannelCapacity => {
                 write!(f, "bounded shard channels need non-zero capacity")
-            }
-            CampaignError::ZeroObservationBatch => {
-                write!(f, "observation batches must hold at least one observation")
             }
             CampaignError::EmptyWatchList => {
                 write!(f, "monitoring campaign has no watched /48s; call watch(..)")

@@ -341,14 +341,6 @@ fn every_campaign_error_variant_is_reachable_from_the_builder() {
         (
             Campaign::builder()
                 .world(&engine)
-                .observation_batch(0)
-                .run()
-                .unwrap_err(),
-            CampaignError::ZeroObservationBatch,
-        ),
-        (
-            Campaign::builder()
-                .world(&engine)
                 .mode(CampaignMode::Monitor {
                     windows: 2,
                     shards: 2,
