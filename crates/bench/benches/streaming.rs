@@ -235,8 +235,10 @@ impl scent_stream::ObservationSource for ReplaySlice<'_> {
 /// multi-core hosts; see `bench_producer_scaling` for why the spread flattens
 /// on one CPU.
 fn bench_hot_path(c: &mut Criterion) {
+    use scent_prober::TargetStream;
     use scent_stream::{
-        scan_seq_shards, IngestEngine, IngestOptions, ObservationSource, ScanStream, ShardMap,
+        continuous_seq_shards, ContinuousStream, IngestEngine, IngestOptions, ObservationSource,
+        ShardMap,
     };
 
     let engine = Engine::build(scenarios::paper_world(7, WorldScale::experiment())).unwrap();
@@ -249,21 +251,28 @@ fn bench_hot_path(c: &mut Criterion) {
         .collect();
     // /56 granularity: 256 targets per watched /48 — ≈32k observations per
     // pass, enough for the per-observation cost to dominate thread setup.
-    let targets = scent_prober::TargetGenerator::new(0x5eed).per_candidate_48(&watched, 56);
     const SEED: u64 = 0x5eed;
     const CAPACITY: usize = 256;
-    // Probe once, up front: every bench point replays this identical
-    // observation sequence (in seq order, so strided slices reproduce
-    // exactly what sliced scan streams would feed the merged clock).
+    let targets = TargetStream::new(
+        &scent_prober::TargetGenerator::new(SEED),
+        &watched,
+        56,
+        SEED,
+        true,
+    );
+    // Probe once, up front — one window of the stream every pass is made
+    // of: every bench point replays this identical observation sequence (in
+    // seq order, so strided slices reproduce exactly what sliced streams
+    // would feed the merged clock).
     // Detection-phase observations exercise the fold the continuous
     // monitor's steady state actually runs — the regime the flattening
     // targets, where per-message rendezvous kept the channel full and
     // dominated the pre-flattening profile.
     let observations: Vec<scent_stream::Observation> = {
-        let mut stream = ScanStream::builder(&engine, targets.clone())
-            .seed(SEED)
-            .build();
-        std::iter::from_fn(move || stream.next_observation()).collect()
+        let mut stream = ContinuousStream::builder(&engine, targets.clone()).build();
+        (0..targets.window_len())
+            .map_while(|_| stream.next_observation())
+            .collect()
     };
 
     let mut group = c.benchmark_group("streaming/hot_path");
@@ -277,7 +286,7 @@ fn bench_hot_path(c: &mut Criterion) {
                     b.iter(|| {
                         std::thread::scope(|scope| {
                             let map = ShardMap::new(&engine.rib().entries(), shards);
-                            let table = scan_seq_shards(&map, &targets, SEED);
+                            let table = continuous_seq_shards(&map, &targets);
                             let mut ingest =
                                 IngestEngine::open(scope, map, CAPACITY, IngestOptions::default());
                             ingest.router().set_seq_shards(table);

@@ -1,7 +1,8 @@
 //! [`Checkpointable`] implementations for the workspace's incremental
-//! monitor state: addresses and prefixes, probe records, pacers and virtual
-//! queues, target streams, density/rotation/tracking state, watch revisions
-//! and the telemetry deterministic tier.
+//! monitor state: addresses and prefixes, probe records, the queue model,
+//! density/rotation/tracking state, watch revisions and the telemetry
+//! deterministic tier. (Streams and pacers are rebuilt at every epoch
+//! boundary, where snapshots are taken, so they have no encoding.)
 //!
 //! Everything here encodes through public accessors (or `checkpoint_parts`
 //! pairs added for this purpose), so the owning crates keep their fields
@@ -19,9 +20,7 @@ use scent_core::{
 };
 use scent_ipv6::wire::DestUnreachableCode;
 use scent_ipv6::{addr_from_u128, addr_to_u128};
-use scent_prober::{
-    FeedbackPacer, QueueModel, QueuePacer, ResponseRecord, TargetStream, VirtualQueue,
-};
+use scent_prober::{QueueModel, ResponseRecord};
 use scent_simnet::{ReplyKind, SimDuration, SimTime};
 use scent_telemetry::{
     DeterministicSnapshot, EventKind, Histogram, TelemetryEvent, WindowStats, LATENCY_BOUNDS_SECS,
@@ -273,116 +272,6 @@ impl Checkpointable for QueueModel {
             return Err(CheckpointError::InvalidValue("queue watermarks"));
         }
         Ok(model)
-    }
-}
-
-impl Checkpointable for FeedbackPacer {
-    fn encode(&self, w: &mut Writer) {
-        let (base_pps, current_pps, min_pps, cursor, sent_in_second) = self.checkpoint_parts();
-        w.put_u64(base_pps);
-        w.put_u64(current_pps);
-        w.put_u64(min_pps);
-        cursor.encode(w);
-        w.put_u64(sent_in_second);
-    }
-
-    fn decode(r: &mut Reader<'_>) -> Result<Self, CheckpointError> {
-        let base_pps = r.u64()?;
-        let current_pps = r.u64()?;
-        let min_pps = r.u64()?;
-        let cursor = SimTime::decode(r)?;
-        let sent_in_second = r.u64()?;
-        if base_pps == 0 || current_pps == 0 || min_pps == 0 {
-            return Err(CheckpointError::InvalidValue("pacer rate"));
-        }
-        Ok(FeedbackPacer::from_checkpoint_parts((
-            base_pps,
-            current_pps,
-            min_pps,
-            cursor,
-            sent_in_second,
-        )))
-    }
-}
-
-impl Checkpointable for VirtualQueue {
-    fn encode(&self, w: &mut Writer) {
-        let (enqueued, epoch) = self.checkpoint_parts();
-        w.put_u64(enqueued);
-        epoch.encode(w);
-    }
-
-    fn decode(r: &mut Reader<'_>) -> Result<Self, CheckpointError> {
-        let enqueued = r.u64()?;
-        let epoch = SimTime::decode(r)?;
-        Ok(VirtualQueue::from_checkpoint_parts((enqueued, epoch)))
-    }
-}
-
-impl Checkpointable for QueuePacer {
-    fn encode(&self, w: &mut Writer) {
-        let (pacer, model, queues) = self.checkpoint_parts();
-        pacer.encode(w);
-        model.encode(w);
-        w.put_usize(queues.len());
-        for queue in queues {
-            queue.encode(w);
-        }
-    }
-
-    fn decode(r: &mut Reader<'_>) -> Result<Self, CheckpointError> {
-        let pacer = FeedbackPacer::decode(r)?;
-        let model = QueueModel::decode(r)?;
-        let queues: Vec<VirtualQueue> = Checkpointable::decode(r)?;
-        if queues.is_empty() {
-            return Err(CheckpointError::InvalidValue("queue pacer shard count"));
-        }
-        Ok(QueuePacer::from_checkpoint_parts(pacer, model, queues))
-    }
-}
-
-impl Checkpointable for TargetStream {
-    fn encode(&self, w: &mut Writer) {
-        let (targets, order, window, base_window, pos, offset, step) = self.checkpoint_parts();
-        w.put_usize(targets.len());
-        for target in targets {
-            target.encode(w);
-        }
-        w.put_usize(order.len());
-        for index in order {
-            w.put_u64(*index);
-        }
-        w.put_u64(window);
-        w.put_u64(base_window);
-        w.put_usize(pos);
-        w.put_usize(offset);
-        w.put_usize(step);
-    }
-
-    fn decode(r: &mut Reader<'_>) -> Result<Self, CheckpointError> {
-        let targets: Vec<Ipv6Addr> = Checkpointable::decode(r)?;
-        let order: Vec<u64> = Checkpointable::decode(r)?;
-        if order.len() != targets.len() || order.iter().any(|&i| i as usize >= targets.len().max(1))
-        {
-            return Err(CheckpointError::InvalidValue("target stream order"));
-        }
-        let window = r.u64()?;
-        let base_window = r.u64()?;
-        let pos = r.usize()?;
-        let offset = r.usize()?;
-        let step = r.usize()?;
-        if step == 0 {
-            return Err(CheckpointError::InvalidValue("target stream stride"));
-        }
-        Ok(TargetStream::from_checkpoint_parts(
-            targets,
-            order,
-            window,
-            base_window,
-            pos,
-            offset,
-            step,
-        ))
     }
 }
 
@@ -701,23 +590,6 @@ mod tests {
             low_watermark: 3,
             ..QueueModel::per_shard_drain([4, 5])
         });
-
-        let mut pacer = FeedbackPacer::new(SimTime::at(1, 1), 64);
-        for _ in 0..100 {
-            pacer.next_send_time();
-        }
-        pacer.on_backpressure();
-        roundtrip(pacer);
-
-        let mut queue = VirtualQueue::new(SimTime::at(1, 1));
-        queue.enqueue();
-        roundtrip(queue);
-
-        let mut queued = QueuePacer::new(SimTime::at(1, 1), 64, 3, QueueModel::with_drain_rate(2));
-        for i in 0..500u64 {
-            queued.pace((i % 3) as usize);
-        }
-        roundtrip(queued);
     }
 
     #[test]
@@ -732,23 +604,6 @@ mod tests {
             decode_value::<QueueModel>(&w.into_bytes()),
             Err(CheckpointError::InvalidValue("queue watermarks"))
         );
-    }
-
-    #[test]
-    fn target_stream_roundtrips_mid_window() {
-        let generator = scent_prober::TargetGenerator::new(5);
-        let candidates = [prefix("2001:db8:1::/48")];
-        let mut stream = scent_prober::TargetStream::new(&generator, &candidates, 56, 77, true)
-            .starting_at_window(4)
-            .slice(1, 3);
-        for _ in 0..50 {
-            stream.next_target().unwrap();
-        }
-        let bytes = encode_value(&stream);
-        let mut back: TargetStream = decode_value(&bytes).unwrap();
-        for i in 0..200 {
-            assert_eq!(back.next_target(), stream.next_target(), "draw {i}");
-        }
     }
 
     #[test]

@@ -6,9 +6,8 @@
 //! * [`Checkpointable`] — a hand-rolled binary codec trait (`encode` into a
 //!   [`Writer`], `decode` from a [`Reader`]) implemented here for every kind
 //!   of incremental monitor state: classifiers, density accumulators, the
-//!   incremental tracker, rotation detectors, pacer and virtual-queue
-//!   trajectories, target-stream cursors, watch-list revisions and the
-//!   telemetry deterministic tier.
+//!   incremental tracker, rotation detectors, the queue model, watch-list
+//!   revisions and the telemetry deterministic tier.
 //! * [`encode_snapshot`] / [`decode_snapshot`] — the versioned container
 //!   format: magic, format version, config/world fingerprints, tagged
 //!   length-prefixed sections, and a trailing FNV-1a checksum. Corrupt or

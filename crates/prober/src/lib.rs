@@ -24,13 +24,14 @@
 //!   from the scan seed). The paper probes "the same addresses every 24 hours
 //!   in the same order (same zmap random seed)"; [`RandomPermutation`] is
 //!   what makes that reproducibility possible.
-//! * [`rate`] — token-bucket pacing at a configurable packets-per-second
-//!   budget against the virtual clock (the paper probes at 10 kpps).
+//! * [`rate`] — pacing at a configurable packets-per-second budget against
+//!   the virtual clock (the paper probes at 10 kpps), fixed-rate or with
+//!   deterministic virtual-queue AIMD feedback.
 //! * [`targets`] — target generation: one pseudo-random IID per subnet of a
 //!   prefix at a chosen granularity (/64, /56, per-allocation, …).
 //! * [`zmap6`] — the scanner itself and multi-day campaign scheduling.
-//! * [`yarrp`] — randomized traceroute used for the seed campaign and for
-//!   last-hop (periphery) discovery.
+//! * [`yarrp`] — the traceroute record (hop list, last responsive hop) the
+//!   seed campaign and the record/replay backends share.
 //! * [`seed`] — the CAIDA-style seed traceroute campaign that bootstraps the
 //!   discovery pipeline.
 //! * [`recorded`] — record/replay backends: capture a live run's probe log,
@@ -49,14 +50,12 @@ pub mod yarrp;
 pub mod zmap6;
 
 pub use permutation::RandomPermutation;
-pub use rate::{
-    FeedbackPacer, ProbePacer, QueueModel, QueuePacer, RateTransition, TokenBucket, VirtualQueue,
-};
+pub use rate::{FeedbackPacer, ProbePacer, QueueModel, QueuePacer, RateTransition, VirtualQueue};
 pub use recorded::{ProbeLog, RecordedBackend, RecordedTrace, RecordedWorld, RecordingBackend};
 pub use records::{ProbeRecord, ResponseRecord, Scan};
 pub use seed::{SeedCampaign, SeedEntry};
 pub use targets::{slice_bounds, StreamedTarget, TargetGenerator, TargetStream};
-pub use yarrp::{TraceRecord, Tracer};
+pub use yarrp::TraceRecord;
 pub use zmap6::{Campaign, Scanner, ScannerConfig};
 
 use std::net::Ipv6Addr;

@@ -5,9 +5,9 @@
 //! 10 kpps" for a /46 rotation pool of /64s, or the "75 seconds of active
 //! probing" for EUI-64 IID #2 in Table 2) are statements about how long a
 //! probe budget takes to spend at that rate. [`ProbePacer`] converts probe
-//! indices into virtual send times at a fixed rate; [`TokenBucket`] provides
-//! the classic bucket abstraction for burst-limited senders and for modelling
-//! ICMPv6 error rate limits.
+//! indices into virtual send times at a fixed rate; [`FeedbackPacer`] and
+//! [`QueuePacer`] pace a continuous stream, the latter against the
+//! deterministic virtual-queue feedback model ([`QueueModel`]).
 
 use serde::{Deserialize, Serialize};
 
@@ -141,31 +141,6 @@ impl FeedbackPacer {
     /// The virtual time the pacer has reached.
     pub fn now(&self) -> SimTime {
         self.cursor
-    }
-
-    /// The pacer's complete internal state, in declaration order — what a
-    /// checkpoint encodes: `(base_pps, current_pps, min_pps, cursor,
-    /// sent_in_second)`.
-    pub fn checkpoint_parts(&self) -> (u64, u64, u64, SimTime, u64) {
-        (
-            self.base_pps,
-            self.current_pps,
-            self.min_pps,
-            self.cursor,
-            self.sent_in_second,
-        )
-    }
-
-    /// Rebuild a pacer from [`FeedbackPacer::checkpoint_parts`].
-    pub fn from_checkpoint_parts(parts: (u64, u64, u64, SimTime, u64)) -> Self {
-        let (base_pps, current_pps, min_pps, cursor, sent_in_second) = parts;
-        FeedbackPacer {
-            base_pps,
-            current_pps,
-            min_pps,
-            cursor,
-            sent_in_second,
-        }
     }
 }
 
@@ -308,18 +283,6 @@ impl VirtualQueue {
         let retired = now.since(self.epoch).as_secs().saturating_mul(rate);
         self.enqueued.saturating_sub(retired)
     }
-
-    /// The queue's complete internal state — what a checkpoint encodes:
-    /// `(enqueued, epoch)`.
-    pub fn checkpoint_parts(&self) -> (u64, SimTime) {
-        (self.enqueued, self.epoch)
-    }
-
-    /// Rebuild a queue from [`VirtualQueue::checkpoint_parts`].
-    pub fn from_checkpoint_parts(parts: (u64, SimTime)) -> Self {
-        let (enqueued, epoch) = parts;
-        VirtualQueue { enqueued, epoch }
-    }
 }
 
 /// A [`FeedbackPacer`] driven by the deterministic virtual-queue model
@@ -457,28 +420,6 @@ impl QueuePacer {
     pub fn now(&self) -> SimTime {
         self.pacer.now()
     }
-
-    /// The pacer's complete internal state — what a checkpoint encodes:
-    /// the inner [`FeedbackPacer`], the [`QueueModel`] and the per-shard
-    /// [`VirtualQueue`]s.
-    pub fn checkpoint_parts(&self) -> (&FeedbackPacer, &QueueModel, &[VirtualQueue]) {
-        (&self.pacer, &self.model, &self.queues)
-    }
-
-    /// Rebuild a pacer from [`QueuePacer::checkpoint_parts`].
-    pub fn from_checkpoint_parts(
-        pacer: FeedbackPacer,
-        model: QueueModel,
-        queues: Vec<VirtualQueue>,
-    ) -> Self {
-        assert!(!queues.is_empty(), "at least one shard");
-        assert!(model.is_valid(), "low watermark must be below high");
-        QueuePacer {
-            pacer,
-            model,
-            queues,
-        }
-    }
 }
 
 /// One AIMD rate change reported by [`QueuePacer::pace_tracked`]: a
@@ -490,46 +431,6 @@ pub struct RateTransition {
     pub from_pps: u64,
     /// Effective rate after the transition.
     pub to_pps: u64,
-}
-
-/// A token bucket: capacity `burst`, refilled at `rate` tokens per second.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct TokenBucket {
-    rate: f64,
-    burst: f64,
-    tokens: f64,
-    last: SimTime,
-}
-
-impl TokenBucket {
-    /// Create a bucket that starts full.
-    pub fn new(rate_per_sec: f64, burst: f64, now: SimTime) -> Self {
-        assert!(rate_per_sec > 0.0 && burst > 0.0);
-        TokenBucket {
-            rate: rate_per_sec,
-            burst,
-            tokens: burst,
-            last: now,
-        }
-    }
-
-    /// Refill the bucket up to `now` and try to take one token.
-    pub fn try_take(&mut self, now: SimTime) -> bool {
-        let elapsed = now.since(self.last).as_secs() as f64;
-        self.tokens = (self.tokens + elapsed * self.rate).min(self.burst);
-        self.last = now;
-        if self.tokens >= 1.0 {
-            self.tokens -= 1.0;
-            true
-        } else {
-            false
-        }
-    }
-
-    /// Tokens currently available (after the last refill).
-    pub fn available(&self) -> f64 {
-        self.tokens
-    }
 }
 
 #[cfg(test)]
@@ -880,61 +781,5 @@ mod tests {
         assert!(throttled, "the slow shard must throttle the fleet");
         // The slowest shard dominates the depth signal.
         assert!(solo.shard_depth(0) >= solo.shard_depth(1));
-    }
-
-    #[test]
-    fn pacer_checkpoint_parts_roundtrip() {
-        let mut pacer = FeedbackPacer::new(SimTime::at(2, 5), 100);
-        for _ in 0..317 {
-            pacer.next_send_time();
-        }
-        pacer.on_backpressure();
-        let restored = FeedbackPacer::from_checkpoint_parts(pacer.checkpoint_parts());
-        assert_eq!(restored, pacer);
-
-        let mut queue = VirtualQueue::new(SimTime::at(2, 5));
-        queue.enqueue();
-        queue.enqueue();
-        assert_eq!(
-            VirtualQueue::from_checkpoint_parts(queue.checkpoint_parts()),
-            queue
-        );
-
-        let mut paced = QueuePacer::new(SimTime::at(2, 5), 64, 2, QueueModel::with_drain_rate(3));
-        for i in 0..500u64 {
-            paced.pace((i % 2) as usize);
-        }
-        let (fp, model, queues) = paced.checkpoint_parts();
-        let rebuilt = QueuePacer::from_checkpoint_parts(*fp, model.clone(), queues.to_vec());
-        assert_eq!(rebuilt, paced);
-    }
-
-    #[test]
-    fn token_bucket_allows_burst_then_throttles() {
-        let now = SimTime::at(0, 0);
-        let mut bucket = TokenBucket::new(2.0, 3.0, now);
-        assert!(bucket.try_take(now));
-        assert!(bucket.try_take(now));
-        assert!(bucket.try_take(now));
-        assert!(!bucket.try_take(now), "burst exhausted");
-        // One second later two tokens have accrued.
-        let later = now + SimDuration::from_secs(1);
-        assert!(bucket.try_take(later));
-        assert!(bucket.try_take(later));
-        assert!(!bucket.try_take(later));
-        assert!(bucket.available() < 1.0);
-    }
-
-    #[test]
-    fn token_bucket_caps_at_burst() {
-        let now = SimTime::at(0, 0);
-        let mut bucket = TokenBucket::new(10.0, 2.0, now);
-        assert!(bucket.try_take(now));
-        assert!(bucket.try_take(now));
-        // A long idle period refills only to the burst cap.
-        let much_later = now + SimDuration::from_days(1);
-        assert!(bucket.try_take(much_later));
-        assert!(bucket.try_take(much_later));
-        assert!(!bucket.try_take(much_later));
     }
 }

@@ -7,6 +7,7 @@
 //! prefixes, rotation pools and candidate /48s.
 
 use std::net::Ipv6Addr;
+use std::sync::Arc;
 
 use scent_ipv6::Ipv6Prefix;
 use scent_simnet::det::{hash2, hash3};
@@ -120,10 +121,14 @@ pub fn slice_bounds(n: usize, producer: usize, producers: usize) -> (usize, usiz
 /// the full stream's output without coordinating — and a k-way merge over
 /// them consumes every producer round-robin, which is what keeps all P
 /// producer threads busy at once.
+///
+/// The target list and its permutation are shared storage: cloning a stream
+/// copies a cursor, not the list, so one pass builds them once and hands
+/// every producer (and the probe-free rate replay) a clone to slice.
 #[derive(Debug, Clone)]
 pub struct TargetStream {
-    targets: Vec<Ipv6Addr>,
-    order: Vec<u64>,
+    targets: Arc<[Ipv6Addr]>,
+    order: Arc<[u64]>,
     window: u64,
     /// The window numbering starts at (0 unless the stream is one epoch of a
     /// churning run — see [`TargetStream::starting_at_window`]).
@@ -154,8 +159,8 @@ impl TargetStream {
     pub fn over(targets: Vec<Ipv6Addr>, order_seed: u64, randomize: bool) -> Self {
         let order = RandomPermutation::scan_order(targets.len() as u64, order_seed, randomize);
         TargetStream {
-            targets,
-            order,
+            targets: targets.into(),
+            order: order.into(),
             window: 0,
             base_window: 0,
             pos: 0,
@@ -259,46 +264,6 @@ impl TargetStream {
             seq,
             target,
         })
-    }
-
-    /// The stream's complete internal state, in declaration order — what a
-    /// checkpoint encodes: `(targets, order, window, base_window, pos,
-    /// offset, step)`.
-    #[allow(clippy::type_complexity)]
-    pub fn checkpoint_parts(&self) -> (&[Ipv6Addr], &[u64], u64, u64, usize, usize, usize) {
-        (
-            &self.targets,
-            &self.order,
-            self.window,
-            self.base_window,
-            self.pos,
-            self.offset,
-            self.step,
-        )
-    }
-
-    /// Rebuild a stream (possibly mid-window) from
-    /// [`TargetStream::checkpoint_parts`].
-    pub fn from_checkpoint_parts(
-        targets: Vec<Ipv6Addr>,
-        order: Vec<u64>,
-        window: u64,
-        base_window: u64,
-        pos: usize,
-        offset: usize,
-        step: usize,
-    ) -> Self {
-        assert_eq!(targets.len(), order.len(), "order permutes the targets");
-        assert!(step > 0, "stride must be non-zero");
-        TargetStream {
-            targets,
-            order,
-            window,
-            base_window,
-            pos,
-            offset,
-            step,
-        }
     }
 }
 
@@ -496,29 +461,6 @@ mod tests {
                 }
                 assert_eq!(next, n);
             }
-        }
-    }
-
-    #[test]
-    fn checkpoint_parts_resume_a_drawn_stream_mid_window() {
-        let generator = TargetGenerator::new(5);
-        let candidates = [p("2001:db8:1::/48")];
-        let mut stream = TargetStream::new(&generator, &candidates, 56, 77, true).slice(1, 3);
-        for _ in 0..100 {
-            stream.next_target().unwrap();
-        }
-        let (targets, order, window, base_window, pos, offset, step) = stream.checkpoint_parts();
-        let mut restored = TargetStream::from_checkpoint_parts(
-            targets.to_vec(),
-            order.to_vec(),
-            window,
-            base_window,
-            pos,
-            offset,
-            step,
-        );
-        for i in 0..300 {
-            assert_eq!(restored.next_target(), stream.next_target(), "draw {i}");
         }
     }
 

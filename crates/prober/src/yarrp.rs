@@ -1,23 +1,21 @@
-//! yarrp-style randomized traceroute.
+//! yarrp-style traceroute records.
 //!
 //! yarrp (Beverly, IMC 2016) performs high-speed topology discovery by
 //! randomizing `(target, TTL)` probes and reconstructing paths statelessly.
 //! The reproduction only needs its end product — the last responsive hop per
 //! target, which for targets inside customer delegations is the CPE WAN
-//! interface — so [`Tracer`] walks TTLs per target against the transport and
-//! records the full hop list plus the last responsive hop. Target order is
-//! randomized with the same permutation machinery the scanner uses.
+//! interface — so a [`TraceRecord`] keeps one
+//! [`ProbeTransport::trace`](crate::ProbeTransport::trace) hop list plus the
+//! last responsive hop derived from it. The seed campaign
+//! ([`SeedCampaign`](crate::SeedCampaign)) and the record/replay backends are
+//! the walkers; this module is their shared record shape.
 
 use std::net::Ipv6Addr;
 
 use serde::{Deserialize, Serialize};
 
 use scent_ipv6::Eui64;
-use scent_simnet::{SimTime, TraceHop};
-
-use crate::permutation::RandomPermutation;
-use crate::rate::ProbePacer;
-use crate::ProbeTransport;
+use scent_simnet::TraceHop;
 
 /// The result of tracerouting one target.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -32,8 +30,8 @@ pub struct TraceRecord {
 
 impl TraceRecord {
     /// Build a record from a raw hop list, deriving the last responsive hop.
-    /// The single definition of "last responsive hop" every consumer (tracer,
-    /// seed campaign, record/replay) shares.
+    /// The single definition of "last responsive hop" every consumer (seed
+    /// campaign, record/replay) shares.
     pub fn from_hops(target: Ipv6Addr, hops: Vec<TraceHop>) -> Self {
         let last_hop = hops.iter().filter_map(|h| h.addr).next_back();
         TraceRecord {
@@ -50,73 +48,26 @@ impl TraceRecord {
     }
 }
 
-/// A yarrp-style traceroute engine.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct Tracer {
-    /// Maximum TTL probed per target.
-    pub max_hops: u8,
-    /// Probe rate in packets per second.
-    pub packets_per_second: u64,
-    /// Seed controlling target order.
-    pub seed: u64,
-}
-
-impl Default for Tracer {
-    fn default() -> Self {
-        Tracer {
-            max_hops: 32,
-            packets_per_second: 10_000,
-            seed: 0x79a7,
-        }
-    }
-}
-
-impl Tracer {
-    /// Trace every target, in randomized order, starting at `start`.
-    pub fn trace_all<T: ProbeTransport + ?Sized>(
-        &self,
-        transport: &T,
-        targets: &[Ipv6Addr],
-        start: SimTime,
-    ) -> Vec<TraceRecord> {
-        let pacer = ProbePacer::new(start, self.packets_per_second);
-        let order = RandomPermutation::new(targets.len() as u64, self.seed);
-        let mut records = Vec::with_capacity(targets.len());
-        let mut probes_sent = 0u64;
-        for index in order.iter() {
-            let target = targets[index as usize];
-            let t = pacer.send_time(probes_sent);
-            let hops = transport.trace(target, t, self.max_hops);
-            probes_sent += hops.len().max(1) as u64;
-            records.push(TraceRecord::from_hops(target, hops));
-        }
-        records
-    }
-
-    /// Trace every target and keep only records whose last responsive hop
-    /// carries an EUI-64 IID — the periphery-discovery filter of the seed
-    /// campaign.
-    pub fn eui64_last_hops<T: ProbeTransport + ?Sized>(
-        &self,
-        transport: &T,
-        targets: &[Ipv6Addr],
-        start: SimTime,
-    ) -> Vec<TraceRecord> {
-        self.trace_all(transport, targets, start)
-            .into_iter()
-            .filter(|r| r.last_hop_is_eui64())
-            .collect()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::targets::TargetGenerator;
-    use scent_simnet::{scenarios, Engine};
+    use crate::ProbeTransport;
+    use scent_simnet::{scenarios, Engine, SimTime};
 
     fn engine() -> Engine {
         Engine::build(scenarios::versatel_like(5)).unwrap()
+    }
+
+    /// Trace every target through the transport seam, one record each.
+    fn trace_all(engine: &Engine, targets: &[Ipv6Addr]) -> Vec<TraceRecord> {
+        let transport: &dyn ProbeTransport = engine;
+        targets
+            .iter()
+            .map(|&target| {
+                TraceRecord::from_hops(target, transport.trace(target, SimTime::at(1, 10), 32))
+            })
+            .collect()
     }
 
     #[test]
@@ -125,8 +76,7 @@ mod tests {
         // One target per /56 of one /46 pool of AS8881.
         let pool = engine.pools()[3].config.prefix;
         let targets = TargetGenerator::new(2).one_per_subnet(&pool, 56);
-        let tracer = Tracer::default();
-        let records = tracer.trace_all(&engine, &targets, SimTime::at(1, 10));
+        let records = trace_all(&engine, &targets);
         assert_eq!(records.len(), targets.len());
         let with_cpe: Vec<_> = records.iter().filter(|r| r.last_hop_is_eui64()).collect();
         assert!(!with_cpe.is_empty());
@@ -135,16 +85,11 @@ mod tests {
             assert!(record.hops.len() > 1);
             assert_eq!(record.last_hop, record.hops.last().unwrap().addr);
         }
-        // The filtering helper returns exactly the EUI-64 subset.
-        let filtered = tracer.eui64_last_hops(&engine, &targets, SimTime::at(1, 10));
-        assert_eq!(filtered.len(), with_cpe.len());
     }
 
     #[test]
     fn unrouted_targets_produce_empty_traces() {
-        let engine = engine();
-        let tracer = Tracer::default();
-        let records = tracer.trace_all(&engine, &["3fff::1".parse().unwrap()], SimTime::at(1, 10));
+        let records = trace_all(&engine(), &["3fff::1".parse().unwrap()]);
         assert_eq!(records.len(), 1);
         assert!(records[0].hops.is_empty());
         assert_eq!(records[0].last_hop, None);
@@ -156,9 +101,6 @@ mod tests {
         let engine = engine();
         let pool = engine.pools()[3].config.prefix;
         let targets = TargetGenerator::new(2).one_per_subnet(&pool, 56);
-        let tracer = Tracer::default();
-        let a = tracer.trace_all(&engine, &targets, SimTime::at(1, 10));
-        let b = tracer.trace_all(&engine, &targets, SimTime::at(1, 10));
-        assert_eq!(a, b);
+        assert_eq!(trace_all(&engine, &targets), trace_all(&engine, &targets));
     }
 }

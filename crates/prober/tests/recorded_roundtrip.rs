@@ -8,7 +8,7 @@ use proptest::prelude::*;
 
 use scent_prober::{
     slice_bounds, ProbeLog, ProbeTransport, RecordedBackend, RecordingBackend, Scanner,
-    ScannerConfig, TargetGenerator, Tracer,
+    ScannerConfig, TargetGenerator,
 };
 use scent_simnet::{scenarios, Engine, SimTime};
 
@@ -25,8 +25,9 @@ fn record_run<B: ProbeTransport + scent_prober::WorldView + ?Sized>(
         ..ScannerConfig::default()
     };
     Scanner::new(config).scan(&recorder, targets, start);
-    let trace_targets: Vec<_> = targets.iter().copied().take(3).collect();
-    Tracer::default().trace_all(&recorder, &trace_targets, start);
+    for target in targets.iter().take(3) {
+        recorder.trace(*target, start, 32);
+    }
     recorder.finish()
 }
 

@@ -76,7 +76,8 @@ use scent_ipv6::Ipv6Prefix;
 use scent_prober::{ProbeTransport, WorldView};
 use scent_simnet::SimTime;
 use scent_stream::{
-    MonitorConfig, MonitorReport, MonitorSession, MonitorSnapshot, StopSignal, StreamError,
+    ConfigError, MonitorConfig, MonitorReport, MonitorSession, MonitorSnapshot, StopSignal,
+    StreamError,
 };
 use scent_telemetry::StreamObserver;
 
@@ -175,6 +176,15 @@ pub enum SchedError {
         /// Index of the starved tenant, in add order.
         tenant: usize,
     },
+    /// A tenant's [`MonitorConfig`] cannot be run
+    /// ([`MonitorConfig::validate`]). Every tenant is validated before any
+    /// session is opened.
+    InvalidConfig {
+        /// Index of the offending tenant, in add order.
+        tenant: usize,
+        /// The rule the configuration breaks.
+        error: ConfigError,
+    },
     /// A tenant's resume snapshot was refused (wrong configuration, watch
     /// list or world).
     Resume {
@@ -199,6 +209,9 @@ impl fmt::Display for SchedError {
                     "tenant {tenant}'s fair share rounds to zero packets per second"
                 )
             }
+            SchedError::InvalidConfig { tenant, error } => {
+                write!(f, "tenant {tenant} configuration: {error}")
+            }
             SchedError::Resume { tenant, error } => {
                 write!(f, "tenant {tenant} resume snapshot refused: {error}")
             }
@@ -209,6 +222,7 @@ impl fmt::Display for SchedError {
 impl std::error::Error for SchedError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
+            SchedError::InvalidConfig { error, .. } => Some(error),
             SchedError::Resume { error, .. } => Some(error),
             _ => None,
         }
@@ -332,6 +346,12 @@ impl<'a, B: ProbeTransport + WorldView + ?Sized> SchedulerBuilder<'a, B> {
             if share == 0 {
                 return Err(SchedError::StarvedTenant { tenant });
             }
+        }
+        for (tenant, (campaign, _)) in self.tenants.iter().enumerate() {
+            campaign
+                .config
+                .validate()
+                .map_err(|error| SchedError::InvalidConfig { tenant, error })?;
         }
 
         let mut sessions: Vec<Option<MonitorSession<'a, B>>> =
@@ -538,6 +558,85 @@ mod tests {
             .run()
             .unwrap_err();
         assert_eq!(err, SchedError::StarvedTenant { tenant: 0 });
+    }
+
+    /// A tenant configuration no monitor could run is a typed error naming
+    /// that tenant — reported before any session opens, so no neighbour has
+    /// probed and nothing panics. (At the parent commit each of these
+    /// aborted the whole scheduler with an assertion failure.)
+    #[test]
+    fn invalid_tenant_configurations_are_typed_errors_before_any_probe() {
+        use scent_stream::WatchChurn;
+        let engine = Engine::build(scenarios::continuous_world(13)).unwrap();
+        // Every tenant probes through one recorder: an empty log at the end
+        // means nobody probed.
+        let world = scent_prober::RecordingBackend::new(&engine);
+        let watched = watched_48s(&engine);
+        let good = MonitorConfig {
+            windows: 1,
+            ..MonitorConfig::default()
+        };
+        let churn = |refresh_every| {
+            Some(WatchChurn {
+                refresh_every,
+                ..WatchChurn::default()
+            })
+        };
+        let cases = [
+            (
+                MonitorConfig {
+                    shards: 0,
+                    ..good.clone()
+                },
+                ConfigError::NoShards,
+            ),
+            (
+                MonitorConfig {
+                    producers: 0,
+                    ..good.clone()
+                },
+                ConfigError::NoProducers,
+            ),
+            (
+                MonitorConfig {
+                    churn: churn(0),
+                    ..good.clone()
+                },
+                ConfigError::ZeroRefreshCadence,
+            ),
+            (
+                MonitorConfig {
+                    churn: churn(2),
+                    checkpoint_every: Some(3),
+                    ..good.clone()
+                },
+                ConfigError::MisalignedCheckpointCadence,
+            ),
+        ];
+        for (bad, rule) in cases {
+            // The broken tenant is added last: a scheduler that opened
+            // sessions in order would already have set its neighbours up.
+            let err = Scheduler::builder()
+                .add(Campaign::new(&world, good.clone(), watched.clone()), 1)
+                .add(Campaign::new(&world, good.clone(), watched.clone()), 1)
+                .add(Campaign::new(&world, bad, watched.clone()), 1)
+                .run()
+                .unwrap_err();
+            assert_eq!(
+                err,
+                SchedError::InvalidConfig {
+                    tenant: 2,
+                    error: rule
+                }
+            );
+            assert!(std::error::Error::source(&err).is_some());
+            assert!(err.to_string().contains("tenant 2"));
+        }
+        let log = world.finish();
+        assert!(
+            log.probes.is_empty() && log.traces.is_empty(),
+            "no neighbour probed"
+        );
     }
 
     /// The sanity anchor: a single tenant at the full budget is

@@ -1,13 +1,13 @@
 //! The merged deterministic virtual clock: k-way merging of per-producer
 //! observation streams.
 //!
-//! The probing side of the engine scales past one thread by splitting a scan
-//! pass (or a continuous window) into P per-producer *strided* slices
-//! ([`ScanStreamBuilder::slice`], [`ContinuousStreamBuilder::slice`]):
-//! producer `k` owns global probing-order positions `k, k + P, k + 2P, …`
-//! and stamps its observations with the sequence numbers and virtual send
-//! times the single-producer stream would assign. [`MergedClock`] then
-//! recombines the slices with a binary-heap k-way merge keyed on
+//! The probing side of the engine scales past one thread by splitting every
+//! window of a pass into P per-producer *strided* slices
+//! ([`ContinuousStreamBuilder::slice`]): producer `k` owns global
+//! probing-order positions `k, k + P, k + 2P, …` and stamps its observations
+//! with the sequence numbers and virtual send times the single-producer
+//! stream would assign. [`MergedClock`] then recombines the slices with a
+//! binary-heap k-way merge keyed on
 //! `(virtual send time, tenant, window, sequence number, producer index)`:
 //!
 //! * send times and `(window, seq)` are non-decreasing along every
@@ -31,7 +31,6 @@
 //! merge only ever pops by key and each channel is FIFO, OS scheduling cannot
 //! reorder the merged output.
 //!
-//! [`ScanStreamBuilder::slice`]: crate::source::ScanStreamBuilder::slice
 //! [`ContinuousStreamBuilder::slice`]: crate::source::ContinuousStreamBuilder::slice
 
 use std::cmp::Reverse;
@@ -88,11 +87,6 @@ impl<S: ObservationSource> MergedClock<S> {
             heads,
             heap,
         }
-    }
-
-    /// Number of producers feeding the clock.
-    pub fn producers(&self) -> usize {
-        self.sources.len()
     }
 }
 
@@ -214,11 +208,6 @@ impl<'t, S> CountedSource<'t, S> {
             producer,
         }
     }
-
-    /// The wrapped source.
-    pub fn inner(&self) -> &S {
-        &self.inner
-    }
 }
 
 impl<S: ObservationSource> ObservationSource for CountedSource<'_, S> {
@@ -237,9 +226,26 @@ impl<S: ObservationSource> ObservationSource for CountedSource<'_, S> {
 mod tests {
     use super::*;
     use crate::observation::Phase;
-    use crate::source::ScanStream;
-    use scent_prober::TargetGenerator;
+    use crate::source::ContinuousStream;
+    use scent_prober::{TargetGenerator, TargetStream};
     use scent_simnet::{scenarios, Engine};
+
+    /// Producer `k` of `of`'s slice of one scan pass over `targets`: a
+    /// one-window continuous stream.
+    fn scan_slice<'a>(
+        engine: &'a Engine,
+        targets: &[std::net::Ipv6Addr],
+        k: usize,
+        of: usize,
+    ) -> LimitedSource<ContinuousStream<'a, Engine>> {
+        let stream =
+            ContinuousStream::builder(engine, TargetStream::over(targets.to_vec(), 7, true))
+                .start(SimTime::at(1, 9))
+                .slice(k, of)
+                .build();
+        let window = stream.slice_len() as u64;
+        LimitedSource::new(stream, window)
+    }
 
     fn obs(sent_at: u64, window: u64, seq: u64) -> Observation {
         obs_for(0, sent_at, window, seq)
@@ -272,7 +278,6 @@ mod tests {
         let a = VecSource(vec![obs(5, 1, 0), obs(9, 1, 1)].into_iter());
         let b = VecSource(vec![obs(3, 0, 7), obs(5, 0, 8)].into_iter());
         let mut clock = MergedClock::new(vec![a, b]);
-        assert_eq!(clock.producers(), 2);
         let merged: Vec<(u64, u64)> = std::iter::from_fn(|| clock.next_observation())
             .map(|o| (o.window, o.seq))
             .collect();
@@ -307,20 +312,11 @@ mod tests {
             }
             all
         };
-        let mut single = ScanStream::builder(&engine, targets.clone())
-            .seed(7)
-            .start(SimTime::at(1, 9))
-            .build();
+        let mut single = scan_slice(&engine, &targets, 0, 1);
         let want = collect(&mut single);
         for producers in [1usize, 2, 3, 5, 8] {
             let slices: Vec<_> = (0..producers)
-                .map(|k| {
-                    ScanStream::builder(&engine, targets.clone())
-                        .seed(7)
-                        .start(SimTime::at(1, 9))
-                        .slice(k, producers)
-                        .build()
-                })
+                .map(|k| scan_slice(&engine, &targets, k, producers))
                 .collect();
             let mut merged = MergedClock::new(slices);
             assert_eq!(collect(&mut merged), want, "producers={producers}");
@@ -338,13 +334,7 @@ mod tests {
         let targets = TargetGenerator::new(1).one_per_subnet(&pool, 56);
         for producers in [2usize, 4, 8] {
             let slices: Vec<_> = (0..producers)
-                .map(|k| {
-                    ScanStream::builder(&engine, targets.clone())
-                        .seed(7)
-                        .start(SimTime::at(1, 9))
-                        .slice(k, producers)
-                        .build()
-                })
+                .map(|k| scan_slice(&engine, &targets, k, producers))
                 .collect();
             let mut clock = MergedClock::new(slices);
             let mut previous: Option<u64> = None;

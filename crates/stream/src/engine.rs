@@ -1,4 +1,5 @@
-//! The ingest engine: one owner for the shard pool's whole lifecycle.
+//! The ingest engine: one owner for the shard pool's whole lifecycle, and
+//! for how a probe pass becomes observation sources.
 //!
 //! The paper's method is one loop run at two time scales — probe a permuted
 //! target list, classify the EUI-64 responses per /48, repeat a day later —
@@ -7,33 +8,46 @@
 //! the recycle pool sized for everything that can be in flight,
 //! [`drive`](IngestEngine::drive) producer sources through the merged clock
 //! into the shards, and [`close`](IngestEngine::close) into the final shard
-//! states or a typed error. [`StreamPipeline`](crate::pipeline::StreamPipeline)
-//! drives it once per scan phase, [`MonitorSession`](crate::monitor::MonitorSession)
-//! once per epoch; the hot-path bench and the allocation regression test
-//! drive it with replayed observations.
+//! states or a typed error.
+//!
+//! The crate's two runs never build sources themselves. They describe a
+//! pass — phase, one [`TargetStream`] built once, windows, rate, start,
+//! interval, tenant, optional queue model (the crate-private `Pass`) — and
+//! the engine's `run_pass` does the rest the same way for both: install the
+//! pass's seq → shard table, slice one [`ContinuousStream`] per producer off
+//! the one target stream, bound each to the pass's windows, count its
+//! probes, mirror the pacer on the merge side for rate telemetry, drive, and
+//! answer the end-of-pass rate on request.
+//! [`StreamPipeline`](crate::pipeline::StreamPipeline) runs one pass per
+//! scan phase (one window each),
+//! [`MonitorSession`](crate::monitor::MonitorSession) one per epoch; the
+//! hot-path bench and the allocation regression test `drive` replayed
+//! observations instead.
 //!
 //! Workers live for one engine — one pipeline run, one monitor epoch — so
 //! making them outlive an epoch is a change to this module alone.
 
-use std::sync::mpsc::{Receiver, Sender};
+use std::sync::mpsc::Receiver;
 use std::thread;
 
-use scent_core::rotation_detect::RotationEvent;
+use scent_prober::{ProbeTransport, QueueModel, TargetStream};
+use scent_simnet::{SimDuration, SimTime};
 use scent_telemetry::StreamObserver;
 
 use crate::buffer::batch_pool;
-use crate::clock::{ChannelSource, MergedClock};
+use crate::clock::{ChannelSource, CountedSource, LimitedSource, MergedClock};
 use crate::error::StreamError;
-use crate::observation::{Observation, ObservationSource};
+use crate::observation::{Observation, ObservationSource, Phase};
 use crate::observe::RateReplica;
 use crate::router::{ShardMap, ShardRouter};
 use crate::shard::{ShardInference, ShardMsg};
+use crate::source::{continuous_seq_shards, ContinuousStream, ContinuousStreamBuilder};
 
 /// Observations accumulated per router → shard channel message. A constant,
 /// not a knob: 64 was promoted from the batching bench (per-message
 /// rendezvous dominated below it; 256 bought under 1 % on the monitor), and
 /// batching never changes a report — per-shard delivery order is the same at
-/// any size. Live rotation events reach their listener per delivered batch.
+/// any size.
 pub(crate) const OBSERVATION_BATCH: usize = 64;
 
 /// Observations accumulated per producer-channel message. Purely a transport
@@ -50,8 +64,6 @@ pub struct IngestOptions<'t> {
     /// Telemetry: routing order and stalls from the control thread, ingest
     /// progress from each worker, rate replay from [`IngestEngine::drive`].
     pub observer: Option<&'t dyn StreamObserver>,
-    /// Receives every rotation event the moment a shard detects it.
-    pub live_events: Option<Sender<RotationEvent>>,
     /// One inference state per shard (index-aligned) for the workers to start
     /// from — how a monitor carries state across epochs and a resumed run
     /// hands back what its snapshot held. `None` starts every shard empty.
@@ -66,7 +78,6 @@ pub struct IngestOptions<'t> {
 fn worker(
     shard: usize,
     receiver: Receiver<ShardMsg>,
-    live_events: Option<Sender<RotationEvent>>,
     observer: Option<&dyn StreamObserver>,
     mut state: ShardInference,
     poison: bool,
@@ -79,12 +90,7 @@ fn worker(
             }
             ShardMsg::ObserveBatch(batch) => {
                 for obs in &batch {
-                    let event = state.ingest(obs);
-                    if let (Some(event), Some(live)) = (event, live_events.as_ref()) {
-                        // The monitor may have stopped listening; that must
-                        // not kill the shard.
-                        let _ = live.send(event);
-                    }
+                    state.ingest(obs);
                 }
                 if let Some(observer) = observer {
                     observer.on_shard_progress(shard, batch.len() as u64);
@@ -158,6 +164,63 @@ where
     MergedClock::new(channels)
 }
 
+/// One paced pass over a target list — the paper's only probing primitive
+/// (run once for expansion, once for density, then daily for detection),
+/// described once. The engine turns it into sources
+/// (`IngestEngine::run_pass`).
+pub(crate) struct Pass<'m> {
+    /// The methodology phase every observation is tagged with.
+    pub phase: Phase,
+    /// The target list and its permuted order, built once and positioned at
+    /// the pass's first window ([`TargetStream::starting_at_window`]). Every
+    /// producer probes a strided slice of a clone.
+    pub targets: TargetStream,
+    /// How many windows of `targets` the pass probes.
+    pub windows: u64,
+    /// Probe budget per second — the ceiling feedback recovers to.
+    pub rate_pps: u64,
+    /// Virtual time of window 0: where the pacer, and under feedback the
+    /// virtual queues' drain clock, starts.
+    pub start: SimTime,
+    /// Window `w` is entered no earlier than `start + w × interval`. A
+    /// one-window scan anchored at its own `start` passes zero.
+    pub interval: SimDuration,
+    /// The campaign every observation is stamped with.
+    pub tenant: u32,
+    /// Pace against this virtual-queue model (and the engine's own shard
+    /// map); `None` paces at the fixed rate.
+    pub feedback: Option<&'m QueueModel>,
+}
+
+/// What a finished pass hands back: how much it routed and, on request, the
+/// rate its pacer ended on.
+pub(crate) struct PassEnd<'w, T: ProbeTransport + ?Sized> {
+    /// Observations the pass routed (0 once a shard is dead).
+    pub routed: u64,
+    /// Read off the one live pacer, or the fixed rate that never moved.
+    rate: u64,
+    /// Under feedback, P producers each end on their own slice: the
+    /// unsliced stream, unbuilt, and the windows whose probe-free replay
+    /// lands on the trajectory's end.
+    replay: Option<(ContinuousStreamBuilder<'w, T>, u64)>,
+}
+
+impl<T: ProbeTransport + ?Sized> PassEnd<'_, T> {
+    /// The effective probe rate when the pass ended — the same value for any
+    /// producer count, because the trajectory is a pure function of the
+    /// position sequence.
+    pub fn final_rate(self) -> u64 {
+        match self.replay {
+            None => self.rate,
+            Some((unsliced, windows)) => {
+                let mut replay = unsliced.build();
+                replay.replay_windows(windows);
+                replay.rate()
+            }
+        }
+    }
+}
+
 /// A running shard pool: the workers, the router feeding them, and the scope
 /// its producer threads spawn into. See the [module docs](self).
 pub struct IngestEngine<'scope, 'env> {
@@ -185,7 +248,6 @@ impl<'scope, 'env> IngestEngine<'scope, 'env> {
         assert!(channel_capacity > 0, "bounded channels need capacity");
         let IngestOptions {
             observer,
-            live_events,
             initial,
             inject_panic,
         } = options;
@@ -201,10 +263,9 @@ impl<'scope, 'env> IngestEngine<'scope, 'env> {
         let mut handles = Vec::with_capacity(shards);
         for (shard, seed) in initial.into_iter().enumerate() {
             let (tx, rx) = std::sync::mpsc::sync_channel(channel_capacity);
-            let live = live_events.clone();
             let poison = inject_panic == Some(shard);
             senders.push(tx);
-            handles.push(scope.spawn(move || worker(shard, rx, live, observer, seed, poison)));
+            handles.push(scope.spawn(move || worker(shard, rx, observer, seed, poison)));
         }
         let mut router = ShardRouter::with_pool(
             map,
@@ -263,6 +324,81 @@ impl<'scope, 'env> IngestEngine<'scope, 'env> {
             self.ingest(clock, replica, hook);
         }
         self.router.routed() - before
+    }
+
+    /// Probe one [`Pass`] over `transport` with `producers` producers and
+    /// route every observation into the shards, feeding each to `hook` first
+    /// (as [`drive`](IngestEngine::drive) does).
+    ///
+    /// The pass's target stream is built once by the caller; here it yields
+    /// the seq → shard table for the router, one strided
+    /// [`ContinuousStream`] slice per producer — bounded to the pass's
+    /// windows, its probes counted for the observer — and, with feedback and
+    /// an observer on, the merge-side [`RateReplica`] mirroring their
+    /// pacers. Every pass starts from fresh pacers. Once a shard is dead a
+    /// pass pulls no observation and spawns no producer.
+    pub(crate) fn run_pass<T, F>(
+        &mut self,
+        transport: &'scope T,
+        producers: usize,
+        pass: Pass<'_>,
+        hook: F,
+    ) -> PassEnd<'scope, T>
+    where
+        T: ProbeTransport + ?Sized,
+        F: FnMut(&mut ShardRouter<'scope>, &Observation),
+    {
+        // One position → shard table serves every window every producer will
+        // emit, replacing the per-observation trie walk. One ShardMap serves
+        // both the router and the pacers, so the two agree by construction.
+        let table = continuous_seq_shards(self.router.map(), &pass.targets);
+        self.router.set_seq_shards(table);
+        let feedback = pass
+            .feedback
+            .map(|model| (model.clone(), self.router.map().clone()));
+        let slice = |k: usize, of: usize| {
+            let mut builder = ContinuousStream::builder(transport, pass.targets.clone())
+                .phase(pass.phase)
+                .rate_pps(pass.rate_pps)
+                .start(pass.start)
+                .window_interval(pass.interval)
+                .tenant(pass.tenant)
+                .slice(k, of);
+            if let Some((model, map)) = &feedback {
+                builder = builder.feedback(model.clone(), map.clone());
+            }
+            builder
+        };
+        let observer = self.observer;
+        let replica = feedback.as_ref().zip(observer).map(|((model, map), _)| {
+            let (model, map) = (model.clone(), map.clone());
+            RateReplica::continuous(pass.start, pass.rate_pps, model, map, pass.interval)
+        });
+        let before = self.router.routed();
+        let (rate, replay) = if producers == 1 {
+            // Inline, and lent: the live pacer is still here afterwards.
+            let mut stream = slice(0, 1).build();
+            let limit = stream.slice_len() as u64 * pass.windows;
+            let source = CountedSource::new(LimitedSource::new(&mut stream, limit), 0, observer);
+            self.ingest(source, replica, hook);
+            (stream.rate(), None)
+        } else {
+            let sources: Vec<_> = (0..producers)
+                .map(|k| {
+                    let stream = slice(k, producers).build();
+                    let limit = stream.slice_len() as u64 * pass.windows;
+                    CountedSource::new(LimitedSource::new(stream, limit), k, observer)
+                })
+                .collect();
+            self.drive(sources, replica, hook);
+            let replay = feedback.is_some().then(|| (slice(0, 1), pass.windows));
+            (pass.rate_pps, replay)
+        };
+        PassEnd {
+            routed: self.router.routed() - before,
+            rate,
+            replay,
+        }
     }
 
     fn ingest<S, F>(&mut self, mut source: S, mut replica: Option<RateReplica>, mut hook: F)

@@ -1,6 +1,13 @@
 //! The typed error surface of the streaming runs.
 //!
-//! Streaming runs can fail for two reasons: checkpoint plumbing (corrupt or
+//! A configuration a run could not honour is a [`ConfigError`], found by
+//! [`StreamConfig::validate`](crate::pipeline::StreamConfig::validate) /
+//! [`MonitorConfig::validate`](crate::monitor::MonitorConfig::validate) —
+//! the one statement of the rules, which the `followscent::Campaign` facade
+//! and the `scent-sched` scheduler report before anything probes and the
+//! runs themselves assert.
+//!
+//! A run that started can fail for two reasons: checkpoint plumbing (corrupt or
 //! mismatched snapshots, sink I/O) and shard-worker death. Before this type
 //! existed a shard panic re-raised on the control thread
 //! (`handle.join().expect(..)`) — fatal for a standalone run and
@@ -9,6 +16,110 @@
 //! surviving workers, and return [`StreamError::ShardPanicked`].
 
 use scent_checkpoint::CheckpointError;
+use scent_prober::QueueModel;
+
+/// Why a [`StreamConfig`](crate::pipeline::StreamConfig) or
+/// [`MonitorConfig`](crate::monitor::MonitorConfig) cannot be run.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ConfigError {
+    /// Zero inference shards.
+    NoShards,
+    /// Zero probe producers.
+    NoProducers,
+    /// The bounded shard channels were given zero capacity.
+    ZeroChannelCapacity,
+    /// Rate feedback is on and the virtual-queue model's watermarks are
+    /// inverted (the low watermark must be strictly below the high one).
+    InvalidQueueModel,
+    /// Watch-list churn with a zero refresh cadence (the watch list would
+    /// never be revised; leave churn off instead).
+    ZeroRefreshCadence,
+    /// Watch-list churn with a zero watch capacity (a monitor that may watch
+    /// nothing is a misconfiguration, not a run).
+    ZeroWatchCapacity,
+    /// Watch-list churn with a re-expansion block longer than a /48 (blocks
+    /// must enclose the watched /48s).
+    ExpansionBlockTooLong,
+    /// Watch-list churn with a zero candidate budget (`max_48s_per_seed`):
+    /// the boundary re-expansion could never probe a candidate, so the watch
+    /// list could only ever shrink.
+    ZeroExpansionBudget,
+    /// A zero checkpoint cadence (a snapshot would never be written; leave
+    /// checkpointing off instead).
+    ZeroCheckpointCadence,
+    /// The checkpoint cadence is not a whole multiple of the churn refresh
+    /// cadence: snapshots are taken at epoch boundaries and epochs are cut
+    /// by the churn cadence.
+    MisalignedCheckpointCadence,
+    /// Adaptive discovery without watch-list churn: the tree's dense /48s
+    /// enter the watch list through churn revisions, so a churn-less
+    /// discovery run could never act on what it discovers.
+    DiscoveryRequiresChurn,
+    /// Adaptive discovery with a zero per-boundary probe budget (the tree
+    /// could never gather evidence).
+    ZeroDiscoveryBudget,
+    /// Adaptive discovery with zero plan/probe/fold rounds per boundary.
+    ZeroDiscoveryRounds,
+    /// Adaptive discovery with a branch factor outside 1..=8 bits per tree
+    /// level.
+    InvalidDiscoveryBranch,
+}
+
+impl ConfigError {
+    /// The verdict of a rule table: the first broken rule's error.
+    pub(crate) fn first_broken<const N: usize>(
+        rules: [(bool, ConfigError); N],
+    ) -> Result<(), Self> {
+        match rules.into_iter().find(|&(broken, _)| broken) {
+            Some((_, rule)) => Err(rule),
+            None => Ok(()),
+        }
+    }
+
+    /// The rules every streaming run shares: a shard pool, a producer set,
+    /// bounded channels, and — when feedback is on — a sane queue model.
+    pub(crate) fn check_plane(
+        shards: usize,
+        producers: usize,
+        channel_capacity: usize,
+        feedback: Option<&QueueModel>,
+    ) -> Result<(), Self> {
+        use ConfigError::*;
+        Self::first_broken([
+            (shards == 0, NoShards),
+            (producers == 0, NoProducers),
+            (channel_capacity == 0, ZeroChannelCapacity),
+            (
+                feedback.is_some_and(|model| !model.is_valid()),
+                InvalidQueueModel,
+            ),
+        ])
+    }
+}
+
+impl std::fmt::Display for ConfigError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        use ConfigError::*;
+        f.write_str(match self {
+            NoShards => "at least one inference shard is needed",
+            NoProducers => "at least one probe producer is needed",
+            ZeroChannelCapacity => "bounded shard channels need non-zero capacity",
+            InvalidQueueModel => "queue model low_watermark must be below high_watermark",
+            ZeroRefreshCadence => "watch-list churn needs a non-zero refresh_every",
+            ZeroWatchCapacity => "watch-list churn needs a non-zero watch_capacity",
+            ExpansionBlockTooLong => "watch-list churn expansion_len must be /48 or shorter",
+            ZeroExpansionBudget => "watch-list churn needs a non-zero max_48s_per_seed",
+            ZeroCheckpointCadence => "checkpointing needs a non-zero checkpoint_every",
+            MisalignedCheckpointCadence => "checkpoint_every must be a multiple of refresh_every",
+            DiscoveryRequiresChurn => "adaptive discovery requires watch-list churn",
+            ZeroDiscoveryBudget => "adaptive discovery needs a non-zero probe_budget",
+            ZeroDiscoveryRounds => "adaptive discovery needs at least one round per boundary",
+            InvalidDiscoveryBranch => "adaptive discovery branch_bits must be in 1..=8",
+        })
+    }
+}
+
+impl std::error::Error for ConfigError {}
 
 /// Why a streaming run ([`StreamMonitor`](crate::monitor::StreamMonitor) or
 /// [`StreamPipeline`](crate::pipeline::StreamPipeline)) failed.
@@ -64,5 +175,27 @@ mod tests {
         let err: StreamError = CheckpointError::Truncated.into();
         assert!(err.to_string().contains("checkpoint error"));
         assert!(std::error::Error::source(&err).is_some());
+    }
+
+    #[test]
+    fn shared_rules_are_checked_in_order() {
+        let model = QueueModel::unbounded();
+        let inverted = QueueModel {
+            low_watermark: model.high_watermark,
+            ..model.clone()
+        };
+        let check = ConfigError::check_plane;
+        let broken = Some(&inverted);
+        assert_eq!(check(0, 0, 0, broken), Err(ConfigError::NoShards));
+        assert_eq!(check(1, 0, 0, broken), Err(ConfigError::NoProducers));
+        assert_eq!(
+            check(1, 1, 0, broken),
+            Err(ConfigError::ZeroChannelCapacity)
+        );
+        assert_eq!(check(1, 1, 1, broken), Err(ConfigError::InvalidQueueModel));
+        // The model is only consulted when feedback is on.
+        assert_eq!(check(1, 1, 1, None), Ok(()));
+        assert_eq!(check(1, 1, 1, Some(&model)), Ok(()));
+        assert!(ConfigError::NoShards.to_string().contains("shard"));
     }
 }

@@ -11,14 +11,14 @@
 //! |---|---|---|
 //! | Event type & sources | [`observation`] | [`Observation`]s, the [`ObservationSource`] trait |
 //! | Buffer recycling | [`buffer`] | [`BatchPool`]/[`BatchReturn`]: fixed-capacity observation batches recirculated over bounded return channels, so the steady-state hot path never touches the allocator |
-//! | Engine adapters | [`source`] | Drive a [`ProbeTransport`](scent_prober::ProbeTransport) as a finite scan replay or an infinite virtual-time stream, optionally with deterministic virtual-queue AIMD rate feedback |
+//! | The probe pass | [`source`] | [`ContinuousStream`]: drive a [`ProbeTransport`](scent_prober::ProbeTransport) as a permuted, paced pass over a target list, window after window of virtual time — a scan is the same stream limited to one window — optionally with deterministic virtual-queue AIMD rate feedback |
 //! | Producer sharding | [`clock`] | Recombine P per-slice producers through the [`MergedClock`] — bit-identical output for any producer count |
 //! | Shard routing | [`router`] | Partition observations by announced prefix (/32 granularity) over bounded channels; [`ShardMap`] exposes the pure target → shard mapping the feedback model shares |
 //! | Per-shard inference | [`shard`] | [`ShardInference`]: the state a shard worker folds observations into — the incremental classifiers of `scent-core` — and its order-normalized merge |
-//! | The one engine | [`engine`] | [`IngestEngine`]: the shard pool's whole lifecycle — spawn workers, build the router and its recycle pool, drive producer sources through the merged clock and a per-observation hook into the shards, close into final states or a typed error. The pipeline (per scan) and the monitor (per epoch) are its only production callers |
+//! | The one engine | [`engine`] | [`IngestEngine`]: the shard pool's whole lifecycle — spawn workers, build the router and its recycle pool, drive producer sources through the merged clock and a per-observation hook into the shards, close into final states or a typed error — and the one place a described probe pass becomes paced, sliced, counted, rate-mirrored sources. The pipeline (one pass per scan) and the monitor (one pass per epoch) are its only production callers |
 //! | Batch equivalence | [`pipeline`] | [`StreamPipeline`]: the full discovery pipeline, streamed — produces an identical [`PipelineReport`](scent_core::PipelineReport) |
-//! | Continuous monitor | [`monitor`] | [`StreamMonitor`]: endless windows, live [`RotationEvent`](scent_core::RotationEvent)s, passive tracking, and an optionally *live* watch list ([`WatchChurn`]) revised from the monitor's own density state; [`MonitorSession`] exposes the same run one epoch at a time for external scheduling |
-//! | Typed failures | [`error`] | [`StreamError`]: checkpoint failures and shard-worker panics surface as values, never as control-thread panics |
+//! | Continuous monitor | [`monitor`] | [`StreamMonitor`]: endless windows, [`RotationEvent`](scent_core::RotationEvent)s, passive tracking, and an optionally *live* watch list ([`WatchChurn`]) revised from the monitor's own density state; [`MonitorSession`] exposes the same run one epoch at a time for external scheduling |
+//! | Typed failures | [`error`] | [`ConfigError`]: the one statement of what a runnable [`StreamConfig`]/[`MonitorConfig`] is (`validate`); [`StreamError`]: checkpoint failures and shard-worker panics surface as values, never as control-thread panics |
 //! | Telemetry mirrors | [`observe`] | [`RateReplica`]: merge-side replay of the producers' AIMD pacer, feeding [`StreamObserver`](scent_telemetry::StreamObserver) hooks in deterministic order |
 //! | Checkpoint/restore | [`checkpoint`] | [`MonitorSnapshot`]: every piece of incremental monitor state captured at an epoch boundary, restored by [`StreamMonitor::run_controlled`] for byte-identical resume; [`StopSignal`] for graceful drain |
 //!
@@ -77,7 +77,7 @@ pub use buffer::{batch_pool, BatchPool, BatchReturn, PoolCounters};
 pub use checkpoint::{config_fingerprint, world_fingerprint, MonitorSnapshot, StopSignal};
 pub use clock::{ChannelSource, CountedSource, LimitedSource, MergedClock};
 pub use engine::{spawn_producers, IngestEngine, IngestOptions};
-pub use error::StreamError;
+pub use error::{ConfigError, StreamError};
 pub use monitor::{
     MonitorConfig, MonitorControl, MonitorReport, MonitorSession, StreamMonitor, WatchChurn,
 };
@@ -86,7 +86,4 @@ pub use observe::RateReplica;
 pub use pipeline::{StreamConfig, StreamPipeline};
 pub use router::{ShardMap, ShardRouter};
 pub use shard::{ShardInference, ShardMsg};
-pub use source::{
-    continuous_seq_shards, scan_seq_shards, ContinuousStream, ContinuousStreamBuilder, ScanStream,
-    ScanStreamBuilder,
-};
+pub use source::{continuous_seq_shards, ContinuousStream, ContinuousStreamBuilder};

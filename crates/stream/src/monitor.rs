@@ -1,13 +1,15 @@
-//! The continuous rotation monitor: endless windows, live events, passive
-//! tracking.
+//! The continuous rotation monitor: endless windows, rotation events,
+//! passive tracking.
 //!
 //! Where [`StreamPipeline`](crate::pipeline::StreamPipeline) replays the
 //! batch methodology, [`StreamMonitor`] is what the batch pipeline cannot
 //! express: a long-running monitor over a set of watched /48s that probes
-//! them window after window of virtual time, emits a
-//! [`RotationEvent`] the moment any target's
-//! EUI-64 responder changes, follows every identifier passively, and applies
-//! AIMD rate feedback when the inference shards fall behind the prober.
+//! them window after window of virtual time, records a
+//! [`RotationEvent`] whenever a target's EUI-64 responder changes
+//! (delivered in [`MonitorReport::events`], and readable at every epoch
+//! boundary from [`MonitorSession::snapshot`]'s shard states), follows every
+//! identifier passively, and applies AIMD rate feedback when the inference
+//! shards fall behind the prober.
 //!
 //! The watch list itself can be **live** ([`MonitorConfig::churn`]): on a
 //! configurable cadence the monitor folds its own per-epoch density state
@@ -24,7 +26,7 @@ use serde::{Deserialize, Serialize};
 use scent_checkpoint::{CheckpointError, CheckpointSink};
 use scent_core::density::DensityAccumulator;
 use scent_core::rotation_detect::{RotationEvent, WindowedRotationDetector};
-use scent_core::{RotationDetection, SeedExpansion, TrackingReport, WatchRevision};
+use scent_core::{FastMap, RotationDetection, SeedExpansion, TrackingReport, WatchRevision};
 use scent_discovery::{DiscoveryConfig, DiscoveryReport, DiscoveryTree};
 use scent_ipv6::Ipv6Prefix;
 use scent_prober::{ProbeTransport, QueueModel, Scanner, TargetGenerator, TargetStream, WorldView};
@@ -33,14 +35,11 @@ use scent_simnet::{SimDuration, SimTime};
 use scent_telemetry::{EpochSummary, StreamObserver};
 
 use crate::checkpoint::{config_fingerprint, world_fingerprint, MonitorSnapshot, StopSignal};
-use crate::clock::{CountedSource, LimitedSource};
-use crate::engine::{IngestEngine, IngestOptions};
-use crate::error::StreamError;
+use crate::engine::{IngestEngine, IngestOptions, Pass, PassEnd};
+use crate::error::{ConfigError, StreamError};
 use crate::observation::{Observation, Phase};
-use crate::observe::RateReplica;
 use crate::router::ShardMap;
 use crate::shard::ShardInference;
-use crate::source::ContinuousStream;
 
 /// Live watch-list churn configuration: how a continuous monitor revises its
 /// own watch list from the density state it accumulates.
@@ -122,8 +121,7 @@ pub struct MonitorConfig {
     /// from the batching bench (per-message rendezvous dominated below it,
     /// 256 bought under 1 % on the monitor) and batch size never changes a
     /// report. So a producer can run up to `64 * channel_capacity`
-    /// observations ahead of the merge, and live [`RotationEvent`]s are
-    /// emitted per delivered batch rather than per probe.
+    /// observations ahead of the merge.
     pub channel_capacity: usize,
     /// Seed controlling target generation and probe order.
     pub seed: u64,
@@ -222,6 +220,49 @@ impl Default for MonitorConfig {
             checkpoint_every: None,
             inject_shard_panic: None,
         }
+    }
+}
+
+impl MonitorConfig {
+    /// Whether a monitor can honour this configuration — the one statement
+    /// of the rules. [`MonitorSession::new`] asserts it; the
+    /// `followscent::Campaign` facade and the `scent-sched` scheduler call it
+    /// first and report the typed error before anything probes.
+    pub fn validate(&self) -> Result<(), ConfigError> {
+        use ConfigError::*;
+        ConfigError::check_plane(
+            self.shards,
+            self.producers,
+            self.channel_capacity,
+            self.rate_feedback.then_some(&self.queue_model),
+        )?;
+        let churn = self.churn.as_ref();
+        if let Some(c) = churn {
+            ConfigError::first_broken([
+                (c.refresh_every == 0, ZeroRefreshCadence),
+                (c.watch_capacity == 0, ZeroWatchCapacity),
+                (c.expansion_len > 48, ExpansionBlockTooLong),
+                (c.max_48s_per_seed == 0, ZeroExpansionBudget),
+            ])?;
+        }
+        if let Some(every) = self.checkpoint_every {
+            // Snapshots are taken at epoch boundaries, which churn cuts.
+            let misaligned = churn.is_some_and(|c| every % c.refresh_every != 0);
+            ConfigError::first_broken([
+                (every == 0, ZeroCheckpointCadence),
+                (misaligned, MisalignedCheckpointCadence),
+            ])?;
+        }
+        if let Some(d) = &self.discovery {
+            ConfigError::first_broken([
+                // Tree candidates enter the watch list via churn revisions.
+                (churn.is_none(), DiscoveryRequiresChurn),
+                (d.probe_budget == 0, ZeroDiscoveryBudget),
+                (d.rounds == 0, ZeroDiscoveryRounds),
+                (!(1..=8).contains(&d.branch_bits), InvalidDiscoveryBranch),
+            ])?;
+        }
+        Ok(())
     }
 }
 
@@ -475,7 +516,6 @@ pub struct MonitorSession<'a, B: ?Sized> {
     stop: Option<StopSignal>,
     generator: TargetGenerator,
     shard_map: ShardMap,
-    feedback_map: Option<ShardMap>,
     epochs: Vec<(u64, u64)>,
     initial_watched: Vec<Ipv6Prefix>,
     watched: Vec<Ipv6Prefix>,
@@ -491,10 +531,7 @@ pub struct MonitorSession<'a, B: ?Sized> {
     exhausted_at: Option<u64>,
     stopped: bool,
     failed: bool,
-    restored_events: usize,
     fingerprints: Option<(u64, u64)>,
-    live_tx: std::sync::mpsc::Sender<RotationEvent>,
-    live_rx: std::sync::mpsc::Receiver<RotationEvent>,
     started: Option<std::time::Instant>,
 }
 
@@ -522,44 +559,8 @@ impl<'a, B: ProbeTransport + WorldView + ?Sized> MonitorSession<'a, B> {
             telemetry.on_run_start(config.shards, config.producers);
         }
         let cfg = &config;
-        assert!(cfg.producers > 0, "at least one producer");
-        if let Some(churn) = &cfg.churn {
-            assert!(churn.refresh_every > 0, "refresh cadence must be non-zero");
-            assert!(churn.watch_capacity > 0, "watch capacity must be non-zero");
-            assert!(
-                churn.expansion_len <= 48,
-                "re-expansion blocks must be /48 or shorter"
-            );
-            assert!(
-                churn.max_48s_per_seed > 0,
-                "re-expansion candidate budget must be non-zero"
-            );
-        }
-        if let Some(every) = cfg.checkpoint_every {
-            assert!(every > 0, "checkpoint cadence must be non-zero");
-            if let Some(churn) = &cfg.churn {
-                assert_eq!(
-                    every % churn.refresh_every,
-                    0,
-                    "checkpoint cadence must be a multiple of the churn cadence"
-                );
-            }
-        }
-        if let Some(discovery) = &cfg.discovery {
-            assert!(
-                cfg.churn.is_some(),
-                "discovery requires churn: tree candidates enter via watch revisions"
-            );
-            assert!(
-                discovery.probe_budget > 0,
-                "discovery budget must be non-zero"
-            );
-            assert!(discovery.rounds > 0, "discovery rounds must be non-zero");
-            assert!(
-                (1..=8).contains(&discovery.branch_bits),
-                "discovery branch bits must be in 1..=8"
-            );
-        }
+        cfg.validate()
+            .unwrap_or_else(|rule| panic!("invalid monitor configuration: {rule}"));
         let discovery = cfg.discovery.as_ref().map(|_| {
             DiscoveryTree::from_announcements(
                 world.rib().entries().iter().map(|e| e.prefix),
@@ -567,11 +568,7 @@ impl<'a, B: ProbeTransport + WorldView + ?Sized> MonitorSession<'a, B> {
             )
         });
         let generator = TargetGenerator::new(cfg.seed);
-        // One ShardMap instance serves both the router and (when feedback is
-        // on) every producer's virtual-queue pacer, so the two agree on
-        // routing by construction.
         let shard_map = ShardMap::new(&world.rib().entries(), cfg.shards);
-        let feedback_map = cfg.rate_feedback.then(|| shard_map.clone());
         // Epoch layout: `refresh_every`-window segments when the watch list
         // churns, `checkpoint_every`-window segments when checkpointing
         // alone asks for boundaries (boundaries are where snapshots can be
@@ -598,7 +595,6 @@ impl<'a, B: ProbeTransport + WorldView + ?Sized> MonitorSession<'a, B> {
             (cfg.churn.is_some() && watched_48s.is_empty() && !frontier_live).then_some(0);
         let states: Vec<ShardInference> = (0..cfg.shards).map(|_| ShardInference::new()).collect();
         let final_rate = cfg.packets_per_second;
-        let (live_tx, live_rx) = std::sync::mpsc::channel();
         MonitorSession {
             world,
             observer,
@@ -606,7 +602,6 @@ impl<'a, B: ProbeTransport + WorldView + ?Sized> MonitorSession<'a, B> {
             stop: None,
             generator,
             shard_map,
-            feedback_map,
             epochs,
             initial_watched: watched_48s.clone(),
             watched: watched_48s,
@@ -622,10 +617,7 @@ impl<'a, B: ProbeTransport + WorldView + ?Sized> MonitorSession<'a, B> {
             exhausted_at,
             stopped: false,
             failed: false,
-            restored_events: 0,
             fingerprints: None,
-            live_tx,
-            live_rx,
             started,
             config,
         }
@@ -670,7 +662,6 @@ impl<'a, B: ProbeTransport + WorldView + ?Sized> MonitorSession<'a, B> {
                 "snapshot epoch beyond the configured run",
             ));
         }
-        self.restored_events = snapshot.event_count();
         self.next_epoch = snapshot.next_epoch as usize;
         self.completed_windows = self.epochs[..self.next_epoch]
             .iter()
@@ -703,8 +694,8 @@ impl<'a, B: ProbeTransport + WorldView + ?Sized> MonitorSession<'a, B> {
         // recombines it identically either way. This also makes snapshots
         // portable across shard counts.
         let restored = ShardInference::merge_all(snapshot.shards);
-        let mut detectors: Vec<scent_core::FastMap<Ipv6Addr, (u64, Option<Ipv6Addr>)>> =
-            vec![scent_core::FastMap::default(); self.config.shards];
+        let mut detectors: Vec<FastMap<Ipv6Addr, (u64, Option<Ipv6Addr>)>> =
+            vec![FastMap::default(); self.config.shards];
         for (target, entry) in restored.detector.last_observations() {
             detectors[self.shard_map.shard_for(*target)].insert(*target, *entry);
         }
@@ -773,12 +764,6 @@ impl<'a, B: ProbeTransport + WorldView + ?Sized> MonitorSession<'a, B> {
         self.next_epoch
     }
 
-    /// When the watch list drained to terminal-empty, the completed-window
-    /// count at that boundary ([`MonitorReport::exhausted_at`]).
-    pub fn exhausted_at(&self) -> Option<u64> {
-        self.exhausted_at
-    }
-
     /// The virtual time at which the next epoch would end — the priority
     /// key a scheduler orders runnable sessions by (earliest boundary
     /// first). Once the session is done this is pinned at the final
@@ -810,128 +795,57 @@ impl<'a, B: ProbeTransport + WorldView + ?Sized> MonitorSession<'a, B> {
     /// produced from it.
     pub fn run_epoch(&mut self, pps: u64) -> Result<bool, StreamError> {
         assert!(!self.is_done(), "run_epoch on a finished session");
-        let cfg = &self.config;
-        let world = self.world;
-        let observer = self.observer;
-        let tenant = self.tenant;
         let epoch = self.next_epoch;
         let epochs_len = self.epochs.len();
         let (start_window, len) = self.epochs[epoch];
-        let generator = &self.generator;
-        let feedback_map = &self.feedback_map;
-        let stop_flag = &self.stop;
-        let watched = &self.watched;
-        // The discovery blocklist filters the detection stream's targets at
-        // enumeration time, before any probe exists. With no blocklist (or
-        // no discovery) the unfiltered construction is byte-identical — the
-        // filtered path is the same enumeration with a no-op retain.
-        let blocklist = cfg
-            .discovery
-            .as_ref()
-            .map(|d| &d.blocklist)
-            .filter(|b| !b.is_empty());
-        let make_targets = |watched: &[Ipv6Prefix]| match blocklist {
-            Some(list) => {
-                let mut targets = generator.per_candidate_48(watched, cfg.granularity);
-                targets.retain(|t| !list.covers_addr(*t));
-                TargetStream::over(targets, cfg.seed, true)
-            }
-            None => TargetStream::new(generator, watched, cfg.granularity, cfg.seed, true),
-        };
-        let build_stream =
-            |watched: &[Ipv6Prefix], start_window: u64, producer: usize, producers: usize| {
-                let targets = make_targets(watched).starting_at_window(start_window);
-                let mut builder = ContinuousStream::builder(world, targets)
-                    .rate_pps(pps)
-                    .start(cfg.start)
-                    .window_interval(cfg.window_interval)
-                    .tenant(tenant)
-                    .slice(producer, producers);
-                if let Some(map) = feedback_map {
-                    builder = builder.feedback(cfg.queue_model.clone(), map.clone());
-                }
-                builder.build()
-            };
-
         let initial = std::mem::take(&mut self.states);
         // The discovery tree is driven inside the thread scope (its sweep
         // observations must route into live shards), so it moves into a
         // local for the epoch and back afterwards.
         let mut discovery = self.discovery.take();
         let mut tree_candidates: Vec<Ipv6Prefix> = Vec::new();
-        let live_tx = self.live_tx.clone();
-        let shard_map = self.shard_map.clone();
         let mut current_window = self.current_window;
         // Per-epoch density state feeding the next revision, keyed by
         // watched /48. Folded on the merge side — the deterministic
         // observation order — so revisions never depend on scheduling.
         // (Fast-hashed: this map is bumped once per churned observation, on
         // the merge side's hot path.)
-        let mut epoch_density: scent_core::FastMap<Ipv6Prefix, DensityAccumulator> =
-            scent_core::FastMap::default();
-        // One stream per producer, owned out here and lent to the engine, so
-        // a single producer's pacer can be read once the epoch has drained.
-        let mut streams: Vec<_> = (0..cfg.producers)
-            .map(|k| build_stream(watched, start_window, k, cfg.producers))
-            .collect();
+        let mut epoch_density: FastMap<Ipv6Prefix, DensityAccumulator> = FastMap::default();
+        let session = &*self;
+        let cfg = &session.config;
+        let (world, tenant, generator) = (session.world, session.tenant, &session.generator);
 
-        let (closed, stalls, stopping) = std::thread::scope(|scope| {
+        let (closed, stalls, stopping, final_rate) = std::thread::scope(|scope| {
             let mut engine = IngestEngine::open(
                 scope,
-                shard_map,
+                session.shard_map.clone(),
                 cfg.channel_capacity,
                 IngestOptions {
-                    observer,
-                    live_events: Some(live_tx),
+                    observer: session.observer,
                     initial: Some(initial),
                     inject_panic: cfg.inject_shard_panic,
                 },
             );
-            // This epoch's watch list probes one window-invariant permuted
-            // order, so a position → shard table computed once here replaces
-            // the per-observation trie walk for the whole epoch.
-            let table =
-                crate::source::continuous_seq_shards(engine.router().map(), &make_targets(watched));
-            engine.router().set_seq_shards(table);
-            // A fresh merge-side rate replica per epoch, mirroring the
-            // epoch's fresh producer pacers (each epoch's revised target
-            // set is paced from scratch) — only worth building when both
-            // feedback and an observer are on.
-            let replica = match (feedback_map, observer) {
-                (Some(map), Some(_)) => Some(RateReplica::continuous(
-                    cfg.start,
-                    pps,
-                    cfg.queue_model.clone(),
-                    map.clone(),
-                    cfg.window_interval,
-                )),
-                _ => None,
+            let end = session.probe_pass(
+                &mut engine,
+                (start_window, len),
+                pps,
+                &mut epoch_density,
+                &mut current_window,
+            );
+            let stopping = session.stop.as_ref().is_some_and(StopSignal::is_stopped);
+            // One producer's pacer is read live. P producers' pacers ended
+            // on their own slices, so the (deterministic) trajectory is
+            // replayed probe-free for the rate the single-producer run
+            // holds — but only the final epoch's rate is ever reported (the
+            // pacer restarts each epoch), so the replay is skipped
+            // everywhere else, unless a stop makes this boundary the
+            // effective end of the run.
+            let final_rate = if cfg.producers == 1 || epoch + 1 == epochs_len || stopping {
+                end.final_rate()
+            } else {
+                pps
             };
-            let sources: Vec<_> = streams
-                .iter_mut()
-                .enumerate()
-                .map(|(k, stream)| {
-                    let limit = stream.slice_len() as u64 * len;
-                    CountedSource::new(LimitedSource::new(stream, limit), k, observer)
-                })
-                .collect();
-            engine.drive(sources, replica, |router, obs| {
-                if cfg.churn.is_some() {
-                    epoch_density
-                        .entry(obs.target_48())
-                        .or_default()
-                        .observe(&obs.record());
-                }
-                if obs.window > current_window {
-                    current_window = obs.window;
-                    if let Some(keep) = cfg.retention_windows {
-                        if current_window > keep {
-                            router.compact_before(current_window - keep);
-                        }
-                    }
-                }
-            });
-            let stopping = stop_flag.as_ref().is_some_and(StopSignal::is_stopped);
 
             // Boundary discovery cycle — run inside the scope so the sweep's
             // expansion-phase observations route into the live shards and
@@ -991,7 +905,7 @@ impl<'a, B: ProbeTransport + WorldView + ?Sized> MonitorSession<'a, B> {
             }
 
             let stalls = router.stalls();
-            (engine.close(), stalls, stopping)
+            (engine.close(), stalls, stopping, final_rate)
         });
 
         self.stalls += stalls;
@@ -1003,22 +917,7 @@ impl<'a, B: ProbeTransport + WorldView + ?Sized> MonitorSession<'a, B> {
                 return Err(err);
             }
         };
-        self.final_rate = if cfg.producers == 1 {
-            streams[0].rate()
-        } else if cfg.rate_feedback && (epoch + 1 == epochs_len || stopping) {
-            // The producers' pacers ended on their own slices; replay the
-            // (deterministic) trajectory probe-free to report the same
-            // end-of-epoch rate the single-producer run holds. Only the
-            // final epoch's rate is ever reported (the pacer restarts each
-            // epoch), and without feedback the rate never moves, so skip
-            // the replay everywhere else — unless a stop makes this
-            // boundary the effective end of the run.
-            let mut replay = build_stream(watched, start_window, 0, 1);
-            replay.replay_windows(len);
-            replay.rate()
-        } else {
-            pps
-        };
+        self.final_rate = final_rate;
         self.current_window = current_window;
 
         // Close the epoch: re-expand the blocks around the watched space
@@ -1106,6 +1005,61 @@ impl<'a, B: ProbeTransport + WorldView + ?Sized> MonitorSession<'a, B> {
         Ok(stopping)
     }
 
+    /// The pass stage of an epoch: probe the current watch list for the
+    /// epoch's `len` windows (numbered from `start_window`) at `pps`, through
+    /// the engine's one pass call. What the monitor adds to the pass is its
+    /// per-observation fold on the merge side — the epoch's per-/48 density
+    /// state when the watch list churns, and retention compaction as the
+    /// window advances.
+    ///
+    /// The target list is one target per [`MonitorConfig::granularity`]
+    /// block of every watched /48, minus whatever the discovery blocklist
+    /// covers — filtered at enumeration time, before any probe exists —
+    /// permuted once for the whole epoch, whatever the producer count.
+    fn probe_pass<'scope>(
+        &'scope self,
+        engine: &mut IngestEngine<'scope, '_>,
+        (start_window, len): (u64, u64),
+        pps: u64,
+        epoch_density: &mut FastMap<Ipv6Prefix, DensityAccumulator>,
+        current_window: &mut u64,
+    ) -> PassEnd<'scope, B> {
+        let cfg = &self.config;
+        let mut targets = self
+            .generator
+            .per_candidate_48(&self.watched, cfg.granularity);
+        if let Some(discovery) = &cfg.discovery {
+            targets.retain(|target| !discovery.blocklist.covers_addr(*target));
+        }
+        let pass = Pass {
+            phase: Phase::Detection,
+            targets: TargetStream::over(targets, cfg.seed, true).starting_at_window(start_window),
+            windows: len,
+            rate_pps: pps,
+            start: cfg.start,
+            interval: cfg.window_interval,
+            tenant: self.tenant,
+            // Each epoch's revised target set is paced from scratch.
+            feedback: cfg.rate_feedback.then_some(&cfg.queue_model),
+        };
+        engine.run_pass(self.world, cfg.producers, pass, |router, obs| {
+            if cfg.churn.is_some() {
+                epoch_density
+                    .entry(obs.target_48())
+                    .or_default()
+                    .observe(&obs.record());
+            }
+            if obs.window > *current_window {
+                *current_window = obs.window;
+                if let Some(keep) = cfg.retention_windows {
+                    if *current_window > keep {
+                        router.compact_before(*current_window - keep);
+                    }
+                }
+            }
+        })
+    }
+
     /// Capture the session's state at the current epoch boundary — the same
     /// [`MonitorSnapshot`] [`StreamMonitor::run_controlled`] writes to its
     /// sink, pure function of `(config, world seed)` included.
@@ -1139,15 +1093,6 @@ impl<'a, B: ProbeTransport + WorldView + ?Sized> MonitorSession<'a, B> {
         if let (Some(telemetry), Some(started)) = (self.observer, self.started) {
             telemetry.on_wall_span("monitor_run", started.elapsed().as_nanos() as u64);
         }
-
-        // The live channel has seen every event already; the merged state is
-        // the authoritative record (compaction may have pruned events the
-        // live channel delivered at the time; restored events predate the
-        // channel entirely). Drain the channel so nothing is silently left
-        // behind, and order events the deterministic way.
-        drop(self.live_tx);
-        let live_count = self.live_rx.into_iter().count();
-        debug_assert!(live_count + self.restored_events >= merged.events.len());
 
         let detection = WindowedRotationDetector::collect(merged.events.clone());
         let mut events = merged.events.clone();

@@ -27,38 +27,24 @@ use crate::router::ShardMap;
 /// A merge-side replica of the producers' virtual-queue pacer (see the
 /// [module docs](self)).
 ///
-/// Build a fresh replica wherever the live run builds a fresh stream: one
-/// per scan phase in the pipeline, one per epoch in the monitor (the pacer
-/// restarts at the configured budget at every epoch boundary).
+/// A fresh replica goes with every fresh stream: the
+/// [`IngestEngine`](crate::engine::IngestEngine) builds one per pass — per
+/// scan phase in the pipeline, per epoch in the monitor (the pacer restarts
+/// at the configured budget at every epoch boundary).
 #[derive(Debug, Clone)]
 pub struct RateReplica {
     pacer: QueuePacer,
     map: ShardMap,
     first_start: SimTime,
-    /// `Some` for continuous windowed streams (the pacer advances to each
-    /// window's nominal start on entry); `None` for one-shot scans.
-    window_interval: Option<SimDuration>,
+    window_interval: SimDuration,
     entered: Option<u64>,
 }
 
 impl RateReplica {
-    /// A replica of a one-shot scan's pacer
-    /// ([`ScanStream`](crate::source::ScanStream) with feedback attached).
-    pub fn scan(start: SimTime, packets_per_second: u64, model: QueueModel, map: ShardMap) -> Self {
-        RateReplica {
-            pacer: QueuePacer::new(start, packets_per_second, map.shards(), model),
-            map,
-            first_start: start,
-            window_interval: None,
-            entered: None,
-        }
-    }
-
-    /// A replica of a continuous windowed stream's pacer
-    /// ([`ContinuousStream`](crate::source::ContinuousStream) with feedback
-    /// attached). `first_start` and `window_interval` must match the live
-    /// stream's so window entries advance the replica to the same nominal
-    /// starts.
+    /// A replica of a [`ContinuousStream`](crate::source::ContinuousStream)'s
+    /// pacer with feedback attached. `first_start` and `window_interval`
+    /// must match the live stream's so window entries advance the replica to
+    /// the same nominal starts.
     pub fn continuous(
         first_start: SimTime,
         packets_per_second: u64,
@@ -70,7 +56,7 @@ impl RateReplica {
             pacer: QueuePacer::new(first_start, packets_per_second, map.shards(), model),
             map,
             first_start,
-            window_interval: Some(window_interval),
+            window_interval,
             entered: None,
         }
     }
@@ -85,15 +71,13 @@ impl RateReplica {
     /// (no position is foreign to the merge side), so one paced transition
     /// per observation is exactly the single-producer trajectory.
     pub fn observe(&mut self, obs: &Observation, observer: &dyn StreamObserver) {
-        if let Some(interval) = self.window_interval {
-            if self.entered != Some(obs.window) {
-                // Mirrors `ContinuousStream::enter_window`: advance to the
-                // window's nominal start, never probing back in time.
-                let nominal =
-                    self.first_start + SimDuration::from_secs(interval.as_secs() * obs.window);
-                self.pacer.advance_to(nominal);
-                self.entered = Some(obs.window);
-            }
+        if self.entered != Some(obs.window) {
+            // Mirrors `ContinuousStream::enter_window`: advance to the
+            // window's nominal start, never probing back in time.
+            let nominal = self.first_start
+                + SimDuration::from_secs(self.window_interval.as_secs() * obs.window);
+            self.pacer.advance_to(nominal);
+            self.entered = Some(obs.window);
         }
         let shard = self.map.shard_for(obs.target);
         let (at, transition) = self.pacer.pace_tracked(shard);

@@ -13,32 +13,31 @@
 //! the batch pipeline's on any world — the equivalence the integration tests
 //! assert.
 //!
-//! With [`StreamConfig::producers`] above 1, each phase's scan is split into
-//! per-producer slices probing the backend concurrently and recombined
+//! Every scan is one pass description handed to the [`IngestEngine`]: a
+//! one-window probe pass anchored at its own start. With
+//! [`StreamConfig::producers`] above 1 the engine splits it into
+//! per-producer slices probing the backend concurrently and recombines them
 //! through the [`MergedClock`](crate::clock::MergedClock); the merged
 //! sequence is bit-identical to the single-producer scan, so the report
 //! equality holds for any producer count (also test-enforced).
-
-use std::net::Ipv6Addr;
 
 use serde::{Deserialize, Serialize};
 
 use scent_core::pipeline::RotatingCounts;
 use scent_core::rotation_detect::WindowedRotationDetector;
 use scent_core::{DensityReport, PipelineConfig, PipelineReport, SeedExpansion};
-use scent_prober::{ProbeTransport, QueueModel, SeedCampaign, TargetGenerator, WorldView};
+use scent_prober::{
+    ProbeTransport, QueueModel, SeedCampaign, TargetGenerator, TargetStream, WorldView,
+};
 use scent_simnet::{SimDuration, SimTime};
 
 use scent_telemetry::StreamObserver;
 
-use crate::clock::CountedSource;
-use crate::engine::{IngestEngine, IngestOptions};
-use crate::error::StreamError;
+use crate::engine::{IngestEngine, IngestOptions, Pass};
+use crate::error::{ConfigError, StreamError};
 use crate::observation::Phase;
-use crate::observe::RateReplica;
 use crate::router::ShardMap;
 use crate::shard::ShardInference;
-use crate::source::{scan_seq_shards, ScanStream};
 
 /// Streaming engine configuration.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -88,17 +87,19 @@ impl Default for StreamConfig {
     }
 }
 
-/// One scan of the streamed pipeline: what to probe, in which permuted
-/// order, how fast and from when.
-struct Scan<'t> {
-    phase: Phase,
-    /// The snapshot this scan is. Windows above 0 re-probe window 0's list
-    /// in window 0's order, and route by the table it installed.
-    window: u64,
-    targets: &'t [Ipv6Addr],
-    seed: u64,
-    rate_pps: u64,
-    start: SimTime,
+impl StreamConfig {
+    /// Whether a run can honour this configuration: at least one shard and
+    /// one producer, non-zero channel capacity and — with
+    /// [`StreamConfig::rate_feedback`] on — ordered queue watermarks.
+    /// [`StreamPipeline::run`] asserts it.
+    pub fn validate(&self) -> Result<(), ConfigError> {
+        ConfigError::check_plane(
+            self.shards,
+            self.producers,
+            self.channel_capacity,
+            self.rate_feedback.then_some(&self.queue_model),
+        )
+    }
 }
 
 /// The streamed discovery pipeline.
@@ -121,19 +122,6 @@ impl StreamPipeline {
             config: StreamConfig {
                 pipeline,
                 shards,
-                ..StreamConfig::default()
-            },
-        }
-    }
-
-    /// A streamed pipeline with the given shard and producer counts and
-    /// otherwise default configuration.
-    pub fn with_producers(pipeline: PipelineConfig, shards: usize, producers: usize) -> Self {
-        StreamPipeline {
-            config: StreamConfig {
-                pipeline,
-                shards,
-                producers,
                 ..StreamConfig::default()
             },
         }
@@ -172,7 +160,9 @@ impl StreamPipeline {
             telemetry.on_run_start(self.config.shards, self.config.producers);
         }
         let cfg = &self.config.pipeline;
-        assert!(self.config.producers > 0, "at least one producer");
+        self.config
+            .validate()
+            .unwrap_or_else(|rule| panic!("invalid stream configuration: {rule}"));
 
         // Step 0: stale seed traceroute campaign (bootstrap, not streamed —
         // it predates the monitor by construction).
@@ -180,11 +170,7 @@ impl StreamPipeline {
         let seed_unique = seed_campaign.unique_eui64_48s();
         let seed_32s = seed_campaign.seed_32s();
 
-        // One ShardMap instance serves both the router and (when feedback is
-        // on) every producer's virtual-queue pacer, so the two agree on
-        // routing by construction.
         let shard_map = ShardMap::new(&world.rib().entries(), self.config.shards);
-        let feedback_map = self.config.rate_feedback.then(|| shard_map.clone());
 
         let report = std::thread::scope(|scope| {
             let mut engine = IngestEngine::open(
@@ -209,17 +195,14 @@ impl StreamPipeline {
                     .iter()
                     .map(|c| generator.random_addr_in(c))
                     .collect();
-                let expansion = Scan {
-                    phase: Phase::Expansion,
-                    window: 0,
-                    targets: &expansion_targets,
-                    seed: cfg.seed ^ 0x9e37,
-                    rate_pps: 10_000,
-                    start: cfg.expansion_time,
-                };
-                let Some(routed) =
-                    self.scan_phase(&mut engine, world, observer, &feedback_map, expansion)
-                else {
+                let Some(routed) = self.scan(
+                    &mut engine,
+                    world,
+                    Phase::Expansion,
+                    TargetStream::over(expansion_targets, cfg.seed ^ 0x9e37, true),
+                    10_000,
+                    cfg.expansion_time,
+                ) else {
                     break 'scans None;
                 };
                 if let Some(telemetry) = observer {
@@ -233,17 +216,14 @@ impl StreamPipeline {
                 let density_generator = TargetGenerator::new(cfg.seed ^ 0xdead);
                 let density_targets =
                     density_generator.per_candidate_48(&validated, cfg.density_granularity);
-                let density = Scan {
-                    phase: Phase::Density,
-                    window: 0,
-                    targets: &density_targets,
-                    seed: cfg.seed,
-                    rate_pps: cfg.packets_per_second,
-                    start: cfg.expansion_time + SimDuration::from_hours(2),
-                };
-                let Some(routed) =
-                    self.scan_phase(&mut engine, world, observer, &feedback_map, density)
-                else {
+                let Some(routed) = self.scan(
+                    &mut engine,
+                    world,
+                    Phase::Density,
+                    TargetStream::over(density_targets, cfg.seed, true),
+                    cfg.packets_per_second,
+                    cfg.expansion_time + SimDuration::from_hours(2),
+                ) else {
                     break 'scans None;
                 };
                 if let Some(telemetry) = observer {
@@ -254,23 +234,25 @@ impl StreamPipeline {
                 let high = density.high_density();
 
                 // Step 3: rotation detection (§4.3) as two streamed snapshot
-                // windows 24 hours apart.
-                let detection_targets =
-                    density_generator.per_candidate_48(&high, cfg.detection_granularity);
+                // windows 24 hours apart. The second re-probes the first
+                // one's list in the first one's order: one target stream,
+                // tagged per window.
+                let detection = TargetStream::over(
+                    density_generator.per_candidate_48(&high, cfg.detection_granularity),
+                    cfg.seed,
+                    true,
+                );
                 let mut detection_routed = 0u64;
                 for window in 0..2u64 {
-                    let snapshot = Scan {
-                        phase: Phase::Detection,
-                        window,
-                        targets: &detection_targets,
-                        seed: cfg.seed,
-                        rate_pps: cfg.packets_per_second,
-                        start: cfg.first_snapshot
+                    let Some(routed) = self.scan(
+                        &mut engine,
+                        world,
+                        Phase::Detection,
+                        detection.clone().starting_at_window(window),
+                        cfg.packets_per_second,
+                        cfg.first_snapshot
                             + SimDuration::from_secs(SimDuration::from_days(1).as_secs() * window),
-                    };
-                    let Some(routed) =
-                        self.scan_phase(&mut engine, world, observer, &feedback_map, snapshot)
-                    else {
+                    ) else {
                         break 'scans None;
                     };
                     detection_routed += routed;
@@ -319,54 +301,37 @@ impl StreamPipeline {
         report
     }
 
-    /// Stream one scan through the engine — `producers` strided slices of
-    /// the same permuted pass, recombined by the merged clock — and return
-    /// how many observations it routed, or `None` once a shard has died.
-    ///
-    /// Every scan starts from fresh pacers (and, with feedback and an
-    /// observer on, a fresh merge-side rate replica mirroring them).
-    fn scan_phase<'scope, B: ProbeTransport + WorldView + ?Sized>(
+    /// Stream one scan through the engine — one window of `targets`, tagged
+    /// with the window `targets` is positioned at, paced from `start` — and
+    /// return how many observations it routed, or `None` once a shard has
+    /// died.
+    fn scan<'scope, B: ProbeTransport + WorldView + ?Sized>(
         &self,
         engine: &mut IngestEngine<'scope, '_>,
         world: &'scope B,
-        observer: Option<&'scope dyn StreamObserver>,
-        feedback_map: &Option<ShardMap>,
-        scan: Scan<'_>,
+        phase: Phase,
+        targets: TargetStream,
+        rate_pps: u64,
+        start: SimTime,
     ) -> Option<u64> {
-        let producers = self.config.producers;
-        let queue_model = &self.config.queue_model;
-        if scan.window == 0 {
-            // A scan probes one fixed target list in one fixed permuted
-            // order, so a position → shard table computed once replaces the
-            // per-observation trie walk for every window over it.
-            let table = scan_seq_shards(engine.router().map(), scan.targets, scan.seed);
-            engine.router().set_seq_shards(table);
-        }
-        let sources: Vec<_> = (0..producers)
-            .map(|k| {
-                let mut builder = ScanStream::builder(world, scan.targets.to_vec())
-                    .phase(scan.phase)
-                    .window(scan.window)
-                    .seed(scan.seed)
-                    .rate_pps(scan.rate_pps)
-                    .start(scan.start)
-                    .slice(k, producers);
-                if let Some(map) = feedback_map {
-                    builder = builder.feedback(queue_model.clone(), map.clone());
-                }
-                CountedSource::new(builder.build(), k, observer)
-            })
-            .collect();
-        let replica = match (feedback_map, observer) {
-            (Some(map), Some(_)) => Some(RateReplica::scan(
-                scan.start,
-                scan.rate_pps,
-                queue_model.clone(),
-                map.clone(),
-            )),
-            _ => None,
+        let pass = Pass {
+            phase,
+            targets,
+            windows: 1,
+            rate_pps,
+            start,
+            // Anchored at its own start: fresh pacers, and a drain clock
+            // that starts where the scan does, whatever window it is.
+            interval: SimDuration::from_secs(0),
+            tenant: 0,
+            feedback: self
+                .config
+                .rate_feedback
+                .then_some(&self.config.queue_model),
         };
-        let routed = engine.drive(sources, replica, |_, _| {});
+        let routed = engine
+            .run_pass(world, self.config.producers, pass, |_, _| {})
+            .routed;
         engine.router().dead_shard().is_none().then_some(routed)
     }
 }
@@ -439,9 +404,12 @@ mod tests {
             .iter()
             .map(|&producers| {
                 let engine = Engine::build(world.clone()).unwrap();
-                StreamPipeline::with_producers(small_config(), 2, producers)
-                    .run(&engine)
-                    .unwrap()
+                let config = StreamConfig {
+                    pipeline: small_config(),
+                    producers,
+                    ..StreamConfig::default()
+                };
+                StreamPipeline::new(config).run(&engine).unwrap()
             })
             .collect();
         for report in &reports[1..] {

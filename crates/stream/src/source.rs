@@ -1,298 +1,49 @@
-//! Adapters that drive a probe transport as an observation stream.
+//! The adapter that drives a probe transport as an observation stream.
 //!
-//! [`ScanStream`] replays exactly one zmap6-style scan pass (same permuted
-//! order, same paced send times as [`Scanner::scan`](scent_prober::Scanner))
-//! but yields results one at a time instead of materializing a
-//! [`Scan`](scent_prober::Scan) — this is what makes the streamed pipeline
-//! bit-identical to the batch one. [`ContinuousStream`] turns the transport
-//! into an *infinite* virtual-time probe stream: the same target list
-//! revisited window after window forever.
+//! The paper has one probing primitive — a permuted, paced pass over a
+//! target list, run once for expansion, once for density and then daily for
+//! detection and tracking — and [`ContinuousStream`] is it: the same target
+//! list revisited window after window of virtual time, each observation
+//! stamped with the sequence number and paced send time
+//! [`Scanner::scan`](scent_prober::Scanner) would give that position. A
+//! one-shot scan is the same stream limited to one window
+//! ([`LimitedSource`](crate::clock::LimitedSource)) and tagged with its
+//! methodology phase ([`ContinuousStreamBuilder::phase`]) — which is what
+//! makes the streamed pipeline bit-identical to the batch one.
 //!
-//! Both adapters can run with the deterministic **virtual-queue feedback
-//! model** ([`ScanStreamBuilder::feedback`],
-//! [`ContinuousStreamBuilder::feedback`]): a [`QueuePacer`] accounts every
-//! probing-order position against per-shard virtual queue depths and applies
-//! AIMD rate events at virtual second boundaries. Because the resulting send
-//! times are a pure function of `(config, target order, virtual time)` — not
-//! of OS channel pressure — feedback composes with producer slicing: a
-//! sliced stream accounts the positions other producers own (skipping them
-//! without probing) and therefore replays the same global rate trajectory
-//! locally, keeping the P-producer merge bit-identical to the
-//! single-producer run with feedback on.
+//! The stream can run with the deterministic **virtual-queue feedback
+//! model** ([`ContinuousStreamBuilder::feedback`]): a [`QueuePacer`]
+//! accounts every probing-order position against per-shard virtual queue
+//! depths and applies AIMD rate events at virtual second boundaries. Because
+//! the resulting send times are a pure function of `(config, target order,
+//! virtual time)` — not of OS channel pressure — feedback composes with
+//! producer slicing: a sliced stream accounts the positions other producers
+//! own (skipping them without probing) and therefore replays the same global
+//! rate trajectory locally, keeping the P-producer merge bit-identical to
+//! the single-producer run with feedback on.
 //!
-//! Both adapters are constructed through builders
-//! ([`ScanStream::builder`], [`ContinuousStream::builder`]) so call sites
-//! name the knobs they set instead of threading long positional argument
-//! lists.
+//! Streams are constructed through a builder ([`ContinuousStream::builder`])
+//! so call sites name the knobs they set instead of threading long
+//! positional argument lists.
 
 use scent_prober::{
-    FeedbackPacer, ProbePacer, ProbeTransport, QueueModel, QueuePacer, RandomPermutation,
-    ResponseRecord, TargetStream,
+    FeedbackPacer, ProbeTransport, QueueModel, QueuePacer, ResponseRecord, TargetStream,
 };
 use scent_simnet::{SimDuration, SimTime};
 
 use crate::observation::{Observation, ObservationSource, Phase};
 use crate::router::ShardMap;
 
-/// Replay of one scan pass as an observation stream.
-///
-/// A scan can be split into P per-producer streams with
-/// [`ScanStreamBuilder::slice`]: producer `k` then yields only its *strided*
-/// slice of the global probing order (positions `k, k + P, k + 2P, …`), with
-/// the same global sequence numbers and send times the single-producer
-/// stream assigns. The slices partition the full stream's output exactly,
-/// and because they interleave position-wise, a k-way merge consumes all P
-/// producers round-robin — no producer ever waits for another to finish.
-pub struct ScanStream<'a, T: ProbeTransport + ?Sized> {
-    transport: &'a T,
-    targets: Vec<std::net::Ipv6Addr>,
-    order: Vec<u64>,
-    pacing: ScanPacing,
-    phase: Phase,
-    tenant: u32,
-    window: u64,
-    pos: usize,
-    step: usize,
-    /// Probing-order positions already accounted on a virtual-queue pacer
-    /// (sent by this producer or skipped as foreign). Unused by fixed pacing.
-    accounted: u64,
-}
-
-/// How a scan stream stamps send times.
-enum ScanPacing {
-    /// Fixed-rate pacing: probe `i` at `start + i / pps`, independent of any
-    /// feedback — the classic bit-compatible scanner trajectory.
-    Fixed(ProbePacer),
-    /// Virtual-queue AIMD pacing: every position is accounted against its
-    /// shard's deterministic queue depth. A position's shard never changes,
-    /// so the target → shard trie lookups are done once at build time
-    /// ([`ShardMap::seq_table`]) and the accounting hot path is an array
-    /// index per position.
-    Queue {
-        pacer: QueuePacer,
-        shard_of_pos: Vec<u32>,
-    },
-}
-
-/// Builder for [`ScanStream`]: configures the scan parameters
-/// (`Scanner::scan` semantics) and the stream coordinates every observation
-/// is tagged with.
-#[derive(Debug)]
-pub struct ScanStreamBuilder<'a, T: ProbeTransport + ?Sized> {
-    transport: &'a T,
-    targets: Vec<std::net::Ipv6Addr>,
-    phase: Phase,
-    tenant: u32,
-    window: u64,
-    seed: u64,
-    packets_per_second: u64,
-    randomize_order: bool,
-    start: SimTime,
-    producer: usize,
-    producers: usize,
-    feedback: Option<(QueueModel, ShardMap)>,
-}
-
-impl<'a, T: ProbeTransport + ?Sized> ScanStreamBuilder<'a, T> {
-    /// The methodology phase observations are tagged with (default:
-    /// [`Phase::Detection`]).
-    pub fn phase(mut self, phase: Phase) -> Self {
-        self.phase = phase;
-        self
-    }
-
-    /// The scan-pass window observations are tagged with (default: 0).
-    pub fn window(mut self, window: u64) -> Self {
-        self.window = window;
-        self
-    }
-
-    /// The campaign (tenant) observations are stamped with (default: 0, the
-    /// standalone single-tenant monitor). The tenant rides every observation
-    /// into the merged clock's key, keeping multi-campaign merges
-    /// deterministic; it never affects probing order or send times.
-    pub fn tenant(mut self, tenant: u32) -> Self {
-        self.tenant = tenant;
-        self
-    }
-
-    /// The permutation seed controlling probe order (default: `0x5eed`, the
-    /// default scanner seed).
-    pub fn seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
-    }
-
-    /// The probe rate in packets per second (default: the paper's 10,000).
-    pub fn rate_pps(mut self, packets_per_second: u64) -> Self {
-        self.packets_per_second = packets_per_second;
-        self
-    }
-
-    /// Whether to randomize probe order (default: true, zmap behaviour).
-    pub fn randomize_order(mut self, randomize: bool) -> Self {
-        self.randomize_order = randomize;
-        self
-    }
-
-    /// Virtual time the scan starts (default: day 0, hour 0).
-    pub fn start(mut self, start: SimTime) -> Self {
-        self.start = start;
-        self
-    }
-
-    /// Restrict the stream to producer `producer`'s strided slice of the
-    /// global probing order (default: the whole scan). The sliced stream's
-    /// sequence numbers and send times are the positions the single-producer
-    /// stream would assign, so P slices partition one scan pass exactly.
-    pub fn slice(mut self, producer: usize, producers: usize) -> Self {
-        assert!(producers > 0, "at least one producer");
-        assert!(producer < producers, "producer index out of range");
-        self.producer = producer;
-        self.producers = producers;
-        self
-    }
-
-    /// Pace this scan with the deterministic virtual-queue feedback model:
-    /// every position (own and foreign) is accounted against `map`'s shard
-    /// assignment and `model`'s drain rate and watermarks. Composes with
-    /// [`ScanStreamBuilder::slice`] — all P slices replay the identical rate
-    /// trajectory. With `model.drain_rate == None` the send times equal the
-    /// fixed-rate trajectory exactly.
-    pub fn feedback(mut self, model: QueueModel, map: ShardMap) -> Self {
-        self.feedback = Some((model, map));
-        self
-    }
-
-    /// Build the stream: the same probing order and send times
-    /// `Scanner::scan` would use with these parameters.
-    pub fn build(self) -> ScanStream<'a, T> {
-        let order = RandomPermutation::scan_order(
-            self.targets.len() as u64,
-            self.seed,
-            self.randomize_order,
-        );
-        let pacing = match self.feedback {
-            None => ScanPacing::Fixed(ProbePacer::new(self.start, self.packets_per_second)),
-            Some((model, map)) => ScanPacing::Queue {
-                pacer: QueuePacer::new(self.start, self.packets_per_second, map.shards(), model),
-                shard_of_pos: map.seq_table(order.iter().map(|&i| self.targets[i as usize])),
-            },
-        };
-        ScanStream {
-            transport: self.transport,
-            targets: self.targets,
-            order,
-            pacing,
-            phase: self.phase,
-            tenant: self.tenant,
-            window: self.window,
-            pos: self.producer,
-            step: self.producers,
-            accounted: 0,
-        }
-    }
-}
-
-impl<'a, T: ProbeTransport + ?Sized> ScanStream<'a, T> {
-    /// Start building a stream over one scan of `targets`.
-    pub fn builder(transport: &'a T, targets: Vec<std::net::Ipv6Addr>) -> ScanStreamBuilder<'a, T> {
-        ScanStreamBuilder {
-            transport,
-            targets,
-            phase: Phase::Detection,
-            tenant: 0,
-            window: 0,
-            seed: 0x5eed,
-            packets_per_second: 10_000,
-            randomize_order: true,
-            start: SimTime::at(0, 0),
-            producer: 0,
-            producers: 1,
-            feedback: None,
-        }
-    }
-
-    /// Number of probes this stream has left to send (its slice of the scan;
-    /// the whole scan unless sliced).
-    pub fn len(&self) -> usize {
-        if self.pos >= self.targets.len() {
-            return 0;
-        }
-        (self.targets.len() - self.pos).div_ceil(self.step)
-    }
-
-    /// Whether the stream has nothing (left) to send.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// The current effective probe rate (the configured rate unless the
-    /// virtual-queue model backed it off).
-    ///
-    /// On a *sliced* feedback stream this is the rate as of the last
-    /// position this producer accounted — producers stop at their own final
-    /// position, so different slices may report different (all partial)
-    /// rates. Only the producer owning the scan's last position ends at the
-    /// global trajectory's final rate; for a whole-trajectory answer use an
-    /// unsliced stream.
-    pub fn rate(&self) -> u64 {
-        match &self.pacing {
-            ScanPacing::Fixed(pacer) => pacer.packets_per_second,
-            ScanPacing::Queue { pacer, .. } => pacer.rate(),
-        }
-    }
-}
-
-impl<T: ProbeTransport + ?Sized> ObservationSource for ScanStream<'_, T> {
-    fn next_observation(&mut self) -> Option<Observation> {
-        if self.pos >= self.targets.len() {
-            return None;
-        }
-        let seq = self.pos as u64;
-        let target = self.targets[self.order[self.pos] as usize];
-        self.pos += self.step;
-        let sent_at = match &mut self.pacing {
-            ScanPacing::Fixed(pacer) => pacer.send_time(seq),
-            ScanPacing::Queue {
-                pacer,
-                shard_of_pos,
-            } => {
-                // Skip-with-feedback over the positions other producers own:
-                // identical state transitions, no probes.
-                for pos in self.accounted..seq {
-                    pacer.skip(shard_of_pos[pos as usize] as usize);
-                }
-                self.accounted = seq + 1;
-                pacer.pace(shard_of_pos[seq as usize] as usize)
-            }
-        };
-        let response = self
-            .transport
-            .probe(target, sent_at)
-            .map(|reply| ResponseRecord {
-                source: reply.source,
-                kind: reply.kind,
-            });
-        Some(Observation {
-            phase: self.phase,
-            tenant: self.tenant,
-            window: self.window,
-            seq,
-            target,
-            sent_at,
-            response,
-        })
-    }
-}
-
 /// An infinite virtual-time probe stream: the same targets, window after
 /// window, optionally with deterministic AIMD rate feedback.
 ///
-/// Like [`ScanStream`], a continuous stream can be restricted to one
-/// producer's strided slice of every window's probing order
-/// ([`ContinuousStreamBuilder::slice`]). A sliced stream fast-forwards its
-/// pacer over the positions other producers own, so every observation it
+/// A stream can be restricted to one producer's strided slice of every
+/// window's probing order ([`ContinuousStreamBuilder::slice`]): producer `k`
+/// of `P` then yields only positions `k, k + P, k + 2P, …`. The slices
+/// partition the full stream's output exactly, and because they interleave
+/// position-wise, a k-way merge consumes all P producers round-robin — no
+/// producer ever waits for another to finish. A sliced stream fast-forwards
+/// its pacer over the positions other producers own, so every observation it
 /// emits carries exactly the sequence number and virtual send time the
 /// single-producer stream assigns to that position — including across window
 /// boundaries and overrunning windows, and including every
@@ -302,6 +53,7 @@ pub struct ContinuousStream<'a, T: ProbeTransport + ?Sized> {
     transport: &'a T,
     targets: TargetStream,
     pacing: ContinuousPacing,
+    phase: Phase,
     tenant: u32,
     first_start: SimTime,
     window_interval: SimDuration,
@@ -332,15 +84,22 @@ pub struct ContinuousStreamBuilder<'a, T: ProbeTransport + ?Sized> {
     transport: &'a T,
     targets: TargetStream,
     packets_per_second: u64,
+    phase: Phase,
     tenant: u32,
     first_start: SimTime,
     window_interval: SimDuration,
-    producer: usize,
-    producers: usize,
     feedback: Option<(QueueModel, ShardMap)>,
 }
 
 impl<'a, T: ProbeTransport + ?Sized> ContinuousStreamBuilder<'a, T> {
+    /// The methodology phase observations are tagged with (default:
+    /// [`Phase::Detection`], the monitor's; a one-window scan pass of the
+    /// streamed pipeline tags its own).
+    pub fn phase(mut self, phase: Phase) -> Self {
+        self.phase = phase;
+        self
+    }
+
     /// The probe budget per second the AIMD feedback recovers to (default:
     /// the paper's 10,000).
     pub fn rate_pps(mut self, packets_per_second: u64) -> Self {
@@ -357,14 +116,18 @@ impl<'a, T: ProbeTransport + ?Sized> ContinuousStreamBuilder<'a, T> {
         self
     }
 
-    /// Virtual time of the first window (default: day 0, hour 0).
+    /// Virtual time of window 0 (default: day 0, hour 0) — also where the
+    /// pacer, and with feedback on the virtual queues' drain clock, starts.
     pub fn start(mut self, first_start: SimTime) -> Self {
         self.first_start = first_start;
         self
     }
 
     /// Virtual time between window starts (default: 24 hours, the paper's
-    /// snapshot cadence).
+    /// snapshot cadence): window `w` is entered no earlier than
+    /// `start + w × window_interval`. A one-window scan pass anchored at its
+    /// own start passes a zero interval, so its pacer starts exactly there
+    /// whatever window number the pass is tagged with.
     pub fn window_interval(mut self, window_interval: SimDuration) -> Self {
         self.window_interval = window_interval;
         self
@@ -377,14 +140,10 @@ impl<'a, T: ProbeTransport + ?Sized> ContinuousStreamBuilder<'a, T> {
     /// bit-identical to the single-producer stream.
     ///
     /// Equivalent to passing an already-sliced [`TargetStream`] to
-    /// [`ContinuousStream::builder`]; slicing in both places panics
-    /// ([`TargetStream::slice`] rejects re-slicing) so a slice is always
-    /// applied exactly once.
+    /// [`ContinuousStream::builder`]; a slice is applied exactly once
+    /// ([`TargetStream::slice`] rejects re-slicing).
     pub fn slice(mut self, producer: usize, producers: usize) -> Self {
-        assert!(producers > 0, "at least one producer");
-        assert!(producer < producers, "producer index out of range");
-        self.producer = producer;
-        self.producers = producers;
+        self.targets = self.targets.slice(producer, producers);
         self
     }
 
@@ -405,14 +164,6 @@ impl<'a, T: ProbeTransport + ?Sized> ContinuousStreamBuilder<'a, T> {
     /// clock — a stream throttled below the window budget simply runs late,
     /// it never probes back in time).
     pub fn build(self) -> ContinuousStream<'a, T> {
-        let targets = if self.producers > 1 {
-            // One authoritative slicing site: if the caller pre-sliced the
-            // target stream, TargetStream::slice panics here rather than
-            // silently replacing the slice.
-            self.targets.slice(self.producer, self.producers)
-        } else {
-            self.targets
-        };
         let pacing = match self.feedback {
             None => ContinuousPacing::Fixed(FeedbackPacer::new(
                 self.first_start,
@@ -425,13 +176,14 @@ impl<'a, T: ProbeTransport + ?Sized> ContinuousStreamBuilder<'a, T> {
                     map.shards(),
                     model,
                 ),
-                shard_of_pos: continuous_seq_shards(&map, &targets),
+                shard_of_pos: continuous_seq_shards(&map, &self.targets),
             },
         };
         ContinuousStream {
             transport: self.transport,
-            targets,
+            targets: self.targets,
             pacing,
+            phase: self.phase,
             tenant: self.tenant,
             first_start: self.first_start,
             window_interval: self.window_interval,
@@ -448,11 +200,10 @@ impl<'a, T: ProbeTransport + ?Sized> ContinuousStream<'a, T> {
             transport,
             targets,
             packets_per_second: 10_000,
+            phase: Phase::Detection,
             tenant: 0,
             first_start: SimTime::at(0, 0),
             window_interval: SimDuration::from_days(1),
-            producer: 0,
-            producers: 1,
             feedback: None,
         }
     }
@@ -574,7 +325,7 @@ impl<T: ProbeTransport + ?Sized> ObservationSource for ContinuousStream<'_, T> {
                 kind: reply.kind,
             });
         Some(Observation {
-            phase: Phase::Detection,
+            phase: self.phase,
             tenant: self.tenant,
             window: streamed.window,
             seq: streamed.seq,
@@ -583,21 +334,6 @@ impl<T: ProbeTransport + ?Sized> ObservationSource for ContinuousStream<'_, T> {
             response,
         })
     }
-}
-
-/// The position → shard table of one scan pass: entry `p` is the shard of
-/// the target probed at global sequence number `p` (the same permuted order
-/// every [`ScanStream`] over `(targets, seed)` replays, sliced or not).
-///
-/// This is the table [`ShardRouter::set_seq_shards`](crate::router::ShardRouter::set_seq_shards)
-/// wants: install it before routing a scan phase and the router resolves
-/// each observation's shard with one array index instead of a trie walk.
-/// The virtual-queue pacer builds the identical table internally
-/// ([`ScanStreamBuilder::feedback`]), so router and pacer agree by
-/// construction.
-pub fn scan_seq_shards(map: &ShardMap, targets: &[std::net::Ipv6Addr], seed: u64) -> Vec<u32> {
-    let order = RandomPermutation::scan_order(targets.len() as u64, seed, true);
-    map.seq_table(order.iter().map(|&i| targets[i as usize]))
 }
 
 /// The position → shard table of a continuous stream's windows: entry `p` is
@@ -615,8 +351,35 @@ pub fn continuous_seq_shards(map: &ShardMap, targets: &TargetStream) -> Vec<u32>
 #[cfg(test)]
 mod tests {
     use super::*;
-    use scent_prober::{Scanner, ScannerConfig, TargetGenerator};
+    use crate::clock::LimitedSource;
+    use scent_prober::{ProbePacer, Scanner, ScannerConfig, TargetGenerator};
     use scent_simnet::{scenarios, Engine};
+
+    /// One scan pass, as the pipeline builds it: the continuous stream over
+    /// `targets` in `Scanner` order, tagged `window`, anchored at `start`
+    /// (zero interval), producer `k` of `of`.
+    fn scan_pass<'a>(
+        engine: &'a Engine,
+        targets: &[std::net::Ipv6Addr],
+        (seed, randomize): (u64, bool),
+        window: u64,
+        start: SimTime,
+        (k, of): (usize, usize),
+    ) -> ContinuousStreamBuilder<'a, Engine> {
+        let order = TargetStream::over(targets.to_vec(), seed, randomize);
+        ContinuousStream::builder(engine, order.starting_at_window(window))
+            .start(start)
+            .window_interval(SimDuration::from_secs(0))
+            .slice(k, of)
+    }
+
+    /// Drain exactly one window of `stream` — a scan pass is a one-window
+    /// continuous stream.
+    fn drain<T: ProbeTransport + ?Sized>(stream: &mut ContinuousStream<'_, T>) -> Vec<Observation> {
+        let window = stream.slice_len() as u64;
+        let mut pass = LimitedSource::new(stream, window);
+        std::iter::from_fn(|| pass.next_observation()).collect()
+    }
 
     #[test]
     fn scan_stream_replays_scanner_exactly() {
@@ -630,18 +393,12 @@ mod tests {
         };
         let scan = Scanner::new(config).scan(&engine, &targets, SimTime::at(1, 9));
 
-        let mut stream = ScanStream::builder(&engine, targets.clone())
+        let mut stream = scan_pass(&engine, &targets, (7, true), 0, SimTime::at(1, 9), (0, 1))
             .phase(Phase::Density)
-            .seed(7)
             .rate_pps(10_000)
-            .start(SimTime::at(1, 9))
             .build();
-        assert_eq!(stream.len(), targets.len());
-        assert!(!stream.is_empty());
-        let mut streamed = Vec::new();
-        while let Some(obs) = stream.next_observation() {
-            streamed.push(obs.record());
-        }
+        assert_eq!(stream.window_len(), targets.len());
+        let streamed: Vec<_> = drain(&mut stream).iter().map(|obs| obs.record()).collect();
         assert_eq!(streamed, scan.records);
     }
 
@@ -650,14 +407,18 @@ mod tests {
         let engine = Engine::build(scenarios::entel_like(5)).unwrap();
         let pool = engine.pools()[0].config.prefix;
         let targets = TargetGenerator::new(1).one_per_subnet(&pool, 60);
-        let mut stream = ScanStream::builder(&engine, targets.clone())
-            .phase(Phase::Detection)
-            .window(3)
-            .randomize_order(false)
-            .start(SimTime::at(1, 9))
-            .build();
+        let mut stream = scan_pass(
+            &engine,
+            &targets,
+            (0x5eed, false),
+            3,
+            SimTime::at(1, 9),
+            (0, 1),
+        )
+        .phase(Phase::Detection)
+        .build();
         let mut seen = Vec::new();
-        while let Some(obs) = stream.next_observation() {
+        for obs in drain(&mut stream) {
             assert_eq!(obs.window, 3);
             assert_eq!(obs.phase, Phase::Detection);
             seen.push(obs.target);
@@ -674,23 +435,10 @@ mod tests {
         let pool = engine.pools()[0].config.prefix;
         let targets = TargetGenerator::new(1).one_per_subnet(&pool, 56);
         let map = ShardMap::new(&engine.rib().entries(), 3);
-        let drain = |mut s: ScanStream<'_, Engine>| {
-            let mut all = Vec::new();
-            while let Some(obs) = s.next_observation() {
-                all.push(obs);
-            }
-            all
-        };
-        let fixed = drain(
-            ScanStream::builder(&engine, targets.clone())
-                .seed(7)
-                .start(SimTime::at(1, 9))
-                .build(),
-        );
+        let build = |k, of| scan_pass(&engine, &targets, (7, true), 0, SimTime::at(1, 9), (k, of));
+        let fixed = drain(&mut build(0, 1).build());
         let unbounded = drain(
-            ScanStream::builder(&engine, targets.clone())
-                .seed(7)
-                .start(SimTime::at(1, 9))
+            &mut build(0, 1)
                 .feedback(QueueModel::unbounded(), map.clone())
                 .build(),
         );
@@ -701,10 +449,7 @@ mod tests {
             let mut merged: Vec<Observation> = (0..producers)
                 .flat_map(|k| {
                     drain(
-                        ScanStream::builder(&engine, targets.clone())
-                            .seed(7)
-                            .start(SimTime::at(1, 9))
-                            .slice(k, producers)
+                        &mut build(k, producers)
                             .feedback(QueueModel::unbounded(), map.clone())
                             .build(),
                     )
@@ -712,6 +457,16 @@ mod tests {
                 .collect();
             merged.sort_by_key(|o| o.seq);
             assert_eq!(merged, fixed, "producers={producers}");
+        }
+    }
+
+    /// The throttling queue model the scan-level feedback tests share.
+    fn throttling_model() -> QueueModel {
+        QueueModel {
+            drain_rate: Some(16),
+            high_watermark: 48,
+            low_watermark: 8,
+            ..QueueModel::unbounded()
         }
     }
 
@@ -725,32 +480,15 @@ mod tests {
         let pool = engine.pools()[0].config.prefix;
         let targets = TargetGenerator::new(1).one_per_subnet(&pool, 56);
         let map = ShardMap::new(&engine.rib().entries(), 2);
-        let model = QueueModel {
-            drain_rate: Some(16),
-            high_watermark: 48,
-            low_watermark: 8,
-            ..QueueModel::unbounded()
-        };
-        let drain = |mut s: ScanStream<'_, Engine>| {
-            let mut all = Vec::new();
-            while let Some(obs) = s.next_observation() {
-                all.push(obs);
-            }
-            all
-        };
         let build = |k: usize, of: usize| {
-            ScanStream::builder(&engine, targets.clone())
-                .seed(7)
+            scan_pass(&engine, &targets, (7, true), 0, SimTime::at(1, 9), (k, of))
                 .rate_pps(64) // low budget => many virtual seconds => rate events
-                .start(SimTime::at(1, 9))
-                .slice(k, of)
-                .feedback(model.clone(), map.clone())
+                .feedback(throttling_model(), map.clone())
                 .build()
         };
-        let single = drain(build(0, 1));
-        // The model must actually bite, or the property is vacuous.
         let mut reference = build(0, 1);
-        while reference.next_observation().is_some() {}
+        let single = drain(&mut reference);
+        // The model must actually bite, or the property is vacuous.
         assert!(reference.rate() < 64, "drain 16/s must throttle 64 pps");
         // Throttling stretches virtual time compared to the fixed trajectory.
         let fixed_last = ProbePacer::new(SimTime::at(1, 9), 64).send_time(targets.len() as u64 - 1);
@@ -758,11 +496,58 @@ mod tests {
 
         for producers in [2usize, 4, 8] {
             let mut merged: Vec<Observation> = (0..producers)
-                .flat_map(|k| drain(build(k, producers)))
+                .flat_map(|k| drain(&mut build(k, producers)))
                 .collect();
             merged.sort_by_key(|o| o.seq);
             assert_eq!(merged, single, "producers={producers}");
         }
+    }
+
+    /// A scan pass tagged window 1 — the pipeline's second detection
+    /// snapshot — paces exactly like window 0's pass, shifted by its own
+    /// start: fresh queues, and a drain clock that starts where the pass
+    /// does. Built instead as window 1 of a stream that started a day
+    /// earlier, the virtual queues have a day of drain credit before the
+    /// first probe and the throttle never bites.
+    #[test]
+    fn throttled_feedback_pass_at_window_one_is_window_zero_shifted() {
+        let engine = Engine::build(scenarios::entel_like(5)).unwrap();
+        let pool = engine.pools()[0].config.prefix;
+        let targets = TargetGenerator::new(1).one_per_subnet(&pool, 56);
+        let map = ShardMap::new(&engine.rib().entries(), 2);
+        let day = SimDuration::from_days(1);
+        let first = SimTime::at(1, 9);
+        let offsets = |stream: &mut ContinuousStream<'_, Engine>, start: SimTime| {
+            let trajectory: Vec<(u64, u64)> = drain(stream)
+                .iter()
+                .map(|obs| (obs.seq, obs.sent_at.since(start).as_secs()))
+                .collect();
+            (trajectory, stream.rate())
+        };
+        let pass = |window: u64, start: SimTime| {
+            scan_pass(&engine, &targets, (7, true), window, start, (0, 1))
+                .rate_pps(64)
+                .feedback(throttling_model(), map.clone())
+                .build()
+        };
+        let (window_zero, rate_zero) = offsets(&mut pass(0, first), first);
+        assert!(rate_zero < 64, "non-vacuous: the model throttled");
+        let (window_one, rate_one) = offsets(&mut pass(1, first + day), first + day);
+        assert_eq!(window_one, window_zero);
+        assert_eq!(rate_one, rate_zero);
+
+        // The day-early drain clock: same window, same nominal start, but
+        // the pacer was born at window 0's start.
+        let order = TargetStream::over(targets.clone(), 7, true).starting_at_window(1);
+        let mut early = ContinuousStream::builder(&engine, order)
+            .rate_pps(64)
+            .start(first)
+            .window_interval(day)
+            .feedback(throttling_model(), map.clone())
+            .build();
+        let (day_early, rate_early) = offsets(&mut early, first + day);
+        assert_eq!(rate_early, 64, "a day of drain credit: never throttled");
+        assert_ne!(day_early, window_zero);
     }
 
     /// Regression: an observation emitted exactly on a window boundary (the

@@ -414,10 +414,12 @@ impl<'t, W> CampaignBuilder<'t, W> {
     /// windows: each revision folds the closing epoch's density state
     /// through a boundary re-expansion probe, admitting newly-dense /48s in
     /// deterministic order and evicting prefixes that went quiet. Zero is a
-    /// typed error ([`CampaignError::ZeroRefreshCadence`]) — leave churn off
+    /// typed error ([`ConfigError::ZeroRefreshCadence`]) — leave churn off
     /// instead. Churning runs keep every reproducibility guarantee: reports
     /// stay byte-identical across producer counts and across live vs.
     /// recorded-replay backends.
+    ///
+    /// [`ConfigError::ZeroRefreshCadence`]: scent_stream::ConfigError::ZeroRefreshCadence
     pub fn refresh_every(mut self, refresh_every: u64) -> Self {
         let mut churn = self.churn.unwrap_or_default();
         churn.refresh_every = refresh_every;
@@ -428,8 +430,9 @@ impl<'t, W> CampaignBuilder<'t, W> {
     /// Bound the churning monitor's watch list to this many /48s after each
     /// revision (default: 64 once churn is enabled). Implies churn: setting
     /// a capacity without [`CampaignBuilder::refresh_every`] revises every
-    /// window. Zero is a typed error
-    /// ([`CampaignError::ZeroWatchCapacity`]).
+    /// window. Zero is a typed error ([`ConfigError::ZeroWatchCapacity`]).
+    ///
+    /// [`ConfigError::ZeroWatchCapacity`]: scent_stream::ConfigError::ZeroWatchCapacity
     pub fn watch_capacity(mut self, watch_capacity: usize) -> Self {
         let mut churn = self.churn.unwrap_or_default();
         churn.watch_capacity = watch_capacity;
@@ -464,12 +467,15 @@ impl<'t, W> CampaignBuilder<'t, W> {
     /// Write a crash-safe snapshot every `checkpoint_every` windows (and
     /// always at the final epoch and at a graceful stop). Requires a
     /// destination ([`CampaignBuilder::checkpoint_to`]) and monitor mode.
-    /// Zero is a typed error ([`CampaignError::ZeroCheckpointCadence`]);
-    /// with churn on, the cadence must be a whole multiple of
+    /// Zero is a typed error ([`ConfigError::ZeroCheckpointCadence`]); with
+    /// churn on, the cadence must be a whole multiple of
     /// [`CampaignBuilder::refresh_every`]
-    /// ([`CampaignError::MisalignedCheckpointCadence`]). The cadence shapes
-    /// the run's epoch layout, so it is part of the snapshot's configuration
+    /// ([`ConfigError::MisalignedCheckpointCadence`]). The cadence shapes the
+    /// run's epoch layout, so it is part of the snapshot's configuration
     /// fingerprint.
+    ///
+    /// [`ConfigError::ZeroCheckpointCadence`]: scent_stream::ConfigError::ZeroCheckpointCadence
+    /// [`ConfigError::MisalignedCheckpointCadence`]: scent_stream::ConfigError::MisalignedCheckpointCadence
     pub fn checkpoint_every(mut self, checkpoint_every: u64) -> Self {
         self.checkpoint_every = Some(checkpoint_every);
         self
@@ -578,92 +584,46 @@ impl<'t> CampaignBuilder<'t, ()> {
 impl<B: ProbeTransport + WorldView + ?Sized> CampaignBuilder<'_, &B> {
     /// Run the campaign against the attached backend.
     pub fn run(self) -> Result<CampaignReport, ScentError> {
-        if self.channel_capacity == 0 {
-            return Err(CampaignError::ZeroChannelCapacity.into());
-        }
-        if self.rate_feedback && !self.queue_model.is_valid() {
-            return Err(CampaignError::InvalidQueueModel.into());
-        }
-        if let Some(churn) = &self.churn {
-            if churn.refresh_every == 0 {
-                return Err(CampaignError::ZeroRefreshCadence.into());
-            }
-            if churn.watch_capacity == 0 {
-                return Err(CampaignError::ZeroWatchCapacity.into());
-            }
-            if churn.expansion_len > 48 {
-                return Err(CampaignError::ExpansionBlockTooLong.into());
-            }
-            if churn.max_48s_per_seed == 0 {
-                return Err(CampaignError::ZeroExpansionBudget.into());
-            }
-        }
-        if self.checkpoint_every == Some(0) {
-            return Err(CampaignError::ZeroCheckpointCadence.into());
-        }
-        if let (Some(churn), Some(every)) = (&self.churn, self.checkpoint_every) {
-            if every % churn.refresh_every != 0 {
-                return Err(CampaignError::MisalignedCheckpointCadence.into());
-            }
-        }
+        // The facade's own rules: options only a monitor can honour.
+        let monitoring = matches!(self.mode, CampaignMode::Monitor { .. });
         let wants_checkpoint = self.checkpoint_every.is_some()
             || self.checkpoint_to.is_some()
             || self.resume_from.is_some()
             || self.stop.is_some();
-        if wants_checkpoint && !matches!(self.mode, CampaignMode::Monitor { .. }) {
+        if wants_checkpoint && !monitoring {
             return Err(CampaignError::CheckpointRequiresMonitor.into());
         }
-        if let Some(discovery) = &self.discovery {
-            if !matches!(self.mode, CampaignMode::Monitor { .. }) {
-                return Err(CampaignError::DiscoveryRequiresMonitor.into());
-            }
-            if self.churn.is_none() {
-                return Err(CampaignError::DiscoveryRequiresChurn.into());
-            }
-            if discovery.probe_budget == 0 {
-                return Err(CampaignError::ZeroDiscoveryBudget.into());
-            }
-            if discovery.rounds == 0 {
-                return Err(CampaignError::ZeroDiscoveryRounds.into());
-            }
-            if !(1..=8).contains(&discovery.branch_bits) {
-                return Err(CampaignError::InvalidDiscoveryBranch.into());
-            }
+        if self.discovery.is_some() && !monitoring {
+            return Err(CampaignError::DiscoveryRequiresMonitor.into());
         }
+        // Everything else is scent-stream's one statement of a runnable
+        // configuration. The shared rules (shards, producers, capacity,
+        // queue model) hold in every mode — batch reads them as the
+        // one-shard, one-producer plane it is.
+        let (shards, producers) = match self.mode {
+            CampaignMode::Batch => (1, 1),
+            CampaignMode::Streamed { shards, producers }
+            | CampaignMode::Monitor {
+                shards, producers, ..
+            } => (shards, producers),
+        };
+        let stream = StreamConfig {
+            pipeline: self.pipeline,
+            shards,
+            producers,
+            channel_capacity: self.channel_capacity,
+            rate_feedback: self.rate_feedback,
+            queue_model: self.queue_model,
+        };
+        stream.validate()?;
         match self.mode {
             CampaignMode::Batch => Ok(CampaignReport::Pipeline(
-                Pipeline::new(self.pipeline).run(self.world),
+                Pipeline::new(stream.pipeline).run(self.world),
             )),
-            CampaignMode::Streamed { shards, producers } => {
-                if shards == 0 {
-                    return Err(CampaignError::NoShards.into());
-                }
-                if producers == 0 {
-                    return Err(CampaignError::NoProducers.into());
-                }
-                let config = StreamConfig {
-                    pipeline: self.pipeline,
-                    shards,
-                    producers,
-                    channel_capacity: self.channel_capacity,
-                    rate_feedback: self.rate_feedback,
-                    queue_model: self.queue_model,
-                };
-                Ok(CampaignReport::Pipeline(
-                    StreamPipeline::new(config).run_observed(self.world, self.telemetry)?,
-                ))
-            }
-            CampaignMode::Monitor {
-                windows,
-                shards,
-                producers,
-            } => {
-                if shards == 0 {
-                    return Err(CampaignError::NoShards.into());
-                }
-                if producers == 0 {
-                    return Err(CampaignError::NoProducers.into());
-                }
+            CampaignMode::Streamed { .. } => Ok(CampaignReport::Pipeline(
+                StreamPipeline::new(stream).run_observed(self.world, self.telemetry)?,
+            )),
+            CampaignMode::Monitor { windows, .. } => {
                 if windows == 0 {
                     return Err(CampaignError::NoWindows.into());
                 }
@@ -675,24 +635,25 @@ impl<B: ProbeTransport + WorldView + ?Sized> CampaignBuilder<'_, &B> {
                 let config = MonitorConfig {
                     shards,
                     producers,
-                    channel_capacity: self.channel_capacity,
-                    seed: self.pipeline.seed,
-                    packets_per_second: self.pipeline.packets_per_second,
+                    channel_capacity: stream.channel_capacity,
+                    seed: stream.pipeline.seed,
+                    packets_per_second: stream.pipeline.packets_per_second,
                     granularity: self
                         .granularity
-                        .unwrap_or(self.pipeline.detection_granularity),
+                        .unwrap_or(stream.pipeline.detection_granularity),
                     windows,
                     window_interval: self.window_interval,
-                    start: self.start.unwrap_or(self.pipeline.first_snapshot),
+                    start: self.start.unwrap_or(stream.pipeline.first_snapshot),
                     max_tracked: self.max_tracked,
-                    rate_feedback: self.rate_feedback,
-                    queue_model: self.queue_model,
+                    rate_feedback: stream.rate_feedback,
+                    queue_model: stream.queue_model,
                     retention_windows: self.retention_windows,
                     churn: self.churn,
                     discovery: self.discovery,
                     checkpoint_every: self.checkpoint_every,
                     inject_shard_panic: None,
                 };
+                config.validate()?;
                 let resume = match &self.resume_from {
                     Some(path) => {
                         let bytes = FileCheckpointStore::new(path).load()?;
@@ -724,6 +685,7 @@ impl<B: ProbeTransport + WorldView + ?Sized> CampaignBuilder<'_, &B> {
 mod tests {
     use super::*;
     use scent_simnet::{scenarios, Engine};
+    use scent_stream::ConfigError;
 
     #[test]
     fn invalid_configurations_are_typed_errors() {
@@ -736,7 +698,7 @@ mod tests {
             })
             .run()
             .unwrap_err();
-        assert_eq!(err, ScentError::Campaign(CampaignError::NoShards));
+        assert_eq!(err, ScentError::from(ConfigError::NoShards));
 
         let err = Campaign::builder()
             .world(&engine)
@@ -746,7 +708,7 @@ mod tests {
             })
             .run()
             .unwrap_err();
-        assert_eq!(err, ScentError::Campaign(CampaignError::NoProducers));
+        assert_eq!(err, ScentError::from(ConfigError::NoProducers));
 
         let err = Campaign::builder()
             .world(&engine)
@@ -759,7 +721,7 @@ mod tests {
             })
             .run()
             .unwrap_err();
-        assert_eq!(err, ScentError::Campaign(CampaignError::InvalidQueueModel));
+        assert_eq!(err, ScentError::from(ConfigError::InvalidQueueModel));
 
         let err = Campaign::builder()
             .world(&engine)
@@ -767,10 +729,7 @@ mod tests {
             .mode(CampaignMode::Batch)
             .run()
             .unwrap_err();
-        assert_eq!(
-            err,
-            ScentError::Campaign(CampaignError::ZeroChannelCapacity)
-        );
+        assert_eq!(err, ScentError::from(ConfigError::ZeroChannelCapacity));
 
         let err = Campaign::builder()
             .world(&engine)

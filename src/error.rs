@@ -12,46 +12,22 @@ use std::fmt;
 use scent_bgp::RibParseError;
 use scent_checkpoint::CheckpointError;
 use scent_simnet::WorldError;
-use scent_stream::StreamError;
+use scent_stream::{ConfigError, StreamError};
 
 /// A campaign was configured inconsistently.
+///
+/// What makes a [`StreamConfig`](scent_stream::StreamConfig) or
+/// [`MonitorConfig`](scent_stream::MonitorConfig) runnable is stated once, in
+/// `scent-stream` ([`ConfigError`]); the facade wraps that verdict and adds
+/// only the rules about its own builder.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CampaignError {
-    /// A streamed or monitoring campaign was asked to run with zero shards.
-    NoShards,
-    /// A streamed or monitoring campaign was asked to run with zero probe
-    /// producers.
-    NoProducers,
-    /// The bounded shard channels were given zero capacity.
-    ZeroChannelCapacity,
+    /// The streaming configuration the builder assembled cannot be run.
+    Config(ConfigError),
     /// A monitoring campaign has no watched /48s to probe.
     EmptyWatchList,
     /// A monitoring campaign was asked to observe zero windows.
     NoWindows,
-    /// The virtual-queue feedback model was configured with inverted
-    /// watermarks (the low watermark must be strictly below the high one).
-    InvalidQueueModel,
-    /// Watch-list churn was configured with a zero refresh cadence (the
-    /// watch list would never be revised; leave churn off instead).
-    ZeroRefreshCadence,
-    /// Watch-list churn was configured with a zero watch capacity (a
-    /// monitor that may watch nothing is a misconfiguration, not a run).
-    ZeroWatchCapacity,
-    /// Watch-list churn was configured with a re-expansion block longer
-    /// than a /48 (blocks must enclose the watched /48s).
-    ExpansionBlockTooLong,
-    /// Watch-list churn was configured with a zero candidate budget
-    /// (`max_48s_per_seed`): the boundary re-expansion could never probe a
-    /// candidate, so the watch list could only ever shrink.
-    ZeroExpansionBudget,
-    /// Checkpointing was configured with a zero cadence (a snapshot would
-    /// never be written; leave checkpointing off instead).
-    ZeroCheckpointCadence,
-    /// Checkpointing and watch-list churn were configured with misaligned
-    /// cadences: the checkpoint cadence must be a whole multiple of the
-    /// churn refresh cadence, because snapshots are taken at epoch
-    /// boundaries and epochs are cut by the churn cadence.
-    MisalignedCheckpointCadence,
     /// Checkpointing, resume or a stop signal were configured on a
     /// non-monitor campaign; only [`CampaignMode::Monitor`] runs long enough
     /// to suspend and resume.
@@ -62,80 +38,17 @@ pub enum CampaignError {
     /// discovery tree evolves at monitor epoch boundaries, which the batch
     /// and streamed pipelines do not have.
     DiscoveryRequiresMonitor,
-    /// Adaptive discovery was configured without watch-list churn: the
-    /// tree's dense /48s enter the watch list through churn revisions, so a
-    /// churn-less discovery run could never act on what it discovers.
-    DiscoveryRequiresChurn,
-    /// Adaptive discovery was configured with a zero per-boundary probe
-    /// budget (the tree could never gather evidence).
-    ZeroDiscoveryBudget,
-    /// Adaptive discovery was configured with zero plan/probe/fold rounds
-    /// per boundary.
-    ZeroDiscoveryRounds,
-    /// Adaptive discovery was configured with a branch factor outside
-    /// 1..=8 bits per tree level.
-    InvalidDiscoveryBranch,
 }
 
 impl fmt::Display for CampaignError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            CampaignError::NoShards => write!(f, "campaign needs at least one inference shard"),
-            CampaignError::NoProducers => {
-                write!(f, "campaign needs at least one probe producer")
-            }
-            CampaignError::ZeroChannelCapacity => {
-                write!(f, "bounded shard channels need non-zero capacity")
-            }
+            CampaignError::Config(rule) => write!(f, "{rule}"),
             CampaignError::EmptyWatchList => {
                 write!(f, "monitoring campaign has no watched /48s; call watch(..)")
             }
             CampaignError::NoWindows => {
                 write!(f, "monitoring campaign must observe at least one window")
-            }
-            CampaignError::InvalidQueueModel => {
-                write!(
-                    f,
-                    "queue model watermarks are inverted; low_watermark must be below high_watermark"
-                )
-            }
-            CampaignError::ZeroRefreshCadence => {
-                write!(
-                    f,
-                    "watch-list churn needs a non-zero refresh cadence (refresh_every)"
-                )
-            }
-            CampaignError::ZeroWatchCapacity => {
-                write!(
-                    f,
-                    "watch-list churn needs a non-zero watch capacity (watch_capacity)"
-                )
-            }
-            CampaignError::ExpansionBlockTooLong => {
-                write!(
-                    f,
-                    "watch-list churn re-expansion blocks must be /48 or shorter (expansion_len)"
-                )
-            }
-            CampaignError::ZeroExpansionBudget => {
-                write!(
-                    f,
-                    "watch-list churn needs a non-zero re-expansion candidate budget \
-                     (max_48s_per_seed)"
-                )
-            }
-            CampaignError::ZeroCheckpointCadence => {
-                write!(
-                    f,
-                    "checkpointing needs a non-zero cadence (checkpoint_every)"
-                )
-            }
-            CampaignError::MisalignedCheckpointCadence => {
-                write!(
-                    f,
-                    "checkpoint cadence must be a whole multiple of the churn \
-                     refresh cadence (checkpoint_every % refresh_every == 0)"
-                )
             }
             CampaignError::CheckpointRequiresMonitor => {
                 write!(
@@ -146,38 +59,24 @@ impl fmt::Display for CampaignError {
             CampaignError::DiscoveryRequiresMonitor => {
                 write!(f, "adaptive discovery requires CampaignMode::Monitor")
             }
-            CampaignError::DiscoveryRequiresChurn => {
-                write!(
-                    f,
-                    "adaptive discovery requires watch-list churn; call churn(..)"
-                )
-            }
-            CampaignError::ZeroDiscoveryBudget => {
-                write!(
-                    f,
-                    "adaptive discovery needs a non-zero per-boundary probe budget \
-                     (probe_budget)"
-                )
-            }
-            CampaignError::ZeroDiscoveryRounds => {
-                write!(
-                    f,
-                    "adaptive discovery needs at least one plan/probe/fold round \
-                     per boundary (rounds)"
-                )
-            }
-            CampaignError::InvalidDiscoveryBranch => {
-                write!(
-                    f,
-                    "adaptive discovery branch factor must be 1..=8 bits per level \
-                     (branch_bits)"
-                )
-            }
         }
     }
 }
 
-impl std::error::Error for CampaignError {}
+impl std::error::Error for CampaignError {
+    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
+        match self {
+            CampaignError::Config(rule) => Some(rule),
+            _ => None,
+        }
+    }
+}
+
+impl From<ConfigError> for CampaignError {
+    fn from(rule: ConfigError) -> Self {
+        CampaignError::Config(rule)
+    }
+}
 
 /// Any error the followscent workspace can produce.
 #[derive(Debug, Clone, PartialEq)]
@@ -244,6 +143,12 @@ impl From<CampaignError> for ScentError {
     }
 }
 
+impl From<ConfigError> for ScentError {
+    fn from(rule: ConfigError) -> Self {
+        ScentError::Campaign(rule.into())
+    }
+}
+
 impl From<CheckpointError> for ScentError {
     fn from(e: CheckpointError) -> Self {
         ScentError::Checkpoint(e)
@@ -275,8 +180,12 @@ mod tests {
 
         let campaign: ScentError = CampaignError::EmptyWatchList.into();
         assert!(campaign.to_string().contains("watched /48s"));
-        let discovery: ScentError = CampaignError::DiscoveryRequiresChurn.into();
+        let discovery: ScentError = ConfigError::DiscoveryRequiresChurn.into();
         assert!(discovery.to_string().contains("churn"));
+        assert_eq!(
+            discovery,
+            ScentError::Campaign(CampaignError::Config(ConfigError::DiscoveryRequiresChurn))
+        );
         assert_eq!(
             campaign,
             ScentError::Campaign(CampaignError::EmptyWatchList)

@@ -38,8 +38,8 @@
 //! report on one thread — the streamed report is test-enforced equal for
 //! *any* shard and producer count — and
 //! [`CampaignMode::Monitor`] turns the same builder into a continuous
-//! rotation monitor over a watched /48 list (`.watch(..)`) with live events
-//! and passive device tracking. The watch list can be *live* too:
+//! rotation monitor over a watched /48 list (`.watch(..)`) with per-window
+//! rotation events and passive device tracking. The watch list can be *live* too:
 //! `.refresh_every(k)` + `.watch_capacity(n)` make the monitor revise its
 //! own list on a cadence — evicting /48s that went quiet, admitting
 //! newly-dense neighbours surfaced by a boundary re-expansion probe — which

@@ -10,7 +10,7 @@ use followscent::discovery::{Blocklist, DiscoveryConfig};
 use followscent::ipv6::Ipv6Prefix;
 use followscent::prober::{ProbeTransport, RecordedBackend, RecordingBackend, WorldView};
 use followscent::simnet::{scenarios, Engine, SimTime};
-use followscent::stream::{MonitorReport, StopSignal, WatchChurn};
+use followscent::stream::{ConfigError, MonitorReport, StopSignal, WatchChurn};
 use followscent::telemetry::{self, Telemetry, TelemetrySnapshot};
 use followscent::{Campaign, CampaignError, CampaignMode, ScentError};
 
@@ -392,7 +392,7 @@ fn misconfigured_discovery_is_a_typed_error() {
         .expect_err("discovery needs churn");
     assert_eq!(
         err,
-        ScentError::Campaign(CampaignError::DiscoveryRequiresChurn)
+        ScentError::Campaign(CampaignError::Config(ConfigError::DiscoveryRequiresChurn))
     );
 
     // Degenerate knobs are rejected up front.
@@ -415,7 +415,7 @@ fn misconfigured_discovery_is_a_typed_error() {
     };
     assert_eq!(
         churned(zero_budget),
-        ScentError::Campaign(CampaignError::ZeroDiscoveryBudget)
+        ScentError::Campaign(CampaignError::Config(ConfigError::ZeroDiscoveryBudget))
     );
     let zero_rounds = DiscoveryConfig {
         rounds: 0,
@@ -423,7 +423,7 @@ fn misconfigured_discovery_is_a_typed_error() {
     };
     assert_eq!(
         churned(zero_rounds),
-        ScentError::Campaign(CampaignError::ZeroDiscoveryRounds)
+        ScentError::Campaign(CampaignError::Config(ConfigError::ZeroDiscoveryRounds))
     );
     let wide_branch = DiscoveryConfig {
         branch_bits: 9,
@@ -431,7 +431,7 @@ fn misconfigured_discovery_is_a_typed_error() {
     };
     assert_eq!(
         churned(wide_branch),
-        ScentError::Campaign(CampaignError::InvalidDiscoveryBranch)
+        ScentError::Campaign(CampaignError::Config(ConfigError::InvalidDiscoveryBranch))
     );
 
     // An empty watch list alone is still an error without discovery...

@@ -14,7 +14,7 @@ use followscent::simnet::{
     scenarios, Engine, PlantedCpe, PoolError, ProviderConfig, RotationPoolConfig, SlotLayout,
     WorldConfig, WorldError,
 };
-use followscent::stream::{MonitorSnapshot, StopSignal};
+use followscent::stream::{ConfigError, MonitorSnapshot, StopSignal};
 use followscent::{Campaign, CampaignError, CampaignMode, ScentError};
 
 fn p(s: &str) -> Ipv6Prefix {
@@ -317,7 +317,7 @@ fn every_campaign_error_variant_is_reachable_from_the_builder() {
                 })
                 .run()
                 .unwrap_err(),
-            CampaignError::NoShards,
+            ConfigError::NoShards.into(),
         ),
         (
             Campaign::builder()
@@ -328,7 +328,7 @@ fn every_campaign_error_variant_is_reachable_from_the_builder() {
                 })
                 .run()
                 .unwrap_err(),
-            CampaignError::NoProducers,
+            ConfigError::NoProducers.into(),
         ),
         (
             Campaign::builder()
@@ -336,7 +336,7 @@ fn every_campaign_error_variant_is_reachable_from_the_builder() {
                 .channel_capacity(0)
                 .run()
                 .unwrap_err(),
-            CampaignError::ZeroChannelCapacity,
+            ConfigError::ZeroChannelCapacity.into(),
         ),
         (
             Campaign::builder()
@@ -375,7 +375,7 @@ fn every_campaign_error_variant_is_reachable_from_the_builder() {
                 })
                 .run()
                 .unwrap_err(),
-            CampaignError::ZeroRefreshCadence,
+            ConfigError::ZeroRefreshCadence.into(),
         ),
         (
             Campaign::builder()
@@ -389,7 +389,7 @@ fn every_campaign_error_variant_is_reachable_from_the_builder() {
                 })
                 .run()
                 .unwrap_err(),
-            CampaignError::ZeroWatchCapacity,
+            ConfigError::ZeroWatchCapacity.into(),
         ),
         (
             Campaign::builder()
@@ -406,7 +406,7 @@ fn every_campaign_error_variant_is_reachable_from_the_builder() {
                 })
                 .run()
                 .unwrap_err(),
-            CampaignError::ExpansionBlockTooLong,
+            ConfigError::ExpansionBlockTooLong.into(),
         ),
         (
             Campaign::builder()
@@ -423,7 +423,7 @@ fn every_campaign_error_variant_is_reachable_from_the_builder() {
                 })
                 .run()
                 .unwrap_err(),
-            CampaignError::ZeroExpansionBudget,
+            ConfigError::ZeroExpansionBudget.into(),
         ),
         (
             Campaign::builder()
@@ -443,7 +443,7 @@ fn every_campaign_error_variant_is_reachable_from_the_builder() {
                 })
                 .run()
                 .unwrap_err(),
-            CampaignError::InvalidQueueModel,
+            ConfigError::InvalidQueueModel.into(),
         ),
     ];
 
@@ -642,7 +642,7 @@ fn campaign_checkpoint_errors_are_typed_end_to_end() {
                 .checkpoint_every(0)
                 .run()
                 .unwrap_err(),
-            CampaignError::ZeroCheckpointCadence,
+            ConfigError::ZeroCheckpointCadence.into(),
         ),
         (
             checkpoint_campaign(&engine, 1)
@@ -650,7 +650,7 @@ fn campaign_checkpoint_errors_are_typed_end_to_end() {
                 .checkpoint_every(3)
                 .run()
                 .unwrap_err(),
-            CampaignError::MisalignedCheckpointCadence,
+            ConfigError::MisalignedCheckpointCadence.into(),
         ),
         (
             Campaign::builder()

@@ -8,12 +8,13 @@
 use followscent::core::{PipelineConfig, PipelineReport};
 use followscent::ipv6::Ipv6Prefix;
 use followscent::prober::{
-    ProbeTransport, QueueModel, RecordedBackend, RecordingBackend, TargetGenerator, WorldView,
+    ProbeTransport, QueueModel, RecordedBackend, RecordingBackend, TargetGenerator, TargetStream,
+    WorldView,
 };
 use followscent::simnet::{scenarios, Engine, SimTime, WorldScale};
 use followscent::stream::{
-    spawn_producers, MergedClock, MonitorReport, Observation, ObservationSource, ScanStream,
-    WatchChurn,
+    spawn_producers, ContinuousStream, LimitedSource, MergedClock, MonitorReport, Observation,
+    ObservationSource, WatchChurn,
 };
 use followscent::{Campaign, CampaignMode};
 use proptest::prelude::*;
@@ -545,12 +546,14 @@ proptest! {
             all
         };
         let build = |k: usize, of: usize| {
-            ScanStream::builder(&engine, targets.clone())
-                .seed(scan_seed ^ 0x5eed)
-                .randomize_order(randomize)
+            let order = TargetStream::over(targets.clone(), scan_seed ^ 0x5eed, randomize);
+            let stream = ContinuousStream::builder(&engine, order)
                 .start(start)
                 .slice(k, of)
-                .build()
+                .build();
+            // One scan pass: a single window of the stream.
+            let window = stream.slice_len() as u64;
+            LimitedSource::new(stream, window)
         };
         let want: Vec<Observation> = drain(&mut build(0, 1));
         prop_assert_eq!(want.len(), targets.len());
