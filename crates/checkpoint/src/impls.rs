@@ -12,8 +12,9 @@
 
 use std::net::Ipv6Addr;
 
+use scent_core::fasthash::FastMap;
 use scent_core::rotation_detect::{ChangeKind, ChangedTarget};
-use scent_core::tracker::Sighting;
+use scent_core::tracker::{Sighting, Track};
 use scent_core::{
     DensityAccumulator, Eui64, IncrementalTracker, Ipv6Prefix, RotationEvent, WatchRevision,
     WindowedRotationDetector,
@@ -236,20 +237,52 @@ impl Checkpointable for WindowedRotationDetector {
     }
 }
 
+/// Wire layout (unchanged since the tracker kept two ordered maps): the
+/// per-identifier sightings in identifier order, the probe counts, then the
+/// per-identifier move counts in identifier order. Both identifier sections
+/// are written straight off the tracker's one key-sorted record list.
 impl Checkpointable for IncrementalTracker {
     fn encode(&self, w: &mut Writer) {
-        let (sightings, probes, moves) = self.checkpoint_parts();
-        sightings.encode(w);
+        let (tracks, probes) = self.checkpoint_parts();
+        let sighted = || tracks.iter().filter(|(_, t)| !t.sightings.is_empty());
+        w.put_usize(sighted().count());
+        for (eui, track) in sighted() {
+            eui.encode(w);
+            track.sightings.encode(w);
+        }
         probes.encode(w);
-        moves.encode(w);
+        let moved = || tracks.iter().filter(|(_, t)| t.moves > 0);
+        w.put_usize(moved().count());
+        for (eui, track) in moved() {
+            eui.encode(w);
+            w.put_u64(track.moves);
+        }
     }
 
     fn decode(r: &mut Reader<'_>) -> Result<Self, CheckpointError> {
-        Ok(IncrementalTracker::from_checkpoint_parts(
-            Checkpointable::decode(r)?,
-            Checkpointable::decode(r)?,
-            Checkpointable::decode(r)?,
-        ))
+        let len = r.usize()?;
+        let mut tracks: FastMap<Eui64, Track> =
+            FastMap::with_capacity_and_hasher(len.min(4096), Default::default());
+        for _ in 0..len {
+            let eui = Eui64::decode(r)?;
+            let sightings: Vec<(u64, Sighting)> = Checkpointable::decode(r)?;
+            if sightings.windows(2).any(|pair| pair[0].0 >= pair[1].0) {
+                return Err(CheckpointError::InvalidValue("sightings out of order"));
+            }
+            tracks.insert(
+                eui,
+                Track {
+                    moves: 0,
+                    sightings,
+                },
+            );
+        }
+        let probes = Checkpointable::decode(r)?;
+        for _ in 0..r.usize()? {
+            let eui = Eui64::decode(r)?;
+            tracks.entry(eui).or_default().moves = r.u64()?;
+        }
+        Ok(IncrementalTracker::from_checkpoint_parts(tracks, probes))
     }
 }
 

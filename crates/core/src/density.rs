@@ -14,6 +14,8 @@ use serde::{Deserialize, Serialize};
 use scent_ipv6::{Eui64, Ipv6Prefix};
 use scent_prober::{ProbeRecord, Scan};
 
+use crate::fasthash::FastSet;
+
 /// Density classification of a candidate /48.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum DensityClass {
@@ -56,8 +58,10 @@ pub struct DensityReport {
 pub struct DensityAccumulator {
     /// Probes observed inside the candidate.
     pub probes: u64,
-    /// Unique EUI-64 identifiers observed in responses.
-    pub uniques: HashSet<Eui64>,
+    /// Unique EUI-64 identifiers observed in responses. On the
+    /// [`crate::fasthash`] hasher: the monitor's merge thread folds every
+    /// churned observation into one of these.
+    pub uniques: FastSet<Eui64>,
     /// Whether any probe inside the candidate received any response.
     pub responded: bool,
 }

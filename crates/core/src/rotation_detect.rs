@@ -191,9 +191,10 @@ impl WindowedRotationDetector {
     }
 
     /// Fold a batch of rotation events into a [`RotationDetection`]. Events
-    /// are ordered by `(window, seq)` so a sharded run merges into the same
-    /// report regardless of shard count.
-    pub fn collect(mut events: Vec<RotationEvent>) -> RotationDetection {
+    /// are ordered by `(window, seq)` — in place, so the caller keeps that
+    /// one order too — and a sharded run merges into the same report
+    /// regardless of shard count.
+    pub fn collect(events: &mut [RotationEvent]) -> RotationDetection {
         events.sort_by_key(|e| (e.window, e.seq));
         let changes: Vec<ChangedTarget> = events.iter().map(|e| e.change).collect();
         let rotating: HashSet<Ipv6Prefix> = events.iter().map(|e| e.prefix_48).collect();
@@ -227,7 +228,7 @@ impl RotationDetection {
                 events.push(event);
             }
         }
-        WindowedRotationDetector::collect(events)
+        WindowedRotationDetector::collect(&mut events)
     }
 
     /// Number of changed targets by change kind.

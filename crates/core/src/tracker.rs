@@ -8,8 +8,18 @@
 //! pool; the rotation-pool inference (Algorithm 2) shrinks the pool itself
 //! from the announced BGP prefix down to the space the device actually moves
 //! within.
+//!
+//! Two trackers live here. [`Tracker`] is the paper's active experiment: a
+//! handful of selected devices, one bounded search per device per day.
+//! [`IncrementalTracker`] is its passive counterpart for the continuous
+//! monitor: it follows every identifier the observation stream shows, and
+//! because it sits on the per-observation path its state is one record per
+//! identifier ([`Track`]: move count plus one sighting per window, ascending)
+//! in one fast-hashed map — an observation is a lookup and a push, and
+//! compaction, merge and the checkpoint codec all walk that one map.
 
-use std::collections::{BTreeMap, HashSet};
+use std::collections::hash_map::Entry;
+use std::collections::HashSet;
 use std::net::Ipv6Addr;
 
 use serde::{Deserialize, Serialize};
@@ -376,25 +386,55 @@ pub struct Sighting {
     pub address: Ipv6Addr,
 }
 
+/// One identifier's whole history — the single record a detection
+/// observation touches in the tracker.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct Track {
+    /// Confirmed rotation events attributed to the identifier.
+    pub moves: u64,
+    /// The earliest sighting of each window, ascending by window.
+    pub sightings: Vec<(u64, Sighting)>,
+}
+
+impl Track {
+    /// Record a sighting in `window`. Windows arrive ascending, so this is
+    /// a push; an out-of-order window is inserted in place, and within one
+    /// window the earliest `seq` wins (what keeps merges deterministic).
+    fn sight(&mut self, window: u64, sighting: Sighting) {
+        let in_order = self
+            .sightings
+            .last()
+            .map_or(true, |(last, _)| *last < window);
+        if in_order {
+            return self.sightings.push((window, sighting));
+        }
+        match self.sightings.binary_search_by_key(&window, |(w, _)| *w) {
+            Ok(at) if sighting.seq < self.sightings[at].1.seq => self.sightings[at].1 = sighting,
+            Ok(_) => {}
+            Err(at) => self.sightings.insert(at, (window, sighting)),
+        }
+    }
+}
+
 /// The incremental, passive counterpart of [`Tracker`]: instead of actively
 /// searching a pool for one device per day, it follows *every* EUI-64
 /// identifier visible in a continuous observation stream, consuming the
 /// [`RotationEvent`]s the windowed detector emits and folding the result into
 /// the same [`TrackingReport`] type the batch experiments consume.
 ///
-/// State is mergeable across shards: identifiers are routed by announced
-/// prefix, so one identifier's history always lives in a single shard, and
-/// `merge` is a disjoint union.
+/// Everything known about one identifier lives in one [`Track`], so an
+/// observation or a rotation event costs one hash lookup. State is mergeable
+/// across shards: identifiers are routed by announced prefix, so one
+/// identifier's history always lives in a single shard, and `merge` is a
+/// disjoint union.
 #[derive(Debug, Clone, Default)]
 pub struct IncrementalTracker {
-    /// Per identifier, per window: the earliest sighting.
-    sightings: BTreeMap<Eui64, BTreeMap<u64, Sighting>>,
-    /// Probes observed per (window, /48) — the attributable passive cost.
-    /// On the [`crate::fasthash`] hasher: this map is bumped once per
+    /// Per identifier: its sightings and move count. On the
+    /// [`crate::fasthash`] hasher, like `probes`: both are touched once per
     /// detection-phase observation, on the streaming hot path.
+    tracks: FastMap<Eui64, Track>,
+    /// Probes observed per (window, /48) — the attributable passive cost.
     probes: FastMap<(u64, Ipv6Prefix), u64>,
-    /// Confirmed rotation events per identifier.
-    moves: BTreeMap<Eui64, u64>,
 }
 
 impl IncrementalTracker {
@@ -415,16 +455,7 @@ impl IncrementalTracker {
             seq,
             address: source,
         };
-        self.sightings
-            .entry(eui)
-            .or_default()
-            .entry(window)
-            .and_modify(|existing| {
-                if seq < existing.seq {
-                    *existing = sighting;
-                }
-            })
-            .or_insert(sighting);
+        self.tracks.entry(eui).or_default().sight(window, sighting);
     }
 
     /// Consume a rotation event: attribute a confirmed move to the EUI-64
@@ -432,19 +463,19 @@ impl IncrementalTracker {
     pub fn apply_event(&mut self, event: &RotationEvent) {
         for side in [event.change.first, event.change.second] {
             if let Some(eui) = side.and_then(Eui64::from_addr) {
-                *self.moves.entry(eui).or_insert(0) += 1;
+                self.tracks.entry(eui).or_default().moves += 1;
             }
         }
     }
 
-    /// Identifiers currently followed.
+    /// Identifiers currently followed (sighted in a retained window).
     pub fn identifiers_seen(&self) -> usize {
-        self.sightings.len()
+        self.sighted().count()
     }
 
     /// Confirmed rotation events attributed to `eui`.
     pub fn moves_for(&self, eui: Eui64) -> u64 {
-        self.moves.get(&eui).copied().unwrap_or(0)
+        self.tracks.get(&eui).map_or(0, |track| track.moves)
     }
 
     /// Drop all per-window state older than `window` (exclusive). This is
@@ -455,61 +486,61 @@ impl IncrementalTracker {
     /// a `finish` after compaction reports only the retained horizon.
     pub fn compact_before(&mut self, window: u64) {
         self.probes.retain(|(w, _), _| *w >= window);
-        self.sightings.retain(|_, windows| {
-            windows.retain(|w, _| *w >= window);
-            !windows.is_empty()
+        self.tracks.retain(|_, track| {
+            let stale = track.sightings.partition_point(|(w, _)| *w < window);
+            track.sightings.drain(..stale);
+            !track.sightings.is_empty()
         });
-        let live: std::collections::HashSet<Eui64> = self.sightings.keys().copied().collect();
-        self.moves.retain(|eui, _| live.contains(eui));
     }
 
-    /// The tracker's complete internal state, in declaration order — what a
-    /// checkpoint encodes: `(sightings, probes, moves)`.
+    /// The tracker's complete internal state — what a checkpoint encodes:
+    /// every identifier's record in identifier order (the canonical order,
+    /// as references — nothing is copied) and the probe counts.
     #[allow(clippy::type_complexity)]
-    pub fn checkpoint_parts(
-        &self,
-    ) -> (
-        &BTreeMap<Eui64, BTreeMap<u64, Sighting>>,
-        &FastMap<(u64, Ipv6Prefix), u64>,
-        &BTreeMap<Eui64, u64>,
-    ) {
-        (&self.sightings, &self.probes, &self.moves)
+    pub fn checkpoint_parts(&self) -> (Vec<(&Eui64, &Track)>, &FastMap<(u64, Ipv6Prefix), u64>) {
+        let mut tracks: Vec<(&Eui64, &Track)> = self.tracks.iter().collect();
+        tracks.sort_unstable_by_key(|(eui, _)| **eui);
+        (tracks, &self.probes)
     }
 
-    /// Rebuild a tracker from [`IncrementalTracker::checkpoint_parts`].
+    /// Rebuild a tracker from its records and probe counts (see
+    /// [`IncrementalTracker::checkpoint_parts`]). Every record's sightings
+    /// must be strictly ascending by window.
     pub fn from_checkpoint_parts(
-        sightings: BTreeMap<Eui64, BTreeMap<u64, Sighting>>,
+        tracks: FastMap<Eui64, Track>,
         probes: FastMap<(u64, Ipv6Prefix), u64>,
-        moves: BTreeMap<Eui64, u64>,
     ) -> Self {
-        IncrementalTracker {
-            sightings,
-            probes,
-            moves,
-        }
+        IncrementalTracker { tracks, probes }
     }
 
     /// Merge another tracker's state (shards hold disjoint identifier sets,
     /// but the merge is written to be correct even when they overlap).
     pub fn merge(&mut self, other: IncrementalTracker) {
-        for (eui, windows) in other.sightings {
-            let mine = self.sightings.entry(eui).or_default();
-            for (window, sighting) in windows {
-                mine.entry(window)
-                    .and_modify(|existing| {
-                        if sighting.seq < existing.seq {
-                            *existing = sighting;
-                        }
-                    })
-                    .or_insert(sighting);
+        for (eui, track) in other.tracks {
+            match self.tracks.entry(eui) {
+                Entry::Vacant(vacant) => {
+                    vacant.insert(track);
+                }
+                Entry::Occupied(mut mine) => {
+                    let mine = mine.get_mut();
+                    mine.moves += track.moves;
+                    for (window, sighting) in track.sightings {
+                        mine.sight(window, sighting);
+                    }
+                }
             }
         }
         for (key, count) in other.probes {
             *self.probes.entry(key).or_insert(0) += count;
         }
-        for (eui, count) in other.moves {
-            *self.moves.entry(eui).or_insert(0) += count;
-        }
+    }
+
+    /// Records with at least one retained sighting (a record can also exist
+    /// for its move count alone).
+    fn sighted(&self) -> impl Iterator<Item = (&Eui64, &Track)> {
+        self.tracks
+            .iter()
+            .filter(|(_, track)| !track.sightings.is_empty())
     }
 
     /// Fold the accumulated state into the batch [`TrackingReport`] shape.
@@ -526,28 +557,24 @@ impl IncrementalTracker {
         windows: u64,
         max_devices: usize,
     ) -> TrackingReport {
-        let mut ranked: Vec<(&Eui64, &BTreeMap<u64, Sighting>)> = self
-            .sightings
-            .iter()
-            .filter(|(_, w)| !w.is_empty())
-            .collect();
-        ranked.sort_by(|a, b| b.1.len().cmp(&a.1.len()).then(a.0.cmp(b.0)));
+        let mut ranked: Vec<(&Eui64, &Track)> = self.sighted().collect();
+        ranked.sort_unstable_by(|a, b| {
+            (b.1.sightings.len().cmp(&a.1.sightings.len())).then(a.0.cmp(b.0))
+        });
 
         let mut devices = Vec::new();
-        for (&eui, window_sightings) in ranked {
+        for (&eui, track) in ranked {
             if devices.len() >= max_devices {
                 break;
             }
-            let first = window_sightings
-                .values()
-                .next()
-                .expect("non-empty sighting map");
+            let sightings = &track.sightings;
+            let first = sightings[0].1;
             // Unroutable identifiers are skipped *without* consuming a report
             // slot, so the cap always yields the best routable devices.
             let Some(asn) = rib.origin(first.address) else {
                 continue;
             };
-            let pool = common_pool(window_sightings.values().map(|s| s.address));
+            let pool = common_pool(sightings.iter().map(|(_, s)| s.address));
             let device = TrackedDevice {
                 iid: eui,
                 asn,
@@ -559,7 +586,10 @@ impl IncrementalTracker {
             };
             let daily = (0..windows)
                 .map(|window| {
-                    let sighting = window_sightings.get(&window);
+                    let sighting = sightings
+                        .binary_search_by_key(&window, |(w, _)| *w)
+                        .ok()
+                        .map(|at| sightings[at].1);
                     DailyResult {
                         day: window,
                         found: sighting.is_some(),

@@ -18,6 +18,7 @@
 //! world fails with a typed [`CheckpointError`] instead of silently
 //! producing a report that matches nothing.
 
+use std::net::Ipv6Addr;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
@@ -25,13 +26,14 @@ use scent_checkpoint::{
     decode_snapshot, decode_value, encode_snapshot, encode_value, CheckpointError, Checkpointable,
     Reader, Writer,
 };
+use scent_core::fasthash::FastSet;
 use scent_core::WatchRevision;
-use scent_ipv6::Ipv6Prefix;
+use scent_ipv6::{Eui64, Ipv6Prefix};
 use scent_prober::WorldView;
 use scent_telemetry::DeterministicSnapshot;
 
 use crate::monitor::MonitorConfig;
-use crate::shard::ShardInference;
+use crate::shard::{Census, ShardInference};
 
 /// Section ids inside the snapshot container (see
 /// [`scent_checkpoint::encode_snapshot`]).
@@ -267,6 +269,11 @@ pub fn world_fingerprint<B: WorldView + ?Sized>(world: &B) -> u64 {
     w.fingerprint()
 }
 
+/// The container is still `FORMAT_VERSION` 1, so the three census sections
+/// it has always had (addresses, their EUI-64 subset, identifiers) keep
+/// their place. A monitor shard — the only kind a snapshot ever holds —
+/// writes them empty, and whatever is found there is read past, not kept:
+/// snapshots written while monitors carried a census still resume.
 impl Checkpointable for ShardInference {
     fn encode(&self, w: &mut Writer) {
         self.validated.encode(w);
@@ -275,25 +282,30 @@ impl Checkpointable for ShardInference {
         self.detector.encode(w);
         self.events.encode(w);
         self.tracker.encode(w);
-        self.addresses.encode(w);
-        self.eui_addresses.encode(w);
-        self.iids.encode(w);
+        let empty = Census::default();
+        let census = self.census.as_ref().unwrap_or(&empty);
+        let eui_addresses: FastSet<Ipv6Addr> = (census.addresses.iter().copied())
+            .filter(|address| Eui64::from_addr(*address).is_some())
+            .collect();
+        census.addresses.encode(w);
+        eui_addresses.encode(w);
+        census.iids.encode(w);
         w.put_u64(self.observations);
     }
 
     fn decode(r: &mut Reader<'_>) -> Result<Self, CheckpointError> {
-        Ok(ShardInference {
+        let mut state = ShardInference {
             validated: Checkpointable::decode(r)?,
             non_eui: Checkpointable::decode(r)?,
             density: Checkpointable::decode(r)?,
             detector: Checkpointable::decode(r)?,
             events: Checkpointable::decode(r)?,
             tracker: Checkpointable::decode(r)?,
-            addresses: Checkpointable::decode(r)?,
-            eui_addresses: Checkpointable::decode(r)?,
-            iids: Checkpointable::decode(r)?,
-            observations: r.u64()?,
-        })
+            ..ShardInference::without_census()
+        };
+        let _: (FastSet<Ipv6Addr>, FastSet<Ipv6Addr>, FastSet<Eui64>) = Checkpointable::decode(r)?;
+        state.observations = r.u64()?;
+        Ok(state)
     }
 }
 
@@ -354,13 +366,6 @@ mod tests {
             a.tracker.checkpoint_parts().1,
             b.tracker.checkpoint_parts().1
         );
-        assert_eq!(
-            a.tracker.checkpoint_parts().2,
-            b.tracker.checkpoint_parts().2
-        );
-        assert_eq!(a.addresses, b.addresses);
-        assert_eq!(a.eui_addresses, b.eui_addresses);
-        assert_eq!(a.iids, b.iids);
         assert_eq!(a.observations, b.observations);
     }
 
@@ -370,6 +375,14 @@ mod tests {
         let bytes = encode_value(&state);
         let back: ShardInference = decode_value(&bytes).unwrap();
         shards_equal(&state, &back);
+        // The census sections are written as found and read past: what
+        // comes back is a monitor shard.
+        assert_eq!(state.address_statistics(), (2, 2, 2));
+        assert_eq!(back.address_statistics(), (0, 0, 0));
+        assert_eq!(
+            encode_value(&back).len(),
+            bytes.len() - (2 + 2) * 16 - 2 * 8
+        );
     }
 
     #[test]

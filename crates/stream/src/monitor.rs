@@ -593,7 +593,7 @@ impl<'a, B: ProbeTransport + WorldView + ?Sized> MonitorSession<'a, B> {
         };
         let exhausted_at =
             (cfg.churn.is_some() && watched_48s.is_empty() && !frontier_live).then_some(0);
-        let states: Vec<ShardInference> = (0..cfg.shards).map(|_| ShardInference::new()).collect();
+        let states = vec![ShardInference::without_census(); cfg.shards];
         let final_rate = cfg.packets_per_second;
         MonitorSession {
             world,
@@ -689,8 +689,8 @@ impl<'a, B: ProbeTransport + WorldView + ?Sized> MonitorSession<'a, B> {
         // the rotation detector's per-target entries must live in the shard
         // that will receive that target's future observations (the detector
         // reads its previous entry on every ingest), while all the
-        // union-merged state — density, tracker, events, address sets,
-        // counters — can ride along in shard 0 because the end-of-run merge
+        // union-merged state — density, tracker, events, counters — can
+        // ride along in shard 0 because the end-of-run merge
         // recombines it identically either way. This also makes snapshots
         // portable across shard counts.
         let restored = ShardInference::merge_all(snapshot.shards);
@@ -703,7 +703,7 @@ impl<'a, B: ProbeTransport + WorldView + ?Sized> MonitorSession<'a, B> {
             .into_iter()
             .map(|last| ShardInference {
                 detector: WindowedRotationDetector::from_last_observations(last),
-                ..ShardInference::new()
+                ..ShardInference::without_census()
             })
             .collect();
         let detector = std::mem::take(&mut states[0].detector);
@@ -1089,14 +1089,14 @@ impl<'a, B: ProbeTransport + WorldView + ?Sized> MonitorSession<'a, B> {
                 telemetry.on_shard_final(shard, state.observations);
             }
         }
-        let merged = ShardInference::merge_all(self.states);
+        let mut merged = ShardInference::merge_all(self.states);
         if let (Some(telemetry), Some(started)) = (self.observer, self.started) {
             telemetry.on_wall_span("monitor_run", started.elapsed().as_nanos() as u64);
         }
 
-        let detection = WindowedRotationDetector::collect(merged.events.clone());
-        let mut events = merged.events.clone();
-        events.sort_by_key(|e| (e.window, e.seq));
+        // One sort, in place: the report's events and the detection's
+        // changes are the same `(window, seq)` order.
+        let detection = WindowedRotationDetector::collect(&mut merged.events);
         let tracking = merged.tracker.finish(
             self.world.rib(),
             self.world.as_registry(),
@@ -1114,7 +1114,7 @@ impl<'a, B: ProbeTransport + WorldView + ?Sized> MonitorSession<'a, B> {
             observations: merged.observations,
             rotating_48s: detection.rotating_48s.clone(),
             detection,
-            events,
+            events: merged.events,
             tracking,
             backpressure_stalls: self.stalls,
             final_rate: self.final_rate,
@@ -1151,6 +1151,7 @@ pub struct MonitorControl<'a> {
 mod tests {
     use super::*;
 
+    use scent_ipv6::Eui64;
     use scent_simnet::{scenarios, Engine};
 
     fn watched_48s(engine: &Engine) -> Vec<Ipv6Prefix> {
@@ -1450,6 +1451,85 @@ mod tests {
         sharded.backpressure_stalls = single.backpressure_stalls;
         assert_eq!(single, sharded);
         assert!(!sharded.events.is_empty());
+    }
+
+    /// `ShardMsg::Compact`'s promise, pinned: under `retention_windows` a
+    /// monitor over a rotating pool holds a bounded state however long it
+    /// runs. Every shard container is either per-target or compacted with
+    /// the window — there is no distinct-address census to grow by a
+    /// window's worth of rotated addresses per epoch.
+    #[test]
+    fn retention_bounds_an_endless_monitors_state() {
+        let engine = Engine::build(scenarios::continuous_world(53)).unwrap();
+        let config = MonitorConfig {
+            windows: 12,
+            retention_windows: Some(2),
+            checkpoint_every: Some(1),
+            ..MonitorConfig::default()
+        };
+        let mut session = MonitorSession::new(&engine, config, watched_48s(&engine), None);
+        let mut sizes = Vec::new();
+        while !session.is_done() {
+            session.run_epoch(10_000).unwrap();
+            sizes.push(session.snapshot().to_bytes().len());
+        }
+        assert_eq!(sizes.len(), 12);
+        // The horizon (the current window and the two before it) is full
+        // from the third boundary; from the fourth on the size only follows
+        // how many events the retained windows happen to hold.
+        for pair in sizes[3..].windows(2) {
+            assert!(pair[1] * 10 <= pair[0] * 11, "{sizes:?}");
+        }
+        assert!(sizes[11] * 10 <= sizes[3] * 11, "{sizes:?}");
+        assert!(session.finish().events.len() > 100);
+    }
+
+    /// A snapshot whose shards carry populated census sections — what a
+    /// monitor wrote while it still kept the census — decodes (the sections
+    /// are read past) and resumes to the uninterrupted run's report.
+    #[test]
+    fn a_census_carrying_snapshot_still_resumes() {
+        let engine = Engine::build(scenarios::continuous_world(53)).unwrap();
+        let watched = watched_48s(&engine);
+        let config = MonitorConfig {
+            windows: 4,
+            shards: 2,
+            checkpoint_every: Some(1),
+            ..MonitorConfig::default()
+        };
+        let uninterrupted = StreamMonitor::new(config.clone())
+            .run(&engine, &watched)
+            .unwrap();
+
+        let mut session = MonitorSession::new(&engine, config.clone(), watched.clone(), None);
+        session.run_epoch(10_000).unwrap();
+        session.run_epoch(10_000).unwrap();
+        let mut snapshot = session.snapshot();
+        let lean = snapshot.to_bytes();
+        for shard in &mut snapshot.shards {
+            let mut census = crate::shard::Census::default();
+            for (_, source) in shard.detector.last_observations().values() {
+                census.addresses.extend(*source);
+                census.iids.extend(source.and_then(Eui64::from_addr));
+            }
+            assert!(!census.iids.is_empty());
+            shard.census = Some(census);
+        }
+        let bytes = snapshot.to_bytes();
+        assert!(bytes.len() > lean.len() + 4096);
+
+        let restored = MonitorSnapshot::from_bytes(&bytes).unwrap();
+        assert!(restored.shards.iter().all(|shard| shard.census.is_none()));
+        assert_eq!(restored.to_bytes(), lean);
+        let mut resumed = MonitorSession::new(&engine, config, watched, None)
+            .resume(restored)
+            .unwrap();
+        while !resumed.is_done() {
+            resumed.run_epoch(10_000).unwrap();
+        }
+        let mut report = resumed.finish();
+        report.backpressure_stalls = uninterrupted.backpressure_stalls;
+        assert_eq!(report, uninterrupted);
     }
 
     use scenarios::churn_world_dense_48 as dense_48_at;

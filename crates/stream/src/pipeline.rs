@@ -271,9 +271,9 @@ impl StreamPipeline {
                     telemetry.on_shard_final(shard, state.observations);
                 }
             }
-            let merged = ShardInference::merge_all(states);
+            let mut merged = ShardInference::merge_all(states);
 
-            let detection = WindowedRotationDetector::collect(merged.events.clone());
+            let detection = WindowedRotationDetector::collect(&mut merged.events);
             let rotating_counts =
                 RotatingCounts::tally(world.rib(), world.as_registry(), &detection.rotating_48s);
             let (total_addresses, eui64_addresses, unique_iids) = merged.address_statistics();

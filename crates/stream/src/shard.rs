@@ -10,6 +10,13 @@
 //! disjoint union (per-/48 and per-identifier state never splits across
 //! shards) or order-normalized afterwards, which is what makes the merged
 //! result independent of the shard count.
+//!
+//! A shard keeps what its run's report reads and nothing else: every
+//! container here is touched per observation and carried through every
+//! snapshot. The distinct-address census feeds only the one-shot pipeline's
+//! report, so a pipeline shard ([`ShardInference::new`]) carries it and a
+//! monitor shard does not — which is also what lets
+//! [`ShardMsg::Compact`] bound a monitor's whole state, not most of it.
 
 use std::collections::BTreeSet;
 use std::net::Ipv6Addr;
@@ -42,13 +49,24 @@ pub enum ShardMsg {
     Flush(Sender<ShardInference>),
     /// Drop per-window state older than the given window (exclusive): old
     /// tracker sightings/probe counts and old retained events. This is what
-    /// keeps a genuinely endless monitor's memory bounded.
+    /// keeps a genuinely endless monitor's memory bounded: everything else
+    /// a monitor shard holds is per watched target or per probed /48.
     Compact(u64),
+}
+
+/// The distinct-address census of the one-shot pipeline's report: response
+/// addresses and EUI-64 identifiers over the density and detection phases.
+/// It only ever grows, and no [`MonitorReport`](crate::MonitorReport) field
+/// reads it, so a monitor's shards do not carry one.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Census {
+    pub(crate) addresses: FastSet<Ipv6Addr>,
+    pub(crate) iids: FastSet<Eui64>,
 }
 
 /// The complete inference state of one shard (and, after merging, of the
 /// whole engine).
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct ShardInference {
     /// /48s validated by expansion probing (EUI-64 response).
     pub validated: BTreeSet<Ipv6Prefix>,
@@ -64,20 +82,41 @@ pub struct ShardInference {
     pub events: Vec<RotationEvent>,
     /// Passive per-identifier tracking.
     pub tracker: IncrementalTracker,
-    /// Distinct response addresses over the density and detection phases.
-    pub addresses: FastSet<Ipv6Addr>,
-    /// The EUI-64 subset of `addresses`.
-    pub eui_addresses: FastSet<Ipv6Addr>,
-    /// Distinct EUI-64 interface identifiers.
-    pub iids: FastSet<Eui64>,
+    /// Present in a pipeline shard, absent in a monitor shard.
+    pub(crate) census: Option<Census>,
     /// Observations ingested.
     pub observations: u64,
 }
 
+impl Default for ShardInference {
+    fn default() -> Self {
+        ShardInference {
+            census: Some(Census::default()),
+            ..Self::without_census()
+        }
+    }
+}
+
 impl ShardInference {
-    /// An empty state.
+    /// An empty state that keeps the distinct-address census
+    /// ([`Self::address_statistics`]) — a pipeline shard.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// An empty monitor shard: everything a [`MonitorReport`](crate::MonitorReport)
+    /// reads and nothing else, so retention compaction bounds all of it.
+    pub(crate) fn without_census() -> Self {
+        ShardInference {
+            validated: BTreeSet::new(),
+            non_eui: BTreeSet::new(),
+            density: FastMap::default(),
+            detector: WindowedRotationDetector::new(),
+            events: Vec::new(),
+            tracker: IncrementalTracker::new(),
+            census: None,
+            observations: 0,
+        }
     }
 
     /// Fold one observation into the state. Returns the rotation event the
@@ -122,11 +161,12 @@ impl ShardInference {
     }
 
     fn note_address(&mut self, obs: &Observation) {
-        let Some(source) = obs.source() else { return };
-        self.addresses.insert(source);
+        let (Some(census), Some(source)) = (&mut self.census, obs.source()) else {
+            return;
+        };
+        census.addresses.insert(source);
         if let Some(eui) = Eui64::from_addr(source) {
-            self.eui_addresses.insert(source);
-            self.iids.insert(eui);
+            census.iids.insert(eui);
         }
     }
 
@@ -141,9 +181,10 @@ impl ShardInference {
         }
         self.events.extend(other.events);
         self.tracker.merge(other.tracker);
-        self.addresses.extend(other.addresses);
-        self.eui_addresses.extend(other.eui_addresses);
-        self.iids.extend(other.iids);
+        if let (Some(mine), Some(theirs)) = (&mut self.census, other.census) {
+            mine.addresses.extend(theirs.addresses);
+            mine.iids.extend(theirs.iids);
+        }
         self.observations += other.observations;
         // The detectors' per-target maps are disjoint across shards, so the
         // union is exact — and checkpoint resume depends on it: restored
@@ -151,9 +192,12 @@ impl ShardInference {
         self.detector.merge(other.detector);
     }
 
-    /// Fold a list of shard states into one.
+    /// Fold a list of shard states into one: the first state is adopted as
+    /// it stands and the rest merge into it, so one shard costs nothing and
+    /// N shards re-insert N − 1 states, never all N.
     pub fn merge_all<I: IntoIterator<Item = ShardInference>>(states: I) -> Self {
-        let mut merged = ShardInference::new();
+        let mut states = states.into_iter();
+        let mut merged = states.next().unwrap_or_default();
         for state in states {
             merged.merge(state);
         }
@@ -161,12 +205,19 @@ impl ShardInference {
     }
 
     /// Address statistics in the batch pipeline's shape:
-    /// `(total addresses, EUI-64 addresses, unique IIDs)`.
+    /// `(total addresses, EUI-64 addresses, unique IIDs)` — zeros for a
+    /// monitor shard, which keeps no census. The EUI-64 count is taken here
+    /// rather than kept: exact under merge, where a running counter would
+    /// count a source twice if two shards saw it.
     pub fn address_statistics(&self) -> (usize, usize, usize) {
+        let Some(census) = &self.census else {
+            return (0, 0, 0);
+        };
+        let eui = |address: &&Ipv6Addr| Eui64::from_addr(**address).is_some();
         (
-            self.addresses.len(),
-            self.eui_addresses.len(),
-            self.iids.len(),
+            census.addresses.len(),
+            census.addresses.iter().filter(eui).count(),
+            census.iids.len(),
         )
     }
 
@@ -279,5 +330,93 @@ mod tests {
         let acc = &merged.density[&"2001:db8:1::/48".parse().unwrap()];
         assert_eq!(acc.probes, 2);
         assert!(acc.responded);
+    }
+
+    /// A mixed-phase stream over four /48s: expansion and density probes
+    /// (one silent and one non-EUI-64 responder per /48), then three
+    /// detection windows in which every identifier moves each window — and
+    /// moves *across* /48s, so a split by /48 leaves one identifier's
+    /// history in several splits.
+    fn mixed_stream() -> Vec<Observation> {
+        let device = |kind: u64, a: u64, b: u64| -> Eui64 {
+            let mac = format!("c8:0e:14:{kind:02x}:{a:02x}:{b:02x}");
+            Eui64::from_mac(mac.parse().unwrap())
+        };
+        let prefix64 = |net: u64, block: u64| 0x2001_0db8_0000_0000 + (net << 16) + (block << 8);
+        let mut stream = Vec::new();
+        let mut push = |phase, window, target: String, source: Option<String>| {
+            let seq = stream.len() as u64;
+            stream.push(obs(phase, window, seq, &target, source.as_deref()));
+        };
+        for net in 0..4u64 {
+            let source = device(0, net, 0).with_prefix64(prefix64(net, 0));
+            let target = format!("2001:db8:{net:x}::1");
+            push(Phase::Expansion, 0, target, Some(source.to_string()));
+            for block in 0..4u64 {
+                let source = match block {
+                    2 => Some(format!("2001:db8:{net:x}:200::beef")),
+                    3 => None,
+                    _ => Some(
+                        device(0, net, block)
+                            .with_prefix64(prefix64(net, block))
+                            .to_string(),
+                    ),
+                };
+                let target = format!("2001:db8:{net:x}:{block:x}00::2");
+                push(Phase::Density, 0, target, source);
+            }
+        }
+        for window in 0..3u64 {
+            for net in 0..4u64 {
+                for block in 0..4u64 {
+                    // The identifier answering this target this window sat
+                    // one /48 over in the previous one.
+                    let source = device(1, (net + window) % 4, block);
+                    let source = source.with_prefix64(prefix64(net, block));
+                    let target = format!("2001:db8:{net:x}:{block:x}00::3");
+                    push(Phase::Detection, window, target, Some(source.to_string()));
+                }
+            }
+        }
+        stream
+    }
+
+    #[test]
+    fn merge_all_equals_the_fold_from_empty_it_replaces() {
+        use scent_checkpoint::encode_value;
+
+        let stream = mixed_stream();
+        let mut whole = ShardInference::new();
+        for observation in &stream {
+            whole.ingest(observation);
+        }
+        assert_eq!(whole.address_statistics(), (60, 56, 24));
+        assert_eq!(whole.events.len(), 32);
+        for splits in 1..=3usize {
+            let mut states = vec![ShardInference::new(); splits];
+            for observation in &stream {
+                let net = observation.target.segments()[2] as usize;
+                states[net % splits].ingest(observation);
+            }
+            let mut folded = ShardInference::new();
+            for state in states.clone() {
+                folded.merge(state);
+            }
+            let adopted = ShardInference::merge_all(states);
+            assert_eq!(encode_value(&adopted), encode_value(&folded), "{splits}");
+            assert_eq!(adopted.address_statistics(), whole.address_statistics());
+            assert_eq!(adopted.observations, whole.observations);
+            assert_eq!(
+                adopted.tracker.checkpoint_parts(),
+                whole.tracker.checkpoint_parts()
+            );
+        }
+        // Monitor shards merge to a monitor shard: no census appears.
+        let merged = ShardInference::merge_all(vec![ShardInference::without_census(); 2]);
+        assert!(merged.census.is_none());
+        assert_eq!(
+            ShardInference::merge_all([]).address_statistics(),
+            (0, 0, 0)
+        );
     }
 }

@@ -343,8 +343,13 @@ impl<T: ProbeTransport + ?Sized> ObservationSource for ContinuousStream<'_, T> {
 /// `scent-prober`'s target-stream tests — [`TargetStream::target_at`] covers
 /// every global position even on a sliced stream), so one table serves every
 /// window every producer will ever emit: the monitor installs it once per
-/// epoch.
+/// epoch. Building it is one target derivation and one longest-prefix walk
+/// per position (≈ 75 ns), paid by every pass — except with a single shard,
+/// where there is nothing to look up.
 pub fn continuous_seq_shards(map: &ShardMap, targets: &TargetStream) -> Vec<u32> {
+    if map.shards() == 1 {
+        return vec![0; targets.window_len()];
+    }
     map.seq_table((0..targets.window_len()).map(|pos| targets.target_at(pos)))
 }
 
@@ -400,6 +405,26 @@ mod tests {
         assert_eq!(stream.window_len(), targets.len());
         let streamed: Vec<_> = drain(&mut stream).iter().map(|obs| obs.record()).collect();
         assert_eq!(streamed, scan.records);
+    }
+
+    /// The single-shard shortcut of the seq table is the table the walk
+    /// would have built; with more shards the walk still runs.
+    #[test]
+    fn seq_table_of_a_single_shard_map_skips_the_walk() {
+        let engine = Engine::build(scenarios::continuous_world(5)).unwrap();
+        let watched: Vec<_> = (engine.pools().iter())
+            .map(|pool| pool.config.prefix.nth_subnet(48, 0).unwrap())
+            .collect();
+        let targets = TargetStream::new(&TargetGenerator::new(4), &watched, 56, 11, true);
+        let walk = |map: &ShardMap| {
+            map.seq_table((0..targets.window_len()).map(|pos| targets.target_at(pos)))
+        };
+        let one = ShardMap::new(&engine.rib().entries(), 1);
+        assert_eq!(continuous_seq_shards(&one, &targets), walk(&one));
+        let three = ShardMap::new(&engine.rib().entries(), 3);
+        let table = continuous_seq_shards(&three, &targets);
+        assert_eq!(table, walk(&three));
+        assert!(table.iter().any(|&shard| shard != table[0]));
     }
 
     #[test]

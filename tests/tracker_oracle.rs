@@ -1,0 +1,417 @@
+//! A differential oracle for [`IncrementalTracker`]: the one-record-per-
+//! identifier tracker against the two-ordered-maps tracker it replaced, kept
+//! here verbatim as the reference model. Over arbitrary interleavings of
+//! `observe` (out-of-order windows, repeated `(identifier, window)` sightings
+//! with lower and higher `seq`), `apply_event`, `compact_before` and `merge`
+//! the two must produce equal reports at every device cap, equal counters,
+//! and equal checkpoint bytes — the snapshot format did not change with the
+//! layout.
+
+use std::collections::BTreeMap;
+use std::net::Ipv6Addr;
+
+use followscent::bgp::{AsRegistry, Asn, Rib};
+use followscent::checkpoint::{decode_value, encode_value, Checkpointable, Writer};
+use followscent::core::fasthash::FastMap;
+use followscent::core::rotation_detect::{ChangeKind, ChangedTarget};
+use followscent::core::tracker::{
+    DailyResult, DeviceTrackingResult, Sighting, TrackedDevice, TrackingReport,
+};
+use followscent::core::{IncrementalTracker, RotationEvent};
+use followscent::ipv6::{addr_to_u128, Eui64, Ipv6Prefix, MacAddr};
+use proptest::prelude::*;
+
+/// The tracker as it stood before the one-record layout, verbatim.
+#[derive(Debug, Clone, Default)]
+struct ReferenceTracker {
+    sightings: BTreeMap<Eui64, BTreeMap<u64, Sighting>>,
+    probes: FastMap<(u64, Ipv6Prefix), u64>,
+    moves: BTreeMap<Eui64, u64>,
+}
+
+impl ReferenceTracker {
+    fn observe(&mut self, window: u64, seq: u64, target: Ipv6Addr, source: Option<Ipv6Addr>) {
+        let target_48 = Ipv6Prefix::new(target, 48).expect("48 is valid");
+        *self.probes.entry((window, target_48)).or_insert(0) += 1;
+        let Some(source) = source else { return };
+        let Some(eui) = Eui64::from_addr(source) else {
+            return;
+        };
+        let sighting = Sighting {
+            seq,
+            address: source,
+        };
+        self.sightings
+            .entry(eui)
+            .or_default()
+            .entry(window)
+            .and_modify(|existing| {
+                if seq < existing.seq {
+                    *existing = sighting;
+                }
+            })
+            .or_insert(sighting);
+    }
+
+    fn apply_event(&mut self, event: &RotationEvent) {
+        for side in [event.change.first, event.change.second] {
+            if let Some(eui) = side.and_then(Eui64::from_addr) {
+                *self.moves.entry(eui).or_insert(0) += 1;
+            }
+        }
+    }
+
+    fn identifiers_seen(&self) -> usize {
+        self.sightings.len()
+    }
+
+    fn moves_for(&self, eui: Eui64) -> u64 {
+        self.moves.get(&eui).copied().unwrap_or(0)
+    }
+
+    fn compact_before(&mut self, window: u64) {
+        self.probes.retain(|(w, _), _| *w >= window);
+        self.sightings.retain(|_, windows| {
+            windows.retain(|w, _| *w >= window);
+            !windows.is_empty()
+        });
+        let live: std::collections::HashSet<Eui64> = self.sightings.keys().copied().collect();
+        self.moves.retain(|eui, _| live.contains(eui));
+    }
+
+    fn merge(&mut self, other: ReferenceTracker) {
+        for (eui, windows) in other.sightings {
+            let mine = self.sightings.entry(eui).or_default();
+            for (window, sighting) in windows {
+                mine.entry(window)
+                    .and_modify(|existing| {
+                        if sighting.seq < existing.seq {
+                            *existing = sighting;
+                        }
+                    })
+                    .or_insert(sighting);
+            }
+        }
+        for (key, count) in other.probes {
+            *self.probes.entry(key).or_insert(0) += count;
+        }
+        for (eui, count) in other.moves {
+            *self.moves.entry(eui).or_insert(0) += count;
+        }
+    }
+
+    fn finish(
+        &self,
+        rib: &Rib,
+        registry: &AsRegistry,
+        windows: u64,
+        max_devices: usize,
+    ) -> TrackingReport {
+        let mut ranked: Vec<(&Eui64, &BTreeMap<u64, Sighting>)> = self
+            .sightings
+            .iter()
+            .filter(|(_, w)| !w.is_empty())
+            .collect();
+        ranked.sort_by(|a, b| b.1.len().cmp(&a.1.len()).then(a.0.cmp(b.0)));
+
+        let mut devices = Vec::new();
+        for (&eui, window_sightings) in ranked {
+            if devices.len() >= max_devices {
+                break;
+            }
+            let first = window_sightings
+                .values()
+                .next()
+                .expect("non-empty sighting map");
+            let Some(asn) = rib.origin(first.address) else {
+                continue;
+            };
+            let pool = common_pool(window_sightings.values().map(|s| s.address));
+            let device = TrackedDevice {
+                iid: eui,
+                asn,
+                country: registry.country(asn),
+                bgp_prefix_len: rib.encompassing_prefix_len(first.address),
+                first_observed: first.address,
+                allocation_len: 64,
+                pool,
+            };
+            let daily = (0..windows)
+                .map(|window| {
+                    let sighting = window_sightings.get(&window);
+                    DailyResult {
+                        day: window,
+                        found: sighting.is_some(),
+                        probes_sent: self.pool_probes(window, &pool),
+                        address: sighting.map(|s| s.address),
+                    }
+                })
+                .collect();
+            devices.push(DeviceTrackingResult { device, daily });
+        }
+        TrackingReport { devices }
+    }
+
+    fn pool_probes(&self, window: u64, pool: &Ipv6Prefix) -> u64 {
+        if pool.len() >= 48 {
+            let enclosing_48 = pool.supernet(48).expect("pool is /48 or longer");
+            self.probes
+                .get(&(window, enclosing_48))
+                .copied()
+                .unwrap_or(0)
+        } else {
+            self.probes
+                .iter()
+                .filter(|((w, p48), _)| *w == window && pool.contains_prefix(p48))
+                .map(|(_, count)| count)
+                .sum()
+        }
+    }
+
+    /// The checkpoint bytes as the codec wrote them for this layout: the two
+    /// ordered maps and the probe counts, in declaration order.
+    fn encode(&self) -> Vec<u8> {
+        let mut w = Writer::new();
+        self.sightings.encode(&mut w);
+        self.probes.encode(&mut w);
+        self.moves.encode(&mut w);
+        w.into_bytes()
+    }
+}
+
+fn common_pool<I: Iterator<Item = Ipv6Addr>>(mut addresses: I) -> Ipv6Prefix {
+    let first = addresses.next().expect("at least one sighting");
+    let first_bits = addr_to_u128(first);
+    let mut len: u8 = 64;
+    for addr in addresses {
+        let differing = (first_bits ^ addr_to_u128(addr)).leading_zeros() as u8;
+        len = len.min(differing);
+    }
+    Ipv6Prefix::from_bits(first_bits, len).expect("length clamped to <= 64")
+}
+
+const IDENTIFIERS: u64 = 6;
+const WINDOWS: u64 = 7;
+
+/// The /64s sources and targets are drawn from: three /48s of an announced
+/// /32 (two of them under one /44, so pools wider than /48 occur), one /64
+/// twice (sub-/48 pools), and one unannounced /48 (unroutable identifiers).
+const PREFIX64S: [u64; 6] = [
+    0x2001_0db8_0001_0000,
+    0x2001_0db8_0001_0100,
+    0x2001_0db8_0002_0000,
+    0x2001_0db8_0013_0000,
+    0x2001_0db8_0013_00ff,
+    0x3fff_0000_0001_0000,
+];
+
+fn identifier(index: u64) -> Eui64 {
+    Eui64::from_mac(MacAddr::new([0xc8, 0x0e, 0x14, 0, 0, index as u8]))
+}
+
+/// A response source decoded from `bits`: silent, a non-EUI-64 address, or
+/// one of the identifiers under one of the /64s.
+fn source(bits: u64) -> Option<Ipv6Addr> {
+    let prefix64 = PREFIX64S[(bits >> 8) as usize % PREFIX64S.len()];
+    match bits % 8 {
+        0 => None,
+        1 => Some(Ipv6Addr::from(((prefix64 as u128) << 64) | 0xbeef)),
+        _ => Some(identifier((bits >> 4) % IDENTIFIERS).with_prefix64(prefix64)),
+    }
+}
+
+/// The pair of trackers every operation is applied to, plus a second pair
+/// (`side`) that `merge` folds into the first — so merges meet overlapping
+/// identifiers, windows and probe keys.
+#[derive(Default)]
+struct Pair {
+    new: IncrementalTracker,
+    reference: ReferenceTracker,
+    side_new: IncrementalTracker,
+    side_reference: ReferenceTracker,
+}
+
+impl Pair {
+    /// Apply the operation `bits` decodes to.
+    fn apply(&mut self, bits: u64) {
+        let side = (bits >> 4) & 1 == 1;
+        let (new, reference) = if side {
+            (&mut self.side_new, &mut self.side_reference)
+        } else {
+            (&mut self.new, &mut self.reference)
+        };
+        let window = (bits >> 8) % WINDOWS;
+        let seq = (bits >> 16) % 4;
+        let target = Ipv6Addr::from(
+            ((PREFIX64S[(bits >> 24) as usize % PREFIX64S.len()] as u128) << 64) | 1,
+        );
+        match bits % 16 {
+            0..=9 => {
+                let source = source(bits >> 32);
+                new.observe(window, seq, target, source);
+                reference.observe(window, seq, target, source);
+            }
+            10..=12 => {
+                let event = RotationEvent {
+                    window,
+                    seq,
+                    change: ChangedTarget {
+                        target,
+                        first: source(bits >> 32),
+                        second: source(bits >> 48),
+                        kind: ChangeKind::EuiToDifferentEui,
+                    },
+                    prefix_48: Ipv6Prefix::new(target, 48).expect("48 is valid"),
+                };
+                new.apply_event(&event);
+                reference.apply_event(&event);
+            }
+            13 => {
+                new.compact_before(window);
+                reference.compact_before(window);
+            }
+            _ => {
+                self.new.merge(std::mem::take(&mut self.side_new));
+                self.reference
+                    .merge(std::mem::take(&mut self.side_reference));
+            }
+        }
+    }
+
+    /// Everything observable about the two trackers agrees.
+    fn assert_equal(&self, rib: &Rib, registry: &AsRegistry) {
+        for (new, reference) in [
+            (&self.new, &self.reference),
+            (&self.side_new, &self.side_reference),
+        ] {
+            assert_eq!(new.identifiers_seen(), reference.identifiers_seen());
+            for index in 0..IDENTIFIERS {
+                let eui = identifier(index);
+                assert_eq!(new.moves_for(eui), reference.moves_for(eui));
+            }
+            for max_devices in [0, 1, 4, usize::MAX] {
+                assert_eq!(
+                    new.finish(rib, registry, WINDOWS + 1, max_devices),
+                    reference.finish(rib, registry, WINDOWS + 1, max_devices),
+                    "max_devices {max_devices}"
+                );
+            }
+            let bytes = encode_value(new);
+            assert_eq!(bytes, reference.encode());
+            // And the bytes decode to a tracker that is the same again.
+            let back: IncrementalTracker = decode_value(&bytes).expect("canonical bytes decode");
+            assert_eq!(encode_value(&back), bytes);
+            assert_eq!(
+                back.finish(rib, registry, WINDOWS + 1, usize::MAX),
+                reference.finish(rib, registry, WINDOWS + 1, usize::MAX)
+            );
+        }
+    }
+}
+
+fn world() -> (Rib, AsRegistry) {
+    let mut rib = Rib::new();
+    rib.announce("2001:db8::/32".parse().unwrap(), Asn(64496));
+    let mut registry = AsRegistry::new();
+    registry.register(64496, "TestNet", "DE");
+    (rib, registry)
+}
+
+proptest! {
+    #[test]
+    fn one_record_tracker_equals_the_two_map_reference(
+        ops in proptest::collection::vec(any::<u64>(), 0..160),
+    ) {
+        let (rib, registry) = world();
+        let mut pair = Pair::default();
+        for (step, bits) in ops.iter().enumerate() {
+            pair.apply(*bits);
+            // Compaction and merge are where the layouts differ most; check
+            // right after them as well as at the end.
+            if bits % 16 >= 13 || step + 1 == ops.len() {
+                pair.assert_equal(&rib, &registry);
+            }
+        }
+        pair.apply(15);
+        pair.assert_equal(&rib, &registry);
+    }
+}
+
+/// The interleavings the property is about, pinned: an out-of-order window,
+/// a repeated `(identifier, window)` with a lower and a higher `seq`, a move
+/// for an identifier never sighted, and compaction dropping it.
+#[test]
+fn pinned_out_of_order_and_repeated_sightings() {
+    let (rib, registry) = world();
+    let mut new = IncrementalTracker::new();
+    let mut reference = ReferenceTracker::default();
+    let eui = identifier(1);
+    let at = |prefix64: u64| eui.with_prefix64(prefix64);
+    let target: Ipv6Addr = "2001:db8:1::1".parse().unwrap();
+    for (window, seq, prefix64) in [
+        (3u64, 5u64, PREFIX64S[0]),
+        (1, 2, PREFIX64S[1]), // out of order
+        (3, 1, PREFIX64S[2]), // same window, lower seq: replaces
+        (3, 9, PREFIX64S[3]), // same window, higher seq: ignored
+        (5, 0, PREFIX64S[0]),
+    ] {
+        new.observe(window, seq, target, Some(at(prefix64)));
+        reference.observe(window, seq, target, Some(at(prefix64)));
+    }
+    let unsighted = identifier(2).with_prefix64(PREFIX64S[0]);
+    let event = RotationEvent {
+        window: 5,
+        seq: 0,
+        change: ChangedTarget {
+            target,
+            first: Some(unsighted),
+            second: Some(at(PREFIX64S[0])),
+            kind: ChangeKind::EuiToDifferentEui,
+        },
+        prefix_48: Ipv6Prefix::new(target, 48).unwrap(),
+    };
+    new.apply_event(&event);
+    reference.apply_event(&event);
+    assert_eq!(new.identifiers_seen(), 1);
+    assert_eq!(new.moves_for(identifier(2)), 1);
+    assert_eq!(encode_value(&new), reference.encode());
+    let report = new.finish(&rib, &registry, 6, 4);
+    assert_eq!(report, reference.finish(&rib, &registry, 6, 4));
+    let found: Vec<(u64, Ipv6Addr)> = report.devices[0]
+        .daily
+        .iter()
+        .filter_map(|d| d.address.map(|a| (d.day, a)))
+        .collect();
+    assert_eq!(
+        found,
+        vec![
+            (1, at(PREFIX64S[1])),
+            (3, at(PREFIX64S[2])),
+            (5, at(PREFIX64S[0]))
+        ]
+    );
+
+    new.compact_before(4);
+    reference.compact_before(4);
+    assert_eq!(new.moves_for(identifier(2)), 0, "unsighted: forgotten");
+    assert_eq!(new.moves_for(eui), 1);
+    assert_eq!(encode_value(&new), reference.encode());
+}
+
+/// Sightings that are not strictly ascending by window cannot have been
+/// written by the codec; decoding them is a typed error, not a tracker whose
+/// binary searches would silently miss.
+#[test]
+fn unordered_sightings_are_refused() {
+    let sighting = Sighting {
+        seq: 0,
+        address: identifier(1).with_prefix64(PREFIX64S[0]),
+    };
+    let mut w = Writer::new();
+    w.put_usize(1);
+    identifier(1).encode(&mut w);
+    vec![(2u64, sighting), (2u64, sighting)].encode(&mut w);
+    FastMap::<(u64, Ipv6Prefix), u64>::default().encode(&mut w);
+    w.put_usize(0);
+    assert!(decode_value::<IncrementalTracker>(w.as_bytes()).is_err());
+}
