@@ -4,7 +4,7 @@
 //!   probe-cost argument),
 //! * rotation-pool-bounded tracking vs scanning the whole BGP announcement,
 //! * zmap-style streaming permutation vs a materialised Fisher–Yates shuffle,
-//! * bit-trie longest-prefix match vs a linear scan,
+//! * sorted-table longest-prefix match vs a linear scan,
 //! * median vs mode per-AS allocation aggregation.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
@@ -118,7 +118,7 @@ fn bench_lpm_vs_linear(c: &mut Criterion) {
     }
     let addr: std::net::Ipv6Addr = "2600:3e8::1".parse().unwrap();
     let mut group = c.benchmark_group("ablation/rib_lookup");
-    group.bench_function("bit_trie", |b| b.iter(|| rib.lookup(black_box(addr))));
+    group.bench_function("sorted_table", |b| b.iter(|| rib.lookup(black_box(addr))));
     group.bench_function("linear_scan", |b| {
         b.iter(|| {
             table

@@ -1,14 +1,15 @@
 //! Micro-benchmarks of the substrate operations every campaign is built from:
-//! EUI-64 conversion, prefix arithmetic, RIB longest-prefix match, ICMPv6
-//! serialization, and the simulated-engine probe path.
+//! EUI-64 conversion, prefix arithmetic, longest-prefix match (one fixed
+//! address under `rib/`, a probe pass's permuted targets under `lpm/`),
+//! ICMPv6 serialization, and the simulated-engine probe path.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use scent_bench::versatel_engine;
-use scent_bgp::{Asn, Rib};
+use scent_bgp::{Asn, PrefixTable, Rib};
 use scent_ipv6::wire::Icmpv6Packet;
-use scent_ipv6::{Eui64, Ipv6Prefix, MacAddr};
-use scent_prober::TargetGenerator;
-use scent_simnet::SimTime;
+use scent_ipv6::{addr_from_u128, addr_to_u128, Eui64, Ipv6Prefix, MacAddr};
+use scent_prober::{TargetGenerator, TargetStream};
+use scent_simnet::{scenarios, Engine, SimTime, WorldScale};
 
 fn bench_eui64(c: &mut Criterion) {
     let mac = MacAddr::new([0x38, 0x10, 0xd5, 0xaa, 0xbb, 0xcc]);
@@ -41,6 +42,42 @@ fn bench_rib(c: &mut Criterion) {
     let addr = "2600:1ff::1".parse().unwrap();
     c.bench_function("rib/longest_match_1k_prefixes", |b| {
         b.iter(|| rib.lookup(black_box(addr)))
+    });
+}
+
+/// Longest-prefix match as a probe pass sees it: the experiment-scale
+/// `paper_world`'s 351 pools and 101 announcements, looked up over a monitor
+/// epoch's target stream (one target per /56 of 128 pool /48s, permuted) in
+/// which every fourth target is moved into unannounced space — so the search
+/// takes a different path on every call and misses are paid for.
+fn bench_lpm(c: &mut Criterion) {
+    let engine = Engine::build(scenarios::paper_world(7, WorldScale::experiment())).unwrap();
+    let pools: PrefixTable<usize> = (engine.pools().iter().enumerate())
+        .map(|(i, pool)| (pool.config.prefix, i))
+        .collect();
+    let watched: Vec<Ipv6Prefix> = (engine.pools().iter())
+        .filter(|pool| pool.config.prefix.len() <= 48)
+        .flat_map(|pool| pool.config.prefix.subnets(48).unwrap())
+        .take(128)
+        .collect();
+    let stream = TargetStream::new(&TargetGenerator::new(1), &watched, 56, 42, true);
+    let targets: Vec<_> = (0..stream.window_len())
+        .map(|pos| match pos % 4 {
+            0 => addr_from_u128(addr_to_u128(stream.target_at(pos)) ^ (0x5 << 124)),
+            _ => stream.target_at(pos),
+        })
+        .collect();
+    let mut i = 0usize;
+    let mut next = move || {
+        i = (i + 1) % targets.len();
+        targets[i]
+    };
+    assert_eq!((pools.len(), engine.rib().len()), (351, 101));
+    c.bench_function("lpm/pool_table_351", |b| {
+        b.iter(|| pools.longest_match(black_box(next())).map(|(_, &i)| i))
+    });
+    c.bench_function("lpm/rib_101", |b| {
+        b.iter(|| engine.rib().lookup(black_box(next())))
     });
 }
 
@@ -84,6 +121,6 @@ fn bench_engine_probe(c: &mut Criterion) {
 criterion_group! {
     name = micro;
     config = Criterion::default().sample_size(30);
-    targets = bench_eui64, bench_prefix, bench_rib, bench_wire, bench_engine_probe
+    targets = bench_eui64, bench_prefix, bench_rib, bench_lpm, bench_wire, bench_engine_probe
 }
 criterion_main!(micro);

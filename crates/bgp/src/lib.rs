@@ -4,9 +4,11 @@
 //! to their encompassing BGP-advertised prefix and origin AS (Figure 7,
 //! Table 2). This crate provides the equivalent machinery:
 //!
-//! * [`PrefixTrie`] — a binary (unibit) trie over IPv6 prefixes supporting
-//!   exact insert/lookup and longest-prefix-match, generic over the stored
-//!   value.
+//! * [`PrefixTable`] — a sorted-range table over IPv6 prefixes supporting
+//!   exact insert/lookup and longest-prefix-match (a binary search and a
+//!   walk up the enclosing entries), generic over the stored value. The
+//!   simulator's pools, the [`Rib`] and the streaming shard map all resolve
+//!   addresses through it.
 //! * [`Rib`] — a routing information base mapping advertised prefixes to an
 //!   origin [`Asn`], with a text import/export format standing in for a
 //!   Routeviews table dump.
@@ -22,7 +24,7 @@ pub mod trie;
 
 pub use asdb::{AsInfo, AsRegistry, CountryCode};
 pub use rib::{Rib, RibEntry, RibParseError, RibParseErrorKind};
-pub use trie::PrefixTrie;
+pub use trie::PrefixTable;
 
 use serde::{Deserialize, Serialize};
 

@@ -10,7 +10,7 @@ use serde::{Deserialize, Serialize};
 
 use scent_ipv6::Ipv6Prefix;
 
-use crate::trie::PrefixTrie;
+use crate::trie::PrefixTable;
 use crate::Asn;
 
 /// A single RIB entry: an advertised prefix originated by an AS.
@@ -55,7 +55,7 @@ impl std::error::Error for RibParseError {}
 /// A routing information base with longest-prefix-match lookup.
 #[derive(Debug, Clone, Default)]
 pub struct Rib {
-    trie: PrefixTrie<Asn>,
+    table: PrefixTable<Asn>,
 }
 
 impl Rib {
@@ -66,30 +66,28 @@ impl Rib {
 
     /// Number of advertised prefixes.
     pub fn len(&self) -> usize {
-        self.trie.len()
+        self.table.len()
     }
 
     /// Whether the RIB is empty.
     pub fn is_empty(&self) -> bool {
-        self.trie.is_empty()
+        self.table.is_empty()
     }
 
     /// Announce a prefix from an origin AS. Returns the previous origin if
     /// the exact prefix was already announced (e.g. an origin change).
     pub fn announce(&mut self, prefix: Ipv6Prefix, origin: Asn) -> Option<Asn> {
-        self.trie.insert(prefix, origin)
+        self.table.insert(prefix, origin)
     }
 
     /// Withdraw a previously announced prefix.
     pub fn withdraw(&mut self, prefix: &Ipv6Prefix) -> Option<Asn> {
-        self.trie.remove(prefix)
+        self.table.remove(prefix)
     }
 
     /// The most specific announced prefix covering `addr` and its origin.
     pub fn lookup(&self, addr: Ipv6Addr) -> Option<RibEntry> {
-        // longest_match returns the prefix built from the queried address
-        // truncated to the matched length, which equals the stored prefix.
-        self.trie
+        self.table
             .longest_match(addr)
             .map(|(prefix, &origin)| RibEntry { prefix, origin })
     }
@@ -107,7 +105,7 @@ impl Rib {
 
     /// All entries in the RIB.
     pub fn entries(&self) -> Vec<RibEntry> {
-        self.trie
+        self.table
             .iter()
             .into_iter()
             .map(|(prefix, &origin)| RibEntry { prefix, origin })
@@ -127,7 +125,9 @@ impl Rib {
     /// Parse the text format produced by [`Rib::to_table_text`]. The first
     /// line that fails to parse is reported in the error.
     pub fn from_table_text(text: &str) -> Result<Self, RibParseError> {
-        let mut rib = Rib::new();
+        // Collected, not announced line by line: a table dump is the one
+        // large input, and the table builds in one pass from a list.
+        let mut routes = Vec::new();
         for (lineno, line) in text.lines().enumerate() {
             let line = line.trim();
             if line.is_empty() || line.starts_with('#') {
@@ -148,19 +148,17 @@ impl Rib {
                     line: lineno + 1,
                     kind: RibParseErrorKind::BadAsn,
                 })?;
-            rib.announce(prefix, Asn(asn));
+            routes.push((prefix, Asn(asn)));
         }
-        Ok(rib)
+        let table = routes.into_iter().collect();
+        Ok(Rib { table })
     }
 }
 
 impl FromIterator<RibEntry> for Rib {
     fn from_iter<T: IntoIterator<Item = RibEntry>>(iter: T) -> Self {
-        let mut rib = Rib::new();
-        for entry in iter {
-            rib.announce(entry.prefix, entry.origin);
-        }
-        rib
+        let table = iter.into_iter().map(|e| (e.prefix, e.origin)).collect();
+        Rib { table }
     }
 }
 

@@ -195,7 +195,12 @@ impl WindowedRotationDetector {
     /// one order too — and a sharded run merges into the same report
     /// regardless of shard count.
     pub fn collect(events: &mut [RotationEvent]) -> RotationDetection {
-        events.sort_by_key(|e| (e.window, e.seq));
+        // `(window, seq)` names one probe, and a probe yields at most one
+        // event, so keys are unique and the unstable sort has exactly one
+        // order to produce — without the stable sort's n/2 merge buffer.
+        let key = |e: &RotationEvent| (e.window, e.seq);
+        events.sort_unstable_by_key(key);
+        debug_assert!(events.windows(2).all(|w| key(&w[0]) < key(&w[1])));
         let changes: Vec<ChangedTarget> = events.iter().map(|e| e.change).collect();
         let rotating: HashSet<Ipv6Prefix> = events.iter().map(|e| e.prefix_48).collect();
         let mut rotating_48s: Vec<Ipv6Prefix> = rotating.into_iter().collect();

@@ -18,7 +18,7 @@ use bytes::Bytes;
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 
-use scent_bgp::{AsRegistry, Asn, PrefixTrie, Rib};
+use scent_bgp::{AsRegistry, Asn, PrefixTable, Rib};
 use scent_ipv6::wire::{DestUnreachableCode, Icmpv6Message, Icmpv6Packet};
 use scent_ipv6::{addr_to_u128, Eui64, Ipv6Prefix};
 
@@ -77,7 +77,7 @@ pub struct Engine {
     config: WorldConfig,
     rib: Rib,
     as_registry: AsRegistry,
-    pool_trie: PrefixTrie<usize>,
+    pool_table: PrefixTable<usize>,
     pools: Vec<PoolPopulation>,
     vantage: Ipv6Addr,
     rate_state: Mutex<HashMap<(u32, u32), (u64, u32)>>,
@@ -91,7 +91,7 @@ impl Engine {
 
         let mut rib = Rib::new();
         let mut as_registry = AsRegistry::new();
-        let mut pool_trie = PrefixTrie::new();
+        let mut pool_table = PrefixTable::new();
         let mut pools = Vec::new();
 
         for (provider_idx, provider) in config.providers.iter().enumerate() {
@@ -107,7 +107,7 @@ impl Engine {
                 let population =
                     PoolPopulation::build(&config, provider_idx, provider, pool_idx, pool_cfg);
                 let global_idx = pools.len();
-                if pool_trie.insert(pool_cfg.prefix, global_idx).is_some() {
+                if pool_table.insert(pool_cfg.prefix, global_idx).is_some() {
                     return Err(WorldError::DuplicatePoolPrefix {
                         prefix: pool_cfg.prefix,
                     });
@@ -120,7 +120,7 @@ impl Engine {
             config,
             rib,
             as_registry,
-            pool_trie,
+            pool_table,
             pools,
             vantage: "2a01:7e00:ffff::1".parse().expect("static vantage address"),
             rate_state: Mutex::new(HashMap::new()),
@@ -403,7 +403,7 @@ impl Engine {
     }
 
     fn pool_of(&self, target: Ipv6Addr) -> Option<(usize, &PoolPopulation)> {
-        let (_, &idx) = self.pool_trie.longest_match(target)?;
+        let (_, &idx) = self.pool_table.longest_match(target)?;
         Some((idx, &self.pools[idx]))
     }
 

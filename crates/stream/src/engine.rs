@@ -44,10 +44,14 @@ use crate::shard::{ShardInference, ShardMsg};
 use crate::source::{continuous_seq_shards, ContinuousStream, ContinuousStreamBuilder};
 
 /// Observations accumulated per router → shard channel message. A constant,
-/// not a knob: 64 was promoted from the batching bench (per-message
-/// rendezvous dominated below it; 256 bought under 1 % on the monitor), and
-/// batching never changes a report — per-shard delivery order is the same at
-/// any size.
+/// not a knob, and batching never changes a report — per-shard delivery order
+/// is the same at any size. 64 is no longer the fastest size, only the one
+/// the queue bound allows: once the probe stopped dominating, 512 read
+/// +10…+15 % `obs_per_ref_s` on `steady_watch`, but also +12.7 %
+/// `alloc_bytes_per_obs` on `tenants_64` and +15 % `peak_heap_mb` on
+/// `churn_discovery_ckpt`, because `channel_capacity` counts messages and
+/// the buffers in flight grow with the batch. Raise it only together with a
+/// queue bound counted in observations.
 pub(crate) const OBSERVATION_BATCH: usize = 64;
 
 /// Observations accumulated per producer-channel message. Purely a transport
@@ -349,8 +353,9 @@ impl<'scope, 'env> IngestEngine<'scope, 'env> {
         F: FnMut(&mut ShardRouter<'scope>, &Observation),
     {
         // One position → shard table serves every window every producer will
-        // emit, replacing the per-observation trie walk. One ShardMap serves
-        // both the router and the pacers, so the two agree by construction.
+        // emit, replacing the per-observation longest-prefix lookup. One
+        // ShardMap serves both the router and the pacers, so the two agree by
+        // construction.
         let table = continuous_seq_shards(self.router.map(), &pass.targets);
         self.router.set_seq_shards(table);
         let feedback = pass

@@ -117,11 +117,12 @@ pub struct MonitorConfig {
     pub producers: usize,
     /// Bounded per-shard queue capacity, in messages. Also the per-producer
     /// channel capacity when `producers > 1`. Both edges carry up to 64
-    /// observations per message — a constant, not a knob: 64 was promoted
-    /// from the batching bench (per-message rendezvous dominated below it,
-    /// 256 bought under 1 % on the monitor) and batch size never changes a
-    /// report. So a producer can run up to `64 * channel_capacity`
-    /// observations ahead of the merge.
+    /// observations per message — a constant, not a knob, and batch size
+    /// never changes a report — so a producer can run up to
+    /// `64 * channel_capacity` observations ahead of the merge. Because the
+    /// bound counts messages, memory in flight scales with the batch size:
+    /// a larger batch is faster on the monitor but needs this counted in
+    /// observations first (see `OBSERVATION_BATCH` in `engine.rs`).
     pub channel_capacity: usize,
     /// Seed controlling target generation and probe order.
     pub seed: u64,
@@ -858,7 +859,7 @@ impl<'a, B: ProbeTransport + WorldView + ?Sized> MonitorSession<'a, B> {
             if let (Some(tree), Some(dcfg)) = (discovery.as_mut(), cfg.discovery.as_ref()) {
                 if epoch + 1 < epochs_len && router.dead_shard().is_none() {
                     // Discovery targets are not in this epoch's seq table;
-                    // fall back to per-observation trie walks for them.
+                    // fall back to per-observation map lookups for them.
                     router.clear_seq_shards();
                     let boundary = cfg.start
                         + SimDuration::from_secs(

@@ -53,11 +53,12 @@ pub struct StreamConfig {
     pub producers: usize,
     /// Bounded per-shard queue capacity, in messages. Also the per-producer
     /// channel capacity when `producers > 1`. Both edges carry up to 64
-    /// observations per message — a constant, not a knob: 64 was promoted
-    /// from the batching bench (per-message rendezvous dominated below it,
-    /// 256 bought under 1 % on the monitor) and batch size never changes a
-    /// report — so a producer can run up to `64 * channel_capacity`
-    /// observations ahead of the merge.
+    /// observations per message — a constant, not a knob, and batch size
+    /// never changes a report — so a producer can run up to
+    /// `64 * channel_capacity` observations ahead of the merge. Because the
+    /// bound counts messages, memory in flight scales with the batch size:
+    /// a larger batch is faster on the monitor but needs this counted in
+    /// observations first (see `OBSERVATION_BATCH` in `engine.rs`).
     pub channel_capacity: usize,
     /// Whether every phase's scan adapts its rate to the deterministic
     /// virtual-queue model (AIMD against [`StreamConfig::queue_model`]).

@@ -2,7 +2,7 @@
 //!
 //! Every announced prefix in the RIB is assigned a shard by hashing its /32
 //! bits (prefixes shorter than /32 hash their own network bits), and a
-//! [`PrefixTrie`] resolves each observation's target to its announcement by
+//! [`PrefixTable`] resolves each observation's target to its announcement by
 //! longest-prefix match. Routing by announcement — rather than, say, hashing
 //! the full target — is what gives the engine its merge guarantees: a /48, a
 //! rotation pool, and every address an identifier can rotate to within its
@@ -35,7 +35,7 @@
 
 use std::net::Ipv6Addr;
 
-use scent_bgp::{PrefixTrie, RibEntry};
+use scent_bgp::{PrefixTable, RibEntry};
 use scent_ipv6::{addr_to_u128, Ipv6Prefix};
 use scent_simnet::det::hash2;
 use scent_telemetry::StreamObserver;
@@ -60,7 +60,7 @@ const DEFAULT_POOL_SLOTS_PER_SHARD: usize = 32;
 /// router exactly. Both sides therefore share this one implementation.
 #[derive(Debug, Clone)]
 pub struct ShardMap {
-    trie: PrefixTrie<usize>,
+    table: PrefixTable<usize>,
     shards: usize,
 }
 
@@ -69,11 +69,11 @@ impl ShardMap {
     /// shards.
     pub fn new(entries: &[RibEntry], shards: usize) -> Self {
         assert!(shards > 0, "at least one shard");
-        let mut trie = PrefixTrie::new();
-        for entry in entries {
-            trie.insert(entry.prefix, Self::shard_of_prefix(&entry.prefix, shards));
-        }
-        ShardMap { trie, shards }
+        let table = entries
+            .iter()
+            .map(|e| (e.prefix, Self::shard_of_prefix(&e.prefix, shards)))
+            .collect();
+        ShardMap { table, shards }
     }
 
     /// The shard an announced prefix is pinned to: a hash of its /32 bits
@@ -90,7 +90,7 @@ impl ShardMap {
     /// unannounced space (so stray observations still land
     /// deterministically).
     pub fn shard_for(&self, target: Ipv6Addr) -> usize {
-        if let Some((_, &shard)) = self.trie.longest_match(target) {
+        if let Some((_, &shard)) = self.table.longest_match(target) {
             return shard;
         }
         let bits32 = (addr_to_u128(target) >> 96) as u64;
@@ -105,7 +105,7 @@ impl ShardMap {
     /// Precompute the shard of every probing-order position: element `seq`
     /// is [`ShardMap::shard_for`] of the target probed at sequence number
     /// `seq`. Routing then costs one array index per observation instead of
-    /// one longest-prefix trie walk — the flattened hot path's lookup.
+    /// one longest-prefix lookup — the flattened hot path's lookup.
     ///
     /// The table is valid exactly as long as the seq → target mapping it was
     /// built from: one scan phase of the streamed pipeline, or one epoch of
@@ -144,7 +144,7 @@ pub struct ShardRouter<'t> {
     pool: BatchPool,
     /// Precomputed seq → shard routing table ([`ShardRouter::set_seq_shards`]);
     /// positions beyond its length (or all of them, when absent) fall back
-    /// to the [`ShardMap`] trie walk.
+    /// to the [`ShardMap`] lookup.
     seq_shards: Option<Vec<u32>>,
     observer: Option<&'t dyn StreamObserver>,
     dead: Option<usize>,
@@ -181,7 +181,7 @@ impl<'t> ShardRouter<'t> {
         let (pool, home) = batch_pool(batch, slots);
         let mut router = ShardRouter {
             map,
-            buffers: vec![Vec::with_capacity(batch); senders.len()],
+            buffers: vec![Vec::new(); senders.len()],
             senders,
             stalls: 0,
             routed: 0,
@@ -248,14 +248,14 @@ impl<'t> ShardRouter<'t> {
     /// Install a precomputed seq → shard table (built by
     /// [`ShardMap::seq_table`] over this router's map): while present,
     /// [`ShardRouter::route`] resolves `obs.seq` with one array index
-    /// instead of a longest-prefix trie walk. Positions at or beyond
-    /// `table.len()` fall back to the trie, so a partial table is safe —
+    /// instead of a longest-prefix lookup. Positions at or beyond
+    /// `table.len()` fall back to the map, so a partial table is safe —
     /// merely slower for the tail.
     ///
     /// The caller owns the table's validity window: it must be rebuilt (or
     /// [cleared](ShardRouter::clear_seq_shards)) whenever the seq → target
     /// mapping changes — each streamed-pipeline phase, each monitor epoch.
-    /// Debug builds verify every lookup against the trie.
+    /// Debug builds verify every lookup against the map.
     pub fn set_seq_shards(&mut self, table: Vec<u32>) {
         debug_assert!(
             table.iter().all(|&s| (s as usize) < self.senders.len()),
@@ -265,7 +265,7 @@ impl<'t> ShardRouter<'t> {
     }
 
     /// Remove the seq → shard table, returning it for reuse; routing falls
-    /// back to per-observation trie walks.
+    /// back to per-observation longest-prefix lookups.
     pub fn clear_seq_shards(&mut self) -> Option<Vec<u32>> {
         self.seq_shards.take()
     }
@@ -280,7 +280,7 @@ impl<'t> ShardRouter<'t> {
                 debug_assert_eq!(
                     shard,
                     self.map.shard_for(obs.target),
-                    "seq table must agree with the trie (stale table?)"
+                    "seq table must agree with the map (stale table?)"
                 );
                 shard
             }
@@ -290,8 +290,14 @@ impl<'t> ShardRouter<'t> {
         if let Some(observer) = self.observer {
             observer.on_routed(shard, obs.window, obs.sent_at, obs.response.is_some());
         }
-        self.buffers[shard].push(obs);
-        if self.buffers[shard].len() >= self.batch {
+        let buffer = &mut self.buffers[shard];
+        if buffer.capacity() == 0 {
+            // First observation since a flush: a shard that is routed
+            // nothing takes no buffer.
+            *buffer = self.pool.take();
+        }
+        buffer.push(obs);
+        if buffer.len() >= self.batch {
             self.flush_buffer(shard);
         }
     }
@@ -326,14 +332,14 @@ impl<'t> ShardRouter<'t> {
         self.dead
     }
 
-    /// Deliver a shard's buffered batch, if any. The replacement buffer
-    /// comes from the recycle pool — in steady state a worker-returned one,
-    /// so delivery allocates nothing per batch.
+    /// Deliver a shard's buffered batch, if any. [`ShardRouter::route`]
+    /// takes the replacement from the recycle pool — in steady state a
+    /// worker-returned buffer, so delivery allocates nothing per batch.
     fn flush_buffer(&mut self, shard: usize) {
         if self.buffers[shard].is_empty() {
             return;
         }
-        let batch = std::mem::replace(&mut self.buffers[shard], self.pool.take());
+        let batch = std::mem::take(&mut self.buffers[shard]);
         self.deliver(shard, ShardMsg::ObserveBatch(batch));
     }
 

@@ -69,7 +69,7 @@ enum ContinuousPacing {
     /// O(1) since the rate never moves.
     Fixed(FeedbackPacer),
     /// Virtual-queue AIMD pacing: every position is accounted per shard. A
-    /// position's shard is window-invariant, so the target → shard trie
+    /// position's shard is window-invariant, so the target → shard
     /// lookups are done once at build time ([`ShardMap::seq_table`]) and the
     /// per-window accounting hot path is an array index per position.
     Queue {
@@ -343,8 +343,8 @@ impl<T: ProbeTransport + ?Sized> ObservationSource for ContinuousStream<'_, T> {
 /// `scent-prober`'s target-stream tests — [`TargetStream::target_at`] covers
 /// every global position even on a sliced stream), so one table serves every
 /// window every producer will ever emit: the monitor installs it once per
-/// epoch. Building it is one target derivation and one longest-prefix walk
-/// per position (≈ 75 ns), paid by every pass — except with a single shard,
+/// epoch. Building it is one target derivation and one longest-prefix lookup
+/// per position (≈ 10 ns), paid by every pass — except with a single shard,
 /// where there is nothing to look up.
 pub fn continuous_seq_shards(map: &ShardMap, targets: &TargetStream) -> Vec<u32> {
     if map.shards() == 1 {

@@ -190,7 +190,7 @@
 //! * [`ipv6`] — addresses, prefixes, EUI-64/MAC arithmetic, ICMPv6 wire
 //!   formats.
 //! * [`oui`] — the MAC-vendor (OUI) registry.
-//! * [`bgp`] — RIB, prefix trie, AS metadata.
+//! * [`bgp`] — RIB, longest-prefix table, AS metadata.
 //! * [`simnet`] — the deterministic simulated IPv6 Internet.
 //! * [`prober`] — zmap6/yarrp-style scanners, pacing, target generation, the
 //!   `ProbeTransport` + `WorldView` backend traits, and the record/replay

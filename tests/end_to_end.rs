@@ -219,3 +219,76 @@ fn umbrella_reexports_work_together() {
         "DE"
     );
 }
+
+/// `WindowedRotationDetector::collect` orders events by `(window, seq)` with
+/// an unstable sort, which is the same order only while that key names one
+/// event. It names one probe, so it must: checked on the monitor scenarios of
+/// the determinism harness (throttled steady watch, churn, unseeded
+/// discovery), at two shards and four producers.
+#[test]
+fn a_rotation_event_key_names_one_event() {
+    use followscent::prober::QueueModel;
+    use followscent::stream::WatchChurn;
+    use followscent::{Campaign, CampaignBuilder, CampaignMode};
+
+    fn events_are_unique(builder: CampaignBuilder<'_, &Engine>, windows: u64) {
+        let report = builder
+            .seed(0x57ae)
+            .monitor_granularity(56)
+            .start(SimTime::at(10, 9))
+            .mode(CampaignMode::Monitor {
+                windows,
+                shards: 2,
+                producers: 4,
+            })
+            .run()
+            .unwrap();
+        let events = &report.monitor().expect("monitor report").events;
+        let keys: HashSet<(u64, u64)> = events.iter().map(|e| (e.window, e.seq)).collect();
+        assert!(!events.is_empty());
+        assert_eq!(keys.len(), events.len());
+    }
+    let throttled = QueueModel {
+        drain_rate: Some(16),
+        high_watermark: 64,
+        low_watermark: 8,
+        ..QueueModel::unbounded()
+    };
+    let churn = WatchChurn {
+        refresh_every: 1,
+        watch_capacity: 3,
+        ..WatchChurn::default()
+    };
+
+    let engine = Engine::build(scenarios::continuous_world(13)).unwrap();
+    let watched = (engine.pools().iter())
+        .filter(|p| p.config.prefix.len() <= 48)
+        .flat_map(|p| p.config.prefix.subnets(48).unwrap())
+        .take(2);
+    let steady = Campaign::builder()
+        .world(&engine)
+        .rate_pps(128)
+        .rate_feedback(true)
+        .queue_model(throttled.clone())
+        .watch(watched.collect::<Vec<_>>());
+    events_are_unique(steady, 2);
+
+    let engine = Engine::build(scenarios::churn_world(17)).unwrap();
+    let dense = scenarios::churn_world_dense_48(&engine, SimTime::at(10, 9));
+    let churning = Campaign::builder()
+        .world(&engine)
+        .rate_pps(128)
+        .rate_feedback(true)
+        .queue_model(throttled)
+        .watch(vec![dense, engine.pools()[1].config.prefix])
+        .watch_churn(churn);
+    events_are_unique(churning, 4);
+    let discovering = Campaign::builder()
+        .world(&engine)
+        .watch_churn(churn)
+        .discovery(followscent::discovery::DiscoveryConfig {
+            probe_budget: 262_144,
+            ..followscent::discovery::DiscoveryConfig::paper_scale()
+        });
+    events_are_unique(discovering, 3);
+}
