@@ -1,7 +1,8 @@
 //! Micro-benchmarks of the substrate operations every campaign is built from:
 //! EUI-64 conversion, prefix arithmetic, longest-prefix match (one fixed
 //! address under `rib/`, a probe pass's permuted targets under `lpm/`),
-//! ICMPv6 serialization, and the simulated-engine probe path.
+//! target generation, ICMPv6 serialization, and the simulated-engine probe
+//! path.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use scent_bench::versatel_engine;
@@ -81,6 +82,17 @@ fn bench_lpm(c: &mut Criterion) {
     });
 }
 
+/// Target generation: one pseudo-random address per /56 of a /48 — what a
+/// monitor's first epoch and every pipeline phase pay per target before a
+/// probe exists. Reported per call (256 targets).
+fn bench_targets(c: &mut Criterion) {
+    let generator = TargetGenerator::new(1);
+    let prefix: Ipv6Prefix = "2001:16b8:1d01::/48".parse().unwrap();
+    c.bench_function("targets/one_per_subnet_48_56", |b| {
+        b.iter(|| generator.one_per_subnet(black_box(&prefix), 56))
+    });
+}
+
 fn bench_wire(c: &mut Criterion) {
     let request = Icmpv6Packet::echo_request(
         "2a01:7e00:ffff::1".parse().unwrap(),
@@ -121,6 +133,7 @@ fn bench_engine_probe(c: &mut Criterion) {
 criterion_group! {
     name = micro;
     config = Criterion::default().sample_size(30);
-    targets = bench_eui64, bench_prefix, bench_rib, bench_lpm, bench_wire, bench_engine_probe
+    targets = bench_eui64, bench_prefix, bench_rib, bench_lpm, bench_targets, bench_wire,
+        bench_engine_probe
 }
 criterion_main!(micro);

@@ -536,6 +536,48 @@ fn bench_scheduler(c: &mut Criterion) {
     group.finish();
 }
 
+/// What an epoch costs beyond its observations: one `tenants_64`-shaped
+/// tenant (the world's two spread-layout /48s at /56, 512 targets a window,
+/// 1 shard × 1 producer) probing the same four windows as four one-window
+/// epochs and as one four-window epoch, both through `run_controlled` — so
+/// both pay one session, one pool and one report fold, and the pair differs
+/// by exactly three epoch boundaries. With the driver owning the workers and
+/// the session keeping its target stream the two read alike; a boundary that
+/// spawns, allocates or rebuilds again shows as a gap.
+fn bench_epoch_fixed_cost(c: &mut Criterion) {
+    let engine = Engine::build(scenarios::continuous_world(7)).unwrap();
+    let pool_48s: Vec<Ipv6Prefix> = engine
+        .pools()
+        .iter()
+        .filter(|p| p.config.prefix.len() <= 48)
+        .flat_map(|p| p.config.prefix.subnets(48).unwrap())
+        .collect();
+    let watched: Vec<Ipv6Prefix> = pool_48s.into_iter().rev().take(2).collect();
+    let config = |checkpoint_every| MonitorConfig {
+        shards: 1,
+        windows: 4,
+        packets_per_second: 500,
+        checkpoint_every,
+        ..MonitorConfig::default()
+    };
+    let mut group = c.benchmark_group("streaming/epoch_fixed_cost");
+    group.sample_size(30);
+    for (name, checkpoint_every) in [
+        ("four_1_window_epochs", Some(1)),
+        ("one_4_window_epoch", None),
+    ] {
+        let monitor = StreamMonitor::new(config(checkpoint_every));
+        group.bench_function(name, |b| {
+            b.iter(|| {
+                monitor
+                    .run_controlled(black_box(&engine), &watched, MonitorControl::default())
+                    .expect("no panic injected")
+            })
+        });
+    }
+    group.finish();
+}
+
 /// Adaptive hierarchical discovery versus a flat watch list, at equal probe
 /// budget, on the churn world whose dense /48 band marches daily within a
 /// /44. The flat strategy covers the band's whole travel range the only way
@@ -604,6 +646,6 @@ criterion_group! {
     config = Criterion::default().sample_size(10);
     targets = bench_batch_vs_streaming, bench_monitor_ingest, bench_hot_path,
         bench_producer_scaling, bench_watch_churn, bench_telemetry_overhead,
-        bench_checkpoint, bench_scheduler, bench_discovery
+        bench_checkpoint, bench_scheduler, bench_epoch_fixed_cost, bench_discovery
 }
 criterion_main!(streaming);

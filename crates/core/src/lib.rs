@@ -66,5 +66,5 @@ pub use seed_expansion::{SeedExpansion, WatchRevision};
 pub use stats::Cdf;
 pub use tracker::{IncrementalTracker, TrackedDevice, Tracker, TrackerConfig, TrackingReport};
 
-pub use scent_bgp::{Asn, CountryCode, Rib};
+pub use scent_bgp::{Asn, CountryCode, PrefixTable, Rib};
 pub use scent_ipv6::{Eui64, Ipv6Prefix, MacAddr};

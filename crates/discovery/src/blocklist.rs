@@ -13,26 +13,52 @@ use std::str::FromStr;
 
 use serde::{Deserialize, Serialize};
 
+use scent_core::PrefixTable;
 use scent_ipv6::Ipv6Prefix;
 
 /// A set of prefixes excluded from all probing, of any length: a /32 entry
 /// silences a whole announcement, a /56 entry punches a hole inside an
 /// otherwise-watched /48.
 ///
-/// Membership tests are containment tests against the (sorted, deduplicated)
-/// entry list; the list is expected to stay small, so the linear scan is
-/// cheaper than any index would be.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+/// Membership tests ask a [`PrefixTable`] built when the list is: one
+/// longest-prefix lookup per target or candidate, however long the opt-out
+/// list grows.
+#[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct Blocklist {
     entries: Vec<Ipv6Prefix>,
+    /// The outermost entries — the ones no other entry contains. An entry
+    /// nested inside another blocks nothing its outer entry does not, so at
+    /// most one table entry contains any address and that one decides.
+    outermost: PrefixTable<()>,
 }
+
+/// Two lists are equal when they hold the same entries (the table is a
+/// function of them).
+impl PartialEq for Blocklist {
+    fn eq(&self, other: &Self) -> bool {
+        self.entries == other.entries
+    }
+}
+
+impl Eq for Blocklist {}
 
 impl Blocklist {
     /// A blocklist over the given prefixes (sorted and deduplicated).
     pub fn new(mut entries: Vec<Ipv6Prefix>) -> Self {
         entries.sort();
         entries.dedup();
-        Blocklist { entries }
+        // Sorted by (network bits, length), an entry's nested entries follow
+        // it directly: keep an entry unless the last one kept contains it.
+        let mut outermost: Vec<Ipv6Prefix> = Vec::new();
+        for entry in &entries {
+            if !outermost.last().is_some_and(|o| o.contains_prefix(entry)) {
+                outermost.push(*entry);
+            }
+        }
+        Blocklist {
+            entries,
+            outermost: outermost.into_iter().map(|entry| (entry, ())).collect(),
+        }
     }
 
     /// Parse a blocklist from text lines, one prefix per line. Empty lines
@@ -79,15 +105,15 @@ impl Blocklist {
     /// applied to candidate /48s and sweep subnets before a target is drawn
     /// from them.
     pub fn covers(&self, prefix: &Ipv6Prefix) -> bool {
-        self.entries
-            .iter()
-            .any(|entry| entry.contains_prefix(prefix))
+        self.outermost
+            .longest_match(prefix.network())
+            .is_some_and(|(entry, _)| entry.len() <= prefix.len())
     }
 
     /// Whether `addr` lies inside some blocked entry — the final per-target
     /// test applied before an address is emitted to a prober.
     pub fn covers_addr(&self, addr: Ipv6Addr) -> bool {
-        self.entries.iter().any(|entry| entry.contains(addr))
+        self.outermost.longest_match(addr).is_some()
     }
 }
 

@@ -70,6 +70,38 @@ proptest! {
         }
     }
 
+    // The blocklist's table answers exactly what a scan of its entries
+    // would, for nested, duplicated and disjoint entries of any length.
+    #[test]
+    fn blocklist_table_equals_a_linear_scan(
+        entries in proptest::collection::vec((0u128..64, 26u8..=64), 0..12),
+        queries in proptest::collection::vec((0u128..64, 24u8..=128, any::<u64>()), 1..32),
+    ) {
+        // A handful of neighbouring blocks under one /26, so entries nest
+        // and collide.
+        let within = |block: u128, len: u8, low: u64| {
+            let bits = (0x2001_0db8u128 << 96) | (block << 98) | u128::from(low) << 40;
+            Ipv6Prefix::from_bits(bits, len).unwrap()
+        };
+        let entries: Vec<Ipv6Prefix> = entries
+            .iter()
+            .map(|&(block, len)| within(block % 8, len, (block * 0x9e37_79b9) as u64))
+            .collect();
+        let list = Blocklist::new(entries.clone());
+        for &(block, len, low) in &queries {
+            let prefix = within(block % 8, len, low);
+            prop_assert!(
+                list.covers(&prefix) == entries.iter().any(|entry| entry.contains_prefix(&prefix)),
+                "covers({prefix}) over {entries:?}"
+            );
+            let addr = prefix.addr_with_host_bits(u128::from(low));
+            prop_assert!(
+                list.covers_addr(addr) == entries.iter().any(|entry| entry.contains(addr)),
+                "covers_addr({addr}) over {entries:?}"
+            );
+        }
+    }
+
     // Planning is a pure function of tree state: the same tree plans the
     // same probes (and evolves its cursors identically), the budget is an
     // exact bound, and no planned target lies in a blocked prefix.

@@ -53,8 +53,18 @@ impl TargetGenerator {
         let count = prefix
             .num_subnets(sub_len)
             .expect("sub_len not shorter than prefix");
+        if sub_len == 0 {
+            // Only ::/0 subdivides into /0s: itself.
+            return vec![self.random_addr_in(prefix)];
+        }
+        // Subnet `index` is the parent's bits with the index in the bits
+        // between the two lengths — what `Ipv6Prefix::subnets` yields, minus
+        // its per-item count, bounds and length checks.
+        let shift = 128 - u32::from(sub_len);
         let mut targets = Vec::with_capacity(count.min(1 << 24) as usize);
-        for sub in prefix.subnets(sub_len).expect("validated above") {
+        for index in 0..count {
+            let sub = Ipv6Prefix::from_bits(prefix.network_bits() | (index << shift), sub_len)
+                .expect("sub_len validated by num_subnets");
             targets.push(self.random_addr_in(&sub));
         }
         targets
@@ -122,13 +132,14 @@ pub fn slice_bounds(n: usize, producer: usize, producers: usize) -> (usize, usiz
 /// them consumes every producer round-robin, which is what keeps all P
 /// producer threads busy at once.
 ///
-/// The target list and its permutation are shared storage: cloning a stream
-/// copies a cursor, not the list, so one pass builds them once and hands
-/// every producer (and the probe-free rate replay) a clone to slice.
+/// The target list is shared storage, held in probing order: cloning a
+/// stream copies a cursor, not the list, so one pass builds it once and
+/// hands every producer (and the probe-free rate replay) a clone to slice —
+/// and a monitor keeps it from epoch to epoch while its watch list stands.
 #[derive(Debug, Clone)]
 pub struct TargetStream {
+    /// The targets, permuted: element `p` is probed at position `p`.
     targets: Arc<[Ipv6Addr]>,
-    order: Arc<[u64]>,
     window: u64,
     /// The window numbering starts at (0 unless the stream is one epoch of a
     /// churning run — see [`TargetStream::starting_at_window`]).
@@ -159,8 +170,7 @@ impl TargetStream {
     pub fn over(targets: Vec<Ipv6Addr>, order_seed: u64, randomize: bool) -> Self {
         let order = RandomPermutation::scan_order(targets.len() as u64, order_seed, randomize);
         TargetStream {
-            targets: targets.into(),
-            order: order.into(),
+            targets: order.iter().map(|&index| targets[index as usize]).collect(),
             window: 0,
             base_window: 0,
             pos: 0,
@@ -241,7 +251,7 @@ impl TargetStream {
     /// a sliced producer account positions *other* producers own (e.g. to
     /// feed the virtual-queue feedback model) without drawing them.
     pub fn target_at(&self, pos: usize) -> std::net::Ipv6Addr {
-        self.targets[self.order[pos] as usize]
+        self.targets[pos]
     }
 
     /// Draw the next target. Returns `None` only for an empty target list (or
@@ -252,7 +262,7 @@ impl TargetStream {
             return None;
         }
         let seq = self.pos as u64;
-        let target = self.targets[self.order[self.pos] as usize];
+        let target = self.targets[self.pos];
         let window = self.window;
         self.pos += self.step;
         if self.pos >= self.targets.len() {
@@ -318,6 +328,35 @@ mod tests {
         let targets = generator.one_per_subnet(&prefix, 64);
         assert_eq!(targets.len(), 1);
         assert!(prefix.contains(targets[0]));
+    }
+
+    /// The direct loop yields exactly what the validated subnet iterator
+    /// does, at the lengths the callers use and at both ends of the range.
+    #[test]
+    fn one_per_subnet_equals_the_subnet_iterator() {
+        let generator = TargetGenerator::new(0x57ae);
+        let cases = [
+            (p("2001:db8:1::/48"), 48),
+            (p("2001:db8:1::/48"), 49),
+            (p("2001:db8:1::/48"), 56),
+            (p("2001:db8:1::/48"), 64),
+            (p("2a02:27b0:4000::/46"), 56),
+            (p("2001:db8::1/128"), 128),
+            (Ipv6Prefix::ALL, 0),
+            (Ipv6Prefix::ALL, 3),
+        ];
+        for (prefix, sub_len) in cases {
+            let want: Vec<_> = prefix
+                .subnets(sub_len)
+                .unwrap()
+                .map(|sub| generator.random_addr_in(&sub))
+                .collect();
+            assert_eq!(
+                generator.one_per_subnet(&prefix, sub_len),
+                want,
+                "{prefix} -> /{sub_len}"
+            );
+        }
     }
 
     #[test]

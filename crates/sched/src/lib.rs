@@ -7,9 +7,14 @@
 //!
 //! * **Time-division at epoch granularity.** Tenant sessions execute one
 //!   epoch at a time, in global virtual-time order (earliest next epoch
-//!   boundary first, tenant index breaking ties). At most one tenant's
-//!   producer/shard threads are alive at any moment, so N campaigns cost
-//!   the peak memory of one.
+//!   boundary first, tenant index breaking ties). The scheduler owns the
+//!   shard worker threads — one [`ShardPool`] per distinct
+//!   `(shards, channel_capacity)` among its tenants, never one per tenant —
+//!   and lends a pool to the tenant that holds the step: the workers adopt
+//!   that tenant's inference state for the epoch and hand it back at the
+//!   boundary. A step therefore costs what its observations cost (no thread
+//!   is spawned or joined, no channel allocated), N campaigns cost the
+//!   threads of one, and no thread outlives [`SchedulerBuilder::run`].
 //! * **Weighted fair share, exactly.** At every step the global
 //!   packets-per-second budget is divided over the *active* tenants in
 //!   proportion to their weights using largest-remainder rounding — the
@@ -22,8 +27,9 @@
 //!   share instead of wasting it.
 //! * **Failure isolation.** A shard panic inside one tenant surfaces as a
 //!   typed [`StreamError::ShardPanicked`] in that tenant's
-//!   [`TenantOutcome`]; its session is dropped and every neighbor keeps
-//!   running, byte-identical to a run where the sick tenant never existed.
+//!   [`TenantOutcome`]; its session is dropped, the pool it ran on respawns
+//!   its workers at the next step, and every neighbor keeps running,
+//!   byte-identical to a run where the sick tenant never existed.
 //! * **Byte-identity.** A campaign's report and deterministic telemetry
 //!   are pure functions of `(config, world seed, budget trajectory)` —
 //!   never of who its neighbors are. Running solo at budget `b` and
@@ -69,6 +75,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+use std::collections::BTreeMap;
 use std::fmt;
 
 use scent_checkpoint::CheckpointError;
@@ -76,8 +83,8 @@ use scent_ipv6::Ipv6Prefix;
 use scent_prober::{ProbeTransport, WorldView};
 use scent_simnet::SimTime;
 use scent_stream::{
-    ConfigError, MonitorConfig, MonitorReport, MonitorSession, MonitorSnapshot, StopSignal,
-    StreamError,
+    ConfigError, MonitorConfig, MonitorReport, MonitorSession, MonitorSnapshot, ShardPool,
+    StopSignal, StreamError,
 };
 use scent_telemetry::StreamObserver;
 
@@ -357,6 +364,12 @@ impl<'a, B: ProbeTransport + WorldView + ?Sized> SchedulerBuilder<'a, B> {
         let mut sessions: Vec<Option<MonitorSession<'a, B>>> =
             Vec::with_capacity(self.tenants.len());
         let mut failures: Vec<Option<StreamError>> = Vec::with_capacity(self.tenants.len());
+        // Which pool a tenant's epochs run on: tenants whose workers and
+        // queues would be the same share them.
+        let shapes: Vec<(usize, usize)> = (self.tenants.iter())
+            .map(|(campaign, _)| (campaign.config.shards, campaign.config.channel_capacity))
+            .collect();
+        let mut pools: BTreeMap<(usize, usize), ShardPool> = BTreeMap::new();
         for (tenant, (campaign, _)) in self.tenants.into_iter().enumerate() {
             let mut session = MonitorSession::new(
                 campaign.world,
@@ -419,13 +432,21 @@ impl<'a, B: ProbeTransport + WorldView + ?Sized> SchedulerBuilder<'a, B> {
                 shares,
             });
             let session = sessions[chosen].as_mut().expect("active session");
-            if let Err(error) = session.run_epoch(share) {
+            let shape @ (shards, channel_capacity) = shapes[chosen];
+            let pool = pools
+                .entry(shape)
+                .or_insert_with(|| ShardPool::open(shards, channel_capacity));
+            if let Err(error) = session.run_epoch_on(pool, share) {
                 // Isolate the failure: record it, drop the poisoned
-                // session, keep every neighbor running.
+                // session, keep every neighbor running (the pool's next
+                // lease starts from fresh workers).
                 failures[chosen] = Some(error);
                 sessions[chosen] = None;
             }
         }
+        // Join the workers before the reports are folded: their parked
+        // batch buffers are not part of any report's peak.
+        drop(pools);
 
         let tenants = sessions
             .into_iter()

@@ -1,14 +1,38 @@
-//! The ingest engine: one owner for the shard pool's whole lifecycle, and
+//! The ingest engine: one owner for the shard workers' whole lifecycle, and
 //! for how a probe pass becomes observation sources.
 //!
 //! The paper's method is one loop run at two time scales — probe a permuted
 //! target list, classify the EUI-64 responses per /48, repeat a day later —
-//! and [`IngestEngine`] is that loop's machinery, once: spawn the shard
-//! workers, build the [`ShardRouter`] around the caller's [`ShardMap`] with
-//! the recycle pool sized for everything that can be in flight,
-//! [`drive`](IngestEngine::drive) producer sources through the merged clock
-//! into the shards, and [`close`](IngestEngine::close) into the final shard
-//! states or a typed error.
+//! and this module is that loop's machinery, once. The lifecycle is
+//! **open a pool → lease it → release → drop the pool**:
+//!
+//! * A [`ShardPool`] is the part that does not depend on whose observations
+//!   flow: the shard worker threads, their bounded channels, the per-shard
+//!   batch buffers and the recycle pool sized for everything that can be in
+//!   flight. Whoever loops over epochs owns one —
+//!   [`StreamMonitor::run_controlled`](crate::monitor::StreamMonitor::run_controlled)
+//!   for a solo run, the `scent-sched` scheduler for a fleet (one per
+//!   distinct `(shards, channel_capacity)`, lent to the tenant that holds the
+//!   step) — so an epoch costs what its observations cost: no thread is
+//!   spawned or joined, no channel or buffer allocated, at a boundary.
+//! * An [`IngestEngine`] is one *lease* of a pool
+//!   ([`IngestEngine::lease`]): every worker is handed the lessee's carried
+//!   [`ShardInference`] by move, the [`ShardRouter`] is armed with the
+//!   lessee's [`ShardMap`] and observer, [`drive`](IngestEngine::drive)
+//!   merges producer sources into the shards, and
+//!   [`release`](IngestEngine::release) has every worker hand its state back
+//!   by move — into the final shard states or a typed error. Workers hold
+//!   nothing of the lessee between leases.
+//! * [`IngestEngine::open`] / [`close`](IngestEngine::close) are the lease
+//!   that owns its pool — open a pool and lease it; release, then drop the
+//!   pool — for a run that is one lease long (the streamed pipeline, a
+//!   single [`MonitorSession::run_epoch`](crate::monitor::MonitorSession::run_epoch),
+//!   the hot-path bench and the allocation regression test).
+//!
+//! A worker that dies takes its pool with it, never a neighbour: the release
+//! joins every worker, reports [`StreamError::ShardPanicked`], and the pool's
+//! next lease starts from freshly spawned workers. Dropping a pool joins its
+//! threads; none survives it.
 //!
 //! The crate's two runs never build sources themselves. They describe a
 //! pass — phase, one [`TargetStream`] built once, windows, rate, start,
@@ -17,17 +41,18 @@
 //! pass's seq → shard table, slice one [`ContinuousStream`] per producer off
 //! the one target stream, bound each to the pass's windows, count its
 //! probes, mirror the pacer on the merge side for rate telemetry, drive, and
-//! answer the end-of-pass rate on request.
+//! answer the end-of-pass rate on request. Producer threads (more than one
+//! producer) borrow the transport, so they stay scoped to their pass.
 //! [`StreamPipeline`](crate::pipeline::StreamPipeline) runs one pass per
 //! scan phase (one window each),
 //! [`MonitorSession`](crate::monitor::MonitorSession) one per epoch; the
 //! hot-path bench and the allocation regression test `drive` replayed
 //! observations instead.
-//!
-//! Workers live for one engine — one pipeline run, one monitor epoch — so
-//! making them outlive an epoch is a change to this module alone.
 
-use std::sync::mpsc::Receiver;
+use std::borrow::BorrowMut;
+use std::sync::atomic::Ordering;
+use std::sync::mpsc::{Receiver, SyncSender};
+use std::sync::Arc;
 use std::thread;
 
 use scent_prober::{ProbeTransport, QueueModel, TargetStream};
@@ -39,20 +64,32 @@ use crate::clock::{ChannelSource, CountedSource, LimitedSource, MergedClock};
 use crate::error::StreamError;
 use crate::observation::{Observation, ObservationSource, Phase};
 use crate::observe::RateReplica;
-use crate::router::{ShardMap, ShardRouter};
+use crate::router::{Lanes, ShardMap, ShardRouter, WorkerLink};
 use crate::shard::{ShardInference, ShardMsg};
 use crate::source::{continuous_seq_shards, ContinuousStream, ContinuousStreamBuilder};
 
 /// Observations accumulated per router → shard channel message. A constant,
 /// not a knob, and batching never changes a report — per-shard delivery order
-/// is the same at any size. 64 is no longer the fastest size, only the one
-/// the queue bound allows: once the probe stopped dominating, 512 read
-/// +10…+15 % `obs_per_ref_s` on `steady_watch`, but also +12.7 %
-/// `alloc_bytes_per_obs` on `tenants_64` and +15 % `peak_heap_mb` on
-/// `churn_discovery_ckpt`, because `channel_capacity` counts messages and
-/// the buffers in flight grow with the batch. Raise it only together with a
-/// queue bound counted in observations.
-pub(crate) const OBSERVATION_BATCH: usize = 64;
+/// is the same at any size. It was 64 while the shard queue was bounded in
+/// messages (a larger batch then meant more buffers in flight); the queue is
+/// bounded in observations now ([`queue_messages`]), so the batch is sized
+/// for the hand-off instead: a parked worker is woken once per 512
+/// observations, and the channel arrays are an eighth as long.
+pub(crate) const OBSERVATION_BATCH: usize = 512;
+
+/// Observations per message in the unit `channel_capacity` is stated in
+/// (the channel batch when the knob was introduced; every caller's value
+/// assumes it).
+const CAPACITY_UNIT: usize = 64;
+
+/// Messages a shard's queue holds for a configured `channel_capacity` — the
+/// one place a queue is sized. The capacity counts messages of
+/// [`CAPACITY_UNIT`] observations; the queue holds the same observations in
+/// messages of [`OBSERVATION_BATCH`], rounded up (never zero, never fewer
+/// observations in flight than the capacity asks for).
+pub(crate) fn queue_messages(channel_capacity: usize) -> usize {
+    (CAPACITY_UNIT * channel_capacity).div_ceil(OBSERVATION_BATCH)
+}
 
 /// Observations accumulated per producer-channel message. Purely a transport
 /// optimization: the merge consumes per observation either way, so batching
@@ -61,34 +98,52 @@ pub(crate) const OBSERVATION_BATCH: usize = 64;
 /// ingest rates.
 const PRODUCER_BATCH: usize = 64;
 
-/// What an [`IngestEngine`]'s workers are spawned with; the default is a
-/// fresh, unobserved shard pool.
+/// What a lease hands its pool's workers; the default is a fresh, unobserved
+/// set of pipeline shards.
 #[derive(Default)]
 pub struct IngestOptions<'t> {
     /// Telemetry: routing order and stalls from the control thread, ingest
-    /// progress from each worker, rate replay from [`IngestEngine::drive`].
+    /// progress forwarded from each worker's counter, rate replay from
+    /// [`IngestEngine::drive`].
     pub observer: Option<&'t dyn StreamObserver>,
-    /// One inference state per shard (index-aligned) for the workers to start
-    /// from — how a monitor carries state across epochs and a resumed run
+    /// One inference state per shard (index-aligned) for the workers to
+    /// adopt — how a monitor carries state across epochs and a resumed run
     /// hands back what its snapshot held. `None` starts every shard empty.
     pub initial: Option<Vec<ShardInference>>,
     /// Fault injection: this shard's worker panics on its first batch.
     pub inject_panic: Option<usize>,
 }
 
-/// The worker loop: ingest until every sender is dropped, then return the
-/// final state. With `poison` set the worker panics on its first batch — the
-/// fault-injection hook the panic-propagation tests drive.
+/// The one worker loop: adopt the state a lease left in the link when the
+/// lease's first message arrives, fold every batch into it until the
+/// [`ShardMsg::Yield`] that ends the lease; exit when the pool drops its
+/// senders. The worker borrows nothing of any lessee — progress goes to a
+/// counter the control thread forwards, the state travels by move — which
+/// is what lets it outlive every epoch and tenant it serves.
 fn worker(
     shard: usize,
     receiver: Receiver<ShardMsg>,
-    observer: Option<&dyn StreamObserver>,
-    mut state: ShardInference,
-    poison: bool,
-) -> ShardInference {
+    yielded: SyncSender<ShardInference>,
+    link: Arc<WorkerLink>,
+) {
+    let mut state = ShardInference::without_census();
+    let mut poison = false;
     let mut recycler: Option<crate::buffer::BatchReturn> = None;
     while let Ok(msg) = receiver.recv() {
+        let adoption = link
+            .adoption
+            .lock()
+            .expect("nothing panics holding the adoption slot")
+            .take();
+        if let Some(adopted) = adoption {
+            (state, poison) = adopted;
+        }
         match msg {
+            ShardMsg::Yield => {
+                let adopted = std::mem::replace(&mut state, ShardInference::without_census());
+                // The pool only stops listening once it is being dropped.
+                let _ = yielded.send(adopted);
+            }
             ShardMsg::ObserveBatch(_) if poison => {
                 panic!("injected shard panic (shard {shard})");
             }
@@ -96,9 +151,8 @@ fn worker(
                 for obs in &batch {
                     state.ingest(obs);
                 }
-                if let Some(observer) = observer {
-                    observer.on_shard_progress(shard, batch.len() as u64);
-                }
+                // A statistic: it publishes no other data.
+                link.folded.fetch_add(batch.len() as u64, Ordering::Relaxed);
                 if let Some(home) = &recycler {
                     home.give(batch);
                 }
@@ -114,7 +168,124 @@ fn worker(
             }
         }
     }
-    state
+}
+
+/// One worker thread of a [`ShardPool`], seen from the control thread.
+struct Worker {
+    handle: thread::JoinHandle<()>,
+    /// Where the worker answers [`ShardMsg::Yield`]. The worker holds the
+    /// only sender, so a dead worker reads as a hang-up, never a hang.
+    yielded: Receiver<ShardInference>,
+}
+
+/// The shard workers and everything between them and a router, kept alive
+/// across epochs and lent to one lessee at a time
+/// ([`IngestEngine::lease`]). See the [module docs](self).
+///
+/// The queue of each worker holds the observations `channel_capacity` asks
+/// for — `64 × channel_capacity`, in messages of 512 — and the recycle pool
+/// is sized to match, so steady-state routing never allocates and no
+/// returned buffer is ever dropped.
+pub struct ShardPool {
+    shards: usize,
+    channel_capacity: usize,
+    /// `None` while leased, and once a worker has died.
+    lanes: Option<Lanes>,
+    workers: Vec<Worker>,
+}
+
+impl ShardPool {
+    /// Spawn `shards` workers, each behind a bounded queue sized from
+    /// `channel_capacity` (in the unit the configuration states it:
+    /// messages of 64 observations).
+    pub fn open(shards: usize, channel_capacity: usize) -> Self {
+        assert!(shards > 0, "at least one shard");
+        assert!(channel_capacity > 0, "bounded channels need capacity");
+        let queue = queue_messages(channel_capacity);
+        let mut senders = Vec::with_capacity(shards);
+        let mut links = Vec::with_capacity(shards);
+        let mut workers = Vec::with_capacity(shards);
+        for shard in 0..shards {
+            let (tx, rx) = std::sync::mpsc::sync_channel(queue);
+            let (yield_tx, yielded) = std::sync::mpsc::sync_channel(1);
+            let link = Arc::new(WorkerLink::default());
+            let shared = Arc::clone(&link);
+            let handle = thread::spawn(move || worker(shard, rx, yield_tx, shared));
+            senders.push(tx);
+            links.push(link);
+            workers.push(Worker { handle, yielded });
+        }
+        // Per shard, the queue plus one buffer in the router's and one in
+        // the worker's hands.
+        let slots = shards * (queue + 2);
+        let (lanes, _) = Lanes::open(senders, links, OBSERVATION_BATCH, slots);
+        ShardPool {
+            shards,
+            channel_capacity,
+            lanes: Some(lanes),
+            workers,
+        }
+    }
+
+    /// Take the lanes for a lease — over fresh workers when the last lease
+    /// lost one (or never released).
+    fn lend(&mut self) -> Lanes {
+        if self.lanes.is_none() {
+            *self = ShardPool::open(self.shards, self.channel_capacity);
+        }
+        self.lanes.take().expect("an open pool holds its lanes")
+    }
+
+    /// End a lease whose router has asked every worker to yield: collect the
+    /// states in shard order and take the lanes back. Every worker is waited
+    /// for even after a death — surviving shards drain first — and the first
+    /// dead shard is reported as [`StreamError::ShardPanicked`], with every
+    /// thread of the pool joined.
+    fn collect(
+        &mut self,
+        lanes: Lanes,
+        observer: Option<&dyn StreamObserver>,
+    ) -> Result<Vec<ShardInference>, StreamError> {
+        let mut states = Vec::with_capacity(self.workers.len());
+        let mut panicked = None;
+        for (shard, worker) in self.workers.iter().enumerate() {
+            match worker.yielded.recv() {
+                Ok(state) => states.push(state),
+                Err(_) => {
+                    panicked.get_or_insert(shard);
+                }
+            }
+            if let Some(observer) = observer {
+                lanes.forward_progress(shard, observer);
+            }
+        }
+        match panicked {
+            Some(shard) => {
+                drop(lanes);
+                self.join();
+                Err(StreamError::ShardPanicked { shard })
+            }
+            None => {
+                self.lanes = Some(lanes);
+                Ok(states)
+            }
+        }
+    }
+
+    /// Hang up on the workers and join them. A worker's panic was already
+    /// reported by the release that met it.
+    fn join(&mut self) {
+        self.lanes = None;
+        for worker in self.workers.drain(..) {
+            let _ = worker.handle.join();
+        }
+    }
+}
+
+impl Drop for ShardPool {
+    fn drop(&mut self) {
+        self.join();
+    }
 }
 
 /// Run each source on its own scoped producer thread, feeding a bounded
@@ -179,6 +350,10 @@ pub(crate) struct Pass<'m> {
     /// the pass's first window ([`TargetStream::starting_at_window`]). Every
     /// producer probes a strided slice of a clone.
     pub targets: TargetStream,
+    /// The seq → shard table of `targets` under the engine's map, when the
+    /// caller kept the one an earlier pass over the same targets built
+    /// (`ShardRouter::clear_seq_shards` hands it back); `None` builds it.
+    pub seq_shards: Option<Vec<u32>>,
     /// How many windows of `targets` the pass probes.
     pub windows: u64,
     /// Probe budget per second — the ceiling feedback recovers to.
@@ -225,31 +400,52 @@ impl<T: ProbeTransport + ?Sized> PassEnd<'_, T> {
     }
 }
 
-/// A running shard pool: the workers, the router feeding them, and the scope
-/// its producer threads spawn into. See the [module docs](self).
-pub struct IngestEngine<'scope, 'env> {
+/// One lease of a [`ShardPool`]: the router armed for this lessee, the
+/// pool it returns to, and the scope its producer threads spawn into. `P` is
+/// the pool itself for a lease that owns it ([`IngestEngine::open`]) or a
+/// `&mut ShardPool` for one that borrows a longer-lived pool
+/// ([`IngestEngine::lease`]). See the [module docs](self).
+pub struct IngestEngine<'scope, 'env, P = ShardPool> {
     scope: &'scope thread::Scope<'scope, 'env>,
+    // Declared before `pool`: an engine dropped without a release must hang
+    // up on the workers before an owned pool's drop joins them.
     router: ShardRouter<'scope>,
-    handles: Vec<thread::ScopedJoinHandle<'scope, ShardInference>>,
+    pool: P,
     observer: Option<&'scope dyn StreamObserver>,
-    channel_capacity: usize,
 }
 
 impl<'scope, 'env> IngestEngine<'scope, 'env> {
-    /// Spawn one worker per shard of `map`, each behind a bounded channel of
-    /// `channel_capacity` messages, and build the router around them.
-    ///
-    /// The recycle pool is built once, sized to the maximum batch population
-    /// that can be in flight — per shard, the channel's queue plus one buffer
-    /// in the router's and one in the worker's hands — so steady-state
-    /// routing never allocates and no returned buffer is ever dropped.
+    /// Open a pool of one worker per shard of `map` — queues sized from
+    /// `channel_capacity`, see [`ShardPool::open`] — and lease it for the
+    /// pool's whole life: [`close`](IngestEngine::close) ends both.
     pub fn open(
         scope: &'scope thread::Scope<'scope, 'env>,
         map: ShardMap,
         channel_capacity: usize,
         options: IngestOptions<'scope>,
     ) -> Self {
-        assert!(channel_capacity > 0, "bounded channels need capacity");
+        let pool = ShardPool::open(map.shards(), channel_capacity);
+        Self::lease(pool, scope, map, options)
+    }
+
+    /// [`release`](IngestEngine::release) the lease and drop the pool: every
+    /// worker is joined before this returns, dead or alive.
+    pub fn close(self) -> Result<Vec<ShardInference>, StreamError> {
+        self.release()
+    }
+}
+
+impl<'scope, 'env, P: BorrowMut<ShardPool>> IngestEngine<'scope, 'env, P> {
+    /// Lease `pool` (which must have one worker per shard of `map`): arm the
+    /// router with `map` and the lessee's observer, and hand every worker
+    /// its starting state. A pool whose last lease lost a worker starts this
+    /// one from freshly spawned workers.
+    pub fn lease(
+        mut pool: P,
+        scope: &'scope thread::Scope<'scope, 'env>,
+        map: ShardMap,
+        options: IngestOptions<'scope>,
+    ) -> Self {
         let IngestOptions {
             observer,
             initial,
@@ -263,29 +459,15 @@ impl<'scope, 'env> IngestEngine<'scope, 'env> {
             }
             None => vec![ShardInference::new(); shards],
         };
-        let mut senders = Vec::with_capacity(shards);
-        let mut handles = Vec::with_capacity(shards);
-        for (shard, seed) in initial.into_iter().enumerate() {
-            let (tx, rx) = std::sync::mpsc::sync_channel(channel_capacity);
-            let poison = inject_panic == Some(shard);
-            senders.push(tx);
-            handles.push(scope.spawn(move || worker(shard, rx, observer, seed, poison)));
-        }
-        let mut router = ShardRouter::with_pool(
-            map,
-            senders,
-            OBSERVATION_BATCH,
-            shards * (channel_capacity + 2),
-        );
-        if let Some(observer) = observer {
-            router = router.with_observer(observer);
+        let mut router = ShardRouter::over(pool.borrow_mut().lend(), map, observer);
+        for (shard, state) in initial.into_iter().enumerate() {
+            router.adopt(shard, state, inject_panic == Some(shard));
         }
         IngestEngine {
             scope,
             router,
-            handles,
+            pool,
             observer,
-            channel_capacity,
         }
     }
 
@@ -324,7 +506,8 @@ impl<'scope, 'env> IngestEngine<'scope, 'env> {
             let source = sources.into_iter().next().expect("one source");
             self.ingest(source, replica, hook);
         } else {
-            let clock = spawn_producers(self.scope, sources, self.channel_capacity);
+            let capacity = self.pool.borrow().channel_capacity;
+            let clock = spawn_producers(self.scope, sources, capacity);
             self.ingest(clock, replica, hook);
         }
         self.router.routed() - before
@@ -355,9 +538,13 @@ impl<'scope, 'env> IngestEngine<'scope, 'env> {
         // One position → shard table serves every window every producer will
         // emit, replacing the per-observation longest-prefix lookup. One
         // ShardMap serves both the router and the pacers, so the two agree by
-        // construction.
-        let table = continuous_seq_shards(self.router.map(), &pass.targets);
-        self.router.set_seq_shards(table);
+        // construction. (A one-shard router looks nothing up.)
+        if self.router.map().shards() > 1 {
+            let table = pass
+                .seq_shards
+                .unwrap_or_else(|| continuous_seq_shards(self.router.map(), &pass.targets));
+            self.router.set_seq_shards(table);
+        }
         let feedback = pass
             .feedback
             .map(|model| (model.clone(), self.router.map().clone()));
@@ -423,26 +610,20 @@ impl<'scope, 'env> IngestEngine<'scope, 'env> {
         }
     }
 
-    /// Shut the stream down and hand back the final shard states, in shard
-    /// order. Every worker is joined even after a death — surviving shards
-    /// drain first — and the first dead shard is reported as
-    /// [`StreamError::ShardPanicked`], never re-raised on this thread.
-    pub fn close(self) -> Result<Vec<ShardInference>, StreamError> {
-        self.router.shutdown();
-        let mut states = Vec::with_capacity(self.handles.len());
-        let mut panicked = None;
-        for (shard, handle) in self.handles.into_iter().enumerate() {
-            match handle.join() {
-                Ok(state) => states.push(state),
-                Err(_) => {
-                    panicked.get_or_insert(shard);
-                }
-            }
-        }
-        match panicked {
-            Some(shard) => Err(StreamError::ShardPanicked { shard }),
-            None => Ok(states),
-        }
+    /// End the lease and hand back the shard states, in shard order: every
+    /// buffered batch is delivered, every worker yields the state it adopted
+    /// — by move — and the pool is ready for its next lessee. A worker that
+    /// died is reported as [`StreamError::ShardPanicked`] (the first, in
+    /// shard order), never re-raised on this thread; the survivors drain
+    /// first, and every thread of the pool is joined before this returns.
+    pub fn release(self) -> Result<Vec<ShardInference>, StreamError> {
+        let IngestEngine {
+            router,
+            mut pool,
+            observer,
+            ..
+        } = self;
+        pool.borrow_mut().collect(router.yield_states(), observer)
     }
 }
 
@@ -501,6 +682,85 @@ mod tests {
             assert_eq!(finals[owner].observations, 1);
             assert_eq!(finals[1 - owner].observations, 0);
         });
+    }
+
+    /// The queue holds the observations `channel_capacity` asks for, in
+    /// messages of the engine's batch: never zero messages, never fewer
+    /// observations in flight than when the capacity counted 64-observation
+    /// messages itself.
+    #[test]
+    fn queue_is_sized_in_observations() {
+        assert_eq!(OBSERVATION_BATCH, 512);
+        for (capacity, messages) in [(1, 1), (7, 1), (8, 1), (9, 2), (1024, 128)] {
+            assert_eq!(queue_messages(capacity), messages, "capacity {capacity}");
+            assert!(messages * OBSERVATION_BATCH >= 64 * capacity);
+            assert!(
+                (messages - 1) * OBSERVATION_BATCH < 64 * capacity,
+                "rounded up once"
+            );
+        }
+    }
+
+    /// One pool, lease after lease: each lessee's states go in by move and
+    /// come back holding exactly what was routed under that lease — nothing
+    /// of the lessee before — and a lease that loses a worker fails alone:
+    /// the next one runs on fresh workers.
+    #[test]
+    fn a_pool_serves_lease_after_lease_and_survives_a_dead_worker() {
+        let world = Engine::build(scenarios::continuous_world(9)).unwrap();
+        let map = || ShardMap::new(&world.rib().entries(), 2);
+        let mut pool = ShardPool::open(2, 4);
+        let mut carried: Option<Vec<ShardInference>> = None;
+        for lease in 1..=3u64 {
+            let states = std::thread::scope(|scope| {
+                let options = IngestOptions {
+                    initial: carried.take(),
+                    ..IngestOptions::default()
+                };
+                let mut engine = IngestEngine::lease(&mut pool, scope, map(), options);
+                let sources = producers(&world, 2)
+                    .into_iter()
+                    .map(|stream| LimitedSource::new(stream, 128))
+                    .collect();
+                assert_eq!(engine.drive(sources, None, |_, _| {}), 256);
+                engine.release().unwrap()
+            });
+            let folded: u64 = states.iter().map(|state| state.observations).sum();
+            assert_eq!(folded, 256 * lease, "carried state plus this lease");
+            carried = Some(states);
+        }
+        // Another lessee, starting empty, sees none of that.
+        let fresh = std::thread::scope(|scope| {
+            IngestEngine::lease(&mut pool, scope, map(), IngestOptions::default()).release()
+        });
+        assert!(fresh.unwrap().iter().all(|state| state.observations == 0));
+
+        // The one watched /48 lives in one announcement, so on one shard:
+        // poison that one, or the endless drive below never ends.
+        let owner = (carried.as_ref().expect("carried out of the loop").iter())
+            .position(|state| state.observations > 0)
+            .expect("some shard folded the traffic");
+        let poisoned = std::thread::scope(|scope| {
+            let options = IngestOptions {
+                inject_panic: Some(owner),
+                ..IngestOptions::default()
+            };
+            let mut engine = IngestEngine::lease(&mut pool, scope, map(), options);
+            engine.drive(producers(&world, 1), None, |_, _| {});
+            engine.release()
+        });
+        assert_eq!(
+            poisoned.unwrap_err(),
+            StreamError::ShardPanicked { shard: owner }
+        );
+        let after = std::thread::scope(|scope| {
+            let mut engine = IngestEngine::lease(&mut pool, scope, map(), IngestOptions::default());
+            let source = LimitedSource::new(producers(&world, 1).remove(0), 256);
+            engine.drive(vec![source], None, |_, _| {});
+            engine.release()
+        });
+        let folded: u64 = after.unwrap().iter().map(|state| state.observations).sum();
+        assert_eq!(folded, 256, "the poison died with the lease it was for");
     }
 
     /// Many sources driven through producer threads and the merged clock

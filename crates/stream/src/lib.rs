@@ -15,7 +15,7 @@
 //! | Producer sharding | [`clock`] | Recombine P per-slice producers through the [`MergedClock`] — bit-identical output for any producer count |
 //! | Shard routing | [`router`] | Partition observations by announced prefix (/32 granularity) over bounded channels; [`ShardMap`] exposes the pure target → shard mapping the feedback model shares |
 //! | Per-shard inference | [`shard`] | [`ShardInference`]: the state a shard worker folds observations into — the incremental classifiers of `scent-core` — and its order-normalized merge |
-//! | The one engine | [`engine`] | [`IngestEngine`]: the shard pool's whole lifecycle — spawn workers, build the router and its recycle pool, drive producer sources through the merged clock and a per-observation hook into the shards, close into final states or a typed error — and the one place a described probe pass becomes paced, sliced, counted, rate-mirrored sources. The pipeline (one pass per scan) and the monitor (one pass per epoch) are its only production callers |
+//! | The one engine | [`engine`] | [`ShardPool`]: the shard worker threads, their queues and the recycle pool, owned by whoever loops over epochs and joined when it drops. [`IngestEngine`]: one lease of a pool — hand the workers the lessee's states, arm the router with its map and observer, drive producer sources through the merged clock and a per-observation hook into the shards, release into the states handed back or a typed error — and the one place a described probe pass becomes paced, sliced, counted, rate-mirrored sources. The pipeline (one pass per scan) and the monitor (one lease per epoch) are its only production callers |
 //! | Batch equivalence | [`pipeline`] | [`StreamPipeline`]: the full discovery pipeline, streamed — produces an identical [`PipelineReport`](scent_core::PipelineReport) |
 //! | Continuous monitor | [`monitor`] | [`StreamMonitor`]: endless windows, [`RotationEvent`](scent_core::RotationEvent)s, passive tracking, and an optionally *live* watch list ([`WatchChurn`]) revised from the monitor's own density state; [`MonitorSession`] exposes the same run one epoch at a time for external scheduling |
 //! | Typed failures | [`error`] | [`ConfigError`]: the one statement of what a runnable [`StreamConfig`]/[`MonitorConfig`] is (`validate`); [`StreamError`]: checkpoint failures and shard-worker panics surface as values, never as control-thread panics |
@@ -76,7 +76,7 @@ pub mod source;
 pub use buffer::{batch_pool, BatchPool, BatchReturn, PoolCounters};
 pub use checkpoint::{config_fingerprint, world_fingerprint, MonitorSnapshot, StopSignal};
 pub use clock::{ChannelSource, CountedSource, LimitedSource, MergedClock};
-pub use engine::{spawn_producers, IngestEngine, IngestOptions};
+pub use engine::{spawn_producers, IngestEngine, IngestOptions, ShardPool};
 pub use error::{ConfigError, StreamError};
 pub use monitor::{
     MonitorConfig, MonitorControl, MonitorReport, MonitorSession, StreamMonitor, WatchChurn,

@@ -35,7 +35,7 @@ use scent_simnet::{SimDuration, SimTime};
 use scent_telemetry::{EpochSummary, StreamObserver};
 
 use crate::checkpoint::{config_fingerprint, world_fingerprint, MonitorSnapshot, StopSignal};
-use crate::engine::{IngestEngine, IngestOptions, Pass, PassEnd};
+use crate::engine::{IngestEngine, IngestOptions, Pass, PassEnd, ShardPool};
 use crate::error::{ConfigError, StreamError};
 use crate::observation::{Observation, Phase};
 use crate::router::ShardMap;
@@ -115,14 +115,14 @@ pub struct MonitorConfig {
     /// for any count, with [`MonitorConfig::rate_feedback`] on or off (every
     /// producer replays the same deterministic rate trajectory locally).
     pub producers: usize,
-    /// Bounded per-shard queue capacity, in messages. Also the per-producer
-    /// channel capacity when `producers > 1`. Both edges carry up to 64
-    /// observations per message — a constant, not a knob, and batch size
-    /// never changes a report — so a producer can run up to
-    /// `64 * channel_capacity` observations ahead of the merge. Because the
-    /// bound counts messages, memory in flight scales with the batch size:
-    /// a larger batch is faster on the monitor but needs this counted in
-    /// observations first (see `OBSERVATION_BATCH` in `engine.rs`).
+    /// Bounded per-shard queue capacity, in messages of 64 observations —
+    /// the unit is historical and fixed: a shard's queue holds
+    /// `64 * channel_capacity` observations, however many the engine packs
+    /// into a message (512; a constant, not a knob, and batch size never
+    /// changes a report), so observations and bytes in flight are set by
+    /// this value alone. Also the per-producer channel capacity when
+    /// `producers > 1`, where a message does carry 64: a producer can run up
+    /// to `64 * channel_capacity` observations ahead of the merge.
     pub channel_capacity: usize,
     /// Seed controlling target generation and probe order.
     pub seed: u64,
@@ -440,9 +440,10 @@ impl StreamMonitor {
     /// neither sink nor resume state can only fail the latter way.
     ///
     /// Internally this drives a [`MonitorSession`] one epoch at a time at
-    /// the configured budget — the session type is public so an external
-    /// scheduler can do the same with interleaved epochs and varying
-    /// budgets.
+    /// the configured budget, every epoch a lease of the one [`ShardPool`]
+    /// the run owns (dropped before the report is folded) — the session type
+    /// is public so an external scheduler can do the same with interleaved
+    /// epochs, varying budgets and a pool shared between sessions.
     pub fn run_controlled<B: ProbeTransport + WorldView + ?Sized>(
         &self,
         world: &B,
@@ -463,8 +464,10 @@ impl StreamMonitor {
         if let Some(snapshot) = resume {
             session = session.resume(snapshot)?;
         }
+        // The run owns its shard workers: every epoch leases this one pool.
+        let mut pool = ShardPool::open(self.config.shards, self.config.channel_capacity);
         while !session.is_done() {
-            session.run_epoch(self.config.packets_per_second)?;
+            session.run_epoch_on(&mut pool, self.config.packets_per_second)?;
             // Checkpoint at the boundary: on the configured cadence, plus
             // unconditionally at the run's effective end — final epoch, stop
             // boundary or watch exhaustion — the resume points someone will
@@ -483,6 +486,9 @@ impl StreamMonitor {
                 }
             }
         }
+        // Release before the fold: the parked workers' batch buffers must
+        // not sit under the report merge's peak.
+        drop(pool);
         Ok(session.finish())
     }
 }
@@ -494,15 +500,18 @@ impl StreamMonitor {
 ///
 /// A session owns every piece of incremental run state: the live watch list
 /// and revision history, the carried per-shard inference states, the rate
-/// trajectory, the stop/exhaustion flags. Each [`MonitorSession::run_epoch`]
-/// call advances exactly one epoch at a caller-chosen probe budget, spawning
-/// the epoch's producers and shards inside the call and joining them before
-/// it returns — so at most one session's threads are alive at a time no
-/// matter how many sessions a scheduler multiplexes. Driving a fresh session
-/// to completion at a constant budget of
-/// [`MonitorConfig::packets_per_second`] reproduces [`StreamMonitor::run`]
-/// byte for byte; varying the budget between epochs is how the scheduler
-/// implements weighted fair shares.
+/// trajectory, the stop/exhaustion flags — and, while the watch list stands,
+/// the target stream built from it. It owns no thread. Each
+/// [`MonitorSession::run_epoch_on`] call advances exactly one epoch at a
+/// caller-chosen probe budget on a [`ShardPool`] the caller lends: the
+/// workers adopt the carried states for the epoch and hand them back at the
+/// boundary, so one pool serves any number of sessions a scheduler
+/// multiplexes and between calls none of a session's state lives outside it
+/// ([`MonitorSession::run_epoch`] is the same epoch on a pool opened and
+/// dropped inside the call). Driving a fresh session to completion at a
+/// constant budget of [`MonitorConfig::packets_per_second`] reproduces
+/// [`StreamMonitor::run`] byte for byte; varying the budget between epochs
+/// is how the scheduler implements weighted fair shares.
 ///
 /// The tenant tag ([`MonitorSession::with_tenant`]) rides every observation
 /// into the merged clock's key so neighboring tenants' epochs can never
@@ -534,12 +543,29 @@ pub struct MonitorSession<'a, B: ?Sized> {
     failed: bool,
     fingerprints: Option<(u64, u64)>,
     started: Option<std::time::Instant>,
+    /// The target stream of the standing watch list: built by the first
+    /// epoch that probes it, dropped when a revision changes the list, on
+    /// [`MonitorSession::resume`] and once the session is done.
+    kept: Option<KeptPass>,
+}
+
+/// What an epoch's pass needs that is a pure function of the watch list (and
+/// the seed), so it is built once per list, not once per epoch.
+struct KeptPass {
+    /// One target per granularity block of every watched /48, permuted,
+    /// positioned at window 0 (the list is shared storage: an epoch clones
+    /// a cursor).
+    targets: TargetStream,
+    /// The seq → shard table of `targets`, handed back by the router after
+    /// each pass. `None` until a pass built one — and always with one shard,
+    /// which routes without.
+    seq_shards: Option<Vec<u32>>,
 }
 
 impl<'a, B: ProbeTransport + WorldView + ?Sized> MonitorSession<'a, B> {
     /// Open a session: validate the configuration, lay out the epochs and
-    /// arm the initial watch list. No threads are spawned until
-    /// [`MonitorSession::run_epoch`].
+    /// arm the initial watch list. A session spawns no threads; its epochs
+    /// run on a [`ShardPool`].
     ///
     /// A churn-enabled session whose *initial* watch list is already empty
     /// starts exhausted ([`MonitorReport::exhausted_at`] `= Some(0)`):
@@ -620,6 +646,7 @@ impl<'a, B: ProbeTransport + WorldView + ?Sized> MonitorSession<'a, B> {
             failed: false,
             fingerprints: None,
             started,
+            kept: None,
             config,
         }
     }
@@ -671,6 +698,7 @@ impl<'a, B: ProbeTransport + WorldView + ?Sized> MonitorSession<'a, B> {
         self.current_window = snapshot.current_window;
         self.final_rate = snapshot.final_rate;
         self.watched = snapshot.watched;
+        self.kept = None;
         self.revisions = snapshot.revisions;
         self.expansion_probes = snapshot.expansion_probes;
         // The config fingerprint already ties the snapshot to this run's
@@ -779,22 +807,36 @@ impl<'a, B: ProbeTransport + WorldView + ?Sized> MonitorSession<'a, B> {
             + SimDuration::from_secs(self.config.window_interval.as_secs() * (start_window + len))
     }
 
-    /// Advance the session by exactly one epoch, probing at `pps` packets
-    /// per second. Returns whether a [`StopSignal`] was observed (the
-    /// session is then done).
+    /// Advance the session by exactly one epoch on a pool of its own:
+    /// open a [`ShardPool`] for this configuration,
+    /// [`run_epoch_on`](MonitorSession::run_epoch_on) it, drop it (joining
+    /// its workers) before returning. Whoever runs more than one epoch
+    /// should hold the pool instead — that is what
+    /// [`StreamMonitor::run_controlled`] and the `scent-sched` scheduler do.
+    pub fn run_epoch(&mut self, pps: u64) -> Result<bool, StreamError> {
+        let mut pool = ShardPool::open(self.config.shards, self.config.channel_capacity);
+        self.run_epoch_on(&mut pool, pps)
+    }
+
+    /// Advance the session by exactly one epoch on a lent `pool` (one worker
+    /// per [`MonitorConfig::shards`]), probing at `pps` packets per second.
+    /// Returns whether a [`StopSignal`] was observed (the session is then
+    /// done).
     ///
-    /// The epoch's producers and inference shards are spawned inside the
-    /// call and joined before it returns; the carried per-shard states seed
-    /// the workers and are collected back, so a sequence of `run_epoch`
-    /// calls is observation-for-observation identical to the single
-    /// [`StreamMonitor::run`] loop at the same budgets.
+    /// The epoch leases the pool: the workers adopt the carried per-shard
+    /// states by move and yield them back at the boundary, so a sequence of
+    /// calls — on one pool, on several, or on a pool other sessions use in
+    /// between — is observation-for-observation identical to the single
+    /// [`StreamMonitor::run`] loop at the same budgets. Producer threads
+    /// (with more than one producer) live inside the call.
     ///
     /// A shard worker dying mid-epoch aborts the epoch cleanly — the ingest
-    /// loop stops routing, surviving workers drain and are joined — and
-    /// surfaces as [`StreamError::ShardPanicked`]. The session is then
-    /// failed: [`MonitorSession::is_done`] turns true and no report can be
-    /// produced from it.
-    pub fn run_epoch(&mut self, pps: u64) -> Result<bool, StreamError> {
+    /// loop stops routing, surviving workers drain, the pool's threads are
+    /// joined — and surfaces as [`StreamError::ShardPanicked`]. The session
+    /// is then failed: [`MonitorSession::is_done`] turns true and no report
+    /// can be produced from it. The pool is not: its next lease spawns
+    /// fresh workers.
+    pub fn run_epoch_on(&mut self, pool: &mut ShardPool, pps: u64) -> Result<bool, StreamError> {
         assert!(!self.is_done(), "run_epoch on a finished session");
         let epoch = self.next_epoch;
         let epochs_len = self.epochs.len();
@@ -802,8 +844,9 @@ impl<'a, B: ProbeTransport + WorldView + ?Sized> MonitorSession<'a, B> {
         let initial = std::mem::take(&mut self.states);
         // The discovery tree is driven inside the thread scope (its sweep
         // observations must route into live shards), so it moves into a
-        // local for the epoch and back afterwards.
+        // local for the epoch and back afterwards — as does the kept pass.
         let mut discovery = self.discovery.take();
+        let mut kept = self.kept.take();
         let mut tree_candidates: Vec<Ipv6Prefix> = Vec::new();
         let mut current_window = self.current_window;
         // Per-epoch density state feeding the next revision, keyed by
@@ -817,10 +860,10 @@ impl<'a, B: ProbeTransport + WorldView + ?Sized> MonitorSession<'a, B> {
         let (world, tenant, generator) = (session.world, session.tenant, &session.generator);
 
         let (closed, stalls, stopping, final_rate) = std::thread::scope(|scope| {
-            let mut engine = IngestEngine::open(
+            let mut engine = IngestEngine::lease(
+                pool,
                 scope,
                 session.shard_map.clone(),
-                cfg.channel_capacity,
                 IngestOptions {
                     observer: session.observer,
                     initial: Some(initial),
@@ -829,6 +872,7 @@ impl<'a, B: ProbeTransport + WorldView + ?Sized> MonitorSession<'a, B> {
             );
             let end = session.probe_pass(
                 &mut engine,
+                &mut kept,
                 (start_window, len),
                 pps,
                 &mut epoch_density,
@@ -858,9 +902,8 @@ impl<'a, B: ProbeTransport + WorldView + ?Sized> MonitorSession<'a, B> {
             let router = engine.router();
             if let (Some(tree), Some(dcfg)) = (discovery.as_mut(), cfg.discovery.as_ref()) {
                 if epoch + 1 < epochs_len && router.dead_shard().is_none() {
-                    // Discovery targets are not in this epoch's seq table;
-                    // fall back to per-observation map lookups for them.
-                    router.clear_seq_shards();
+                    // Discovery targets are not the pass's: with its seq
+                    // table taken back, they route by map lookup.
                     let boundary = cfg.start
                         + SimDuration::from_secs(
                             cfg.window_interval.as_secs() * (start_window + len),
@@ -906,15 +949,17 @@ impl<'a, B: ProbeTransport + WorldView + ?Sized> MonitorSession<'a, B> {
             }
 
             let stalls = router.stalls();
-            (engine.close(), stalls, stopping, final_rate)
+            (engine.release(), stalls, stopping, final_rate)
         });
 
         self.stalls += stalls;
         self.discovery = discovery;
+        self.kept = kept;
         self.states = match closed {
             Ok(states) => states,
             Err(err) => {
                 self.failed = true;
+                self.kept = None;
                 return Err(err);
             }
         };
@@ -976,7 +1021,10 @@ impl<'a, B: ProbeTransport + WorldView + ?Sized> MonitorSession<'a, B> {
                         expansion_probes,
                     });
                 }
-                self.watched = next;
+                if next != self.watched {
+                    self.kept = None;
+                    self.watched = next;
+                }
                 self.revisions.push(revision);
                 // Terminal-empty: every watched /48 went quiet and the
                 // boundary expansion validated nothing. Re-expansion seeds
@@ -1003,6 +1051,11 @@ impl<'a, B: ProbeTransport + WorldView + ?Sized> MonitorSession<'a, B> {
         self.completed_windows = start_window + len;
         self.next_epoch = epoch + 1;
         self.stopped = stopping;
+        if self.is_done() {
+            // Nothing will probe it again, and `finish` should not fold the
+            // report on top of it.
+            self.kept = None;
+        }
         Ok(stopping)
     }
 
@@ -1013,28 +1066,28 @@ impl<'a, B: ProbeTransport + WorldView + ?Sized> MonitorSession<'a, B> {
     /// state when the watch list churns, and retention compaction as the
     /// window advances.
     ///
-    /// The target list is one target per [`MonitorConfig::granularity`]
-    /// block of every watched /48, minus whatever the discovery blocklist
-    /// covers — filtered at enumeration time, before any probe exists —
-    /// permuted once for the whole epoch, whatever the producer count.
+    /// The target stream is `kept`'s — built here ([`Self::target_stream`])
+    /// when no earlier epoch of the standing watch list left one — and the
+    /// epoch probes a cursor on it, whatever the producer count. The seq →
+    /// shard table the pass routed by goes back into `kept` with it.
     fn probe_pass<'scope>(
         &'scope self,
-        engine: &mut IngestEngine<'scope, '_>,
+        engine: &mut IngestEngine<'scope, '_, &mut ShardPool>,
+        kept: &mut Option<KeptPass>,
         (start_window, len): (u64, u64),
         pps: u64,
         epoch_density: &mut FastMap<Ipv6Prefix, DensityAccumulator>,
         current_window: &mut u64,
     ) -> PassEnd<'scope, B> {
         let cfg = &self.config;
-        let mut targets = self
-            .generator
-            .per_candidate_48(&self.watched, cfg.granularity);
-        if let Some(discovery) = &cfg.discovery {
-            targets.retain(|target| !discovery.blocklist.covers_addr(*target));
-        }
+        let kept = kept.get_or_insert_with(|| KeptPass {
+            targets: self.target_stream(),
+            seq_shards: None,
+        });
         let pass = Pass {
             phase: Phase::Detection,
-            targets: TargetStream::over(targets, cfg.seed, true).starting_at_window(start_window),
+            targets: kept.targets.clone().starting_at_window(start_window),
+            seq_shards: kept.seq_shards.take(),
             windows: len,
             rate_pps: pps,
             start: cfg.start,
@@ -1043,7 +1096,7 @@ impl<'a, B: ProbeTransport + WorldView + ?Sized> MonitorSession<'a, B> {
             // Each epoch's revised target set is paced from scratch.
             feedback: cfg.rate_feedback.then_some(&cfg.queue_model),
         };
-        engine.run_pass(self.world, cfg.producers, pass, |router, obs| {
+        let end = engine.run_pass(self.world, cfg.producers, pass, |router, obs| {
             if cfg.churn.is_some() {
                 epoch_density
                     .entry(obs.target_48())
@@ -1058,7 +1111,24 @@ impl<'a, B: ProbeTransport + WorldView + ?Sized> MonitorSession<'a, B> {
                     }
                 }
             }
-        })
+        });
+        kept.seq_shards = engine.router().clear_seq_shards();
+        end
+    }
+
+    /// The watch list's target stream, at window 0: one target per
+    /// [`MonitorConfig::granularity`] block of every watched /48, minus
+    /// whatever the discovery blocklist covers — filtered at enumeration
+    /// time, before any probe exists — permuted once.
+    fn target_stream(&self) -> TargetStream {
+        let cfg = &self.config;
+        let mut targets = self
+            .generator
+            .per_candidate_48(&self.watched, cfg.granularity);
+        if let Some(discovery) = &cfg.discovery {
+            targets.retain(|target| !discovery.blocklist.covers_addr(*target));
+        }
+        TargetStream::over(targets, cfg.seed, true)
     }
 
     /// Capture the session's state at the current epoch boundary — the same
@@ -1596,6 +1666,103 @@ mod tests {
             }
         }
         assert_eq!(replayed.into_iter().collect::<Vec<_>>(), report.final_watch);
+    }
+
+    /// Drive `session` to the end on one pool, checking at every boundary
+    /// that the kept target stream is exactly what a rebuild from the watch
+    /// list would be, and that it survives a boundary if and only if the
+    /// watch list did. Returns how many boundaries kept it and how many
+    /// dropped it.
+    fn check_kept_stream(mut session: MonitorSession<'_, Engine>) -> (usize, usize) {
+        let mut pool = ShardPool::open(session.config.shards, session.config.channel_capacity);
+        let (mut kept, mut dropped) = (0, 0);
+        assert!(session.kept.is_none(), "nothing is built before an epoch");
+        while !session.is_done() {
+            let before = session.watched.clone();
+            session.run_epoch_on(&mut pool, 10_000).unwrap();
+            if session.is_done() {
+                assert!(session.kept.is_none(), "a done session keeps nothing");
+                break;
+            }
+            match &session.kept {
+                Some(pass) => {
+                    assert_eq!(session.watched, before, "kept across a changed list");
+                    let rebuilt = session.target_stream();
+                    assert_eq!(pass.targets.window_len(), rebuilt.window_len());
+                    for pos in 0..rebuilt.window_len() {
+                        assert_eq!(pass.targets.target_at(pos), rebuilt.target_at(pos));
+                    }
+                    assert_eq!(
+                        pass.seq_shards.is_some(),
+                        session.config.shards > 1,
+                        "the table is kept exactly when one is routed by"
+                    );
+                    kept += 1;
+                }
+                None => {
+                    assert_ne!(session.watched, before, "dropped though the list stands");
+                    dropped += 1;
+                }
+            }
+        }
+        (kept, dropped)
+    }
+
+    /// The kept target stream is a per-epoch rebuild, minus the rebuilding:
+    /// a revision that changes the watch list invalidates it, one that does
+    /// not leaves it, and a resumed session builds its own.
+    #[test]
+    fn kept_target_stream_equals_a_per_epoch_rebuild() {
+        // `churn_follows_a_migrating_pool`'s run: the band marches, so
+        // revisions change the list.
+        let engine = Engine::build(scenarios::churn_world(11)).unwrap();
+        let start = SimTime::at(10, 9);
+        let initial = vec![dense_48_at(&engine, start), engine.pools()[1].config.prefix];
+        let config = MonitorConfig {
+            windows: 6,
+            start,
+            churn: Some(WatchChurn {
+                refresh_every: 1,
+                watch_capacity: 3,
+                ..WatchChurn::default()
+            }),
+            ..MonitorConfig::default()
+        };
+        let session = MonitorSession::new(&engine, config.clone(), initial.clone(), None);
+        let (kept, dropped) = check_kept_stream(session);
+        assert!(dropped > 0, "a migrating band must invalidate the stream");
+        assert_eq!(kept + dropped, 5, "one boundary per epoch but the last");
+
+        // Resumed mid-run: the snapshot's watch list, not the initial one.
+        let mut half = MonitorSession::new(&engine, config.clone(), initial.clone(), None);
+        for _ in 0..3 {
+            half.run_epoch(10_000).unwrap();
+        }
+        let resumed = MonitorSession::new(&engine, config, initial, None)
+            .resume(half.snapshot())
+            .unwrap();
+        assert_ne!(resumed.watched, resumed.initial_watched);
+        let (kept, dropped) = check_kept_stream(resumed);
+        assert_eq!(kept + dropped, 2);
+
+        // A static world (and no churn at all): every boundary keeps it.
+        let engine = Engine::build(scenarios::entel_like(13)).unwrap();
+        let watched = watched_48s(&engine);
+        for (shards, churn) in [(1, true), (2, true), (2, false)] {
+            let config = MonitorConfig {
+                windows: 4,
+                shards,
+                checkpoint_every: Some(1),
+                churn: churn.then_some(WatchChurn {
+                    refresh_every: 1,
+                    watch_capacity: watched.len(),
+                    ..WatchChurn::default()
+                }),
+                ..MonitorConfig::default()
+            };
+            let session = MonitorSession::new(&engine, config, watched.clone(), None);
+            assert_eq!(check_kept_stream(session), (3, 0), "shards={shards}");
+        }
     }
 
     /// A churning run with a fixed-point world (nothing migrates, everything

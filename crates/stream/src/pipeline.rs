@@ -51,14 +51,14 @@ pub struct StreamConfig {
     /// merged clock keeps the observation sequence — and therefore the
     /// report — bit-identical for any count.
     pub producers: usize,
-    /// Bounded per-shard queue capacity, in messages. Also the per-producer
-    /// channel capacity when `producers > 1`. Both edges carry up to 64
-    /// observations per message — a constant, not a knob, and batch size
-    /// never changes a report — so a producer can run up to
-    /// `64 * channel_capacity` observations ahead of the merge. Because the
-    /// bound counts messages, memory in flight scales with the batch size:
-    /// a larger batch is faster on the monitor but needs this counted in
-    /// observations first (see `OBSERVATION_BATCH` in `engine.rs`).
+    /// Bounded per-shard queue capacity, in messages of 64 observations —
+    /// the unit is historical and fixed: a shard's queue holds
+    /// `64 * channel_capacity` observations, however many the engine packs
+    /// into a message (512; a constant, not a knob, and batch size never
+    /// changes a report), so observations and bytes in flight are set by
+    /// this value alone. Also the per-producer channel capacity when
+    /// `producers > 1`, where a message does carry 64: a producer can run up
+    /// to `64 * channel_capacity` observations ahead of the merge.
     pub channel_capacity: usize,
     /// Whether every phase's scan adapts its rate to the deterministic
     /// virtual-queue model (AIMD against [`StreamConfig::queue_model`]).
@@ -318,6 +318,7 @@ impl StreamPipeline {
         let pass = Pass {
             phase,
             targets,
+            seq_shards: None,
             windows: 1,
             rate_pps,
             start,

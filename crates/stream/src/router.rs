@@ -23,9 +23,10 @@
 //! Observations carry a tenant tag (see
 //! [`Observation::tenant`](crate::observation::Observation::tenant)), but the
 //! router is tenant-oblivious: routing is by target announcement only, and
-//! the tag rides through untouched. Tenant isolation lives a layer up — the
-//! multi-campaign scheduler gives each campaign its own router + shard set,
-//! so per-tenant inference state never shares a channel.
+//! the tag rides through untouched. Tenant isolation lives a layer up: a
+//! router serves one tenant's lease of a
+//! [`ShardPool`](crate::engine::ShardPool) at a time, and the workers hold
+//! that tenant's inference state only for the lease.
 //!
 //! A shard worker dying (panicking) must not take the control thread down
 //! with it: instead of panicking on a hung-up channel, the router records the
@@ -34,6 +35,9 @@
 //! error after joining the surviving workers.
 
 use std::net::Ipv6Addr;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::mpsc::SyncSender;
+use std::sync::{Arc, Mutex};
 
 use scent_bgp::{PrefixTable, RibEntry};
 use scent_ipv6::{addr_to_u128, Ipv6Prefix};
@@ -42,7 +46,7 @@ use scent_telemetry::StreamObserver;
 
 use crate::buffer::{batch_pool, BatchPool, BatchReturn, PoolCounters};
 use crate::observation::Observation;
-use crate::shard::ShardMsg;
+use crate::shard::{ShardInference, ShardMsg};
 
 /// Recycle-channel slots per shard when [`ShardRouter::with_map`]'s caller
 /// doesn't size the pool ([`ShardRouter::with_pool_slots`]): enough transit
@@ -60,7 +64,9 @@ const DEFAULT_POOL_SLOTS_PER_SHARD: usize = 32;
 /// router exactly. Both sides therefore share this one implementation.
 #[derive(Debug, Clone)]
 pub struct ShardMap {
-    table: PrefixTable<usize>,
+    /// Shared: a session clones its map into every epoch's router (and,
+    /// under feedback, every producer's pacer).
+    table: Arc<PrefixTable<usize>>,
     shards: usize,
 }
 
@@ -69,11 +75,14 @@ impl ShardMap {
     /// shards.
     pub fn new(entries: &[RibEntry], shards: usize) -> Self {
         assert!(shards > 0, "at least one shard");
-        let table = entries
+        let table: PrefixTable<usize> = entries
             .iter()
             .map(|e| (e.prefix, Self::shard_of_prefix(&e.prefix, shards)))
             .collect();
-        ShardMap { table, shards }
+        ShardMap {
+            table: Arc::new(table),
+            shards,
+        }
     }
 
     /// The shard an announced prefix is pinned to: a hash of its /32 bits
@@ -125,23 +134,101 @@ impl ShardMap {
     }
 }
 
-/// Routes observations to shard workers over bounded channels.
-///
-/// The optional [`StreamObserver`] ([`ShardRouter::with_observer`]) is the
-/// telemetry hook point: [`ShardRouter::route`] reports every observation in
-/// merged deterministic clock order (the deterministic tier), and blocking
-/// deliveries report stalls (the wall-clock tier). Without an observer the
-/// hot path pays one `None` branch per route and nothing else.
-pub struct ShardRouter<'t> {
-    map: ShardMap,
-    senders: Vec<std::sync::mpsc::SyncSender<ShardMsg>>,
-    stalls: u64,
-    routed: u64,
+/// What a pool's worker thread and the control thread share besides the
+/// worker's queue.
+#[derive(Default)]
+pub(crate) struct WorkerLink {
+    /// The state (and fault injection) of a lease that has begun: filled by
+    /// the control thread before the lease's first message, taken by the
+    /// worker when that message arrives. Not a message itself, so a lease
+    /// costs the parked worker no wake-up of its own.
+    pub(crate) adoption: Mutex<Option<(ShardInference, bool)>>,
+    /// Observations the worker folded since they were last reported to an
+    /// observer. Pool workers hold no observer (it is the lessee's, they
+    /// are not), so the control thread forwards the count.
+    pub(crate) folded: AtomicU64,
+}
+
+/// The delivery side of a set of shard workers — everything about a router
+/// that does not depend on whose observations it routes: the workers'
+/// channels, the per-shard batch being filled, and the recycle pool the
+/// workers return drained batches to. A [`ShardPool`](crate::engine::ShardPool)
+/// keeps it between leases, so an epoch allocates none of it.
+pub(crate) struct Lanes {
+    senders: Vec<SyncSender<ShardMsg>>,
+    /// Observations per delivered message.
     batch: usize,
     buffers: Vec<Vec<Observation>>,
     /// Recycled batch buffers: shard workers return drained `ObserveBatch`
     /// buffers here, so steady-state delivery allocates nothing.
     pool: BatchPool,
+    /// One per pool worker; empty for workers that are not a pool's.
+    links: Vec<Arc<WorkerLink>>,
+}
+
+impl Lanes {
+    /// Lanes over `senders` delivering `batch` observations per message,
+    /// with a recycle pool of `slots` transit slots handed to every worker.
+    /// Returns the first worker that had already hung up, if any.
+    pub(crate) fn open(
+        senders: Vec<SyncSender<ShardMsg>>,
+        links: Vec<Arc<WorkerLink>>,
+        batch: usize,
+        slots: usize,
+    ) -> (Self, Option<usize>) {
+        assert!(!senders.is_empty(), "at least one shard");
+        let (pool, home) = batch_pool(batch, slots);
+        let lanes = Lanes {
+            buffers: vec![Vec::new(); senders.len()],
+            senders,
+            batch,
+            pool,
+            links,
+        };
+        let dead = lanes.attach(home);
+        (lanes, dead)
+    }
+
+    /// Hand every worker the pool's return handle; the first that hung up.
+    fn attach(&self, home: BatchReturn) -> Option<usize> {
+        let hung_up = |sender: &SyncSender<ShardMsg>| {
+            sender.send(ShardMsg::AttachRecycler(home.clone())).is_err()
+        };
+        self.senders.iter().position(hung_up)
+    }
+
+    /// Number of workers.
+    pub(crate) fn shards(&self) -> usize {
+        self.senders.len()
+    }
+
+    /// Report what worker `shard` folded since the last report
+    /// ([`StreamObserver::on_shard_progress`], wall-clock tier).
+    pub(crate) fn forward_progress(&self, shard: usize, observer: &dyn StreamObserver) {
+        if let Some(link) = self.links.get(shard) {
+            // A statistic: it publishes no other data.
+            let ingested = link.folded.swap(0, Ordering::Relaxed);
+            if ingested > 0 {
+                observer.on_shard_progress(shard, ingested);
+            }
+        }
+    }
+}
+
+/// Routes observations to shard workers over bounded channels.
+///
+/// The lessee's optional [`StreamObserver`]
+/// ([`IngestOptions::observer`](crate::engine::IngestOptions::observer)) is
+/// the telemetry hook point: [`ShardRouter::route`] reports every
+/// observation in merged deterministic clock order (the deterministic
+/// tier) via [`StreamObserver::on_routed`], and blocking deliveries report
+/// stalls via [`StreamObserver::on_stall`] (the wall-clock tier). Without an
+/// observer the hot path pays one `None` branch per route and nothing else.
+pub struct ShardRouter<'t> {
+    map: ShardMap,
+    lanes: Lanes,
+    stalls: u64,
+    routed: u64,
     /// Precomputed seq → shard routing table ([`ShardRouter::set_seq_shards`]);
     /// positions beyond its length (or all of them, when absent) fall back
     /// to the [`ShardMap`] lookup.
@@ -157,51 +244,60 @@ impl<'t> ShardRouter<'t> {
     /// mapping elsewhere (the virtual-queue feedback model) guarantees — by
     /// construction, not by convention — that the router and the feedback
     /// model route every target identically.
-    pub fn with_map(
-        map: ShardMap,
-        senders: Vec<std::sync::mpsc::SyncSender<ShardMsg>>,
-        batch: usize,
-    ) -> Self {
+    ///
+    /// Survives for the benchmark harness, which hand-builds a router over
+    /// its own worker; the crate's runs route through a
+    /// [`ShardPool`](crate::engine::ShardPool) lease.
+    pub fn with_map(map: ShardMap, senders: Vec<SyncSender<ShardMsg>>, batch: usize) -> Self {
         let slots = senders.len() * DEFAULT_POOL_SLOTS_PER_SHARD;
-        Self::with_pool(map, senders, batch, slots)
+        let (lanes, dead) = Lanes::open(senders, Vec::new(), batch, slots);
+        ShardRouter {
+            dead,
+            ..Self::over(lanes, map, None)
+        }
     }
 
-    /// [`ShardRouter::with_map`] with the recycle pool built once at its
-    /// final size of `slots` transit slots — what the
-    /// [`IngestEngine`](crate::engine::IngestEngine), which knows its
-    /// channel capacity, constructs.
-    pub(crate) fn with_pool(
+    /// A router for one lease of a pool's `lanes`: this tenant's map and
+    /// observer, fresh counters, no seq table.
+    pub(crate) fn over(
+        lanes: Lanes,
         map: ShardMap,
-        senders: Vec<std::sync::mpsc::SyncSender<ShardMsg>>,
-        batch: usize,
-        slots: usize,
+        observer: Option<&'t dyn StreamObserver>,
     ) -> Self {
-        assert!(!senders.is_empty(), "at least one shard");
-        assert_eq!(map.shards(), senders.len(), "one sender per mapped shard");
-        let (pool, home) = batch_pool(batch, slots);
-        let mut router = ShardRouter {
+        assert_eq!(map.shards(), lanes.shards(), "one worker per mapped shard");
+        ShardRouter {
             map,
-            buffers: vec![Vec::new(); senders.len()],
-            senders,
+            lanes,
             stalls: 0,
             routed: 0,
-            batch,
-            pool,
             seq_shards: None,
-            observer: None,
+            observer,
             dead: None,
-        };
-        router.attach(home);
-        router
+        }
     }
 
-    /// Hand every worker the pool's return handle.
-    fn attach(&mut self, home: BatchReturn) {
-        for (shard, sender) in self.senders.iter().enumerate() {
-            if sender.send(ShardMsg::AttachRecycler(home.clone())).is_err() {
-                self.dead.get_or_insert(shard);
-            }
+    /// Leave worker `shard` the inference state it folds into for this lease
+    /// (it hands it back at [`ShardRouter::yield_states`]); the worker takes
+    /// it with the lease's first message. With `poison` the worker panics
+    /// on its first batch — the fault-injection hook.
+    pub(crate) fn adopt(&mut self, shard: usize, state: ShardInference, poison: bool) {
+        let mut adoption = self.lanes.links[shard]
+            .adoption
+            .lock()
+            .expect("nothing panics holding the adoption slot");
+        *adoption = Some((state, poison));
+    }
+
+    /// End the lease: deliver every buffered batch, then ask every worker
+    /// for its state back (FIFO channels: each answers after everything
+    /// routed before). The lanes return to their pool, which collects the
+    /// answers.
+    pub(crate) fn yield_states(mut self) -> Lanes {
+        self.flush_all_buffers();
+        for shard in 0..self.lanes.shards() {
+            self.deliver(shard, ShardMsg::Yield);
         }
+        self.lanes
     }
 
     /// Rebuild the batch-buffer recycle pool with `slots` transit slots (the
@@ -211,9 +307,11 @@ impl<'t> ShardRouter<'t> {
     /// one buffer in the router's and one in each worker's hands — and no
     /// return is ever dropped.
     pub fn with_pool_slots(mut self, slots: usize) -> Self {
-        let (pool, home) = batch_pool(self.batch, slots);
-        self.pool = pool;
-        self.attach(home);
+        let (pool, home) = batch_pool(self.lanes.batch, slots);
+        self.lanes.pool = pool;
+        if let Some(shard) = self.lanes.attach(home) {
+            self.dead.get_or_insert(shard);
+        }
         self
     }
 
@@ -222,20 +320,12 @@ impl<'t> ShardRouter<'t> {
     /// in-flight population, steady-state routing provably never allocates
     /// — what the hot-path allocation regression test asserts.
     pub fn prefill_buffers(&mut self, buffers: usize) {
-        self.pool.prefill(buffers);
+        self.lanes.pool.prefill(buffers);
     }
 
     /// A handle on the batch-buffer pool's allocation/recycle counters.
     pub fn buffer_counters(&self) -> std::sync::Arc<PoolCounters> {
-        self.pool.counters()
-    }
-
-    /// Attach a telemetry observer: every routed observation is reported via
-    /// [`StreamObserver::on_routed`] (in deterministic clock order) and every
-    /// blocking delivery via [`StreamObserver::on_stall`].
-    pub fn with_observer(mut self, observer: &'t dyn StreamObserver) -> Self {
-        self.observer = Some(observer);
-        self
+        self.lanes.pool.counters()
     }
 
     /// The pure target → shard mapping this router routes by — what a caller
@@ -258,7 +348,7 @@ impl<'t> ShardRouter<'t> {
     /// Debug builds verify every lookup against the map.
     pub fn set_seq_shards(&mut self, table: Vec<u32>) {
         debug_assert!(
-            table.iter().all(|&s| (s as usize) < self.senders.len()),
+            table.iter().all(|&s| (s as usize) < self.lanes.shards()),
             "table entries must be valid shard indices"
         );
         self.seq_shards = Some(table);
@@ -275,6 +365,8 @@ impl<'t> ShardRouter<'t> {
     /// (counted in [`ShardRouter::stalls`]).
     pub fn route(&mut self, obs: Observation) {
         let shard = match &self.seq_shards {
+            // Nothing to look up, so a one-shard pass builds no table.
+            _ if self.lanes.shards() == 1 => 0,
             Some(table) if (obs.seq as usize) < table.len() => {
                 let shard = table[obs.seq as usize] as usize;
                 debug_assert_eq!(
@@ -290,14 +382,14 @@ impl<'t> ShardRouter<'t> {
         if let Some(observer) = self.observer {
             observer.on_routed(shard, obs.window, obs.sent_at, obs.response.is_some());
         }
-        let buffer = &mut self.buffers[shard];
+        let buffer = &mut self.lanes.buffers[shard];
         if buffer.capacity() == 0 {
             // First observation since a flush: a shard that is routed
             // nothing takes no buffer.
-            *buffer = self.pool.take();
+            *buffer = self.lanes.pool.take();
         }
         buffer.push(obs);
-        if buffer.len() >= self.batch {
+        if buffer.len() >= self.lanes.batch {
             self.flush_buffer(shard);
         }
     }
@@ -307,14 +399,17 @@ impl<'t> ShardRouter<'t> {
     /// recorded as dead and the message dropped rather than panicking the
     /// control thread.
     fn deliver(&mut self, shard: usize, msg: ShardMsg) {
-        match self.senders[shard].try_send(msg) {
+        if let Some(observer) = self.observer {
+            self.lanes.forward_progress(shard, observer);
+        }
+        match self.lanes.senders[shard].try_send(msg) {
             Ok(()) => {}
             Err(std::sync::mpsc::TrySendError::Full(msg)) => {
                 self.stalls += 1;
                 if let Some(observer) = self.observer {
                     observer.on_stall(shard);
                 }
-                if self.senders[shard].send(msg).is_err() {
+                if self.lanes.senders[shard].send(msg).is_err() {
                     self.dead.get_or_insert(shard);
                 }
             }
@@ -336,16 +431,16 @@ impl<'t> ShardRouter<'t> {
     /// takes the replacement from the recycle pool — in steady state a
     /// worker-returned buffer, so delivery allocates nothing per batch.
     fn flush_buffer(&mut self, shard: usize) {
-        if self.buffers[shard].is_empty() {
+        if self.lanes.buffers[shard].is_empty() {
             return;
         }
-        let batch = std::mem::take(&mut self.buffers[shard]);
+        let batch = std::mem::take(&mut self.lanes.buffers[shard]);
         self.deliver(shard, ShardMsg::ObserveBatch(batch));
     }
 
     /// Deliver every shard's buffered batch.
     fn flush_all_buffers(&mut self) {
-        for shard in 0..self.senders.len() {
+        for shard in 0..self.lanes.shards() {
             self.flush_buffer(shard);
         }
     }
@@ -355,10 +450,10 @@ impl<'t> ShardRouter<'t> {
     /// guarantee each snapshot reflects everything routed before this call.
     /// A dead shard contributes an empty state (callers abort on
     /// [`ShardRouter::dead_shard`] before trusting a flush).
-    pub fn flush(&mut self) -> Vec<crate::shard::ShardInference> {
+    pub fn flush(&mut self) -> Vec<ShardInference> {
         self.flush_all_buffers();
-        let mut replies = Vec::with_capacity(self.senders.len());
-        for (shard, sender) in self.senders.iter().enumerate() {
+        let mut replies = Vec::with_capacity(self.lanes.shards());
+        for (shard, sender) in self.lanes.senders.iter().enumerate() {
             let (tx, rx) = std::sync::mpsc::channel();
             if sender.send(ShardMsg::Flush(tx)).is_err() {
                 self.dead.get_or_insert(shard);
@@ -377,7 +472,7 @@ impl<'t> ShardRouter<'t> {
     /// preceded it.
     pub fn compact_before(&mut self, window: u64) {
         self.flush_all_buffers();
-        for (shard, sender) in self.senders.iter().enumerate() {
+        for (shard, sender) in self.lanes.senders.iter().enumerate() {
             if sender.send(ShardMsg::Compact(window)).is_err() {
                 self.dead.get_or_insert(shard);
             }

@@ -1,6 +1,6 @@
-//! Inference shards: the state each worker thread of the
-//! [`IngestEngine`](crate::engine::IngestEngine) folds observations into —
-//! the incremental classifiers of `scent-core` — and the messages it is fed.
+//! Inference shards: the state each worker thread of a
+//! [`ShardPool`](crate::engine::ShardPool) folds observations into — the
+//! incremental classifiers of `scent-core` — and the messages it is fed.
 //!
 //! Each shard owns the complete inference state for the address space routed
 //! to it — expansion validation, density accumulators, the windowed rotation
@@ -33,6 +33,11 @@ use crate::observation::{Observation, Phase};
 
 /// A message delivered to a shard worker.
 pub enum ShardMsg {
+    /// End a lease: hand the state the worker adopted for it back, by move,
+    /// over the worker's own reply channel (its pool holds the other end),
+    /// and go back to an empty one. FIFO with the batches, so the state
+    /// reflects everything routed before.
+    Yield,
     /// Fold a batch of observations into the shard's state, in order. One
     /// channel message per batch amortizes the per-message channel overhead.
     ObserveBatch(Vec<Observation>),

@@ -9,7 +9,10 @@
 //! allocator — on the routing thread, cross-checked against the router
 //! pool's own allocate/recycle counters, and on the producer threads — so it
 //! can't silently rot. Both drive the data plane the way the pipeline and
-//! the monitor do: through the `IngestEngine`.
+//! the monitor do: through the `IngestEngine`. A third holds the epoch to the
+//! same standard: on a lent `ShardPool`, an epoch of a session whose watch
+//! list stands allocates a small constant — no channel, no batch buffer, no
+//! target list.
 //!
 //! This is an integration-test binary on purpose: a `#[global_allocator]`
 //! is process-wide, and the library forbids `unsafe` (`GlobalAlloc` needs
@@ -21,7 +24,10 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use scent_bgp::{Asn, Rib};
 use scent_simnet::SimTime;
-use scent_stream::{IngestEngine, IngestOptions, Observation, ObservationSource, Phase, ShardMap};
+use scent_stream::{
+    IngestEngine, IngestOptions, MonitorConfig, MonitorSession, Observation, ObservationSource,
+    Phase, ShardMap, ShardPool,
+};
 
 /// Counts this thread's heap allocations (alloc paths only — frees are
 /// irrelevant to the "does the hot path allocate?" question). Thread-local
@@ -31,15 +37,17 @@ struct CountingAllocator;
 
 thread_local! {
     static THREAD_ALLOCS: Cell<u64> = const { Cell::new(0) };
+    static THREAD_BYTES: Cell<u64> = const { Cell::new(0) };
 }
 
 /// Fallback for allocations during TLS teardown (never on the hot path).
 static TEARDOWN_ALLOCS: AtomicU64 = AtomicU64::new(0);
 
-fn count_one() {
+fn count_one(bytes: usize) {
     if THREAD_ALLOCS.try_with(|c| c.set(c.get() + 1)).is_err() {
         TEARDOWN_ALLOCS.fetch_add(1, Ordering::Relaxed);
     }
+    let _ = THREAD_BYTES.try_with(|c| c.set(c.get() + bytes as u64));
 }
 
 /// Allocations performed so far by the calling thread.
@@ -47,19 +55,24 @@ fn thread_allocations() -> u64 {
     THREAD_ALLOCS.with(Cell::get)
 }
 
+/// Bytes requested so far by the calling thread.
+fn thread_bytes() -> u64 {
+    THREAD_BYTES.with(Cell::get)
+}
+
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count_one();
+        count_one(layout.size());
         System.alloc(layout)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        count_one();
+        count_one(layout.size());
         System.alloc_zeroed(layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count_one();
+        count_one(new_size);
         System.realloc(ptr, layout, new_size)
     }
 
@@ -259,4 +272,51 @@ fn producer_edge_recycles_batch_buffers() {
              recycling is not working"
         );
     }
+}
+
+/// "Allocation-free" holds per epoch too. Epochs 2–4 of a 1 × 1 session
+/// whose watch list stands, on a pool the caller lends, cost the control
+/// thread a small constant (two allocations, 312 bytes, as this was written:
+/// the scope and the vector the states come back in), never a channel array (8 KB at this
+/// capacity), a batch buffer (40 KB) or the target list (8 KB for these 512
+/// targets) — each of which the first epoch, and every epoch before the
+/// driver owned the workers, did allocate.
+#[test]
+fn an_epoch_on_a_lent_pool_allocates_a_small_constant() {
+    let engine = scent_simnet::Engine::build(scent_simnet::scenarios::continuous_world(7)).unwrap();
+    let watched: Vec<_> = (engine.pools().iter())
+        .filter(|pool| pool.config.prefix.len() <= 48)
+        .flat_map(|pool| pool.config.prefix.subnets(48).unwrap())
+        .take(2)
+        .collect();
+    let config = MonitorConfig {
+        shards: 1,
+        producers: 1,
+        windows: 4,
+        checkpoint_every: Some(1), // one-window epochs
+        ..MonitorConfig::default()
+    };
+    let mut pool = ShardPool::open(config.shards, config.channel_capacity);
+    let mut session = MonitorSession::new(&engine, config, watched, None);
+    let mut epochs = Vec::new();
+    while !session.is_done() {
+        let before = (thread_allocations(), thread_bytes());
+        session.run_epoch_on(&mut pool, 10_000).unwrap();
+        epochs.push((thread_allocations() - before.0, thread_bytes() - before.1));
+    }
+    assert_eq!(epochs.len(), 4);
+    let (first_calls, first_bytes) = epochs[0];
+    assert!(
+        first_bytes > 40_000,
+        "the first epoch builds the target list and takes a batch buffer: {epochs:?}"
+    );
+    for &(calls, bytes) in &epochs[1..] {
+        assert!(
+            calls <= 8 && bytes <= 1_024,
+            "an epoch on a lent pool allocated {calls} times, {bytes} B \
+             (the first: {first_calls} times, {first_bytes} B): {epochs:?}"
+        );
+    }
+    let report = session.finish();
+    assert_eq!(report.observations, 4 * 512);
 }

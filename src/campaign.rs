@@ -331,7 +331,9 @@ impl<'t, W> CampaignBuilder<'t, W> {
         self
     }
 
-    /// Bounded per-shard queue capacity, in messages (default: 1024).
+    /// Bounded per-shard queue capacity, in messages of 64 observations
+    /// (default: 1024): a shard's queue holds `64 * channel_capacity`
+    /// observations, however many the engine packs into a message.
     pub fn channel_capacity(mut self, channel_capacity: usize) -> Self {
         self.channel_capacity = channel_capacity;
         self
