@@ -22,8 +22,11 @@ use scent_ipv6::Ipv6Prefix;
 ///
 /// Membership tests ask a [`PrefixTable`] built when the list is: one
 /// longest-prefix lookup per target or candidate, however long the opt-out
-/// list grows.
+/// list grows. The table is not part of the serialized form — a list
+/// travels as its entries and is rebuilt by [`Blocklist::new`] on arrival,
+/// so no payload can carry a table that disagrees with them.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[serde(from = "Vec<Ipv6Prefix>", into = "Vec<Ipv6Prefix>")]
 pub struct Blocklist {
     entries: Vec<Ipv6Prefix>,
     /// The outermost entries — the ones no other entry contains. An entry
@@ -41,6 +44,18 @@ impl PartialEq for Blocklist {
 }
 
 impl Eq for Blocklist {}
+
+impl From<Vec<Ipv6Prefix>> for Blocklist {
+    fn from(entries: Vec<Ipv6Prefix>) -> Self {
+        Blocklist::new(entries)
+    }
+}
+
+impl From<Blocklist> for Vec<Ipv6Prefix> {
+    fn from(list: Blocklist) -> Self {
+        list.entries
+    }
+}
 
 impl Blocklist {
     /// A blocklist over the given prefixes (sorted and deduplicated).

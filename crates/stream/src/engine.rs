@@ -255,9 +255,8 @@ impl ShardPool {
                     panicked.get_or_insert(shard);
                 }
             }
-            if let Some(observer) = observer {
-                lanes.forward_progress(shard, observer);
-            }
+            // Always: a count left behind would be the next lessee's.
+            lanes.forward_progress(shard, observer);
         }
         match panicked {
             Some(shard) => {
@@ -350,10 +349,6 @@ pub(crate) struct Pass<'m> {
     /// the pass's first window ([`TargetStream::starting_at_window`]). Every
     /// producer probes a strided slice of a clone.
     pub targets: TargetStream,
-    /// The seq → shard table of `targets` under the engine's map, when the
-    /// caller kept the one an earlier pass over the same targets built
-    /// (`ShardRouter::clear_seq_shards` hands it back); `None` builds it.
-    pub seq_shards: Option<Vec<u32>>,
     /// How many windows of `targets` the pass probes.
     pub windows: u64,
     /// Probe budget per second — the ceiling feedback recovers to.
@@ -540,9 +535,7 @@ impl<'scope, 'env, P: BorrowMut<ShardPool>> IngestEngine<'scope, 'env, P> {
         // ShardMap serves both the router and the pacers, so the two agree by
         // construction. (A one-shard router looks nothing up.)
         if self.router.map().shards() > 1 {
-            let table = pass
-                .seq_shards
-                .unwrap_or_else(|| continuous_seq_shards(self.router.map(), &pass.targets));
+            let table = continuous_seq_shards(self.router.map(), &pass.targets);
             self.router.set_seq_shards(table);
         }
         let feedback = pass
@@ -701,6 +694,15 @@ mod tests {
         }
     }
 
+    /// Sums what `on_shard_progress` reports.
+    struct Progress(AtomicU64);
+
+    impl StreamObserver for Progress {
+        fn on_shard_progress(&self, _shard: usize, ingested: u64) {
+            self.0.fetch_add(ingested, Ordering::Relaxed);
+        }
+    }
+
     /// One pool, lease after lease: each lessee's states go in by move and
     /// come back holding exactly what was routed under that lease — nothing
     /// of the lessee before — and a lease that loses a worker fails alone:
@@ -729,11 +731,19 @@ mod tests {
             assert_eq!(folded, 256 * lease, "carried state plus this lease");
             carried = Some(states);
         }
-        // Another lessee, starting empty, sees none of that.
+        // Another lessee, starting empty, sees none of that — not in its
+        // states, and not as ingest progress reported to its observer (the
+        // leases above had none to report theirs to).
+        let seen = Progress(AtomicU64::new(0));
         let fresh = std::thread::scope(|scope| {
-            IngestEngine::lease(&mut pool, scope, map(), IngestOptions::default()).release()
+            let options = IngestOptions {
+                observer: Some(&seen),
+                ..IngestOptions::default()
+            };
+            IngestEngine::lease(&mut pool, scope, map(), options).release()
         });
         assert!(fresh.unwrap().iter().all(|state| state.observations == 0));
+        assert_eq!(seen.0.load(Ordering::Relaxed), 0);
 
         // The one watched /48 lives in one announcement, so on one shard:
         // poison that one, or the endless drive below never ends.

@@ -543,23 +543,14 @@ pub struct MonitorSession<'a, B: ?Sized> {
     failed: bool,
     fingerprints: Option<(u64, u64)>,
     started: Option<std::time::Instant>,
-    /// The target stream of the standing watch list: built by the first
-    /// epoch that probes it, dropped when a revision changes the list, on
-    /// [`MonitorSession::resume`] and once the session is done.
-    kept: Option<KeptPass>,
-}
-
-/// What an epoch's pass needs that is a pure function of the watch list (and
-/// the seed), so it is built once per list, not once per epoch.
-struct KeptPass {
-    /// One target per granularity block of every watched /48, permuted,
+    /// The target stream of the standing watch list — a pure function of
+    /// the list and the seed, so built once per list, not once per epoch:
+    /// one target per granularity block of every watched /48, permuted,
     /// positioned at window 0 (the list is shared storage: an epoch clones
-    /// a cursor).
-    targets: TargetStream,
-    /// The seq → shard table of `targets`, handed back by the router after
-    /// each pass. `None` until a pass built one — and always with one shard,
-    /// which routes without.
-    seq_shards: Option<Vec<u32>>,
+    /// a cursor). Built by the first epoch that probes the list, dropped
+    /// when a revision changes it, on [`MonitorSession::resume`] and once
+    /// the session is done.
+    kept: Option<TargetStream>,
 }
 
 impl<'a, B: ProbeTransport + WorldView + ?Sized> MonitorSession<'a, B> {
@@ -844,7 +835,7 @@ impl<'a, B: ProbeTransport + WorldView + ?Sized> MonitorSession<'a, B> {
         let initial = std::mem::take(&mut self.states);
         // The discovery tree is driven inside the thread scope (its sweep
         // observations must route into live shards), so it moves into a
-        // local for the epoch and back afterwards — as does the kept pass.
+        // local for the epoch and back afterwards — as does the kept stream.
         let mut discovery = self.discovery.take();
         let mut kept = self.kept.take();
         let mut tree_candidates: Vec<Ipv6Prefix> = Vec::new();
@@ -902,8 +893,9 @@ impl<'a, B: ProbeTransport + WorldView + ?Sized> MonitorSession<'a, B> {
             let router = engine.router();
             if let (Some(tree), Some(dcfg)) = (discovery.as_mut(), cfg.discovery.as_ref()) {
                 if epoch + 1 < epochs_len && router.dead_shard().is_none() {
-                    // Discovery targets are not the pass's: with its seq
-                    // table taken back, they route by map lookup.
+                    // Discovery targets are not in this epoch's seq table;
+                    // fall back to per-observation map lookups for them.
+                    router.clear_seq_shards();
                     let boundary = cfg.start
                         + SimDuration::from_secs(
                             cfg.window_interval.as_secs() * (start_window + len),
@@ -1068,26 +1060,21 @@ impl<'a, B: ProbeTransport + WorldView + ?Sized> MonitorSession<'a, B> {
     ///
     /// The target stream is `kept`'s — built here ([`Self::target_stream`])
     /// when no earlier epoch of the standing watch list left one — and the
-    /// epoch probes a cursor on it, whatever the producer count. The seq →
-    /// shard table the pass routed by goes back into `kept` with it.
+    /// epoch probes a cursor on it, whatever the producer count.
     fn probe_pass<'scope>(
         &'scope self,
         engine: &mut IngestEngine<'scope, '_, &mut ShardPool>,
-        kept: &mut Option<KeptPass>,
+        kept: &mut Option<TargetStream>,
         (start_window, len): (u64, u64),
         pps: u64,
         epoch_density: &mut FastMap<Ipv6Prefix, DensityAccumulator>,
         current_window: &mut u64,
     ) -> PassEnd<'scope, B> {
         let cfg = &self.config;
-        let kept = kept.get_or_insert_with(|| KeptPass {
-            targets: self.target_stream(),
-            seq_shards: None,
-        });
+        let kept = kept.get_or_insert_with(|| self.target_stream());
         let pass = Pass {
             phase: Phase::Detection,
-            targets: kept.targets.clone().starting_at_window(start_window),
-            seq_shards: kept.seq_shards.take(),
+            targets: kept.clone().starting_at_window(start_window),
             windows: len,
             rate_pps: pps,
             start: cfg.start,
@@ -1096,7 +1083,7 @@ impl<'a, B: ProbeTransport + WorldView + ?Sized> MonitorSession<'a, B> {
             // Each epoch's revised target set is paced from scratch.
             feedback: cfg.rate_feedback.then_some(&cfg.queue_model),
         };
-        let end = engine.run_pass(self.world, cfg.producers, pass, |router, obs| {
+        engine.run_pass(self.world, cfg.producers, pass, |router, obs| {
             if cfg.churn.is_some() {
                 epoch_density
                     .entry(obs.target_48())
@@ -1111,9 +1098,7 @@ impl<'a, B: ProbeTransport + WorldView + ?Sized> MonitorSession<'a, B> {
                     }
                 }
             }
-        });
-        kept.seq_shards = engine.router().clear_seq_shards();
-        end
+        })
     }
 
     /// The watch list's target stream, at window 0: one target per
@@ -1685,18 +1670,13 @@ mod tests {
                 break;
             }
             match &session.kept {
-                Some(pass) => {
+                Some(targets) => {
                     assert_eq!(session.watched, before, "kept across a changed list");
                     let rebuilt = session.target_stream();
-                    assert_eq!(pass.targets.window_len(), rebuilt.window_len());
+                    assert_eq!(targets.window_len(), rebuilt.window_len());
                     for pos in 0..rebuilt.window_len() {
-                        assert_eq!(pass.targets.target_at(pos), rebuilt.target_at(pos));
+                        assert_eq!(targets.target_at(pos), rebuilt.target_at(pos));
                     }
-                    assert_eq!(
-                        pass.seq_shards.is_some(),
-                        session.config.shards > 1,
-                        "the table is kept exactly when one is routed by"
-                    );
                     kept += 1;
                 }
                 None => {

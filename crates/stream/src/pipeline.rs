@@ -318,7 +318,6 @@ impl StreamPipeline {
         let pass = Pass {
             phase,
             targets,
-            seq_shards: None,
             windows: 1,
             rate_pps,
             start,

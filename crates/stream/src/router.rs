@@ -203,12 +203,14 @@ impl Lanes {
     }
 
     /// Report what worker `shard` folded since the last report
-    /// ([`StreamObserver::on_shard_progress`], wall-clock tier).
-    pub(crate) fn forward_progress(&self, shard: usize, observer: &dyn StreamObserver) {
+    /// ([`StreamObserver::on_shard_progress`], wall-clock tier). Without an
+    /// observer the count is dropped all the same: it is this lease's, and
+    /// must not be read as the next one's.
+    pub(crate) fn forward_progress(&self, shard: usize, observer: Option<&dyn StreamObserver>) {
         if let Some(link) = self.links.get(shard) {
             // A statistic: it publishes no other data.
             let ingested = link.folded.swap(0, Ordering::Relaxed);
-            if ingested > 0 {
+            if let (Some(observer), true) = (observer, ingested > 0) {
                 observer.on_shard_progress(shard, ingested);
             }
         }
@@ -399,8 +401,8 @@ impl<'t> ShardRouter<'t> {
     /// recorded as dead and the message dropped rather than panicking the
     /// control thread.
     fn deliver(&mut self, shard: usize, msg: ShardMsg) {
-        if let Some(observer) = self.observer {
-            self.lanes.forward_progress(shard, observer);
+        if self.observer.is_some() {
+            self.lanes.forward_progress(shard, self.observer);
         }
         match self.lanes.senders[shard].try_send(msg) {
             Ok(()) => {}
