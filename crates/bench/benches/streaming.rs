@@ -238,7 +238,7 @@ fn bench_hot_path(c: &mut Criterion) {
     use scent_prober::TargetStream;
     use scent_stream::{
         continuous_seq_shards, ContinuousStream, IngestEngine, IngestOptions, ObservationSource,
-        ShardMap,
+        ShardMap, ShardPool,
     };
 
     let engine = Engine::build(scenarios::paper_world(7, WorldScale::experiment())).unwrap();
@@ -284,29 +284,28 @@ fn bench_hot_path(c: &mut Criterion) {
                 &(shards, producers),
                 |b, &(shards, producers)| {
                     b.iter(|| {
-                        std::thread::scope(|scope| {
-                            let map = ShardMap::new(&engine.rib().entries(), shards);
-                            let table = continuous_seq_shards(&map, &targets);
-                            let mut ingest =
-                                IngestEngine::open(scope, map, CAPACITY, IngestOptions::default());
-                            ingest.router().set_seq_shards(table);
-                            let sources: Vec<_> = (0..producers)
-                                .map(|k| ReplaySlice {
-                                    observations: black_box(&observations),
-                                    next: k,
-                                    step: producers,
-                                })
-                                .collect();
-                            let routed = ingest.drive(sources, None, |_, _| {});
-                            let classified: u64 = ingest
-                                .close()
-                                .expect("no panic injected")
-                                .iter()
-                                .map(|state| state.observations)
-                                .sum();
-                            assert_eq!(classified, routed);
-                            black_box(classified)
-                        })
+                        let map = ShardMap::new(&engine.rib().entries(), shards);
+                        let table = continuous_seq_shards(&map, &targets);
+                        let mut pool = ShardPool::open(shards, CAPACITY);
+                        let mut ingest =
+                            IngestEngine::lease(&mut pool, map, IngestOptions::default());
+                        ingest.router().set_seq_shards(table);
+                        let sources: Vec<_> = (0..producers)
+                            .map(|k| ReplaySlice {
+                                observations: black_box(&observations),
+                                next: k,
+                                step: producers,
+                            })
+                            .collect();
+                        let routed = ingest.drive(sources, None, |_, _| {});
+                        let classified: u64 = ingest
+                            .release()
+                            .expect("no panic injected")
+                            .iter()
+                            .map(|state| state.observations)
+                            .sum();
+                        assert_eq!(classified, routed);
+                        black_box(classified)
                     })
                 },
             );

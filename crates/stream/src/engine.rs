@@ -15,19 +15,18 @@
 //!   distinct `(shards, channel_capacity)`, lent to the tenant that holds the
 //!   step) — so an epoch costs what its observations cost: no thread is
 //!   spawned or joined, no channel or buffer allocated, at a boundary.
-//! * An [`IngestEngine`] is one *lease* of a pool
-//!   ([`IngestEngine::lease`]): every worker is handed the lessee's carried
-//!   [`ShardInference`] by move, the [`ShardRouter`] is armed with the
-//!   lessee's [`ShardMap`] and observer, [`drive`](IngestEngine::drive)
-//!   merges producer sources into the shards, and
-//!   [`release`](IngestEngine::release) has every worker hand its state back
-//!   by move — into the final shard states or a typed error. Workers hold
-//!   nothing of the lessee between leases.
-//! * [`IngestEngine::open`] / [`close`](IngestEngine::close) are the lease
-//!   that owns its pool — open a pool and lease it; release, then drop the
-//!   pool — for a run that is one lease long (the streamed pipeline, a
-//!   single [`MonitorSession::run_epoch`](crate::monitor::MonitorSession::run_epoch),
-//!   the hot-path bench and the allocation regression test).
+//! * An [`IngestEngine`] is one *lease* of a pool — the only way to hold
+//!   one ([`IngestEngine::lease`] borrows the pool for as long as the engine
+//!   lives): every worker is handed the lessee's carried [`ShardInference`]
+//!   by move, the [`ShardRouter`] is armed with the lessee's [`ShardMap`]
+//!   and observer, [`drive`](IngestEngine::drive) merges producer sources
+//!   into the shards, and [`release`](IngestEngine::release) has every
+//!   worker hand its state back by move — into the final shard states or a
+//!   typed error. Workers hold nothing of the lessee between leases. A run
+//!   that is one lease long (the streamed pipeline, a single
+//!   [`MonitorSession::run_epoch`](crate::monitor::MonitorSession::run_epoch),
+//!   the hot-path bench and the allocation regression test) opens a pool,
+//!   leases it and drops it after the release.
 //!
 //! A worker that dies takes its pool with it, never a neighbour: the release
 //! joins every worker, reports [`StreamError::ShardPanicked`], and the pool's
@@ -42,14 +41,15 @@
 //! the one target stream, bound each to the pass's windows, count its
 //! probes, mirror the pacer on the merge side for rate telemetry, drive, and
 //! answer the end-of-pass rate on request. Producer threads (more than one
-//! producer) borrow the transport, so they stay scoped to their pass.
+//! producer) borrow the transport, so they are scoped threads — spawned and
+//! joined inside the one [`drive`](IngestEngine::drive) that feeds on them,
+//! the only thread scope in the crate.
 //! [`StreamPipeline`](crate::pipeline::StreamPipeline) runs one pass per
 //! scan phase (one window each),
 //! [`MonitorSession`](crate::monitor::MonitorSession) one per epoch; the
 //! hot-path bench and the allocation regression test `drive` replayed
 //! observations instead.
 
-use std::borrow::BorrowMut;
 use std::sync::atomic::Ordering;
 use std::sync::mpsc::{Receiver, SyncSender};
 use std::sync::Arc;
@@ -395,74 +395,37 @@ impl<T: ProbeTransport + ?Sized> PassEnd<'_, T> {
     }
 }
 
-/// One lease of a [`ShardPool`]: the router armed for this lessee, the
-/// pool it returns to, and the scope its producer threads spawn into. `P` is
-/// the pool itself for a lease that owns it ([`IngestEngine::open`]) or a
-/// `&mut ShardPool` for one that borrows a longer-lived pool
-/// ([`IngestEngine::lease`]). See the [module docs](self).
-pub struct IngestEngine<'scope, 'env, P = ShardPool> {
-    scope: &'scope thread::Scope<'scope, 'env>,
-    // Declared before `pool`: an engine dropped without a release must hang
-    // up on the workers before an owned pool's drop joins them.
-    router: ShardRouter<'scope>,
-    pool: P,
-    observer: Option<&'scope dyn StreamObserver>,
+/// One lease of a [`ShardPool`]: the router armed for this lessee and the
+/// pool it returns to, borrowed until the [`release`](IngestEngine::release).
+/// See the [module docs](self).
+pub struct IngestEngine<'a> {
+    router: ShardRouter<'a>,
+    pool: &'a mut ShardPool,
+    observer: Option<&'a dyn StreamObserver>,
 }
 
-impl<'scope, 'env> IngestEngine<'scope, 'env> {
-    /// Open a pool of one worker per shard of `map` — queues sized from
-    /// `channel_capacity`, see [`ShardPool::open`] — and lease it for the
-    /// pool's whole life: [`close`](IngestEngine::close) ends both.
-    pub fn open(
-        scope: &'scope thread::Scope<'scope, 'env>,
-        map: ShardMap,
-        channel_capacity: usize,
-        options: IngestOptions<'scope>,
-    ) -> Self {
-        let pool = ShardPool::open(map.shards(), channel_capacity);
-        Self::lease(pool, scope, map, options)
-    }
-
-    /// [`release`](IngestEngine::release) the lease and drop the pool: every
-    /// worker is joined before this returns, dead or alive.
-    pub fn close(self) -> Result<Vec<ShardInference>, StreamError> {
-        self.release()
-    }
-}
-
-impl<'scope, 'env, P: BorrowMut<ShardPool>> IngestEngine<'scope, 'env, P> {
+impl<'a> IngestEngine<'a> {
     /// Lease `pool` (which must have one worker per shard of `map`): arm the
     /// router with `map` and the lessee's observer, and hand every worker
     /// its starting state. A pool whose last lease lost a worker starts this
     /// one from freshly spawned workers.
-    pub fn lease(
-        mut pool: P,
-        scope: &'scope thread::Scope<'scope, 'env>,
-        map: ShardMap,
-        options: IngestOptions<'scope>,
-    ) -> Self {
-        let IngestOptions {
-            observer,
-            initial,
-            inject_panic,
-        } = options;
+    pub fn lease(pool: &'a mut ShardPool, map: ShardMap, options: IngestOptions<'a>) -> Self {
         let shards = map.shards();
-        let initial = match initial {
+        let initial = match options.initial {
             Some(states) => {
                 assert_eq!(states.len(), shards, "one seeded state per shard");
                 states
             }
             None => vec![ShardInference::new(); shards],
         };
-        let mut router = ShardRouter::over(pool.borrow_mut().lend(), map, observer);
+        let mut router = ShardRouter::over(pool.lend(), map, options.observer);
         for (shard, state) in initial.into_iter().enumerate() {
-            router.adopt(shard, state, inject_panic == Some(shard));
+            router.adopt(shard, state, options.inject_panic == Some(shard));
         }
         IngestEngine {
-            scope,
             router,
             pool,
-            observer,
+            observer: options.observer,
         }
     }
 
@@ -470,14 +433,15 @@ impl<'scope, 'env, P: BorrowMut<ShardPool>> IngestEngine<'scope, 'env, P> {
     /// phase's or epoch's seq → shard table, flushing partial states at a
     /// boundary, compacting, routing boundary probes, reading the stall count
     /// or the dead shard.
-    pub fn router(&mut self) -> &mut ShardRouter<'scope> {
+    pub fn router(&mut self) -> &mut ShardRouter<'a> {
         &mut self.router
     }
 
     /// Route every observation of `sources` (producer `k` = `sources[k]`)
     /// into the shards in merged clock order, returning how many were routed:
-    /// inline on this thread for a single source, through one producer thread
-    /// per source and the [`MergedClock`] otherwise.
+    /// inline on this thread for a single source, through one scoped producer
+    /// thread per source and the [`MergedClock`] otherwise — the threads are
+    /// spawned and joined inside this call.
     ///
     /// Before it is routed, each observation is fed to the merge-side
     /// `replica` (when one is given and an observer is attached), so rate
@@ -490,8 +454,8 @@ impl<'scope, 'env, P: BorrowMut<ShardPool>> IngestEngine<'scope, 'env, P> {
     /// with a shard already dead pulls no observation and spawns no producer.
     pub fn drive<S, F>(&mut self, sources: Vec<S>, replica: Option<RateReplica>, hook: F) -> u64
     where
-        S: ObservationSource + Send + 'scope,
-        F: FnMut(&mut ShardRouter<'scope>, &Observation),
+        S: ObservationSource + Send,
+        F: FnMut(&mut ShardRouter<'a>, &Observation),
     {
         if self.router.dead_shard().is_some() {
             return 0;
@@ -501,9 +465,13 @@ impl<'scope, 'env, P: BorrowMut<ShardPool>> IngestEngine<'scope, 'env, P> {
             let source = sources.into_iter().next().expect("one source");
             self.ingest(source, replica, hook);
         } else {
-            let capacity = self.pool.borrow().channel_capacity;
-            let clock = spawn_producers(self.scope, sources, capacity);
-            self.ingest(clock, replica, hook);
+            let capacity = self.pool.channel_capacity;
+            // The ingest consumes the clock, so a drive that stops early has
+            // hung up on its producers before the scope joins them.
+            thread::scope(|scope| {
+                let clock = spawn_producers(scope, sources, capacity);
+                self.ingest(clock, replica, hook);
+            });
         }
         self.router.routed() - before
     }
@@ -519,16 +487,16 @@ impl<'scope, 'env, P: BorrowMut<ShardPool>> IngestEngine<'scope, 'env, P> {
     /// an observer on, the merge-side [`RateReplica`] mirroring their
     /// pacers. Every pass starts from fresh pacers. Once a shard is dead a
     /// pass pulls no observation and spawns no producer.
-    pub(crate) fn run_pass<T, F>(
+    pub(crate) fn run_pass<'w, T, F>(
         &mut self,
-        transport: &'scope T,
+        transport: &'w T,
         producers: usize,
         pass: Pass<'_>,
         hook: F,
-    ) -> PassEnd<'scope, T>
+    ) -> PassEnd<'w, T>
     where
         T: ProbeTransport + ?Sized,
-        F: FnMut(&mut ShardRouter<'scope>, &Observation),
+        F: FnMut(&mut ShardRouter<'a>, &Observation),
     {
         // One position → shard table serves every window every producer will
         // emit, replacing the per-observation longest-prefix lookup. One
@@ -559,29 +527,24 @@ impl<'scope, 'env, P: BorrowMut<ShardPool>> IngestEngine<'scope, 'env, P> {
             let (model, map) = (model.clone(), map.clone());
             RateReplica::continuous(pass.start, pass.rate_pps, model, map, pass.interval)
         });
-        let before = self.router.routed();
-        let (rate, replay) = if producers == 1 {
-            // Inline, and lent: the live pacer is still here afterwards.
-            let mut stream = slice(0, 1).build();
-            let limit = stream.slice_len() as u64 * pass.windows;
-            let source = CountedSource::new(LimitedSource::new(&mut stream, limit), 0, observer);
-            self.ingest(source, replica, hook);
-            (stream.rate(), None)
-        } else {
-            let sources: Vec<_> = (0..producers)
-                .map(|k| {
-                    let stream = slice(k, producers).build();
-                    let limit = stream.slice_len() as u64 * pass.windows;
-                    CountedSource::new(LimitedSource::new(stream, limit), k, observer)
-                })
-                .collect();
-            self.drive(sources, replica, hook);
-            let replay = feedback.is_some().then(|| (slice(0, 1), pass.windows));
-            (pass.rate_pps, replay)
-        };
+        // The streams are lent to the drive, so their pacers are still here
+        // afterwards: one producer's is the pass's, live; P producers' each
+        // ended on their own slice, and under feedback the end rate is a
+        // replay's to answer.
+        let mut streams: Vec<_> = (0..producers)
+            .map(|k| slice(k, producers).build())
+            .collect();
+        let sources = (streams.iter_mut().enumerate())
+            .map(|(k, stream)| {
+                let limit = stream.slice_len() as u64 * pass.windows;
+                CountedSource::new(LimitedSource::new(stream, limit), k, observer)
+            })
+            .collect();
+        let routed = self.drive(sources, replica, hook);
+        let replay = (producers > 1 && feedback.is_some()).then(|| (slice(0, 1), pass.windows));
         PassEnd {
-            routed: self.router.routed() - before,
-            rate,
+            routed,
+            rate: streams[0].rate(),
             replay,
         }
     }
@@ -589,7 +552,7 @@ impl<'scope, 'env, P: BorrowMut<ShardPool>> IngestEngine<'scope, 'env, P> {
     fn ingest<S, F>(&mut self, mut source: S, mut replica: Option<RateReplica>, mut hook: F)
     where
         S: ObservationSource,
-        F: FnMut(&mut ShardRouter<'scope>, &Observation),
+        F: FnMut(&mut ShardRouter<'a>, &Observation),
     {
         while self.router.dead_shard().is_none() {
             let Some(obs) = source.next_observation() else {
@@ -610,13 +573,7 @@ impl<'scope, 'env, P: BorrowMut<ShardPool>> IngestEngine<'scope, 'env, P> {
     /// shard order), never re-raised on this thread; the survivors drain
     /// first, and every thread of the pool is joined before this returns.
     pub fn release(self) -> Result<Vec<ShardInference>, StreamError> {
-        let IngestEngine {
-            router,
-            mut pool,
-            observer,
-            ..
-        } = self;
-        pool.borrow_mut().collect(router.yield_states(), observer)
+        self.pool.collect(self.router.yield_states(), self.observer)
     }
 }
 
@@ -663,18 +620,17 @@ mod tests {
                 kind: scent_simnet::ReplyKind::TimeExceeded,
             }),
         };
-        std::thread::scope(|scope| {
-            let map = ShardMap::new(&rib.entries(), 2);
-            let owner = map.shard_for(obs.target);
-            let mut engine = IngestEngine::open(scope, map, 8, IngestOptions::default());
-            engine.router().route(obs);
-            // Flush delivers the partial batch and sees it (FIFO).
-            let partial = engine.router().flush();
-            assert_eq!(partial[owner].validated.len(), 1);
-            let finals = engine.close().unwrap();
-            assert_eq!(finals[owner].observations, 1);
-            assert_eq!(finals[1 - owner].observations, 0);
-        });
+        let map = ShardMap::new(&rib.entries(), 2);
+        let owner = map.shard_for(obs.target);
+        let mut pool = ShardPool::open(2, 8);
+        let mut engine = IngestEngine::lease(&mut pool, map, IngestOptions::default());
+        engine.router().route(obs);
+        // Flush delivers the partial batch and sees it (FIFO).
+        let partial = engine.router().flush();
+        assert_eq!(partial[owner].validated.len(), 1);
+        let finals = engine.release().unwrap();
+        assert_eq!(finals[owner].observations, 1);
+        assert_eq!(finals[1 - owner].observations, 0);
     }
 
     /// The queue holds the observations `channel_capacity` asks for, in
@@ -714,19 +670,17 @@ mod tests {
         let mut pool = ShardPool::open(2, 4);
         let mut carried: Option<Vec<ShardInference>> = None;
         for lease in 1..=3u64 {
-            let states = std::thread::scope(|scope| {
-                let options = IngestOptions {
-                    initial: carried.take(),
-                    ..IngestOptions::default()
-                };
-                let mut engine = IngestEngine::lease(&mut pool, scope, map(), options);
-                let sources = producers(&world, 2)
-                    .into_iter()
-                    .map(|stream| LimitedSource::new(stream, 128))
-                    .collect();
-                assert_eq!(engine.drive(sources, None, |_, _| {}), 256);
-                engine.release().unwrap()
-            });
+            let options = IngestOptions {
+                initial: carried.take(),
+                ..IngestOptions::default()
+            };
+            let mut engine = IngestEngine::lease(&mut pool, map(), options);
+            let sources = producers(&world, 2)
+                .into_iter()
+                .map(|stream| LimitedSource::new(stream, 128))
+                .collect();
+            assert_eq!(engine.drive(sources, None, |_, _| {}), 256);
+            let states = engine.release().unwrap();
             let folded: u64 = states.iter().map(|state| state.observations).sum();
             assert_eq!(folded, 256 * lease, "carried state plus this lease");
             carried = Some(states);
@@ -735,13 +689,11 @@ mod tests {
         // states, and not as ingest progress reported to its observer (the
         // leases above had none to report theirs to).
         let seen = Progress(AtomicU64::new(0));
-        let fresh = std::thread::scope(|scope| {
-            let options = IngestOptions {
-                observer: Some(&seen),
-                ..IngestOptions::default()
-            };
-            IngestEngine::lease(&mut pool, scope, map(), options).release()
-        });
+        let options = IngestOptions {
+            observer: Some(&seen),
+            ..IngestOptions::default()
+        };
+        let fresh = IngestEngine::lease(&mut pool, map(), options).release();
         assert!(fresh.unwrap().iter().all(|state| state.observations == 0));
         assert_eq!(seen.0.load(Ordering::Relaxed), 0);
 
@@ -750,25 +702,20 @@ mod tests {
         let owner = (carried.as_ref().expect("carried out of the loop").iter())
             .position(|state| state.observations > 0)
             .expect("some shard folded the traffic");
-        let poisoned = std::thread::scope(|scope| {
-            let options = IngestOptions {
-                inject_panic: Some(owner),
-                ..IngestOptions::default()
-            };
-            let mut engine = IngestEngine::lease(&mut pool, scope, map(), options);
-            engine.drive(producers(&world, 1), None, |_, _| {});
-            engine.release()
-        });
+        let options = IngestOptions {
+            inject_panic: Some(owner),
+            ..IngestOptions::default()
+        };
+        let mut engine = IngestEngine::lease(&mut pool, map(), options);
+        engine.drive(producers(&world, 1), None, |_, _| {});
         assert_eq!(
-            poisoned.unwrap_err(),
+            engine.release().unwrap_err(),
             StreamError::ShardPanicked { shard: owner }
         );
-        let after = std::thread::scope(|scope| {
-            let mut engine = IngestEngine::lease(&mut pool, scope, map(), IngestOptions::default());
-            let source = LimitedSource::new(producers(&world, 1).remove(0), 256);
-            engine.drive(vec![source], None, |_, _| {});
-            engine.release()
-        });
+        let mut engine = IngestEngine::lease(&mut pool, map(), IngestOptions::default());
+        let source = LimitedSource::new(producers(&world, 1).remove(0), 256);
+        engine.drive(vec![source], None, |_, _| {});
+        let after = engine.release();
         let folded: u64 = after.unwrap().iter().map(|state| state.observations).sum();
         assert_eq!(folded, 256, "the poison died with the lease it was for");
     }
@@ -791,16 +738,16 @@ mod tests {
         let mut inline = MergedClock::new(limited());
         let want: Vec<Observation> = std::iter::from_fn(|| inline.next_observation()).collect();
         assert_eq!(want.len() as u64, 256 * windows);
-        std::thread::scope(|scope| {
-            let map = ShardMap::new(&world.rib().entries(), 2);
-            let mut engine = IngestEngine::open(scope, map, 64, IngestOptions::default());
-            let mut got = Vec::new();
-            let routed = engine.drive(limited(), None, |_, obs| got.push(*obs));
-            assert_eq!(got, want);
-            assert_eq!(routed, want.len() as u64);
-            let classified: u64 = engine.close().unwrap().iter().map(|s| s.observations).sum();
-            assert_eq!(classified, routed);
-        });
+        let map = ShardMap::new(&world.rib().entries(), 2);
+        let mut pool = ShardPool::open(2, 64);
+        let mut engine = IngestEngine::lease(&mut pool, map, IngestOptions::default());
+        let mut got = Vec::new();
+        let routed = engine.drive(limited(), None, |_, obs| got.push(*obs));
+        assert_eq!(got, want);
+        assert_eq!(routed, want.len() as u64);
+        let states = engine.release().unwrap();
+        let classified: u64 = states.iter().map(|s| s.observations).sum();
+        assert_eq!(classified, routed);
     }
 
     /// An endless source that counts how often it is pulled.
@@ -823,29 +770,28 @@ mod tests {
 
     /// A shard death ends the drive it happens in — hanging up producers
     /// that would otherwise probe forever — and every later drive returns
-    /// without pulling an observation or spawning a producer; the close then
-    /// reports the dead shard as a typed error.
+    /// without pulling an observation or spawning a producer; the release
+    /// then reports the dead shard as a typed error.
     #[test]
     fn dead_shard_stops_this_drive_and_every_later_one() {
         let world = Engine::build(scenarios::continuous_world(9)).unwrap();
         let pulls = AtomicU64::new(0);
-        let closed = std::thread::scope(|scope| {
-            let map = ShardMap::new(&world.rib().entries(), 1);
-            let options = IngestOptions {
-                inject_panic: Some(0),
-                ..IngestOptions::default()
-            };
-            let mut engine = IngestEngine::open(scope, map, 8, options);
-            // Unlimited producers: only the worker's death ends this drive,
-            // and the scope exits only if both producer threads noticed the
-            // clock hang up and returned.
-            engine.drive(producers(&world, 2), None, |_, _| {});
-            assert_eq!(engine.router().dead_shard(), Some(0));
-            assert_eq!(engine.drive(vec![Counting(&pulls)], None, |_, _| {}), 0);
-            let many = vec![Counting(&pulls), Counting(&pulls)];
-            assert_eq!(engine.drive(many, None, |_, _| {}), 0);
-            engine.close()
-        });
+        let map = ShardMap::new(&world.rib().entries(), 1);
+        let options = IngestOptions {
+            inject_panic: Some(0),
+            ..IngestOptions::default()
+        };
+        let mut pool = ShardPool::open(1, 8);
+        let mut engine = IngestEngine::lease(&mut pool, map, options);
+        // Unlimited producers: only the worker's death ends this drive, and
+        // it returns only if both producer threads noticed the clock hang up
+        // and returned.
+        engine.drive(producers(&world, 2), None, |_, _| {});
+        assert_eq!(engine.router().dead_shard(), Some(0));
+        assert_eq!(engine.drive(vec![Counting(&pulls)], None, |_, _| {}), 0);
+        let many = vec![Counting(&pulls), Counting(&pulls)];
+        assert_eq!(engine.drive(many, None, |_, _| {}), 0);
+        let closed = engine.release();
         assert_eq!(
             pulls.load(Ordering::Relaxed),
             0,

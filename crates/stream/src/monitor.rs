@@ -448,20 +448,18 @@ impl StreamMonitor {
         &self,
         world: &B,
         watched_48s: &[Ipv6Prefix],
-        control: MonitorControl<'_>,
+        mut control: MonitorControl<'_>,
     ) -> Result<MonitorReport, StreamError> {
-        let MonitorControl {
-            observer,
-            mut sink,
-            resume,
-            stop,
-        } = control;
-        let mut session =
-            MonitorSession::new(world, self.config.clone(), watched_48s.to_vec(), observer);
-        if let Some(stop) = stop {
+        let mut session = MonitorSession::new(
+            world,
+            self.config.clone(),
+            watched_48s.to_vec(),
+            control.observer,
+        );
+        if let Some(stop) = control.stop {
             session = session.with_stop(stop);
         }
-        if let Some(snapshot) = resume {
+        if let Some(snapshot) = control.resume {
             session = session.resume(snapshot)?;
         }
         // The run owns its shard workers: every epoch leases this one pool.
@@ -474,7 +472,7 @@ impl StreamMonitor {
             // actually want. Shard state is captured from the joined
             // epoch's carried states, so the snapshot reflects exactly the
             // observations ingested so far.
-            if let Some(sink) = sink.as_deref_mut() {
+            if let Some(sink) = control.sink.as_deref_mut() {
                 let on_cadence = self
                     .config
                     .checkpoint_every
@@ -508,7 +506,13 @@ impl StreamMonitor {
 /// boundary, so one pool serves any number of sessions a scheduler
 /// multiplexes and between calls none of a session's state lives outside it
 /// ([`MonitorSession::run_epoch`] is the same epoch on a pool opened and
-/// dropped inside the call). Driving a fresh session to completion at a
+/// dropped inside the call). An epoch is a straight line over named stages
+/// on the session — the probe pass, the boundary discovery cycle, the
+/// release, the re-expansion and watch-list revision — and only the
+/// per-shard states leave it, for the workers and back; the boundary stages
+/// run at every boundary but the run's last, at one boundary time, and the
+/// rate the run ended on is asked of the pass once the revision has said
+/// whether this epoch was the last. Driving a fresh session to completion at a
 /// constant budget of [`MonitorConfig::packets_per_second`] reproduces
 /// [`StreamMonitor::run`] byte for byte; varying the budget between epochs
 /// is how the scheduler implements weighted fair shares.
@@ -524,7 +528,6 @@ pub struct MonitorSession<'a, B: ?Sized> {
     observer: Option<&'a dyn StreamObserver>,
     tenant: u32,
     stop: Option<StopSignal>,
-    generator: TargetGenerator,
     shard_map: ShardMap,
     epochs: Vec<(u64, u64)>,
     initial_watched: Vec<Ipv6Prefix>,
@@ -535,7 +538,6 @@ pub struct MonitorSession<'a, B: ?Sized> {
     next_epoch: usize,
     current_window: u64,
     final_rate: u64,
-    completed_windows: u64,
     states: Vec<ShardInference>,
     stalls: u64,
     exhausted_at: Option<u64>,
@@ -585,7 +587,6 @@ impl<'a, B: ProbeTransport + WorldView + ?Sized> MonitorSession<'a, B> {
                 cfg.seed,
             )
         });
-        let generator = TargetGenerator::new(cfg.seed);
         let shard_map = ShardMap::new(&world.rib().entries(), cfg.shards);
         // Epoch layout: `refresh_every`-window segments when the watch list
         // churns, `checkpoint_every`-window segments when checkpointing
@@ -601,24 +602,11 @@ impl<'a, B: ProbeTransport + WorldView + ?Sized> MonitorSession<'a, B> {
             .step_by(epoch_windows as usize)
             .map(|start| (start, epoch_windows.min(cfg.windows - start)))
             .collect();
-        // An empty initial watch list is terminal unless a live discovery
-        // frontier can refill it (the unseeded-start mode). A discovery
-        // frontier is dead from the start only when the blocklist covers the
-        // entire announced space.
-        let frontier_live = match (&discovery, &cfg.discovery) {
-            (Some(tree), Some(discovery)) => tree.frontier_live(discovery),
-            _ => false,
-        };
-        let exhausted_at =
-            (cfg.churn.is_some() && watched_48s.is_empty() && !frontier_live).then_some(0);
-        let states = vec![ShardInference::without_census(); cfg.shards];
-        let final_rate = cfg.packets_per_second;
-        MonitorSession {
+        let mut session = MonitorSession {
             world,
             observer,
             tenant: 0,
             stop: None,
-            generator,
             shard_map,
             epochs,
             initial_watched: watched_48s.clone(),
@@ -628,18 +616,23 @@ impl<'a, B: ProbeTransport + WorldView + ?Sized> MonitorSession<'a, B> {
             expansion_probes: 0,
             next_epoch: 0,
             current_window: 0,
-            final_rate,
-            completed_windows: 0,
-            states,
+            final_rate: cfg.packets_per_second,
+            states: vec![ShardInference::without_census(); cfg.shards],
             stalls: 0,
-            exhausted_at,
+            exhausted_at: None,
             stopped: false,
             failed: false,
             fingerprints: None,
             started,
             kept: None,
             config,
-        }
+        };
+        // An empty initial watch list is terminal unless a live discovery
+        // frontier can refill it (the unseeded-start mode); the frontier is
+        // dead from the start only when the blocklist covers the entire
+        // announced space.
+        session.exhausted_at = session.watch_exhausted().then_some(0);
+        session
     }
 
     /// Tag every observation this session produces with a tenant index —
@@ -682,10 +675,6 @@ impl<'a, B: ProbeTransport + WorldView + ?Sized> MonitorSession<'a, B> {
             ));
         }
         self.next_epoch = snapshot.next_epoch as usize;
-        self.completed_windows = self.epochs[..self.next_epoch]
-            .iter()
-            .map(|&(_, len)| len)
-            .sum();
         self.current_window = snapshot.current_window;
         self.final_rate = snapshot.final_rate;
         self.watched = snapshot.watched;
@@ -699,9 +688,7 @@ impl<'a, B: ProbeTransport + WorldView + ?Sized> MonitorSession<'a, B> {
                 "snapshot discovery state does not match the configuration",
             ));
         }
-        if snapshot.discovery.is_some() {
-            self.discovery = snapshot.discovery;
-        }
+        self.discovery = snapshot.discovery;
         if let (Some(telemetry), Some(det)) = (self.observer, &snapshot.telemetry) {
             telemetry.restore_deterministic(det);
         }
@@ -736,10 +723,7 @@ impl<'a, B: ProbeTransport + WorldView + ?Sized> MonitorSession<'a, B> {
         // session. The `WatchExhausted` event is already in the restored
         // telemetry journal, so it is not re-emitted. An empty watch list
         // with a live discovery frontier is mid-discovery, not exhausted.
-        self.exhausted_at = (self.config.churn.is_some()
-            && self.watched.is_empty()
-            && !self.discovery_frontier_live())
-        .then_some(self.completed_windows);
+        self.exhausted_at = self.watch_exhausted().then_some(self.completed_windows());
         Ok(self)
     }
 
@@ -750,6 +734,13 @@ impl<'a, B: ProbeTransport + WorldView + ?Sized> MonitorSession<'a, B> {
             (Some(tree), Some(discovery)) => tree.frontier_live(discovery),
             _ => false,
         }
+    }
+
+    /// Whether the scent has dried up for good: a churning watch list that
+    /// is empty with no live discovery frontier to refill it (re-expansion
+    /// seeds derive from the watched /48s, so it never refills itself).
+    fn watch_exhausted(&self) -> bool {
+        self.config.churn.is_some() && self.watched.is_empty() && !self.discovery_frontier_live()
     }
 
     fn fingerprints(&mut self) -> (u64, u64) {
@@ -775,7 +766,7 @@ impl<'a, B: ProbeTransport + WorldView + ?Sized> MonitorSession<'a, B> {
 
     /// Windows completed so far (the prefix of the run already ingested).
     pub fn completed_windows(&self) -> u64 {
-        self.completed_windows
+        (self.epochs[..self.next_epoch].last()).map_or(0, |&(start, len)| start + len)
     }
 
     /// Index of the next epoch to run — also the checkpoint key
@@ -789,13 +780,17 @@ impl<'a, B: ProbeTransport + WorldView + ?Sized> MonitorSession<'a, B> {
     /// first). Once the session is done this is pinned at the final
     /// boundary already reached.
     pub fn next_boundary(&self) -> SimTime {
-        let (start_window, len) = self
-            .epochs
-            .get(self.next_epoch)
+        self.boundary_time(self.next_epoch)
+    }
+
+    /// The virtual time at which `epoch` ends; past the last epoch, the
+    /// run's final boundary.
+    fn boundary_time(&self, epoch: usize) -> SimTime {
+        let (start_window, len) = (self.epochs.get(epoch).or(self.epochs.last()))
             .copied()
-            .unwrap_or_else(|| self.epochs.last().copied().unwrap_or((0, 0)));
-        self.config.start
-            + SimDuration::from_secs(self.config.window_interval.as_secs() * (start_window + len))
+            .unwrap_or((0, 0));
+        let interval = self.config.window_interval.as_secs();
+        self.config.start + SimDuration::from_secs(interval * (start_window + len))
     }
 
     /// Advance the session by exactly one epoch on a pool of its own:
@@ -830,219 +825,56 @@ impl<'a, B: ProbeTransport + WorldView + ?Sized> MonitorSession<'a, B> {
     pub fn run_epoch_on(&mut self, pool: &mut ShardPool, pps: u64) -> Result<bool, StreamError> {
         assert!(!self.is_done(), "run_epoch on a finished session");
         let epoch = self.next_epoch;
-        let epochs_len = self.epochs.len();
-        let (start_window, len) = self.epochs[epoch];
-        let initial = std::mem::take(&mut self.states);
-        // The discovery tree is driven inside the thread scope (its sweep
-        // observations must route into live shards), so it moves into a
-        // local for the epoch and back afterwards — as does the kept stream.
-        let mut discovery = self.discovery.take();
-        let mut kept = self.kept.take();
-        let mut tree_candidates: Vec<Ipv6Prefix> = Vec::new();
-        let mut current_window = self.current_window;
+        // A boundary is worked — discovery cycle, re-expansion, revision —
+        // only when more windows follow: what a final boundary admitted
+        // could never be probed.
+        let more_follow = epoch + 1 < self.epochs.len();
+        let mut engine = IngestEngine::lease(
+            pool,
+            self.shard_map.clone(),
+            IngestOptions {
+                observer: self.observer,
+                initial: Some(std::mem::take(&mut self.states)),
+                inject_panic: self.config.inject_shard_panic,
+            },
+        );
         // Per-epoch density state feeding the next revision, keyed by
         // watched /48. Folded on the merge side — the deterministic
         // observation order — so revisions never depend on scheduling.
         // (Fast-hashed: this map is bumped once per churned observation, on
         // the merge side's hot path.)
-        let mut epoch_density: FastMap<Ipv6Prefix, DensityAccumulator> = FastMap::default();
-        let session = &*self;
-        let cfg = &session.config;
-        let (world, tenant, generator) = (session.world, session.tenant, &session.generator);
-
-        let (closed, stalls, stopping, final_rate) = std::thread::scope(|scope| {
-            let mut engine = IngestEngine::lease(
-                pool,
-                scope,
-                session.shard_map.clone(),
-                IngestOptions {
-                    observer: session.observer,
-                    initial: Some(initial),
-                    inject_panic: cfg.inject_shard_panic,
-                },
-            );
-            let end = session.probe_pass(
-                &mut engine,
-                &mut kept,
-                (start_window, len),
-                pps,
-                &mut epoch_density,
-                &mut current_window,
-            );
-            let stopping = session.stop.as_ref().is_some_and(StopSignal::is_stopped);
-            // One producer's pacer is read live. P producers' pacers ended
-            // on their own slices, so the (deterministic) trajectory is
-            // replayed probe-free for the rate the single-producer run
-            // holds — but only the final epoch's rate is ever reported (the
-            // pacer restarts each epoch), so the replay is skipped
-            // everywhere else, unless a stop makes this boundary the
-            // effective end of the run.
-            let final_rate = if cfg.producers == 1 || epoch + 1 == epochs_len || stopping {
-                end.final_rate()
-            } else {
-                pps
-            };
-
-            // Boundary discovery cycle — run inside the scope so the sweep's
-            // expansion-phase observations route into the live shards and
-            // validated-/48 state grows in the same run that discovered it.
-            // The cycle is merge-side only (after every producer drained), so
-            // it is invariant across producer counts by construction; the
-            // final boundary is skipped like the watch revision (its
-            // candidates could never be probed).
-            let router = engine.router();
-            if let (Some(tree), Some(dcfg)) = (discovery.as_mut(), cfg.discovery.as_ref()) {
-                if epoch + 1 < epochs_len && router.dead_shard().is_none() {
-                    // Discovery targets are not in this epoch's seq table;
-                    // fall back to per-observation map lookups for them.
-                    router.clear_seq_shards();
-                    let boundary = cfg.start
-                        + SimDuration::from_secs(
-                            cfg.window_interval.as_secs() * (start_window + len),
-                        );
-                    tree.decay(dcfg);
-                    // Fold the closing epoch's density evidence, sorted so
-                    // the fold never depends on the fast-hashed accumulator
-                    // map's iteration order.
-                    let mut folded: Vec<(Ipv6Prefix, u64, u64)> = epoch_density
-                        .iter()
-                        .map(|(prefix, acc)| (*prefix, acc.probes, acc.uniques.len() as u64))
-                        .collect();
-                    folded.sort_by_key(|entry| entry.0);
-                    tree.fold_density(dcfg, folded);
-                    let scanner = Scanner::at_paper_rate(cfg.seed ^ 0x5c37);
-                    let mut seq = 0u64;
-                    for _ in 0..dcfg.rounds {
-                        let budget = (dcfg.probe_budget / u64::from(dcfg.rounds)).max(1);
-                        let plan = tree.plan(dcfg, generator, cfg.granularity, budget);
-                        if plan.is_empty() {
-                            continue;
-                        }
-                        let targets: Vec<Ipv6Addr> =
-                            plan.iter().map(|probe| probe.target).collect();
-                        let scan = scanner.scan(world, &targets, boundary);
-                        for record in &scan.records {
-                            router.route(Observation {
-                                phase: Phase::Expansion,
-                                tenant,
-                                window: start_window + len - 1,
-                                seq,
-                                target: record.target,
-                                sent_at: record.sent_at,
-                                response: record.response,
-                            });
-                            seq += 1;
-                        }
-                        tree.fold_probes(dcfg, scan.records.iter());
-                        tree.rebalance(dcfg);
-                    }
-                    tree_candidates = tree.dense_48s(dcfg);
-                }
-            }
-
-            let stalls = router.stalls();
-            (engine.release(), stalls, stopping, final_rate)
-        });
-
-        self.stalls += stalls;
-        self.discovery = discovery;
-        self.kept = kept;
-        self.states = match closed {
-            Ok(states) => states,
+        let mut epoch_density = FastMap::default();
+        let end = self.probe_pass(&mut engine, epoch, pps, &mut epoch_density);
+        let stopping = self.stop.as_ref().is_some_and(StopSignal::is_stopped);
+        if more_follow {
+            self.discovery_cycle(&mut engine, epoch, &epoch_density);
+        }
+        self.stalls += engine.router().stalls();
+        match engine.release() {
+            Ok(states) => self.states = states,
             Err(err) => {
                 self.failed = true;
                 self.kept = None;
                 return Err(err);
             }
-        };
-        self.final_rate = final_rate;
-        self.current_window = current_window;
-
-        // Close the epoch: re-expand the blocks around the watched space
-        // and fold the epoch's density state through the revision — but
-        // only when more windows follow (a final revision would never be
-        // probed).
-        if let Some(churn) = &self.config.churn {
-            if epoch + 1 < epochs_len {
-                let boundary = self.config.start
-                    + SimDuration::from_secs(
-                        self.config.window_interval.as_secs() * (start_window + len),
-                    );
-                let mut seeds: Vec<Ipv6Prefix> = self
-                    .watched
-                    .iter()
-                    .map(|p| {
-                        p.supernet(churn.expansion_len.min(p.len()))
-                            .expect("supernet of a watched prefix")
-                    })
-                    .collect();
-                seeds.sort();
-                seeds.dedup();
-                let blocklist = self.config.discovery.as_ref().map(|d| &d.blocklist);
-                let expansion = SeedExpansion::run_where(
-                    self.world,
-                    &seeds,
-                    boundary,
-                    self.config.seed,
-                    churn.max_48s_per_seed,
-                    |candidate| !blocklist.is_some_and(|list| list.covers(candidate)),
-                );
-                let expansion_probes = expansion.probed_48s;
-                self.expansion_probes += expansion_probes;
-                // Admission candidates: the boundary re-expansion's
-                // validated /48s first (the flat churn signal), then the
-                // discovery tree's confidently dense /48s. The revision
-                // dedups and enforces capacity either way.
-                let mut candidates = expansion.validated_48s;
-                candidates.extend(tree_candidates.iter().copied());
-                let (next, revision) = SeedExpansion::revise_watch_list(
-                    epoch as u64,
-                    &self.watched,
-                    &epoch_density,
-                    &candidates,
-                    churn.watch_capacity,
-                );
-                if let Some(telemetry) = self.observer {
-                    telemetry.on_epoch_close(&EpochSummary {
-                        epoch: revision.epoch,
-                        at: boundary,
-                        window: start_window + len - 1,
-                        admitted: &revision.admitted,
-                        evicted: &revision.evicted,
-                        watch_len: next.len(),
-                        expansion_probes,
-                    });
-                }
-                if next != self.watched {
-                    self.kept = None;
-                    self.watched = next;
-                }
-                self.revisions.push(revision);
-                // Terminal-empty: every watched /48 went quiet and the
-                // boundary expansion validated nothing. Re-expansion seeds
-                // derive from the watched /48s, so the list could never
-                // refill — record the exhaustion (in the deterministic
-                // telemetry journal too) and end the run here instead of
-                // spinning empty epochs and charging expansion probes.
-                // With discovery on, a live tree frontier is a second
-                // refill path, so the terminal state additionally requires
-                // the frontier to be dead (every leaf classified or
-                // blocked).
-                if self.watched.is_empty() && !self.discovery_frontier_live() {
-                    self.exhausted_at = Some(start_window + len);
-                    if let Some(telemetry) = self.observer {
-                        telemetry.on_watch_exhausted(
-                            boundary,
-                            start_window + len - 1,
-                            epoch as u64,
-                        );
-                    }
-                }
-            }
         }
-        self.completed_windows = start_window + len;
+        if more_follow {
+            self.revise_watch(epoch, &epoch_density);
+        }
         self.next_epoch = epoch + 1;
         self.stopped = stopping;
+        // One producer's pacer is read live. P producers' pacers ended on
+        // their own slices, so the (deterministic) trajectory is replayed
+        // probe-free for the rate the single-producer run holds — but only
+        // the run's last epoch's rate is ever reported (the pacer restarts
+        // each epoch), so the replay is skipped everywhere else. Whether
+        // this was the last — final epoch, stop or exhaustion — is known
+        // only now, after the revision.
+        self.final_rate = if self.config.producers == 1 || self.is_done() {
+            end.final_rate()
+        } else {
+            pps
+        };
         if self.is_done() {
             // Nothing will probe it again, and `finish` should not fold the
             // report on top of it.
@@ -1052,29 +884,32 @@ impl<'a, B: ProbeTransport + WorldView + ?Sized> MonitorSession<'a, B> {
     }
 
     /// The pass stage of an epoch: probe the current watch list for the
-    /// epoch's `len` windows (numbered from `start_window`) at `pps`, through
-    /// the engine's one pass call. What the monitor adds to the pass is its
-    /// per-observation fold on the merge side — the epoch's per-/48 density
-    /// state when the watch list churns, and retention compaction as the
-    /// window advances.
+    /// epoch's windows at `pps`, through the engine's one pass call. What
+    /// the monitor adds to the pass is its per-observation fold on the merge
+    /// side — the epoch's per-/48 density state when the watch list churns,
+    /// and retention compaction as the window advances.
     ///
-    /// The target stream is `kept`'s — built here ([`Self::target_stream`])
-    /// when no earlier epoch of the standing watch list left one — and the
-    /// epoch probes a cursor on it, whatever the producer count.
-    fn probe_pass<'scope>(
-        &'scope self,
-        engine: &mut IngestEngine<'scope, '_, &mut ShardPool>,
-        kept: &mut Option<TargetStream>,
-        (start_window, len): (u64, u64),
+    /// The target stream is the kept one — built here
+    /// ([`Self::target_stream`]) when no earlier epoch of the standing watch
+    /// list left one — and the epoch probes a cursor on it, whatever the
+    /// producer count.
+    fn probe_pass(
+        &mut self,
+        engine: &mut IngestEngine<'_>,
+        epoch: usize,
         pps: u64,
         epoch_density: &mut FastMap<Ipv6Prefix, DensityAccumulator>,
-        current_window: &mut u64,
-    ) -> PassEnd<'scope, B> {
+    ) -> PassEnd<'a, B> {
+        if self.kept.is_none() {
+            self.kept = Some(self.target_stream());
+        }
+        let targets = self.kept.clone().expect("built above");
+        let (start_window, len) = self.epochs[epoch];
         let cfg = &self.config;
-        let kept = kept.get_or_insert_with(|| self.target_stream());
+        let current_window = &mut self.current_window;
         let pass = Pass {
             phase: Phase::Detection,
-            targets: kept.clone().starting_at_window(start_window),
+            targets: targets.starting_at_window(start_window),
             windows: len,
             rate_pps: pps,
             start: cfg.start,
@@ -1101,15 +936,159 @@ impl<'a, B: ProbeTransport + WorldView + ?Sized> MonitorSession<'a, B> {
         })
     }
 
+    /// The boundary discovery cycle (nothing without
+    /// [`MonitorConfig::discovery`]): decay, fold the closing epoch's
+    /// density evidence, sweep, rebalance — after which the tree's
+    /// confidently dense /48s are the revision's second source of
+    /// candidates. It runs while the lease is live, so the sweep's
+    /// expansion-phase observations route into the shards and
+    /// validated-/48 state grows in the same run that discovered it; and
+    /// merge-side only (every producer has drained), so it is invariant
+    /// across producer counts by construction.
+    fn discovery_cycle(
+        &mut self,
+        engine: &mut IngestEngine<'_>,
+        epoch: usize,
+        epoch_density: &FastMap<Ipv6Prefix, DensityAccumulator>,
+    ) {
+        let boundary = self.boundary_time(epoch);
+        let (start_window, len) = self.epochs[epoch];
+        let cfg = &self.config;
+        let router = engine.router();
+        let (Some(tree), Some(dcfg)) = (self.discovery.as_mut(), cfg.discovery.as_ref()) else {
+            return;
+        };
+        if router.dead_shard().is_some() {
+            return;
+        }
+        // Discovery targets are not in this epoch's seq table; fall back to
+        // per-observation map lookups for them.
+        router.clear_seq_shards();
+        tree.decay(dcfg);
+        // Fold the closing epoch's density evidence, sorted so the fold
+        // never depends on the fast-hashed accumulator map's iteration
+        // order.
+        let mut folded: Vec<(Ipv6Prefix, u64, u64)> = epoch_density
+            .iter()
+            .map(|(prefix, acc)| (*prefix, acc.probes, acc.uniques.len() as u64))
+            .collect();
+        folded.sort_by_key(|entry| entry.0);
+        tree.fold_density(dcfg, folded);
+        let generator = TargetGenerator::new(cfg.seed);
+        let scanner = Scanner::at_paper_rate(cfg.seed ^ 0x5c37);
+        let mut seq = 0u64;
+        for _ in 0..dcfg.rounds {
+            let budget = (dcfg.probe_budget / u64::from(dcfg.rounds)).max(1);
+            let plan = tree.plan(dcfg, &generator, cfg.granularity, budget);
+            if plan.is_empty() {
+                continue;
+            }
+            let targets: Vec<Ipv6Addr> = plan.iter().map(|probe| probe.target).collect();
+            let scan = scanner.scan(self.world, &targets, boundary);
+            for record in &scan.records {
+                router.route(Observation {
+                    phase: Phase::Expansion,
+                    tenant: self.tenant,
+                    window: start_window + len - 1,
+                    seq,
+                    target: record.target,
+                    sent_at: record.sent_at,
+                    response: record.response,
+                });
+                seq += 1;
+            }
+            tree.fold_probes(dcfg, scan.records.iter());
+            tree.rebalance(dcfg);
+        }
+    }
+
+    /// Close a churning epoch (nothing without [`MonitorConfig::churn`]):
+    /// re-expand the blocks around the watched space at the boundary and
+    /// fold the epoch's density state through the revision.
+    fn revise_watch(
+        &mut self,
+        epoch: usize,
+        epoch_density: &FastMap<Ipv6Prefix, DensityAccumulator>,
+    ) {
+        let Some(churn) = self.config.churn else {
+            return;
+        };
+        let boundary = self.boundary_time(epoch);
+        let (start_window, len) = self.epochs[epoch];
+        let mut seeds: Vec<Ipv6Prefix> = self
+            .watched
+            .iter()
+            .map(|p| {
+                p.supernet(churn.expansion_len.min(p.len()))
+                    .expect("supernet of a watched prefix")
+            })
+            .collect();
+        seeds.sort();
+        seeds.dedup();
+        let blocklist = self.config.discovery.as_ref().map(|d| &d.blocklist);
+        let expansion = SeedExpansion::run_where(
+            self.world,
+            &seeds,
+            boundary,
+            self.config.seed,
+            churn.max_48s_per_seed,
+            |candidate| !blocklist.is_some_and(|list| list.covers(candidate)),
+        );
+        let expansion_probes = expansion.probed_48s;
+        self.expansion_probes += expansion_probes;
+        // Admission candidates: the boundary re-expansion's validated /48s
+        // first (the flat churn signal), then the /48s the discovery tree
+        // holds confidently dense after this boundary's cycle. The revision
+        // dedups and enforces capacity either way.
+        let mut candidates = expansion.validated_48s;
+        if let (Some(tree), Some(dcfg)) = (&self.discovery, &self.config.discovery) {
+            candidates.extend(tree.dense_48s(dcfg));
+        }
+        let (next, revision) = SeedExpansion::revise_watch_list(
+            epoch as u64,
+            &self.watched,
+            epoch_density,
+            &candidates,
+            churn.watch_capacity,
+        );
+        if let Some(telemetry) = self.observer {
+            telemetry.on_epoch_close(&EpochSummary {
+                epoch: revision.epoch,
+                at: boundary,
+                window: start_window + len - 1,
+                admitted: &revision.admitted,
+                evicted: &revision.evicted,
+                watch_len: next.len(),
+                expansion_probes,
+            });
+        }
+        if next != self.watched {
+            self.kept = None;
+            self.watched = next;
+        }
+        self.revisions.push(revision);
+        // Terminal-empty: every watched /48 went quiet and the boundary
+        // expansion validated nothing, and no live discovery frontier can
+        // refill the list (every leaf classified or blocked). Record the
+        // exhaustion (in the deterministic telemetry journal too) and end
+        // the run here instead of spinning empty epochs and charging
+        // expansion probes.
+        if self.watch_exhausted() {
+            self.exhausted_at = Some(start_window + len);
+            if let Some(telemetry) = self.observer {
+                telemetry.on_watch_exhausted(boundary, start_window + len - 1, epoch as u64);
+            }
+        }
+    }
+
     /// The watch list's target stream, at window 0: one target per
     /// [`MonitorConfig::granularity`] block of every watched /48, minus
     /// whatever the discovery blocklist covers — filtered at enumeration
     /// time, before any probe exists — permuted once.
     fn target_stream(&self) -> TargetStream {
         let cfg = &self.config;
-        let mut targets = self
-            .generator
-            .per_candidate_48(&self.watched, cfg.granularity);
+        let mut targets =
+            TargetGenerator::new(cfg.seed).per_candidate_48(&self.watched, cfg.granularity);
         if let Some(discovery) = &cfg.discovery {
             targets.retain(|target| !discovery.blocklist.covers_addr(*target));
         }
@@ -1140,6 +1119,7 @@ impl<'a, B: ProbeTransport + WorldView + ?Sized> MonitorSession<'a, B> {
     /// covering every window completed so far. Infallible: failures happen
     /// in [`MonitorSession::run_epoch`], never here.
     pub fn finish(self) -> MonitorReport {
+        let windows = self.completed_windows();
         for (shard, state) in self.states.iter().enumerate() {
             if let Some(telemetry) = self.observer {
                 telemetry.on_shard_final(shard, state.observations);
@@ -1156,7 +1136,7 @@ impl<'a, B: ProbeTransport + WorldView + ?Sized> MonitorSession<'a, B> {
         let tracking = merged.tracker.finish(
             self.world.rib(),
             self.world.as_registry(),
-            self.completed_windows,
+            windows,
             self.config.max_tracked,
         );
 
@@ -1166,7 +1146,7 @@ impl<'a, B: ProbeTransport + WorldView + ?Sized> MonitorSession<'a, B> {
         };
 
         MonitorReport {
-            windows: self.completed_windows,
+            windows,
             observations: merged.observations,
             rotating_48s: detection.rotating_48s.clone(),
             detection,

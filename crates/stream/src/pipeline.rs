@@ -33,7 +33,7 @@ use scent_simnet::{SimDuration, SimTime};
 
 use scent_telemetry::StreamObserver;
 
-use crate::engine::{IngestEngine, IngestOptions, Pass};
+use crate::engine::{IngestEngine, IngestOptions, Pass, ShardPool};
 use crate::error::{ConfigError, StreamError};
 use crate::observation::Phase;
 use crate::router::ShardMap;
@@ -160,10 +160,24 @@ impl StreamPipeline {
         if let Some(telemetry) = observer {
             telemetry.on_run_start(self.config.shards, self.config.producers);
         }
-        let cfg = &self.config.pipeline;
         self.config
             .validate()
             .unwrap_or_else(|rule| panic!("invalid stream configuration: {rule}"));
+        let report = self.run_streamed(world, observer);
+        if let (Some(telemetry), Some(started)) = (observer, started) {
+            telemetry.on_wall_span("pipeline_run", started.elapsed().as_nanos() as u64);
+        }
+        report
+    }
+
+    /// The run between the telemetry brackets: the seed campaign, then the
+    /// scan phases as passes of one lease of a pool opened for the run.
+    fn run_streamed<B: ProbeTransport + WorldView + ?Sized>(
+        &self,
+        world: &B,
+        observer: Option<&dyn StreamObserver>,
+    ) -> Result<PipelineReport, StreamError> {
+        let cfg = &self.config.pipeline;
 
         // Step 0: stale seed traceroute campaign (bootstrap, not streamed —
         // it predates the monitor by construction).
@@ -173,143 +187,141 @@ impl StreamPipeline {
 
         let shard_map = ShardMap::new(&world.rib().entries(), self.config.shards);
 
-        let report = std::thread::scope(|scope| {
-            let mut engine = IngestEngine::open(
-                scope,
-                shard_map,
-                self.config.channel_capacity,
-                IngestOptions {
-                    observer,
-                    ..IngestOptions::default()
-                },
-            );
-            // Each phase's target list depends on the previous phase's
-            // merged result. A shard death ends the scans at that phase's
-            // boundary: the merged state can no longer be completed, so
-            // building and probing the later phases would only waste probes.
-            let scanned = 'scans: {
-                // Step 1: expansion & validation (§4.1), streamed. Same
-                // targets, order and pacing as `SeedExpansion::run`.
-                let candidates = SeedExpansion::candidate_48s(&seed_32s, cfg.max_48s_per_seed);
-                let generator = TargetGenerator::new(cfg.seed);
-                let expansion_targets: Vec<_> = candidates
-                    .iter()
-                    .map(|c| generator.random_addr_in(c))
-                    .collect();
-                let Some(routed) = self.scan(
-                    &mut engine,
-                    world,
-                    Phase::Expansion,
-                    TargetStream::over(expansion_targets, cfg.seed ^ 0x9e37, true),
-                    10_000,
-                    cfg.expansion_time,
-                ) else {
-                    break 'scans None;
-                };
-                if let Some(telemetry) = observer {
-                    telemetry.on_phase_close("expansion", routed);
-                }
-                let after_expansion = ShardInference::merge_all(engine.router().flush());
-                let validated: Vec<_> = after_expansion.validated.iter().copied().collect();
-
-                // Step 2: density inference (§4.2), streamed. Same generator
-                // and scanner parameters as the batch pipeline.
-                let density_generator = TargetGenerator::new(cfg.seed ^ 0xdead);
-                let density_targets =
-                    density_generator.per_candidate_48(&validated, cfg.density_granularity);
-                let Some(routed) = self.scan(
-                    &mut engine,
-                    world,
-                    Phase::Density,
-                    TargetStream::over(density_targets, cfg.seed, true),
-                    cfg.packets_per_second,
-                    cfg.expansion_time + SimDuration::from_hours(2),
-                ) else {
-                    break 'scans None;
-                };
-                if let Some(telemetry) = observer {
-                    telemetry.on_phase_close("density", routed);
-                }
-                let after_density = ShardInference::merge_all(engine.router().flush());
-                let density = DensityReport::from_accumulators(&validated, &after_density.density);
-                let high = density.high_density();
-
-                // Step 3: rotation detection (§4.3) as two streamed snapshot
-                // windows 24 hours apart. The second re-probes the first
-                // one's list in the first one's order: one target stream,
-                // tagged per window.
-                let detection = TargetStream::over(
-                    density_generator.per_candidate_48(&high, cfg.detection_granularity),
-                    cfg.seed,
-                    true,
-                );
-                let mut detection_routed = 0u64;
-                for window in 0..2u64 {
-                    let Some(routed) = self.scan(
-                        &mut engine,
-                        world,
-                        Phase::Detection,
-                        detection.clone().starting_at_window(window),
-                        cfg.packets_per_second,
-                        cfg.first_snapshot
-                            + SimDuration::from_secs(SimDuration::from_days(1).as_secs() * window),
-                    ) else {
-                        break 'scans None;
-                    };
-                    detection_routed += routed;
-                }
-                if let Some(telemetry) = observer {
-                    telemetry.on_phase_close("detection", detection_routed);
-                }
-                Some((candidates.len(), validated.len(), density, high.len()))
+        let mut pool = ShardPool::open(self.config.shards, self.config.channel_capacity);
+        let mut engine = IngestEngine::lease(
+            &mut pool,
+            shard_map,
+            IngestOptions {
+                observer,
+                ..IngestOptions::default()
+            },
+        );
+        // Each phase's target list depends on the previous phase's merged
+        // result. A shard death ends the scans at that phase's boundary: the
+        // merged state can no longer be completed, so building and probing
+        // the later phases would only waste probes.
+        let scanned = 'scans: {
+            // Step 1: expansion & validation (§4.1), streamed. Same targets,
+            // order and pacing as `SeedExpansion::run`.
+            let candidates = SeedExpansion::candidate_48s(&seed_32s, cfg.max_48s_per_seed);
+            let generator = TargetGenerator::new(cfg.seed);
+            let expansion_targets: Vec<_> = candidates
+                .iter()
+                .map(|c| generator.random_addr_in(c))
+                .collect();
+            let Some(routed) = self.scan(
+                &mut engine,
+                world,
+                Phase::Expansion,
+                TargetStream::over(expansion_targets, cfg.seed ^ 0x9e37, true),
+                10_000,
+                cfg.expansion_time,
+            ) else {
+                break 'scans None;
             };
-
-            let states = engine.close()?;
-            let (expansion_probed, validated_48s, density, high_density) =
-                scanned.expect("a dead shard fails the close");
             if let Some(telemetry) = observer {
-                for (shard, state) in states.iter().enumerate() {
-                    telemetry.on_shard_final(shard, state.observations);
-                }
+                telemetry.on_phase_close("expansion", routed);
             }
-            let mut merged = ShardInference::merge_all(states);
+            let after_expansion = ShardInference::merge_all(engine.router().flush());
+            let validated: Vec<_> = after_expansion.validated.iter().copied().collect();
 
-            let detection = WindowedRotationDetector::collect(&mut merged.events);
-            let rotating_counts =
-                RotatingCounts::tally(world.rib(), world.as_registry(), &detection.rotating_48s);
-            let (total_addresses, eui64_addresses, unique_iids) = merged.address_statistics();
+            // Step 2: density inference (§4.2), streamed. Same generator and
+            // scanner parameters as the batch pipeline.
+            let density_generator = TargetGenerator::new(cfg.seed ^ 0xdead);
+            let density_targets =
+                density_generator.per_candidate_48(&validated, cfg.density_granularity);
+            let Some(routed) = self.scan(
+                &mut engine,
+                world,
+                Phase::Density,
+                TargetStream::over(density_targets, cfg.seed, true),
+                cfg.packets_per_second,
+                cfg.expansion_time + SimDuration::from_hours(2),
+            ) else {
+                break 'scans None;
+            };
+            if let Some(telemetry) = observer {
+                telemetry.on_phase_close("density", routed);
+            }
+            let after_density = ShardInference::merge_all(engine.router().flush());
+            let density = DensityReport::from_accumulators(&validated, &after_density.density);
+            let high = density.high_density();
 
-            Ok(PipelineReport {
-                seed_unique_48s: seed_unique.len(),
-                seed_32s: seed_32s.len(),
-                expansion_probed: expansion_probed as u64,
-                validated_48s,
-                high_density,
-                low_density: density.low_density().len(),
-                no_response: density.no_response().len(),
-                rotating_ases: rotating_counts.per_asn.len(),
-                rotating_countries: rotating_counts.per_country.len(),
-                rotating_48s: detection.rotating_48s,
-                rotating_counts,
-                total_addresses,
-                eui64_addresses,
-                unique_iids,
-            })
-        });
-        if let (Some(telemetry), Some(started)) = (observer, started) {
-            telemetry.on_wall_span("pipeline_run", started.elapsed().as_nanos() as u64);
+            // Step 3: rotation detection (§4.3) as two streamed snapshot
+            // windows 24 hours apart. The second re-probes the first one's
+            // list in the first one's order: one target stream, tagged per
+            // window.
+            let detection = TargetStream::over(
+                density_generator.per_candidate_48(&high, cfg.detection_granularity),
+                cfg.seed,
+                true,
+            );
+            let mut detection_routed = 0u64;
+            for window in 0..2u64 {
+                let Some(routed) = self.scan(
+                    &mut engine,
+                    world,
+                    Phase::Detection,
+                    detection.clone().starting_at_window(window),
+                    cfg.packets_per_second,
+                    cfg.first_snapshot
+                        + SimDuration::from_secs(SimDuration::from_days(1).as_secs() * window),
+                ) else {
+                    break 'scans None;
+                };
+                detection_routed += routed;
+            }
+            if let Some(telemetry) = observer {
+                telemetry.on_phase_close("detection", detection_routed);
+            }
+            Some((candidates.len(), validated.len(), density, high.len()))
+        };
+
+        let closed = engine.release();
+        // Before the fold: the parked workers' batch buffers must not sit
+        // under the report merge's peak.
+        drop(pool);
+        let states = closed?;
+        let (expansion_probed, validated_48s, density, high_density) =
+            scanned.expect("a dead shard fails the release");
+        if let Some(telemetry) = observer {
+            for (shard, state) in states.iter().enumerate() {
+                telemetry.on_shard_final(shard, state.observations);
+            }
         }
-        report
+        let mut merged = ShardInference::merge_all(states);
+
+        let detection = WindowedRotationDetector::collect(&mut merged.events);
+        let rotating_counts =
+            RotatingCounts::tally(world.rib(), world.as_registry(), &detection.rotating_48s);
+        let (total_addresses, eui64_addresses, unique_iids) = merged.address_statistics();
+
+        Ok(PipelineReport {
+            seed_unique_48s: seed_unique.len(),
+            seed_32s: seed_32s.len(),
+            expansion_probed: expansion_probed as u64,
+            validated_48s,
+            high_density,
+            low_density: density.low_density().len(),
+            no_response: density.no_response().len(),
+            rotating_ases: rotating_counts.per_asn.len(),
+            rotating_countries: rotating_counts.per_country.len(),
+            rotating_48s: detection.rotating_48s,
+            rotating_counts,
+            total_addresses,
+            eui64_addresses,
+            unique_iids,
+        })
     }
 
     /// Stream one scan through the engine — one window of `targets`, tagged
     /// with the window `targets` is positioned at, paced from `start` — and
     /// return how many observations it routed, or `None` once a shard has
     /// died.
-    fn scan<'scope, B: ProbeTransport + WorldView + ?Sized>(
+    fn scan<B: ProbeTransport + WorldView + ?Sized>(
         &self,
-        engine: &mut IngestEngine<'scope, '_>,
-        world: &'scope B,
+        engine: &mut IngestEngine<'_>,
+        world: &B,
         phase: Phase,
         targets: TargetStream,
         rate_pps: u64,

@@ -52,6 +52,9 @@ use crate::shard::{ShardInference, ShardMsg};
 /// doesn't size the pool ([`ShardRouter::with_pool_slots`]): enough transit
 /// room that a promptly-draining shard set recycles every buffer, without
 /// reserving channel storage proportional to a possibly huge queue capacity.
+///
+/// Kept for e2ebench's frozen import list (it serves only `with_map`) — do
+/// not build on; goes at the next benchmark revision.
 const DEFAULT_POOL_SLOTS_PER_SHARD: usize = 32;
 
 /// The pure target → shard mapping the router is built on.
@@ -247,9 +250,10 @@ impl<'t> ShardRouter<'t> {
     /// construction, not by convention — that the router and the feedback
     /// model route every target identically.
     ///
-    /// Survives for the benchmark harness, which hand-builds a router over
-    /// its own worker; the crate's runs route through a
-    /// [`ShardPool`](crate::engine::ShardPool) lease.
+    /// Kept for e2ebench's frozen import list (the harness hand-builds a
+    /// router over its own worker; the crate's runs route through a
+    /// [`ShardPool`](crate::engine::ShardPool) lease) — do not build on;
+    /// goes at the next benchmark revision.
     pub fn with_map(map: ShardMap, senders: Vec<SyncSender<ShardMsg>>, batch: usize) -> Self {
         let slots = senders.len() * DEFAULT_POOL_SLOTS_PER_SHARD;
         let (lanes, dead) = Lanes::open(senders, Vec::new(), batch, slots);
@@ -308,6 +312,9 @@ impl<'t> ShardRouter<'t> {
     /// `shards × (channel capacity + 2)` covers every queue position plus
     /// one buffer in the router's and one in each worker's hands — and no
     /// return is ever dropped.
+    ///
+    /// Kept for e2ebench's frozen import list (a pool sizes its own lanes)
+    /// — do not build on; goes at the next benchmark revision.
     pub fn with_pool_slots(mut self, slots: usize) -> Self {
         let (pool, home) = batch_pool(self.lanes.batch, slots);
         self.lanes.pool = pool;

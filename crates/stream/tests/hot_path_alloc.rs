@@ -149,52 +149,51 @@ fn routing_steady_state_allocates_nothing() {
         })
         .collect();
 
-    std::thread::scope(|scope| {
-        let map = ShardMap::new(&rib.entries(), SHARDS);
-        let table = map.seq_table(targets.iter().copied());
-        let mut engine = IngestEngine::open(scope, map, CAPACITY, IngestOptions::default());
-        engine.router().prefill_buffers(PREFILL);
-        engine.router().set_seq_shards(table);
+    let map = ShardMap::new(&rib.entries(), SHARDS);
+    let table = map.seq_table(targets.iter().copied());
+    let mut pool = ShardPool::open(SHARDS, CAPACITY);
+    let mut engine = IngestEngine::lease(&mut pool, map, IngestOptions::default());
+    engine.router().prefill_buffers(PREFILL);
+    engine.router().set_seq_shards(table);
 
-        // Warm-up: one pass, then a flush so the workers have drained (and
-        // returned) everything queued before the measured section starts.
-        engine.drive(vec![Replay(observations[..1024].iter())], None, |_, _| {});
-        let _ = engine.router().flush();
+    // Warm-up: one pass, then a flush so the workers have drained (and
+    // returned) everything queued before the measured section starts.
+    engine.drive(vec![Replay(observations[..1024].iter())], None, |_, _| {});
+    let _ = engine.router().flush();
 
-        // Measured steady state. 2048 observations = 32 full batches, well
-        // under the CAPACITY-message queue, so even a descheduled worker
-        // can't force the router into a blocking (parking) send here.
-        let measured = vec![Replay(observations[1024..3072].iter())];
-        let mut hooked = 0u64;
-        let before = thread_allocations();
-        let routed = engine.drive(measured, None, |_, _| hooked += 1);
-        let after = thread_allocations();
-        assert_eq!(
-            after - before,
-            0,
-            "a steady-state drive must not touch the allocator on the control thread"
-        );
-        assert_eq!((routed, hooked), (2048, 2048));
+    // Measured steady state. 2048 observations = 32 full batches, well
+    // under the CAPACITY-message queue, so even a descheduled worker
+    // can't force the router into a blocking (parking) send here.
+    let measured = vec![Replay(observations[1024..3072].iter())];
+    let mut hooked = 0u64;
+    let before = thread_allocations();
+    let routed = engine.drive(measured, None, |_, _| hooked += 1);
+    let after = thread_allocations();
+    assert_eq!(
+        after - before,
+        0,
+        "a steady-state drive must not touch the allocator on the control thread"
+    );
+    assert_eq!((routed, hooked), (2048, 2048));
 
-        let counters = engine.router().buffer_counters();
-        assert_eq!(
-            counters.allocated(),
-            PREFILL as u64,
-            "every buffer in circulation came from the prefill"
-        );
-        assert!(
-            counters.recycled() > 0,
-            "the measured pass must have reused buffers"
-        );
+    let counters = engine.router().buffer_counters();
+    assert_eq!(
+        counters.allocated(),
+        PREFILL as u64,
+        "every buffer in circulation came from the prefill"
+    );
+    assert!(
+        counters.recycled() > 0,
+        "the measured pass must have reused buffers"
+    );
 
-        let total: u64 = engine
-            .close()
-            .expect("no panic injected")
-            .iter()
-            .map(|state| state.observations)
-            .sum();
-        assert_eq!(total, 3072, "recycling must not lose observations");
-    });
+    let total: u64 = engine
+        .release()
+        .expect("no panic injected")
+        .iter()
+        .map(|state| state.observations)
+        .sum();
+    assert_eq!(total, 3072, "recycling must not lose observations");
 }
 
 /// A synthetic producer slice: yields its strided positions of a fixed
@@ -239,29 +238,28 @@ fn producer_edge_recycles_batch_buffers() {
     let rib = rib();
     let targets = targets(64);
     let allocations = [AtomicU64::new(0), AtomicU64::new(0)];
-    std::thread::scope(|scope| {
-        let sources: Vec<SyntheticSlice> = (0..PRODUCERS)
-            .map(|k| SyntheticSlice {
-                next: k,
-                step: PRODUCERS,
-                limit: LIMIT,
-                targets: targets.clone(),
-                first_pull: None,
-                allocations: &allocations[k as usize],
-            })
-            .collect();
-        let map = ShardMap::new(&rib.entries(), 1);
-        let mut engine = IngestEngine::open(scope, map, CAPACITY, IngestOptions::default());
-        // The merge must still see the exact global sequence — recycling
-        // changes where buffer memory came from, never what's in it.
-        let mut next_seq = 0u64;
-        let merged = engine.drive(sources, None, |_, obs| {
-            assert_eq!(obs.seq, next_seq);
-            next_seq += 1;
-        });
-        assert_eq!(merged, LIMIT);
-        engine.close().expect("no panic injected");
+    let sources: Vec<SyntheticSlice> = (0..PRODUCERS)
+        .map(|k| SyntheticSlice {
+            next: k,
+            step: PRODUCERS,
+            limit: LIMIT,
+            targets: targets.clone(),
+            first_pull: None,
+            allocations: &allocations[k as usize],
+        })
+        .collect();
+    let map = ShardMap::new(&rib.entries(), 1);
+    let mut pool = ShardPool::open(1, CAPACITY);
+    let mut engine = IngestEngine::lease(&mut pool, map, IngestOptions::default());
+    // The merge must still see the exact global sequence — recycling
+    // changes where buffer memory came from, never what's in it.
+    let mut next_seq = 0u64;
+    let merged = engine.drive(sources, None, |_, obs| {
+        assert_eq!(obs.seq, next_seq);
+        next_seq += 1;
     });
+    assert_eq!(merged, LIMIT);
+    engine.release().expect("no panic injected");
 
     let batches_per_producer = LIMIT / PRODUCERS / 64;
     for (k, allocated) in allocations.iter().enumerate() {
@@ -276,11 +274,12 @@ fn producer_edge_recycles_batch_buffers() {
 
 /// "Allocation-free" holds per epoch too. Epochs 2–4 of a 1 × 1 session
 /// whose watch list stands, on a pool the caller lends, cost the control
-/// thread a small constant (two allocations, 312 bytes, as this was written:
-/// the scope and the vector the states come back in), never a channel array (8 KB at this
-/// capacity), a batch buffer (40 KB) or the target list (8 KB for these 512
-/// targets) — each of which the first epoch, and every epoch before the
-/// driver owned the workers, did allocate.
+/// thread a small constant (three allocations, 568 bytes, as this was
+/// written: the pass's stream, its source, and the vector the states come
+/// back in), never a channel array (8 KB at this capacity), a batch buffer
+/// (40 KB) or the target list (8 KB for these 512 targets) — each of which
+/// the first epoch, and every epoch before the driver owned the workers,
+/// did allocate.
 #[test]
 fn an_epoch_on_a_lent_pool_allocates_a_small_constant() {
     let engine = scent_simnet::Engine::build(scent_simnet::scenarios::continuous_world(7)).unwrap();

@@ -218,38 +218,34 @@ impl Campaign {
     pub fn builder() -> CampaignBuilder<'static, ()> {
         CampaignBuilder {
             world: (),
-            pipeline: PipelineConfig::default(),
-            mode: CampaignMode::Batch,
-            channel_capacity: 1024,
-            watched: Vec::new(),
-            granularity: None,
-            window_interval: SimDuration::from_days(1),
-            start: None,
-            max_tracked: 8,
-            rate_feedback: false,
-            queue_model: QueueModel::default(),
-            retention_windows: None,
-            churn: None,
-            discovery: None,
-            checkpoint_every: None,
-            checkpoint_to: None,
-            resume_from: None,
-            stop: None,
+            settings: Settings {
+                pipeline: PipelineConfig::default(),
+                mode: CampaignMode::Batch,
+                channel_capacity: 1024,
+                watched: Vec::new(),
+                granularity: None,
+                window_interval: SimDuration::from_days(1),
+                start: None,
+                max_tracked: 8,
+                rate_feedback: false,
+                queue_model: QueueModel::default(),
+                retention_windows: None,
+                churn: None,
+                discovery: None,
+                checkpoint_every: None,
+                checkpoint_to: None,
+                resume_from: None,
+                stop: None,
+            },
             telemetry: None,
         }
     }
 }
 
-/// Builder for a [`Campaign`].
-///
-/// The type parameter tracks whether a backend is attached yet: `run()` only
-/// exists once [`CampaignBuilder::world`] has been called, so "forgot the
-/// backend" is a compile error, not a runtime one. The lifetime is the
-/// telemetry observer's ([`CampaignBuilder::telemetry`]); without one it is
-/// `'static`.
-#[derive(Clone)]
-pub struct CampaignBuilder<'t, W> {
-    world: W,
+/// Every knob that leaves the builder's type alone — all but the backend
+/// and the observer — so attaching either moves this as one field.
+#[derive(Debug, Clone)]
+struct Settings {
     pipeline: PipelineConfig,
     mode: CampaignMode,
     channel_capacity: usize,
@@ -267,6 +263,19 @@ pub struct CampaignBuilder<'t, W> {
     checkpoint_to: Option<PathBuf>,
     resume_from: Option<PathBuf>,
     stop: Option<StopSignal>,
+}
+
+/// Builder for a [`Campaign`].
+///
+/// The type parameter tracks whether a backend is attached yet: `run()` only
+/// exists once [`CampaignBuilder::world`] has been called, so "forgot the
+/// backend" is a compile error, not a runtime one. The lifetime is the
+/// telemetry observer's ([`CampaignBuilder::telemetry`]); without one it is
+/// `'static`.
+#[derive(Clone)]
+pub struct CampaignBuilder<'t, W> {
+    world: W,
+    settings: Settings,
     telemetry: Option<&'t dyn StreamObserver>,
 }
 
@@ -274,23 +283,7 @@ impl<W: std::fmt::Debug> std::fmt::Debug for CampaignBuilder<'_, W> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("CampaignBuilder")
             .field("world", &self.world)
-            .field("pipeline", &self.pipeline)
-            .field("mode", &self.mode)
-            .field("channel_capacity", &self.channel_capacity)
-            .field("watched", &self.watched)
-            .field("granularity", &self.granularity)
-            .field("window_interval", &self.window_interval)
-            .field("start", &self.start)
-            .field("max_tracked", &self.max_tracked)
-            .field("rate_feedback", &self.rate_feedback)
-            .field("queue_model", &self.queue_model)
-            .field("retention_windows", &self.retention_windows)
-            .field("churn", &self.churn)
-            .field("discovery", &self.discovery)
-            .field("checkpoint_every", &self.checkpoint_every)
-            .field("checkpoint_to", &self.checkpoint_to)
-            .field("resume_from", &self.resume_from)
-            .field("stop", &self.stop.is_some())
+            .field("settings", &self.settings)
             .field("telemetry", &self.telemetry.is_some())
             .finish()
     }
@@ -300,34 +293,34 @@ impl<'t, W> CampaignBuilder<'t, W> {
     /// The seed controlling target generation and scan order (the paper
     /// reuses one zmap seed across its daily scans).
     pub fn seed(mut self, seed: u64) -> Self {
-        self.pipeline.seed = seed;
+        self.settings.pipeline.seed = seed;
         self
     }
 
     /// The probe budget in packets per second (the paper's 10,000 by
     /// default).
     pub fn rate_pps(mut self, packets_per_second: u64) -> Self {
-        self.pipeline.packets_per_second = packets_per_second;
+        self.settings.pipeline.packets_per_second = packets_per_second;
         self
     }
 
     /// Cap on /48s enumerated per seed /32 (bounds cost on huge
     /// announcements; scaled-down worlds use small caps).
     pub fn max_48s_per_seed(mut self, max_48s_per_seed: u64) -> Self {
-        self.pipeline.max_48s_per_seed = max_48s_per_seed;
+        self.settings.pipeline.max_48s_per_seed = max_48s_per_seed;
         self
     }
 
     /// Replace the whole methodology parameter block (granularities, virtual
     /// times, …) at once.
     pub fn pipeline_config(mut self, pipeline: PipelineConfig) -> Self {
-        self.pipeline = pipeline;
+        self.settings.pipeline = pipeline;
         self
     }
 
     /// How the campaign executes (default: [`CampaignMode::Batch`]).
     pub fn mode(mut self, mode: CampaignMode) -> Self {
-        self.mode = mode;
+        self.settings.mode = mode;
         self
     }
 
@@ -335,40 +328,40 @@ impl<'t, W> CampaignBuilder<'t, W> {
     /// (default: 1024): a shard's queue holds `64 * channel_capacity`
     /// observations, however many the engine packs into a message.
     pub fn channel_capacity(mut self, channel_capacity: usize) -> Self {
-        self.channel_capacity = channel_capacity;
+        self.settings.channel_capacity = channel_capacity;
         self
     }
 
     /// The /48s a [`CampaignMode::Monitor`] campaign watches.
     pub fn watch(mut self, watched_48s: Vec<Ipv6Prefix>) -> Self {
-        self.watched = watched_48s;
+        self.settings.watched = watched_48s;
         self
     }
 
     /// Probing granularity inside each watched /48 in monitor mode
     /// (default: the pipeline's detection granularity).
     pub fn monitor_granularity(mut self, granularity: u8) -> Self {
-        self.granularity = Some(granularity);
+        self.settings.granularity = Some(granularity);
         self
     }
 
     /// Virtual time between monitor windows (default: 24 hours).
     pub fn window_interval(mut self, window_interval: SimDuration) -> Self {
-        self.window_interval = window_interval;
+        self.settings.window_interval = window_interval;
         self
     }
 
     /// Virtual time the monitor's first window starts (default: the
     /// pipeline's first-snapshot time).
     pub fn start(mut self, start: SimTime) -> Self {
-        self.start = Some(start);
+        self.settings.start = Some(start);
         self
     }
 
     /// Cap on devices folded into the monitor's tracking report
     /// (default: 8).
     pub fn max_tracked(mut self, max_tracked: usize) -> Self {
-        self.max_tracked = max_tracked;
+        self.settings.max_tracked = max_tracked;
         self
     }
 
@@ -383,7 +376,7 @@ impl<'t, W> CampaignBuilder<'t, W> {
     /// inverted-watermark model is rejected in every mode rather than
     /// silently carried).
     pub fn rate_feedback(mut self, rate_feedback: bool) -> Self {
-        self.rate_feedback = rate_feedback;
+        self.settings.rate_feedback = rate_feedback;
         self
     }
 
@@ -393,7 +386,7 @@ impl<'t, W> CampaignBuilder<'t, W> {
     /// recovery (default: [`QueueModel::unbounded`], which leaves the
     /// trajectory identical to feedback-off).
     pub fn queue_model(mut self, queue_model: QueueModel) -> Self {
-        self.queue_model = queue_model;
+        self.settings.queue_model = queue_model;
         self
     }
 
@@ -401,14 +394,14 @@ impl<'t, W> CampaignBuilder<'t, W> {
     /// per-shard drain rate (observations retired per virtual second) and
     /// the default watermarks.
     pub fn drain_rate(mut self, drain_rate: u64) -> Self {
-        self.queue_model = QueueModel::with_drain_rate(drain_rate);
+        self.settings.queue_model = QueueModel::with_drain_rate(drain_rate);
         self
     }
 
     /// Bound the monitor's memory to this many windows of history
     /// (default: retain everything).
     pub fn retention_windows(mut self, retention_windows: u64) -> Self {
-        self.retention_windows = Some(retention_windows);
+        self.settings.retention_windows = Some(retention_windows);
         self
     }
 
@@ -423,9 +416,9 @@ impl<'t, W> CampaignBuilder<'t, W> {
     ///
     /// [`ConfigError::ZeroRefreshCadence`]: scent_stream::ConfigError::ZeroRefreshCadence
     pub fn refresh_every(mut self, refresh_every: u64) -> Self {
-        let mut churn = self.churn.unwrap_or_default();
+        let mut churn = self.settings.churn.unwrap_or_default();
         churn.refresh_every = refresh_every;
-        self.churn = Some(churn);
+        self.settings.churn = Some(churn);
         self
     }
 
@@ -436,16 +429,16 @@ impl<'t, W> CampaignBuilder<'t, W> {
     ///
     /// [`ConfigError::ZeroWatchCapacity`]: scent_stream::ConfigError::ZeroWatchCapacity
     pub fn watch_capacity(mut self, watch_capacity: usize) -> Self {
-        let mut churn = self.churn.unwrap_or_default();
+        let mut churn = self.settings.churn.unwrap_or_default();
         churn.watch_capacity = watch_capacity;
-        self.churn = Some(churn);
+        self.settings.churn = Some(churn);
         self
     }
 
     /// Replace the whole watch-list churn block at once (re-expansion block
     /// length, per-block candidate cap, cadence, capacity).
     pub fn watch_churn(mut self, churn: WatchChurn) -> Self {
-        self.churn = Some(churn);
+        self.settings.churn = Some(churn);
         self
     }
 
@@ -462,7 +455,7 @@ impl<'t, W> CampaignBuilder<'t, W> {
     /// is honoured by every probe path (detection stream, boundary
     /// re-expansion and the discovery sweep itself).
     pub fn discovery(mut self, discovery: DiscoveryConfig) -> Self {
-        self.discovery = Some(discovery);
+        self.settings.discovery = Some(discovery);
         self
     }
 
@@ -479,7 +472,7 @@ impl<'t, W> CampaignBuilder<'t, W> {
     /// [`ConfigError::ZeroCheckpointCadence`]: scent_stream::ConfigError::ZeroCheckpointCadence
     /// [`ConfigError::MisalignedCheckpointCadence`]: scent_stream::ConfigError::MisalignedCheckpointCadence
     pub fn checkpoint_every(mut self, checkpoint_every: u64) -> Self {
-        self.checkpoint_every = Some(checkpoint_every);
+        self.settings.checkpoint_every = Some(checkpoint_every);
         self
     }
 
@@ -489,7 +482,7 @@ impl<'t, W> CampaignBuilder<'t, W> {
     /// [`CampaignBuilder::checkpoint_every`], a snapshot is written at every
     /// epoch boundary.
     pub fn checkpoint_to(mut self, path: impl Into<PathBuf>) -> Self {
-        self.checkpoint_to = Some(path.into());
+        self.settings.checkpoint_to = Some(path.into());
         self
     }
 
@@ -500,7 +493,7 @@ impl<'t, W> CampaignBuilder<'t, W> {
     /// resumed run's report and deterministic telemetry are byte-identical
     /// to an uninterrupted run.
     pub fn resume_from(mut self, path: impl Into<PathBuf>) -> Self {
-        self.resume_from = Some(path.into());
+        self.settings.resume_from = Some(path.into());
         self
     }
 
@@ -509,7 +502,7 @@ impl<'t, W> CampaignBuilder<'t, W> {
     /// revision, writes a final checkpoint if a sink is attached, and
     /// returns a report covering the completed windows.
     pub fn stop_signal(mut self, stop: StopSignal) -> Self {
-        self.stop = Some(stop);
+        self.settings.stop = Some(stop);
         self
     }
 
@@ -527,23 +520,7 @@ impl<'t, W> CampaignBuilder<'t, W> {
     pub fn telemetry<'u>(self, telemetry: &'u dyn StreamObserver) -> CampaignBuilder<'u, W> {
         CampaignBuilder {
             world: self.world,
-            pipeline: self.pipeline,
-            mode: self.mode,
-            channel_capacity: self.channel_capacity,
-            watched: self.watched,
-            granularity: self.granularity,
-            window_interval: self.window_interval,
-            start: self.start,
-            max_tracked: self.max_tracked,
-            rate_feedback: self.rate_feedback,
-            queue_model: self.queue_model,
-            retention_windows: self.retention_windows,
-            churn: self.churn,
-            discovery: self.discovery,
-            checkpoint_every: self.checkpoint_every,
-            checkpoint_to: self.checkpoint_to,
-            resume_from: self.resume_from,
-            stop: self.stop,
+            settings: self.settings,
             telemetry: Some(telemetry),
         }
     }
@@ -561,23 +538,7 @@ impl<'t> CampaignBuilder<'t, ()> {
     ) -> CampaignBuilder<'t, &B> {
         CampaignBuilder {
             world,
-            pipeline: self.pipeline,
-            mode: self.mode,
-            channel_capacity: self.channel_capacity,
-            watched: self.watched,
-            granularity: self.granularity,
-            window_interval: self.window_interval,
-            start: self.start,
-            max_tracked: self.max_tracked,
-            rate_feedback: self.rate_feedback,
-            queue_model: self.queue_model,
-            retention_windows: self.retention_windows,
-            churn: self.churn,
-            discovery: self.discovery,
-            checkpoint_every: self.checkpoint_every,
-            checkpoint_to: self.checkpoint_to,
-            resume_from: self.resume_from,
-            stop: self.stop,
+            settings: self.settings,
             telemetry: self.telemetry,
         }
     }
@@ -586,23 +547,24 @@ impl<'t> CampaignBuilder<'t, ()> {
 impl<B: ProbeTransport + WorldView + ?Sized> CampaignBuilder<'_, &B> {
     /// Run the campaign against the attached backend.
     pub fn run(self) -> Result<CampaignReport, ScentError> {
+        let settings = self.settings;
         // The facade's own rules: options only a monitor can honour.
-        let monitoring = matches!(self.mode, CampaignMode::Monitor { .. });
-        let wants_checkpoint = self.checkpoint_every.is_some()
-            || self.checkpoint_to.is_some()
-            || self.resume_from.is_some()
-            || self.stop.is_some();
+        let monitoring = matches!(settings.mode, CampaignMode::Monitor { .. });
+        let wants_checkpoint = settings.checkpoint_every.is_some()
+            || settings.checkpoint_to.is_some()
+            || settings.resume_from.is_some()
+            || settings.stop.is_some();
         if wants_checkpoint && !monitoring {
             return Err(CampaignError::CheckpointRequiresMonitor.into());
         }
-        if self.discovery.is_some() && !monitoring {
+        if settings.discovery.is_some() && !monitoring {
             return Err(CampaignError::DiscoveryRequiresMonitor.into());
         }
         // Everything else is scent-stream's one statement of a runnable
         // configuration. The shared rules (shards, producers, capacity,
         // queue model) hold in every mode — batch reads them as the
         // one-shard, one-producer plane it is.
-        let (shards, producers) = match self.mode {
+        let (shards, producers) = match settings.mode {
             CampaignMode::Batch => (1, 1),
             CampaignMode::Streamed { shards, producers }
             | CampaignMode::Monitor {
@@ -610,15 +572,15 @@ impl<B: ProbeTransport + WorldView + ?Sized> CampaignBuilder<'_, &B> {
             } => (shards, producers),
         };
         let stream = StreamConfig {
-            pipeline: self.pipeline,
+            pipeline: settings.pipeline,
             shards,
             producers,
-            channel_capacity: self.channel_capacity,
-            rate_feedback: self.rate_feedback,
-            queue_model: self.queue_model,
+            channel_capacity: settings.channel_capacity,
+            rate_feedback: settings.rate_feedback,
+            queue_model: settings.queue_model,
         };
         stream.validate()?;
-        match self.mode {
+        match settings.mode {
             CampaignMode::Batch => Ok(CampaignReport::Pipeline(
                 Pipeline::new(stream.pipeline).run(self.world),
             )),
@@ -629,7 +591,7 @@ impl<B: ProbeTransport + WorldView + ?Sized> CampaignBuilder<'_, &B> {
                 if windows == 0 {
                     return Err(CampaignError::NoWindows.into());
                 }
-                if self.watched.is_empty() && self.discovery.is_none() {
+                if settings.watched.is_empty() && settings.discovery.is_none() {
                     // Discovery bootstraps an empty watch list from the
                     // announcement topology; without it, nothing ever would.
                     return Err(CampaignError::EmptyWatchList.into());
@@ -640,41 +602,41 @@ impl<B: ProbeTransport + WorldView + ?Sized> CampaignBuilder<'_, &B> {
                     channel_capacity: stream.channel_capacity,
                     seed: stream.pipeline.seed,
                     packets_per_second: stream.pipeline.packets_per_second,
-                    granularity: self
+                    granularity: settings
                         .granularity
                         .unwrap_or(stream.pipeline.detection_granularity),
                     windows,
-                    window_interval: self.window_interval,
-                    start: self.start.unwrap_or(stream.pipeline.first_snapshot),
-                    max_tracked: self.max_tracked,
+                    window_interval: settings.window_interval,
+                    start: settings.start.unwrap_or(stream.pipeline.first_snapshot),
+                    max_tracked: settings.max_tracked,
                     rate_feedback: stream.rate_feedback,
                     queue_model: stream.queue_model,
-                    retention_windows: self.retention_windows,
-                    churn: self.churn,
-                    discovery: self.discovery,
-                    checkpoint_every: self.checkpoint_every,
+                    retention_windows: settings.retention_windows,
+                    churn: settings.churn,
+                    discovery: settings.discovery,
+                    checkpoint_every: settings.checkpoint_every,
                     inject_shard_panic: None,
                 };
                 config.validate()?;
-                let resume = match &self.resume_from {
+                let resume = match &settings.resume_from {
                     Some(path) => {
                         let bytes = FileCheckpointStore::new(path).load()?;
                         Some(MonitorSnapshot::from_bytes(&bytes)?)
                     }
                     None => None,
                 };
-                let mut file_sink = self.checkpoint_to.map(FileCheckpointStore::new);
+                let mut file_sink = settings.checkpoint_to.map(FileCheckpointStore::new);
                 let control = MonitorControl {
                     observer: self.telemetry,
                     sink: file_sink
                         .as_mut()
                         .map(|store| store as &mut dyn CheckpointSink),
                     resume,
-                    stop: self.stop,
+                    stop: settings.stop,
                 };
                 let report = StreamMonitor::new(config).run_controlled(
                     self.world,
-                    &self.watched,
+                    &settings.watched,
                     control,
                 )?;
                 Ok(CampaignReport::Monitor(report))

@@ -317,6 +317,67 @@ fn resume_from_every_epoch_boundary_matches_report_and_telemetry() {
     }
 }
 
+/// A run that ends early — its watch list exhausted at the first boundary of
+/// six, feedback on, two producers — stores its last snapshot at that
+/// boundary, and resuming from it yields the uninterrupted run's report:
+/// nothing is left to probe, so every field, the throttled `final_rate`
+/// included, is what the snapshot carried.
+#[test]
+fn exhaustion_boundary_snapshot_resumes_to_the_same_report() {
+    let engine = Engine::build(scenarios::continuous_world(13)).expect("world builds");
+    // A /48 no simulated provider announces pool space in.
+    let watched: Vec<Ipv6Prefix> = vec!["3fff:aaaa::/48".parse().unwrap()];
+    let monitor = StreamMonitor::new(MonitorConfig {
+        shards: 2,
+        producers: 2,
+        seed: 0x57ae,
+        packets_per_second: 128,
+        granularity: 56,
+        windows: 6,
+        start: SimTime::at(10, 9),
+        rate_feedback: true,
+        queue_model: throttling_model(),
+        churn: Some(WatchChurn {
+            refresh_every: 1,
+            ..WatchChurn::default()
+        }),
+        ..MonitorConfig::default()
+    });
+    let mut sink = MemorySink::new();
+    let mut full = monitor
+        .run_controlled(
+            &engine,
+            &watched,
+            MonitorControl {
+                sink: Some(&mut sink),
+                ..MonitorControl::default()
+            },
+        )
+        .expect("sink writes cannot fail in memory");
+    full.backpressure_stalls = 0;
+    assert_eq!(full.exhausted_at, Some(1), "drained mid-run");
+    assert!(full.final_rate < 128, "the one window ends throttled");
+
+    let (boundary, bytes) = sink.latest().expect("the run's end is always stored");
+    assert_eq!(
+        *boundary, 1,
+        "the exhaustion boundary is the last one stored"
+    );
+    let snapshot = MonitorSnapshot::from_bytes(bytes).expect("snapshot parses");
+    let mut resumed = monitor
+        .run_controlled(
+            &engine,
+            &watched,
+            MonitorControl {
+                resume: Some(snapshot),
+                ..MonitorControl::default()
+            },
+        )
+        .expect("a fingerprint-matched snapshot resumes");
+    resumed.backpressure_stalls = 0;
+    assert_eq!(resumed, full);
+}
+
 /// Graceful stop without a checkpoint in sight: a stop raised up front halts
 /// at the first epoch boundary (draining every in-flight observation, no
 /// deadlock) for every `shards × producers` in {1, 2, 4}².

@@ -394,6 +394,39 @@ fn churn_on_monitor_is_producer_invariant_on_live_and_recorded_backends() {
     }
 }
 
+/// Run a churning monitor with the throttling AIMD feedback on, two shards,
+/// through the facade.
+fn monitor_churn_feedback<B: ProbeTransport + WorldView + ?Sized>(
+    world: &B,
+    watched: &[Ipv6Prefix],
+    producers: usize,
+    windows: u64,
+    churn: WatchChurn,
+) -> MonitorReport {
+    let mut report = Campaign::builder()
+        .world(world)
+        .seed(0x57ae)
+        .rate_pps(128)
+        .rate_feedback(true)
+        .queue_model(throttling_model())
+        .watch(watched.to_vec())
+        .watch_churn(churn)
+        .monitor_granularity(56)
+        .start(SimTime::at(10, 9))
+        .mode(CampaignMode::Monitor {
+            windows,
+            shards: 2,
+            producers,
+        })
+        .run()
+        .expect("valid monitor configuration")
+        .monitor()
+        .expect("monitor mode yields a monitor report")
+        .clone();
+    report.backpressure_stalls = 0;
+    report
+}
+
 /// Churn composes with AIMD rate feedback: the revision history and the
 /// virtual-queue trajectory are both pure functions of the configuration, so
 /// the combined run stays producer-invariant on both backends.
@@ -411,28 +444,7 @@ fn churn_with_feedback_is_producer_invariant_on_live_and_recorded_backends() {
         ..WatchChurn::default()
     };
     let run = |world: &dyn followscent::prober::MeasurementBackend, producers: usize| {
-        let mut report = Campaign::builder()
-            .world(world)
-            .seed(0x57ae)
-            .rate_pps(128)
-            .rate_feedback(true)
-            .queue_model(throttling_model())
-            .watch(initial.clone())
-            .watch_churn(churn)
-            .monitor_granularity(56)
-            .start(SimTime::at(10, 9))
-            .mode(CampaignMode::Monitor {
-                windows: 3,
-                shards: 2,
-                producers,
-            })
-            .run()
-            .expect("valid monitor configuration")
-            .monitor()
-            .expect("monitor mode yields a monitor report")
-            .clone();
-        report.backpressure_stalls = 0;
-        report
+        monitor_churn_feedback(world, &initial, producers, 3, churn)
     };
     let recorder = RecordingBackend::new(&engine);
     let reference = run(&recorder, 1);
@@ -460,6 +472,33 @@ fn churn_with_feedback_is_producer_invariant_on_live_and_recorded_backends() {
             reference, replayed,
             "replayed churn+feedback, producers={producers}"
         );
+    }
+}
+
+/// The run can end where the scent dries up, and `final_rate` is the rate the
+/// run *ended* on there too: a feedback-on churning monitor whose only /48
+/// answers nothing exhausts its watch list at the first boundary of six, and
+/// the whole report — the throttled end rate included — is the
+/// single-producer run's for any producer count.
+#[test]
+fn final_rate_at_an_exhaustion_boundary_is_producer_invariant() {
+    let engine = Engine::build(scenarios::continuous_world(13)).unwrap();
+    // A /48 no simulated provider announces pool space in.
+    let quiet: Ipv6Prefix = "3fff:aaaa::/48".parse().unwrap();
+    let churn = WatchChurn {
+        refresh_every: 1,
+        ..WatchChurn::default()
+    };
+    let run = |producers: usize| monitor_churn_feedback(&engine, &[quiet], producers, 6, churn);
+    let single = run(1);
+    assert_eq!(single.exhausted_at, Some(1), "drained mid-run");
+    assert_eq!(single.windows, 1);
+    assert!(
+        single.final_rate < 128,
+        "the one window must end throttled for the equality to prove anything"
+    );
+    for producers in [2usize, 4] {
+        assert_eq!(single, run(producers), "producers={producers}");
     }
 }
 
