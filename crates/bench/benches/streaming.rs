@@ -14,7 +14,8 @@ use scent_ipv6::Ipv6Prefix;
 use scent_sched::{Campaign as SchedCampaign, Scheduler};
 use scent_simnet::{scenarios, Engine, SimTime, WorldScale};
 use scent_stream::{
-    MonitorConfig, MonitorControl, StreamConfig, StreamMonitor, StreamPipeline, WatchChurn,
+    MonitorConfig, MonitorControl, MonitorSession, ShardPool, StreamConfig, StreamMonitor,
+    StreamPipeline, WatchChurn,
 };
 use scent_telemetry::Telemetry;
 
@@ -640,11 +641,55 @@ fn bench_discovery(c: &mut Criterion) {
     group.finish();
 }
 
+/// One discovery boundary, alone: the first epoch of an unseeded
+/// `churn_world` session — nothing watched yet, so the epoch *is* its
+/// boundary cycle — on a lent one-shard pool, observed like the end-to-end
+/// benchmark's `churn_discovery_ckpt` and sweeping what one of its rounds
+/// sweeps: 131 072 probes, one into every /48 of the world's two /32s. The
+/// cycle streams plan → probe → route → fold at about a hundred nanoseconds
+/// a probe; a sweep that is materialised and replayed again reads about
+/// twice that, which is what this point is in the gate to catch.
+fn bench_discovery_boundary(c: &mut Criterion) {
+    let engine = Engine::build(scenarios::churn_world(7)).unwrap();
+    let config = MonitorConfig {
+        shards: 1,
+        windows: 2,
+        churn: Some(WatchChurn {
+            refresh_every: 1,
+            watch_capacity: 3,
+            ..WatchChurn::default()
+        }),
+        discovery: Some(DiscoveryConfig {
+            probe_budget: 131_072,
+            rounds: 1,
+            ..DiscoveryConfig::paper_scale()
+        }),
+        ..MonitorConfig::default()
+    };
+    let mut pool = ShardPool::open(config.shards, config.channel_capacity);
+    c.bench_function("streaming/discovery_boundary_cycle", |b| {
+        b.iter(|| {
+            let telemetry = Telemetry::new();
+            let mut session = MonitorSession::new(
+                black_box(&engine),
+                config.clone(),
+                Vec::new(),
+                Some(&telemetry),
+            );
+            session
+                .run_epoch_on(&mut pool, config.packets_per_second)
+                .expect("no panic injected");
+            session.next_epoch()
+        })
+    });
+}
+
 criterion_group! {
     name = streaming;
     config = Criterion::default().sample_size(10);
     targets = bench_batch_vs_streaming, bench_monitor_ingest, bench_hot_path,
         bench_producer_scaling, bench_watch_churn, bench_telemetry_overhead,
-        bench_checkpoint, bench_scheduler, bench_epoch_fixed_cost, bench_discovery
+        bench_checkpoint, bench_scheduler, bench_epoch_fixed_cost, bench_discovery,
+        bench_discovery_boundary
 }
 criterion_main!(streaming);

@@ -44,4 +44,4 @@ mod tree;
 pub use blocklist::{Blocklist, BlocklistError};
 pub use confidence::{wilson_bounds, wilson_lower, wilson_upper};
 pub use config::DiscoveryConfig;
-pub use tree::{DiscoveryReport, DiscoveryTree, NodeState, PlannedProbe};
+pub use tree::{DiscoveryReport, DiscoveryTree, NodeState, PlannedProbe, SweepPlan};

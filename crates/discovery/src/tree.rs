@@ -19,7 +19,8 @@
 //!    covering each watched /48;
 //! 3. **sweep** — the probe budget is allocated to the highest-expected-gain
 //!    frontier leaves ([`DiscoveryTree::plan`]), probes are sent, outcomes
-//!    fold back ([`DiscoveryTree::fold_probes`]);
+//!    fold back by the leaf each was planned for
+//!    ([`DiscoveryTree::fold_plan`]);
 //! 4. **rebalance** — nodes whose attributed hits cross the split threshold
 //!    materialize children down to the responding /48; internal nodes whose
 //!    children are all confidently quiet merge back
@@ -90,6 +91,122 @@ pub struct PlannedProbe {
     /// subnet, drawn by the same [`TargetGenerator`] the detection stream
     /// uses, so both evidence channels probe the same representatives).
     pub target: Ipv6Addr,
+}
+
+/// One round's sweep, as [`DiscoveryTree::plan`] allocated it: the targets
+/// in allocation order, and the runs of consecutive targets charged to one
+/// frontier leaf. A probe is named by its index into
+/// [`SweepPlan::targets`]; that index is how an outcome finds its way back
+/// to the leaf ([`DiscoveryTree::fold_plan`]).
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct SweepPlan {
+    targets: Vec<Ipv6Addr>,
+    /// `(leaf, n)`: the next `n` targets were drawn from `leaf`'s sweep.
+    /// Adjacent runs never share a leaf.
+    runs: Vec<(Ipv6Prefix, usize)>,
+}
+
+impl SweepPlan {
+    /// Planned probes.
+    pub fn len(&self) -> usize {
+        self.targets.len()
+    }
+
+    /// Whether nothing was planned (no budget, or no live unblocked leaf).
+    pub fn is_empty(&self) -> bool {
+        self.targets.is_empty()
+    }
+
+    /// The targets, in allocation order.
+    pub fn targets(&self) -> &[Ipv6Addr] {
+        &self.targets
+    }
+
+    /// The planned probes, in allocation order.
+    pub fn iter(&self) -> impl Iterator<Item = PlannedProbe> + '_ {
+        let mut rest = self.targets.as_slice();
+        self.runs.iter().flat_map(move |&(leaf, n)| {
+            let (run, after) = rest.split_at(n);
+            rest = after;
+            run.iter().map(move |&target| PlannedProbe { leaf, target })
+        })
+    }
+
+    /// Charge `leaf` for the targets pushed since `start`.
+    fn close_run(&mut self, leaf: Ipv6Prefix, start: usize) {
+        let n = self.targets.len() - start;
+        if n == 0 {
+            return;
+        }
+        match self.runs.last_mut() {
+            Some(last) if last.0 == leaf => last.1 += n,
+            _ => self.runs.push((leaf, n)),
+        }
+    }
+}
+
+/// One frontier leaf's sweep during a [`DiscoveryTree::plan`] call: the
+/// leaf's seeded subnet order and a working copy of its cursor, computed
+/// once per call rather than once per chunk.
+struct Sweep {
+    leaf: Ipv6Prefix,
+    /// Length of the swept subnets: /48s under a shorter leaf, `granularity`
+    /// subnets once the leaf is a /48.
+    sub_len: u8,
+    /// Subnet count minus one (the count is a power of two).
+    mask: u64,
+    mul: u64,
+    add: u64,
+    cursor: u64,
+    /// Positions examined this call, capped at the leaf's span so a fully
+    /// blocked sweep terminates instead of skipping forever.
+    examined: u64,
+}
+
+impl Sweep {
+    fn of(seed: u64, leaf: Ipv6Prefix, granularity: u8, cursor: u64) -> Self {
+        let sub_len = if leaf.len() < LEAF_LEN {
+            LEAF_LEN
+        } else {
+            granularity.max(leaf.len())
+        };
+        let mask = (1u64 << u32::from(sub_len - leaf.len())) - 1;
+        // An odd multiplier is a bijection modulo the power-of-two span:
+        // consecutive cursor values visit every subnet exactly once per
+        // wrap, in an order keyed on (seed, leaf).
+        let h = hash3(
+            seed,
+            leaf.network_bits() as u64,
+            (leaf.network_bits() >> 64) as u64,
+            u64::from(leaf.len()),
+        );
+        Sweep {
+            leaf,
+            sub_len,
+            mask,
+            mul: (h | 1) & mask,
+            add: h.rotate_left(17) & mask,
+            cursor,
+            examined: 0,
+        }
+    }
+
+    /// The subnet at the cursor, advancing it; `None` once this call has
+    /// examined every subnet of the leaf.
+    fn next_subnet(&mut self) -> Option<Ipv6Prefix> {
+        if self.examined > self.mask {
+            return None;
+        }
+        let pos = self.cursor & self.mask;
+        self.cursor = self.cursor.wrapping_add(1);
+        self.examined += 1;
+        let index = pos.wrapping_mul(self.mul).wrapping_add(self.add) & self.mask;
+        Some(
+            self.leaf
+                .nth_subnet(self.sub_len, u128::from(index))
+                .expect("index bounded by span"),
+        )
+    }
 }
 
 /// Summary of a discovery run, folded into the monitor report.
@@ -190,9 +307,14 @@ impl DiscoveryTree {
     }
 
     /// The leaf whose subtree covers `addr`: descend from the covering root
-    /// through split nodes. `None` when no root covers the address.
+    /// through split nodes. `None` when no root covers the address. Roots
+    /// are sorted and disjoint, so the covering root — if any — is the last
+    /// one whose network is not above the address.
     pub fn leaf_of(&self, cfg: &DiscoveryConfig, addr: Ipv6Addr) -> Option<Ipv6Prefix> {
-        let mut current = *self.roots.iter().find(|root| root.contains(addr))?;
+        let after = self.roots.partition_point(|root| root.network() <= addr);
+        let mut current = *self.roots[..after]
+            .last()
+            .filter(|root| root.contains(addr))?;
         while self.nodes.get(&current).is_some_and(|node| node.split) {
             let child_len = (current.len() + cfg.branch_bits).min(LEAF_LEN);
             current = Ipv6Prefix::new(addr, child_len).expect("child length is valid");
@@ -262,80 +384,100 @@ impl DiscoveryTree {
         generator: &TargetGenerator,
         granularity: u8,
         budget: u64,
-    ) -> Vec<PlannedProbe> {
-        let mut order: Vec<(f64, Ipv6Prefix)> = self
+    ) -> SweepPlan {
+        // Asked once: without a blocklist no draw below pays for a lookup.
+        let blocklist = (!cfg.blocklist.is_empty()).then_some(&cfg.blocklist);
+        let blocked = |prefix: &Ipv6Prefix| blocklist.is_some_and(|list| list.covers(prefix));
+        let mut order: Vec<(f64, Sweep)> = self
             .nodes
             .iter()
-            .filter(|(prefix, node)| !node.split && !cfg.blocklist.covers(prefix))
-            .map(|(prefix, node)| (cfg.gain_weight(node.hits, node.trials), *prefix))
-            .filter(|(weight, _)| *weight > 0.0)
+            .filter(|(prefix, node)| !node.split && !blocked(prefix))
+            .map(|(prefix, node)| (cfg.gain_weight(node.hits, node.trials), prefix, node))
+            .filter(|(weight, ..)| *weight > 0.0)
+            .map(|(weight, leaf, node)| {
+                (
+                    weight,
+                    Sweep::of(self.seed, *leaf, granularity, node.cursor),
+                )
+            })
             .collect();
-        order.sort_by(|a, b| b.0.total_cmp(&a.0).then(a.1.cmp(&b.1)));
+        order.sort_by(|a, b| b.0.total_cmp(&a.0).then(a.1.leaf.cmp(&b.1.leaf)));
 
-        let mut plan = Vec::new();
+        let mut plan = SweepPlan::default();
         let mut remaining = budget;
-        // Positions examined per leaf this call, capped at the leaf's span so
-        // a fully blocked sweep terminates instead of skipping forever.
-        let mut examined: BTreeMap<Ipv6Prefix, u64> = BTreeMap::new();
         'alloc: loop {
             let mut progressed = false;
-            for &(_, leaf) in &order {
+            for (_, sweep) in &mut order {
                 if remaining == 0 {
                     break 'alloc;
                 }
-                let sub_len = if leaf.len() < LEAF_LEN {
-                    LEAF_LEN
-                } else {
-                    granularity.max(leaf.len())
-                };
-                let span: u64 = 1u64 << u32::from(sub_len - leaf.len());
-                let mask = span - 1;
-                // An odd multiplier is a bijection modulo the power-of-two
-                // span: consecutive cursor values visit every subnet exactly
-                // once per wrap, in an order keyed on (seed, leaf).
-                let h = hash3(
-                    self.seed,
-                    leaf.network_bits() as u64,
-                    (leaf.network_bits() >> 64) as u64,
-                    u64::from(leaf.len()),
-                );
-                let mul = (h | 1) & mask;
-                let add = h.rotate_left(17) & mask;
-                let seen = examined.entry(leaf).or_insert(0);
-                let node = self.nodes.get_mut(&leaf).expect("order built from nodes");
+                let start = plan.len();
                 let mut take = CHUNK.min(remaining);
-                while take > 0 && *seen < span {
-                    let pos = node.cursor & mask;
-                    node.cursor = node.cursor.wrapping_add(1);
-                    *seen += 1;
-                    let index = pos.wrapping_mul(mul).wrapping_add(add) & mask;
-                    let subnet = leaf
-                        .nth_subnet(sub_len, u128::from(index))
-                        .expect("index bounded by span");
-                    if cfg.blocklist.covers(&subnet) {
+                while take > 0 {
+                    let Some(subnet) = sweep.next_subnet() else {
+                        break;
+                    };
+                    if blocked(&subnet) {
                         continue;
                     }
                     let target = generator.random_addr_in(&subnet);
-                    if cfg.blocklist.covers_addr(target) {
+                    if blocklist.is_some_and(|list| list.covers_addr(target)) {
                         continue;
                     }
-                    plan.push(PlannedProbe { leaf, target });
+                    plan.targets.push(target);
                     remaining -= 1;
                     take -= 1;
                     progressed = true;
                 }
+                plan.close_run(sweep.leaf, start);
             }
             if !progressed {
                 break;
             }
         }
+        for (_, sweep) in order.iter().filter(|(_, sweep)| sweep.examined > 0) {
+            let node = self
+                .nodes
+                .get_mut(&sweep.leaf)
+                .expect("order built from nodes");
+            node.cursor = sweep.cursor;
+        }
         plan
     }
 
-    /// Fold sweep probe outcomes back into the tree — step 3b. Records are
-    /// attributed to the leaf covering their target (the leaf they were
-    /// planned for: the tree does not change between plan and fold); an
-    /// EUI-64 response is a hit attributed to the responding /48.
+    /// Fold a sweep's outcomes back into the tree — step 3b, by the leaf each
+    /// probe was *planned for*: `hits[i]` says whether the plan's `i`th
+    /// target answered with an EUI-64 source. The plan names every run's
+    /// leaf (the tree does not change between plan and fold), so a node is
+    /// looked up once per run, not once per probe; every update is a
+    /// commutative sum, so the result is what [`DiscoveryTree::fold_probes`]
+    /// reaches over the same sweep's records in any order.
+    pub fn fold_plan(&mut self, plan: &SweepPlan, hits: &[bool]) {
+        assert_eq!(plan.len(), hits.len(), "one outcome per planned probe");
+        self.probes += plan.len() as u64;
+        let mut outcomes = plan.targets.iter().zip(hits);
+        for &(leaf, n) in &plan.runs {
+            let node = self.nodes.get_mut(&leaf).expect("planned leaves are live");
+            node.trials = node.trials.saturating_add(n as u64);
+            for (target, _) in outcomes.by_ref().take(n).filter(|(_, hit)| **hit) {
+                node.hits = node.hits.saturating_add(1);
+                if leaf.len() < LEAF_LEN {
+                    let hit_48 = Ipv6Prefix::new(*target, LEAF_LEN).expect("48 is valid");
+                    *node.hit_48s.entry(hit_48).or_insert(0) += 1;
+                }
+            }
+        }
+    }
+
+    /// Fold sweep probe records back into the tree — step 3b, by address.
+    /// Records are attributed to the leaf covering their target (the leaf
+    /// they were planned for: the tree does not change between plan and
+    /// fold); an EUI-64 response is a hit attributed to the responding /48.
+    ///
+    /// The monitor folds by plan index instead ([`DiscoveryTree::fold_plan`],
+    /// no per-record descent). This form stays as that fold's differential
+    /// oracle (`tests/proptests.rs`) and because the frozen benchmark
+    /// harness (`e2ebench/src/traced.rs`) names it.
     pub fn fold_probes<'r, I>(&mut self, cfg: &DiscoveryConfig, records: I)
     where
         I: IntoIterator<Item = &'r ProbeRecord>,
@@ -602,6 +744,65 @@ mod tests {
             7,
         );
         assert_eq!(tree.roots(), &[p("2001:db8::/32"), p("2803:9810:100::/48")]);
+    }
+
+    #[test]
+    fn leaf_of_finds_the_one_covering_root_or_none() {
+        let cfg = cfg();
+        let roots = [
+            p("2001:db8::/32"),
+            p("2803:9810:100::/48"),
+            p("2a02:27b0::/32"),
+        ];
+        let tree = DiscoveryTree::from_announcements(roots, 7);
+        for root in roots {
+            assert_eq!(tree.leaf_of(&cfg, root.network()), Some(root));
+            assert_eq!(tree.leaf_of(&cfg, root.last_address()), Some(root));
+        }
+        // Below the first root, in the gaps between roots, above the last.
+        for outside in [
+            "2001:db7::1",
+            "2001:db9::",
+            "2803:9810:101::",
+            "2a02:27b1::",
+        ] {
+            assert_eq!(tree.leaf_of(&cfg, outside.parse().unwrap()), None);
+        }
+        let empty = DiscoveryTree::from_announcements(Vec::new(), 7);
+        assert_eq!(empty.leaf_of(&cfg, "2001:db8::1".parse().unwrap()), None);
+    }
+
+    #[test]
+    fn a_plan_charges_each_run_to_its_leaf() {
+        let cfg = cfg();
+        let generator = TargetGenerator::new(7);
+        let mut tree =
+            DiscoveryTree::from_announcements(vec![p("2001:db8::/32"), p("2803:9810::/32")], 7);
+        let plan = tree.plan(&cfg, &generator, 56, 40);
+        // Two equally unknown roots share the budget in 16-probe chunks.
+        let leaves: Vec<Ipv6Prefix> = plan.iter().map(|probe| probe.leaf).collect();
+        let expected = [(p("2001:db8::/32"), 16), (p("2803:9810::/32"), 16)]
+            .into_iter()
+            .chain([(p("2001:db8::/32"), 8)])
+            .flat_map(|(leaf, n)| std::iter::repeat(leaf).take(n))
+            .collect::<Vec<_>>();
+        assert_eq!(leaves, expected);
+        assert!(plan.iter().all(|probe| probe.leaf.contains(probe.target)));
+        assert!(plan
+            .iter()
+            .map(|probe| probe.target)
+            .eq(plan.targets().iter().copied()));
+
+        // Only hits at plan indices 3 and 20: one per root.
+        let hits: Vec<bool> = (0..plan.len()).map(|i| i == 3 || i == 20).collect();
+        tree.fold_plan(&plan, &hits);
+        let first = tree.node(&p("2001:db8::/32")).unwrap();
+        assert_eq!((first.hits, first.trials), (1, 24));
+        let hit_48 = Ipv6Prefix::new(plan.targets()[3], 48).unwrap();
+        assert_eq!(first.hit_48s.get(&hit_48), Some(&1));
+        let second = tree.node(&p("2803:9810::/32")).unwrap();
+        assert_eq!((second.hits, second.trials), (1, 16));
+        assert_eq!(tree.report(&cfg).probes, 40);
     }
 
     #[test]

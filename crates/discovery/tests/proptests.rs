@@ -1,13 +1,15 @@
 //! Property tests for the discovery subsystem: the confidence rule stays a
 //! valid interval, planning is a deterministic pure function of tree state,
-//! rebalancing reaches a consistent fixpoint, and checkpoints round-trip
-//! byte-identically after arbitrary evidence.
+//! rebalancing reaches a consistent fixpoint, the fold by planned leaf equals
+//! the fold by address, and checkpoints round-trip byte-identically after
+//! arbitrary evidence.
 
 use proptest::prelude::*;
 
 use scent_checkpoint::{decode_value, encode_value};
 use scent_discovery::{wilson_bounds, Blocklist, DiscoveryConfig, DiscoveryTree};
 use scent_ipv6::Ipv6Prefix;
+use scent_prober::permutation::seeded_shuffle;
 use scent_prober::{ProbeRecord, ResponseRecord, TargetGenerator};
 use scent_simnet::{ReplyKind, SimTime};
 
@@ -124,7 +126,7 @@ proptest! {
         prop_assert_eq!(&plan, &again);
         prop_assert_eq!(&tree, &twin);
         prop_assert!(plan.len() as u64 <= budget);
-        for probe in &plan {
+        for probe in plan.iter() {
             prop_assert!(!cfg.blocklist.covers_addr(probe.target));
         }
     }
@@ -149,6 +151,55 @@ proptest! {
             let node = tree.node(&dense).unwrap();
             prop_assert!(cfg.is_dense(node.hits, node.trials));
         }
+    }
+
+    // The fold by planned leaf (`fold_plan`, what the monitor runs) reaches
+    // the tree the fold by address (`fold_probes`, the oracle) reaches over
+    // the same outcomes — whatever order the oracle meets the records in,
+    // with and without a blocklist, across boundaries that split and merge.
+    #[test]
+    fn fold_by_planned_leaf_equals_fold_by_address_in_any_order(
+        seed in 1u64..1_000_000,
+        budget in 1u64..=600,
+        hit_mod in 0u64..=9,
+        hit_salt in any::<u64>(),
+        block_48 in 0u8..=31,
+        boundaries in 1u32..=3,
+    ) {
+        let mut cfg = DiscoveryConfig::paper_scale();
+        // Half the cases carry no blocklist: `plan` asks that once.
+        if block_48 < 16 {
+            let blocked = p("2001:db8::/32").nth_subnet(48, u128::from(block_48)).unwrap();
+            cfg.blocklist = Blocklist::new(vec![blocked]);
+        }
+        let generator = TargetGenerator::new(seed);
+        let mut by_leaf = DiscoveryTree::from_announcements(
+            vec![p("2001:db8::/32"), p("2803:9810:100::/48")],
+            seed,
+        );
+        let mut by_address = by_leaf.clone();
+        for boundary in 0..boundaries {
+            by_leaf.decay(&cfg);
+            by_address.decay(&cfg);
+            let plan = by_leaf.plan(&cfg, &generator, 56, budget);
+            prop_assert_eq!(&by_address.plan(&cfg, &generator, 56, budget), &plan);
+            let hits: Vec<bool> = (0..plan.len() as u64)
+                .map(|i| hit_mod > 0 && (i ^ hit_salt) % hit_mod == 0)
+                .collect();
+            let mut records: Vec<ProbeRecord> = plan
+                .iter()
+                .zip(&hits)
+                .map(|(probe, &hit)| record(probe.target, hit))
+                .collect();
+            seeded_shuffle(&mut records, seed ^ u64::from(boundary));
+            by_leaf.fold_plan(&plan, &hits);
+            by_address.fold_probes(&cfg, records.iter());
+            prop_assert_eq!(&by_leaf, &by_address);
+            by_leaf.rebalance(&cfg);
+            by_address.rebalance(&cfg);
+        }
+        prop_assert_eq!(&by_leaf, &by_address);
+        prop_assert_eq!(encode_value(&by_leaf), encode_value(&by_address));
     }
 
     // Tree state round-trips through the checkpoint codec byte-identically

@@ -23,7 +23,9 @@ pub struct RandomPermutation {
 
 impl RandomPermutation {
     /// The probing order of a scan over `n` targets: the seeded permutation
-    /// when `randomize` is set, list order otherwise.
+    /// when `randomize` is set, list order otherwise (the identity is the
+    /// affine map with multiplier 1 and offset 0, so both orders iterate the
+    /// same way, lazily).
     ///
     /// Every scanner-shaped component (the batch [`Scanner`], the streamed
     /// scan replay, the continuous target stream) derives its order through
@@ -31,12 +33,25 @@ impl RandomPermutation {
     /// depends on them never diverging.
     ///
     /// [`Scanner`]: crate::zmap6::Scanner
-    pub fn scan_order(n: u64, seed: u64, randomize: bool) -> Vec<u64> {
+    pub fn for_scan(n: u64, seed: u64, randomize: bool) -> Self {
         if randomize {
-            RandomPermutation::new(n, seed).iter().collect()
+            RandomPermutation::new(n, seed)
         } else {
-            (0..n).collect()
+            RandomPermutation {
+                n,
+                domain: n.max(1).next_power_of_two(),
+                mul: 1,
+                add: 0,
+            }
         }
+    }
+
+    /// [`RandomPermutation::for_scan`], materialised — for a caller that
+    /// reorders a list it keeps into shared storage (collecting a slice map
+    /// allocates the result once; collecting the lazy iterator would
+    /// allocate it twice).
+    pub fn scan_order(n: u64, seed: u64, randomize: bool) -> Vec<u64> {
+        Self::for_scan(n, seed, randomize).iter().collect()
     }
 
     /// Create a permutation of `0..n` determined by `seed`. `n` may be zero
@@ -158,6 +173,22 @@ mod tests {
         // ...and is reasonably well mixed: the first few elements should not
         // all be tiny.
         assert!(order.iter().take(8).any(|&v| v > 256));
+    }
+
+    #[test]
+    fn a_scan_is_ordered_by_the_permutation_or_the_list() {
+        for n in [0u64, 1, 7, 100, 4096] {
+            let listed = RandomPermutation::for_scan(n, 9, false);
+            assert!(listed.iter().eq(0..n), "n={n}");
+            assert_eq!(listed.len(), n);
+            assert_eq!(
+                RandomPermutation::for_scan(n, 9, true),
+                RandomPermutation::new(n, 9)
+            );
+            assert!(RandomPermutation::scan_order(n, 9, true)
+                .into_iter()
+                .eq(RandomPermutation::new(n, 9).iter()));
+        }
     }
 
     #[test]

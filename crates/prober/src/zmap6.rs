@@ -7,6 +7,8 @@
 //! same targets in the same order at the same relative times — the property
 //! the paper relies on for its 44 daily snapshots (§5).
 
+use std::net::Ipv6Addr;
+
 use serde::{Deserialize, Serialize};
 
 use scent_simnet::{SimDuration, SimTime};
@@ -73,18 +75,43 @@ impl Scanner {
     pub fn scan<T: ProbeTransport + ?Sized>(
         &self,
         transport: &T,
-        targets: &[std::net::Ipv6Addr],
+        targets: &[Ipv6Addr],
         start: SimTime,
     ) -> Scan {
-        let pacer = ProbePacer::new(start, self.config.packets_per_second);
-        let order = RandomPermutation::scan_order(
-            targets.len() as u64,
-            self.config.seed,
-            self.config.randomize_order,
-        );
         let mut records = Vec::with_capacity(targets.len());
-        for (sent_index, &target_index) in order.iter().enumerate() {
-            let target = targets[target_index as usize];
+        let finished_at = self.scan_each(
+            transport,
+            targets.len(),
+            |index| targets[index],
+            start,
+            |_, record| records.push(record),
+        );
+        Scan {
+            records,
+            started_at: start,
+            finished_at,
+        }
+    }
+
+    /// The scanner's one probing loop, in visitor form: probe the `n`
+    /// targets `target_at(0..n)` in scan order, paced from `start`, and hand
+    /// `visit` each target's list index with its record as it is probed.
+    /// Nothing the size of the scan is built — the order is iterated, not
+    /// stored — so a caller that only folds the records keeps none of them.
+    /// Returns the scan's finish time.
+    pub fn scan_each<T: ProbeTransport + ?Sized>(
+        &self,
+        transport: &T,
+        n: usize,
+        target_at: impl Fn(usize) -> Ipv6Addr,
+        start: SimTime,
+        mut visit: impl FnMut(usize, ProbeRecord),
+    ) -> SimTime {
+        let pacer = ProbePacer::new(start, self.config.packets_per_second);
+        let order =
+            RandomPermutation::for_scan(n as u64, self.config.seed, self.config.randomize_order);
+        for (sent_index, target_index) in order.iter().enumerate() {
+            let target = target_at(target_index as usize);
             let sent_at = pacer.send_time(sent_index as u64);
             let response = transport
                 .probe(target, sent_at)
@@ -92,18 +119,16 @@ impl Scanner {
                     source: reply.source,
                     kind: reply.kind,
                 });
-            records.push(ProbeRecord {
-                target,
-                sent_at,
-                response,
-            });
+            visit(
+                target_index as usize,
+                ProbeRecord {
+                    target,
+                    sent_at,
+                    response,
+                },
+            );
         }
-        let finished_at = pacer.finish_time(targets.len() as u64);
-        Scan {
-            records,
-            started_at: start,
-            finished_at,
-        }
+        pacer.finish_time(n as u64)
     }
 }
 
@@ -122,7 +147,7 @@ impl Campaign {
     pub fn run<T: ProbeTransport + ?Sized>(
         scanner: &Scanner,
         transport: &T,
-        targets: &[std::net::Ipv6Addr],
+        targets: &[Ipv6Addr],
         first_start: SimTime,
         days: u64,
         interval: SimDuration,
@@ -139,7 +164,7 @@ impl Campaign {
     pub fn daily<T: ProbeTransport + ?Sized>(
         scanner: &Scanner,
         transport: &T,
-        targets: &[std::net::Ipv6Addr],
+        targets: &[Ipv6Addr],
         first_start: SimTime,
         days: u64,
     ) -> Self {
@@ -236,6 +261,45 @@ mod tests {
         let scan = scanner.scan(&engine, &targets, SimTime::at(1, 9));
         let probed: Vec<_> = scan.records.iter().map(|r| r.target).collect();
         assert_eq!(probed, targets);
+    }
+
+    #[test]
+    fn scan_each_visits_scans_records_in_scans_order_with_their_list_indices() {
+        let engine = engine();
+        let all = TargetGenerator::new(1).one_per_subnet(&pool_prefix(&engine), 60);
+        assert_eq!(all.len(), 4096);
+        for randomize_order in [true, false] {
+            let scanner = Scanner::new(ScannerConfig {
+                seed: 7,
+                randomize_order,
+                ..ScannerConfig::default()
+            });
+            for n in [0, 1, 7, 4096] {
+                let targets = &all[..n];
+                let start = SimTime::at(1, 9);
+                let scan = scanner.scan(&engine, targets, start);
+                let mut visited = Vec::new();
+                let finished_at = scanner.scan_each(
+                    &engine,
+                    n,
+                    |index| targets[index],
+                    start,
+                    |index, record| {
+                        assert_eq!(record.target, targets[index], "index names the target");
+                        visited.push((index, record));
+                    },
+                );
+                assert_eq!(finished_at, scan.finished_at);
+                let records: Vec<_> = visited.iter().map(|(_, record)| *record).collect();
+                assert_eq!(records, scan.records, "n={n} randomize={randomize_order}");
+                let mut indices: Vec<_> = visited.iter().map(|(index, _)| *index).collect();
+                if !randomize_order {
+                    assert!(indices.iter().copied().eq(0..n), "list order");
+                }
+                indices.sort_unstable();
+                assert!(indices.iter().copied().eq(0..n), "every index exactly once");
+            }
+        }
     }
 
     #[test]

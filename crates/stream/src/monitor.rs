@@ -976,28 +976,41 @@ impl<'a, B: ProbeTransport + WorldView + ?Sized> MonitorSession<'a, B> {
         tree.fold_density(dcfg, folded);
         let generator = TargetGenerator::new(cfg.seed);
         let scanner = Scanner::at_paper_rate(cfg.seed ^ 0x5c37);
+        let (tenant, window) = (self.tenant, start_window + len - 1);
+        let rounds = u64::from(dcfg.rounds);
         let mut seq = 0u64;
-        for _ in 0..dcfg.rounds {
-            let budget = (dcfg.probe_budget / u64::from(dcfg.rounds)).max(1);
+        for round in 0..rounds {
+            // The boundary's budget is shared across the rounds: the first
+            // `budget % rounds` take the odd probes, and a zero share plans
+            // nothing.
+            let budget = dcfg.probe_budget / rounds + u64::from(round < dcfg.probe_budget % rounds);
             let plan = tree.plan(dcfg, &generator, cfg.granularity, budget);
             if plan.is_empty() {
                 continue;
             }
-            let targets: Vec<Ipv6Addr> = plan.iter().map(|probe| probe.target).collect();
-            let scan = scanner.scan(self.world, &targets, boundary);
-            for record in &scan.records {
-                router.route(Observation {
-                    phase: Phase::Expansion,
-                    tenant: self.tenant,
-                    window: start_window + len - 1,
-                    seq,
-                    target: record.target,
-                    sent_at: record.sent_at,
-                    response: record.response,
-                });
-                seq += 1;
-            }
-            tree.fold_probes(dcfg, scan.records.iter());
+            // The sweep is streamed: each probe is routed as it answers and
+            // leaves only its outcome, at its plan index, for the tree.
+            let mut hits = vec![false; plan.len()];
+            scanner.scan_each(
+                self.world,
+                plan.len(),
+                |index| plan.targets()[index],
+                boundary,
+                |index, record| {
+                    hits[index] = SeedExpansion::classify_record(record.source()) == Some(true);
+                    router.route(Observation {
+                        phase: Phase::Expansion,
+                        tenant,
+                        window,
+                        seq,
+                        target: record.target,
+                        sent_at: record.sent_at,
+                        response: record.response,
+                    });
+                    seq += 1;
+                },
+            );
+            tree.fold_plan(&plan, &hits);
             tree.rebalance(dcfg);
         }
     }

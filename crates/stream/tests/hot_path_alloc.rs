@@ -12,7 +12,8 @@
 //! the monitor do: through the `IngestEngine`. A third holds the epoch to the
 //! same standard: on a lent `ShardPool`, an epoch of a session whose watch
 //! list stands allocates a small constant — no channel, no batch buffer, no
-//! target list.
+//! target list. A fourth holds the discovery boundary to it: a sweep is
+//! streamed, so nothing the size of its records is ever allocated.
 //!
 //! This is an integration-test binary on purpose: a `#[global_allocator]`
 //! is process-wide, and the library forbids `unsafe` (`GlobalAlloc` needs
@@ -23,10 +24,12 @@ use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use scent_bgp::{Asn, Rib};
+use scent_discovery::DiscoveryConfig;
+use scent_prober::ProbeRecord;
 use scent_simnet::SimTime;
 use scent_stream::{
     IngestEngine, IngestOptions, MonitorConfig, MonitorSession, Observation, ObservationSource,
-    Phase, ShardMap, ShardPool,
+    Phase, ShardMap, ShardPool, WatchChurn,
 };
 
 /// Counts this thread's heap allocations (alloc paths only — frees are
@@ -38,6 +41,7 @@ struct CountingAllocator;
 thread_local! {
     static THREAD_ALLOCS: Cell<u64> = const { Cell::new(0) };
     static THREAD_BYTES: Cell<u64> = const { Cell::new(0) };
+    static THREAD_LARGEST: Cell<u64> = const { Cell::new(0) };
 }
 
 /// Fallback for allocations during TLS teardown (never on the hot path).
@@ -48,6 +52,7 @@ fn count_one(bytes: usize) {
         TEARDOWN_ALLOCS.fetch_add(1, Ordering::Relaxed);
     }
     let _ = THREAD_BYTES.try_with(|c| c.set(c.get() + bytes as u64));
+    let _ = THREAD_LARGEST.try_with(|c| c.set(c.get().max(bytes as u64)));
 }
 
 /// Allocations performed so far by the calling thread.
@@ -58,6 +63,11 @@ fn thread_allocations() -> u64 {
 /// Bytes requested so far by the calling thread.
 fn thread_bytes() -> u64 {
     THREAD_BYTES.with(Cell::get)
+}
+
+/// The calling thread's largest single request since the last call.
+fn take_thread_largest() -> u64 {
+    THREAD_LARGEST.with(|c| c.replace(0))
 }
 
 unsafe impl GlobalAlloc for CountingAllocator {
@@ -318,4 +328,58 @@ fn an_epoch_on_a_lent_pool_allocates_a_small_constant() {
     }
     let report = session.finish();
     assert_eq!(report.observations, 4 * 512);
+}
+
+/// A discovery boundary costs what its probes cost: the sweep is streamed
+/// probe → route → outcome bit, so across the one worked boundary of an
+/// unseeded `churn_world` session (the `churn_discovery_ckpt` shape: two
+/// rounds of 131 072 probes) the control thread never asks for a block the
+/// size of a round's records. The plan's own buffer (33 B a probe, grown by
+/// doubling) is the largest thing it holds. Before the sweep was streamed
+/// the same epoch allocated 44 520 088 B — per round a 2 MiB target copy, a
+/// 1 MiB order and a 6 MiB `Scan` beside the plan.
+#[test]
+fn a_discovery_boundary_never_materialises_its_sweep() {
+    const ROUND: u64 = 131_072;
+    const BYTES_BEFORE_STREAMING: u64 = 44_520_088;
+
+    let engine = scent_simnet::Engine::build(scent_simnet::scenarios::churn_world(7)).unwrap();
+    let config = MonitorConfig {
+        shards: 1,
+        producers: 1,
+        windows: 2, // one worked boundary: the final one never is
+        churn: Some(WatchChurn {
+            refresh_every: 1,
+            watch_capacity: 3,
+            ..WatchChurn::default()
+        }),
+        discovery: Some(DiscoveryConfig {
+            probe_budget: 2 * ROUND,
+            ..DiscoveryConfig::paper_scale()
+        }),
+        ..MonitorConfig::default()
+    };
+    let mut pool = ShardPool::open(config.shards, config.channel_capacity);
+    let mut session = MonitorSession::new(&engine, config, Vec::new(), None);
+    take_thread_largest();
+    let before = thread_bytes();
+    session.run_epoch_on(&mut pool, 10_000).unwrap();
+    let (bytes, largest) = (thread_bytes() - before, take_thread_largest());
+    session.run_epoch_on(&mut pool, 10_000).unwrap();
+    let report = session.finish();
+    assert_eq!(
+        report.discovery.expect("discovery ran").probes,
+        2 * ROUND,
+        "the boundary swept both rounds"
+    );
+
+    let records = ROUND * std::mem::size_of::<ProbeRecord>() as u64;
+    assert!(
+        largest < records,
+        "the boundary allocated {largest} B at once; a round's records are {records} B"
+    );
+    assert!(
+        bytes * 10 < BYTES_BEFORE_STREAMING * 6,
+        "the boundary allocated {bytes} B, {BYTES_BEFORE_STREAMING} B before the sweep was streamed"
+    );
 }

@@ -81,6 +81,10 @@ struct Inner {
     responses: u64,
     routed_per_shard: Vec<u64>,
     ingested_per_shard: Vec<u64>,
+    /// Wall-clock tier: observations each shard has reported ingested so
+    /// far, forwarded by the control thread between its own routes — so it
+    /// lives under the lock `on_routed` already holds.
+    ingested_live: Vec<u64>,
     expansion_probes: u64,
     rate_backoffs: u64,
     rate_recoveries: u64,
@@ -151,7 +155,6 @@ fn grow_slot(values: &mut Vec<u64>, index: usize) -> &mut u64 {
 pub struct Telemetry {
     inner: Mutex<Inner>,
     producer_probes: Mutex<Vec<u64>>,
-    ingested_live: Mutex<Vec<u64>>,
     stalls: AtomicU64,
     channel_high_water: AtomicU64,
     wall_spans: Mutex<Vec<(&'static str, u64)>>,
@@ -215,15 +218,13 @@ impl StreamObserver for Telemetry {
         if inner.ingested_per_shard.len() < shards {
             inner.ingested_per_shard.resize(shards, 0);
         }
+        if inner.ingested_live.len() < shards {
+            inner.ingested_live.resize(shards, 0);
+        }
         drop(inner);
         let mut probes = lock(&self.producer_probes);
         if probes.len() < producers {
             probes.resize(producers, 0);
-        }
-        drop(probes);
-        let mut live = lock(&self.ingested_live);
-        if live.len() < shards {
-            live.resize(shards, 0);
         }
     }
 
@@ -265,16 +266,16 @@ impl StreamObserver for Telemetry {
                 last_send: sent_at,
             });
         }
-        drop(inner);
         // Wall-clock tier: channel-depth proxy for this shard, sampled at
         // route time as routed minus live-ingested.
-        let ingested = lock(&self.ingested_live).get(shard).copied().unwrap_or(0);
+        let ingested = inner.ingested_live.get(shard).copied().unwrap_or(0);
+        drop(inner);
         self.channel_high_water
             .fetch_max(routed.saturating_sub(ingested), Ordering::Relaxed);
     }
 
     fn on_shard_progress(&self, shard: usize, ingested: u64) {
-        *grow_slot(&mut lock(&self.ingested_live), shard) += ingested;
+        *grow_slot(&mut lock(&self.inner).ingested_live, shard) += ingested;
     }
 
     fn on_shard_final(&self, shard: usize, ingested: u64) {

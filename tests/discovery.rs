@@ -343,6 +343,30 @@ fn fully_blocked_frontier_drains_to_the_exhausted_terminal_state() {
 
 /// A malformed blocklist entry is a typed error naming the line and the
 /// offending text — not a panic, not a silently skipped line.
+/// `probe_budget` is the boundary's whole budget, shared across the rounds
+/// — not a per-round floor of one: an indivisible budget spends its
+/// remainder in the first rounds, and a round whose share is zero sends
+/// nothing.
+#[test]
+fn a_boundary_spends_exactly_its_probe_budget() {
+    let engine = Engine::build(scenarios::churn_world(13)).unwrap();
+    for (probe_budget, boundaries) in [(5, 2), (1, 2), (1, 1)] {
+        let discovery = DiscoveryConfig {
+            probe_budget,
+            rounds: 2,
+            ..DiscoveryConfig::paper_scale()
+        };
+        // The final boundary is never worked: `boundaries + 1` windows.
+        let report = discover_unseeded(&engine, discovery, 1, 1, boundaries + 1);
+        let tree = report.discovery.expect("discovery report present");
+        assert_eq!(
+            tree.probes,
+            probe_budget * boundaries,
+            "budget {probe_budget} over 2 rounds, {boundaries} boundaries"
+        );
+    }
+}
+
 #[test]
 fn malformed_blocklist_entry_is_a_typed_error() {
     let err = Blocklist::parse(&["2001:db8::/32", "  # comment", "", "not-a-prefix"])
