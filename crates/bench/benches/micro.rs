@@ -2,7 +2,9 @@
 //! EUI-64 conversion, prefix arithmetic, longest-prefix match (one fixed
 //! address under `rib/`, a probe pass's permuted targets under `lpm/`),
 //! target generation, ICMPv6 serialization, and the simulated-engine probe
-//! path.
+//! path (one pool in list order under `engine/probe`, a probe pass's
+//! permuted targets under `engine/probe_permuted`, the slot → device step
+//! alone under `population/`).
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use scent_bench::versatel_engine;
@@ -46,22 +48,34 @@ fn bench_rib(c: &mut Criterion) {
     });
 }
 
+/// The experiment-scale `paper_world`: 351 pools behind 101 announcements.
+fn paper_engine() -> Engine {
+    Engine::build(scenarios::paper_world(7, WorldScale::experiment())).unwrap()
+}
+
+/// A monitor epoch's target stream over `engine`: one target per /56 of the
+/// first 128 pool /48s, permuted — consecutive targets land in different
+/// pools, so nothing a probe reads is still in cache from the previous one.
+fn monitor_pass(engine: &Engine) -> TargetStream {
+    let watched: Vec<Ipv6Prefix> = (engine.pools().iter())
+        .filter(|pool| pool.config.prefix.len() <= 48)
+        .flat_map(|pool| pool.config.prefix.subnets(48).unwrap())
+        .take(128)
+        .collect();
+    TargetStream::new(&TargetGenerator::new(1), &watched, 56, 42, true)
+}
+
 /// Longest-prefix match as a probe pass sees it: the experiment-scale
 /// `paper_world`'s 351 pools and 101 announcements, looked up over a monitor
 /// epoch's target stream (one target per /56 of 128 pool /48s, permuted) in
 /// which every fourth target is moved into unannounced space — so the search
 /// takes a different path on every call and misses are paid for.
 fn bench_lpm(c: &mut Criterion) {
-    let engine = Engine::build(scenarios::paper_world(7, WorldScale::experiment())).unwrap();
+    let engine = paper_engine();
     let pools: PrefixTable<usize> = (engine.pools().iter().enumerate())
         .map(|(i, pool)| (pool.config.prefix, i))
         .collect();
-    let watched: Vec<Ipv6Prefix> = (engine.pools().iter())
-        .filter(|pool| pool.config.prefix.len() <= 48)
-        .flat_map(|pool| pool.config.prefix.subnets(48).unwrap())
-        .take(128)
-        .collect();
-    let stream = TargetStream::new(&TargetGenerator::new(1), &watched, 56, 42, true);
+    let stream = monitor_pass(&engine);
     let targets: Vec<_> = (0..stream.window_len())
         .map(|pos| match pos % 4 {
             0 => addr_from_u128(addr_to_u128(stream.target_at(pos)) ^ (0x5 << 124)),
@@ -130,10 +144,49 @@ fn bench_engine_probe(c: &mut Criterion) {
     });
 }
 
+/// The probe as a probe pass pays for it. `engine/probe` above walks one
+/// pool in list order, so whatever the probe searches stays cache-hot; here
+/// every probe lands in another of 128 pools, and the slot → device step is
+/// timed alone over the largest of them (13 107 devices in 65 536 slots),
+/// alternating a device's slot with a pseudo-random one (nearly always free).
+fn bench_probe_pass(c: &mut Criterion) {
+    let engine = paper_engine();
+    let stream = monitor_pass(&engine);
+    let t = SimTime::at(5, 12);
+    let mut pos = 0usize;
+    c.bench_function("engine/probe_permuted", |b| {
+        b.iter(|| {
+            pos = (pos + 1) % stream.window_len();
+            engine.probe(black_box(stream.target_at(pos)), t)
+        })
+    });
+
+    let pool = (engine.pools().iter())
+        .max_by_key(|pool| pool.len())
+        .expect("the world has pools");
+    let slots: Vec<u64> = (0..8_192u64)
+        .map(|i| {
+            let h = i.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 20;
+            match i % 2 {
+                0 => pool.cpes[h as usize % pool.len()].initial_slot,
+                _ => h % pool.config.num_slots(),
+            }
+        })
+        .collect();
+    let mut i = 0usize;
+    c.bench_function("population/by_initial_slot", |b| {
+        b.iter(|| {
+            i = (i + 1) % slots.len();
+            pool.by_initial_slot(black_box(slots[i]))
+                .map(|(idx, _)| idx)
+        })
+    });
+}
+
 criterion_group! {
     name = micro;
     config = Criterion::default().sample_size(30);
     targets = bench_eui64, bench_prefix, bench_rib, bench_lpm, bench_targets, bench_wire,
-        bench_engine_probe
+        bench_engine_probe, bench_probe_pass
 }
 criterion_main!(micro);

@@ -584,6 +584,17 @@ mod tests {
         let bytes = encode_value(&detector);
         let back: WindowedRotationDetector = decode_value(&bytes).unwrap();
         assert_eq!(back.last_observations(), detector.last_observations());
+
+        // No snapshot byte depends on how the table was sized.
+        let mut reserved = WindowedRotationDetector::with_capacity(32_768);
+        let mut grown = WindowedRotationDetector::new();
+        for i in 0..1_000u64 {
+            let target = addr_from_u128(i.wrapping_mul(0x9e37_79b9_7f4a_7c15) as u128);
+            reserved.observe(i % 3, i, target, (i % 5 != 0).then_some(target));
+            grown.observe(i % 3, i, target, (i % 5 != 0).then_some(target));
+        }
+        assert!(reserved.last_observations().capacity() > grown.last_observations().capacity());
+        assert_eq!(encode_value(&reserved), encode_value(&grown));
     }
 
     #[test]

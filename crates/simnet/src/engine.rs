@@ -79,6 +79,9 @@ pub struct Engine {
     as_registry: AsRegistry,
     pool_table: PrefixTable<usize>,
     pools: Vec<PoolPopulation>,
+    /// Origin AS → provider index (`validate` rejects a repeated ASN): how
+    /// a traceroute finds its provider from the RIB entry.
+    provider_of_asn: HashMap<Asn, usize>,
     vantage: Ipv6Addr,
     rate_state: Mutex<HashMap<(u32, u32), (u64, u32)>>,
 }
@@ -93,8 +96,10 @@ impl Engine {
         let mut as_registry = AsRegistry::new();
         let mut pool_table = PrefixTable::new();
         let mut pools = Vec::new();
+        let mut provider_of_asn = HashMap::new();
 
         for (provider_idx, provider) in config.providers.iter().enumerate() {
+            provider_of_asn.insert(provider.asn, provider_idx);
             for announced in &provider.announced {
                 rib.announce(*announced, provider.asn);
             }
@@ -122,6 +127,7 @@ impl Engine {
             as_registry,
             pool_table,
             pools,
+            provider_of_asn,
             vantage: "2a01:7e00:ffff::1".parse().expect("static vantage address"),
             rate_state: Mutex::new(HashMap::new()),
         })
@@ -363,14 +369,8 @@ impl Engine {
         let Some(entry) = self.rib.lookup(target) else {
             return hops;
         };
-        let provider_idx = match self
-            .config
-            .providers
-            .iter()
-            .position(|p| p.asn == entry.origin)
-        {
-            Some(idx) => idx,
-            None => return hops,
+        let Some(&provider_idx) = self.provider_of_asn.get(&entry.origin) else {
+            return hops;
         };
         let provider = &self.config.providers[provider_idx];
         let core_hops = provider.core_hops.min(max_hops);

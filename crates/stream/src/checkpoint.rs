@@ -328,10 +328,10 @@ mod tests {
         }
     }
 
-    fn populated_shard() -> ShardInference {
+    /// `empty` after one rotation's worth of every phase.
+    fn populated(mut state: ShardInference) -> ShardInference {
         let eui = "2001:db8:1:0:c80e:14ff:fe01:203";
         let other = "2001:db8:1:4:c80e:14ff:fe99:203";
-        let mut state = ShardInference::new();
         state.ingest(&obs(Phase::Expansion, 0, 0, "2001:db8:1::1", Some(eui)));
         state.ingest(&obs(
             Phase::Expansion,
@@ -344,6 +344,14 @@ mod tests {
         state.ingest(&obs(Phase::Detection, 0, 3, "2001:db8:1::3", Some(eui)));
         state.ingest(&obs(Phase::Detection, 1, 0, "2001:db8:1::3", Some(other)));
         assert!(!state.events.is_empty(), "rotation must have been detected");
+        state
+    }
+
+    /// A monitor shard — the only kind a snapshot ever holds, and the kind
+    /// whose tracker is fed.
+    fn populated_shard() -> ShardInference {
+        let state = populated(ShardInference::without_census());
+        assert_eq!(state.tracker.identifiers_seen(), 2);
         state
     }
 
@@ -373,13 +381,18 @@ mod tests {
         let bytes = encode_value(&state);
         let back: ShardInference = decode_value(&bytes).unwrap();
         shards_equal(&state, &back);
-        // The census sections are written as found and read past: what
-        // comes back is a monitor shard.
-        assert_eq!(state.address_statistics(), (2, 2, 2));
+        assert_eq!(encode_value(&back), bytes);
+        // A census is written as found and read past: what comes back from
+        // a pipeline shard's bytes is a monitor shard.
+        let pipeline = populated(ShardInference::new());
+        assert_eq!(pipeline.address_statistics(), (2, 2, 2));
+        let pipeline_bytes = encode_value(&pipeline);
+        let back: ShardInference = decode_value(&pipeline_bytes).unwrap();
+        shards_equal(&pipeline, &back);
         assert_eq!(back.address_statistics(), (0, 0, 0));
         assert_eq!(
             encode_value(&back).len(),
-            bytes.len() - (2 + 2) * 16 - 2 * 8
+            pipeline_bytes.len() - (2 + 2) * 16 - 2 * 8
         );
     }
 

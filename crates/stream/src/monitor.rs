@@ -602,6 +602,16 @@ impl<'a, B: ProbeTransport + WorldView + ?Sized> MonitorSession<'a, B> {
             .step_by(epoch_windows as usize)
             .map(|start| (start, epoch_windows.min(cfg.windows - start)))
             .collect();
+        // A shard's detector holds one entry per target of the watch list;
+        // sized for its share up front, it skips the table's doubling chain
+        // (a hint: announcements split unevenly, and churn moves the list).
+        let targets = watched_48s.len() << cfg.granularity.saturating_sub(48).min(16);
+        let states = (0..cfg.shards)
+            .map(|_| ShardInference {
+                detector: WindowedRotationDetector::with_capacity(targets.div_ceil(cfg.shards)),
+                ..ShardInference::without_census()
+            })
+            .collect();
         let mut session = MonitorSession {
             world,
             observer,
@@ -617,7 +627,7 @@ impl<'a, B: ProbeTransport + WorldView + ?Sized> MonitorSession<'a, B> {
             next_epoch: 0,
             current_window: 0,
             final_rate: cfg.packets_per_second,
-            states: vec![ShardInference::without_census(); cfg.shards],
+            states,
             stalls: 0,
             exhausted_at: None,
             stopped: false,

@@ -13,10 +13,18 @@
 //!
 //! A shard keeps what its run's report reads and nothing else: every
 //! container here is touched per observation and carried through every
-//! snapshot. The distinct-address census feeds only the one-shot pipeline's
-//! report, so a pipeline shard ([`ShardInference::new`]) carries it and a
-//! monitor shard does not — which is also what lets
-//! [`ShardMsg::Compact`] bound a monitor's whole state, not most of it.
+//! snapshot. There are two flavours, decided once at construction by
+//! whether the shard holds a census:
+//!
+//! * a **pipeline shard** ([`ShardInference::new`]) keeps the
+//!   distinct-address census, which only the one-shot
+//!   [`PipelineReport`](scent_core::PipelineReport) reads, and **no
+//!   tracker** — no `PipelineReport` field reads one, so its
+//!   [`tracker`](ShardInference::tracker) stays empty;
+//! * a **monitor shard** keeps the tracker, which
+//!   [`MonitorReport::tracking`](crate::MonitorReport) is built from, and
+//!   **no census** — which is also what lets [`ShardMsg::Compact`] bound a
+//!   monitor's whole state, not most of it.
 
 use std::collections::BTreeSet;
 use std::net::Ipv6Addr;
@@ -69,6 +77,16 @@ pub(crate) struct Census {
     pub(crate) iids: FastSet<Eui64>,
 }
 
+impl Census {
+    fn note(&mut self, source: Option<Ipv6Addr>) {
+        let Some(source) = source else { return };
+        self.addresses.insert(source);
+        if let Some(eui) = Eui64::from_addr(source) {
+            self.iids.insert(eui);
+        }
+    }
+}
+
 /// The complete inference state of one shard (and, after merging, of the
 /// whole engine).
 #[derive(Debug, Clone)]
@@ -85,9 +103,12 @@ pub struct ShardInference {
     pub detector: WindowedRotationDetector,
     /// Every rotation event detected, in per-shard emission order.
     pub events: Vec<RotationEvent>,
-    /// Passive per-identifier tracking.
+    /// Passive per-identifier tracking — fed by a monitor shard only; a
+    /// pipeline shard's stays empty.
     pub tracker: IncrementalTracker,
-    /// Present in a pipeline shard, absent in a monitor shard.
+    /// The shard's flavour: present in a pipeline shard (which then feeds
+    /// it and not the tracker), absent in a monitor shard (which feeds the
+    /// tracker).
     pub(crate) census: Option<Census>,
     /// Observations ingested.
     pub observations: u64,
@@ -103,14 +124,15 @@ impl Default for ShardInference {
 }
 
 impl ShardInference {
-    /// An empty state that keeps the distinct-address census
-    /// ([`Self::address_statistics`]) — a pipeline shard.
+    /// An empty pipeline shard: it keeps the distinct-address census
+    /// ([`Self::address_statistics`]) and feeds no tracker.
     pub fn new() -> Self {
         Self::default()
     }
 
     /// An empty monitor shard: everything a [`MonitorReport`](crate::MonitorReport)
-    /// reads and nothing else, so retention compaction bounds all of it.
+    /// reads — the tracker included — and nothing else, so retention
+    /// compaction bounds all of it.
     pub(crate) fn without_census() -> Self {
         ShardInference {
             validated: BTreeSet::new(),
@@ -146,32 +168,28 @@ impl ShardInference {
                     .entry(obs.target_48())
                     .or_default()
                     .observe(&obs.record());
-                self.note_address(obs);
+                if let Some(census) = &mut self.census {
+                    census.note(obs.source());
+                }
                 None
             }
             Phase::Detection => {
-                self.note_address(obs);
-                self.tracker
-                    .observe(obs.window, obs.seq, obs.target, obs.source());
                 let event = self
                     .detector
                     .observe(obs.window, obs.seq, obs.target, obs.source());
-                if let Some(event) = event {
-                    self.events.push(event);
-                    self.tracker.apply_event(&event);
+                self.events.extend(event);
+                match &mut self.census {
+                    Some(census) => census.note(obs.source()),
+                    None => {
+                        self.tracker
+                            .observe(obs.window, obs.seq, obs.target, obs.source());
+                        if let Some(event) = &event {
+                            self.tracker.apply_event(event);
+                        }
+                    }
                 }
                 event
             }
-        }
-    }
-
-    fn note_address(&mut self, obs: &Observation) {
-        let (Some(census), Some(source)) = (&mut self.census, obs.source()) else {
-            return;
-        };
-        census.addresses.insert(source);
-        if let Some(eui) = Eui64::from_addr(source) {
-            census.iids.insert(eui);
         }
     }
 
@@ -262,7 +280,10 @@ mod tests {
 
     #[test]
     fn ingest_expansion_density_detection() {
+        // A pipeline shard, and beside it the monitor shard whose tracker
+        // the same observations feed.
         let mut state = ShardInference::new();
+        let mut monitor = ShardInference::without_census();
         let eui1 = eui_addr(0x2001_0db8_0001_0000);
         let eui2 = eui_addr(0x2001_0db8_0001_0100);
 
@@ -287,21 +308,26 @@ mod tests {
         assert_eq!(acc.uniques.len(), 1, "same IID under two addresses");
 
         // Detection: window 1 differing from window 0 emits an event.
-        assert!(state
-            .ingest(&obs(Phase::Detection, 0, 0, "2001:db8:1::3", Some(&eui1)))
-            .is_none());
+        let first = obs(Phase::Detection, 0, 0, "2001:db8:1::3", Some(&eui1));
+        let second = obs(Phase::Detection, 1, 0, "2001:db8:1::3", Some(&eui2));
+        assert!(state.ingest(&first).is_none());
+        assert!(monitor.ingest(&first).is_none());
         let event = state
-            .ingest(&obs(Phase::Detection, 1, 0, "2001:db8:1::3", Some(&eui2)))
+            .ingest(&second)
             .expect("changed EUI response must emit");
         assert_eq!(event.window, 1);
-        assert_eq!(state.events.len(), 1);
-        assert_eq!(state.tracker.identifiers_seen(), 1);
+        assert_eq!(monitor.ingest(&second), Some(event));
+        assert_eq!(state.events, vec![event]);
+        assert_eq!(monitor.events, vec![event]);
+        assert_eq!(monitor.tracker.identifiers_seen(), 1);
         assert!(
-            state
+            monitor
                 .tracker
                 .moves_for(Eui64::from_addr(eui1.parse().unwrap()).unwrap())
                 > 0
         );
+        assert_eq!(state.tracker.identifiers_seen(), 0);
+        assert_eq!(monitor.address_statistics(), (0, 0, 0));
 
         let (addrs, eui_addrs, iids) = state.address_statistics();
         assert_eq!(addrs, 2, "density + detection sources: two addresses");
@@ -387,34 +413,63 @@ mod tests {
     }
 
     #[test]
+    fn pipeline_shard_feeds_no_tracker() {
+        let stream = mixed_stream();
+        let mut pipeline = ShardInference::new();
+        let mut monitor = ShardInference::without_census();
+        for observation in &stream {
+            assert_eq!(pipeline.ingest(observation), monitor.ingest(observation));
+        }
+        // What a `PipelineReport` reads is what it was...
+        assert_eq!(pipeline.events.len(), 32);
+        assert_eq!(pipeline.events, monitor.events);
+        assert_eq!(pipeline.address_statistics(), (60, 56, 24));
+        assert_eq!(
+            pipeline.detector.last_observations(),
+            monitor.detector.last_observations()
+        );
+        // ...and the tracker no report field of its reads was never fed.
+        let (tracks, probes) = pipeline.tracker.checkpoint_parts();
+        assert!(tracks.is_empty() && probes.is_empty());
+        assert_eq!(monitor.tracker.identifiers_seen(), 16);
+    }
+
+    #[test]
     fn merge_all_equals_the_fold_from_empty_it_replaces() {
         use scent_checkpoint::encode_value;
 
         let stream = mixed_stream();
-        let mut whole = ShardInference::new();
-        for observation in &stream {
-            whole.ingest(observation);
-        }
-        assert_eq!(whole.address_statistics(), (60, 56, 24));
-        assert_eq!(whole.events.len(), 32);
-        for splits in 1..=3usize {
-            let mut states = vec![ShardInference::new(); splits];
+        let flavours = [
+            (ShardInference::new(), (60, 56, 24), 0),
+            (ShardInference::without_census(), (0, 0, 0), 16),
+        ];
+        for (empty, census, identifiers) in flavours {
+            let mut whole = empty.clone();
             for observation in &stream {
-                let net = observation.target.segments()[2] as usize;
-                states[net % splits].ingest(observation);
+                whole.ingest(observation);
             }
-            let mut folded = ShardInference::new();
-            for state in states.clone() {
-                folded.merge(state);
+            assert_eq!(whole.address_statistics(), census);
+            assert_eq!(whole.tracker.identifiers_seen(), identifiers);
+            assert_eq!(whole.events.len(), 32);
+            for splits in 1..=3usize {
+                let mut states = vec![empty.clone(); splits];
+                for observation in &stream {
+                    let net = observation.target.segments()[2] as usize;
+                    states[net % splits].ingest(observation);
+                }
+                let mut folded = empty.clone();
+                for state in states.clone() {
+                    folded.merge(state);
+                }
+                let adopted = ShardInference::merge_all(states);
+                assert_eq!(encode_value(&adopted), encode_value(&folded), "{splits}");
+                assert_eq!(adopted.address_statistics(), whole.address_statistics());
+                assert_eq!(adopted.observations, whole.observations);
+                assert_eq!(
+                    adopted.tracker.checkpoint_parts(),
+                    whole.tracker.checkpoint_parts()
+                );
             }
-            let adopted = ShardInference::merge_all(states);
-            assert_eq!(encode_value(&adopted), encode_value(&folded), "{splits}");
-            assert_eq!(adopted.address_statistics(), whole.address_statistics());
-            assert_eq!(adopted.observations, whole.observations);
-            assert_eq!(
-                adopted.tracker.checkpoint_parts(),
-                whole.tracker.checkpoint_parts()
-            );
         }
         // Monitor shards merge to a monitor shard: no census appears.
         let merged = ShardInference::merge_all(vec![ShardInference::without_census(); 2]);

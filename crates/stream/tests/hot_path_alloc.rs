@@ -13,7 +13,9 @@
 //! same standard: on a lent `ShardPool`, an epoch of a session whose watch
 //! list stands allocates a small constant — no channel, no batch buffer, no
 //! target list. A fourth holds the discovery boundary to it: a sweep is
-//! streamed, so nothing the size of its records is ever allocated.
+//! streamed, so nothing the size of its records is ever allocated. A fifth
+//! holds a pipeline shard's detection fold to table growth: it feeds no
+//! tracker, so a new identifier costs it no allocation of its own.
 //!
 //! This is an integration-test binary on purpose: a `#[global_allocator]`
 //! is process-wide, and the library forbids `unsafe` (`GlobalAlloc` needs
@@ -29,7 +31,7 @@ use scent_prober::ProbeRecord;
 use scent_simnet::SimTime;
 use scent_stream::{
     IngestEngine, IngestOptions, MonitorConfig, MonitorSession, Observation, ObservationSource,
-    Phase, ShardMap, ShardPool, WatchChurn,
+    Phase, ShardInference, ShardMap, ShardPool, WatchChurn,
 };
 
 /// Counts this thread's heap allocations (alloc paths only — frees are
@@ -381,5 +383,47 @@ fn a_discovery_boundary_never_materialises_its_sweep() {
     assert!(
         bytes * 10 < BYTES_BEFORE_STREAMING * 6,
         "the boundary allocated {bytes} B, {BYTES_BEFORE_STREAMING} B before the sweep was streamed"
+    );
+}
+
+/// A pipeline shard folds a detection window into its detector and its
+/// census and nothing else: 4 096 targets each answered by an EUI-64
+/// identifier never seen before cost the folding thread the three tables'
+/// doublings (36 allocations as this was written). Fed to a tracker — as
+/// they were while a pipeline shard kept one no `PipelineReport` field read
+/// — every new identifier also allocated its own sightings `Vec`: at least
+/// 4 096 more.
+#[test]
+fn a_pipeline_shard_folds_new_identifiers_without_allocating_per_identifier() {
+    const IDENTIFIERS: usize = 4_096;
+
+    let window: Vec<Observation> = (0..IDENTIFIERS as u64)
+        .map(|i| {
+            let prefix64 = 0x2001_16b8_0000_0000 + (i << 8);
+            let mac = scent_ipv6::MacAddr::new([0xc8, 0x0e, 0x14, 0, (i >> 8) as u8, i as u8]);
+            Observation {
+                phase: Phase::Detection,
+                response: Some(scent_prober::ResponseRecord {
+                    source: scent_ipv6::Eui64::from_mac(mac).with_prefix64(prefix64),
+                    kind: scent_simnet::ReplyKind::TimeExceeded,
+                }),
+                ..observation(i, scent_ipv6::addr_from_u128((prefix64 as u128) << 64 | 1))
+            }
+        })
+        .collect();
+    let mut shard = ShardInference::new();
+    let before = thread_allocations();
+    for observation in &window {
+        shard.ingest(observation);
+    }
+    let allocations = thread_allocations() - before;
+    assert_eq!(
+        shard.address_statistics(),
+        (IDENTIFIERS, IDENTIFIERS, IDENTIFIERS)
+    );
+    assert_eq!(shard.detector.targets_tracked(), IDENTIFIERS);
+    assert!(
+        allocations <= 64,
+        "folding {IDENTIFIERS} new identifiers allocated {allocations} times"
     );
 }
