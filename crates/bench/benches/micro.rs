@@ -4,11 +4,15 @@
 //! target generation, ICMPv6 serialization, and the simulated-engine probe
 //! path (one pool in list order under `engine/probe`, a probe pass's
 //! permuted targets under `engine/probe_permuted`, the slot → device step
-//! alone under `population/`).
+//! alone under `population/`), and the rotation detector over a monitor
+//! epoch's targets (`detector/`).
+
+use std::net::Ipv6Addr;
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use scent_bench::versatel_engine;
 use scent_bgp::{Asn, PrefixTable, Rib};
+use scent_core::WindowedRotationDetector;
 use scent_ipv6::wire::Icmpv6Packet;
 use scent_ipv6::{addr_from_u128, addr_to_u128, Eui64, Ipv6Prefix, MacAddr};
 use scent_prober::{TargetGenerator, TargetStream};
@@ -183,10 +187,67 @@ fn bench_probe_pass(c: &mut Criterion) {
     });
 }
 
+/// The rotation detector as a monitor shard drives it, the `steady_watch`
+/// shape: a monitor epoch's 32 768 permuted targets, re-probed window after
+/// window in one order, each answered by one of two EUI-64 identifiers in
+/// its /64 that swap every other window (so some observations emit events).
+/// `standing_list` is every window after a list's first — the entry at the
+/// cursor; `first_window` meets every target for the first time, in a
+/// detector sized for them — the index path.
+fn bench_detector(c: &mut Criterion) {
+    let engine = paper_engine();
+    let stream = monitor_pass(&engine);
+    let targets: Vec<_> = (0..stream.window_len())
+        .map(|pos| stream.target_at(pos))
+        .collect();
+    assert_eq!(targets.len(), 32_768);
+    let sources: Vec<[Ipv6Addr; 2]> = (targets.iter())
+        .map(|target| {
+            let prefix64 = (addr_to_u128(*target) >> 64) as u64;
+            let device = |b| Eui64::from_mac(MacAddr::new([0x38, 0x10, 0xd5, 0, b, 1]));
+            [device(1), device(2)].map(|eui| eui.with_prefix64(prefix64))
+        })
+        .collect();
+    let observe = |detector: &mut WindowedRotationDetector, window: u64, pos: usize| {
+        let swapped = (window / 2 + pos as u64) % 2;
+        let source = sources[pos][swapped as usize];
+        detector.observe(window, pos as u64, targets[pos], Some(source))
+    };
+
+    let mut detector = WindowedRotationDetector::with_capacity(targets.len());
+    let (mut window, mut pos) = (0u64, 0usize);
+    for p in 0..targets.len() {
+        observe(&mut detector, window, p);
+    }
+    c.bench_function("detector/standing_list", |b| {
+        b.iter(|| {
+            if pos == 0 {
+                window += 1;
+            }
+            let event = observe(&mut detector, window, pos);
+            pos = (pos + 1) % targets.len();
+            event
+        })
+    });
+
+    let mut fresh = WindowedRotationDetector::new();
+    pos = 0;
+    c.bench_function("detector/first_window", |b| {
+        b.iter(|| {
+            if pos == 0 {
+                fresh = WindowedRotationDetector::with_capacity(targets.len());
+            }
+            let event = observe(&mut fresh, 0, pos);
+            pos = (pos + 1) % targets.len();
+            event
+        })
+    });
+}
+
 criterion_group! {
     name = micro;
     config = Criterion::default().sample_size(30);
     targets = bench_eui64, bench_prefix, bench_rib, bench_lpm, bench_targets, bench_wire,
-        bench_engine_probe, bench_probe_pass
+        bench_engine_probe, bench_probe_pass, bench_detector
 }
 criterion_main!(micro);

@@ -225,15 +225,23 @@ impl Checkpointable for WatchRevision {
     }
 }
 
+/// Wire layout (unchanged since the detector was a map keyed by target): the
+/// entry count, then `(target, (window, source))` in target order — written
+/// straight off one sorted vector of references to the detector's entries,
+/// whatever order it keeps them in.
 impl Checkpointable for WindowedRotationDetector {
     fn encode(&self, w: &mut Writer) {
-        self.last_observations().encode(w);
+        let mut entries: Vec<_> = self.last_observations().collect();
+        entries.sort_unstable_by_key(|(target, _)| *target);
+        w.put_usize(entries.len());
+        for entry in entries {
+            entry.encode(w);
+        }
     }
 
     fn decode(r: &mut Reader<'_>) -> Result<Self, CheckpointError> {
-        Ok(WindowedRotationDetector::from_last_observations(
-            Checkpointable::decode(r)?,
-        ))
+        let entries: Vec<(Ipv6Addr, (u64, Option<Ipv6Addr>))> = Checkpointable::decode(r)?;
+        Ok(entries.into_iter().collect())
     }
 }
 
@@ -583,17 +591,21 @@ mod tests {
         detector.observe(1, 4, addr("2001:db8:40::1"), None);
         let bytes = encode_value(&detector);
         let back: WindowedRotationDetector = decode_value(&bytes).unwrap();
-        assert_eq!(back.last_observations(), detector.last_observations());
+        assert_eq!(back, detector);
 
-        // No snapshot byte depends on how the table was sized.
+        // No snapshot byte depends on how the detector was sized, or on the
+        // order it met its targets in.
         let mut reserved = WindowedRotationDetector::with_capacity(32_768);
         let mut grown = WindowedRotationDetector::new();
-        for i in 0..1_000u64 {
+        let feed = |detector: &mut WindowedRotationDetector, i: u64| {
             let target = addr_from_u128(i.wrapping_mul(0x9e37_79b9_7f4a_7c15) as u128);
-            reserved.observe(i % 3, i, target, (i % 5 != 0).then_some(target));
-            grown.observe(i % 3, i, target, (i % 5 != 0).then_some(target));
+            detector.observe(i % 3, i, target, (i % 5 != 0).then_some(target));
+        };
+        for i in 0..1_000u64 {
+            feed(&mut reserved, i);
+            feed(&mut grown, 999 - i);
         }
-        assert!(reserved.last_observations().capacity() > grown.last_observations().capacity());
+        assert_eq!(reserved, grown);
         assert_eq!(encode_value(&reserved), encode_value(&grown));
     }
 

@@ -7,7 +7,8 @@
 //! address, to a non-EUI-64 address, or to silence. A /48 with at least one
 //! such change is flagged as (likely) rotating.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::hash_map::Entry;
+use std::collections::HashMap;
 use std::net::Ipv6Addr;
 
 use serde::{Deserialize, Serialize};
@@ -15,7 +16,7 @@ use serde::{Deserialize, Serialize};
 use scent_ipv6::{Eui64, Ipv6Prefix};
 use scent_prober::Scan;
 
-use crate::fasthash::FastMap;
+use crate::fasthash::{FastMap, FastSet};
 
 /// The kind of change observed for one target between the two snapshots.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -105,6 +106,10 @@ pub struct RotationEvent {
     pub prefix_48: Ipv6Prefix,
 }
 
+/// What the detector keeps per target: the window and response source of
+/// its last observation.
+type Last = (u64, Option<Ipv6Addr>);
+
 /// Online rotation detection over a stream of per-target observations
 /// grouped into windows (one window per scan pass).
 ///
@@ -114,12 +119,31 @@ pub struct RotationEvent {
 /// window is diffed against each target's previous observation, which is what
 /// turns the paper's one-shot "two snapshots 24h apart" methodology into a
 /// continuous monitor.
-#[derive(Debug, Clone, Default)]
+///
+/// The entries are kept in the order the detector last met them, with a
+/// cursor at the next one the current window is expected to meet. A monitor
+/// re-probes a standing watch list in the same permuted order every window
+/// (and so does each shard its own share of it), so after a list's first
+/// window an observation finds its target *at* the cursor: one compare, no
+/// hash. Everything else — a first sighting, a revised or resumed list, a
+/// re-observation — goes through the index, and an entry met out of place is
+/// swapped to the cursor, so the next window meets it in order. The index is
+/// always the truth about where an entry is; the cursor only skips the
+/// lookup, and nothing reads an observation's `seq` to find one. The order is
+/// never observable: equality, the checkpoint bytes and every event are
+/// what a map keyed by target gives.
+#[derive(Clone, Default)]
 pub struct WindowedRotationDetector {
-    /// Per target: the window and response source of the last observation.
-    /// On the [`crate::fasthash`] hasher — this map is hit once per
-    /// detection-phase observation, on the streaming hot path.
-    last: FastMap<Ipv6Addr, (u64, Option<Ipv6Addr>)>,
+    /// Per target, its last observation, in the order the detector met them.
+    entries: Vec<(Ipv6Addr, Last)>,
+    /// Target → its position in `entries`. On the [`crate::fasthash`]
+    /// hasher; read only when the entry at the cursor is not the target.
+    index: FastMap<Ipv6Addr, u32>,
+    /// The window the cursor walks.
+    window: u64,
+    /// Where in `entries` the window's next observation is expected: the
+    /// entries before it are the ones this window has met.
+    cursor: usize,
 }
 
 impl WindowedRotationDetector {
@@ -128,35 +152,32 @@ impl WindowedRotationDetector {
         Self::default()
     }
 
-    /// An empty detector with room for `targets` targets: a caller that
-    /// knows its target list saves the table's doubling chain (6.4 MiB of
-    /// allocation on the way to 32 768 targets). Capacity is never state —
-    /// a checkpoint encodes entries in key order.
+    /// An empty detector with room for `targets` targets in both its entries
+    /// and its index: a caller that knows its target list saves their
+    /// doubling chains. Capacity is never state — a checkpoint encodes
+    /// entries in target order.
     pub fn with_capacity(targets: usize) -> Self {
         WindowedRotationDetector {
-            last: FastMap::with_capacity_and_hasher(targets, Default::default()),
+            entries: Vec::with_capacity(targets),
+            index: FastMap::with_capacity_and_hasher(targets, Default::default()),
+            ..Self::default()
         }
     }
 
     /// Number of targets currently tracked.
     pub fn targets_tracked(&self) -> usize {
-        self.last.len()
+        self.entries.len()
     }
 
     /// Union another detector's per-target state into this one. On a target
     /// both sides have seen, the later-window entry wins (sharded runs route
-    /// each target to exactly one shard, so in practice the maps are
+    /// each target to exactly one shard, so in practice the two are
     /// disjoint).
     pub fn merge(&mut self, other: Self) {
-        for (target, entry) in other.last {
-            match self.last.entry(target) {
-                std::collections::hash_map::Entry::Occupied(mut occupied) => {
-                    if entry.0 >= occupied.get().0 {
-                        occupied.insert(entry);
-                    }
-                }
-                std::collections::hash_map::Entry::Vacant(vacant) => {
-                    vacant.insert(entry);
+        for (target, last) in other.entries {
+            if let Some(mine) = self.slot(target, last) {
+                if last.0 >= mine.0 {
+                    *mine = last;
                 }
             }
         }
@@ -164,8 +185,9 @@ impl WindowedRotationDetector {
 
     /// Observe one probe of `target` during `window` (windows must be fed in
     /// non-decreasing order per target; `seq` is the probing-order index of
-    /// this observation within its window). Returns a [`RotationEvent`] if
-    /// the response differs from the previous window's in the §4.3 sense.
+    /// this observation within its window, copied into the event and never
+    /// used to find the target). Returns a [`RotationEvent`] if the response
+    /// differs from the previous window's in the §4.3 sense.
     pub fn observe(
         &mut self,
         window: u64,
@@ -173,8 +195,19 @@ impl WindowedRotationDetector {
         target: Ipv6Addr,
         source: Option<Ipv6Addr>,
     ) -> Option<RotationEvent> {
-        let previous = self.last.insert(target, (window, source));
-        let (prev_window, prev_source) = previous?;
+        if window != self.window {
+            self.window = window;
+            self.cursor = 0;
+        }
+        let at = match self.entries.get(self.cursor) {
+            Some((met, _)) if *met == target => {
+                self.cursor += 1;
+                self.cursor - 1
+            }
+            _ => self.seek(target, (window, source))?,
+        };
+        let (prev_window, prev_source) =
+            std::mem::replace(&mut self.entries[at].1, (window, source));
         if prev_window >= window {
             // Re-observation within the same window (or out of order):
             // nothing to diff against.
@@ -189,15 +222,50 @@ impl WindowedRotationDetector {
         })
     }
 
-    /// The detector's complete internal state — what a checkpoint encodes:
-    /// per target, the window and response source of its last observation.
-    pub fn last_observations(&self) -> &FastMap<Ipv6Addr, (u64, Option<Ipv6Addr>)> {
-        &self.last
+    /// The slow path of [`Self::observe`]: find `target` through the index.
+    /// An entry this window has not met yet moves to the cursor (the entry
+    /// sitting there takes its place) and its position is returned; one met
+    /// already stays where it is. A target never seen is admitted at the
+    /// cursor holding `last`, and `None` says there was nothing before it.
+    fn seek(&mut self, target: Ipv6Addr, last: Last) -> Option<usize> {
+        let (admitted, cursor) = (self.entries.len(), self.cursor);
+        let slot = self.index.entry(target).or_insert(position(admitted));
+        let at = *slot as usize;
+        if at < cursor {
+            return Some(at);
+        }
+        *slot = position(cursor);
+        self.cursor += 1;
+        if at == admitted {
+            self.entries.push((target, last));
+        }
+        if at != cursor {
+            self.entries.swap(at, cursor);
+            self.index.insert(self.entries[at].0, position(at));
+        }
+        (at != admitted).then_some(cursor)
     }
 
-    /// Rebuild a detector from [`WindowedRotationDetector::last_observations`].
-    pub fn from_last_observations(last: FastMap<Ipv6Addr, (u64, Option<Ipv6Addr>)>) -> Self {
-        WindowedRotationDetector { last }
+    /// The entry for `target`, or `None` once `target` has been admitted at
+    /// the tail holding `last`.
+    fn slot(&mut self, target: Ipv6Addr, last: Last) -> Option<&mut Last> {
+        match self.index.entry(target) {
+            Entry::Occupied(slot) => Some(&mut self.entries[*slot.get() as usize].1),
+            Entry::Vacant(slot) => {
+                slot.insert(position(self.entries.len()));
+                self.entries.push((target, last));
+                None
+            }
+        }
+    }
+
+    /// The detector's complete state — what a checkpoint encodes: per
+    /// target, the window and response source of its last observation, in
+    /// no particular order. [`FromIterator`] rebuilds a detector from it.
+    pub fn last_observations(
+        &self,
+    ) -> impl ExactSizeIterator<Item = &(Ipv6Addr, (u64, Option<Ipv6Addr>))> {
+        self.entries.iter()
     }
 
     /// Fold a batch of rotation events into a [`RotationDetection`]. Events
@@ -212,13 +280,60 @@ impl WindowedRotationDetector {
         events.sort_unstable_by_key(key);
         debug_assert!(events.windows(2).all(|w| key(&w[0]) < key(&w[1])));
         let changes: Vec<ChangedTarget> = events.iter().map(|e| e.change).collect();
-        let rotating: HashSet<Ipv6Prefix> = events.iter().map(|e| e.prefix_48).collect();
+        // Deduplicated on the fast hasher: a set the size of the /48s, not
+        // of the events (a monitor's run has hundreds of events per /48).
+        let rotating: FastSet<Ipv6Prefix> = events.iter().map(|e| e.prefix_48).collect();
         let mut rotating_48s: Vec<Ipv6Prefix> = rotating.into_iter().collect();
-        rotating_48s.sort();
+        rotating_48s.sort_unstable();
         RotationDetection {
             changes,
             rotating_48s,
         }
+    }
+}
+
+/// An entry's position, as the index stores it.
+fn position(at: usize) -> u32 {
+    u32::try_from(at).expect("a detector tracks fewer than 2^32 targets")
+}
+
+/// Rebuild a detector from [`WindowedRotationDetector::last_observations`]
+/// (in any order). A target listed twice keeps its later entry, as a map
+/// collected from the same list would.
+impl FromIterator<(Ipv6Addr, (u64, Option<Ipv6Addr>))> for WindowedRotationDetector {
+    fn from_iter<I: IntoIterator<Item = (Ipv6Addr, Last)>>(entries: I) -> Self {
+        let entries = entries.into_iter();
+        let mut detector = Self::with_capacity(entries.size_hint().0);
+        for (target, last) in entries {
+            if let Some(mine) = detector.slot(target, last) {
+                *mine = last;
+            }
+        }
+        detector
+    }
+}
+
+/// Equal when they track the same targets with the same last observations,
+/// whatever order each met them in.
+impl PartialEq for WindowedRotationDetector {
+    fn eq(&self, other: &Self) -> bool {
+        self.entries.len() == other.entries.len()
+            && self.entries.iter().all(|(target, last)| {
+                (other.index.get(target)).is_some_and(|&at| other.entries[at as usize].1 == *last)
+            })
+    }
+}
+
+impl Eq for WindowedRotationDetector {}
+
+/// The entries in target order — the order a checkpoint writes them in.
+impl std::fmt::Debug for WindowedRotationDetector {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let mut entries: Vec<&(Ipv6Addr, Last)> = self.entries.iter().collect();
+        entries.sort_unstable_by_key(|(target, _)| *target);
+        f.debug_map()
+            .entries(entries.iter().map(|(target, last)| (target, last)))
+            .finish()
     }
 }
 
@@ -233,7 +348,7 @@ impl RotationDetection {
     /// detector the streaming engine drives one observation at a time — so
     /// the batch and streaming paths agree by construction.
     pub fn compare(first: &Scan, second: &Scan) -> Self {
-        let mut detector = WindowedRotationDetector::new();
+        let mut detector = WindowedRotationDetector::with_capacity(first.records.len());
         for record in &first.records {
             detector.observe(0, 0, record.target, record.source());
         }
@@ -326,6 +441,82 @@ mod tests {
         let (_engine, first, _, _) = two_snapshots();
         let detection = RotationDetection::compare(&first, &first);
         assert!(detection.changes.is_empty());
+    }
+
+    /// After any window the entries begin with that window's targets in the
+    /// order it met them — whatever the list did, and however the detector
+    /// was built — so the next window over the same list meets every target
+    /// at the cursor.
+    #[test]
+    fn entries_follow_the_last_windows_meeting_order() {
+        let target =
+            |i: u64| scent_ipv6::addr_from_u128((0x2001_0db8_u128 << 96) | (i as u128) << 64 | 1);
+        let check = |detector: &WindowedRotationDetector, list: &[u64]| {
+            let mut order: Vec<Ipv6Addr> = Vec::new();
+            for t in list.iter().map(|&i| target(i)) {
+                if !order.contains(&t) {
+                    order.push(t);
+                }
+            }
+            let met: Vec<Ipv6Addr> = detector.entries[..order.len()]
+                .iter()
+                .map(|e| e.0)
+                .collect();
+            assert_eq!(met, order, "{list:?}");
+            for (at, (t, _)) in detector.entries.iter().enumerate() {
+                assert_eq!(detector.index[t] as usize, at, "the index is the truth");
+            }
+        };
+        // Whether an observation of `t` in `window` takes the fast path.
+        let on_cursor = |detector: &WindowedRotationDetector, window: u64, t: Ipv6Addr| {
+            let cursor = if window == detector.window {
+                detector.cursor
+            } else {
+                0
+            };
+            detector.entries.get(cursor).is_some_and(|e| e.0 == t)
+        };
+        let windows: [&[u64]; 6] = [
+            &[0, 1, 2, 3, 4, 5],
+            &[3, 1, 5, 0, 2, 4],    // reordered
+            &[1, 5, 7, 0, 6],       // revised: 2, 3, 4 evicted, 6, 7 admitted
+            &[1, 1, 5, 7, 0, 6, 5], // re-observations within the window
+            &[1, 5, 7, 0, 6],
+            &[1, 5, 7, 0, 6], // standing: on the cursor from the window before
+        ];
+        let mut detector = WindowedRotationDetector::new();
+        for (window, list) in windows.iter().enumerate() {
+            for &i in *list {
+                if window == 5 {
+                    assert!(on_cursor(&detector, 5, target(i)));
+                }
+                detector.observe(window as u64, 0, target(i), None);
+            }
+            check(&detector, list);
+        }
+        assert_eq!(
+            detector.targets_tracked(),
+            8,
+            "evicted targets stay, at the tail"
+        );
+
+        // Resumed or merged in another order: back on the cursor by the
+        // second window.
+        let mut resumed: WindowedRotationDetector =
+            detector.entries.iter().rev().copied().collect();
+        let mut merged = WindowedRotationDetector::new();
+        merged.merge(resumed.clone());
+        assert_eq!(resumed, detector);
+        assert_eq!(merged, detector);
+        for rebuilt in [&mut resumed, &mut merged] {
+            for window in 6..8u64 {
+                for &i in windows[5] {
+                    assert!(window == 6 || on_cursor(rebuilt, window, target(i)));
+                    rebuilt.observe(window, 0, target(i), None);
+                }
+                check(rebuilt, windows[5]);
+            }
+        }
     }
 
     #[test]

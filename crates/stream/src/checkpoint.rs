@@ -359,10 +359,7 @@ mod tests {
         assert_eq!(a.validated, b.validated);
         assert_eq!(a.non_eui, b.non_eui);
         assert_eq!(a.density, b.density);
-        assert_eq!(
-            a.detector.last_observations(),
-            b.detector.last_observations()
-        );
+        assert_eq!(a.detector, b.detector);
         assert_eq!(a.events, b.events);
         assert_eq!(
             a.tracker.checkpoint_parts().0,

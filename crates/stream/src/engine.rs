@@ -23,10 +23,12 @@
 //!   into the shards, and [`release`](IngestEngine::release) has every
 //!   worker hand its state back by move — into the final shard states or a
 //!   typed error. Workers hold nothing of the lessee between leases. A run
-//!   that is one lease long (the streamed pipeline, a single
+//!   that is one lease long (a single
 //!   [`MonitorSession::run_epoch`](crate::monitor::MonitorSession::run_epoch),
 //!   the hot-path bench and the allocation regression test) opens a pool,
-//!   leases it and drops it after the release.
+//!   leases it and drops it after the release; the streamed pipeline leases
+//!   its pool once per phase, reading each phase's result off the released
+//!   states and handing them to the next lease by move.
 //!
 //! A worker that dies takes its pool with it, never a neighbour: the release
 //! joins every worker, reports [`StreamError::ShardPanicked`], and the pool's
@@ -159,9 +161,6 @@ fn worker(
             }
             ShardMsg::AttachRecycler(home) => {
                 recycler = Some(home);
-            }
-            ShardMsg::Flush(reply) => {
-                let _ = reply.send(state.clone());
             }
             ShardMsg::Compact(window) => {
                 state.compact_before(window);
@@ -430,9 +429,9 @@ impl<'a> IngestEngine<'a> {
     }
 
     /// The router, for everything that happens between drives: installing a
-    /// phase's or epoch's seq → shard table, flushing partial states at a
-    /// boundary, compacting, routing boundary probes, reading the stall count
-    /// or the dead shard.
+    /// phase's or epoch's seq → shard table, compacting, routing boundary
+    /// probes, reading the stall count or the dead shard. (Partial states
+    /// come back at a boundary by move: release, read, lease again.)
     pub fn router(&mut self) -> &mut ShardRouter<'a> {
         &mut self.router
     }
@@ -623,13 +622,21 @@ mod tests {
         let map = ShardMap::new(&rib.entries(), 2);
         let owner = map.shard_for(obs.target);
         let mut pool = ShardPool::open(2, 8);
-        let mut engine = IngestEngine::lease(&mut pool, map, IngestOptions::default());
+        let mut engine = IngestEngine::lease(&mut pool, map.clone(), IngestOptions::default());
         engine.router().route(obs);
-        // Flush delivers the partial batch and sees it (FIFO).
-        let partial = engine.router().flush();
+        // A phase boundary: the release delivers the partial batch and sees
+        // it (FIFO), and the next lease carries the states on by move.
+        let partial = engine.release().unwrap();
         assert_eq!(partial[owner].validated.len(), 1);
+        let options = IngestOptions {
+            initial: Some(partial),
+            ..IngestOptions::default()
+        };
+        let mut engine = IngestEngine::lease(&mut pool, map, options);
+        engine.router().route(obs);
         let finals = engine.release().unwrap();
-        assert_eq!(finals[owner].observations, 1);
+        assert_eq!(finals[owner].observations, 2);
+        assert_eq!(finals[owner].validated.len(), 1);
         assert_eq!(finals[1 - owner].observations, 0);
     }
 

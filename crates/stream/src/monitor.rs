@@ -19,8 +19,6 @@
 //! state only — never from OS timing — so a churning run stays byte-identical
 //! across producer counts and across live vs. recorded-replay backends.
 
-use std::net::Ipv6Addr;
-
 use serde::{Deserialize, Serialize};
 
 use scent_checkpoint::{CheckpointError, CheckpointSink};
@@ -603,7 +601,7 @@ impl<'a, B: ProbeTransport + WorldView + ?Sized> MonitorSession<'a, B> {
             .map(|start| (start, epoch_windows.min(cfg.windows - start)))
             .collect();
         // A shard's detector holds one entry per target of the watch list;
-        // sized for its share up front, it skips the table's doubling chain
+        // sized for its share up front, it skips its containers' doublings
         // (a hint: announcements split unevenly, and churn moves the list).
         let targets = watched_48s.len() << cfg.granularity.saturating_sub(48).min(16);
         let states = (0..cfg.shards)
@@ -711,15 +709,14 @@ impl<'a, B: ProbeTransport + WorldView + ?Sized> MonitorSession<'a, B> {
         // recombines it identically either way. This also makes snapshots
         // portable across shard counts.
         let restored = ShardInference::merge_all(snapshot.shards);
-        let mut detectors: Vec<FastMap<Ipv6Addr, (u64, Option<Ipv6Addr>)>> =
-            vec![FastMap::default(); self.config.shards];
-        for (target, entry) in restored.detector.last_observations() {
-            detectors[self.shard_map.shard_for(*target)].insert(*target, *entry);
+        let mut detectors = vec![Vec::new(); self.config.shards];
+        for entry in restored.detector.last_observations() {
+            detectors[self.shard_map.shard_for(entry.0)].push(*entry);
         }
         let mut states: Vec<ShardInference> = detectors
             .into_iter()
-            .map(|last| ShardInference {
-                detector: WindowedRotationDetector::from_last_observations(last),
+            .map(|entries| ShardInference {
+                detector: entries.into_iter().collect(),
                 ..ShardInference::without_census()
             })
             .collect();
@@ -1567,7 +1564,7 @@ mod tests {
         let lean = snapshot.to_bytes();
         for shard in &mut snapshot.shards {
             let mut census = crate::shard::Census::default();
-            for (_, source) in shard.detector.last_observations().values() {
+            for (_, (_, source)) in shard.detector.last_observations() {
                 census.addresses.extend(*source);
                 census.iids.extend(source.and_then(Eui64::from_addr));
             }

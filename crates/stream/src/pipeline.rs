@@ -25,7 +25,9 @@ use serde::{Deserialize, Serialize};
 
 use scent_core::pipeline::RotatingCounts;
 use scent_core::rotation_detect::WindowedRotationDetector;
-use scent_core::{DensityReport, PipelineConfig, PipelineReport, SeedExpansion};
+use scent_core::{
+    DensityAccumulator, DensityReport, PipelineConfig, PipelineReport, SeedExpansion,
+};
 use scent_prober::{
     ProbeTransport, QueueModel, SeedCampaign, TargetGenerator, TargetStream, WorldView,
 };
@@ -188,18 +190,19 @@ impl StreamPipeline {
         let shard_map = ShardMap::new(&world.rib().entries(), self.config.shards);
 
         let mut pool = ShardPool::open(self.config.shards, self.config.channel_capacity);
-        let mut engine = IngestEngine::lease(
-            &mut pool,
-            shard_map,
-            IngestOptions {
-                observer,
-                ..IngestOptions::default()
-            },
-        );
-        // Each phase's target list depends on the previous phase's merged
-        // result. A shard death ends the scans at that phase's boundary: the
-        // merged state can no longer be completed, so building and probing
-        // the later phases would only waste probes.
+        let options = |initial| IngestOptions {
+            observer,
+            initial,
+            ..IngestOptions::default()
+        };
+        let mut engine = IngestEngine::lease(&mut pool, shard_map.clone(), options(None));
+        // Each phase's target list depends on the previous phase's result,
+        // read at the phase boundary off the released shard states — by
+        // reference: a /48 lives in exactly one shard, so nothing needs
+        // merging — which the next phase's lease then carries on by move. A
+        // shard death ends the scans at that phase's boundary: the state can
+        // no longer be completed, so building and probing the later phases
+        // would only waste probes.
         let scanned = 'scans: {
             // Step 1: expansion & validation (§4.1), streamed. Same targets,
             // order and pacing as `SeedExpansion::run`.
@@ -222,8 +225,12 @@ impl StreamPipeline {
             if let Some(telemetry) = observer {
                 telemetry.on_phase_close("expansion", routed);
             }
-            let after_expansion = ShardInference::merge_all(engine.router().flush());
-            let validated: Vec<_> = after_expansion.validated.iter().copied().collect();
+            let states = engine.release()?;
+            let mut validated: Vec<_> = (states.iter())
+                .flat_map(|state| state.validated.iter().copied())
+                .collect();
+            validated.sort_unstable();
+            engine = IngestEngine::lease(&mut pool, shard_map.clone(), options(Some(states)));
 
             // Step 2: density inference (§4.2), streamed. Same generator and
             // scanner parameters as the batch pipeline.
@@ -243,19 +250,33 @@ impl StreamPipeline {
             if let Some(telemetry) = observer {
                 telemetry.on_phase_close("density", routed);
             }
-            let after_density = ShardInference::merge_all(engine.router().flush());
-            let density = DensityReport::from_accumulators(&validated, &after_density.density);
+            let states = engine.release()?;
+            let empty = DensityAccumulator::new();
+            let density = DensityReport {
+                prefixes: (validated.iter())
+                    .map(|candidate| {
+                        let held = states.iter().find_map(|s| s.density.get(candidate));
+                        held.unwrap_or(&empty).finish(*candidate)
+                    })
+                    .collect(),
+            };
             let high = density.high_density();
 
             // Step 3: rotation detection (§4.3) as two streamed snapshot
             // windows 24 hours apart. The second re-probes the first one's
             // list in the first one's order: one target stream, tagged per
-            // window.
-            let detection = TargetStream::over(
-                density_generator.per_candidate_48(&high, cfg.detection_granularity),
-                cfg.seed,
-                true,
-            );
+            // window, whose share each shard's detector is sized for.
+            let detection_targets =
+                density_generator.per_candidate_48(&high, cfg.detection_granularity);
+            let share = detection_targets.len().div_ceil(self.config.shards);
+            let states = (states.into_iter())
+                .map(|state| ShardInference {
+                    detector: WindowedRotationDetector::with_capacity(share),
+                    ..state
+                })
+                .collect();
+            engine = IngestEngine::lease(&mut pool, shard_map, options(Some(states)));
+            let detection = TargetStream::over(detection_targets, cfg.seed, true);
             let mut detection_routed = 0u64;
             for window in 0..2u64 {
                 let Some(routed) = self.scan(

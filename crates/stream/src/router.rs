@@ -454,27 +454,6 @@ impl<'t> ShardRouter<'t> {
         }
     }
 
-    /// Broadcast a flush to every shard and return the partial states in
-    /// shard order. Buffered batches are delivered first; FIFO channels then
-    /// guarantee each snapshot reflects everything routed before this call.
-    /// A dead shard contributes an empty state (callers abort on
-    /// [`ShardRouter::dead_shard`] before trusting a flush).
-    pub fn flush(&mut self) -> Vec<ShardInference> {
-        self.flush_all_buffers();
-        let mut replies = Vec::with_capacity(self.lanes.shards());
-        for (shard, sender) in self.lanes.senders.iter().enumerate() {
-            let (tx, rx) = std::sync::mpsc::channel();
-            if sender.send(ShardMsg::Flush(tx)).is_err() {
-                self.dead.get_or_insert(shard);
-            }
-            replies.push(rx);
-        }
-        replies
-            .into_iter()
-            .map(|rx| rx.recv().unwrap_or_default())
-            .collect()
-    }
-
     /// Broadcast a compaction to every shard: drop per-window state older
     /// than `window` (exclusive). Buffered batches are delivered first so an
     /// observation never arrives after the compaction that should have
@@ -612,13 +591,11 @@ mod tests {
         drop(rx); // The "worker" is already gone.
         let mut router = router(tx, 1);
         assert_eq!(router.dead_shard(), Some(0));
-        // Traffic, compaction and flush all stay non-panicking.
+        // Traffic and compaction stay non-panicking.
         router.route(obs("2001:16b8::1"));
         router.route(obs("2001:16b8::2"));
         router.compact_before(5);
-        let states = router.flush();
-        assert_eq!(states.len(), 1);
-        assert_eq!(states[0].observations, 0, "dead shard flushes empty");
+        assert_eq!(router.dead_shard(), Some(0));
         router.shutdown();
     }
 

@@ -28,7 +28,6 @@
 
 use std::collections::BTreeSet;
 use std::net::Ipv6Addr;
-use std::sync::mpsc::Sender;
 
 use scent_core::density::DensityAccumulator;
 use scent_core::fasthash::{FastMap, FastSet};
@@ -56,10 +55,6 @@ pub enum ShardMsg {
     /// without one simply drops drained buffers — recycling is an allocation
     /// optimization, never a correctness requirement.
     AttachRecycler(crate::buffer::BatchReturn),
-    /// Snapshot the shard's current inference state and send it back. The
-    /// channel is FIFO, so the snapshot reflects every observation routed
-    /// before the flush.
-    Flush(Sender<ShardInference>),
     /// Drop per-window state older than the given window (exclusive): old
     /// tracker sightings/probe counts and old retained events. This is what
     /// keeps a genuinely endless monitor's memory bounded: everything else
@@ -424,10 +419,7 @@ mod tests {
         assert_eq!(pipeline.events.len(), 32);
         assert_eq!(pipeline.events, monitor.events);
         assert_eq!(pipeline.address_statistics(), (60, 56, 24));
-        assert_eq!(
-            pipeline.detector.last_observations(),
-            monitor.detector.last_observations()
-        );
+        assert_eq!(pipeline.detector, monitor.detector);
         // ...and the tracker no report field of its reads was never fed.
         let (tracks, probes) = pipeline.tracker.checkpoint_parts();
         assert!(tracks.is_empty() && probes.is_empty());

@@ -164,14 +164,20 @@ fn routing_steady_state_allocates_nothing() {
     let map = ShardMap::new(&rib.entries(), SHARDS);
     let table = map.seq_table(targets.iter().copied());
     let mut pool = ShardPool::open(SHARDS, CAPACITY);
-    let mut engine = IngestEngine::lease(&mut pool, map, IngestOptions::default());
+    let mut engine = IngestEngine::lease(&mut pool, map.clone(), IngestOptions::default());
     engine.router().prefill_buffers(PREFILL);
-    engine.router().set_seq_shards(table);
 
-    // Warm-up: one pass, then a flush so the workers have drained (and
-    // returned) everything queued before the measured section starts.
+    // Warm-up: one pass, then a release and a lease of the states it hands
+    // back, so the workers have drained (and returned) everything queued
+    // before the measured section starts.
     engine.drive(vec![Replay(observations[..1024].iter())], None, |_, _| {});
-    let _ = engine.router().flush();
+    let states = engine.release().expect("no panic injected");
+    let options = IngestOptions {
+        initial: Some(states),
+        ..IngestOptions::default()
+    };
+    let mut engine = IngestEngine::lease(&mut pool, map, options);
+    engine.router().set_seq_shards(table);
 
     // Measured steady state. 2048 observations = 32 full batches, well
     // under the CAPACITY-message queue, so even a descheduled worker
@@ -388,11 +394,12 @@ fn a_discovery_boundary_never_materialises_its_sweep() {
 
 /// A pipeline shard folds a detection window into its detector and its
 /// census and nothing else: 4 096 targets each answered by an EUI-64
-/// identifier never seen before cost the folding thread the three tables'
-/// doublings (36 allocations as this was written). Fed to a tracker — as
-/// they were while a pipeline shard kept one no `PipelineReport` field read
-/// — every new identifier also allocated its own sightings `Vec`: at least
-/// 4 096 more.
+/// identifier never seen before cost the folding thread the doublings of the
+/// census's two tables and the detector's entries and index (47 allocations
+/// as this was written; 36 while the detector was one table). Fed to a
+/// tracker — as they were while a pipeline shard kept one no
+/// `PipelineReport` field read — every new identifier also allocated its own
+/// sightings `Vec`: at least 4 096 more.
 #[test]
 fn a_pipeline_shard_folds_new_identifiers_without_allocating_per_identifier() {
     const IDENTIFIERS: usize = 4_096;

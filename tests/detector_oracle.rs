@@ -1,0 +1,300 @@
+//! A differential oracle for [`WindowedRotationDetector`]: the detector that
+//! keeps its entries in the order it met them behind a cursor, against the
+//! map keyed by target it replaced, kept here verbatim as the reference
+//! model. Over watch lists re-probed window after window — revised
+//! mid-stream (subset, superset, reordered), with targets met twice in a
+//! window, windows out of order and arbitrary `seq` values — and over merges
+//! of detectors split by target and rebuilds through the checkpoint codec and
+//! the `FromIterator` constructor, the two must emit equal events, hold equal
+//! state and write equal checkpoint bytes.
+
+use std::net::Ipv6Addr;
+
+use followscent::checkpoint::{decode_value, encode_value, Checkpointable, Writer};
+use followscent::core::fasthash::FastMap;
+use followscent::core::rotation_detect::classify_change;
+use followscent::core::{RotationEvent, WindowedRotationDetector};
+use followscent::ipv6::{Eui64, Ipv6Prefix, MacAddr};
+use proptest::prelude::*;
+
+/// The detector as it stood before the cursor layout, verbatim.
+#[derive(Debug, Clone, Default)]
+struct ReferenceDetector {
+    last: FastMap<Ipv6Addr, (u64, Option<Ipv6Addr>)>,
+}
+
+impl ReferenceDetector {
+    fn merge(&mut self, other: Self) {
+        for (target, entry) in other.last {
+            match self.last.entry(target) {
+                std::collections::hash_map::Entry::Occupied(mut occupied) => {
+                    if entry.0 >= occupied.get().0 {
+                        occupied.insert(entry);
+                    }
+                }
+                std::collections::hash_map::Entry::Vacant(vacant) => {
+                    vacant.insert(entry);
+                }
+            }
+        }
+    }
+
+    fn observe(
+        &mut self,
+        window: u64,
+        seq: u64,
+        target: Ipv6Addr,
+        source: Option<Ipv6Addr>,
+    ) -> Option<RotationEvent> {
+        let previous = self.last.insert(target, (window, source));
+        let (prev_window, prev_source) = previous?;
+        if prev_window >= window {
+            // Re-observation within the same window (or out of order):
+            // nothing to diff against.
+            return None;
+        }
+        let change = classify_change(target, prev_source, source)?;
+        Some(RotationEvent {
+            window,
+            seq,
+            change,
+            prefix_48: Ipv6Prefix::new(target, 48).expect("48 is valid"),
+        })
+    }
+
+    /// The checkpoint bytes as the codec wrote them for this layout: the map,
+    /// in key order.
+    fn encode(&self) -> Vec<u8> {
+        let mut w = Writer::new();
+        self.last.encode(&mut w);
+        w.into_bytes()
+    }
+
+    fn entries(&self) -> Vec<(Ipv6Addr, (u64, Option<Ipv6Addr>))> {
+        let mut entries: Vec<_> = self.last.iter().map(|(t, last)| (*t, *last)).collect();
+        entries.sort_by_key(|(target, _)| *target);
+        entries
+    }
+}
+
+/// Targets in the universe lists are drawn from.
+const TARGETS: u64 = 24;
+
+/// Target `index`: one per /64, spread over three /48s of one /32.
+fn target(index: u64) -> Ipv6Addr {
+    let bits = (0x2001_0db8_u128 << 96) | ((index % 3) as u128) << 80 | (index as u128) << 64 | 1;
+    Ipv6Addr::from(bits)
+}
+
+/// A response to a probe of target `index`, decoded from `bits`: silent, a
+/// non-EUI-64 address, or one of four identifiers in the target's /64.
+fn source(index: u64, bits: u64) -> Option<Ipv6Addr> {
+    let prefix64 = (u128::from(target(index)) >> 64) as u64;
+    match bits % 6 {
+        0 => None,
+        1 => Some(Ipv6Addr::from(((prefix64 as u128) << 64) | 0xbeef)),
+        device => {
+            let mac = MacAddr::new([0xc8, 0x0e, 0x14, 0, 0, device as u8]);
+            Some(Eui64::from_mac(mac).with_prefix64(prefix64))
+        }
+    }
+}
+
+/// A second, independent draw from `bits`, keyed by `k`.
+fn mix(bits: u64, k: u64) -> u64 {
+    let mut z = bits ^ k.wrapping_mul(0x9e37_79b9_7f4a_7c15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    z ^ (z >> 31)
+}
+
+/// Both detectors, twice: targets of the third /48 are fed to the `side`
+/// pair, which `merge` folds into the first — so merges meet targets both
+/// sides hold, at earlier and later windows.
+#[derive(Default)]
+struct Run {
+    new: WindowedRotationDetector,
+    reference: ReferenceDetector,
+    side_new: WindowedRotationDetector,
+    side_reference: ReferenceDetector,
+    /// The watch list, in probing order (a target may be listed twice).
+    list: Vec<u64>,
+    window: u64,
+    events: usize,
+}
+
+impl Run {
+    fn observe(&mut self, window: u64, seq: u64, index: u64, source: Option<Ipv6Addr>) {
+        let (new, reference) = if index % 3 == 2 {
+            (&mut self.side_new, &mut self.side_reference)
+        } else {
+            (&mut self.new, &mut self.reference)
+        };
+        let event = new.observe(window, seq, target(index), source);
+        assert_eq!(event, reference.observe(window, seq, target(index), source));
+        self.events += usize::from(event.is_some());
+    }
+
+    /// Apply the operation `bits` decodes to.
+    fn apply(&mut self, bits: u64) {
+        match bits % 16 {
+            // Probe the list as one window: usually the next one, sometimes
+            // one already past; `seq` the position or arbitrary; now and
+            // then a target met twice.
+            0..=8 => {
+                let window = match mix(bits, 1) % 8 {
+                    0 => self.window.saturating_sub(1 + mix(bits, 2) % 3),
+                    _ => {
+                        self.window += 1;
+                        self.window
+                    }
+                };
+                let arbitrary_seq = mix(bits, 3) % 2 == 0;
+                for (position, &index) in self.list.clone().iter().enumerate() {
+                    let position = position as u64;
+                    let seq = if arbitrary_seq {
+                        mix(bits, position)
+                    } else {
+                        position
+                    };
+                    let answer = source(index, mix(bits ^ index, window));
+                    self.observe(window, seq, index, answer);
+                    if mix(bits, position + 100) % 13 == 0 {
+                        let again = source(index, mix(bits, position + 200));
+                        self.observe(window, seq + 1, index, again);
+                    }
+                }
+            }
+            // Revise the list: a subset, a superset, or a new order.
+            9..=11 => match mix(bits, 4) % 3 {
+                0 => {
+                    let mut k = 0;
+                    self.list.retain(|_| {
+                        k += 1;
+                        mix(bits, k) % 3 != 0
+                    });
+                }
+                1 => {
+                    for k in 0..1 + mix(bits, 5) % 6 {
+                        let index = mix(bits, 10 + k) % TARGETS;
+                        let at = mix(bits, 20 + k) as usize % (self.list.len() + 1);
+                        self.list.insert(at, index);
+                    }
+                }
+                _ => self.list.sort_by_key(|&index| mix(bits, index)),
+            },
+            // Merge the side detectors into the main ones.
+            12 | 13 => {
+                self.new.merge(std::mem::take(&mut self.side_new));
+                (self.reference).merge(std::mem::take(&mut self.side_reference));
+            }
+            // Rebuild the new detector in another entry order: through the
+            // constructor from its own entries rotated, or through the codec.
+            _ => {
+                if mix(bits, 6) % 2 == 0 {
+                    let mut entries: Vec<_> = self.new.last_observations().copied().collect();
+                    let by = mix(bits, 7) as usize % (entries.len() + 1);
+                    entries.rotate_left(by);
+                    self.new = entries.into_iter().collect();
+                } else {
+                    self.new = decode_value(&encode_value(&self.new)).expect("canonical bytes");
+                }
+            }
+        }
+    }
+
+    /// Everything observable about the two detectors agrees.
+    fn assert_equal(&self) {
+        for (new, reference) in [
+            (&self.new, &self.reference),
+            (&self.side_new, &self.side_reference),
+        ] {
+            assert_eq!(new.targets_tracked(), reference.last.len());
+            let mut state: Vec<_> = new.last_observations().copied().collect();
+            state.sort_by_key(|(target, _)| *target);
+            assert_eq!(state, reference.entries());
+            let rebuilt: WindowedRotationDetector = reference.entries().into_iter().collect();
+            assert_eq!(&rebuilt, new);
+            let bytes = encode_value(new);
+            assert_eq!(bytes, reference.encode());
+            let back: WindowedRotationDetector = decode_value(&bytes).expect("canonical bytes");
+            assert_eq!(&back, new);
+        }
+    }
+}
+
+proptest! {
+    #[test]
+    fn cursor_detector_equals_the_keyed_map_reference(
+        ops in proptest::collection::vec(any::<u64>(), 0..96),
+        start in 0u64..TARGETS,
+    ) {
+        let mut run = Run {
+            list: (start..TARGETS).collect(),
+            ..Run::default()
+        };
+        for bits in &ops {
+            run.apply(*bits);
+            run.assert_equal();
+        }
+        run.apply(12);
+        run.assert_equal();
+    }
+}
+
+/// The property's common case, pinned and made non-vacuous: a standing list
+/// probed in one order for many windows — the fast path on every
+/// observation after the first window — then reordered, cut and grown.
+#[test]
+fn a_standing_list_diffs_like_the_keyed_map() {
+    let mut run = Run {
+        list: (0..TARGETS).rev().collect(),
+        ..Run::default()
+    };
+    for window in 0..12u64 {
+        run.apply(16 * window); // a probe
+        run.assert_equal();
+    }
+    assert!(run.events > 24, "rotations were detected: {}", run.events);
+    for revision in [9u64, 9 + 16, 9 + 32, 9 + 48] {
+        run.apply(revision);
+        run.apply(16 * 13);
+        run.assert_equal();
+    }
+}
+
+/// Equality is about what the detectors hold, never about their order.
+#[test]
+fn equality_ignores_order_and_sees_every_value() {
+    let entries: Vec<_> = (0..8)
+        .map(|index| (target(index), (index % 3, source(index, index))))
+        .collect();
+    let forward: WindowedRotationDetector = entries.iter().copied().collect();
+    let backward: WindowedRotationDetector = entries.iter().rev().copied().collect();
+    assert_eq!(forward, backward);
+    assert_eq!(encode_value(&forward), encode_value(&backward));
+    let mut changed = entries.clone();
+    changed[3].1 .0 += 1;
+    let changed: WindowedRotationDetector = changed.into_iter().collect();
+    let fewer: WindowedRotationDetector = entries[1..].iter().copied().collect();
+    assert_ne!(forward, changed);
+    assert_ne!(forward, fewer);
+}
+
+/// A snapshot listing a target twice (no codec writes one) decodes the way
+/// the map decoded it: the later entry stands.
+#[test]
+fn a_repeated_target_keeps_its_later_entry_as_the_map_did() {
+    let mut w = Writer::new();
+    w.put_usize(3);
+    (target(1), (4u64, source(1, 2))).encode(&mut w);
+    (target(2), (1u64, None::<Ipv6Addr>)).encode(&mut w);
+    (target(1), (2u64, source(1, 3))).encode(&mut w);
+    let bytes = w.into_bytes();
+    let reference = ReferenceDetector {
+        last: decode_value(&bytes).expect("well-formed"),
+    };
+    let new: WindowedRotationDetector = decode_value(&bytes).expect("well-formed");
+    assert_eq!(new.targets_tracked(), 2);
+    assert_eq!(encode_value(&new), reference.encode());
+}
