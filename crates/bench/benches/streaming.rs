@@ -234,7 +234,8 @@ impl scent_stream::ObservationSource for ReplaySlice<'_> {
 /// do — batched channel payloads, recycled batch buffers, a precomputed
 /// seq → shard table. Producer points > 1 only spread wall-clock on
 /// multi-core hosts; see `bench_producer_scaling` for why the spread flattens
-/// on one CPU.
+/// on one CPU. `fast_observed/1x1` is `fast/1x1` observed by a live
+/// [`Telemetry`] registry.
 fn bench_hot_path(c: &mut Criterion) {
     use scent_prober::TargetStream;
     use scent_stream::{
@@ -312,6 +313,33 @@ fn bench_hot_path(c: &mut Criterion) {
             );
         }
     }
+    // `fast/1x1` with a live registry attached to the lease: what an
+    // observed run pays for telemetry on the hot path. The router hands the
+    // registry one run a batch; a registry locked once an observation again
+    // reads well above `fast/1x1` here.
+    group.bench_function(BenchmarkId::new("fast_observed", "1x1"), |b| {
+        b.iter(|| {
+            let registry = Telemetry::new();
+            let map = ShardMap::new(&engine.rib().entries(), 1);
+            let table = continuous_seq_shards(&map, &targets);
+            let mut pool = ShardPool::open(1, CAPACITY);
+            let options = IngestOptions {
+                observer: Some(&registry),
+                ..IngestOptions::default()
+            };
+            let mut ingest = IngestEngine::lease(&mut pool, map, options);
+            ingest.router().set_seq_shards(table);
+            let source = ReplaySlice {
+                observations: black_box(&observations),
+                next: 0,
+                step: 1,
+            };
+            let routed = ingest.drive(vec![source], None, |_, _| {});
+            ingest.release().expect("no panic injected");
+            assert_eq!(registry.snapshot().deterministic.observations, routed);
+            black_box(routed)
+        })
+    });
     group.finish();
 }
 

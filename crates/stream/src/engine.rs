@@ -112,16 +112,18 @@ pub struct IngestOptions<'t> {
     /// adopt — how a monitor carries state across epochs and a resumed run
     /// hands back what its snapshot held. `None` starts every shard empty.
     pub initial: Option<Vec<ShardInference>>,
-    /// Fault injection: this shard's worker panics on its first batch.
+    /// Fault injection: this shard's worker panics on its first non-empty
+    /// batch.
     pub inject_panic: Option<usize>,
 }
 
 /// The one worker loop: adopt the state a lease left in the link when the
-/// lease's first message arrives, fold every batch into it until the
-/// [`ShardMsg::Yield`] that ends the lease; exit when the pool drops its
-/// senders. The worker borrows nothing of any lessee — progress goes to a
-/// counter the control thread forwards, the state travels by move — which
-/// is what lets it outlive every epoch and tenant it serves.
+/// lease's first message arrives, fold every batch into it up to and
+/// including the last, which the [`ShardMsg::Yield`] that ends the lease
+/// carries; exit when the pool drops its senders. The worker borrows
+/// nothing of any lessee — progress goes to a counter the control thread
+/// forwards, the state travels by move — which is what lets it outlive
+/// every epoch and tenant it serves.
 fn worker(
     shard: usize,
     receiver: Receiver<ShardMsg>,
@@ -140,31 +142,34 @@ fn worker(
         if let Some(adopted) = adoption {
             (state, poison) = adopted;
         }
-        match msg {
-            ShardMsg::Yield => {
-                let adopted = std::mem::replace(&mut state, ShardInference::without_census());
-                // The pool only stops listening once it is being dropped.
-                let _ = yielded.send(adopted);
-            }
-            ShardMsg::ObserveBatch(_) if poison => {
-                panic!("injected shard panic (shard {shard})");
-            }
-            ShardMsg::ObserveBatch(batch) => {
-                for obs in &batch {
-                    state.ingest(obs);
-                }
-                // A statistic: it publishes no other data.
-                link.folded.fetch_add(batch.len() as u64, Ordering::Relaxed);
-                if let Some(home) = &recycler {
-                    home.give(batch);
-                }
-            }
+        let (batch, yields) = match msg {
+            ShardMsg::ObserveBatch(batch) => (batch, false),
+            ShardMsg::Yield(batch) => (batch, true),
             ShardMsg::AttachRecycler(home) => {
                 recycler = Some(home);
+                continue;
             }
             ShardMsg::Compact(window) => {
                 state.compact_before(window);
+                continue;
             }
+        };
+        if poison && !batch.is_empty() {
+            panic!("injected shard panic (shard {shard})");
+        }
+        for obs in &batch {
+            state.ingest(obs);
+        }
+        // A statistic: it publishes no other data.
+        link.folded.fetch_add(batch.len() as u64, Ordering::Relaxed);
+        // A yield from a shard that was routed nothing carries no buffer.
+        if let (Some(home), true) = (&recycler, batch.capacity() > 0) {
+            home.give(batch);
+        }
+        if yields {
+            let adopted = std::mem::replace(&mut state, ShardInference::without_census());
+            // The pool only stops listening once it is being dropped.
+            let _ = yielded.send(adopted);
         }
     }
 }
@@ -451,6 +456,8 @@ impl<'a> IngestEngine<'a> {
     /// Once a shard is dead the merged state can no longer be completed, so
     /// the drive stops (hanging up its producers) — and a drive that starts
     /// with a shard already dead pulls no observation and spawns no producer.
+    /// The observer has seen every routed observation by the time a drive
+    /// returns.
     pub fn drive<S, F>(&mut self, sources: Vec<S>, replica: Option<RateReplica>, hook: F) -> u64
     where
         S: ObservationSource + Send,
@@ -472,6 +479,8 @@ impl<'a> IngestEngine<'a> {
                 self.ingest(clock, replica, hook);
             });
         }
+        // A phase close may follow, and it reads the last send.
+        self.router.report_run();
         self.router.routed() - before
     }
 

@@ -1951,4 +1951,45 @@ mod tests {
             other => panic!("expected ShardPanicked, got {other:?}"),
         }
     }
+
+    /// Counts the routed runs an observer is handed.
+    #[derive(Default)]
+    struct RunCounter {
+        calls: std::sync::atomic::AtomicU64,
+        observations: std::sync::atomic::AtomicU64,
+    }
+
+    impl StreamObserver for RunCounter {
+        fn on_routed_run(&self, run: &scent_telemetry::RoutedRun<'_>) {
+            use std::sync::atomic::Ordering::Relaxed;
+            self.calls.fetch_add(1, Relaxed);
+            self.observations.fetch_add(run.observations, Relaxed);
+        }
+    }
+
+    /// An observed run pays for telemetry per batch: a 1 × 1 monitor epoch
+    /// of N observations over W windows hands its observer at most
+    /// ⌈N / 512⌉ + W + 4 runs, holding N observations between them.
+    #[test]
+    fn an_observed_epoch_reports_runs_not_observations() {
+        let engine = Engine::build(scenarios::continuous_world(13)).unwrap();
+        let watched = watched_48s(&engine);
+        let windows = 4;
+        let counter = RunCounter::default();
+        let report = StreamMonitor::new(MonitorConfig {
+            shards: 1,
+            windows,
+            ..MonitorConfig::default()
+        })
+        .run_observed(&engine, &watched, Some(&counter))
+        .unwrap();
+        let n = report.observations;
+        assert!(n > 4 * 512, "{n} observations: too few batches to tell");
+        assert_eq!(counter.observations.into_inner(), n);
+        let calls = counter.calls.into_inner();
+        assert!(
+            calls <= n.div_ceil(512) + windows + 4,
+            "{calls} runs for {n} observations over {windows} windows"
+        );
+    }
 }

@@ -38,6 +38,8 @@ pub struct RateReplica {
     first_start: SimTime,
     window_interval: SimDuration,
     entered: Option<u64>,
+    /// The deepest virtual queue this pass has reported.
+    high_water: u64,
 }
 
 impl RateReplica {
@@ -58,13 +60,14 @@ impl RateReplica {
             first_start,
             window_interval,
             entered: None,
+            high_water: 0,
         }
     }
 
     /// Feed one merged observation through the replica: mirror the live
     /// pacer's transition for this position and report any resulting rate
-    /// transition — plus the post-transition virtual-queue depth — to
-    /// `observer`.
+    /// transition — plus the post-transition virtual-queue depth, when it
+    /// is a new high-water mark of the pass — to `observer`.
     ///
     /// Call this with *every* observation of the merged sequence, in merged
     /// order. The merged sequence carries every position of every window
@@ -88,7 +91,11 @@ impl RateReplica {
         if let Some(t) = transition {
             observer.on_rate_change(at, obs.window, t.from_pps, t.to_pps);
         }
-        observer.on_queue_depth(self.pacer.depth());
+        let depth = self.pacer.depth();
+        if depth > self.high_water {
+            self.high_water = depth;
+            observer.on_queue_depth(depth);
+        }
     }
 }
 

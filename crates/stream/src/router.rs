@@ -18,7 +18,16 @@
 //! [`ShardMsg::ObserveBatch`], amortizing the per-message channel overhead
 //! that dominates at high ingest rates. Per-shard delivery order is the same
 //! at any batch size (a batch of one is a one-element `ObserveBatch`), so
-//! batching never affects the merged report — only throughput.
+//! batching never affects the merged report — only throughput. A full batch
+//! is delivered when the next observation needs its room, not when it
+//! fills, so a lease's last batch rides the [`ShardMsg::Yield`] that ends
+//! it: one wake-up of a parked worker, not two.
+//!
+//! Telemetry is batched the same way: the router counts routed
+//! observations into a pending run in plain integers and hands the
+//! observer a [`RoutedRun`] at a window's first observation, before every
+//! delivery, at the end of a drive and before compaction, yield and
+//! shutdown — never one call, or one lock, an observation.
 //!
 //! Observations carry a tenant tag (see
 //! [`Observation::tenant`](crate::observation::Observation::tenant)), but the
@@ -42,7 +51,8 @@ use std::sync::{Arc, Mutex};
 use scent_bgp::{PrefixTable, RibEntry};
 use scent_ipv6::{addr_to_u128, Ipv6Prefix};
 use scent_simnet::det::hash2;
-use scent_telemetry::StreamObserver;
+use scent_simnet::SimTime;
+use scent_telemetry::{RoutedRun, StreamObserver};
 
 use crate::buffer::{batch_pool, BatchPool, BatchReturn, PoolCounters};
 use crate::observation::Observation;
@@ -220,20 +230,87 @@ impl Lanes {
     }
 }
 
+/// Routed observations not yet reported to the observer: one run of one
+/// window, in plain integers (see the [module docs](self)).
+struct PendingRun {
+    /// The window of the last observation routed, `None` before the
+    /// lease's first: the window-opened marker. (An empty run says nothing
+    /// about windows — it is empty after every report.)
+    window: Option<u64>,
+    observations: u64,
+    responses: u64,
+    first_send: SimTime,
+    last_send: SimTime,
+    per_shard: Vec<u64>,
+}
+
+impl PendingRun {
+    fn new(shards: usize) -> Self {
+        PendingRun {
+            window: None,
+            observations: 0,
+            responses: 0,
+            first_send: SimTime::EPOCH,
+            last_send: SimTime::EPOCH,
+            per_shard: vec![0; shards],
+        }
+    }
+
+    /// Count one routed observation in; a window's first is reported at
+    /// once and alone, after whatever the previous window left pending.
+    fn note(&mut self, shard: usize, obs: &Observation, observer: &dyn StreamObserver) {
+        let opens = self.window != Some(obs.window);
+        if opens {
+            self.report(observer);
+            self.window = Some(obs.window);
+        }
+        if self.observations == 0 {
+            self.first_send = obs.sent_at;
+        }
+        self.observations += 1;
+        self.responses += u64::from(obs.response.is_some());
+        self.last_send = obs.sent_at;
+        self.per_shard[shard] += 1;
+        if opens {
+            self.report(observer);
+        }
+    }
+
+    /// Hand the pending run to the observer, if it holds anything.
+    fn report(&mut self, observer: &dyn StreamObserver) {
+        if self.observations == 0 {
+            return;
+        }
+        observer.on_routed_run(&RoutedRun {
+            window: self.window.expect("a counted observation set the window"),
+            observations: self.observations,
+            responses: self.responses,
+            first_send: self.first_send,
+            last_send: self.last_send,
+            per_shard: &self.per_shard,
+        });
+        self.observations = 0;
+        self.responses = 0;
+        self.per_shard.fill(0);
+    }
+}
+
 /// Routes observations to shard workers over bounded channels.
 ///
 /// The lessee's optional [`StreamObserver`]
 /// ([`IngestOptions::observer`](crate::engine::IngestOptions::observer)) is
-/// the telemetry hook point: [`ShardRouter::route`] reports every
-/// observation in merged deterministic clock order (the deterministic
-/// tier) via [`StreamObserver::on_routed`], and blocking deliveries report
-/// stalls via [`StreamObserver::on_stall`] (the wall-clock tier). Without an
-/// observer the hot path pays one `None` branch per route and nothing else.
+/// the telemetry hook point: [`ShardRouter::route`] counts every
+/// observation, in merged deterministic clock order, into runs it reports
+/// via [`StreamObserver::on_routed_run`] (the deterministic tier), and
+/// blocking deliveries report stalls via [`StreamObserver::on_stall`] (the
+/// wall-clock tier). Without an observer the hot path pays one `None`
+/// branch per route and nothing else.
 pub struct ShardRouter<'t> {
     map: ShardMap,
     lanes: Lanes,
     stalls: u64,
     routed: u64,
+    run: PendingRun,
     /// Precomputed seq → shard routing table ([`ShardRouter::set_seq_shards`]);
     /// positions beyond its length (or all of them, when absent) fall back
     /// to the [`ShardMap`] lookup.
@@ -271,7 +348,15 @@ impl<'t> ShardRouter<'t> {
         observer: Option<&'t dyn StreamObserver>,
     ) -> Self {
         assert_eq!(map.shards(), lanes.shards(), "one worker per mapped shard");
+        // Only an observed lease counts runs (an unobserved one allocates
+        // nothing for them).
+        let run_shards = if observer.is_some() {
+            lanes.shards()
+        } else {
+            0
+        };
         ShardRouter {
+            run: PendingRun::new(run_shards),
             map,
             lanes,
             stalls: 0,
@@ -294,16 +379,26 @@ impl<'t> ShardRouter<'t> {
         *adoption = Some((state, poison));
     }
 
-    /// End the lease: deliver every buffered batch, then ask every worker
-    /// for its state back (FIFO channels: each answers after everything
-    /// routed before). The lanes return to their pool, which collects the
-    /// answers.
+    /// End the lease: ask every worker for its state back, handing it its
+    /// last buffered batch in the same message (FIFO channels: each answers
+    /// after folding everything routed before). The lanes return to their
+    /// pool, which collects the answers.
     pub(crate) fn yield_states(mut self) -> Lanes {
-        self.flush_all_buffers();
         for shard in 0..self.lanes.shards() {
-            self.deliver(shard, ShardMsg::Yield);
+            let last = std::mem::take(&mut self.lanes.buffers[shard]);
+            self.deliver(shard, ShardMsg::Yield(last));
         }
         self.lanes
+    }
+
+    /// Hand the observer whatever routed observations it has not seen yet,
+    /// as a drive does when it returns. Every delivery does it first, and
+    /// a routed observation waits in a buffer until one: so nothing routed
+    /// outlives a compaction, a yield or a shutdown unreported either.
+    pub(crate) fn report_run(&mut self) {
+        if let Some(observer) = self.observer {
+            self.run.report(observer);
+        }
     }
 
     /// Rebuild the batch-buffer recycle pool with `slots` transit slots (the
@@ -369,9 +464,9 @@ impl<'t> ShardRouter<'t> {
         self.seq_shards.take()
     }
 
-    /// Buffer one observation for its shard, delivering the shard's batch
-    /// once it fills. Blocks when a delivery finds the shard's queue full
-    /// (counted in [`ShardRouter::stalls`]).
+    /// Buffer one observation for its shard, first delivering the shard's
+    /// batch if it is full. Blocks when a delivery finds the shard's queue
+    /// full (counted in [`ShardRouter::stalls`]).
     pub fn route(&mut self, obs: Observation) {
         let shard = match &self.seq_shards {
             // Nothing to look up, so a one-shard pass builds no table.
@@ -388,8 +483,13 @@ impl<'t> ShardRouter<'t> {
             _ => self.map.shard_for(obs.target),
         };
         self.routed += 1;
+        if self.lanes.buffers[shard].len() >= self.lanes.batch {
+            // Delivered when the next observation needs the room, so a
+            // lease's last batch is left for the yield to carry.
+            self.flush_buffer(shard);
+        }
         if let Some(observer) = self.observer {
-            observer.on_routed(shard, obs.window, obs.sent_at, obs.response.is_some());
+            self.run.note(shard, &obs, observer);
         }
         let buffer = &mut self.lanes.buffers[shard];
         if buffer.capacity() == 0 {
@@ -398,9 +498,6 @@ impl<'t> ShardRouter<'t> {
             *buffer = self.lanes.pool.take();
         }
         buffer.push(obs);
-        if buffer.len() >= self.lanes.batch {
-            self.flush_buffer(shard);
-        }
     }
 
     /// Send one message, blocking on a full queue and counting the stall.
@@ -408,8 +505,12 @@ impl<'t> ShardRouter<'t> {
     /// recorded as dead and the message dropped rather than panicking the
     /// control thread.
     fn deliver(&mut self, shard: usize, msg: ShardMsg) {
-        if self.observer.is_some() {
-            self.lanes.forward_progress(shard, self.observer);
+        if let Some(observer) = self.observer {
+            // The observer sees a batch's observations before its worker
+            // does; the channel high-water mark is sampled against the
+            // progress forwarded so far, once a batch.
+            self.run.report(observer);
+            self.lanes.forward_progress(shard, Some(observer));
         }
         match self.lanes.senders[shard].try_send(msg) {
             Ok(()) => {}
@@ -555,8 +656,9 @@ mod tests {
     }
 
     /// Every observation arrives, in routing order, at any batch size: full
-    /// batches as they fill, the remainder on the shutdown flush — and a
-    /// batch of one is just a one-element `ObserveBatch`.
+    /// batches when the next observation needs the room, the rest on the
+    /// shutdown flush — and a batch of one is just a one-element
+    /// `ObserveBatch`.
     #[test]
     fn batched_routing_delivers_every_observation() {
         for batch in [1usize, 4] {
@@ -580,6 +682,30 @@ mod tests {
             }
             assert_eq!(delivered, sent, "batch={batch}");
             assert_eq!(messages, 10usize.div_ceil(batch), "batch={batch}");
+        }
+    }
+
+    /// A lease that routes exactly one batch wakes its worker once: the
+    /// full batch waits for the yield and rides it. One more observation
+    /// delivers the batch on its own and leaves itself for the yield.
+    #[test]
+    fn the_last_batch_rides_the_yield() {
+        // (is it the yield, observations carried), message by message.
+        for (routed, want) in [(4usize, vec![(true, 4)]), (5, vec![(false, 4), (true, 1)])] {
+            let (tx, rx) = std::sync::mpsc::sync_channel(16);
+            let mut router = router(tx, 4);
+            for i in 0..routed {
+                router.route(obs(&format!("2001:16b8::{i:x}")));
+            }
+            drop(router.yield_states());
+            let messages: Vec<(bool, usize)> = (rx.iter())
+                .filter_map(|msg| match msg {
+                    ShardMsg::ObserveBatch(batch) => Some((false, batch.len())),
+                    ShardMsg::Yield(batch) => Some((true, batch.len())),
+                    _ => None,
+                })
+                .collect();
+            assert_eq!(messages, want, "{routed} routed");
         }
     }
 

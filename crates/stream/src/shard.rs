@@ -40,11 +40,14 @@ use crate::observation::{Observation, Phase};
 
 /// A message delivered to a shard worker.
 pub enum ShardMsg {
-    /// End a lease: hand the state the worker adopted for it back, by move,
-    /// over the worker's own reply channel (its pool holds the other end),
-    /// and go back to an empty one. FIFO with the batches, so the state
-    /// reflects everything routed before.
-    Yield,
+    /// End a lease: fold the lease's last batch (possibly empty) as an
+    /// [`ShardMsg::ObserveBatch`] would, then hand the state the worker
+    /// adopted for the lease back, by move, over the worker's own reply
+    /// channel (its pool holds the other end), and go back to an empty one.
+    /// FIFO with the batches, so the state reflects everything routed
+    /// before — and carrying the last batch makes the end of a lease one
+    /// wake-up of the worker, not two.
+    Yield(Vec<Observation>),
     /// Fold a batch of observations into the shard's state, in order. One
     /// channel message per batch amortizes the per-message channel overhead.
     ObserveBatch(Vec<Observation>),

@@ -29,15 +29,23 @@
 //! render with the [exporters](crate::prometheus):
 //!
 //! ```
-//! use scent_telemetry::{StreamObserver, Telemetry};
+//! use scent_simnet::SimTime;
+//! use scent_telemetry::{RoutedRun, StreamObserver, Telemetry};
 //!
 //! let telemetry = Telemetry::new();
 //! // The engine calls the observer hooks; here we stand in for it.
 //! telemetry.on_run_start(2, 4);
-//! telemetry.on_routed(0, 0, scent_simnet::SimTime::from_secs(7), true);
+//! telemetry.on_routed_run(&RoutedRun {
+//!     window: 0,
+//!     observations: 3,
+//!     responses: 1,
+//!     first_send: SimTime::from_secs(7),
+//!     last_send: SimTime::from_secs(9),
+//!     per_shard: &[2, 1],
+//! });
 //! let snapshot = telemetry.snapshot();
-//! assert_eq!(snapshot.deterministic.observations, 1);
-//! assert!(scent_telemetry::prometheus(&snapshot).contains("scent_observations_total 1"));
+//! assert_eq!(snapshot.deterministic.observations, 3);
+//! assert!(scent_telemetry::prometheus(&snapshot).contains("scent_observations_total 3"));
 //! ```
 
 #![forbid(unsafe_code)]
@@ -50,7 +58,7 @@ mod snapshot;
 
 pub use event::{EventKind, TelemetryEvent};
 pub use export::{deterministic_text, events_jsonl, profile_text, prometheus, topology_text};
-pub use observer::{EpochSummary, NoopObserver, StreamObserver};
+pub use observer::{EpochSummary, RoutedRun, StreamObserver};
 pub use snapshot::{
     DeterministicSnapshot, Histogram, ProfileSnapshot, TelemetrySnapshot, TopologySnapshot,
     WindowStats, LATENCY_BOUNDS_SECS,
@@ -61,7 +69,7 @@ use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use scent_simnet::SimTime;
 
-/// The open-window aggregation the registry folds `on_routed` calls into.
+/// The open-window aggregation the registry folds routed runs into.
 #[derive(Debug, Clone)]
 struct WindowAgg {
     window: u64,
@@ -83,7 +91,7 @@ struct Inner {
     ingested_per_shard: Vec<u64>,
     /// Wall-clock tier: observations each shard has reported ingested so
     /// far, forwarded by the control thread between its own routes — so it
-    /// lives under the lock `on_routed` already holds.
+    /// lives under the lock `on_routed_run` already holds.
     ingested_live: Vec<u64>,
     expansion_probes: u64,
     rate_backoffs: u64,
@@ -144,6 +152,12 @@ fn grow_slot(values: &mut Vec<u64>, index: usize) -> &mut u64 {
     &mut values[index]
 }
 
+/// Producers whose probes the registry counts with one atomic add and no
+/// lock: `on_probe_sent` runs once a probe on every producer thread, and is
+/// the one hook left that runs once an observation. Producers past these
+/// are counted under a lock.
+const LOCK_FREE_PRODUCERS: usize = 32;
+
 /// The telemetry registry: one per run.
 ///
 /// Implements [`StreamObserver`]; hand `Some(&telemetry)` to the engine's
@@ -154,7 +168,10 @@ fn grow_slot(values: &mut Vec<u64>, index: usize) -> &mut u64 {
 #[derive(Debug, Default)]
 pub struct Telemetry {
     inner: Mutex<Inner>,
-    producer_probes: Mutex<Vec<u64>>,
+    /// Probes of producers `0..LOCK_FREE_PRODUCERS`.
+    probes: [AtomicU64; LOCK_FREE_PRODUCERS],
+    /// Probes of the producers after those, from `LOCK_FREE_PRODUCERS` on.
+    more_probes: Mutex<Vec<u64>>,
     stalls: AtomicU64,
     channel_high_water: AtomicU64,
     wall_spans: Mutex<Vec<(&'static str, u64)>>,
@@ -191,7 +208,7 @@ impl Telemetry {
             topology: TopologySnapshot {
                 shards: inner.shards,
                 producers: inner.producers,
-                probes_per_producer: lock(&self.producer_probes).clone(),
+                probes_per_producer: self.probes_per_producer(inner.producers),
                 routed_per_shard: inner.routed_per_shard,
                 ingested_per_shard: inner.ingested_per_shard,
             },
@@ -204,6 +221,24 @@ impl Telemetry {
                     .collect(),
             },
         }
+    }
+
+    /// One count per producer: every producer a run started with, and any
+    /// later one that probed.
+    fn probes_per_producer(&self, producers: usize) -> Vec<u64> {
+        let counted = self
+            .probes
+            .iter()
+            .map(|count| count.load(Ordering::Relaxed));
+        let mut probes: Vec<u64> = counted
+            .chain(lock(&self.more_probes).iter().copied())
+            .collect();
+        let probed = probes
+            .iter()
+            .rposition(|&n| n > 0)
+            .map_or(0, |last| last + 1);
+        probes.resize(probed.max(producers), 0);
+        probes
     }
 }
 
@@ -221,37 +256,39 @@ impl StreamObserver for Telemetry {
         if inner.ingested_live.len() < shards {
             inner.ingested_live.resize(shards, 0);
         }
-        drop(inner);
-        let mut probes = lock(&self.producer_probes);
-        if probes.len() < producers {
-            probes.resize(producers, 0);
-        }
     }
 
     fn on_probe_sent(&self, producer: usize) {
-        *grow_slot(&mut lock(&self.producer_probes), producer) += 1;
+        match self.probes.get(producer) {
+            Some(count) => {
+                count.fetch_add(1, Ordering::Relaxed);
+            }
+            None => {
+                let later = producer - LOCK_FREE_PRODUCERS;
+                *grow_slot(&mut lock(&self.more_probes), later) += 1;
+            }
+        }
     }
 
-    fn on_routed(&self, shard: usize, window: u64, sent_at: SimTime, responded: bool) {
-        let mut inner = lock(&self.inner);
-        inner.observations += 1;
-        if responded {
-            inner.responses += 1;
+    /// One lock a run, folded exactly as the run's observations one at a
+    /// time would fold (an empty run folds to nothing).
+    fn on_routed_run(&self, run: &RoutedRun<'_>) {
+        if run.observations == 0 {
+            return;
         }
-        *grow_slot(&mut inner.routed_per_shard, shard) += 1;
-        let routed = inner.routed_per_shard[shard];
-        inner.last_send = Some(sent_at);
+        let mut inner = lock(&self.inner);
+        inner.observations += run.observations;
+        inner.responses += run.responses;
+        inner.last_send = Some(run.last_send);
         let starts_new_window = match &mut inner.open {
-            Some(agg) if agg.window == window => {
-                agg.observations += 1;
-                if responded {
-                    agg.responses += 1;
-                }
-                agg.last_send = sent_at;
+            Some(agg) if agg.window == run.window => {
+                agg.observations += run.observations;
+                agg.responses += run.responses;
+                agg.last_send = run.last_send;
                 false
             }
             Some(agg) => {
-                debug_assert!(agg.window < window, "windows only advance");
+                debug_assert!(agg.window < run.window, "windows only advance");
                 true
             }
             None => true,
@@ -259,19 +296,30 @@ impl StreamObserver for Telemetry {
         if starts_new_window {
             inner.close_open_window();
             inner.open = Some(WindowAgg {
-                window,
-                observations: 1,
-                responses: u64::from(responded),
-                first_send: sent_at,
-                last_send: sent_at,
+                window: run.window,
+                observations: run.observations,
+                responses: run.responses,
+                first_send: run.first_send,
+                last_send: run.last_send,
             });
         }
-        // Wall-clock tier: channel-depth proxy for this shard, sampled at
-        // route time as routed minus live-ingested.
-        let ingested = inner.ingested_live.get(shard).copied().unwrap_or(0);
+        // Wall-clock tier: channel-depth proxy, routed minus live-ingested
+        // per shard, sampled once a run — at its end, where the run's
+        // per-observation samples peak.
+        let mut high_water = 0;
+        for (shard, &routed) in run.per_shard.iter().enumerate() {
+            if routed == 0 {
+                continue;
+            }
+            let total = grow_slot(&mut inner.routed_per_shard, shard);
+            *total += routed;
+            let total = *total;
+            let ingested = inner.ingested_live.get(shard).copied().unwrap_or(0);
+            high_water = high_water.max(total.saturating_sub(ingested));
+        }
         drop(inner);
         self.channel_high_water
-            .fetch_max(routed.saturating_sub(ingested), Ordering::Relaxed);
+            .fetch_max(high_water, Ordering::Relaxed);
     }
 
     fn on_shard_progress(&self, shard: usize, ingested: u64) {
@@ -404,13 +452,30 @@ mod tests {
         SimTime::from_secs(secs)
     }
 
+    /// A run of `observations` in `window` sent from `first` to `last`
+    /// seconds.
+    fn run(
+        window: u64,
+        (observations, responses): (u64, u64),
+        (first, last): (u64, u64),
+        per_shard: &[u64],
+    ) -> RoutedRun<'_> {
+        RoutedRun {
+            window,
+            observations,
+            responses,
+            first_send: t(first),
+            last_send: t(last),
+            per_shard,
+        }
+    }
+
     #[test]
     fn windows_close_on_advance_and_at_snapshot() {
         let telemetry = Telemetry::new();
         telemetry.on_run_start(2, 1);
-        telemetry.on_routed(0, 0, t(10), true);
-        telemetry.on_routed(1, 0, t(11), false);
-        telemetry.on_routed(0, 1, t(100), true);
+        telemetry.on_routed_run(&run(0, (2, 1), (10, 11), &[1, 1]));
+        telemetry.on_routed_run(&run(1, (1, 1), (100, 100), &[1, 0]));
 
         let snapshot = telemetry.snapshot();
         let det = &snapshot.deterministic;
@@ -455,7 +520,7 @@ mod tests {
     fn epoch_close_journals_revisions() {
         let telemetry = Telemetry::new();
         let admitted: Vec<scent_ipv6::Ipv6Prefix> = vec!["2001:db8:1::/48".parse().unwrap()];
-        telemetry.on_routed(0, 0, t(3), true);
+        telemetry.on_routed_run(&run(0, (1, 1), (3, 3), &[1]));
         telemetry.on_epoch_close(&EpochSummary {
             epoch: 0,
             at: t(86_400),
@@ -483,7 +548,7 @@ mod tests {
         telemetry.on_probe_sent(0);
         telemetry.on_probe_sent(1);
         telemetry.on_probe_sent(1);
-        telemetry.on_routed(0, 0, t(1), true);
+        telemetry.on_routed_run(&run(0, (1, 1), (1, 1), &[1]));
         telemetry.on_shard_progress(0, 1);
         telemetry.on_shard_final(0, 1);
         telemetry.on_stall(0);
@@ -507,8 +572,7 @@ mod tests {
     fn restore_deterministic_roundtrips_into_a_fresh_registry() {
         let telemetry = Telemetry::new();
         telemetry.on_run_start(2, 2);
-        telemetry.on_routed(0, 0, t(10), true);
-        telemetry.on_routed(1, 0, t(11), false);
+        telemetry.on_routed_run(&run(0, (2, 1), (10, 11), &[1, 1]));
         telemetry.on_rate_change(t(12), 0, 128, 64);
         telemetry.on_epoch_close(&EpochSummary {
             epoch: 0,
@@ -530,7 +594,7 @@ mod tests {
 
         // Continuing both registries identically keeps them identical.
         for registry in [&telemetry, &restored] {
-            registry.on_routed(0, 1, t(86_500), true);
+            registry.on_routed_run(&run(1, (1, 1), (86_500, 86_500), &[1, 0]));
             registry.on_rate_change(t(86_510), 1, 64, 72);
         }
         assert_eq!(
@@ -540,6 +604,23 @@ mod tests {
         // Epoch stamps on post-restore events continue the sequence.
         let continued = restored.snapshot().deterministic;
         assert_eq!(continued.events.last().map(|e| e.epoch), Some(1));
+    }
+
+    /// Every producer a run started with has a count, and so does any
+    /// later one that probed — past the lock-free counters too.
+    #[test]
+    fn probes_are_counted_for_every_producer() {
+        let telemetry = Telemetry::new();
+        telemetry.on_run_start(1, 3);
+        assert_eq!(telemetry.snapshot().topology.probes_per_producer, [0; 3]);
+        telemetry.on_probe_sent(1);
+        let far = LOCK_FREE_PRODUCERS + 8;
+        telemetry.on_probe_sent(far);
+        telemetry.on_probe_sent(far);
+        let probes = telemetry.snapshot().topology.probes_per_producer;
+        assert_eq!(probes.len(), far + 1);
+        assert_eq!((probes[1], probes[far]), (1, 2));
+        assert_eq!(probes.iter().sum::<u64>(), 3);
     }
 
     #[test]
@@ -568,5 +649,212 @@ mod tests {
             1,
             "overflow lands in +Inf"
         );
+    }
+
+    /// The per-observation hook that `on_routed_run` replaced, its body
+    /// kept verbatim: the reference the run fold is checked against.
+    trait PerObservation {
+        fn on_routed(&self, shard: usize, window: u64, sent_at: SimTime, responded: bool);
+    }
+
+    impl PerObservation for Telemetry {
+        fn on_routed(&self, shard: usize, window: u64, sent_at: SimTime, responded: bool) {
+            let mut inner = lock(&self.inner);
+            inner.observations += 1;
+            if responded {
+                inner.responses += 1;
+            }
+            *grow_slot(&mut inner.routed_per_shard, shard) += 1;
+            let routed = inner.routed_per_shard[shard];
+            inner.last_send = Some(sent_at);
+            let starts_new_window = match &mut inner.open {
+                Some(agg) if agg.window == window => {
+                    agg.observations += 1;
+                    if responded {
+                        agg.responses += 1;
+                    }
+                    agg.last_send = sent_at;
+                    false
+                }
+                Some(agg) => {
+                    debug_assert!(agg.window < window, "windows only advance");
+                    true
+                }
+                None => true,
+            };
+            if starts_new_window {
+                inner.close_open_window();
+                inner.open = Some(WindowAgg {
+                    window,
+                    observations: 1,
+                    responses: u64::from(responded),
+                    first_send: sent_at,
+                    last_send: sent_at,
+                });
+            }
+            // Wall-clock tier: channel-depth proxy for this shard, sampled at
+            // route time as routed minus live-ingested.
+            let ingested = inner.ingested_live.get(shard).copied().unwrap_or(0);
+            drop(inner);
+            self.channel_high_water
+                .fetch_max(routed.saturating_sub(ingested), Ordering::Relaxed);
+        }
+    }
+
+    /// The router's half of the contract in miniature: observations counted
+    /// into one pending run until something cuts it, and a window's first
+    /// observation reported alone.
+    struct Cutter {
+        /// The window of the last observation routed (`None` on a fresh
+        /// lease): the window-opened marker.
+        window: Option<u64>,
+        observations: u64,
+        responses: u64,
+        first_send: SimTime,
+        last_send: SimTime,
+        per_shard: Vec<u64>,
+    }
+
+    impl Cutter {
+        fn new(shards: usize) -> Self {
+            Cutter {
+                window: None,
+                observations: 0,
+                responses: 0,
+                first_send: SimTime::EPOCH,
+                last_send: SimTime::EPOCH,
+                per_shard: vec![0; shards],
+            }
+        }
+
+        fn route(
+            &mut self,
+            registry: &Telemetry,
+            shard: usize,
+            sent_at: SimTime,
+            obs: (u64, bool),
+        ) {
+            let (window, responded) = obs;
+            let opens = self.window != Some(window);
+            if opens {
+                self.cut(registry);
+                self.window = Some(window);
+            }
+            if self.observations == 0 {
+                self.first_send = sent_at;
+            }
+            self.observations += 1;
+            self.responses += u64::from(responded);
+            self.last_send = sent_at;
+            self.per_shard[shard] += 1;
+            if opens {
+                self.cut(registry);
+            }
+        }
+
+        fn cut(&mut self, registry: &Telemetry) {
+            if let (Some(window), true) = (self.window, self.observations > 0) {
+                registry.on_routed_run(&RoutedRun {
+                    window,
+                    observations: self.observations,
+                    responses: self.responses,
+                    first_send: self.first_send,
+                    last_send: self.last_send,
+                    per_shard: &self.per_shard,
+                });
+            }
+            self.observations = 0;
+            self.responses = 0;
+            self.per_shard.fill(0);
+        }
+    }
+
+    use proptest::prelude::*;
+
+    proptest! {
+        // Routed sequences whose windows only advance, over 1–4 shards, cut
+        // into runs at arbitrary points (each window's first observation a
+        // run of its own), with rate changes mid-run, phase and epoch
+        // closes, progress reports and checkpoint → restore → continue at
+        // run boundaries: the run fold ends in the per-observation
+        // reference's deterministic and topology tiers, and its high-water
+        // mark.
+        #[test]
+        fn runs_fold_as_the_per_observation_reference(
+            steps in collection::vec((any::<u64>(), any::<u64>()), 1..160),
+            shards in 1usize..5,
+        ) {
+            let fresh = || {
+                let registry = Telemetry::new();
+                registry.on_run_start(shards, 1);
+                registry
+            };
+            let (mut reference, mut folded) = (fresh(), fresh());
+            let mut cutter = Cutter::new(shards);
+            let (mut window, mut secs, mut epoch) = (0u64, 0u64, 0u64);
+            for (i, &(routed, between)) in steps.iter().enumerate() {
+                if i > 0 && routed % 4 == 0 {
+                    window += 1 + (routed >> 2) % 2;
+                }
+                secs += (routed >> 3) % 50;
+                let shard = (routed >> 9) as usize % shards;
+                let responded = (routed >> 13) & 1 == 1;
+                reference.on_routed(shard, window, t(secs), responded);
+                cutter.route(&folded, shard, t(secs), (window, responded));
+                if between % 7 == 0 {
+                    // The merge-side rate replica reports mid-run.
+                    for registry in [&reference, &folded] {
+                        registry.on_rate_change(t(secs), window, 128, 64 + between % 128);
+                    }
+                }
+                if (between >> 3) % 3 != 0 {
+                    continue;
+                }
+                cutter.cut(&folded);
+                match (between >> 5) % 6 {
+                    0 => {
+                        for registry in [&reference, &folded] {
+                            registry.on_phase_close("density", i as u64);
+                        }
+                    }
+                    1 => {
+                        for registry in [&reference, &folded] {
+                            registry.on_epoch_close(&EpochSummary {
+                                epoch,
+                                at: t(secs),
+                                window,
+                                admitted: &[],
+                                evicted: &[],
+                                watch_len: 1,
+                                expansion_probes: between % 5,
+                            });
+                        }
+                        epoch += 1;
+                    }
+                    2 => {
+                        for registry in [&reference, &folded] {
+                            registry.on_shard_progress(shard, (between >> 8) % 8);
+                        }
+                    }
+                    3 => {
+                        let want = reference.checkpoint_deterministic().expect("checkpoints");
+                        let got = folded.checkpoint_deterministic().expect("checkpoints");
+                        prop_assert_eq!(&got, &want);
+                        reference = fresh();
+                        reference.restore_deterministic(&want);
+                        folded = fresh();
+                        folded.restore_deterministic(&got);
+                        // A resumed run routes through a fresh lease.
+                        cutter = Cutter::new(shards);
+                    }
+                    _ => {}
+                }
+            }
+            cutter.cut(&folded);
+            let (want, got) = (reference.snapshot(), folded.snapshot());
+            prop_assert_eq!(&got.deterministic, &want.deterministic);
+            prop_assert_eq!(&got.topology, &want.topology);
+            prop_assert_eq!(got.profile.channel_high_water, want.profile.channel_high_water);
+        }
     }
 }

@@ -12,16 +12,42 @@
 //! Hooks split into two tiers, and implementors must keep them separate:
 //!
 //! * **Deterministic tier** — called from the merge side of the engine, in
-//!   deterministic clock order: [`StreamObserver::on_routed`],
+//!   deterministic clock order: [`StreamObserver::on_routed_run`],
 //!   [`StreamObserver::on_rate_change`], [`StreamObserver::on_queue_depth`],
 //!   [`StreamObserver::on_phase_close`], [`StreamObserver::on_epoch_close`],
-//!   [`StreamObserver::on_shard_final`]. The call sequence is a pure
+//!   [`StreamObserver::on_shard_final`]. What these calls fold to is a pure
 //!   function of (config, world seed).
 //! * **Wall-clock tier** — called from producer or shard-worker threads, or
 //!   reporting OS time: [`StreamObserver::on_probe_sent`],
 //!   [`StreamObserver::on_shard_progress`], [`StreamObserver::on_stall`],
 //!   [`StreamObserver::on_wall_span`]. Totals are deterministic, but the
 //!   interleaving is whatever the scheduler did.
+//!
+//! Routed observations arrive in **runs** ([`RoutedRun`]): consecutive
+//! observations of one window, counted by the router in plain integers and
+//! handed over at once, so an observed run pays for telemetry per batch and
+//! not per observation. Where a run ends follows the engine's batch
+//! deliveries and is *not* part of the contract — an implementor must fold
+//! runs associatively, so that any cut of the same observation sequence
+//! folds to the same state as one observation at a time. Two boundaries
+//! are fixed, because the journal's order depends on them:
+//!
+//! * a window's first observation is a run of its own, reported as it is
+//!   routed — so the previous window closes where a per-observation fold
+//!   would close it, before the rate changes of the new window's later
+//!   observations are journaled (rate changes arrive mid-run; they carry
+//!   no routed counts, so a run pending across one folds the same);
+//! * the pending run is reported before a drive returns and before the
+//!   shards compact, yield their state or shut down — so a phase close,
+//!   an epoch close or a checkpoint has seen every routed observation. It
+//!   is also reported before every batch delivery.
+//!
+//! Batching may therefore change the deterministic *call sequence*, never
+//! the folded state. Two hooks report marks rather than streams: the
+//! wall-clock channel high-water mark is sampled once per run (per batch
+//! delivered), against the ingest progress forwarded at the same point, and
+//! [`StreamObserver::on_queue_depth`] reports only each new high-water mark
+//! of a pass's virtual queue.
 
 use scent_ipv6::Ipv6Prefix;
 use scent_simnet::SimTime;
@@ -47,20 +73,44 @@ pub struct EpochSummary<'a> {
     pub expansion_probes: u64,
 }
 
+/// A run of consecutive routed observations, all of one window, in merged
+/// deterministic clock order (see [`StreamObserver::on_routed_run`] for
+/// where runs end). Never empty when the engine reports one.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RoutedRun<'a> {
+    /// The probing window every observation of the run belongs to.
+    pub window: u64,
+    /// Observations in the run.
+    pub observations: u64,
+    /// Observations of the run that drew a response.
+    pub responses: u64,
+    /// Send time of the run's first observation.
+    pub first_send: SimTime,
+    /// Send time of the run's last observation.
+    pub last_send: SimTime,
+    /// Observations of the run per shard, indexed by shard; sums to
+    /// `observations`.
+    pub per_shard: &'a [u64],
+}
+
 /// Hook points the streaming engine calls while it runs.
 ///
-/// See the [crate docs](crate) for the determinism contract. The `Sync`
+/// See the [crate docs](crate) for the three tiers: the routing hook, the
+/// rate, queue-depth, phase, epoch, exhaustion and shard-final hooks are
+/// the deterministic tier, called from the merge side in clock order;
+/// probe, progress, stall and wall-span hooks are the wall-clock tier,
+/// called from producer and worker threads or reporting OS time. The `Sync`
 /// supertrait is what lets one observer be shared by reference across
 /// producer, router and shard-worker threads.
 ///
 /// The engine's allocation-free hot path (batched channel payloads, buffer
 /// recycling, precomputed position → shard tables) is invisible from here
-/// by design: deterministic-tier hooks fire in merged clock order for the
-/// identical observation sequence whether batching and recycling are on or
-/// off — those mechanics only change where buffer memory comes from, never
-/// what flows through it. Only wall-clock-tier hooks (stalls, shard
-/// progress granularity) can observe batching at all, and they carry no
-/// determinism promise to begin with.
+/// by design: deterministic-tier hooks fold the identical observation
+/// sequence in merged clock order whatever the batching — it only decides
+/// where [`RoutedRun`]s are cut, which an implementor folds associatively.
+/// Only wall-clock-tier hooks (stalls, shard progress granularity) can
+/// observe batching at all, and they carry no determinism promise to begin
+/// with.
 pub trait StreamObserver: Sync {
     /// A streamed run is starting with the given shard and producer counts.
     fn on_run_start(&self, _shards: usize, _producers: usize) {}
@@ -70,9 +120,17 @@ pub trait StreamObserver: Sync {
     /// deterministic, the interleaving is not.
     fn on_probe_sent(&self, _producer: usize) {}
 
-    /// The router routed one observation, in merged deterministic clock
-    /// order (deterministic tier).
-    fn on_routed(&self, _shard: usize, _window: u64, _sent_at: SimTime, _responded: bool) {}
+    /// The router routed a run of observations, in merged deterministic
+    /// clock order (deterministic tier). Fold it as the same observations
+    /// one at a time would fold: where runs are cut follows the engine's
+    /// batch deliveries and is not contractual, so a fold must be
+    /// associative. Two cuts are: a window's first observation is a run of
+    /// its own, reported as it is routed — so the previous window closes
+    /// where a per-observation fold would close it, before the rate changes
+    /// of the new window's later observations — and no routed observation
+    /// is held past the end of a drive, a compaction, a yield or a shutdown
+    /// — so a phase or epoch close has seen them all.
+    fn on_routed_run(&self, _run: &RoutedRun<'_>) {}
 
     /// A shard worker ingested `ingested` more observations (one channel
     /// message's worth). Worker-thread (wall-clock tier).
@@ -92,8 +150,9 @@ pub trait StreamObserver: Sync {
     /// trajectory is a pure function of config and target order).
     fn on_rate_change(&self, _at: SimTime, _window: u64, _from_pps: u64, _to_pps: u64) {}
 
-    /// The virtual queue's modelled depth after pacing one observation
-    /// (deterministic tier).
+    /// A new high-water mark of this pass's virtual queue: its modelled
+    /// depth after pacing an observation, reported only when it exceeds
+    /// every depth the pass reported before (deterministic tier).
     fn on_queue_depth(&self, _depth: u64) {}
 
     /// A discovery-pipeline phase finished having routed `probes`
@@ -129,10 +188,3 @@ pub trait StreamObserver: Sync {
     /// topology and wall-clock tiers restart from zero on resume.
     fn restore_deterministic(&self, _det: &DeterministicSnapshot) {}
 }
-
-/// An observer that ignores everything — useful as an explicit "observed
-/// but discarded" baseline (e.g. in overhead benches).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NoopObserver;
-
-impl StreamObserver for NoopObserver {}
