@@ -11,6 +11,7 @@ use scent_checkpoint::MemorySink;
 use scent_core::{Pipeline, PipelineConfig};
 use scent_discovery::DiscoveryConfig;
 use scent_ipv6::Ipv6Prefix;
+use scent_prober::QueueModel;
 use scent_sched::{Campaign as SchedCampaign, Scheduler};
 use scent_simnet::{scenarios, Engine, SimTime, WorldScale};
 use scent_stream::{
@@ -396,7 +397,9 @@ fn bench_watch_churn(c: &mut Criterion) {
 /// monitor run unobserved (the `None` observer — every hook site reduces to
 /// an `if let` on a `None`), with a live [`Telemetry`] registry attached,
 /// and the feedback-on variant whose enabled run additionally pays for the
-/// merge-side rate replica. The no-op point must track the plain `run()`
+/// virtual-queue pacers and the merge-side rate replica: its queue model
+/// drains so fast it never throttles, so it probes exactly what the other
+/// two do. The no-op point must track the plain `run()`
 /// cost — the observability layer's contract is zero hot-path cost when
 /// disabled — and the enabled points bound what a wired-up registry costs.
 fn bench_telemetry_overhead(c: &mut Criterion) {
@@ -414,7 +417,11 @@ fn bench_telemetry_overhead(c: &mut Criterion) {
         shards: 2,
         producers: 2,
         windows: 2,
-        rate_feedback: feedback,
+        queue_model: if feedback {
+            QueueModel::with_drain_rate(1 << 32)
+        } else {
+            QueueModel::unbounded()
+        },
         ..MonitorConfig::default()
     };
     group.bench_function(BenchmarkId::new("monitor_2_windows", "noop"), |b| {

@@ -154,6 +154,11 @@ impl FeedbackPacer {
 /// channel state — which is what lets every producer of a sharded scan
 /// replay the same global rate trajectory locally and keep the merged stream
 /// bit-identical to the single-producer run with feedback **on**.
+///
+/// The model is the only switch: a streamed run paces against it exactly
+/// when it can throttle ([`QueueModel::can_throttle`]: some shard drains at
+/// a finite rate). The default, [`QueueModel::unbounded`], cannot, so a run
+/// keeps the paper's fixed rate unless it is given a drain rate.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct QueueModel {
     /// Observations each shard retires per virtual second. `None` models an
@@ -176,7 +181,7 @@ pub struct QueueModel {
 
 impl QueueModel {
     /// An infinitely fast consumer: depths stay zero, the rate stays at the
-    /// configured budget — today's feedback-off trajectory, exactly.
+    /// configured budget — the fixed-rate trajectory, exactly.
     pub fn unbounded() -> Self {
         QueueModel {
             drain_rate: None,
@@ -236,6 +241,14 @@ impl QueueModel {
     /// Whether the watermarks are ordered sensibly (`low < high`).
     pub fn is_valid(&self) -> bool {
         self.low_watermark < self.high_watermark
+    }
+
+    /// Whether some shard drains at a finite rate, so a queue can build up
+    /// and the model can back the rate off. A model that cannot throttle
+    /// paces exactly like the fixed rate, so a run paces against its queue
+    /// model exactly when this holds.
+    pub fn can_throttle(&self) -> bool {
+        self.drain_rate.is_some() || !self.per_shard_drain.is_empty()
     }
 }
 
@@ -546,6 +559,10 @@ mod tests {
     /// [`ProbePacer`]'s, across second rollovers, for any shard count.
     #[test]
     fn unbounded_queue_model_reproduces_feedback_off_exactly() {
+        // Which is why a run paces against a model only if it can throttle.
+        assert!(!QueueModel::unbounded().can_throttle());
+        assert!(QueueModel::with_drain_rate(1).can_throttle());
+        assert!(QueueModel::per_shard_drain([7]).can_throttle());
         for shards in [1usize, 2, 5] {
             let start = SimTime::at(3, 7);
             let fixed = ProbePacer::new(start, 100);

@@ -209,6 +209,11 @@ impl MonitorSnapshot {
 /// where `observation_batch` was while it was a knob. Kept, like the names
 /// in e2ebench's frozen import list, so nothing written before the next
 /// benchmark revision stops resuming — do not build on; it goes then.
+/// Another is derived: [`QueueModel::can_throttle`], written where the
+/// feedback switch was, so every config whose switch agreed with its model
+/// keeps its fingerprint.
+///
+/// [`QueueModel::can_throttle`]: scent_prober::QueueModel::can_throttle
 pub fn config_fingerprint(cfg: &MonitorConfig, watched_48s: &[Ipv6Prefix]) -> u64 {
     let mut w = Writer::new();
     w.put_usize(cfg.shards);
@@ -222,7 +227,7 @@ pub fn config_fingerprint(cfg: &MonitorConfig, watched_48s: &[Ipv6Prefix]) -> u6
     w.put_u64(cfg.window_interval.as_secs());
     w.put_u64(cfg.start.as_secs());
     w.put_usize(cfg.max_tracked);
-    w.put_bool(cfg.rate_feedback);
+    w.put_bool(cfg.queue_model.can_throttle());
     cfg.queue_model.encode(&mut w);
     cfg.retention_windows.encode(&mut w);
     match &cfg.churn {

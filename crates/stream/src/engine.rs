@@ -37,12 +37,13 @@
 //!
 //! The crate's two runs never build sources themselves. They describe a
 //! pass — phase, one [`TargetStream`] built once, windows, rate, start,
-//! interval, tenant, optional queue model (the crate-private `Pass`) — and
-//! the engine's `run_pass` does the rest the same way for both: install the
-//! pass's seq → shard table, slice one [`ContinuousStream`] per producer off
-//! the one target stream, bound each to the pass's windows, count its
-//! probes, mirror the pacer on the merge side for rate telemetry, drive, and
-//! answer the end-of-pass rate on request. Producer threads (more than one
+//! interval, tenant, queue model (the crate-private `Pass`) — and the
+//! engine's `run_pass` does the rest the same way for both: decide whether
+//! the model can throttle, install the pass's seq → shard table, slice one
+//! [`ContinuousStream`] per producer off the one target stream, bound each
+//! to the pass's windows, count its probes, mirror the pacer on the merge
+//! side for rate telemetry, drive, and read the end rate off the producer
+//! that probed the last position. Producer threads (more than one
 //! producer) borrow the transport, so they are scoped threads — spawned and
 //! joined inside the one [`drive`](IngestEngine::drive) that feeds on them,
 //! the only thread scope in the crate.
@@ -68,7 +69,7 @@ use crate::observation::{Observation, ObservationSource, Phase};
 use crate::observe::RateReplica;
 use crate::router::{Lanes, ShardMap, ShardRouter, WorkerLink};
 use crate::shard::{ShardInference, ShardMsg};
-use crate::source::{continuous_seq_shards, ContinuousStream, ContinuousStreamBuilder};
+use crate::source::{continuous_seq_shards, ContinuousStream};
 
 /// Observations accumulated per router → shard channel message. A constant,
 /// not a knob, and batching never changes a report — per-shard delivery order
@@ -357,46 +358,17 @@ pub(crate) struct Pass<'m> {
     pub windows: u64,
     /// Probe budget per second — the ceiling feedback recovers to.
     pub rate_pps: u64,
-    /// Virtual time of window 0: where the pacer, and under feedback the
-    /// virtual queues' drain clock, starts.
+    /// Virtual time of window 0: window `w` is entered no earlier than
+    /// `start + w × interval`.
     pub start: SimTime,
-    /// Window `w` is entered no earlier than `start + w × interval`. A
-    /// one-window scan anchored at its own `start` passes zero.
+    /// The time between window starts. A one-window scan anchored at its
+    /// own `start` passes zero.
     pub interval: SimDuration,
     /// The campaign every observation is stamped with.
     pub tenant: u32,
-    /// Pace against this virtual-queue model (and the engine's own shard
-    /// map); `None` paces at the fixed rate.
-    pub feedback: Option<&'m QueueModel>,
-}
-
-/// What a finished pass hands back: how much it routed and, on request, the
-/// rate its pacer ended on.
-pub(crate) struct PassEnd<'w, T: ProbeTransport + ?Sized> {
-    /// Observations the pass routed (0 once a shard is dead).
-    pub routed: u64,
-    /// Read off the one live pacer, or the fixed rate that never moved.
-    rate: u64,
-    /// Under feedback, P producers each end on their own slice: the
-    /// unsliced stream, unbuilt, and the windows whose probe-free replay
-    /// lands on the trajectory's end.
-    replay: Option<(ContinuousStreamBuilder<'w, T>, u64)>,
-}
-
-impl<T: ProbeTransport + ?Sized> PassEnd<'_, T> {
-    /// The effective probe rate when the pass ended — the same value for any
-    /// producer count, because the trajectory is a pure function of the
-    /// position sequence.
-    pub fn final_rate(self) -> u64 {
-        match self.replay {
-            None => self.rate,
-            Some((unsliced, windows)) => {
-                let mut replay = unsliced.build();
-                replay.replay_windows(windows);
-                replay.rate()
-            }
-        }
-    }
+    /// The virtual-queue model (over the engine's own shard map) the pass
+    /// paces against when it can throttle; otherwise the rate is fixed.
+    pub queue_model: &'m QueueModel,
 }
 
 /// One lease of a [`ShardPool`]: the router armed for this lessee and the
@@ -491,17 +463,20 @@ impl<'a> IngestEngine<'a> {
     /// The pass's target stream is built once by the caller; here it yields
     /// the seq → shard table for the router, one strided
     /// [`ContinuousStream`] slice per producer — bounded to the pass's
-    /// windows, its probes counted for the observer — and, with feedback and
-    /// an observer on, the merge-side [`RateReplica`] mirroring their
-    /// pacers. Every pass starts from fresh pacers. Once a shard is dead a
-    /// pass pulls no observation and spawns no producer.
-    pub(crate) fn run_pass<'w, T, F>(
+    /// windows, its probes counted for the observer — and, when the pass's
+    /// queue model can throttle and an observer is on, the merge-side
+    /// [`RateReplica`] mirroring their pacers. Every pass starts from fresh
+    /// pacers. Once a shard is dead a pass pulls no observation and spawns
+    /// no producer.
+    ///
+    /// Returns the observations routed and the rate the pass ended on.
+    pub(crate) fn run_pass<T, F>(
         &mut self,
-        transport: &'w T,
+        transport: &T,
         producers: usize,
         pass: Pass<'_>,
         hook: F,
-    ) -> PassEnd<'w, T>
+    ) -> (u64, u64)
     where
         T: ProbeTransport + ?Sized,
         F: FnMut(&mut ShardRouter<'a>, &Observation),
@@ -514,33 +489,31 @@ impl<'a> IngestEngine<'a> {
             let table = continuous_seq_shards(self.router.map(), &pass.targets);
             self.router.set_seq_shards(table);
         }
-        let feedback = pass
-            .feedback
-            .map(|model| (model.clone(), self.router.map().clone()));
-        let slice = |k: usize, of: usize| {
-            let mut builder = ContinuousStream::builder(transport, pass.targets.clone())
-                .phase(pass.phase)
-                .rate_pps(pass.rate_pps)
-                .start(pass.start)
-                .window_interval(pass.interval)
-                .tenant(pass.tenant)
-                .slice(k, of);
-            if let Some((model, map)) = &feedback {
-                builder = builder.feedback(model.clone(), map.clone());
-            }
-            builder
-        };
+        // A model that cannot throttle paces like the fixed rate: feedback
+        // is on exactly when it can.
+        let feedback = (pass.queue_model.can_throttle())
+            .then(|| (pass.queue_model.clone(), self.router.map().clone()));
         let observer = self.observer;
         let replica = feedback.as_ref().zip(observer).map(|((model, map), _)| {
             let (model, map) = (model.clone(), map.clone());
             RateReplica::continuous(pass.start, pass.rate_pps, model, map, pass.interval)
         });
         // The streams are lent to the drive, so their pacers are still here
-        // afterwards: one producer's is the pass's, live; P producers' each
-        // ended on their own slice, and under feedback the end rate is a
-        // replay's to answer.
+        // afterwards.
         let mut streams: Vec<_> = (0..producers)
-            .map(|k| slice(k, producers).build())
+            .map(|k| {
+                let mut builder = ContinuousStream::builder(transport, pass.targets.clone())
+                    .phase(pass.phase)
+                    .rate_pps(pass.rate_pps)
+                    .start(pass.start)
+                    .window_interval(pass.interval)
+                    .tenant(pass.tenant)
+                    .slice(k, producers);
+                if let Some((model, map)) = &feedback {
+                    builder = builder.feedback(model.clone(), map.clone());
+                }
+                builder.build()
+            })
             .collect();
         let sources = (streams.iter_mut().enumerate())
             .map(|(k, stream)| {
@@ -549,12 +522,13 @@ impl<'a> IngestEngine<'a> {
             })
             .collect();
         let routed = self.drive(sources, replica, hook);
-        let replay = (producers > 1 && feedback.is_some()).then(|| (slice(0, 1), pass.windows));
-        PassEnd {
-            routed,
-            rate: streams[0].rate(),
-            replay,
-        }
+        // Producer `(L − 1) % P` probed the last window's last position
+        // `L − 1`, having accounted every position before it, so its pacer
+        // ended where the single-producer trajectory does. An empty window
+        // probes nothing: the rate never left the budget.
+        let last = pass.targets.window_len().checked_sub(1);
+        let end_rate = last.map_or(pass.rate_pps, |last| streams[last % producers].rate());
+        (routed, end_rate)
     }
 
     fn ingest<S, F>(&mut self, mut source: S, mut replica: Option<RateReplica>, mut hook: F)

@@ -28,8 +28,9 @@ pub enum ConfigError {
     NoProducers,
     /// The bounded shard channels were given zero capacity.
     ZeroChannelCapacity,
-    /// Rate feedback is on and the virtual-queue model's watermarks are
-    /// inverted (the low watermark must be strictly below the high one).
+    /// The virtual-queue model's watermarks are inverted (the low watermark
+    /// must be strictly below the high one). Checked whether or not the
+    /// model can throttle: a broken model is never carried silently.
     InvalidQueueModel,
     /// Watch-list churn with a zero refresh cadence (the watch list would
     /// never be revised; leave churn off instead).
@@ -77,22 +78,19 @@ impl ConfigError {
     }
 
     /// The rules every streaming run shares: a shard pool, a producer set,
-    /// bounded channels, and — when feedback is on — a sane queue model.
+    /// bounded channels, and a sane queue model.
     pub(crate) fn check_plane(
         shards: usize,
         producers: usize,
         channel_capacity: usize,
-        feedback: Option<&QueueModel>,
+        queue_model: &QueueModel,
     ) -> Result<(), Self> {
         use ConfigError::*;
         Self::first_broken([
             (shards == 0, NoShards),
             (producers == 0, NoProducers),
             (channel_capacity == 0, ZeroChannelCapacity),
-            (
-                feedback.is_some_and(|model| !model.is_valid()),
-                InvalidQueueModel,
-            ),
+            (!queue_model.is_valid(), InvalidQueueModel),
         ])
     }
 }
@@ -185,17 +183,17 @@ mod tests {
             ..model.clone()
         };
         let check = ConfigError::check_plane;
-        let broken = Some(&inverted);
+        let broken = &inverted;
         assert_eq!(check(0, 0, 0, broken), Err(ConfigError::NoShards));
         assert_eq!(check(1, 0, 0, broken), Err(ConfigError::NoProducers));
         assert_eq!(
             check(1, 1, 0, broken),
             Err(ConfigError::ZeroChannelCapacity)
         );
+        // Inverted is broken even where it could never throttle.
+        assert!(!inverted.can_throttle());
         assert_eq!(check(1, 1, 1, broken), Err(ConfigError::InvalidQueueModel));
-        // The model is only consulted when feedback is on.
-        assert_eq!(check(1, 1, 1, None), Ok(()));
-        assert_eq!(check(1, 1, 1, Some(&model)), Ok(()));
+        assert_eq!(check(1, 1, 1, &model), Ok(()));
         assert!(ConfigError::NoShards.to_string().contains("shard"));
     }
 }

@@ -33,7 +33,7 @@ use scent_simnet::{SimDuration, SimTime};
 use scent_telemetry::{EpochSummary, StreamObserver};
 
 use crate::checkpoint::{config_fingerprint, world_fingerprint, MonitorSnapshot, StopSignal};
-use crate::engine::{IngestEngine, IngestOptions, Pass, PassEnd, ShardPool};
+use crate::engine::{IngestEngine, IngestOptions, Pass, ShardPool};
 use crate::error::{ConfigError, StreamError};
 use crate::observation::{Observation, Phase};
 use crate::router::ShardMap;
@@ -56,9 +56,9 @@ use crate::shard::ShardInference;
 /// the expansion probes — both deterministic — so churning runs keep every
 /// reproducibility guarantee of fixed-list runs: byte-identical reports
 /// across producer counts and across live vs. recorded-replay backends.
-/// Note that with rate feedback on, the virtual-queue trajectory restarts at
-/// the configured budget at every epoch boundary (each epoch's revised
-/// target set is paced from scratch).
+/// Note that when [`MonitorConfig::queue_model`] can throttle, the
+/// virtual-queue trajectory restarts at the configured budget at every epoch
+/// boundary (each epoch's revised target set is paced from scratch).
 ///
 /// The scent can dry up: when every watched /48 goes quiet in one epoch and
 /// the boundary expansion validates nothing, the revision leaves the watch
@@ -110,7 +110,7 @@ pub struct MonitorConfig {
     /// Number of probe producers each window's scan is split across (1 = one
     /// prober thread). Producers probe concurrently; the merged clock keeps
     /// the observation sequence — and therefore every report — bit-identical
-    /// for any count, with [`MonitorConfig::rate_feedback`] on or off (every
+    /// for any count, whatever the [`MonitorConfig::queue_model`] (every
     /// producer replays the same deterministic rate trajectory locally).
     pub producers: usize,
     /// Bounded per-shard queue capacity, in messages of 64 observations —
@@ -138,21 +138,17 @@ pub struct MonitorConfig {
     pub start: SimTime,
     /// Cap on devices folded into the tracking report.
     pub max_tracked: usize,
-    /// Whether the prober's virtual-time rate adapts to the deterministic
-    /// virtual-queue model (AIMD against [`MonitorConfig::queue_model`]).
-    /// Off by default: the fixed-rate trajectory is the paper's, and the
-    /// queue model is only worth paying for when consumer capacity should
-    /// govern the probe budget. Feedback is bit-reproducible — the signal is
-    /// a pure function of `(config, target order, virtual time)`, never of
-    /// OS scheduling — and works with any
+    /// The deterministic virtual-queue model the prober's virtual-time rate
+    /// adapts to (AIMD): per-shard drain rate plus the depth watermarks that
+    /// trigger multiplicative back-off and additive recovery. The prober
+    /// paces against it exactly when it can throttle
+    /// ([`QueueModel::can_throttle`]). The default
+    /// ([`QueueModel::unbounded`]) models an infinitely fast consumer and
+    /// keeps the paper's fixed rate; a drain rate is only worth paying for
+    /// when consumer capacity should govern the probe budget. Feedback is
+    /// bit-reproducible — the signal is a pure function of `(config, target
+    /// order, virtual time)`, never of OS scheduling — and works with any
     /// [`MonitorConfig::producers`] count.
-    pub rate_feedback: bool,
-    /// The virtual-queue feedback model consulted when
-    /// [`MonitorConfig::rate_feedback`] is on: per-shard drain rate plus the
-    /// depth watermarks that trigger multiplicative back-off and additive
-    /// recovery. The default ([`QueueModel::unbounded`]) models an
-    /// infinitely fast consumer and leaves the trajectory identical to
-    /// feedback-off.
     pub queue_model: QueueModel,
     /// When set, shards drop per-window tracker state (sightings, probe
     /// counts, retained events) older than this many windows behind the
@@ -185,8 +181,8 @@ pub struct MonitorConfig {
     ///
     /// This knob shapes the run's *epoch layout* when churn is off: the run
     /// is split into `checkpoint_every`-window epochs so a boundary exists
-    /// to checkpoint at. With [`MonitorConfig::rate_feedback`] on that is
-    /// behavior-relevant (the AIMD trajectory restarts each epoch), which is
+    /// to checkpoint at. When [`MonitorConfig::queue_model`] can throttle
+    /// that is behavior-relevant (the AIMD trajectory restarts each epoch), which is
     /// why this field participates in the snapshot's config fingerprint.
     /// With churn on, must be a multiple of [`WatchChurn::refresh_every`].
     pub checkpoint_every: Option<u64>,
@@ -211,7 +207,6 @@ impl Default for MonitorConfig {
             window_interval: SimDuration::from_days(1),
             start: SimTime::at(10, 9),
             max_tracked: 8,
-            rate_feedback: false,
             queue_model: QueueModel::default(),
             retention_windows: None,
             churn: None,
@@ -233,7 +228,7 @@ impl MonitorConfig {
             self.shards,
             self.producers,
             self.channel_capacity,
-            self.rate_feedback.then_some(&self.queue_model),
+            &self.queue_model,
         )?;
         let churn = self.churn.as_ref();
         if let Some(c) = churn {
@@ -355,9 +350,10 @@ impl StreamMonitor {
     ///
     /// Probing, routing and inference overlap: the prober side pulls
     /// observations off the infinite stream and routes them while the shard
-    /// threads fold earlier observations into their classifiers. With
-    /// [`MonitorConfig::rate_feedback`] on, every producer paces against the
-    /// deterministic virtual-queue model, so the AIMD trajectory — and
+    /// threads fold earlier observations into their classifiers. When
+    /// [`MonitorConfig::queue_model`] can throttle, every producer paces
+    /// against that deterministic virtual-queue model, so the AIMD
+    /// trajectory — and
     /// therefore every send time — is reproduced exactly no matter how many
     /// producers probe concurrently; the
     /// [`MergedClock`](crate::clock::MergedClock) reconstructs the
@@ -387,7 +383,7 @@ impl StreamMonitor {
     /// [`StreamMonitor::run`] with a telemetry observer attached to every
     /// hook point: producer probe accounting, deterministic routing order,
     /// per-shard ingest progress, merge-side rate replay (when
-    /// [`MonitorConfig::rate_feedback`] is on), one
+    /// [`MonitorConfig::queue_model`] can throttle), one
     /// [`StreamObserver::on_epoch_close`] per watch-list revision, and a
     /// wall-clock span for the whole run. `run` is exactly
     /// `run_observed(world, watched_48s, None)`, and the no-observer path
@@ -508,9 +504,8 @@ impl StreamMonitor {
 /// on the session — the probe pass, the boundary discovery cycle, the
 /// release, the re-expansion and watch-list revision — and only the
 /// per-shard states leave it, for the workers and back; the boundary stages
-/// run at every boundary but the run's last, at one boundary time, and the
-/// rate the run ended on is asked of the pass once the revision has said
-/// whether this epoch was the last. Driving a fresh session to completion at a
+/// run at every boundary but the run's last, at one boundary time, and every
+/// epoch stores the rate its pass ended on. Driving a fresh session to completion at a
 /// constant budget of [`MonitorConfig::packets_per_second`] reproduces
 /// [`StreamMonitor::run`] byte for byte; varying the budget between epochs
 /// is how the scheduler implements weighted fair shares.
@@ -851,7 +846,7 @@ impl<'a, B: ProbeTransport + WorldView + ?Sized> MonitorSession<'a, B> {
         // (Fast-hashed: this map is bumped once per churned observation, on
         // the merge side's hot path.)
         let mut epoch_density = FastMap::default();
-        let end = self.probe_pass(&mut engine, epoch, pps, &mut epoch_density);
+        let end_rate = self.probe_pass(&mut engine, epoch, pps, &mut epoch_density);
         let stopping = self.stop.as_ref().is_some_and(StopSignal::is_stopped);
         if more_follow {
             self.discovery_cycle(&mut engine, epoch, &epoch_density);
@@ -870,18 +865,7 @@ impl<'a, B: ProbeTransport + WorldView + ?Sized> MonitorSession<'a, B> {
         }
         self.next_epoch = epoch + 1;
         self.stopped = stopping;
-        // One producer's pacer is read live. P producers' pacers ended on
-        // their own slices, so the (deterministic) trajectory is replayed
-        // probe-free for the rate the single-producer run holds — but only
-        // the run's last epoch's rate is ever reported (the pacer restarts
-        // each epoch), so the replay is skipped everywhere else. Whether
-        // this was the last — final epoch, stop or exhaustion — is known
-        // only now, after the revision.
-        self.final_rate = if self.config.producers == 1 || self.is_done() {
-            end.final_rate()
-        } else {
-            pps
-        };
+        self.final_rate = end_rate;
         if self.is_done() {
             // Nothing will probe it again, and `finish` should not fold the
             // report on top of it.
@@ -894,7 +878,8 @@ impl<'a, B: ProbeTransport + WorldView + ?Sized> MonitorSession<'a, B> {
     /// epoch's windows at `pps`, through the engine's one pass call. What
     /// the monitor adds to the pass is its per-observation fold on the merge
     /// side — the epoch's per-/48 density state when the watch list churns,
-    /// and retention compaction as the window advances.
+    /// and retention compaction as the window advances. Returns the rate the
+    /// pass ended on.
     ///
     /// The target stream is the kept one — built here
     /// ([`Self::target_stream`]) when no earlier epoch of the standing watch
@@ -906,7 +891,7 @@ impl<'a, B: ProbeTransport + WorldView + ?Sized> MonitorSession<'a, B> {
         epoch: usize,
         pps: u64,
         epoch_density: &mut FastMap<Ipv6Prefix, DensityAccumulator>,
-    ) -> PassEnd<'a, B> {
+    ) -> u64 {
         if self.kept.is_none() {
             self.kept = Some(self.target_stream());
         }
@@ -923,9 +908,9 @@ impl<'a, B: ProbeTransport + WorldView + ?Sized> MonitorSession<'a, B> {
             interval: cfg.window_interval,
             tenant: self.tenant,
             // Each epoch's revised target set is paced from scratch.
-            feedback: cfg.rate_feedback.then_some(&cfg.queue_model),
+            queue_model: &cfg.queue_model,
         };
-        engine.run_pass(self.world, cfg.producers, pass, |router, obs| {
+        let (_, end_rate) = engine.run_pass(self.world, cfg.producers, pass, |router, obs| {
             if cfg.churn.is_some() {
                 epoch_density
                     .entry(obs.target_48())
@@ -940,7 +925,8 @@ impl<'a, B: ProbeTransport + WorldView + ?Sized> MonitorSession<'a, B> {
                     }
                 }
             }
-        })
+        });
+        end_rate
     }
 
     /// The boundary discovery cycle (nothing without
@@ -1305,14 +1291,13 @@ mod tests {
     }
 
     #[test]
-    fn rate_feedback_mode_completes_and_respects_budget() {
+    fn throttled_monitor_completes_and_respects_budget() {
         let engine = Engine::build(scenarios::continuous_world(41)).unwrap();
         let watched: Vec<Ipv6Prefix> = watched_48s(&engine).into_iter().take(2).collect();
         let monitor = StreamMonitor::new(MonitorConfig {
             windows: 2,
             shards: 2,
             packets_per_second: 128,
-            rate_feedback: true,
             queue_model: QueueModel {
                 drain_rate: Some(16),
                 high_watermark: 64,
@@ -1340,14 +1325,13 @@ mod tests {
     /// merged run is byte-identical to the single-producer run, including
     /// the deterministic `final_rate`.
     #[test]
-    fn rate_feedback_is_producer_invariant() {
+    fn throttled_monitor_is_producer_invariant() {
         let world = scenarios::continuous_world(41);
         let config = |producers: usize| MonitorConfig {
             windows: 3,
             shards: 2,
             producers,
             packets_per_second: 128,
-            rate_feedback: true,
             queue_model: QueueModel {
                 drain_rate: Some(16),
                 high_watermark: 64,
@@ -1365,7 +1349,9 @@ mod tests {
             single.final_rate < 128,
             "throttling must be non-vacuous for the equality to prove anything"
         );
-        for producers in [2usize, 4, 8] {
+        // Three does not divide the 512-position window, so the producer
+        // that probes the last position is not the last producer.
+        for producers in [2usize, 3, 4, 8] {
             let engine = Engine::build(world.clone()).unwrap();
             let mut sharded = StreamMonitor::new(config(producers))
                 .run(&engine, &watched)
@@ -1392,7 +1378,6 @@ mod tests {
             shards: 2,
             producers,
             packets_per_second: 128,
-            rate_feedback: true,
             window_interval: SimDuration::from_secs(1),
             queue_model: QueueModel {
                 high_watermark: 64,
@@ -1410,7 +1395,7 @@ mod tests {
             single.final_rate < 128,
             "a calibrated 10/s shard must throttle a 128 pps prober"
         );
-        for producers in [2usize, 4, 8] {
+        for producers in [2usize, 3, 4, 8] {
             let engine = Engine::build(world.clone()).unwrap();
             let mut sharded = StreamMonitor::new(config(producers))
                 .run(&engine, &watched)
@@ -1854,7 +1839,8 @@ mod tests {
 
     /// An unbounded queue model must leave the report identical to
     /// feedback-off — the `drain_rate = ∞` compatibility guarantee, at the
-    /// whole-monitor level.
+    /// whole-monitor level. The watermarks are not the default's: whether a
+    /// run paces against its model rests on the drain rates alone.
     #[test]
     fn unbounded_feedback_equals_feedback_off() {
         let world = scenarios::continuous_world(41);
@@ -1867,10 +1853,15 @@ mod tests {
         .run(&engine, &watched)
         .unwrap();
         let engine = Engine::build(world).unwrap();
+        let unbounded = QueueModel {
+            high_watermark: 7,
+            low_watermark: 3,
+            ..QueueModel::unbounded()
+        };
+        assert_ne!(unbounded, QueueModel::default());
         let mut on = StreamMonitor::new(MonitorConfig {
             windows: 2,
-            rate_feedback: true,
-            queue_model: QueueModel::unbounded(),
+            queue_model: unbounded,
             ..MonitorConfig::default()
         })
         .run(&engine, &watched)

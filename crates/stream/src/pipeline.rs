@@ -62,17 +62,15 @@ pub struct StreamConfig {
     /// `producers > 1`, where a message does carry 64: a producer can run up
     /// to `64 * channel_capacity` observations ahead of the merge.
     pub channel_capacity: usize,
-    /// Whether every phase's scan adapts its rate to the deterministic
-    /// virtual-queue model (AIMD against [`StreamConfig::queue_model`]).
-    /// Off by default: the fixed-rate trajectory matches the batch pipeline
-    /// bit for bit, which is what the batch ≡ streamed equivalence tests
-    /// assert. Feedback-on runs stay bit-reproducible — the signal is a pure
-    /// function of `(config, target order, virtual time)` — and remain
-    /// producer-count-invariant, but their send times (and therefore what a
-    /// time-varying world answers) may differ from the fixed-rate run's.
-    pub rate_feedback: bool,
-    /// The virtual-queue feedback model consulted when
-    /// [`StreamConfig::rate_feedback`] is on. Each phase's scan starts from
+    /// The virtual-queue model every phase's scan adapts its rate to (AIMD)
+    /// when the model can throttle ([`QueueModel::can_throttle`]). The
+    /// default ([`QueueModel::unbounded`]) cannot: the fixed-rate trajectory
+    /// matches the batch pipeline bit for bit, which is what the batch ≡
+    /// streamed equivalence tests assert. Throttling runs stay
+    /// bit-reproducible — the signal is a pure function of `(config, target
+    /// order, virtual time)` — and remain producer-count-invariant, but
+    /// their send times (and therefore what a time-varying world answers)
+    /// may differ from the fixed-rate run's. Each phase's scan starts from
     /// fresh (empty) queues — the drain epoch is the phase's scan start.
     pub queue_model: QueueModel,
 }
@@ -84,7 +82,6 @@ impl Default for StreamConfig {
             shards: 2,
             producers: 1,
             channel_capacity: 1024,
-            rate_feedback: false,
             queue_model: QueueModel::default(),
         }
     }
@@ -92,15 +89,14 @@ impl Default for StreamConfig {
 
 impl StreamConfig {
     /// Whether a run can honour this configuration: at least one shard and
-    /// one producer, non-zero channel capacity and — with
-    /// [`StreamConfig::rate_feedback`] on — ordered queue watermarks.
-    /// [`StreamPipeline::run`] asserts it.
+    /// one producer, non-zero channel capacity and ordered queue
+    /// watermarks. [`StreamPipeline::run`] asserts it.
     pub fn validate(&self) -> Result<(), ConfigError> {
         ConfigError::check_plane(
             self.shards,
             self.producers,
             self.channel_capacity,
-            self.rate_feedback.then_some(&self.queue_model),
+            &self.queue_model,
         )
     }
 }
@@ -148,7 +144,7 @@ impl StreamPipeline {
     /// [`StreamPipeline::run`] with a telemetry observer attached to every
     /// hook point: producer probe accounting, deterministic routing order,
     /// per-shard ingest progress, merge-side rate replay (when
-    /// [`StreamConfig::rate_feedback`] is on), one
+    /// [`StreamConfig::queue_model`] can throttle), one
     /// [`StreamObserver::on_phase_close`] per scan phase, and a wall-clock
     /// span for the whole run. `run` is exactly `run_observed(world, None)`,
     /// and the no-observer path pays one `None` branch per observation over
@@ -358,14 +354,9 @@ impl StreamPipeline {
             // that starts where the scan does, whatever window it is.
             interval: SimDuration::from_secs(0),
             tenant: 0,
-            feedback: self
-                .config
-                .rate_feedback
-                .then_some(&self.config.queue_model),
+            queue_model: &self.config.queue_model,
         };
-        let routed = engine
-            .run_pass(world, self.config.producers, pass, |_, _| {})
-            .routed;
+        let (routed, _) = engine.run_pass(world, self.config.producers, pass, |_, _| {});
         engine.router().dead_shard().is_none().then_some(routed)
     }
 }
@@ -410,7 +401,6 @@ mod tests {
             pipeline: small_config(),
             shards: 2,
             producers,
-            rate_feedback: true,
             queue_model: QueueModel {
                 drain_rate: Some(2_000),
                 high_watermark: 4_096,

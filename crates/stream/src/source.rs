@@ -265,30 +265,6 @@ impl<'a, T: ProbeTransport + ?Sized> ContinuousStream<'a, T> {
         }
         self.accounted = until;
     }
-
-    /// Replay the pacer trajectory of `windows` full windows without sending
-    /// a single probe: every position of every window is accounted as
-    /// foreign. After the call, [`ContinuousStream::rate`] is exactly the
-    /// rate a live (single- or multi-producer) run over the same windows
-    /// ends at — this is how the monitor reports a deterministic
-    /// `final_rate` when the producers ran on their own threads.
-    pub fn replay_windows(&mut self, windows: u64) {
-        debug_assert!(
-            self.entered.is_none() && self.accounted == 0,
-            "replay a fresh stream, not one already drawn from"
-        );
-        // Mirrors the live emission path exactly: each window's tail is
-        // fully accounted before the next window is entered, so
-        // enter-then-account per window is the same transition sequence.
-        // The first window is wherever the target stream starts (0 unless
-        // the stream is one epoch of a churning run).
-        let window_len = self.window_len() as u64;
-        let first = self.targets.current_window();
-        for window in first..first + windows {
-            self.enter_window(window);
-            self.account_to(window_len);
-        }
-    }
 }
 
 impl<T: ProbeTransport + ?Sized> ObservationSource for ContinuousStream<'_, T> {
@@ -689,13 +665,14 @@ mod tests {
     }
 
     /// The feedback-on continuous stream is producer-invariant across window
-    /// boundaries, and `replay_windows` lands on exactly the live run's
-    /// final rate.
+    /// boundaries, and the producer that probes a pass's last position —
+    /// `(L − 1) % P` of a window of `L` — ends on exactly the single
+    /// producer's rate: the engine reads a pass's end rate off it.
     #[test]
     fn feedback_continuous_stream_is_producer_invariant_and_replayable() {
         let engine = Engine::build(scenarios::continuous_world(9)).unwrap();
         let pool = engine.pools()[0].config.prefix;
-        let watched = [pool.nth_subnet(48, 0).unwrap()];
+        let watched = pool.nth_subnet(48, 0).unwrap();
         let start = SimTime::at(10, 9);
         let map = ShardMap::new(&engine.rib().entries(), 2);
         let model = QueueModel {
@@ -704,49 +681,44 @@ mod tests {
             low_watermark: 4,
             ..QueueModel::unbounded()
         };
-        let windows = 3u64;
-        let make = |k: usize, producers: usize| {
-            let targets = TargetStream::new(&TargetGenerator::new(4), &watched, 56, 11, true);
-            ContinuousStream::builder(&engine, targets)
-                .rate_pps(64)
-                .start(start)
-                .window_interval(SimDuration::from_secs(4))
-                .slice(k, producers)
-                .feedback(model.clone(), map.clone())
-                .build()
-        };
-        let drain = |producers: usize| {
-            let mut streams: Vec<_> = (0..producers).map(|k| make(k, producers)).collect();
-            let mut all = Vec::new();
-            for (k, stream) in streams.iter_mut().enumerate() {
-                let per_window = stream.slice_len() as u64;
-                for _ in 0..per_window * windows {
-                    all.push(stream.next_observation().unwrap());
+        let all = TargetGenerator::new(4).one_per_subnet(&watched, 56);
+        // Producers `k` of `producers` over `windows` windows of `targets`:
+        // the merged observations, and every producer's rate at its end.
+        let run = |targets: &TargetStream, producers: usize, windows: u64| {
+            let mut merged = Vec::new();
+            let mut rates = Vec::new();
+            for k in 0..producers {
+                let mut stream = ContinuousStream::builder(&engine, targets.clone())
+                    .rate_pps(64)
+                    .start(start)
+                    .window_interval(SimDuration::from_secs(4))
+                    .slice(k, producers)
+                    .feedback(model.clone(), map.clone())
+                    .build();
+                for _ in 0..stream.slice_len() as u64 * windows {
+                    merged.push(stream.next_observation().unwrap());
                 }
-                if k == (256 - 1) % producers {
-                    // The producer owning the last position of the final
-                    // window holds the trajectory's final rate.
-                    assert!(stream.rate() < 64, "drain 8/s must throttle 64 pps");
+                rates.push(stream.rate());
+            }
+            merged.sort_by_key(|o| (o.window, o.seq));
+            (merged, rates)
+        };
+        // Neither 3 nor 5 divides 256 or 91; 7 is fewer than 8 producers.
+        for len in [256, 91, 7] {
+            let targets = TargetStream::over(all[..len].to_vec(), 11, true);
+            for windows in [1, 3] {
+                let (single, live) = run(&targets, 1, windows);
+                if len == 256 {
+                    assert!(live[0] < 64, "non-vacuous: drain 8/s throttles 64 pps");
+                }
+                for producers in [2usize, 3, 5, 8] {
+                    let at = format!("len={len} windows={windows} producers={producers}");
+                    let (merged, rates) = run(&targets, producers, windows);
+                    assert_eq!(merged, single, "{at}");
+                    assert_eq!(rates[(len - 1) % producers], live[0], "{at}");
                 }
             }
-            all.sort_by_key(|o| (o.window, o.seq));
-            all
-        };
-        let single = drain(1);
-        for producers in [2usize, 4, 8] {
-            assert_eq!(drain(producers), single, "producers={producers}");
         }
-
-        // A probe-free replay of the same trajectory ends at the same rate
-        // and the same virtual instant as a full single-producer run.
-        let mut live = make(0, 1);
-        for _ in 0..256 * windows {
-            live.next_observation().unwrap();
-        }
-        let mut replay = make(0, 1);
-        replay.replay_windows(windows);
-        assert_eq!(replay.rate(), live.rate());
-        assert!(replay.rate() < 64, "non-vacuous: the model throttled");
     }
 
     #[test]

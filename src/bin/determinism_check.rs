@@ -25,7 +25,6 @@ fn main() -> Result<(), ScentError> {
         let report = Campaign::builder()
             .world(&engine)
             .max_48s_per_seed(128)
-            .rate_feedback(true)
             .queue_model(QueueModel {
                 drain_rate: Some(2_000),
                 high_watermark: 4_096,
@@ -57,7 +56,6 @@ fn main() -> Result<(), ScentError> {
             .world(&engine)
             .seed(0x57ae)
             .rate_pps(128)
-            .rate_feedback(true)
             .queue_model(QueueModel {
                 drain_rate: Some(16),
                 high_watermark: 64,
@@ -95,7 +93,6 @@ fn main() -> Result<(), ScentError> {
             .world(&engine)
             .seed(0x57ae)
             .rate_pps(128)
-            .rate_feedback(true)
             .queue_model(QueueModel {
                 drain_rate: Some(16),
                 high_watermark: 64,
@@ -136,7 +133,6 @@ fn main() -> Result<(), ScentError> {
             .world(&engine)
             .seed(0x57ae)
             .rate_pps(128)
-            .rate_feedback(true)
             .queue_model(QueueModel {
                 drain_rate: Some(16),
                 high_watermark: 64,
@@ -253,7 +249,6 @@ fn main() -> Result<(), ScentError> {
         windows: 3,
         producers: 4,
         packets_per_second: 128,
-        rate_feedback: true,
         queue_model: QueueModel {
             drain_rate: Some(16),
             high_watermark: 64,

@@ -69,7 +69,6 @@ fn main() -> Result<(), ScentError> {
         Campaign::builder()
             .world(&engine)
             .max_48s_per_seed(128)
-            .rate_feedback(true)
             .queue_model(QueueModel {
                 drain_rate: Some(2_000),
                 high_watermark: 4_096,
@@ -103,7 +102,6 @@ fn main() -> Result<(), ScentError> {
             .world(&engine)
             .seed(0x57ae)
             .rate_pps(128)
-            .rate_feedback(true)
             .queue_model(QueueModel {
                 drain_rate: Some(16),
                 high_watermark: 64,

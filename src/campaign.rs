@@ -40,10 +40,11 @@
 //! }
 //! ```
 //!
-//! AIMD rate feedback composes with sharded producers: the virtual-queue
-//! model is a pure function of the configuration and virtual time, so every
-//! producer replays the same rate trajectory and the run stays
-//! bit-reproducible at any producer count:
+//! A queue model with a finite drain rate turns on AIMD rate feedback, and
+//! it composes with sharded producers: the virtual-queue model is a pure
+//! function of the configuration and virtual time, so every producer replays
+//! the same rate trajectory and the run stays bit-reproducible at any
+//! producer count:
 //!
 //! ```
 //! use followscent::prober::QueueModel;
@@ -57,9 +58,8 @@
 //!         Campaign::builder()
 //!             .world(&engine)
 //!             .rate_pps(128)
-//!             .rate_feedback(true) // adapt to consumer capacity...
 //!             .queue_model(QueueModel {
-//!                 drain_rate: Some(16), // ...16 obs/s per shard...
+//!                 drain_rate: Some(16), // adapt to 16 obs/s per shard...
 //!                 high_watermark: 64,   // ...backing off at 64 queued...
 //!                 low_watermark: 8,     // ...recovering below 8
 //!                 ..QueueModel::unbounded()
@@ -173,7 +173,7 @@ pub enum CampaignMode {
         /// Number of inference shards.
         shards: usize,
         /// Number of probe producers each window's scan is split across.
-        /// Composes with [`CampaignBuilder::rate_feedback`] at any count:
+        /// Composes with [`CampaignBuilder::queue_model`] at any count:
         /// every producer replays the same deterministic virtual-queue rate
         /// trajectory.
         producers: usize,
@@ -227,7 +227,6 @@ impl Campaign {
                 window_interval: SimDuration::from_days(1),
                 start: None,
                 max_tracked: 8,
-                rate_feedback: false,
                 queue_model: QueueModel::default(),
                 retention_windows: None,
                 churn: None,
@@ -254,7 +253,6 @@ struct Settings {
     window_interval: SimDuration,
     start: Option<SimTime>,
     max_tracked: usize,
-    rate_feedback: bool,
     queue_model: QueueModel,
     retention_windows: Option<u64>,
     churn: Option<WatchChurn>,
@@ -365,26 +363,19 @@ impl<'t, W> CampaignBuilder<'t, W> {
         self
     }
 
-    /// Whether the prober adapts its virtual-time rate to the deterministic
-    /// virtual-queue model (default: off). Feedback-on runs are still
-    /// bit-reproducible — the AIMD signal is a pure function of the
-    /// configuration, the target order and virtual time, never of OS
-    /// scheduling — and compose with any producer count in
-    /// [`CampaignMode::Streamed`] and [`CampaignMode::Monitor`].
-    /// [`CampaignMode::Batch`] has no shards to model and ignores the
-    /// feedback signal, though the queue model is still validated (an
-    /// inverted-watermark model is rejected in every mode rather than
-    /// silently carried).
-    pub fn rate_feedback(mut self, rate_feedback: bool) -> Self {
-        self.settings.rate_feedback = rate_feedback;
-        self
-    }
-
-    /// The virtual-queue feedback model consulted when
-    /// [`CampaignBuilder::rate_feedback`] is on: per-shard drain rate plus
-    /// the depth watermarks for multiplicative back-off and additive
-    /// recovery (default: [`QueueModel::unbounded`], which leaves the
-    /// trajectory identical to feedback-off).
+    /// The deterministic virtual-queue model the prober adapts its
+    /// virtual-time rate to: per-shard drain rate plus the depth watermarks
+    /// for multiplicative back-off and additive recovery. The prober paces
+    /// against it exactly when it can throttle
+    /// ([`QueueModel::can_throttle`]); the default,
+    /// [`QueueModel::unbounded`], cannot and keeps the fixed rate.
+    /// Throttling runs are still bit-reproducible — the AIMD signal is a
+    /// pure function of the configuration, the target order and virtual
+    /// time, never of OS scheduling — and compose with any producer count
+    /// in [`CampaignMode::Streamed`] and [`CampaignMode::Monitor`].
+    /// [`CampaignMode::Batch`] has no shards to model and never throttles,
+    /// though the model is still validated (an inverted-watermark model is
+    /// rejected in every mode rather than silently carried).
     pub fn queue_model(mut self, queue_model: QueueModel) -> Self {
         self.settings.queue_model = queue_model;
         self
@@ -392,7 +383,7 @@ impl<'t, W> CampaignBuilder<'t, W> {
 
     /// Shorthand for [`CampaignBuilder::queue_model`] with the given
     /// per-shard drain rate (observations retired per virtual second) and
-    /// the default watermarks.
+    /// the default watermarks: the prober adapts its rate to it.
     pub fn drain_rate(mut self, drain_rate: u64) -> Self {
         self.settings.queue_model = QueueModel::with_drain_rate(drain_rate);
         self
@@ -576,7 +567,6 @@ impl<B: ProbeTransport + WorldView + ?Sized> CampaignBuilder<'_, &B> {
             shards,
             producers,
             channel_capacity: settings.channel_capacity,
-            rate_feedback: settings.rate_feedback,
             queue_model: settings.queue_model,
         };
         stream.validate()?;
@@ -609,7 +599,6 @@ impl<B: ProbeTransport + WorldView + ?Sized> CampaignBuilder<'_, &B> {
                     window_interval: settings.window_interval,
                     start: settings.start.unwrap_or(stream.pipeline.first_snapshot),
                     max_tracked: settings.max_tracked,
-                    rate_feedback: stream.rate_feedback,
                     queue_model: stream.queue_model,
                     retention_windows: settings.retention_windows,
                     churn: settings.churn,
@@ -676,7 +665,6 @@ mod tests {
 
         let err = Campaign::builder()
             .world(&engine)
-            .rate_feedback(true)
             .queue_model(scent_prober::QueueModel {
                 drain_rate: Some(16),
                 high_watermark: 8,

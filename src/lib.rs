@@ -47,9 +47,9 @@
 //! loop while keeping runs byte-identical at any producer count (see the
 //! [`campaign`] module's churn example). Adaptive probing composes with all
 //! of it:
-//! `.rate_feedback(true)` plus a
-//! [`QueueModel`](prober::QueueModel) make the probe rate adapt (AIMD) to a
-//! *deterministic virtual-queue* model of consumer capacity — a pure
+//! `.queue_model(..)` with a [`QueueModel`](prober::QueueModel) that has a
+//! finite drain rate (or `.drain_rate(n)`) makes the probe rate adapt (AIMD)
+//! to a *deterministic virtual-queue* model of consumer capacity — a pure
 //! function of the configuration and virtual time, so feedback-on runs stay
 //! bit-reproducible at any `shards × producers` configuration (see the
 //! [`campaign`] module example). Errors are typed end to end:

@@ -78,7 +78,7 @@ fn run_monitor<B: ProbeTransport + WorldView + ?Sized>(
         });
     }
     if feedback {
-        builder = builder.rate_feedback(true).queue_model(throttling_model());
+        builder = builder.queue_model(throttling_model());
     }
     if let Some(stop) = stop {
         builder = builder.stop_signal(stop);
@@ -335,7 +335,6 @@ fn exhaustion_boundary_snapshot_resumes_to_the_same_report() {
         granularity: 56,
         windows: 6,
         start: SimTime::at(10, 9),
-        rate_feedback: true,
         queue_model: throttling_model(),
         churn: Some(WatchChurn {
             refresh_every: 1,

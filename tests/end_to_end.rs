@@ -268,7 +268,6 @@ fn a_rotation_event_key_names_one_event() {
     let steady = Campaign::builder()
         .world(&engine)
         .rate_pps(128)
-        .rate_feedback(true)
         .queue_model(throttled.clone())
         .watch(watched.collect::<Vec<_>>());
     events_are_unique(steady, 2);
@@ -278,7 +277,6 @@ fn a_rotation_event_key_names_one_event() {
     let churning = Campaign::builder()
         .world(&engine)
         .rate_pps(128)
-        .rate_feedback(true)
         .queue_model(throttled)
         .watch(vec![dense, engine.pools()[1].config.prefix])
         .watch_churn(churn);

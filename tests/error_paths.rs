@@ -425,27 +425,29 @@ fn every_campaign_error_variant_is_reachable_from_the_builder() {
                 .unwrap_err(),
             ConfigError::ZeroExpansionBudget.into(),
         ),
-        (
-            Campaign::builder()
-                .world(&engine)
-                .watch(watched)
-                .rate_feedback(true)
-                .queue_model(followscent::prober::QueueModel {
-                    drain_rate: Some(8),
-                    high_watermark: 4,
-                    low_watermark: 4,
-                    ..followscent::prober::QueueModel::unbounded()
-                })
-                .mode(CampaignMode::Monitor {
-                    windows: 2,
-                    shards: 2,
-                    producers: 4,
-                })
-                .run()
-                .unwrap_err(),
-            ConfigError::InvalidQueueModel.into(),
-        ),
     ];
+    // Inverted watermarks are refused whether or not the model can
+    // throttle: an unbounded one is never run, but never carried either.
+    let inverted = [Some(8), None].map(|drain_rate| {
+        let err = Campaign::builder()
+            .world(&engine)
+            .watch(watched.clone())
+            .queue_model(followscent::prober::QueueModel {
+                drain_rate,
+                high_watermark: 4,
+                low_watermark: 4,
+                ..followscent::prober::QueueModel::unbounded()
+            })
+            .mode(CampaignMode::Monitor {
+                windows: 2,
+                shards: 2,
+                producers: 4,
+            })
+            .run()
+            .unwrap_err();
+        (err, ConfigError::InvalidQueueModel.into())
+    });
+    let cases = cases.into_iter().chain(inverted);
 
     for (err, expected) in cases {
         assert_eq!(err, ScentError::Campaign(expected));

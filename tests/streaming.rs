@@ -220,7 +220,6 @@ fn monitor_feedback<B: ProbeTransport + WorldView + ?Sized>(
         .world(world)
         .seed(0x57ae)
         .rate_pps(128)
-        .rate_feedback(true)
         .queue_model(model)
         .watch(watched.to_vec())
         .monitor_granularity(56)
@@ -290,7 +289,6 @@ fn feedback_on_pipeline_is_producer_invariant_on_live_and_recorded_backends() {
             Campaign::builder()
                 .world(world)
                 .pipeline_config(small_config())
-                .rate_feedback(true)
                 .queue_model(QueueModel {
                     drain_rate: Some(2_000),
                     high_watermark: 4_096,
@@ -407,7 +405,6 @@ fn monitor_churn_feedback<B: ProbeTransport + WorldView + ?Sized>(
         .world(world)
         .seed(0x57ae)
         .rate_pps(128)
-        .rate_feedback(true)
         .queue_model(throttling_model())
         .watch(watched.to_vec())
         .watch_churn(churn)

@@ -52,7 +52,6 @@ fn observed_monitor<B: ProbeTransport + WorldView + ?Sized>(
         .world(world)
         .seed(0x57ae)
         .rate_pps(128)
-        .rate_feedback(true)
         .queue_model(throttling_model())
         .watch(watched.to_vec())
         .monitor_granularity(56)
@@ -173,7 +172,6 @@ fn telemetry_counters_match_the_monitor_report() {
         .world(&engine)
         .seed(0x57ae)
         .rate_pps(128)
-        .rate_feedback(true)
         .queue_model(throttling_model())
         .watch(watched)
         .watch_churn(WatchChurn {
