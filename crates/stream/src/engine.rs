@@ -496,7 +496,8 @@ impl<'a> IngestEngine<'a> {
         let observer = self.observer;
         let replica = feedback.as_ref().zip(observer).map(|((model, map), _)| {
             let (model, map) = (model.clone(), map.clone());
-            RateReplica::continuous(pass.start, pass.rate_pps, model, map, pass.interval)
+            let first = pass.targets.current_window();
+            RateReplica::continuous(pass.start, first, pass.rate_pps, model, map, pass.interval)
         });
         // The streams are lent to the drive, so their pacers are still here
         // afterwards.

@@ -58,7 +58,9 @@ use crate::shard::ShardInference;
 /// across producer counts and across live vs. recorded-replay backends.
 /// Note that when [`MonitorConfig::queue_model`] can throttle, the
 /// virtual-queue trajectory restarts at the configured budget at every epoch
-/// boundary (each epoch's revised target set is paced from scratch).
+/// boundary (each epoch's revised target set is paced from scratch, its
+/// queues empty and their drain clock starting at the epoch's first
+/// window).
 ///
 /// The scent can dry up: when every watched /48 goes quiet in one epoch and
 /// the boundary expansion validates nothing, the revision leaves the watch
@@ -182,8 +184,9 @@ pub struct MonitorConfig {
     /// This knob shapes the run's *epoch layout* when churn is off: the run
     /// is split into `checkpoint_every`-window epochs so a boundary exists
     /// to checkpoint at. When [`MonitorConfig::queue_model`] can throttle
-    /// that is behavior-relevant (the AIMD trajectory restarts each epoch), which is
-    /// why this field participates in the snapshot's config fingerprint.
+    /// that is behavior-relevant (the AIMD trajectory restarts each epoch),
+    /// which is why this field participates in the snapshot's config
+    /// fingerprint.
     /// With churn on, must be a multiple of [`WatchChurn::refresh_every`].
     pub checkpoint_every: Option<u64>,
     /// Fault injection for the panic-propagation tests: when set, the given
@@ -505,8 +508,9 @@ impl StreamMonitor {
 /// release, the re-expansion and watch-list revision — and only the
 /// per-shard states leave it, for the workers and back; the boundary stages
 /// run at every boundary but the run's last, at one boundary time, and every
-/// epoch stores the rate its pass ended on. Driving a fresh session to completion at a
-/// constant budget of [`MonitorConfig::packets_per_second`] reproduces
+/// epoch stores the rate its pass ended on. Driving a fresh session to
+/// completion at a constant budget of [`MonitorConfig::packets_per_second`]
+/// reproduces
 /// [`StreamMonitor::run`] byte for byte; varying the budget between epochs
 /// is how the scheduler implements weighted fair shares.
 ///
@@ -1403,6 +1407,40 @@ mod tests {
             sharded.backpressure_stalls = single.backpressure_stalls;
             assert_eq!(single, sharded, "producers={producers}");
         }
+    }
+
+    /// Each epoch's pacer and virtual queues start at the epoch's own first
+    /// window. A window's positions and their shards are the same every
+    /// window, so three one-window epochs a day apart each replay the first
+    /// one's trajectory and end on its rate. A drain clock started at the
+    /// run's start would give the third epoch two days of drain credit, and
+    /// it would end unthrottled.
+    #[test]
+    fn every_epoch_restarts_the_drain_clock() {
+        let engine = Engine::build(scenarios::continuous_world(41)).unwrap();
+        let watched: Vec<Ipv6Prefix> = watched_48s(&engine).into_iter().take(2).collect();
+        let final_rate = |windows: u64| {
+            let config = MonitorConfig {
+                windows,
+                shards: 2,
+                packets_per_second: 128,
+                queue_model: QueueModel {
+                    drain_rate: Some(16),
+                    high_watermark: 64,
+                    low_watermark: 8,
+                    ..QueueModel::unbounded()
+                },
+                checkpoint_every: Some(1),
+                ..MonitorConfig::default()
+            };
+            StreamMonitor::new(config)
+                .run(&engine, &watched)
+                .unwrap()
+                .final_rate
+        };
+        let one = final_rate(1);
+        assert!(one < 128, "non-vacuous: one window throttles");
+        assert_eq!(final_rate(3), one);
     }
 
     #[test]

@@ -23,6 +23,7 @@ use scent_telemetry::StreamObserver;
 
 use crate::observation::Observation;
 use crate::router::ShardMap;
+use crate::source::window_start;
 
 /// A merge-side replica of the producers' virtual-queue pacer (see the
 /// [module docs](self)).
@@ -46,16 +47,20 @@ impl RateReplica {
     /// A replica of a [`ContinuousStream`](crate::source::ContinuousStream)'s
     /// pacer with feedback attached. `first_start` and `window_interval`
     /// must match the live stream's so window entries advance the replica to
-    /// the same nominal starts.
+    /// the same nominal starts, and `first_window` must be the window the
+    /// live stream starts at: like the stream's, the replica's pacer and
+    /// drain clock start at that window's nominal start.
     pub fn continuous(
         first_start: SimTime,
+        first_window: u64,
         packets_per_second: u64,
         model: QueueModel,
         map: ShardMap,
         window_interval: SimDuration,
     ) -> Self {
+        let born = window_start(first_start, window_interval, first_window);
         RateReplica {
-            pacer: QueuePacer::new(first_start, packets_per_second, map.shards(), model),
+            pacer: QueuePacer::new(born, packets_per_second, map.shards(), model),
             map,
             first_start,
             window_interval,
@@ -77,8 +82,7 @@ impl RateReplica {
         if self.entered != Some(obs.window) {
             // Mirrors `ContinuousStream::enter_window`: advance to the
             // window's nominal start, never probing back in time.
-            let nominal = self.first_start
-                + SimDuration::from_secs(self.window_interval.as_secs() * obs.window);
+            let nominal = window_start(self.first_start, self.window_interval, obs.window);
             self.pacer.advance_to(nominal);
             self.entered = Some(obs.window);
         }
@@ -137,7 +141,7 @@ mod tests {
             .build();
 
         let telemetry = Telemetry::new();
-        let mut replica = RateReplica::continuous(start, 128, model, map, interval);
+        let mut replica = RateReplica::continuous(start, 0, 128, model, map, interval);
         let total = stream.window_len() * 2;
         for _ in 0..total {
             let obs = stream.next_observation().expect("infinite stream");

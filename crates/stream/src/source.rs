@@ -116,8 +116,9 @@ impl<'a, T: ProbeTransport + ?Sized> ContinuousStreamBuilder<'a, T> {
         self
     }
 
-    /// Virtual time of window 0 (default: day 0, hour 0) — also where the
-    /// pacer, and with feedback on the virtual queues' drain clock, starts.
+    /// Virtual time of window 0 (default: day 0, hour 0). The pacer, and
+    /// with feedback on the virtual queues' drain clock, start at the
+    /// stream's first window ([`ContinuousStreamBuilder::build`]).
     pub fn start(mut self, first_start: SimTime) -> Self {
         self.first_start = first_start;
         self
@@ -163,19 +164,21 @@ impl<'a, T: ProbeTransport + ?Sized> ContinuousStreamBuilder<'a, T> {
     /// `start + w * window_interval` (and no earlier than the pacer's own
     /// clock — a stream throttled below the window budget simply runs late,
     /// it never probes back in time).
+    ///
+    /// The pacer, and with feedback its virtual queues' drain clock, start
+    /// at the nominal start of the stream's first window (the window its
+    /// target stream is positioned at): a stream that begins at window `w`
+    /// has no drain credit for the windows before it.
     pub fn build(self) -> ContinuousStream<'a, T> {
+        let born = window_start(
+            self.first_start,
+            self.window_interval,
+            self.targets.current_window(),
+        );
         let pacing = match self.feedback {
-            None => ContinuousPacing::Fixed(FeedbackPacer::new(
-                self.first_start,
-                self.packets_per_second,
-            )),
+            None => ContinuousPacing::Fixed(FeedbackPacer::new(born, self.packets_per_second)),
             Some((model, map)) => ContinuousPacing::Queue {
-                pacer: QueuePacer::new(
-                    self.first_start,
-                    self.packets_per_second,
-                    map.shards(),
-                    model,
-                ),
+                pacer: QueuePacer::new(born, self.packets_per_second, map.shards(), model),
                 shard_of_pos: continuous_seq_shards(&map, &self.targets),
             },
         };
@@ -237,8 +240,7 @@ impl<'a, T: ProbeTransport + ?Sized> ContinuousStream<'a, T> {
     /// (never probing back in time). Foreign positions ahead of this
     /// producer's first are skipped lazily by the emission path.
     fn enter_window(&mut self, window: u64) {
-        let nominal =
-            self.first_start + SimDuration::from_secs(self.window_interval.as_secs() * window);
+        let nominal = window_start(self.first_start, self.window_interval, window);
         match &mut self.pacing {
             ContinuousPacing::Fixed(pacer) => pacer.advance_to(nominal),
             ContinuousPacing::Queue { pacer, .. } => pacer.advance_to(nominal),
@@ -310,6 +312,11 @@ impl<T: ProbeTransport + ?Sized> ObservationSource for ContinuousStream<'_, T> {
             response,
         })
     }
+}
+
+/// The nominal start of `window`: `first_start + window × interval`.
+pub(crate) fn window_start(first_start: SimTime, interval: SimDuration, window: u64) -> SimTime {
+    first_start + SimDuration::from_secs(interval.as_secs() * window)
 }
 
 /// The position → shard table of a continuous stream's windows: entry `p` is
@@ -507,9 +514,10 @@ mod tests {
     /// A scan pass tagged window 1 — the pipeline's second detection
     /// snapshot — paces exactly like window 0's pass, shifted by its own
     /// start: fresh queues, and a drain clock that starts where the pass
-    /// does. Built instead as window 1 of a stream that started a day
-    /// earlier, the virtual queues have a day of drain credit before the
-    /// first probe and the throttle never bites.
+    /// does. Built instead as window 1 of a stream whose window 0 started a
+    /// day earlier — a monitor epoch that starts at window 1 — it paces the
+    /// same: the drain clock starts at the stream's first window, so the
+    /// queues get no day of drain credit.
     #[test]
     fn throttled_feedback_pass_at_window_one_is_window_zero_shifted() {
         let engine = Engine::build(scenarios::entel_like(5)).unwrap();
@@ -537,8 +545,8 @@ mod tests {
         assert_eq!(window_one, window_zero);
         assert_eq!(rate_one, rate_zero);
 
-        // The day-early drain clock: same window, same nominal start, but
-        // the pacer was born at window 0's start.
+        // The day-early construction: same window, same nominal start,
+        // window 0 a day before it.
         let order = TargetStream::over(targets.clone(), 7, true).starting_at_window(1);
         let mut early = ContinuousStream::builder(&engine, order)
             .rate_pps(64)
@@ -547,8 +555,8 @@ mod tests {
             .feedback(throttling_model(), map.clone())
             .build();
         let (day_early, rate_early) = offsets(&mut early, first + day);
-        assert_eq!(rate_early, 64, "a day of drain credit: never throttled");
-        assert_ne!(day_early, window_zero);
+        assert_eq!(rate_early, rate_zero);
+        assert_eq!(day_early, window_zero);
     }
 
     /// Regression: an observation emitted exactly on a window boundary (the

@@ -446,14 +446,13 @@ fn churn_with_feedback_is_producer_invariant_on_live_and_recorded_backends() {
     let recorder = RecordingBackend::new(&engine);
     let reference = run(&recorder, 1);
     let replay = RecordedBackend::from_log(recorder.finish());
-    // The virtual queues drain across the one-day inter-window gaps and the
-    // churned pacer restarts each epoch, so the *final* epoch ends back at
-    // the configured budget — deterministically. The feedback model still
-    // has teeth here: the first window's AIMD back-off stretches its send
-    // times, and the recorded replay is keyed on (target, send second), so
-    // any producer diverging from the single-producer trajectory would make
-    // the replay lookups miss and the reports differ below.
-    assert_eq!(reference.final_rate, 128);
+    // The churned pacer restarts each epoch, its drain clock at the epoch's
+    // own first window, so the *final* epoch throttles too. Every window's
+    // AIMD back-off stretches its send times, and the recorded replay is
+    // keyed on (target, send second), so any producer diverging from the
+    // single-producer trajectory would make the replay lookups miss and the
+    // reports differ below.
+    assert!(reference.final_rate < 128, "the final epoch throttled");
     assert!(
         reference.revisions.iter().any(|r| !r.is_noop()),
         "churn must fire under feedback too"
