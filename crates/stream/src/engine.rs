@@ -491,7 +491,9 @@ impl<'a> IngestEngine<'a> {
         }
         // A model that cannot throttle paces like the fixed rate: feedback
         // is on exactly when it can.
-        let feedback = (pass.queue_model.can_throttle())
+        let feedback = pass
+            .queue_model
+            .can_throttle()
             .then(|| (pass.queue_model.clone(), self.router.map().clone()));
         let observer = self.observer;
         let replica = feedback.as_ref().zip(observer).map(|((model, map), _)| {
