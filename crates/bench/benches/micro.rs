@@ -4,8 +4,10 @@
 //! target generation, ICMPv6 serialization, and the simulated-engine probe
 //! path (one pool in list order under `engine/probe`, a probe pass's
 //! permuted targets under `engine/probe_permuted`, the slot → device step
-//! alone under `population/`), and the rotation detector over a monitor
-//! epoch's targets (`detector/`).
+//! alone under `population/`), the seed traceroute over the same pool (the
+//! hop list under `engine/trace`, the last hop the seed campaign keeps under
+//! `engine/last_hop`), and the rotation detector over a monitor epoch's
+//! targets (`detector/`).
 
 use std::net::Ipv6Addr;
 
@@ -144,6 +146,12 @@ fn bench_engine_probe(c: &mut Criterion) {
         b.iter(|| {
             i = (i + 1) % targets.len();
             engine.trace(black_box(targets[i]), t, 32)
+        })
+    });
+    c.bench_function("engine/last_hop", |b| {
+        b.iter(|| {
+            i = (i + 1) % targets.len();
+            engine.last_hop(black_box(targets[i]), t, 32)
         })
     });
 }

@@ -72,6 +72,13 @@ pub trait ProbeTransport: Sync {
 
     /// Run a hop-limited traceroute toward `target`.
     fn trace(&self, target: Ipv6Addr, t: SimTime, max_hops: u8) -> Vec<TraceHop>;
+
+    /// The last responsive hop of [`trace`](ProbeTransport::trace)`(target,
+    /// t, max_hops)`, as [`TraceRecord::from_hops`] derives it. A backend
+    /// that can find it without building the hop list overrides this.
+    fn last_hop(&self, target: Ipv6Addr, t: SimTime, max_hops: u8) -> Option<Ipv6Addr> {
+        TraceRecord::from_hops(target, self.trace(target, t, max_hops)).last_hop
+    }
 }
 
 /// The control-plane side of a measurement backend: where the measurement
@@ -111,6 +118,10 @@ impl ProbeTransport for Engine {
     fn trace(&self, target: Ipv6Addr, t: SimTime, max_hops: u8) -> Vec<TraceHop> {
         Engine::trace(self, target, t, max_hops)
     }
+
+    fn last_hop(&self, target: Ipv6Addr, t: SimTime, max_hops: u8) -> Option<Ipv6Addr> {
+        Engine::last_hop(self, target, t, max_hops)
+    }
 }
 
 impl WorldView for Engine {
@@ -134,7 +145,7 @@ impl WorldView for Engine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use scent_simnet::scenarios;
+    use scent_simnet::{scenarios, CpeId};
 
     #[test]
     fn dyn_measurement_backend_probes_and_views() {
@@ -152,5 +163,48 @@ mod tests {
             backend.trace(target, t, 32).len(),
             engine.trace(target, t, 32).len()
         );
+    }
+
+    /// The engine's `last_hop` is the trace's last responsive hop, across
+    /// hop limits below, at and above the core depth, with hops lost, for
+    /// targets in pools, in announced space no pool holds and off the RIB.
+    #[test]
+    fn engine_last_hop_is_the_traces_last_hop() {
+        let mut world = scenarios::versatel_like(3);
+        world.providers[0].loss = 0.3;
+        let engine = Engine::build(world).unwrap();
+        let core_hops = engine.config().providers[0].core_hops;
+        let generator = TargetGenerator::new(5);
+        let announced = engine.rib().entries()[0].prefix;
+        let outside_pools: Vec<Ipv6Addr> = (generator.one_per_subnet(&announced, 44).into_iter())
+            .filter(|&a| engine.pools().iter().all(|p| !p.config.prefix.contains(a)))
+            .take(40)
+            .collect();
+        let off_rib = ["3fff::1", "2a02:1234::1"].map(|a| a.parse::<Ipv6Addr>().unwrap());
+
+        let (mut answered, mut lost_top) = (0, 0);
+        for hour in [2u64, 4, 12] {
+            let t = SimTime::at(3, hour);
+            // Inside the delegations devices hold now, and beside them.
+            let in_pools = (0..engine.pools().len() as u32)
+                .flat_map(|pool| (0..20).map(move |index| CpeId { pool, index }))
+                .filter_map(|id| engine.current_delegation(id, t))
+                .flat_map(|d| [d.addr_with_host_bits(0x1234), d.last_address()]);
+            let targets: Vec<Ipv6Addr> = (in_pools.chain(outside_pools.iter().copied()))
+                .chain(off_rib)
+                .collect();
+            for &target in &targets {
+                for max_hops in [0, core_hops - 1, core_hops, core_hops + 1, 32] {
+                    let hops = engine.trace(target, t, max_hops);
+                    let expected = TraceRecord::from_hops(target, hops.clone()).last_hop;
+                    assert_eq!(engine.last_hop(target, t, max_hops), expected);
+                    let backend: &dyn MeasurementBackend = &engine;
+                    assert_eq!(backend.last_hop(target, t, max_hops), expected);
+                    answered += usize::from(hops.len() > core_hops as usize);
+                    lost_top += usize::from(hops.last().is_some_and(|h| h.addr.is_none()));
+                }
+            }
+        }
+        assert!(answered > 0 && lost_top > 0, "{answered} {lost_top}");
     }
 }

@@ -89,8 +89,7 @@ impl SeedCampaign {
                 let h = hash2(seed, sub48.network_bits() as u64, 0x7365_6564);
                 let host_bits = ((h as u128) << 64) | hash2(seed, h, 1) as u128;
                 let target = sub48.addr_with_host_bits(host_bits);
-                let trace = crate::TraceRecord::from_hops(target, backend.trace(target, t, 32));
-                if let Some(last_hop) = trace.last_hop {
+                if let Some(last_hop) = backend.last_hop(target, t, 32) {
                     entries.push(SeedEntry {
                         target_48: sub48,
                         last_hop,

@@ -6,9 +6,11 @@
 //! target, which for targets inside customer delegations is the CPE WAN
 //! interface — so a [`TraceRecord`] keeps one
 //! [`ProbeTransport::trace`](crate::ProbeTransport::trace) hop list plus the
-//! last responsive hop derived from it. The seed campaign
-//! ([`SeedCampaign`](crate::SeedCampaign)) and the record/replay backends are
-//! the walkers; this module is their shared record shape.
+//! last responsive hop derived from it. The record/replay backends store
+//! it; the seed campaign ([`SeedCampaign`](crate::SeedCampaign)) asks a
+//! backend for the last hop alone
+//! ([`ProbeTransport::last_hop`](crate::ProbeTransport::last_hop)), whose
+//! default derives it here.
 
 use std::net::Ipv6Addr;
 

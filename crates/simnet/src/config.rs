@@ -7,6 +7,7 @@ use scent_bgp::{Asn, CountryCode};
 use scent_ipv6::{Ipv6Prefix, MacAddr};
 
 use crate::error::{PoolError, WorldError};
+use crate::time::{SECS_PER_DAY, SECS_PER_HOUR};
 
 /// How initial allocation slots are assigned to the customers of a pool.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -60,6 +61,30 @@ impl RotationPolicy {
     pub fn rotates(&self) -> bool {
         !matches!(self, RotationPolicy::Static)
     }
+
+    /// A rotating policy's schedule in seconds: `(period, offset of the
+    /// rotation hour into the day, jitter bound)`; `None` for
+    /// [`RotationPolicy::Static`]. A period of 0 days counts as 1.
+    pub(crate) fn schedule_secs(&self) -> Option<(u64, u64, u64)> {
+        match *self {
+            RotationPolicy::Static => None,
+            RotationPolicy::DailyIncrement {
+                period_days,
+                hour,
+                jitter_hours,
+                ..
+            }
+            | RotationPolicy::PeriodicRandom {
+                period_days,
+                hour,
+                jitter_hours,
+            } => Some((
+                period_days.max(1).saturating_mul(SECS_PER_DAY),
+                u64::from(hour) * SECS_PER_HOUR,
+                u64::from(jitter_hours) * SECS_PER_HOUR,
+            )),
+        }
+    }
 }
 
 /// One rotation pool of a provider: a block of address space within which a
@@ -108,6 +133,24 @@ impl RotationPoolConfig {
             return Err(PoolError::OccupancyOutOfRange {
                 occupancy: self.occupancy,
             });
+        }
+        if let RotationPolicy::DailyIncrement {
+            period_days,
+            jitter_hours,
+            ..
+        }
+        | RotationPolicy::PeriodicRandom {
+            period_days,
+            jitter_hours,
+            ..
+        } = self.rotation
+        {
+            if u64::from(jitter_hours) > period_days.max(1).saturating_mul(24) {
+                return Err(PoolError::JitterExceedsPeriod {
+                    jitter_hours,
+                    period_days,
+                });
+            }
         }
         Ok(())
     }

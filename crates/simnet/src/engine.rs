@@ -25,6 +25,7 @@ use scent_ipv6::{addr_to_u128, Eui64, Ipv6Prefix};
 use crate::config::{ProviderConfig, RotationPolicy, WorldConfig};
 use crate::det::{coin, hash2, hash3, mod_inverse_pow2};
 use crate::error::WorldError;
+use crate::pool_index::PoolIndex;
 use crate::population::{CpeId, CpeRecord, PoolPopulation};
 use crate::time::SimTime;
 
@@ -77,11 +78,13 @@ pub struct Engine {
     config: WorldConfig,
     rib: Rib,
     as_registry: AsRegistry,
-    pool_table: PrefixTable<usize>,
+    /// Target → global pool index, one lookup keyed by the target's /48.
+    pool_index: PoolIndex,
     pools: Vec<PoolPopulation>,
-    /// Origin AS → provider index (`validate` rejects a repeated ASN): how
-    /// a traceroute finds its provider from the RIB entry.
-    provider_of_asn: HashMap<Asn, usize>,
+    /// The RIB's own entries with each origin AS resolved to its provider
+    /// index (`validate` rejects a repeated ASN): how a traceroute finds
+    /// its provider in one longest-prefix match.
+    provider_table: PrefixTable<usize>,
     vantage: Ipv6Addr,
     rate_state: Mutex<HashMap<(u32, u32), (u64, u32)>>,
 }
@@ -94,12 +97,9 @@ impl Engine {
 
         let mut rib = Rib::new();
         let mut as_registry = AsRegistry::new();
-        let mut pool_table = PrefixTable::new();
         let mut pools = Vec::new();
-        let mut provider_of_asn = HashMap::new();
 
         for (provider_idx, provider) in config.providers.iter().enumerate() {
-            provider_of_asn.insert(provider.asn, provider_idx);
             for announced in &provider.announced {
                 rib.announce(*announced, provider.asn);
             }
@@ -111,23 +111,26 @@ impl Engine {
             for (pool_idx, pool_cfg) in provider.pools.iter().enumerate() {
                 let population =
                     PoolPopulation::build(&config, provider_idx, provider, pool_idx, pool_cfg);
-                let global_idx = pools.len();
-                if pool_table.insert(pool_cfg.prefix, global_idx).is_some() {
-                    return Err(WorldError::DuplicatePoolPrefix {
-                        prefix: pool_cfg.prefix,
-                    });
-                }
                 pools.push(population);
             }
         }
+        let prefixes: Vec<Ipv6Prefix> = pools.iter().map(|pool| pool.config.prefix).collect();
+        let pool_index = PoolIndex::new(&prefixes)
+            .map_err(|prefix| WorldError::DuplicatePoolPrefix { prefix })?;
+        let provider_of_asn: HashMap<Asn, usize> = (config.providers.iter().enumerate())
+            .map(|(idx, provider)| (provider.asn, idx))
+            .collect();
+        let provider_table = (rib.entries().into_iter())
+            .map(|entry| (entry.prefix, provider_of_asn[&entry.origin]))
+            .collect();
 
         Ok(Engine {
             config,
             rib,
             as_registry,
-            pool_table,
+            pool_index,
             pools,
-            provider_of_asn,
+            provider_table,
             vantage: "2a01:7e00:ffff::1".parse().expect("static vantage address"),
             rate_state: Mutex::new(HashMap::new()),
         })
@@ -251,25 +254,28 @@ impl Engine {
             .expect("allocation length validated at build time");
         let slot = pop.config.prefix.subnet_index(&alloc)? as u64;
         let n_slots = pop.config.num_slots();
+        let policy = &pop.config.rotation;
 
-        // Candidate rotation counts: devices that have already rotated today
-        // versus devices still waiting out their jitter.
-        let (r_lo, r_hi) = rotation_bounds(&pop.config.rotation, t);
+        // Candidate rotation counts: devices that have already rotated in
+        // this period versus devices still waiting out their jitter — both,
+        // and the hit's own count, from one quotient.
+        let phase = rotation_phase(policy, t.as_secs());
+        let max_jitter = phase.map_or(0, |(_, _, max_jitter)| max_jitter);
+        let (r_lo, r_hi) = (rotations_in(phase, max_jitter), rotations_in(phase, 0));
         let day = t.day();
 
         let mut hit: Option<(usize, &CpeRecord, u64)> = None;
         for r in candidate_rotations(r_lo, r_hi) {
-            let initial = inverse_slot(&pop.config.rotation, pop.pool_seed, slot, n_slots, r);
+            let initial = inverse_slot(policy, pop.pool_seed, slot, n_slots, r);
             if let Some((idx, cpe)) = pop.by_initial_slot(initial) {
-                let r_cpe = rotations_at(&pop.config.rotation, cpe.jitter_secs as u64, t.as_secs());
-                let actual = slot_at(
-                    &pop.config.rotation,
-                    pop.pool_seed,
-                    cpe.initial_slot,
-                    n_slots,
-                    r_cpe,
-                );
-                if actual == slot && cpe.active_on(day) {
+                let jitter = cpe.jitter_secs as u64;
+                let r_cpe = rotations_in(phase, jitter);
+                debug_assert_eq!(r_cpe, rotations_at(policy, jitter, t.as_secs()));
+                // At the count that was inverted the device holds `slot` by
+                // construction; only another count needs the forward map.
+                let holds = r_cpe == r
+                    || slot_at(policy, pop.pool_seed, cpe.initial_slot, n_slots, r_cpe) == slot;
+                if holds && cpe.active_on(day) {
                     hit = Some((idx, cpe, r_cpe));
                     break;
                 }
@@ -365,32 +371,16 @@ impl Engine {
     /// final hop with its WAN address — the periphery observable of the
     /// paper's seed (CAIDA traceroute) data.
     pub fn trace(&self, target: Ipv6Addr, t: SimTime, max_hops: u8) -> Vec<TraceHop> {
-        let mut hops = Vec::new();
-        let Some(entry) = self.rib.lookup(target) else {
-            return hops;
+        let Some(provider) = self.provider_of(target) else {
+            return Vec::new();
         };
-        let Some(&provider_idx) = self.provider_of_asn.get(&entry.origin) else {
-            return hops;
-        };
-        let provider = &self.config.providers[provider_idx];
         let core_hops = provider.core_hops.min(max_hops);
-        for ttl in 1..=core_hops {
-            let lost = coin(
-                hash3(
-                    self.config.seed,
-                    addr_to_u128(target) as u64,
-                    ttl as u64 ^ t.as_secs(),
-                    0x7472_6163, // "trac"
-                ),
-                provider.loss,
-            );
-            let addr = if lost {
-                None
-            } else {
-                Some(core_router_address(provider, ttl))
-            };
-            hops.push(TraceHop { ttl, addr });
-        }
+        let mut hops: Vec<TraceHop> = (1..=core_hops)
+            .map(|ttl| TraceHop {
+                ttl,
+                addr: self.core_hop(provider, target, t, ttl),
+            })
+            .collect();
         if core_hops < max_hops {
             if let Some(reply) = self.probe(target, t) {
                 hops.push(TraceHop {
@@ -402,8 +392,52 @@ impl Engine {
         hops
     }
 
+    /// The last responsive hop of [`Engine::trace`]`(target, t, max_hops)`
+    /// — what the seed campaign keeps of a traceroute — without building
+    /// the hop list: the CPE if it answers, else the highest core hop that
+    /// was not lost. Sends the same one probe `trace` sends.
+    pub fn last_hop(&self, target: Ipv6Addr, t: SimTime, max_hops: u8) -> Option<Ipv6Addr> {
+        let provider = self.provider_of(target)?;
+        let core_hops = provider.core_hops.min(max_hops);
+        if core_hops < max_hops {
+            if let Some(reply) = self.probe(target, t) {
+                return Some(reply.source);
+            }
+        }
+        (1..=core_hops)
+            .rev()
+            .find_map(|ttl| self.core_hop(provider, target, t, ttl))
+    }
+
+    /// The provider whose announcement routes `target`.
+    fn provider_of(&self, target: Ipv6Addr) -> Option<&ProviderConfig> {
+        let (_, &idx) = self.provider_table.longest_match(target)?;
+        Some(&self.config.providers[idx])
+    }
+
+    /// The router answering hop `ttl` of a traceroute toward `target`
+    /// inside `provider`'s core, or `None` if that hop's reply was lost.
+    fn core_hop(
+        &self,
+        provider: &ProviderConfig,
+        target: Ipv6Addr,
+        t: SimTime,
+        ttl: u8,
+    ) -> Option<Ipv6Addr> {
+        let lost = coin(
+            hash3(
+                self.config.seed,
+                addr_to_u128(target) as u64,
+                ttl as u64 ^ t.as_secs(),
+                0x7472_6163, // "trac"
+            ),
+            provider.loss,
+        );
+        (!lost).then(|| core_router_address(provider, ttl))
+    }
+
     fn pool_of(&self, target: Ipv6Addr) -> Option<(usize, &PoolPopulation)> {
-        let (_, &idx) = self.pool_table.longest_match(target)?;
+        let idx = self.pool_index.get(target)?;
         Some((idx, &self.pools[idx]))
     }
 
@@ -430,38 +464,33 @@ impl Engine {
 /// The number of rotation events a device with the given jitter has
 /// experienced by `t_secs`.
 fn rotations_at(policy: &RotationPolicy, jitter_secs: u64, t_secs: u64) -> u64 {
-    match policy {
-        RotationPolicy::Static => 0,
-        RotationPolicy::DailyIncrement {
-            period_days, hour, ..
-        }
-        | RotationPolicy::PeriodicRandom {
-            period_days, hour, ..
-        } => {
-            let period = period_days.max(&1) * crate::time::SECS_PER_DAY;
-            let offset = *hour as u64 * crate::time::SECS_PER_HOUR + jitter_secs;
-            if t_secs < offset {
-                0
-            } else {
-                (t_secs - offset) / period + 1
-            }
-        }
+    let Some((period, hour, _)) = policy.schedule_secs() else {
+        return 0;
+    };
+    match t_secs.checked_sub(hour + jitter_secs) {
+        None => 0,
+        Some(since) => since / period + 1,
     }
 }
 
-/// Bounds on the rotation count across the jitter window at time `t`:
-/// `(fewest rotations any device can have seen, most rotations)`.
-fn rotation_bounds(policy: &RotationPolicy, t: SimTime) -> (u64, u64) {
-    let max_jitter = match policy {
-        RotationPolicy::Static => 0,
-        RotationPolicy::DailyIncrement { jitter_hours, .. }
-        | RotationPolicy::PeriodicRandom { jitter_hours, .. } => {
-            *jitter_hours as u64 * crate::time::SECS_PER_HOUR
-        }
-    };
-    let hi = rotations_at(policy, 0, t.as_secs());
-    let lo = rotations_at(policy, max_jitter, t.as_secs());
-    (lo, hi)
+/// Where `t_secs` falls in a pool's rotation schedule: `(whole periods
+/// since the first rotation hour, seconds into the current period, the
+/// pool's jitter bound)`, or `None` before that hour and for a static pool,
+/// when every device has seen no rotation.
+fn rotation_phase(policy: &RotationPolicy, t_secs: u64) -> Option<(u64, u64, u64)> {
+    let (period, hour, max_jitter) = policy.schedule_secs()?;
+    let since = t_secs.checked_sub(hour)?;
+    Some((since / period, since % period, max_jitter))
+}
+
+/// The rotation count of a device delayed `jitter_secs` at `phase`: the
+/// whole periods, plus the current one once its delay has passed. Equal to
+/// [`rotations_at`] for any delay up to one period, which validation holds
+/// every pool's jitter bound to.
+fn rotations_in(phase: Option<(u64, u64, u64)>, jitter_secs: u64) -> u64 {
+    phase.map_or(0, |(periods, into_period, _)| {
+        periods + u64::from(jitter_secs <= into_period)
+    })
 }
 
 /// The (at most two) candidate rotation counts to try when inverting an
@@ -1026,12 +1055,97 @@ mod tests {
         );
         // Ten days later, 11 rotation events have occurred (day 0..10).
         assert_eq!(rotations_at(&policy, 0, SimTime::at(10, 4).as_secs()), 11);
-        // Bounds bracket the jitter window.
-        let (lo, hi) = rotation_bounds(&policy, SimTime::at(0, 4));
-        assert_eq!((lo, hi), (0, 1));
-        let (lo, hi) = rotation_bounds(&policy, SimTime::at(0, 12));
-        assert_eq!((lo, hi), (1, 1));
+        // The probe's bounds — the counts at the jitter bound and at no
+        // jitter — bracket the jitter window.
+        let bounds = |t: SimTime| {
+            let phase = rotation_phase(&policy, t.as_secs());
+            (rotations_in(phase, 3 * 3600), rotations_in(phase, 0))
+        };
+        assert_eq!(bounds(SimTime::at(0, 4)), (0, 1));
+        assert_eq!(bounds(SimTime::at(0, 12)), (1, 1));
         assert_eq!(candidate_rotations(1, 1).collect::<Vec<_>>(), vec![1]);
         assert_eq!(candidate_rotations(0, 1).collect::<Vec<_>>(), vec![1, 0]);
+    }
+
+    #[test]
+    fn one_quotient_counts_equal_rotations_at() {
+        for period_days in [1u64, 7] {
+            let period = period_days * 86_400;
+            let policies = [
+                RotationPolicy::DailyIncrement {
+                    step_slots: 5,
+                    period_days,
+                    hour: 3,
+                    jitter_hours: (24 * period_days) as u8,
+                },
+                RotationPolicy::PeriodicRandom {
+                    period_days,
+                    hour: 0,
+                    jitter_hours: (24 * period_days) as u8,
+                },
+            ];
+            for policy in &policies {
+                let (_, hour, _) = policy.schedule_secs().unwrap();
+                for jitter in [0, period / 2, period - 1, period] {
+                    for periods in [0u64, 1, 9] {
+                        let rotation = hour + periods * period;
+                        let instants = [
+                            hour.saturating_sub(1),
+                            hour,
+                            rotation + jitter.saturating_sub(1),
+                            rotation + jitter,
+                            rotation + jitter + 1,
+                        ];
+                        for t in instants {
+                            let phase = rotation_phase(policy, t);
+                            assert_eq!(
+                                rotations_in(phase, jitter),
+                                rotations_at(policy, jitter, t),
+                                "{policy:?} jitter {jitter} t {t}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+        // A static pool never rotates.
+        assert_eq!(rotation_phase(&RotationPolicy::Static, 1 << 40), None);
+    }
+
+    fn with_jitter(jitter_hours: u8) -> WorldConfig {
+        let mut world = small_world();
+        world.providers[0].pools[0].rotation = RotationPolicy::DailyIncrement {
+            step_slots: 64,
+            period_days: 1,
+            hour: 3,
+            jitter_hours,
+        };
+        world
+    }
+
+    #[test]
+    fn jitter_longer_than_the_period_is_refused() {
+        let err = Engine::build(with_jitter(25)).unwrap_err();
+        assert_eq!(
+            err,
+            WorldError::Pool {
+                asn: Asn(8881),
+                error: crate::PoolError::JitterExceedsPeriod {
+                    jitter_hours: 25,
+                    period_days: 1,
+                },
+            }
+        );
+        // At the bound no probe of a live device's own WAN address goes
+        // unanswered. (Inside the jitter window a rotated device can share
+        // a slot with one still waiting, and the rotated one answers.)
+        let engine = Engine::build(with_jitter(24)).unwrap();
+        for hour in 0..48u64 {
+            let t = SimTime::at(hour / 24, hour % 24);
+            for index in 0..engine.pools()[0].len() as u32 {
+                let wan = engine.current_wan_address(CpeId { pool: 0, index }, t);
+                assert!(engine.probe(wan.unwrap(), t).is_some(), "hour {hour}");
+            }
+        }
     }
 }

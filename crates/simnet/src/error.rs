@@ -39,6 +39,15 @@ pub enum PoolError {
         /// The configured occupancy.
         occupancy: f64,
     },
+    /// The rotation jitter is longer than the rotation period. A probe
+    /// tries only the two rotation counts a device can have seen within one
+    /// period, so a longer jitter would hide live devices.
+    JitterExceedsPeriod {
+        /// The configured per-device delay bound, in hours.
+        jitter_hours: u8,
+        /// The configured rotation period, in days.
+        period_days: u64,
+    },
 }
 
 impl fmt::Display for PoolError {
@@ -65,6 +74,13 @@ impl fmt::Display for PoolError {
             PoolError::OccupancyOutOfRange { occupancy } => {
                 write!(f, "occupancy {occupancy} outside [0, 1]")
             }
+            PoolError::JitterExceedsPeriod {
+                jitter_hours,
+                period_days,
+            } => write!(
+                f,
+                "rotation jitter {jitter_hours} h exceeds the {period_days}-day rotation period"
+            ),
         }
     }
 }

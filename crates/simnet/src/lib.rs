@@ -43,6 +43,7 @@ pub mod config;
 pub mod det;
 pub mod engine;
 pub mod error;
+mod pool_index;
 pub mod population;
 pub mod scenarios;
 pub mod time;
