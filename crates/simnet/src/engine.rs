@@ -375,12 +375,11 @@ impl Engine {
             return Vec::new();
         };
         let core_hops = provider.core_hops.min(max_hops);
-        let mut hops: Vec<TraceHop> = (1..=core_hops)
-            .map(|ttl| TraceHop {
-                ttl,
-                addr: self.core_hop(provider, target, t, ttl),
-            })
-            .collect();
+        let mut hops = Vec::with_capacity(usize::from(core_hops) + 1);
+        hops.extend((1..=core_hops).map(|ttl| TraceHop {
+            ttl,
+            addr: self.core_hop(provider, target, t, ttl),
+        }));
         if core_hops < max_hops {
             if let Some(reply) = self.probe(target, t) {
                 hops.push(TraceHop {

@@ -310,15 +310,9 @@ fn churn_dates(world: &WorldConfig, h: u64) -> (u64, u64) {
 /// Per-device rotation jitter in seconds, bounded by the pool policy's jitter
 /// window.
 fn rotation_jitter(pool: &RotationPoolConfig, h: u64) -> u32 {
-    let jitter_hours = match pool.rotation {
-        crate::config::RotationPolicy::Static => 0,
-        crate::config::RotationPolicy::DailyIncrement { jitter_hours, .. } => jitter_hours,
-        crate::config::RotationPolicy::PeriodicRandom { jitter_hours, .. } => jitter_hours,
-    };
-    if jitter_hours == 0 {
-        0
-    } else {
-        uniform(h, jitter_hours as u64 * 3_600) as u32
+    match pool.rotation.schedule_secs() {
+        Some((_, _, max_jitter)) if max_jitter > 0 => uniform(h, max_jitter) as u32,
+        _ => 0,
     }
 }
 
