@@ -12,8 +12,8 @@ use scent_core::{
     RotationPoolInference,
 };
 use scent_oui::builtin_registry;
-use scent_prober::{Campaign, Scan, Scanner, TargetGenerator};
-use scent_simnet::{scenarios, Engine, SimTime};
+use scent_prober::{Scan, Scanner, TargetGenerator};
+use scent_simnet::{scenarios, Engine, SimDuration, SimTime};
 
 fn bench_fig3_fig6_grids(c: &mut Criterion) {
     let engine = Engine::build(scenarios::entel_like(81)).unwrap();
@@ -105,8 +105,9 @@ fn bench_fig11_fig12_pathologies(c: &mut Criterion) {
         targets.extend(generator.one_per_subnet(&pool.config.prefix, 56));
     }
     let scanner = Scanner::at_paper_rate(3);
-    let campaign = Campaign::daily(&scanner, &engine, &targets, SimTime::at(1, 10), 5);
-    let refs: Vec<&Scan> = campaign.scans.iter().collect();
+    let day = SimDuration::from_days(1);
+    let scans = scanner.scans(&engine, &targets, SimTime::at(1, 10), 5, day);
+    let refs: Vec<&Scan> = scans.iter().collect();
     c.bench_function("fig11_fig12/pathology_analysis", |b| {
         b.iter(|| {
             let report = PathologyReport::analyse(&refs, engine.rib());

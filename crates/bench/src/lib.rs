@@ -8,8 +8,8 @@
 
 #![forbid(unsafe_code)]
 
-use scent_prober::{Campaign, Scan, Scanner, TargetGenerator};
-use scent_simnet::{scenarios, Engine, SimTime, WorldScale};
+use scent_prober::{Scan, Scanner, TargetGenerator};
+use scent_simnet::{scenarios, Engine, SimDuration, SimTime, WorldScale};
 
 /// Build the small-scale Internet-wide world used by the table/figure
 /// benches.
@@ -32,7 +32,8 @@ pub fn short_campaign(engine: &Engine, days: u64) -> Vec<Scan> {
         }
     }
     let scanner = Scanner::at_paper_rate(2);
-    Campaign::daily(&scanner, engine, &targets, SimTime::at(1, 9), days).scans
+    let day = SimDuration::from_days(1);
+    scanner.scans(engine, &targets, SimTime::at(1, 9), days, day)
 }
 
 #[cfg(test)]

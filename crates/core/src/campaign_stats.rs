@@ -131,8 +131,8 @@ pub fn campaign_targets(regions: &[Ipv6Prefix], granularity: u8, seed: u64) -> V
 #[cfg(test)]
 mod tests {
     use super::*;
-    use scent_prober::{Campaign, Scanner, TargetGenerator};
-    use scent_simnet::{scenarios, Engine, SimTime};
+    use scent_prober::{Scanner, TargetGenerator};
+    use scent_simnet::{scenarios, Engine, SimDuration, SimTime};
 
     fn versatel_campaign(days: u64) -> (Engine, Vec<Scan>) {
         let engine = Engine::build(scenarios::versatel_like(81)).unwrap();
@@ -144,8 +144,9 @@ mod tests {
             }
         }
         let scanner = Scanner::at_paper_rate(23);
-        let campaign = Campaign::daily(&scanner, &engine, &targets, SimTime::at(1, 9), days);
-        (engine, campaign.scans)
+        let day = SimDuration::from_days(1);
+        let scans = scanner.scans(&engine, &targets, SimTime::at(1, 9), days, day);
+        (engine, scans)
     }
 
     #[test]

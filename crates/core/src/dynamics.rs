@@ -199,7 +199,7 @@ impl PoolDensityTimeline {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use scent_prober::{Campaign, Scanner, TargetGenerator};
+    use scent_prober::{Scanner, TargetGenerator};
     use scent_simnet::{scenarios, Engine, SimDuration};
 
     /// Daily scans of one /56-allocation Versatel /46 pool.
@@ -214,8 +214,9 @@ mod tests {
             .prefix;
         let targets = TargetGenerator::new(12).one_per_subnet(&pool, 56);
         let scanner = Scanner::at_paper_rate(29);
-        let campaign = Campaign::daily(&scanner, &engine, &targets, SimTime::at(1, 9), days);
-        (engine, pool, campaign.scans)
+        let day = SimDuration::from_days(1);
+        let scans = scanner.scans(&engine, &targets, SimTime::at(1, 9), days, day);
+        (engine, pool, scans)
     }
 
     #[test]
@@ -268,15 +269,9 @@ mod tests {
         let targets = TargetGenerator::new(13).one_per_subnet(&pool, 56);
         let scanner = Scanner::at_paper_rate(31);
         // Hourly scans for three days, as in Figure 10's week of hourly data.
-        let campaign = Campaign::run(
-            &scanner,
-            &engine,
-            &targets,
-            SimTime::at(20, 0),
-            72,
-            SimDuration::from_hours(1),
-        );
-        let refs: Vec<&Scan> = campaign.scans.iter().collect();
+        let hour = SimDuration::from_hours(1);
+        let scans = scanner.scans(&engine, &targets, SimTime::at(20, 0), 72, hour);
+        let refs: Vec<&Scan> = scans.iter().collect();
         let timeline = PoolDensityTimeline::measure(&pool, &refs);
         assert_eq!(timeline.subnets_48.len(), 4);
         assert_eq!(timeline.rows.len(), 72);

@@ -162,8 +162,8 @@ impl PathologyReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use scent_prober::{Campaign, Scanner, TargetGenerator};
-    use scent_simnet::{scenarios, Engine, SimTime};
+    use scent_prober::{Scanner, TargetGenerator};
+    use scent_simnet::{scenarios, Engine, SimDuration, SimTime};
 
     /// Daily campaign over every pool of a world, at each pool's allocation
     /// granularity.
@@ -176,8 +176,9 @@ mod tests {
                 .extend(generator.one_per_subnet(&pool.config.prefix, pool.config.allocation_len));
         }
         let scanner = Scanner::at_paper_rate(37);
-        let campaign = Campaign::daily(&scanner, &engine, &targets, SimTime::at(1, 10), days);
-        (engine, campaign.scans)
+        let day = SimDuration::from_days(1);
+        let scans = scanner.scans(&engine, &targets, SimTime::at(1, 10), days, day);
+        (engine, scans)
     }
 
     #[test]

@@ -146,8 +146,8 @@ impl RotationPoolInference {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use scent_prober::{Campaign, Scanner, TargetGenerator};
-    use scent_simnet::{scenarios, Engine, SimTime};
+    use scent_prober::{Scanner, TargetGenerator};
+    use scent_simnet::{scenarios, Engine, SimDuration, SimTime};
 
     /// Run a short daily campaign against the Versatel-like provider at /56
     /// granularity over its /56-allocation pools.
@@ -161,8 +161,9 @@ mod tests {
             }
         }
         let scanner = Scanner::at_paper_rate(11);
-        let campaign = Campaign::daily(&scanner, &engine, &targets, SimTime::at(1, 9), days);
-        (engine, campaign.scans)
+        let day = SimDuration::from_days(1);
+        let scans = scanner.scans(&engine, &targets, SimTime::at(1, 9), days, day);
+        (engine, scans)
     }
 
     #[test]
@@ -223,8 +224,9 @@ mod tests {
             targets.extend(generator.one_per_subnet(&pool.config.prefix, 64));
         }
         let scanner = Scanner::at_paper_rate(11);
-        let campaign = Campaign::daily(&scanner, &engine, &targets, SimTime::at(1, 9), 5);
-        let refs: Vec<&Scan> = campaign.scans.iter().collect();
+        let day = SimDuration::from_days(1);
+        let scans = scanner.scans(&engine, &targets, SimTime::at(1, 9), 5, day);
+        let refs: Vec<&Scan> = scans.iter().collect();
         let inference = RotationPoolInference::infer(&refs, engine.rib());
         assert_eq!(inference.pool_for(Asn(4713)), 64);
         assert!(!inference.rotates(Asn(4713)));

@@ -641,8 +641,8 @@ fn common_pool<I: Iterator<Item = Ipv6Addr>>(mut addresses: I) -> Ipv6Prefix {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use scent_prober::{Campaign, Scan, Scanner};
-    use scent_simnet::{scenarios, Engine};
+    use scent_prober::{Scan, Scanner};
+    use scent_simnet::{scenarios, Engine, SimDuration};
 
     /// Reconnaissance: a few daily scans of the Versatel /56 pools to obtain
     /// allocation/pool inferences and candidate identifiers.
@@ -655,7 +655,8 @@ mod tests {
             }
         }
         let scanner = Scanner::at_paper_rate(41);
-        Campaign::daily(&scanner, engine, &targets, SimTime::at(1, 9), days).scans
+        let day = SimDuration::from_days(1);
+        scanner.scans(engine, &targets, SimTime::at(1, 9), days, day)
     }
 
     fn build_tracking_setup() -> (Engine, Vec<TrackedDevice>) {

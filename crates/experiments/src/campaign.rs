@@ -1,8 +1,8 @@
 //! Shared campaign machinery for the experiment harnesses.
 
 use scent_core::{AllocationInference, RotationPoolInference};
-use scent_prober::{Campaign, Scan, Scanner, TargetGenerator};
-use scent_simnet::{scenarios, Engine, SimTime, WorldScale};
+use scent_prober::{Scan, Scanner, TargetGenerator};
+use scent_simnet::{scenarios, Engine, SimDuration, SimTime, WorldScale};
 
 /// Which world scale an experiment runs at.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -87,8 +87,8 @@ impl CampaignData {
         }
         let scanner = Scanner::at_paper_rate(WORLD_SEED ^ 0x5ca);
         let days = scale.campaign_days();
-        let campaign =
-            Campaign::daily(&scanner, &engine, &daily_targets, SimTime::at(100, 9), days);
+        let day = SimDuration::from_days(1);
+        let scans = scanner.scans(&engine, &daily_targets, SimTime::at(100, 9), days, day);
 
         // Allocation-inference scan: /64 granularity over one /48 per pool
         // (bounded), on a single day.
@@ -104,12 +104,12 @@ impl CampaignData {
         let alloc_scan = scanner.scan(&engine, &alloc_targets, SimTime::at(99, 9));
         let allocation = AllocationInference::infer(&[&alloc_scan], engine.rib());
 
-        let refs: Vec<&Scan> = campaign.scans.iter().collect();
+        let refs: Vec<&Scan> = scans.iter().collect();
         let pools = RotationPoolInference::infer(&refs, engine.rib());
 
         CampaignData {
             engine,
-            scans: campaign.scans,
+            scans,
             allocation,
             pools,
         }

@@ -6,11 +6,14 @@ use scent_core::{
     AllocationGrid, CampaignStats, Eui64, HomogeneityReport, PathologyReport,
 };
 use scent_oui::builtin_registry;
-use scent_prober::{Campaign, Scanner, TargetGenerator};
+use scent_prober::{Scanner, TargetGenerator};
 use scent_simnet::{scenarios, Engine, SimDuration, SimTime};
 
 use crate::campaign::{CampaignData, Scale, WORLD_SEED};
 use crate::tables::tracking_reports;
+
+/// The paper's interval between campaign scans.
+const DAY: SimDuration = SimDuration::from_days(1);
 
 fn grid_summary(label: &str, engine: &Engine, prefix: scent_ipv6::Ipv6Prefix) -> String {
     let grid = AllocationGrid::probe(engine, prefix, SimTime::at(1, 10), WORLD_SEED);
@@ -179,8 +182,8 @@ pub fn run_fig9() -> String {
     let targets = TargetGenerator::new(WORLD_SEED).one_per_subnet(&pool, 56);
     let scanner = Scanner::at_paper_rate(WORLD_SEED);
     let days = Scale::from_env().campaign_days().max(10);
-    let campaign = Campaign::daily(&scanner, &engine, &targets, SimTime::at(1, 9), days);
-    let refs: Vec<_> = campaign.scans.iter().collect();
+    let scans = scanner.scans(&engine, &targets, SimTime::at(1, 9), days, DAY);
+    let refs: Vec<_> = scans.iter().collect();
     let trajectories = IidTrajectories::extract(&refs, &[]);
     let best = trajectories.best_observed(3);
 
@@ -223,15 +226,9 @@ pub fn run_fig10() -> String {
         .prefix;
     let targets = TargetGenerator::new(WORLD_SEED).one_per_subnet(&pool, 56);
     let scanner = Scanner::at_paper_rate(WORLD_SEED ^ 1);
-    let campaign = Campaign::run(
-        &scanner,
-        &engine,
-        &targets,
-        SimTime::at(20, 0),
-        7 * 24,
-        SimDuration::from_hours(1),
-    );
-    let refs: Vec<_> = campaign.scans.iter().collect();
+    let hour = SimDuration::from_hours(1);
+    let scans = scanner.scans(&engine, &targets, SimTime::at(20, 0), 7 * 24, hour);
+    let refs: Vec<_> = scans.iter().collect();
     let timeline = PoolDensityTimeline::measure(&pool, &refs);
     let mut out = format!(
         "Figure 10: hourly EUI-64 density of the four /48s of {pool} over one week\n\
@@ -262,8 +259,8 @@ pub fn run_fig11() -> String {
         targets.extend(generator.one_per_subnet(&pool.config.prefix, pool.config.allocation_len));
     }
     let scanner = Scanner::at_paper_rate(WORLD_SEED ^ 2);
-    let campaign = Campaign::daily(&scanner, &engine, &targets, SimTime::at(1, 10), 10);
-    let refs: Vec<_> = campaign.scans.iter().collect();
+    let scans = scanner.scans(&engine, &targets, SimTime::at(1, 10), 10, DAY);
+    let refs: Vec<_> = scans.iter().collect();
     let report = PathologyReport::analyse(&refs, engine.rib());
     let reused = Eui64::from_mac(reused_mac);
     let timeline = &report.multi_as[&reused];
@@ -301,8 +298,8 @@ pub fn run_fig12() -> String {
         targets.extend(generator.one_per_subnet(&pool.config.prefix, pool.config.allocation_len));
     }
     let scanner = Scanner::at_paper_rate(WORLD_SEED ^ 3);
-    let campaign = Campaign::daily(&scanner, &engine, &targets, SimTime::at(1, 10), 44);
-    let refs: Vec<_> = campaign.scans.iter().collect();
+    let scans = scanner.scans(&engine, &targets, SimTime::at(1, 10), 44, DAY);
+    let refs: Vec<_> = scans.iter().collect();
     let report = PathologyReport::analyse(&refs, engine.rib());
 
     let mut out = String::from(

@@ -29,7 +29,8 @@
 //!   deterministic virtual-queue AIMD feedback.
 //! * [`targets`] — target generation: one pseudo-random IID per subnet of a
 //!   prefix at a chosen granularity (/64, /56, per-allocation, …).
-//! * [`zmap6`] — the scanner itself and multi-day campaign scheduling.
+//! * [`zmap6`] — the scanner itself, one scan or a multi-day series
+//!   ([`Scanner::scans`]).
 //! * [`yarrp`] — the traceroute record (hop list, last responsive hop) the
 //!   seed campaign and the record/replay backends share.
 //! * [`seed`] — the CAIDA-style seed traceroute campaign that bootstraps the
@@ -56,7 +57,7 @@ pub use records::{ProbeRecord, ResponseRecord, Scan};
 pub use seed::{SeedCampaign, SeedEntry};
 pub use targets::{slice_bounds, StreamedTarget, TargetGenerator, TargetStream};
 pub use yarrp::TraceRecord;
-pub use zmap6::{Campaign, Scanner, ScannerConfig};
+pub use zmap6::{Scanner, ScannerConfig};
 
 use std::net::Ipv6Addr;
 

@@ -1,4 +1,4 @@
-//! The zmap6-style scanner and multi-day campaign scheduler.
+//! The zmap6-style scanner: one scan, or a multi-day series of them.
 //!
 //! The scanner visits a target list in the pseudo-random order given by a
 //! [`RandomPermutation`] of the scan seed, paces probes at a configurable
@@ -130,72 +130,25 @@ impl Scanner {
         }
         pacer.finish_time(n as u64)
     }
-}
 
-/// A multi-day campaign: the same target list scanned once per period (24
-/// hours in the paper), always in the same order, always starting at the same
-/// hour.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct Campaign {
-    /// One scan per campaign day, in chronological order.
-    pub scans: Vec<Scan>,
-}
-
-impl Campaign {
-    /// Run a daily campaign: `days` scans of `targets`, the first starting at
-    /// `first_start` and each subsequent scan exactly `interval` later.
-    pub fn run<T: ProbeTransport + ?Sized>(
-        scanner: &Scanner,
+    /// A multi-day campaign: `count` scans of `targets`, the first starting
+    /// at `first_start` and each later one exactly `interval` after the one
+    /// before (24 hours in the paper), always in the same order — so the
+    /// scans' records line up target for target. In chronological order.
+    pub fn scans<T: ProbeTransport + ?Sized>(
+        &self,
         transport: &T,
         targets: &[Ipv6Addr],
         first_start: SimTime,
-        days: u64,
+        count: u64,
         interval: SimDuration,
-    ) -> Self {
-        let mut scans = Vec::with_capacity(days as usize);
-        for day in 0..days {
-            let start = first_start + SimDuration::from_secs(interval.as_secs() * day);
-            scans.push(scanner.scan(transport, targets, start));
-        }
-        Campaign { scans }
-    }
-
-    /// Run the canonical daily campaign (24-hour interval).
-    pub fn daily<T: ProbeTransport + ?Sized>(
-        scanner: &Scanner,
-        transport: &T,
-        targets: &[Ipv6Addr],
-        first_start: SimTime,
-        days: u64,
-    ) -> Self {
-        Self::run(
-            scanner,
-            transport,
-            targets,
-            first_start,
-            days,
-            SimDuration::from_days(1),
-        )
-    }
-
-    /// Number of scans in the campaign.
-    pub fn len(&self) -> usize {
-        self.scans.len()
-    }
-
-    /// Whether the campaign is empty.
-    pub fn is_empty(&self) -> bool {
-        self.scans.is_empty()
-    }
-
-    /// Total probes sent across all scans.
-    pub fn total_probes(&self) -> usize {
-        self.scans.iter().map(|s| s.probes_sent()).sum()
-    }
-
-    /// Total responses received across all scans.
-    pub fn total_responses(&self) -> usize {
-        self.scans.iter().map(|s| s.responses()).sum()
+    ) -> Vec<Scan> {
+        (0..count)
+            .map(|k| {
+                let start = first_start + SimDuration::from_secs(interval.as_secs() * k);
+                self.scan(transport, targets, start)
+            })
+            .collect()
     }
 }
 
@@ -328,15 +281,15 @@ mod tests {
         let engine = engine();
         let targets = TargetGenerator::new(1).one_per_subnet(&pool_prefix(&engine), 56);
         let scanner = Scanner::at_paper_rate(3);
-        let campaign = Campaign::daily(&scanner, &engine, &targets, SimTime::at(10, 6), 5);
-        assert_eq!(campaign.len(), 5);
-        assert!(!campaign.is_empty());
-        assert_eq!(campaign.total_probes(), 5 * 256);
-        assert!(campaign.total_responses() > 0);
-        for (day, scan) in campaign.scans.iter().enumerate() {
+        let day = SimDuration::from_days(1);
+        let scans = scanner.scans(&engine, &targets, SimTime::at(10, 6), 5, day);
+        assert_eq!(scans.len(), 5);
+        assert!(scans.iter().all(|scan| scan.probes_sent() == 256));
+        assert!(scans.iter().map(|scan| scan.responses()).sum::<usize>() > 0);
+        for (day, scan) in scans.iter().enumerate() {
             assert_eq!(scan.started_at, SimTime::at(10 + day as u64, 6));
             // Same order every day: targets line up across scans.
-            assert_eq!(scan.records[0].target, campaign.scans[0].records[0].target);
+            assert_eq!(scan.records[0].target, scans[0].records[0].target);
         }
     }
 }

@@ -92,10 +92,12 @@ use scent_telemetry::StreamObserver;
 /// backend, with its own watch list, configuration, and (optionally) its own
 /// telemetry observer, stop signal and resume snapshot.
 ///
-/// `config.packets_per_second` is *not* consulted while scheduled — the
-/// tenant probes at whatever fair share the scheduler allocates it. (It
-/// still participates in the configuration fingerprint, so resume snapshots
-/// remain interchangeable with standalone runs.)
+/// `config.packets_per_second` does not set the tenant's rate while
+/// scheduled — the tenant probes at whatever fair share the scheduler
+/// allocates it. It is still validated (zero is
+/// [`SchedError::InvalidConfig`] with [`ConfigError::ZeroRate`], as for a
+/// standalone run) and still participates in the configuration fingerprint,
+/// so resume snapshots remain interchangeable with standalone runs.
 pub struct Campaign<'a, B: ?Sized> {
     world: &'a B,
     config: MonitorConfig,

@@ -3,9 +3,10 @@
 //! A configuration a run could not honour is a [`ConfigError`], found by
 //! [`StreamConfig::validate`](crate::pipeline::StreamConfig::validate) /
 //! [`MonitorConfig::validate`](crate::monitor::MonitorConfig::validate) —
-//! the one statement of the rules, which the `followscent::Campaign` facade
-//! and the `scent-sched` scheduler report before anything probes and the
-//! runs themselves assert.
+//! the one statement of the rules. The runs return it as
+//! [`StreamError::Config`] before any observer hook fires, any thread starts
+//! or any probe is sent; the `scent-sched` scheduler reports it as
+//! `SchedError::InvalidConfig` before it opens a session.
 //!
 //! A run that started can fail for two reasons: checkpoint plumbing (corrupt or
 //! mismatched snapshots, sink I/O) and shard-worker death. Before this type
@@ -28,10 +29,15 @@ pub enum ConfigError {
     NoProducers,
     /// The bounded shard channels were given zero capacity.
     ZeroChannelCapacity,
+    /// A probe rate of zero packets per second (no probe could ever be
+    /// paced).
+    ZeroRate,
     /// The virtual-queue model's watermarks are inverted (the low watermark
     /// must be strictly below the high one). Checked whether or not the
     /// model can throttle: a broken model is never carried silently.
     InvalidQueueModel,
+    /// A monitor asked to observe zero windows.
+    NoWindows,
     /// Watch-list churn with a zero refresh cadence (the watch list would
     /// never be revised; leave churn off instead).
     ZeroRefreshCadence,
@@ -64,6 +70,12 @@ pub enum ConfigError {
     /// Adaptive discovery with a branch factor outside 1..=8 bits per tree
     /// level.
     InvalidDiscoveryBranch,
+    /// A [`StreamMonitor`](crate::monitor::StreamMonitor) run over an empty
+    /// watch list with discovery off: nothing would ever be probed.
+    /// Discovery bootstraps an empty list from the announcement topology; a
+    /// scheduled [`MonitorSession`](crate::monitor::MonitorSession) starts
+    /// exhausted instead.
+    EmptyWatchList,
 }
 
 impl ConfigError {
@@ -78,11 +90,12 @@ impl ConfigError {
     }
 
     /// The rules every streaming run shares: a shard pool, a producer set,
-    /// bounded channels, and a sane queue model.
+    /// bounded channels, a probe rate, and a sane queue model.
     pub(crate) fn check_plane(
         shards: usize,
         producers: usize,
         channel_capacity: usize,
+        packets_per_second: u64,
         queue_model: &QueueModel,
     ) -> Result<(), Self> {
         use ConfigError::*;
@@ -90,6 +103,7 @@ impl ConfigError {
             (shards == 0, NoShards),
             (producers == 0, NoProducers),
             (channel_capacity == 0, ZeroChannelCapacity),
+            (packets_per_second == 0, ZeroRate),
             (!queue_model.is_valid(), InvalidQueueModel),
         ])
     }
@@ -102,7 +116,9 @@ impl std::fmt::Display for ConfigError {
             NoShards => "at least one inference shard is needed",
             NoProducers => "at least one probe producer is needed",
             ZeroChannelCapacity => "bounded shard channels need non-zero capacity",
+            ZeroRate => "the probe rate must be non-zero",
             InvalidQueueModel => "queue model low_watermark must be below high_watermark",
+            NoWindows => "a monitor must observe at least one window",
             ZeroRefreshCadence => "watch-list churn needs a non-zero refresh_every",
             ZeroWatchCapacity => "watch-list churn needs a non-zero watch_capacity",
             ExpansionBlockTooLong => "watch-list churn expansion_len must be /48 or shorter",
@@ -113,6 +129,7 @@ impl std::fmt::Display for ConfigError {
             ZeroDiscoveryBudget => "adaptive discovery needs a non-zero probe_budget",
             ZeroDiscoveryRounds => "adaptive discovery needs at least one round per boundary",
             InvalidDiscoveryBranch => "adaptive discovery branch_bits must be in 1..=8",
+            EmptyWatchList => "a monitor needs watched /48s or adaptive discovery",
         })
     }
 }
@@ -123,6 +140,9 @@ impl std::error::Error for ConfigError {}
 /// [`StreamPipeline`](crate::pipeline::StreamPipeline)) failed.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum StreamError {
+    /// The configuration cannot be run. Returned before anything started:
+    /// no observer hook fired, no thread ran, no probe was sent.
+    Config(ConfigError),
     /// Checkpoint capture, storage or resume failed.
     Checkpoint(CheckpointError),
     /// A shard worker thread panicked mid-run. The run was aborted cleanly:
@@ -137,6 +157,7 @@ pub enum StreamError {
 impl std::fmt::Display for StreamError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
+            StreamError::Config(rule) => write!(f, "invalid configuration: {rule}"),
             StreamError::Checkpoint(err) => write!(f, "checkpoint error: {err}"),
             StreamError::ShardPanicked { shard } => {
                 write!(f, "shard {shard} worker panicked; run aborted")
@@ -148,9 +169,16 @@ impl std::fmt::Display for StreamError {
 impl std::error::Error for StreamError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
+            StreamError::Config(rule) => Some(rule),
             StreamError::Checkpoint(err) => Some(err),
             StreamError::ShardPanicked { .. } => None,
         }
+    }
+}
+
+impl From<ConfigError> for StreamError {
+    fn from(rule: ConfigError) -> Self {
+        StreamError::Config(rule)
     }
 }
 
@@ -173,6 +201,13 @@ mod tests {
         let err: StreamError = CheckpointError::Truncated.into();
         assert!(err.to_string().contains("checkpoint error"));
         assert!(std::error::Error::source(&err).is_some());
+
+        let err: StreamError = ConfigError::ZeroRate.into();
+        assert_eq!(
+            err.to_string(),
+            "invalid configuration: the probe rate must be non-zero"
+        );
+        assert!(std::error::Error::source(&err).is_some());
     }
 
     #[test]
@@ -184,16 +219,20 @@ mod tests {
         };
         let check = ConfigError::check_plane;
         let broken = &inverted;
-        assert_eq!(check(0, 0, 0, broken), Err(ConfigError::NoShards));
-        assert_eq!(check(1, 0, 0, broken), Err(ConfigError::NoProducers));
+        assert_eq!(check(0, 0, 0, 0, broken), Err(ConfigError::NoShards));
+        assert_eq!(check(1, 0, 0, 0, broken), Err(ConfigError::NoProducers));
         assert_eq!(
-            check(1, 1, 0, broken),
+            check(1, 1, 0, 0, broken),
             Err(ConfigError::ZeroChannelCapacity)
         );
+        assert_eq!(check(1, 1, 1, 0, broken), Err(ConfigError::ZeroRate));
         // Inverted is broken even where it could never throttle.
         assert!(!inverted.can_throttle());
-        assert_eq!(check(1, 1, 1, broken), Err(ConfigError::InvalidQueueModel));
-        assert_eq!(check(1, 1, 1, &model), Ok(()));
+        assert_eq!(
+            check(1, 1, 1, 1, broken),
+            Err(ConfigError::InvalidQueueModel)
+        );
+        assert_eq!(check(1, 1, 1, 1, &model), Ok(()));
         assert!(ConfigError::NoShards.to_string().contains("shard"));
     }
 }

@@ -18,7 +18,7 @@
 //! | The one engine | [`engine`] | [`ShardPool`]: the shard worker threads, their queues and the recycle pool, owned by whoever loops over epochs and joined when it drops. [`IngestEngine`]: one lease of a pool — hand the workers the lessee's states, arm the router with its map and observer, drive producer sources through the merged clock and a per-observation hook into the shards, release into the states handed back or a typed error — and the one place a described probe pass becomes paced, sliced, counted, rate-mirrored sources. The pipeline (one pass per scan) and the monitor (one lease per epoch) are its only production callers |
 //! | Batch equivalence | [`pipeline`] | [`StreamPipeline`]: the full discovery pipeline, streamed — produces an identical [`PipelineReport`](scent_core::PipelineReport) |
 //! | Continuous monitor | [`monitor`] | [`StreamMonitor`]: endless windows, [`RotationEvent`](scent_core::RotationEvent)s, passive tracking, and an optionally *live* watch list ([`WatchChurn`]) revised from the monitor's own density state; [`MonitorSession`] exposes the same run one epoch at a time for external scheduling |
-//! | Typed failures | [`error`] | [`ConfigError`]: the one statement of what a runnable [`StreamConfig`]/[`MonitorConfig`] is (`validate`); [`StreamError`]: checkpoint failures and shard-worker panics surface as values, never as control-thread panics |
+//! | Typed failures | [`error`] | [`ConfigError`]: the one statement of what a runnable [`StreamConfig`]/[`MonitorConfig`] is (`validate`); [`StreamError`]: a refused configuration, checkpoint failures and shard-worker panics surface as values, never as control-thread panics |
 //! | Telemetry mirrors | [`observe`] | [`RateReplica`]: merge-side replay of the producers' AIMD pacer, feeding [`StreamObserver`](scent_telemetry::StreamObserver) hooks in deterministic order |
 //! | Checkpoint/restore | [`checkpoint`] | [`MonitorSnapshot`]: every piece of incremental monitor state captured at an epoch boundary, restored by [`StreamMonitor::run_controlled`] for byte-identical resume; [`StopSignal`] for graceful drain |
 //!

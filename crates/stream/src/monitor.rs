@@ -222,17 +222,25 @@ impl Default for MonitorConfig {
 
 impl MonitorConfig {
     /// Whether a monitor can honour this configuration — the one statement
-    /// of the rules. [`MonitorSession::new`] asserts it; the
-    /// `followscent::Campaign` facade and the `scent-sched` scheduler call it
-    /// first and report the typed error before anything probes.
+    /// of the rules: the plane a pipeline needs too (shards, producers,
+    /// channel capacity, a non-zero [`MonitorConfig::packets_per_second`],
+    /// the queue model), at least one window, and consistent churn,
+    /// checkpoint and discovery settings. The [`StreamMonitor`] runs return
+    /// the broken rule as [`StreamError::Config`] before anything starts,
+    /// the `scent-sched` scheduler reports it before it opens a session, and
+    /// [`MonitorSession::new`] asserts it.
     pub fn validate(&self) -> Result<(), ConfigError> {
         use ConfigError::*;
         ConfigError::check_plane(
             self.shards,
             self.producers,
             self.channel_capacity,
+            self.packets_per_second,
             &self.queue_model,
         )?;
+        if self.windows == 0 {
+            return Err(NoWindows);
+        }
         let churn = self.churn.as_ref();
         if let Some(c) = churn {
             ConfigError::first_broken([
@@ -371,10 +379,13 @@ impl StreamMonitor {
     /// revision history, which is what keeps churning runs byte-identical
     /// at any producer count.
     ///
-    /// The only error a plain run can produce is
-    /// [`StreamError::ShardPanicked`]: a shard worker dying no longer
-    /// re-raises on the control thread — the run aborts cleanly and returns
-    /// the typed error instead.
+    /// A configuration [`MonitorConfig::validate`] refuses, or an empty
+    /// watch list with discovery off ([`ConfigError::EmptyWatchList`]), is
+    /// [`StreamError::Config`], returned before any hook fires, thread
+    /// starts or probe is sent. Once running, the only error a plain run can
+    /// produce is [`StreamError::ShardPanicked`]: a shard worker dying no
+    /// longer re-raises on the control thread — the run aborts cleanly and
+    /// returns the typed error instead.
     pub fn run<B: ProbeTransport + WorldView + ?Sized>(
         &self,
         world: &B,
@@ -432,9 +443,11 @@ impl StreamMonitor {
     ///   [`WatchChurn::refresh_every`]) down to one window when prompt stops
     ///   matter.
     ///
-    /// Errors are [`StreamError::Checkpoint`] for checkpoint plumbing and
-    /// [`StreamError::ShardPanicked`] when a shard worker dies; a run with
-    /// neither sink nor resume state can only fail the latter way.
+    /// Errors are [`StreamError::Config`] for a configuration the run
+    /// refuses (before anything starts, as [`StreamMonitor::run`] says),
+    /// [`StreamError::Checkpoint`] for checkpoint plumbing and
+    /// [`StreamError::ShardPanicked`] when a shard worker dies; a valid run
+    /// with neither sink nor resume state can only fail the last way.
     ///
     /// Internally this drives a [`MonitorSession`] one epoch at a time at
     /// the configured budget, every epoch a lease of the one [`ShardPool`]
@@ -447,6 +460,11 @@ impl StreamMonitor {
         watched_48s: &[Ipv6Prefix],
         mut control: MonitorControl<'_>,
     ) -> Result<MonitorReport, StreamError> {
+        self.config.validate()?;
+        if watched_48s.is_empty() && self.config.discovery.is_none() {
+            // Only discovery could ever fill an empty list.
+            return Err(ConfigError::EmptyWatchList.into());
+        }
         let mut session = MonitorSession::new(
             world,
             self.config.clone(),
@@ -555,7 +573,9 @@ pub struct MonitorSession<'a, B: ?Sized> {
 impl<'a, B: ProbeTransport + WorldView + ?Sized> MonitorSession<'a, B> {
     /// Open a session: validate the configuration, lay out the epochs and
     /// arm the initial watch list. A session spawns no threads; its epochs
-    /// run on a [`ShardPool`].
+    /// run on a [`ShardPool`]. Panics on a configuration
+    /// [`MonitorConfig::validate`] refuses: its callers (the runs, the
+    /// scheduler) validate first and return the typed error.
     ///
     /// A churn-enabled session whose *initial* watch list is already empty
     /// starts exhausted ([`MonitorReport::exhausted_at`] `= Some(0)`):

@@ -89,13 +89,15 @@ impl Default for StreamConfig {
 
 impl StreamConfig {
     /// Whether a run can honour this configuration: at least one shard and
-    /// one producer, non-zero channel capacity and ordered queue
-    /// watermarks. [`StreamPipeline::run`] asserts it.
+    /// one producer, non-zero channel capacity, a non-zero probe rate and
+    /// ordered queue watermarks. [`StreamPipeline::run`] returns the broken
+    /// rule as [`StreamError::Config`] before anything starts.
     pub fn validate(&self) -> Result<(), ConfigError> {
         ConfigError::check_plane(
             self.shards,
             self.producers,
             self.channel_capacity,
+            self.pipeline.packets_per_second,
             &self.queue_model,
         )
     }
@@ -130,10 +132,12 @@ impl StreamPipeline {
     /// every probe through the shards. Produces the identical report the
     /// batch [`Pipeline`](scent_core::Pipeline) computes from whole scans.
     ///
-    /// The only error is [`StreamError::ShardPanicked`]: a shard worker
-    /// dying no longer re-raises on the control thread — the run aborts
-    /// cleanly, with every surviving worker joined, and returns the typed
-    /// error instead.
+    /// A configuration [`StreamConfig::validate`] refuses is
+    /// [`StreamError::Config`], returned before any hook fires, thread
+    /// starts or probe is sent. Once running, the only error is
+    /// [`StreamError::ShardPanicked`]: a shard worker dying no longer
+    /// re-raises on the control thread — the run aborts cleanly, with every
+    /// surviving worker joined, and returns the typed error instead.
     pub fn run<B: ProbeTransport + WorldView + ?Sized>(
         &self,
         world: &B,
@@ -154,13 +158,11 @@ impl StreamPipeline {
         world: &B,
         observer: Option<&dyn StreamObserver>,
     ) -> Result<PipelineReport, StreamError> {
+        self.config.validate()?;
         let started = observer.is_some().then(std::time::Instant::now);
         if let Some(telemetry) = observer {
             telemetry.on_run_start(self.config.shards, self.config.producers);
         }
-        self.config
-            .validate()
-            .unwrap_or_else(|rule| panic!("invalid stream configuration: {rule}"));
         let report = self.run_streamed(world, observer);
         if let (Some(telemetry), Some(started)) = (observer, started) {
             telemetry.on_wall_span("pipeline_run", started.elapsed().as_nanos() as u64);

@@ -9,8 +9,8 @@ use followscent::core::{
     RotationPoolInference,
 };
 use followscent::oui::builtin_registry;
-use followscent::prober::{Campaign, Scanner, TargetGenerator};
-use followscent::simnet::{scenarios, Engine, SimTime, WorldScale};
+use followscent::prober::{Scanner, TargetGenerator};
+use followscent::simnet::{scenarios, Engine, SimDuration, SimTime, WorldScale};
 
 fn main() {
     let engine =
@@ -43,8 +43,9 @@ fn main() {
         );
     }
     let scanner = Scanner::at_paper_rate(13);
-    let campaign = Campaign::daily(&scanner, &engine, &targets, SimTime::at(50, 9), 8);
-    let refs: Vec<_> = campaign.scans.iter().collect();
+    let day = SimDuration::from_days(1);
+    let scans = scanner.scans(&engine, &targets, SimTime::at(50, 9), 8, day);
+    let refs: Vec<_> = scans.iter().collect();
 
     let allocation = AllocationInference::infer(&refs[..1], engine.rib());
     let pools = RotationPoolInference::infer(&refs, engine.rib());

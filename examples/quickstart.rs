@@ -4,8 +4,8 @@
 //! Run with: `cargo run --release --example quickstart`
 
 use followscent::core::{AllocationInference, RotationPoolInference};
-use followscent::prober::{Campaign, Scanner, TargetGenerator};
-use followscent::simnet::{scenarios, Engine, SimTime};
+use followscent::prober::{Scanner, TargetGenerator};
+use followscent::simnet::{scenarios, Engine, SimDuration, SimTime};
 
 fn main() {
     // A Versatel-like provider: /46 rotation pools, daily rotation, mostly
@@ -27,13 +27,14 @@ fn main() {
         .prefix;
     let targets = TargetGenerator::new(1).one_per_subnet(&pool, 56);
     let scanner = Scanner::at_paper_rate(7);
-    let campaign = Campaign::daily(&scanner, &engine, &targets, SimTime::at(1, 9), 7);
+    let day = SimDuration::from_days(1);
+    let scans = scanner.scans(&engine, &targets, SimTime::at(1, 9), 7, day);
     println!(
         "scanned {} targets/day for {} days: {} probes, {} responses",
         targets.len(),
-        campaign.len(),
-        campaign.total_probes(),
-        campaign.total_responses()
+        scans.len(),
+        scans.iter().map(|scan| scan.probes_sent()).sum::<usize>(),
+        scans.iter().map(|scan| scan.responses()).sum::<usize>()
     );
 
     // The paper's two inferences: allocation size (Algorithm 1, one day at
@@ -45,7 +46,7 @@ fn main() {
         SimTime::at(1, 12),
     );
     let allocation = AllocationInference::infer(&[&alloc_scan], engine.rib());
-    let refs: Vec<_> = campaign.scans.iter().collect();
+    let refs: Vec<_> = scans.iter().collect();
     let pools = RotationPoolInference::infer(&refs, engine.rib());
 
     let asn = followscent::bgp::Asn(8881);
@@ -63,7 +64,7 @@ fn main() {
         .min_by_key(|e| e.as_u64())
         .expect("at least one EUI-64 device observed");
     println!("\nfollowing {eui} (MAC {}):", eui.to_mac());
-    for scan in &campaign.scans {
+    for scan in &scans {
         let seen = scan
             .records
             .iter()

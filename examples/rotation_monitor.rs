@@ -1,15 +1,16 @@
-//! Continuous rotation monitoring through the [`Campaign`] facade — with a
-//! *live*, churning watch list.
+//! Continuous rotation monitoring with [`StreamMonitor`] — with a *live*,
+//! churning watch list.
 //!
 //! Instead of the batch "two snapshots 24 hours apart" comparison, this
-//! example points the unified campaign builder at a world whose dense /48
+//! example points the continuous monitor at a world whose dense /48
 //! migrates daily within a /44 pool (plus a static control provider), runs
-//! it in [`CampaignMode::Monitor`] for two weeks of virtual time with
-//! `.refresh_every(1)` watch-list churn, and prints the rotation events the
-//! engine flagged, the per-epoch admissions/evictions the churning watch
-//! list went through, and the passive device tracks that fall out of the
-//! same stream. Switching `.mode(..)` is all it takes to run the discovery
-//! pipeline (batch or sharded-streaming) over the same backend instead.
+//! it for two weeks of virtual time with every-window watch-list churn
+//! ([`WatchChurn`]), and prints the rotation events the engine flagged, the
+//! per-epoch admissions/evictions the churning watch list went through, and
+//! the passive device tracks that fall out of the same stream. The discovery
+//! pipeline runs over the same backend through
+//! [`StreamPipeline`](followscent::stream::StreamPipeline) (sharded) or
+//! [`Pipeline`](followscent::core::Pipeline) (batch) instead.
 //!
 //! The per-epoch narration comes from an attached [`Telemetry`] registry:
 //! the monitor journals every epoch revision as it happens (in virtual
@@ -19,11 +20,14 @@
 //!
 //! Run with: `cargo run --release --example rotation_monitor`
 
+use followscent::checkpoint::FileCheckpointStore;
 use followscent::ipv6::Ipv6Prefix;
 use followscent::simnet::{scenarios, Engine, SimDuration, SimTime};
-use followscent::stream::StopSignal;
+use followscent::stream::{
+    MonitorConfig, MonitorControl, MonitorSnapshot, StopSignal, StreamMonitor, WatchChurn,
+};
 use followscent::telemetry::{EventKind, Telemetry};
-use followscent::{Campaign, CampaignMode, ScentError};
+use followscent::ScentError;
 
 fn main() {
     if let Err(error) = run() {
@@ -56,28 +60,26 @@ fn run() -> Result<(), ScentError> {
     // recombined through the merged deterministic clock, so this report —
     // revision history and telemetry journal included — is bit-identical to
     // a single-threaded run's.
+    let config = MonitorConfig {
+        shards: 2,
+        producers: 4,
+        seed: 0x57ae,
+        packets_per_second: 10_000,
+        granularity: 56,
+        windows: 14,
+        window_interval: SimDuration::from_days(1),
+        start,
+        max_tracked: 5,
+        churn: Some(WatchChurn {
+            refresh_every: 1,
+            watch_capacity: 3,
+            ..WatchChurn::default()
+        }),
+        ..MonitorConfig::default()
+    };
     let registry = Telemetry::new();
-    let report = Campaign::builder()
-        .world(&engine)
-        .telemetry(&registry)
-        .seed(0x57ae)
-        .rate_pps(10_000)
-        .watch(watched.clone())
-        .refresh_every(1)
-        .watch_capacity(3)
-        .monitor_granularity(56)
-        .window_interval(SimDuration::from_days(1))
-        .start(start)
-        .max_tracked(5)
-        .mode(CampaignMode::Monitor {
-            windows: 14,
-            shards: 2,
-            producers: 4,
-        })
-        .run()?;
-    let report = report
-        .monitor()
-        .expect("monitor mode yields a monitor report");
+    let report =
+        StreamMonitor::new(config.clone()).run_observed(&engine, &watched, Some(&registry))?;
 
     println!(
         "{} observations ingested (+{} re-expansion probes), {} rotation events, \
@@ -174,38 +176,32 @@ fn run() -> Result<(), ScentError> {
     // history, rotation events and device tracks included — is
     // byte-identical to the uninterrupted run above.
     let path = std::env::temp_dir().join(format!("rotation-monitor-{}.ckpt", std::process::id()));
-    let interrupted = |stop: Option<StopSignal>| -> Result<_, ScentError> {
-        let mut builder = Campaign::builder()
-            .world(&engine)
-            .seed(0x57ae)
-            .rate_pps(10_000)
-            .watch(watched.clone())
-            .refresh_every(1)
-            .watch_capacity(3)
-            .checkpoint_every(7)
-            .monitor_granularity(56)
-            .window_interval(SimDuration::from_days(1))
-            .start(start)
-            .max_tracked(5)
-            .mode(CampaignMode::Monitor {
-                windows: 14,
-                shards: 2,
-                producers: 4,
-            });
-        builder = if let Some(stop) = stop {
-            builder.stop_signal(stop).checkpoint_to(&path)
-        } else {
-            builder.resume_from(&path)
-        };
-        builder.run()
-    };
+    let monitor = StreamMonitor::new(MonitorConfig {
+        checkpoint_every: Some(7),
+        ..config
+    });
     let stop = StopSignal::new();
     stop.request_stop();
-    let half = interrupted(Some(stop))?;
-    let resumed = interrupted(None)?;
+    let mut store = FileCheckpointStore::new(&path);
+    let half = monitor.run_controlled(
+        &engine,
+        &watched,
+        MonitorControl {
+            sink: Some(&mut store),
+            stop: Some(stop),
+            ..MonitorControl::default()
+        },
+    )?;
+    let resume = Some(MonitorSnapshot::from_bytes(&store.load()?)?);
+    let mut resumed = monitor.run_controlled(
+        &engine,
+        &watched,
+        MonitorControl {
+            resume,
+            ..MonitorControl::default()
+        },
+    )?;
     std::fs::remove_file(&path).ok();
-    let half = half.monitor().expect("monitor report");
-    let mut resumed = resumed.monitor().expect("monitor report").clone();
     let mut reference = report.clone();
     // The stall counter is a wall-clock diagnostic, not monitor state.
     resumed.backpressure_stalls = 0;

@@ -7,8 +7,8 @@
 use std::collections::HashSet;
 
 use followscent::core::{AllocationInference, RotationPoolInference, Tracker, TrackerConfig};
-use followscent::prober::{Campaign, Scanner, TargetGenerator};
-use followscent::simnet::{scenarios, Engine, SimTime};
+use followscent::prober::{Scanner, TargetGenerator};
+use followscent::simnet::{scenarios, Engine, SimDuration, SimTime};
 
 fn main() {
     let engine = Engine::build(scenarios::tracking_world(7)).expect("world builds");
@@ -35,10 +35,11 @@ fn main() {
         alloc_targets.extend(generator.one_per_subnet(&first_48, 64));
     }
     let scanner = Scanner::at_paper_rate(11);
-    let recon = Campaign::daily(&scanner, &engine, &daily_targets, SimTime::at(1, 9), 7);
+    let day = SimDuration::from_days(1);
+    let recon = scanner.scans(&engine, &daily_targets, SimTime::at(1, 9), 7, day);
     let alloc_scan = scanner.scan(&engine, &alloc_targets, SimTime::at(2, 14));
 
-    let refs: Vec<_> = recon.scans.iter().collect();
+    let refs: Vec<_> = recon.iter().collect();
     let allocation = AllocationInference::infer(&[&alloc_scan], engine.rib());
     let pools = RotationPoolInference::infer(&refs, engine.rib());
     println!(

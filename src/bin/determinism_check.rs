@@ -9,11 +9,26 @@
 //! order), and the one wall-clock diagnostic in a monitor report
 //! (`backpressure_stalls`) is zeroed before printing.
 
+use followscent::checkpoint::FileCheckpointStore;
+use followscent::core::PipelineConfig;
 use followscent::discovery::DiscoveryConfig;
 use followscent::prober::QueueModel;
 use followscent::simnet::{scenarios, Engine, SimTime, WorldScale};
-use followscent::stream::{MonitorConfig, StopSignal, WatchChurn};
-use followscent::{Campaign, CampaignMode, ScentError, Scheduler};
+use followscent::stream::{
+    MonitorConfig, MonitorControl, MonitorSnapshot, StopSignal, StreamConfig, StreamMonitor,
+    StreamPipeline, WatchChurn,
+};
+use followscent::{ScentError, Scheduler};
+
+/// The throttling virtual-queue model of the feedback-on monitors.
+fn throttling_model() -> QueueModel {
+    QueueModel {
+        drain_rate: Some(16),
+        high_watermark: 64,
+        low_watermark: 8,
+        ..QueueModel::unbounded()
+    }
+}
 
 fn main() -> Result<(), ScentError> {
     // Streamed discovery with virtual-queue feedback, across producer
@@ -22,22 +37,24 @@ fn main() -> Result<(), ScentError> {
     let world = scenarios::paper_world(2024, WorldScale::small());
     for producers in [1usize, 4] {
         let engine = Engine::build(world.clone())?;
-        let report = Campaign::builder()
-            .world(&engine)
-            .max_48s_per_seed(128)
-            .queue_model(QueueModel {
+        let report = StreamPipeline::new(StreamConfig {
+            pipeline: PipelineConfig {
+                max_48s_per_seed: 128,
+                ..PipelineConfig::default()
+            },
+            shards: 2,
+            producers,
+            queue_model: QueueModel {
                 drain_rate: Some(2_000),
                 high_watermark: 4_096,
                 low_watermark: 512,
                 ..QueueModel::unbounded()
-            })
-            .mode(CampaignMode::Streamed {
-                shards: 2,
-                producers,
-            })
-            .run()?;
+            },
+            ..StreamConfig::default()
+        })
+        .run(&engine)?;
         println!("== streamed feedback-on, producers={producers} ==");
-        println!("{:#?}", report.pipeline().expect("pipeline report"));
+        println!("{report:#?}");
     }
 
     // The continuous monitor with a throttling queue model, across producer
@@ -51,27 +68,20 @@ fn main() -> Result<(), ScentError> {
         .flat_map(|p| p.config.prefix.subnets(48).unwrap())
         .take(2)
         .collect();
+    let feedback = MonitorConfig {
+        shards: 2,
+        packets_per_second: 128,
+        queue_model: throttling_model(),
+        start: SimTime::at(10, 9),
+        ..MonitorConfig::default()
+    };
     for producers in [1usize, 4] {
-        let report = Campaign::builder()
-            .world(&engine)
-            .seed(0x57ae)
-            .rate_pps(128)
-            .queue_model(QueueModel {
-                drain_rate: Some(16),
-                high_watermark: 64,
-                low_watermark: 8,
-                ..QueueModel::unbounded()
-            })
-            .watch(watched.clone())
-            .monitor_granularity(56)
-            .start(SimTime::at(10, 9))
-            .mode(CampaignMode::Monitor {
-                windows: 2,
-                shards: 2,
-                producers,
-            })
-            .run()?;
-        let mut report = report.monitor().expect("monitor report").clone();
+        let mut report = StreamMonitor::new(MonitorConfig {
+            windows: 2,
+            producers,
+            ..feedback.clone()
+        })
+        .run(&engine, &watched)?;
         report.backpressure_stalls = 0; // wall-clock diagnostic, not state
         println!("== monitor feedback-on, producers={producers} ==");
         println!("{report:#?}");
@@ -88,32 +98,23 @@ fn main() -> Result<(), ScentError> {
         scenarios::churn_world_dense_48(&engine, start),
         engine.pools()[1].config.prefix,
     ];
+    let churn = Some(WatchChurn {
+        refresh_every: 1,
+        watch_capacity: 3,
+        ..WatchChurn::default()
+    });
+    let churning = MonitorConfig {
+        windows: 4,
+        start,
+        churn,
+        ..feedback
+    };
     for producers in [1usize, 4] {
-        let report = Campaign::builder()
-            .world(&engine)
-            .seed(0x57ae)
-            .rate_pps(128)
-            .queue_model(QueueModel {
-                drain_rate: Some(16),
-                high_watermark: 64,
-                low_watermark: 8,
-                ..QueueModel::unbounded()
-            })
-            .watch(watched.clone())
-            .watch_churn(WatchChurn {
-                refresh_every: 1,
-                watch_capacity: 3,
-                ..WatchChurn::default()
-            })
-            .monitor_granularity(56)
-            .start(start)
-            .mode(CampaignMode::Monitor {
-                windows: 4,
-                shards: 2,
-                producers,
-            })
-            .run()?;
-        let mut report = report.monitor().expect("monitor report").clone();
+        let mut report = StreamMonitor::new(MonitorConfig {
+            producers,
+            ..churning.clone()
+        })
+        .run(&engine, &watched)?;
         report.backpressure_stalls = 0; // wall-clock diagnostic, not state
         println!("== monitor churn-on feedback-on, producers={producers} ==");
         println!("{report:#?}");
@@ -126,64 +127,44 @@ fn main() -> Result<(), ScentError> {
     // resumed report must be byte-identical to the uninterrupted one — both
     // are printed, so a mismatch shows up in-process *and* any scheduling
     // dependence shows up as a cross-run diff.
-    let campaign = |stop: Option<StopSignal>,
-                    checkpoint: Option<&std::path::Path>,
-                    resume: Option<&std::path::Path>| {
-        let mut builder = Campaign::builder()
-            .world(&engine)
-            .seed(0x57ae)
-            .rate_pps(128)
-            .queue_model(QueueModel {
-                drain_rate: Some(16),
-                high_watermark: 64,
-                low_watermark: 8,
-                ..QueueModel::unbounded()
-            })
-            .watch(watched.clone())
-            .watch_churn(WatchChurn {
-                refresh_every: 1,
-                watch_capacity: 3,
-                ..WatchChurn::default()
-            })
-            .checkpoint_every(2)
-            .monitor_granularity(56)
-            .start(start)
-            .mode(CampaignMode::Monitor {
-                windows: 4,
-                shards: 2,
-                producers: 2,
-            });
-        if let Some(stop) = stop {
-            builder = builder.stop_signal(stop);
-        }
-        if let Some(path) = checkpoint {
-            builder = builder.checkpoint_to(path);
-        }
-        if let Some(path) = resume {
-            builder = builder.resume_from(path);
-        }
-        builder.run()
-    };
+    let monitor = StreamMonitor::new(MonitorConfig {
+        producers: 2,
+        checkpoint_every: Some(2),
+        ..churning
+    });
     let path = std::env::temp_dir().join(format!("scent-determinism-{}.ckpt", std::process::id()));
-    let full = campaign(None, None, None)?;
+    let full = monitor.run(&engine, &watched)?;
     let stop = StopSignal::new();
     stop.request_stop();
-    let half = campaign(Some(stop), Some(&path), None)?;
-    let resumed = campaign(None, None, Some(&path))?;
+    let mut store = FileCheckpointStore::new(&path);
+    let half = monitor.run_controlled(
+        &engine,
+        &watched,
+        MonitorControl {
+            sink: Some(&mut store),
+            stop: Some(stop),
+            ..MonitorControl::default()
+        },
+    )?;
+    let resume = Some(MonitorSnapshot::from_bytes(&store.load()?)?);
+    let mut resumed = monitor.run_controlled(
+        &engine,
+        &watched,
+        MonitorControl {
+            resume,
+            ..MonitorControl::default()
+        },
+    )?;
     std::fs::remove_file(&path).ok();
-    let full = full.monitor().expect("monitor report");
-    let mut resumed = resumed.monitor().expect("monitor report").clone();
     resumed.backpressure_stalls = full.backpressure_stalls;
     assert_eq!(
-        &resumed, full,
+        resumed, full,
         "resumed run must be byte-identical to the uninterrupted run"
     );
-    let mut resumed = resumed.clone();
     resumed.backpressure_stalls = 0;
     println!(
         "== monitor checkpoint-resume: suspended after {} of {} windows, resumed ==",
-        half.monitor().expect("monitor report").windows,
-        resumed.windows
+        half.windows, resumed.windows
     );
     println!("{resumed:#?}");
 
@@ -196,27 +177,19 @@ fn main() -> Result<(), ScentError> {
     // scheduling dependence anywhere in the plan→sweep→fold→rebalance
     // boundary cycle shows up as a byte diff.
     for producers in [1usize, 4] {
-        let report = Campaign::builder()
-            .world(&engine)
-            .seed(0x57ae)
-            .watch_churn(WatchChurn {
-                refresh_every: 1,
-                watch_capacity: 3,
-                ..WatchChurn::default()
-            })
-            .discovery(DiscoveryConfig {
+        let mut report = StreamMonitor::new(MonitorConfig {
+            shards: 2,
+            producers,
+            windows: 3,
+            start,
+            churn,
+            discovery: Some(DiscoveryConfig {
                 probe_budget: 262_144,
                 ..DiscoveryConfig::paper_scale()
-            })
-            .monitor_granularity(56)
-            .start(start)
-            .mode(CampaignMode::Monitor {
-                windows: 3,
-                shards: 2,
-                producers,
-            })
-            .run()?;
-        let mut report = report.monitor().expect("monitor report").clone();
+            }),
+            ..MonitorConfig::default()
+        })
+        .run(&engine, &[])?;
         report.backpressure_stalls = 0; // wall-clock diagnostic, not state
         println!("== monitor adaptive-discovery unseeded, producers={producers} ==");
         println!("{report:#?}");
@@ -249,12 +222,7 @@ fn main() -> Result<(), ScentError> {
         windows: 3,
         producers: 4,
         packets_per_second: 128,
-        queue_model: QueueModel {
-            drain_rate: Some(16),
-            high_watermark: 64,
-            low_watermark: 8,
-            ..QueueModel::unbounded()
-        },
+        queue_model: throttling_model(),
         ..base.clone()
     };
     let single_window = MonitorConfig {

@@ -15,11 +15,12 @@
 //!   high-water, elapsed spans) is printed only under `--profile`, which CI
 //!   never passes.
 
+use followscent::core::PipelineConfig;
 use followscent::prober::QueueModel;
 use followscent::simnet::{scenarios, Engine, SimTime, WorldScale};
-use followscent::stream::WatchChurn;
+use followscent::stream::{MonitorConfig, StreamConfig, StreamMonitor, StreamPipeline, WatchChurn};
 use followscent::telemetry::{self, Telemetry, TelemetrySnapshot};
-use followscent::{Campaign, CampaignMode, ScentError};
+use followscent::ScentError;
 
 /// The deterministic tier rendered for comparison and printing: Prometheus
 /// text followed by the JSONL event journal.
@@ -66,21 +67,22 @@ fn main() -> Result<(), ScentError> {
     for producers in [1usize, 4] {
         let engine = Engine::build(world.clone())?;
         let registry = Telemetry::new();
-        Campaign::builder()
-            .world(&engine)
-            .max_48s_per_seed(128)
-            .queue_model(QueueModel {
+        StreamPipeline::new(StreamConfig {
+            pipeline: PipelineConfig {
+                max_48s_per_seed: 128,
+                ..PipelineConfig::default()
+            },
+            shards: 2,
+            producers,
+            queue_model: QueueModel {
                 drain_rate: Some(2_000),
                 high_watermark: 4_096,
                 low_watermark: 512,
                 ..QueueModel::unbounded()
-            })
-            .mode(CampaignMode::Streamed {
-                shards: 2,
-                producers,
-            })
-            .telemetry(&registry)
-            .run()?;
+            },
+            ..StreamConfig::default()
+        })
+        .run_observed(&engine, Some(&registry))?;
         runs.push((producers, registry.snapshot()));
     }
     emit("streamed feedback-on", &runs, profile);
@@ -98,31 +100,26 @@ fn main() -> Result<(), ScentError> {
     let mut runs = Vec::new();
     for producers in [1usize, 4] {
         let registry = Telemetry::new();
-        Campaign::builder()
-            .world(&engine)
-            .seed(0x57ae)
-            .rate_pps(128)
-            .queue_model(QueueModel {
+        StreamMonitor::new(MonitorConfig {
+            shards: 2,
+            producers,
+            packets_per_second: 128,
+            windows: 4,
+            start,
+            queue_model: QueueModel {
                 drain_rate: Some(16),
                 high_watermark: 64,
                 low_watermark: 8,
                 ..QueueModel::unbounded()
-            })
-            .watch(watched.clone())
-            .watch_churn(WatchChurn {
+            },
+            churn: Some(WatchChurn {
                 refresh_every: 1,
                 watch_capacity: 3,
                 ..WatchChurn::default()
-            })
-            .monitor_granularity(56)
-            .start(start)
-            .mode(CampaignMode::Monitor {
-                windows: 4,
-                shards: 2,
-                producers,
-            })
-            .telemetry(&registry)
-            .run()?;
+            }),
+            ..MonitorConfig::default()
+        })
+        .run_observed(&engine, &watched, Some(&registry))?;
         runs.push((producers, registry.snapshot()));
     }
     emit("monitor churn-on feedback-on", &runs, profile);

@@ -1,4 +1,4 @@
-//! The backend seam: [`Campaign`] must accept any third-party backend that
+//! The backend seam: the engines must accept any third-party backend that
 //! implements the two prober traits — both as a generic parameter and as a
 //! `&dyn MeasurementBackend` trait object — without the pipelines ever
 //! naming a concrete engine type.
@@ -6,9 +6,10 @@
 use std::net::Ipv6Addr;
 
 use followscent::bgp::{AsRegistry, Asn, Rib};
+use followscent::core::{Pipeline, PipelineConfig, PipelineReport};
 use followscent::prober::{MeasurementBackend, ProbeTransport, WorldView};
 use followscent::simnet::{ProbeReply, SimTime, TraceHop};
-use followscent::{Campaign, CampaignMode, CampaignReport};
+use followscent::stream::{MonitorConfig, StreamMonitor, StreamPipeline};
 
 /// A minimal "third-party" backend: announces one prefix, answers nothing.
 /// Deliberately defined outside the workspace crates — everything it needs
@@ -61,33 +62,28 @@ impl WorldView for SilentBackend {
     }
 }
 
-fn assert_empty_discovery(report: &CampaignReport) {
-    let pipeline = report.pipeline().expect("discovery mode");
+fn small_config() -> PipelineConfig {
+    PipelineConfig {
+        max_48s_per_seed: 64,
+        ..PipelineConfig::default()
+    }
+}
+
+fn assert_empty_discovery(pipeline: &PipelineReport) {
     assert_eq!(pipeline.seed_unique_48s, 0);
     assert_eq!(pipeline.validated_48s, 0);
     assert!(pipeline.rotating_48s.is_empty());
     assert_eq!(pipeline.total_addresses, 0);
 }
 
-/// A generic third-party backend drives the whole facade: the silent network
-/// yields a structurally valid, empty report in every discovery mode.
+/// A generic third-party backend drives both discovery engines: the silent
+/// network yields a structurally valid, empty report from each.
 #[test]
 fn campaign_accepts_a_generic_third_party_backend() {
     let backend = SilentBackend::new();
-    let batch = Campaign::builder()
-        .world(&backend)
-        .max_48s_per_seed(64)
-        .mode(CampaignMode::Batch)
-        .run()
-        .unwrap();
-    let streamed = Campaign::builder()
-        .world(&backend)
-        .max_48s_per_seed(64)
-        .mode(CampaignMode::Streamed {
-            shards: 2,
-            producers: 1,
-        })
-        .run()
+    let batch = Pipeline::new(small_config()).run(&backend);
+    let streamed = StreamPipeline::with_shards(small_config(), 2)
+        .run(&backend)
         .unwrap();
     assert_empty_discovery(&batch);
     assert_empty_discovery(&streamed);
@@ -95,34 +91,24 @@ fn campaign_accepts_a_generic_third_party_backend() {
 }
 
 /// The same backend behind a `&dyn MeasurementBackend` trait object: the
-/// pipelines are `?Sized`-friendly end to end.
+/// engines are `?Sized`-friendly end to end.
 #[test]
 fn campaign_accepts_a_dyn_backend() {
     let backend = SilentBackend::new();
     let dyn_backend: &dyn MeasurementBackend = &backend;
-    let report = Campaign::builder()
-        .world(dyn_backend)
-        .max_48s_per_seed(64)
-        .mode(CampaignMode::Streamed {
-            shards: 2,
-            producers: 1,
-        })
-        .run()
+    let report = StreamPipeline::with_shards(small_config(), 2)
+        .run(dyn_backend)
         .unwrap();
     assert_empty_discovery(&report);
+    assert_eq!(report, Pipeline::new(small_config()).run(dyn_backend));
 
-    // Monitor mode works over a trait object too.
-    let monitor = Campaign::builder()
-        .world(dyn_backend)
-        .watch(vec!["2001:db8:1::/48".parse().unwrap()])
-        .mode(CampaignMode::Monitor {
-            windows: 2,
-            shards: 2,
-            producers: 1,
-        })
-        .run()
-        .unwrap();
-    let monitor = monitor.monitor().expect("monitor mode");
+    // The monitor works over a trait object too.
+    let monitor = StreamMonitor::new(MonitorConfig {
+        windows: 2,
+        ..MonitorConfig::default()
+    })
+    .run(dyn_backend, &["2001:db8:1::/48".parse().unwrap()])
+    .unwrap();
     assert_eq!(monitor.windows, 2);
     assert!(monitor.events.is_empty(), "a silent world emits no events");
 }

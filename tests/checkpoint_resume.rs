@@ -6,7 +6,7 @@
 //! covered too: a raised [`StopSignal`] drains the epoch in flight without
 //! deadlock at any `shards × producers` topology.
 
-use followscent::checkpoint::MemorySink;
+use followscent::checkpoint::{CheckpointSink, FileCheckpointStore, MemorySink};
 use followscent::ipv6::Ipv6Prefix;
 use followscent::prober::{
     ProbeTransport, QueueModel, RecordedBackend, RecordingBackend, WorldView,
@@ -17,7 +17,6 @@ use followscent::stream::{
     WatchChurn,
 };
 use followscent::telemetry::{self, Telemetry};
-use followscent::{Campaign, CampaignMode};
 use proptest::prelude::*;
 
 /// A queue model that genuinely throttles the 128 pps feedback runs below.
@@ -57,44 +56,41 @@ fn run_monitor<B: ProbeTransport + WorldView + ?Sized>(
     checkpoint: Option<&std::path::Path>,
     resume: Option<&std::path::Path>,
 ) -> MonitorReport {
-    let mut builder = Campaign::builder()
-        .world(world)
-        .seed(0x57ae)
-        .rate_pps(128)
-        .watch(watched.to_vec())
-        .checkpoint_every(2)
-        .monitor_granularity(56)
-        .start(start)
-        .mode(CampaignMode::Monitor {
-            windows: 4,
-            shards,
-            producers,
-        });
-    if churn {
-        builder = builder.watch_churn(WatchChurn {
+    let config = MonitorConfig {
+        shards,
+        producers,
+        packets_per_second: 128,
+        windows: 4,
+        start,
+        checkpoint_every: Some(2),
+        churn: churn.then(|| WatchChurn {
             refresh_every: 1,
             watch_capacity: 3,
             ..WatchChurn::default()
-        });
-    }
-    if feedback {
-        builder = builder.queue_model(throttling_model());
-    }
-    if let Some(stop) = stop {
-        builder = builder.stop_signal(stop);
-    }
-    if let Some(path) = checkpoint {
-        builder = builder.checkpoint_to(path);
-    }
-    if let Some(path) = resume {
-        builder = builder.resume_from(path);
-    }
-    let mut report = builder
-        .run()
-        .expect("valid monitor configuration")
-        .monitor()
-        .expect("monitor mode yields a monitor report")
-        .clone();
+        }),
+        queue_model: if feedback {
+            throttling_model()
+        } else {
+            QueueModel::default()
+        },
+        ..MonitorConfig::default()
+    };
+    let resume = resume.map(|path| {
+        let bytes = FileCheckpointStore::new(path)
+            .load()
+            .expect("the suspended run left a snapshot");
+        MonitorSnapshot::from_bytes(&bytes).expect("snapshot parses")
+    });
+    let mut store = checkpoint.map(FileCheckpointStore::new);
+    let control = MonitorControl {
+        observer: None,
+        sink: store.as_mut().map(|store| store as &mut dyn CheckpointSink),
+        resume,
+        stop,
+    };
+    let mut report = StreamMonitor::new(config)
+        .run_controlled(world, watched, control)
+        .expect("valid monitor configuration");
     // Stall counts are wall-clock scheduling, not inference state.
     report.backpressure_stalls = 0;
     report

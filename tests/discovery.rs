@@ -6,13 +6,16 @@
 //! backends and checkpoint suspend/resume, and never emits a probe into
 //! blocklisted space.
 
+use followscent::checkpoint::FileCheckpointStore;
 use followscent::discovery::{Blocklist, DiscoveryConfig};
 use followscent::ipv6::Ipv6Prefix;
 use followscent::prober::{ProbeTransport, RecordedBackend, RecordingBackend, WorldView};
 use followscent::simnet::{scenarios, Engine, SimTime};
-use followscent::stream::{ConfigError, MonitorReport, StopSignal, WatchChurn};
+use followscent::stream::{
+    ConfigError, MonitorConfig, MonitorControl, MonitorReport, MonitorSnapshot, StopSignal,
+    StreamError, StreamMonitor, WatchChurn,
+};
 use followscent::telemetry::{self, Telemetry, TelemetrySnapshot};
-use followscent::{Campaign, CampaignError, CampaignMode, ScentError};
 
 /// A discovery configuration whose per-boundary budget fully sweeps both of
 /// [`scenarios::churn_world`]'s announced /32s at /48 granularity in *each*
@@ -26,6 +29,28 @@ fn full_sweep_discovery() -> DiscoveryConfig {
     }
 }
 
+/// An *unseeded* discovery monitor's configuration: churn every window, the
+/// tree as the only candidate source.
+fn discovery_config(
+    discovery: DiscoveryConfig,
+    shards: usize,
+    producers: usize,
+    windows: u64,
+) -> MonitorConfig {
+    MonitorConfig {
+        shards,
+        producers,
+        windows,
+        churn: Some(WatchChurn {
+            refresh_every: 1,
+            watch_capacity: 3,
+            ..WatchChurn::default()
+        }),
+        discovery: Some(discovery),
+        ..MonitorConfig::default()
+    }
+}
+
 /// Run an *unseeded* discovery monitor over any backend: no initial watch
 /// list, churn every window, the tree as the only candidate source.
 fn discover_unseeded<B: ProbeTransport + WorldView + ?Sized>(
@@ -35,27 +60,9 @@ fn discover_unseeded<B: ProbeTransport + WorldView + ?Sized>(
     producers: usize,
     windows: u64,
 ) -> MonitorReport {
-    let mut report = Campaign::builder()
-        .world(world)
-        .seed(0x57ae)
-        .watch_churn(WatchChurn {
-            refresh_every: 1,
-            watch_capacity: 3,
-            ..WatchChurn::default()
-        })
-        .discovery(discovery)
-        .monitor_granularity(56)
-        .start(SimTime::at(10, 9))
-        .mode(CampaignMode::Monitor {
-            windows,
-            shards,
-            producers,
-        })
-        .run()
-        .expect("valid discovery monitor configuration")
-        .monitor()
-        .expect("monitor mode yields a monitor report")
-        .clone();
+    let mut report = StreamMonitor::new(discovery_config(discovery, shards, producers, windows))
+        .run(world, &[])
+        .expect("valid discovery monitor configuration");
     report.backpressure_stalls = 0;
     report
 }
@@ -134,28 +141,10 @@ fn discover_observed<B: ProbeTransport + WorldView + ?Sized>(
     windows: u64,
 ) -> (MonitorReport, String) {
     let registry = Telemetry::new();
-    let mut report = Campaign::builder()
-        .world(world)
-        .seed(0x57ae)
-        .watch_churn(WatchChurn {
-            refresh_every: 1,
-            watch_capacity: 3,
-            ..WatchChurn::default()
-        })
-        .discovery(full_sweep_discovery())
-        .monitor_granularity(56)
-        .start(SimTime::at(10, 9))
-        .mode(CampaignMode::Monitor {
-            windows,
-            shards,
-            producers,
-        })
-        .telemetry(&registry)
-        .run()
-        .expect("valid discovery monitor configuration")
-        .monitor()
-        .expect("monitor mode yields a monitor report")
-        .clone();
+    let config = discovery_config(full_sweep_discovery(), shards, producers, windows);
+    let mut report = StreamMonitor::new(config)
+        .run_observed(world, &[], Some(&registry))
+        .expect("valid discovery monitor configuration");
     report.backpressure_stalls = 0;
     (report, deterministic_dump(&registry.snapshot()))
 }
@@ -208,33 +197,17 @@ fn discovery_is_invariant_across_shards_producers_and_backends() {
 fn checkpoint_resume_mid_discovery_is_byte_identical() {
     let engine = Engine::build(scenarios::churn_world(13)).unwrap();
     let path = std::env::temp_dir().join(format!("scent-disc-{}.ckpt", std::process::id()));
-    let base = || {
-        Campaign::builder()
-            .world(&engine)
-            .seed(0x57ae)
-            .watch_churn(WatchChurn {
-                refresh_every: 1,
-                watch_capacity: 3,
-                ..WatchChurn::default()
-            })
-            .discovery(full_sweep_discovery())
-            .monitor_granularity(56)
-            .start(SimTime::at(10, 9))
-            .checkpoint_every(1)
-            .mode(CampaignMode::Monitor {
-                windows: 4,
-                shards: 2,
-                producers: 2,
-            })
-    };
-    let normalize = |report: &MonitorReport| {
-        let mut report = report.clone();
+    let monitor = StreamMonitor::new(MonitorConfig {
+        checkpoint_every: Some(1),
+        ..discovery_config(full_sweep_discovery(), 2, 2, 4)
+    });
+    let normalize = |result: Result<MonitorReport, StreamError>| {
+        let mut report = result.expect("valid discovery monitor configuration");
         report.backpressure_stalls = 0;
         report
     };
 
-    let full = base().run().expect("uninterrupted run");
-    let full = normalize(full.monitor().unwrap());
+    let full = normalize(monitor.run(&engine, &[]));
     assert!(
         full.discovery.as_ref().is_some_and(|t| t.splits > 0),
         "the interruption must land on a run that actually grew a tree"
@@ -244,12 +217,13 @@ fn checkpoint_resume_mid_discovery_is_byte_identical() {
     // boundary discovery sweep — checkpoints, and halts.
     let stop = StopSignal::new();
     stop.request_stop();
-    let halted = base()
-        .checkpoint_to(&path)
-        .stop_signal(stop)
-        .run()
-        .expect("halted run");
-    let halted = normalize(halted.monitor().unwrap());
+    let mut store = FileCheckpointStore::new(&path);
+    let control = MonitorControl {
+        sink: Some(&mut store),
+        stop: Some(stop),
+        ..MonitorControl::default()
+    };
+    let halted = normalize(monitor.run_controlled(&engine, &[], control));
     assert!(
         halted.windows < full.windows,
         "the stop must interrupt mid-run for resume to prove anything"
@@ -259,8 +233,12 @@ fn checkpoint_resume_mid_discovery_is_byte_identical() {
         "the halted run already carries tree state"
     );
 
-    let resumed = base().resume_from(&path).run().expect("resumed run");
-    let resumed = normalize(resumed.monitor().unwrap());
+    let bytes = store.load().expect("the halted run left a snapshot");
+    let control = MonitorControl {
+        resume: Some(MonitorSnapshot::from_bytes(&bytes).expect("snapshot parses")),
+        ..MonitorControl::default()
+    };
+    let resumed = normalize(monitor.run_controlled(&engine, &[], control));
     std::fs::remove_file(&path).ok();
     assert_eq!(resumed, full, "resume must be byte-invisible");
 }
@@ -381,88 +359,64 @@ fn malformed_blocklist_entry_is_a_typed_error() {
     assert_eq!(parsed.len(), 2);
 }
 
-/// Facade validation: discovery is typed-error-checked before anything runs.
+/// Discovery is typed-error-checked before anything runs: each broken
+/// discovery configuration is refused by the run, and an empty watch list
+/// is legal only with discovery on.
 #[test]
 fn misconfigured_discovery_is_a_typed_error() {
     let engine = Engine::build(scenarios::churn_world(13)).unwrap();
-    let monitor = CampaignMode::Monitor {
+    let refused = |config: MonitorConfig| {
+        StreamMonitor::new(config)
+            .run(&engine, &[])
+            .expect_err("a broken discovery configuration is refused")
+    };
+    let monitor = MonitorConfig {
         windows: 2,
         shards: 1,
-        producers: 1,
+        ..MonitorConfig::default()
     };
-
-    // Discovery outside monitor mode.
-    let err = Campaign::builder()
-        .world(&engine)
-        .discovery(DiscoveryConfig::paper_scale())
-        .mode(CampaignMode::Streamed {
-            shards: 1,
-            producers: 1,
-        })
-        .run()
-        .expect_err("discovery needs the monitor");
-    assert_eq!(
-        err,
-        ScentError::Campaign(CampaignError::DiscoveryRequiresMonitor)
-    );
 
     // Discovery without churn: the tree's candidates would have no way into
     // the watch list.
-    let err = Campaign::builder()
-        .world(&engine)
-        .discovery(DiscoveryConfig::paper_scale())
-        .mode(monitor)
-        .run()
-        .expect_err("discovery needs churn");
+    let unchurned = MonitorConfig {
+        discovery: Some(DiscoveryConfig::paper_scale()),
+        ..monitor.clone()
+    };
     assert_eq!(
-        err,
-        ScentError::Campaign(CampaignError::Config(ConfigError::DiscoveryRequiresChurn))
+        refused(unchurned),
+        StreamError::Config(ConfigError::DiscoveryRequiresChurn)
     );
 
     // Degenerate knobs are rejected up front.
-    let churned = |discovery: DiscoveryConfig| {
-        Campaign::builder()
-            .world(&engine)
-            .watch_churn(WatchChurn {
-                refresh_every: 1,
-                watch_capacity: 3,
-                ..WatchChurn::default()
-            })
-            .discovery(discovery)
-            .mode(monitor)
-            .run()
-            .expect_err("degenerate discovery must be rejected")
-    };
+    let churned = |discovery| discovery_config(discovery, 1, 1, 2);
     let zero_budget = DiscoveryConfig {
         probe_budget: 0,
         ..DiscoveryConfig::paper_scale()
     };
     assert_eq!(
-        churned(zero_budget),
-        ScentError::Campaign(CampaignError::Config(ConfigError::ZeroDiscoveryBudget))
+        refused(churned(zero_budget)),
+        StreamError::Config(ConfigError::ZeroDiscoveryBudget)
     );
     let zero_rounds = DiscoveryConfig {
         rounds: 0,
         ..DiscoveryConfig::paper_scale()
     };
     assert_eq!(
-        churned(zero_rounds),
-        ScentError::Campaign(CampaignError::Config(ConfigError::ZeroDiscoveryRounds))
+        refused(churned(zero_rounds)),
+        StreamError::Config(ConfigError::ZeroDiscoveryRounds)
     );
     let wide_branch = DiscoveryConfig {
         branch_bits: 9,
         ..DiscoveryConfig::paper_scale()
     };
     assert_eq!(
-        churned(wide_branch),
-        ScentError::Campaign(CampaignError::Config(ConfigError::InvalidDiscoveryBranch))
+        refused(churned(wide_branch)),
+        StreamError::Config(ConfigError::InvalidDiscoveryBranch)
     );
 
     // An empty watch list alone is still an error without discovery...
-    let err = Campaign::builder()
-        .world(&engine)
-        .mode(monitor)
-        .run()
-        .expect_err("empty watch without discovery");
-    assert_eq!(err, ScentError::Campaign(CampaignError::EmptyWatchList));
+    assert_eq!(
+        refused(monitor),
+        StreamError::Config(ConfigError::EmptyWatchList)
+    );
 }

@@ -8,8 +8,8 @@ use followscent::core::{
     AllocationInference, Pipeline, PipelineConfig, RotationPoolInference, Tracker, TrackerConfig,
 };
 use followscent::ipv6::Eui64;
-use followscent::prober::{Campaign, Scan, Scanner, TargetGenerator};
-use followscent::simnet::{scenarios, Engine, SimTime, WorldScale};
+use followscent::prober::{Scan, Scanner, TargetGenerator};
+use followscent::simnet::{scenarios, Engine, SimDuration, SimTime, WorldScale};
 
 /// Reconnaissance + inference + tracking against the Versatel-like world:
 /// the headline attack of the paper, end to end.
@@ -28,8 +28,9 @@ fn end_to_end_tracking_defeats_prefix_rotation() {
     // Daily recon for twelve days at /56 granularity.
     let targets = generator.one_per_subnet(&pool56, 56);
     let scanner = Scanner::at_paper_rate(3);
-    let recon = Campaign::daily(&scanner, &engine, &targets, SimTime::at(1, 9), 12);
-    let refs: Vec<&Scan> = recon.scans.iter().collect();
+    let day = SimDuration::from_days(1);
+    let recon = scanner.scans(&engine, &targets, SimTime::at(1, 9), 12, day);
+    let refs: Vec<&Scan> = recon.iter().collect();
 
     // One-day /64-granularity scan of the whole pool for Algorithm 1 (the
     // occupied region moves through the pool as it rotates, so scanning a
@@ -151,8 +152,9 @@ fn pipeline_has_no_false_positives_and_privacy_extensions_stop_the_attack() {
     let pool = engine.pools()[0].config.prefix;
     let targets = TargetGenerator::new(2).one_per_subnet(&pool, 60);
     let scanner = Scanner::at_paper_rate(5);
-    let campaign = Campaign::daily(&scanner, &engine, &targets, SimTime::at(1, 9), 3);
-    let refs: Vec<&Scan> = campaign.scans.iter().collect();
+    let day = SimDuration::from_days(1);
+    let scans = scanner.scans(&engine, &targets, SimTime::at(1, 9), 3, day);
+    let refs: Vec<&Scan> = scans.iter().collect();
     let pools = RotationPoolInference::infer(&refs, engine.rib());
     assert!(
         pools.per_iid.is_empty(),
@@ -160,7 +162,7 @@ fn pipeline_has_no_false_positives_and_privacy_extensions_stop_the_attack() {
     );
     // Responses still arrive — the devices are reachable — but they carry
     // rotating, pseudo-random IIDs that cannot be linked across days.
-    assert!(campaign.total_responses() > 0);
+    assert!(scans.iter().any(|scan| scan.responses() > 0));
 }
 
 /// The packet-level path and the logical probe path agree.
@@ -227,66 +229,66 @@ fn umbrella_reexports_work_together() {
 /// discovery), at two shards and four producers.
 #[test]
 fn a_rotation_event_key_names_one_event() {
+    use followscent::ipv6::Ipv6Prefix;
     use followscent::prober::QueueModel;
-    use followscent::stream::WatchChurn;
-    use followscent::{Campaign, CampaignBuilder, CampaignMode};
+    use followscent::stream::{MonitorConfig, StreamMonitor, WatchChurn};
 
-    fn events_are_unique(builder: CampaignBuilder<'_, &Engine>, windows: u64) {
-        let report = builder
-            .seed(0x57ae)
-            .monitor_granularity(56)
-            .start(SimTime::at(10, 9))
-            .mode(CampaignMode::Monitor {
-                windows,
-                shards: 2,
-                producers: 4,
-            })
-            .run()
-            .unwrap();
-        let events = &report.monitor().expect("monitor report").events;
+    fn events_are_unique(engine: &Engine, watched: &[Ipv6Prefix], config: MonitorConfig) {
+        let config = MonitorConfig {
+            shards: 2,
+            producers: 4,
+            ..config
+        };
+        let report = StreamMonitor::new(config).run(engine, watched).unwrap();
+        let events = &report.events;
         let keys: HashSet<(u64, u64)> = events.iter().map(|e| (e.window, e.seq)).collect();
         assert!(!events.is_empty());
         assert_eq!(keys.len(), events.len());
     }
-    let throttled = QueueModel {
-        drain_rate: Some(16),
-        high_watermark: 64,
-        low_watermark: 8,
-        ..QueueModel::unbounded()
+    let throttled = MonitorConfig {
+        packets_per_second: 128,
+        queue_model: QueueModel {
+            drain_rate: Some(16),
+            high_watermark: 64,
+            low_watermark: 8,
+            ..QueueModel::unbounded()
+        },
+        ..MonitorConfig::default()
     };
-    let churn = WatchChurn {
+    let churn = Some(WatchChurn {
         refresh_every: 1,
         watch_capacity: 3,
         ..WatchChurn::default()
-    };
+    });
 
     let engine = Engine::build(scenarios::continuous_world(13)).unwrap();
-    let watched = (engine.pools().iter())
+    let watched: Vec<Ipv6Prefix> = (engine.pools().iter())
         .filter(|p| p.config.prefix.len() <= 48)
         .flat_map(|p| p.config.prefix.subnets(48).unwrap())
-        .take(2);
-    let steady = Campaign::builder()
-        .world(&engine)
-        .rate_pps(128)
-        .queue_model(throttled.clone())
-        .watch(watched.collect::<Vec<_>>());
-    events_are_unique(steady, 2);
+        .take(2)
+        .collect();
+    let steady = MonitorConfig {
+        windows: 2,
+        ..throttled.clone()
+    };
+    events_are_unique(&engine, &watched, steady);
 
     let engine = Engine::build(scenarios::churn_world(17)).unwrap();
     let dense = scenarios::churn_world_dense_48(&engine, SimTime::at(10, 9));
-    let churning = Campaign::builder()
-        .world(&engine)
-        .rate_pps(128)
-        .queue_model(throttled)
-        .watch(vec![dense, engine.pools()[1].config.prefix])
-        .watch_churn(churn);
-    events_are_unique(churning, 4);
-    let discovering = Campaign::builder()
-        .world(&engine)
-        .watch_churn(churn)
-        .discovery(followscent::discovery::DiscoveryConfig {
+    let churning = MonitorConfig {
+        windows: 4,
+        churn,
+        ..throttled
+    };
+    events_are_unique(&engine, &[dense, engine.pools()[1].config.prefix], churning);
+    let discovering = MonitorConfig {
+        windows: 3,
+        churn,
+        discovery: Some(followscent::discovery::DiscoveryConfig {
             probe_budget: 262_144,
             ..followscent::discovery::DiscoveryConfig::paper_scale()
-        });
-    events_are_unique(discovering, 3);
+        }),
+        ..MonitorConfig::default()
+    };
+    events_are_unique(&engine, &[], discovering);
 }

@@ -1,21 +1,29 @@
 //! Error-path coverage: every variant of the workspace error hierarchy —
-//! [`ScentError`], [`CampaignError`], [`WorldError`], [`PoolError`],
+//! [`ScentError`], [`ConfigError`], [`WorldError`], [`PoolError`],
 //! [`RibParseError`] — is constructible from a *public entry point*
 //! (`Engine::build`, config `validate`, `Rib::from_table_text`, the
-//! [`Campaign`] builder), and every error renders a non-empty `Display`
-//! chain through [`std::error::Error::source`].
+//! streaming runs and the scheduler), and every error renders a non-empty
+//! `Display` chain through [`std::error::Error::source`].
 
 use std::error::Error;
 
 use followscent::bgp::{Rib, RibParseError, RibParseErrorKind};
-use followscent::checkpoint::{encode_snapshot, CheckpointError};
+use followscent::checkpoint::{encode_snapshot, CheckpointError, FileCheckpointStore};
+use followscent::core::PipelineConfig;
+use followscent::discovery::DiscoveryConfig;
 use followscent::ipv6::Ipv6Prefix;
+use followscent::prober::{ProbeTransport, QueueModel, RecordingBackend, WorldView};
+use followscent::sched::{self, SchedError};
 use followscent::simnet::{
     scenarios, Engine, PlantedCpe, PoolError, ProviderConfig, RotationPoolConfig, SlotLayout,
     WorldConfig, WorldError,
 };
-use followscent::stream::{ConfigError, MonitorSnapshot, StopSignal};
-use followscent::{Campaign, CampaignError, CampaignMode, ScentError};
+use followscent::stream::{
+    ConfigError, MonitorConfig, MonitorControl, MonitorReport, MonitorSnapshot, StopSignal,
+    StreamConfig, StreamError, StreamMonitor, StreamPipeline, WatchChurn,
+};
+use followscent::telemetry::{self, Telemetry};
+use followscent::{ScentError, Scheduler};
 
 fn p(s: &str) -> Ipv6Prefix {
     s.parse().unwrap()
@@ -302,177 +310,311 @@ fn every_rib_parse_error_variant_is_reachable_and_carries_its_line() {
     assert_chain(&ScentError::from(bad_asn), 2);
 }
 
-#[test]
-fn every_campaign_error_variant_is_reachable_from_the_builder() {
-    let engine = Engine::build(scenarios::versatel_like(1)).unwrap();
-    let watched = vec![p("2001:16b8:100::/48")];
+/// A configuration handed to the run that meets it.
+enum Run {
+    /// A streamed discovery pipeline.
+    Stream(StreamConfig),
+    /// A monitor over a watch list.
+    Monitor(Box<MonitorConfig>, Vec<Ipv6Prefix>),
+}
 
-    let cases: Vec<(ScentError, CampaignError)> = vec![
-        (
-            Campaign::builder()
-                .world(&engine)
-                .mode(CampaignMode::Streamed {
-                    shards: 0,
-                    producers: 1,
-                })
-                .run()
-                .unwrap_err(),
-            ConfigError::NoShards.into(),
-        ),
-        (
-            Campaign::builder()
-                .world(&engine)
-                .mode(CampaignMode::Streamed {
-                    shards: 2,
-                    producers: 0,
-                })
-                .run()
-                .unwrap_err(),
-            ConfigError::NoProducers.into(),
-        ),
-        (
-            Campaign::builder()
-                .world(&engine)
-                .channel_capacity(0)
-                .run()
-                .unwrap_err(),
-            ConfigError::ZeroChannelCapacity.into(),
-        ),
-        (
-            Campaign::builder()
-                .world(&engine)
-                .mode(CampaignMode::Monitor {
-                    windows: 2,
-                    shards: 2,
-                    producers: 1,
-                })
-                .run()
-                .unwrap_err(),
-            CampaignError::EmptyWatchList,
-        ),
-        (
-            Campaign::builder()
-                .world(&engine)
-                .watch(watched.clone())
-                .mode(CampaignMode::Monitor {
-                    windows: 0,
-                    shards: 2,
-                    producers: 1,
-                })
-                .run()
-                .unwrap_err(),
-            CampaignError::NoWindows,
-        ),
-        (
-            Campaign::builder()
-                .world(&engine)
-                .watch(watched.clone())
-                .refresh_every(0)
-                .mode(CampaignMode::Monitor {
-                    windows: 2,
-                    shards: 2,
-                    producers: 1,
-                })
-                .run()
-                .unwrap_err(),
-            ConfigError::ZeroRefreshCadence.into(),
-        ),
-        (
-            Campaign::builder()
-                .world(&engine)
-                .watch(watched.clone())
-                .watch_capacity(0)
-                .mode(CampaignMode::Monitor {
-                    windows: 2,
-                    shards: 2,
-                    producers: 1,
-                })
-                .run()
-                .unwrap_err(),
-            ConfigError::ZeroWatchCapacity.into(),
-        ),
-        (
-            Campaign::builder()
-                .world(&engine)
-                .watch(watched.clone())
-                .watch_churn(followscent::stream::WatchChurn {
-                    expansion_len: 52, // longer than a /48: cannot enclose one
-                    ..followscent::stream::WatchChurn::default()
-                })
-                .mode(CampaignMode::Monitor {
-                    windows: 2,
-                    shards: 2,
-                    producers: 1,
-                })
-                .run()
-                .unwrap_err(),
-            ConfigError::ExpansionBlockTooLong.into(),
-        ),
-        (
-            Campaign::builder()
-                .world(&engine)
-                .watch(watched.clone())
-                .watch_churn(followscent::stream::WatchChurn {
-                    max_48s_per_seed: 0, // expansion could never admit anything
-                    ..followscent::stream::WatchChurn::default()
-                })
-                .mode(CampaignMode::Monitor {
-                    windows: 2,
-                    shards: 2,
-                    producers: 1,
-                })
-                .run()
-                .unwrap_err(),
-            ConfigError::ZeroExpansionBudget.into(),
-        ),
-    ];
-    // Inverted watermarks are refused whether or not the model can
-    // throttle: an unbounded one is never run, but never carried either.
-    let inverted = [Some(8), None].map(|drain_rate| {
-        let err = Campaign::builder()
-            .world(&engine)
-            .watch(watched.clone())
-            .queue_model(followscent::prober::QueueModel {
-                drain_rate,
-                high_watermark: 4,
-                low_watermark: 4,
-                ..followscent::prober::QueueModel::unbounded()
-            })
-            .mode(CampaignMode::Monitor {
-                windows: 2,
-                shards: 2,
-                producers: 4,
-            })
-            .run()
-            .unwrap_err();
-        (err, ConfigError::InvalidQueueModel.into())
-    });
-    let cases = cases.into_iter().chain(inverted);
-
-    for (err, expected) in cases {
-        assert_eq!(err, ScentError::Campaign(expected));
-        assert_chain(&err, 2);
-        assert!(err.to_string().contains("campaign configuration"));
+/// Run `run` observed by `registry`, expecting it refused.
+fn refuse<B: ProbeTransport + WorldView + ?Sized>(
+    world: &B,
+    run: Run,
+    registry: &Telemetry,
+) -> StreamError {
+    match run {
+        Run::Stream(config) => StreamPipeline::new(config)
+            .run_observed(world, Some(registry))
+            .expect_err("a broken pipeline configuration is refused"),
+        Run::Monitor(config, watched) => StreamMonitor::new(*config)
+            .run_controlled(
+                world,
+                &watched,
+                MonitorControl {
+                    observer: Some(registry),
+                    ..MonitorControl::default()
+                },
+            )
+            .expect_err("a broken monitor configuration is refused"),
     }
 }
 
-/// A monitor campaign builder over `engine`, shaped like the checkpoint
-/// tests use it: one watched /48, two windows, checkpointing every window.
-fn checkpoint_campaign(
-    engine: &Engine,
-    producers: usize,
-) -> followscent::CampaignBuilder<'_, &Engine> {
-    Campaign::builder()
-        .world(engine)
-        .seed(0x57ae)
-        .watch(vec![p("2001:16b8:100::/48")])
-        .checkpoint_every(1)
-        .monitor_granularity(56)
-        .mode(CampaignMode::Monitor {
-            windows: 2,
-            shards: 1,
-            producers,
-        })
+/// Every configuration rule is refused as [`StreamError::Config`] by the run
+/// that meets it, before anything starts: every broken configuration runs
+/// over one recorder whose log must stay empty, observed by a registry whose
+/// deterministic and topology tiers must equal an untouched registry's. The
+/// scheduler refuses the rules a tenant carries the same way.
+#[test]
+fn every_config_error_is_refused_before_anything_probes() {
+    use ConfigError::*;
+    let engine = Engine::build(scenarios::versatel_like(1)).unwrap();
+    let recorder = RecordingBackend::new(&engine);
+    let watched = vec![p("2001:16b8:100::/48")];
+    let stream = StreamConfig::default();
+    let monitor = MonitorConfig {
+        windows: 2,
+        ..MonitorConfig::default()
+    };
+    let on = |config: MonitorConfig| Run::Monitor(Box::new(config), watched.clone());
+    let churning = |churn: WatchChurn| MonitorConfig {
+        churn: Some(churn),
+        ..monitor.clone()
+    };
+    let discovering = |discovery: DiscoveryConfig| MonitorConfig {
+        discovery: Some(discovery),
+        ..churning(WatchChurn::default())
+    };
+    let inverted = |drain_rate| QueueModel {
+        drain_rate,
+        high_watermark: 4,
+        low_watermark: 4,
+        ..QueueModel::unbounded()
+    };
+    let cases = vec![
+        (
+            Run::Stream(StreamConfig {
+                shards: 0,
+                ..stream.clone()
+            }),
+            NoShards,
+        ),
+        (
+            Run::Stream(StreamConfig {
+                producers: 0,
+                ..stream.clone()
+            }),
+            NoProducers,
+        ),
+        (
+            Run::Stream(StreamConfig {
+                channel_capacity: 0,
+                ..stream.clone()
+            }),
+            ZeroChannelCapacity,
+        ),
+        (
+            Run::Stream(StreamConfig {
+                pipeline: PipelineConfig {
+                    packets_per_second: 0,
+                    ..PipelineConfig::default()
+                },
+                ..stream.clone()
+            }),
+            ZeroRate,
+        ),
+        // Inverted watermarks are refused whether or not the model can
+        // throttle: an unbounded one is never run, but never carried either.
+        (
+            Run::Stream(StreamConfig {
+                queue_model: inverted(Some(8)),
+                ..stream.clone()
+            }),
+            InvalidQueueModel,
+        ),
+        (
+            on(MonitorConfig {
+                producers: 4,
+                queue_model: inverted(None),
+                ..monitor.clone()
+            }),
+            InvalidQueueModel,
+        ),
+        (
+            on(MonitorConfig {
+                packets_per_second: 0,
+                ..monitor.clone()
+            }),
+            ZeroRate,
+        ),
+        (
+            on(MonitorConfig {
+                windows: 0,
+                ..monitor.clone()
+            }),
+            NoWindows,
+        ),
+        (
+            on(churning(WatchChurn {
+                refresh_every: 0,
+                ..WatchChurn::default()
+            })),
+            ZeroRefreshCadence,
+        ),
+        (
+            on(churning(WatchChurn {
+                watch_capacity: 0,
+                ..WatchChurn::default()
+            })),
+            ZeroWatchCapacity,
+        ),
+        (
+            on(churning(WatchChurn {
+                expansion_len: 52, // longer than a /48: cannot enclose one
+                ..WatchChurn::default()
+            })),
+            ExpansionBlockTooLong,
+        ),
+        (
+            on(churning(WatchChurn {
+                max_48s_per_seed: 0, // expansion could never admit anything
+                ..WatchChurn::default()
+            })),
+            ZeroExpansionBudget,
+        ),
+        (
+            on(MonitorConfig {
+                checkpoint_every: Some(0),
+                ..monitor.clone()
+            }),
+            ZeroCheckpointCadence,
+        ),
+        (
+            on(MonitorConfig {
+                checkpoint_every: Some(3),
+                ..churning(WatchChurn {
+                    refresh_every: 2,
+                    ..WatchChurn::default()
+                })
+            }),
+            MisalignedCheckpointCadence,
+        ),
+        // Without churn the tree's candidates would have no way into the
+        // watch list.
+        (
+            on(MonitorConfig {
+                discovery: Some(DiscoveryConfig::paper_scale()),
+                ..monitor.clone()
+            }),
+            DiscoveryRequiresChurn,
+        ),
+        (
+            on(discovering(DiscoveryConfig {
+                probe_budget: 0,
+                ..DiscoveryConfig::paper_scale()
+            })),
+            ZeroDiscoveryBudget,
+        ),
+        (
+            on(discovering(DiscoveryConfig {
+                rounds: 0,
+                ..DiscoveryConfig::paper_scale()
+            })),
+            ZeroDiscoveryRounds,
+        ),
+        (
+            on(discovering(DiscoveryConfig {
+                branch_bits: 9,
+                ..DiscoveryConfig::paper_scale()
+            })),
+            InvalidDiscoveryBranch,
+        ),
+        // Only discovery could ever fill an empty watch list.
+        (
+            Run::Monitor(Box::new(monitor.clone()), Vec::new()),
+            EmptyWatchList,
+        ),
+    ];
+    // The table names every rule: a rule added without a case stops this
+    // match compiling.
+    let slot = |rule: &ConfigError| match rule {
+        NoShards => 0,
+        NoProducers => 1,
+        ZeroChannelCapacity => 2,
+        ZeroRate => 3,
+        InvalidQueueModel => 4,
+        NoWindows => 5,
+        ZeroRefreshCadence => 6,
+        ZeroWatchCapacity => 7,
+        ExpansionBlockTooLong => 8,
+        ZeroExpansionBudget => 9,
+        ZeroCheckpointCadence => 10,
+        MisalignedCheckpointCadence => 11,
+        DiscoveryRequiresChurn => 12,
+        ZeroDiscoveryBudget => 13,
+        ZeroDiscoveryRounds => 14,
+        InvalidDiscoveryBranch => 15,
+        EmptyWatchList => 16,
+    };
+    let mut covered = [false; 17];
+    for (_, rule) in &cases {
+        covered[slot(rule)] = true;
+    }
+    assert!(covered.iter().all(|&c| c), "every rule has a case");
+
+    let tiers = |registry: &Telemetry| {
+        let snapshot = registry.snapshot();
+        let mut tiers = telemetry::deterministic_text(&snapshot.deterministic);
+        tiers.push_str(&telemetry::events_jsonl(&snapshot.deterministic.events));
+        tiers.push_str(&telemetry::topology_text(&snapshot.topology));
+        tiers
+    };
+    let untouched = tiers(&Telemetry::new());
+    for (run, rule) in cases {
+        let registry = Telemetry::new();
+        let err = refuse(&recorder, run, &registry);
+        assert_eq!(err, StreamError::Config(rule));
+        assert_chain(&err, 2);
+        let err = ScentError::from(err);
+        assert_eq!(err, ScentError::Config(rule));
+        assert_chain(&err, 2);
+        assert!(err.to_string().contains("configuration"));
+        assert_eq!(tiers(&registry), untouched, "{rule:?}: no hook fired");
+    }
+    let log = recorder.finish();
+    assert!(
+        log.probes.is_empty() && log.traces.is_empty(),
+        "no refused run probed"
+    );
+
+    // A scheduled tenant carries the monitor's rules: refused before any
+    // session opens.
+    for (config, rule) in [
+        (
+            MonitorConfig {
+                windows: 0,
+                ..monitor.clone()
+            },
+            NoWindows,
+        ),
+        (
+            MonitorConfig {
+                packets_per_second: 0,
+                ..monitor.clone()
+            },
+            ZeroRate,
+        ),
+    ] {
+        let err = Scheduler::builder()
+            .add(sched::Campaign::new(&engine, config, watched.clone()), 1)
+            .run()
+            .unwrap_err();
+        assert_eq!(
+            err,
+            SchedError::InvalidConfig {
+                tenant: 0,
+                error: rule
+            }
+        );
+    }
+}
+
+/// The one /48 the checkpoint tests watch.
+fn checkpoint_watch() -> Vec<Ipv6Prefix> {
+    vec![p("2001:16b8:100::/48")]
+}
+
+/// A monitor shaped like the checkpoint tests use it: one shard, two
+/// windows, checkpointing every window.
+fn checkpoint_monitor(producers: usize) -> StreamMonitor {
+    StreamMonitor::new(MonitorConfig {
+        shards: 1,
+        producers,
+        windows: 2,
+        checkpoint_every: Some(1),
+        ..MonitorConfig::default()
+    })
 }
 
 /// Write a genuine snapshot file by suspending a monitor run at its first
@@ -480,11 +622,30 @@ fn checkpoint_campaign(
 fn write_snapshot(engine: &Engine, path: &std::path::Path) {
     let stop = StopSignal::new();
     stop.request_stop();
-    checkpoint_campaign(engine, 1)
-        .checkpoint_to(path)
-        .stop_signal(stop)
-        .run()
+    let mut store = FileCheckpointStore::new(path);
+    let control = MonitorControl {
+        sink: Some(&mut store),
+        stop: Some(stop),
+        ..MonitorControl::default()
+    };
+    checkpoint_monitor(1)
+        .run_controlled(engine, &checkpoint_watch(), control)
         .expect("the suspended run itself succeeds");
+}
+
+/// Resume the checkpoint monitor from the snapshot file at `path` the way a
+/// restarted process would: load, parse, run.
+fn resume_from(
+    engine: &Engine,
+    producers: usize,
+    path: &std::path::Path,
+) -> Result<MonitorReport, ScentError> {
+    let snapshot = MonitorSnapshot::from_bytes(&FileCheckpointStore::new(path).load()?)?;
+    let control = MonitorControl {
+        resume: Some(snapshot),
+        ..MonitorControl::default()
+    };
+    Ok(checkpoint_monitor(producers).run_controlled(engine, &checkpoint_watch(), control)?)
 }
 
 /// Corrupt snapshots yield the matching typed [`CheckpointError`] — never a
@@ -561,20 +722,16 @@ fn corrupt_snapshots_fail_typed_and_never_panic() {
     );
 }
 
-/// The campaign surface wraps checkpoint failures as
-/// [`ScentError::Checkpoint`] with the right variant: missing files, damaged
-/// files, fingerprint mismatches against the wrong run or wrong world — plus
-/// the three builder validations guarding the checkpoint options themselves.
+/// Resuming wraps checkpoint failures as [`ScentError::Checkpoint`] with the
+/// right variant: missing files, damaged files, fingerprint mismatches
+/// against the wrong run or wrong world.
 #[test]
 fn campaign_checkpoint_errors_are_typed_end_to_end() {
     let engine = Engine::build(scenarios::versatel_like(1)).unwrap();
     let path = std::env::temp_dir().join(format!("scent-ckpt-err-{}.ckpt", std::process::id()));
 
     // Resuming from a file that does not exist.
-    let missing = checkpoint_campaign(&engine, 1)
-        .resume_from(&path)
-        .run()
-        .unwrap_err();
+    let missing = resume_from(&engine, 1, &path).unwrap_err();
     assert_eq!(
         missing,
         ScentError::Checkpoint(CheckpointError::Io {
@@ -588,10 +745,7 @@ fn campaign_checkpoint_errors_are_typed_end_to_end() {
     write_snapshot(&engine, &path);
 
     // Resuming under a different configuration (producer count changed).
-    let config = checkpoint_campaign(&engine, 2)
-        .resume_from(&path)
-        .run()
-        .unwrap_err();
+    let config = resume_from(&engine, 2, &path).unwrap_err();
     assert!(
         matches!(
             config,
@@ -605,10 +759,7 @@ fn campaign_checkpoint_errors_are_typed_end_to_end() {
     // the world fingerprint covers the RIB (a reseeded world with identical
     // announcements resumes fine by design).
     let other = Engine::build(WorldConfig::new(vec![provider(64500)], 1)).unwrap();
-    let world = checkpoint_campaign(&other, 1)
-        .resume_from(&path)
-        .run()
-        .unwrap_err();
+    let world = resume_from(&other, 1, &path).unwrap_err();
     assert!(
         matches!(
             world,
@@ -623,10 +774,7 @@ fn campaign_checkpoint_errors_are_typed_end_to_end() {
     let mid = damaged.len() / 2;
     damaged[mid] ^= 0x01;
     std::fs::write(&path, &damaged).unwrap();
-    let corrupt = checkpoint_campaign(&engine, 1)
-        .resume_from(&path)
-        .run()
-        .unwrap_err();
+    let corrupt = resume_from(&engine, 1, &path).unwrap_err();
     std::fs::remove_file(&path).ok();
     assert!(
         matches!(
@@ -636,40 +784,4 @@ fn campaign_checkpoint_errors_are_typed_end_to_end() {
         "{corrupt:?}"
     );
     assert_chain(&corrupt, 2);
-
-    // The builder validations guarding the checkpoint options.
-    let cases: Vec<(ScentError, CampaignError)> = vec![
-        (
-            checkpoint_campaign(&engine, 1)
-                .checkpoint_every(0)
-                .run()
-                .unwrap_err(),
-            ConfigError::ZeroCheckpointCadence.into(),
-        ),
-        (
-            checkpoint_campaign(&engine, 1)
-                .refresh_every(2)
-                .checkpoint_every(3)
-                .run()
-                .unwrap_err(),
-            ConfigError::MisalignedCheckpointCadence.into(),
-        ),
-        (
-            Campaign::builder()
-                .world(&engine)
-                .checkpoint_every(1)
-                .mode(CampaignMode::Streamed {
-                    shards: 2,
-                    producers: 1,
-                })
-                .run()
-                .unwrap_err(),
-            CampaignError::CheckpointRequiresMonitor,
-        ),
-    ];
-    for (err, expected) in cases {
-        assert_eq!(err, ScentError::Campaign(expected));
-        assert_chain(&err, 2);
-        assert!(err.to_string().contains("campaign configuration"));
-    }
 }

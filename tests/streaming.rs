@@ -1,11 +1,11 @@
-//! Cross-crate integration tests for the streaming engine and the
-//! [`Campaign`] facade: streaming/batch equivalence, shard-merge determinism
+//! Cross-crate integration tests for the streaming engines: streaming/batch
+//! equivalence, shard-merge determinism
 //! and producer-merge determinism — the three contracts the subsystem is
 //! built around — parameterized over measurement backends (live simnet and
 //! recorded replay) and property-tested over random worlds, target lists and
 //! producer counts.
 
-use followscent::core::{PipelineConfig, PipelineReport};
+use followscent::core::{Pipeline, PipelineConfig, PipelineReport};
 use followscent::ipv6::Ipv6Prefix;
 use followscent::prober::{
     ProbeTransport, QueueModel, RecordedBackend, RecordingBackend, TargetGenerator, TargetStream,
@@ -13,10 +13,9 @@ use followscent::prober::{
 };
 use followscent::simnet::{scenarios, Engine, SimTime, WorldScale};
 use followscent::stream::{
-    spawn_producers, ContinuousStream, LimitedSource, MergedClock, MonitorReport, Observation,
-    ObservationSource, WatchChurn,
+    spawn_producers, ContinuousStream, LimitedSource, MergedClock, MonitorConfig, MonitorReport,
+    Observation, ObservationSource, StreamConfig, StreamMonitor, StreamPipeline, WatchChurn,
 };
-use followscent::{Campaign, CampaignMode};
 use proptest::prelude::*;
 
 fn small_config() -> PipelineConfig {
@@ -26,41 +25,40 @@ fn small_config() -> PipelineConfig {
     }
 }
 
-/// Run the discovery pipeline through the facade against any backend.
-fn discover<B: ProbeTransport + WorldView + ?Sized>(
-    world: &B,
-    mode: CampaignMode,
-) -> PipelineReport {
-    Campaign::builder()
-        .world(world)
-        .pipeline_config(small_config())
-        .mode(mode)
-        .run()
-        .expect("valid campaign configuration")
-        .pipeline()
-        .expect("discovery modes yield pipeline reports")
-        .clone()
+/// Run the batch discovery pipeline against any backend.
+fn batch<B: ProbeTransport + WorldView + ?Sized>(world: &B) -> PipelineReport {
+    Pipeline::new(small_config()).run(world)
 }
 
-/// The headline contract, through the facade: a streamed run over a simulated
+/// Run the streamed discovery pipeline against any backend.
+fn streamed<B: ProbeTransport + WorldView + ?Sized>(
+    world: &B,
+    shards: usize,
+    producers: usize,
+) -> PipelineReport {
+    StreamPipeline::new(StreamConfig {
+        pipeline: small_config(),
+        shards,
+        producers,
+        ..StreamConfig::default()
+    })
+    .run(world)
+    .expect("valid stream configuration")
+}
+
+/// The headline contract: a streamed run over a simulated
 /// world produces the same report — in particular the same set of rotating
 /// /48s — as the batch pipeline, while processing observations incrementally
 /// across two shards.
 #[test]
 fn streaming_equals_batch_on_the_paper_world() {
     let world = scenarios::paper_world(2024, WorldScale::small());
-    let batch = discover(&Engine::build(world.clone()).unwrap(), CampaignMode::Batch);
-    let streamed = discover(
-        &Engine::build(world).unwrap(),
-        CampaignMode::Streamed {
-            shards: 2,
-            producers: 1,
-        },
-    );
-    assert_eq!(batch.rotating_48s, streamed.rotating_48s);
-    assert_eq!(batch, streamed, "every report field must agree");
+    let reference = batch(&Engine::build(world.clone()).unwrap());
+    let report = streamed(&Engine::build(world).unwrap(), 2, 1);
+    assert_eq!(reference.rotating_48s, report.rotating_48s);
+    assert_eq!(reference, report, "every report field must agree");
     assert!(
-        !streamed.rotating_48s.is_empty(),
+        !report.rotating_48s.is_empty(),
         "equivalence must not be vacuous"
     );
 }
@@ -74,17 +72,11 @@ fn streaming_equals_batch_on_the_recorded_backend() {
     let engine = Engine::build(world).unwrap();
 
     let recorder = RecordingBackend::new(&engine);
-    let live = discover(&recorder, CampaignMode::Batch);
+    let live = batch(&recorder);
     let replay = RecordedBackend::from_log(recorder.finish());
 
-    let replayed_batch = discover(&replay, CampaignMode::Batch);
-    let replayed_stream = discover(
-        &replay,
-        CampaignMode::Streamed {
-            shards: 3,
-            producers: 1,
-        },
-    );
+    let replayed_batch = batch(&replay);
+    let replayed_stream = streamed(&replay, 3, 1);
     assert_eq!(live, replayed_batch, "replay must reproduce the live run");
     assert_eq!(live, replayed_stream, "streamed replay must agree too");
     assert!(
@@ -99,21 +91,28 @@ fn shard_merge_is_deterministic() {
     let world = scenarios::paper_world(99, WorldScale::small());
     let reports: Vec<PipelineReport> = [1usize, 2, 4]
         .iter()
-        .map(|&shards| {
-            discover(
-                &Engine::build(world.clone()).unwrap(),
-                CampaignMode::Streamed {
-                    shards,
-                    producers: 1,
-                },
-            )
-        })
+        .map(|&shards| streamed(&Engine::build(world.clone()).unwrap(), shards, 1))
         .collect();
     assert_eq!(reports[0], reports[1]);
     assert_eq!(reports[0], reports[2]);
 }
 
-/// Run the continuous monitor through the facade against any backend.
+/// Run the continuous monitor under `config` against any backend.
+fn monitor_run<B: ProbeTransport + WorldView + ?Sized>(
+    world: &B,
+    watched: &[Ipv6Prefix],
+    config: MonitorConfig,
+) -> MonitorReport {
+    let mut report = StreamMonitor::new(config)
+        .run(world, watched)
+        .expect("valid monitor configuration");
+    // Stall counts are wall-clock scheduling, not inference state; zero them
+    // so reports from different runs compare on inference output alone.
+    report.backpressure_stalls = 0;
+    report
+}
+
+/// Run the continuous monitor against any backend.
 fn monitor_with<B: ProbeTransport + WorldView + ?Sized>(
     world: &B,
     watched: &[Ipv6Prefix],
@@ -121,26 +120,13 @@ fn monitor_with<B: ProbeTransport + WorldView + ?Sized>(
     producers: usize,
     windows: u64,
 ) -> MonitorReport {
-    let mut report = Campaign::builder()
-        .world(world)
-        .seed(0x57ae)
-        .watch(watched.to_vec())
-        .monitor_granularity(56)
-        .start(SimTime::at(10, 9))
-        .mode(CampaignMode::Monitor {
-            windows,
-            shards,
-            producers,
-        })
-        .run()
-        .expect("valid monitor configuration")
-        .monitor()
-        .expect("monitor mode yields a monitor report")
-        .clone();
-    // Stall counts are wall-clock scheduling, not inference state; zero them
-    // so reports from different runs compare on inference output alone.
-    report.backpressure_stalls = 0;
-    report
+    let config = MonitorConfig {
+        shards,
+        producers,
+        windows,
+        ..MonitorConfig::default()
+    };
+    monitor_run(world, watched, config)
 }
 
 /// The /48s of every pool of an engine's world.
@@ -162,30 +148,21 @@ fn producer_count_is_invariant_on_live_and_recorded_backends() {
     let world = scenarios::paper_world(2024, WorldScale::small());
     let engine = Engine::build(world).unwrap();
     let recorder = RecordingBackend::new(&engine);
-    let batch = discover(&recorder, CampaignMode::Batch);
+    let reference = batch(&recorder);
     let replay = RecordedBackend::from_log(recorder.finish());
     assert!(
-        !batch.rotating_48s.is_empty(),
+        !reference.rotating_48s.is_empty(),
         "vacuous equality proves nothing"
     );
 
     for producers in [1usize, 2, 4, 8] {
-        let live = discover(
-            &engine,
-            CampaignMode::Streamed {
-                shards: 2,
-                producers,
-            },
+        let live = streamed(&engine, 2, producers);
+        assert_eq!(reference, live, "live streamed, producers={producers}");
+        let replayed = streamed(&replay, 3, producers);
+        assert_eq!(
+            reference, replayed,
+            "replayed streamed, producers={producers}"
         );
-        assert_eq!(batch, live, "live streamed, producers={producers}");
-        let replayed = discover(
-            &replay,
-            CampaignMode::Streamed {
-                shards: 3,
-                producers,
-            },
-        );
-        assert_eq!(batch, replayed, "replayed streamed, producers={producers}");
     }
 
     // The same invariance for the continuous monitor: record a single-producer
@@ -216,26 +193,15 @@ fn monitor_feedback<B: ProbeTransport + WorldView + ?Sized>(
     producers: usize,
     model: QueueModel,
 ) -> MonitorReport {
-    let mut report = Campaign::builder()
-        .world(world)
-        .seed(0x57ae)
-        .rate_pps(128)
-        .queue_model(model)
-        .watch(watched.to_vec())
-        .monitor_granularity(56)
-        .start(SimTime::at(10, 9))
-        .mode(CampaignMode::Monitor {
-            windows: 2,
-            shards,
-            producers,
-        })
-        .run()
-        .expect("valid monitor configuration")
-        .monitor()
-        .expect("monitor mode yields a monitor report")
-        .clone();
-    report.backpressure_stalls = 0;
-    report
+    let config = MonitorConfig {
+        shards,
+        producers,
+        packets_per_second: 128,
+        windows: 2,
+        queue_model: model,
+        ..MonitorConfig::default()
+    };
+    monitor_run(world, watched, config)
 }
 
 /// A queue model that genuinely throttles the 128 pps feedback runs in these
@@ -286,21 +252,20 @@ fn feedback_on_pipeline_is_producer_invariant_on_live_and_recorded_backends() {
     let engine = Engine::build(world).unwrap();
     let feedback_discover =
         |world: &dyn followscent::prober::MeasurementBackend, shards: usize, producers: usize| {
-            Campaign::builder()
-                .world(world)
-                .pipeline_config(small_config())
-                .queue_model(QueueModel {
+            StreamPipeline::new(StreamConfig {
+                pipeline: small_config(),
+                shards,
+                producers,
+                queue_model: QueueModel {
                     drain_rate: Some(2_000),
                     high_watermark: 4_096,
                     low_watermark: 512,
                     ..QueueModel::unbounded()
-                })
-                .mode(CampaignMode::Streamed { shards, producers })
-                .run()
-                .expect("valid campaign configuration")
-                .pipeline()
-                .expect("discovery modes yield pipeline reports")
-                .clone()
+                },
+                ..StreamConfig::default()
+            })
+            .run(world)
+            .expect("valid stream configuration")
         };
     let recorder = RecordingBackend::new(&engine);
     let reference = feedback_discover(&recorder, 2, 1);
@@ -317,7 +282,7 @@ fn feedback_on_pipeline_is_producer_invariant_on_live_and_recorded_backends() {
     }
 }
 
-/// Run the continuous monitor with live watch-list churn through the facade.
+/// Run the continuous monitor with live watch-list churn.
 fn monitor_churn<B: ProbeTransport + WorldView + ?Sized>(
     world: &B,
     watched: &[Ipv6Prefix],
@@ -326,25 +291,14 @@ fn monitor_churn<B: ProbeTransport + WorldView + ?Sized>(
     windows: u64,
     churn: WatchChurn,
 ) -> MonitorReport {
-    let mut report = Campaign::builder()
-        .world(world)
-        .seed(0x57ae)
-        .watch(watched.to_vec())
-        .watch_churn(churn)
-        .monitor_granularity(56)
-        .start(SimTime::at(10, 9))
-        .mode(CampaignMode::Monitor {
-            windows,
-            shards,
-            producers,
-        })
-        .run()
-        .expect("valid monitor configuration")
-        .monitor()
-        .expect("monitor mode yields a monitor report")
-        .clone();
-    report.backpressure_stalls = 0;
-    report
+    let config = MonitorConfig {
+        shards,
+        producers,
+        windows,
+        churn: Some(churn),
+        ..MonitorConfig::default()
+    };
+    monitor_run(world, watched, config)
 }
 
 use followscent::simnet::scenarios::churn_world_dense_48;
@@ -392,8 +346,7 @@ fn churn_on_monitor_is_producer_invariant_on_live_and_recorded_backends() {
     }
 }
 
-/// Run a churning monitor with the throttling AIMD feedback on, two shards,
-/// through the facade.
+/// Run a churning monitor with the throttling AIMD feedback on, two shards.
 fn monitor_churn_feedback<B: ProbeTransport + WorldView + ?Sized>(
     world: &B,
     watched: &[Ipv6Prefix],
@@ -401,27 +354,16 @@ fn monitor_churn_feedback<B: ProbeTransport + WorldView + ?Sized>(
     windows: u64,
     churn: WatchChurn,
 ) -> MonitorReport {
-    let mut report = Campaign::builder()
-        .world(world)
-        .seed(0x57ae)
-        .rate_pps(128)
-        .queue_model(throttling_model())
-        .watch(watched.to_vec())
-        .watch_churn(churn)
-        .monitor_granularity(56)
-        .start(SimTime::at(10, 9))
-        .mode(CampaignMode::Monitor {
-            windows,
-            shards: 2,
-            producers,
-        })
-        .run()
-        .expect("valid monitor configuration")
-        .monitor()
-        .expect("monitor mode yields a monitor report")
-        .clone();
-    report.backpressure_stalls = 0;
-    report
+    let config = MonitorConfig {
+        shards: 2,
+        producers,
+        packets_per_second: 128,
+        windows,
+        queue_model: throttling_model(),
+        churn: Some(churn),
+        ..MonitorConfig::default()
+    };
+    monitor_run(world, watched, config)
 }
 
 /// Churn composes with AIMD rate feedback: the revision history and the
@@ -616,14 +558,8 @@ proptest! {
         shards in 1usize..=3,
     ) {
         let world = scenarios::versatel_like(world_seed);
-        let single = discover(
-            &Engine::build(world.clone()).unwrap(),
-            CampaignMode::Streamed { shards, producers: 1 },
-        );
-        let sharded = discover(
-            &Engine::build(world).unwrap(),
-            CampaignMode::Streamed { shards, producers },
-        );
+        let single = streamed(&Engine::build(world.clone()).unwrap(), shards, 1);
+        let sharded = streamed(&Engine::build(world).unwrap(), shards, producers);
         prop_assert_eq!(single, sharded);
     }
 
@@ -649,7 +585,7 @@ proptest! {
     }
 }
 
-/// The continuous monitor, driven through the facade, sees the same rotating
+/// The continuous monitor sees the same rotating
 /// /48s the batch pipeline's two-snapshot comparison flags when pointed at
 /// the same candidates over the same two days.
 #[test]
@@ -663,22 +599,7 @@ fn continuous_monitor_agrees_with_batch_detection() {
         .iter()
         .flat_map(|p| p.config.prefix.subnets(48).unwrap())
         .collect();
-    let report = Campaign::builder()
-        .world(&engine)
-        .seed(0x57ae)
-        .watch(watched.clone())
-        .monitor_granularity(56)
-        .start(followscent::simnet::SimTime::at(10, 9))
-        .mode(CampaignMode::Monitor {
-            windows: 2,
-            shards: 3,
-            producers: 1,
-        })
-        .run()
-        .expect("valid monitor configuration");
-    let report = report
-        .monitor()
-        .expect("monitor mode yields a monitor report");
+    let report = monitor_with(&engine, &watched, 3, 1, 2);
     assert!(!report.rotating_48s.is_empty());
     // Versatel rotates daily: every watched pool /48 with occupied space
     // must produce events, and all flagged /48s are watched ones.

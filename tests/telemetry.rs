@@ -10,14 +10,14 @@ use std::net::Ipv6Addr;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use followscent::bgp::{AsRegistry, Rib};
+use followscent::core::PipelineConfig;
 use followscent::ipv6::Ipv6Prefix;
 use followscent::prober::{
     ProbeTransport, QueueModel, RecordedBackend, RecordingBackend, WorldView,
 };
 use followscent::simnet::{scenarios, Engine, ProbeReply, SimTime, TraceHop, WorldScale};
-use followscent::stream::WatchChurn;
+use followscent::stream::{MonitorConfig, StreamConfig, StreamMonitor, StreamPipeline, WatchChurn};
 use followscent::telemetry::{self, Telemetry, TelemetrySnapshot};
-use followscent::{Campaign, CampaignMode};
 use proptest::prelude::*;
 
 /// The deterministic tier rendered for byte comparison: Prometheus text
@@ -48,22 +48,16 @@ fn observed_monitor<B: ProbeTransport + WorldView + ?Sized>(
     windows: u64,
 ) -> TelemetrySnapshot {
     let registry = Telemetry::new();
-    Campaign::builder()
-        .world(world)
-        .seed(0x57ae)
-        .rate_pps(128)
-        .queue_model(throttling_model())
-        .watch(watched.to_vec())
-        .monitor_granularity(56)
-        .start(SimTime::at(10, 9))
-        .mode(CampaignMode::Monitor {
-            windows,
-            shards,
-            producers,
-        })
-        .telemetry(&registry)
-        .run()
-        .expect("valid monitor configuration");
+    StreamMonitor::new(MonitorConfig {
+        shards,
+        producers,
+        packets_per_second: 128,
+        windows,
+        queue_model: throttling_model(),
+        ..MonitorConfig::default()
+    })
+    .run_observed(world, watched, Some(&registry))
+    .expect("valid monitor configuration");
     registry.snapshot()
 }
 
@@ -136,16 +130,17 @@ fn deterministic_telemetry_is_shard_invariant() {
         .map(|&shards| {
             let engine = Engine::build(world.clone()).unwrap();
             let registry = Telemetry::new();
-            Campaign::builder()
-                .world(&engine)
-                .max_48s_per_seed(128)
-                .mode(CampaignMode::Streamed {
-                    shards,
-                    producers: 2,
-                })
-                .telemetry(&registry)
-                .run()
-                .expect("valid campaign configuration");
+            StreamPipeline::new(StreamConfig {
+                pipeline: PipelineConfig {
+                    max_48s_per_seed: 128,
+                    ..PipelineConfig::default()
+                },
+                shards,
+                producers: 2,
+                ..StreamConfig::default()
+            })
+            .run_observed(&engine, Some(&registry))
+            .expect("valid stream configuration");
             let snapshot = registry.snapshot();
             assert_eq!(snapshot.topology.shards, shards);
             deterministic_dump(&snapshot)
@@ -168,30 +163,22 @@ fn telemetry_counters_match_the_monitor_report() {
         engine.pools()[1].config.prefix,
     ];
     let registry = Telemetry::new();
-    let report = Campaign::builder()
-        .world(&engine)
-        .seed(0x57ae)
-        .rate_pps(128)
-        .queue_model(throttling_model())
-        .watch(watched)
-        .watch_churn(WatchChurn {
+    let report = StreamMonitor::new(MonitorConfig {
+        shards: 2,
+        producers: 4,
+        packets_per_second: 128,
+        windows: 4,
+        start,
+        queue_model: throttling_model(),
+        churn: Some(WatchChurn {
             refresh_every: 1,
             watch_capacity: 3,
             ..WatchChurn::default()
-        })
-        .monitor_granularity(56)
-        .start(start)
-        .mode(CampaignMode::Monitor {
-            windows: 4,
-            shards: 2,
-            producers: 4,
-        })
-        .telemetry(&registry)
-        .run()
-        .expect("valid monitor configuration")
-        .monitor()
-        .expect("monitor mode yields a monitor report")
-        .clone();
+        }),
+        ..MonitorConfig::default()
+    })
+    .run_observed(&engine, &watched, Some(&registry))
+    .expect("valid monitor configuration");
     let snapshot = registry.snapshot();
     let det = &snapshot.deterministic;
 
