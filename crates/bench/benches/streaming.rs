@@ -232,16 +232,15 @@ impl scent_stream::ObservationSource for ReplaySlice<'_> {
 /// pipeline stripped away so the per-observation path cost is the thing
 /// measured. `fast/<S>x<P>` points (S shards × P producers) drive the same
 /// [`IngestEngine`](scent_stream::IngestEngine) the pipeline and the monitor
-/// do — batched channel payloads, recycled batch buffers, a precomputed
-/// seq → shard table. Producer points > 1 only spread wall-clock on
+/// do — batched channel payloads, recycled batch buffers, a
+/// `ShardMap::shard_for` lookup per observation. Producer points > 1 only spread wall-clock on
 /// multi-core hosts; see `bench_producer_scaling` for why the spread flattens
 /// on one CPU. `fast_observed/1x1` is `fast/1x1` observed by a live
 /// [`Telemetry`] registry.
 fn bench_hot_path(c: &mut Criterion) {
     use scent_prober::TargetStream;
     use scent_stream::{
-        continuous_seq_shards, ContinuousStream, IngestEngine, IngestOptions, ObservationSource,
-        ShardMap, ShardPool,
+        ContinuousStream, IngestEngine, IngestOptions, ObservationSource, ShardMap, ShardPool,
     };
 
     let engine = Engine::build(scenarios::paper_world(7, WorldScale::experiment())).unwrap();
@@ -288,11 +287,9 @@ fn bench_hot_path(c: &mut Criterion) {
                 |b, &(shards, producers)| {
                     b.iter(|| {
                         let map = ShardMap::new(&engine.rib().entries(), shards);
-                        let table = continuous_seq_shards(&map, &targets);
                         let mut pool = ShardPool::open(shards, CAPACITY);
                         let mut ingest =
                             IngestEngine::lease(&mut pool, map, IngestOptions::default());
-                        ingest.router().set_seq_shards(table);
                         let sources: Vec<_> = (0..producers)
                             .map(|k| ReplaySlice {
                                 observations: black_box(&observations),
@@ -322,14 +319,12 @@ fn bench_hot_path(c: &mut Criterion) {
         b.iter(|| {
             let registry = Telemetry::new();
             let map = ShardMap::new(&engine.rib().entries(), 1);
-            let table = continuous_seq_shards(&map, &targets);
             let mut pool = ShardPool::open(1, CAPACITY);
             let options = IngestOptions {
                 observer: Some(&registry),
                 ..IngestOptions::default()
             };
             let mut ingest = IngestEngine::lease(&mut pool, map, options);
-            ingest.router().set_seq_shards(table);
             let source = ReplaySlice {
                 observations: black_box(&observations),
                 next: 0,

@@ -234,13 +234,6 @@ impl TargetStream {
         (self.targets.len() - self.offset).div_ceil(self.step)
     }
 
-    /// The strided slice of each window's probing order this stream yields:
-    /// `(offset, step)` — positions `offset, offset + step, …`;
-    /// `(0, 1)` unless sliced.
-    pub fn slice_stride(&self) -> (usize, usize) {
-        (self.offset, self.step)
-    }
-
     /// The window the next target will come from.
     pub fn current_window(&self) -> u64 {
         self.window

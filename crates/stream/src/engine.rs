@@ -39,7 +39,7 @@
 //! pass — phase, one [`TargetStream`] built once, windows, rate, start,
 //! interval, tenant, queue model (the crate-private `Pass`) — and the
 //! engine's `run_pass` does the rest the same way for both: decide whether
-//! the model can throttle, install the pass's seq → shard table, slice one
+//! the model can throttle, slice one
 //! [`ContinuousStream`] per producer off the one target stream, bound each
 //! to the pass's windows, count its probes, mirror the pacer on the merge
 //! side for rate telemetry, drive, and read the end rate off the producer
@@ -51,7 +51,9 @@
 //! scan phase (one window each),
 //! [`MonitorSession`](crate::monitor::MonitorSession) one per epoch; the
 //! hot-path bench and the allocation regression test `drive` replayed
-//! observations instead.
+//! observations instead. Whatever feeds it, the router resolves each
+//! observation's shard with [`ShardMap::shard_for`] — the one routing rule,
+//! shared with the virtual-queue pacer.
 
 use std::sync::atomic::Ordering;
 use std::sync::mpsc::{Receiver, SyncSender};
@@ -69,7 +71,7 @@ use crate::observation::{Observation, ObservationSource, Phase};
 use crate::observe::RateReplica;
 use crate::router::{Lanes, ShardMap, ShardRouter, WorkerLink};
 use crate::shard::{ShardInference, ShardMsg};
-use crate::source::{continuous_seq_shards, ContinuousStream};
+use crate::source::ContinuousStream;
 
 /// Observations accumulated per router → shard channel message. A constant,
 /// not a knob, and batching never changes a report — per-shard delivery order
@@ -405,10 +407,10 @@ impl<'a> IngestEngine<'a> {
         }
     }
 
-    /// The router, for everything that happens between drives: installing a
-    /// phase's or epoch's seq → shard table, compacting, routing boundary
-    /// probes, reading the stall count or the dead shard. (Partial states
-    /// come back at a boundary by move: release, read, lease again.)
+    /// The router, for everything that happens between drives: compacting,
+    /// routing boundary probes, reading the stall count or the dead shard.
+    /// (Partial states come back at a boundary by move: release, read, lease
+    /// again.)
     pub fn router(&mut self) -> &mut ShardRouter<'a> {
         &mut self.router
     }
@@ -461,13 +463,12 @@ impl<'a> IngestEngine<'a> {
     /// (as [`drive`](IngestEngine::drive) does).
     ///
     /// The pass's target stream is built once by the caller; here it yields
-    /// the seq → shard table for the router, one strided
-    /// [`ContinuousStream`] slice per producer — bounded to the pass's
-    /// windows, its probes counted for the observer — and, when the pass's
-    /// queue model can throttle and an observer is on, the merge-side
+    /// one strided [`ContinuousStream`] slice per producer — bounded to the
+    /// pass's windows, its probes counted for the observer — and, when the
+    /// pass's queue model can throttle and an observer is on, the merge-side
     /// [`RateReplica`] mirroring their pacers. Every pass starts from fresh
-    /// pacers. Once a shard is dead a pass pulls no observation and spawns
-    /// no producer.
+    /// pacers. Once a shard is dead a pass pulls no observation and spawns no
+    /// producer.
     ///
     /// Returns the observations routed and the rate the pass ended on.
     pub(crate) fn run_pass<T, F>(
@@ -481,16 +482,9 @@ impl<'a> IngestEngine<'a> {
         T: ProbeTransport + ?Sized,
         F: FnMut(&mut ShardRouter<'a>, &Observation),
     {
-        // One position → shard table serves every window every producer will
-        // emit, replacing the per-observation longest-prefix lookup. One
-        // ShardMap serves both the router and the pacers, so the two agree by
-        // construction. (A one-shard router looks nothing up.)
-        if self.router.map().shards() > 1 {
-            let table = continuous_seq_shards(self.router.map(), &pass.targets);
-            self.router.set_seq_shards(table);
-        }
         // A model that cannot throttle paces like the fixed rate: feedback
-        // is on exactly when it can.
+        // is on exactly when it can. One ShardMap serves both the router and
+        // the pacers, so the two agree by construction.
         let feedback = pass
             .queue_model
             .can_throttle()

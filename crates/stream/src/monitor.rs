@@ -978,9 +978,6 @@ impl<'a, B: ProbeTransport + WorldView + ?Sized> MonitorSession<'a, B> {
         if router.dead_shard().is_some() {
             return;
         }
-        // Discovery targets are not in this epoch's seq table; fall back to
-        // per-observation map lookups for them.
-        router.clear_seq_shards();
         tree.decay(dcfg);
         // Fold the closing epoch's density evidence, sorted so the fold
         // never depends on the fast-hashed accumulator map's iteration

@@ -9,6 +9,12 @@
 //! provider all live inside one announcement, so per-prefix and
 //! per-identifier inference state never splits across shards.
 //!
+//! [`ShardMap::shard_for`] is the only routing rule: the router calls it for
+//! every observation — a pass's or a discovery sweep's alike — and the
+//! virtual-queue pacer and its merge-side replica call the
+//! same function, so all three agree by construction. A one-shard map
+//! answers without a lookup.
+//!
 //! Channels are bounded: when a shard's queue is full, [`ShardRouter::route`]
 //! blocks (delivering every observation) and counts the stall
 //! ([`ShardRouter::stalls`]).
@@ -110,8 +116,14 @@ impl ShardMap {
     /// The shard a target address routes to: its longest-matching
     /// announcement's shard, or a hash of the target's own /32 for
     /// unannounced space (so stray observations still land
-    /// deterministically).
+    /// deterministically). A one-shard map answers 0 without a lookup.
+    ///
+    /// This is the only routing rule: the router, the virtual-queue pacer
+    /// and its merge-side replica all call it per observation.
     pub fn shard_for(&self, target: Ipv6Addr) -> usize {
+        if self.shards == 1 {
+            return 0;
+        }
         if let Some((_, &shard)) = self.table.longest_match(target) {
             return shard;
         }
@@ -122,28 +134,6 @@ impl ShardMap {
     /// Number of shards.
     pub fn shards(&self) -> usize {
         self.shards
-    }
-
-    /// Precompute the shard of every probing-order position: element `seq`
-    /// is [`ShardMap::shard_for`] of the target probed at sequence number
-    /// `seq`. Routing then costs one array index per observation instead of
-    /// one longest-prefix lookup — the flattened hot path's lookup.
-    ///
-    /// The table is valid exactly as long as the seq → target mapping it was
-    /// built from: one scan phase of the streamed pipeline, or one epoch of
-    /// the monitor (a position's target — and therefore its shard — is
-    /// window-invariant within an epoch; the virtual-queue feedback pacer
-    /// has exploited the same property since PR 4). Install it with
-    /// [`ShardRouter::set_seq_shards`] and replace it whenever the target
-    /// list or probing order changes.
-    pub fn seq_table<I>(&self, targets_in_order: I) -> Vec<u32>
-    where
-        I: IntoIterator<Item = Ipv6Addr>,
-    {
-        targets_in_order
-            .into_iter()
-            .map(|target| self.shard_for(target) as u32)
-            .collect()
     }
 }
 
@@ -311,10 +301,6 @@ pub struct ShardRouter<'t> {
     stalls: u64,
     routed: u64,
     run: PendingRun,
-    /// Precomputed seq → shard routing table ([`ShardRouter::set_seq_shards`]);
-    /// positions beyond its length (or all of them, when absent) fall back
-    /// to the [`ShardMap`] lookup.
-    seq_shards: Option<Vec<u32>>,
     observer: Option<&'t dyn StreamObserver>,
     dead: Option<usize>,
 }
@@ -341,7 +327,7 @@ impl<'t> ShardRouter<'t> {
     }
 
     /// A router for one lease of a pool's `lanes`: this tenant's map and
-    /// observer, fresh counters, no seq table.
+    /// observer, fresh counters.
     pub(crate) fn over(
         lanes: Lanes,
         map: ShardMap,
@@ -361,7 +347,6 @@ impl<'t> ShardRouter<'t> {
             lanes,
             stalls: 0,
             routed: 0,
-            seq_shards: None,
             observer,
             dead: None,
         }
@@ -433,55 +418,23 @@ impl<'t> ShardRouter<'t> {
     }
 
     /// The pure target → shard mapping this router routes by — what a caller
-    /// needs to build a seq → shard table ([`ShardMap::seq_table`]) or share
-    /// the mapping with the virtual-queue feedback model.
+    /// shares with the virtual-queue feedback model.
     pub fn map(&self) -> &ShardMap {
         &self.map
     }
 
-    /// Install a precomputed seq → shard table (built by
-    /// [`ShardMap::seq_table`] over this router's map): while present,
-    /// [`ShardRouter::route`] resolves `obs.seq` with one array index
-    /// instead of a longest-prefix lookup. Positions at or beyond
-    /// `table.len()` fall back to the map, so a partial table is safe —
-    /// merely slower for the tail.
+    /// Does nothing: the router resolves every observation with
+    /// [`ShardMap::shard_for`].
     ///
-    /// The caller owns the table's validity window: it must be rebuilt (or
-    /// [cleared](ShardRouter::clear_seq_shards)) whenever the seq → target
-    /// mapping changes — each streamed-pipeline phase, each monitor epoch.
-    /// Debug builds verify every lookup against the map.
-    pub fn set_seq_shards(&mut self, table: Vec<u32>) {
-        debug_assert!(
-            table.iter().all(|&s| (s as usize) < self.lanes.shards()),
-            "table entries must be valid shard indices"
-        );
-        self.seq_shards = Some(table);
-    }
-
-    /// Remove the seq → shard table, returning it for reuse; routing falls
-    /// back to per-observation longest-prefix lookups.
-    pub fn clear_seq_shards(&mut self) -> Option<Vec<u32>> {
-        self.seq_shards.take()
-    }
+    /// Kept for e2ebench's frozen import list — do not build on; goes at the
+    /// next benchmark revision.
+    pub fn set_seq_shards(&mut self, _table: Vec<u32>) {}
 
     /// Buffer one observation for its shard, first delivering the shard's
     /// batch if it is full. Blocks when a delivery finds the shard's queue
     /// full (counted in [`ShardRouter::stalls`]).
     pub fn route(&mut self, obs: Observation) {
-        let shard = match &self.seq_shards {
-            // Nothing to look up, so a one-shard pass builds no table.
-            _ if self.lanes.shards() == 1 => 0,
-            Some(table) if (obs.seq as usize) < table.len() => {
-                let shard = table[obs.seq as usize] as usize;
-                debug_assert_eq!(
-                    shard,
-                    self.map.shard_for(obs.target),
-                    "seq table must agree with the map (stale table?)"
-                );
-                shard
-            }
-            _ => self.map.shard_for(obs.target),
-        };
+        let shard = self.map.shard_for(obs.target);
         self.routed += 1;
         if self.lanes.buffers[shard].len() >= self.lanes.batch {
             // Delivered when the next observation needs the room, so a

@@ -13,8 +13,10 @@
 //!
 //! The stream can run with the deterministic **virtual-queue feedback
 //! model** ([`ContinuousStreamBuilder::feedback`]): a [`QueuePacer`]
-//! accounts every probing-order position against per-shard virtual queue
-//! depths and applies AIMD rate events at virtual second boundaries. Because
+//! accounts every probing-order position against the virtual queue of the
+//! shard the router will send it to ([`ShardMap::shard_for`], the one
+//! routing rule, looked up per position) and applies AIMD rate events at
+//! virtual second boundaries. Because
 //! the resulting send times are a pure function of `(config, target order,
 //! virtual time)` — not of OS channel pressure — feedback composes with
 //! producer slicing: a sliced stream accounts the positions other producers
@@ -68,14 +70,10 @@ enum ContinuousPacing {
     /// Fixed-rate pacing (no feedback): foreign positions are skipped in
     /// O(1) since the rate never moves.
     Fixed(FeedbackPacer),
-    /// Virtual-queue AIMD pacing: every position is accounted per shard. A
-    /// position's shard is window-invariant, so the target → shard
-    /// lookups are done once at build time ([`ShardMap::seq_table`]) and the
-    /// per-window accounting hot path is an array index per position.
-    Queue {
-        pacer: QueuePacer,
-        shard_of_pos: Vec<u32>,
-    },
+    /// Virtual-queue AIMD pacing: every position is accounted against the
+    /// shard [`ShardMap::shard_for`] routes its target to — the router's own
+    /// rule, so the two agree by construction.
+    Queue { pacer: QueuePacer, map: ShardMap },
 }
 
 /// Builder for [`ContinuousStream`].
@@ -179,7 +177,7 @@ impl<'a, T: ProbeTransport + ?Sized> ContinuousStreamBuilder<'a, T> {
             None => ContinuousPacing::Fixed(FeedbackPacer::new(born, self.packets_per_second)),
             Some((model, map)) => ContinuousPacing::Queue {
                 pacer: QueuePacer::new(born, self.packets_per_second, map.shards(), model),
-                shard_of_pos: continuous_seq_shards(&map, &self.targets),
+                map,
             },
         };
         ContinuousStream {
@@ -250,18 +248,15 @@ impl<'a, T: ProbeTransport + ?Sized> ContinuousStream<'a, T> {
     }
 
     /// Account the positions `accounted..until` of the current window as
-    /// foreign: O(1) on the fixed pacer (the rate never moves), one
-    /// skip-with-feedback state transition per position on the virtual-queue
-    /// pacer.
+    /// foreign: O(1) on the fixed pacer (the rate never moves), one target
+    /// derivation, shard lookup and skip-with-feedback state transition per
+    /// position on the virtual-queue pacer.
     fn account_to(&mut self, until: u64) {
         match &mut self.pacing {
             ContinuousPacing::Fixed(pacer) => pacer.skip(until - self.accounted),
-            ContinuousPacing::Queue {
-                pacer,
-                shard_of_pos,
-            } => {
+            ContinuousPacing::Queue { pacer, map } => {
                 for pos in self.accounted..until {
-                    pacer.skip(shard_of_pos[pos as usize] as usize);
+                    pacer.skip(map.shard_for(self.targets.target_at(pos as usize)));
                 }
             }
         }
@@ -290,10 +285,7 @@ impl<T: ProbeTransport + ?Sized> ObservationSource for ContinuousStream<'_, T> {
         self.accounted = streamed.seq + 1;
         let sent_at = match &mut self.pacing {
             ContinuousPacing::Fixed(pacer) => pacer.next_send_time(),
-            ContinuousPacing::Queue {
-                pacer,
-                shard_of_pos,
-            } => pacer.pace(shard_of_pos[streamed.seq as usize] as usize),
+            ContinuousPacing::Queue { pacer, map } => pacer.pace(map.shard_for(streamed.target)),
         };
         let response = self
             .transport
@@ -319,21 +311,16 @@ pub(crate) fn window_start(first_start: SimTime, interval: SimDuration, window: 
     first_start + SimDuration::from_secs(interval.as_secs() * window)
 }
 
-/// The position → shard table of a continuous stream's windows: entry `p` is
-/// the shard of the target probed at within-window sequence number `p`.
+/// The shard of every within-window position of `targets`: entry `p` is
+/// [`ShardMap::shard_for`] of the target probed at sequence number `p`. No
+/// run builds one; the router and the pacer look each target up.
 ///
-/// A position's target is window- and slice-invariant (enforced by
-/// `scent-prober`'s target-stream tests — [`TargetStream::target_at`] covers
-/// every global position even on a sliced stream), so one table serves every
-/// window every producer will ever emit: the monitor installs it once per
-/// epoch. Building it is one target derivation and one longest-prefix lookup
-/// per position (≈ 10 ns), paid by every pass — except with a single shard,
-/// where there is nothing to look up.
+/// Kept for e2ebench's frozen import list — do not build on; goes at the
+/// next benchmark revision.
 pub fn continuous_seq_shards(map: &ShardMap, targets: &TargetStream) -> Vec<u32> {
-    if map.shards() == 1 {
-        return vec![0; targets.window_len()];
-    }
-    map.seq_table((0..targets.window_len()).map(|pos| targets.target_at(pos)))
+    (0..targets.window_len())
+        .map(|pos| map.shard_for(targets.target_at(pos)) as u32)
+        .collect()
 }
 
 #[cfg(test)]
@@ -390,8 +377,9 @@ mod tests {
         assert_eq!(streamed, scan.records);
     }
 
-    /// The single-shard shortcut of the seq table is the table the walk
-    /// would have built; with more shards the walk still runs.
+    /// A one-shard map answers 0 for every position, and for unannounced
+    /// space, without a lookup; with more shards the shim is
+    /// [`ShardMap::shard_for`] at every position.
     #[test]
     fn seq_table_of_a_single_shard_map_skips_the_walk() {
         let engine = Engine::build(scenarios::continuous_world(5)).unwrap();
@@ -399,14 +387,21 @@ mod tests {
             .map(|pool| pool.config.prefix.nth_subnet(48, 0).unwrap())
             .collect();
         let targets = TargetStream::new(&TargetGenerator::new(4), &watched, 56, 11, true);
-        let walk = |map: &ShardMap| {
-            map.seq_table((0..targets.window_len()).map(|pos| targets.target_at(pos)))
-        };
         let one = ShardMap::new(&engine.rib().entries(), 1);
-        assert_eq!(continuous_seq_shards(&one, &targets), walk(&one));
+        assert_eq!(
+            continuous_seq_shards(&one, &targets),
+            vec![0; targets.window_len()]
+        );
+        assert_eq!(one.shard_for("3fff::1".parse().unwrap()), 0);
         let three = ShardMap::new(&engine.rib().entries(), 3);
         let table = continuous_seq_shards(&three, &targets);
-        assert_eq!(table, walk(&three));
+        for (pos, &shard) in table.iter().enumerate() {
+            assert_eq!(
+                shard as usize,
+                three.shard_for(targets.target_at(pos)),
+                "{pos}"
+            );
+        }
         assert!(table.iter().any(|&shard| shard != table[0]));
     }
 

@@ -3,8 +3,8 @@
 //! The data plane's claim (see `crates/stream/src/buffer.rs` and
 //! `docs/PERFORMANCE.md`) is that after a bounded warm-up, moving an
 //! observation from producer to shard performs **zero heap allocations**:
-//! batches travel in recycled fixed-capacity buffers, shard resolution is an
-//! array index into a precomputed seq → shard table, and `Observation`
+//! batches travel in recycled fixed-capacity buffers, shard resolution is a
+//! `ShardMap::shard_for` lookup over a shared table, and `Observation`
 //! itself is `Copy`. These tests pin the property with a counting global
 //! allocator — on the routing thread, cross-checked against the router
 //! pool's own allocate/recycle counters, and on the producer threads — so it
@@ -162,7 +162,6 @@ fn routing_steady_state_allocates_nothing() {
         .collect();
 
     let map = ShardMap::new(&rib.entries(), SHARDS);
-    let table = map.seq_table(targets.iter().copied());
     let mut pool = ShardPool::open(SHARDS, CAPACITY);
     let mut engine = IngestEngine::lease(&mut pool, map.clone(), IngestOptions::default());
     engine.router().prefill_buffers(PREFILL);
@@ -177,7 +176,6 @@ fn routing_steady_state_allocates_nothing() {
         ..IngestOptions::default()
     };
     let mut engine = IngestEngine::lease(&mut pool, map, options);
-    engine.router().set_seq_shards(table);
 
     // Measured steady state. 2048 observations = 32 full batches, well
     // under the CAPACITY-message queue, so even a descheduled worker

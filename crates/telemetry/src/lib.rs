@@ -23,10 +23,10 @@
 //!
 //! # Usage
 //!
-//! Build a [`Telemetry`], hand it to the engine (via the `followscent`
-//! campaign builder's `.telemetry(..)`, or directly to the `run_observed`
-//! entry points of `scent-stream`), then [`Telemetry::snapshot`] it and
-//! render with the [exporters](crate::prometheus):
+//! Build a [`Telemetry`], hand it to the engine (the `run_observed` entry
+//! points of `scent-stream`, or the `observer` field of its
+//! `MonitorControl`), then [`Telemetry::snapshot`] it and render with the
+//! [exporters](crate::prometheus):
 //!
 //! ```
 //! use scent_simnet::SimTime;
@@ -161,9 +161,8 @@ const LOCK_FREE_PRODUCERS: usize = 32;
 /// The telemetry registry: one per run.
 ///
 /// Implements [`StreamObserver`]; hand `Some(&telemetry)` to the engine's
-/// `run_observed` entry points (or `.telemetry(&telemetry)` on the
-/// `followscent` campaign builder), then read the state back with
-/// [`Telemetry::snapshot`]. Interior mutability throughout — the engine
+/// `run_observed` entry points (or as `MonitorControl::observer`), then read
+/// the state back with [`Telemetry::snapshot`]. Interior mutability throughout — the engine
 /// shares it by reference across producer, router and shard-worker threads.
 #[derive(Debug, Default)]
 pub struct Telemetry {

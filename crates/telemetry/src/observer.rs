@@ -104,7 +104,7 @@ pub struct RoutedRun<'a> {
 /// producer, router and shard-worker threads.
 ///
 /// The engine's allocation-free hot path (batched channel payloads, buffer
-/// recycling, precomputed position → shard tables) is invisible from here
+/// recycling, one shard lookup per observation) is invisible from here
 /// by design: deterministic-tier hooks fold the identical observation
 /// sequence in merged clock order whatever the batching — it only decides
 /// where [`RoutedRun`]s are cut, which an implementor folds associatively.

@@ -342,9 +342,9 @@ fn probe_resolves_the_pool_a_linear_scan_does() {
     );
 }
 
-/// The seq → shard table of a three-shard map is what the reference trie
-/// routes: the longest-matching announcement's shard, or the unannounced
-/// fallback (which an empty map gives for every address).
+/// A three-shard map routes every target where the reference trie does: to
+/// the longest-matching announcement's shard, or to the unannounced fallback
+/// (which an empty map gives for every address).
 #[test]
 fn seq_table_agrees_with_the_unibit_trie() {
     let (engine, mut targets) = paper_world_and_watch_targets();
@@ -364,7 +364,10 @@ fn seq_table_agrees_with_the_unibit_trie() {
             None => unannounced.shard_for(target) as u32,
         })
         .collect();
-    let table = ShardMap::new(&entries, 3).seq_table(targets);
+    let map = ShardMap::new(&entries, 3);
+    let table: Vec<u32> = (targets.iter())
+        .map(|&target| map.shard_for(target) as u32)
+        .collect();
     assert_eq!(table, want);
     assert!(
         (0..3).all(|shard| table.contains(&shard)),
