@@ -39,11 +39,10 @@
 //! pass — phase, one [`TargetStream`] built once, windows, rate, start,
 //! interval, tenant, queue model (the crate-private `Pass`) — and the
 //! engine's `run_pass` does the rest the same way for both: decide whether
-//! the model can throttle, slice one
-//! [`ContinuousStream`] per producer off the one target stream, bound each
-//! to the pass's windows, count its probes, mirror the pacer on the merge
-//! side for rate telemetry, drive, and read the end rate off the producer
-//! that probed the last position. Producer threads (more than one
+//! the model can throttle, slice one [`ContinuousStream`] per producer off
+//! the one target stream, bound each to the pass's windows, count its
+//! probes, mirror the pacer on the merge side for rate telemetry, drive,
+//! and read the end rate off the producer that probed the last position. Producer threads (more than one
 //! producer) borrow the transport, so they are scoped threads — spawned and
 //! joined inside the one [`drive`](IngestEngine::drive) that feeds on them,
 //! the only thread scope in the crate.
@@ -53,7 +52,9 @@
 //! hot-path bench and the allocation regression test `drive` replayed
 //! observations instead. Whatever feeds it, the router resolves each
 //! observation's shard with [`ShardMap::shard_for`] — the one routing rule,
-//! shared with the virtual-queue pacer.
+//! shared with the virtual-queue pacer. A monitor's boundary probes —
+//! re-expansion and discovery sweep alike — are routed through the epoch's
+//! same lease, so every probe the monitor sends is an observation.
 
 use std::sync::atomic::Ordering;
 use std::sync::mpsc::{Receiver, SyncSender};

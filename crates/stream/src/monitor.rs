@@ -19,6 +19,8 @@
 //! state only — never from OS timing — so a churning run stays byte-identical
 //! across producer counts and across live vs. recorded-replay backends.
 
+use std::net::Ipv6Addr;
+
 use serde::{Deserialize, Serialize};
 
 use scent_checkpoint::{CheckpointError, CheckpointSink};
@@ -36,7 +38,7 @@ use crate::checkpoint::{config_fingerprint, world_fingerprint, MonitorSnapshot, 
 use crate::engine::{IngestEngine, IngestOptions, Pass, ShardPool};
 use crate::error::{ConfigError, StreamError};
 use crate::observation::{Observation, Phase};
-use crate::router::ShardMap;
+use crate::router::{ShardMap, ShardRouter};
 use crate::shard::ShardInference;
 
 /// Live watch-list churn configuration: how a continuous monitor revises its
@@ -276,7 +278,9 @@ impl MonitorConfig {
 pub struct MonitorReport {
     /// Windows observed.
     pub windows: u64,
-    /// Observations ingested across all shards.
+    /// Observations ingested across all shards: every probe the monitor
+    /// sent — the detection passes', the boundary re-expansions' and the
+    /// discovery sweeps'.
     pub observations: u64,
     /// Every rotation event, ordered by `(window, seq)`.
     pub events: Vec<RotationEvent>,
@@ -304,10 +308,8 @@ pub struct MonitorReport {
     /// The watch list when the run ended: the initial list unless a
     /// revision changed it.
     pub final_watch: Vec<Ipv6Prefix>,
-    /// Probes spent on boundary re-expansion scans. Expansion probes go
-    /// straight into the revision step rather than through the inference
-    /// shards, so they are accounted here and not in
-    /// [`MonitorReport::observations`].
+    /// Probes spent on boundary re-expansion, one per candidate /48 (also
+    /// counted in [`MonitorReport::observations`]).
     pub expansion_probes: u64,
     /// When a churning run's watch list drained to terminal-empty, the
     /// completed-window count at that boundary (the run ended there —
@@ -318,10 +320,8 @@ pub struct MonitorReport {
     /// can still refill the list.
     pub exhausted_at: Option<u64>,
     /// Every /48 validated (EUI-64 response) by an expansion-phase
-    /// observation ingested through the inference shards — the discovery
-    /// sweep's probes — in prefix order. Empty without discovery: boundary
-    /// re-expansion probes feed the revision step directly and are accounted
-    /// in [`MonitorReport::expansion_probes`] instead.
+    /// observation — a boundary re-expansion's or a discovery sweep's probe
+    /// — in prefix order. Empty without churn.
     pub validated_48s: Vec<Ipv6Prefix>,
     /// The discovery-tree summary, when [`MonitorConfig::discovery`] was on.
     pub discovery: Option<DiscoveryReport>,
@@ -522,8 +522,9 @@ impl StreamMonitor {
 /// multiplexes and between calls none of a session's state lives outside it
 /// ([`MonitorSession::run_epoch`] is the same epoch on a pool opened and
 /// dropped inside the call). An epoch is a straight line over named stages
-/// on the session — the probe pass, the boundary discovery cycle, the
-/// release, the re-expansion and watch-list revision — and only the
+/// on the session — the probe pass, the boundary probes (re-expansion, then
+/// the discovery cycle, both routed into the shards on the live lease), the
+/// release, the watch-list revision — and only the
 /// per-shard states leave it, for the workers and back; the boundary stages
 /// run at every boundary but the run's last, at one boundary time, and every
 /// epoch stores the rate its pass ended on. Driving a fresh session to
@@ -851,7 +852,7 @@ impl<'a, B: ProbeTransport + WorldView + ?Sized> MonitorSession<'a, B> {
     pub fn run_epoch_on(&mut self, pool: &mut ShardPool, pps: u64) -> Result<bool, StreamError> {
         assert!(!self.is_done(), "run_epoch on a finished session");
         let epoch = self.next_epoch;
-        // A boundary is worked — discovery cycle, re-expansion, revision —
+        // A boundary is worked — re-expansion, discovery cycle, revision —
         // only when more windows follow: what a final boundary admitted
         // could never be probed.
         let more_follow = epoch + 1 < self.epochs.len();
@@ -872,9 +873,8 @@ impl<'a, B: ProbeTransport + WorldView + ?Sized> MonitorSession<'a, B> {
         let mut epoch_density = FastMap::default();
         let end_rate = self.probe_pass(&mut engine, epoch, pps, &mut epoch_density);
         let stopping = self.stop.as_ref().is_some_and(StopSignal::is_stopped);
-        if more_follow {
-            self.discovery_cycle(&mut engine, epoch, &epoch_density);
-        }
+        let reexpanded =
+            more_follow.then(|| self.boundary_probes(engine.router(), epoch, &epoch_density));
         self.stalls += engine.router().stalls();
         match engine.release() {
             Ok(states) => self.states = states,
@@ -884,8 +884,8 @@ impl<'a, B: ProbeTransport + WorldView + ?Sized> MonitorSession<'a, B> {
                 return Err(err);
             }
         }
-        if more_follow {
-            self.revise_watch(epoch, &epoch_density);
+        if let Some(reexpanded) = reexpanded {
+            self.revise_watch(epoch, &epoch_density, reexpanded);
         }
         self.next_epoch = epoch + 1;
         self.stopped = stopping;
@@ -953,31 +953,91 @@ impl<'a, B: ProbeTransport + WorldView + ?Sized> MonitorSession<'a, B> {
         end_rate
     }
 
+    /// The boundary's probes, on the live lease (nothing without
+    /// [`MonitorConfig::churn`]): the re-expansion of the blocks around the
+    /// watched space, then the discovery cycle. Both go through one
+    /// [`BoundaryProbes`], so every probe is routed into the shards as an
+    /// expansion-phase observation — each validated /48 lands in the shards'
+    /// state in the same run — and their `seq`s run on from one to the next.
+    /// Merge-side only (every producer has drained), so invariant across
+    /// producer counts by construction. Returns what the revision takes from
+    /// the re-expansion: its probe count and its validated /48s.
+    fn boundary_probes(
+        &mut self,
+        router: &mut ShardRouter<'_>,
+        epoch: usize,
+        epoch_density: &FastMap<Ipv6Prefix, DensityAccumulator>,
+    ) -> (u64, Vec<Ipv6Prefix>) {
+        let churn = match self.config.churn {
+            // A dead shard fails the epoch at its release: nothing to revise.
+            Some(churn) if router.dead_shard().is_none() => churn,
+            _ => return (0, Vec::new()),
+        };
+        let (start_window, len) = self.epochs[epoch];
+        let mut probes = BoundaryProbes {
+            world: self.world,
+            router,
+            at: self.boundary_time(epoch),
+            tenant: self.tenant,
+            window: start_window + len - 1,
+            seq: 0,
+        };
+        let reexpanded = self.reexpand(churn, &mut probes);
+        self.discovery_cycle(&mut probes, epoch_density);
+        reexpanded
+    }
+
+    /// Re-expand the [`WatchChurn::expansion_len`] block around every
+    /// watched /48: one probe per candidate /48 the discovery blocklist does
+    /// not cover — the candidates, generator, `seed ^ 0x9e37` order and
+    /// boundary start [`SeedExpansion::run_where`] would probe. Returns the
+    /// probe count and the validated /48s, in prefix order.
+    fn reexpand(
+        &self,
+        churn: WatchChurn,
+        probes: &mut BoundaryProbes<'_, '_, B>,
+    ) -> (u64, Vec<Ipv6Prefix>) {
+        let mut seeds: Vec<Ipv6Prefix> = self
+            .watched
+            .iter()
+            .map(|p| {
+                p.supernet(churn.expansion_len.min(p.len()))
+                    .expect("supernet of a watched prefix")
+            })
+            .collect();
+        seeds.sort();
+        seeds.dedup();
+        let mut candidates = SeedExpansion::candidate_48s(&seeds, churn.max_48s_per_seed);
+        if let Some(discovery) = &self.config.discovery {
+            candidates.retain(|candidate| !discovery.blocklist.covers(candidate));
+        }
+        let generator = TargetGenerator::new(self.config.seed);
+        let scanner = Scanner::at_paper_rate(self.config.seed ^ 0x9e37);
+        let hits = probes.sweep(&scanner, candidates.len(), |index| {
+            generator.random_addr_in(&candidates[index])
+        });
+        let mut validated: Vec<Ipv6Prefix> = (candidates.iter().zip(hits))
+            .filter_map(|(candidate, hit)| hit.then_some(*candidate))
+            .collect();
+        validated.sort();
+        validated.dedup();
+        (candidates.len() as u64, validated)
+    }
+
     /// The boundary discovery cycle (nothing without
     /// [`MonitorConfig::discovery`]): decay, fold the closing epoch's
     /// density evidence, sweep, rebalance — after which the tree's
     /// confidently dense /48s are the revision's second source of
-    /// candidates. It runs while the lease is live, so the sweep's
-    /// expansion-phase observations route into the shards and
-    /// validated-/48 state grows in the same run that discovered it; and
-    /// merge-side only (every producer has drained), so it is invariant
-    /// across producer counts by construction.
+    /// candidates.
     fn discovery_cycle(
         &mut self,
-        engine: &mut IngestEngine<'_>,
-        epoch: usize,
+        probes: &mut BoundaryProbes<'_, '_, B>,
         epoch_density: &FastMap<Ipv6Prefix, DensityAccumulator>,
     ) {
-        let boundary = self.boundary_time(epoch);
-        let (start_window, len) = self.epochs[epoch];
         let cfg = &self.config;
-        let router = engine.router();
         let (Some(tree), Some(dcfg)) = (self.discovery.as_mut(), cfg.discovery.as_ref()) else {
             return;
         };
-        if router.dead_shard().is_some() {
-            return;
-        }
         tree.decay(dcfg);
         // Fold the closing epoch's density evidence, sorted so the fold
         // never depends on the fast-hashed accumulator map's iteration
@@ -990,9 +1050,7 @@ impl<'a, B: ProbeTransport + WorldView + ?Sized> MonitorSession<'a, B> {
         tree.fold_density(dcfg, folded);
         let generator = TargetGenerator::new(cfg.seed);
         let scanner = Scanner::at_paper_rate(cfg.seed ^ 0x5c37);
-        let (tenant, window) = (self.tenant, start_window + len - 1);
         let rounds = u64::from(dcfg.rounds);
-        let mut seq = 0u64;
         for round in 0..rounds {
             // The boundary's budget is shared across the rounds: the first
             // `budget % rounds` take the odd probes, and a zero share plans
@@ -1002,72 +1060,36 @@ impl<'a, B: ProbeTransport + WorldView + ?Sized> MonitorSession<'a, B> {
             if plan.is_empty() {
                 continue;
             }
-            // The sweep is streamed: each probe is routed as it answers and
-            // leaves only its outcome, at its plan index, for the tree.
-            let mut hits = vec![false; plan.len()];
-            scanner.scan_each(
-                self.world,
-                plan.len(),
-                |index| plan.targets()[index],
-                boundary,
-                |index, record| {
-                    hits[index] = SeedExpansion::classify_record(record.source()) == Some(true);
-                    router.route(Observation {
-                        phase: Phase::Expansion,
-                        tenant,
-                        window,
-                        seq,
-                        target: record.target,
-                        sent_at: record.sent_at,
-                        response: record.response,
-                    });
-                    seq += 1;
-                },
-            );
+            // Each probe leaves only its outcome, at its plan index, for the
+            // tree.
+            let hits = probes.sweep(&scanner, plan.len(), |index| plan.targets()[index]);
             tree.fold_plan(&plan, &hits);
             tree.rebalance(dcfg);
         }
     }
 
     /// Close a churning epoch (nothing without [`MonitorConfig::churn`]):
-    /// re-expand the blocks around the watched space at the boundary and
-    /// fold the epoch's density state through the revision.
+    /// fold the epoch's density state and the boundary's admission
+    /// candidates — the re-expansion's validated /48s, probed on the lease
+    /// by [`Self::boundary_probes`], then the discovery tree's dense ones —
+    /// through the revision.
     fn revise_watch(
         &mut self,
         epoch: usize,
         epoch_density: &FastMap<Ipv6Prefix, DensityAccumulator>,
+        (expansion_probes, reexpanded): (u64, Vec<Ipv6Prefix>),
     ) {
         let Some(churn) = self.config.churn else {
             return;
         };
         let boundary = self.boundary_time(epoch);
         let (start_window, len) = self.epochs[epoch];
-        let mut seeds: Vec<Ipv6Prefix> = self
-            .watched
-            .iter()
-            .map(|p| {
-                p.supernet(churn.expansion_len.min(p.len()))
-                    .expect("supernet of a watched prefix")
-            })
-            .collect();
-        seeds.sort();
-        seeds.dedup();
-        let blocklist = self.config.discovery.as_ref().map(|d| &d.blocklist);
-        let expansion = SeedExpansion::run_where(
-            self.world,
-            &seeds,
-            boundary,
-            self.config.seed,
-            churn.max_48s_per_seed,
-            |candidate| !blocklist.is_some_and(|list| list.covers(candidate)),
-        );
-        let expansion_probes = expansion.probed_48s;
         self.expansion_probes += expansion_probes;
         // Admission candidates: the boundary re-expansion's validated /48s
         // first (the flat churn signal), then the /48s the discovery tree
         // holds confidently dense after this boundary's cycle. The revision
         // dedups and enforces capacity either way.
-        let mut candidates = expansion.validated_48s;
+        let mut candidates = reexpanded;
         if let (Some(tree), Some(dcfg)) = (&self.discovery, &self.config.discovery) {
             candidates.extend(tree.dense_48s(dcfg));
         }
@@ -1188,6 +1210,52 @@ impl<'a, B: ProbeTransport + WorldView + ?Sized> MonitorSession<'a, B> {
             validated_48s: merged.validated.iter().copied().collect(),
             discovery,
         }
+    }
+}
+
+/// A boundary's probes on their way into the shards: each is sent from the
+/// boundary `at` and routed as an expansion-phase observation of the
+/// closing epoch's last `window`, its `seq` one past the boundary's
+/// previous probe — so the re-expansion and every discovery round share one
+/// run of `seq`s.
+struct BoundaryProbes<'r, 'l, B: ?Sized> {
+    world: &'r B,
+    router: &'r mut ShardRouter<'l>,
+    at: SimTime,
+    tenant: u32,
+    window: u64,
+    seq: u64,
+}
+
+impl<B: ProbeTransport + ?Sized> BoundaryProbes<'_, '_, B> {
+    /// Probe the `n` targets `target_at(0..n)` in `scanner`'s order
+    /// ([`Scanner::scan_each`]) and route each record into the shards.
+    /// Returns, by list index, whether each target answered from an EUI-64
+    /// source ([`SeedExpansion::classify_record`]); nothing else the size of
+    /// the sweep is built.
+    fn sweep(
+        &mut self,
+        scanner: &Scanner,
+        n: usize,
+        target_at: impl Fn(usize) -> Ipv6Addr,
+    ) -> Vec<bool> {
+        let mut hits = vec![false; n];
+        let (tenant, window, seq, router) =
+            (self.tenant, self.window, &mut self.seq, &mut *self.router);
+        scanner.scan_each(self.world, n, target_at, self.at, |index, record| {
+            hits[index] = SeedExpansion::classify_record(record.source()) == Some(true);
+            router.route(Observation {
+                phase: Phase::Expansion,
+                tenant,
+                window,
+                seq: *seq,
+                target: record.target,
+                sent_at: record.sent_at,
+                response: record.response,
+            });
+            *seq += 1;
+        });
+        hits
     }
 }
 
@@ -1820,13 +1888,65 @@ mod tests {
         want.sort();
         assert_eq!(churned.final_watch, want);
         assert!(churned.expansion_probes > 0);
-        // Inference output (events, detection, tracking, observations) is
-        // identical to the fixed-list run.
+        // The re-expansion probes went through the shards: they are
+        // observations, and the one /48 they validated is the watched one.
+        assert_eq!(churned.validated_48s, want);
+        assert!(plain.validated_48s.is_empty());
+        // Inference output (events, detection, tracking, the pass's
+        // observations) is identical to the fixed-list run.
         churned.backpressure_stalls = plain.backpressure_stalls;
         churned.revisions.clear();
+        churned.observations -= churned.expansion_probes;
         churned.expansion_probes = 0;
+        churned.validated_48s.clear();
         churned.final_watch = plain.final_watch.clone();
         assert_eq!(plain, churned);
+    }
+
+    /// Every probe a monitor sends is an observation: the detection pass's,
+    /// the boundary re-expansion's and the discovery sweep's all reach the
+    /// shards through the epoch's lease, so a recording backend logs exactly
+    /// as many probes as the report counts observations.
+    #[test]
+    fn every_probe_is_an_observation() {
+        let engine = Engine::build(scenarios::churn_world(11)).unwrap();
+        let start = SimTime::at(10, 9);
+        // The static control /48 alone: its density certifies only its own
+        // announcement, so the tree still sweeps the migrating band's.
+        let initial = vec![engine.pools()[1].config.prefix];
+        let churn = Some(WatchChurn {
+            refresh_every: 1,
+            watch_capacity: 3,
+            ..WatchChurn::default()
+        });
+        let discovery = Some(DiscoveryConfig {
+            probe_budget: 512,
+            ..DiscoveryConfig::paper_scale()
+        });
+        for discovery in [None, discovery] {
+            let world = scent_prober::RecordingBackend::new(&engine);
+            let report = StreamMonitor::new(MonitorConfig {
+                windows: 3,
+                start,
+                churn,
+                discovery: discovery.clone(),
+                ..MonitorConfig::default()
+            })
+            .run(&world, &initial)
+            .unwrap();
+            let log = world.finish();
+            let swept = report.discovery.as_ref().map_or(0, |d| d.probes);
+            assert_eq!(
+                discovery.is_some(),
+                swept > 0,
+                "non-vacuous: the tree swept"
+            );
+            assert!(
+                report.expansion_probes > 0,
+                "non-vacuous: boundaries re-expanded"
+            );
+            assert_eq!(log.probes.len() as u64, report.observations);
+        }
     }
 
     /// Churned runs keep the producer-invariance contract: any producer

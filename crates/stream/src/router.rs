@@ -10,8 +10,8 @@
 //! per-identifier inference state never splits across shards.
 //!
 //! [`ShardMap::shard_for`] is the only routing rule: the router calls it for
-//! every observation — a pass's or a discovery sweep's alike — and the
-//! virtual-queue pacer and its merge-side replica call the
+//! every observation — a pass's, a boundary re-expansion's or a discovery
+//! sweep's alike — and the virtual-queue pacer and its merge-side replica call the
 //! same function, so all three agree by construction. A one-shard map
 //! answers without a lookup.
 //!

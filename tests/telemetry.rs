@@ -199,11 +199,16 @@ fn telemetry_counters_match_the_monitor_report() {
     // produced by some producer and ingested by some shard.
     let topo = &snapshot.topology;
     assert_eq!(topo.producers, 4);
-    // Expansion probes run on the control thread, so producer counts cover
-    // exactly the windowed observations.
+    // Boundary re-expansion probes are sent from the control thread and
+    // routed into the shards, so producers count exactly the windowed
+    // observations and the shards every observation.
+    assert!(
+        report.expansion_probes > 0,
+        "non-vacuous: a boundary re-expanded"
+    );
     assert_eq!(
         topo.probes_per_producer.iter().sum::<u64>(),
-        det.observations
+        det.observations - report.expansion_probes
     );
     assert_eq!(topo.routed_per_shard.iter().sum::<u64>(), det.observations);
     assert_eq!(
