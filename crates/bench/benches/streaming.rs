@@ -233,9 +233,9 @@ impl scent_stream::ObservationSource for ReplaySlice<'_> {
 /// measured. `fast/<S>x<P>` points (S shards × P producers) drive the same
 /// [`IngestEngine`](scent_stream::IngestEngine) the pipeline and the monitor
 /// do — batched channel payloads, recycled batch buffers, a
-/// `ShardMap::shard_for` lookup per observation. Producer points > 1 only spread wall-clock on
-/// multi-core hosts; see `bench_producer_scaling` for why the spread flattens
-/// on one CPU. `fast_observed/1x1` is `fast/1x1` observed by a live
+/// `ShardMap::shard_for` lookup per observation. Producer points > 1 only
+/// spread wall-clock on multi-core hosts; see `bench_producer_scaling` for
+/// why the spread flattens on one CPU. `fast_observed/1x1` is `fast/1x1` observed by a live
 /// [`Telemetry`] registry.
 fn bench_hot_path(c: &mut Criterion) {
     use scent_prober::TargetStream;

@@ -42,10 +42,11 @@
 //! the model can throttle, slice one [`ContinuousStream`] per producer off
 //! the one target stream, bound each to the pass's windows, count its
 //! probes, mirror the pacer on the merge side for rate telemetry, drive,
-//! and read the end rate off the producer that probed the last position. Producer threads (more than one
-//! producer) borrow the transport, so they are scoped threads — spawned and
-//! joined inside the one [`drive`](IngestEngine::drive) that feeds on them,
-//! the only thread scope in the crate.
+//! and read the end rate off the producer that probed the last position.
+//! Producer threads (more than one producer) borrow the transport, so they
+//! are scoped threads — spawned and joined inside the one
+//! [`drive`](IngestEngine::drive) that feeds on them, the only thread scope
+//! in the crate.
 //! [`StreamPipeline`](crate::pipeline::StreamPipeline) runs one pass per
 //! scan phase (one window each),
 //! [`MonitorSession`](crate::monitor::MonitorSession) one per epoch; the

@@ -524,10 +524,10 @@ impl StreamMonitor {
 /// dropped inside the call). An epoch is a straight line over named stages
 /// on the session — the probe pass, the boundary probes (re-expansion, then
 /// the discovery cycle, both routed into the shards on the live lease), the
-/// release, the watch-list revision — and only the
-/// per-shard states leave it, for the workers and back; the boundary stages
-/// run at every boundary but the run's last, at one boundary time, and every
-/// epoch stores the rate its pass ended on. Driving a fresh session to
+/// release, the watch-list revision — and only the per-shard states leave
+/// it, for the workers and back; the boundary stages run at every boundary
+/// but the run's last, at one boundary time, and every epoch stores the
+/// rate its pass ended on. Driving a fresh session to
 /// completion at a constant budget of [`MonitorConfig::packets_per_second`]
 /// reproduces
 /// [`StreamMonitor::run`] byte for byte; varying the budget between epochs
@@ -1947,6 +1947,51 @@ mod tests {
             );
             assert_eq!(log.probes.len() as u64, report.observations);
         }
+    }
+
+    /// The boundary re-expansion probes what [`SeedExpansion::run`] probes
+    /// over the same seed blocks — the same targets at the same send times,
+    /// answered the same — and validates what that scan validates.
+    #[test]
+    fn boundary_reexpansion_probes_what_seed_expansion_probes() {
+        let engine = Engine::build(scenarios::churn_world(11)).unwrap();
+        let start = SimTime::at(10, 9);
+        let initial = vec![dense_48_at(&engine, start), engine.pools()[1].config.prefix];
+        let churn = WatchChurn {
+            refresh_every: 1,
+            watch_capacity: 3,
+            ..WatchChurn::default()
+        };
+        let config = MonitorConfig {
+            windows: 2, // one worked boundary
+            start,
+            churn: Some(churn),
+            ..MonitorConfig::default()
+        };
+        let world = scent_prober::RecordingBackend::new(&engine);
+        let report = StreamMonitor::new(config.clone())
+            .run(&world, &initial)
+            .unwrap();
+        let probes = world.finish().probes;
+
+        let mut seeds: Vec<Ipv6Prefix> = (initial.iter())
+            .map(|prefix| prefix.supernet(churn.expansion_len).unwrap())
+            .collect();
+        seeds.sort();
+        seeds.dedup();
+        let reference = scent_prober::RecordingBackend::new(&engine);
+        let expansion = SeedExpansion::run(
+            &reference,
+            &seeds,
+            start + config.window_interval,
+            config.seed,
+            churn.max_48s_per_seed,
+        );
+        let reexpanded = reference.finish().probes;
+        assert!(reexpanded.iter().all(|probe| probes.contains(probe)));
+        assert_eq!(expansion.probed_48s, report.expansion_probes);
+        assert!(!expansion.validated_48s.is_empty(), "non-vacuous");
+        assert_eq!(report.validated_48s, expansion.validated_48s);
     }
 
     /// Churned runs keep the producer-invariance contract: any producer

@@ -11,9 +11,9 @@
 //!
 //! [`ShardMap::shard_for`] is the only routing rule: the router calls it for
 //! every observation — a pass's, a boundary re-expansion's or a discovery
-//! sweep's alike — and the virtual-queue pacer and its merge-side replica call the
-//! same function, so all three agree by construction. A one-shard map
-//! answers without a lookup.
+//! sweep's alike — and the virtual-queue pacer and its merge-side replica
+//! call the same function, so all three agree by construction. A one-shard
+//! map answers without a lookup.
 //!
 //! Channels are bounded: when a shard's queue is full, [`ShardRouter::route`]
 //! blocks (delivering every observation) and counts the stall

@@ -16,13 +16,13 @@
 //! accounts every probing-order position against the virtual queue of the
 //! shard the router will send it to ([`ShardMap::shard_for`], the one
 //! routing rule, looked up per position) and applies AIMD rate events at
-//! virtual second boundaries. Because
-//! the resulting send times are a pure function of `(config, target order,
-//! virtual time)` — not of OS channel pressure — feedback composes with
-//! producer slicing: a sliced stream accounts the positions other producers
-//! own (skipping them without probing) and therefore replays the same global
-//! rate trajectory locally, keeping the P-producer merge bit-identical to
-//! the single-producer run with feedback on.
+//! virtual second boundaries. Because the resulting send times are a pure
+//! function of `(config, target order, virtual time)` — not of OS channel
+//! pressure — feedback composes with producer slicing: a sliced stream
+//! accounts the positions other producers own (skipping them without
+//! probing) and therefore replays the same global rate trajectory locally,
+//! keeping the P-producer merge bit-identical to the single-producer run
+//! with feedback on.
 //!
 //! Streams are constructed through a builder ([`ContinuousStream::builder`])
 //! so call sites name the knobs they set instead of threading long

@@ -162,8 +162,9 @@ const LOCK_FREE_PRODUCERS: usize = 32;
 ///
 /// Implements [`StreamObserver`]; hand `Some(&telemetry)` to the engine's
 /// `run_observed` entry points (or as `MonitorControl::observer`), then read
-/// the state back with [`Telemetry::snapshot`]. Interior mutability throughout — the engine
-/// shares it by reference across producer, router and shard-worker threads.
+/// the state back with [`Telemetry::snapshot`]. Interior mutability
+/// throughout — the engine shares it by reference across producer, router
+/// and shard-worker threads.
 #[derive(Debug, Default)]
 pub struct Telemetry {
     inner: Mutex<Inner>,

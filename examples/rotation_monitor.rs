@@ -82,7 +82,7 @@ fn run() -> Result<(), ScentError> {
         StreamMonitor::new(config.clone()).run_observed(&engine, &watched, Some(&registry))?;
 
     println!(
-        "{} observations ingested (+{} re-expansion probes), {} rotation events, \
+        "{} observations ingested ({} of them re-expansion probes), {} rotation events, \
          {} /48s flagged rotating",
         report.observations,
         report.expansion_probes,
