@@ -297,7 +297,7 @@ fn bench_hot_path(c: &mut Criterion) {
                                 step: producers,
                             })
                             .collect();
-                        let routed = ingest.drive(sources, None, |_, _| {});
+                        let routed = ingest.drive(sources, |_, _| {});
                         let classified: u64 = ingest
                             .release()
                             .expect("no panic injected")
@@ -330,7 +330,7 @@ fn bench_hot_path(c: &mut Criterion) {
                 next: 0,
                 step: 1,
             };
-            let routed = ingest.drive(vec![source], None, |_, _| {});
+            let routed = ingest.drive(vec![source], |_, _| {});
             ingest.release().expect("no panic injected");
             assert_eq!(registry.snapshot().deterministic.observations, routed);
             black_box(routed)

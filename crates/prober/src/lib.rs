@@ -51,7 +51,7 @@ pub mod yarrp;
 pub mod zmap6;
 
 pub use permutation::RandomPermutation;
-pub use rate::{FeedbackPacer, ProbePacer, QueueModel, QueuePacer, RateTransition, VirtualQueue};
+pub use rate::{ProbePacer, QueueModel, QueuePacer};
 pub use recorded::{ProbeLog, RecordedBackend, RecordedTrace, RecordedWorld, RecordingBackend};
 pub use records::{ProbeRecord, ResponseRecord, Scan};
 pub use seed::{SeedCampaign, SeedEntry};

@@ -5,9 +5,10 @@
 //! 10 kpps" for a /46 rotation pool of /64s, or the "75 seconds of active
 //! probing" for EUI-64 IID #2 in Table 2) are statements about how long a
 //! probe budget takes to spend at that rate. [`ProbePacer`] converts probe
-//! indices into virtual send times at a fixed rate; [`FeedbackPacer`] and
-//! [`QueuePacer`] pace a continuous stream, the latter against the
-//! deterministic virtual-queue feedback model ([`QueueModel`]).
+//! indices into virtual send times at a fixed rate — the batch scanner's.
+//! [`QueuePacer`] paces a continuous stream at the same fixed rate, backing
+//! it off only when the deterministic virtual-queue model ([`QueueModel`])
+//! says the stream's consumer fell behind.
 
 use serde::{Deserialize, Serialize};
 
@@ -15,7 +16,7 @@ use scent_simnet::{SimDuration, SimTime};
 
 /// Deterministic pacing: probe `i` of a scan is sent at
 /// `start + i / packets_per_second`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ProbePacer {
     /// Time the scan starts.
     pub start: SimTime,
@@ -48,99 +49,6 @@ impl ProbePacer {
     /// The time the scan finishes if it sends `count` probes.
     pub fn finish_time(&self, count: u64) -> SimTime {
         self.start + self.duration_for(count)
-    }
-}
-
-/// A pacer with AIMD rate feedback for continuous streaming scans.
-///
-/// The batch [`ProbePacer`] computes send times from a fixed rate; a
-/// long-running monitor instead has consumers (inference shards) that can
-/// fall behind. `FeedbackPacer` keeps a current rate that backs off
-/// multiplicatively when the consumer signals backpressure
-/// ([`FeedbackPacer::on_backpressure`]) and recovers additively while the
-/// stream drains freely ([`FeedbackPacer::on_progress`]) — classic AIMD
-/// against the virtual clock, bounded below so the monitor never stalls
-/// entirely and above by the configured budget.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct FeedbackPacer {
-    base_pps: u64,
-    current_pps: u64,
-    min_pps: u64,
-    cursor: SimTime,
-    sent_in_second: u64,
-}
-
-impl FeedbackPacer {
-    /// Create a pacer starting at `start` with a non-zero probe budget.
-    pub fn new(start: SimTime, packets_per_second: u64) -> Self {
-        assert!(packets_per_second > 0, "rate must be non-zero");
-        FeedbackPacer {
-            base_pps: packets_per_second,
-            current_pps: packets_per_second,
-            min_pps: (packets_per_second / 64).max(1),
-            cursor: start,
-            sent_in_second: 0,
-        }
-    }
-
-    /// The send time of the next probe at the current rate.
-    pub fn next_send_time(&mut self) -> SimTime {
-        if self.sent_in_second >= self.current_pps {
-            self.cursor += SimDuration::from_secs(1);
-            self.sent_in_second = 0;
-        }
-        self.sent_in_second += 1;
-        self.cursor
-    }
-
-    /// Advance the pacer as if `count` probes had been sent, without sending
-    /// them. Exactly equivalent to calling [`FeedbackPacer::next_send_time`]
-    /// `count` times (at the current rate) in O(1) — this is what lets a
-    /// sharded producer that owns only a slice of a scan pass keep its pacer
-    /// state bit-identical to the single-producer pacer that paces every
-    /// position.
-    pub fn skip(&mut self, count: u64) {
-        if count == 0 {
-            return;
-        }
-        let total = self.sent_in_second + count;
-        self.cursor += SimDuration::from_secs((total - 1) / self.current_pps);
-        self.sent_in_second = (total - 1) % self.current_pps + 1;
-    }
-
-    /// Multiplicative back-off: the consumer could not keep up.
-    pub fn on_backpressure(&mut self) {
-        self.current_pps = (self.current_pps / 2).max(self.min_pps);
-    }
-
-    /// Additive recovery: the stream is draining freely.
-    pub fn on_progress(&mut self) {
-        let step = (self.base_pps / 16).max(1);
-        self.current_pps = (self.current_pps + step).min(self.base_pps);
-    }
-
-    /// The current effective rate.
-    pub fn rate(&self) -> u64 {
-        self.current_pps
-    }
-
-    /// The configured (maximum) rate.
-    pub fn base_rate(&self) -> u64 {
-        self.base_pps
-    }
-
-    /// Advance to a window boundary: the next probe is sent no earlier than
-    /// `start` (virtual time never runs backwards).
-    pub fn advance_to(&mut self, start: SimTime) {
-        if start > self.cursor {
-            self.cursor = start;
-            self.sent_in_second = 0;
-        }
-    }
-
-    /// The virtual time the pacer has reached.
-    pub fn now(&self) -> SimTime {
-        self.cursor
     }
 }
 
@@ -258,107 +166,78 @@ impl Default for QueueModel {
     }
 }
 
-/// A deterministic per-shard queue-depth counter: observations enqueued
-/// minus observations a drain rate would have retired by a given virtual
-/// instant.
+/// The continuous-stream pacer: a fixed probe budget that backs off (AIMD)
+/// when the deterministic virtual-queue model ([`QueueModel`]) says its
+/// consumers fell behind.
 ///
-/// The counter is *virtual*: it never inspects a real channel. Draining is
-/// computed, not tracked — `depth_at(t)` subtracts `drain_rate × (t − epoch)`
-/// from the enqueue count (saturating at zero), so the depth at any instant
-/// is a pure function of how many observations were routed to the shard and
-/// how much virtual time has passed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct VirtualQueue {
-    enqueued: u64,
-    epoch: SimTime,
-}
-
-impl VirtualQueue {
-    /// An empty queue whose drain clock starts at `epoch`.
-    pub fn new(epoch: SimTime) -> Self {
-        VirtualQueue { enqueued: 0, epoch }
-    }
-
-    /// Account one observation routed to this shard.
-    pub fn enqueue(&mut self) {
-        self.enqueued += 1;
-    }
-
-    /// Observations enqueued so far.
-    pub fn enqueued(&self) -> u64 {
-        self.enqueued
-    }
-
-    /// The queue depth at virtual time `now` under `drain_rate`
-    /// (observations retired per virtual second; `None` = infinitely fast).
-    pub fn depth_at(&self, now: SimTime, drain_rate: Option<u64>) -> u64 {
-        let Some(rate) = drain_rate else { return 0 };
-        let retired = now.since(self.epoch).as_secs().saturating_mul(rate);
-        self.enqueued.saturating_sub(retired)
-    }
-}
-
-/// A [`FeedbackPacer`] driven by the deterministic virtual-queue model
-/// instead of OS channel pressure.
+/// The batch [`ProbePacer`] computes send times from a fixed rate; a
+/// long-running monitor instead has consumers (inference shards) that can
+/// fall behind. Every observation enqueues one unit on its shard's virtual
+/// queue, and a shard's depth at a virtual instant is its enqueue count
+/// minus what [`QueueModel::drain_for`] it retired since the pacer started
+/// (saturating at zero) — a pure function of the position sequence and
+/// virtual time, never of a real channel. Each time the cursor rolls over
+/// to a new send second, the maximum shard depth decides: at or above the
+/// high watermark the rate halves (down to a floor of 1/64 of the budget,
+/// so a stream never stalls), at or below the low watermark it recovers by
+/// 1/16 of the budget (up to the budget). Under a model that cannot
+/// throttle every depth is zero and the trajectory is the fixed rate's,
+/// exactly.
 ///
 /// Every probing-order position — owned or foreign — is accounted through
-/// [`QueuePacer::pace`] / [`QueuePacer::skip`], which perform the *identical*
-/// state transition (the only difference is whether the caller sends a
-/// probe). Feedback is evaluated at well-defined virtual instants: each time
-/// the pacer's cursor rolls over to a new second, the maximum shard depth at
-/// that instant decides between [`FeedbackPacer::on_backpressure`] (depth ≥
-/// high watermark) and [`FeedbackPacer::on_progress`] (depth ≤ low
-/// watermark). Because all of that is a pure function of the position
-/// sequence and virtual time, P producers that each account all positions
-/// (probing only their own strided slice) hold bit-identical pacer states at
-/// every position — the property that makes AIMD feedback compatible with
-/// sharded producers.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+/// [`QueuePacer::pace`], [`QueuePacer::skip`] or
+/// [`QueuePacer::skip_many`], which perform the *identical* state
+/// transition (the only difference is whether the caller sends a probe).
+/// So P producers that each account all positions (probing only their own
+/// strided slice) hold bit-identical pacer states at every position — the
+/// property that makes AIMD feedback compatible with sharded producers.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct QueuePacer {
-    pacer: FeedbackPacer,
+    /// The configured budget, which recovery climbs back to.
+    base_pps: u64,
+    current_pps: u64,
+    /// The back-off floor.
+    min_pps: u64,
+    cursor: SimTime,
+    sent_in_second: u64,
     model: QueueModel,
-    queues: Vec<VirtualQueue>,
+    /// Where every queue's drain clock starts: the pacer's start.
+    epoch: SimTime,
+    /// Observations accounted to each shard's queue.
+    enqueued: Vec<u64>,
 }
 
 impl QueuePacer {
     /// Create a pacer over `shards` virtual queues, starting at `start` with
     /// a non-zero probe budget.
     pub fn new(start: SimTime, packets_per_second: u64, shards: usize, model: QueueModel) -> Self {
+        assert!(packets_per_second > 0, "rate must be non-zero");
         assert!(shards > 0, "at least one shard");
         assert!(model.is_valid(), "low watermark must be below high");
         QueuePacer {
-            pacer: FeedbackPacer::new(start, packets_per_second),
+            base_pps: packets_per_second,
+            current_pps: packets_per_second,
+            min_pps: (packets_per_second / 64).max(1),
+            cursor: start,
+            sent_in_second: 0,
             model,
-            queues: vec![VirtualQueue::new(start); shards],
+            epoch: start,
+            enqueued: vec![0; shards],
         }
     }
 
     /// Account one observation routed to `shard` and return its virtual send
     /// time at the current (feedback-adjusted) rate.
+    // `pace` and `skip_many` run once a position from another crate, so
+    // they are inlined there; `roll_over`, once a send second, is not.
+    #[inline]
     pub fn pace(&mut self, shard: usize) -> SimTime {
-        if self.pacer.sent_in_second >= self.pacer.current_pps {
-            self.pacer.cursor += SimDuration::from_secs(1);
-            self.pacer.sent_in_second = 0;
-            // The well-defined virtual instant: a new send second begins.
-            self.evaluate();
+        if self.sent_in_second >= self.current_pps {
+            self.roll_over();
         }
-        self.pacer.sent_in_second += 1;
-        self.queues[shard].enqueue();
-        self.pacer.cursor
-    }
-
-    /// [`QueuePacer::pace`], additionally reporting the AIMD rate transition
-    /// the position triggered, if any. This is the telemetry hook point:
-    /// because the trajectory is a pure function of the position sequence,
-    /// an observer fed from a merge-side replica pacer sees the exact
-    /// back-off/recovery events every producer replayed locally — in
-    /// deterministic order, at their virtual instants.
-    pub fn pace_tracked(&mut self, shard: usize) -> (SimTime, Option<RateTransition>) {
-        let from_pps = self.rate();
-        let sent_at = self.pace(shard);
-        let to_pps = self.rate();
-        let transition = (from_pps != to_pps).then_some(RateTransition { from_pps, to_pps });
-        (sent_at, transition)
+        self.sent_in_second += 1;
+        self.enqueued[shard] += 1;
+        self.cursor
     }
 
     /// Fast-forward over one *foreign* position routed to `shard`: the exact
@@ -372,13 +251,36 @@ impl QueuePacer {
         let _ = self.pace(shard);
     }
 
-    /// Evaluate the feedback signal at the current cursor instant.
-    fn evaluate(&mut self) {
+    /// Fast-forward over `count` foreign positions all routed to `shard`:
+    /// exactly `count` calls of [`QueuePacer::skip`], in one step per send
+    /// second it crosses rather than one per position — feedback is still
+    /// evaluated at every rollover.
+    #[inline]
+    pub fn skip_many(&mut self, shard: usize, mut count: u64) {
+        while count > 0 {
+            if self.sent_in_second >= self.current_pps {
+                self.roll_over();
+            }
+            let taken = count.min(self.current_pps - self.sent_in_second);
+            self.sent_in_second += taken;
+            self.enqueued[shard] += taken;
+            count -= taken;
+        }
+    }
+
+    /// Begin the next send second — the well-defined virtual instant at
+    /// which the feedback signal is evaluated.
+    fn roll_over(&mut self) {
+        self.cursor += SimDuration::from_secs(1);
+        self.sent_in_second = 0;
         let depth = self.depth();
         if depth >= self.model.high_watermark {
-            self.pacer.on_backpressure();
+            // Multiplicative back-off: the consumer could not keep up.
+            self.current_pps = (self.current_pps / 2).max(self.min_pps);
         } else if depth <= self.model.low_watermark {
-            self.pacer.on_progress();
+            // Additive recovery: the stream is draining freely.
+            let step = (self.base_pps / 16).max(1);
+            self.current_pps = (self.current_pps + step).min(self.base_pps);
         }
     }
 
@@ -386,38 +288,24 @@ impl QueuePacer {
     /// shard drains at [`QueueModel::drain_for`] its index, so asymmetric
     /// per-shard calibrations feed back through the slowest shard.
     pub fn depth(&self) -> u64 {
-        let now = self.pacer.cursor;
-        self.queues
-            .iter()
-            .enumerate()
-            .map(|(i, q)| q.depth_at(now, self.model.drain_for(i)))
+        (0..self.enqueued.len())
+            .map(|shard| self.shard_depth(shard))
             .max()
             .unwrap_or(0)
     }
 
     /// The depth of one shard's queue at the current virtual instant.
-    pub fn shard_depth(&self, shard: usize) -> u64 {
-        self.queues[shard].depth_at(self.pacer.cursor, self.model.drain_for(shard))
-    }
-
-    /// Number of virtual queues (shards).
-    pub fn shards(&self) -> usize {
-        self.queues.len()
+    fn shard_depth(&self, shard: usize) -> u64 {
+        let Some(rate) = self.model.drain_for(shard) else {
+            return 0;
+        };
+        let retired = self.cursor.since(self.epoch).as_secs().saturating_mul(rate);
+        self.enqueued[shard].saturating_sub(retired)
     }
 
     /// The current effective rate.
     pub fn rate(&self) -> u64 {
-        self.pacer.rate()
-    }
-
-    /// The configured (maximum) rate.
-    pub fn base_rate(&self) -> u64 {
-        self.pacer.base_rate()
-    }
-
-    /// The queue model in force.
-    pub fn model(&self) -> &QueueModel {
-        &self.model
+        self.current_pps
     }
 
     /// Advance to a window boundary: the next probe is sent no earlier than
@@ -426,107 +314,154 @@ impl QueuePacer {
     /// the instants identical for every producer regardless of where its
     /// slice boundaries fall.
     pub fn advance_to(&mut self, start: SimTime) {
-        self.pacer.advance_to(start);
+        if start > self.cursor {
+            self.cursor = start;
+            self.sent_in_second = 0;
+        }
     }
-
-    /// The virtual time the pacer has reached.
-    pub fn now(&self) -> SimTime {
-        self.pacer.now()
-    }
-}
-
-/// One AIMD rate change reported by [`QueuePacer::pace_tracked`]: a
-/// multiplicative back-off when `to_pps < from_pps`, an additive recovery
-/// otherwise.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RateTransition {
-    /// Effective rate before the transition, packets per second.
-    pub from_pps: u64,
-    /// Effective rate after the transition.
-    pub to_pps: u64,
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// A throttling model: 10 observations drained per shard per second,
+    /// watermarks 50 / 5.
+    fn slow_drain() -> QueueModel {
+        QueueModel {
+            drain_rate: Some(10),
+            high_watermark: 50,
+            low_watermark: 5,
+            ..QueueModel::unbounded()
+        }
+    }
+
+    /// Under a model that cannot throttle, pacing interleaved with bulk
+    /// skips stamps every position with the fixed pacer's send time.
     #[test]
     fn feedback_pacer_matches_fixed_pacer_without_feedback() {
         let start = SimTime::at(2, 0);
         let fixed = ProbePacer::new(start, 100);
-        let mut adaptive = FeedbackPacer::new(start, 100);
-        for i in 0..350u64 {
-            assert_eq!(adaptive.next_send_time(), fixed.send_time(i), "probe {i}");
+        let mut adaptive = QueuePacer::new(start, 100, 1, QueueModel::unbounded());
+        let mut i = 0u64;
+        for run in 0..60u64 {
+            assert_eq!(adaptive.pace(0), fixed.send_time(i), "probe {i}");
+            let skipped = run * 7 % 230;
+            adaptive.skip_many(0, skipped);
+            i += 1 + skipped;
         }
+        assert_eq!(adaptive.pace(0), fixed.send_time(i), "probe {i}");
+        assert_eq!(adaptive.rate(), 100);
     }
 
+    /// Depth drives the rate both ways: a queue that builds up halves it at
+    /// each rollover, one that has drained lets it climb back by 1/16 of the
+    /// budget a second (to the budget, not beyond), and a consumer that
+    /// never drains pins it at the floor of 1/64.
     #[test]
     fn feedback_pacer_backs_off_and_recovers() {
-        let mut pacer = FeedbackPacer::new(SimTime::EPOCH, 1024);
-        pacer.on_backpressure();
+        let mut pacer = QueuePacer::new(SimTime::EPOCH, 1024, 1, slow_drain());
+        // Second 0 sends 1024; at the rollover 1024 − 10 are still queued.
+        pacer.skip_many(0, 1024);
+        assert_eq!(pacer.rate(), 1024, "no rollover yet");
+        pacer.pace(0);
         assert_eq!(pacer.rate(), 512);
-        pacer.on_backpressure();
+        pacer.skip_many(0, 512);
         assert_eq!(pacer.rate(), 256);
-        // Additive recovery climbs back to (and not beyond) the base rate.
-        for _ in 0..100 {
-            pacer.on_progress();
+        // A day later every queue has drained: recovery, one step a second.
+        pacer.advance_to(SimTime::at(1, 0));
+        assert_eq!(pacer.depth(), 0);
+        let mut climbed = Vec::new();
+        for _ in 0..20 {
+            pacer.skip_many(0, pacer.rate());
+            pacer.pace(0);
+            climbed.push(pacer.rate());
         }
+        assert_eq!(climbed[..3], [320, 384, 448]);
+        assert!(climbed.iter().all(|&rate| rate <= 1024));
         assert_eq!(pacer.rate(), 1024);
-        assert_eq!(pacer.base_rate(), 1024);
         // The floor prevents a total stall.
-        for _ in 0..100 {
-            pacer.on_backpressure();
-        }
-        assert_eq!(pacer.rate(), 16);
+        let dead = QueueModel {
+            drain_rate: Some(0),
+            ..slow_drain()
+        };
+        let mut stalled = QueuePacer::new(SimTime::EPOCH, 1024, 1, dead);
+        stalled.skip_many(0, 100_000);
+        assert_eq!(stalled.rate(), 16);
     }
 
+    /// The same position count takes longer in virtual time when the queue
+    /// backs the rate off — bulk skips included.
     #[test]
     fn feedback_pacer_slows_virtual_time_under_backpressure() {
-        let mut fast = FeedbackPacer::new(SimTime::EPOCH, 1000);
-        let mut slow = FeedbackPacer::new(SimTime::EPOCH, 1000);
-        slow.on_backpressure(); // 500 pps
-        let mut last_fast = SimTime::EPOCH;
-        let mut last_slow = SimTime::EPOCH;
-        for _ in 0..2_000 {
-            last_fast = fast.next_send_time();
-            last_slow = slow.next_send_time();
+        let mut fast = QueuePacer::new(SimTime::EPOCH, 100, 2, QueueModel::unbounded());
+        let mut slow = QueuePacer::new(SimTime::EPOCH, 100, 2, slow_drain());
+        for shard in [0, 1, 0, 0] {
+            fast.skip_many(shard, 500);
+            slow.skip_many(shard, 500);
         }
-        assert!(last_slow > last_fast, "halved rate must take longer");
+        assert_eq!(fast.pace(1), SimTime::EPOCH + SimDuration::from_secs(20));
+        assert!(
+            slow.pace(1) > fast.cursor,
+            "backed-off rate must take longer"
+        );
+        assert!(slow.rate() < 100);
     }
 
+    /// Every (skip-count, phase-within-second) combination of a bulk skip
+    /// leaves the pacer in exactly the state that many single skips would,
+    /// with or without feedback, over one queue or several.
     #[test]
     fn skip_is_equivalent_to_repeated_sends() {
-        // Every (skip-count, phase-within-second) combination must leave the
-        // pacer in exactly the state that many next_send_time calls would.
-        for pre in [0u64, 1, 3, 7, 8, 9] {
-            for count in [0u64, 1, 2, 7, 8, 9, 16, 100] {
-                let mut stepped = FeedbackPacer::new(SimTime::at(3, 5), 8);
-                let mut skipped = FeedbackPacer::new(SimTime::at(3, 5), 8);
-                for _ in 0..pre {
-                    stepped.next_send_time();
-                    skipped.next_send_time();
+        let tight = QueueModel {
+            drain_rate: Some(3),
+            high_watermark: 10,
+            low_watermark: 2,
+            ..QueueModel::unbounded()
+        };
+        for (model, shards) in [(QueueModel::unbounded(), 1), (tight.clone(), 1), (tight, 3)] {
+            for pre in [0u64, 1, 3, 7, 8, 9, 40] {
+                for count in [0u64, 1, 2, 7, 8, 9, 16, 100] {
+                    let at = format!("{model:?} shards={shards} pre={pre} count={count}");
+                    let fresh = || QueuePacer::new(SimTime::at(3, 5), 8, shards, model.clone());
+                    let (mut stepped, mut skipped) = (fresh(), fresh());
+                    for i in 0..pre {
+                        let shard = i as usize % shards;
+                        stepped.pace(shard);
+                        skipped.pace(shard);
+                    }
+                    let shard = pre as usize % shards;
+                    for _ in 0..count {
+                        stepped.skip(shard);
+                    }
+                    skipped.skip_many(shard, count);
+                    assert_eq!(stepped, skipped, "{at}");
+                    // And the next probe after the jump agrees too.
+                    assert_eq!(stepped.pace(0), skipped.pace(0), "{at}");
                 }
-                for _ in 0..count {
-                    stepped.next_send_time();
-                }
-                skipped.skip(count);
-                assert_eq!(stepped, skipped, "pre={pre} count={count}");
-                // And the next probe after the jump agrees too.
-                assert_eq!(stepped.next_send_time(), skipped.next_send_time());
             }
         }
     }
 
+    /// Entering a window moves the cursor to its start (never back) and
+    /// starts a fresh send second; the queues drain over the jump.
     #[test]
     fn feedback_pacer_advances_to_window_start() {
-        let mut pacer = FeedbackPacer::new(SimTime::at(0, 0), 10);
-        pacer.next_send_time();
-        pacer.advance_to(SimTime::at(1, 0));
-        assert_eq!(pacer.now(), SimTime::at(1, 0));
-        assert_eq!(pacer.next_send_time(), SimTime::at(1, 0));
+        let mut pacer = QueuePacer::new(SimTime::at(0, 0), 10, 1, slow_drain());
+        pacer.skip_many(0, 9);
+        assert_eq!(pacer.depth(), 9);
+        pacer.advance_to(SimTime::at(0, 0) + SimDuration::from_secs(1));
+        assert_eq!(pacer.depth(), 0, "one second retires 10");
+        assert_eq!(
+            pacer.pace(0),
+            SimTime::at(0, 0) + SimDuration::from_secs(1),
+            "the window's first probe is sent at its start"
+        );
+        assert_eq!(pacer.sent_in_second, 1, "a fresh send second");
         // Moving backwards is a no-op.
-        pacer.advance_to(SimTime::at(0, 12));
-        assert_eq!(pacer.now(), SimTime::at(1, 0));
+        pacer.advance_to(SimTime::at(0, 0));
+        assert_eq!(pacer.cursor, SimTime::at(0, 0) + SimDuration::from_secs(1));
+        assert_eq!(pacer.sent_in_second, 1);
     }
 
     #[test]
@@ -594,7 +529,7 @@ mod tests {
         for i in 0..500u64 {
             let shard = (i % 2) as usize;
             let before_depth = paced.shard_depth(shard);
-            let before_now = paced.now();
+            let before_now = paced.cursor;
             let t = paced.pace(shard);
             // Producer B probes only every third position, skipping the rest.
             if i % 3 == 0 {
@@ -605,7 +540,7 @@ mod tests {
             assert_eq!(paced, skipped, "position {i}");
             // Within one send second the depth grows by exactly one per
             // accounted position; a rollover retires drain_rate × elapsed.
-            if paced.now() == before_now {
+            if paced.cursor == before_now {
                 assert_eq!(paced.shard_depth(shard), before_depth + 1, "position {i}");
             }
             assert_eq!(paced.depth(), skipped.depth());
@@ -676,40 +611,39 @@ mod tests {
         let mut pacer = QueuePacer::new(SimTime::at(0, 0), 10, 2, QueueModel::unbounded());
         pacer.pace(0);
         pacer.advance_to(SimTime::at(1, 0));
-        assert_eq!(pacer.now(), SimTime::at(1, 0));
+        assert_eq!(pacer.cursor, SimTime::at(1, 0));
         assert_eq!(pacer.pace(1), SimTime::at(1, 0));
         pacer.advance_to(SimTime::at(0, 5));
-        assert_eq!(pacer.now(), SimTime::at(1, 0), "never moves backwards");
-        assert_eq!(pacer.shards(), 2);
-        assert_eq!(pacer.base_rate(), 10);
-        assert!(pacer.model().is_valid());
+        assert_eq!(pacer.cursor, SimTime::at(1, 0), "never moves backwards");
+        assert_eq!(pacer.enqueued, [1, 1]);
     }
 
+    /// A queue's depth is its enqueue count less what its drain rate
+    /// retired since the pacer started: a pure function of virtual time.
     #[test]
     fn virtual_queue_depth_is_a_pure_function_of_time() {
         let epoch = SimTime::at(1, 0);
-        let mut queue = VirtualQueue::new(epoch);
-        for _ in 0..100 {
-            queue.enqueue();
-        }
-        assert_eq!(queue.enqueued(), 100);
-        assert_eq!(queue.depth_at(epoch, Some(7)), 100);
-        assert_eq!(
-            queue.depth_at(epoch + SimDuration::from_secs(10), Some(7)),
-            30
-        );
+        let drain = |drain_rate| QueueModel {
+            drain_rate,
+            ..QueueModel::unbounded()
+        };
+        let mut pacer = QueuePacer::new(epoch, 1_000, 1, drain(Some(7)));
+        pacer.skip_many(0, 100);
+        assert_eq!(pacer.enqueued, [100]);
+        assert_eq!(pacer.depth(), 100);
+        pacer.advance_to(epoch + SimDuration::from_secs(10));
+        assert_eq!(pacer.depth(), 30);
         // Depth is non-increasing in time and saturates at zero.
         let mut previous = u64::MAX;
-        for secs in 0..40 {
-            let depth = queue.depth_at(epoch + SimDuration::from_secs(secs), Some(7));
-            assert!(depth <= previous);
-            previous = depth;
+        for secs in 10..40 {
+            pacer.advance_to(epoch + SimDuration::from_secs(secs));
+            assert!(pacer.depth() <= previous);
+            previous = pacer.depth();
         }
-        assert_eq!(
-            queue.depth_at(epoch + SimDuration::from_days(1), Some(7)),
-            0
-        );
-        assert_eq!(queue.depth_at(epoch, None), 0, "infinite drain");
+        assert_eq!(previous, 0);
+        let mut infinite = QueuePacer::new(epoch, 1_000, 1, drain(None));
+        infinite.skip_many(0, 100);
+        assert_eq!(infinite.depth(), 0, "infinite drain");
     }
 
     #[test]
@@ -798,5 +732,58 @@ mod tests {
         assert!(throttled, "the slow shard must throttle the fleet");
         // The slowest shard dominates the depth signal.
         assert!(solo.shard_depth(0) >= solo.shard_depth(1));
+    }
+
+    use proptest::prelude::*;
+
+    proptest! {
+        // Random sequences of pace, skip, bulk skip and window entry over
+        // random budgets, 1–4 shards and unbounded, uniform or per-shard
+        // drain models: a pacer that bulk-skips stays equal, state for
+        // state, to one that accounts every position on its own.
+        #[test]
+        fn bulk_skip_matches_per_position_reference(
+            ops in collection::vec((any::<u64>(), any::<u64>()), 1..120),
+            rate in 1u64..300,
+            shards in 1usize..5,
+            drain in (0u64..3, 0u64..40),
+        ) {
+            let model = QueueModel {
+                drain_rate: (drain.0 == 1).then_some(drain.1),
+                per_shard_drain: if drain.0 == 2 {
+                    (0..shards as u64).map(|i| (drain.1 + 7 * i) % 40).collect()
+                } else {
+                    Vec::new()
+                },
+                high_watermark: 12 + drain.1,
+                low_watermark: drain.1 / 2,
+            };
+            let start = SimTime::at(2, 3);
+            let mut bulk = QueuePacer::new(start, rate, shards, model.clone());
+            let mut reference = QueuePacer::new(start, rate, shards, model);
+            for (step, &(op, arg)) in ops.iter().enumerate() {
+                let shard = (arg % shards as u64) as usize;
+                match op % 4 {
+                    0 => prop_assert_eq!(bulk.pace(shard), reference.pace(shard)),
+                    1 => {
+                        bulk.skip(shard);
+                        reference.skip(shard);
+                    }
+                    2 => {
+                        let count = (arg >> 8) % (4 * rate + 3);
+                        bulk.skip_many(shard, count);
+                        for _ in 0..count {
+                            reference.skip(shard);
+                        }
+                    }
+                    _ => {
+                        let at = bulk.cursor + SimDuration::from_secs((arg >> 8) % 5);
+                        bulk.advance_to(at);
+                        reference.advance_to(at);
+                    }
+                }
+                prop_assert!(bulk == reference, "step {step}: {bulk:?} != {reference:?}");
+            }
+        }
     }
 }

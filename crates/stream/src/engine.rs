@@ -38,11 +38,13 @@
 //! The crate's two runs never build sources themselves. They describe a
 //! pass — phase, one [`TargetStream`] built once, windows, rate, start,
 //! interval, tenant, queue model (the crate-private `Pass`) — and the
-//! engine's `run_pass` does the rest the same way for both: decide whether
-//! the model can throttle, slice one [`ContinuousStream`] per producer off
-//! the one target stream, bound each to the pass's windows, count its
-//! probes, mirror the pacer on the merge side for rate telemetry, drive,
-//! and read the end rate off the producer that probed the last position.
+//! engine's `run_pass` does the rest the same way for both: slice one
+//! [`ContinuousStream`] per producer off the one target stream, each paced
+//! against the pass's queue model over the router's map, bound each to the
+//! pass's windows, count its probes, mirror the pacer on the merge side for
+//! rate telemetry (only a model that can throttle has rate events to
+//! report), drive, and read the end rate off the producer that probed the
+//! last position.
 //! Producer threads (more than one producer) borrow the transport, so they
 //! are scoped threads — spawned and joined inside the one
 //! [`drive`](IngestEngine::drive) that feeds on them, the only thread scope
@@ -110,8 +112,8 @@ const PRODUCER_BATCH: usize = 64;
 #[derive(Default)]
 pub struct IngestOptions<'t> {
     /// Telemetry: routing order and stalls from the control thread, ingest
-    /// progress forwarded from each worker's counter, rate replay from
-    /// [`IngestEngine::drive`].
+    /// progress forwarded from each worker's counter, rate replay from the
+    /// engine's probe passes.
     pub observer: Option<&'t dyn StreamObserver>,
     /// One inference state per shard (index-aligned) for the workers to
     /// adopt — how a monitor carries state across epochs and a resumed run
@@ -423,18 +425,16 @@ impl<'a> IngestEngine<'a> {
     /// thread per source and the [`MergedClock`] otherwise — the threads are
     /// spawned and joined inside this call.
     ///
-    /// Before it is routed, each observation is fed to the merge-side
-    /// `replica` (when one is given and an observer is attached), so rate
-    /// telemetry is journaled in deterministic clock order, and then to
-    /// `hook` together with the router — the caller's per-observation fold,
-    /// monomorphised into the loop.
+    /// Before it is routed, each observation is fed to `hook` together with
+    /// the router — the caller's per-observation fold, monomorphised into
+    /// the loop, on this thread and in deterministic clock order.
     ///
     /// Once a shard is dead the merged state can no longer be completed, so
     /// the drive stops (hanging up its producers) — and a drive that starts
     /// with a shard already dead pulls no observation and spawns no producer.
     /// The observer has seen every routed observation by the time a drive
     /// returns.
-    pub fn drive<S, F>(&mut self, sources: Vec<S>, replica: Option<RateReplica>, hook: F) -> u64
+    pub fn drive<S, F>(&mut self, sources: Vec<S>, hook: F) -> u64
     where
         S: ObservationSource + Send,
         F: FnMut(&mut ShardRouter<'a>, &Observation),
@@ -445,14 +445,14 @@ impl<'a> IngestEngine<'a> {
         let before = self.router.routed();
         if sources.len() == 1 {
             let source = sources.into_iter().next().expect("one source");
-            self.ingest(source, replica, hook);
+            self.ingest(source, hook);
         } else {
             let capacity = self.pool.channel_capacity;
             // The ingest consumes the clock, so a drive that stops early has
             // hung up on its producers before the scope joins them.
             thread::scope(|scope| {
                 let clock = spawn_producers(scope, sources, capacity);
-                self.ingest(clock, replica, hook);
+                self.ingest(clock, hook);
             });
         }
         // A phase close may follow, and it reads the last send.
@@ -466,11 +466,11 @@ impl<'a> IngestEngine<'a> {
     ///
     /// The pass's target stream is built once by the caller; here it yields
     /// one strided [`ContinuousStream`] slice per producer — bounded to the
-    /// pass's windows, its probes counted for the observer — and, when the
-    /// pass's queue model can throttle and an observer is on, the merge-side
-    /// [`RateReplica`] mirroring their pacers. Every pass starts from fresh
-    /// pacers. Once a shard is dead a pass pulls no observation and spawns no
-    /// producer.
+    /// pass's windows, its probes counted for the observer. When the pass's
+    /// queue model can throttle and an observer is on, a merge-side
+    /// `RateReplica` of their pacing state sees every observation before
+    /// `hook` does. Every pass starts from fresh pacers. Once a shard is dead
+    /// a pass pulls no observation and spawns no producer.
     ///
     /// Returns the observations routed and the rate the pass ended on.
     pub(crate) fn run_pass<T, F>(
@@ -478,49 +478,43 @@ impl<'a> IngestEngine<'a> {
         transport: &T,
         producers: usize,
         pass: Pass<'_>,
-        hook: F,
+        mut hook: F,
     ) -> (u64, u64)
     where
         T: ProbeTransport + ?Sized,
         F: FnMut(&mut ShardRouter<'a>, &Observation),
     {
-        // A model that cannot throttle paces like the fixed rate: feedback
-        // is on exactly when it can. One ShardMap serves both the router and
-        // the pacers, so the two agree by construction.
-        let feedback = pass
-            .queue_model
-            .can_throttle()
-            .then(|| (pass.queue_model.clone(), self.router.map().clone()));
         let observer = self.observer;
-        let replica = feedback.as_ref().zip(observer).map(|((model, map), _)| {
-            let (model, map) = (model.clone(), map.clone());
-            let first = pass.targets.current_window();
-            RateReplica::continuous(pass.start, first, pass.rate_pps, model, map, pass.interval)
-        });
         // The streams are lent to the drive, so their pacers are still here
-        // afterwards.
+        // afterwards. One ShardMap serves both the router and the pacers, so
+        // the two agree by construction.
         let mut streams: Vec<_> = (0..producers)
             .map(|k| {
-                let mut builder = ContinuousStream::builder(transport, pass.targets.clone())
+                ContinuousStream::builder(transport, pass.targets.clone())
                     .phase(pass.phase)
                     .rate_pps(pass.rate_pps)
                     .start(pass.start)
                     .window_interval(pass.interval)
                     .tenant(pass.tenant)
-                    .slice(k, producers);
-                if let Some((model, map)) = &feedback {
-                    builder = builder.feedback(model.clone(), map.clone());
-                }
-                builder.build()
+                    .slice(k, producers)
+                    .feedback(pass.queue_model.clone(), self.router.map().clone())
+                    .build()
             })
             .collect();
+        let mut replica = (observer.filter(|_| pass.queue_model.can_throttle()))
+            .map(|observer| (RateReplica::new(streams[0].pacing.clone()), observer));
         let sources = (streams.iter_mut().enumerate())
             .map(|(k, stream)| {
                 let limit = stream.slice_len() as u64 * pass.windows;
                 CountedSource::new(LimitedSource::new(stream, limit), k, observer)
             })
             .collect();
-        let routed = self.drive(sources, replica, hook);
+        let routed = self.drive(sources, |router, obs| {
+            if let Some((replica, observer)) = replica.as_mut() {
+                replica.observe(obs, *observer);
+            }
+            hook(router, obs);
+        });
         // Producer `(L − 1) % P` probed the last window's last position
         // `L − 1`, having accounted every position before it, so its pacer
         // ended where the single-producer trajectory does. An empty window
@@ -530,7 +524,7 @@ impl<'a> IngestEngine<'a> {
         (routed, end_rate)
     }
 
-    fn ingest<S, F>(&mut self, mut source: S, mut replica: Option<RateReplica>, mut hook: F)
+    fn ingest<S, F>(&mut self, mut source: S, mut hook: F)
     where
         S: ObservationSource,
         F: FnMut(&mut ShardRouter<'a>, &Observation),
@@ -539,9 +533,6 @@ impl<'a> IngestEngine<'a> {
             let Some(obs) = source.next_observation() else {
                 break;
             };
-            if let (Some(replica), Some(observer)) = (replica.as_mut(), self.observer) {
-                replica.observe(&obs, observer);
-            }
             hook(&mut self.router, &obs);
             self.router.route(obs);
         }
@@ -668,7 +659,7 @@ mod tests {
                 .into_iter()
                 .map(|stream| LimitedSource::new(stream, 128))
                 .collect();
-            assert_eq!(engine.drive(sources, None, |_, _| {}), 256);
+            assert_eq!(engine.drive(sources, |_, _| {}), 256);
             let states = engine.release().unwrap();
             let folded: u64 = states.iter().map(|state| state.observations).sum();
             assert_eq!(folded, 256 * lease, "carried state plus this lease");
@@ -696,14 +687,14 @@ mod tests {
             ..IngestOptions::default()
         };
         let mut engine = IngestEngine::lease(&mut pool, map(), options);
-        engine.drive(producers(&world, 1), None, |_, _| {});
+        engine.drive(producers(&world, 1), |_, _| {});
         assert_eq!(
             engine.release().unwrap_err(),
             StreamError::ShardPanicked { shard: owner }
         );
         let mut engine = IngestEngine::lease(&mut pool, map(), IngestOptions::default());
         let source = LimitedSource::new(producers(&world, 1).remove(0), 256);
-        engine.drive(vec![source], None, |_, _| {});
+        engine.drive(vec![source], |_, _| {});
         let after = engine.release();
         let folded: u64 = after.unwrap().iter().map(|state| state.observations).sum();
         assert_eq!(folded, 256, "the poison died with the lease it was for");
@@ -731,7 +722,7 @@ mod tests {
         let mut pool = ShardPool::open(2, 64);
         let mut engine = IngestEngine::lease(&mut pool, map, IngestOptions::default());
         let mut got = Vec::new();
-        let routed = engine.drive(limited(), None, |_, obs| got.push(*obs));
+        let routed = engine.drive(limited(), |_, obs| got.push(*obs));
         assert_eq!(got, want);
         assert_eq!(routed, want.len() as u64);
         let states = engine.release().unwrap();
@@ -775,11 +766,11 @@ mod tests {
         // Unlimited producers: only the worker's death ends this drive, and
         // it returns only if both producer threads noticed the clock hang up
         // and returned.
-        engine.drive(producers(&world, 2), None, |_, _| {});
+        engine.drive(producers(&world, 2), |_, _| {});
         assert_eq!(engine.router().dead_shard(), Some(0));
-        assert_eq!(engine.drive(vec![Counting(&pulls)], None, |_, _| {}), 0);
+        assert_eq!(engine.drive(vec![Counting(&pulls)], |_, _| {}), 0);
         let many = vec![Counting(&pulls), Counting(&pulls)];
-        assert_eq!(engine.drive(many, None, |_, _| {}), 0);
+        assert_eq!(engine.drive(many, |_, _| {}), 0);
         let closed = engine.release();
         assert_eq!(
             pulls.load(Ordering::Relaxed),

@@ -19,7 +19,6 @@
 //! | Batch equivalence | [`pipeline`] | [`StreamPipeline`]: the full discovery pipeline, streamed — produces an identical [`PipelineReport`](scent_core::PipelineReport) |
 //! | Continuous monitor | [`monitor`] | [`StreamMonitor`]: endless windows, [`RotationEvent`](scent_core::RotationEvent)s, passive tracking, and an optionally *live* watch list ([`WatchChurn`]) revised from the monitor's own density state; [`MonitorSession`] exposes the same run one epoch at a time for external scheduling |
 //! | Typed failures | [`error`] | [`ConfigError`]: the one statement of what a runnable [`StreamConfig`]/[`MonitorConfig`] is (`validate`); [`StreamError`]: a refused configuration, checkpoint failures and shard-worker panics surface as values, never as control-thread panics |
-//! | Telemetry mirrors | [`observe`] | [`RateReplica`]: merge-side replay of the producers' AIMD pacer, feeding [`StreamObserver`](scent_telemetry::StreamObserver) hooks in deterministic order |
 //! | Checkpoint/restore | [`checkpoint`] | [`MonitorSnapshot`]: every piece of incremental monitor state captured at an epoch boundary, restored by [`StreamMonitor::run_controlled`] for byte-identical resume; [`StopSignal`] for graceful drain |
 //!
 //! Six properties hold by construction and are enforced by tests:
@@ -67,7 +66,7 @@ pub mod engine;
 pub mod error;
 pub mod monitor;
 pub mod observation;
-pub mod observe;
+mod observe;
 pub mod pipeline;
 pub mod router;
 pub mod shard;
@@ -82,7 +81,6 @@ pub use monitor::{
     MonitorConfig, MonitorControl, MonitorReport, MonitorSession, StreamMonitor, WatchChurn,
 };
 pub use observation::{Observation, ObservationSource, Phase};
-pub use observe::RateReplica;
 pub use pipeline::{StreamConfig, StreamPipeline};
 pub use router::{ShardMap, ShardRouter};
 pub use shard::{ShardInference, ShardMsg};

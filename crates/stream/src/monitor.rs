@@ -843,6 +843,9 @@ impl<'a, B: ProbeTransport + WorldView + ?Sized> MonitorSession<'a, B> {
     /// [`StreamMonitor::run`] loop at the same budgets. Producer threads
     /// (with more than one producer) live inside the call.
     ///
+    /// A zero `pps` is [`ConfigError::ZeroRate`], returned before the pool
+    /// is leased: the session is untouched and can go on at a valid rate.
+    ///
     /// A shard worker dying mid-epoch aborts the epoch cleanly — the ingest
     /// loop stops routing, surviving workers drain, the pool's threads are
     /// joined — and surfaces as [`StreamError::ShardPanicked`]. The session
@@ -851,6 +854,9 @@ impl<'a, B: ProbeTransport + WorldView + ?Sized> MonitorSession<'a, B> {
     /// fresh workers.
     pub fn run_epoch_on(&mut self, pool: &mut ShardPool, pps: u64) -> Result<bool, StreamError> {
         assert!(!self.is_done(), "run_epoch on a finished session");
+        if pps == 0 {
+            return Err(StreamError::Config(ConfigError::ZeroRate));
+        }
         let epoch = self.next_epoch;
         // A boundary is worked — re-expansion, discovery cycle, revision —
         // only when more windows follow: what a final boundary admitted

@@ -2,75 +2,53 @@
 //! state on the consumer thread so the resulting telemetry lands in the
 //! *deterministic* tier.
 //!
-//! With rate feedback on, every producer paces against its own copy of the
-//! deterministic [`QueuePacer`] — the trajectory is a pure function of
-//! `(config, target order, virtual time)`, so all copies agree. Observing
-//! rate transitions from the producers directly would still be
-//! producer-count-*shaped* (which thread saw which transition) and
-//! scheduler-interleaved. Instead, the merge side runs one more replica of
-//! the same pacer and feeds it every merged observation: the merged
-//! sequence is bit-identical to the single-producer sequence, so the
-//! replica reproduces the exact single-producer AIMD trajectory — including
-//! every send time, asserted in debug builds — no matter how many producers
-//! probed concurrently. Back-off/recovery events and virtual-queue depths
-//! journaled from the replica are therefore byte-identical across producer
-//! counts, which is what qualifies them for the deterministic telemetry
-//! tier.
+//! Every producer's stream paces with a clone of one pacing state — a
+//! [`QueuePacer`](scent_prober::QueuePacer) inside the stream's
+//! crate-private `WindowPacer` — and under a queue model that can throttle
+//! the trajectory is a pure function of `(config, target order, virtual
+//! time)`, so all clones agree. Observing rate transitions from the
+//! producers directly would still be producer-count-*shaped* (which thread
+//! saw which transition) and scheduler-interleaved. Instead, the merge side
+//! holds one more clone of that state and feeds it every merged
+//! observation: the merged sequence is bit-identical to the single-producer
+//! sequence, so the replica reproduces the exact single-producer AIMD
+//! trajectory — including every send time, asserted in debug builds — no
+//! matter how many producers probed concurrently. Back-off/recovery events
+//! and virtual-queue depths journaled from the replica are therefore
+//! byte-identical across producer counts, which is what qualifies them for
+//! the deterministic telemetry tier.
 
-use scent_prober::{QueueModel, QueuePacer};
-use scent_simnet::{SimDuration, SimTime};
 use scent_telemetry::StreamObserver;
 
 use crate::observation::Observation;
-use crate::router::ShardMap;
-use crate::source::window_start;
+use crate::source::WindowPacer;
 
-/// A merge-side replica of the producers' virtual-queue pacer (see the
+/// A merge-side replica of the producers' pacing state (see the
 /// [module docs](self)).
 ///
-/// A fresh replica goes with every fresh stream: the
-/// [`IngestEngine`](crate::engine::IngestEngine) builds one per pass — per
-/// scan phase in the pipeline, per epoch in the monitor (the pacer restarts
-/// at the configured budget at every epoch boundary).
-#[derive(Debug, Clone)]
-pub struct RateReplica {
-    pacer: QueuePacer,
-    map: ShardMap,
-    first_start: SimTime,
-    window_interval: SimDuration,
-    entered: Option<u64>,
+/// A fresh replica goes with every fresh set of streams: the
+/// [`IngestEngine`](crate::engine::IngestEngine) clones one per pass off a
+/// stream it has not yet drawn from — per scan phase in the pipeline, per
+/// epoch in the monitor (the pacer restarts at the configured budget at
+/// every epoch boundary) — and feeds it from the drive's hook.
+pub(crate) struct RateReplica {
+    pacing: WindowPacer,
     /// The deepest virtual queue this pass has reported.
     high_water: u64,
 }
 
 impl RateReplica {
-    /// A replica of a [`ContinuousStream`](crate::source::ContinuousStream)'s
-    /// pacer with feedback attached. `first_start` and `window_interval`
-    /// must match the live stream's so window entries advance the replica to
-    /// the same nominal starts, and `first_window` must be the window the
-    /// live stream starts at: like the stream's, the replica's pacer and
-    /// drain clock start at that window's nominal start.
-    pub fn continuous(
-        first_start: SimTime,
-        first_window: u64,
-        packets_per_second: u64,
-        model: QueueModel,
-        map: ShardMap,
-        window_interval: SimDuration,
-    ) -> Self {
-        let born = window_start(first_start, window_interval, first_window);
+    /// A replica of a stream's pacing state, which must not have paced a
+    /// position yet.
+    pub(crate) fn new(pacing: WindowPacer) -> Self {
         RateReplica {
-            pacer: QueuePacer::new(born, packets_per_second, map.shards(), model),
-            map,
-            first_start,
-            window_interval,
-            entered: None,
+            pacing,
             high_water: 0,
         }
     }
 
-    /// Feed one merged observation through the replica: mirror the live
-    /// pacer's transition for this position and report any resulting rate
+    /// Feed one merged observation through the replica: the live pacer's
+    /// transition for this position, reporting any resulting rate
     /// transition — plus the post-transition virtual-queue depth, when it
     /// is a new high-water mark of the pass — to `observer`.
     ///
@@ -78,24 +56,19 @@ impl RateReplica {
     /// order. The merged sequence carries every position of every window
     /// (no position is foreign to the merge side), so one paced transition
     /// per observation is exactly the single-producer trajectory.
-    pub fn observe(&mut self, obs: &Observation, observer: &dyn StreamObserver) {
-        if self.entered != Some(obs.window) {
-            // Mirrors `ContinuousStream::enter_window`: advance to the
-            // window's nominal start, never probing back in time.
-            let nominal = window_start(self.first_start, self.window_interval, obs.window);
-            self.pacer.advance_to(nominal);
-            self.entered = Some(obs.window);
-        }
-        let shard = self.map.shard_for(obs.target);
-        let (at, transition) = self.pacer.pace_tracked(shard);
+    pub(crate) fn observe(&mut self, obs: &Observation, observer: &dyn StreamObserver) {
+        self.pacing.enter(obs.window);
+        let from_pps = self.pacing.rate();
+        let at = self.pacing.pace(obs.target);
         debug_assert_eq!(
             at, obs.sent_at,
             "the replica pacer must reproduce the live send time"
         );
-        if let Some(t) = transition {
-            observer.on_rate_change(at, obs.window, t.from_pps, t.to_pps);
+        let to_pps = self.pacing.rate();
+        if to_pps != from_pps {
+            observer.on_rate_change(at, obs.window, from_pps, to_pps);
         }
-        let depth = self.pacer.depth();
+        let depth = self.pacing.depth();
         if depth > self.high_water {
             self.high_water = depth;
             observer.on_queue_depth(depth);
@@ -107,9 +80,10 @@ impl RateReplica {
 mod tests {
     use super::*;
     use crate::observation::ObservationSource;
+    use crate::router::ShardMap;
     use crate::source::ContinuousStream;
-    use scent_prober::{TargetGenerator, TargetStream};
-    use scent_simnet::{scenarios, Engine};
+    use scent_prober::{QueueModel, TargetGenerator, TargetStream};
+    use scent_simnet::{scenarios, Engine, SimDuration, SimTime};
     use scent_telemetry::Telemetry;
 
     #[test]
@@ -137,11 +111,11 @@ mod tests {
             .rate_pps(128)
             .start(start)
             .window_interval(interval)
-            .feedback(model.clone(), map.clone())
+            .feedback(model, map)
             .build();
 
         let telemetry = Telemetry::new();
-        let mut replica = RateReplica::continuous(start, 0, 128, model, map, interval);
+        let mut replica = RateReplica::new(stream.pacing.clone());
         let total = stream.window_len() * 2;
         for _ in 0..total {
             let obs = stream.next_observation().expect("infinite stream");

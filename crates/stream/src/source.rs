@@ -11,26 +11,31 @@
 //! methodology phase ([`ContinuousStreamBuilder::phase`]) — which is what
 //! makes the streamed pipeline bit-identical to the batch one.
 //!
-//! The stream can run with the deterministic **virtual-queue feedback
-//! model** ([`ContinuousStreamBuilder::feedback`]): a [`QueuePacer`]
-//! accounts every probing-order position against the virtual queue of the
-//! shard the router will send it to ([`ShardMap::shard_for`], the one
-//! routing rule, looked up per position) and applies AIMD rate events at
-//! virtual second boundaries. Because the resulting send times are a pure
-//! function of `(config, target order, virtual time)` — not of OS channel
-//! pressure — feedback composes with producer slicing: a sliced stream
-//! accounts the positions other producers own (skipping them without
-//! probing) and therefore replays the same global rate trajectory locally,
-//! keeping the P-producer merge bit-identical to the single-producer run
-//! with feedback on.
+//! Every stream paces with one [`QueuePacer`], against the deterministic
+//! **virtual-queue feedback model** ([`ContinuousStreamBuilder::feedback`];
+//! the default, [`QueueModel::unbounded`], never backs off, so it is the
+//! paper's fixed rate). Under a model that can throttle, the pacer accounts
+//! every probing-order position against the virtual queue of the shard the
+//! router will send it to ([`ShardMap::shard_for`], the one routing rule,
+//! looked up per position) and applies AIMD rate events at virtual second
+//! boundaries. A model that cannot throttle keeps every depth at zero, so it
+//! is paced over one queue: no position pays a lookup, and a run of foreign
+//! positions is skipped in one step per send second. Either way the send
+//! times are a pure function of `(config, target order, virtual time)` —
+//! not of OS channel pressure — so pacing composes with producer slicing: a
+//! sliced stream accounts the positions other producers own (skipping them
+//! without probing) and therefore replays the same global rate trajectory
+//! locally, keeping the P-producer merge bit-identical to the
+//! single-producer run.
 //!
 //! Streams are constructed through a builder ([`ContinuousStream::builder`])
 //! so call sites name the knobs they set instead of threading long
 //! positional argument lists.
 
-use scent_prober::{
-    FeedbackPacer, ProbeTransport, QueueModel, QueuePacer, ResponseRecord, TargetStream,
-};
+use std::net::Ipv6Addr;
+use std::ops::Range;
+
+use scent_prober::{ProbeTransport, QueueModel, QueuePacer, ResponseRecord, TargetStream};
 use scent_simnet::{SimDuration, SimTime};
 
 use crate::observation::{Observation, ObservationSource, Phase};
@@ -54,26 +59,68 @@ use crate::router::ShardMap;
 pub struct ContinuousStream<'a, T: ProbeTransport + ?Sized> {
     transport: &'a T,
     targets: TargetStream,
-    pacing: ContinuousPacing,
+    pub(crate) pacing: WindowPacer,
     phase: Phase,
     tenant: u32,
-    first_start: SimTime,
-    window_interval: SimDuration,
-    entered: Option<u64>,
     /// Probing-order positions of the current window already accounted for
     /// on the pacer (sent by this producer or skipped as foreign).
     accounted: u64,
 }
 
-/// How a continuous stream stamps send times.
-enum ContinuousPacing {
-    /// Fixed-rate pacing (no feedback): foreign positions are skipped in
-    /// O(1) since the rate never moves.
-    Fixed(FeedbackPacer),
-    /// Virtual-queue AIMD pacing: every position is accounted against the
-    /// shard [`ShardMap::shard_for`] routes its target to — the router's own
-    /// rule, so the two agree by construction.
-    Queue { pacer: QueuePacer, map: ShardMap },
+/// A pass's pacing state, written once for the two places that hold it: a
+/// [`ContinuousStream`] and the merge-side
+/// [`RateReplica`](crate::observe::RateReplica) cloned from it. It holds the
+/// pacer, the map positions are accounted against and the window-entry
+/// rule.
+#[derive(Clone)]
+pub(crate) struct WindowPacer {
+    pacer: QueuePacer,
+    map: ShardMap,
+    first_start: SimTime,
+    window_interval: SimDuration,
+    /// The window the pacer is in; `None` before the first position.
+    entered: Option<u64>,
+}
+
+impl WindowPacer {
+    /// Enter `window`, unless already in it: advance the pacer to the
+    /// window's nominal start (never probing back in time).
+    pub(crate) fn enter(&mut self, window: u64) {
+        if self.entered != Some(window) {
+            let nominal = window_start(self.first_start, self.window_interval, window);
+            self.pacer.advance_to(nominal);
+            self.entered = Some(window);
+        }
+    }
+
+    /// Pace the position probing `target`: its send time.
+    pub(crate) fn pace(&mut self, target: Ipv6Addr) -> SimTime {
+        self.pacer.pace(self.map.shard_for(target))
+    }
+
+    /// Account `positions` of `targets`' current window as foreign: in bulk
+    /// over one queue, else one target derivation and shard lookup a
+    /// position.
+    fn skip(&mut self, targets: &TargetStream, positions: Range<u64>) {
+        if self.map.shards() == 1 {
+            self.pacer.skip_many(0, positions.end - positions.start);
+        } else {
+            for pos in positions {
+                self.pacer
+                    .skip(self.map.shard_for(targets.target_at(pos as usize)));
+            }
+        }
+    }
+
+    /// The current effective rate.
+    pub(crate) fn rate(&self) -> u64 {
+        self.pacer.rate()
+    }
+
+    /// The maximum virtual-queue depth at the pacer's current instant.
+    pub(crate) fn depth(&self) -> u64 {
+        self.pacer.depth()
+    }
 }
 
 /// Builder for [`ContinuousStream`].
@@ -86,7 +133,8 @@ pub struct ContinuousStreamBuilder<'a, T: ProbeTransport + ?Sized> {
     tenant: u32,
     first_start: SimTime,
     window_interval: SimDuration,
-    feedback: Option<(QueueModel, ShardMap)>,
+    model: QueueModel,
+    map: Option<ShardMap>,
 }
 
 impl<'a, T: ProbeTransport + ?Sized> ContinuousStreamBuilder<'a, T> {
@@ -114,9 +162,9 @@ impl<'a, T: ProbeTransport + ?Sized> ContinuousStreamBuilder<'a, T> {
         self
     }
 
-    /// Virtual time of window 0 (default: day 0, hour 0). The pacer, and
-    /// with feedback on the virtual queues' drain clock, start at the
-    /// stream's first window ([`ContinuousStreamBuilder::build`]).
+    /// Virtual time of window 0 (default: day 0, hour 0). The pacer and its
+    /// virtual queues' drain clock start at the stream's first window
+    /// ([`ContinuousStreamBuilder::build`]).
     pub fn start(mut self, first_start: SimTime) -> Self {
         self.first_start = first_start;
         self
@@ -146,15 +194,17 @@ impl<'a, T: ProbeTransport + ?Sized> ContinuousStreamBuilder<'a, T> {
         self
     }
 
-    /// Pace this stream with the deterministic virtual-queue feedback model:
-    /// every position of every window — own and foreign — is accounted
-    /// against `map`'s shard assignment and `model`'s drain rate and
-    /// watermarks, and AIMD rate events fire at virtual second boundaries.
-    /// Composes with [`ContinuousStreamBuilder::slice`]: all P slices replay
-    /// the identical global rate trajectory, so the merged stream matches
-    /// the single-producer one bit for bit.
+    /// Pace this stream with the deterministic virtual-queue feedback model
+    /// (default: [`QueueModel::unbounded`], the fixed rate): when `model`
+    /// can throttle, every position of every window — own and foreign — is
+    /// accounted against `map`'s shard assignment and `model`'s drain rate
+    /// and watermarks, and AIMD rate events fire at virtual second
+    /// boundaries. Composes with [`ContinuousStreamBuilder::slice`]: all P
+    /// slices replay the identical global rate trajectory, so the merged
+    /// stream matches the single-producer one bit for bit.
     pub fn feedback(mut self, model: QueueModel, map: ShardMap) -> Self {
-        self.feedback = Some((model, map));
+        self.model = model;
+        self.map = Some(map);
         self
     }
 
@@ -163,8 +213,8 @@ impl<'a, T: ProbeTransport + ?Sized> ContinuousStreamBuilder<'a, T> {
     /// clock — a stream throttled below the window budget simply runs late,
     /// it never probes back in time).
     ///
-    /// The pacer, and with feedback its virtual queues' drain clock, start
-    /// at the nominal start of the stream's first window (the window its
+    /// The pacer and its virtual queues' drain clock start at the nominal
+    /// start of the stream's first window (the window its
     /// target stream is positioned at): a stream that begins at window `w`
     /// has no drain credit for the windows before it.
     pub fn build(self) -> ContinuousStream<'a, T> {
@@ -173,12 +223,18 @@ impl<'a, T: ProbeTransport + ?Sized> ContinuousStreamBuilder<'a, T> {
             self.window_interval,
             self.targets.current_window(),
         );
-        let pacing = match self.feedback {
-            None => ContinuousPacing::Fixed(FeedbackPacer::new(born, self.packets_per_second)),
-            Some((model, map)) => ContinuousPacing::Queue {
-                pacer: QueuePacer::new(born, self.packets_per_second, map.shards(), model),
-                map,
-            },
+        // A model that cannot throttle keeps every depth at zero whatever
+        // the routing, so it is paced over one queue.
+        let map = (self.map)
+            .filter(|_| self.model.can_throttle())
+            .unwrap_or_else(|| ShardMap::new(&[], 1));
+        let pacer = QueuePacer::new(born, self.packets_per_second, map.shards(), self.model);
+        let pacing = WindowPacer {
+            pacer,
+            map,
+            first_start: self.first_start,
+            window_interval: self.window_interval,
+            entered: None,
         };
         ContinuousStream {
             transport: self.transport,
@@ -186,9 +242,6 @@ impl<'a, T: ProbeTransport + ?Sized> ContinuousStreamBuilder<'a, T> {
             pacing,
             phase: self.phase,
             tenant: self.tenant,
-            first_start: self.first_start,
-            window_interval: self.window_interval,
-            entered: None,
             accounted: 0,
         }
     }
@@ -205,17 +258,15 @@ impl<'a, T: ProbeTransport + ?Sized> ContinuousStream<'a, T> {
             tenant: 0,
             first_start: SimTime::at(0, 0),
             window_interval: SimDuration::from_days(1),
-            feedback: None,
+            model: QueueModel::unbounded(),
+            map: None,
         }
     }
 
     /// The current effective probing rate (the configured budget unless the
     /// virtual-queue model backed it off).
     pub fn rate(&self) -> u64 {
-        match &self.pacing {
-            ContinuousPacing::Fixed(pacer) => pacer.rate(),
-            ContinuousPacing::Queue { pacer, .. } => pacer.rate(),
-        }
+        self.pacing.rate()
     }
 
     /// The window the next observation will come from.
@@ -234,32 +285,10 @@ impl<'a, T: ProbeTransport + ?Sized> ContinuousStream<'a, T> {
         self.targets.slice_len()
     }
 
-    /// Enter `window`: advance the pacer to the window's nominal start
-    /// (never probing back in time). Foreign positions ahead of this
-    /// producer's first are skipped lazily by the emission path.
-    fn enter_window(&mut self, window: u64) {
-        let nominal = window_start(self.first_start, self.window_interval, window);
-        match &mut self.pacing {
-            ContinuousPacing::Fixed(pacer) => pacer.advance_to(nominal),
-            ContinuousPacing::Queue { pacer, .. } => pacer.advance_to(nominal),
-        }
-        self.entered = Some(window);
-        self.accounted = 0;
-    }
-
     /// Account the positions `accounted..until` of the current window as
-    /// foreign: O(1) on the fixed pacer (the rate never moves), one target
-    /// derivation, shard lookup and skip-with-feedback state transition per
-    /// position on the virtual-queue pacer.
+    /// foreign.
     fn account_to(&mut self, until: u64) {
-        match &mut self.pacing {
-            ContinuousPacing::Fixed(pacer) => pacer.skip(until - self.accounted),
-            ContinuousPacing::Queue { pacer, map } => {
-                for pos in self.accounted..until {
-                    pacer.skip(map.shard_for(self.targets.target_at(pos as usize)));
-                }
-            }
-        }
+        self.pacing.skip(&self.targets, self.accounted..until);
         self.accounted = until;
     }
 }
@@ -267,26 +296,22 @@ impl<'a, T: ProbeTransport + ?Sized> ContinuousStream<'a, T> {
 impl<T: ProbeTransport + ?Sized> ObservationSource for ContinuousStream<'_, T> {
     fn next_observation(&mut self) -> Option<Observation> {
         let streamed = self.targets.next_target()?;
-        match self.entered {
-            Some(window) if streamed.window == window => {}
-            Some(window) => {
+        if self.pacing.entered != Some(streamed.window) {
+            if let Some(window) = self.pacing.entered {
                 debug_assert_eq!(streamed.window, window + 1, "windows advance one at a time");
                 // Fast-forward over the finished window's remaining foreign
-                // positions, then enter the new one.
+                // positions before entering the new one.
                 self.account_to(self.targets.window_len() as u64);
-                self.enter_window(streamed.window);
             }
-            None => self.enter_window(streamed.window),
+            self.pacing.enter(streamed.window);
+            self.accounted = 0;
         }
         // Fast-forward over foreign positions between the last position this
         // pacer accounted for and our own; the pacer then stamps our position
         // with exactly the send time the single-producer stream would.
         self.account_to(streamed.seq);
         self.accounted = streamed.seq + 1;
-        let sent_at = match &mut self.pacing {
-            ContinuousPacing::Fixed(pacer) => pacer.next_send_time(),
-            ContinuousPacing::Queue { pacer, map } => pacer.pace(map.shard_for(streamed.target)),
-        };
+        let sent_at = self.pacing.pace(streamed.target);
         let response = self
             .transport
             .probe(streamed.target, sent_at)
@@ -307,7 +332,7 @@ impl<T: ProbeTransport + ?Sized> ObservationSource for ContinuousStream<'_, T> {
 }
 
 /// The nominal start of `window`: `first_start + window × interval`.
-pub(crate) fn window_start(first_start: SimTime, interval: SimDuration, window: u64) -> SimTime {
+fn window_start(first_start: SimTime, interval: SimDuration, window: u64) -> SimTime {
     first_start + SimDuration::from_secs(interval.as_secs() * window)
 }
 
@@ -473,36 +498,79 @@ mod tests {
         }
     }
 
-    /// The tentpole contract at the scan level: with a *throttling* queue
-    /// model, the merged feedback-on slices still reproduce the
-    /// single-producer feedback-on stream bit for bit — every producer
-    /// replays the same rate trajectory over foreign positions.
+    /// The scan-level contract: with a *throttling* queue model, the merged
+    /// feedback-on slices still reproduce the single-producer feedback-on
+    /// stream bit for bit — every producer replays the same rate trajectory
+    /// over foreign positions. Over two shards a producer walks them one
+    /// lookup at a time; over one it skips each foreign run in bulk, feedback
+    /// and all — for one scan window, and for two windows whose probing
+    /// overruns the interval between them.
     #[test]
     fn throttled_feedback_scan_is_producer_invariant() {
         let engine = Engine::build(scenarios::entel_like(5)).unwrap();
         let pool = engine.pools()[0].config.prefix;
         let targets = TargetGenerator::new(1).one_per_subnet(&pool, 56);
-        let map = ShardMap::new(&engine.rib().entries(), 2);
-        let build = |k: usize, of: usize| {
-            scan_pass(&engine, &targets, (7, true), 0, SimTime::at(1, 9), (k, of))
-                .rate_pps(64) // low budget => many virtual seconds => rate events
-                .feedback(throttling_model(), map.clone())
-                .build()
-        };
-        let mut reference = build(0, 1);
-        let single = drain(&mut reference);
-        // The model must actually bite, or the property is vacuous.
-        assert!(reference.rate() < 64, "drain 16/s must throttle 64 pps");
-        // Throttling stretches virtual time compared to the fixed trajectory.
-        let fixed_last = ProbePacer::new(SimTime::at(1, 9), 64).send_time(targets.len() as u64 - 1);
-        assert!(single.last().unwrap().sent_at > fixed_last);
+        let start = SimTime::at(1, 9);
+        let interval = SimDuration::from_secs(4);
+        for shards in [2, 1] {
+            let map = ShardMap::new(&engine.rib().entries(), shards);
+            let build = |k: usize, of: usize| {
+                scan_pass(&engine, &targets, (7, true), 0, start, (k, of))
+                    .rate_pps(64) // low budget => many virtual seconds => rate events
+                    .feedback(throttling_model(), map.clone())
+                    .build()
+            };
+            let mut reference = build(0, 1);
+            let single = drain(&mut reference);
+            // The model must actually bite, or the property is vacuous.
+            assert!(reference.rate() < 64, "drain 16/s must throttle 64 pps");
+            // Throttling stretches virtual time compared to the fixed
+            // trajectory.
+            let fixed_last = ProbePacer::new(start, 64).send_time(targets.len() as u64 - 1);
+            assert!(single.last().unwrap().sent_at > fixed_last);
 
-        for producers in [2usize, 4, 8] {
-            let mut merged: Vec<Observation> = (0..producers)
-                .flat_map(|k| drain(&mut build(k, producers)))
-                .collect();
-            merged.sort_by_key(|o| o.seq);
-            assert_eq!(merged, single, "producers={producers}");
+            // Producers `k` of `of` over two windows `interval` apart: the
+            // merged observations and the end rate of the producer that
+            // probed the last position.
+            let two_windows = |of: usize| {
+                let mut merged = Vec::new();
+                let mut end_rate = 0;
+                for k in 0..of {
+                    let order = TargetStream::over(targets.clone(), 7, true).slice(k, of);
+                    let mut stream = ContinuousStream::builder(&engine, order)
+                        .rate_pps(64)
+                        .start(start)
+                        .window_interval(interval)
+                        .feedback(throttling_model(), map.clone())
+                        .build();
+                    let limit = 2 * stream.slice_len() as u64;
+                    let mut pass = LimitedSource::new(&mut stream, limit);
+                    merged.extend(std::iter::from_fn(|| pass.next_observation()));
+                    if k == (targets.len() - 1) % of {
+                        end_rate = stream.rate();
+                    }
+                }
+                merged.sort_by_key(|o| (o.window, o.seq));
+                (merged, end_rate)
+            };
+            let (both, end_rate) = two_windows(1);
+            assert!(end_rate < 64, "shards={shards}: the rate backed off");
+            let second = both.iter().position(|o| o.window == 1).unwrap();
+            assert!(
+                both[second - 1].sent_at > start + interval,
+                "window 0 overruns window 1's start"
+            );
+            assert!(both[second].sent_at >= both[second - 1].sent_at);
+
+            for producers in [2usize, 4, 8] {
+                let at = format!("shards={shards} producers={producers}");
+                let mut merged: Vec<Observation> = (0..producers)
+                    .flat_map(|k| drain(&mut build(k, producers)))
+                    .collect();
+                merged.sort_by_key(|o| o.seq);
+                assert_eq!(merged, single, "{at}");
+                assert_eq!(two_windows(producers), (both.clone(), end_rate), "{at}");
+            }
         }
     }
 

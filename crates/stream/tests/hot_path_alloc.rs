@@ -169,7 +169,7 @@ fn routing_steady_state_allocates_nothing() {
     // Warm-up: one pass, then a release and a lease of the states it hands
     // back, so the workers have drained (and returned) everything queued
     // before the measured section starts.
-    engine.drive(vec![Replay(observations[..1024].iter())], None, |_, _| {});
+    engine.drive(vec![Replay(observations[..1024].iter())], |_, _| {});
     let states = engine.release().expect("no panic injected");
     let options = IngestOptions {
         initial: Some(states),
@@ -183,7 +183,7 @@ fn routing_steady_state_allocates_nothing() {
     let measured = vec![Replay(observations[1024..3072].iter())];
     let mut hooked = 0u64;
     let before = thread_allocations();
-    let routed = engine.drive(measured, None, |_, _| hooked += 1);
+    let routed = engine.drive(measured, |_, _| hooked += 1);
     let after = thread_allocations();
     assert_eq!(
         after - before,
@@ -270,7 +270,7 @@ fn producer_edge_recycles_batch_buffers() {
     // The merge must still see the exact global sequence — recycling
     // changes where buffer memory came from, never what's in it.
     let mut next_seq = 0u64;
-    let merged = engine.drive(sources, None, |_, obs| {
+    let merged = engine.drive(sources, |_, obs| {
         assert_eq!(obs.seq, next_seq);
         next_seq += 1;
     });

@@ -19,8 +19,8 @@ use followscent::simnet::{
     WorldConfig, WorldError,
 };
 use followscent::stream::{
-    ConfigError, MonitorConfig, MonitorControl, MonitorReport, MonitorSnapshot, StopSignal,
-    StreamConfig, StreamError, StreamMonitor, StreamPipeline, WatchChurn,
+    ConfigError, MonitorConfig, MonitorControl, MonitorReport, MonitorSession, MonitorSnapshot,
+    ShardPool, StopSignal, StreamConfig, StreamError, StreamMonitor, StreamPipeline, WatchChurn,
 };
 use followscent::telemetry::{self, Telemetry};
 use followscent::{ScentError, Scheduler};
@@ -598,6 +598,41 @@ fn every_config_error_is_refused_before_anything_probes() {
             }
         );
     }
+}
+
+/// A session driven at a zero rate by an external scheduler refuses the
+/// epoch as [`ConfigError::ZeroRate`] before leasing the pool — through
+/// `run_epoch_on` and `run_epoch` alike — and is left untouched: finished
+/// at the configured rate, it reports exactly what [`StreamMonitor::run`]
+/// does.
+#[test]
+fn a_zero_rate_epoch_is_refused_and_leaves_the_session_intact() {
+    let engine = Engine::build(scenarios::versatel_like(1)).unwrap();
+    let config = MonitorConfig {
+        windows: 3,
+        checkpoint_every: Some(1),
+        ..MonitorConfig::default()
+    };
+    let watched = vec![p("2001:16b8:100::/48")];
+    let mut pool = ShardPool::open(config.shards, config.channel_capacity);
+    let mut session = MonitorSession::new(&engine, config.clone(), watched.clone(), None);
+    let refused = StreamError::Config(ConfigError::ZeroRate);
+    for epoch in 0..2 {
+        assert_eq!(session.run_epoch_on(&mut pool, 0), Err(refused.clone()));
+        assert_eq!(session.run_epoch(0), Err(refused.clone()));
+        assert!(!session.is_done());
+        assert_eq!(session.next_epoch(), epoch);
+        session
+            .run_epoch_on(&mut pool, config.packets_per_second)
+            .expect("the session goes on at its configured rate");
+    }
+    while !session.is_done() {
+        session
+            .run_epoch_on(&mut pool, config.packets_per_second)
+            .unwrap();
+    }
+    let solo = StreamMonitor::new(config).run(&engine, &watched).unwrap();
+    assert_eq!(session.finish(), solo);
 }
 
 /// The one /48 the checkpoint tests watch.
