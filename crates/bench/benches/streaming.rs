@@ -608,6 +608,68 @@ fn bench_epoch_fixed_cost(c: &mut Criterion) {
     group.finish();
 }
 
+/// What interleaving costs a tenant: the `tenants_64` shape — 64 equal
+/// tenants watching `continuous_world`'s two spread-layout /48s at /56, four
+/// one-window epochs at 500 pps, 1 shard × 1 producer — through
+/// `Scheduler::run`, which visits the tenants round-robin one epoch at a
+/// time, and as the same 64 `MonitorSession`s, all opened first, run one
+/// after another at the same share on one lent `ShardPool`. Both sides probe
+/// and fold the same observations; the gap is what the tenants' state costs
+/// when each epoch finds it evicted by 63 others.
+fn bench_scheduler_interleave(c: &mut Criterion) {
+    const TENANTS: usize = 64;
+    const PPS: u64 = 500;
+    let engine = Engine::build(scenarios::continuous_world(7)).unwrap();
+    let pool_48s: Vec<Ipv6Prefix> = engine
+        .pools()
+        .iter()
+        .filter(|p| p.config.prefix.len() <= 48)
+        .flat_map(|p| p.config.prefix.subnets(48).unwrap())
+        .collect();
+    let watched: Vec<Ipv6Prefix> = pool_48s.into_iter().rev().take(2).collect();
+    let config = MonitorConfig {
+        shards: 1,
+        producers: 1,
+        windows: 4,
+        packets_per_second: PPS,
+        checkpoint_every: Some(1), // one-window epochs: tenants interleave
+        ..MonitorConfig::default()
+    };
+    let mut group = c.benchmark_group("streaming/scheduler_interleave");
+    group.sample_size(20);
+    group.bench_function("interleaved", |b| {
+        b.iter(|| {
+            let mut builder = Scheduler::builder().global_pps(PPS * TENANTS as u64);
+            for _ in 0..TENANTS {
+                let campaign =
+                    SchedCampaign::new(black_box(&engine), config.clone(), watched.clone());
+                builder = builder.add(campaign, 1);
+            }
+            let run = builder.run().expect("valid scheduler configuration");
+            black_box(run.tenants.len())
+        })
+    });
+    group.bench_function("back_to_back", |b| {
+        b.iter(|| {
+            let mut pool = ShardPool::open(config.shards, config.channel_capacity);
+            let mut sessions: Vec<MonitorSession<'_, Engine>> = (0..TENANTS)
+                .map(|tenant| {
+                    MonitorSession::new(black_box(&engine), config.clone(), watched.clone(), None)
+                        .with_tenant(tenant as u32)
+                })
+                .collect();
+            for session in &mut sessions {
+                while !session.is_done() {
+                    session.run_epoch_on(&mut pool, PPS).expect("valid epoch");
+                }
+            }
+            let reports: Vec<_> = sessions.into_iter().map(MonitorSession::finish).collect();
+            black_box(reports.len())
+        })
+    });
+    group.finish();
+}
+
 /// Adaptive hierarchical discovery versus a flat watch list, at equal probe
 /// budget, on the churn world whose dense /48 band marches daily within a
 /// /44. The flat strategy covers the band's whole travel range the only way
@@ -719,7 +781,8 @@ criterion_group! {
     config = Criterion::default().sample_size(10);
     targets = bench_batch_vs_streaming, bench_monitor_ingest, bench_hot_path,
         bench_producer_scaling, bench_watch_churn, bench_telemetry_overhead,
-        bench_checkpoint, bench_scheduler, bench_epoch_fixed_cost, bench_discovery,
+        bench_checkpoint, bench_scheduler, bench_epoch_fixed_cost, bench_scheduler_interleave,
+        bench_discovery,
         bench_discovery_boundary
 }
 criterion_main!(streaming);

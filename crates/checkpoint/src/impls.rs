@@ -12,9 +12,8 @@
 
 use std::net::Ipv6Addr;
 
-use scent_core::fasthash::FastMap;
 use scent_core::rotation_detect::{ChangeKind, ChangedTarget};
-use scent_core::tracker::{Sighting, Track};
+use scent_core::tracker::{LoggedSighting, Sighting};
 use scent_core::{
     DensityAccumulator, Eui64, IncrementalTracker, Ipv6Prefix, RotationEvent, WatchRevision,
     WindowedRotationDetector,
@@ -248,49 +247,58 @@ impl Checkpointable for WindowedRotationDetector {
 /// Wire layout (unchanged since the tracker kept two ordered maps): the
 /// per-identifier sightings in identifier order, the probe counts, then the
 /// per-identifier move counts in identifier order. Both identifier sections
-/// are written straight off the tracker's one key-sorted record list.
+/// are written straight off the tracker's folded run; a snapshot folds its
+/// trackers in place first, so only a tracker handed over unfolded is
+/// copied here to be folded.
 impl Checkpointable for IncrementalTracker {
     fn encode(&self, w: &mut Writer) {
-        let (tracks, probes) = self.checkpoint_parts();
-        let sighted = || tracks.iter().filter(|(_, t)| !t.sightings.is_empty());
-        w.put_usize(sighted().count());
-        for (eui, track) in sighted() {
-            eui.encode(w);
-            track.sightings.encode(w);
+        let Some(identifiers) = self.sightings() else {
+            let mut folded = self.clone();
+            folded.fold();
+            return folded.encode(w);
+        };
+        w.put_usize(identifiers.clone().count());
+        for sightings in identifiers {
+            sightings[0].eui.encode(w);
+            w.put_usize(sightings.len());
+            for entry in sightings {
+                w.put_u64(entry.window);
+                entry.sighting().encode(w);
+            }
         }
-        probes.encode(w);
-        let moved = || tracks.iter().filter(|(_, t)| t.moves > 0);
-        w.put_usize(moved().count());
-        for (eui, track) in moved() {
+        let mut probes: Vec<(u64, Ipv6Prefix, u64)> = self.probe_counts().collect();
+        probes.sort_unstable_by_key(|&(window, prefix, _)| (window, prefix));
+        w.put_usize(probes.len());
+        for (window, prefix, count) in probes {
+            w.put_u64(window);
+            prefix.encode(w);
+            w.put_u64(count);
+        }
+        w.put_usize(self.move_counts().len());
+        for (eui, count) in self.move_counts() {
             eui.encode(w);
-            w.put_u64(track.moves);
+            w.put_u64(*count);
         }
     }
 
     fn decode(r: &mut Reader<'_>) -> Result<Self, CheckpointError> {
-        let len = r.usize()?;
-        let mut tracks: FastMap<Eui64, Track> =
-            FastMap::with_capacity_and_hasher(len.min(4096), Default::default());
-        for _ in 0..len {
-            let eui = Eui64::decode(r)?;
-            let sightings: Vec<(u64, Sighting)> = Checkpointable::decode(r)?;
-            if sightings.windows(2).any(|pair| pair[0].0 >= pair[1].0) {
-                return Err(CheckpointError::InvalidValue("sightings out of order"));
-            }
-            tracks.insert(
-                eui,
-                Track {
-                    moves: 0,
-                    sightings,
-                },
-            );
-        }
-        let probes = Checkpointable::decode(r)?;
+        let mut run = Vec::new();
         for _ in 0..r.usize()? {
             let eui = Eui64::decode(r)?;
-            tracks.entry(eui).or_default().moves = r.u64()?;
+            for _ in 0..r.usize()? {
+                let window = r.u64()?;
+                let entry = LoggedSighting::new(eui, window, Sighting::decode(r)?).ok_or(
+                    CheckpointError::InvalidValue("sighting of another identifier"),
+                )?;
+                run.push(entry);
+            }
         }
-        Ok(IncrementalTracker::from_checkpoint_parts(tracks, probes))
+        let probes: Vec<(u64, Ipv6Prefix, u64)> = (0..r.usize()?)
+            .map(|_| Ok((r.u64()?, Ipv6Prefix::decode(r)?, r.u64()?)))
+            .collect::<Result<_, CheckpointError>>()?;
+        let moves: Vec<(Eui64, u64)> = Checkpointable::decode(r)?;
+        IncrementalTracker::from_checkpoint_parts(run, moves, probes)
+            .map_err(CheckpointError::InvalidValue)
     }
 }
 
@@ -619,14 +627,24 @@ mod tests {
             addr("2001:db8:40::1"),
             Some(addr("2001:db8:40:0:0250:56ff:fe00:1234")),
         );
+        // Encoded unfolded, decoded folded: the same bytes either way.
         let bytes = encode_value(&tracker);
         let mut back: IncrementalTracker = decode_value(&bytes).unwrap();
-        assert_eq!(back.checkpoint_parts().0, tracker.checkpoint_parts().0);
-        assert_eq!(back.checkpoint_parts().1, tracker.checkpoint_parts().1);
+        assert!(back.sightings().is_some() && tracker.sightings().is_none());
+        tracker.fold();
+        assert_eq!(encode_value(&back), bytes);
+        assert_eq!(encode_value(&tracker), bytes);
         // The restored tracker keeps accumulating identically.
-        back.observe(2, 3, addr("2001:db8:40::2"), None);
-        tracker.observe(2, 3, addr("2001:db8:40::2"), None);
-        assert_eq!(back.checkpoint_parts().1, tracker.checkpoint_parts().1);
+        for t in [&mut back, &mut tracker] {
+            t.observe(2, 3, addr("2001:db8:40::2"), None);
+            t.observe(
+                2,
+                4,
+                addr("2001:db8:40::2"),
+                Some(addr("2001:db8:41:0:0250:56ff:fe00:1234")),
+            );
+        }
+        assert_eq!(encode_value(&back), encode_value(&tracker));
     }
 
     #[test]

@@ -13,12 +13,15 @@
 //! handful of selected devices, one bounded search per device per day.
 //! [`IncrementalTracker`] is its passive counterpart for the continuous
 //! monitor: it follows every identifier the observation stream shows, and
-//! because it sits on the per-observation path its state is one record per
-//! identifier ([`Track`]: move count plus one sighting per window, ascending)
-//! in one fast-hashed map — an observation is a lookup and a push, and
-//! compaction, merge and the checkpoint codec all walk that one map.
+//! because it sits on the per-observation path its state is an append-only
+//! log. A sighting is one sequential append ([`LoggedSighting`], 32 bytes)
+//! to an unfolded tail; a fold sorts the tail and merges it into one
+//! canonical run, ascending by identifier and window. There is no
+//! identifier-keyed map and no allocation per identifier, so many trackers
+//! interleaved on one thread keep a small, contiguous footprint. Readers —
+//! compaction, merge, the report, the checkpoint codec — fold first and then
+//! walk the one run.
 
-use std::collections::hash_map::Entry;
 use std::collections::HashSet;
 use std::net::Ipv6Addr;
 
@@ -386,33 +389,115 @@ pub struct Sighting {
     pub address: Ipv6Addr,
 }
 
-/// One identifier's whole history — the single record a detection
-/// observation touches in the tracker.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct Track {
-    /// Confirmed rotation events attributed to the identifier.
-    pub moves: u64,
-    /// The earliest sighting of each window, ascending by window.
-    pub sightings: Vec<(u64, Sighting)>,
+/// One entry of the [`IncrementalTracker`]'s log: `eui` sighted in `window`
+/// at probing position `seq`, under the /64 `prefix64`. The address is the
+/// prefix plus the identifier's interface ID, so 32 bytes lose nothing.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct LoggedSighting {
+    /// The identifier.
+    pub eui: Eui64,
+    /// The window it was sighted in.
+    pub window: u64,
+    /// The observation's probing-order sequence number within the window.
+    pub seq: u64,
+    /// The network half of the address it was sighted at.
+    pub prefix64: u64,
 }
 
-impl Track {
-    /// Record a sighting in `window`. Windows arrive ascending, so this is
-    /// a push; an out-of-order window is inserted in place, and within one
-    /// window the earliest `seq` wins (what keeps merges deterministic).
-    fn sight(&mut self, window: u64, sighting: Sighting) {
-        let in_order = self
-            .sightings
-            .last()
-            .map_or(true, |(last, _)| *last < window);
-        if in_order {
-            return self.sightings.push((window, sighting));
+impl LoggedSighting {
+    /// The entry for `eui`'s `sighting` in `window`, if the sighting's
+    /// address carries `eui` as its interface ID.
+    pub fn new(eui: Eui64, window: u64, sighting: Sighting) -> Option<Self> {
+        let bits = addr_to_u128(sighting.address);
+        (bits as u64 == eui.0).then_some(LoggedSighting {
+            eui,
+            window,
+            seq: sighting.seq,
+            prefix64: (bits >> 64) as u64,
+        })
+    }
+
+    /// The address the identifier was sighted at.
+    pub fn address(&self) -> Ipv6Addr {
+        self.eui.with_prefix64(self.prefix64)
+    }
+
+    /// The entry as a [`Sighting`].
+    pub fn sighting(&self) -> Sighting {
+        Sighting {
+            seq: self.seq,
+            address: self.address(),
         }
-        match self.sightings.binary_search_by_key(&window, |(w, _)| *w) {
-            Ok(at) if sighting.seq < self.sightings[at].1.seq => self.sightings[at].1 = sighting,
-            Ok(_) => {}
-            Err(at) => self.sightings.insert(at, (window, sighting)),
+    }
+
+    /// The canonical order: one entry per key.
+    fn key(&self) -> (Eui64, u64) {
+        (self.eui, self.window)
+    }
+
+    /// Of two sightings of one key, the one kept: the lower `seq`, and on an
+    /// equal `seq` the one that arrived first (`self`).
+    fn earliest(self, later: Self) -> Self {
+        if later.seq < self.seq {
+            later
+        } else {
+            self
         }
+    }
+}
+
+/// Sightings one tail chunk holds (8 KiB).
+const CHUNK: usize = 256;
+/// A tail shorter than this (1 MiB of sightings) does not fold on its own,
+/// so a run that reads its tracker once folds it once.
+const FOLD_FLOOR: usize = 1 << 15;
+/// The most sightings one fold orders. A fold tells equal-`seq` arrivals
+/// apart by their ordinal, which it writes into the identifier's 16 `ff:fe`
+/// marker bits while it sorts.
+const FOLD_LIMIT: usize = 1 << 16;
+/// The `ff:fe` marker of an EUI-64 interface ID: bytes 3 and 4.
+const MARKER_SHIFT: u32 = 24;
+const MARKER_MASK: u64 = 0xffff << MARKER_SHIFT;
+const MARKER: u64 = 0xfffe << MARKER_SHIFT;
+
+/// Sightings not yet folded, in arrival order, in fixed-size chunks. A fold
+/// empties the chunks and frees none, so a tail costs its largest size once.
+#[derive(Debug, Clone, Default)]
+struct Tail {
+    chunks: Vec<Vec<LoggedSighting>>,
+    /// Chunks in use: full, but for the last.
+    used: usize,
+    len: usize,
+}
+
+impl Tail {
+    #[inline]
+    fn push(&mut self, entry: LoggedSighting) {
+        if self.len == self.used * CHUNK {
+            self.next_chunk();
+        }
+        self.chunks[self.used - 1].push(entry);
+        self.len += 1;
+    }
+
+    #[cold]
+    fn next_chunk(&mut self) {
+        if self.used == self.chunks.len() {
+            self.chunks.push(Vec::with_capacity(CHUNK));
+        }
+        self.used += 1;
+    }
+
+    fn iter(&self) -> impl DoubleEndedIterator<Item = &LoggedSighting> {
+        self.chunks[..self.used].iter().flatten()
+    }
+
+    fn clear(&mut self) {
+        for chunk in &mut self.chunks[..self.used] {
+            chunk.clear();
+        }
+        self.used = 0;
+        self.len = 0;
     }
 }
 
@@ -422,19 +507,33 @@ impl Track {
 /// [`RotationEvent`]s the windowed detector emits and folding the result into
 /// the same [`TrackingReport`] type the batch experiments consume.
 ///
-/// Everything known about one identifier lives in one [`Track`], so an
-/// observation or a rotation event costs one hash lookup. State is mergeable
-/// across shards: identifiers are routed by announced prefix, so one
-/// identifier's history always lives in a single shard, and `merge` is a
-/// disjoint union.
+/// The tracker is an append-only log. An observation appends one
+/// [`LoggedSighting`] to the tail and looks nothing up. A fold sorts the
+/// tail and merges it into the canonical run — one entry per `(identifier,
+/// window)`, ascending, the earliest `seq` kept. The tail folds when it
+/// outgrows the run (amortized, so memory stays proportional to identifiers
+/// × windows however often one device answers), and every reader of
+/// sightings folds it first, in place. Rotation events are credited in
+/// batches ([`IncrementalTracker::apply_events`]) to move counts kept beside
+/// the run: a caller that retains its events — a monitor shard does —
+/// credits them when it folds, not one lookup per event.
+///
+/// State is mergeable across shards: identifiers are routed by announced
+/// prefix, so one identifier's history always lives in a single shard, and
+/// `merge` is a disjoint union.
 #[derive(Debug, Clone, Default)]
 pub struct IncrementalTracker {
-    /// Per identifier: its sightings and move count. On the
-    /// [`crate::fasthash`] hasher, like `probes`: both are touched once per
-    /// detection-phase observation, on the streaming hot path.
-    tracks: FastMap<Eui64, Track>,
-    /// Probes observed per (window, /48) — the attributable passive cost.
-    probes: FastMap<(u64, Ipv6Prefix), u64>,
+    /// The canonical run: ascending by `(identifier, window)`, one entry per
+    /// pair.
+    run: Vec<LoggedSighting>,
+    /// Confirmed moves per identifier, ascending by identifier. An
+    /// identifier can have moves and no sighting.
+    moves: Vec<(Eui64, u64)>,
+    tail: Tail,
+    /// Probes observed per (window, /48 network bits) — the attributable
+    /// passive cost. On the [`crate::fasthash`] hasher: it is touched once
+    /// per detection-phase observation, on the streaming hot path.
+    probes: FastMap<(u64, u64), u64>,
 }
 
 impl IncrementalTracker {
@@ -444,38 +543,57 @@ impl IncrementalTracker {
     }
 
     /// Fold one probe observation into the running state.
+    #[inline]
     pub fn observe(&mut self, window: u64, seq: u64, target: Ipv6Addr, source: Option<Ipv6Addr>) {
-        let target_48 = Ipv6Prefix::new(target, 48).expect("48 is valid");
-        *self.probes.entry((window, target_48)).or_insert(0) += 1;
+        *self
+            .probes
+            .entry((window, network_48(addr_to_u128(target))))
+            .or_insert(0) += 1;
         let Some(source) = source else { return };
         let Some(eui) = Eui64::from_addr(source) else {
             return;
         };
-        let sighting = Sighting {
+        self.tail.push(LoggedSighting {
+            eui,
+            window,
             seq,
-            address: source,
-        };
-        self.tracks.entry(eui).or_default().sight(window, sighting);
-    }
-
-    /// Consume a rotation event: attribute a confirmed move to the EUI-64
-    /// identifiers on either side of the change.
-    pub fn apply_event(&mut self, event: &RotationEvent) {
-        for side in [event.change.first, event.change.second] {
-            if let Some(eui) = side.and_then(Eui64::from_addr) {
-                self.tracks.entry(eui).or_default().moves += 1;
-            }
+            prefix64: (addr_to_u128(source) >> 64) as u64,
+        });
+        if self.tail.len >= self.run.len().clamp(FOLD_FLOOR, FOLD_LIMIT) {
+            self.fold();
         }
     }
 
-    /// Identifiers currently followed (sighted in a retained window).
-    pub fn identifiers_seen(&self) -> usize {
-        self.sighted().count()
+    /// Consume rotation events: attribute a confirmed move to the EUI-64
+    /// identifiers on either side of each change.
+    pub fn apply_events(&mut self, events: &[RotationEvent]) {
+        let mut credits: Vec<(Eui64, u64)> = (events.iter())
+            .flat_map(|event| [event.change.first, event.change.second])
+            .filter_map(|side| side.and_then(Eui64::from_addr))
+            .map(|eui| (eui, 1))
+            .collect();
+        credits.sort_unstable();
+        credits.dedup_by(|next, counted| {
+            let same = next.0 == counted.0;
+            if same {
+                counted.1 += next.1;
+            }
+            same
+        });
+        let len = credits.len();
+        add_moves(&mut self.moves, credits.into_iter(), len);
+    }
+
+    /// Identifiers currently followed (sighted in a retained window). Folds
+    /// first.
+    pub fn identifiers_seen(&mut self) -> usize {
+        self.fold();
+        self.identifiers().count()
     }
 
     /// Confirmed rotation events attributed to `eui`.
     pub fn moves_for(&self, eui: Eui64) -> u64 {
-        self.tracks.get(&eui).map_or(0, |track| track.moves)
+        (self.moves.binary_search_by_key(&eui, |(e, _)| *e)).map_or(0, |at| self.moves[at].1)
     }
 
     /// Drop all per-window state older than `window` (exclusive). This is
@@ -485,62 +603,155 @@ impl IncrementalTracker {
     /// retained sightings are forgotten entirely (their move counts too), so
     /// a `finish` after compaction reports only the retained horizon.
     pub fn compact_before(&mut self, window: u64) {
+        self.fold();
         self.probes.retain(|(w, _), _| *w >= window);
-        self.tracks.retain(|_, track| {
-            let stale = track.sightings.partition_point(|(w, _)| *w < window);
-            track.sightings.drain(..stale);
-            !track.sightings.is_empty()
-        });
+        self.run.retain(|entry| entry.window >= window);
+        let run = &self.run;
+        (self.moves).retain(|(eui, _)| run.binary_search_by_key(eui, |e| e.eui).is_ok());
     }
 
-    /// The tracker's complete internal state — what a checkpoint encodes:
-    /// every identifier's record in identifier order (the canonical order,
-    /// as references — nothing is copied) and the probe counts.
-    #[allow(clippy::type_complexity)]
-    pub fn checkpoint_parts(&self) -> (Vec<(&Eui64, &Track)>, &FastMap<(u64, Ipv6Prefix), u64>) {
-        let mut tracks: Vec<(&Eui64, &Track)> = self.tracks.iter().collect();
-        tracks.sort_unstable_by_key(|(eui, _)| **eui);
-        (tracks, &self.probes)
+    /// Each sighted identifier's sightings, ascending by identifier and
+    /// within it by window — the run a checkpoint encodes, borrowed. `None`
+    /// while the tail is unfolded.
+    pub fn sightings(&self) -> Option<impl Iterator<Item = &[LoggedSighting]> + Clone> {
+        (self.tail.len == 0).then(|| self.identifiers())
     }
 
-    /// Rebuild a tracker from its records and probe counts (see
-    /// [`IncrementalTracker::checkpoint_parts`]). Every record's sightings
-    /// must be strictly ascending by window.
+    /// The move counts, ascending by identifier.
+    pub fn move_counts(&self) -> &[(Eui64, u64)] {
+        &self.moves
+    }
+
+    /// The probe counts per (window, /48), in no particular order.
+    pub fn probe_counts(&self) -> impl Iterator<Item = (u64, Ipv6Prefix, u64)> + '_ {
+        self.probes
+            .iter()
+            .map(|(&(window, net), &count)| (window, prefix_48(net), count))
+    }
+
+    /// Rebuild a folded tracker from what [`IncrementalTracker::sightings`],
+    /// [`IncrementalTracker::move_counts`] and
+    /// [`IncrementalTracker::probe_counts`] read. The run must be strictly
+    /// ascending by `(identifier, window)`, the move counts strictly
+    /// ascending by identifier, and every probe prefix a /48.
     pub fn from_checkpoint_parts(
-        tracks: FastMap<Eui64, Track>,
-        probes: FastMap<(u64, Ipv6Prefix), u64>,
-    ) -> Self {
-        IncrementalTracker { tracks, probes }
+        run: Vec<LoggedSighting>,
+        moves: Vec<(Eui64, u64)>,
+        probes: impl IntoIterator<Item = (u64, Ipv6Prefix, u64)>,
+    ) -> Result<Self, &'static str> {
+        if run.windows(2).any(|pair| pair[0].key() >= pair[1].key()) {
+            return Err("sightings out of order");
+        }
+        if moves.windows(2).any(|pair| pair[0].0 >= pair[1].0) {
+            return Err("move counts out of order");
+        }
+        let probes = probes
+            .into_iter()
+            .map(|(window, prefix, count)| {
+                (prefix.len() == 48).then(|| ((window, network_48(prefix.network_bits())), count))
+            })
+            .collect::<Option<_>>()
+            .ok_or("probe prefix is not a /48")?;
+        Ok(IncrementalTracker {
+            run,
+            moves,
+            probes,
+            ..Self::default()
+        })
     }
 
     /// Merge another tracker's state (shards hold disjoint identifier sets,
-    /// but the merge is written to be correct even when they overlap).
-    pub fn merge(&mut self, other: IncrementalTracker) {
-        for (eui, track) in other.tracks {
-            match self.tracks.entry(eui) {
-                Entry::Vacant(vacant) => {
-                    vacant.insert(track);
-                }
-                Entry::Occupied(mut mine) => {
-                    let mine = mine.get_mut();
-                    mine.moves += track.moves;
-                    for (window, sighting) in track.sightings {
-                        mine.sight(window, sighting);
-                    }
-                }
-            }
-        }
+    /// but the merge is written to be correct even when they overlap: on an
+    /// equal `seq` this tracker's sighting wins, so its own tail folds
+    /// first).
+    pub fn merge(&mut self, mut other: IncrementalTracker) {
+        self.fold();
+        other.fold();
+        let len = other.run.len();
+        merge_sorted(
+            &mut self.run,
+            other.run.into_iter(),
+            len,
+            LoggedSighting::key,
+            LoggedSighting::earliest,
+        );
+        let len = other.moves.len();
+        add_moves(&mut self.moves, other.moves.into_iter(), len);
         for (key, count) in other.probes {
             *self.probes.entry(key).or_insert(0) += count;
         }
     }
 
-    /// Records with at least one retained sighting (a record can also exist
-    /// for its move count alone).
-    fn sighted(&self) -> impl Iterator<Item = (&Eui64, &Track)> {
-        self.tracks
-            .iter()
-            .filter(|(_, track)| !track.sightings.is_empty())
+    /// Fold the tail into the run, in place. The sort runs in the run's
+    /// spare capacity (which the merge needs anyway) and the sorted, unique
+    /// tail goes back into the tail's chunks for the merge to read, so a
+    /// fold allocates nothing but the run's growth.
+    pub fn fold(&mut self) {
+        let kept = self.run.len();
+        let pending = self.tail.len;
+        if pending == 0 {
+            return;
+        }
+        assert!(pending <= FOLD_LIMIT, "the tail folds at FOLD_LIMIT");
+        self.run.reserve_exact(pending);
+        for (ordinal, entry) in self.tail.iter().enumerate() {
+            self.run.push(LoggedSighting {
+                eui: Eui64(entry.eui.0 & !MARKER_MASK | (ordinal as u64) << MARKER_SHIFT),
+                ..*entry
+            });
+        }
+        // Identifier without its marker (the order is the same: the marker
+        // is constant), window, `seq`, then arrival.
+        self.run[kept..].sort_unstable_by_key(|e| {
+            (
+                e.eui.0 & !MARKER_MASK,
+                e.window,
+                e.seq,
+                e.eui.0 & MARKER_MASK,
+            )
+        });
+        // Every tail identifier came through `Eui64::from_addr`, so the
+        // marker it gets back is the one it had.
+        let mut unique = kept;
+        for at in kept..kept + pending {
+            let entry = LoggedSighting {
+                eui: Eui64(self.run[at].eui.0 & !MARKER_MASK | MARKER),
+                ..self.run[at]
+            };
+            if unique == kept || self.run[unique - 1].key() != entry.key() {
+                self.run[unique] = entry;
+                unique += 1;
+            }
+        }
+        self.tail.clear();
+        if kept == 0 {
+            // Nothing to merge with: the sorted tail is the run.
+            self.run.truncate(unique);
+            return;
+        }
+        for entry in &self.run[kept..unique] {
+            self.tail.push(*entry);
+        }
+        self.run.truncate(kept);
+        merge_sorted(
+            &mut self.run,
+            self.tail.iter().copied(),
+            self.tail.len,
+            LoggedSighting::key,
+            LoggedSighting::earliest,
+        );
+        self.tail.clear();
+    }
+
+    /// Each sighted identifier's sightings, ascending by identifier.
+    fn identifiers(&self) -> impl Iterator<Item = &[LoggedSighting]> + Clone {
+        let mut rest = self.run.as_slice();
+        std::iter::from_fn(move || {
+            let eui = rest.first()?.eui;
+            let (sightings, after) = rest.split_at(rest.partition_point(|e| e.eui == eui));
+            rest = after;
+            Some(sightings)
+        })
     }
 
     /// Fold the accumulated state into the batch [`TrackingReport`] shape.
@@ -550,51 +761,50 @@ impl IncrementalTracker {
     /// selection). Each device's daily probe count is the number of passive
     /// observations that landed in its inferred pool that window — the
     /// streaming analogue of the active tracker's per-round probe cost.
+    /// Folds first, in place.
     pub fn finish(
-        &self,
+        &mut self,
         rib: &Rib,
         registry: &AsRegistry,
         windows: u64,
         max_devices: usize,
     ) -> TrackingReport {
-        let mut ranked: Vec<(&Eui64, &Track)> = self.sighted().collect();
-        ranked.sort_unstable_by(|a, b| {
-            (b.1.sightings.len().cmp(&a.1.sightings.len())).then(a.0.cmp(b.0))
-        });
+        self.fold();
+        let mut ranked: Vec<&[LoggedSighting]> = self.identifiers().collect();
+        ranked.sort_unstable_by(|a, b| b.len().cmp(&a.len()).then(a[0].eui.cmp(&b[0].eui)));
 
         let mut devices = Vec::new();
-        for (&eui, track) in ranked {
+        for sightings in ranked {
             if devices.len() >= max_devices {
                 break;
             }
-            let sightings = &track.sightings;
-            let first = sightings[0].1;
+            let first = sightings[0].address();
             // Unroutable identifiers are skipped *without* consuming a report
             // slot, so the cap always yields the best routable devices.
-            let Some(asn) = rib.origin(first.address) else {
+            let Some(asn) = rib.origin(first) else {
                 continue;
             };
-            let pool = common_pool(sightings.iter().map(|(_, s)| s.address));
+            let pool = common_pool(sightings.iter().map(LoggedSighting::address));
             let device = TrackedDevice {
-                iid: eui,
+                iid: sightings[0].eui,
                 asn,
                 country: registry.country(asn),
-                bgp_prefix_len: rib.encompassing_prefix_len(first.address),
-                first_observed: first.address,
+                bgp_prefix_len: rib.encompassing_prefix_len(first),
+                first_observed: first,
                 allocation_len: 64,
                 pool,
             };
             let daily = (0..windows)
                 .map(|window| {
-                    let sighting = sightings
-                        .binary_search_by_key(&window, |(w, _)| *w)
+                    let address = sightings
+                        .binary_search_by_key(&window, |s| s.window)
                         .ok()
-                        .map(|at| sightings[at].1);
+                        .map(|at| sightings[at].address());
                     DailyResult {
                         day: window,
-                        found: sighting.is_some(),
+                        found: address.is_some(),
                         probes_sent: self.pool_probes(window, &pool),
-                        address: sighting.map(|s| s.address),
+                        address,
                     }
                 })
                 .collect();
@@ -609,21 +819,77 @@ impl IncrementalTracker {
     /// granularity floor).
     fn pool_probes(&self, window: u64, pool: &Ipv6Prefix) -> u64 {
         if pool.len() >= 48 {
-            let enclosing_48 = pool.supernet(48).expect("pool is /48 or longer");
-            self.probes
-                .get(&(window, enclosing_48))
-                .copied()
-                .unwrap_or(0)
+            let net = network_48(pool.network_bits());
+            self.probes.get(&(window, net)).copied().unwrap_or(0)
         } else {
             self.probes
                 .iter()
-                .filter(|((w, p48), _)| *w == window && pool.contains_prefix(p48))
+                .filter(|((w, net), _)| *w == window && pool.contains_prefix(&prefix_48(*net)))
                 .map(|(_, count)| count)
                 .sum()
         }
     }
 }
 
+/// The network bits of the /48 containing the address `bits`, as the top
+/// 48 bits of a `u64` — the probe counts' key, a third the size of an
+/// [`Ipv6Prefix`].
+fn network_48(bits: u128) -> u64 {
+    (bits >> 64) as u64 & !0xffff
+}
+
+/// The /48 whose network bits [`network_48`] returned.
+fn prefix_48(net: u64) -> Ipv6Prefix {
+    Ipv6Prefix::from_bits((net as u128) << 64, 48).expect("48 is valid")
+}
+
+/// Add `len` move counts, ascending and unique by identifier, to `moves`.
+fn add_moves(
+    moves: &mut Vec<(Eui64, u64)>,
+    counts: impl DoubleEndedIterator<Item = (Eui64, u64)>,
+    len: usize,
+) {
+    let add = |(eui, mine): (Eui64, u64), (_, more): (Eui64, u64)| (eui, mine + more);
+    merge_sorted(moves, counts, len, |(eui, _)| *eui, add);
+}
+
+/// Merge `incoming` — `len` items, ascending and unique by `key` — into
+/// `into`, which is too, in place: `into` grows by `len` and is filled from
+/// the back, and where a key is in both `resolve(mine, incoming)` is kept.
+fn merge_sorted<T: Copy, K: Ord>(
+    into: &mut Vec<T>,
+    incoming: impl DoubleEndedIterator<Item = T>,
+    len: usize,
+    key: impl Fn(&T) -> K,
+    resolve: impl Fn(T, T) -> T,
+) {
+    let mut incoming = incoming.rev().peekable();
+    let Some(&pad) = incoming.peek() else {
+        return;
+    };
+    let mut read = into.len();
+    let end = read + len;
+    into.resize(end, pad);
+    let mut write = end;
+    for next in incoming {
+        // Everything of `into` above `next`'s key goes first.
+        while read > 0 && key(&into[read - 1]) > key(&next) {
+            read -= 1;
+            write -= 1;
+            into[write] = into[read];
+        }
+        write -= 1;
+        into[write] = if read > 0 && key(&into[read - 1]) == key(&next) {
+            read -= 1;
+            resolve(into[read], next)
+        } else {
+            next
+        };
+    }
+    // `into[..read]` never moved; a key found in both left a gap above it.
+    into.copy_within(write..end, read);
+    into.truncate(end - (write - read));
+}
 /// The tightest prefix containing every sighted address — the passively
 /// inferred rotation pool, clamped to /64 (an address's own subnet) at the
 /// narrow end.
@@ -849,6 +1115,62 @@ mod tests {
         assert_eq!(report.devices.len(), 1);
         assert_eq!(report.devices[0].device.iid, routable_eui);
         assert_eq!(report.devices[0].device.asn, Asn(64496));
+    }
+
+    /// One identifier answering every target of its /48, window after
+    /// window, is one run entry per window: the tail never holds more than
+    /// a fold's worth, and each fold collapses it to the earliest sighting.
+    #[test]
+    fn a_device_answering_many_targets_keeps_one_entry_per_window() {
+        const WINDOWS: u64 = 32;
+        for targets in [256u64, 2_048] {
+            let mut tracker = IncrementalTracker::new();
+            let (eui, _) = eui_at(6, 0);
+            let mut folded_early = false;
+            for window in 0..WINDOWS {
+                for seq in 0..targets {
+                    let prefix64 = 0x2001_0db8_0004_0000 + (seq << 8) + window;
+                    let target = Ipv6Addr::from((prefix64 as u128) << 64 | 1);
+                    tracker.observe(window, seq, target, Some(eui.with_prefix64(prefix64)));
+                    assert!(tracker.tail.len <= tracker.run.len().clamp(FOLD_FLOOR, FOLD_LIMIT));
+                    folded_early |= !tracker.run.is_empty();
+                }
+            }
+            // 65 536 observations cross the floor once; 8 192 never do.
+            assert_eq!(folded_early, targets * WINDOWS > FOLD_FLOOR as u64);
+            assert_eq!(tracker.identifiers_seen(), 1);
+            assert_eq!(tracker.run.len(), WINDOWS as usize);
+            for (window, entry) in tracker.run.iter().enumerate() {
+                assert_eq!((entry.window, entry.seq), (window as u64, 0));
+                assert_eq!(entry.prefix64, 0x2001_0db8_0004_0000 + window as u64);
+            }
+        }
+    }
+
+    /// A fold's sort is unstable, so the tie an equal `seq` leaves is broken
+    /// by arrival: over thousands of tied sightings (far past the sizes an
+    /// unstable sort handles stably by insertion), each `(identifier,
+    /// window)` keeps the first of its lowest `seq`.
+    #[test]
+    fn a_fold_keeps_the_first_arrival_of_an_equal_seq() {
+        let mut tracker = IncrementalTracker::new();
+        let mut expected = std::collections::BTreeMap::new();
+        for i in 0..8_192u64 {
+            let (eui, _) = eui_at((i % 61) as u8, 0);
+            let (window, seq, prefix64) = (i % 3, (i / 7) % 3, 0x2001_0db8_0005_0000 + i);
+            let source = eui.with_prefix64(prefix64);
+            tracker.observe(window, seq, source, Some(source));
+            let kept = expected.entry((eui, window)).or_insert((seq, prefix64));
+            if seq < kept.0 {
+                *kept = (seq, prefix64);
+            }
+        }
+        tracker.fold();
+        let folded: std::collections::BTreeMap<_, _> = (tracker.run.iter())
+            .map(|e| ((e.eui, e.window), (e.seq, e.prefix64)))
+            .collect();
+        assert_eq!(tracker.run.len(), expected.len());
+        assert_eq!(folded, expected);
     }
 
     #[test]

@@ -1152,8 +1152,14 @@ impl<'a, B: ProbeTransport + WorldView + ?Sized> MonitorSession<'a, B> {
 
     /// Capture the session's state at the current epoch boundary — the same
     /// [`MonitorSnapshot`] [`StreamMonitor::run_controlled`] writes to its
-    /// sink, pure function of `(config, world seed)` included.
+    /// sink, pure function of `(config, world seed)` included. Every
+    /// shard state is folded in place first (`ShardInference::fold`), so
+    /// the snapshot copies canonical trackers and the codec writes them as
+    /// they stand.
     pub fn snapshot(&mut self) -> MonitorSnapshot {
+        for state in &mut self.states {
+            state.fold();
+        }
         let (config_fp, world_fp) = self.fingerprints();
         MonitorSnapshot {
             config_fingerprint: config_fp,
@@ -1171,8 +1177,11 @@ impl<'a, B: ProbeTransport + WorldView + ?Sized> MonitorSession<'a, B> {
     }
 
     /// Fold the carried shard states into the final [`MonitorReport`]
-    /// covering every window completed so far. Infallible: failures happen
-    /// in [`MonitorSession::run_epoch`], never here.
+    /// covering every window completed so far: the states merge (each
+    /// folding first) and the merged tracker folds its tail in place before
+    /// its report is read — the report reads no move counts, so a
+    /// one-shard session credits no events here. Infallible: failures
+    /// happen in [`MonitorSession::run_epoch`], never here.
     pub fn finish(self) -> MonitorReport {
         let windows = self.completed_windows();
         for (shard, state) in self.states.iter().enumerate() {

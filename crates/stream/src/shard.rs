@@ -25,6 +25,15 @@
 //!   [`MonitorReport::tracking`](crate::MonitorReport) is built from, and
 //!   **no census** — which is also what lets [`ShardMsg::Compact`] bound a
 //!   monitor's whole state, not most of it.
+//!
+//! The tracker is an append-only log: a detection observation appends one
+//! sighting to its tail and looks no identifier up, and the rotation event
+//! it may emit is only retained in [`ShardInference::events`]. So the state
+//! a worker hands back at the end of a lease may hold an unfolded tail and
+//! events not yet credited to the tracker's move counts.
+//! `ShardInference::fold` settles both — compaction, merge and the
+//! session's snapshot call it, and a report, which reads sightings and not
+//! move counts, folds only the tail.
 
 use std::collections::BTreeSet;
 use std::net::Ipv6Addr;
@@ -101,9 +110,12 @@ pub struct ShardInference {
     pub detector: WindowedRotationDetector,
     /// Every rotation event detected, in per-shard emission order.
     pub events: Vec<RotationEvent>,
-    /// Passive per-identifier tracking — fed by a monitor shard only; a
-    /// pipeline shard's stays empty.
+    /// Passive per-identifier tracking, an append-only log its readers fold
+    /// — fed by a monitor shard only; a pipeline shard's stays empty.
     pub tracker: IncrementalTracker,
+    /// How many of `events` the tracker's move counts include: a monitor
+    /// shard credits the rest when it folds (`Self::fold`).
+    pub(crate) credited: usize,
     /// The shard's flavour: present in a pipeline shard (which then feeds
     /// it and not the tracker), absent in a monitor shard (which feeds the
     /// tracker).
@@ -139,6 +151,7 @@ impl ShardInference {
             detector: WindowedRotationDetector::new(),
             events: Vec::new(),
             tracker: IncrementalTracker::new(),
+            credited: 0,
             census: None,
             observations: 0,
         }
@@ -178,29 +191,39 @@ impl ShardInference {
                 self.events.extend(event);
                 match &mut self.census {
                     Some(census) => census.note(obs.source()),
-                    None => {
-                        self.tracker
-                            .observe(obs.window, obs.seq, obs.target, obs.source());
-                        if let Some(event) = &event {
-                            self.tracker.apply_event(event);
-                        }
-                    }
+                    None => self
+                        .tracker
+                        .observe(obs.window, obs.seq, obs.target, obs.source()),
                 }
                 event
             }
         }
     }
 
+    /// Settle what ingest defers: a monitor shard credits its events not
+    /// yet credited to the tracker's move counts, and the tracker folds its
+    /// tail. A pipeline shard feeds no tracker and has nothing to settle.
+    pub(crate) fn fold(&mut self) {
+        if self.census.is_none() {
+            self.tracker.apply_events(&self.events[self.credited..]);
+            self.credited = self.events.len();
+            self.tracker.fold();
+        }
+    }
+
     /// Merge another shard's state into this one. Per-prefix and
     /// per-identifier state is disjoint across shards by construction of the
-    /// router, so the merge is a union.
-    pub fn merge(&mut self, other: ShardInference) {
+    /// router, so the merge is a union. Both states fold first.
+    pub fn merge(&mut self, mut other: ShardInference) {
+        self.fold();
+        other.fold();
         self.validated.extend(other.validated);
         self.non_eui.extend(other.non_eui);
         for (prefix, accumulator) in other.density {
             self.density.entry(prefix).or_default().merge(accumulator);
         }
         self.events.extend(other.events);
+        self.credited = self.events.len();
         self.tracker.merge(other.tracker);
         if let (Some(mine), Some(theirs)) = (&mut self.census, other.census) {
             mine.addresses.extend(theirs.addresses);
@@ -242,11 +265,14 @@ impl ShardInference {
         )
     }
 
-    /// Drop per-window state older than `window` (exclusive). The windowed
-    /// detector is untouched — its memory is O(targets), not O(windows).
+    /// Drop per-window state older than `window` (exclusive), folding
+    /// first. The windowed detector is untouched — its memory is
+    /// O(targets), not O(windows).
     pub fn compact_before(&mut self, window: u64) {
+        self.fold();
         self.tracker.compact_before(window);
         self.events.retain(|e| e.window >= window);
+        self.credited = self.events.len();
     }
 }
 
@@ -317,13 +343,13 @@ mod tests {
         assert_eq!(monitor.ingest(&second), Some(event));
         assert_eq!(state.events, vec![event]);
         assert_eq!(monitor.events, vec![event]);
+        // The event is retained, and credited to the tracker's move counts
+        // when the shard folds.
+        let moved = Eui64::from_addr(eui1.parse().unwrap()).unwrap();
+        assert_eq!(monitor.tracker.moves_for(moved), 0);
+        monitor.fold();
         assert_eq!(monitor.tracker.identifiers_seen(), 1);
-        assert!(
-            monitor
-                .tracker
-                .moves_for(Eui64::from_addr(eui1.parse().unwrap()).unwrap())
-                > 0
-        );
+        assert!(monitor.tracker.moves_for(moved) > 0);
         assert_eq!(state.tracker.identifiers_seen(), 0);
         assert_eq!(monitor.address_statistics(), (0, 0, 0));
 
@@ -424,8 +450,10 @@ mod tests {
         assert_eq!(pipeline.address_statistics(), (60, 56, 24));
         assert_eq!(pipeline.detector, monitor.detector);
         // ...and the tracker no report field of its reads was never fed.
-        let (tracks, probes) = pipeline.tracker.checkpoint_parts();
-        assert!(tracks.is_empty() && probes.is_empty());
+        pipeline.fold();
+        assert_eq!(pipeline.tracker.identifiers_seen(), 0);
+        assert!(pipeline.tracker.move_counts().is_empty());
+        assert_eq!(pipeline.tracker.probe_counts().count(), 0);
         assert_eq!(monitor.tracker.identifiers_seen(), 16);
     }
 
@@ -446,6 +474,7 @@ mod tests {
             assert_eq!(whole.address_statistics(), census);
             assert_eq!(whole.tracker.identifiers_seen(), identifiers);
             assert_eq!(whole.events.len(), 32);
+            whole.fold();
             for splits in 1..=3usize {
                 let mut states = vec![empty.clone(); splits];
                 for observation in &stream {
@@ -456,14 +485,12 @@ mod tests {
                 for state in states.clone() {
                     folded.merge(state);
                 }
-                let adopted = ShardInference::merge_all(states);
+                let mut adopted = ShardInference::merge_all(states);
                 assert_eq!(encode_value(&adopted), encode_value(&folded), "{splits}");
                 assert_eq!(adopted.address_statistics(), whole.address_statistics());
                 assert_eq!(adopted.observations, whole.observations);
-                assert_eq!(
-                    adopted.tracker.checkpoint_parts(),
-                    whole.tracker.checkpoint_parts()
-                );
+                adopted.fold();
+                assert_eq!(encode_value(&adopted.tracker), encode_value(&whole.tracker));
             }
         }
         // Monitor shards merge to a monitor shard: no census appears.

@@ -15,7 +15,10 @@
 //! target list. A fourth holds the discovery boundary to it: a sweep is
 //! streamed, so nothing the size of its records is ever allocated. A fifth
 //! holds a pipeline shard's detection fold to table growth: it feeds no
-//! tracker, so a new identifier costs it no allocation of its own.
+//! tracker, so a new identifier costs it no allocation of its own. A sixth
+//! holds the tracker a monitor shard feeds to the same: its log appends to
+//! fixed-size chunks and folds into one run, so a new identifier costs no
+//! allocation of its own either.
 //!
 //! This is an integration-test binary on purpose: a `#[global_allocator]`
 //! is process-wide, and the library forbids `unsafe` (`GlobalAlloc` needs
@@ -290,9 +293,11 @@ fn producer_edge_recycles_batch_buffers() {
 
 /// "Allocation-free" holds per epoch too. Epochs 2–4 of a 1 × 1 session
 /// whose watch list stands, on a pool the caller lends, cost the control
-/// thread a small constant (three allocations, 568 bytes, as this was
-/// written: the pass's stream, its source, and the vector the states come
-/// back in), never a channel array (8 KB at this capacity), a batch buffer
+/// thread a small constant (five allocations, 680 bytes, as this was
+/// written: the pass's one stream and its source, each in the vector `drive`
+/// takes, the vector the states come back in, and the stream's pacer — its
+/// per-shard enqueue counts and the `Arc` of the one-shard map it paces an
+/// unthrottled model over), never a channel array (8 KB at this capacity), a batch buffer
 /// (40 KB) or the target list (8 KB for these 512 targets) — each of which
 /// the first epoch, and every epoch before the driver owned the workers,
 /// did allocate.
@@ -427,6 +432,38 @@ fn a_pipeline_shard_folds_new_identifiers_without_allocating_per_identifier() {
         (IDENTIFIERS, IDENTIFIERS, IDENTIFIERS)
     );
     assert_eq!(shard.detector.targets_tracked(), IDENTIFIERS);
+    assert!(
+        allocations <= 64,
+        "folding {IDENTIFIERS} new identifiers allocated {allocations} times"
+    );
+}
+
+/// The monitor flavour's tracker holds new identifiers to the same standard:
+/// 4 096 detection observations, each answered by an EUI-64 identifier
+/// never seen before, then the fold a reader triggers, cost the folding
+/// thread its log's fixed-size chunks, their list, the one run and the
+/// probe counts' table — not one allocation per identifier, as the tracker
+/// with one sightings `Vec` per identifier paid (4 096 and more).
+#[test]
+fn a_tracker_folds_new_identifiers_without_allocating_per_identifier() {
+    const IDENTIFIERS: u64 = 4_096;
+
+    let sightings: Vec<_> = (0..IDENTIFIERS)
+        .map(|i| {
+            let prefix64 = 0x2001_16b8_0000_0000 + (i << 8);
+            let mac = scent_ipv6::MacAddr::new([0xc8, 0x0e, 0x14, 0, (i >> 8) as u8, i as u8]);
+            let target = scent_ipv6::addr_from_u128((prefix64 as u128) << 64 | 1);
+            let source = scent_ipv6::Eui64::from_mac(mac).with_prefix64(prefix64);
+            (i, target, source)
+        })
+        .collect();
+    let mut tracker = scent_core::IncrementalTracker::new();
+    let before = thread_allocations();
+    for &(seq, target, source) in &sightings {
+        tracker.observe(0, seq, target, Some(source));
+    }
+    assert_eq!(tracker.identifiers_seen(), IDENTIFIERS as usize);
+    let allocations = thread_allocations() - before;
     assert!(
         allocations <= 64,
         "folding {IDENTIFIERS} new identifiers allocated {allocations} times"

@@ -1,11 +1,13 @@
-//! A differential oracle for [`IncrementalTracker`]: the one-record-per-
-//! identifier tracker against the two-ordered-maps tracker it replaced, kept
-//! here verbatim as the reference model. Over arbitrary interleavings of
+//! A differential oracle for [`IncrementalTracker`]: the append-only log
+//! tracker against the two-ordered-maps tracker it replaced, kept here
+//! verbatim as the reference model. Over arbitrary interleavings of
 //! `observe` (out-of-order windows, repeated `(identifier, window)` sightings
-//! with lower and higher `seq`), `apply_event`, `compact_before` and `merge`
-//! the two must produce equal reports at every device cap, equal counters,
-//! and equal checkpoint bytes — the snapshot format did not change with the
-//! layout.
+//! with lower and higher `seq`), `apply_event`, `compact_before`, `merge`
+//! (including two unfolded trackers that saw one `(identifier, window, seq)`
+//! at different addresses), `finish` between observations and an encode →
+//! decode of an unfolded tracker, the two must produce equal reports at
+//! every device cap, equal counters, and equal checkpoint bytes — the
+//! snapshot format did not change with the layout.
 
 use std::collections::BTreeMap;
 use std::net::Ipv6Addr;
@@ -233,7 +235,7 @@ struct Pair {
 
 impl Pair {
     /// Apply the operation `bits` decodes to.
-    fn apply(&mut self, bits: u64) {
+    fn apply(&mut self, bits: u64, rib: &Rib, registry: &AsRegistry) {
         let side = (bits >> 4) & 1 == 1;
         let (new, reference) = if side {
             (&mut self.side_new, &mut self.side_reference)
@@ -245,13 +247,13 @@ impl Pair {
         let target = Ipv6Addr::from(
             ((PREFIX64S[(bits >> 24) as usize % PREFIX64S.len()] as u128) << 64) | 1,
         );
-        match bits % 16 {
-            0..=9 => {
+        match bits % OPS {
+            0..=11 => {
                 let source = source(bits >> 32);
                 new.observe(window, seq, target, source);
                 reference.observe(window, seq, target, source);
             }
-            10..=12 => {
+            12..=14 => {
                 let event = RotationEvent {
                     window,
                     seq,
@@ -263,32 +265,63 @@ impl Pair {
                     },
                     prefix_48: Ipv6Prefix::new(target, 48).expect("48 is valid"),
                 };
-                new.apply_event(&event);
+                new.apply_events(std::slice::from_ref(&event));
                 reference.apply_event(&event);
             }
-            13 => {
+            15 => {
                 new.compact_before(window);
                 reference.compact_before(window);
             }
-            _ => {
-                self.new.merge(std::mem::take(&mut self.side_new));
-                self.reference
-                    .merge(std::mem::take(&mut self.side_reference));
+            16 => {
+                // Whatever the tracker has not folded yet is encoded too.
+                let bytes = encode_value(&*new);
+                assert_eq!(bytes, reference.encode());
+                *new = decode_value(&bytes).expect("canonical bytes decode");
             }
+            17 => {
+                let max_devices = [0, 1, 4, usize::MAX][(bits >> 32) as usize % 4];
+                assert_eq!(
+                    new.finish(rib, registry, WINDOWS + 1, max_devices),
+                    reference.finish(rib, registry, WINDOWS + 1, max_devices),
+                );
+            }
+            18 => {
+                // Both sides sight one identifier at one `(window, seq)`
+                // under different /64s, then merge unfolded.
+                let eui = identifier((bits >> 32) % IDENTIFIERS);
+                let at = (bits >> 40) as usize;
+                let mine = eui.with_prefix64(PREFIX64S[at % PREFIX64S.len()]);
+                let theirs = eui.with_prefix64(PREFIX64S[(at + 1) % PREFIX64S.len()]);
+                self.new.observe(window, seq, target, Some(mine));
+                self.reference.observe(window, seq, target, Some(mine));
+                self.side_new.observe(window, seq, target, Some(theirs));
+                self.side_reference
+                    .observe(window, seq, target, Some(theirs));
+                self.merge();
+            }
+            _ => self.merge(),
         }
     }
 
+    fn merge(&mut self) {
+        self.new.merge(std::mem::take(&mut self.side_new));
+        self.reference
+            .merge(std::mem::take(&mut self.side_reference));
+    }
+
     /// Everything observable about the two trackers agrees.
-    fn assert_equal(&self, rib: &Rib, registry: &AsRegistry) {
+    fn assert_equal(&mut self, rib: &Rib, registry: &AsRegistry) {
         for (new, reference) in [
-            (&self.new, &self.reference),
-            (&self.side_new, &self.side_reference),
+            (&mut self.new, &self.reference),
+            (&mut self.side_new, &self.side_reference),
         ] {
-            assert_eq!(new.identifiers_seen(), reference.identifiers_seen());
             for index in 0..IDENTIFIERS {
                 let eui = identifier(index);
                 assert_eq!(new.moves_for(eui), reference.moves_for(eui));
             }
+            let bytes = encode_value(&*new);
+            assert_eq!(bytes, reference.encode());
+            assert_eq!(new.identifiers_seen(), reference.identifiers_seen());
             for max_devices in [0, 1, 4, usize::MAX] {
                 assert_eq!(
                     new.finish(rib, registry, WINDOWS + 1, max_devices),
@@ -296,10 +329,10 @@ impl Pair {
                     "max_devices {max_devices}"
                 );
             }
-            let bytes = encode_value(new);
-            assert_eq!(bytes, reference.encode());
+            assert_eq!(encode_value(&*new), bytes, "folding changes no byte");
             // And the bytes decode to a tracker that is the same again.
-            let back: IncrementalTracker = decode_value(&bytes).expect("canonical bytes decode");
+            let mut back: IncrementalTracker =
+                decode_value(&bytes).expect("canonical bytes decode");
             assert_eq!(encode_value(&back), bytes);
             assert_eq!(
                 back.finish(rib, registry, WINDOWS + 1, usize::MAX),
@@ -308,6 +341,11 @@ impl Pair {
         }
     }
 }
+
+/// Operations `Pair::apply` decodes; the ones from `CHECKED` up are where
+/// the layouts differ most, so the property checks right after them.
+const OPS: u64 = 20;
+const CHECKED: u64 = 15;
 
 fn world() -> (Rib, AsRegistry) {
     let mut rib = Rib::new();
@@ -325,14 +363,12 @@ proptest! {
         let (rib, registry) = world();
         let mut pair = Pair::default();
         for (step, bits) in ops.iter().enumerate() {
-            pair.apply(*bits);
-            // Compaction and merge are where the layouts differ most; check
-            // right after them as well as at the end.
-            if bits % 16 >= 13 || step + 1 == ops.len() {
+            pair.apply(*bits, &rib, &registry);
+            if bits % OPS >= CHECKED || step + 1 == ops.len() {
                 pair.assert_equal(&rib, &registry);
             }
         }
-        pair.apply(15);
+        pair.apply(OPS - 1, &rib, &registry);
         pair.assert_equal(&rib, &registry);
     }
 }
@@ -370,7 +406,7 @@ fn pinned_out_of_order_and_repeated_sightings() {
         },
         prefix_48: Ipv6Prefix::new(target, 48).unwrap(),
     };
-    new.apply_event(&event);
+    new.apply_events(std::slice::from_ref(&event));
     reference.apply_event(&event);
     assert_eq!(new.identifiers_seen(), 1);
     assert_eq!(new.moves_for(identifier(2)), 1);
