@@ -99,23 +99,23 @@ impl SeedExpansion {
         let scan = scanner.scan(transport, &targets, t);
 
         let mut validated = Vec::new();
-        let mut non_eui = Vec::new();
+        let mut without_eui = Vec::new();
         for record in &scan.records {
             let target_48 = Ipv6Prefix::new(record.target, 48).expect("48 is valid");
             match Self::classify_record(record.source()) {
                 Some(true) => validated.push(target_48),
-                Some(false) => non_eui.push(target_48),
+                Some(false) => without_eui.push(target_48),
                 None => {}
             }
         }
         validated.sort();
         validated.dedup();
-        non_eui.sort();
-        non_eui.dedup();
+        without_eui.sort();
+        without_eui.dedup();
         SeedExpansion {
             probed_48s: candidate_48s.len() as u64,
             validated_48s: validated,
-            non_eui_48s: non_eui,
+            non_eui_48s: without_eui,
         }
     }
 }

@@ -20,7 +20,8 @@
 //! identifier-keyed map and no allocation per identifier, so many trackers
 //! interleaved on one thread keep a small, contiguous footprint. Readers —
 //! compaction, merge, the report, the checkpoint codec — fold first and then
-//! walk the one run.
+//! walk the one run. The log and the per-/48 probe counts are all it keeps:
+//! the report reads nothing else.
 
 use std::collections::HashSet;
 use std::net::Ipv6Addr;
@@ -34,7 +35,6 @@ use scent_simnet::{SimDuration, SimTime};
 
 use crate::allocation::AllocationInference;
 use crate::fasthash::FastMap;
-use crate::rotation_detect::RotationEvent;
 use crate::rotation_pool::RotationPoolInference;
 use crate::stats::{mean, std_dev};
 
@@ -503,9 +503,9 @@ impl Tail {
 
 /// The incremental, passive counterpart of [`Tracker`]: instead of actively
 /// searching a pool for one device per day, it follows *every* EUI-64
-/// identifier visible in a continuous observation stream, consuming the
-/// [`RotationEvent`]s the windowed detector emits and folding the result into
-/// the same [`TrackingReport`] type the batch experiments consume.
+/// identifier visible in a continuous observation stream and folds its
+/// sightings into the same [`TrackingReport`] type the batch experiments
+/// consume.
 ///
 /// The tracker is an append-only log. An observation appends one
 /// [`LoggedSighting`] to the tail and looks nothing up. A fold sorts the
@@ -513,10 +513,7 @@ impl Tail {
 /// window)`, ascending, the earliest `seq` kept. The tail folds when it
 /// outgrows the run (amortized, so memory stays proportional to identifiers
 /// × windows however often one device answers), and every reader of
-/// sightings folds it first, in place. Rotation events are credited in
-/// batches ([`IncrementalTracker::apply_events`]) to move counts kept beside
-/// the run: a caller that retains its events — a monitor shard does —
-/// credits them when it folds, not one lookup per event.
+/// sightings folds it first, in place.
 ///
 /// State is mergeable across shards: identifiers are routed by announced
 /// prefix, so one identifier's history always lives in a single shard, and
@@ -526,9 +523,6 @@ pub struct IncrementalTracker {
     /// The canonical run: ascending by `(identifier, window)`, one entry per
     /// pair.
     run: Vec<LoggedSighting>,
-    /// Confirmed moves per identifier, ascending by identifier. An
-    /// identifier can have moves and no sighting.
-    moves: Vec<(Eui64, u64)>,
     tail: Tail,
     /// Probes observed per (window, /48 network bits) — the attributable
     /// passive cost. On the [`crate::fasthash`] hasher: it is touched once
@@ -564,26 +558,6 @@ impl IncrementalTracker {
         }
     }
 
-    /// Consume rotation events: attribute a confirmed move to the EUI-64
-    /// identifiers on either side of each change.
-    pub fn apply_events(&mut self, events: &[RotationEvent]) {
-        let mut credits: Vec<(Eui64, u64)> = (events.iter())
-            .flat_map(|event| [event.change.first, event.change.second])
-            .filter_map(|side| side.and_then(Eui64::from_addr))
-            .map(|eui| (eui, 1))
-            .collect();
-        credits.sort_unstable();
-        credits.dedup_by(|next, counted| {
-            let same = next.0 == counted.0;
-            if same {
-                counted.1 += next.1;
-            }
-            same
-        });
-        let len = credits.len();
-        add_moves(&mut self.moves, credits.into_iter(), len);
-    }
-
     /// Identifiers currently followed (sighted in a retained window). Folds
     /// first.
     pub fn identifiers_seen(&mut self) -> usize {
@@ -591,23 +565,16 @@ impl IncrementalTracker {
         self.identifiers().count()
     }
 
-    /// Confirmed rotation events attributed to `eui`.
-    pub fn moves_for(&self, eui: Eui64) -> u64 {
-        (self.moves.binary_search_by_key(&eui, |(e, _)| *e)).map_or(0, |at| self.moves[at].1)
-    }
-
     /// Drop all per-window state older than `window` (exclusive). This is
     /// what keeps a genuinely endless monitor bounded: without compaction,
     /// probes grow by one entry per watched /48 per window and sightings by
     /// one entry per live identifier per window. Identifiers with no
-    /// retained sightings are forgotten entirely (their move counts too), so
-    /// a `finish` after compaction reports only the retained horizon.
+    /// retained sightings are forgotten entirely, so a `finish` after
+    /// compaction reports only the retained horizon.
     pub fn compact_before(&mut self, window: u64) {
         self.fold();
         self.probes.retain(|(w, _), _| *w >= window);
         self.run.retain(|entry| entry.window >= window);
-        let run = &self.run;
-        (self.moves).retain(|(eui, _)| run.binary_search_by_key(eui, |e| e.eui).is_ok());
     }
 
     /// Each sighted identifier's sightings, ascending by identifier and
@@ -617,11 +584,6 @@ impl IncrementalTracker {
         (self.tail.len == 0).then(|| self.identifiers())
     }
 
-    /// The move counts, ascending by identifier.
-    pub fn move_counts(&self) -> &[(Eui64, u64)] {
-        &self.moves
-    }
-
     /// The probe counts per (window, /48), in no particular order.
     pub fn probe_counts(&self) -> impl Iterator<Item = (u64, Ipv6Prefix, u64)> + '_ {
         self.probes
@@ -629,21 +591,16 @@ impl IncrementalTracker {
             .map(|(&(window, net), &count)| (window, prefix_48(net), count))
     }
 
-    /// Rebuild a folded tracker from what [`IncrementalTracker::sightings`],
-    /// [`IncrementalTracker::move_counts`] and
-    /// [`IncrementalTracker::probe_counts`] read. The run must be strictly
-    /// ascending by `(identifier, window)`, the move counts strictly
-    /// ascending by identifier, and every probe prefix a /48.
+    /// Rebuild a folded tracker from what [`IncrementalTracker::sightings`]
+    /// and [`IncrementalTracker::probe_counts`] read. The run must be
+    /// strictly ascending by `(identifier, window)` and every probe prefix a
+    /// /48.
     pub fn from_checkpoint_parts(
         run: Vec<LoggedSighting>,
-        moves: Vec<(Eui64, u64)>,
         probes: impl IntoIterator<Item = (u64, Ipv6Prefix, u64)>,
     ) -> Result<Self, &'static str> {
         if run.windows(2).any(|pair| pair[0].key() >= pair[1].key()) {
             return Err("sightings out of order");
-        }
-        if moves.windows(2).any(|pair| pair[0].0 >= pair[1].0) {
-            return Err("move counts out of order");
         }
         let probes = probes
             .into_iter()
@@ -654,7 +611,6 @@ impl IncrementalTracker {
             .ok_or("probe prefix is not a /48")?;
         Ok(IncrementalTracker {
             run,
-            moves,
             probes,
             ..Self::default()
         })
@@ -675,8 +631,6 @@ impl IncrementalTracker {
             LoggedSighting::key,
             LoggedSighting::earliest,
         );
-        let len = other.moves.len();
-        add_moves(&mut self.moves, other.moves.into_iter(), len);
         for (key, count) in other.probes {
             *self.probes.entry(key).or_insert(0) += count;
         }
@@ -841,16 +795,6 @@ fn network_48(bits: u128) -> u64 {
 /// The /48 whose network bits [`network_48`] returned.
 fn prefix_48(net: u64) -> Ipv6Prefix {
     Ipv6Prefix::from_bits((net as u128) << 64, 48).expect("48 is valid")
-}
-
-/// Add `len` move counts, ascending and unique by identifier, to `moves`.
-fn add_moves(
-    moves: &mut Vec<(Eui64, u64)>,
-    counts: impl DoubleEndedIterator<Item = (Eui64, u64)>,
-    len: usize,
-) {
-    let add = |(eui, mine): (Eui64, u64), (_, more): (Eui64, u64)| (eui, mine + more);
-    merge_sorted(moves, counts, len, |(eui, _)| *eui, add);
 }
 
 /// Merge `incoming` — `len` items, ascending and unique by `key` — into
@@ -1177,7 +1121,6 @@ mod tests {
     fn incremental_tracker_compaction_bounds_state() {
         let (rib, registry) = incremental_setup();
         let mut tracker = IncrementalTracker::new();
-        let (eui, _) = eui_at(5, 0);
         for window in 0..10u64 {
             let (_e, addr) = eui_at(5, 0x2001_0db8_0003_0000 + (window << 8));
             tracker.observe(window, 0, addr, Some(addr));
@@ -1196,7 +1139,6 @@ mod tests {
         // Compacting past everything forgets the identifier entirely.
         tracker.compact_before(100);
         assert_eq!(tracker.identifiers_seen(), 0);
-        assert_eq!(tracker.moves_for(eui), 0);
         assert!(tracker.finish(&rib, &registry, 10, 4).devices.is_empty());
     }
 }

@@ -155,10 +155,10 @@ mod tests {
         let miss = record("2001:db8::1", None);
         assert!(!miss.responded());
         assert!(miss.eui64().is_none());
-        let non_eui = record("2001:db8::2", Some("2001:db8::beef".parse().unwrap()));
-        assert!(non_eui.responded());
-        assert!(non_eui.eui64().is_none());
-        assert!(!non_eui.response.unwrap().is_eui64());
+        let plain = record("2001:db8::2", Some("2001:db8::beef".parse().unwrap()));
+        assert!(plain.responded());
+        assert!(plain.eui64().is_none());
+        assert!(!plain.response.unwrap().is_eui64());
     }
 
     #[test]

@@ -18,6 +18,7 @@
 //! world fails with a typed [`CheckpointError`] instead of silently
 //! producing a report that matches nothing.
 
+use std::collections::BTreeSet;
 use std::net::Ipv6Addr;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -272,24 +273,17 @@ pub fn world_fingerprint<B: WorldView + ?Sized>(world: &B) -> u64 {
     w.fingerprint()
 }
 
-/// The container is still `FORMAT_VERSION` 1, so the three census sections
-/// it has always had (addresses, their EUI-64 subset, identifiers) keep
-/// their place. A monitor shard — the only kind a snapshot ever holds —
-/// writes them empty, and whatever is found there is read past, not kept:
-/// snapshots written while monitors carried a census still resume.
+/// The container is still `FORMAT_VERSION` 1, so the slots it has always
+/// had keep their place: the set of /48s that answered expansion without an
+/// EUI-64 source, after the validated ones, and the three census sections
+/// (addresses, their EUI-64 subset, identifiers). A monitor shard — the only
+/// kind a snapshot ever holds — writes the set and the census empty, and
+/// whatever is found there is parsed and read past, not kept: snapshots
+/// written while shards carried either still resume.
 impl Checkpointable for ShardInference {
-    /// A snapshot's states are folded
-    /// ([`MonitorSession::snapshot`](crate::MonitorSession::snapshot)); a
-    /// monitor shard with events not yet credited to its tracker is folded
-    /// in a copy, so the move counts written cover every event written.
     fn encode(&self, w: &mut Writer) {
-        if self.census.is_none() && self.credited < self.events.len() {
-            let mut folded = self.clone();
-            folded.fold();
-            return folded.encode(w);
-        }
         self.validated.encode(w);
-        self.non_eui.encode(w);
+        BTreeSet::<Ipv6Prefix>::new().encode(w);
         self.density.encode(w);
         self.detector.encode(w);
         self.events.encode(w);
@@ -306,9 +300,10 @@ impl Checkpointable for ShardInference {
     }
 
     fn decode(r: &mut Reader<'_>) -> Result<Self, CheckpointError> {
+        let validated = Checkpointable::decode(r)?;
+        let _: BTreeSet<Ipv6Prefix> = Checkpointable::decode(r)?;
         let mut state = ShardInference {
-            validated: Checkpointable::decode(r)?,
-            non_eui: Checkpointable::decode(r)?,
+            validated,
             density: Checkpointable::decode(r)?,
             detector: Checkpointable::decode(r)?,
             events: Checkpointable::decode(r)?,
@@ -317,7 +312,6 @@ impl Checkpointable for ShardInference {
         };
         let _: (FastSet<Ipv6Addr>, FastSet<Ipv6Addr>, FastSet<Eui64>) = Checkpointable::decode(r)?;
         state.observations = r.u64()?;
-        state.credited = state.events.len();
         Ok(state)
     }
 }
@@ -366,15 +360,13 @@ mod tests {
     /// whose tracker is fed — folded, as a snapshot holds it.
     fn populated_shard() -> ShardInference {
         let mut state = populated(ShardInference::without_census());
-        state.fold();
+        state.tracker.fold();
         assert_eq!(state.tracker.identifiers_seen(), 2);
-        assert_eq!(state.tracker.move_counts().len(), 2);
         state
     }
 
     fn shards_equal(a: &ShardInference, b: &ShardInference) {
         assert_eq!(a.validated, b.validated);
-        assert_eq!(a.non_eui, b.non_eui);
         assert_eq!(a.density, b.density);
         assert_eq!(a.detector, b.detector);
         assert_eq!(a.events, b.events);
@@ -442,6 +434,103 @@ mod tests {
         for (decoded, original) in back.shards.iter().zip(&snapshot.shards) {
             assert_eq!(decoded.events, original.events);
         }
+    }
+
+    /// A monitor shard's bytes as the codec wrote them while shards kept the
+    /// /48s that answered expansion without an EUI-64 source and trackers
+    /// kept move counts: `plain_48s` and `moves` in the two slots the codec
+    /// now writes empty.
+    fn parent_layout(
+        shard: &ShardInference,
+        plain_48s: &BTreeSet<Ipv6Prefix>,
+        moves: &[(Eui64, u64)],
+    ) -> Vec<u8> {
+        let tracker = encode_value(&shard.tracker);
+        let (tracker, empty) = tracker.split_at(tracker.len() - 8);
+        assert_eq!(empty, [0; 8], "the lean tracker ends on an empty list");
+        let mut head = Writer::new();
+        shard.validated.encode(&mut head);
+        plain_48s.encode(&mut head);
+        shard.density.encode(&mut head);
+        shard.detector.encode(&mut head);
+        shard.events.encode(&mut head);
+        let mut tail = Writer::new();
+        moves.to_vec().encode(&mut tail);
+        let census: (FastSet<Ipv6Addr>, FastSet<Ipv6Addr>, FastSet<Eui64>) = Default::default();
+        census.encode(&mut tail);
+        tail.put_u64(shard.observations);
+        [head.as_bytes(), tracker, tail.as_bytes()].concat()
+    }
+
+    /// A snapshot written while its shards carried a non-EUI set and move
+    /// counts decodes, re-encodes to the lean bytes and resumes to the
+    /// uninterrupted run's report.
+    #[test]
+    fn a_snapshot_carrying_non_eui_sets_and_move_counts_still_resumes() {
+        use crate::{MonitorSession, StreamMonitor};
+        use scent_simnet::{scenarios, Engine};
+
+        let engine = Engine::build(scenarios::continuous_world(53)).unwrap();
+        let watched: Vec<Ipv6Prefix> = (engine.pools().iter())
+            .map(|pool| pool.config.prefix)
+            .filter(|prefix| prefix.len() <= 48)
+            .flat_map(|prefix| prefix.subnets(48).unwrap())
+            .collect();
+        let config = MonitorConfig {
+            windows: 4,
+            shards: 2,
+            checkpoint_every: Some(1),
+            ..MonitorConfig::default()
+        };
+        let uninterrupted = StreamMonitor::new(config.clone())
+            .run(&engine, &watched)
+            .unwrap();
+
+        let mut session = MonitorSession::new(&engine, config.clone(), watched.clone(), None);
+        session.run_epoch(10_000).unwrap();
+        session.run_epoch(10_000).unwrap();
+        let lean = session.snapshot().to_bytes();
+        let snapshot = MonitorSnapshot::from_bytes(&lean).unwrap();
+        let plain_48s: BTreeSet<Ipv6Prefix> = watched.iter().take(2).copied().collect();
+        let mut shards = Writer::new();
+        shards.put_usize(snapshot.shards.len());
+        let mut shards = shards.into_bytes();
+        for shard in &snapshot.shards {
+            assert_eq!(
+                parent_layout(shard, &BTreeSet::new(), &[]),
+                encode_value(shard)
+            );
+            let moves: Vec<(Eui64, u64)> = (shard.tracker.sightings().unwrap())
+                .map(|sightings| (sightings[0].eui, sightings.len() as u64))
+                .collect();
+            assert!(!moves.is_empty());
+            shards.extend(parent_layout(shard, &plain_48s, &moves));
+        }
+        let (header, sections) = decode_snapshot(&lean).unwrap();
+        let sections: Vec<(u16, &[u8])> = (sections.into_iter())
+            .map(|(id, payload)| match id {
+                SECTION_SHARDS => (id, &shards[..]),
+                _ => (id, payload),
+            })
+            .collect();
+        let bytes = encode_snapshot(
+            header.config_fingerprint,
+            header.world_fingerprint,
+            &sections,
+        );
+        assert!(bytes.len() > lean.len() + 2 * (2 * 16 + 16));
+
+        let restored = MonitorSnapshot::from_bytes(&bytes).unwrap();
+        assert_eq!(restored.to_bytes(), lean);
+        let mut resumed = MonitorSession::new(&engine, config, watched, None)
+            .resume(restored)
+            .unwrap();
+        while !resumed.is_done() {
+            resumed.run_epoch(10_000).unwrap();
+        }
+        let mut report = resumed.finish();
+        report.backpressure_stalls = uninterrupted.backpressure_stalls;
+        assert_eq!(report, uninterrupted);
     }
 
     #[test]

@@ -1153,12 +1153,11 @@ impl<'a, B: ProbeTransport + WorldView + ?Sized> MonitorSession<'a, B> {
     /// Capture the session's state at the current epoch boundary — the same
     /// [`MonitorSnapshot`] [`StreamMonitor::run_controlled`] writes to its
     /// sink, pure function of `(config, world seed)` included. Every
-    /// shard state is folded in place first (`ShardInference::fold`), so
-    /// the snapshot copies canonical trackers and the codec writes them as
-    /// they stand.
+    /// shard's tracker is folded in place first, so the snapshot copies
+    /// canonical trackers and the codec writes them as they stand.
     pub fn snapshot(&mut self) -> MonitorSnapshot {
         for state in &mut self.states {
-            state.fold();
+            state.tracker.fold();
         }
         let (config_fp, world_fp) = self.fingerprints();
         MonitorSnapshot {

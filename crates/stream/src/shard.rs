@@ -27,13 +27,10 @@
 //!   monitor's whole state, not most of it.
 //!
 //! The tracker is an append-only log: a detection observation appends one
-//! sighting to its tail and looks no identifier up, and the rotation event
-//! it may emit is only retained in [`ShardInference::events`]. So the state
-//! a worker hands back at the end of a lease may hold an unfolded tail and
-//! events not yet credited to the tracker's move counts.
-//! `ShardInference::fold` settles both — compaction, merge and the
-//! session's snapshot call it, and a report, which reads sightings and not
-//! move counts, folds only the tail.
+//! sighting to its tail and looks no identifier up. So the state a worker
+//! hands back at the end of a lease may hold an unfolded tail; the
+//! tracker's own readers — compaction, merge, the report, the codec — fold
+//! it, and the session's snapshot folds it in place first.
 
 use std::collections::BTreeSet;
 use std::net::Ipv6Addr;
@@ -100,8 +97,6 @@ impl Census {
 pub struct ShardInference {
     /// /48s validated by expansion probing (EUI-64 response).
     pub validated: BTreeSet<Ipv6Prefix>,
-    /// /48s that responded to expansion probing without an EUI-64 source.
-    pub non_eui: BTreeSet<Ipv6Prefix>,
     /// Per-/48 online density state. (All the hash containers here are on
     /// the deterministic fast hasher — they are touched per observation, on
     /// the hot path; see `scent_core::fasthash`.)
@@ -113,9 +108,6 @@ pub struct ShardInference {
     /// Passive per-identifier tracking, an append-only log its readers fold
     /// — fed by a monitor shard only; a pipeline shard's stays empty.
     pub tracker: IncrementalTracker,
-    /// How many of `events` the tracker's move counts include: a monitor
-    /// shard credits the rest when it folds (`Self::fold`).
-    pub(crate) credited: usize,
     /// The shard's flavour: present in a pipeline shard (which then feeds
     /// it and not the tracker), absent in a monitor shard (which feeds the
     /// tracker).
@@ -146,12 +138,10 @@ impl ShardInference {
     pub(crate) fn without_census() -> Self {
         ShardInference {
             validated: BTreeSet::new(),
-            non_eui: BTreeSet::new(),
             density: FastMap::default(),
             detector: WindowedRotationDetector::new(),
             events: Vec::new(),
             tracker: IncrementalTracker::new(),
-            credited: 0,
             census: None,
             observations: 0,
         }
@@ -163,14 +153,8 @@ impl ShardInference {
         self.observations += 1;
         match obs.phase {
             Phase::Expansion => {
-                match SeedExpansion::classify_record(obs.source()) {
-                    Some(true) => {
-                        self.validated.insert(obs.target_48());
-                    }
-                    Some(false) => {
-                        self.non_eui.insert(obs.target_48());
-                    }
-                    None => {}
+                if SeedExpansion::classify_record(obs.source()) == Some(true) {
+                    self.validated.insert(obs.target_48());
                 }
                 None
             }
@@ -200,30 +184,15 @@ impl ShardInference {
         }
     }
 
-    /// Settle what ingest defers: a monitor shard credits its events not
-    /// yet credited to the tracker's move counts, and the tracker folds its
-    /// tail. A pipeline shard feeds no tracker and has nothing to settle.
-    pub(crate) fn fold(&mut self) {
-        if self.census.is_none() {
-            self.tracker.apply_events(&self.events[self.credited..]);
-            self.credited = self.events.len();
-            self.tracker.fold();
-        }
-    }
-
     /// Merge another shard's state into this one. Per-prefix and
     /// per-identifier state is disjoint across shards by construction of the
-    /// router, so the merge is a union. Both states fold first.
-    pub fn merge(&mut self, mut other: ShardInference) {
-        self.fold();
-        other.fold();
+    /// router, so the merge is a union.
+    pub fn merge(&mut self, other: ShardInference) {
         self.validated.extend(other.validated);
-        self.non_eui.extend(other.non_eui);
         for (prefix, accumulator) in other.density {
             self.density.entry(prefix).or_default().merge(accumulator);
         }
         self.events.extend(other.events);
-        self.credited = self.events.len();
         self.tracker.merge(other.tracker);
         if let (Some(mine), Some(theirs)) = (&mut self.census, other.census) {
             mine.addresses.extend(theirs.addresses);
@@ -265,14 +234,11 @@ impl ShardInference {
         )
     }
 
-    /// Drop per-window state older than `window` (exclusive), folding
-    /// first. The windowed detector is untouched — its memory is
-    /// O(targets), not O(windows).
+    /// Drop per-window state older than `window` (exclusive). The windowed
+    /// detector is untouched — its memory is O(targets), not O(windows).
     pub fn compact_before(&mut self, window: u64) {
-        self.fold();
         self.tracker.compact_before(window);
         self.events.retain(|e| e.window >= window);
-        self.credited = self.events.len();
     }
 }
 
@@ -322,7 +288,6 @@ mod tests {
         ));
         state.ingest(&obs(Phase::Expansion, 0, 2, "2001:db8:3::1", None));
         assert_eq!(state.validated.len(), 1);
-        assert_eq!(state.non_eui.len(), 1);
 
         // Density: accumulates per /48.
         state.ingest(&obs(Phase::Density, 0, 0, "2001:db8:1::2", Some(&eui1)));
@@ -343,13 +308,7 @@ mod tests {
         assert_eq!(monitor.ingest(&second), Some(event));
         assert_eq!(state.events, vec![event]);
         assert_eq!(monitor.events, vec![event]);
-        // The event is retained, and credited to the tracker's move counts
-        // when the shard folds.
-        let moved = Eui64::from_addr(eui1.parse().unwrap()).unwrap();
-        assert_eq!(monitor.tracker.moves_for(moved), 0);
-        monitor.fold();
         assert_eq!(monitor.tracker.identifiers_seen(), 1);
-        assert!(monitor.tracker.moves_for(moved) > 0);
         assert_eq!(state.tracker.identifiers_seen(), 0);
         assert_eq!(monitor.address_statistics(), (0, 0, 0));
 
@@ -450,9 +409,8 @@ mod tests {
         assert_eq!(pipeline.address_statistics(), (60, 56, 24));
         assert_eq!(pipeline.detector, monitor.detector);
         // ...and the tracker no report field of its reads was never fed.
-        pipeline.fold();
+        pipeline.tracker.fold();
         assert_eq!(pipeline.tracker.identifiers_seen(), 0);
-        assert!(pipeline.tracker.move_counts().is_empty());
         assert_eq!(pipeline.tracker.probe_counts().count(), 0);
         assert_eq!(monitor.tracker.identifiers_seen(), 16);
     }
@@ -474,7 +432,7 @@ mod tests {
             assert_eq!(whole.address_statistics(), census);
             assert_eq!(whole.tracker.identifiers_seen(), identifiers);
             assert_eq!(whole.events.len(), 32);
-            whole.fold();
+            whole.tracker.fold();
             for splits in 1..=3usize {
                 let mut states = vec![empty.clone(); splits];
                 for observation in &stream {
@@ -489,7 +447,7 @@ mod tests {
                 assert_eq!(encode_value(&adopted), encode_value(&folded), "{splits}");
                 assert_eq!(adopted.address_statistics(), whole.address_statistics());
                 assert_eq!(adopted.observations, whole.observations);
-                adopted.fold();
+                adopted.tracker.fold();
                 assert_eq!(encode_value(&adopted.tracker), encode_value(&whole.tracker));
             }
         }

@@ -1,8 +1,9 @@
 //! A differential oracle for [`IncrementalTracker`]: the append-only log
 //! tracker against the two-ordered-maps tracker it replaced, kept here
-//! verbatim as the reference model. Over arbitrary interleavings of
-//! `observe` (out-of-order windows, repeated `(identifier, window)` sightings
-//! with lower and higher `seq`), `apply_event`, `compact_before`, `merge`
+//! verbatim but for the move counts the tracker no longer keeps, as the
+//! reference model. Over arbitrary interleavings of `observe` (out-of-order
+//! windows, repeated `(identifier, window)` sightings with lower and higher
+//! `seq`), `compact_before`, `merge`
 //! (including two unfolded trackers that saw one `(identifier, window, seq)`
 //! at different addresses), `finish` between observations and an encode →
 //! decode of an unfolded tracker, the two must produce equal reports at
@@ -15,20 +16,19 @@ use std::net::Ipv6Addr;
 use followscent::bgp::{AsRegistry, Asn, Rib};
 use followscent::checkpoint::{decode_value, encode_value, Checkpointable, Writer};
 use followscent::core::fasthash::FastMap;
-use followscent::core::rotation_detect::{ChangeKind, ChangedTarget};
 use followscent::core::tracker::{
     DailyResult, DeviceTrackingResult, Sighting, TrackedDevice, TrackingReport,
 };
-use followscent::core::{IncrementalTracker, RotationEvent};
+use followscent::core::IncrementalTracker;
 use followscent::ipv6::{addr_to_u128, Eui64, Ipv6Prefix, MacAddr};
 use proptest::prelude::*;
 
-/// The tracker as it stood before the one-record layout, verbatim.
+/// The tracker as it stood before the one-record layout, verbatim but for
+/// its move counts.
 #[derive(Debug, Clone, Default)]
 struct ReferenceTracker {
     sightings: BTreeMap<Eui64, BTreeMap<u64, Sighting>>,
     probes: FastMap<(u64, Ipv6Prefix), u64>,
-    moves: BTreeMap<Eui64, u64>,
 }
 
 impl ReferenceTracker {
@@ -55,20 +55,8 @@ impl ReferenceTracker {
             .or_insert(sighting);
     }
 
-    fn apply_event(&mut self, event: &RotationEvent) {
-        for side in [event.change.first, event.change.second] {
-            if let Some(eui) = side.and_then(Eui64::from_addr) {
-                *self.moves.entry(eui).or_insert(0) += 1;
-            }
-        }
-    }
-
     fn identifiers_seen(&self) -> usize {
         self.sightings.len()
-    }
-
-    fn moves_for(&self, eui: Eui64) -> u64 {
-        self.moves.get(&eui).copied().unwrap_or(0)
     }
 
     fn compact_before(&mut self, window: u64) {
@@ -77,8 +65,6 @@ impl ReferenceTracker {
             windows.retain(|w, _| *w >= window);
             !windows.is_empty()
         });
-        let live: std::collections::HashSet<Eui64> = self.sightings.keys().copied().collect();
-        self.moves.retain(|eui, _| live.contains(eui));
     }
 
     fn merge(&mut self, other: ReferenceTracker) {
@@ -96,9 +82,6 @@ impl ReferenceTracker {
         }
         for (key, count) in other.probes {
             *self.probes.entry(key).or_insert(0) += count;
-        }
-        for (eui, count) in other.moves {
-            *self.moves.entry(eui).or_insert(0) += count;
         }
     }
 
@@ -170,13 +153,14 @@ impl ReferenceTracker {
         }
     }
 
-    /// The checkpoint bytes as the codec wrote them for this layout: the two
-    /// ordered maps and the probe counts, in declaration order.
+    /// The checkpoint bytes as the codec wrote them for this layout: the
+    /// sightings map and the probe counts, in declaration order, then the
+    /// move-count slot the format keeps, empty.
     fn encode(&self) -> Vec<u8> {
         let mut w = Writer::new();
         self.sightings.encode(&mut w);
         self.probes.encode(&mut w);
-        self.moves.encode(&mut w);
+        w.put_usize(0);
         w.into_bytes()
     }
 }
@@ -248,25 +232,10 @@ impl Pair {
             ((PREFIX64S[(bits >> 24) as usize % PREFIX64S.len()] as u128) << 64) | 1,
         );
         match bits % OPS {
-            0..=11 => {
+            0..=14 => {
                 let source = source(bits >> 32);
                 new.observe(window, seq, target, source);
                 reference.observe(window, seq, target, source);
-            }
-            12..=14 => {
-                let event = RotationEvent {
-                    window,
-                    seq,
-                    change: ChangedTarget {
-                        target,
-                        first: source(bits >> 32),
-                        second: source(bits >> 48),
-                        kind: ChangeKind::EuiToDifferentEui,
-                    },
-                    prefix_48: Ipv6Prefix::new(target, 48).expect("48 is valid"),
-                };
-                new.apply_events(std::slice::from_ref(&event));
-                reference.apply_event(&event);
             }
             15 => {
                 new.compact_before(window);
@@ -315,10 +284,6 @@ impl Pair {
             (&mut self.new, &self.reference),
             (&mut self.side_new, &self.side_reference),
         ] {
-            for index in 0..IDENTIFIERS {
-                let eui = identifier(index);
-                assert_eq!(new.moves_for(eui), reference.moves_for(eui));
-            }
             let bytes = encode_value(&*new);
             assert_eq!(bytes, reference.encode());
             assert_eq!(new.identifiers_seen(), reference.identifiers_seen());
@@ -374,8 +339,8 @@ proptest! {
 }
 
 /// The interleavings the property is about, pinned: an out-of-order window,
-/// a repeated `(identifier, window)` with a lower and a higher `seq`, a move
-/// for an identifier never sighted, and compaction dropping it.
+/// a repeated `(identifier, window)` with a lower and a higher `seq`, and
+/// compaction.
 #[test]
 fn pinned_out_of_order_and_repeated_sightings() {
     let (rib, registry) = world();
@@ -394,22 +359,7 @@ fn pinned_out_of_order_and_repeated_sightings() {
         new.observe(window, seq, target, Some(at(prefix64)));
         reference.observe(window, seq, target, Some(at(prefix64)));
     }
-    let unsighted = identifier(2).with_prefix64(PREFIX64S[0]);
-    let event = RotationEvent {
-        window: 5,
-        seq: 0,
-        change: ChangedTarget {
-            target,
-            first: Some(unsighted),
-            second: Some(at(PREFIX64S[0])),
-            kind: ChangeKind::EuiToDifferentEui,
-        },
-        prefix_48: Ipv6Prefix::new(target, 48).unwrap(),
-    };
-    new.apply_events(std::slice::from_ref(&event));
-    reference.apply_event(&event);
     assert_eq!(new.identifiers_seen(), 1);
-    assert_eq!(new.moves_for(identifier(2)), 1);
     assert_eq!(encode_value(&new), reference.encode());
     let report = new.finish(&rib, &registry, 6, 4);
     assert_eq!(report, reference.finish(&rib, &registry, 6, 4));
@@ -429,8 +379,6 @@ fn pinned_out_of_order_and_repeated_sightings() {
 
     new.compact_before(4);
     reference.compact_before(4);
-    assert_eq!(new.moves_for(identifier(2)), 0, "unsighted: forgotten");
-    assert_eq!(new.moves_for(eui), 1);
     assert_eq!(encode_value(&new), reference.encode());
 }
 
