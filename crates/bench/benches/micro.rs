@@ -199,9 +199,9 @@ fn bench_probe_pass(c: &mut Criterion) {
 /// shape: a monitor epoch's 32 768 permuted targets, re-probed window after
 /// window in one order, each answered by one of two EUI-64 identifiers in
 /// its /64 that swap every other window (so some observations emit events).
-/// `standing_list` is every window after a list's first — the entry at the
-/// cursor; `first_window` meets every target for the first time, in a
-/// detector sized for them — the index path.
+/// `standing_list` is every window after a list's first — the entry at its
+/// /48's block's cursor; `first_window` meets every target for the first
+/// time, in a detector sized for /56 subnets — the admission path.
 fn bench_detector(c: &mut Criterion) {
     let engine = paper_engine();
     let stream = monitor_pass(&engine);
@@ -222,7 +222,7 @@ fn bench_detector(c: &mut Criterion) {
         detector.observe(window, pos as u64, targets[pos], Some(source))
     };
 
-    let mut detector = WindowedRotationDetector::with_capacity(targets.len());
+    let mut detector = WindowedRotationDetector::for_granularity(56);
     let (mut window, mut pos) = (0u64, 0usize);
     for p in 0..targets.len() {
         observe(&mut detector, window, p);
@@ -243,7 +243,7 @@ fn bench_detector(c: &mut Criterion) {
     c.bench_function("detector/first_window", |b| {
         b.iter(|| {
             if pos == 0 {
-                fresh = WindowedRotationDetector::with_capacity(targets.len());
+                fresh = WindowedRotationDetector::for_granularity(56);
             }
             let event = observe(&mut fresh, 0, pos);
             pos = (pos + 1) % targets.len();

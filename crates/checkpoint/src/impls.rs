@@ -225,15 +225,13 @@ impl Checkpointable for WatchRevision {
 }
 
 /// Wire layout (unchanged since the detector was a map keyed by target): the
-/// entry count, then `(target, (window, source))` in target order — written
-/// straight off one sorted vector of references to the detector's entries,
-/// whatever order it keeps them in.
+/// entry count, then `(target, (window, source))` in target order — the
+/// order the detector hands its per-/48 blocks out in, whatever layout it
+/// keeps inside them.
 impl Checkpointable for WindowedRotationDetector {
     fn encode(&self, w: &mut Writer) {
-        let mut entries: Vec<_> = self.last_observations().collect();
-        entries.sort_unstable_by_key(|(target, _)| *target);
-        w.put_usize(entries.len());
-        for entry in entries {
+        w.put_usize(self.targets_tracked());
+        for entry in self.last_observations() {
             entry.encode(w);
         }
     }
@@ -601,7 +599,7 @@ mod tests {
 
         // No snapshot byte depends on how the detector was sized, or on the
         // order it met its targets in.
-        let mut reserved = WindowedRotationDetector::with_capacity(32_768);
+        let mut reserved = WindowedRotationDetector::for_granularity(56);
         let mut grown = WindowedRotationDetector::new();
         let feed = |detector: &mut WindowedRotationDetector, i: u64| {
             let target = addr_from_u128(i.wrapping_mul(0x9e37_79b9_7f4a_7c15) as u128);

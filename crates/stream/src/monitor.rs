@@ -620,13 +620,9 @@ impl<'a, B: ProbeTransport + WorldView + ?Sized> MonitorSession<'a, B> {
             .step_by(epoch_windows as usize)
             .map(|start| (start, epoch_windows.min(cfg.windows - start)))
             .collect();
-        // A shard's detector holds one entry per target of the watch list;
-        // sized for its share up front, it skips its containers' doublings
-        // (a hint: announcements split unevenly, and churn moves the list).
-        let targets = watched_48s.len() << cfg.granularity.saturating_sub(48).min(16);
         let states = (0..cfg.shards)
             .map(|_| ShardInference {
-                detector: WindowedRotationDetector::with_capacity(targets.div_ceil(cfg.shards)),
+                detector: WindowedRotationDetector::for_granularity(cfg.granularity),
                 ..ShardInference::without_census()
             })
             .collect();
@@ -729,14 +725,17 @@ impl<'a, B: ProbeTransport + WorldView + ?Sized> MonitorSession<'a, B> {
         // recombines it identically either way. This also makes snapshots
         // portable across shard counts.
         let restored = ShardInference::merge_all(snapshot.shards);
-        let mut detectors = vec![Vec::new(); self.config.shards];
+        let granularity = self.config.granularity;
+        let mut detectors: Vec<WindowedRotationDetector> = (0..self.config.shards)
+            .map(|_| WindowedRotationDetector::for_granularity(granularity))
+            .collect();
         for entry in restored.detector.last_observations() {
-            detectors[self.shard_map.shard_for(entry.0)].push(*entry);
+            detectors[self.shard_map.shard_for(entry.0)].extend([entry]);
         }
         let mut states: Vec<ShardInference> = detectors
             .into_iter()
-            .map(|entries| ShardInference {
-                detector: entries.into_iter().collect(),
+            .map(|detector| ShardInference {
+                detector,
                 ..ShardInference::without_census()
             })
             .collect();
@@ -1687,7 +1686,7 @@ mod tests {
         for shard in &mut snapshot.shards {
             let mut census = crate::shard::Census::default();
             for (_, (_, source)) in shard.detector.last_observations() {
-                census.addresses.extend(*source);
+                census.addresses.extend(source);
                 census.iids.extend(source.and_then(Eui64::from_addr));
             }
             assert!(!census.iids.is_empty());

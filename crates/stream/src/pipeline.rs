@@ -263,13 +263,13 @@ impl StreamPipeline {
             // Step 3: rotation detection (§4.3) as two streamed snapshot
             // windows 24 hours apart. The second re-probes the first one's
             // list in the first one's order: one target stream, tagged per
-            // window, whose share each shard's detector is sized for.
+            // window, one target per subnet of each /48 at the granularity
+            // each shard's detector lays its blocks out for.
             let detection_targets =
                 density_generator.per_candidate_48(&high, cfg.detection_granularity);
-            let share = detection_targets.len().div_ceil(self.config.shards);
             let states = (states.into_iter())
                 .map(|state| ShardInference {
-                    detector: WindowedRotationDetector::with_capacity(share),
+                    detector: WindowedRotationDetector::for_granularity(cfg.detection_granularity),
                     ..state
                 })
                 .collect();

@@ -18,7 +18,10 @@
 //! tracker, so a new identifier costs it no allocation of its own. A sixth
 //! holds the tracker a monitor shard feeds to the same: its log appends to
 //! fixed-size chunks and folds into one run, so a new identifier costs no
-//! allocation of its own either.
+//! allocation of its own either. A seventh and an eighth hold the rotation
+//! detector to its footprint: at most 32 bytes a watched target in the
+//! monitor's shape, and no more than the 90 its keyed layout took in any
+//! other.
 //!
 //! This is an integration-test binary on purpose: a `#[global_allocator]`
 //! is process-wide, and the library forbids `unsafe` (`GlobalAlloc` needs
@@ -26,11 +29,14 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::net::Ipv6Addr;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use scent_bgp::{Asn, Rib};
+use scent_core::WindowedRotationDetector;
 use scent_discovery::DiscoveryConfig;
-use scent_prober::ProbeRecord;
+use scent_ipv6::{Eui64, Ipv6Prefix, MacAddr};
+use scent_prober::{ProbeRecord, TargetGenerator, TargetStream};
 use scent_simnet::SimTime;
 use scent_stream::{
     IngestEngine, IngestOptions, MonitorConfig, MonitorSession, Observation, ObservationSource,
@@ -47,6 +53,7 @@ thread_local! {
     static THREAD_ALLOCS: Cell<u64> = const { Cell::new(0) };
     static THREAD_BYTES: Cell<u64> = const { Cell::new(0) };
     static THREAD_LARGEST: Cell<u64> = const { Cell::new(0) };
+    static THREAD_LIVE: Cell<i64> = const { Cell::new(0) };
 }
 
 /// Fallback for allocations during TLS teardown (never on the hot path).
@@ -58,6 +65,12 @@ fn count_one(bytes: usize) {
     }
     let _ = THREAD_BYTES.try_with(|c| c.set(c.get() + bytes as u64));
     let _ = THREAD_LARGEST.try_with(|c| c.set(c.get().max(bytes as u64)));
+    let _ = THREAD_LIVE.try_with(|c| c.set(c.get() + bytes as i64));
+}
+
+/// A free of `bytes` by the calling thread.
+fn free_one(bytes: usize) {
+    let _ = THREAD_LIVE.try_with(|c| c.set(c.get() - bytes as i64));
 }
 
 /// Allocations performed so far by the calling thread.
@@ -68,6 +81,12 @@ fn thread_allocations() -> u64 {
 /// Bytes requested so far by the calling thread.
 fn thread_bytes() -> u64 {
     THREAD_BYTES.with(Cell::get)
+}
+
+/// Bytes the calling thread allocated and has not freed (of blocks it
+/// freed itself).
+fn thread_live() -> i64 {
+    THREAD_LIVE.with(Cell::get)
 }
 
 /// The calling thread's largest single request since the last call.
@@ -88,10 +107,12 @@ unsafe impl GlobalAlloc for CountingAllocator {
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         count_one(new_size);
+        free_one(layout.size());
         System.realloc(ptr, layout, new_size)
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        free_one(layout.size());
         System.dealloc(ptr, layout)
     }
 }
@@ -468,4 +489,99 @@ fn a_tracker_folds_new_identifiers_without_allocating_per_identifier() {
         allocations <= 64,
         "folding {IDENTIFIERS} new identifiers allocated {allocations} times"
     );
+}
+
+/// One monitor window over `watched` /48s of `2a02:27b0::/32`: one target
+/// per /56 of each (the monitor's default granularity), in the permuted
+/// order a monitor pass probes them in.
+fn monitor_window(watched: u16) -> Vec<Ipv6Addr> {
+    let watched: Vec<Ipv6Prefix> = (0..watched)
+        .map(|i| format!("2a02:27b0:{i:x}::/48").parse().unwrap())
+        .collect();
+    let granularity = MonitorConfig::default().granularity;
+    let stream = TargetStream::new(&TargetGenerator::new(1), &watched, granularity, 42, true);
+    (0..stream.window_len())
+        .map(|pos| stream.target_at(pos))
+        .collect()
+}
+
+/// An EUI-64 identifier in `target`'s /64, or silence for every fifth.
+fn answer(seq: usize, target: Ipv6Addr) -> Option<Ipv6Addr> {
+    let prefix64 = (u128::from(target) >> 64) as u64;
+    let mac = MacAddr::new([0x38, 0x10, 0xd5, 0, (seq >> 8) as u8, seq as u8]);
+    (seq % 5 != 0).then(|| Eui64::from_mac(mac).with_prefix64(prefix64))
+}
+
+/// A watched target costs the rotation detector at most 32 bytes in the
+/// monitor's shape, at a `tenants_64` session's 2 /48s (512 targets) and a
+/// `steady_watch` op's 128 (32 768): the detector built the way
+/// `MonitorSession::new` builds a shard's, fed one window. Its blocks are
+/// born with one 31-byte slot per subnet and never grow. The detector
+/// this replaced took 90 B a target (a 48-byte entry and a slot of a
+/// 16-byte-keyed index).
+#[test]
+fn a_watched_target_costs_the_detector_at_most_32_bytes() {
+    for watched in [2, 128] {
+        let targets = monitor_window(watched);
+        let before = thread_bytes();
+        let mut detector =
+            WindowedRotationDetector::for_granularity(MonitorConfig::default().granularity);
+        for (seq, &target) in targets.iter().enumerate() {
+            detector.observe(0, seq as u64, target, answer(seq, target));
+        }
+        let bytes = thread_bytes() - before;
+        assert_eq!(detector.targets_tracked(), targets.len());
+        assert!(
+            bytes <= 32 * targets.len() as u64,
+            "{watched} /48s: {bytes} B for {} targets",
+            targets.len()
+        );
+    }
+}
+
+/// Every other shape still costs the detector no more than the 90 B a
+/// target the keyed layout took sized for it — held after two windows,
+/// with whatever its blocks and side table grew through: no granularity
+/// named, two targets in one subnet, every source outside its target's /48,
+/// and the differential oracle's one target per /64.
+#[test]
+fn every_other_shape_costs_the_detector_no_more_than_the_keyed_layout() {
+    let monitor = monitor_window(16);
+    let mut twins = monitor.clone();
+    twins.extend(
+        (monitor.iter().step_by(256)).map(|target| Ipv6Addr::from(u128::from(*target) ^ 1)),
+    );
+    let one_per_64: Vec<Ipv6Addr> = (0..4_096u128)
+        .map(|i| Ipv6Addr::from(0x2001_0db8_u128 << 96 | (i % 3) << 80 | i << 64 | 1))
+        .collect();
+    let elsewhere = |seq: usize, target: Ipv6Addr| {
+        answer(seq, target).map(|source| Ipv6Addr::from(u128::from(source) ^ 1 << 80))
+    };
+    type Answer = fn(usize, Ipv6Addr) -> Option<Ipv6Addr>;
+    let shapes: [(&str, &[Ipv6Addr], Option<u8>, Answer); 4] = [
+        ("no granularity", &monitor, None, answer),
+        ("two in a subnet", &twins, Some(56), answer),
+        ("sources elsewhere", &monitor, Some(56), elsewhere),
+        ("one per /64", &one_per_64, None, answer),
+    ];
+    for (shape, targets, granularity, answer) in shapes {
+        let before = thread_live();
+        let mut detector = match granularity {
+            Some(granularity) => WindowedRotationDetector::for_granularity(granularity),
+            None => WindowedRotationDetector::new(),
+        };
+        for window in 0..2 {
+            for (seq, &target) in targets.iter().enumerate() {
+                let source = answer(seq + window as usize, target);
+                detector.observe(window, seq as u64, target, source);
+            }
+        }
+        let held = thread_live() - before;
+        assert_eq!(detector.targets_tracked(), targets.len(), "{shape}");
+        assert!(
+            held <= 90 * targets.len() as i64,
+            "{shape}: {held} B held for {} targets",
+            targets.len()
+        );
+    }
 }

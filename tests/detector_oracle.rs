@@ -1,13 +1,19 @@
 //! A differential oracle for [`WindowedRotationDetector`]: the detector that
-//! keeps its entries in the order it met them behind a cursor, against the
-//! map keyed by target it replaced, kept here verbatim as the reference
+//! keeps its entries in per-/48 blocks, each in the order it met them behind
+//! a cursor and found otherwise through positions homed at subnet bits,
+//! against the map keyed by target it replaced, kept here verbatim as the reference
 //! model. Over watch lists re-probed window after window — revised
 //! mid-stream (subset, superset, reordered), with targets met twice in a
 //! window, windows out of order and arbitrary `seq` values — and over merges
 //! of detectors split by target and rebuilds through the checkpoint codec and
 //! the `FromIterator` constructor, the two must emit equal events, hold equal
-//! state and write equal checkpoint bytes.
+//! state and write equal checkpoint bytes. Two target universes: one target
+//! per /64 of three /48s, fed to detectors sized for nothing; and the
+//! monitor's shape, one target per /56 with arbitrary bits below, two in one
+//! subnet now and then and sources sometimes outside the target's /48, fed
+//! to detectors sized for /56 subnets.
 
+use std::marker::PhantomData;
 use std::net::Ipv6Addr;
 
 use followscent::checkpoint::{decode_value, encode_value, Checkpointable, Writer};
@@ -100,6 +106,79 @@ fn source(index: u64, bits: u64) -> Option<Ipv6Addr> {
     }
 }
 
+/// A universe of targets, their responses, and the detector they are fed
+/// to.
+trait Universe {
+    /// Targets in the universe lists are drawn from; target `index` lies in
+    /// /48 number `index % 3`.
+    const TARGETS: u64;
+    fn target(index: u64) -> Ipv6Addr;
+    fn source(index: u64, bits: u64) -> Option<Ipv6Addr>;
+    fn detector() -> WindowedRotationDetector;
+}
+
+/// [`target`] and [`source`], fed to detectors sized for nothing.
+struct OnePer64;
+
+impl Universe for OnePer64 {
+    const TARGETS: u64 = TARGETS;
+
+    fn target(index: u64) -> Ipv6Addr {
+        target(index)
+    }
+
+    fn source(index: u64, bits: u64) -> Option<Ipv6Addr> {
+        source(index, bits)
+    }
+
+    fn detector() -> WindowedRotationDetector {
+        WindowedRotationDetector::new()
+    }
+}
+
+/// The monitor's shape, fed to detectors sized for /56 subnets as a
+/// monitor's are: one target per /56 of three /48s, with arbitrary bits
+/// below the /56 — except that every sixteenth target shares the subnet of
+/// the target three before it. A response is silent, a non-EUI-64 address
+/// in the target's /64, one of four identifiers in it, or — two draws in
+/// eight — a router or an identifier outside the target's /48.
+struct MonitorShape;
+
+impl Universe for MonitorShape {
+    const TARGETS: u64 = 96;
+
+    fn target(index: u64) -> Ipv6Addr {
+        let listed = if index % 16 == 15 { index - 3 } else { index };
+        let subnet = u128::from((listed / 3 * 167 + 11) % 256);
+        let below = u128::from(mix(index, 99)) << 8 | u128::from(index as u8);
+        let bits = (0x2001_0db8_u128 << 96) | u128::from(index % 3) << 80 | subnet << 72;
+        Ipv6Addr::from(bits | below & ((1 << 72) - 1))
+    }
+
+    fn source(index: u64, bits: u64) -> Option<Ipv6Addr> {
+        let prefix64 = (u128::from(Self::target(index)) >> 64) as u64;
+        let device = |prefix64: u64, device: u64| {
+            let mac = MacAddr::new([0xc8, 0x0e, 0x14, 0, 1, device as u8]);
+            Some(Eui64::from_mac(mac).with_prefix64(prefix64))
+        };
+        match bits % 8 {
+            0 => None,
+            1 => Some(Ipv6Addr::from(((prefix64 as u128) << 64) | 0xbeef)),
+            // A router in a /48 of its own.
+            2 => Some(Ipv6Addr::from(
+                0x2001_0db8_00ff_u128 << 80 | u128::from(bits % 3),
+            )),
+            // An identifier in the same /64 position of /48 number 4 to 6.
+            3 => device(prefix64 ^ 4 << 16, bits % 2),
+            device_index => device(prefix64, device_index),
+        }
+    }
+
+    fn detector() -> WindowedRotationDetector {
+        WindowedRotationDetector::for_granularity(56)
+    }
+}
+
 /// A second, independent draw from `bits`, keyed by `k`.
 fn mix(bits: u64, k: u64) -> u64 {
     let mut z = bits ^ k.wrapping_mul(0x9e37_79b9_7f4a_7c15);
@@ -111,8 +190,7 @@ fn mix(bits: u64, k: u64) -> u64 {
 /// Both detectors, twice: targets of the third /48 are fed to the `side`
 /// pair, which `merge` folds into the first — so merges meet targets both
 /// sides hold, at earlier and later windows.
-#[derive(Default)]
-struct Run {
+struct Run<U> {
     new: WindowedRotationDetector,
     reference: ReferenceDetector,
     side_new: WindowedRotationDetector,
@@ -121,17 +199,35 @@ struct Run {
     list: Vec<u64>,
     window: u64,
     events: usize,
+    universe: PhantomData<U>,
 }
 
-impl Run {
+impl<U: Universe> Run<U> {
+    /// Fresh detectors over the watch list `list`.
+    fn new(list: Vec<u64>) -> Self {
+        Run {
+            new: U::detector(),
+            reference: ReferenceDetector::default(),
+            side_new: U::detector(),
+            side_reference: ReferenceDetector::default(),
+            list,
+            window: 0,
+            events: 0,
+            universe: PhantomData,
+        }
+    }
+
     fn observe(&mut self, window: u64, seq: u64, index: u64, source: Option<Ipv6Addr>) {
         let (new, reference) = if index % 3 == 2 {
             (&mut self.side_new, &mut self.side_reference)
         } else {
             (&mut self.new, &mut self.reference)
         };
-        let event = new.observe(window, seq, target(index), source);
-        assert_eq!(event, reference.observe(window, seq, target(index), source));
+        let event = new.observe(window, seq, U::target(index), source);
+        assert_eq!(
+            event,
+            reference.observe(window, seq, U::target(index), source)
+        );
         self.events += usize::from(event.is_some());
     }
 
@@ -157,10 +253,10 @@ impl Run {
                     } else {
                         position
                     };
-                    let answer = source(index, mix(bits ^ index, window));
+                    let answer = U::source(index, mix(bits ^ index, window));
                     self.observe(window, seq, index, answer);
                     if mix(bits, position + 100) % 13 == 0 {
-                        let again = source(index, mix(bits, position + 200));
+                        let again = U::source(index, mix(bits, position + 200));
                         self.observe(window, seq + 1, index, again);
                     }
                 }
@@ -176,7 +272,7 @@ impl Run {
                 }
                 1 => {
                     for k in 0..1 + mix(bits, 5) % 6 {
-                        let index = mix(bits, 10 + k) % TARGETS;
+                        let index = mix(bits, 10 + k) % U::TARGETS;
                         let at = mix(bits, 20 + k) as usize % (self.list.len() + 1);
                         self.list.insert(at, index);
                     }
@@ -185,14 +281,15 @@ impl Run {
             },
             // Merge the side detectors into the main ones.
             12 | 13 => {
-                self.new.merge(std::mem::take(&mut self.side_new));
+                self.new
+                    .merge(std::mem::replace(&mut self.side_new, U::detector()));
                 (self.reference).merge(std::mem::take(&mut self.side_reference));
             }
             // Rebuild the new detector in another entry order: through the
             // constructor from its own entries rotated, or through the codec.
             _ => {
                 if mix(bits, 6) % 2 == 0 {
-                    let mut entries: Vec<_> = self.new.last_observations().copied().collect();
+                    let mut entries: Vec<_> = self.new.last_observations().collect();
                     let by = mix(bits, 7) as usize % (entries.len() + 1);
                     entries.rotate_left(by);
                     self.new = entries.into_iter().collect();
@@ -210,7 +307,7 @@ impl Run {
             (&self.side_new, &self.side_reference),
         ] {
             assert_eq!(new.targets_tracked(), reference.last.len());
-            let mut state: Vec<_> = new.last_observations().copied().collect();
+            let mut state: Vec<_> = new.last_observations().collect();
             state.sort_by_key(|(target, _)| *target);
             assert_eq!(state, reference.entries());
             let rebuilt: WindowedRotationDetector = reference.entries().into_iter().collect();
@@ -223,22 +320,33 @@ impl Run {
     }
 }
 
+/// Apply `ops` to a run over `U` that starts watching targets `start..`,
+/// checking everything after each.
+fn run_ops<U: Universe>(ops: &[u64], start: u64) {
+    let mut run = Run::<U>::new((start % U::TARGETS..U::TARGETS).collect());
+    for bits in ops {
+        run.apply(*bits);
+        run.assert_equal();
+    }
+    run.apply(12);
+    run.assert_equal();
+}
+
 proptest! {
     #[test]
     fn cursor_detector_equals_the_keyed_map_reference(
         ops in proptest::collection::vec(any::<u64>(), 0..96),
         start in 0u64..TARGETS,
     ) {
-        let mut run = Run {
-            list: (start..TARGETS).collect(),
-            ..Run::default()
-        };
-        for bits in &ops {
-            run.apply(*bits);
-            run.assert_equal();
-        }
-        run.apply(12);
-        run.assert_equal();
+        run_ops::<OnePer64>(&ops, start);
+    }
+
+    #[test]
+    fn in_the_monitors_shape_the_blocks_equal_the_keyed_map_reference(
+        ops in proptest::collection::vec(any::<u64>(), 0..96),
+        start in 0u64..MonitorShape::TARGETS,
+    ) {
+        run_ops::<MonitorShape>(&ops, start);
     }
 }
 
@@ -247,10 +355,12 @@ proptest! {
 /// observation after the first window — then reordered, cut and grown.
 #[test]
 fn a_standing_list_diffs_like_the_keyed_map() {
-    let mut run = Run {
-        list: (0..TARGETS).rev().collect(),
-        ..Run::default()
-    };
+    standing_list::<OnePer64>();
+    standing_list::<MonitorShape>();
+}
+
+fn standing_list<U: Universe>() {
+    let mut run = Run::<U>::new((0..U::TARGETS).rev().collect());
     for window in 0..12u64 {
         run.apply(16 * window); // a probe
         run.assert_equal();
@@ -297,4 +407,39 @@ fn a_repeated_target_keeps_its_later_entry_as_the_map_did() {
     let new: WindowedRotationDetector = decode_value(&bytes).expect("well-formed");
     assert_eq!(new.targets_tracked(), 2);
     assert_eq!(encode_value(&new), reference.encode());
+}
+
+/// A block of 2^16 places and more, which keeps each place's high half
+/// beside its slots: every /64 of one /48 at /64 granularity, twice over in
+/// another order, then every other /64 of the /48 next to it for a second
+/// time, equals the keyed map too.
+#[test]
+fn a_block_of_every_64_in_its_48_equals_the_keyed_map() {
+    let target = |i: u64| Ipv6Addr::from((0x2001_0db8_u128 << 96) | u128::from(i) << 64 | 1);
+    let answer = |i: u64, window: u64| match (i + window) % 4 {
+        0 => None,
+        1 => Some(target(i ^ 1)),
+        2 => Some(Ipv6Addr::from(0x2001_0db8_00ff_u128 << 80 | u128::from(i))),
+        _ => Some(target(i)),
+    };
+    let mut new = WindowedRotationDetector::for_granularity(64);
+    let mut reference = ReferenceDetector::default();
+    let lists: [Vec<u64>; 3] = [
+        (0..1 << 16).collect(),
+        (0..1 << 16).map(|i| i * 40_503 % (1 << 16)).collect(),
+        (0..1 << 16).step_by(2).map(|i| i + (1 << 16)).collect(),
+    ];
+    for (window, list) in (0u64..).zip(&lists) {
+        for (seq, &i) in (0u64..).zip(list) {
+            let event = new.observe(window, seq, target(i), answer(i, window));
+            assert_eq!(
+                event,
+                reference.observe(window, seq, target(i), answer(i, window))
+            );
+        }
+    }
+    assert_eq!(new.targets_tracked(), reference.last.len());
+    assert_eq!(encode_value(&new), reference.encode());
+    let rebuilt: WindowedRotationDetector = reference.entries().into_iter().collect();
+    assert_eq!(rebuilt, new);
 }
