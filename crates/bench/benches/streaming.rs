@@ -254,7 +254,6 @@ fn bench_hot_path(c: &mut Criterion) {
     // /56 granularity: 256 targets per watched /48 — ≈32k observations per
     // pass, enough for the per-observation cost to dominate thread setup.
     const SEED: u64 = 0x5eed;
-    const CAPACITY: usize = 256;
     let targets = TargetStream::new(
         &scent_prober::TargetGenerator::new(SEED),
         &watched,
@@ -287,7 +286,7 @@ fn bench_hot_path(c: &mut Criterion) {
                 |b, &(shards, producers)| {
                     b.iter(|| {
                         let map = ShardMap::new(&engine.rib().entries(), shards);
-                        let mut pool = ShardPool::open(shards, CAPACITY);
+                        let mut pool = ShardPool::open(shards);
                         let mut ingest =
                             IngestEngine::lease(&mut pool, map, IngestOptions::default());
                         let sources: Vec<_> = (0..producers)
@@ -319,7 +318,7 @@ fn bench_hot_path(c: &mut Criterion) {
         b.iter(|| {
             let registry = Telemetry::new();
             let map = ShardMap::new(&engine.rib().entries(), 1);
-            let mut pool = ShardPool::open(1, CAPACITY);
+            let mut pool = ShardPool::open(1);
             let options = IngestOptions {
                 observer: Some(&registry),
                 ..IngestOptions::default()
@@ -651,7 +650,7 @@ fn bench_scheduler_interleave(c: &mut Criterion) {
     });
     group.bench_function("back_to_back", |b| {
         b.iter(|| {
-            let mut pool = ShardPool::open(config.shards, config.channel_capacity);
+            let mut pool = ShardPool::open(config.shards);
             let mut sessions: Vec<MonitorSession<'_, Engine>> = (0..TENANTS)
                 .map(|tenant| {
                     MonitorSession::new(black_box(&engine), config.clone(), watched.clone(), None)
@@ -758,7 +757,7 @@ fn bench_discovery_boundary(c: &mut Criterion) {
         }),
         ..MonitorConfig::default()
     };
-    let mut pool = ShardPool::open(config.shards, config.channel_capacity);
+    let mut pool = ShardPool::open(config.shards);
     c.bench_function("streaming/discovery_boundary_cycle", |b| {
         b.iter(|| {
             let telemetry = Telemetry::new();

@@ -8,13 +8,13 @@
 //! * **Time-division at epoch granularity.** Tenant sessions execute one
 //!   epoch at a time, in global virtual-time order (earliest next epoch
 //!   boundary first, tenant index breaking ties). The scheduler owns the
-//!   shard worker threads — one [`ShardPool`] per distinct
-//!   `(shards, channel_capacity)` among its tenants, never one per tenant —
-//!   and lends a pool to the tenant that holds the step: the workers adopt
-//!   that tenant's inference state for the epoch and hand it back at the
-//!   boundary. A step therefore costs what its observations cost (no thread
-//!   is spawned or joined, no channel allocated), N campaigns cost the
-//!   threads of one, and no thread outlives [`SchedulerBuilder::run`].
+//!   shard worker threads — one [`ShardPool`] per distinct shard count
+//!   among its tenants, never one per tenant — and lends a pool to the
+//!   tenant that holds the step: the workers adopt that tenant's inference
+//!   state for the epoch and hand it back at the boundary. A step
+//!   therefore costs what its observations cost (no thread is spawned or
+//!   joined, no channel allocated), N campaigns cost the threads of one,
+//!   and no thread outlives [`SchedulerBuilder::run`].
 //! * **Weighted fair share, exactly.** At every step the global
 //!   packets-per-second budget is divided over the *active* tenants in
 //!   proportion to their weights using largest-remainder rounding — the
@@ -366,12 +366,12 @@ impl<'a, B: ProbeTransport + WorldView + ?Sized> SchedulerBuilder<'a, B> {
         let mut sessions: Vec<Option<MonitorSession<'a, B>>> =
             Vec::with_capacity(self.tenants.len());
         let mut failures: Vec<Option<StreamError>> = Vec::with_capacity(self.tenants.len());
-        // Which pool a tenant's epochs run on: tenants whose workers and
-        // queues would be the same share them.
-        let shapes: Vec<(usize, usize)> = (self.tenants.iter())
-            .map(|(campaign, _)| (campaign.config.shards, campaign.config.channel_capacity))
+        // Which pool a tenant's epochs run on: tenants with as many shards
+        // share one.
+        let shard_counts: Vec<usize> = (self.tenants.iter())
+            .map(|(campaign, _)| campaign.config.shards)
             .collect();
-        let mut pools: BTreeMap<(usize, usize), ShardPool> = BTreeMap::new();
+        let mut pools: BTreeMap<usize, ShardPool> = BTreeMap::new();
         for (tenant, (campaign, _)) in self.tenants.into_iter().enumerate() {
             let mut session = MonitorSession::new(
                 campaign.world,
@@ -434,10 +434,10 @@ impl<'a, B: ProbeTransport + WorldView + ?Sized> SchedulerBuilder<'a, B> {
                 shares,
             });
             let session = sessions[chosen].as_mut().expect("active session");
-            let shape @ (shards, channel_capacity) = shapes[chosen];
+            let shards = shard_counts[chosen];
             let pool = pools
-                .entry(shape)
-                .or_insert_with(|| ShardPool::open(shards, channel_capacity));
+                .entry(shards)
+                .or_insert_with(|| ShardPool::open(shards));
             if let Err(error) = session.run_epoch_on(pool, share) {
                 // Isolate the failure: record it, drop the poisoned
                 // session, keep every neighbor running (the pool's next
@@ -772,7 +772,7 @@ mod tests {
             );
         }
 
-        let mut pool = ShardPool::open(config.shards, config.channel_capacity);
+        let mut pool = ShardPool::open(config.shards);
         let mut solo = MonitorSession::new(&engine, config, watched, None);
         for allocation in report.allocations.iter().filter(|a| a.tenant == 1) {
             let (_, share) = allocation.shares.iter().find(|&&(t, _)| t == 1).unwrap();

@@ -202,25 +202,27 @@ impl MonitorSnapshot {
 
 /// FNV-1a fingerprint of a monitor configuration plus its initial watch
 /// list. Every field participates — a resumed run must match the original
-/// exactly, including fields that only matter for scheduling (producer
-/// count, channel capacity) so a restored report never silently claims a
-/// configuration it was not produced under.
+/// exactly, including fields that only matter for scheduling (the producer
+/// count) so a restored report never silently claims a configuration it was
+/// not produced under.
 ///
-/// One word of it is not a field: the engine's batch constant, written
-/// where `observation_batch` was while it was a knob. Kept, like the names
-/// in e2ebench's frozen import list, so nothing written before the next
-/// benchmark revision stops resuming — do not build on; it goes then.
-/// Another is derived: [`QueueModel::can_throttle`], written where the
-/// feedback switch was, so every config whose switch agreed with its model
-/// keeps its fingerprint.
+/// Two words of it are not fields but literals, written where two retired
+/// knobs were: the shard channel capacity (1024, its only production value)
+/// and the observation batch (512). Kept, like the names in e2ebench's
+/// frozen import list, so nothing written before the next benchmark
+/// revision stops resuming — do not build on; they go then. A snapshot
+/// taken under any other capacity no longer matches and is refused with
+/// [`CheckpointError::ConfigMismatch`]. Another word is derived:
+/// [`QueueModel::can_throttle`], written where the feedback switch was, so
+/// every config whose switch agreed with its model keeps its fingerprint.
 ///
 /// [`QueueModel::can_throttle`]: scent_prober::QueueModel::can_throttle
 pub fn config_fingerprint(cfg: &MonitorConfig, watched_48s: &[Ipv6Prefix]) -> u64 {
     let mut w = Writer::new();
     w.put_usize(cfg.shards);
     w.put_usize(cfg.producers);
-    w.put_usize(cfg.channel_capacity);
-    w.put_usize(crate::engine::OBSERVATION_BATCH);
+    w.put_usize(1024); // was `channel_capacity`
+    w.put_usize(512); // was `observation_batch`
     w.put_u64(cfg.seed);
     w.put_u64(cfg.packets_per_second);
     w.put_u8(cfg.granularity);
@@ -577,5 +579,15 @@ mod tests {
         other.discovery = Some(scent_discovery::DiscoveryConfig::paper_scale());
         assert_ne!(base, config_fingerprint(&other, &watched));
         assert_ne!(base, config_fingerprint(&cfg, &[]));
+    }
+
+    /// The default configuration's fingerprint is the one it had while the
+    /// shard channel capacity and the observation batch were knobs, so every
+    /// snapshot taken under it still resumes.
+    #[test]
+    fn the_default_fingerprint_outlives_the_retired_knobs() {
+        let watched: Vec<Ipv6Prefix> = vec!["2001:db8:1::/48".parse().unwrap()];
+        let fingerprint = config_fingerprint(&MonitorConfig::default(), &watched);
+        assert_eq!(fingerprint, 0x2431_8915_6dbf_7580);
     }
 }

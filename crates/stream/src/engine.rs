@@ -12,9 +12,9 @@
 //!   flight. Whoever loops over epochs owns one —
 //!   [`StreamMonitor::run_controlled`](crate::monitor::StreamMonitor::run_controlled)
 //!   for a solo run, the `scent-sched` scheduler for a fleet (one per
-//!   distinct `(shards, channel_capacity)`, lent to the tenant that holds the
-//!   step) — so an epoch costs what its observations cost: no thread is
-//!   spawned or joined, no channel or buffer allocated, at a boundary.
+//!   distinct shard count, lent to the tenant that holds the step) — so an
+//!   epoch costs what its observations cost: no thread is spawned or
+//!   joined, no channel or buffer allocated, at a boundary.
 //! * An [`IngestEngine`] is one *lease* of a pool — the only way to hold
 //!   one ([`IngestEngine::lease`] borrows the pool for as long as the engine
 //!   lives): every worker is handed the lessee's carried [`ShardInference`]
@@ -79,26 +79,18 @@ use crate::source::ContinuousStream;
 
 /// Observations accumulated per router → shard channel message. A constant,
 /// not a knob, and batching never changes a report — per-shard delivery order
-/// is the same at any size. It was 64 while the shard queue was bounded in
-/// messages (a larger batch then meant more buffers in flight); the queue is
-/// bounded in observations now ([`queue_messages`]), so the batch is sized
-/// for the hand-off instead: a parked worker is woken once per 512
-/// observations, and the channel arrays are an eighth as long.
-pub(crate) const OBSERVATION_BATCH: usize = 512;
+/// is the same at any size. It is sized for the hand-off: a parked worker is
+/// woken once per 4 096 observations. Most of a discovery sweep's probes go
+/// unanswered, so the worker has little to fold for them and the wake-up was
+/// most of a smaller batch's cost (docs/PERFORMANCE.md, "What a hand-off
+/// costs").
+pub(crate) const OBSERVATION_BATCH: usize = 4096;
 
-/// Observations per message in the unit `channel_capacity` is stated in
-/// (the channel batch when the knob was introduced; every caller's value
-/// assumes it).
-const CAPACITY_UNIT: usize = 64;
-
-/// Messages a shard's queue holds for a configured `channel_capacity` — the
-/// one place a queue is sized. The capacity counts messages of
-/// [`CAPACITY_UNIT`] observations; the queue holds the same observations in
-/// messages of [`OBSERVATION_BATCH`], rounded up (never zero, never fewer
-/// observations in flight than the capacity asks for).
-pub(crate) fn queue_messages(channel_capacity: usize) -> usize {
-    (CAPACITY_UNIT * channel_capacity).div_ceil(OBSERVATION_BATCH)
-}
+/// Observations a shard's queue holds: 16 messages of [`OBSERVATION_BATCH`],
+/// what the retired capacity knob's one production value held (1 024
+/// messages of 64). Also the budget of each producer → merge edge, in its
+/// own messages.
+const QUEUE_OBSERVATIONS: usize = 65_536;
 
 /// Observations accumulated per producer-channel message. Purely a transport
 /// optimization: the merge consumes per observation either way, so batching
@@ -193,26 +185,22 @@ struct Worker {
 /// across epochs and lent to one lessee at a time
 /// ([`IngestEngine::lease`]). See the [module docs](self).
 ///
-/// The queue of each worker holds the observations `channel_capacity` asks
-/// for — `64 × channel_capacity`, in messages of 512 — and the recycle pool
-/// is sized to match, so steady-state routing never allocates and no
-/// returned buffer is ever dropped.
+/// The queue of each worker holds 65 536 observations, in 16 messages of
+/// 4 096, and the recycle pool is sized to match, so steady-state routing
+/// never allocates and no returned buffer is ever dropped.
 pub struct ShardPool {
     shards: usize,
-    channel_capacity: usize,
     /// `None` while leased, and once a worker has died.
     lanes: Option<Lanes>,
     workers: Vec<Worker>,
 }
 
 impl ShardPool {
-    /// Spawn `shards` workers, each behind a bounded queue sized from
-    /// `channel_capacity` (in the unit the configuration states it:
-    /// messages of 64 observations).
-    pub fn open(shards: usize, channel_capacity: usize) -> Self {
+    /// Spawn `shards` workers, each behind a bounded queue of 65 536
+    /// observations.
+    pub fn open(shards: usize) -> Self {
         assert!(shards > 0, "at least one shard");
-        assert!(channel_capacity > 0, "bounded channels need capacity");
-        let queue = queue_messages(channel_capacity);
+        let queue = QUEUE_OBSERVATIONS / OBSERVATION_BATCH;
         let mut senders = Vec::with_capacity(shards);
         let mut links = Vec::with_capacity(shards);
         let mut workers = Vec::with_capacity(shards);
@@ -232,7 +220,6 @@ impl ShardPool {
         let (lanes, _) = Lanes::open(senders, links, OBSERVATION_BATCH, slots);
         ShardPool {
             shards,
-            channel_capacity,
             lanes: Some(lanes),
             workers,
         }
@@ -242,7 +229,7 @@ impl ShardPool {
     /// lost one (or never released).
     fn lend(&mut self) -> Lanes {
         if self.lanes.is_none() {
-            *self = ShardPool::open(self.shards, self.channel_capacity);
+            *self = ShardPool::open(self.shards);
         }
         self.lanes.take().expect("an open pool holds its lanes")
     }
@@ -299,8 +286,8 @@ impl Drop for ShardPool {
 }
 
 /// Run each source on its own scoped producer thread, feeding a bounded
-/// channel of `channel_capacity` messages (batches of up to 64 observations
-/// each), and return the merged clock over the channels.
+/// channel of 65 536 observations (in batches of up to 64), and return the
+/// merged clock over the channels.
 ///
 /// Producers probe concurrently (this is where multi-producer throughput
 /// comes from), but the merged sequence is reconstructed deterministically by
@@ -313,22 +300,21 @@ impl Drop for ShardPool {
 pub fn spawn_producers<'scope, S>(
     scope: &'scope thread::Scope<'scope, '_>,
     sources: Vec<S>,
-    channel_capacity: usize,
 ) -> MergedClock<ChannelSource>
 where
     S: ObservationSource + Send + 'scope,
 {
     assert!(!sources.is_empty(), "at least one producer");
-    assert!(channel_capacity > 0, "bounded channels need capacity");
+    let queue = QUEUE_OBSERVATIONS / PRODUCER_BATCH;
     let mut channels = Vec::with_capacity(sources.len());
     for mut source in sources {
-        let (tx, rx) = std::sync::mpsc::sync_channel(channel_capacity);
-        // The recycle channel mirrors the data channel: at most
-        // `channel_capacity` batches are queued ahead of the merge, plus one
-        // in the producer's hands and one in the merge's, so
-        // `channel_capacity + 2` transit slots mean no return is ever
-        // dropped and the edge's buffer population stays fixed.
-        let (mut pool, home) = batch_pool(PRODUCER_BATCH, channel_capacity + 2);
+        let (tx, rx) = std::sync::mpsc::sync_channel(queue);
+        // The recycle channel mirrors the data channel: at most `queue`
+        // batches are queued ahead of the merge, plus one in the producer's
+        // hands and one in the merge's, so `queue + 2` transit slots mean no
+        // return is ever dropped and the edge's buffer population stays
+        // fixed.
+        let (mut pool, home) = batch_pool(PRODUCER_BATCH, queue + 2);
         scope.spawn(move || {
             let mut batch = pool.take();
             while let Some(obs) = source.next_observation() {
@@ -447,11 +433,10 @@ impl<'a> IngestEngine<'a> {
             let source = sources.into_iter().next().expect("one source");
             self.ingest(source, hook);
         } else {
-            let capacity = self.pool.channel_capacity;
             // The ingest consumes the clock, so a drive that stops early has
             // hung up on its producers before the scope joins them.
             thread::scope(|scope| {
-                let clock = spawn_producers(scope, sources, capacity);
+                let clock = spawn_producers(scope, sources);
                 self.ingest(clock, hook);
             });
         }
@@ -594,7 +579,7 @@ mod tests {
         };
         let map = ShardMap::new(&rib.entries(), 2);
         let owner = map.shard_for(obs.target);
-        let mut pool = ShardPool::open(2, 8);
+        let mut pool = ShardPool::open(2);
         let mut engine = IngestEngine::lease(&mut pool, map.clone(), IngestOptions::default());
         engine.router().route(obs);
         // A phase boundary: the release delivers the partial batch and sees
@@ -613,21 +598,32 @@ mod tests {
         assert_eq!(finals[1 - owner].observations, 0);
     }
 
-    /// The queue holds the observations `channel_capacity` asks for, in
-    /// messages of the engine's batch: never zero messages, never fewer
-    /// observations in flight than when the capacity counted 64-observation
-    /// messages itself.
+    /// The queue holds what the one production setting of the retired
+    /// capacity knob held (1 024 messages of 64 observations), in whole
+    /// messages of the engine's batch.
     #[test]
     fn queue_is_sized_in_observations() {
-        assert_eq!(OBSERVATION_BATCH, 512);
-        for (capacity, messages) in [(1, 1), (7, 1), (8, 1), (9, 2), (1024, 128)] {
-            assert_eq!(queue_messages(capacity), messages, "capacity {capacity}");
-            assert!(messages * OBSERVATION_BATCH >= 64 * capacity);
-            assert!(
-                (messages - 1) * OBSERVATION_BATCH < 64 * capacity,
-                "rounded up once"
-            );
-        }
+        assert_eq!(QUEUE_OBSERVATIONS, 1024 * 64);
+        assert_eq!(QUEUE_OBSERVATIONS % OBSERVATION_BATCH, 0);
+        assert_eq!(QUEUE_OBSERVATIONS / OBSERVATION_BATCH, 16);
+    }
+
+    /// A worker is handed one buffer per full batch, and the lease's last
+    /// batch rides its yield: 3 full batches and one observation take
+    /// exactly 4 buffers from the pool.
+    #[test]
+    fn a_lease_hands_off_one_buffer_per_batch() {
+        let map = ShardMap::new(&scent_bgp::Rib::new().entries(), 1);
+        let mut pool = ShardPool::open(1);
+        let mut engine = IngestEngine::lease(&mut pool, map, IngestOptions::default());
+        let routed = 3 * OBSERVATION_BATCH + 1;
+        let pulls = AtomicU64::new(0);
+        let source = LimitedSource::new(Counting(&pulls), routed as u64);
+        assert_eq!(engine.drive(vec![source], |_, _| {}), routed as u64);
+        let counters = engine.router().buffer_counters();
+        assert_eq!(counters.allocated() + counters.recycled(), 4);
+        let states = engine.release().unwrap();
+        assert_eq!(states[0].observations, routed as u64);
     }
 
     /// Sums what `on_shard_progress` reports.
@@ -647,7 +643,7 @@ mod tests {
     fn a_pool_serves_lease_after_lease_and_survives_a_dead_worker() {
         let world = Engine::build(scenarios::continuous_world(9)).unwrap();
         let map = || ShardMap::new(&world.rib().entries(), 2);
-        let mut pool = ShardPool::open(2, 4);
+        let mut pool = ShardPool::open(2);
         let mut carried: Option<Vec<ShardInference>> = None;
         for lease in 1..=3u64 {
             let options = IngestOptions {
@@ -719,7 +715,7 @@ mod tests {
         let want: Vec<Observation> = std::iter::from_fn(|| inline.next_observation()).collect();
         assert_eq!(want.len() as u64, 256 * windows);
         let map = ShardMap::new(&world.rib().entries(), 2);
-        let mut pool = ShardPool::open(2, 64);
+        let mut pool = ShardPool::open(2);
         let mut engine = IngestEngine::lease(&mut pool, map, IngestOptions::default());
         let mut got = Vec::new();
         let routed = engine.drive(limited(), |_, obs| got.push(*obs));
@@ -761,7 +757,7 @@ mod tests {
             inject_panic: Some(0),
             ..IngestOptions::default()
         };
-        let mut pool = ShardPool::open(1, 8);
+        let mut pool = ShardPool::open(1);
         let mut engine = IngestEngine::lease(&mut pool, map, options);
         // Unlimited producers: only the worker's death ends this drive, and
         // it returns only if both producer threads noticed the clock hang up

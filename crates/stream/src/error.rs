@@ -27,8 +27,6 @@ pub enum ConfigError {
     NoShards,
     /// Zero probe producers.
     NoProducers,
-    /// The bounded shard channels were given zero capacity.
-    ZeroChannelCapacity,
     /// A probe rate of zero packets per second (no probe could ever be
     /// paced).
     ZeroRate,
@@ -90,11 +88,10 @@ impl ConfigError {
     }
 
     /// The rules every streaming run shares: a shard pool, a producer set,
-    /// bounded channels, a probe rate, and a sane queue model.
+    /// a probe rate, and a sane queue model.
     pub(crate) fn check_plane(
         shards: usize,
         producers: usize,
-        channel_capacity: usize,
         packets_per_second: u64,
         queue_model: &QueueModel,
     ) -> Result<(), Self> {
@@ -102,7 +99,6 @@ impl ConfigError {
         Self::first_broken([
             (shards == 0, NoShards),
             (producers == 0, NoProducers),
-            (channel_capacity == 0, ZeroChannelCapacity),
             (packets_per_second == 0, ZeroRate),
             (!queue_model.is_valid(), InvalidQueueModel),
         ])
@@ -115,7 +111,6 @@ impl std::fmt::Display for ConfigError {
         f.write_str(match self {
             NoShards => "at least one inference shard is needed",
             NoProducers => "at least one probe producer is needed",
-            ZeroChannelCapacity => "bounded shard channels need non-zero capacity",
             ZeroRate => "the probe rate must be non-zero",
             InvalidQueueModel => "queue model low_watermark must be below high_watermark",
             NoWindows => "a monitor must observe at least one window",
@@ -219,20 +214,13 @@ mod tests {
         };
         let check = ConfigError::check_plane;
         let broken = &inverted;
-        assert_eq!(check(0, 0, 0, 0, broken), Err(ConfigError::NoShards));
-        assert_eq!(check(1, 0, 0, 0, broken), Err(ConfigError::NoProducers));
-        assert_eq!(
-            check(1, 1, 0, 0, broken),
-            Err(ConfigError::ZeroChannelCapacity)
-        );
-        assert_eq!(check(1, 1, 1, 0, broken), Err(ConfigError::ZeroRate));
+        assert_eq!(check(0, 0, 0, broken), Err(ConfigError::NoShards));
+        assert_eq!(check(1, 0, 0, broken), Err(ConfigError::NoProducers));
+        assert_eq!(check(1, 1, 0, broken), Err(ConfigError::ZeroRate));
         // Inverted is broken even where it could never throttle.
         assert!(!inverted.can_throttle());
-        assert_eq!(
-            check(1, 1, 1, 1, broken),
-            Err(ConfigError::InvalidQueueModel)
-        );
-        assert_eq!(check(1, 1, 1, 1, &model), Ok(()));
+        assert_eq!(check(1, 1, 1, broken), Err(ConfigError::InvalidQueueModel));
+        assert_eq!(check(1, 1, 1, &model), Ok(()));
         assert!(ConfigError::NoShards.to_string().contains("shard"));
     }
 }

@@ -117,15 +117,6 @@ pub struct MonitorConfig {
     /// for any count, whatever the [`MonitorConfig::queue_model`] (every
     /// producer replays the same deterministic rate trajectory locally).
     pub producers: usize,
-    /// Bounded per-shard queue capacity, in messages of 64 observations —
-    /// the unit is historical and fixed: a shard's queue holds
-    /// `64 * channel_capacity` observations, however many the engine packs
-    /// into a message (512; a constant, not a knob, and batch size never
-    /// changes a report), so observations and bytes in flight are set by
-    /// this value alone. Also the per-producer channel capacity when
-    /// `producers > 1`, where a message does carry 64: a producer can run up
-    /// to `64 * channel_capacity` observations ahead of the merge.
-    pub channel_capacity: usize,
     /// Seed controlling target generation and probe order.
     pub seed: u64,
     /// Probe budget per second (the ceiling the AIMD feedback recovers to).
@@ -204,7 +195,6 @@ impl Default for MonitorConfig {
         MonitorConfig {
             shards: 2,
             producers: 1,
-            channel_capacity: 1024,
             seed: 0x57ae,
             packets_per_second: 10_000,
             granularity: 56,
@@ -224,9 +214,9 @@ impl Default for MonitorConfig {
 
 impl MonitorConfig {
     /// Whether a monitor can honour this configuration — the one statement
-    /// of the rules: the plane a pipeline needs too (shards, producers,
-    /// channel capacity, a non-zero [`MonitorConfig::packets_per_second`],
-    /// the queue model), at least one window, and consistent churn,
+    /// of the rules: the plane a pipeline needs too (shards, producers, a
+    /// non-zero [`MonitorConfig::packets_per_second`], the queue model), at
+    /// least one window, and consistent churn,
     /// checkpoint and discovery settings. The [`StreamMonitor`] runs return
     /// the broken rule as [`StreamError::Config`] before anything starts,
     /// the `scent-sched` scheduler reports it before it opens a session, and
@@ -236,7 +226,6 @@ impl MonitorConfig {
         ConfigError::check_plane(
             self.shards,
             self.producers,
-            self.channel_capacity,
             self.packets_per_second,
             &self.queue_model,
         )?;
@@ -478,7 +467,7 @@ impl StreamMonitor {
             session = session.resume(snapshot)?;
         }
         // The run owns its shard workers: every epoch leases this one pool.
-        let mut pool = ShardPool::open(self.config.shards, self.config.channel_capacity);
+        let mut pool = ShardPool::open(self.config.shards);
         while !session.is_done() {
             session.run_epoch_on(&mut pool, self.config.packets_per_second)?;
             // Checkpoint at the boundary: on the configured cadence, plus
@@ -826,7 +815,7 @@ impl<'a, B: ProbeTransport + WorldView + ?Sized> MonitorSession<'a, B> {
     /// should hold the pool instead — that is what
     /// [`StreamMonitor::run_controlled`] and the `scent-sched` scheduler do.
     pub fn run_epoch(&mut self, pps: u64) -> Result<bool, StreamError> {
-        let mut pool = ShardPool::open(self.config.shards, self.config.channel_capacity);
+        let mut pool = ShardPool::open(self.config.shards);
         self.run_epoch_on(&mut pool, pps)
     }
 
@@ -1780,7 +1769,7 @@ mod tests {
     /// watch list did. Returns how many boundaries kept it and how many
     /// dropped it.
     fn check_kept_stream(mut session: MonitorSession<'_, Engine>) -> (usize, usize) {
-        let mut pool = ShardPool::open(session.config.shards, session.config.channel_capacity);
+        let mut pool = ShardPool::open(session.config.shards);
         let (mut kept, mut dropped) = (0, 0);
         assert!(session.kept.is_none(), "nothing is built before an epoch");
         while !session.is_done() {

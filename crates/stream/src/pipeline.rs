@@ -53,15 +53,6 @@ pub struct StreamConfig {
     /// merged clock keeps the observation sequence — and therefore the
     /// report — bit-identical for any count.
     pub producers: usize,
-    /// Bounded per-shard queue capacity, in messages of 64 observations —
-    /// the unit is historical and fixed: a shard's queue holds
-    /// `64 * channel_capacity` observations, however many the engine packs
-    /// into a message (512; a constant, not a knob, and batch size never
-    /// changes a report), so observations and bytes in flight are set by
-    /// this value alone. Also the per-producer channel capacity when
-    /// `producers > 1`, where a message does carry 64: a producer can run up
-    /// to `64 * channel_capacity` observations ahead of the merge.
-    pub channel_capacity: usize,
     /// The virtual-queue model every phase's scan adapts its rate to (AIMD)
     /// when the model can throttle ([`QueueModel::can_throttle`]). The
     /// default ([`QueueModel::unbounded`]) cannot: the fixed-rate trajectory
@@ -81,7 +72,6 @@ impl Default for StreamConfig {
             pipeline: PipelineConfig::default(),
             shards: 2,
             producers: 1,
-            channel_capacity: 1024,
             queue_model: QueueModel::default(),
         }
     }
@@ -89,14 +79,12 @@ impl Default for StreamConfig {
 
 impl StreamConfig {
     /// Whether a run can honour this configuration: at least one shard and
-    /// one producer, non-zero channel capacity, a non-zero probe rate and
-    /// ordered queue watermarks. [`StreamPipeline::run`] returns the broken
+    /// one producer, a non-zero probe rate and ordered queue watermarks. [`StreamPipeline::run`] returns the broken
     /// rule as [`StreamError::Config`] before anything starts.
     pub fn validate(&self) -> Result<(), ConfigError> {
         ConfigError::check_plane(
             self.shards,
             self.producers,
-            self.channel_capacity,
             self.pipeline.packets_per_second,
             &self.queue_model,
         )
@@ -187,7 +175,7 @@ impl StreamPipeline {
 
         let shard_map = ShardMap::new(&world.rib().entries(), self.config.shards);
 
-        let mut pool = ShardPool::open(self.config.shards, self.config.channel_capacity);
+        let mut pool = ShardPool::open(self.config.shards);
         let options = |initial| IngestOptions {
             observer,
             initial,
@@ -409,7 +397,6 @@ mod tests {
                 low_watermark: 512,
                 ..QueueModel::unbounded()
             },
-            ..StreamConfig::default()
         };
         let single = {
             let engine = Engine::build(world.clone()).unwrap();

@@ -389,7 +389,7 @@ impl<'t> ShardRouter<'t> {
     /// Rebuild the batch-buffer recycle pool with `slots` transit slots (the
     /// default is a modest per-shard constant). Size it to the maximum
     /// number of buffers simultaneously in flight —
-    /// `shards × (channel capacity + 2)` covers every queue position plus
+    /// `shards × (queue messages + 2)` covers every queue position plus
     /// one buffer in the router's and one in each worker's hands — and no
     /// return is ever dropped.
     ///
@@ -608,21 +608,24 @@ mod tests {
         }
     }
 
-    /// Every observation arrives, in routing order, at any batch size: full
-    /// batches when the next observation needs the room, the rest on the
-    /// shutdown flush — and a batch of one is just a one-element
-    /// `ObserveBatch`.
+    /// Every observation arrives, in routing order, at any batch size — the
+    /// engine's among them: full batches when the next observation needs the
+    /// room, the rest on the shutdown flush — and a batch of one is just a
+    /// one-element `ObserveBatch`.
     #[test]
     fn batched_routing_delivers_every_observation() {
-        for batch in [1usize, 4] {
+        for batch in [1usize, 4, crate::engine::OBSERVATION_BATCH] {
             let (tx, rx) = std::sync::mpsc::sync_channel(16);
             let mut router = router(tx, batch);
-            let sent: Vec<Observation> =
-                (0..10).map(|i| obs(&format!("2001:16b8::{i:x}"))).collect();
+            // Two full batches and two observations more.
+            let routed = 2 * batch + 2;
+            let sent: Vec<Observation> = (0..routed)
+                .map(|i| obs(&format!("2001:16b8::{i:x}")))
+                .collect();
             for o in &sent {
                 router.route(*o);
             }
-            assert_eq!(router.routed(), 10);
+            assert_eq!(router.routed(), routed as u64);
             router.shutdown();
             let mut messages = 0;
             let mut delivered = Vec::new();
@@ -634,7 +637,7 @@ mod tests {
                 }
             }
             assert_eq!(delivered, sent, "batch={batch}");
-            assert_eq!(messages, 10usize.div_ceil(batch), "batch={batch}");
+            assert_eq!(messages, routed.div_ceil(batch), "batch={batch}");
         }
     }
 

@@ -167,18 +167,19 @@ impl ObservationSource for Replay<'_> {
 #[test]
 fn routing_steady_state_allocates_nothing() {
     const SHARDS: usize = 2;
-    const CAPACITY: usize = 64; // channel capacity, in batch messages
+    const BATCH: usize = 4096; // observations a shard message carries
+    const QUEUE: usize = 16; // a shard's queue, in batch messages
 
     // Covers every buffer that can simultaneously be outside the pool:
     // per shard, the channel queue plus one buffer in the router's and one
     // in the worker's hands (the "+1" is slack for the rotation itself).
-    const PREFILL: usize = SHARDS * (CAPACITY + 2) + 1;
+    const PREFILL: usize = SHARDS * (QUEUE + 2) + 1;
 
     let rib = rib();
     let targets = targets(256);
     // Pre-generate every observation so the measured loop moves `Copy` data
     // only; the transport/producer side has its own test below.
-    let observations: Vec<Observation> = (0..4096u64)
+    let observations: Vec<Observation> = (0..12 * BATCH as u64)
         .map(|i| {
             let pos = (i as usize) % targets.len();
             observation(pos as u64, targets[pos])
@@ -186,14 +187,14 @@ fn routing_steady_state_allocates_nothing() {
         .collect();
 
     let map = ShardMap::new(&rib.entries(), SHARDS);
-    let mut pool = ShardPool::open(SHARDS, CAPACITY);
+    let mut pool = ShardPool::open(SHARDS);
     let mut engine = IngestEngine::lease(&mut pool, map.clone(), IngestOptions::default());
     engine.router().prefill_buffers(PREFILL);
 
     // Warm-up: one pass, then a release and a lease of the states it hands
     // back, so the workers have drained (and returned) everything queued
     // before the measured section starts.
-    engine.drive(vec![Replay(observations[..1024].iter())], |_, _| {});
+    engine.drive(vec![Replay(observations[..4 * BATCH].iter())], |_, _| {});
     let states = engine.release().expect("no panic injected");
     let options = IngestOptions {
         initial: Some(states),
@@ -201,10 +202,10 @@ fn routing_steady_state_allocates_nothing() {
     };
     let mut engine = IngestEngine::lease(&mut pool, map, options);
 
-    // Measured steady state. 2048 observations = 32 full batches, well
-    // under the CAPACITY-message queue, so even a descheduled worker
-    // can't force the router into a blocking (parking) send here.
-    let measured = vec![Replay(observations[1024..3072].iter())];
+    // Measured steady state: 8 full batches, half the QUEUE-message queue
+    // of even a shard that is routed all of them, so even a descheduled
+    // worker can't force the router into a blocking (parking) send here.
+    let measured = vec![Replay(observations[4 * BATCH..].iter())];
     let mut hooked = 0u64;
     let before = thread_allocations();
     let routed = engine.drive(measured, |_, _| hooked += 1);
@@ -214,7 +215,7 @@ fn routing_steady_state_allocates_nothing() {
         0,
         "a steady-state drive must not touch the allocator on the control thread"
     );
-    assert_eq!((routed, hooked), (2048, 2048));
+    assert_eq!((routed, hooked), (8 * BATCH as u64, 8 * BATCH as u64));
 
     let counters = engine.router().buffer_counters();
     assert_eq!(
@@ -233,7 +234,11 @@ fn routing_steady_state_allocates_nothing() {
         .iter()
         .map(|state| state.observations)
         .sum();
-    assert_eq!(total, 3072, "recycling must not lose observations");
+    assert_eq!(
+        total,
+        observations.len() as u64,
+        "recycling must not lose observations"
+    );
 }
 
 /// A synthetic producer slice: yields its strided positions of a fixed
@@ -265,15 +270,15 @@ impl ObservationSource for SyntheticSlice<'_> {
 }
 
 /// The producer → merge edge recycles its batch buffers: across a run long
-/// enough to wrap the bounded channel many times, each producer thread
+/// enough to wrap the bounded channel several times, each producer thread
 /// serves the overwhelming majority of its buffer takes from returned
 /// buffers, keeping the buffer population bounded by the channel — not by
 /// ingest volume.
 #[test]
 fn producer_edge_recycles_batch_buffers() {
     const PRODUCERS: u64 = 2;
-    const CAPACITY: usize = 4; // batches in flight per producer channel
-    const LIMIT: u64 = 8192; // total observations = 64 batches per producer
+    const QUEUE: u64 = 1024; // batches in flight per producer channel
+    const LIMIT: u64 = PRODUCERS * 4 * QUEUE * 64; // each channel wraps 4 times
 
     let rib = rib();
     let targets = targets(64);
@@ -289,7 +294,7 @@ fn producer_edge_recycles_batch_buffers() {
         })
         .collect();
     let map = ShardMap::new(&rib.entries(), 1);
-    let mut pool = ShardPool::open(1, CAPACITY);
+    let mut pool = ShardPool::open(1);
     let mut engine = IngestEngine::lease(&mut pool, map, IngestOptions::default());
     // The merge must still see the exact global sequence — recycling
     // changes where buffer memory came from, never what's in it.
@@ -318,10 +323,10 @@ fn producer_edge_recycles_batch_buffers() {
 /// written: the pass's one stream and its source, each in the vector `drive`
 /// takes, the vector the states come back in, and the stream's pacer — its
 /// per-shard enqueue counts and the `Arc` of the one-shard map it paces an
-/// unthrottled model over), never a channel array (8 KB at this capacity), a batch buffer
-/// (40 KB) or the target list (8 KB for these 512 targets) — each of which
-/// the first epoch, and every epoch before the driver owned the workers,
-/// did allocate.
+/// unthrottled model over), never a channel array, a batch buffer (256 KiB:
+/// 4 096 observations of 64 B) or the target list (8 KB for these 512
+/// targets) — each of which the first epoch, and every epoch before the
+/// driver owned the workers, did allocate.
 #[test]
 fn an_epoch_on_a_lent_pool_allocates_a_small_constant() {
     let engine = scent_simnet::Engine::build(scent_simnet::scenarios::continuous_world(7)).unwrap();
@@ -337,7 +342,7 @@ fn an_epoch_on_a_lent_pool_allocates_a_small_constant() {
         checkpoint_every: Some(1), // one-window epochs
         ..MonitorConfig::default()
     };
-    let mut pool = ShardPool::open(config.shards, config.channel_capacity);
+    let mut pool = ShardPool::open(config.shards);
     let mut session = MonitorSession::new(&engine, config, watched, None);
     let mut epochs = Vec::new();
     while !session.is_done() {
@@ -391,7 +396,7 @@ fn a_discovery_boundary_never_materialises_its_sweep() {
         }),
         ..MonitorConfig::default()
     };
-    let mut pool = ShardPool::open(config.shards, config.channel_capacity);
+    let mut pool = ShardPool::open(config.shards);
     let mut session = MonitorSession::new(&engine, config, Vec::new(), None);
     take_thread_largest();
     let before = thread_bytes();

@@ -50,7 +50,6 @@ fn main() -> Result<(), ScentError> {
                 low_watermark: 512,
                 ..QueueModel::unbounded()
             },
-            ..StreamConfig::default()
         })
         .run(&engine)?;
         println!("== streamed feedback-on, producers={producers} ==");

@@ -80,7 +80,6 @@ fn main() -> Result<(), ScentError> {
                 low_watermark: 512,
                 ..QueueModel::unbounded()
             },
-            ..StreamConfig::default()
         })
         .run_observed(&engine, Some(&registry))?;
         runs.push((producers, registry.snapshot()));

@@ -389,13 +389,6 @@ fn every_config_error_is_refused_before_anything_probes() {
         ),
         (
             Run::Stream(StreamConfig {
-                channel_capacity: 0,
-                ..stream.clone()
-            }),
-            ZeroChannelCapacity,
-        ),
-        (
-            Run::Stream(StreamConfig {
                 pipeline: PipelineConfig {
                     packets_per_second: 0,
                     ..PipelineConfig::default()
@@ -521,23 +514,22 @@ fn every_config_error_is_refused_before_anything_probes() {
     let slot = |rule: &ConfigError| match rule {
         NoShards => 0,
         NoProducers => 1,
-        ZeroChannelCapacity => 2,
-        ZeroRate => 3,
-        InvalidQueueModel => 4,
-        NoWindows => 5,
-        ZeroRefreshCadence => 6,
-        ZeroWatchCapacity => 7,
-        ExpansionBlockTooLong => 8,
-        ZeroExpansionBudget => 9,
-        ZeroCheckpointCadence => 10,
-        MisalignedCheckpointCadence => 11,
-        DiscoveryRequiresChurn => 12,
-        ZeroDiscoveryBudget => 13,
-        ZeroDiscoveryRounds => 14,
-        InvalidDiscoveryBranch => 15,
-        EmptyWatchList => 16,
+        ZeroRate => 2,
+        InvalidQueueModel => 3,
+        NoWindows => 4,
+        ZeroRefreshCadence => 5,
+        ZeroWatchCapacity => 6,
+        ExpansionBlockTooLong => 7,
+        ZeroExpansionBudget => 8,
+        ZeroCheckpointCadence => 9,
+        MisalignedCheckpointCadence => 10,
+        DiscoveryRequiresChurn => 11,
+        ZeroDiscoveryBudget => 12,
+        ZeroDiscoveryRounds => 13,
+        InvalidDiscoveryBranch => 14,
+        EmptyWatchList => 15,
     };
-    let mut covered = [false; 17];
+    let mut covered = [false; 16];
     for (_, rule) in &cases {
         covered[slot(rule)] = true;
     }
@@ -614,7 +606,7 @@ fn a_zero_rate_epoch_is_refused_and_leaves_the_session_intact() {
         ..MonitorConfig::default()
     };
     let watched = vec![p("2001:16b8:100::/48")];
-    let mut pool = ShardPool::open(config.shards, config.channel_capacity);
+    let mut pool = ShardPool::open(config.shards);
     let mut session = MonitorSession::new(&engine, config.clone(), watched.clone(), None);
     let refused = StreamError::Config(ConfigError::ZeroRate);
     for epoch in 0..2 {

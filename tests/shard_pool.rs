@@ -180,7 +180,7 @@ proptest! {
         }
 
         // Alternate the two on one pool: A, B, A, B, A, B, A.
-        let mut pool = ShardPool::open(shards, a.config.channel_capacity);
+        let mut pool = ShardPool::open(shards);
         let (registry_a, registry_b) = (Telemetry::new(), Telemetry::new());
         let (mut lent_a, mut lent_b) = (a.session(&registry_a, 0), b.session(&registry_b, 1));
         let (mut snapshots_a, mut snapshots_b) = (Vec::new(), Vec::new());

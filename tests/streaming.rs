@@ -262,7 +262,6 @@ fn feedback_on_pipeline_is_producer_invariant_on_live_and_recorded_backends() {
                     low_watermark: 512,
                     ..QueueModel::unbounded()
                 },
-                ..StreamConfig::default()
             })
             .run(world)
             .expect("valid stream configuration")
@@ -542,7 +541,7 @@ proptest! {
         // ...and through real producer threads feeding bounded channels.
         let threaded = std::thread::scope(|scope| {
             let mut clock =
-                spawn_producers(scope, (0..producers).map(|k| build(k, producers)).collect(), 16);
+                spawn_producers(scope, (0..producers).map(|k| build(k, producers)).collect());
             drain(&mut clock)
         });
         prop_assert_eq!(&threaded, &want);
