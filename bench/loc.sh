@@ -7,6 +7,8 @@
 #   pub    the public names: `pub` items (fn, struct, enum, trait, type,
 #          const, static) and `pub` fields. `pub(crate)`, `pub use` and
 #          `pub mod` are not counted.
+#   knobs  the independently settable options: the `pub` fields of structs
+#          named `*Config`, `WatchChurn` and `QueueModel`.
 #
 # Test files (`tests/`, `benches/`) are not counted. The last line is the
 # workspace total.
@@ -16,24 +18,29 @@ set -eu
 
 cd "${1:-$(dirname "$0")/..}"
 
-# Count both columns over the files named on stdin; with `-v each=1` also
+# Count the three columns over the files named on stdin; with `-v each=1` also
 # print one line per file.
 count() {
     xargs awk "$@" '
-        FNR == 1 { in_tests = 0 }
+        FNR == 1 { in_tests = 0; knob_struct = 0 }
         /#\[cfg\(test\)\]/ { in_tests = 1 }
         in_tests { next }
         !/^[[:space:]]*$/ && !/^[[:space:]]*\/\// { n[FILENAME]++; lines++ }
         /^[[:space:]]*pub[[:space:]]+((const|unsafe|async)[[:space:]]+)*(fn|struct|enum|trait|type|const|static)[[:space:]]/ ||
-        /^[[:space:]]*pub[[:space:]]+[a-z_][a-z0-9_]*[[:space:]]*:/ { p[FILENAME]++; names++ }
+        /^[[:space:]]*pub[[:space:]]+[a-z_][a-z0-9_]*[[:space:]]*:/ {
+            p[FILENAME]++; names++
+            if (knob_struct) { k[FILENAME]++; knobs++ }
+        }
+        /^[[:space:]]*pub[[:space:]]+struct[[:space:]]+([A-Za-z0-9_]*Config|WatchChurn|QueueModel)[[:space:]]*\{/ { knob_struct = 1 }
+        /^[[:space:]]*}/ { knob_struct = 0 }
         END {
-            if (each) for (f in n) printf "  %6d  %5d  %s\n", n[f], p[f], f | "sort -k3"
-            close("sort -k3")
-            printf "%6d  %5d", lines, names
+            if (each) for (f in n) printf "  %6d  %5d  %5d  %s\n", n[f], p[f], k[f], f | "sort -k4"
+            close("sort -k4")
+            printf "%6d  %5d  %5d", lines, names, knobs
         }'
 }
 
-echo ' lines    pub'
+echo ' lines    pub  knobs'
 for src in src crates/*/src; do
     printf '%s  %s\n' "$(find "$src" -name '*.rs' | count)" "$src"
 done

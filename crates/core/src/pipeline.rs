@@ -27,7 +27,24 @@ use crate::density::DensityReport;
 use crate::rotation_detect::RotationDetection;
 use crate::seed_expansion::SeedExpansion;
 
-/// Pipeline configuration.
+/// Granularity (prefix length) of the density scan; the paper probes one
+/// target per /56 of each candidate /48.
+pub const DENSITY_GRANULARITY: u8 = 56;
+
+/// Virtual time of the (stale) seed traceroute campaign.
+pub const SEED_TIME: SimTime = SimTime::at(5, 12);
+
+/// Virtual time the expansion step runs; the density scan follows two hours
+/// later.
+pub const EXPANSION_TIME: SimTime = SimTime::at(400, 8);
+
+/// Pipeline configuration: probe rate, seeds, and the rotation-detection
+/// snapshots' granularity and time.
+///
+/// The seed campaign's and the expansion's times and the density scan's
+/// granularity are the fixed schedule [`SEED_TIME`], [`EXPANSION_TIME`] and
+/// [`DENSITY_GRANULARITY`], which the batch [`Pipeline`] and the streamed
+/// pipeline both read.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct PipelineConfig {
     /// Seed controlling target generation and scan order.
@@ -37,18 +54,11 @@ pub struct PipelineConfig {
     /// Cap on /48s enumerated per seed /32 (bounds cost on huge
     /// announcements).
     pub max_48s_per_seed: u64,
-    /// Granularity (prefix length) of the density scan; the paper probes one
-    /// target per /56 of each candidate /48.
-    pub density_granularity: u8,
     /// Granularity of the two rotation-detection snapshots. The paper probes
     /// every /64 (granularity 64); scaled-down worlds typically use 56 to
     /// bound probe counts, at the cost of missing /64-allocation customers
     /// that happen not to be hit.
     pub detection_granularity: u8,
-    /// Virtual time of the (stale) seed traceroute campaign.
-    pub seed_time: SimTime,
-    /// Virtual time the expansion step runs.
-    pub expansion_time: SimTime,
     /// Virtual time of the first rotation-detection snapshot (the second is
     /// 24 hours later).
     pub first_snapshot: SimTime,
@@ -60,10 +70,7 @@ impl Default for PipelineConfig {
             seed: 0xf0110,
             packets_per_second: 10_000,
             max_48s_per_seed: 8_192,
-            density_granularity: 56,
             detection_granularity: 56,
-            seed_time: SimTime::at(5, 12),
-            expansion_time: SimTime::at(400, 8),
             first_snapshot: SimTime::at(401, 8),
         }
     }
@@ -168,7 +175,7 @@ impl Pipeline {
         let cfg = &self.config;
 
         // Step 0: stale seed traceroute campaign (CAIDA stand-in).
-        let seed_campaign = SeedCampaign::run(world, cfg.seed_time, cfg.max_48s_per_seed);
+        let seed_campaign = SeedCampaign::run(world, SEED_TIME, cfg.max_48s_per_seed);
         let seed_unique = seed_campaign.unique_eui64_48s();
         let seed_32s = seed_campaign.seed_32s();
 
@@ -176,7 +183,7 @@ impl Pipeline {
         let expansion = SeedExpansion::run(
             world,
             &seed_32s,
-            cfg.expansion_time,
+            EXPANSION_TIME,
             cfg.seed,
             cfg.max_48s_per_seed,
         );
@@ -189,11 +196,11 @@ impl Pipeline {
             randomize_order: true,
         });
         let density_targets =
-            generator.per_candidate_48(&expansion.validated_48s, cfg.density_granularity);
+            generator.per_candidate_48(&expansion.validated_48s, DENSITY_GRANULARITY);
         let density_scan = scanner.scan(
             world,
             &density_targets,
-            cfg.expansion_time + SimDuration::from_hours(2),
+            EXPANSION_TIME + SimDuration::from_hours(2),
         );
         let density = DensityReport::measure(&expansion.validated_48s, &density_scan);
         let high = density.high_density();

@@ -38,6 +38,9 @@ use crate::fasthash::FastMap;
 use crate::rotation_pool::RotationPoolInference;
 use crate::stats::{mean, std_dev};
 
+/// Hour of day at which each daily tracking round starts.
+const START_HOUR: u64 = 12;
+
 /// Tracker configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct TrackerConfig {
@@ -45,8 +48,6 @@ pub struct TrackerConfig {
     pub packets_per_second: u64,
     /// Seed controlling target generation and probing order.
     pub seed: u64,
-    /// Hour of day at which each daily tracking round starts.
-    pub start_hour: u64,
 }
 
 impl Default for TrackerConfig {
@@ -54,7 +55,6 @@ impl Default for TrackerConfig {
         TrackerConfig {
             packets_per_second: 10_000,
             seed: 0x7261c,
-            start_hour: 12,
         }
     }
 }
@@ -308,7 +308,7 @@ impl Tracker {
             .collect();
 
         for day_index in 0..days {
-            let round_start = SimTime::at(start_day + day_index, self.config.start_hour);
+            let round_start = SimTime::at(start_day + day_index, START_HOUR);
             for result in &mut results {
                 let device = &result.device;
                 let daily =

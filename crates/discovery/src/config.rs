@@ -1,6 +1,6 @@
-//! Discovery configuration: every knob the confidence-split prefix tree
-//! evolves under, integer-valued so configurations stay `Eq`-comparable and
-//! checkpoint-fingerprintable.
+//! Discovery configuration and the fixed certificate and decay policy the
+//! confidence-split prefix tree evolves under, integer-valued so
+//! configurations stay `Eq`-comparable and checkpoint-fingerprintable.
 
 use serde::{Deserialize, Serialize};
 
@@ -9,18 +9,53 @@ use scent_checkpoint::Writer;
 use crate::blocklist::Blocklist;
 use crate::confidence::{wilson_lower, wilson_upper};
 
-/// Configuration of the adaptive discovery tree.
+/// Hits at which a node (shorter than /48) splits. In announcement-scale
+/// sparse space a rate threshold can never fire — one hit in a 4096-probe
+/// sweep rounds to a zero rate — so splitting triggers on the count alone,
+/// and the hit's /48 attribution cascades the split all the way down in one
+/// rebalance.
+pub(crate) const SPLIT_HITS: u64 = 1;
+
+/// Dense certificate: a /48 leaf with at least [`DENSE_MIN_PROBES`] trials
+/// whose Wilson *lower* bound reaches this rate (permille) becomes a
+/// watch-list candidate.
+pub(crate) const DENSE_PERMILLE: u16 = 500;
+
+/// Minimum trials before the dense certificate can fire.
+pub(crate) const DENSE_MIN_PROBES: u64 = 4;
+
+/// Quiet certificate: a leaf with at least [`MERGE_MIN_PROBES`] trials whose
+/// Wilson *upper* bound is below this rate (permille) is confidently quiet —
+/// it stops drawing budget, and an internal node whose children are all
+/// quiet merges back to a leaf.
+pub(crate) const MERGE_PERMILLE: u16 = 200;
+
+/// Minimum trials before the quiet certificate can fire.
+pub(crate) const MERGE_MIN_PROBES: u64 = 16;
+
+/// Wilson critical value, permille (1960 ≈ 95% two-sided).
+pub(crate) const Z_PERMILLE: u16 = 1960;
+
+/// Evidence half-life, as a per-boundary right-shift of every count (1 =
+/// halve each boundary). Decay is what lets the tree re-open certificates
+/// over a *moving* occupancy band: a /48 the band left decays from dense
+/// through unclassified to quiet, and a quiet sibling the band enters is
+/// still being re-swept because its certificate decayed too.
+pub(crate) const DECAY_SHIFT: u8 = 1;
+
+/// Configuration of the adaptive discovery tree: how much it probes and how
+/// finely it splits.
 ///
-/// All thresholds are integers (counts, or rates in permille); the Wilson
+/// The certificate and decay policy is fixed, tuned for announcement-rooted
+/// discovery of scaled-down worlds (/32 announcements, /48 bands, /56
+/// customer delegations): a single EUI-64 hit is enough to split toward the
+/// responding /48, four clean answers certify a /48 dense, sixteen silent
+/// probes certify a node quiet, and every count halves each boundary. Its
+/// thresholds are integers (counts, or rates in permille); the Wilson
 /// arithmetic happens in `f64` internally but never enters the
 /// configuration, so `DiscoveryConfig` derives `Eq` and participates in the
-/// monitor's checkpoint config fingerprint field by field.
-///
-/// The defaults are tuned for announcement-rooted discovery of scaled-down
-/// worlds (/32 announcements, /48 bands, /56 customer delegations): a single
-/// EUI-64 hit is enough to split toward the responding /48, four clean
-/// answers certify a /48 dense, sixteen silent probes certify a node quiet.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+/// monitor's checkpoint config fingerprint field by field, policy included.
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct DiscoveryConfig {
     /// Probe budget per epoch boundary, shared by every frontier node across
     /// all [`DiscoveryConfig::rounds`]. Must be non-zero.
@@ -35,35 +70,6 @@ pub struct DiscoveryConfig {
     /// children (nibble steps by default, /32 → /36 → /40 → /44 → /48),
     /// clamped so no node is ever longer than /48.
     pub branch_bits: u8,
-    /// Hits at which a node (shorter than /48) splits. In announcement-scale
-    /// sparse space a rate threshold can never fire — one hit in a 4096-probe
-    /// sweep rounds to a zero rate — so splitting triggers on the count
-    /// alone, and the hit's /48 attribution cascades the split all the way
-    /// down in one rebalance.
-    pub split_hits: u64,
-    /// Dense certificate: a /48 leaf with at least
-    /// [`DiscoveryConfig::dense_min_probes`] trials whose Wilson *lower*
-    /// bound reaches this rate (permille) becomes a watch-list candidate.
-    pub dense_permille: u16,
-    /// Minimum trials before the dense certificate can fire.
-    pub dense_min_probes: u64,
-    /// Quiet certificate: a leaf with at least
-    /// [`DiscoveryConfig::merge_min_probes`] trials whose Wilson *upper*
-    /// bound is below this rate (permille) is confidently quiet — it stops
-    /// drawing budget, and an internal node whose children are all quiet
-    /// merges back to a leaf.
-    pub merge_permille: u16,
-    /// Minimum trials before the quiet certificate can fire.
-    pub merge_min_probes: u64,
-    /// Wilson critical value, permille (1960 ≈ 95% two-sided).
-    pub z_permille: u16,
-    /// Evidence half-life, as a per-boundary right-shift of every count
-    /// (1 = halve each boundary). Decay is what lets the tree re-open
-    /// certificates over a *moving* occupancy band: a /48 the band left
-    /// decays from dense through unclassified to quiet, and a quiet sibling
-    /// the band enters is still being re-swept because its certificate
-    /// decayed too. `0` disables decay (evidence accumulates forever).
-    pub decay_shift: u8,
     /// Prefixes excluded from all probing. Consulted by the detection-phase
     /// target stream, the boundary re-expansion and the discovery sweep
     /// before any probe is emitted.
@@ -77,29 +83,20 @@ impl DiscoveryConfig {
             probe_budget: 4096,
             rounds: 2,
             branch_bits: 4,
-            split_hits: 1,
-            dense_permille: 500,
-            dense_min_probes: 4,
-            merge_permille: 200,
-            merge_min_probes: 16,
-            z_permille: 1960,
-            decay_shift: 1,
             blocklist: Blocklist::default(),
         }
     }
 
     /// Whether `(hits, trials)` certify a dense prefix.
     pub fn is_dense(&self, hits: u64, trials: u64) -> bool {
-        trials >= self.dense_min_probes
-            && wilson_lower(hits, trials, self.z_permille)
-                >= f64::from(self.dense_permille) / 1000.0
+        trials >= DENSE_MIN_PROBES
+            && wilson_lower(hits, trials, Z_PERMILLE) >= f64::from(DENSE_PERMILLE) / 1000.0
     }
 
     /// Whether `(hits, trials)` certify a quiet prefix.
     pub fn is_quiet(&self, hits: u64, trials: u64) -> bool {
-        trials >= self.merge_min_probes
-            && wilson_upper(hits, trials, self.z_permille)
-                <= f64::from(self.merge_permille) / 1000.0
+        trials >= MERGE_MIN_PROBES
+            && wilson_upper(hits, trials, Z_PERMILLE) <= f64::from(MERGE_PERMILLE) / 1000.0
     }
 
     /// The budget-allocation weight of a leaf holding `(hits, trials)`: zero
@@ -110,24 +107,25 @@ impl DiscoveryConfig {
         if self.is_dense(hits, trials) || self.is_quiet(hits, trials) {
             0.0
         } else {
-            wilson_upper(hits, trials, self.z_permille)
+            wilson_upper(hits, trials, Z_PERMILLE)
         }
     }
 
-    /// Fold every behavior-relevant field (blocklist included) into a
-    /// checkpoint fingerprint writer, so a snapshot taken under one
-    /// discovery configuration is refused by a session running another.
+    /// Fold every behavior-relevant field (blocklist included) and the fixed
+    /// policy into a checkpoint fingerprint writer, so a snapshot taken under
+    /// one discovery configuration or policy is refused by a session running
+    /// another. The policy constants keep the slots they had as fields.
     pub fn fingerprint_into(&self, w: &mut Writer) {
         w.put_u64(self.probe_budget);
         w.put_u32(self.rounds);
         w.put_u8(self.branch_bits);
-        w.put_u64(self.split_hits);
-        w.put_u16(self.dense_permille);
-        w.put_u64(self.dense_min_probes);
-        w.put_u16(self.merge_permille);
-        w.put_u64(self.merge_min_probes);
-        w.put_u16(self.z_permille);
-        w.put_u8(self.decay_shift);
+        w.put_u64(SPLIT_HITS);
+        w.put_u16(DENSE_PERMILLE);
+        w.put_u64(DENSE_MIN_PROBES);
+        w.put_u16(MERGE_PERMILLE);
+        w.put_u64(MERGE_MIN_PROBES);
+        w.put_u16(Z_PERMILLE);
+        w.put_u8(DECAY_SHIFT);
         w.put_usize(self.blocklist.len());
         for entry in self.blocklist.entries() {
             w.put_u128(entry.network_bits());
@@ -185,34 +183,6 @@ mod tests {
             },
             DiscoveryConfig {
                 branch_bits: 2,
-                ..base.clone()
-            },
-            DiscoveryConfig {
-                split_hits: 3,
-                ..base.clone()
-            },
-            DiscoveryConfig {
-                dense_permille: 700,
-                ..base.clone()
-            },
-            DiscoveryConfig {
-                dense_min_probes: 9,
-                ..base.clone()
-            },
-            DiscoveryConfig {
-                merge_permille: 100,
-                ..base.clone()
-            },
-            DiscoveryConfig {
-                merge_min_probes: 32,
-                ..base.clone()
-            },
-            DiscoveryConfig {
-                z_permille: 2576,
-                ..base.clone()
-            },
-            DiscoveryConfig {
-                decay_shift: 0,
                 ..base.clone()
             },
         ];

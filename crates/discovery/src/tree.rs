@@ -40,7 +40,7 @@ use scent_prober::{ProbeRecord, TargetGenerator};
 use scent_simnet::det::hash3;
 use serde::{Deserialize, Serialize};
 
-use crate::config::DiscoveryConfig;
+use crate::config::{DiscoveryConfig, DECAY_SHIFT, SPLIT_HITS};
 
 /// Deepest prefix the tree refines to: the /48 is the paper's unit of
 /// customer-pool inference, and the watch list the tree feeds is /48-keyed.
@@ -49,7 +49,7 @@ const LEAF_LEN: u8 = 48;
 /// Probes handed to one leaf per allocation round before the allocator moves
 /// to the next leaf — small enough that a burst of fresh frontier nodes
 /// shares a boundary's budget, large enough to reach a dense certificate
-/// ([`DiscoveryConfig::dense_min_probes`]) in one round.
+/// ([`DENSE_MIN_PROBES`](crate::config::DENSE_MIN_PROBES)) in one round.
 const CHUNK: u64 = 16;
 
 /// Evidence held by one tree node.
@@ -322,18 +322,15 @@ impl DiscoveryTree {
         Some(current)
     }
 
-    /// Age every count by the configured right-shift — step 1 of the
-    /// boundary cycle. Attribution entries that decay to zero are dropped.
-    pub fn decay(&mut self, cfg: &DiscoveryConfig) {
-        if cfg.decay_shift == 0 {
-            return;
-        }
-        let shift = u32::from(cfg.decay_shift).min(63);
+    /// Halve every count (a right-shift by the policy's decay shift) — step
+    /// 1 of the boundary cycle. Attribution entries that decay to zero are
+    /// dropped. The decay policy is fixed, so `_cfg` is not read.
+    pub fn decay(&mut self, _cfg: &DiscoveryConfig) {
         for node in self.nodes.values_mut() {
-            node.trials >>= shift;
-            node.hits >>= shift;
+            node.trials >>= DECAY_SHIFT;
+            node.hits >>= DECAY_SHIFT;
             node.hit_48s.retain(|_, count| {
-                *count >>= shift;
+                *count >>= DECAY_SHIFT;
                 *count > 0
             });
         }
@@ -507,7 +504,7 @@ impl DiscoveryTree {
     /// cycle.
     ///
     /// **Split**: a leaf shorter than /48 whose attributed hits reach
-    /// [`DiscoveryConfig::split_hits`] materializes all `2^branch_bits`
+    /// the policy's split count (one hit) materializes all `2^branch_bits`
     /// children and partitions its /48 attribution among them — each child
     /// inherits the hits observed in its subtree as `(hits, trials)` seed
     /// evidence, so the split cascades level by level straight down to the
@@ -524,7 +521,7 @@ impl DiscoveryTree {
                 .nodes
                 .iter()
                 .filter(|(prefix, node)| {
-                    !node.split && prefix.len() < LEAF_LEN && node.attributed() >= cfg.split_hits
+                    !node.split && prefix.len() < LEAF_LEN && node.attributed() >= SPLIT_HITS
                 })
                 .map(|(prefix, _)| *prefix)
                 .collect();
@@ -700,6 +697,7 @@ impl Checkpointable for DiscoveryTree {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::MERGE_MIN_PROBES;
     use scent_checkpoint::{decode_value, encode_value};
     use scent_simnet::SimTime;
 
@@ -823,8 +821,7 @@ mod tests {
 
     #[test]
     fn quiet_siblings_merge_back() {
-        let mut config = cfg();
-        config.decay_shift = 0;
+        let config = cfg();
         let mut tree = DiscoveryTree::from_announcements(vec![p("2001:db8::/32")], 7);
         let target: Ipv6Addr = "2001:db8:1d05::42".parse().unwrap();
         tree.fold_probes(&cfg(), [&hit_record(target)]);
@@ -832,7 +829,7 @@ mod tests {
         let nodes_after_split = tree.len();
         // Silence everywhere: enough quiet trials on every leaf to certify,
         // fed as misses through the probe channel.
-        for _ in 0..config.merge_min_probes {
+        for _ in 0..MERGE_MIN_PROBES {
             let leaves: Vec<Ipv6Prefix> = tree
                 .nodes
                 .iter()

@@ -70,11 +70,6 @@ impl Ipv6Prefix {
         self.len
     }
 
-    /// Whether this prefix covers the entire address space (`/0`).
-    pub const fn is_all(&self) -> bool {
-        self.len == 0
-    }
-
     /// The network address of the prefix.
     pub fn network(&self) -> Ipv6Addr {
         addr_from_u128(self.bits)

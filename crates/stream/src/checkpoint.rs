@@ -590,4 +590,18 @@ mod tests {
         let fingerprint = config_fingerprint(&MonitorConfig::default(), &watched);
         assert_eq!(fingerprint, 0x2431_8915_6dbf_7580);
     }
+
+    /// A discovering config's fingerprint is the one it had while the
+    /// discovery certificate and decay policy were fields, so the constants
+    /// that replaced them hold the same values.
+    #[test]
+    fn the_discovery_fingerprint_outlives_the_retired_knobs() {
+        let cfg = MonitorConfig {
+            churn: Some(crate::monitor::WatchChurn::default()),
+            discovery: Some(scent_discovery::DiscoveryConfig::paper_scale()),
+            ..MonitorConfig::default()
+        };
+        let fingerprint = config_fingerprint(&cfg, &[]);
+        assert_eq!(fingerprint, 0x7422_e2c5_2b57_c349);
+    }
 }

@@ -23,7 +23,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use scent_core::pipeline::RotatingCounts;
+use scent_core::pipeline::{RotatingCounts, DENSITY_GRANULARITY, EXPANSION_TIME, SEED_TIME};
 use scent_core::rotation_detect::WindowedRotationDetector;
 use scent_core::{
     DensityAccumulator, DensityReport, PipelineConfig, PipelineReport, SeedExpansion,
@@ -169,7 +169,7 @@ impl StreamPipeline {
 
         // Step 0: stale seed traceroute campaign (bootstrap, not streamed —
         // it predates the monitor by construction).
-        let seed_campaign = SeedCampaign::run(world, cfg.seed_time, cfg.max_48s_per_seed);
+        let seed_campaign = SeedCampaign::run(world, SEED_TIME, cfg.max_48s_per_seed);
         let seed_unique = seed_campaign.unique_eui64_48s();
         let seed_32s = seed_campaign.seed_32s();
 
@@ -204,7 +204,7 @@ impl StreamPipeline {
                 Phase::Expansion,
                 TargetStream::over(expansion_targets, cfg.seed ^ 0x9e37, true),
                 10_000,
-                cfg.expansion_time,
+                EXPANSION_TIME,
             ) else {
                 break 'scans None;
             };
@@ -222,14 +222,14 @@ impl StreamPipeline {
             // scanner parameters as the batch pipeline.
             let density_generator = TargetGenerator::new(cfg.seed ^ 0xdead);
             let density_targets =
-                density_generator.per_candidate_48(&validated, cfg.density_granularity);
+                density_generator.per_candidate_48(&validated, DENSITY_GRANULARITY);
             let Some(routed) = self.scan(
                 &mut engine,
                 world,
                 Phase::Density,
                 TargetStream::over(density_targets, cfg.seed, true),
                 cfg.packets_per_second,
-                cfg.expansion_time + SimDuration::from_hours(2),
+                EXPANSION_TIME + SimDuration::from_hours(2),
             ) else {
                 break 'scans None;
             };

@@ -8,7 +8,9 @@
 use std::error::Error;
 
 use followscent::bgp::{Rib, RibParseError, RibParseErrorKind};
-use followscent::checkpoint::{encode_snapshot, CheckpointError, FileCheckpointStore};
+use followscent::checkpoint::{
+    encode_snapshot, CheckpointError, FileCheckpointStore, FORMAT_VERSION,
+};
 use followscent::core::PipelineConfig;
 use followscent::discovery::DiscoveryConfig;
 use followscent::ipv6::Ipv6Prefix;
@@ -701,13 +703,13 @@ fn corrupt_snapshots_fail_typed_and_never_panic() {
     // checksum gets a chance to mislead.
     let mut bumped = valid.clone();
     bumped[8] = bumped[8].wrapping_add(1);
-    assert!(matches!(
-        MonitorSnapshot::from_bytes(&bumped),
-        Err(CheckpointError::VersionMismatch {
-            found: 2,
-            expected: 1
+    assert_eq!(
+        MonitorSnapshot::from_bytes(&bumped).err(),
+        Some(CheckpointError::VersionMismatch {
+            found: FORMAT_VERSION + 1,
+            expected: FORMAT_VERSION
         })
-    ));
+    );
 
     // Any single bit flip past the version field trips the checksum (or, in
     // the trailer itself, a checksum mismatch from the other side).
