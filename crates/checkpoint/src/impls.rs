@@ -242,14 +242,10 @@ impl Checkpointable for WindowedRotationDetector {
     }
 }
 
-/// Wire layout (unchanged since the tracker kept two ordered maps): the
-/// per-identifier sightings in identifier order, the probe counts, then a
-/// per-identifier move-count list. The tracker keeps no move counts any
-/// more, so it writes that list empty and a list found there is parsed and
-/// read past: bytes written while it kept them still decode. The sightings
-/// are written straight off the tracker's folded run; a snapshot folds its
-/// trackers in place first, so only a tracker handed over unfolded is
-/// copied here to be folded.
+/// Wire layout: the per-identifier sightings in identifier order, then the
+/// probe counts. The sightings are written straight off the tracker's
+/// folded run; a snapshot folds its trackers in place first, so only a
+/// tracker handed over unfolded is copied here to be folded.
 impl Checkpointable for IncrementalTracker {
     fn encode(&self, w: &mut Writer) {
         let Some(identifiers) = self.sightings() else {
@@ -274,7 +270,6 @@ impl Checkpointable for IncrementalTracker {
             prefix.encode(w);
             w.put_u64(count);
         }
-        w.put_usize(0);
     }
 
     fn decode(r: &mut Reader<'_>) -> Result<Self, CheckpointError> {
@@ -292,7 +287,6 @@ impl Checkpointable for IncrementalTracker {
         let probes: Vec<(u64, Ipv6Prefix, u64)> = (0..r.usize()?)
             .map(|_| Ok((r.u64()?, Ipv6Prefix::decode(r)?, r.u64()?)))
             .collect::<Result<_, CheckpointError>>()?;
-        let _: Vec<(Eui64, u64)> = Checkpointable::decode(r)?;
         IncrementalTracker::from_checkpoint_parts(run, probes)
             .map_err(CheckpointError::InvalidValue)
     }
@@ -641,34 +635,6 @@ mod tests {
             );
         }
         assert_eq!(encode_value(&back), encode_value(&tracker));
-    }
-
-    /// Bytes written while the tracker kept move counts carry a populated
-    /// list in the last slot: it is parsed and read past, so they decode to
-    /// the tracker the empty-slot bytes give, and a list cut mid-entry is
-    /// still a typed error.
-    #[test]
-    fn a_populated_move_count_slot_is_read_past() {
-        let mut tracker = IncrementalTracker::new();
-        let source = addr("2001:db8:40:0:0250:56ff:fe00:1234");
-        tracker.observe(0, 1, addr("2001:db8:40::1"), Some(source));
-        tracker.observe(1, 2, addr("2001:db8:40::1"), None);
-        let lean = encode_value(&tracker);
-        let (body, empty) = lean.split_at(lean.len() - 8);
-        assert_eq!(empty, [0; 8], "the lean bytes end on an empty list");
-        let mut moves = Writer::new();
-        let other = Eui64::from_addr(addr("2001:db8:41:0:0250:56ff:fe00:5678")).unwrap();
-        vec![(Eui64::from_addr(source).unwrap(), 3u64), (other, 1)].encode(&mut moves);
-        let parent = [body, moves.as_bytes()].concat();
-
-        let back: IncrementalTracker = decode_value(&parent).unwrap();
-        let from_lean: IncrementalTracker = decode_value(&lean).unwrap();
-        assert!(back.sightings().unwrap().eq(from_lean.sightings().unwrap()));
-        assert_eq!(encode_value(&back), lean);
-        assert_eq!(
-            decode_value::<IncrementalTracker>(&parent[..parent.len() - 4]).err(),
-            Some(CheckpointError::Truncated)
-        );
     }
 
     #[test]

@@ -26,8 +26,10 @@ use crate::error::CheckpointError;
 /// The eight magic bytes every snapshot starts with.
 pub const MAGIC: [u8; 8] = *b"SCENTCKP";
 
-/// The snapshot format version this build reads and writes.
-pub const FORMAT_VERSION: u32 = 1;
+/// The snapshot format version this build reads and writes. A snapshot of
+/// any other version is refused with [`CheckpointError::VersionMismatch`]:
+/// no older layout is read.
+pub const FORMAT_VERSION: u32 = 2;
 
 /// The `(id, payload)` section pairs of a decoded snapshot, in file order.
 pub type SnapshotSections<'a> = Vec<(u16, &'a [u8])>;
@@ -172,11 +174,11 @@ mod tests {
         let mut bytes = sample();
         // Bump the version in place; the checksum is now stale too, but the
         // version check must win.
-        bytes[8] = 2;
+        bytes[8] = (FORMAT_VERSION + 1) as u8;
         assert_eq!(
             decode_snapshot(&bytes),
             Err(CheckpointError::VersionMismatch {
-                found: 2,
+                found: FORMAT_VERSION + 1,
                 expected: FORMAT_VERSION
             })
         );

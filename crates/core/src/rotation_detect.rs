@@ -210,41 +210,6 @@ impl WindowedRotationDetector {
         self.len
     }
 
-    /// Union another detector's per-target state into this one. On a target
-    /// both sides have seen, the later-window entry wins (sharded runs route
-    /// each target to exactly one shard, so in practice the two are
-    /// disjoint, and a block this detector lacks moves over whole).
-    pub fn merge(&mut self, other: Self) {
-        let WindowedRotationDetector {
-            blocks, elsewhere, ..
-        } = other;
-        for block in blocks.blocks {
-            let key = block.key;
-            if self.blocks.get(key).is_some() {
-                for (target, last) in block
-                    .entries()
-                    .iter()
-                    .map(|slot| slot.entry(key, &elsewhere))
-                {
-                    if self.get(target).map_or(true, |mine| last.0 >= mine.0) {
-                        self.replace(target, last);
-                    }
-                }
-                continue;
-            }
-            for slot in block
-                .entries()
-                .iter()
-                .filter(|slot| slot.kind == SlotKind::Elsewhere)
-            {
-                let target = slot.target_addr(key);
-                self.elsewhere.insert(target, elsewhere[&target]);
-            }
-            self.len += block.len as usize;
-            self.blocks.insert(block);
-        }
-    }
-
     /// Observe one probe of `target` during `window` (windows must be fed in
     /// non-decreasing order per target; `seq` is the probing-order index of
     /// this observation within its window, copied into the event and never
@@ -1063,26 +1028,21 @@ mod tests {
                 "evicted targets stay, at the tail"
             );
 
-            // Resumed or merged in another order: back on the cursor by the
-            // second window.
+            // Resumed in another order: back on the cursor by the second
+            // window.
             let entries: Vec<_> = detector.last_observations().collect();
             let mut resumed = match sized {
                 true => WindowedRotationDetector::for_granularity(56),
                 false => WindowedRotationDetector::new(),
             };
             resumed.extend(entries.iter().rev().copied());
-            let mut merged = WindowedRotationDetector::for_granularity(56);
-            merged.merge(resumed.clone());
             assert_eq!(resumed, detector);
-            assert_eq!(merged, detector);
-            for rebuilt in [&mut resumed, &mut merged] {
-                for window in 6..8u64 {
-                    for &i in windows[5] {
-                        assert!(window == 6 || on_cursor(rebuilt, window, i));
-                        rebuilt.observe(window, 0, target(i), None);
-                    }
-                    check(rebuilt, windows[5], sized);
+            for window in 6..8u64 {
+                for &i in windows[5] {
+                    assert!(window == 6 || on_cursor(&resumed, window, i));
+                    resumed.observe(window, 0, target(i), None);
                 }
+                check(&resumed, windows[5], sized);
             }
         }
     }

@@ -18,8 +18,6 @@
 //! world fails with a typed [`CheckpointError`] instead of silently
 //! producing a report that matches nothing.
 
-use std::collections::BTreeSet;
-use std::net::Ipv6Addr;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
@@ -27,14 +25,13 @@ use scent_checkpoint::{
     decode_snapshot, decode_value, encode_snapshot, encode_value, CheckpointError, Checkpointable,
     Reader, Writer,
 };
-use scent_core::fasthash::FastSet;
 use scent_core::WatchRevision;
-use scent_ipv6::{Eui64, Ipv6Prefix};
+use scent_ipv6::Ipv6Prefix;
 use scent_prober::WorldView;
 use scent_telemetry::DeterministicSnapshot;
 
 use crate::monitor::MonitorConfig;
-use crate::shard::{Census, ShardInference};
+use crate::shard::ShardInference;
 
 /// Section ids inside the snapshot container (see
 /// [`scent_checkpoint::encode_snapshot`]).
@@ -204,25 +201,13 @@ impl MonitorSnapshot {
 /// list. Every field participates — a resumed run must match the original
 /// exactly, including fields that only matter for scheduling (the producer
 /// count) so a restored report never silently claims a configuration it was
-/// not produced under.
-///
-/// Two words of it are not fields but literals, written where two retired
-/// knobs were: the shard channel capacity (1024, its only production value)
-/// and the observation batch (512). Kept, like the names in e2ebench's
-/// frozen import list, so nothing written before the next benchmark
-/// revision stops resuming — do not build on; they go then. A snapshot
-/// taken under any other capacity no longer matches and is refused with
-/// [`CheckpointError::ConfigMismatch`]. Another word is derived:
-/// [`QueueModel::can_throttle`], written where the feedback switch was, so
-/// every config whose switch agreed with its model keeps its fingerprint.
-///
-/// [`QueueModel::can_throttle`]: scent_prober::QueueModel::can_throttle
+/// not produced under. The shard count is one of them, so a snapshot only
+/// ever resumes into the shard count — and, through the world fingerprint,
+/// the shard map — it was taken under.
 pub fn config_fingerprint(cfg: &MonitorConfig, watched_48s: &[Ipv6Prefix]) -> u64 {
     let mut w = Writer::new();
     w.put_usize(cfg.shards);
     w.put_usize(cfg.producers);
-    w.put_usize(1024); // was `channel_capacity`
-    w.put_usize(512); // was `observation_batch`
     w.put_u64(cfg.seed);
     w.put_u64(cfg.packets_per_second);
     w.put_u8(cfg.granularity);
@@ -230,7 +215,6 @@ pub fn config_fingerprint(cfg: &MonitorConfig, watched_48s: &[Ipv6Prefix]) -> u6
     w.put_u64(cfg.window_interval.as_secs());
     w.put_u64(cfg.start.as_secs());
     w.put_usize(cfg.max_tracked);
-    w.put_bool(cfg.queue_model.can_throttle());
     cfg.queue_model.encode(&mut w);
     cfg.retention_windows.encode(&mut w);
     match &cfg.churn {
@@ -275,44 +259,27 @@ pub fn world_fingerprint<B: WorldView + ?Sized>(world: &B) -> u64 {
     w.fingerprint()
 }
 
-/// The container is still `FORMAT_VERSION` 1, so the slots it has always
-/// had keep their place: the set of /48s that answered expansion without an
-/// EUI-64 source, after the validated ones, and the three census sections
-/// (addresses, their EUI-64 subset, identifiers). A monitor shard — the only
-/// kind a snapshot ever holds — writes the set and the census empty, and
-/// whatever is found there is parsed and read past, not kept: snapshots
-/// written while shards carried either still resume.
+/// Wire layout: the six fields in declaration order — validated, density,
+/// detector, events, tracker, observations. A monitor shard is the only
+/// kind a snapshot holds, so there is no census to write, and what decodes
+/// is a monitor shard.
 impl Checkpointable for ShardInference {
     fn encode(&self, w: &mut Writer) {
         self.validated.encode(w);
-        BTreeSet::<Ipv6Prefix>::new().encode(w);
         self.density.encode(w);
         self.detector.encode(w);
         self.events.encode(w);
         self.tracker.encode(w);
-        let empty = Census::default();
-        let census = self.census.as_ref().unwrap_or(&empty);
-        let eui_addresses: FastSet<Ipv6Addr> = (census.addresses.iter().copied())
-            .filter(|address| Eui64::from_addr(*address).is_some())
-            .collect();
-        census.addresses.encode(w);
-        eui_addresses.encode(w);
-        census.iids.encode(w);
         w.put_u64(self.observations);
     }
 
     fn decode(r: &mut Reader<'_>) -> Result<Self, CheckpointError> {
-        let validated = Checkpointable::decode(r)?;
-        let _: BTreeSet<Ipv6Prefix> = Checkpointable::decode(r)?;
-        let mut state = ShardInference {
-            validated,
-            density: Checkpointable::decode(r)?,
-            detector: Checkpointable::decode(r)?,
-            events: Checkpointable::decode(r)?,
-            tracker: Checkpointable::decode(r)?,
-            ..ShardInference::without_census()
-        };
-        let _: (FastSet<Ipv6Addr>, FastSet<Ipv6Addr>, FastSet<Eui64>) = Checkpointable::decode(r)?;
+        let mut state = ShardInference::without_census();
+        state.validated = Checkpointable::decode(r)?;
+        state.density = Checkpointable::decode(r)?;
+        state.detector = Checkpointable::decode(r)?;
+        state.events = Checkpointable::decode(r)?;
+        state.tracker = Checkpointable::decode(r)?;
         state.observations = r.u64()?;
         Ok(state)
     }
@@ -339,8 +306,11 @@ mod tests {
         }
     }
 
-    /// `empty` after one rotation's worth of every phase.
-    fn populated(mut state: ShardInference) -> ShardInference {
+    /// A monitor shard — the only kind a snapshot ever holds, and the kind
+    /// whose tracker is fed — after one rotation's worth of every phase,
+    /// folded, as a snapshot holds it.
+    fn populated_shard() -> ShardInference {
+        let mut state = ShardInference::without_census();
         let eui = "2001:db8:1:0:c80e:14ff:fe01:203";
         let other = "2001:db8:1:4:c80e:14ff:fe99:203";
         state.ingest(&obs(Phase::Expansion, 0, 0, "2001:db8:1::1", Some(eui)));
@@ -355,13 +325,6 @@ mod tests {
         state.ingest(&obs(Phase::Detection, 0, 3, "2001:db8:1::3", Some(eui)));
         state.ingest(&obs(Phase::Detection, 1, 0, "2001:db8:1::3", Some(other)));
         assert!(!state.events.is_empty(), "rotation must have been detected");
-        state
-    }
-
-    /// A monitor shard — the only kind a snapshot ever holds, and the kind
-    /// whose tracker is fed — folded, as a snapshot holds it.
-    fn populated_shard() -> ShardInference {
-        let mut state = populated(ShardInference::without_census());
         state.tracker.fold();
         assert_eq!(state.tracker.identifiers_seen(), 2);
         state
@@ -383,18 +346,16 @@ mod tests {
         let back: ShardInference = decode_value(&bytes).unwrap();
         shards_equal(&state, &back);
         assert_eq!(encode_value(&back), bytes);
-        // A census is written as found and read past: what comes back from
-        // a pipeline shard's bytes is a monitor shard.
-        let pipeline = populated(ShardInference::new());
-        assert_eq!(pipeline.address_statistics(), (2, 2, 2));
-        let pipeline_bytes = encode_value(&pipeline);
-        let back: ShardInference = decode_value(&pipeline_bytes).unwrap();
-        shards_equal(&pipeline, &back);
-        assert_eq!(back.address_statistics(), (0, 0, 0));
-        assert_eq!(
-            encode_value(&back).len(),
-            pipeline_bytes.len() - (2 + 2) * 16 - 2 * 8
-        );
+        // The bytes are the six fields' and nothing else.
+        let fields = [
+            encode_value(&state.validated),
+            encode_value(&state.density),
+            encode_value(&state.detector),
+            encode_value(&state.events),
+            encode_value(&state.tracker),
+            encode_value(&state.observations),
+        ];
+        assert_eq!(bytes, fields.concat());
     }
 
     #[test]
@@ -436,103 +397,6 @@ mod tests {
         for (decoded, original) in back.shards.iter().zip(&snapshot.shards) {
             assert_eq!(decoded.events, original.events);
         }
-    }
-
-    /// A monitor shard's bytes as the codec wrote them while shards kept the
-    /// /48s that answered expansion without an EUI-64 source and trackers
-    /// kept move counts: `plain_48s` and `moves` in the two slots the codec
-    /// now writes empty.
-    fn parent_layout(
-        shard: &ShardInference,
-        plain_48s: &BTreeSet<Ipv6Prefix>,
-        moves: &[(Eui64, u64)],
-    ) -> Vec<u8> {
-        let tracker = encode_value(&shard.tracker);
-        let (tracker, empty) = tracker.split_at(tracker.len() - 8);
-        assert_eq!(empty, [0; 8], "the lean tracker ends on an empty list");
-        let mut head = Writer::new();
-        shard.validated.encode(&mut head);
-        plain_48s.encode(&mut head);
-        shard.density.encode(&mut head);
-        shard.detector.encode(&mut head);
-        shard.events.encode(&mut head);
-        let mut tail = Writer::new();
-        moves.to_vec().encode(&mut tail);
-        let census: (FastSet<Ipv6Addr>, FastSet<Ipv6Addr>, FastSet<Eui64>) = Default::default();
-        census.encode(&mut tail);
-        tail.put_u64(shard.observations);
-        [head.as_bytes(), tracker, tail.as_bytes()].concat()
-    }
-
-    /// A snapshot written while its shards carried a non-EUI set and move
-    /// counts decodes, re-encodes to the lean bytes and resumes to the
-    /// uninterrupted run's report.
-    #[test]
-    fn a_snapshot_carrying_non_eui_sets_and_move_counts_still_resumes() {
-        use crate::{MonitorSession, StreamMonitor};
-        use scent_simnet::{scenarios, Engine};
-
-        let engine = Engine::build(scenarios::continuous_world(53)).unwrap();
-        let watched: Vec<Ipv6Prefix> = (engine.pools().iter())
-            .map(|pool| pool.config.prefix)
-            .filter(|prefix| prefix.len() <= 48)
-            .flat_map(|prefix| prefix.subnets(48).unwrap())
-            .collect();
-        let config = MonitorConfig {
-            windows: 4,
-            shards: 2,
-            checkpoint_every: Some(1),
-            ..MonitorConfig::default()
-        };
-        let uninterrupted = StreamMonitor::new(config.clone())
-            .run(&engine, &watched)
-            .unwrap();
-
-        let mut session = MonitorSession::new(&engine, config.clone(), watched.clone(), None);
-        session.run_epoch(10_000).unwrap();
-        session.run_epoch(10_000).unwrap();
-        let lean = session.snapshot().to_bytes();
-        let snapshot = MonitorSnapshot::from_bytes(&lean).unwrap();
-        let plain_48s: BTreeSet<Ipv6Prefix> = watched.iter().take(2).copied().collect();
-        let mut shards = Writer::new();
-        shards.put_usize(snapshot.shards.len());
-        let mut shards = shards.into_bytes();
-        for shard in &snapshot.shards {
-            assert_eq!(
-                parent_layout(shard, &BTreeSet::new(), &[]),
-                encode_value(shard)
-            );
-            let moves: Vec<(Eui64, u64)> = (shard.tracker.sightings().unwrap())
-                .map(|sightings| (sightings[0].eui, sightings.len() as u64))
-                .collect();
-            assert!(!moves.is_empty());
-            shards.extend(parent_layout(shard, &plain_48s, &moves));
-        }
-        let (header, sections) = decode_snapshot(&lean).unwrap();
-        let sections: Vec<(u16, &[u8])> = (sections.into_iter())
-            .map(|(id, payload)| match id {
-                SECTION_SHARDS => (id, &shards[..]),
-                _ => (id, payload),
-            })
-            .collect();
-        let bytes = encode_snapshot(
-            header.config_fingerprint,
-            header.world_fingerprint,
-            &sections,
-        );
-        assert!(bytes.len() > lean.len() + 2 * (2 * 16 + 16));
-
-        let restored = MonitorSnapshot::from_bytes(&bytes).unwrap();
-        assert_eq!(restored.to_bytes(), lean);
-        let mut resumed = MonitorSession::new(&engine, config, watched, None)
-            .resume(restored)
-            .unwrap();
-        while !resumed.is_done() {
-            resumed.run_epoch(10_000).unwrap();
-        }
-        let mut report = resumed.finish();
-        report.backpressure_stalls = uninterrupted.backpressure_stalls;
-        assert_eq!(report, uninterrupted);
     }
 
     #[test]
@@ -581,19 +445,20 @@ mod tests {
         assert_ne!(base, config_fingerprint(&cfg, &[]));
     }
 
-    /// The default configuration's fingerprint is the one it had while the
-    /// shard channel capacity and the observation batch were knobs, so every
-    /// snapshot taken under it still resumes.
+    /// The default configuration's fingerprint, pinned: the retired shard
+    /// channel capacity, observation batch and feedback switch leave no word
+    /// in it, and it moves only with a deliberate format change.
     #[test]
     fn the_default_fingerprint_outlives_the_retired_knobs() {
         let watched: Vec<Ipv6Prefix> = vec!["2001:db8:1::/48".parse().unwrap()];
         let fingerprint = config_fingerprint(&MonitorConfig::default(), &watched);
-        assert_eq!(fingerprint, 0x2431_8915_6dbf_7580);
+        assert_eq!(fingerprint, 0xd0b8_11cf_fc4d_a9e4);
     }
 
-    /// A discovering config's fingerprint is the one it had while the
-    /// discovery certificate and decay policy were fields, so the constants
-    /// that replaced them hold the same values.
+    /// A discovering config's fingerprint, pinned: the constants that
+    /// replaced the discovery certificate and decay policy fields are written
+    /// where those fields were, so the fingerprint moves only if a constant's
+    /// value does.
     #[test]
     fn the_discovery_fingerprint_outlives_the_retired_knobs() {
         let cfg = MonitorConfig {
@@ -602,6 +467,6 @@ mod tests {
             ..MonitorConfig::default()
         };
         let fingerprint = config_fingerprint(&cfg, &[]);
-        assert_eq!(fingerprint, 0x7422_e2c5_2b57_c349);
+        assert_eq!(fingerprint, 0x8b32_c5d6_5257_2a6d);
     }
 }

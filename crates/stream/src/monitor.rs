@@ -610,10 +610,7 @@ impl<'a, B: ProbeTransport + WorldView + ?Sized> MonitorSession<'a, B> {
             .map(|start| (start, epoch_windows.min(cfg.windows - start)))
             .collect();
         let states = (0..cfg.shards)
-            .map(|_| ShardInference {
-                detector: WindowedRotationDetector::for_granularity(cfg.granularity),
-                ..ShardInference::without_census()
-            })
+            .map(|_| ShardInference::without_census().detecting_at(cfg.granularity))
             .collect();
         let mut session = MonitorSession {
             world,
@@ -666,8 +663,10 @@ impl<'a, B: ProbeTransport + WorldView + ?Sized> MonitorSession<'a, B> {
 
     /// Continue from a snapshot's epoch boundary instead of starting fresh
     /// — [`MonitorControl::resume`], session-shaped. The continuation is
-    /// byte-identical to the uninterrupted run. A snapshot captured under a
-    /// different configuration, initial watch list or world is refused.
+    /// byte-identical to the uninterrupted run, each shard's state taken
+    /// back as its worker yielded it. A snapshot captured under a different
+    /// configuration, initial watch list or world is refused, and so is one
+    /// whose shard list does not match the configured shard count.
     pub fn resume(mut self, snapshot: MonitorSnapshot) -> Result<Self, CheckpointError> {
         let (config_fp, world_fp) = self.fingerprints();
         if snapshot.config_fingerprint != config_fp {
@@ -685,6 +684,13 @@ impl<'a, B: ProbeTransport + WorldView + ?Sized> MonitorSession<'a, B> {
         if snapshot.next_epoch as usize > self.epochs.len() {
             return Err(CheckpointError::InvalidValue(
                 "snapshot epoch beyond the configured run",
+            ));
+        }
+        // Each shard takes its own state back: the fingerprints tie the
+        // snapshot to this shard count and shard map.
+        if snapshot.shards.len() != self.config.shards {
+            return Err(CheckpointError::InvalidValue(
+                "snapshot shard count does not match the configuration",
             ));
         }
         self.next_epoch = snapshot.next_epoch as usize;
@@ -705,35 +711,7 @@ impl<'a, B: ProbeTransport + WorldView + ?Sized> MonitorSession<'a, B> {
         if let (Some(telemetry), Some(det)) = (self.observer, &snapshot.telemetry) {
             telemetry.restore_deterministic(det);
         }
-        // Re-split the restored inference state for this run's shard map:
-        // the rotation detector's per-target entries must live in the shard
-        // that will receive that target's future observations (the detector
-        // reads its previous entry on every ingest), while all the
-        // union-merged state — density, tracker, events, counters — can
-        // ride along in shard 0 because the end-of-run merge
-        // recombines it identically either way. This also makes snapshots
-        // portable across shard counts.
-        let restored = ShardInference::merge_all(snapshot.shards);
-        let granularity = self.config.granularity;
-        let mut detectors: Vec<WindowedRotationDetector> = (0..self.config.shards)
-            .map(|_| WindowedRotationDetector::for_granularity(granularity))
-            .collect();
-        for entry in restored.detector.last_observations() {
-            detectors[self.shard_map.shard_for(entry.0)].extend([entry]);
-        }
-        let mut states: Vec<ShardInference> = detectors
-            .into_iter()
-            .map(|detector| ShardInference {
-                detector,
-                ..ShardInference::without_census()
-            })
-            .collect();
-        let detector = std::mem::take(&mut states[0].detector);
-        states[0] = ShardInference {
-            detector,
-            ..restored
-        };
-        self.states = states;
+        self.states = snapshot.shards;
         // A snapshot taken at an exhaustion boundary restores to a parked
         // session. The `WatchExhausted` event is already in the restored
         // telemetry journal, so it is not re-emitted. An empty watch list
@@ -1284,7 +1262,6 @@ pub struct MonitorControl<'a> {
 mod tests {
     use super::*;
 
-    use scent_ipv6::Eui64;
     use scent_simnet::{scenarios, Engine};
 
     fn watched_48s(engine: &Engine) -> Vec<Ipv6Prefix> {
@@ -1648,54 +1625,6 @@ mod tests {
         }
         assert!(sizes[11] * 10 <= sizes[3] * 11, "{sizes:?}");
         assert!(session.finish().events.len() > 100);
-    }
-
-    /// A snapshot whose shards carry populated census sections — what a
-    /// monitor wrote while it still kept the census — decodes (the sections
-    /// are read past) and resumes to the uninterrupted run's report.
-    #[test]
-    fn a_census_carrying_snapshot_still_resumes() {
-        let engine = Engine::build(scenarios::continuous_world(53)).unwrap();
-        let watched = watched_48s(&engine);
-        let config = MonitorConfig {
-            windows: 4,
-            shards: 2,
-            checkpoint_every: Some(1),
-            ..MonitorConfig::default()
-        };
-        let uninterrupted = StreamMonitor::new(config.clone())
-            .run(&engine, &watched)
-            .unwrap();
-
-        let mut session = MonitorSession::new(&engine, config.clone(), watched.clone(), None);
-        session.run_epoch(10_000).unwrap();
-        session.run_epoch(10_000).unwrap();
-        let mut snapshot = session.snapshot();
-        let lean = snapshot.to_bytes();
-        for shard in &mut snapshot.shards {
-            let mut census = crate::shard::Census::default();
-            for (_, (_, source)) in shard.detector.last_observations() {
-                census.addresses.extend(source);
-                census.iids.extend(source.and_then(Eui64::from_addr));
-            }
-            assert!(!census.iids.is_empty());
-            shard.census = Some(census);
-        }
-        let bytes = snapshot.to_bytes();
-        assert!(bytes.len() > lean.len() + 4096);
-
-        let restored = MonitorSnapshot::from_bytes(&bytes).unwrap();
-        assert!(restored.shards.iter().all(|shard| shard.census.is_none()));
-        assert_eq!(restored.to_bytes(), lean);
-        let mut resumed = MonitorSession::new(&engine, config, watched, None)
-            .resume(restored)
-            .unwrap();
-        while !resumed.is_done() {
-            resumed.run_epoch(10_000).unwrap();
-        }
-        let mut report = resumed.finish();
-        report.backpressure_stalls = uninterrupted.backpressure_stalls;
-        assert_eq!(report, uninterrupted);
     }
 
     use scenarios::churn_world_dense_48 as dense_48_at;
@@ -2182,7 +2111,10 @@ mod tests {
 
     /// An observed run pays for telemetry per batch: a 1 × 1 monitor epoch
     /// of N observations over W windows hands its observer at most
-    /// ⌈N / 512⌉ + W + 4 runs, holding N observations between them.
+    /// ⌈N / [`OBSERVATION_BATCH`]⌉ + W + 4 runs, holding N observations
+    /// between them. Targets at /60 make N several batches.
+    ///
+    /// [`OBSERVATION_BATCH`]: crate::engine::OBSERVATION_BATCH
     #[test]
     fn an_observed_epoch_reports_runs_not_observations() {
         let engine = Engine::build(scenarios::continuous_world(13)).unwrap();
@@ -2192,16 +2124,18 @@ mod tests {
         let report = StreamMonitor::new(MonitorConfig {
             shards: 1,
             windows,
+            granularity: 60,
             ..MonitorConfig::default()
         })
         .run_observed(&engine, &watched, Some(&counter))
         .unwrap();
         let n = report.observations;
-        assert!(n > 4 * 512, "{n} observations: too few batches to tell");
+        let batch = crate::engine::OBSERVATION_BATCH as u64;
+        assert!(n > 4 * batch, "{n} observations: too few batches to tell");
         assert_eq!(counter.observations.into_inner(), n);
         let calls = counter.calls.into_inner();
         assert!(
-            calls <= n.div_ceil(512) + windows + 4,
+            calls <= n.div_ceil(batch) + windows + 4,
             "{calls} runs for {n} observations over {windows} windows"
         );
     }

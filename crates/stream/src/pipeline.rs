@@ -256,10 +256,7 @@ impl StreamPipeline {
             let detection_targets =
                 density_generator.per_candidate_48(&high, cfg.detection_granularity);
             let states = (states.into_iter())
-                .map(|state| ShardInference {
-                    detector: WindowedRotationDetector::for_granularity(cfg.detection_granularity),
-                    ..state
-                })
+                .map(|state| state.detecting_at(cfg.detection_granularity))
                 .collect();
             engine = IngestEngine::lease(&mut pool, shard_map, options(Some(states)));
             let detection = TargetStream::over(detection_targets, cfg.seed, true);

@@ -6,15 +6,19 @@
 //! to it — expansion validation, density accumulators, the windowed rotation
 //! detector and the passive tracker — so shards never coordinate while
 //! ingesting. The merge step ([`ShardInference::merge`]) recombines shard
-//! states into the batch report shapes; every container involved is either a
-//! disjoint union (per-/48 and per-identifier state never splits across
-//! shards) or order-normalized afterwards, which is what makes the merged
-//! result independent of the shard count.
+//! states into the batch report shapes; every container a report reads is
+//! either a disjoint union (per-/48 and per-identifier state never splits
+//! across shards) or order-normalized afterwards, which is what makes the
+//! merged result independent of the shard count. The rotation detector is
+//! the one container no report reads: a merged state keeps the first
+//! state's, and a snapshot carries every shard's as its worker yielded it —
+//! a resumed run routes by the shard map its snapshot was taken under, so
+//! each shard takes its own state back.
 //!
-//! A shard keeps what its run's report reads and nothing else: every
-//! container here is touched per observation and carried through every
-//! snapshot. There are two flavours, decided once at construction by
-//! whether the shard holds a census:
+//! A shard keeps what its run's report reads, plus the detector it diffs
+//! each window against, and nothing else: every container here is touched
+//! per observation. There are two flavours, decided once at construction
+//! by whether the shard holds a census:
 //!
 //! * a **pipeline shard** ([`ShardInference::new`]) keeps the
 //!   distinct-address census, which only the one-shot
@@ -74,11 +78,12 @@ pub enum ShardMsg {
 /// The distinct-address census of the one-shot pipeline's report: response
 /// addresses and EUI-64 identifiers over the density and detection phases.
 /// It only ever grows, and no [`MonitorReport`](crate::MonitorReport) field
-/// reads it, so a monitor's shards do not carry one.
+/// reads it, so a monitor's shards do not carry one — nor does a snapshot,
+/// which holds monitor shards only.
 #[derive(Debug, Clone, Default)]
-pub(crate) struct Census {
-    pub(crate) addresses: FastSet<Ipv6Addr>,
-    pub(crate) iids: FastSet<Eui64>,
+struct Census {
+    addresses: FastSet<Ipv6Addr>,
+    iids: FastSet<Eui64>,
 }
 
 impl Census {
@@ -101,7 +106,9 @@ pub struct ShardInference {
     /// the deterministic fast hasher — they are touched per observation, on
     /// the hot path; see `scent_core::fasthash`.)
     pub density: FastMap<Ipv6Prefix, DensityAccumulator>,
-    /// Online rotation detection keyed by target.
+    /// Online rotation detection keyed by target. Only the shard that
+    /// ingests a target reads its entry, so [`Self::merge`] does not merge
+    /// detectors: a merged state keeps the first state's.
     pub detector: WindowedRotationDetector,
     /// Every rotation event detected, in per-shard emission order.
     pub events: Vec<RotationEvent>,
@@ -111,7 +118,7 @@ pub struct ShardInference {
     /// The shard's flavour: present in a pipeline shard (which then feeds
     /// it and not the tracker), absent in a monitor shard (which feeds the
     /// tracker).
-    pub(crate) census: Option<Census>,
+    census: Option<Census>,
     /// Observations ingested.
     pub observations: u64,
 }
@@ -145,6 +152,14 @@ impl ShardInference {
             census: None,
             observations: 0,
         }
+    }
+
+    /// This state with a fresh detector, sized for one target per
+    /// `/granularity` subnet of each /48
+    /// ([`WindowedRotationDetector::for_granularity`]).
+    pub(crate) fn detecting_at(mut self, granularity: u8) -> Self {
+        self.detector = WindowedRotationDetector::for_granularity(granularity);
+        self
     }
 
     /// Fold one observation into the state. Returns the rotation event the
@@ -186,7 +201,9 @@ impl ShardInference {
 
     /// Merge another shard's state into this one. Per-prefix and
     /// per-identifier state is disjoint across shards by construction of the
-    /// router, so the merge is a union.
+    /// router, so the merge is a union — of everything a report reads. The
+    /// detector is not merged: this state keeps its own and `other`'s is
+    /// dropped.
     pub fn merge(&mut self, other: ShardInference) {
         self.validated.extend(other.validated);
         for (prefix, accumulator) in other.density {
@@ -199,10 +216,6 @@ impl ShardInference {
             mine.iids.extend(theirs.iids);
         }
         self.observations += other.observations;
-        // The detectors' per-target maps are disjoint across shards, so the
-        // union is exact — and checkpoint resume depends on it: restored
-        // shard states are merged and then re-split for the new shard map.
-        self.detector.merge(other.detector);
     }
 
     /// Fold a list of shard states into one: the first state is adopted as
@@ -443,6 +456,8 @@ mod tests {
                 for state in states.clone() {
                     folded.merge(state);
                 }
+                // A merged state keeps the first state's detector.
+                folded.detector = states[0].detector.clone();
                 let mut adopted = ShardInference::merge_all(states);
                 assert_eq!(encode_value(&adopted), encode_value(&folded), "{splits}");
                 assert_eq!(adopted.address_statistics(), whole.address_statistics());

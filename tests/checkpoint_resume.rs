@@ -237,7 +237,8 @@ fn resume_works_on_and_across_the_recorded_backend() {
 /// run checkpointing every window leaves one snapshot per boundary; resuming
 /// from each of them reproduces the full run's report *and* its
 /// deterministic telemetry (counters, per-window aggregates, event journal)
-/// byte for byte.
+/// byte for byte, and the per-shard ingest counts of a run whose every /48
+/// is watched, so both shards ingest.
 #[test]
 fn resume_from_every_epoch_boundary_matches_report_and_telemetry() {
     let engine = Engine::build(scenarios::continuous_world(13)).expect("world builds");
@@ -246,7 +247,6 @@ fn resume_from_every_epoch_boundary_matches_report_and_telemetry() {
         .iter()
         .filter(|p| p.config.prefix.len() <= 48)
         .flat_map(|p| p.config.prefix.subnets(48).unwrap())
-        .take(2)
         .collect();
     let config = MonitorConfig {
         shards: 2,
@@ -277,6 +277,11 @@ fn resume_from_every_epoch_boundary_matches_report_and_telemetry() {
     let full_snapshot = full_registry.snapshot();
     let full_text = telemetry::deterministic_text(&full_snapshot.deterministic);
     let full_journal = telemetry::events_jsonl(&full_snapshot.deterministic.events);
+    let full_ingested = full_snapshot.topology.ingested_per_shard;
+    assert!(
+        full_ingested.len() == 2 && !full_ingested.contains(&0),
+        "both shards ingest: {full_ingested:?}"
+    );
     assert_eq!(
         sink.all().len(),
         4,
@@ -309,6 +314,10 @@ fn resume_from_every_epoch_boundary_matches_report_and_telemetry() {
             telemetry::events_jsonl(&snapshot.deterministic.events),
             full_journal,
             "telemetry event journal resumed from boundary {boundary}"
+        );
+        assert_eq!(
+            snapshot.topology.ingested_per_shard, full_ingested,
+            "per-shard ingest counts resumed from boundary {boundary}"
         );
     }
 }

@@ -4,11 +4,11 @@
 //! against the map keyed by target it replaced, kept here verbatim as the reference
 //! model. Over watch lists re-probed window after window — revised
 //! mid-stream (subset, superset, reordered), with targets met twice in a
-//! window, windows out of order and arbitrary `seq` values — and over merges
-//! of detectors split by target and rebuilds through the checkpoint codec and
-//! the `FromIterator` constructor, the two must emit equal events, hold equal
-//! state and write equal checkpoint bytes. Two target universes: one target
-//! per /64 of three /48s, fed to detectors sized for nothing; and the
+//! window, windows out of order and arbitrary `seq` values — and over
+//! rebuilds through the checkpoint codec and the `FromIterator` constructor,
+//! the two must emit equal events, hold equal state and write equal
+//! checkpoint bytes. Two target universes: one target per /64 of three
+//! /48s, fed to detectors sized for nothing; and the
 //! monitor's shape, one target per /56 with arbitrary bits below, two in one
 //! subnet now and then and sources sometimes outside the target's /48, fed
 //! to detectors sized for /56 subnets.
@@ -30,21 +30,6 @@ struct ReferenceDetector {
 }
 
 impl ReferenceDetector {
-    fn merge(&mut self, other: Self) {
-        for (target, entry) in other.last {
-            match self.last.entry(target) {
-                std::collections::hash_map::Entry::Occupied(mut occupied) => {
-                    if entry.0 >= occupied.get().0 {
-                        occupied.insert(entry);
-                    }
-                }
-                std::collections::hash_map::Entry::Vacant(vacant) => {
-                    vacant.insert(entry);
-                }
-            }
-        }
-    }
-
     fn observe(
         &mut self,
         window: u64,
@@ -187,14 +172,10 @@ fn mix(bits: u64, k: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Both detectors, twice: targets of the third /48 are fed to the `side`
-/// pair, which `merge` folds into the first — so merges meet targets both
-/// sides hold, at earlier and later windows.
+/// Both detectors, fed the same observations.
 struct Run<U> {
     new: WindowedRotationDetector,
     reference: ReferenceDetector,
-    side_new: WindowedRotationDetector,
-    side_reference: ReferenceDetector,
     /// The watch list, in probing order (a target may be listed twice).
     list: Vec<u64>,
     window: u64,
@@ -208,8 +189,6 @@ impl<U: Universe> Run<U> {
         Run {
             new: U::detector(),
             reference: ReferenceDetector::default(),
-            side_new: U::detector(),
-            side_reference: ReferenceDetector::default(),
             list,
             window: 0,
             events: 0,
@@ -218,15 +197,11 @@ impl<U: Universe> Run<U> {
     }
 
     fn observe(&mut self, window: u64, seq: u64, index: u64, source: Option<Ipv6Addr>) {
-        let (new, reference) = if index % 3 == 2 {
-            (&mut self.side_new, &mut self.side_reference)
-        } else {
-            (&mut self.new, &mut self.reference)
-        };
-        let event = new.observe(window, seq, U::target(index), source);
+        let event = self.new.observe(window, seq, U::target(index), source);
         assert_eq!(
             event,
-            reference.observe(window, seq, U::target(index), source)
+            self.reference
+                .observe(window, seq, U::target(index), source)
         );
         self.events += usize::from(event.is_some());
     }
@@ -279,12 +254,6 @@ impl<U: Universe> Run<U> {
                 }
                 _ => self.list.sort_by_key(|&index| mix(bits, index)),
             },
-            // Merge the side detectors into the main ones.
-            12 | 13 => {
-                self.new
-                    .merge(std::mem::replace(&mut self.side_new, U::detector()));
-                (self.reference).merge(std::mem::take(&mut self.side_reference));
-            }
             // Rebuild the new detector in another entry order: through the
             // constructor from its own entries rotated, or through the codec.
             _ => {
@@ -302,21 +271,17 @@ impl<U: Universe> Run<U> {
 
     /// Everything observable about the two detectors agrees.
     fn assert_equal(&self) {
-        for (new, reference) in [
-            (&self.new, &self.reference),
-            (&self.side_new, &self.side_reference),
-        ] {
-            assert_eq!(new.targets_tracked(), reference.last.len());
-            let mut state: Vec<_> = new.last_observations().collect();
-            state.sort_by_key(|(target, _)| *target);
-            assert_eq!(state, reference.entries());
-            let rebuilt: WindowedRotationDetector = reference.entries().into_iter().collect();
-            assert_eq!(&rebuilt, new);
-            let bytes = encode_value(new);
-            assert_eq!(bytes, reference.encode());
-            let back: WindowedRotationDetector = decode_value(&bytes).expect("canonical bytes");
-            assert_eq!(&back, new);
-        }
+        let (new, reference) = (&self.new, &self.reference);
+        assert_eq!(new.targets_tracked(), reference.last.len());
+        let mut state: Vec<_> = new.last_observations().collect();
+        state.sort_by_key(|(target, _)| *target);
+        assert_eq!(state, reference.entries());
+        let rebuilt: WindowedRotationDetector = reference.entries().into_iter().collect();
+        assert_eq!(&rebuilt, new);
+        let bytes = encode_value(new);
+        assert_eq!(bytes, reference.encode());
+        let back: WindowedRotationDetector = decode_value(&bytes).expect("canonical bytes");
+        assert_eq!(&back, new);
     }
 }
 
@@ -328,8 +293,6 @@ fn run_ops<U: Universe>(ops: &[u64], start: u64) {
         run.apply(*bits);
         run.assert_equal();
     }
-    run.apply(12);
-    run.assert_equal();
 }
 
 proptest! {

@@ -710,6 +710,16 @@ fn corrupt_snapshots_fail_typed_and_never_panic() {
             expected: FORMAT_VERSION
         })
     );
+    // So does a snapshot of the format before: no older reader is kept.
+    let mut older = valid.clone();
+    older[8..12].copy_from_slice(&(FORMAT_VERSION - 1).to_le_bytes());
+    assert_eq!(
+        MonitorSnapshot::from_bytes(&older).err(),
+        Some(CheckpointError::VersionMismatch {
+            found: FORMAT_VERSION - 1,
+            expected: FORMAT_VERSION
+        })
+    );
 
     // Any single bit flip past the version field trips the checksum (or, in
     // the trailer itself, a checksum mismatch from the other side).
@@ -749,6 +759,31 @@ fn corrupt_snapshots_fail_typed_and_never_panic() {
         MonitorSnapshot::from_bytes(&empty).err(),
         Some(CheckpointError::Truncated)
     );
+}
+
+/// A snapshot whose shard list does not match the configured shard count —
+/// one shard popped, re-encoded under its own fingerprints — is refused on
+/// resume with a typed error, never a panic in the lease.
+#[test]
+fn a_snapshot_short_of_a_shard_is_refused_on_resume() {
+    let engine = Engine::build(scenarios::versatel_like(1)).unwrap();
+    let config = MonitorConfig {
+        shards: 2,
+        windows: 2,
+        checkpoint_every: Some(1),
+        ..MonitorConfig::default()
+    };
+    let mut session = MonitorSession::new(&engine, config.clone(), checkpoint_watch(), None);
+    session.run_epoch(config.packets_per_second).unwrap();
+    let mut snapshot = session.snapshot();
+    assert_eq!(snapshot.shards.len(), 2);
+    snapshot.shards.pop();
+    let popped = MonitorSnapshot::from_bytes(&snapshot.to_bytes()).unwrap();
+    let resumed = MonitorSession::new(&engine, config, checkpoint_watch(), None).resume(popped);
+    assert!(matches!(
+        resumed.err(),
+        Some(CheckpointError::InvalidValue(_))
+    ));
 }
 
 /// Resuming wraps checkpoint failures as [`ScentError::Checkpoint`] with the

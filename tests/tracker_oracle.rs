@@ -14,7 +14,9 @@ use std::collections::BTreeMap;
 use std::net::Ipv6Addr;
 
 use followscent::bgp::{AsRegistry, Asn, Rib};
-use followscent::checkpoint::{decode_value, encode_value, Checkpointable, Writer};
+use followscent::checkpoint::{
+    decode_value, encode_value, CheckpointError, Checkpointable, Writer,
+};
 use followscent::core::fasthash::FastMap;
 use followscent::core::tracker::{
     DailyResult, DeviceTrackingResult, Sighting, TrackedDevice, TrackingReport,
@@ -154,13 +156,11 @@ impl ReferenceTracker {
     }
 
     /// The checkpoint bytes as the codec wrote them for this layout: the
-    /// sightings map and the probe counts, in declaration order, then the
-    /// move-count slot the format keeps, empty.
+    /// sightings map and the probe counts, in declaration order.
     fn encode(&self) -> Vec<u8> {
         let mut w = Writer::new();
         self.sightings.encode(&mut w);
         self.probes.encode(&mut w);
-        w.put_usize(0);
         w.into_bytes()
     }
 }
@@ -396,6 +396,8 @@ fn unordered_sightings_are_refused() {
     identifier(1).encode(&mut w);
     vec![(2u64, sighting), (2u64, sighting)].encode(&mut w);
     FastMap::<(u64, Ipv6Prefix), u64>::default().encode(&mut w);
-    w.put_usize(0);
-    assert!(decode_value::<IncrementalTracker>(w.as_bytes()).is_err());
+    assert_eq!(
+        decode_value::<IncrementalTracker>(w.as_bytes()).err(),
+        Some(CheckpointError::InvalidValue("sightings out of order"))
+    );
 }
