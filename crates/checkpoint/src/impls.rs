@@ -195,7 +195,6 @@ impl Checkpointable for RotationEvent {
         w.put_u64(self.window);
         w.put_u64(self.seq);
         self.change.encode(w);
-        self.prefix_48.encode(w);
     }
 
     fn decode(r: &mut Reader<'_>) -> Result<Self, CheckpointError> {
@@ -203,7 +202,6 @@ impl Checkpointable for RotationEvent {
             window: r.u64()?,
             seq: r.u64()?,
             change: ChangedTarget::decode(r)?,
-            prefix_48: Ipv6Prefix::decode(r)?,
         })
     }
 }
@@ -577,12 +575,14 @@ mod tests {
             kind: ChangeKind::EuiToNothing,
         };
         roundtrip(change);
-        roundtrip(RotationEvent {
+        let event = RotationEvent {
             window: 3,
             seq: 99,
             change,
-            prefix_48: prefix("2001:db8:40::/48"),
-        });
+        };
+        roundtrip(event);
+        // Window, seq and change, and no /48: the target names it.
+        assert_eq!(encode_value(&event).len(), 8 + 8 + 16 + 17 + 1 + 1);
 
         let mut detector = WindowedRotationDetector::new();
         detector.observe(0, 0, addr("2001:db8:40::1"), Some(addr("2001:db8:40::aa")));

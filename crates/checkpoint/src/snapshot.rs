@@ -29,7 +29,7 @@ pub const MAGIC: [u8; 8] = *b"SCENTCKP";
 /// The snapshot format version this build reads and writes. A snapshot of
 /// any other version is refused with [`CheckpointError::VersionMismatch`]:
 /// no older layout is read.
-pub const FORMAT_VERSION: u32 = 2;
+pub const FORMAT_VERSION: u32 = 3;
 
 /// The `(id, payload)` section pairs of a decoded snapshot, in file order.
 pub type SnapshotSections<'a> = Vec<(u16, &'a [u8])>;

@@ -99,8 +99,9 @@ pub fn classify_change(
 /// batch comparison would (probing order of the later snapshot).
 ///
 /// Emitted incrementally by [`WindowedRotationDetector`] the moment a
-/// target's EUI-64 responder is seen to differ from the previous window, and
-/// consumed by the incremental tracker and the streaming engine.
+/// target's EUI-64 responder is seen to differ from the previous window. A
+/// monitor run records each rotation once, as one of these, and derives the
+/// rest from them: the /48 it flags is its target's ([`rotating_48s`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct RotationEvent {
     /// The observation window in which the change was detected (the window of
@@ -110,8 +111,18 @@ pub struct RotationEvent {
     pub seq: u64,
     /// The change itself.
     pub change: ChangedTarget,
-    /// The /48 containing the changed target.
-    pub prefix_48: Ipv6Prefix,
+}
+
+/// The /48s containing at least one event's target, sorted and distinct:
+/// the §4.3 rule's verdict over `events`, in any order.
+pub fn rotating_48s(events: &[RotationEvent]) -> Vec<Ipv6Prefix> {
+    let prefix = |e: &RotationEvent| Ipv6Prefix::new(e.change.target, 48).expect("48 is valid");
+    // Deduplicated on the fast hasher: a set the size of the /48s, not of
+    // the events (a monitor's run has hundreds of events per /48).
+    let rotating: FastSet<Ipv6Prefix> = events.iter().map(prefix).collect();
+    let mut rotating_48s: Vec<Ipv6Prefix> = rotating.into_iter().collect();
+    rotating_48s.sort_unstable();
+    rotating_48s
 }
 
 /// What the detector keeps per target: the window and response source of
@@ -242,7 +253,6 @@ impl WindowedRotationDetector {
             window,
             seq,
             change,
-            prefix_48: Ipv6Prefix::new(target, 48).expect("48 is valid"),
         })
     }
 
@@ -333,29 +343,6 @@ impl WindowedRotationDetector {
                 .into_iter()
                 .map(move |slot| slot.entry(block.key, &self.elsewhere))
         })
-    }
-
-    /// Fold a batch of rotation events into a [`RotationDetection`]. Events
-    /// are ordered by `(window, seq)` — in place, so the caller keeps that
-    /// one order too — and a sharded run merges into the same report
-    /// regardless of shard count.
-    pub fn collect(events: &mut [RotationEvent]) -> RotationDetection {
-        // `(window, seq)` names one probe, and a probe yields at most one
-        // event, so keys are unique and the unstable sort has exactly one
-        // order to produce — without the stable sort's n/2 merge buffer.
-        let key = |e: &RotationEvent| (e.window, e.seq);
-        events.sort_unstable_by_key(key);
-        debug_assert!(events.windows(2).all(|w| key(&w[0]) < key(&w[1])));
-        let changes: Vec<ChangedTarget> = events.iter().map(|e| e.change).collect();
-        // Deduplicated on the fast hasher: a set the size of the /48s, not
-        // of the events (a monitor's run has hundreds of events per /48).
-        let rotating: FastSet<Ipv6Prefix> = events.iter().map(|e| e.prefix_48).collect();
-        let mut rotating_48s: Vec<Ipv6Prefix> = rotating.into_iter().collect();
-        rotating_48s.sort_unstable();
-        RotationDetection {
-            changes,
-            rotating_48s,
-        }
     }
 }
 
@@ -847,11 +834,12 @@ impl RotationDetection {
         }
         let mut events = Vec::new();
         for (seq, record) in second.records.iter().enumerate() {
-            if let Some(event) = detector.observe(1, seq as u64, record.target, record.source()) {
-                events.push(event);
-            }
+            events.extend(detector.observe(1, seq as u64, record.target, record.source()));
         }
-        WindowedRotationDetector::collect(&mut events)
+        RotationDetection {
+            changes: events.iter().map(|e| e.change).collect(),
+            rotating_48s: rotating_48s(&events),
+        }
     }
 
     /// Number of changed targets by change kind.
@@ -912,6 +900,14 @@ mod tests {
         // change kind involves EUI-64 on both sides or appearance/disappearance.
         let counts = detection.change_counts();
         assert!(counts.values().sum::<usize>() == detection.changes.len());
+    }
+
+    /// An event is its window, its seq and its change, and nothing else:
+    /// a monitor run's event list is its largest report piece, and the /48
+    /// an event flags is its target's.
+    #[test]
+    fn an_event_keeps_nothing_it_can_derive() {
+        assert_eq!(std::mem::size_of::<RotationEvent>(), 72);
     }
 
     #[test]

@@ -34,6 +34,11 @@ pub enum ConfigError {
     /// must be strictly below the high one). Checked whether or not the
     /// model can throttle: a broken model is never carried silently.
     InvalidQueueModel,
+    /// A probing granularity finer than /64 (the monitor's `granularity`,
+    /// the pipeline's `detection_granularity`): one target per subnet of
+    /// each /48 would be 2^(g − 48) targets a /48 past the paper's /64, and
+    /// no prefix at all past /128.
+    GranularityTooFine,
     /// A monitor asked to observe zero windows.
     NoWindows,
     /// Watch-list churn with a zero refresh cadence (the watch list would
@@ -88,12 +93,14 @@ impl ConfigError {
     }
 
     /// The rules every streaming run shares: a shard pool, a producer set,
-    /// a probe rate, and a sane queue model.
+    /// a probe rate, a sane queue model, and a detection granularity of at
+    /// most /64.
     pub(crate) fn check_plane(
         shards: usize,
         producers: usize,
         packets_per_second: u64,
         queue_model: &QueueModel,
+        granularity: u8,
     ) -> Result<(), Self> {
         use ConfigError::*;
         Self::first_broken([
@@ -101,6 +108,7 @@ impl ConfigError {
             (producers == 0, NoProducers),
             (packets_per_second == 0, ZeroRate),
             (!queue_model.is_valid(), InvalidQueueModel),
+            (granularity > 64, GranularityTooFine),
         ])
     }
 }
@@ -113,6 +121,7 @@ impl std::fmt::Display for ConfigError {
             NoProducers => "at least one probe producer is needed",
             ZeroRate => "the probe rate must be non-zero",
             InvalidQueueModel => "queue model low_watermark must be below high_watermark",
+            GranularityTooFine => "the probing granularity must be /64 or coarser",
             NoWindows => "a monitor must observe at least one window",
             ZeroRefreshCadence => "watch-list churn needs a non-zero refresh_every",
             ZeroWatchCapacity => "watch-list churn needs a non-zero watch_capacity",
@@ -214,13 +223,20 @@ mod tests {
         };
         let check = ConfigError::check_plane;
         let broken = &inverted;
-        assert_eq!(check(0, 0, 0, broken), Err(ConfigError::NoShards));
-        assert_eq!(check(1, 0, 0, broken), Err(ConfigError::NoProducers));
-        assert_eq!(check(1, 1, 0, broken), Err(ConfigError::ZeroRate));
+        assert_eq!(check(0, 0, 0, broken, 65), Err(ConfigError::NoShards));
+        assert_eq!(check(1, 0, 0, broken, 65), Err(ConfigError::NoProducers));
+        assert_eq!(check(1, 1, 0, broken, 65), Err(ConfigError::ZeroRate));
         // Inverted is broken even where it could never throttle.
         assert!(!inverted.can_throttle());
-        assert_eq!(check(1, 1, 1, broken), Err(ConfigError::InvalidQueueModel));
-        assert_eq!(check(1, 1, 1, &model), Ok(()));
+        assert_eq!(
+            check(1, 1, 1, broken, 65),
+            Err(ConfigError::InvalidQueueModel)
+        );
+        assert_eq!(
+            check(1, 1, 1, &model, 65),
+            Err(ConfigError::GranularityTooFine)
+        );
+        assert_eq!(check(1, 1, 1, &model, 64), Ok(()));
         assert!(ConfigError::NoShards.to_string().contains("shard"));
     }
 }

@@ -25,8 +25,8 @@ use serde::{Deserialize, Serialize};
 
 use scent_checkpoint::{CheckpointError, CheckpointSink};
 use scent_core::density::DensityAccumulator;
-use scent_core::rotation_detect::{RotationEvent, WindowedRotationDetector};
-use scent_core::{FastMap, RotationDetection, SeedExpansion, TrackingReport, WatchRevision};
+use scent_core::rotation_detect::{rotating_48s, RotationEvent};
+use scent_core::{FastMap, SeedExpansion, TrackingReport, WatchRevision};
 use scent_discovery::{DiscoveryConfig, DiscoveryReport, DiscoveryTree};
 use scent_ipv6::Ipv6Prefix;
 use scent_prober::{ProbeTransport, QueueModel, Scanner, TargetGenerator, TargetStream, WorldView};
@@ -215,10 +215,11 @@ impl Default for MonitorConfig {
 impl MonitorConfig {
     /// Whether a monitor can honour this configuration — the one statement
     /// of the rules: the plane a pipeline needs too (shards, producers, a
-    /// non-zero [`MonitorConfig::packets_per_second`], the queue model), at
-    /// least one window, and consistent churn,
-    /// checkpoint and discovery settings. The [`StreamMonitor`] runs return
-    /// the broken rule as [`StreamError::Config`] before anything starts,
+    /// non-zero [`MonitorConfig::packets_per_second`], the queue model, a
+    /// [`MonitorConfig::granularity`] of at most /64), at least one window,
+    /// and consistent churn, checkpoint and discovery settings. The
+    /// [`StreamMonitor`] runs return the broken rule as
+    /// [`StreamError::Config`] before anything starts,
     /// the `scent-sched` scheduler reports it before it opens a session, and
     /// [`MonitorSession::new`] asserts it.
     pub fn validate(&self) -> Result<(), ConfigError> {
@@ -228,6 +229,7 @@ impl MonitorConfig {
             self.producers,
             self.packets_per_second,
             &self.queue_model,
+            self.granularity,
         )?;
         if self.windows == 0 {
             return Err(NoWindows);
@@ -271,11 +273,11 @@ pub struct MonitorReport {
     /// sent — the detection passes', the boundary re-expansions' and the
     /// discovery sweeps'.
     pub observations: u64,
-    /// Every rotation event, ordered by `(window, seq)`.
+    /// Every rotation event, ordered by `(window, seq)`: each rotation the
+    /// run saw, once.
     pub events: Vec<RotationEvent>,
-    /// The batch-shaped detection summary over all windows.
-    pub detection: RotationDetection,
-    /// The /48s seen rotating at least once.
+    /// The /48s seen rotating at least once, in prefix order: the /48s of
+    /// the events' targets.
     pub rotating_48s: Vec<Ipv6Prefix>,
     /// Passive tracking of the most-seen identifiers, in the batch report
     /// shape (one "day" per window).
@@ -1159,9 +1161,12 @@ impl<'a, B: ProbeTransport + WorldView + ?Sized> MonitorSession<'a, B> {
             telemetry.on_wall_span("monitor_run", started.elapsed().as_nanos() as u64);
         }
 
-        // One sort, in place: the report's events and the detection's
-        // changes are the same `(window, seq)` order.
-        let detection = WindowedRotationDetector::collect(&mut merged.events);
+        // `(window, seq)` names one probe, and a probe yields at most one
+        // event, so keys are unique and the unstable sort has exactly one
+        // order to produce — without the stable sort's n/2 merge buffer.
+        let key = |e: &RotationEvent| (e.window, e.seq);
+        merged.events.sort_unstable_by_key(key);
+        debug_assert!(merged.events.windows(2).all(|w| key(&w[0]) < key(&w[1])));
         let tracking = merged.tracker.finish(
             self.world.rib(),
             self.world.as_registry(),
@@ -1177,8 +1182,7 @@ impl<'a, B: ProbeTransport + WorldView + ?Sized> MonitorSession<'a, B> {
         MonitorReport {
             windows,
             observations: merged.observations,
-            rotating_48s: detection.rotating_48s.clone(),
-            detection,
+            rotating_48s: rotating_48s(&merged.events),
             events: merged.events,
             tracking,
             backpressure_stalls: self.stalls,
@@ -1310,11 +1314,22 @@ mod tests {
         for pair in report.events.windows(2) {
             assert!((pair[0].window, pair[0].seq) <= (pair[1].window, pair[1].seq));
         }
-        assert_eq!(report.detection.changes.len(), report.events.len());
+        // The flagged /48s are exactly the events' targets' /48s.
+        let mut flagged: Vec<Ipv6Prefix> = report
+            .events
+            .iter()
+            .map(|e| Ipv6Prefix::new(e.change.target, 48).unwrap())
+            .collect();
+        flagged.sort_unstable();
+        flagged.dedup();
+        assert_eq!(report.rotating_48s, flagged);
         // Window 0 can never emit (nothing to diff against).
         assert_eq!(report.events_in_window(0).count(), 0);
         assert!(report.events_in_window(1).count() > 0);
-        let counts = report.detection.change_counts();
+        let mut counts = std::collections::HashMap::new();
+        for event in &report.events {
+            *counts.entry(event.change.kind).or_insert(0usize) += 1;
+        }
         assert!(!counts.is_empty());
         assert_eq!(counts.values().sum::<usize>(), report.events.len());
     }
@@ -1823,7 +1838,7 @@ mod tests {
         // observations, and the one /48 they validated is the watched one.
         assert_eq!(churned.validated_48s, want);
         assert!(plain.validated_48s.is_empty());
-        // Inference output (events, detection, tracking, the pass's
+        // Inference output (events, rotating /48s, tracking, the pass's
         // observations) is identical to the fixed-list run.
         churned.backpressure_stalls = plain.backpressure_stalls;
         churned.revisions.clear();

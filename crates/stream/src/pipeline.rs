@@ -24,7 +24,7 @@
 use serde::{Deserialize, Serialize};
 
 use scent_core::pipeline::{RotatingCounts, DENSITY_GRANULARITY, EXPANSION_TIME, SEED_TIME};
-use scent_core::rotation_detect::WindowedRotationDetector;
+use scent_core::rotation_detect::rotating_48s;
 use scent_core::{
     DensityAccumulator, DensityReport, PipelineConfig, PipelineReport, SeedExpansion,
 };
@@ -79,14 +79,17 @@ impl Default for StreamConfig {
 
 impl StreamConfig {
     /// Whether a run can honour this configuration: at least one shard and
-    /// one producer, a non-zero probe rate and ordered queue watermarks. [`StreamPipeline::run`] returns the broken
-    /// rule as [`StreamError::Config`] before anything starts.
+    /// one producer, a non-zero probe rate, ordered queue watermarks and a
+    /// detection granularity of at most /64. [`StreamPipeline::run`]
+    /// returns the broken rule as [`StreamError::Config`] before anything
+    /// starts.
     pub fn validate(&self) -> Result<(), ConfigError> {
         ConfigError::check_plane(
             self.shards,
             self.producers,
             self.pipeline.packets_per_second,
             &self.queue_model,
+            self.pipeline.detection_granularity,
         )
     }
 }
@@ -293,11 +296,11 @@ impl StreamPipeline {
                 telemetry.on_shard_final(shard, state.observations);
             }
         }
-        let mut merged = ShardInference::merge_all(states);
+        let merged = ShardInference::merge_all(states);
 
-        let detection = WindowedRotationDetector::collect(&mut merged.events);
+        let rotating_48s = rotating_48s(&merged.events);
         let rotating_counts =
-            RotatingCounts::tally(world.rib(), world.as_registry(), &detection.rotating_48s);
+            RotatingCounts::tally(world.rib(), world.as_registry(), &rotating_48s);
         let (total_addresses, eui64_addresses, unique_iids) = merged.address_statistics();
 
         Ok(PipelineReport {
@@ -310,7 +313,7 @@ impl StreamPipeline {
             no_response: density.no_response().len(),
             rotating_ases: rotating_counts.per_asn.len(),
             rotating_countries: rotating_counts.per_country.len(),
-            rotating_48s: detection.rotating_48s,
+            rotating_48s,
             rotating_counts,
             total_addresses,
             eui64_addresses,

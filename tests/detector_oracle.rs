@@ -20,7 +20,7 @@ use followscent::checkpoint::{decode_value, encode_value, Checkpointable, Writer
 use followscent::core::fasthash::FastMap;
 use followscent::core::rotation_detect::classify_change;
 use followscent::core::{RotationEvent, WindowedRotationDetector};
-use followscent::ipv6::{Eui64, Ipv6Prefix, MacAddr};
+use followscent::ipv6::{Eui64, MacAddr};
 use proptest::prelude::*;
 
 /// The detector as it stood before the cursor layout, verbatim.
@@ -49,7 +49,6 @@ impl ReferenceDetector {
             window,
             seq,
             change,
-            prefix_48: Ipv6Prefix::new(target, 48).expect("48 is valid"),
         })
     }
 

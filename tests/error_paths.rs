@@ -423,6 +423,42 @@ fn every_config_error_is_refused_before_anything_probes() {
             }),
             ZeroRate,
         ),
+        // Finer than /64 the target lists blow up (2^(g - 48) targets a
+        // /48), and past /128 they are no prefixes at all.
+        (
+            Run::Stream(StreamConfig {
+                pipeline: PipelineConfig {
+                    detection_granularity: 65,
+                    ..PipelineConfig::default()
+                },
+                ..stream.clone()
+            }),
+            GranularityTooFine,
+        ),
+        (
+            on(MonitorConfig {
+                granularity: 65,
+                ..monitor.clone()
+            }),
+            GranularityTooFine,
+        ),
+        (
+            Run::Stream(StreamConfig {
+                pipeline: PipelineConfig {
+                    detection_granularity: 129,
+                    ..PipelineConfig::default()
+                },
+                ..stream.clone()
+            }),
+            GranularityTooFine,
+        ),
+        (
+            on(MonitorConfig {
+                granularity: 129,
+                ..monitor.clone()
+            }),
+            GranularityTooFine,
+        ),
         (
             on(MonitorConfig {
                 windows: 0,
@@ -530,8 +566,9 @@ fn every_config_error_is_refused_before_anything_probes() {
         ZeroDiscoveryRounds => 13,
         InvalidDiscoveryBranch => 14,
         EmptyWatchList => 15,
+        GranularityTooFine => 16,
     };
-    let mut covered = [false; 16];
+    let mut covered = [false; 17];
     for (_, rule) in &cases {
         covered[slot(rule)] = true;
     }

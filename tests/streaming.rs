@@ -5,11 +5,12 @@
 //! recorded replay) and property-tested over random worlds, target lists and
 //! producer counts.
 
-use followscent::core::{Pipeline, PipelineConfig, PipelineReport};
+use followscent::core::rotation_detect::ChangedTarget;
+use followscent::core::{Pipeline, PipelineConfig, PipelineReport, RotationDetection};
 use followscent::ipv6::Ipv6Prefix;
 use followscent::prober::{
-    ProbeTransport, QueueModel, RecordedBackend, RecordingBackend, TargetGenerator, TargetStream,
-    WorldView,
+    ProbeRecord, ProbeTransport, QueueModel, RecordedBackend, RecordingBackend, Scan,
+    TargetGenerator, TargetStream, WorldView,
 };
 use followscent::simnet::{scenarios, Engine, SimTime, WorldScale};
 use followscent::stream::{
@@ -564,7 +565,7 @@ proptest! {
 
     // Producer-merge determinism for the continuous monitor: random worlds,
     // random watch lists, any producer count — the full
-    // [`MonitorReport`] (events, detection, `TrackingReport`, observation
+    // [`MonitorReport`] (events, rotating /48s, `TrackingReport`, observation
     // counts) equals the single-producer run's.
     #[test]
     fn sharded_monitor_report_equals_single_producer(
@@ -584,9 +585,10 @@ proptest! {
     }
 }
 
-/// The continuous monitor sees the same rotating
-/// /48s the batch pipeline's two-snapshot comparison flags when pointed at
-/// the same candidates over the same two days.
+/// The continuous monitor sees the changes and the rotating /48s the batch
+/// pipeline's two-snapshot comparison reports when pointed at the same
+/// candidates over the same two days: the probes the monitor sent, split at
+/// its second window's start, are the two scans the batch comparison diffs.
 #[test]
 fn continuous_monitor_agrees_with_batch_detection() {
     let world = scenarios::versatel_like(7);
@@ -598,7 +600,8 @@ fn continuous_monitor_agrees_with_batch_detection() {
         .iter()
         .flat_map(|p| p.config.prefix.subnets(48).unwrap())
         .collect();
-    let report = monitor_with(&engine, &watched, 3, 1, 2);
+    let recorder = RecordingBackend::new(&engine);
+    let report = monitor_with(&recorder, &watched, 3, 1, 2);
     assert!(!report.rotating_48s.is_empty());
     // Versatel rotates daily: every watched pool /48 with occupied space
     // must produce events, and all flagged /48s are watched ones.
@@ -608,4 +611,26 @@ fn continuous_monitor_agrees_with_batch_detection() {
     assert_eq!(report.windows, 2);
     assert!(report.observations > 0);
     assert!(!report.tracking.devices.is_empty());
+
+    // The batch path over the same probes, window by window.
+    let config = MonitorConfig::default();
+    let second_window = config.start + config.window_interval;
+    let (first, second): (Vec<ProbeRecord>, Vec<ProbeRecord>) = recorder
+        .finish()
+        .probes
+        .into_iter()
+        .partition(|probe| probe.sent_at < second_window);
+    assert_eq!(first.len(), second.len(), "one probe a target a window");
+    let scan = |records| Scan {
+        records,
+        ..Scan::default()
+    };
+    let batch = RotationDetection::compare(&scan(first), &scan(second));
+    let mut streamed: Vec<ChangedTarget> = report.events_in_window(1).map(|e| e.change).collect();
+    streamed.sort_by_key(|change| change.target);
+    let mut batched = batch.changes.clone();
+    batched.sort_by_key(|change| change.target);
+    assert!(!batched.is_empty(), "non-vacuous agreement");
+    assert_eq!(streamed, batched);
+    assert_eq!(report.rotating_48s, batch.rotating_48s);
 }
