@@ -11,14 +11,18 @@
 # alternating. Per workload x end-to-end metric it prints both medians and
 # quartiles, the gap (positive = the change is worse) against the metric's
 # bound, the pairs the change won, and the failed ops of each side. Every
-# run's JSON line is kept in $AB_OUT (default: a fresh temporary directory).
+# run's JSON line is kept in $AB_OUT (default: a fresh temporary directory),
+# and so is trajectory.jsonl: one row per workload with both checkouts' short
+# hashes, both medians and the change's pair wins of each end-to-end metric,
+# and each side's failed ops — the row bench/trajectory.jsonl keeps per
+# landed change.
 #
 # Environment: AB_WORKLOADS="steady_watch tenants_64" restricts the workloads,
 # AB_SEED (default 1000) is the first pair's seed, AB_TRACE=1 runs the traced
 # pass instead (the table then lists the per-layer metrics, without bounds).
 set -eu
 
-[ $# -ge 2 ] || { sed -n '2,18p' "$0"; exit 2; }
+[ $# -ge 2 ] || { sed -n '2,22p' "$0"; exit 2; }
 parent=$(cd "$1" && pwd)
 change=$(cd "$2" && pwd)
 pairs=${3:-10}
@@ -71,8 +75,10 @@ done
 report='
 import json, statistics, sys
 
-spec, out, trace, workloads = json.load(open(sys.argv[1])), sys.argv[2], sys.argv[3], sys.argv[4:]
+spec, out, trace = json.load(open(sys.argv[1])), sys.argv[2], sys.argv[3]
+hashes, workloads = dict(parent=sys.argv[4], change=sys.argv[5]), sys.argv[6:]
 metrics = spec["per_layer" if trace == "1" else "end_to_end"]
+trajectory = open(f"{out}/trajectory.jsonl", "w")
 
 def runs(workload, side):
     return [json.loads(line) for line in open(f"{out}/{workload}.{side}.jsonl") if line.strip()]
@@ -81,25 +87,44 @@ def summary(values):
     q1, _, q3 = statistics.quantiles(values, n=4) if len(values) > 1 else (values[0],) * 3
     return statistics.median(values), q1, q3
 
+def compare(metric, parent, change):
+    # Both sides (median, q1, q3) and the pair wins of the change, or None.
+    name, sign = metric["name"], 1 if metric["better"] == "lower" else -1
+    if any(name not in r["metrics"] for r in parent + change):
+        return None
+    a = [r["metrics"][name]["value"] for r in parent]
+    b = [r["metrics"][name]["value"] for r in change]
+    return summary(a), summary(b), sum(1 for x, y in zip(a, b) if sign * (y - x) < 0)
+
 print("workload metric | parent median [q1 q3] | change median [q1 q3] | gap bound | pairs won")
 for workload in workloads:
     parent, change = runs(workload, "parent"), runs(workload, "change")
     for metric in metrics:
-        name, sign = metric["name"], 1 if metric["better"] == "lower" else -1
-        if any(name not in r["metrics"] for r in parent + change):
+        compared = compare(metric, parent, change)
+        if compared is None:
             continue
-        a = [r["metrics"][name]["value"] for r in parent]
-        b = [r["metrics"][name]["value"] for r in change]
-        (ma, a1, a3), (mb, b1, b3) = summary(a), summary(b)
+        ((ma, a1, a3), (mb, b1, b3), won), sign = compared, 1 if metric["better"] == "lower" else -1
         gap = sign * (mb - ma) / ma if ma else 0.0
-        won = sum(1 for x, y in zip(a, b) if sign * (y - x) < 0)
         clear = "clear" if abs(mb - ma) > a3 - a1 else "inside parent iqr"
         bound = metric.get("bound")
         verdict = "" if bound is None else f" {bound} " + ("ok" if gap <= bound else "WORSE")
+        name = metric["name"]
         print(f"{workload} {name} | {ma:.6g} [{a1:.6g} {a3:.6g}] | {mb:.6g} [{b1:.6g} {b3:.6g}]"
-              f" | {gap:+.4f}{verdict} | {won}/{len(a)} {clear}")
+              f" | {gap:+.4f}{verdict} | {won}/{len(parent)} {clear}")
     failed = lambda rs: str(sum(r["failed"] for r in rs)) + "/" + str(sum(r["attempted"] for r in rs))
     print(f"{workload} failed ops | parent {failed(parent)} | change {failed(change)}")
-print(f"runs kept in {out}")
+    row = dict(change=hashes["change"], parent=hashes["parent"], workload=workload,
+               pairs=len(parent), trace=trace == "1", metrics={},
+               failed=dict(parent=sum(r["failed"] for r in parent),
+                           change=sum(r["failed"] for r in change)))
+    for metric in spec["end_to_end"]:
+        compared = compare(metric, parent, change)
+        if compared is not None:
+            (ma, _, _), (mb, _, _), won = compared
+            row["metrics"][metric["name"]] = dict(parent=ma, change=mb, won=won)
+    trajectory.write(json.dumps(row) + "\n")
+print(f"runs and trajectory.jsonl kept in {out}")
 '
-python3 -c "$report" "$spec" "$out" "$trace" $workloads
+short_hash() { git -C "$1" rev-parse --short HEAD 2>/dev/null || echo unknown; }
+python3 -c "$report" "$spec" "$out" "$trace" "$(short_hash "$parent")" "$(short_hash "$change")" \
+    $workloads

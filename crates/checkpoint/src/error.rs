@@ -11,7 +11,7 @@ use std::fmt;
 ///
 /// The variants mirror the validation order of
 /// [`decode_snapshot`](crate::decode_snapshot): magic, format version,
-/// trailing checksum, then section structure. The fingerprint mismatches
+/// trailing checksum, then the body. The fingerprint mismatches
 /// ([`CheckpointError::ConfigMismatch`], [`CheckpointError::WorldMismatch`])
 /// are raised by the *consumer* of a structurally valid snapshot when its
 /// header does not match the run being resumed.

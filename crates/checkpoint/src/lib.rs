@@ -9,9 +9,10 @@
 //!   incremental tracker, rotation detectors, the queue model, watch-list
 //!   revisions and the telemetry deterministic tier.
 //! * [`encode_snapshot`] / [`decode_snapshot`] — the versioned container
-//!   format: magic, format version, config/world fingerprints, tagged
-//!   length-prefixed sections, and a trailing FNV-1a checksum. Corrupt or
-//!   mismatched input decodes to a typed [`CheckpointError`], never a panic.
+//!   format: magic, format version, config/world fingerprints, the
+//!   consumer's body in its one fixed field order, and a trailing FNV-1a
+//!   checksum. Corrupt or mismatched input decodes to a typed
+//!   [`CheckpointError`], never a panic.
 //! * [`CheckpointSink`] — where snapshots go: [`FileCheckpointStore`] writes
 //!   atomically (write to a temp file, fsync, rename) so a crash mid-write
 //!   leaves the previous checkpoint intact; [`MemorySink`] keeps every
@@ -38,15 +39,19 @@
 //!
 //! ```
 //! use scent_checkpoint::{
-//!     decode_snapshot, encode_snapshot, CheckpointError, FORMAT_VERSION,
+//!     decode_snapshot, encode_snapshot, CheckpointError, Reader, FORMAT_VERSION,
 //! };
 //!
-//! let sections: &[(u16, &[u8])] = &[(1, b"alpha"), (2, b"beta")];
-//! let bytes = encode_snapshot(0xc0ffee, 0xf00d, sections);
-//! let (header, decoded) = decode_snapshot(&bytes).unwrap();
-//! assert_eq!(header.version, FORMAT_VERSION);
+//! let bytes = encode_snapshot(0xc0ffee, 0xf00d, |w| {
+//!     w.put_u64(7);
+//!     w.put_str("alpha");
+//! });
+//! assert_eq!(bytes[8..12], FORMAT_VERSION.to_le_bytes());
+//! let (header, body) = decode_snapshot(&bytes).unwrap();
 //! assert_eq!(header.config_fingerprint, 0xc0ffee);
-//! assert_eq!(decoded.len(), 2);
+//! let mut r = Reader::new(body);
+//! assert_eq!((r.u64().unwrap(), r.str().unwrap()), (7, "alpha"));
+//! assert!(r.is_empty());
 //!
 //! // A flipped bit is caught by the trailing checksum.
 //! let mut corrupt = bytes.clone();
@@ -69,7 +74,5 @@ mod store;
 
 pub use codec::{decode_value, encode_value, fnv1a64, Checkpointable, Reader, Writer};
 pub use error::CheckpointError;
-pub use snapshot::{
-    decode_snapshot, encode_snapshot, SnapshotHeader, SnapshotSections, FORMAT_VERSION, MAGIC,
-};
+pub use snapshot::{decode_snapshot, encode_snapshot, SnapshotHeader, FORMAT_VERSION, MAGIC};
 pub use store::{CheckpointSink, FileCheckpointStore, MemorySink};

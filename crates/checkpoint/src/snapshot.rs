@@ -1,4 +1,4 @@
-//! Snapshot framing: header, sections, trailing checksum.
+//! Snapshot framing: header, body, trailing checksum.
 //!
 //! A snapshot is a self-describing byte container:
 //!
@@ -7,18 +7,18 @@
 //! version         u32       FORMAT_VERSION
 //! config fp       u64       FNV-1a-64 over the run's encoded configuration
 //! world fp        u64       FNV-1a-64 over the run's encoded routing table
-//! section count   u32
-//! sections        (id: u16, len: u64, payload: len bytes) × count
+//! body            the consumer's fields, in the one order it writes them
 //! checksum        u64       FNV-1a-64 over every preceding byte
 //! ```
 //!
 //! All integers are little-endian. The framing layer knows nothing about the
-//! payloads — it hands back `(id, bytes)` pairs and lets the consumer decode
-//! them with the [`Checkpointable`](crate::Checkpointable) machinery. That
-//! split keeps the validation order fixed: magic, then version, then
-//! checksum, then structure; fingerprint mismatches are the consumer's call
-//! (a structurally perfect snapshot from the wrong run is still useless
-//! *for resuming*, but a tool that just wants to inspect it can).
+//! body — the consumer writes it into the container's own [`Writer`] and
+//! reads it back with the [`Checkpointable`](crate::Checkpointable)
+//! machinery. That split keeps the validation order fixed: magic, then
+//! version, then checksum, then the body; fingerprint mismatches are the
+//! consumer's call (a structurally perfect snapshot from the wrong run is
+//! still useless *for resuming*, but a tool that just wants to inspect it
+//! can).
 
 use crate::codec::{fnv1a64, Reader, Writer};
 use crate::error::CheckpointError;
@@ -29,17 +29,15 @@ pub const MAGIC: [u8; 8] = *b"SCENTCKP";
 /// The snapshot format version this build reads and writes. A snapshot of
 /// any other version is refused with [`CheckpointError::VersionMismatch`]:
 /// no older layout is read.
-pub const FORMAT_VERSION: u32 = 3;
+pub const FORMAT_VERSION: u32 = 4;
 
-/// The `(id, payload)` section pairs of a decoded snapshot, in file order.
-pub type SnapshotSections<'a> = Vec<(u16, &'a [u8])>;
+/// Bytes of framing around the body: magic, version, two fingerprints and
+/// the checksum.
+const FRAME_LEN: usize = MAGIC.len() + 4 + 8 + 8 + 8;
 
 /// The validated header of a decoded snapshot.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SnapshotHeader {
-    /// Format version recorded in the snapshot (always
-    /// [`FORMAT_VERSION`] after successful validation).
-    pub version: u32,
     /// Fingerprint of the configuration the snapshot was taken under.
     pub config_fingerprint: u64,
     /// Fingerprint of the world (routing table) the snapshot was taken
@@ -47,40 +45,32 @@ pub struct SnapshotHeader {
     pub world_fingerprint: u64,
 }
 
-/// Frame `sections` into a complete snapshot byte vector.
-///
-/// Section ids are free-form tags chosen by the caller; they are written in
-/// the order given (callers wanting canonical bytes pass a canonical order).
+/// Frame a snapshot: the header, then whatever `body` writes, then the
+/// checksum — one pass into one [`Writer`].
 pub fn encode_snapshot(
     config_fingerprint: u64,
     world_fingerprint: u64,
-    sections: &[(u16, &[u8])],
+    body: impl FnOnce(&mut Writer),
 ) -> Vec<u8> {
     let mut w = Writer::new();
     w.put_raw(&MAGIC);
     w.put_u32(FORMAT_VERSION);
     w.put_u64(config_fingerprint);
     w.put_u64(world_fingerprint);
-    w.put_u32(u32::try_from(sections.len()).expect("section count fits u32"));
-    for &(id, payload) in sections {
-        w.put_u16(id);
-        w.put_bytes(payload);
-    }
+    body(&mut w);
     let checksum = fnv1a64(w.as_bytes());
     w.put_u64(checksum);
     w.into_bytes()
 }
 
-/// Validate and unframe a snapshot.
+/// Validate and unframe a snapshot, returning its header and body.
 ///
 /// Validation order (each failure is its own [`CheckpointError`] variant):
-/// magic bytes → format version → trailing checksum → section structure. The
-/// version is checked *before* the checksum so a snapshot from a newer
-/// format reports [`CheckpointError::VersionMismatch`], not a misleading
-/// checksum failure.
-pub fn decode_snapshot(
-    bytes: &[u8],
-) -> Result<(SnapshotHeader, SnapshotSections<'_>), CheckpointError> {
+/// magic bytes → format version → trailing checksum. The version is checked
+/// *before* the checksum so a snapshot from another format reports
+/// [`CheckpointError::VersionMismatch`], not a misleading checksum failure.
+/// The body is the consumer's to decode, trailing bytes included.
+pub fn decode_snapshot(bytes: &[u8]) -> Result<(SnapshotHeader, &[u8]), CheckpointError> {
     if bytes.len() < MAGIC.len() {
         return Err(CheckpointError::Truncated);
     }
@@ -96,36 +86,21 @@ pub fn decode_snapshot(
         });
     }
     // The trailing 8 bytes are the checksum over everything before them.
-    if bytes.len() < MAGIC.len() + 4 + 8 + 8 + 4 + 8 {
+    if bytes.len() < FRAME_LEN {
         return Err(CheckpointError::Truncated);
     }
-    let (body, trailer) = bytes.split_at(bytes.len() - 8);
+    let (framed, trailer) = bytes.split_at(bytes.len() - 8);
     let expected = u64::from_le_bytes(trailer.try_into().expect("8 bytes"));
-    let found = fnv1a64(body);
+    let found = fnv1a64(framed);
     if found != expected {
         return Err(CheckpointError::ChecksumMismatch { found, expected });
     }
-    // Re-read the validated body (past magic + version) for the header and
-    // sections, careful not to run into the trailer.
-    let mut r = Reader::new(&body[MAGIC.len() + 4..]);
-    let config_fingerprint = r.u64()?;
-    let world_fingerprint = r.u64()?;
-    let count = r.u32()?;
-    let mut sections = Vec::with_capacity((count as usize).min(4096));
-    for _ in 0..count {
-        let id = r.u16()?;
-        let payload = r.bytes()?;
-        sections.push((id, payload));
-    }
-    if !r.is_empty() {
-        return Err(CheckpointError::InvalidValue("trailing section bytes"));
-    }
+    let mut r = Reader::new(&framed[MAGIC.len() + 4..]);
     let header = SnapshotHeader {
-        version,
-        config_fingerprint,
-        world_fingerprint,
+        config_fingerprint: r.u64()?,
+        world_fingerprint: r.u64()?,
     };
-    Ok((header, sections))
+    Ok((header, &framed[FRAME_LEN - 8..]))
 }
 
 #[cfg(test)]
@@ -133,33 +108,30 @@ mod tests {
     use super::*;
 
     fn sample() -> Vec<u8> {
-        encode_snapshot(0x1111, 0x2222, &[(1, b"alpha"), (7, b""), (2, b"beta")])
+        encode_snapshot(0x1111, 0x2222, |w| w.put_raw(b"alpha beta"))
     }
 
     #[test]
     fn snapshot_roundtrips() {
         let bytes = sample();
-        let (header, sections) = decode_snapshot(&bytes).expect("decodes");
+        let (header, body) = decode_snapshot(&bytes).expect("decodes");
         assert_eq!(
             header,
             SnapshotHeader {
-                version: FORMAT_VERSION,
                 config_fingerprint: 0x1111,
                 world_fingerprint: 0x2222,
             }
         );
-        assert_eq!(
-            sections,
-            vec![(1u16, &b"alpha"[..]), (7, &b""[..]), (2, &b"beta"[..])]
-        );
+        assert_eq!(body, b"alpha beta");
     }
 
     #[test]
     fn empty_snapshot_roundtrips() {
-        let bytes = encode_snapshot(0, 0, &[]);
-        let (header, sections) = decode_snapshot(&bytes).expect("decodes");
-        assert_eq!(header.version, FORMAT_VERSION);
-        assert!(sections.is_empty());
+        let bytes = encode_snapshot(0, 0, |_| {});
+        assert_eq!(bytes.len(), FRAME_LEN);
+        let (header, body) = decode_snapshot(&bytes).expect("decodes");
+        assert_eq!(header.config_fingerprint, 0);
+        assert!(body.is_empty());
     }
 
     #[test]

@@ -6,15 +6,16 @@ use std::path::{Path, PathBuf};
 
 use crate::error::CheckpointError;
 
-/// A destination for encoded snapshots, called by the monitor at epoch
-/// boundaries.
+/// A destination for encoded snapshots, handed one by a monitor session's
+/// checkpoint stage at the epoch boundaries its cadence names.
 ///
 /// `epoch` is the index of the *next* epoch to run — i.e. the snapshot
 /// captures the state after `epoch` epochs completed, and resuming from it
 /// continues at epoch `epoch`.
 pub trait CheckpointSink {
-    /// Persist one snapshot. The bytes are complete and self-validating
-    /// (framed by [`encode_snapshot`](crate::encode_snapshot)).
+    /// Persist one snapshot. The bytes are complete and self-validating: a
+    /// header, the fixed-layout body and a checksum, framed by
+    /// [`encode_snapshot`](crate::encode_snapshot).
     fn store(&mut self, epoch: u64, bytes: &[u8]) -> Result<(), CheckpointError>;
 }
 

@@ -83,8 +83,8 @@ use scent_ipv6::Ipv6Prefix;
 use scent_prober::{ProbeTransport, WorldView};
 use scent_simnet::SimTime;
 use scent_stream::{
-    ConfigError, MonitorConfig, MonitorReport, MonitorSession, MonitorSnapshot, ShardPool,
-    StopSignal, StreamError,
+    ConfigError, MonitorConfig, MonitorControl, MonitorReport, MonitorSession, MonitorSnapshot,
+    ShardPool, StopSignal, StreamError,
 };
 use scent_telemetry::StreamObserver;
 
@@ -102,9 +102,7 @@ pub struct Campaign<'a, B: ?Sized> {
     world: &'a B,
     config: MonitorConfig,
     watched: Vec<Ipv6Prefix>,
-    observer: Option<&'a dyn StreamObserver>,
-    stop: Option<StopSignal>,
-    resume: Option<MonitorSnapshot>,
+    control: MonitorControl<'a>,
 }
 
 impl<'a, B: ProbeTransport + WorldView + ?Sized> Campaign<'a, B> {
@@ -114,9 +112,7 @@ impl<'a, B: ProbeTransport + WorldView + ?Sized> Campaign<'a, B> {
             world,
             config,
             watched: watched_48s,
-            observer: None,
-            stop: None,
-            resume: None,
+            control: MonitorControl::default(),
         }
     }
 
@@ -125,7 +121,7 @@ impl<'a, B: ProbeTransport + WorldView + ?Sized> Campaign<'a, B> {
     /// which is what keeps per-tenant deterministic telemetry byte-identical
     /// to a solo run.
     pub fn observer(mut self, observer: &'a dyn StreamObserver) -> Self {
-        self.observer = Some(observer);
+        self.control.observer = Some(observer);
         self
     }
 
@@ -133,7 +129,7 @@ impl<'a, B: ProbeTransport + WorldView + ?Sized> Campaign<'a, B> {
     /// its next epoch boundary (in-flight observations drain first) and
     /// releases its budget share to the neighbors.
     pub fn stop_signal(mut self, stop: StopSignal) -> Self {
-        self.stop = Some(stop);
+        self.control.stop = Some(stop);
         self
     }
 
@@ -141,10 +137,11 @@ impl<'a, B: ProbeTransport + WorldView + ?Sized> Campaign<'a, B> {
     /// fresh — the same crash-safe snapshots a standalone
     /// [`StreamMonitor`](scent_stream::StreamMonitor) run writes. The
     /// snapshot must match this campaign's configuration, initial watch
-    /// list and world (enforced by fingerprints at
-    /// [`SchedulerBuilder::run`]).
+    /// list and world: [`SchedulerBuilder::run`] opens the tenant with it
+    /// ([`MonitorSession::open`]) before any tenant probes, and a refused
+    /// snapshot is [`SchedError::Resume`].
     pub fn resume(mut self, snapshot: MonitorSnapshot) -> Self {
-        self.resume = Some(snapshot);
+        self.control.resume = Some(snapshot);
         self
     }
 }
@@ -154,9 +151,9 @@ impl<B: ?Sized> fmt::Debug for Campaign<'_, B> {
         f.debug_struct("Campaign")
             .field("config", &self.config)
             .field("watched", &self.watched.len())
-            .field("observer", &self.observer.is_some())
-            .field("stop", &self.stop.is_some())
-            .field("resume", &self.resume.is_some())
+            .field("observer", &self.control.observer.is_some())
+            .field("stop", &self.control.stop.is_some())
+            .field("resume", &self.control.resume.is_some())
             .finish()
     }
 }
@@ -185,9 +182,11 @@ pub enum SchedError {
         /// Index of the starved tenant, in add order.
         tenant: usize,
     },
-    /// A tenant's [`MonitorConfig`] cannot be run
-    /// ([`MonitorConfig::validate`]). Every tenant is validated before any
-    /// session is opened.
+    /// A tenant's [`MonitorConfig`] cannot be run: it breaks a
+    /// [`MonitorConfig::validate`] rule, or its watch list is empty with
+    /// discovery off ([`ConfigError::EmptyWatchList`]) — the rules
+    /// [`MonitorSession::open`] refuses. Every tenant is opened before any
+    /// tenant probes or any shard thread starts.
     InvalidConfig {
         /// Index of the offending tenant, in add order.
         tenant: usize,
@@ -356,13 +355,6 @@ impl<'a, B: ProbeTransport + WorldView + ?Sized> SchedulerBuilder<'a, B> {
                 return Err(SchedError::StarvedTenant { tenant });
             }
         }
-        for (tenant, (campaign, _)) in self.tenants.iter().enumerate() {
-            campaign
-                .config
-                .validate()
-                .map_err(|error| SchedError::InvalidConfig { tenant, error })?;
-        }
-
         let mut sessions: Vec<Option<MonitorSession<'a, B>>> =
             Vec::with_capacity(self.tenants.len());
         let mut failures: Vec<Option<StreamError>> = Vec::with_capacity(self.tenants.len());
@@ -372,23 +364,21 @@ impl<'a, B: ProbeTransport + WorldView + ?Sized> SchedulerBuilder<'a, B> {
             .map(|(campaign, _)| campaign.config.shards)
             .collect();
         let mut pools: BTreeMap<usize, ShardPool> = BTreeMap::new();
+        // Every tenant opens before any probes: pools are opened lazily, by
+        // the first step on them.
         for (tenant, (campaign, _)) in self.tenants.into_iter().enumerate() {
-            let mut session = MonitorSession::new(
+            let session = MonitorSession::open(
                 campaign.world,
                 campaign.config,
                 campaign.watched,
-                campaign.observer,
+                campaign.control,
             )
-            .with_tenant(tenant as u32);
-            if let Some(stop) = campaign.stop {
-                session = session.with_stop(stop);
-            }
-            if let Some(snapshot) = campaign.resume {
-                session = session
-                    .resume(snapshot)
-                    .map_err(|error| SchedError::Resume { tenant, error })?;
-            }
-            sessions.push(Some(session));
+            .map_err(|error| match error {
+                StreamError::Config(error) => SchedError::InvalidConfig { tenant, error },
+                StreamError::Checkpoint(error) => SchedError::Resume { tenant, error },
+                other => unreachable!("opening a session runs no shard: {other}"),
+            })?;
+            sessions.push(Some(session.with_tenant(tenant as u32)));
             failures.push(None);
         }
 

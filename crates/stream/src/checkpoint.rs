@@ -7,7 +7,8 @@
 //! fresh each epoch, so no mid-stream cursor needs to survive. The snapshot
 //! carries the monitor's merge-side progress (epoch/window counters, the
 //! live watch list and its revision history), every shard's inference state,
-//! and the telemetry deterministic tier. Restoring it and running the
+//! the telemetry deterministic tier and the discovery tree, written as one
+//! fixed-layout body ([`MonitorSnapshot::to_bytes`]). Restoring it and running the
 //! remaining epochs produces a report — and a deterministic telemetry dump —
 //! byte-identical to the uninterrupted run; `tests/checkpoint_resume.rs`
 //! enforces that across shard counts, producer counts, churn and feedback.
@@ -22,8 +23,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use scent_checkpoint::{
-    decode_snapshot, decode_value, encode_snapshot, encode_value, CheckpointError, Checkpointable,
-    Reader, Writer,
+    decode_snapshot, encode_snapshot, CheckpointError, Checkpointable, Reader, Writer,
 };
 use scent_core::WatchRevision;
 use scent_ipv6::Ipv6Prefix;
@@ -32,14 +32,6 @@ use scent_telemetry::DeterministicSnapshot;
 
 use crate::monitor::MonitorConfig;
 use crate::shard::ShardInference;
-
-/// Section ids inside the snapshot container (see
-/// [`scent_checkpoint::encode_snapshot`]).
-const SECTION_PROGRESS: u16 = 1;
-const SECTION_WATCH: u16 = 2;
-const SECTION_SHARDS: u16 = 3;
-const SECTION_TELEMETRY: u16 = 4;
-const SECTION_DISCOVERY: u16 = 5;
 
 /// A cooperative stop request, checked by the monitor at epoch boundaries.
 ///
@@ -108,90 +100,52 @@ pub struct MonitorSnapshot {
 }
 
 impl MonitorSnapshot {
-    /// Serialize into the versioned container format.
+    /// Serialize into the versioned container: the header, then the body's
+    /// fields in their one fixed order — `next_epoch`, `current_window`,
+    /// `expansion_probes`, `final_rate`, `watched`, `revisions`, `shards`,
+    /// `telemetry`, `discovery` — written in one pass.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut progress = Writer::new();
-        progress.put_u64(self.next_epoch);
-        progress.put_u64(self.current_window);
-        progress.put_u64(self.expansion_probes);
-        progress.put_u64(self.final_rate);
-
-        let mut watch = Writer::new();
-        self.watched.encode(&mut watch);
-        self.revisions.encode(&mut watch);
-
-        let shards = encode_value(&self.shards);
-        let telemetry = encode_value(&self.telemetry);
-        let discovery = encode_value(&self.discovery);
-
-        encode_snapshot(
-            self.config_fingerprint,
-            self.world_fingerprint,
-            &[
-                (SECTION_PROGRESS, progress.as_bytes()),
-                (SECTION_WATCH, watch.as_bytes()),
-                (SECTION_SHARDS, &shards),
-                (SECTION_TELEMETRY, &telemetry),
-                (SECTION_DISCOVERY, &discovery),
-            ],
-        )
+        encode_snapshot(self.config_fingerprint, self.world_fingerprint, |w| {
+            w.put_u64(self.next_epoch);
+            w.put_u64(self.current_window);
+            w.put_u64(self.expansion_probes);
+            w.put_u64(self.final_rate);
+            self.watched.encode(w);
+            self.revisions.encode(w);
+            self.shards.encode(w);
+            self.telemetry.encode(w);
+            self.discovery.encode(w);
+        })
     }
 
     /// Decode a snapshot previously produced by [`MonitorSnapshot::to_bytes`].
     ///
-    /// Validates the container (magic, format version, checksum) and the
-    /// section structure; corrupt input yields a typed [`CheckpointError`],
-    /// never a panic. Fingerprints are carried through for the consumer —
-    /// [`StreamMonitor::run_controlled`](crate::StreamMonitor::run_controlled)
-    /// — to check against the run it is asked to resume.
+    /// Validates the container (magic, format version, checksum), then reads
+    /// the body in its fixed order and refuses any byte after it; corrupt
+    /// input yields a typed [`CheckpointError`], never a panic. Fingerprints
+    /// are carried through for the consumer —
+    /// [`MonitorSession::resume`](crate::MonitorSession::resume) — to check
+    /// against the run it is asked to resume.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, CheckpointError> {
-        let (header, sections) = decode_snapshot(bytes)?;
-        let mut snapshot = MonitorSnapshot {
+        let (header, body) = decode_snapshot(bytes)?;
+        let r = &mut Reader::new(body);
+        // Fields are read in the order written: struct literals evaluate in
+        // source order.
+        let snapshot = MonitorSnapshot {
             config_fingerprint: header.config_fingerprint,
             world_fingerprint: header.world_fingerprint,
-            ..MonitorSnapshot::default()
+            next_epoch: r.u64()?,
+            current_window: r.u64()?,
+            expansion_probes: r.u64()?,
+            final_rate: r.u64()?,
+            watched: Checkpointable::decode(r)?,
+            revisions: Checkpointable::decode(r)?,
+            shards: Checkpointable::decode(r)?,
+            telemetry: Checkpointable::decode(r)?,
+            discovery: Checkpointable::decode(r)?,
         };
-        let mut seen = [false; 5];
-        for (id, payload) in sections {
-            let slot = match id {
-                SECTION_PROGRESS => 0,
-                SECTION_WATCH => 1,
-                SECTION_SHARDS => 2,
-                SECTION_TELEMETRY => 3,
-                SECTION_DISCOVERY => 4,
-                _ => return Err(CheckpointError::InvalidValue("unknown snapshot section")),
-            };
-            if seen[slot] {
-                return Err(CheckpointError::InvalidValue("duplicate snapshot section"));
-            }
-            seen[slot] = true;
-            match id {
-                SECTION_PROGRESS => {
-                    let mut r = Reader::new(payload);
-                    snapshot.next_epoch = r.u64()?;
-                    snapshot.current_window = r.u64()?;
-                    snapshot.expansion_probes = r.u64()?;
-                    snapshot.final_rate = r.u64()?;
-                    if !r.is_empty() {
-                        return Err(CheckpointError::InvalidValue("trailing bytes"));
-                    }
-                }
-                SECTION_WATCH => {
-                    let mut r = Reader::new(payload);
-                    snapshot.watched = Checkpointable::decode(&mut r)?;
-                    snapshot.revisions = Checkpointable::decode(&mut r)?;
-                    if !r.is_empty() {
-                        return Err(CheckpointError::InvalidValue("trailing bytes"));
-                    }
-                }
-                SECTION_SHARDS => snapshot.shards = decode_value(payload)?,
-                SECTION_TELEMETRY => snapshot.telemetry = decode_value(payload)?,
-                SECTION_DISCOVERY => snapshot.discovery = decode_value(payload)?,
-                _ => unreachable!("matched above"),
-            }
-        }
-        if !seen[0] || !seen[1] || !seen[2] {
-            return Err(CheckpointError::Truncated);
+        if !r.is_empty() {
+            return Err(CheckpointError::InvalidValue("trailing bytes"));
         }
         Ok(snapshot)
     }
@@ -289,6 +243,7 @@ impl Checkpointable for ShardInference {
 mod tests {
     use super::*;
     use crate::observation::{Observation, Phase};
+    use scent_checkpoint::{decode_value, encode_value};
     use scent_simnet::SimTime;
 
     fn obs(phase: Phase, window: u64, seq: u64, target: &str, source: Option<&str>) -> Observation {
@@ -381,6 +336,19 @@ mod tests {
             telemetry: None,
         };
         let bytes = snapshot.to_bytes();
+        // The body is the nine fields in their fixed order and nothing else.
+        let fields = [
+            encode_value(&snapshot.next_epoch),
+            encode_value(&snapshot.current_window),
+            encode_value(&snapshot.expansion_probes),
+            encode_value(&snapshot.final_rate),
+            encode_value(&snapshot.watched),
+            encode_value(&snapshot.revisions),
+            encode_value(&snapshot.shards),
+            encode_value(&snapshot.telemetry),
+            encode_value(&snapshot.discovery),
+        ];
+        assert_eq!(decode_snapshot(&bytes).unwrap().1, fields.concat());
         let back = MonitorSnapshot::from_bytes(&bytes).unwrap();
         assert_eq!(back.config_fingerprint, snapshot.config_fingerprint);
         assert_eq!(back.world_fingerprint, snapshot.world_fingerprint);
@@ -397,22 +365,6 @@ mod tests {
         for (decoded, original) in back.shards.iter().zip(&snapshot.shards) {
             assert_eq!(decoded.events, original.events);
         }
-    }
-
-    #[test]
-    fn missing_sections_are_truncated() {
-        let bytes = encode_snapshot(1, 2, &[(SECTION_PROGRESS, &encode_value(&(0u64, 0u64)))]);
-        // A structurally valid container without the mandatory sections.
-        assert!(MonitorSnapshot::from_bytes(&bytes).is_err());
-    }
-
-    #[test]
-    fn unknown_section_is_invalid() {
-        let bytes = encode_snapshot(1, 2, &[(99, b"?")]);
-        assert_eq!(
-            MonitorSnapshot::from_bytes(&bytes).err(),
-            Some(CheckpointError::InvalidValue("unknown snapshot section"))
-        );
     }
 
     #[test]

@@ -220,7 +220,8 @@ impl MonitorConfig {
     /// and consistent churn, checkpoint and discovery settings. The
     /// [`StreamMonitor`] runs return the broken rule as
     /// [`StreamError::Config`] before anything starts,
-    /// the `scent-sched` scheduler reports it before it opens a session, and
+    /// [`MonitorSession::open`] returns it (the scheduler, which opens its
+    /// tenants that way, reports it as the tenant's), and
     /// [`MonitorSession::new`] asserts it.
     pub fn validate(&self) -> Result<(), ConfigError> {
         use ConfigError::*;
@@ -440,55 +441,25 @@ impl StreamMonitor {
     /// [`StreamError::ShardPanicked`] when a shard worker dies; a valid run
     /// with neither sink nor resume state can only fail the last way.
     ///
-    /// Internally this drives a [`MonitorSession`] one epoch at a time at
-    /// the configured budget, every epoch a lease of the one [`ShardPool`]
-    /// the run owns (dropped before the report is folded) — the session type
-    /// is public so an external scheduler can do the same with interleaved
-    /// epochs, varying budgets and a pool shared between sessions.
-    pub fn run_controlled<B: ProbeTransport + WorldView + ?Sized>(
+    /// Internally this opens a [`MonitorSession`] with `control`
+    /// ([`MonitorSession::open`]) and drives it one epoch at a time at the
+    /// configured budget, every epoch a lease of the one [`ShardPool`] the
+    /// run owns (dropped before the report is folded); the snapshots are
+    /// the session's own checkpoint stage. The session type is public so an
+    /// external scheduler can do the same with interleaved epochs, varying
+    /// budgets and a pool shared between sessions.
+    pub fn run_controlled<'a, B: ProbeTransport + WorldView + ?Sized>(
         &self,
-        world: &B,
+        world: &'a B,
         watched_48s: &[Ipv6Prefix],
-        mut control: MonitorControl<'_>,
+        control: MonitorControl<'a>,
     ) -> Result<MonitorReport, StreamError> {
-        self.config.validate()?;
-        if watched_48s.is_empty() && self.config.discovery.is_none() {
-            // Only discovery could ever fill an empty list.
-            return Err(ConfigError::EmptyWatchList.into());
-        }
-        let mut session = MonitorSession::new(
-            world,
-            self.config.clone(),
-            watched_48s.to_vec(),
-            control.observer,
-        );
-        if let Some(stop) = control.stop {
-            session = session.with_stop(stop);
-        }
-        if let Some(snapshot) = control.resume {
-            session = session.resume(snapshot)?;
-        }
+        let mut session =
+            MonitorSession::open(world, self.config.clone(), watched_48s.to_vec(), control)?;
         // The run owns its shard workers: every epoch leases this one pool.
         let mut pool = ShardPool::open(self.config.shards);
         while !session.is_done() {
             session.run_epoch_on(&mut pool, self.config.packets_per_second)?;
-            // Checkpoint at the boundary: on the configured cadence, plus
-            // unconditionally at the run's effective end — final epoch, stop
-            // boundary or watch exhaustion — the resume points someone will
-            // actually want. Shard state is captured from the joined
-            // epoch's carried states, so the snapshot reflects exactly the
-            // observations ingested so far.
-            if let Some(sink) = control.sink.as_deref_mut() {
-                let on_cadence = self
-                    .config
-                    .checkpoint_every
-                    .map_or(true, |every| session.completed_windows() % every == 0);
-                if on_cadence || session.is_done() {
-                    let bytes = session.snapshot().to_bytes();
-                    sink.store(session.next_epoch() as u64, &bytes)
-                        .map_err(StreamError::Checkpoint)?;
-                }
-            }
         }
         // Release before the fold: the parked workers' batch buffers must
         // not sit under the report merge's peak.
@@ -515,10 +486,10 @@ impl StreamMonitor {
 /// dropped inside the call). An epoch is a straight line over named stages
 /// on the session — the probe pass, the boundary probes (re-expansion, then
 /// the discovery cycle, both routed into the shards on the live lease), the
-/// release, the watch-list revision — and only the per-shard states leave
-/// it, for the workers and back; the boundary stages run at every boundary
-/// but the run's last, at one boundary time, and every epoch stores the
-/// rate its pass ended on. Driving a fresh session to
+/// release, the watch-list revision, the checkpoint — and only the per-shard
+/// states leave it, for the workers and back; the boundary stages run at
+/// every boundary but the run's last, at one boundary time, and every epoch
+/// stores the rate its pass ended on. Driving a fresh session to
 /// completion at a constant budget of [`MonitorConfig::packets_per_second`]
 /// reproduces
 /// [`StreamMonitor::run`] byte for byte; varying the budget between epochs
@@ -535,6 +506,7 @@ pub struct MonitorSession<'a, B: ?Sized> {
     observer: Option<&'a dyn StreamObserver>,
     tenant: u32,
     stop: Option<StopSignal>,
+    sink: Option<&'a mut dyn CheckpointSink>,
     shard_map: ShardMap,
     epochs: Vec<(u64, u64)>,
     initial_watched: Vec<Ipv6Prefix>,
@@ -563,11 +535,40 @@ pub struct MonitorSession<'a, B: ?Sized> {
 }
 
 impl<'a, B: ProbeTransport + WorldView + ?Sized> MonitorSession<'a, B> {
-    /// Open a session: validate the configuration, lay out the epochs and
-    /// arm the initial watch list. A session spawns no threads; its epochs
-    /// run on a [`ShardPool`]. Panics on a configuration
-    /// [`MonitorConfig::validate`] refuses: its callers (the runs, the
-    /// scheduler) validate first and return the typed error.
+    /// Open a session with the whole control surface: the configuration is
+    /// checked first — [`MonitorConfig::validate`], and an empty watch list
+    /// with discovery off is [`ConfigError::EmptyWatchList`], since only
+    /// discovery could ever fill it — and a broken rule is
+    /// [`StreamError::Config`] before any hook fires. Then the session is
+    /// built ([`MonitorSession::new`]) with `control`'s observer, stop
+    /// signal and sink, and resumed from its snapshot if one is given (a
+    /// refused snapshot is [`StreamError::Checkpoint`]). This is how
+    /// [`StreamMonitor::run_controlled`] and the `scent-sched` scheduler
+    /// open every session.
+    pub fn open(
+        world: &'a B,
+        config: MonitorConfig,
+        watched_48s: Vec<Ipv6Prefix>,
+        control: MonitorControl<'a>,
+    ) -> Result<Self, StreamError> {
+        config.validate()?;
+        if watched_48s.is_empty() && config.discovery.is_none() {
+            return Err(ConfigError::EmptyWatchList.into());
+        }
+        let mut session = Self::new(world, config, watched_48s, control.observer);
+        session.stop = control.stop;
+        session.sink = control.sink;
+        match control.resume {
+            Some(snapshot) => Ok(session.resume(snapshot)?),
+            None => Ok(session),
+        }
+    }
+
+    /// A session with an observer and nothing else of the control surface:
+    /// lay out the epochs and arm the initial watch list. A session spawns
+    /// no threads; its epochs run on a [`ShardPool`]. Panics on a
+    /// configuration [`MonitorConfig::validate`] refuses;
+    /// [`MonitorSession::open`] returns the typed error instead.
     ///
     /// A churn-enabled session whose *initial* watch list is already empty
     /// starts exhausted ([`MonitorReport::exhausted_at`] `= Some(0)`):
@@ -619,6 +620,7 @@ impl<'a, B: ProbeTransport + WorldView + ?Sized> MonitorSession<'a, B> {
             observer,
             tenant: 0,
             stop: None,
+            sink: None,
             shard_map,
             epochs,
             initial_watched: watched_48s.clone(),
@@ -653,13 +655,6 @@ impl<'a, B: ProbeTransport + WorldView + ?Sized> MonitorSession<'a, B> {
     /// deterministic-telemetry field. Defaults to 0.
     pub fn with_tenant(mut self, tenant: u32) -> Self {
         self.tenant = tenant;
-        self
-    }
-
-    /// Attach a cooperative stop flag, polled after each epoch has fully
-    /// drained — [`MonitorControl::stop`], session-shaped.
-    pub fn with_stop(mut self, stop: StopSignal) -> Self {
-        self.stop = Some(stop);
         self
     }
 
@@ -764,8 +759,8 @@ impl<'a, B: ProbeTransport + WorldView + ?Sized> MonitorSession<'a, B> {
         (self.epochs[..self.next_epoch].last()).map_or(0, |&(start, len)| start + len)
     }
 
-    /// Index of the next epoch to run — also the checkpoint key
-    /// [`StreamMonitor::run_controlled`] stores boundary snapshots under.
+    /// Index of the next epoch to run — also the key the checkpoint stage
+    /// stores boundary snapshots under.
     pub fn next_epoch(&self) -> usize {
         self.next_epoch
     }
@@ -869,7 +864,27 @@ impl<'a, B: ProbeTransport + WorldView + ?Sized> MonitorSession<'a, B> {
             // report on top of it.
             self.kept = None;
         }
+        self.checkpoint()?;
         Ok(stopping)
+    }
+
+    /// The checkpoint stage of an epoch: with a sink attached, store the
+    /// boundary's [`MonitorSnapshot`] under [`MonitorSession::next_epoch`]
+    /// on the [`MonitorConfig::checkpoint_every`] cadence, plus
+    /// unconditionally at the run's effective end — final epoch, stop
+    /// boundary or watch exhaustion — the resume points someone will
+    /// actually want. The states are the released epoch's, so the snapshot
+    /// reflects exactly the observations ingested so far.
+    fn checkpoint(&mut self) -> Result<(), StreamError> {
+        let on_cadence = (self.config.checkpoint_every)
+            .map_or(true, |every| self.completed_windows() % every == 0);
+        if self.sink.is_none() || !(on_cadence || self.is_done()) {
+            return Ok(());
+        }
+        let bytes = self.snapshot().to_bytes();
+        let sink = self.sink.as_deref_mut().expect("checked above");
+        sink.store(self.next_epoch as u64, &bytes)
+            .map_err(StreamError::Checkpoint)
     }
 
     /// The pass stage of an epoch: probe the current watch list for the
@@ -1119,8 +1134,8 @@ impl<'a, B: ProbeTransport + WorldView + ?Sized> MonitorSession<'a, B> {
     }
 
     /// Capture the session's state at the current epoch boundary — the same
-    /// [`MonitorSnapshot`] [`StreamMonitor::run_controlled`] writes to its
-    /// sink, pure function of `(config, world seed)` included. Every
+    /// [`MonitorSnapshot`] the checkpoint stage writes to its sink, pure
+    /// function of `(config, world seed)` included. Every
     /// shard's tracker is folded in place first, so the snapshot copies
     /// canonical trackers and the codec writes them as they stand.
     pub fn snapshot(&mut self) -> MonitorSnapshot {
@@ -1243,15 +1258,18 @@ impl<B: ProbeTransport + ?Sized> BoundaryProbes<'_, '_, B> {
     }
 }
 
-/// Control surface for [`StreamMonitor::run_controlled`]: observer,
-/// checkpoint sink, resume state and stop signal, all optional. The default
-/// value reproduces [`StreamMonitor::run`] exactly.
+/// Control surface for [`MonitorSession::open`] (and so for
+/// [`StreamMonitor::run_controlled`]): observer, checkpoint sink, resume
+/// state and stop signal, all optional. The default value reproduces
+/// [`StreamMonitor::run`] exactly.
 #[derive(Default)]
 pub struct MonitorControl<'a> {
     /// Telemetry observer, as in [`StreamMonitor::run_observed`].
     pub observer: Option<&'a dyn StreamObserver>,
-    /// Where epoch-boundary snapshots are written. `None` disables
-    /// checkpointing entirely (no fingerprinting, no flushes).
+    /// Where the session's checkpoint stage writes epoch-boundary snapshots
+    /// (on the [`MonitorConfig::checkpoint_every`] cadence and at the run's
+    /// end). `None` disables checkpointing entirely (no fingerprinting, no
+    /// encoding).
     pub sink: Option<&'a mut dyn CheckpointSink>,
     /// Resume from this snapshot's epoch boundary instead of starting
     /// fresh. Must have been captured under the same configuration, initial

@@ -13,10 +13,10 @@ use followscent::prober::{
 };
 use followscent::simnet::{scenarios, Engine, SimTime};
 use followscent::stream::{
-    MonitorConfig, MonitorControl, MonitorReport, MonitorSnapshot, StopSignal, StreamMonitor,
-    WatchChurn,
+    MonitorConfig, MonitorControl, MonitorReport, MonitorSession, MonitorSnapshot, ShardPool,
+    StopSignal, StreamMonitor, WatchChurn,
 };
-use followscent::telemetry::{self, Telemetry};
+use followscent::telemetry::{self, EpochSummary, StreamObserver, Telemetry};
 use proptest::prelude::*;
 
 /// A queue model that genuinely throttles the 128 pps feedback runs below.
@@ -460,6 +460,89 @@ fn asynchronous_stop_leaves_a_resumable_snapshot() {
     );
     std::fs::remove_file(&path).ok();
     assert_eq!(resumed, reference, "halted after {} windows", half.windows);
+}
+
+/// Raises its stop signal when the revision closing `epoch` is observed —
+/// inside a run, at a point fixed by the run itself.
+struct StopAfter {
+    stop: StopSignal,
+    epoch: u64,
+}
+
+impl StreamObserver for StopAfter {
+    fn on_epoch_close(&self, summary: &EpochSummary<'_>) {
+        if summary.epoch == self.epoch {
+            self.stop.request_stop();
+        }
+    }
+}
+
+/// Checkpointing is a session stage: a session opened with a sink and driven
+/// epoch by epoch on a lent pool writes the same `(epoch, bytes)` list as
+/// `run_controlled`, on a churned run checkpointing every two windows whose
+/// stop is raised mid-run — one snapshot on the cadence, one at the stop
+/// boundary off it.
+#[test]
+fn the_checkpoint_stage_writes_what_run_controlled_writes() {
+    let (engine, start, watched) = churn_setup();
+    let config = MonitorConfig {
+        shards: 2,
+        producers: 2,
+        packets_per_second: 128,
+        windows: 6,
+        start,
+        checkpoint_every: Some(2),
+        churn: Some(WatchChurn {
+            refresh_every: 1,
+            watch_capacity: 3,
+            ..WatchChurn::default()
+        }),
+        ..MonitorConfig::default()
+    };
+
+    // Raised while epoch 1 closes, the stop is seen by epoch 2.
+    let stop = StopSignal::new();
+    let raiser = StopAfter {
+        stop: stop.clone(),
+        epoch: 1,
+    };
+    let mut controlled = MemorySink::new();
+    let report = StreamMonitor::new(config.clone())
+        .run_controlled(
+            &engine,
+            &watched,
+            MonitorControl {
+                observer: Some(&raiser),
+                sink: Some(&mut controlled),
+                stop: Some(stop),
+                ..MonitorControl::default()
+            },
+        )
+        .expect("valid monitor configuration");
+    assert_eq!(report.windows, 3, "stopped at the third boundary");
+
+    let stop = StopSignal::new();
+    let mut staged = MemorySink::new();
+    let control = MonitorControl {
+        sink: Some(&mut staged),
+        stop: Some(stop.clone()),
+        ..MonitorControl::default()
+    };
+    let mut session = MonitorSession::open(&engine, config.clone(), watched, control)
+        .expect("valid monitor configuration");
+    let mut pool = ShardPool::open(config.shards);
+    while !session.is_done() {
+        session.run_epoch_on(&mut pool, 128).unwrap();
+        if session.next_epoch() == 2 {
+            stop.request_stop();
+        }
+    }
+    drop(pool);
+    assert_eq!(session.finish().windows, 3);
+
+    let keys: Vec<u64> = controlled.all().iter().map(|&(epoch, _)| epoch).collect();
+    assert_eq!(keys, [2, 3], "the cadence boundary, then the stop boundary");
+    assert_eq!(staged.all(), controlled.all());
 }
 
 proptest! {

@@ -9,7 +9,7 @@ use std::error::Error;
 
 use followscent::bgp::{Rib, RibParseError, RibParseErrorKind};
 use followscent::checkpoint::{
-    encode_snapshot, CheckpointError, FileCheckpointStore, FORMAT_VERSION,
+    decode_snapshot, encode_snapshot, CheckpointError, FileCheckpointStore, FORMAT_VERSION,
 };
 use followscent::core::PipelineConfig;
 use followscent::discovery::DiscoveryConfig;
@@ -599,14 +599,15 @@ fn every_config_error_is_refused_before_anything_probes() {
         "no refused run probed"
     );
 
-    // A scheduled tenant carries the monitor's rules: refused before any
-    // session opens.
-    for (config, rule) in [
+    // A scheduled tenant carries the monitor's rules, the empty-list one
+    // included: refused before any tenant probes.
+    for (config, list, rule) in [
         (
             MonitorConfig {
                 windows: 0,
                 ..monitor.clone()
             },
+            watched.clone(),
             NoWindows,
         ),
         (
@@ -614,11 +615,13 @@ fn every_config_error_is_refused_before_anything_probes() {
                 packets_per_second: 0,
                 ..monitor.clone()
             },
+            watched.clone(),
             ZeroRate,
         ),
+        (monitor.clone(), Vec::new(), EmptyWatchList),
     ] {
         let err = Scheduler::builder()
-            .add(sched::Campaign::new(&engine, config, watched.clone()), 1)
+            .add(sched::Campaign::new(&engine, config, list), 1)
             .run()
             .unwrap_err();
         assert_eq!(
@@ -784,18 +787,81 @@ fn corrupt_snapshots_fail_typed_and_never_panic() {
         })
     );
 
-    // Well-framed containers with hostile structure: unknown and missing
-    // sections are InvalidValue / Truncated.
-    let unknown = encode_snapshot(0, 0, &[(9999, b"?")]);
+    // Well-framed containers with hostile bodies: an empty body is
+    // Truncated, and a valid body with one byte more is refused after it.
     assert_eq!(
-        MonitorSnapshot::from_bytes(&unknown).err(),
-        Some(CheckpointError::InvalidValue("unknown snapshot section"))
-    );
-    let empty = encode_snapshot(0, 0, &[]);
-    assert_eq!(
-        MonitorSnapshot::from_bytes(&empty).err(),
+        MonitorSnapshot::from_bytes(&seal(&[])).err(),
         Some(CheckpointError::Truncated)
     );
+    let mut longer = body_of(&valid).to_vec();
+    longer.push(0);
+    assert_eq!(
+        MonitorSnapshot::from_bytes(&seal(&longer)).err(),
+        Some(CheckpointError::InvalidValue("trailing bytes"))
+    );
+}
+
+/// `body` framed as a snapshot with a valid checksum (fingerprints zero).
+fn seal(body: &[u8]) -> Vec<u8> {
+    encode_snapshot(0, 0, |w| body.iter().for_each(|&byte| w.put_u8(byte)))
+}
+
+/// The body of a valid snapshot.
+fn body_of(snapshot: &[u8]) -> &[u8] {
+    decode_snapshot(snapshot).expect("a valid snapshot").1
+}
+
+/// Every prefix of a real body — two shards, churn, discovery and telemetry,
+/// so every field of the layout is populated — sealed with a valid checksum
+/// decodes to a typed error: the checksum cannot vouch for a body cut short,
+/// and the body decoder must not panic or accept it.
+#[test]
+fn every_cut_of_a_sealed_body_is_a_typed_error() {
+    let engine = Engine::build(scenarios::churn_world(17)).unwrap();
+    let config = MonitorConfig {
+        shards: 2,
+        windows: 3,
+        granularity: 52,
+        churn: Some(WatchChurn {
+            refresh_every: 1,
+            watch_capacity: 3,
+            ..WatchChurn::default()
+        }),
+        discovery: Some(DiscoveryConfig {
+            probe_budget: 64,
+            ..DiscoveryConfig::paper_scale()
+        }),
+        ..MonitorConfig::default()
+    };
+    let registry = Telemetry::new();
+    let start = config.start;
+    let watched = vec![
+        scenarios::churn_world_dense_48(&engine, start),
+        engine.pools()[1].config.prefix,
+    ];
+    let mut session = MonitorSession::new(&engine, config, watched, Some(&registry));
+    session.run_epoch(128).unwrap();
+    session.run_epoch(128).unwrap();
+    let snapshot = session.snapshot();
+    assert!(snapshot.telemetry.is_some() && snapshot.discovery.is_some());
+    assert!(!snapshot.revisions.is_empty() && snapshot.shards.len() == 2);
+    assert!(snapshot.shards.iter().all(|s| s.observations > 0));
+    assert!(snapshot.shards.iter().any(|s| !s.events.is_empty()));
+    let bytes = snapshot.to_bytes();
+    let body = body_of(&bytes);
+    assert!(MonitorSnapshot::from_bytes(&seal(body)).is_ok());
+    for k in 0..body.len() {
+        let result = MonitorSnapshot::from_bytes(&seal(&body[..k]));
+        assert!(
+            matches!(
+                result,
+                Err(CheckpointError::Truncated) | Err(CheckpointError::InvalidValue(_))
+            ),
+            "body cut at {k} of {}: {:?}",
+            body.len(),
+            result.map(|_| ())
+        );
+    }
 }
 
 /// A snapshot whose shard list does not match the configured shard count —
