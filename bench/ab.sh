@@ -13,9 +13,9 @@
 # bound, the pairs the change won, and the failed ops of each side. Every
 # run's JSON line is kept in $AB_OUT (default: a fresh temporary directory),
 # and so is trajectory.jsonl: one row per workload with both checkouts' short
-# hashes, both medians and the change's pair wins of each end-to-end metric,
-# and each side's failed ops — the row bench/trajectory.jsonl keeps per
-# landed change.
+# hashes, the pairs and seconds, both medians and the change's pair wins of
+# each end-to-end metric, and each side's failed ops — the rows
+# bench/trajectory.jsonl keeps per landed change.
 #
 # Environment: AB_WORKLOADS="steady_watch tenants_64" restricts the workloads,
 # AB_SEED (default 1000) is the first pair's seed, AB_TRACE=1 runs the traced
@@ -76,7 +76,7 @@ report='
 import json, statistics, sys
 
 spec, out, trace = json.load(open(sys.argv[1])), sys.argv[2], sys.argv[3]
-hashes, workloads = dict(parent=sys.argv[4], change=sys.argv[5]), sys.argv[6:]
+hashes, seconds, workloads = dict(parent=sys.argv[4], change=sys.argv[5]), sys.argv[6], sys.argv[7:]
 metrics = spec["per_layer" if trace == "1" else "end_to_end"]
 trajectory = open(f"{out}/trajectory.jsonl", "w")
 
@@ -114,7 +114,7 @@ for workload in workloads:
     failed = lambda rs: str(sum(r["failed"] for r in rs)) + "/" + str(sum(r["attempted"] for r in rs))
     print(f"{workload} failed ops | parent {failed(parent)} | change {failed(change)}")
     row = dict(change=hashes["change"], parent=hashes["parent"], workload=workload,
-               pairs=len(parent), trace=trace == "1", metrics={},
+               pairs=len(parent), seconds=float(seconds), trace=trace == "1", metrics={},
                failed=dict(parent=sum(r["failed"] for r in parent),
                            change=sum(r["failed"] for r in change)))
     for metric in spec["end_to_end"]:
@@ -127,4 +127,4 @@ print(f"runs and trajectory.jsonl kept in {out}")
 '
 short_hash() { git -C "$1" rev-parse --short HEAD 2>/dev/null || echo unknown; }
 python3 -c "$report" "$spec" "$out" "$trace" "$(short_hash "$parent")" "$(short_hash "$change")" \
-    $workloads
+    "$seconds" $workloads

@@ -8,10 +8,11 @@
 //! carries the monitor's merge-side progress (epoch/window counters, the
 //! live watch list and its revision history), every shard's inference state,
 //! the telemetry deterministic tier and the discovery tree, written as one
-//! fixed-layout body ([`MonitorSnapshot::to_bytes`]). Restoring it and running the
-//! remaining epochs produces a report — and a deterministic telemetry dump —
-//! byte-identical to the uninterrupted run; `tests/checkpoint_resume.rs`
-//! enforces that across shard counts, producer counts, churn and feedback.
+//! fixed-layout body ([`MonitorSnapshot::to_bytes`]). Restoring it and
+//! running the remaining epochs produces a report — and a deterministic
+//! telemetry dump — byte-identical to the uninterrupted run;
+//! `tests/checkpoint_resume.rs` enforces that across shard counts, producer
+//! counts, churn and feedback.
 //!
 //! Snapshots are tied to their run by two FNV-1a fingerprints: one over the
 //! full [`MonitorConfig`] plus the initial watch list,

@@ -19,7 +19,7 @@
 //! | Batch equivalence | [`pipeline`] | [`StreamPipeline`]: the full discovery pipeline, streamed — produces an identical [`PipelineReport`](scent_core::PipelineReport) |
 //! | Continuous monitor | [`monitor`] | [`StreamMonitor`]: endless windows, [`RotationEvent`](scent_core::RotationEvent)s, passive tracking, and an optionally *live* watch list ([`WatchChurn`]) revised from the monitor's own density state; [`MonitorSession`] exposes the same run one epoch at a time for external scheduling |
 //! | Typed failures | [`error`] | [`ConfigError`]: the one statement of what a runnable [`StreamConfig`]/[`MonitorConfig`] is (`validate`); [`StreamError`]: a refused configuration, checkpoint failures and shard-worker panics surface as values, never as control-thread panics |
-//! | Checkpoint/restore | [`checkpoint`] | [`MonitorSnapshot`]: every piece of incremental monitor state captured at an epoch boundary, restored by [`StreamMonitor::run_controlled`] for byte-identical resume; [`StopSignal`] for graceful drain |
+//! | Checkpoint/restore | [`checkpoint`] | [`MonitorSnapshot`]: every piece of incremental monitor state captured at an epoch boundary by a session's checkpoint stage, restored through [`MonitorSession::open`] (which [`StreamMonitor::run_controlled`] calls) for byte-identical resume; [`StopSignal`] for graceful drain |
 //!
 //! Six properties hold by construction and are enforced by tests:
 //!
