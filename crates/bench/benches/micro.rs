@@ -6,15 +6,16 @@
 //! permuted targets under `engine/probe_permuted`, the slot → device step
 //! alone under `population/`), the seed traceroute over the same pool (the
 //! hop list under `engine/trace`, the last hop the seed campaign keeps under
-//! `engine/last_hop`), and the rotation detector over a monitor epoch's
-//! targets (`detector/`).
+//! `engine/last_hop`), the rotation detector over a monitor epoch's
+//! targets (`detector/`), and the end of a monitor run's identifier
+//! tracker (`tracker/`).
 
 use std::net::Ipv6Addr;
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use scent_bench::versatel_engine;
 use scent_bgp::{Asn, PrefixTable, Rib};
-use scent_core::WindowedRotationDetector;
+use scent_core::{IncrementalTracker, WindowedRotationDetector};
 use scent_ipv6::wire::Icmpv6Packet;
 use scent_ipv6::{addr_from_u128, addr_to_u128, Eui64, Ipv6Prefix, MacAddr};
 use scent_prober::{TargetGenerator, TargetStream};
@@ -252,10 +253,81 @@ fn bench_detector(c: &mut Criterion) {
     });
 }
 
+/// The identifier tracker a `steady_watch` run ends with, unfolded: 6 672
+/// identifiers under the 128 /48s a monitor epoch watches, each sighted once
+/// a window over 4 windows at a /64 that rotates every window, bar one
+/// sighting in 180 — 26 540 sightings. A window meets its identifiers in a
+/// permuted order, and the identifiers' MACs are a few vendors' OUIs over
+/// scattered device bytes.
+fn steady_watch_tracker(engine: &Engine) -> IncrementalTracker {
+    const IDENTIFIERS: u64 = 6_672;
+    const WINDOWS: u64 = 4;
+    const OUIS: [[u8; 3]; 4] = [
+        [0x38, 0x10, 0xd5],
+        [0xc8, 0x0e, 0x14],
+        [0x00, 0x1f, 0x3f],
+        [0xe0, 0x28, 0x6d],
+    ];
+    let stream = monitor_pass(engine);
+    let nets: Vec<u64> = (0..stream.window_len())
+        .map(|pos| (addr_to_u128(stream.target_at(pos)) >> 80) as u64)
+        .collect::<std::collections::BTreeSet<_>>()
+        .into_iter()
+        .collect();
+    assert_eq!(nets.len(), 128);
+    let mut tracker = IncrementalTracker::new();
+    let mut seq = 0;
+    for window in 0..WINDOWS {
+        for step in 0..IDENTIFIERS {
+            // 2 477 is prime to the identifier count: a permutation.
+            let id = (step * 2_477 + window * 1_009) % IDENTIFIERS;
+            if (id + window * 7) % 180 == 0 {
+                continue;
+            }
+            let scatter = id.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 40;
+            let oui = OUIS[(id % 4) as usize];
+            let device = [scatter >> 16, scatter >> 8, scatter].map(|b| b as u8);
+            let eui = Eui64::from_mac(MacAddr::new([
+                oui[0], oui[1], oui[2], device[0], device[1], device[2],
+            ]));
+            let prefix64 =
+                nets[(id % 128) as usize] << 16 | (id.wrapping_mul(31) + window * 97) & 0xffff;
+            let source = eui.with_prefix64(prefix64);
+            tracker.observe(window, seq, source, Some(source));
+            seq += 1;
+        }
+    }
+    tracker
+}
+
+/// The end of a monitor run's tracker in the `steady_watch` shape:
+/// `tracker/fold` is the one fold of its 26 540 pending sightings (on a
+/// fresh copy each iteration, whose clone it includes), `tracker/finish` the
+/// report over the folded run — the walk over its identifiers, their
+/// ranking and the 8 devices a monitor reports by default.
+fn bench_tracker(c: &mut Criterion) {
+    let engine = paper_engine();
+    let unfolded = steady_watch_tracker(&engine);
+    c.bench_function("tracker/fold", |b| {
+        b.iter(|| {
+            let mut tracker = unfolded.clone();
+            tracker.fold();
+            tracker
+        })
+    });
+    let mut folded = unfolded;
+    assert_eq!(folded.identifiers_seen(), 6_672);
+    let report = folded.finish(engine.rib(), engine.as_registry(), 4, 8);
+    assert_eq!(report.devices.len(), 8, "the watched /48s are routed");
+    c.bench_function("tracker/finish", |b| {
+        b.iter(|| folded.finish(engine.rib(), engine.as_registry(), 4, 8))
+    });
+}
+
 criterion_group! {
     name = micro;
     config = Criterion::default().sample_size(30);
     targets = bench_eui64, bench_prefix, bench_rib, bench_lpm, bench_targets, bench_wire,
-        bench_engine_probe, bench_probe_pass, bench_detector
+        bench_engine_probe, bench_probe_pass, bench_detector, bench_tracker
 }
 criterion_main!(micro);

@@ -20,7 +20,7 @@ use std::net::Ipv6Addr;
 
 use serde::{Deserialize, Serialize};
 
-use scent_ipv6::{Eui64, Ipv6Prefix};
+use scent_ipv6::{addr_to_u128, Eui64, Ipv6Prefix};
 use scent_prober::Scan;
 
 use crate::fasthash::{FastMap, FastSet};
@@ -116,13 +116,18 @@ pub struct RotationEvent {
 /// The /48s containing at least one event's target, sorted and distinct:
 /// the §4.3 rule's verdict over `events`, in any order.
 pub fn rotating_48s(events: &[RotationEvent]) -> Vec<Ipv6Prefix> {
-    let prefix = |e: &RotationEvent| Ipv6Prefix::new(e.change.target, 48).expect("48 is valid");
-    // Deduplicated on the fast hasher: a set the size of the /48s, not of
-    // the events (a monitor's run has hundreds of events per /48).
-    let rotating: FastSet<Ipv6Prefix> = events.iter().map(prefix).collect();
-    let mut rotating_48s: Vec<Ipv6Prefix> = rotating.into_iter().collect();
-    rotating_48s.sort_unstable();
-    rotating_48s
+    // Deduplicated as /48 network bits on the fast hasher, in a set that
+    // grows with the /48s: a monitor's run has hundreds of events per /48,
+    // so a set sized by the events would be mostly empty.
+    let mut rotating: FastSet<u64> = FastSet::default();
+    for event in events {
+        rotating.insert((addr_to_u128(event.change.target) >> 80) as u64);
+    }
+    let mut nets: Vec<u64> = rotating.into_iter().collect();
+    nets.sort_unstable();
+    (nets.into_iter())
+        .map(|net| Ipv6Prefix::from_bits(u128::from(net) << 80, 48).expect("48 is valid"))
+        .collect()
 }
 
 /// What the detector keeps per target: the window and response source of

@@ -459,6 +459,27 @@ const FOLD_LIMIT: usize = 1 << 16;
 const MARKER_SHIFT: u32 = 24;
 const MARKER_MASK: u64 = 0xffff << MARKER_SHIFT;
 const MARKER: u64 = 0xfffe << MARKER_SHIFT;
+/// The shifts of the interface ID's six other bytes, least significant
+/// first: a fold's radix passes.
+const RADIX_SHIFTS: [u32; 6] = [0, 8, 16, 40, 48, 56];
+
+/// The byte of `entry`'s identifier at `shift`: its bucket in that pass.
+#[inline]
+fn radix_byte(entry: &LoggedSighting, shift: u32) -> usize {
+    (entry.eui.0 >> shift) as u8 as usize
+}
+
+/// How many entries open `entries` (not empty) with its first entry's `key`:
+/// a forward scan, as an identifier's sightings are a few entries long.
+fn identifier_len<K: PartialEq>(
+    entries: &[LoggedSighting],
+    key: impl Fn(&LoggedSighting) -> K,
+) -> usize {
+    let first = key(&entries[0]);
+    (entries[1..].iter())
+        .position(|entry| key(entry) != first)
+        .map_or(entries.len(), |at| at + 1)
+}
 
 /// Sightings not yet folded, in arrival order, in fixed-size chunks. A fold
 /// empties the chunks and frees none, so a tail costs its largest size once.
@@ -490,6 +511,10 @@ impl Tail {
 
     fn iter(&self) -> impl DoubleEndedIterator<Item = &LoggedSighting> {
         self.chunks[..self.used].iter().flatten()
+    }
+
+    fn iter_mut(&mut self) -> impl Iterator<Item = &mut LoggedSighting> {
+        self.chunks[..self.used].iter_mut().flatten()
     }
 
     fn clear(&mut self) {
@@ -636,10 +661,19 @@ impl IncrementalTracker {
         }
     }
 
-    /// Fold the tail into the run, in place. The sort runs in the run's
-    /// spare capacity (which the merge needs anyway) and the sorted, unique
-    /// tail goes back into the tail's chunks for the merge to read, so a
-    /// fold allocates nothing but the run's growth.
+    /// Fold the tail into the run, in place.
+    ///
+    /// A stable LSD radix sort orders the tail by identifier, one pass per
+    /// non-marker byte of the interface ID, least significant first; a pass
+    /// is skipped when every pending sighting has the same byte there. The
+    /// passes alternate between the run's spare capacity (which the merge
+    /// needs anyway) and the tail's chunks, which hold the pending entries
+    /// already, and the last lands in the run. Each identifier's few
+    /// sightings, still in arrival order, are then ordered in place by
+    /// window, `seq` and the arrival ordinal the fold wrote into their
+    /// `ff:fe` bits, the first of each window is kept, and the sorted,
+    /// unique tail goes back into the tail's chunks for the merge to read.
+    /// A fold allocates nothing but the run's growth.
     pub fn fold(&mut self) {
         let kept = self.run.len();
         let pending = self.tail.len;
@@ -647,35 +681,77 @@ impl IncrementalTracker {
             return;
         }
         assert!(pending <= FOLD_LIMIT, "the tail folds at FOLD_LIMIT");
+        // One read of the tail writes each entry's arrival ordinal into its
+        // marker bits and counts every radix byte; then the run takes a copy,
+        // so the passes can start from either side.
         self.run.reserve_exact(pending);
-        for (ordinal, entry) in self.tail.iter().enumerate() {
-            self.run.push(LoggedSighting {
-                eui: Eui64(entry.eui.0 & !MARKER_MASK | (ordinal as u64) << MARKER_SHIFT),
-                ..*entry
-            });
-        }
-        // Identifier without its marker (the order is the same: the marker
-        // is constant), window, `seq`, then arrival.
-        self.run[kept..].sort_unstable_by_key(|e| {
-            (
-                e.eui.0 & !MARKER_MASK,
-                e.window,
-                e.seq,
-                e.eui.0 & MARKER_MASK,
-            )
-        });
-        // Every tail identifier came through `Eui64::from_addr`, so the
-        // marker it gets back is the one it had.
-        let mut unique = kept;
-        for at in kept..kept + pending {
-            let entry = LoggedSighting {
-                eui: Eui64(self.run[at].eui.0 & !MARKER_MASK | MARKER),
-                ..self.run[at]
-            };
-            if unique == kept || self.run[unique - 1].key() != entry.key() {
-                self.run[unique] = entry;
-                unique += 1;
+        let mut counts = [[0u32; 256]; RADIX_SHIFTS.len()];
+        (self.tail.iter_mut().enumerate()).for_each(|(ordinal, entry)| {
+            entry.eui.0 = entry.eui.0 & !MARKER_MASK | (ordinal as u64) << MARKER_SHIFT;
+            for (count, shift) in counts.iter_mut().zip(RADIX_SHIFTS) {
+                count[radix_byte(entry, shift)] += 1;
             }
+        });
+        self.run.extend(self.tail.iter());
+        // A byte every pending sighting shares orders nothing. The passes
+        // start from whichever copy puts the last of them in the run.
+        let first = self.run[kept];
+        let passes = || {
+            (counts.iter().zip(RADIX_SHIFTS))
+                .filter(|(count, shift)| count[radix_byte(&first, *shift)] as usize != pending)
+        };
+        let mut in_run = passes().count() % 2 == 0;
+        for (count, shift) in passes() {
+            // Where each byte value's next entry goes: its bucket's start.
+            let mut next = [0usize; 256];
+            let mut start = 0;
+            for (next, &count) in next.iter_mut().zip(count) {
+                *next = start;
+                start += count as usize;
+            }
+            let mut place = |entry: &LoggedSighting| {
+                let slot = &mut next[radix_byte(entry, shift)];
+                *slot += 1;
+                *slot - 1
+            };
+            if in_run {
+                for entry in &self.run[kept..] {
+                    let at = place(entry);
+                    self.tail.chunks[at / CHUNK][at % CHUNK] = *entry;
+                }
+            } else {
+                let run = &mut self.run[kept..];
+                self.tail
+                    .iter()
+                    .for_each(|entry| run[place(entry)] = *entry);
+            }
+            in_run = !in_run;
+        }
+        debug_assert!(in_run, "the last pass writes the run");
+        // Each identifier's sightings go by window, `seq`, then arrival, and
+        // the first of each window stays. Every tail identifier came through
+        // `Eui64::from_addr`, so the marker it gets back is the one it had.
+        let mut unique = kept;
+        let mut at = kept;
+        while at < kept + pending {
+            let len = identifier_len(&self.run[at..kept + pending], |e| e.eui.0 & !MARKER_MASK);
+            let sightings = &mut self.run[at..at + len];
+            if len > 1 {
+                sightings.sort_unstable_by_key(|e| (e.window, e.seq, e.eui.0 & MARKER_MASK));
+            }
+            let mut window = None;
+            for read in at..at + len {
+                let entry = self.run[read];
+                if window != Some(entry.window) {
+                    window = Some(entry.window);
+                    self.run[unique] = LoggedSighting {
+                        eui: Eui64(entry.eui.0 & !MARKER_MASK | MARKER),
+                        ..entry
+                    };
+                    unique += 1;
+                }
+            }
+            at += len;
         }
         self.tail.clear();
         if kept == 0 {
@@ -697,12 +773,17 @@ impl IncrementalTracker {
         self.tail.clear();
     }
 
-    /// Each sighted identifier's sightings, ascending by identifier.
+    /// Each sighted identifier's sightings, ascending by identifier: the
+    /// run cut where the identifier changes, found by a forward scan (an
+    /// identifier has a sighting per retained window, so its end is a few
+    /// entries on).
     fn identifiers(&self) -> impl Iterator<Item = &[LoggedSighting]> + Clone {
         let mut rest = self.run.as_slice();
         std::iter::from_fn(move || {
-            let eui = rest.first()?.eui;
-            let (sightings, after) = rest.split_at(rest.partition_point(|e| e.eui == eui));
+            if rest.is_empty() {
+                return None;
+            }
+            let (sightings, after) = rest.split_at(identifier_len(rest, |e| e.eui));
             rest = after;
             Some(sightings)
         })
@@ -1091,10 +1172,11 @@ mod tests {
         }
     }
 
-    /// A fold's sort is unstable, so the tie an equal `seq` leaves is broken
-    /// by arrival: over thousands of tied sightings (far past the sizes an
-    /// unstable sort handles stably by insertion), each `(identifier,
-    /// window)` keeps the first of its lowest `seq`.
+    /// A fold orders an identifier's sightings with an unstable sort, so
+    /// the tie an equal `seq` leaves is broken by arrival: over thousands of
+    /// tied sightings (far past the sizes an unstable sort handles stably by
+    /// insertion), each `(identifier, window)` keeps the first of its lowest
+    /// `seq`.
     #[test]
     fn a_fold_keeps_the_first_arrival_of_an_equal_seq() {
         let mut tracker = IncrementalTracker::new();

@@ -78,7 +78,7 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
-use scent_checkpoint::CheckpointError;
+use scent_checkpoint::{CheckpointError, CheckpointSink};
 use scent_ipv6::Ipv6Prefix;
 use scent_prober::{ProbeTransport, WorldView};
 use scent_simnet::SimTime;
@@ -90,7 +90,7 @@ use scent_telemetry::StreamObserver;
 
 /// One tenant: a monitoring campaign the scheduler runs against its own
 /// backend, with its own watch list, configuration, and (optionally) its own
-/// telemetry observer, stop signal and resume snapshot.
+/// telemetry observer, stop signal, checkpoint sink and resume snapshot.
 ///
 /// `config.packets_per_second` does not set the tenant's rate while
 /// scheduled — the tenant probes at whatever fair share the scheduler
@@ -133,6 +133,17 @@ impl<'a, B: ProbeTransport + WorldView + ?Sized> Campaign<'a, B> {
         self
     }
 
+    /// Write this tenant's snapshots to `sink`: at its epoch boundaries on
+    /// its [`MonitorConfig::checkpoint_every`] cadence and at its run's end,
+    /// as a standalone run of the campaign writes them. A tenant scheduled
+    /// at the rate it would run at alone stores the standalone run's bytes,
+    /// at the same epochs, so a crashed fleet can resume each tenant from
+    /// its last snapshot ([`Campaign::resume`]).
+    pub fn sink(mut self, sink: &'a mut dyn CheckpointSink) -> Self {
+        self.control.sink = Some(sink);
+        self
+    }
+
     /// Resume this tenant from a [`MonitorSnapshot`] instead of starting
     /// fresh — the same crash-safe snapshots a standalone
     /// [`StreamMonitor`](scent_stream::StreamMonitor) run writes. The
@@ -153,6 +164,7 @@ impl<B: ?Sized> fmt::Debug for Campaign<'_, B> {
             .field("watched", &self.watched.len())
             .field("observer", &self.control.observer.is_some())
             .field("stop", &self.control.stop.is_some())
+            .field("sink", &self.control.sink.is_some())
             .field("resume", &self.control.resume.is_some())
             .finish()
     }

@@ -8,11 +8,15 @@
 //! surfaces as a typed error in that tenant's outcome while every neighbor
 //! stays byte-identical to a solo run at its realized share.
 
+use followscent::checkpoint::MemorySink;
 use followscent::ipv6::Ipv6Prefix;
 use followscent::prober::{ProbeTransport, RecordedBackend, RecordingBackend, WorldView};
 use followscent::sched::{Campaign, Scheduler, SchedulerReport};
 use followscent::simnet::{scenarios, Engine, SimTime};
-use followscent::stream::{MonitorConfig, MonitorReport, MonitorSession, StreamError};
+use followscent::stream::{
+    MonitorConfig, MonitorControl, MonitorReport, MonitorSession, MonitorSnapshot, StreamError,
+    StreamMonitor,
+};
 use followscent::telemetry::{self, Telemetry, TelemetrySnapshot};
 use proptest::prelude::*;
 
@@ -210,6 +214,65 @@ fn a_campaign_among_100_neighbors_is_byte_identical_to_solo() {
 
     assert_solo_matches_multiplexed(&engine, &watched, &reference_dump, "live");
     assert_solo_matches_multiplexed(&replay, &watched, &reference_dump, "replay");
+}
+
+/// A scheduled tenant checkpoints: a one-tenant fleet whose budget is the
+/// campaign's own rate stores the standalone `run_controlled` run's
+/// snapshot bytes, at the same epochs — and a standalone run resumed from
+/// the first of them reports what the uninterrupted run did.
+#[test]
+fn a_scheduled_tenant_stores_the_standalone_snapshots() {
+    let engine = Engine::build(scenarios::continuous_world(13)).unwrap();
+    let watched: Vec<Ipv6Prefix> = pool_48s(&engine).into_iter().take(1).collect();
+    let config = MonitorConfig {
+        windows: 3,
+        ..monitor_config(1)
+    };
+
+    let mut standalone = MemorySink::new();
+    let alone = StreamMonitor::new(config.clone())
+        .run_controlled(
+            &engine,
+            &watched,
+            MonitorControl {
+                sink: Some(&mut standalone),
+                ..MonitorControl::default()
+            },
+        )
+        .expect("standalone run");
+
+    let mut scheduled = MemorySink::new();
+    let report = Scheduler::builder()
+        .global_pps(config.packets_per_second)
+        .add(
+            Campaign::new(&engine, config.clone(), watched.clone()).sink(&mut scheduled),
+            1,
+        )
+        .run()
+        .expect("one-tenant fleet");
+    let outcome = report.tenants[0]
+        .outcome
+        .as_ref()
+        .expect("tenant completes");
+
+    assert_eq!(alone.windows, 3, "the run is non-vacuous");
+    assert_eq!(outcome, &alone);
+    assert_eq!(standalone.all().len(), 3, "a snapshot at every boundary");
+    assert_eq!(scheduled.all(), standalone.all());
+    let (_, bytes) = &scheduled.all()[0];
+    let mut resumed = StreamMonitor::new(config)
+        .run_controlled(
+            &engine,
+            &watched,
+            MonitorControl {
+                resume: Some(MonitorSnapshot::from_bytes(bytes).expect("stored bytes decode")),
+                ..MonitorControl::default()
+            },
+        )
+        .expect("resumed run");
+    let mut alone = alone;
+    (resumed.backpressure_stalls, alone.backpressure_stalls) = (0, 0);
+    assert_eq!(resumed, alone);
 }
 
 /// Failure isolation: an injected shard panic in one tenant surfaces as a

@@ -8,7 +8,9 @@
 //! at different addresses), `finish` between observations and an encode →
 //! decode of an unfolded tracker, the two must produce equal reports at
 //! every device cap, equal counters, and equal checkpoint bytes — the
-//! snapshot format did not change with the layout.
+//! snapshot format did not change with the layout. Identifiers differ in
+//! all six bytes a fold's radix passes read, and one pinned case folds a
+//! tail of several chunks into a non-empty run.
 
 use std::collections::BTreeMap;
 use std::net::Ipv6Addr;
@@ -191,8 +193,18 @@ const PREFIX64S: [u64; 6] = [
     0x3fff_0000_0001_0000,
 ];
 
+/// The modulus of each MAC byte of [`identifier`]: small ones make
+/// identifiers share that byte (a fold skips a radix pass every pending
+/// sighting agrees on), the last keeps identifiers below 256 distinct.
+const MAC_MODULI: [u64; 6] = [3, 5, 7, 11, 13, 256];
+
+/// Identifier `index`: each of its six MAC bytes — the six bytes of the
+/// interface ID a fold's radix passes read — is its own function of the
+/// index, so identifiers differ in every byte, some pairs share some bytes,
+/// and the order by one byte is not the order by another.
 fn identifier(index: u64) -> Eui64 {
-    Eui64::from_mac(MacAddr::new([0xc8, 0x0e, 0x14, 0, 0, index as u8]))
+    let byte = |k: usize| (((index * (2 * k as u64 + 1) + k as u64) % MAC_MODULI[k]) * 41) as u8;
+    Eui64::from_mac(MacAddr::new(std::array::from_fn(byte)))
 }
 
 /// A response source decoded from `bits`: silent, a non-EUI-64 address, or
@@ -380,6 +392,44 @@ fn pinned_out_of_order_and_repeated_sightings() {
     new.compact_before(4);
     reference.compact_before(4);
     assert_eq!(encode_value(&new), reference.encode());
+}
+
+/// A tail three 256-entry chunks long, folded into a non-empty run: 97
+/// identifiers spread over every radix byte, windows out of order, and each
+/// `(identifier, window, seq)` sighted twice under different /64s, so the
+/// fold keeps the first arrival of every tie.
+#[test]
+fn a_tail_of_several_chunks_folds_into_a_run() {
+    let (rib, registry) = world();
+    let mut new = IncrementalTracker::new();
+    let mut reference = ReferenceTracker::default();
+    let target: Ipv6Addr = "2001:db8:1::1".parse().unwrap();
+    let mut observe = |new: &mut IncrementalTracker, window: u64, seq: u64, source: Ipv6Addr| {
+        new.observe(window, seq, target, Some(source));
+        reference.observe(window, seq, target, Some(source));
+    };
+    for i in 0..40u64 {
+        let source = identifier(i % 24).with_prefix64(PREFIX64S[i as usize % 5]);
+        observe(&mut new, i % WINDOWS, i % 3, source);
+    }
+    assert!(new.identifiers_seen() > 0, "the run is not empty");
+    for i in 0..384u64 {
+        let eui = identifier(i * 7 % 97);
+        let (window, seq) = ((i * 5 + 3) % WINDOWS, (i / 2) % 4);
+        for copy in 0..2 {
+            let source = eui.with_prefix64(PREFIX64S[(i + copy) as usize % 5]);
+            observe(&mut new, window, seq, source);
+        }
+    }
+    assert_eq!(encode_value(&new), reference.encode());
+    assert_eq!(new.identifiers_seen(), reference.identifiers_seen());
+    for max_devices in [0, 1, 4, usize::MAX] {
+        assert_eq!(
+            new.finish(&rib, &registry, WINDOWS + 1, max_devices),
+            reference.finish(&rib, &registry, WINDOWS + 1, max_devices),
+            "max_devices {max_devices}"
+        );
+    }
 }
 
 /// Sightings that are not strictly ascending by window cannot have been
