@@ -805,8 +805,26 @@ impl IncrementalTracker {
         max_devices: usize,
     ) -> TrackingReport {
         self.fold();
-        let mut ranked: Vec<&[LoggedSighting]> = self.identifiers().collect();
-        ranked.sort_unstable_by(|a, b| b.len().cmp(&a.len()).then(a[0].eui.cmp(&b[0].eui)));
+        // Devices go by sightings, most first, then by identifier. The walk
+        // meets identifiers in ascending order, so a stable counting sort by
+        // sighting count ranks them without comparing identifiers.
+        let mut next: Vec<usize> = Vec::new();
+        for sightings in self.identifiers() {
+            if next.len() <= sightings.len() {
+                next.resize(sightings.len() + 1, 0);
+            }
+            next[sightings.len()] += 1;
+        }
+        // Each count's first place: after every identifier sighted more.
+        let mut start = 0;
+        for place in next.iter_mut().rev() {
+            (*place, start) = (start, start + *place);
+        }
+        let mut ranked: Vec<&[LoggedSighting]> = vec![&[]; start];
+        for sightings in self.identifiers() {
+            ranked[next[sightings.len()]] = sightings;
+            next[sightings.len()] += 1;
+        }
 
         let mut devices = Vec::new();
         for sightings in ranked {
