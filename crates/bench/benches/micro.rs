@@ -1,8 +1,8 @@
 //! Micro-benchmarks of the substrate operations every campaign is built from:
 //! EUI-64 conversion, prefix arithmetic, longest-prefix match (one fixed
 //! address under `rib/`, a probe pass's permuted targets under `lpm/`),
-//! target generation, ICMPv6 serialization, and the simulated-engine probe
-//! path (one pool in list order under `engine/probe`, a probe pass's
+//! target generation, a discovery round's plan (`discovery/`), ICMPv6
+//! serialization, and the simulated-engine probe path (one pool in list order under `engine/probe`, a probe pass's
 //! permuted targets under `engine/probe_permuted`, the slot → device step
 //! alone under `population/`), the seed traceroute over the same pool (the
 //! hop list under `engine/trace`, the last hop the seed campaign keeps under
@@ -16,6 +16,7 @@ use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use scent_bench::versatel_engine;
 use scent_bgp::{Asn, PrefixTable, Rib};
 use scent_core::{IncrementalTracker, WindowedRotationDetector};
+use scent_discovery::{DiscoveryConfig, DiscoveryTree};
 use scent_ipv6::wire::Icmpv6Packet;
 use scent_ipv6::{addr_from_u128, addr_to_u128, Eui64, Ipv6Prefix, MacAddr};
 use scent_prober::{TargetGenerator, TargetStream};
@@ -64,12 +65,16 @@ fn paper_engine() -> Engine {
 /// first 128 pool /48s, permuted — consecutive targets land in different
 /// pools, so nothing a probe reads is still in cache from the previous one.
 fn monitor_pass(engine: &Engine) -> TargetStream {
-    let watched: Vec<Ipv6Prefix> = (engine.pools().iter())
+    TargetStream::new(&TargetGenerator::new(1), &watched_48s(engine), 56, 42, true)
+}
+
+/// The first 128 pool /48s of `engine`: a `steady_watch`-sized watch list.
+fn watched_48s(engine: &Engine) -> Vec<Ipv6Prefix> {
+    (engine.pools().iter())
         .filter(|pool| pool.config.prefix.len() <= 48)
         .flat_map(|pool| pool.config.prefix.subnets(48).unwrap())
         .take(128)
-        .collect();
-    TargetStream::new(&TargetGenerator::new(1), &watched, 56, 42, true)
+        .collect()
 }
 
 /// Longest-prefix match as a probe pass sees it: the experiment-scale
@@ -105,12 +110,35 @@ fn bench_lpm(c: &mut Criterion) {
 
 /// Target generation: one pseudo-random address per /56 of a /48 — what a
 /// monitor's first epoch and every pipeline phase pay per target before a
-/// probe exists. Reported per call (256 targets).
+/// probe exists — reported per call (256 targets); and the whole
+/// `steady_watch` list, one per /56 of 128 watched /48s (32 768 targets).
 fn bench_targets(c: &mut Criterion) {
     let generator = TargetGenerator::new(1);
     let prefix: Ipv6Prefix = "2001:16b8:1d01::/48".parse().unwrap();
     c.bench_function("targets/one_per_subnet_48_56", |b| {
         b.iter(|| generator.one_per_subnet(black_box(&prefix), 56))
+    });
+    let watched = watched_48s(&paper_engine());
+    assert_eq!(watched.len(), 128);
+    c.bench_function("targets/per_candidate_48_128x56", |b| {
+        b.iter(|| generator.per_candidate_48(black_box(&watched), 56))
+    });
+}
+
+/// One discovery round's plan in the `churn_discovery_ckpt` shape: 131 072
+/// probes allocated over a fresh `churn_world` tree (two /32 roots, 65 536
+/// /48s each) and drawn, with no probe sent — on a copy of the tree each
+/// iteration, since planning advances its cursors.
+fn bench_discovery(c: &mut Criterion) {
+    let engine = Engine::build(scenarios::churn_world(7)).unwrap();
+    let announced = engine.rib().entries().into_iter().map(|entry| entry.prefix);
+    let tree = DiscoveryTree::from_announcements(announced, 7);
+    let config = DiscoveryConfig::paper_scale();
+    let generator = TargetGenerator::new(7);
+    let round = |tree: &DiscoveryTree| tree.clone().plan(&config, &generator, 56, 131_072);
+    assert_eq!(round(&tree).len(), 131_072);
+    c.bench_function("discovery/plan_round", |b| {
+        b.iter(|| round(black_box(&tree)))
     });
 }
 
@@ -327,7 +355,7 @@ fn bench_tracker(c: &mut Criterion) {
 criterion_group! {
     name = micro;
     config = Criterion::default().sample_size(30);
-    targets = bench_eui64, bench_prefix, bench_rib, bench_lpm, bench_targets, bench_wire,
-        bench_engine_probe, bench_probe_pass, bench_detector, bench_tracker
+    targets = bench_eui64, bench_prefix, bench_rib, bench_lpm, bench_targets, bench_discovery,
+        bench_wire, bench_engine_probe, bench_probe_pass, bench_detector, bench_tracker
 }
 criterion_main!(micro);

@@ -92,10 +92,14 @@ impl SeedExpansion {
 
         let mut candidate_48s = Self::candidate_48s(seed_32s, max_48s_per_seed);
         candidate_48s.retain(keep);
-        let targets: Vec<_> = candidate_48s
-            .iter()
-            .map(|c| generator.random_addr_in(c))
-            .collect();
+        let mut targets = Vec::with_capacity(candidate_48s.len());
+        generator.draw_into(
+            candidate_48s
+                .iter()
+                .map(|candidate| candidate.network_bits()),
+            48,
+            &mut targets,
+        );
         let scan = scanner.scan(transport, &targets, t);
 
         let mut validated = Vec::new();

@@ -155,6 +155,8 @@ struct Sweep {
     sub_len: u8,
     /// Subnet count minus one (the count is a power of two).
     mask: u64,
+    /// Where a subnet's index sits in its network bits: `128 - sub_len`.
+    shift: u32,
     mul: u64,
     add: u64,
     cursor: u64,
@@ -184,6 +186,7 @@ impl Sweep {
             leaf,
             sub_len,
             mask,
+            shift: 128 - u32::from(sub_len),
             mul: (h | 1) & mask,
             add: h.rotate_left(17) & mask,
             cursor,
@@ -191,9 +194,9 @@ impl Sweep {
         }
     }
 
-    /// The subnet at the cursor, advancing it; `None` once this call has
-    /// examined every subnet of the leaf.
-    fn next_subnet(&mut self) -> Option<Ipv6Prefix> {
+    /// The network bits of the subnet at the cursor, advancing it; `None`
+    /// once this call has examined every subnet of the leaf.
+    fn next_subnet(&mut self) -> Option<u128> {
         if self.examined > self.mask {
             return None;
         }
@@ -201,11 +204,13 @@ impl Sweep {
         self.cursor = self.cursor.wrapping_add(1);
         self.examined += 1;
         let index = pos.wrapping_mul(self.mul).wrapping_add(self.add) & self.mask;
-        Some(
-            self.leaf
-                .nth_subnet(self.sub_len, u128::from(index))
-                .expect("index bounded by span"),
-        )
+        Some(self.leaf.network_bits() | (u128::from(index) << self.shift))
+    }
+
+    /// The most probes one [`DiscoveryTree::plan`] call can draw from this
+    /// leaf: each subnet once.
+    fn span(&self) -> u64 {
+        self.mask.saturating_add(1)
     }
 }
 
@@ -401,6 +406,14 @@ impl DiscoveryTree {
         order.sort_by(|a, b| b.0.total_cmp(&a.0).then(a.1.leaf.cmp(&b.1.leaf)));
 
         let mut plan = SweepPlan::default();
+        // No leaf yields more than its span in one call, so this is all the
+        // list ever holds.
+        let most = (order.iter())
+            .map(|(_, sweep)| sweep.span())
+            .fold(0, u64::saturating_add)
+            .min(budget);
+        plan.targets
+            .reserve(usize::try_from(most).expect("a plan fits in memory"));
         let mut remaining = budget;
         'alloc: loop {
             let mut progressed = false;
@@ -411,20 +424,49 @@ impl DiscoveryTree {
                 let start = plan.len();
                 let mut take = CHUNK.min(remaining);
                 while take > 0 {
-                    let Some(subnet) = sweep.next_subnet() else {
+                    // The next `take` unblocked subnets, drawn in one call;
+                    // targets the blocklist covers are dropped and refilled
+                    // from the subnets after them, so the cursor stops where
+                    // drawing one subnet at a time would.
+                    let mut chunk = [0u128; CHUNK as usize];
+                    let mut filled = 0;
+                    while filled < take as usize {
+                        let Some(bits) = sweep.next_subnet() else {
+                            break;
+                        };
+                        if blocklist.is_some() {
+                            let subnet = Ipv6Prefix::from_bits(bits, sweep.sub_len)
+                                .expect("sub_len is a prefix length");
+                            if blocked(&subnet) {
+                                continue;
+                            }
+                        }
+                        chunk[filled] = bits;
+                        filled += 1;
+                    }
+                    if filled == 0 {
                         break;
-                    };
-                    if blocked(&subnet) {
-                        continue;
                     }
-                    let target = generator.random_addr_in(&subnet);
-                    if blocklist.is_some_and(|list| list.covers_addr(target)) {
-                        continue;
+                    let drawn = plan.targets.len();
+                    generator.draw_into(
+                        chunk[..filled].iter().copied(),
+                        sweep.sub_len,
+                        &mut plan.targets,
+                    );
+                    if let Some(list) = blocklist {
+                        let mut kept = drawn;
+                        for i in drawn..plan.targets.len() {
+                            if !list.covers_addr(plan.targets[i]) {
+                                plan.targets[kept] = plan.targets[i];
+                                kept += 1;
+                            }
+                        }
+                        plan.targets.truncate(kept);
                     }
-                    plan.targets.push(target);
-                    remaining -= 1;
-                    take -= 1;
-                    progressed = true;
+                    let accepted = (plan.targets.len() - drawn) as u64;
+                    remaining -= accepted;
+                    take -= accepted;
+                    progressed |= accepted > 0;
                 }
                 plan.close_run(sweep.leaf, start);
             }
@@ -878,6 +920,114 @@ mod tests {
         assert!(plan
             .iter()
             .all(|probe| !blocked.blocklist.covers_addr(probe.target)));
+    }
+
+    /// [`DiscoveryTree::plan`] as it read before it drew a chunk in one
+    /// call: each subnet found by `nth_subnet`, blocked-checked, drawn alone
+    /// by `random_addr_in` and address-checked before the next is taken.
+    fn plan_one_draw_at_a_time(
+        tree: &mut DiscoveryTree,
+        cfg: &DiscoveryConfig,
+        generator: &TargetGenerator,
+        granularity: u8,
+        budget: u64,
+    ) -> SweepPlan {
+        let blocked = |prefix: &Ipv6Prefix| cfg.blocklist.covers(prefix);
+        let mut order: Vec<(f64, Sweep)> = (tree.nodes.iter())
+            .filter(|(prefix, node)| !node.split && !blocked(prefix))
+            .map(|(prefix, node)| (cfg.gain_weight(node.hits, node.trials), prefix, node))
+            .filter(|(weight, ..)| *weight > 0.0)
+            .map(|(weight, leaf, node)| {
+                (
+                    weight,
+                    Sweep::of(tree.seed, *leaf, granularity, node.cursor),
+                )
+            })
+            .collect();
+        order.sort_by(|a, b| b.0.total_cmp(&a.0).then(a.1.leaf.cmp(&b.1.leaf)));
+        let mut plan = SweepPlan::default();
+        let mut remaining = budget;
+        'alloc: loop {
+            let mut progressed = false;
+            for (_, sweep) in &mut order {
+                if remaining == 0 {
+                    break 'alloc;
+                }
+                let start = plan.len();
+                let mut take = CHUNK.min(remaining);
+                while take > 0 && sweep.examined <= sweep.mask {
+                    let pos = sweep.cursor & sweep.mask;
+                    sweep.cursor = sweep.cursor.wrapping_add(1);
+                    sweep.examined += 1;
+                    let index = pos.wrapping_mul(sweep.mul).wrapping_add(sweep.add) & sweep.mask;
+                    let subnet = (sweep.leaf)
+                        .nth_subnet(sweep.sub_len, u128::from(index))
+                        .unwrap();
+                    if blocked(&subnet) {
+                        continue;
+                    }
+                    let target = generator.random_addr_in(&subnet);
+                    if cfg.blocklist.covers_addr(target) {
+                        continue;
+                    }
+                    plan.targets.push(target);
+                    remaining -= 1;
+                    take -= 1;
+                    progressed = true;
+                }
+                plan.close_run(sweep.leaf, start);
+            }
+            if !progressed {
+                break;
+            }
+        }
+        for (_, sweep) in order.iter().filter(|(_, sweep)| sweep.examined > 0) {
+            tree.nodes.get_mut(&sweep.leaf).unwrap().cursor = sweep.cursor;
+        }
+        plan
+    }
+
+    /// Drawing each chunk in one call plans what drawing one subnet at a
+    /// time did — the same targets, runs and cursors, and so the same budget
+    /// charge — with a blocklist that covers whole swept subnets (a /48
+    /// under a /44 root, a /56 under a /48 root) and single drawn addresses,
+    /// and a /44 whose sixteen /48s run out and wrap.
+    #[test]
+    fn a_chunked_plan_equals_the_one_draw_loop() {
+        let generator = TargetGenerator::new(7);
+        let roots = [
+            p("2001:db8::/44"),
+            p("2001:db8:100::/48"),
+            p("2001:db8:200::/40"),
+        ];
+        let fresh = DiscoveryTree::from_announcements(roots, 7);
+        let unblocked = fresh.clone().plan(&cfg(), &generator, 56, 600);
+        let mut entries = vec![p("2001:db8:3::/48"), p("2001:db8:100:1f00::/56")];
+        let single: Vec<Ipv6Addr> = unblocked.targets().iter().step_by(7).copied().collect();
+        entries.extend(
+            single
+                .iter()
+                .map(|&addr| Ipv6Prefix::new(addr, 128).unwrap()),
+        );
+        let mut config = cfg();
+        config.blocklist = crate::Blocklist::new(entries);
+
+        for config in [cfg(), config] {
+            let (mut chunked, mut literal) = (fresh.clone(), fresh.clone());
+            for budget in [600, 37, 1, 1000, 0, 16] {
+                let plan = chunked.plan(&config, &generator, 56, budget);
+                let want = plan_one_draw_at_a_time(&mut literal, &config, &generator, 56, budget);
+                assert_eq!(plan, want, "budget {budget}");
+                assert_eq!(chunked, literal, "cursors after budget {budget}");
+                assert!(plan.len() as u64 <= budget);
+                assert!(plan
+                    .iter()
+                    .all(|probe| !config.blocklist.covers_addr(probe.target)));
+            }
+        }
+        // The singles were drawn by the unblocked plan, so the blocked one
+        // did skip drawn addresses.
+        assert!(single.iter().all(|addr| unblocked.targets().contains(addr)));
     }
 
     #[test]

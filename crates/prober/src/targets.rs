@@ -9,8 +9,8 @@
 use std::net::Ipv6Addr;
 use std::sync::Arc;
 
-use scent_ipv6::Ipv6Prefix;
-use scent_simnet::det::{hash2, hash3};
+use scent_ipv6::{addr_from_u128, Ipv6Prefix};
+use scent_simnet::det::{hash1, splitmix64, HASH2_LABEL_OFFSET, HASH3_LABEL_OFFSET};
 
 use crate::permutation::RandomPermutation;
 
@@ -30,17 +30,57 @@ impl TargetGenerator {
     }
 
     /// A pseudo-random address inside `prefix` (host bits drawn from the
-    /// seed, network bits preserved).
+    /// seed, network bits preserved): the one-subnet call of
+    /// [`TargetGenerator::draw_into`].
     pub fn random_addr_in(&self, prefix: &Ipv6Prefix) -> Ipv6Addr {
-        let h1 = hash3(
-            self.seed,
-            prefix.network_bits() as u64,
-            (prefix.network_bits() >> 64) as u64,
-            prefix.len() as u64,
-        );
-        let h2 = hash2(self.seed, h1, 0x7467_656e); // "tgen"
-        let host = ((h1 as u128) << 64) | h2 as u128;
-        prefix.addr_with_host_bits(host)
+        let mut drawn = None;
+        self.draw_each([prefix.network_bits()], prefix.len(), |batch| {
+            drawn = Some(batch[0])
+        });
+        drawn.expect("one subnet, one draw")
+    }
+
+    /// Append to `out` one pseudo-random address inside each subnet of
+    /// length `sub_len` whose network bits `subnets` yields (bits past
+    /// `sub_len` are ignored), in input order — bit for bit what
+    /// [`TargetGenerator::random_addr_in`] draws for each subnet. The caller
+    /// sizes `out`.
+    ///
+    /// This is every target list's kernel. A draw is the seed hashed with
+    /// the subnet's two network words and its length, then hashed once more
+    /// for the low host word: ten dependent SplitMix64 rounds. Up to /64 a
+    /// subnet's low network word is zero, so the rounds that read only the
+    /// seed, that word, the length or the second hash's label run once per
+    /// call and six remain per address; and four subnets are drawn at a
+    /// time, so four independent chains overlap instead of waiting on one.
+    #[inline]
+    pub fn draw_into<I>(&self, subnets: I, sub_len: u8, out: &mut Vec<Ipv6Addr>)
+    where
+        I: IntoIterator<Item = u128>,
+    {
+        self.draw_each(subnets, sub_len, |batch| out.extend_from_slice(batch));
+    }
+
+    /// The kernel behind [`TargetGenerator::draw_into`]: hands `emit` the
+    /// draws four at a time (fewer at the end).
+    #[inline]
+    fn draw_each<I>(&self, subnets: I, sub_len: u8, emit: impl FnMut(&[Ipv6Addr]))
+    where
+        I: IntoIterator<Item = u128>,
+    {
+        assert!(sub_len <= 128, "a subnet is at most a /128");
+        let keys = DrawKeys {
+            seed: self.seed,
+            mask: Ipv6Prefix::mask(sub_len),
+            zero_low: hash1(self.seed, 0),
+            len_word: splitmix64(u64::from(sub_len).wrapping_add(HASH3_LABEL_OFFSET)),
+            label_word: splitmix64(TGEN_LABEL.wrapping_add(HASH2_LABEL_OFFSET)),
+        };
+        if sub_len <= 64 {
+            keys.draw_all::<true>(subnets.into_iter(), emit);
+        } else {
+            keys.draw_all::<false>(subnets.into_iter(), emit);
+        }
     }
 
     /// One pseudo-random target per subnet of length `sub_len` inside
@@ -50,45 +90,125 @@ impl TargetGenerator {
     /// candidate /48 (§4.3), one probe per /56 for density inference (§4.2),
     /// one probe per inferred customer allocation for tracking (§6).
     pub fn one_per_subnet(&self, prefix: &Ipv6Prefix, sub_len: u8) -> Vec<Ipv6Addr> {
-        let count = prefix
-            .num_subnets(sub_len)
-            .expect("sub_len not shorter than prefix");
-        if sub_len == 0 {
-            // Only ::/0 subdivides into /0s: itself.
-            return vec![self.random_addr_in(prefix)];
-        }
-        // Subnet `index` is the parent's bits with the index in the bits
-        // between the two lengths — what `Ipv6Prefix::subnets` yields, minus
-        // its per-item count, bounds and length checks.
-        let shift = 128 - u32::from(sub_len);
-        let mut targets = Vec::with_capacity(count.min(1 << 24) as usize);
-        for index in 0..count {
-            let sub = Ipv6Prefix::from_bits(prefix.network_bits() | (index << shift), sub_len)
-                .expect("sub_len validated by num_subnets");
-            targets.push(self.random_addr_in(&sub));
-        }
-        targets
+        self.per_candidate_48(std::slice::from_ref(prefix), sub_len)
     }
 
     /// One target per allocation-sized block across each of several pools —
     /// the tracking workload of §6: "we chose a target in each allocation
     /// size block throughout the entire pool".
     pub fn per_allocation(&self, pools: &[Ipv6Prefix], allocation_len: u8) -> Vec<Ipv6Addr> {
-        let mut targets = Vec::new();
-        for pool in pools {
-            targets.extend(self.one_per_subnet(pool, allocation_len.max(pool.len())));
-        }
-        targets
+        self.per_candidate_48(pools, allocation_len)
     }
 
-    /// Targets for a whole list of /48 candidates at a given granularity.
+    /// Targets for a whole list of /48 candidates at a given granularity
+    /// (clamped to each candidate's own length), candidate after candidate,
+    /// in one list sized once.
     pub fn per_candidate_48(&self, candidates: &[Ipv6Prefix], granularity: u8) -> Vec<Ipv6Addr> {
-        let mut targets = Vec::new();
+        let sub_len = |candidate: &Ipv6Prefix| granularity.max(candidate.len());
+        let count = (candidates.iter())
+            .map(|candidate| subnet_count(candidate, sub_len(candidate)))
+            .fold(0u128, u128::saturating_add);
+        let mut targets = Vec::with_capacity(count.min(MAX_RESERVE) as usize);
         for candidate in candidates {
-            targets.extend(self.one_per_subnet(candidate, granularity.max(candidate.len())));
+            let sub_len = sub_len(candidate);
+            let count = subnet_count(candidate, sub_len);
+            // Subnet `index` is the parent's bits with the index in the bits
+            // between the two lengths (only ::/0 subdivides into /0s, and
+            // only into itself).
+            let shift = 128 - u32::from(sub_len);
+            let base = candidate.network_bits();
+            let subnets = (0..count).map(|index| base | index.checked_shl(shift).unwrap_or(0));
+            self.draw_into(subnets, sub_len, &mut targets);
         }
         targets
     }
+}
+
+/// The largest list a builder reserves up front: lists past it (2^24
+/// targets, 256 MiB) grow as they fill.
+const MAX_RESERVE: u128 = 1 << 24;
+
+/// The label of a draw's second hash, "tgen".
+const TGEN_LABEL: u64 = 0x7467_656e;
+
+/// The subnets of length `sub_len` inside `prefix`.
+fn subnet_count(prefix: &Ipv6Prefix, sub_len: u8) -> u128 {
+    prefix
+        .num_subnets(sub_len)
+        .expect("sub_len not shorter than prefix")
+}
+
+/// What a [`TargetGenerator::draw_into`] call computes once: the seed, the
+/// subnet mask, and the mixed words that do not depend on the subnet.
+struct DrawKeys {
+    seed: u64,
+    mask: u128,
+    /// `hash1(seed, 0)`: the first hash's opening rounds for a subnet whose
+    /// low network word is zero (every subnet up to /64).
+    zero_low: u64,
+    /// The subnet length, mixed as `hash3` mixes its third label.
+    len_word: u64,
+    /// [`TGEN_LABEL`], mixed as `hash2` mixes its second label.
+    label_word: u64,
+}
+
+impl DrawKeys {
+    /// The draws for four canonical subnets: host words `h1 = hash3(seed,
+    /// low, high, len)` and `hash2(seed, h1, TGEN_LABEL)`, with the rounds
+    /// above hoisted, computed one round across all four lanes at a time so
+    /// the four chains interleave. `ZERO_LOW` says every low network word
+    /// is zero.
+    #[inline(always)]
+    fn draw4<const ZERO_LOW: bool>(&self, bits: [u128; 4]) -> [Ipv6Addr; 4] {
+        let high = lanes(bits, |bits| {
+            splitmix64(((bits >> 64) as u64).wrapping_add(HASH2_LABEL_OFFSET))
+        });
+        let low = if ZERO_LOW {
+            [self.zero_low; 4]
+        } else {
+            lanes(bits, |bits| hash1(self.seed, bits as u64))
+        };
+        let pair = lanes([0, 1, 2, 3], |i| splitmix64(low[i] ^ high[i]));
+        let h1 = lanes(pair, |h| splitmix64(h ^ self.len_word));
+        let h2 = lanes(h1, |h| hash1(self.seed, h));
+        let h2 = lanes(h2, |h| splitmix64(h ^ self.label_word));
+        lanes([0, 1, 2, 3], |i| {
+            let host = (u128::from(h1[i]) << 64) | u128::from(h2[i]);
+            addr_from_u128(bits[i] | (host & !self.mask))
+        })
+    }
+
+    /// Draw every subnet `subnets` yields, four lanes at a time (the last
+    /// call's unused lanes draw zeros, and are not emitted).
+    #[inline]
+    fn draw_all<const ZERO_LOW: bool>(
+        &self,
+        mut subnets: impl Iterator<Item = u128>,
+        mut emit: impl FnMut(&[Ipv6Addr]),
+    ) {
+        loop {
+            let mut bits = [0u128; 4];
+            let mut filled = 0;
+            while filled < bits.len() {
+                let Some(next) = subnets.next() else { break };
+                bits[filled] = next & self.mask;
+                filled += 1;
+            }
+            if filled == 0 {
+                return;
+            }
+            emit(&self.draw4::<ZERO_LOW>(bits)[..filled]);
+            if filled < bits.len() {
+                return;
+            }
+        }
+    }
+}
+
+/// `f` applied to each of four lanes, written out so every call inlines.
+#[inline(always)]
+fn lanes<T: Copy, U>(from: [T; 4], f: impl Fn(T) -> U) -> [U; 4] {
+    [f(from[0]), f(from[1]), f(from[2]), f(from[3])]
 }
 
 /// One target drawn from a [`TargetStream`].
@@ -273,6 +393,7 @@ impl TargetStream {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use std::collections::HashSet;
 
     fn p(s: &str) -> Ipv6Prefix {
@@ -349,6 +470,46 @@ mod tests {
                 want,
                 "{prefix} -> /{sub_len}"
             );
+        }
+    }
+
+    /// A draw as the two hashes compose it literally, with no round
+    /// hoisted: what the kernel must reproduce bit for bit.
+    fn composed_draw(seed: u64, subnet: &Ipv6Prefix) -> Ipv6Addr {
+        let bits = subnet.network_bits();
+        let h1 = scent_simnet::det::hash3(
+            seed,
+            bits as u64,
+            (bits >> 64) as u64,
+            u64::from(subnet.len()),
+        );
+        let h2 = scent_simnet::det::hash2(seed, h1, 0x7467_656e);
+        subnet.addr_with_host_bits((u128::from(h1) << 64) | u128::from(h2))
+    }
+
+    // Any seed, any parents, every length on both sides of the /64 hoist,
+    // empty input and tails of one to three lanes: the batch kernel and its
+    // one-subnet call draw what the composed hashes do.
+    proptest! {
+        #[test]
+        fn the_kernel_draws_what_the_hashes_compose(
+            seed in any::<u64>(),
+            parents in collection::vec(any::<u128>(), 0..10),
+            sub_len in 0u8..=128,
+        ) {
+            let generator = TargetGenerator::new(seed);
+            let subnets: Vec<Ipv6Prefix> = (parents.iter())
+                .map(|&bits| Ipv6Prefix::from_bits(bits, sub_len).unwrap())
+                .collect();
+            let want: Vec<Ipv6Addr> = subnets.iter().map(|s| composed_draw(seed, s)).collect();
+            // Uncanonical bits: the kernel ignores what lies past `sub_len`.
+            let mut drawn = vec!["2001:db8::1".parse().unwrap()];
+            generator.draw_into(parents.iter().copied(), sub_len, &mut drawn);
+            prop_assert_eq!(drawn.len(), parents.len() + 1);
+            prop_assert_eq!(&drawn[1..], &want[..]);
+            for (subnet, want) in subnets.iter().zip(&want) {
+                prop_assert_eq!(generator.random_addr_in(subnet), *want);
+            }
         }
     }
 

@@ -21,6 +21,12 @@ pub fn splitmix64(mut x: u64) -> u64 {
     z ^ (z >> 31)
 }
 
+/// What [`hash2`] adds to its second label word before mixing it.
+pub const HASH2_LABEL_OFFSET: u64 = 0x517C_C1B7_2722_0A95;
+
+/// What [`hash3`] adds to its third label word before mixing it.
+pub const HASH3_LABEL_OFFSET: u64 = 0x2545_F491_4F6C_DD1D;
+
 /// Combine a seed with one label word.
 #[inline]
 pub fn hash1(seed: u64, a: u64) -> u64 {
@@ -30,13 +36,13 @@ pub fn hash1(seed: u64, a: u64) -> u64 {
 /// Combine a seed with two label words.
 #[inline]
 pub fn hash2(seed: u64, a: u64, b: u64) -> u64 {
-    splitmix64(hash1(seed, a) ^ splitmix64(b.wrapping_add(0x517C_C1B7_2722_0A95)))
+    splitmix64(hash1(seed, a) ^ splitmix64(b.wrapping_add(HASH2_LABEL_OFFSET)))
 }
 
 /// Combine a seed with three label words.
 #[inline]
 pub fn hash3(seed: u64, a: u64, b: u64, c: u64) -> u64 {
-    splitmix64(hash2(seed, a, b) ^ splitmix64(c.wrapping_add(0x2545_F491_4F6C_DD1D)))
+    splitmix64(hash2(seed, a, b) ^ splitmix64(c.wrapping_add(HASH3_LABEL_OFFSET)))
 }
 
 /// A deterministic coin flip: returns `true` with probability `p`.

@@ -196,11 +196,12 @@ impl StreamPipeline {
             // Step 1: expansion & validation (§4.1), streamed. Same targets,
             // order and pacing as `SeedExpansion::run`.
             let candidates = SeedExpansion::candidate_48s(&seed_32s, cfg.max_48s_per_seed);
-            let generator = TargetGenerator::new(cfg.seed);
-            let expansion_targets: Vec<_> = candidates
-                .iter()
-                .map(|c| generator.random_addr_in(c))
-                .collect();
+            let mut expansion_targets = Vec::with_capacity(candidates.len());
+            TargetGenerator::new(cfg.seed).draw_into(
+                candidates.iter().map(|candidate| candidate.network_bits()),
+                48,
+                &mut expansion_targets,
+            );
             let Some(routed) = self.scan(
                 &mut engine,
                 world,

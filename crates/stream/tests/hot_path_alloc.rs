@@ -13,7 +13,8 @@
 //! same standard: on a lent `ShardPool`, an epoch of a session whose watch
 //! list stands allocates a small constant — no channel, no batch buffer, no
 //! target list. A fourth holds the discovery boundary to it: a sweep is
-//! streamed, so nothing the size of its records is ever allocated. A fifth
+//! streamed, so nothing the size of its records is ever allocated, and its
+//! plan is sized once. A fifth
 //! holds a pipeline shard's detection fold to table growth: it feeds no
 //! tracker, so a new identifier costs it no allocation of its own. A sixth
 //! holds the tracker a monitor shard feeds to the same: its log appends to
@@ -21,7 +22,8 @@
 //! allocation of its own either. A seventh and an eighth hold the rotation
 //! detector to its footprint: at most 32 bytes a watched target in the
 //! monitor's shape, and no more than the 90 its keyed layout took in any
-//! other.
+//! other. A ninth holds a watch list's target stream to one request for each
+//! of its three lists.
 //!
 //! This is an integration-test binary on purpose: a `#[global_allocator]`
 //! is process-wide, and the library forbids `unsafe` (`GlobalAlloc` needs
@@ -53,6 +55,7 @@ thread_local! {
     static THREAD_ALLOCS: Cell<u64> = const { Cell::new(0) };
     static THREAD_BYTES: Cell<u64> = const { Cell::new(0) };
     static THREAD_LARGEST: Cell<u64> = const { Cell::new(0) };
+    static THREAD_MIB_BYTES: Cell<u64> = const { Cell::new(0) };
     static THREAD_LIVE: Cell<i64> = const { Cell::new(0) };
 }
 
@@ -65,6 +68,9 @@ fn count_one(bytes: usize) {
     }
     let _ = THREAD_BYTES.try_with(|c| c.set(c.get() + bytes as u64));
     let _ = THREAD_LARGEST.try_with(|c| c.set(c.get().max(bytes as u64)));
+    if bytes >= MIB as usize {
+        let _ = THREAD_MIB_BYTES.try_with(|c| c.set(c.get() + bytes as u64));
+    }
     let _ = THREAD_LIVE.try_with(|c| c.set(c.get() + bytes as i64));
 }
 
@@ -92,6 +98,13 @@ fn thread_live() -> i64 {
 /// The calling thread's largest single request since the last call.
 fn take_thread_largest() -> u64 {
     THREAD_LARGEST.with(|c| c.replace(0))
+}
+
+const MIB: u64 = 1 << 20;
+
+/// Bytes the calling thread asked for in requests of a MiB or more.
+fn thread_mib_bytes() -> u64 {
+    THREAD_MIB_BYTES.with(Cell::get)
 }
 
 unsafe impl GlobalAlloc for CountingAllocator {
@@ -367,18 +380,55 @@ fn an_epoch_on_a_lent_pool_allocates_a_small_constant() {
     assert_eq!(report.observations, 4 * 512);
 }
 
+/// A monitor's target stream in the `steady_watch` shape (one target per /56
+/// of 128 watched /48s) asks for its target list, its probing order and the
+/// shared storage the order copies the list into once each, each at its
+/// exact size: no list grows by doubling and no candidate has a list of its
+/// own.
+#[test]
+fn a_watch_lists_target_stream_asks_for_each_of_its_lists_once() {
+    const WATCHED: u128 = 128;
+    const TARGETS: u64 = 128 * 256;
+
+    let watched: Vec<Ipv6Prefix> = (0..WATCHED)
+        .map(|i| Ipv6Prefix::from_bits((0x2001_16b8_1d00u128 + i) << 80, 48).unwrap())
+        .collect();
+    let generator = TargetGenerator::new(7);
+    let before = (thread_allocations(), thread_bytes());
+    take_thread_largest();
+    let stream = TargetStream::new(&generator, &watched, 56, 42, true);
+    let (calls, bytes) = (thread_allocations() - before.0, thread_bytes() - before.1);
+    let largest = take_thread_largest();
+    assert_eq!(stream.window_len() as u64, TARGETS);
+
+    let list = TARGETS * std::mem::size_of::<Ipv6Addr>() as u64;
+    let order = TARGETS * std::mem::size_of::<u64>() as u64;
+    // An `Arc<[T]>` holds its two counts ahead of the slice.
+    let shared = list + 2 * std::mem::size_of::<usize>() as u64;
+    assert_eq!(
+        (calls, bytes, largest),
+        (3, list + order + shared, shared),
+        "the stream asked {calls} times for {bytes} B, at most {largest} B at once"
+    );
+}
+
 /// A discovery boundary costs what its probes cost: the sweep is streamed
 /// probe → route → outcome bit, so across the one worked boundary of an
 /// unseeded `churn_world` session (the `churn_discovery_ckpt` shape: two
 /// rounds of 131 072 probes) the control thread never asks for a block the
-/// size of a round's records. The plan's own buffer (33 B a probe, grown by
-/// doubling) is the largest thing it holds. Before the sweep was streamed
-/// the same epoch allocated 44 520 088 B — per round a 2 MiB target copy, a
-/// 1 MiB order and a 6 MiB `Scan` beside the plan.
+/// size of a round's records. The largest thing it holds is the plan's
+/// target list, asked for once a round at the round's exact size (16 B a
+/// probe): those two requests are all it asks a MiB or more for. The whole
+/// epoch allocates 6.4–9.2 MB — the spread is the 256 KiB batch buffers
+/// the router allocates when a shard has not yet returned one. Grown by
+/// doubling, the plan asked for 1 MiB more a round and took the epoch to
+/// 10.8–11.9 MB; before the sweep was streamed it allocated 44 520 088 B —
+/// per round a 2 MiB target copy, a 1 MiB order and a 6 MiB `Scan` beside
+/// the plan.
 #[test]
 fn a_discovery_boundary_never_materialises_its_sweep() {
     const ROUND: u64 = 131_072;
-    const BYTES_BEFORE_STREAMING: u64 = 44_520_088;
+    const BYTES_BEFORE_SIZING_THE_PLAN: u64 = 10_809_936;
 
     let engine = scent_simnet::Engine::build(scent_simnet::scenarios::churn_world(7)).unwrap();
     let config = MonitorConfig {
@@ -399,9 +449,10 @@ fn a_discovery_boundary_never_materialises_its_sweep() {
     let mut pool = ShardPool::open(config.shards);
     let mut session = MonitorSession::new(&engine, config, Vec::new(), None);
     take_thread_largest();
-    let before = thread_bytes();
+    let (before, mib_before) = (thread_bytes(), thread_mib_bytes());
     session.run_epoch_on(&mut pool, 10_000).unwrap();
     let (bytes, largest) = (thread_bytes() - before, take_thread_largest());
+    let mib_bytes = thread_mib_bytes() - mib_before;
     session.run_epoch_on(&mut pool, 10_000).unwrap();
     let report = session.finish();
     assert_eq!(
@@ -411,13 +462,20 @@ fn a_discovery_boundary_never_materialises_its_sweep() {
     );
 
     let records = ROUND * std::mem::size_of::<ProbeRecord>() as u64;
+    let targets = ROUND * std::mem::size_of::<std::net::Ipv6Addr>() as u64;
     assert!(
         largest < records,
         "the boundary allocated {largest} B at once; a round's records are {records} B"
     );
+    assert_eq!(
+        (largest, mib_bytes),
+        (targets, 2 * targets),
+        "the large requests are each round's exact targets, once"
+    );
     assert!(
-        bytes * 10 < BYTES_BEFORE_STREAMING * 6,
-        "the boundary allocated {bytes} B, {BYTES_BEFORE_STREAMING} B before the sweep was streamed"
+        bytes < BYTES_BEFORE_SIZING_THE_PLAN,
+        "the boundary allocated {bytes} B, at least {BYTES_BEFORE_SIZING_THE_PLAN} B \
+         before its plan was sized once"
     );
 }
 
