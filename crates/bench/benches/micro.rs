@@ -1,7 +1,7 @@
 //! Micro-benchmarks of the substrate operations every campaign is built from:
 //! EUI-64 conversion, prefix arithmetic, longest-prefix match (one fixed
 //! address under `rib/`, a probe pass's permuted targets under `lpm/`),
-//! target generation, a discovery round's plan (`discovery/`), ICMPv6
+//! target generation, a discovery round's plan and sweep (`discovery/`), ICMPv6
 //! serialization, and the simulated-engine probe path (one pool in list order under `engine/probe`, a probe pass's
 //! permuted targets under `engine/probe_permuted`, the slot → device step
 //! alone under `population/`), the seed traceroute over the same pool (the
@@ -16,10 +16,10 @@ use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use scent_bench::versatel_engine;
 use scent_bgp::{Asn, PrefixTable, Rib};
 use scent_core::{IncrementalTracker, WindowedRotationDetector};
-use scent_discovery::{DiscoveryConfig, DiscoveryTree};
+use scent_discovery::{DiscoveryConfig, DiscoveryTree, SweepPlan};
 use scent_ipv6::wire::Icmpv6Packet;
 use scent_ipv6::{addr_from_u128, addr_to_u128, Eui64, Ipv6Prefix, MacAddr};
-use scent_prober::{TargetGenerator, TargetStream};
+use scent_prober::{Scanner, TargetGenerator, TargetStream};
 use scent_simnet::{scenarios, Engine, SimTime, WorldScale};
 
 fn bench_eui64(c: &mut Criterion) {
@@ -125,10 +125,13 @@ fn bench_targets(c: &mut Criterion) {
     });
 }
 
-/// One discovery round's plan in the `churn_discovery_ckpt` shape: 131 072
-/// probes allocated over a fresh `churn_world` tree (two /32 roots, 65 536
-/// /48s each) and drawn, with no probe sent — on a copy of the tree each
-/// iteration, since planning advances its cursors.
+/// One discovery round in the `churn_discovery_ckpt` shape: its plan —
+/// 131 072 probes allocated over a fresh `churn_world` tree (two /32 roots,
+/// 65 536 /48s each) and drawn, with no probe sent, on a copy of the tree
+/// each iteration, since planning advances its cursors — and its sweep,
+/// the scanner's probing loop over that plan's targets in the boundary
+/// scanner's permuted order against the engine, with a visitor that only
+/// counts (no routing, no outcome bits).
 fn bench_discovery(c: &mut Criterion) {
     let engine = Engine::build(scenarios::churn_world(7)).unwrap();
     let announced = engine.rib().entries().into_iter().map(|entry| entry.prefix);
@@ -139,6 +142,20 @@ fn bench_discovery(c: &mut Criterion) {
     assert_eq!(round(&tree).len(), 131_072);
     c.bench_function("discovery/plan_round", |b| {
         b.iter(|| round(black_box(&tree)))
+    });
+    let plan = round(&tree);
+    let scanner = Scanner::at_paper_rate(7 ^ 0x5c37);
+    let sweep = |plan: &SweepPlan| {
+        let mut probes = 0u64;
+        let at = |index: usize| plan.targets()[index];
+        scanner.scan_each(&engine, plan.len(), at, SimTime::at(1, 0), |_, _| {
+            probes += 1
+        });
+        probes
+    };
+    assert_eq!(sweep(&plan), 131_072);
+    c.bench_function("discovery/sweep_round", |b| {
+        b.iter(|| sweep(black_box(&plan)))
     });
 }
 

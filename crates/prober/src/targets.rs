@@ -93,13 +93,6 @@ impl TargetGenerator {
         self.per_candidate_48(std::slice::from_ref(prefix), sub_len)
     }
 
-    /// One target per allocation-sized block across each of several pools —
-    /// the tracking workload of §6: "we chose a target in each allocation
-    /// size block throughout the entire pool".
-    pub fn per_allocation(&self, pools: &[Ipv6Prefix], allocation_len: u8) -> Vec<Ipv6Addr> {
-        self.per_candidate_48(pools, allocation_len)
-    }
-
     /// Targets for a whole list of /48 candidates at a given granularity
     /// (clamped to each candidate's own length), candidate after candidate,
     /// in one list sized once.
@@ -514,17 +507,6 @@ mod tests {
     }
 
     #[test]
-    fn per_allocation_covers_all_pools() {
-        let generator = TargetGenerator::new(9);
-        let pools = [p("2001:db8:100::/46"), p("2001:db8:200::/46")];
-        let targets = generator.per_allocation(&pools, 56);
-        // 2^(56-46) = 1024 per pool.
-        assert_eq!(targets.len(), 2048);
-        assert!(targets[..1024].iter().all(|t| pools[0].contains(*t)));
-        assert!(targets[1024..].iter().all(|t| pools[1].contains(*t)));
-    }
-
-    #[test]
     fn target_stream_cycles_windows_in_stable_order() {
         let generator = TargetGenerator::new(5);
         let candidates = [p("2001:db8:1::/48")];
@@ -666,5 +648,11 @@ mod tests {
         assert_eq!(targets.len(), 1);
         let targets = generator.per_candidate_48(&[p("2001:db8:5::/48")], 56);
         assert_eq!(targets.len(), 256);
+        // Candidate after candidate, 2^(56-46) = 1024 targets in each.
+        let pools = [p("2001:db8:100::/46"), p("2001:db8:200::/46")];
+        let targets = generator.per_candidate_48(&pools, 56);
+        assert_eq!(targets.len(), 2048);
+        assert!(targets[..1024].iter().all(|t| pools[0].contains(*t)));
+        assert!(targets[1024..].iter().all(|t| pools[1].contains(*t)));
     }
 }

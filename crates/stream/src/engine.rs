@@ -626,6 +626,45 @@ mod tests {
         assert_eq!(states[0].observations, routed as u64);
     }
 
+    /// However far the router runs ahead of its worker, a lease holds at
+    /// most the buffers [`ShardPool::open`] sizes the return channel for —
+    /// the queue's 16 messages, one in the router's hands and one in the
+    /// worker's — so a lazily warmed pool allocates no more than that, and
+    /// the next lease recycles them.
+    #[test]
+    fn a_lease_holds_no_more_buffers_than_the_pool_is_sized_for() {
+        const BATCHES: u64 = 40;
+        let ceiling = (QUEUE_OBSERVATIONS / OBSERVATION_BATCH + 2) as u64;
+        let source = Eui64::from_mac("c8:0e:14:01:02:03".parse().unwrap())
+            .with_prefix64(0x2001_0db8_0001_0000);
+        let mut pool = ShardPool::open(1);
+        for lease in 1..=2 {
+            let map = ShardMap::new(&scent_bgp::Rib::new().entries(), 1);
+            let mut engine = IngestEngine::lease(&mut pool, map, IngestOptions::default());
+            let counters = engine.router().buffer_counters();
+            for seq in 0..BATCHES * OBSERVATION_BATCH as u64 {
+                engine.router().route(Observation {
+                    phase: Phase::Expansion,
+                    tenant: 0,
+                    window: 0,
+                    seq,
+                    target: "2001:db8:1::1".parse().unwrap(),
+                    sent_at: SimTime::at(1, 0),
+                    response: Some(scent_prober::ResponseRecord {
+                        source,
+                        kind: scent_simnet::ReplyKind::TimeExceeded,
+                    }),
+                });
+                let allocated = counters.allocated();
+                assert!(allocated <= ceiling, "{allocated} buffers allocated");
+            }
+            // One buffer taken a batch; the last rides the yield.
+            assert_eq!(counters.allocated() + counters.recycled(), lease * BATCHES);
+            let states = engine.release().unwrap();
+            assert_eq!(states[0].observations, BATCHES * OBSERVATION_BATCH as u64);
+        }
+    }
+
     /// Sums what `on_shard_progress` reports.
     struct Progress(AtomicU64);
 

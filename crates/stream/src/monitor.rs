@@ -532,6 +532,9 @@ pub struct MonitorSession<'a, B: ?Sized> {
     /// when a revision changes it, on [`MonitorSession::resume`] and once
     /// the session is done.
     kept: Option<TargetStream>,
+    /// The boundary sweeps' outcome bits ([`BoundaryProbes::sweep`]), kept
+    /// so each sweep refills one buffer instead of allocating its own.
+    hits: Vec<bool>,
 }
 
 impl<'a, B: ProbeTransport + WorldView + ?Sized> MonitorSession<'a, B> {
@@ -639,6 +642,7 @@ impl<'a, B: ProbeTransport + WorldView + ?Sized> MonitorSession<'a, B> {
             fingerprints: None,
             started,
             kept: None,
+            hits: Vec::new(),
             config,
         };
         // An empty initial watch list is terminal unless a live discovery
@@ -970,9 +974,11 @@ impl<'a, B: ProbeTransport + WorldView + ?Sized> MonitorSession<'a, B> {
             tenant: self.tenant,
             window: start_window + len - 1,
             seq: 0,
+            hits: std::mem::take(&mut self.hits),
         };
         let reexpanded = self.reexpand(churn, &mut probes);
         self.discovery_cycle(&mut probes, epoch_density);
+        self.hits = probes.hits;
         reexpanded
     }
 
@@ -1006,7 +1012,7 @@ impl<'a, B: ProbeTransport + WorldView + ?Sized> MonitorSession<'a, B> {
             generator.random_addr_in(&candidates[index])
         });
         let mut validated: Vec<Ipv6Prefix> = (candidates.iter().zip(hits))
-            .filter_map(|(candidate, hit)| hit.then_some(*candidate))
+            .filter_map(|(candidate, &hit)| hit.then_some(*candidate))
             .collect();
         validated.sort();
         validated.dedup();
@@ -1052,7 +1058,7 @@ impl<'a, B: ProbeTransport + WorldView + ?Sized> MonitorSession<'a, B> {
             // Each probe leaves only its outcome, at its plan index, for the
             // tree.
             let hits = probes.sweep(&scanner, plan.len(), |index| plan.targets()[index]);
-            tree.fold_plan(&plan, &hits);
+            tree.fold_plan(&plan, hits);
             tree.rebalance(dcfg);
         }
     }
@@ -1224,23 +1230,30 @@ struct BoundaryProbes<'r, 'l, B: ?Sized> {
     tenant: u32,
     window: u64,
     seq: u64,
+    hits: Vec<bool>,
 }
 
 impl<B: ProbeTransport + ?Sized> BoundaryProbes<'_, '_, B> {
     /// Probe the `n` targets `target_at(0..n)` in `scanner`'s order
     /// ([`Scanner::scan_each`]) and route each record into the shards.
     /// Returns, by list index, whether each target answered from an EUI-64
-    /// source ([`SeedExpansion::classify_record`]); nothing else the size of
-    /// the sweep is built.
+    /// source ([`SeedExpansion::classify_record`]), in the session's one
+    /// outcome buffer; nothing the size of the sweep is allocated.
     fn sweep(
         &mut self,
         scanner: &Scanner,
         n: usize,
         target_at: impl Fn(usize) -> Ipv6Addr,
-    ) -> Vec<bool> {
-        let mut hits = vec![false; n];
-        let (tenant, window, seq, router) =
-            (self.tenant, self.window, &mut self.seq, &mut *self.router);
+    ) -> &[bool] {
+        self.hits.clear();
+        self.hits.resize(n, false);
+        let (tenant, window, seq, router, hits) = (
+            self.tenant,
+            self.window,
+            &mut self.seq,
+            &mut *self.router,
+            &mut self.hits,
+        );
         scanner.scan_each(self.world, n, target_at, self.at, |index, record| {
             hits[index] = SeedExpansion::classify_record(record.source()) == Some(true);
             router.route(Observation {
@@ -1254,7 +1267,7 @@ impl<B: ProbeTransport + ?Sized> BoundaryProbes<'_, '_, B> {
             });
             *seq += 1;
         });
-        hits
+        &self.hits
     }
 }
 
