@@ -31,7 +31,11 @@
 //!
 //! The return channel is bounded and non-blocking on both sides: a full
 //! return channel drops the buffer (the pool re-allocates later — counted,
-//! never incorrect), and an empty pool allocates. [`PoolCounters`] exposes
+//! never incorrect), and an empty pool yields its thread once, then
+//! allocates. The yield is for a draining thread that shares the filling
+//! thread's CPU: it holds full buffers it can only fold and send home once
+//! the filler steps aside, and without the yield every buffer the filler
+//! got ahead by would be a fresh allocation. [`PoolCounters`] exposes
 //! both counts so tests can assert the steady-state property ("recycled
 //! grows, allocated stays at its warm-up value") instead of trusting it.
 
@@ -112,13 +116,19 @@ pub fn batch_pool(batch: usize, slots: usize) -> (BatchPool, BatchReturn) {
 
 impl BatchPool {
     /// Take an empty buffer: a stashed or recycled one when available, a
-    /// fresh allocation otherwise.
+    /// fresh allocation otherwise — after yielding this thread once, when
+    /// buffers are out that a draining thread could send home.
     pub fn take(&mut self) -> Vec<Observation> {
         if let Some(buffer) = self.free.pop() {
             self.counters.recycled.fetch_add(1, Ordering::Relaxed);
             return buffer;
         }
-        match self.returns.try_recv() {
+        let mut returned = self.returns.try_recv();
+        if matches!(returned, Err(TryRecvError::Empty)) && self.counters.allocated() > 0 {
+            std::thread::yield_now();
+            returned = self.returns.try_recv();
+        }
+        match returned {
             Ok(buffer) => {
                 self.counters.recycled.fetch_add(1, Ordering::Relaxed);
                 buffer
