@@ -109,8 +109,8 @@ impl Scanner {
     /// drawn first, then `target_at` runs for all of them before the
     /// block's first probe, so a permuted walk over a large list has the
     /// block's loads in flight together instead of one cache miss waiting
-    /// behind each probe. It runs exactly once per index, in
-    /// scan order; being `Fn`, it cannot observe that it runs up to a block
+    /// behind each probe. `target_at` runs exactly once per index, in scan
+    /// order; being `Fn`, it cannot observe that it runs up to a block
     /// ahead of its probe (short of interior mutability), and send times,
     /// records and the order `visit` sees are what one target at a time
     /// gives.
@@ -136,8 +136,8 @@ impl Scanner {
                 indices[len] = index as usize;
                 len += 1;
             }
-            // Nothing but the loads in this loop, so all of them are in
-            // flight before the first one is waited for.
+            // Nothing but the loads in this loop, so as many of them as the
+            // core can track are in flight before the first is waited for.
             for (target, &index) in targets.iter_mut().zip(&indices[..len]) {
                 *target = target_at(index);
             }
