@@ -31,11 +31,7 @@
 //!
 //! The return channel is bounded and non-blocking on both sides: a full
 //! return channel drops the buffer (the pool re-allocates later — counted,
-//! never incorrect), and an empty pool yields its thread once, then
-//! allocates. The yield is for a draining thread that shares the filling
-//! thread's CPU: it holds full buffers it can only fold and send home once
-//! the filler steps aside, and without the yield every buffer the filler
-//! got ahead by would be a fresh allocation. [`PoolCounters`] exposes
+//! never incorrect), and an empty pool allocates. [`PoolCounters`] exposes
 //! both counts so tests can assert the steady-state property ("recycled
 //! grows, allocated stays at its warm-up value") instead of trusting it.
 
@@ -116,19 +112,13 @@ pub fn batch_pool(batch: usize, slots: usize) -> (BatchPool, BatchReturn) {
 
 impl BatchPool {
     /// Take an empty buffer: a stashed or recycled one when available, a
-    /// fresh allocation otherwise — after yielding this thread once, when
-    /// buffers are out that a draining thread could send home.
+    /// fresh allocation otherwise.
     pub fn take(&mut self) -> Vec<Observation> {
         if let Some(buffer) = self.free.pop() {
             self.counters.recycled.fetch_add(1, Ordering::Relaxed);
             return buffer;
         }
-        let mut returned = self.returns.try_recv();
-        if matches!(returned, Err(TryRecvError::Empty)) && self.counters.allocated() > 0 {
-            std::thread::yield_now();
-            returned = self.returns.try_recv();
-        }
-        match returned {
+        match self.returns.try_recv() {
             Ok(buffer) => {
                 self.counters.recycled.fetch_add(1, Ordering::Relaxed);
                 buffer
