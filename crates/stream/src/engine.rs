@@ -658,7 +658,10 @@ mod tests {
                 let allocated = counters.allocated();
                 assert!(allocated <= ceiling, "{allocated} buffers allocated");
             }
-            // One buffer taken a batch; the last rides the yield.
+            // The router takes exactly one buffer for each batch it fills,
+            // when the batch's first observation arrives, so 40 a lease;
+            // the counters run on across leases. The 40th batch is not
+            // sent on its own: `release` hands it to the worker.
             assert_eq!(counters.allocated() + counters.recycled(), lease * BATCHES);
             let states = engine.release().unwrap();
             assert_eq!(states[0].observations, BATCHES * OBSERVATION_BATCH as u64);
