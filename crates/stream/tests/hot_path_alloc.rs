@@ -419,15 +419,13 @@ fn a_watch_lists_target_stream_asks_for_each_of_its_lists_once() {
 /// size of a round's records. The largest thing it holds is the plan's
 /// target list, asked for once a round at the round's exact size (16 B a
 /// probe): those two requests are all it asks a MiB or more for. The whole
-/// epoch allocates 6.2–6.7 MB — the spread is the 256 KiB batch buffers
-/// the router allocates when its worker has not yet returned one (1–3 of
-/// the 18 a one-shard pool is sized for; 1 when both threads share one
-/// CPU), and the outcome bits are one buffer the session refills, not one
-/// a round. Grown by
-/// doubling, the plan asked for 1 MiB more a round and took the epoch to
-/// 10.8–11.9 MB; before the sweep was streamed it allocated 44 520 088 B —
-/// per round a 2 MiB target copy, a 1 MiB order and a 6 MiB `Scan` beside
-/// the plan.
+/// epoch allocates 6.2–8.6 MB — the spread is the 256 KiB batch buffers
+/// the router allocates when its worker has not yet returned one (1–10 of
+/// the 18 a one-shard pool is sized for), and the outcome bits are one
+/// buffer the session refills, not one a round. Grown by doubling, the
+/// plan asked for 1 MiB more a round and took the epoch to 10.8–11.9 MB;
+/// before the sweep was streamed it allocated 44 520 088 B — per round a
+/// 2 MiB target copy, a 1 MiB order and a 6 MiB `Scan` beside the plan.
 #[test]
 fn a_discovery_boundary_never_materialises_its_sweep() {
     const ROUND: u64 = 131_072;
