@@ -1,9 +1,9 @@
 //! Micro-benchmarks of the substrate operations every campaign is built from:
 //! EUI-64 conversion, prefix arithmetic, longest-prefix match (one fixed
 //! address under `rib/`, a probe pass's permuted targets under `lpm/`),
-//! target generation, a discovery round's plan and sweep (`discovery/`), ICMPv6
-//! serialization, and the simulated-engine probe path (one pool in list order under `engine/probe`, a probe pass's
-//! permuted targets under `engine/probe_permuted`, the slot → device step
+//! target generation, a discovery round's plan and sweep (`discovery/`), the
+//! simulated-engine probe path (one pool in list order under `engine/probe`, a
+//! probe pass's permuted targets under `engine/probe_permuted`, the slot → device step
 //! alone under `population/`), the seed traceroute over the same pool (the
 //! hop list under `engine/trace`, the last hop the seed campaign keeps under
 //! `engine/last_hop`), the rotation detector over a monitor epoch's
@@ -17,7 +17,6 @@ use scent_bench::versatel_engine;
 use scent_bgp::{Asn, PrefixTable, Rib};
 use scent_core::{IncrementalTracker, WindowedRotationDetector};
 use scent_discovery::{DiscoveryConfig, DiscoveryTree, SweepPlan};
-use scent_ipv6::wire::Icmpv6Packet;
 use scent_ipv6::{addr_from_u128, addr_to_u128, Eui64, Ipv6Prefix, MacAddr};
 use scent_prober::{Scanner, TargetGenerator, TargetStream};
 use scent_simnet::{scenarios, Engine, SimTime, WorldScale};
@@ -156,23 +155,6 @@ fn bench_discovery(c: &mut Criterion) {
     assert_eq!(sweep(&plan), 131_072);
     c.bench_function("discovery/sweep_round", |b| {
         b.iter(|| sweep(black_box(&plan)))
-    });
-}
-
-fn bench_wire(c: &mut Criterion) {
-    let request = Icmpv6Packet::echo_request(
-        "2a01:7e00:ffff::1".parse().unwrap(),
-        "2001:16b8:1d01:4200::1".parse().unwrap(),
-        0xbeef,
-        7,
-        bytes::Bytes::from_static(b"follow the scent"),
-    );
-    let wire = request.to_bytes();
-    c.bench_function("wire/echo_request_serialize", |b| {
-        b.iter(|| black_box(&request).to_bytes())
-    });
-    c.bench_function("wire/echo_request_parse", |b| {
-        b.iter(|| Icmpv6Packet::parse(black_box(&wire)).unwrap())
     });
 }
 
@@ -373,6 +355,6 @@ criterion_group! {
     name = micro;
     config = Criterion::default().sample_size(30);
     targets = bench_eui64, bench_prefix, bench_rib, bench_lpm, bench_targets, bench_discovery,
-        bench_wire, bench_engine_probe, bench_probe_pass, bench_detector, bench_tracker
+        bench_engine_probe, bench_probe_pass, bench_detector, bench_tracker
 }
 criterion_main!(micro);

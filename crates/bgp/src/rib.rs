@@ -80,11 +80,6 @@ impl Rib {
         self.table.insert(prefix, origin)
     }
 
-    /// Withdraw a previously announced prefix.
-    pub fn withdraw(&mut self, prefix: &Ipv6Prefix) -> Option<Asn> {
-        self.table.remove(prefix)
-    }
-
     /// The most specific announced prefix covering `addr` and its origin.
     pub fn lookup(&self, addr: Ipv6Addr) -> Option<RibEntry> {
         self.table
@@ -197,15 +192,6 @@ mod tests {
             Some(Asn(64500))
         );
         assert_eq!(rib.origin("2001:16b8::1".parse().unwrap()), Some(Asn(8881)));
-    }
-
-    #[test]
-    fn withdraw() {
-        let mut rib = Rib::new();
-        rib.announce(p("2001:db8::/32"), Asn(1));
-        assert_eq!(rib.withdraw(&p("2001:db8::/32")), Some(Asn(1)));
-        assert!(rib.lookup("2001:db8::1".parse().unwrap()).is_none());
-        assert_eq!(rib.withdraw(&p("2001:db8::/32")), None);
     }
 
     #[test]

@@ -18,10 +18,9 @@ use scent_core::{
     DensityAccumulator, Eui64, IncrementalTracker, Ipv6Prefix, RotationEvent, WatchRevision,
     WindowedRotationDetector,
 };
-use scent_ipv6::wire::DestUnreachableCode;
 use scent_ipv6::{addr_from_u128, addr_to_u128};
 use scent_prober::{QueueModel, ResponseRecord};
-use scent_simnet::{ReplyKind, SimDuration, SimTime};
+use scent_simnet::{DestUnreachableCode, ReplyKind, SimDuration, SimTime};
 use scent_telemetry::{
     DeterministicSnapshot, EventKind, Histogram, TelemetryEvent, WindowStats, LATENCY_BOUNDS_SECS,
 };
@@ -99,7 +98,7 @@ impl Checkpointable for ReplyKind {
             0 => ReplyKind::EchoReply,
             1 => ReplyKind::DestinationUnreachable(
                 DestUnreachableCode::from_value(r.u8()?)
-                    .map_err(|_| CheckpointError::InvalidValue("dest-unreachable code"))?,
+                    .ok_or(CheckpointError::InvalidValue("dest-unreachable code"))?,
             ),
             2 => ReplyKind::TimeExceeded,
             _ => return Err(CheckpointError::InvalidValue("reply kind")),
@@ -523,9 +522,14 @@ mod tests {
     fn reply_kinds_roundtrip() {
         roundtrip(ReplyKind::EchoReply);
         roundtrip(ReplyKind::TimeExceeded);
-        roundtrip(ReplyKind::DestinationUnreachable(
-            DestUnreachableCode::AddressUnreachable,
-        ));
+        // Each code is its RFC 4443 value behind the variant's tag.
+        for v in 0..=6u8 {
+            let code = DestUnreachableCode::from_value(v).expect("RFC 4443 code");
+            assert_eq!(code.value(), v);
+            let kind = ReplyKind::DestinationUnreachable(code);
+            assert_eq!(encode_value(&kind), [1, v]);
+            roundtrip(kind);
+        }
         roundtrip(ResponseRecord {
             source: addr("2001:db8::2"),
             kind: ReplyKind::EchoReply,
@@ -542,10 +546,12 @@ mod tests {
             decode_value::<ChangeKind>(&[9]),
             Err(CheckpointError::InvalidValue("change kind"))
         );
-        assert_eq!(
-            decode_value::<ReplyKind>(&[1, 200]),
-            Err(CheckpointError::InvalidValue("dest-unreachable code"))
-        );
+        for code in [7, 200] {
+            assert_eq!(
+                decode_value::<ReplyKind>(&[1, code]),
+                Err(CheckpointError::InvalidValue("dest-unreachable code"))
+            );
+        }
         // A prefix length over 128 can't be represented.
         let mut w = Writer::new();
         w.put_u128(0);

@@ -74,5 +74,5 @@ mod store;
 
 pub use codec::{decode_value, encode_value, fnv1a64, Checkpointable, Reader, Writer};
 pub use error::CheckpointError;
-pub use snapshot::{decode_snapshot, encode_snapshot, SnapshotHeader, FORMAT_VERSION, MAGIC};
+pub use snapshot::{decode_snapshot, encode_snapshot, SnapshotHeader, FORMAT_VERSION};
 pub use store::{CheckpointSink, FileCheckpointStore, MemorySink};

@@ -24,7 +24,7 @@ use crate::codec::{fnv1a64, Reader, Writer};
 use crate::error::CheckpointError;
 
 /// The eight magic bytes every snapshot starts with.
-pub const MAGIC: [u8; 8] = *b"SCENTCKP";
+pub(crate) const MAGIC: [u8; 8] = *b"SCENTCKP";
 
 /// The snapshot format version this build reads and writes. A snapshot of
 /// any other version is refused with [`CheckpointError::VersionMismatch`]:

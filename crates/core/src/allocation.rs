@@ -22,7 +22,7 @@ pub struct AllocationInference {
     /// Inferred allocation prefix length per EUI-64 identifier.
     pub per_iid: HashMap<Eui64, u8>,
     /// AS each identifier was observed in (via RIB lookup of the response).
-    pub iid_asn: HashMap<Eui64, Asn>,
+    pub(crate) iid_asn: HashMap<Eui64, Asn>,
     /// Median inferred allocation prefix length per AS.
     pub per_as: HashMap<Asn, u8>,
 }
@@ -101,13 +101,6 @@ impl AllocationInference {
     pub fn as_sizes(&self) -> Vec<u8> {
         self.per_as.values().copied().collect()
     }
-
-    /// The probe-count saving an attacker gains from knowing the allocation
-    /// size, relative to probing every /64 in the same space: `1 - 2^-(64 -
-    /// len)`. For the paper's Entel example (/56 allocations) this is 99.6%.
-    pub fn probe_saving(allocation_len: u8) -> f64 {
-        1.0 - 1.0 / (1u64 << (64 - allocation_len.min(64))) as f64
-    }
 }
 
 #[cfg(test)]
@@ -161,15 +154,6 @@ mod tests {
         assert_eq!(inference.allocation_for(Asn(65_000)), 64);
         assert!(inference.iid_sizes().is_empty());
         assert!(inference.as_sizes().is_empty());
-    }
-
-    #[test]
-    fn probe_saving_matches_paper_example() {
-        // "...decreasing probing cost by 99.6%" for /56 allocations.
-        let saving = AllocationInference::probe_saving(56);
-        assert!((saving - 0.996).abs() < 0.001, "saving={saving}");
-        assert_eq!(AllocationInference::probe_saving(64), 0.0);
-        assert!(AllocationInference::probe_saving(48) > 0.9999);
     }
 
     #[test]

@@ -14,10 +14,9 @@ use std::net::Ipv6Addr;
 use serde::{Deserialize, Serialize};
 
 use scent_bgp::Rib;
-use scent_ipv6::{Eui64, Ipv6Prefix};
+use scent_ipv6::Eui64;
 use scent_prober::Scan;
 
-use crate::allocation::AllocationInference;
 use crate::rotation_pool::RotationPoolInference;
 use crate::stats::Cdf;
 
@@ -93,15 +92,6 @@ impl CampaignStats {
             / self.prefixes_per_iid.len() as f64
     }
 
-    /// Figure 5's two CDF inputs: per-IID and per-AS inferred allocation
-    /// sizes, computed by Algorithm 1 over the campaign.
-    pub fn allocation_cdfs(scans: &[&Scan], rib: &Rib) -> (Cdf, Cdf) {
-        let inference = AllocationInference::infer(scans, rib);
-        let iid = Cdf::from_samples(inference.iid_sizes().iter().map(|&s| s as f64));
-        let per_as = Cdf::from_samples(inference.as_sizes().iter().map(|&s| s as f64));
-        (iid, per_as)
-    }
-
     /// Figure 7's two CDF inputs: per-AS inferred rotation-pool sizes and
     /// per-AS encompassing BGP prefix sizes, computed by Algorithm 2.
     pub fn pool_vs_bgp_cdfs(scans: &[&Scan], rib: &Rib) -> (Cdf, Cdf) {
@@ -119,13 +109,6 @@ impl CampaignStats {
         }
         self.unique_eui64_addresses as f64 / self.unique_iids as f64
     }
-}
-
-/// Build the daily-campaign target list for a set of /48 (or larger) probe
-/// regions at a fixed granularity — the workload of §5, reused by several
-/// experiments.
-pub fn campaign_targets(regions: &[Ipv6Prefix], granularity: u8, seed: u64) -> Vec<Ipv6Addr> {
-    scent_prober::TargetGenerator::new(seed).per_candidate_48(regions, granularity)
 }
 
 #[cfg(test)]
@@ -182,9 +165,9 @@ mod tests {
     fn allocation_and_pool_cdfs_are_populated() {
         let (engine, scans) = versatel_campaign(8);
         let refs: Vec<&Scan> = scans.iter().collect();
-        let (iid_cdf, as_cdf) = CampaignStats::allocation_cdfs(&refs, engine.rib());
-        assert!(!iid_cdf.is_empty());
-        assert_eq!(as_cdf.len(), 1); // one AS in this world
+        let allocation = crate::AllocationInference::infer(&refs, engine.rib());
+        assert!(!allocation.iid_sizes().is_empty());
+        assert_eq!(allocation.as_sizes().len(), 1); // one AS in this world
         let (pool_cdf, bgp_cdf) = CampaignStats::pool_vs_bgp_cdfs(&refs, engine.rib());
         assert_eq!(pool_cdf.len(), 1);
         assert_eq!(bgp_cdf.len(), 1);
@@ -199,13 +182,5 @@ mod tests {
         assert_eq!(stats.addresses_per_iid(), 0.0);
         assert_eq!(stats.fraction_multi_prefix(), 0.0);
         assert!(stats.prefixes_per_iid_cdf().is_empty());
-    }
-
-    #[test]
-    fn campaign_targets_cover_regions() {
-        let regions = vec!["2001:db8:1::/48".parse().unwrap()];
-        let targets = campaign_targets(&regions, 56, 3);
-        assert_eq!(targets.len(), 256);
-        assert!(targets.iter().all(|t| regions[0].contains(*t)));
     }
 }

@@ -18,7 +18,7 @@ use crate::fasthash::FastSet;
 
 /// Density classification of a candidate /48.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum DensityClass {
+pub(crate) enum DensityClass {
     /// More than `low_threshold` unique EUI-64 responders: kept for
     /// rotation detection and the daily campaign.
     High,
@@ -37,11 +37,11 @@ pub struct PrefixDensity {
     /// Probes sent into the candidate.
     pub probes: u64,
     /// Unique EUI-64 identifiers observed in responses.
-    pub unique_eui64: u64,
+    pub(crate) unique_eui64: u64,
     /// Unique response density: unique identifiers / probes.
     pub density: f64,
     /// The classification.
-    pub class: DensityClass,
+    pub(crate) class: DensityClass,
 }
 
 /// The density report over all candidates.
@@ -119,7 +119,7 @@ impl DensityReport {
     /// The unique-EUI-64 count at or below which a responsive candidate is
     /// classified low density. The paper uses a density threshold of 0.01
     /// over 256 probes per /48, i.e. two or fewer unique responders.
-    pub const LOW_THRESHOLD: u64 = 2;
+    pub(crate) const LOW_THRESHOLD: u64 = 2;
 
     /// Measure density per candidate /48 from a scan whose targets were
     /// generated inside those candidates.
@@ -149,7 +149,7 @@ impl DensityReport {
     /// that never reached them would produce. Generic over the map's hasher
     /// so both batch state (std maps) and streaming shard state
     /// ([`crate::fasthash::FastMap`]) finalize through the same code.
-    pub fn from_accumulators<S: std::hash::BuildHasher>(
+    pub(crate) fn from_accumulators<S: std::hash::BuildHasher>(
         candidates: &[Ipv6Prefix],
         states: &HashMap<Ipv6Prefix, DensityAccumulator, S>,
     ) -> Self {

@@ -117,7 +117,7 @@ impl IidTrajectories {
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct PoolDensityTimeline {
     /// The /48 prefixes of the pool, in order.
-    pub subnets_48: Vec<Ipv6Prefix>,
+    pub(crate) subnets_48: Vec<Ipv6Prefix>,
     /// One row per scan: `(scan time, fraction of probed /64-blocks per /48
     /// occupied by an EUI-64 address)`.
     pub rows: Vec<(SimTime, Vec<f64>)>,
@@ -168,7 +168,7 @@ impl PoolDensityTimeline {
     }
 
     /// For each scan, the index of the densest /48.
-    pub fn densest_per_scan(&self) -> Vec<usize> {
+    pub(crate) fn densest_per_scan(&self) -> Vec<usize> {
         self.rows
             .iter()
             .map(|(_, densities)| {

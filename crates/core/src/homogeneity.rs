@@ -39,16 +39,12 @@ pub struct HomogeneityReport {
     /// Per-AS results, for ASes meeting the minimum-identifier threshold.
     pub per_as: Vec<AsHomogeneity>,
     /// ASes excluded for having too few identifiers.
-    pub excluded_ases: usize,
+    pub(crate) excluded_ases: usize,
     /// Total distinct manufacturers observed across all ASes.
     pub total_manufacturers: usize,
 }
 
 impl HomogeneityReport {
-    /// The minimum unique-IID count for an AS to be included (the paper uses
-    /// 100; scaled worlds typically use a lower threshold).
-    pub const PAPER_MIN_IIDS: usize = 100;
-
     /// Analyse one or more scans.
     pub fn analyse(scans: &[&Scan], rib: &Rib, registry: &OuiRegistry, min_iids: usize) -> Self {
         // asn -> set of unique EUI-64 identifiers.

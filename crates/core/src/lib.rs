@@ -54,7 +54,7 @@ pub mod tracker;
 
 pub use allocation::AllocationInference;
 pub use campaign_stats::CampaignStats;
-pub use density::{DensityAccumulator, DensityClass, DensityReport};
+pub use density::{DensityAccumulator, DensityReport};
 pub use fasthash::{FastMap, FastSet};
 pub use grid::AllocationGrid;
 pub use homogeneity::HomogeneityReport;

@@ -35,14 +35,14 @@ impl MultiAsTimeline {
 
     /// Whether the identifier was seen in more than one AS on the same day —
     /// the signature of MAC reuse rather than a provider switch.
-    pub fn concurrent_multi_as(&self) -> bool {
+    pub(crate) fn concurrent_multi_as(&self) -> bool {
         self.per_day.values().any(|ases| ases.len() > 1)
     }
 
     /// Whether the observations look like a provider switch: the identifier
     /// appears in exactly two ASes, first only in one, later only in the
     /// other, and never again in the first after the switch.
-    pub fn is_provider_switch(&self) -> Option<(Asn, Asn, u64)> {
+    pub(crate) fn is_provider_switch(&self) -> Option<(Asn, Asn, u64)> {
         let ases = self.ases();
         if ases.len() != 2 || self.concurrent_multi_as() {
             return None;

@@ -78,11 +78,6 @@ pub fn percent(fraction: f64) -> String {
     format!("{:.1}%", fraction * 100.0)
 }
 
-/// Format a prefix length as `/NN`.
-pub fn slash(len: u8) -> String {
-    format!("/{len}")
-}
-
 /// Format a `(value, fraction)` CDF series as `value:cumulative` pairs, a
 /// compact representation the experiment binaries print for each figure.
 pub fn cdf_series(steps: &[(f64, f64)]) -> String {
@@ -130,7 +125,6 @@ mod tests {
     #[test]
     fn formatting_helpers() {
         assert_eq!(percent(0.9964), "99.6%");
-        assert_eq!(slash(56), "/56");
         assert_eq!(cdf_series(&[(56.0, 0.5), (64.0, 1.0)]), "56:0.500 64:1.000");
         assert_eq!(cdf_series(&[]), "");
     }

@@ -23,7 +23,7 @@ pub struct RotationPoolInference {
     /// Inferred rotation-pool prefix length per EUI-64 identifier.
     pub per_iid: HashMap<Eui64, u8>,
     /// AS each identifier maps to.
-    pub iid_asn: HashMap<Eui64, Asn>,
+    pub(crate) iid_asn: HashMap<Eui64, Asn>,
     /// Median inferred pool length per AS.
     pub per_as: HashMap<Asn, u8>,
     /// The lowest response address observed per identifier — the anchor an
@@ -122,7 +122,7 @@ impl RotationPoolInference {
     }
 
     /// Per-AS encompassing BGP prefix lengths (Figure 7's second CDF input).
-    pub fn as_bgp_sizes(&self) -> Vec<u8> {
+    pub(crate) fn as_bgp_sizes(&self) -> Vec<u8> {
         self.bgp_prefix_len.values().copied().collect()
     }
 

@@ -24,7 +24,7 @@ pub struct SeedExpansion {
     /// /48s whose probe elicited an EUI-64 response.
     pub validated_48s: Vec<Ipv6Prefix>,
     /// /48s that responded but not with an EUI-64 source.
-    pub non_eui_48s: Vec<Ipv6Prefix>,
+    pub(crate) non_eui_48s: Vec<Ipv6Prefix>,
 }
 
 impl SeedExpansion {
@@ -155,7 +155,7 @@ impl SeedExpansion {
     /// * `watched` — the /48s probed during the closing epoch.
     /// * `epoch_density` — per-/48 [`DensityAccumulator`] state accumulated
     ///   over that epoch's observations only (not the whole run): watched
-    ///   /48s that stayed [`DensityClass::High`] this epoch survive; the rest
+    ///   /48s that stayed `DensityClass::High` this epoch survive; the rest
     ///   have gone quiet and are evicted. An epoch of sustained density
     ///   outranks the single-probe expansion signal, so a quiet watched /48
     ///   is evicted even when its expansion probe happened to answer.

@@ -62,7 +62,7 @@ pub fn mean(values: &[f64]) -> Option<f64> {
 
 /// Population standard deviation, or `None` for an empty slice. Table 2
 /// reports the standard deviation of daily probe counts per tracked device.
-pub fn std_dev(values: &[f64]) -> Option<f64> {
+pub(crate) fn std_dev(values: &[f64]) -> Option<f64> {
     let m = mean(values)?;
     let variance = values.iter().map(|v| (v - m).powi(2)).sum::<f64>() / values.len() as f64;
     Some(variance.sqrt())
@@ -92,17 +92,8 @@ impl Cdf {
         self.sorted.is_empty()
     }
 
-    /// The fraction of samples ≤ `x` (the CDF evaluated at `x`).
-    pub fn fraction_at(&self, x: f64) -> f64 {
-        if self.sorted.is_empty() {
-            return 0.0;
-        }
-        let count = self.sorted.partition_point(|&v| v <= x);
-        count as f64 / self.sorted.len() as f64
-    }
-
     /// The `q`-quantile (0 ≤ q ≤ 1) by the nearest-rank method.
-    pub fn quantile(&self, q: f64) -> Option<f64> {
+    pub(crate) fn quantile(&self, q: f64) -> Option<f64> {
         if self.sorted.is_empty() {
             return None;
         }
@@ -186,9 +177,6 @@ mod tests {
         let cdf = Cdf::from_samples([1.0, 2.0, 2.0, 3.0, 10.0]);
         assert_eq!(cdf.len(), 5);
         assert!(!cdf.is_empty());
-        assert_eq!(cdf.fraction_at(0.0), 0.0);
-        assert_eq!(cdf.fraction_at(2.0), 0.6);
-        assert_eq!(cdf.fraction_at(100.0), 1.0);
         assert_eq!(cdf.median(), Some(2.0));
         assert_eq!(cdf.quantile(1.0), Some(10.0));
         assert_eq!(cdf.quantile(0.0), Some(1.0));
@@ -200,7 +188,6 @@ mod tests {
     fn cdf_empty_and_nan_handling() {
         let empty = Cdf::from_samples([]);
         assert!(empty.is_empty());
-        assert_eq!(empty.fraction_at(1.0), 0.0);
         assert_eq!(empty.median(), None);
         assert!(empty.steps().is_empty());
         let with_nan = Cdf::from_samples([1.0, f64::NAN, 2.0]);
@@ -218,14 +205,15 @@ mod tests {
                 .map(|v| (v % 2_000_000) as f64 - 1e6)
                 .collect();
             let cdf = Cdf::from_samples(samples.clone());
-            let mut previous = 0.0;
-            for x in [-1e7, -10.0, 0.0, 10.0, 1e7] {
-                let f = cdf.fraction_at(x);
-                assert!(f >= previous, "case {case}: CDF not monotone at {x}");
+            let steps = cdf.steps();
+            let mut previous = (f64::NEG_INFINITY, 0.0);
+            for &(x, f) in &steps {
+                assert!(x > previous.0, "case {case}: values not increasing at {x}");
+                assert!(f > previous.1, "case {case}: CDF not monotone at {x}");
                 assert!((0.0..=1.0).contains(&f), "case {case}: CDF out of range");
-                previous = f;
+                previous = (x, f);
             }
-            assert_eq!(cdf.fraction_at(1e7), 1.0, "case {case}");
+            assert_eq!(previous.1, 1.0, "case {case}");
         }
     }
 

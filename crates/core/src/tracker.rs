@@ -31,7 +31,7 @@ use serde::{Deserialize, Serialize};
 use scent_bgp::{AsRegistry, Asn, CountryCode, Rib};
 use scent_ipv6::{addr_to_u128, Eui64, Ipv6Prefix};
 use scent_prober::{ProbePacer, ProbeTransport, RandomPermutation, TargetGenerator};
-use scent_simnet::{SimDuration, SimTime};
+use scent_simnet::SimTime;
 
 use crate::allocation::AllocationInference;
 use crate::fasthash::FastMap;
@@ -127,11 +127,6 @@ impl DeviceTrackingResult {
             mean(&counts).unwrap_or(0.0),
             std_dev(&counts).unwrap_or(0.0),
         )
-    }
-
-    /// Total probes spent on this device over the whole experiment.
-    pub fn total_probes(&self) -> u64 {
-        self.daily.iter().map(|d| d.probes_sent).sum()
     }
 }
 
@@ -359,23 +354,6 @@ impl Tracker {
             probes_sent,
             address: None,
         }
-    }
-
-    /// The probe cost of a naive attacker who scans one target per /64 of the
-    /// whole encompassing BGP prefix instead of using the inferences — the
-    /// baseline Table 2's discussion compares against (up to 2³² probes for a
-    /// /32, "nearly five days" at 10 kpps).
-    pub fn naive_probe_cost(bgp_prefix_len: u8) -> u128 {
-        if bgp_prefix_len >= 64 {
-            1
-        } else {
-            1u128 << (64 - bgp_prefix_len)
-        }
-    }
-
-    /// How long a given probe count takes at this tracker's probe rate.
-    pub fn probing_time(&self, probes: u64) -> SimDuration {
-        SimDuration::from_secs(probes.div_ceil(self.config.packets_per_second))
     }
 }
 
@@ -1036,10 +1014,8 @@ mod tests {
         // far fewer than the naive 2^32 /64s of the BGP /32.
         assert!(mean_probes > 0.0);
         assert!(mean_probes < 5_000.0, "mean probes {mean_probes}");
-        assert!(result.total_probes() < 40_000);
-        let naive = Tracker::naive_probe_cost(32);
-        assert!(naive > 1_000_000_000);
-        assert!(tracker.probing_time(naive as u64).as_secs() > 4 * 86_400 / 2);
+        let total: u64 = result.daily.iter().map(|d| d.probes_sent).sum();
+        assert!(total < 40_000);
 
         // Figure 13-style accounting.
         let counts = report.daily_counts();
@@ -1085,16 +1061,6 @@ mod tests {
             false,
         );
         assert_eq!(any.len(), 1);
-    }
-
-    #[test]
-    fn naive_cost_and_probe_time() {
-        assert_eq!(Tracker::naive_probe_cost(64), 1);
-        assert_eq!(Tracker::naive_probe_cost(48), 1 << 16);
-        assert_eq!(Tracker::naive_probe_cost(32), 1 << 32);
-        let tracker = Tracker::new(TrackerConfig::default());
-        assert_eq!(tracker.probing_time(10_000).as_secs(), 1);
-        assert_eq!(tracker.probing_time(25_000).as_secs(), 3);
     }
 
     #[test]

@@ -46,14 +46,14 @@ pub fn wilson_bounds(hits: u64, trials: u64, z_permille: u16) -> (f64, f64) {
 }
 
 /// The lower Wilson bound alone — the "at least this dense" certificate.
-pub fn wilson_lower(hits: u64, trials: u64, z_permille: u16) -> f64 {
+pub(crate) fn wilson_lower(hits: u64, trials: u64, z_permille: u16) -> f64 {
     wilson_bounds(hits, trials, z_permille).0
 }
 
 /// The upper Wilson bound alone — the "at most this dense" certificate,
 /// and (for an unclassified node) the optimistic expected-gain weight the
 /// budget allocator ranks frontier nodes by.
-pub fn wilson_upper(hits: u64, trials: u64, z_permille: u16) -> f64 {
+pub(crate) fn wilson_upper(hits: u64, trials: u64, z_permille: u16) -> f64 {
     wilson_bounds(hits, trials, z_permille).1
 }
 

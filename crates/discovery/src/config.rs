@@ -94,7 +94,7 @@ impl DiscoveryConfig {
     }
 
     /// Whether `(hits, trials)` certify a quiet prefix.
-    pub fn is_quiet(&self, hits: u64, trials: u64) -> bool {
+    pub(crate) fn is_quiet(&self, hits: u64, trials: u64) -> bool {
         trials >= MERGE_MIN_PROBES
             && wilson_upper(hits, trials, Z_PERMILLE) <= f64::from(MERGE_PERMILLE) / 1000.0
     }
@@ -103,7 +103,7 @@ impl DiscoveryConfig {
     /// once either certificate holds (nothing left to learn), the optimistic
     /// Wilson upper bound otherwise — unprobed nodes weigh 1.0 and outrank
     /// everything, mostly-silent nodes fade as their upper bound collapses.
-    pub fn gain_weight(&self, hits: u64, trials: u64) -> f64 {
+    pub(crate) fn gain_weight(&self, hits: u64, trials: u64) -> f64 {
         if self.is_dense(hits, trials) || self.is_quiet(hits, trials) {
             0.0
         } else {

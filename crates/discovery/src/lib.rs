@@ -42,6 +42,6 @@ mod config;
 mod tree;
 
 pub use blocklist::{Blocklist, BlocklistError};
-pub use confidence::{wilson_bounds, wilson_lower, wilson_upper};
+pub use confidence::wilson_bounds;
 pub use config::DiscoveryConfig;
 pub use tree::{DiscoveryReport, DiscoveryTree, NodeState, PlannedProbe, SweepPlan};

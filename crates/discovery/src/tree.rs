@@ -71,7 +71,7 @@ pub struct NodeState {
     /// Hit attribution: responding /48 → hits observed there while this node
     /// was a leaf. This is what lets a split cascade straight to the
     /// responding /48 instead of spending one epoch per tree level.
-    pub hit_48s: BTreeMap<Ipv6Prefix, u64>,
+    pub(crate) hit_48s: BTreeMap<Ipv6Prefix, u64>,
 }
 
 impl NodeState {
@@ -315,7 +315,7 @@ impl DiscoveryTree {
     /// through split nodes. `None` when no root covers the address. Roots
     /// are sorted and disjoint, so the covering root — if any — is the last
     /// one whose network is not above the address.
-    pub fn leaf_of(&self, cfg: &DiscoveryConfig, addr: Ipv6Addr) -> Option<Ipv6Prefix> {
+    pub(crate) fn leaf_of(&self, cfg: &DiscoveryConfig, addr: Ipv6Addr) -> Option<Ipv6Prefix> {
         let after = self.roots.partition_point(|root| root.network() <= addr);
         let mut current = *self.roots[..after]
             .last()
@@ -370,7 +370,7 @@ impl DiscoveryTree {
     }
 
     /// Allocate up to `budget` sweep probes to the frontier — step 3a of the
-    /// boundary cycle. Leaves are ranked by [`DiscoveryConfig::gain_weight`]
+    /// boundary cycle. Leaves are ranked by `DiscoveryConfig::gain_weight`
     /// (ties broken by prefix order) and served in fixed-size probe rounds, so
     /// the most uncertain space is probed first but a burst of fresh nodes
     /// still shares the budget. Each draw advances the leaf's seeded sweep

@@ -16,7 +16,7 @@ pub enum Scale {
 impl Scale {
     /// Read the scale from the `SCENT_SCALE` environment variable
     /// (`small` → [`Scale::Small`], anything else → [`Scale::Experiment`]).
-    pub fn from_env() -> Self {
+    pub(crate) fn from_env() -> Self {
         match std::env::var("SCENT_SCALE").as_deref() {
             Ok("small") | Ok("SMALL") => Scale::Small,
             _ => Scale::Experiment,
@@ -24,7 +24,7 @@ impl Scale {
     }
 
     /// The corresponding simulator scale.
-    pub fn world_scale(self) -> WorldScale {
+    pub(crate) fn world_scale(self) -> WorldScale {
         match self {
             Scale::Experiment => WorldScale::experiment(),
             Scale::Small => WorldScale::small(),
@@ -32,7 +32,7 @@ impl Scale {
     }
 
     /// Campaign length in days (paper: 44). Overridable via `SCENT_DAYS`.
-    pub fn campaign_days(self) -> u64 {
+    pub(crate) fn campaign_days(self) -> u64 {
         if let Ok(days) = std::env::var("SCENT_DAYS") {
             if let Ok(days) = days.parse::<u64>() {
                 return days.clamp(2, 60);
@@ -47,12 +47,12 @@ impl Scale {
 
 /// The seed used by every experiment world, so independent experiment
 /// binaries observe the same simulated Internet.
-pub const WORLD_SEED: u64 = 0x0005_ce47;
+pub(crate) const WORLD_SEED: u64 = 0x0005_ce47;
 
 /// A daily campaign over the Internet-wide world plus the inferences the
 /// analyses need — the common substrate of Table 1, Figures 4, 5, 7, 8 and
 /// the §5 totals.
-pub struct CampaignData {
+pub(crate) struct CampaignData {
     /// The simulated Internet.
     pub engine: Engine,
     /// One scan per campaign day.
@@ -116,7 +116,7 @@ impl CampaignData {
     }
 
     /// Borrow the scans as references (the shape the analyses expect).
-    pub fn scan_refs(&self) -> Vec<&Scan> {
+    pub(crate) fn scan_refs(&self) -> Vec<&Scan> {
         self.scans.iter().collect()
     }
 }

@@ -21,10 +21,10 @@ pub mod campaign;
 pub mod figures;
 pub mod tables;
 
-pub use campaign::{CampaignData, Scale};
+pub use campaign::Scale;
 
 /// One experiment: its name and the runner producing its plain-text report.
-pub type NamedExperiment = (&'static str, fn() -> String);
+pub(crate) type NamedExperiment = (&'static str, fn() -> String);
 
 /// Every experiment, as `(name, runner)` pairs, in the order `run_all`
 /// executes them.

@@ -235,7 +235,7 @@ pub fn run_table2() -> String {
 /// Run the two §6 tracking experiments: ten devices chosen among
 /// known-rotators (Table 2 / Figure 13b) and ten chosen at random
 /// (Figure 13a). Shared by `table2` and `fig13`.
-pub fn tracking_reports() -> (scent_core::TrackingReport, scent_core::TrackingReport) {
+pub(crate) fn tracking_reports() -> (scent_core::TrackingReport, scent_core::TrackingReport) {
     let data = CampaignData::collect(Scale::from_env());
     let tracker = Tracker::new(TrackerConfig::default());
     // Exclude multi-AS identifiers (§5.5 pathologies), as the paper does.

@@ -39,14 +39,6 @@ pub fn from_parts(prefix64: u64, iid: u64) -> Ipv6Addr {
     addr_from_u128(((prefix64 as u128) << 64) | iid as u128)
 }
 
-/// Return the `n`th byte (0-indexed from the most significant byte) of the
-/// address. Byte 6 and byte 7 (the 7th and 8th bytes in the paper's 1-indexed
-/// prose) are the axes of the Figure 3/6 allocation grids.
-#[inline]
-pub fn nth_byte(addr: Ipv6Addr, n: usize) -> u8 {
-    addr.octets()[n]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -67,15 +59,6 @@ mod tests {
         assert_eq!(p, 0x2001_16b8_1d01_aa00);
         assert_eq!(iid, 0x3a10_d5ff_feaa_bbcc);
         assert_eq!(from_parts(p, iid), a);
-    }
-
-    #[test]
-    fn nth_byte_matches_grid_axes() {
-        // Figure 3: the y-axis is the 7th byte, x-axis the 8th byte of the
-        // probed address (1-indexed) — i.e. indices 6 and 7 here.
-        let a: Ipv6Addr = "2001:db8:0:1234::1".parse().unwrap();
-        assert_eq!(nth_byte(a, 6), 0x12);
-        assert_eq!(nth_byte(a, 7), 0x34);
     }
 
     #[test]

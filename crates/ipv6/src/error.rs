@@ -2,8 +2,8 @@
 
 use core::fmt;
 
-/// Errors produced while parsing or constructing addresses, prefixes and
-/// wire-format packets.
+/// Errors produced while parsing or constructing addresses, prefixes and MAC
+/// addresses.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Error {
     /// A prefix length outside `0..=128` was supplied.
@@ -28,22 +28,6 @@ pub enum Error {
     InvalidPrefix(String),
     /// The interface identifier is not in modified EUI-64 form.
     NotEui64,
-    /// A packet buffer was too short to contain the claimed structure.
-    Truncated {
-        /// Bytes required.
-        needed: usize,
-        /// Bytes available.
-        available: usize,
-    },
-    /// A field in a packet had a value we do not understand.
-    Malformed(&'static str),
-    /// The ICMPv6 checksum did not verify.
-    BadChecksum {
-        /// Checksum found in the packet.
-        found: u16,
-        /// Checksum computed over the packet.
-        computed: u16,
-    },
 }
 
 impl fmt::Display for Error {
@@ -60,14 +44,6 @@ impl fmt::Display for Error {
             Error::InvalidMac(s) => write!(f, "invalid MAC address: {s:?}"),
             Error::InvalidPrefix(s) => write!(f, "invalid IPv6 prefix: {s:?}"),
             Error::NotEui64 => write!(f, "interface identifier is not modified EUI-64"),
-            Error::Truncated { needed, available } => {
-                write!(f, "buffer truncated: need {needed} bytes, have {available}")
-            }
-            Error::Malformed(what) => write!(f, "malformed packet: {what}"),
-            Error::BadChecksum { found, computed } => write!(
-                f,
-                "ICMPv6 checksum mismatch: found {found:#06x}, computed {computed:#06x}"
-            ),
         }
     }
 }
@@ -85,17 +61,6 @@ mod tests {
     fn display_is_informative() {
         let e = Error::InvalidPrefixLength(129);
         assert!(e.to_string().contains("129"));
-        let e = Error::BadChecksum {
-            found: 0x1234,
-            computed: 0xabcd,
-        };
-        assert!(e.to_string().contains("0x1234"));
-        assert!(e.to_string().contains("0xabcd"));
-        let e = Error::Truncated {
-            needed: 8,
-            available: 4,
-        };
-        assert!(e.to_string().contains("8"));
     }
 
     #[test]

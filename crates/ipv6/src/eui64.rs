@@ -49,7 +49,7 @@ impl Eui64 {
     }
 
     /// Interpret a raw IID as an EUI-64 identifier, if it carries the marker.
-    pub fn from_iid(iid: u64) -> Result<Self, Error> {
+    pub(crate) fn from_iid(iid: u64) -> Result<Self, Error> {
         if Self::is_eui64_iid(iid) {
             Ok(Eui64(iid))
         } else {

@@ -1,20 +1,15 @@
-//! IPv6 address, prefix, MAC/EUI-64 and ICMPv6 wire-format substrate.
+//! IPv6 address, prefix and MAC/EUI-64 substrate.
 //!
 //! This crate provides the low-level vocabulary used throughout the
 //! `followscent` workspace, a reproduction of *"Follow the Scent: Defeating
 //! IPv6 Prefix Rotation Privacy"* (IMC 2021):
 //!
 //! * [`Ipv6Prefix`] — a CIDR prefix over the 128-bit IPv6 address space with
-//!   subnet iteration, containment checks and the numeric-distance helpers
-//!   the paper's Algorithms 1 and 2 rely on.
+//!   subnet iteration, containment checks and the span arithmetic the
+//!   paper's Algorithms 1 and 2 rely on.
 //! * [`MacAddr`], [`Oui`] and [`Eui64`] — IEEE 802 hardware addresses, their
 //!   Organizationally Unique Identifier, and the modified EUI-64 interface
 //!   identifier derived from them (RFC 4291 §2.5.1 / RFC 2464 §4).
-//! * [`IidClass`] — classification of the low 64 bits of an address
-//!   (EUI-64, pseudo-random privacy address, low-byte, embedded IPv4, …).
-//! * [`wire`] — minimal IPv6 + ICMPv6 packet serialization/parsing with the
-//!   pseudo-header checksum, sufficient to carry the Echo Request probes and
-//!   the ICMPv6 error responses the measurement methodology consumes.
 //!
 //! The crate is deliberately dependency-light and fully deterministic; all
 //! probing/response behaviour lives in `scent-simnet` and `scent-prober`.
@@ -25,21 +20,14 @@
 pub mod addr;
 pub mod error;
 pub mod eui64;
-pub mod iid;
 pub mod mac;
 pub mod prefix;
-pub mod wire;
 
 pub use addr::{addr_from_u128, addr_to_u128, interface_id, network_prefix64};
 pub use error::{Error, Result};
 pub use eui64::Eui64;
-pub use iid::{classify_iid, IidClass};
 pub use mac::{MacAddr, Oui};
 pub use prefix::Ipv6Prefix;
 
 /// The number of bits in an IPv6 address.
-pub const ADDR_BITS: u8 = 128;
-
-/// The prefix length that separates the routing prefix from the interface
-/// identifier in SLAAC addressing (RFC 4291): the low 64 bits are the IID.
-pub const IID_BITS: u8 = 64;
+pub(crate) const ADDR_BITS: u8 = 128;

@@ -50,29 +50,13 @@ impl MacAddr {
     }
 
     /// Return the octets of the address.
-    pub const fn octets(self) -> [u8; 6] {
+    pub(crate) const fn octets(self) -> [u8; 6] {
         self.0
     }
 
     /// The Organizationally Unique Identifier: the three high-order bytes.
     pub const fn oui(self) -> Oui {
         Oui([self.0[0], self.0[1], self.0[2]])
-    }
-
-    /// The NIC-specific portion: the three low-order bytes.
-    pub const fn nic(self) -> [u8; 3] {
-        [self.0[3], self.0[4], self.0[5]]
-    }
-
-    /// Whether the Universal/Local bit (bit 1 of the first octet) indicates a
-    /// locally administered address.
-    pub const fn is_local(self) -> bool {
-        self.0[0] & 0x02 != 0
-    }
-
-    /// Whether this is a group (multicast) address.
-    pub const fn is_multicast(self) -> bool {
-        self.0[0] & 0x01 != 0
     }
 
     /// Whether this is the all-zero address.
@@ -133,11 +117,6 @@ impl Oui {
     /// Return the OUI as a 24-bit integer.
     pub const fn to_u32(self) -> u32 {
         ((self.0[0] as u32) << 16) | ((self.0[1] as u32) << 8) | self.0[2] as u32
-    }
-
-    /// Return the octets.
-    pub const fn octets(self) -> [u8; 3] {
-        self.0
     }
 
     /// Build the MAC address with this OUI and the given NIC-specific suffix.
@@ -207,7 +186,6 @@ mod tests {
     fn oui_extraction() {
         let m: MacAddr = "c8:0e:14:01:02:03".parse().unwrap();
         assert_eq!(m.oui(), Oui::new([0xc8, 0x0e, 0x14]));
-        assert_eq!(m.nic(), [0x01, 0x02, 0x03]);
         assert_eq!(m.oui().to_string(), "C8-0E-14");
     }
 
@@ -222,9 +200,6 @@ mod tests {
 
     #[test]
     fn flag_bits() {
-        assert!(MacAddr::new([0x02, 0, 0, 0, 0, 1]).is_local());
-        assert!(!MacAddr::new([0x38, 0x10, 0xd5, 0, 0, 1]).is_local());
-        assert!(MacAddr::new([0x01, 0, 0, 0, 0, 1]).is_multicast());
         assert!(MacAddr::ZERO.is_zero());
         assert!(!MacAddr::new([0, 0, 0, 0, 0, 1]).is_zero());
     }

@@ -85,16 +85,6 @@ impl Ipv6Prefix {
         addr_from_u128(self.bits | !Self::mask(self.len))
     }
 
-    /// The number of addresses in the prefix, saturating at `u128::MAX` for
-    /// `/0` (which contains 2¹²⁸ addresses and thus overflows).
-    pub const fn num_addresses(&self) -> u128 {
-        if self.len == 0 {
-            u128::MAX
-        } else {
-            1u128 << (128 - self.len)
-        }
-    }
-
     /// Whether `addr` falls inside this prefix.
     pub fn contains(&self, addr: Ipv6Addr) -> bool {
         addr_to_u128(addr) & Self::mask(self.len) == self.bits
@@ -185,15 +175,6 @@ impl Ipv6Prefix {
     /// network portion are masked off.
     pub fn addr_with_host_bits(&self, host_bits: u128) -> Ipv6Addr {
         addr_from_u128(self.bits | (host_bits & !Self::mask(self.len)))
-    }
-
-    /// Numeric distance between the /64 routing prefixes of two prefixes,
-    /// i.e. `|a >> 64 - b >> 64|` — the quantity whose per-identifier maximum
-    /// feeds Algorithms 1 and 2.
-    pub fn prefix64_distance(a: &Ipv6Prefix, b: &Ipv6Prefix) -> u64 {
-        let pa = (a.bits >> 64) as u64;
-        let pb = (b.bits >> 64) as u64;
-        pa.abs_diff(pb)
     }
 
     /// Interpret a /64-granularity span (a count of /64 networks) as an
@@ -350,12 +331,11 @@ mod tests {
     #[test]
     fn last_address_and_count() {
         let pfx = p("2001:db8::/64");
-        assert_eq!(pfx.num_addresses(), 1u128 << 64);
         assert_eq!(
             pfx.last_address(),
             "2001:db8::ffff:ffff:ffff:ffff".parse::<Ipv6Addr>().unwrap()
         );
-        assert_eq!(Ipv6Prefix::ALL.num_addresses(), u128::MAX);
+        assert_eq!(Ipv6Prefix::ALL.last_address(), Ipv6Addr::from(u128::MAX));
     }
 
     #[test]
@@ -365,14 +345,10 @@ mod tests {
     }
 
     #[test]
-    fn prefix64_distance_matches_paper_arithmetic() {
-        let a = p("2001:16b8:1d00::/64");
-        let b = p("2001:16b8:1d03:ffff::/64");
-        // Distance in units of /64 networks.
-        let d = Ipv6Prefix::prefix64_distance(&a, &b);
-        assert_eq!(d, 0x3_ffff);
-        // A /46 rotation pool spans 2^18 /64s.
-        assert_eq!(Ipv6Prefix::span_to_prefix_len(d), 46);
+    fn span_to_prefix_len_matches_paper_arithmetic() {
+        // 2001:16b8:1d00::/64 to 2001:16b8:1d03:ffff::/64 is a span of
+        // 0x3_ffff /64s: a /46 rotation pool spans 2^18 /64s.
+        assert_eq!(Ipv6Prefix::span_to_prefix_len(0x3_ffff), 46);
         assert_eq!(Ipv6Prefix::span_to_prefix_len(0), 64);
         assert_eq!(Ipv6Prefix::span_to_prefix_len(255), 56);
         assert_eq!(Ipv6Prefix::span_to_prefix_len(256), 55);

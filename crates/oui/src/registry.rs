@@ -1,7 +1,6 @@
 //! The OUI registry proper: OUI → organization name.
 
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
 
 use serde::{Deserialize, Serialize};
 
@@ -13,7 +12,7 @@ pub struct RegistryEntry {
     /// The assigned OUI.
     pub oui: Oui,
     /// The organization the OUI is registered to.
-    pub organization: String,
+    pub(crate) organization: String,
 }
 
 /// An in-memory OUI registry.
@@ -54,7 +53,7 @@ impl OuiRegistry {
     }
 
     /// Look up the manufacturer of a MAC address.
-    pub fn lookup_mac(&self, mac: MacAddr) -> Option<&str> {
+    pub(crate) fn lookup_mac(&self, mac: MacAddr) -> Option<&str> {
         self.lookup(mac.oui())
     }
 
@@ -69,47 +68,6 @@ impl OuiRegistry {
             oui: Oui::from_u32(oui),
             organization: org.clone(),
         })
-    }
-
-    /// All OUIs registered to organizations whose name contains `needle`
-    /// (case-insensitive). Useful for selecting all of a vendor's OUIs.
-    pub fn ouis_of(&self, needle: &str) -> Vec<Oui> {
-        let needle = needle.to_ascii_lowercase();
-        self.entries
-            .iter()
-            .filter(|(_, org)| org.to_ascii_lowercase().contains(&needle))
-            .map(|(&oui, _)| Oui::from_u32(oui))
-            .collect()
-    }
-
-    /// Parse the IEEE `oui.txt` format: lines of the form
-    /// `XX-XX-XX   (hex)\t\tOrganization Name`. Unparseable lines (headers,
-    /// base-16 continuation lines, address blocks) are skipped, matching how
-    /// the real file is consumed in practice.
-    pub fn parse_ieee_text(text: &str) -> Self {
-        let mut registry = OuiRegistry::new();
-        for line in text.lines() {
-            if let Some(idx) = line.find("(hex)") {
-                let oui_part = line[..idx].trim();
-                let org_part = line[idx + "(hex)".len()..].trim();
-                if org_part.is_empty() {
-                    continue;
-                }
-                if let Ok(oui) = oui_part.parse::<Oui>() {
-                    registry.insert(oui, org_part);
-                }
-            }
-        }
-        registry
-    }
-
-    /// Render the registry in the IEEE `oui.txt` line format.
-    pub fn to_ieee_text(&self) -> String {
-        let mut out = String::new();
-        for entry in self.iter() {
-            let _ = writeln!(out, "{}   (hex)\t\t{}", entry.oui, entry.organization);
-        }
-        out
     }
 }
 
@@ -151,58 +109,6 @@ mod tests {
             Some("First".to_string())
         );
         assert_eq!(reg.lookup(Oui::from_u32(0x123456)), Some("Second"));
-    }
-
-    #[test]
-    fn ieee_text_round_trip() {
-        let mut reg = OuiRegistry::new();
-        reg.insert(Oui::new([0xc8, 0x0e, 0x14]), "AVM GmbH");
-        reg.insert(Oui::new([0x00, 0x1a, 0x2b]), "Ayecom Technology Co., Ltd.");
-        let text = reg.to_ieee_text();
-        let parsed = OuiRegistry::parse_ieee_text(&text);
-        assert_eq!(parsed, reg);
-    }
-
-    #[test]
-    fn ieee_parser_skips_noise() {
-        let text = "\
-OUI/MA-L                                                    Organization
-company_id                                                  Organization
-                                                            Address
-
-28-6F-B9   (hex)\t\tNokia Shanghai Bell Co., Ltd.
-286FB9     (base 16)\t\tNokia Shanghai Bell Co., Ltd.
-\t\t\t\tNo.388 Ning Qiao Road
-\t\t\t\tShanghai  201206
-\t\t\t\tCN
-
-F4-CA-E5   (hex)\t\tFREEBOX SAS
-F4CAE5     (base 16)\t\tFREEBOX SAS
-";
-        let reg = OuiRegistry::parse_ieee_text(text);
-        assert_eq!(reg.len(), 2);
-        assert_eq!(
-            reg.lookup("28-6F-B9".parse().unwrap()),
-            Some("Nokia Shanghai Bell Co., Ltd.")
-        );
-        assert_eq!(reg.lookup("F4-CA-E5".parse().unwrap()), Some("FREEBOX SAS"));
-    }
-
-    #[test]
-    fn ouis_of_vendor() {
-        let mut reg = OuiRegistry::new();
-        reg.insert(Oui::from_u32(1), "AVM GmbH");
-        reg.insert(
-            Oui::from_u32(2),
-            "AVM Audiovisuelles Marketing und Computersysteme GmbH",
-        );
-        reg.insert(Oui::from_u32(3), "ZTE Corporation");
-        let avm = reg.ouis_of("avm");
-        assert_eq!(avm.len(), 2);
-        assert!(avm.contains(&Oui::from_u32(1)));
-        assert!(avm.contains(&Oui::from_u32(2)));
-        assert_eq!(reg.ouis_of("zte").len(), 1);
-        assert_eq!(reg.ouis_of("netgear").len(), 0);
     }
 
     #[test]

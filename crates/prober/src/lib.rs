@@ -75,7 +75,7 @@ pub trait ProbeTransport: Sync {
     fn trace(&self, target: Ipv6Addr, t: SimTime, max_hops: u8) -> Vec<TraceHop>;
 
     /// The last responsive hop of [`trace`](ProbeTransport::trace)`(target,
-    /// t, max_hops)`, as [`TraceRecord::from_hops`] derives it. A backend
+    /// t, max_hops)`, as `TraceRecord::from_hops` derives it. A backend
     /// that can find it without building the hop list overrides this.
     fn last_hop(&self, target: Ipv6Addr, t: SimTime, max_hops: u8) -> Option<Ipv6Addr> {
         TraceRecord::from_hops(target, self.trace(target, t, max_hops)).last_hop

@@ -33,7 +33,7 @@ impl RandomPermutation {
     /// depends on them never diverging.
     ///
     /// [`Scanner`]: crate::zmap6::Scanner
-    pub fn for_scan(n: u64, seed: u64, randomize: bool) -> Self {
+    pub(crate) fn for_scan(n: u64, seed: u64, randomize: bool) -> Self {
         if randomize {
             RandomPermutation::new(n, seed)
         } else {
@@ -50,7 +50,7 @@ impl RandomPermutation {
     /// reorders a list it keeps into shared storage (collecting a slice map
     /// allocates the result once; collecting the lazy iterator would
     /// allocate it twice).
-    pub fn scan_order(n: u64, seed: u64, randomize: bool) -> Vec<u64> {
+    pub(crate) fn scan_order(n: u64, seed: u64, randomize: bool) -> Vec<u64> {
         Self::for_scan(n, seed, randomize).iter().collect()
     }
 

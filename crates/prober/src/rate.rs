@@ -42,12 +42,12 @@ impl ProbePacer {
 
     /// The duration needed to send `count` probes at this rate, rounded up to
     /// whole seconds.
-    pub fn duration_for(&self, count: u64) -> SimDuration {
+    pub(crate) fn duration_for(&self, count: u64) -> SimDuration {
         SimDuration::from_secs(count.div_ceil(self.packets_per_second))
     }
 
     /// The time the scan finishes if it sends `count` probes.
-    pub fn finish_time(&self, count: u64) -> SimTime {
+    pub(crate) fn finish_time(&self, count: u64) -> SimTime {
         self.start + self.duration_for(count)
     }
 }
@@ -142,7 +142,7 @@ impl QueueModel {
 
     /// The drain rate in force for `shard`: its per-shard override if one is
     /// configured, otherwise the uniform [`QueueModel::drain_rate`].
-    pub fn drain_for(&self, shard: usize) -> Option<u64> {
+    pub(crate) fn drain_for(&self, shard: usize) -> Option<u64> {
         self.per_shard_drain.get(shard).copied().or(self.drain_rate)
     }
 
@@ -174,7 +174,7 @@ impl Default for QueueModel {
 /// long-running monitor instead has consumers (inference shards) that can
 /// fall behind. Every observation enqueues one unit on its shard's virtual
 /// queue, and a shard's depth at a virtual instant is its enqueue count
-/// minus what [`QueueModel::drain_for`] it retired since the pacer started
+/// minus what `QueueModel::drain_for` it retired since the pacer started
 /// (saturating at zero) — a pure function of the position sequence and
 /// virtual time, never of a real channel. Each time the cursor rolls over
 /// to a new send second, the maximum shard depth decides: at or above the
@@ -285,7 +285,7 @@ impl QueuePacer {
     }
 
     /// The maximum shard depth at the pacer's current virtual instant. Each
-    /// shard drains at [`QueueModel::drain_for`] its index, so asymmetric
+    /// shard drains at `QueueModel::drain_for` its index, so asymmetric
     /// per-shard calibrations feed back through the slowest shard.
     pub fn depth(&self) -> u64 {
         (0..self.enqueued.len())

@@ -193,7 +193,7 @@ impl RecordedBackend {
     /// The ground-truth CPE identity attached to replayed probe replies.
     /// Replay has no ground truth, so this sentinel marks every reply;
     /// measurement code never reads the field.
-    pub const REPLAYED_CPE: CpeId = CpeId {
+    pub(crate) const REPLAYED_CPE: CpeId = CpeId {
         pool: u32::MAX,
         index: u32::MAX,
     };
@@ -217,11 +217,6 @@ impl RecordedBackend {
             probes,
             traces,
         }
-    }
-
-    /// Number of distinct `(target, second)` probe outcomes replayable.
-    pub fn probe_count(&self) -> usize {
-        self.probes.len()
     }
 }
 
@@ -293,7 +288,6 @@ mod tests {
         assert_eq!(log.world.world_seed, engine.config().seed);
 
         let replay = RecordedBackend::from_log(log);
-        assert_eq!(replay.probe_count(), targets.len());
         let replayed = scanner.scan(&replay, &targets, SimTime::at(1, 9));
         assert_eq!(live, replayed);
         assert!(live.responses() > 0, "a silent world proves nothing");

@@ -10,7 +10,7 @@ use std::net::Ipv6Addr;
 use serde::{Deserialize, Serialize};
 
 use scent_ipv6::Eui64;
-use scent_simnet::{Asn, ReplyKind, SimTime};
+use scent_simnet::{ReplyKind, SimTime};
 
 /// The response half of a probe record.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -23,11 +23,6 @@ pub struct ResponseRecord {
 }
 
 impl ResponseRecord {
-    /// Whether the response source carries an EUI-64 interface identifier.
-    pub fn is_eui64(&self) -> bool {
-        Eui64::addr_is_eui64(self.source)
-    }
-
     /// The EUI-64 identifier embedded in the response source, if any.
     pub fn eui64(&self) -> Option<Eui64> {
         Eui64::from_addr(self.source)
@@ -89,14 +84,6 @@ impl Scan {
         self.records.iter().filter(|r| r.eui64().is_some()).count()
     }
 
-    /// Iterate over the `<target, response source>` pairs of responsive
-    /// probes.
-    pub fn responsive_pairs(&self) -> impl Iterator<Item = (Ipv6Addr, Ipv6Addr)> + '_ {
-        self.records
-            .iter()
-            .filter_map(|r| r.source().map(|s| (r.target, s)))
-    }
-
     /// Iterate over the `<target, EUI-64 source>` pairs.
     pub fn eui64_pairs(&self) -> impl Iterator<Item = (Ipv6Addr, Ipv6Addr, Eui64)> + '_ {
         self.records.iter().filter_map(|r| {
@@ -104,31 +91,13 @@ impl Scan {
                 .map(|eui| (r.target, r.source().expect("eui64 implies response"), eui))
         })
     }
-
-    /// The distinct EUI-64 identifiers observed in this scan.
-    pub fn distinct_eui64(&self) -> std::collections::HashSet<Eui64> {
-        self.records.iter().filter_map(|r| r.eui64()).collect()
-    }
-}
-
-/// A scan annotated with the AS each response mapped to (via the RIB), used
-/// by per-AS analyses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct AsAnnotated {
-    /// The probed target.
-    pub target: Ipv6Addr,
-    /// The responding address.
-    pub source: Ipv6Addr,
-    /// The origin AS of the responding address.
-    pub asn: Asn,
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use scent_ipv6::wire::DestUnreachableCode;
     use scent_ipv6::MacAddr;
-    use scent_simnet::ReplyKind;
+    use scent_simnet::{DestUnreachableCode, ReplyKind};
 
     fn eui_source() -> Ipv6Addr {
         let mac: MacAddr = "c8:0e:14:01:02:03".parse().unwrap();
@@ -158,7 +127,6 @@ mod tests {
         let plain = record("2001:db8::2", Some("2001:db8::beef".parse().unwrap()));
         assert!(plain.responded());
         assert!(plain.eui64().is_none());
-        assert!(!plain.response.unwrap().is_eui64());
     }
 
     #[test]
@@ -176,9 +144,10 @@ mod tests {
         assert_eq!(scan.probes_sent(), 4);
         assert_eq!(scan.responses(), 3);
         assert_eq!(scan.eui64_responses(), 2);
-        assert_eq!(scan.responsive_pairs().count(), 3);
         assert_eq!(scan.eui64_pairs().count(), 2);
         // The same device answered twice, so only one distinct IID.
-        assert_eq!(scan.distinct_eui64().len(), 1);
+        let distinct: std::collections::HashSet<_> =
+            scan.eui64_pairs().map(|(.., eui)| eui).collect();
+        assert_eq!(distinct.len(), 1);
     }
 }

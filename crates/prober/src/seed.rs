@@ -34,13 +34,6 @@ pub struct SeedEntry {
     pub last_hop: std::net::Ipv6Addr,
 }
 
-impl SeedEntry {
-    /// Whether the last hop carries an EUI-64 interface identifier.
-    pub fn is_eui64(&self) -> bool {
-        Eui64::addr_is_eui64(self.last_hop)
-    }
-}
-
 /// The result of a seed traceroute campaign.
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct SeedCampaign {
@@ -49,7 +42,7 @@ pub struct SeedCampaign {
     /// Number of /48s probed (responsive or not).
     pub probed_48s: u64,
     /// The virtual time at which the campaign ran.
-    pub collected_at: SimTime,
+    pub(crate) collected_at: SimTime,
 }
 
 impl SeedCampaign {
@@ -188,15 +181,6 @@ mod tests {
         // /32 containing the /44.
         let seeds_32 = seed.seed_32s();
         assert_eq!(seeds_32, vec![p("2001:db8::/32")]);
-    }
-
-    #[test]
-    fn seed_entries_classify_eui64() {
-        let engine = Engine::build(tiny_world()).unwrap();
-        let seed = SeedCampaign::run(&engine, SimTime::at(1, 12), 65_536);
-        for entry in &seed.entries {
-            assert_eq!(entry.is_eui64(), Eui64::addr_is_eui64(entry.last_hop));
-        }
     }
 
     #[test]

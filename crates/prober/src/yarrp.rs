@@ -16,7 +16,6 @@ use std::net::Ipv6Addr;
 
 use serde::{Deserialize, Serialize};
 
-use scent_ipv6::Eui64;
 use scent_simnet::TraceHop;
 
 /// The result of tracerouting one target.
@@ -34,19 +33,13 @@ impl TraceRecord {
     /// Build a record from a raw hop list, deriving the last responsive hop.
     /// The single definition of "last responsive hop" every consumer (seed
     /// campaign, record/replay) shares.
-    pub fn from_hops(target: Ipv6Addr, hops: Vec<TraceHop>) -> Self {
+    pub(crate) fn from_hops(target: Ipv6Addr, hops: Vec<TraceHop>) -> Self {
         let last_hop = hops.iter().filter_map(|h| h.addr).next_back();
         TraceRecord {
             target,
             hops,
             last_hop,
         }
-    }
-
-    /// Whether the last responsive hop carries an EUI-64 IID (i.e. looks like
-    /// a CPE periphery interface rather than core infrastructure).
-    pub fn last_hop_is_eui64(&self) -> bool {
-        self.last_hop.map(Eui64::addr_is_eui64).unwrap_or(false)
     }
 }
 
@@ -55,6 +48,7 @@ mod tests {
     use super::*;
     use crate::targets::TargetGenerator;
     use crate::ProbeTransport;
+    use scent_ipv6::Eui64;
     use scent_simnet::{scenarios, Engine, SimTime};
 
     fn engine() -> Engine {
@@ -80,7 +74,9 @@ mod tests {
         let targets = TargetGenerator::new(2).one_per_subnet(&pool, 56);
         let records = trace_all(&engine, &targets);
         assert_eq!(records.len(), targets.len());
-        let with_cpe: Vec<_> = records.iter().filter(|r| r.last_hop_is_eui64()).collect();
+        let with_cpe: Vec<_> = (records.iter())
+            .filter(|r| r.last_hop.is_some_and(Eui64::addr_is_eui64))
+            .collect();
         assert!(!with_cpe.is_empty());
         for record in &with_cpe {
             // The CPE hop is one past the provider core.
@@ -95,7 +91,6 @@ mod tests {
         assert_eq!(records.len(), 1);
         assert!(records[0].hops.is_empty());
         assert_eq!(records[0].last_hop, None);
-        assert!(!records[0].last_hop_is_eui64());
     }
 
     #[test]

@@ -160,7 +160,7 @@ impl RotationPoolConfig {
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct VendorShare {
     /// Index into [`scent_oui::ALL_VENDORS`].
-    pub vendor_idx: usize,
+    pub(crate) vendor_idx: usize,
     /// Relative weight of this vendor in the provider's fleet.
     pub weight: f64,
 }
@@ -171,15 +171,15 @@ pub struct VendorShare {
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct PlantedCpe {
     /// Index of the pool (within the provider) the device lives in.
-    pub pool_idx: usize,
+    pub(crate) pool_idx: usize,
     /// The device's WAN MAC address.
     pub mac: MacAddr,
     /// The device's initial allocation slot within the pool.
     pub initial_slot: u64,
     /// First day (inclusive) the device is online.
-    pub join_day: u64,
+    pub(crate) join_day: u64,
     /// Last day (exclusive) the device is online; `u64::MAX` means forever.
-    pub leave_day: u64,
+    pub(crate) leave_day: u64,
     /// Whether the device uses EUI-64 SLAAC addressing on its WAN interface.
     pub eui64: bool,
 }
@@ -274,13 +274,13 @@ impl ProviderConfig {
     }
 
     /// Builder-style: set the response rate.
-    pub fn with_response_rate(mut self, rate: f64) -> Self {
+    pub(crate) fn with_response_rate(mut self, rate: f64) -> Self {
         self.response_rate = rate;
         self
     }
 
     /// Builder-style: set the per-probe loss probability.
-    pub fn with_loss(mut self, loss: f64) -> Self {
+    pub(crate) fn with_loss(mut self, loss: f64) -> Self {
         self.loss = loss;
         self
     }

@@ -69,7 +69,7 @@ pub fn uniform(hash: u64, bound: u64) -> u64 {
 
 /// Pick an index from a weighted distribution. Weights need not be
 /// normalised; an empty or all-zero weight slice returns 0.
-pub fn weighted_pick(hash: u64, weights: &[f64]) -> usize {
+pub(crate) fn weighted_pick(hash: u64, weights: &[f64]) -> usize {
     let total: f64 = weights.iter().copied().filter(|w| *w > 0.0).sum();
     if total <= 0.0 {
         return 0;
@@ -90,7 +90,7 @@ pub fn weighted_pick(hash: u64, weights: &[f64]) -> usize {
 /// The multiplicative inverse of an odd number modulo 2^k (k ≤ 64 implied by
 /// the `u64` domain), via Newton–Hensel lifting. Used to invert the affine
 /// slot permutations of the rotation policies.
-pub fn mod_inverse_pow2(odd: u64) -> u64 {
+pub(crate) fn mod_inverse_pow2(odd: u64) -> u64 {
     debug_assert!(odd & 1 == 1, "inverse requires an odd operand");
     // Five Newton iterations double the number of correct low bits each time:
     // 3 → 6 → 12 → 24 → 48 → 96 ≥ 64.

@@ -14,12 +14,10 @@
 use std::collections::HashMap;
 use std::net::Ipv6Addr;
 
-use bytes::Bytes;
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 
 use scent_bgp::{AsRegistry, Asn, PrefixTable, Rib};
-use scent_ipv6::wire::{DestUnreachableCode, Icmpv6Message, Icmpv6Packet};
 use scent_ipv6::{addr_to_u128, Eui64, Ipv6Prefix};
 
 use crate::config::{ProviderConfig, RotationPolicy, WorldConfig};
@@ -40,10 +38,53 @@ pub enum ReplyKind {
     TimeExceeded,
 }
 
-impl ReplyKind {
-    /// Whether the response is an ICMPv6 error (as opposed to an Echo Reply).
-    pub fn is_error(self) -> bool {
-        !matches!(self, ReplyKind::EchoReply)
+/// Destination Unreachable codes (RFC 4443 §3.1): the error codes the paper
+/// reports eliciting from CPE devices.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+pub enum DestUnreachableCode {
+    /// Code 0 — no route to destination.
+    NoRoute,
+    /// Code 1 — communication administratively prohibited.
+    AdminProhibited,
+    /// Code 2 — beyond scope of source address.
+    BeyondScope,
+    /// Code 3 — address unreachable.
+    AddressUnreachable,
+    /// Code 4 — port unreachable.
+    PortUnreachable,
+    /// Code 5 — source address failed ingress/egress policy.
+    FailedPolicy,
+    /// Code 6 — reject route to destination.
+    RejectRoute,
+}
+
+impl DestUnreachableCode {
+    /// The ICMPv6 code value.
+    pub fn value(self) -> u8 {
+        match self {
+            DestUnreachableCode::NoRoute => 0,
+            DestUnreachableCode::AdminProhibited => 1,
+            DestUnreachableCode::BeyondScope => 2,
+            DestUnreachableCode::AddressUnreachable => 3,
+            DestUnreachableCode::PortUnreachable => 4,
+            DestUnreachableCode::FailedPolicy => 5,
+            DestUnreachableCode::RejectRoute => 6,
+        }
+    }
+
+    /// The code with ICMPv6 code value `v`, or `None` for a value RFC 4443
+    /// does not define.
+    pub fn from_value(v: u8) -> Option<Self> {
+        Some(match v {
+            0 => DestUnreachableCode::NoRoute,
+            1 => DestUnreachableCode::AdminProhibited,
+            2 => DestUnreachableCode::BeyondScope,
+            3 => DestUnreachableCode::AddressUnreachable,
+            4 => DestUnreachableCode::PortUnreachable,
+            5 => DestUnreachableCode::FailedPolicy,
+            6 => DestUnreachableCode::RejectRoute,
+            _ => return None,
+        })
     }
 }
 
@@ -159,11 +200,6 @@ impl Engine {
     /// All pool populations, in global pool index order.
     pub fn pools(&self) -> &[PoolPopulation] {
         &self.pools
-    }
-
-    /// The provider configuration owning global pool `pool_idx`.
-    pub fn provider_of_pool(&self, pool_idx: usize) -> &ProviderConfig {
-        &self.config.providers[self.pools[pool_idx].provider_idx]
     }
 
     /// Total number of CPE devices in the world.
@@ -317,50 +353,6 @@ impl Engine {
                 index: cpe_idx as u32,
             },
         })
-    }
-
-    /// Packet-level probe API: feed a serialized IPv6/ICMPv6 Echo Request and
-    /// receive the serialized response packet the network would deliver, if
-    /// any. This exercises the full wire-format path; campaigns use the
-    /// faster [`Engine::probe`] entry point.
-    pub fn respond_packet(&self, request: &[u8], t: SimTime) -> Option<Bytes> {
-        let packet = Icmpv6Packet::parse(request).ok()?;
-        let (identifier, sequence, payload) = match &packet.message {
-            Icmpv6Message::EchoRequest {
-                identifier,
-                sequence,
-                payload,
-            } => (*identifier, *sequence, payload.clone()),
-            _ => return None,
-        };
-        let reply = self.probe(packet.destination(), t)?;
-        let response = match reply.kind {
-            ReplyKind::EchoReply => Icmpv6Packet::error_response(
-                reply.source,
-                packet.source(),
-                Icmpv6Message::EchoReply {
-                    identifier,
-                    sequence,
-                    payload,
-                },
-            ),
-            ReplyKind::DestinationUnreachable(code) => Icmpv6Packet::error_response(
-                reply.source,
-                packet.source(),
-                Icmpv6Message::DestinationUnreachable {
-                    code,
-                    invoking_packet: Bytes::copy_from_slice(request),
-                },
-            ),
-            ReplyKind::TimeExceeded => Icmpv6Packet::error_response(
-                reply.source,
-                packet.source(),
-                Icmpv6Message::TimeExceeded {
-                    invoking_packet: Bytes::copy_from_slice(request),
-                },
-            ),
-        };
-        Some(response.to_bytes())
     }
 
     /// Run a hop-limited traceroute toward `target`, returning one entry per
@@ -701,7 +693,7 @@ mod tests {
         let reply = engine.probe(target, t).expect("CPE should respond");
         assert_eq!(reply.asn, Asn(8881));
         assert_eq!(reply.cpe, id);
-        assert!(reply.kind.is_error());
+        assert_ne!(reply.kind, ReplyKind::EchoReply);
         assert_eq!(reply.source, engine.current_wan_address(id, t).unwrap());
         // The response source embeds the CPE's EUI-64 IID.
         let (_, cpe) = engine.cpe(id).unwrap();
@@ -927,7 +919,7 @@ mod tests {
         // 95% AVM (AdminProhibited) and 5% Lancom-ish (different code) —
         // at least one kind, usually two.
         assert!(!kinds.is_empty());
-        assert!(kinds.iter().all(|k| k.is_error()));
+        assert!(!kinds.contains(&ReplyKind::EchoReply));
     }
 
     #[test]
@@ -959,30 +951,6 @@ mod tests {
         assert!(hops.iter().all(|h| h.addr.is_some()));
         // Unrouted space yields nothing at all.
         assert!(engine.trace("3fff::1".parse().unwrap(), t, 32).is_empty());
-    }
-
-    #[test]
-    fn packet_level_round_trip() {
-        let engine = engine();
-        let t = SimTime::at(1, 12);
-        let id = CpeId { pool: 0, index: 4 };
-        let target = target_inside(&engine, id, t);
-        let request = Icmpv6Packet::echo_request(engine.vantage(), target, 0xbeef, 1, Bytes::new())
-            .to_bytes();
-        let response = engine
-            .respond_packet(&request, t)
-            .expect("CPE responds at packet level");
-        let parsed = Icmpv6Packet::parse(&response).unwrap();
-        assert_eq!(parsed.source(), engine.current_wan_address(id, t).unwrap());
-        assert_eq!(parsed.destination(), engine.vantage());
-        assert!(parsed.message.is_error());
-        assert_eq!(
-            parsed.message.invoking_packet().unwrap().as_ref(),
-            request.as_ref()
-        );
-        // Non-echo-request input is ignored.
-        assert!(engine.respond_packet(&response, t).is_none());
-        assert!(engine.respond_packet(&[1, 2, 3], t).is_none());
     }
 
     #[test]

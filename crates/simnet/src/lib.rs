@@ -52,7 +52,7 @@ pub use config::{
     PlantedCpe, ProviderConfig, RotationPolicy, RotationPoolConfig, SlotLayout, VendorShare,
     WorldConfig,
 };
-pub use engine::{Engine, ProbeReply, ReplyKind, TraceHop};
+pub use engine::{DestUnreachableCode, Engine, ProbeReply, ReplyKind, TraceHop};
 pub use error::{PoolError, WorldError};
 pub use population::{CpeId, CpeRecord, PoolPopulation};
 pub use scenarios::WorldScale;

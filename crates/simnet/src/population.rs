@@ -31,7 +31,7 @@ pub struct CpeRecord {
     /// The WAN interface MAC address.
     pub mac: MacAddr,
     /// Index into [`ALL_VENDORS`].
-    pub vendor_idx: u16,
+    pub(crate) vendor_idx: u16,
     /// Whether the WAN interface uses EUI-64 SLAAC addressing (as opposed to
     /// privacy/random IIDs).
     pub eui64: bool,
@@ -40,12 +40,12 @@ pub struct CpeRecord {
     /// The allocation slot the device held at the simulation epoch.
     pub initial_slot: u64,
     /// First day (inclusive) the device is online.
-    pub join_day: u64,
+    pub(crate) join_day: u64,
     /// Last day (exclusive) the device is online.
-    pub leave_day: u64,
+    pub(crate) leave_day: u64,
     /// This device's rotation jitter, in seconds after the pool's rotation
     /// hour.
-    pub jitter_secs: u32,
+    pub(crate) jitter_secs: u32,
 }
 
 impl CpeRecord {
@@ -56,7 +56,7 @@ impl CpeRecord {
     }
 
     /// Whether the device is online on the given day.
-    pub fn active_on(&self, day: u64) -> bool {
+    pub(crate) fn active_on(&self, day: u64) -> bool {
         day >= self.join_day && day < self.leave_day
     }
 }
@@ -65,16 +65,16 @@ impl CpeRecord {
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct PoolPopulation {
     /// Index of the owning provider within the world configuration.
-    pub provider_idx: usize,
+    pub(crate) provider_idx: usize,
     /// Index of this pool within the provider's pool list.
-    pub pool_idx: usize,
+    pub(crate) pool_idx: usize,
     /// The pool configuration.
     pub config: RotationPoolConfig,
     /// Devices, sorted by `initial_slot` (each slot appears at most once).
     pub cpes: Vec<CpeRecord>,
     /// Seed scoped to this pool, used for rotation permutations and privacy
     /// IID derivation.
-    pub pool_seed: u64,
+    pub(crate) pool_seed: u64,
     /// Slot → position in `cpes`, built once by [`PoolPopulation::build`]
     /// from the sorted `cpes` (which it never reorders); `None` for a pool
     /// too sparse to afford it.

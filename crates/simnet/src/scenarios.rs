@@ -26,29 +26,29 @@ pub mod vendor {
     /// ZTE — dominant at Viettel and common across Asia.
     pub const ZTE: usize = 1;
     /// Huawei.
-    pub const HUAWEI: usize = 2;
+    pub(crate) const HUAWEI: usize = 2;
     /// Sagemcom.
-    pub const SAGEMCOM: usize = 3;
+    pub(crate) const SAGEMCOM: usize = 3;
     /// Arris.
-    pub const ARRIS: usize = 4;
+    pub(crate) const ARRIS: usize = 4;
     /// Technicolor.
-    pub const TECHNICOLOR: usize = 5;
+    pub(crate) const TECHNICOLOR: usize = 5;
     /// Lancom.
     pub const LANCOM: usize = 6;
     /// Zyxel.
-    pub const ZYXEL: usize = 7;
+    pub(crate) const ZYXEL: usize = 7;
     /// Nokia.
-    pub const NOKIA: usize = 8;
+    pub(crate) const NOKIA: usize = 8;
     /// FiberHome.
-    pub const FIBERHOME: usize = 9;
+    pub(crate) const FIBERHOME: usize = 9;
     /// TP-Link.
-    pub const TPLINK: usize = 10;
+    pub(crate) const TPLINK: usize = 10;
     /// MitraStar.
-    pub const MITRASTAR: usize = 11;
+    pub(crate) const MITRASTAR: usize = 11;
     /// Intelbras (common in Brazil).
-    pub const INTELBRAS: usize = 12;
+    pub(crate) const INTELBRAS: usize = 12;
     /// D-Link.
-    pub const DLINK: usize = 13;
+    pub(crate) const DLINK: usize = 13;
 }
 
 fn p(s: &str) -> Ipv6Prefix {
@@ -377,9 +377,9 @@ pub struct WorldScale {
     /// Divisor applied to the paper's per-AS /48 counts.
     pub divisor: u64,
     /// Cap on /48s per AS after scaling (bounds memory for the biggest ASes).
-    pub max_48s_per_as: u64,
+    pub(crate) max_48s_per_as: u64,
     /// Number of "other" (long-tail) ASes to include.
-    pub other_ases: usize,
+    pub(crate) other_ases: usize,
 }
 
 impl WorldScale {
@@ -823,6 +823,11 @@ mod tests {
     use crate::time::SimTime;
     use scent_bgp::Asn;
 
+    /// The provider owning global pool `pool`.
+    fn provider_of(engine: &Engine, pool: u32) -> &ProviderConfig {
+        &engine.config().providers[engine.pools()[pool as usize].provider_idx]
+    }
+
     #[test]
     fn single_provider_scenarios_validate_and_build() {
         for world in [
@@ -882,7 +887,7 @@ mod tests {
         let mut countries = std::collections::HashSet::new();
         for id in hits {
             if engine.current_wan_address(id, t).is_some() {
-                let provider = engine.provider_of_pool(id.pool as usize);
+                let provider = provider_of(&engine, id.pool);
                 countries.insert(provider.country);
             }
         }
@@ -912,7 +917,7 @@ mod tests {
                         .current_wan_address(id, SimTime::at(day, 12))
                         .is_some()
                 })
-                .map(|&id| engine.provider_of_pool(id.pool as usize).asn)
+                .map(|&id| provider_of(&engine, id.pool).asn)
                 .unwrap()
         };
         assert_eq!(asn_on(5, &a), Asn(8881));

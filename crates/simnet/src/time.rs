@@ -10,11 +10,11 @@ use std::ops::{Add, AddAssign, Sub};
 use serde::{Deserialize, Serialize};
 
 /// Seconds in a minute.
-pub const SECS_PER_MINUTE: u64 = 60;
+pub(crate) const SECS_PER_MINUTE: u64 = 60;
 /// Seconds in an hour.
-pub const SECS_PER_HOUR: u64 = 3_600;
+pub(crate) const SECS_PER_HOUR: u64 = 3_600;
 /// Seconds in a day.
-pub const SECS_PER_DAY: u64 = 86_400;
+pub(crate) const SECS_PER_DAY: u64 = 86_400;
 
 /// A span of virtual time, in seconds.
 #[derive(
@@ -26,11 +26,6 @@ impl SimDuration {
     /// A duration of `secs` seconds.
     pub const fn from_secs(secs: u64) -> Self {
         SimDuration(secs)
-    }
-
-    /// A duration of `minutes` minutes.
-    pub const fn from_minutes(minutes: u64) -> Self {
-        SimDuration(minutes * SECS_PER_MINUTE)
     }
 
     /// A duration of `hours` hours.
@@ -46,11 +41,6 @@ impl SimDuration {
     /// The duration in whole seconds.
     pub const fn as_secs(self) -> u64 {
         self.0
-    }
-
-    /// The duration in fractional days.
-    pub fn as_days_f64(self) -> f64 {
-        self.0 as f64 / SECS_PER_DAY as f64
     }
 }
 
@@ -93,11 +83,6 @@ impl SimTime {
     /// The hour of the day, `0..24`.
     pub const fn hour_of_day(self) -> u64 {
         (self.0 % SECS_PER_DAY) / SECS_PER_HOUR
-    }
-
-    /// The second within the day, `0..86_400`.
-    pub const fn second_of_day(self) -> u64 {
-        self.0 % SECS_PER_DAY
     }
 
     /// The duration elapsed since `earlier`, saturating at zero if `earlier`
@@ -151,7 +136,7 @@ mod tests {
         let t = SimTime::at(44, 6);
         assert_eq!(t.day(), 44);
         assert_eq!(t.hour_of_day(), 6);
-        assert_eq!(t.second_of_day(), 6 * SECS_PER_HOUR);
+        assert_eq!(t.as_secs() % SECS_PER_DAY, 6 * SECS_PER_HOUR);
         assert_eq!(SimTime::from_days(2).as_secs(), 2 * SECS_PER_DAY);
         assert_eq!(SimTime::EPOCH.day(), 0);
     }
@@ -172,7 +157,7 @@ mod tests {
     #[test]
     fn add_assign() {
         let mut t = SimTime::EPOCH;
-        t += SimDuration::from_minutes(90);
+        t += SimDuration::from_secs(90 * 60);
         assert_eq!(t.as_secs(), 90 * 60);
     }
 
@@ -180,12 +165,11 @@ mod tests {
     fn duration_conversions() {
         assert_eq!(SimDuration::from_days(2).as_secs(), 172_800);
         assert_eq!(SimDuration::from_hours(24), SimDuration::from_days(1));
-        assert!((SimDuration::from_hours(12).as_days_f64() - 0.5).abs() < 1e-12);
     }
 
     #[test]
     fn display_format() {
-        let t = SimTime::at(3, 14) + SimDuration::from_minutes(15) + SimDuration::from_secs(9);
+        let t = SimTime::at(3, 14) + SimDuration::from_secs(15 * 60 + 9);
         assert_eq!(t.to_string(), "day 3 14:15:09");
     }
 }

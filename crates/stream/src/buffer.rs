@@ -14,8 +14,8 @@
 //!
 //! The split is asymmetric on purpose:
 //!
-//! * [`BatchPool`] lives on the side that fills buffers (a producer thread,
-//!   or the router's control thread). [`BatchPool::take`] hands out an empty
+//! * `BatchPool` lives on the side that fills buffers (a producer thread,
+//!   or the router's control thread). `BatchPool::take` hands out an empty
 //!   buffer — a locally stashed one, one returned over the channel, or
 //!   (warm-up only) a fresh allocation.
 //! * [`BatchReturn`] lives on the side that drains buffers (the merge
@@ -41,7 +41,7 @@ use std::sync::Arc;
 
 use crate::observation::Observation;
 
-/// Shared allocation/recycle counters of one [`BatchPool`].
+/// Shared allocation/recycle counters of one `BatchPool`.
 ///
 /// The counts are monotone and cheap (relaxed atomics, touched once per
 /// *batch*, never per observation). `allocated` stalling while `recycled`
@@ -69,7 +69,7 @@ impl PoolCounters {
 /// The allocating side of a recycling pair: hands out empty batch buffers,
 /// preferring recycled ones. See the [module docs](self) for the protocol.
 #[derive(Debug)]
-pub struct BatchPool {
+pub(crate) struct BatchPool {
     /// Locally stashed free buffers ([`BatchPool::prefill`] fills this).
     free: Vec<Vec<Observation>>,
     /// Emptied buffers returned by the draining side.
@@ -95,7 +95,7 @@ pub struct BatchReturn {
 /// capacity plus a couple in hand per thread) and the pool never drops a
 /// return. Undersizing is safe — it costs occasional re-allocations, counted
 /// by [`PoolCounters`], never correctness.
-pub fn batch_pool(batch: usize, slots: usize) -> (BatchPool, BatchReturn) {
+pub(crate) fn batch_pool(batch: usize, slots: usize) -> (BatchPool, BatchReturn) {
     assert!(batch > 0, "batch buffers must hold something");
     assert!(slots > 0, "a slot-less pool could never recycle");
     let (tx, rx) = std::sync::mpsc::sync_channel(slots);

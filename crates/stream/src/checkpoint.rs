@@ -60,7 +60,7 @@ impl StopSignal {
     }
 
     /// Whether a stop has been requested.
-    pub fn is_stopped(&self) -> bool {
+    pub(crate) fn is_stopped(&self) -> bool {
         self.flag.load(Ordering::Acquire)
     }
 }

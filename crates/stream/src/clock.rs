@@ -114,7 +114,7 @@ impl<S: ObservationSource> ObservationSource for MergedClock<S> {
 /// producer hangs up (its slice is exhausted).
 ///
 /// Drained batch buffers are returned to the producer's
-/// [`BatchPool`](crate::buffer::BatchPool) for reuse, so in steady state the
+/// `BatchPool` for reuse, so in steady state the
 /// producer → merge edge recirculates a fixed buffer population and the
 /// merge thread's consumption is allocation-free (observations are `Copy` —
 /// yielding one is a memcpy out of the buffer, never a move out of the
@@ -192,7 +192,7 @@ impl<S: ObservationSource> ObservationSource for LimitedSource<S> {
 /// (wall-clock tier): per-producer totals are deterministic (producer `k`
 /// owns exactly the strided positions `k, k + P, …`), the interleaving is
 /// the scheduler's.
-pub struct CountedSource<'t, S> {
+pub(crate) struct CountedSource<'t, S> {
     inner: S,
     observer: Option<&'t dyn StreamObserver>,
     producer: usize,

@@ -10,7 +10,7 @@
 //! | Piece | Module | What it does |
 //! |---|---|---|
 //! | Event type & sources | [`observation`] | [`Observation`]s, the [`ObservationSource`] trait |
-//! | Buffer recycling | [`buffer`] | [`BatchPool`]/[`BatchReturn`]: fixed-capacity observation batches recirculated over bounded return channels, so the steady-state hot path never touches the allocator |
+//! | Buffer recycling | [`buffer`] | `BatchPool`/[`BatchReturn`]: fixed-capacity observation batches recirculated over bounded return channels, so the steady-state hot path never touches the allocator |
 //! | The probe pass | [`source`] | [`ContinuousStream`]: drive a [`ProbeTransport`](scent_prober::ProbeTransport) as a permuted, paced pass over a target list, window after window of virtual time — a scan is the same stream limited to one window — optionally with deterministic virtual-queue AIMD rate feedback |
 //! | Producer sharding | [`clock`] | Recombine P per-slice producers through the [`MergedClock`] — bit-identical output for any producer count |
 //! | Shard routing | [`router`] | Partition observations by announced prefix (/32 granularity) over bounded channels; [`ShardMap`] exposes the pure target → shard mapping the feedback model shares |
@@ -72,9 +72,9 @@ pub mod router;
 pub mod shard;
 pub mod source;
 
-pub use buffer::{batch_pool, BatchPool, BatchReturn, PoolCounters};
+pub use buffer::{BatchReturn, PoolCounters};
 pub use checkpoint::{config_fingerprint, world_fingerprint, MonitorSnapshot, StopSignal};
-pub use clock::{ChannelSource, CountedSource, LimitedSource, MergedClock};
+pub use clock::{ChannelSource, LimitedSource, MergedClock};
 pub use engine::{spawn_producers, IngestEngine, IngestOptions, ShardPool};
 pub use error::{ConfigError, StreamError};
 pub use monitor::{

@@ -759,7 +759,7 @@ impl<'a, B: ProbeTransport + WorldView + ?Sized> MonitorSession<'a, B> {
     }
 
     /// Windows completed so far (the prefix of the run already ingested).
-    pub fn completed_windows(&self) -> u64 {
+    pub(crate) fn completed_windows(&self) -> u64 {
         (self.epochs[..self.next_epoch].last()).map_or(0, |&(start, len)| start + len)
     }
 

@@ -45,7 +45,7 @@
 //!
 //! A shard worker dying (panicking) must not take the control thread down
 //! with it: instead of panicking on a hung-up channel, the router records the
-//! dead shard ([`ShardRouter::dead_shard`]) and degrades delivery to a no-op,
+//! dead shard (`ShardRouter::dead_shard`) and degrades delivery to a no-op,
 //! so the ingest loop can notice, abort the run cleanly, and surface a typed
 //! error after joining the surviving workers.
 
@@ -405,7 +405,7 @@ impl<'t> ShardRouter<'t> {
     }
 
     /// Eagerly allocate `buffers` batch buffers into the pool (see
-    /// [`BatchPool::prefill`]). With a prefill covering the maximum
+    /// `BatchPool::prefill`). With a prefill covering the maximum
     /// in-flight population, steady-state routing provably never allocates
     /// — what the hot-path allocation regression test asserts.
     pub fn prefill_buffers(&mut self, buffers: usize) {
@@ -486,7 +486,7 @@ impl<'t> ShardRouter<'t> {
     /// if any. Ingest loops poll this to abort the run instead of feeding a
     /// corpse: once a shard is dead the merged state can no longer be
     /// completed, so continuing would only waste probes.
-    pub fn dead_shard(&self) -> Option<usize> {
+    pub(crate) fn dead_shard(&self) -> Option<usize> {
         self.dead
     }
 

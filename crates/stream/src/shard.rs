@@ -63,7 +63,7 @@ pub enum ShardMsg {
     ObserveBatch(Vec<Observation>),
     /// Adopt a recycler for batch buffers: after folding each subsequent
     /// [`ShardMsg::ObserveBatch`], the worker clears the buffer and sends it
-    /// back to the router's [`BatchPool`](crate::buffer::BatchPool) instead
+    /// back to the router's `BatchPool` instead
     /// of dropping it. Sent by the router when it builds its pool; a worker
     /// without one simply drops drained buffers — recycling is an allocation
     /// optimization, never a correctness requirement.
@@ -221,7 +221,7 @@ impl ShardInference {
     /// Fold a list of shard states into one: the first state is adopted as
     /// it stands and the rest merge into it, so one shard costs nothing and
     /// N shards re-insert N − 1 states, never all N.
-    pub fn merge_all<I: IntoIterator<Item = ShardInference>>(states: I) -> Self {
+    pub(crate) fn merge_all<I: IntoIterator<Item = ShardInference>>(states: I) -> Self {
         let mut states = states.into_iter();
         let mut merged = states.next().unwrap_or_default();
         for state in states {

@@ -484,7 +484,8 @@ mod tests {
         assert_eq!(det.windows.len(), 2, "open window closed in the snapshot");
         assert_eq!(det.windows[0].window, 0);
         assert_eq!(det.windows[0].observations, 2);
-        assert_eq!(det.windows[0].latency_secs(), 1);
+        let window = &det.windows[0];
+        assert_eq!(window.last_send.since(window.first_send).as_secs(), 1);
         assert_eq!(det.windows[1].observations, 1);
         assert_eq!(det.window_latency.count(), 2);
         assert!(matches!(

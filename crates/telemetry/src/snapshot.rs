@@ -85,14 +85,6 @@ pub struct WindowStats {
     pub last_send: SimTime,
 }
 
-impl WindowStats {
-    /// The window's virtual-time latency (last send minus first send), in
-    /// seconds.
-    pub fn latency_secs(&self) -> u64 {
-        self.last_send.since(self.first_send).as_secs()
-    }
-}
-
 /// The deterministic tier: a pure function of (config, world seed).
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct DeterministicSnapshot {
@@ -147,9 +139,9 @@ pub struct ProfileSnapshot {
     pub stalls: u64,
     /// High-water mark of the routed-minus-ingested channel-depth proxy,
     /// sampled at route time.
-    pub channel_high_water: u64,
+    pub(crate) channel_high_water: u64,
     /// OS-time span measurements, `(label, nanoseconds)`, in record order.
-    pub wall_spans: Vec<(String, u64)>,
+    pub(crate) wall_spans: Vec<(String, u64)>,
 }
 
 /// The registry's complete state at snapshot time.

@@ -324,8 +324,7 @@
 //!
 //! # Workspace map
 //!
-//! * [`ipv6`] — addresses, prefixes, EUI-64/MAC arithmetic, ICMPv6 wire
-//!   formats.
+//! * [`ipv6`] — addresses, prefixes, EUI-64/MAC arithmetic.
 //! * [`oui`] — the MAC-vendor (OUI) registry.
 //! * [`bgp`] — RIB, longest-prefix table, AS metadata.
 //! * [`simnet`] — the deterministic simulated IPv6 Internet.

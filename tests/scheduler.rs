@@ -14,8 +14,8 @@ use followscent::prober::{ProbeTransport, RecordedBackend, RecordingBackend, Wor
 use followscent::sched::{Campaign, Scheduler, SchedulerReport};
 use followscent::simnet::{scenarios, Engine, SimTime};
 use followscent::stream::{
-    MonitorConfig, MonitorControl, MonitorReport, MonitorSession, MonitorSnapshot, StreamError,
-    StreamMonitor,
+    MonitorConfig, MonitorControl, MonitorReport, MonitorSession, MonitorSnapshot, ShardPool,
+    StopSignal, StreamError, StreamMonitor,
 };
 use followscent::telemetry::{self, Telemetry, TelemetrySnapshot};
 use proptest::prelude::*;
@@ -421,4 +421,68 @@ proptest! {
             prop_assert_eq!(solo, scheduled);
         }
     }
+}
+
+/// Park on stop (`Campaign::stop_signal`): a signal raised before the run
+/// lets its tenant finish the epoch it is in and no more, and from then on
+/// its neighbour holds the whole budget. Every allocation still splits
+/// exactly `global_pps`, and the neighbour's report is what a solo session
+/// replaying its shares of the audit trail produces.
+#[test]
+fn a_stopped_tenant_parks_and_releases_its_share() {
+    let engine = Engine::build(scenarios::continuous_world(31)).unwrap();
+    let watched = pool_48s(&engine);
+    let config = MonitorConfig {
+        windows: 3,
+        checkpoint_every: Some(1), // three one-window epochs
+        ..MonitorConfig::default()
+    };
+    let stop = StopSignal::new();
+    stop.request_stop();
+    let report = Scheduler::builder()
+        .global_pps(8_000)
+        .add(
+            Campaign::new(&engine, config.clone(), watched.clone()).stop_signal(stop),
+            1,
+        )
+        .add(Campaign::new(&engine, config.clone(), watched.clone()), 1)
+        .run()
+        .unwrap();
+    for allocation in &report.allocations {
+        let total: u64 = allocation.shares.iter().map(|&(_, share)| share).sum();
+        assert_eq!(total, 8_000, "every allocation splits the whole budget");
+    }
+    assert_eq!(
+        report.report(0).expect("a parked tenant reports").windows,
+        1
+    );
+    let parked_at = (report.allocations.iter())
+        .position(|allocation| allocation.tenant == 0)
+        .expect("the stopped tenant ran its first epoch");
+    assert_eq!(
+        report.allocations[parked_at].shares,
+        vec![(0, 4_000), (1, 4_000)]
+    );
+    let later = &report.allocations[parked_at + 1..];
+    assert_eq!(later.len(), 3, "tenant 1 ran all three of its epochs after");
+    for allocation in later {
+        assert_eq!(allocation.tenant, 1);
+        assert_eq!(
+            allocation.shares,
+            vec![(1, 8_000)],
+            "the survivor gets it all"
+        );
+    }
+
+    let mut pool = ShardPool::open(config.shards);
+    let mut solo = MonitorSession::new(&engine, config, watched, None);
+    for allocation in report.allocations.iter().filter(|a| a.tenant == 1) {
+        let (_, share) = allocation.shares.iter().find(|&&(t, _)| t == 1).unwrap();
+        solo.run_epoch_on(&mut pool, *share).unwrap();
+    }
+    assert!(solo.is_done());
+    let mut solo = solo.finish();
+    let scheduled = report.report(1).expect("tenant 1 completes");
+    solo.backpressure_stalls = scheduled.backpressure_stalls;
+    assert_eq!(&solo, scheduled);
 }
