@@ -9,8 +9,7 @@
 //! crate provides:
 //!
 //! * [`OuiRegistry`] — an in-memory registry with lookups by [`Oui`] or
-//!   [`MacAddr`], plus a parser/serializer for the IEEE `oui.txt` format so a
-//!   real registry dump can be dropped in.
+//!   [`MacAddr`].
 //! * [`vendors`] — a curated synthetic registry of the CPE manufacturers the
 //!   paper names (AVM, ZTE, Huawei, Sagemcom, …) with several OUIs each,
 //!   sufficient to reproduce the homogeneity and pathology analyses.
