@@ -10,19 +10,23 @@
 # BENCHMARK.json's run_seconds) with a fresh seed per pair and the first side
 # alternating. Per workload x end-to-end metric it prints both medians and
 # quartiles, the gap (positive = the change is worse) against the metric's
-# bound, the pairs the change won, and the failed ops of each side. Every
-# run's JSON line is kept in $AB_OUT (default: a fresh temporary directory),
-# and so is trajectory.jsonl: one row per workload with both checkouts' short
-# hashes, the pairs and seconds, both medians and the change's pair wins of
-# each end-to-end metric, and each side's failed ops — the rows
-# bench/trajectory.jsonl keeps per landed change.
+# bound with a verdict, the pairs the change won, and the failed ops of each
+# side. The verdict is WORSE when the gap exceeds the bound; otherwise it is
+# unresolved when the parent's quartile spread, relative to its median, is
+# wider than the bound (the runs cannot tell a move of the bound's size from
+# noise) and not every change run beats every parent run; otherwise ok.
+# Every run's JSON line is kept in $AB_OUT (default: a fresh temporary
+# directory), and so is trajectory.jsonl: one row per workload with both
+# checkouts' short hashes, the pairs and seconds, both medians, the change's
+# pair wins and the verdict of each end-to-end metric, and each side's failed
+# ops — the rows bench/trajectory.jsonl keeps per landed change.
 #
 # Environment: AB_WORKLOADS="steady_watch tenants_64" restricts the workloads,
 # AB_SEED (default 1000) is the first pair's seed, AB_TRACE=1 runs the traced
 # pass instead (the table then lists the per-layer metrics, without bounds).
 set -eu
 
-[ $# -ge 2 ] || { sed -n '2,22p' "$0"; exit 2; }
+[ $# -ge 2 ] || { sed -n '2,26p' "$0"; exit 2; }
 parent=$(cd "$1" && pwd)
 change=$(cd "$2" && pwd)
 pairs=${3:-10}
@@ -88,26 +92,34 @@ def summary(values):
     return statistics.median(values), q1, q3
 
 def compare(metric, parent, change):
-    # Both sides (median, q1, q3) and the pair wins of the change, or None.
+    # Both sides (median, q1, q3), the pair wins of the change and the
+    # verdict against the bound of the metric ("" without one), or None.
     name, sign = metric["name"], 1 if metric["better"] == "lower" else -1
     if any(name not in r["metrics"] for r in parent + change):
         return None
     a = [r["metrics"][name]["value"] for r in parent]
     b = [r["metrics"][name]["value"] for r in change]
-    return summary(a), summary(b), sum(1 for x, y in zip(a, b) if sign * (y - x) < 0)
+    (ma, a1, a3), (mb, b1, b3) = summary(a), summary(b)
+    bound, verdict = metric.get("bound"), ""
+    if bound is not None:
+        gap = sign * (mb - ma) / ma if ma else 0.0
+        spread = (a3 - a1) / abs(ma) if ma else 0.0
+        dominates = all(sign * (y - x) < 0 for x in a for y in b)
+        verdict = "WORSE" if gap > bound else "unresolved" if spread > bound and not dominates else "ok"
+    return (ma, a1, a3), (mb, b1, b3), sum(1 for x, y in zip(a, b) if sign * (y - x) < 0), verdict
 
-print("workload metric | parent median [q1 q3] | change median [q1 q3] | gap bound | pairs won")
+print("workload metric | parent median [q1 q3] | change median [q1 q3] | gap bound verdict | pairs won")
 for workload in workloads:
     parent, change = runs(workload, "parent"), runs(workload, "change")
     for metric in metrics:
         compared = compare(metric, parent, change)
         if compared is None:
             continue
-        ((ma, a1, a3), (mb, b1, b3), won), sign = compared, 1 if metric["better"] == "lower" else -1
+        ((ma, a1, a3), (mb, b1, b3), won, verdict), sign = compared, 1 if metric["better"] == "lower" else -1
         gap = sign * (mb - ma) / ma if ma else 0.0
         clear = "clear" if abs(mb - ma) > a3 - a1 else "inside parent iqr"
         bound = metric.get("bound")
-        verdict = "" if bound is None else f" {bound} " + ("ok" if gap <= bound else "WORSE")
+        verdict = "" if bound is None else f" {bound} {verdict}"
         name = metric["name"]
         print(f"{workload} {name} | {ma:.6g} [{a1:.6g} {a3:.6g}] | {mb:.6g} [{b1:.6g} {b3:.6g}]"
               f" | {gap:+.4f}{verdict} | {won}/{len(parent)} {clear}")
@@ -120,8 +132,8 @@ for workload in workloads:
     for metric in spec["end_to_end"]:
         compared = compare(metric, parent, change)
         if compared is not None:
-            (ma, _, _), (mb, _, _), won = compared
-            row["metrics"][metric["name"]] = dict(parent=ma, change=mb, won=won)
+            (ma, _, _), (mb, _, _), won, verdict = compared
+            row["metrics"][metric["name"]] = dict(parent=ma, change=mb, won=won, verdict=verdict)
     trajectory.write(json.dumps(row) + "\n")
 print(f"runs and trajectory.jsonl kept in {out}")
 '

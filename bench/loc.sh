@@ -20,16 +20,19 @@
 # Test files (`tests/`, `benches/`) are not counted. The last line is the
 # workspace total.
 #
-#   bench/loc.sh [-l] [checkout]  (default: the checkout this script is in)
+#   bench/loc.sh [-l | -k] [checkout]  (default: the checkout this script is in)
 #
-# `-l` prints the unexported names instead, one `file:line name` a line.
+# `-l` prints the unexported names instead, one `file:line name` a line; `-k`
+# prints the knobs, one `file:line Struct.field` a line.
 set -eu
 
 list=
-if [ "${1:-}" = -l ]; then
-    list=1
+case "${1:-}" in
+-l | -k)
+    list=$1
     shift
-fi
+    ;;
+esac
 cd "${1:-$(dirname "$0")/..}"
 
 # Count the three columns over the files named on stdin; with `-v each=1` also
@@ -52,6 +55,26 @@ count() {
             close("sort -k4")
             printf "%6d  %5d  %5d", lines, names, knobs
         }'
+}
+
+# `file:line Struct.field` for each knob of the files named on stdin.
+knobs() {
+    xargs awk '
+        FNR == 1 { in_tests = 0; knob_struct = "" }
+        /#\[cfg\(test\)\]/ { in_tests = 1 }
+        in_tests { next }
+        knob_struct != "" && match($0, /^[[:space:]]*pub[[:space:]]+[a-z_][a-z0-9_]*[[:space:]]*:/) {
+            field = substr($0, RSTART, RLENGTH)
+            sub(/[[:space:]]*:$/, "", field)
+            sub(/.*[[:space:]]/, "", field)
+            print FILENAME ":" FNR, knob_struct "." field
+        }
+        match($0, /^[[:space:]]*pub[[:space:]]+struct[[:space:]]+([A-Za-z0-9_]*Config|WatchChurn|QueueModel)[[:space:]]*\{/) {
+            knob_struct = substr($0, RSTART, RLENGTH)
+            sub(/[[:space:]]*\{$/, "", knob_struct)
+            sub(/.*[[:space:]]/, "", knob_struct)
+        }
+        /^[[:space:]]*}/ { knob_struct = "" }'
 }
 
 # Every `.rs` file that can name another crate's items.
@@ -81,7 +104,11 @@ unexported_in() {
 words=$(mktemp)
 trap 'rm -f "$words"' EXIT
 
-if [ -n "$list" ]; then
+if [ "$list" = -k ]; then
+    find src crates/*/src -name '*.rs' | sort | knobs
+    exit 0
+fi
+if [ "$list" = -l ]; then
     for src in src crates/*/src; do
         unexported_in "$src"
     done

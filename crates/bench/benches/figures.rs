@@ -123,7 +123,7 @@ fn bench_fig13_daily_counts(c: &mut Criterion) {
     let refs: Vec<&Scan> = scans.iter().collect();
     let pools = RotationPoolInference::infer(&refs, engine.rib());
     let allocation = AllocationInference::infer(&refs[..1], engine.rib());
-    let tracker = scent_core::Tracker::new(scent_core::TrackerConfig::default());
+    let tracker = scent_core::Tracker;
     let devices = tracker.select_devices(
         &allocation,
         &pools,

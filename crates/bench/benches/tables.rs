@@ -6,9 +6,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use std::collections::HashSet;
 
 use scent_bench::{short_campaign, small_world_engine, versatel_engine};
-use scent_core::{
-    AllocationInference, Pipeline, PipelineConfig, RotationPoolInference, Tracker, TrackerConfig,
-};
+use scent_core::{AllocationInference, Pipeline, PipelineConfig, RotationPoolInference, Tracker};
 use scent_prober::{Scan, Scanner, TargetGenerator};
 use scent_simnet::SimTime;
 
@@ -46,7 +44,7 @@ fn bench_table2_tracking(c: &mut Criterion) {
     );
     let allocation = AllocationInference::infer(&[&alloc_scan], engine.rib());
     let pools = RotationPoolInference::infer(&refs, engine.rib());
-    let tracker = Tracker::new(TrackerConfig::default());
+    let tracker = Tracker;
     let devices = tracker.select_devices(
         &allocation,
         &pools,

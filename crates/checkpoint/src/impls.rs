@@ -19,7 +19,7 @@ use scent_core::{
     WindowedRotationDetector,
 };
 use scent_ipv6::{addr_from_u128, addr_to_u128};
-use scent_prober::{QueueModel, ResponseRecord};
+use scent_prober::ResponseRecord;
 use scent_simnet::{DestUnreachableCode, ReplyKind, SimDuration, SimTime};
 use scent_telemetry::{
     DeterministicSnapshot, EventKind, Histogram, TelemetryEvent, WindowStats, LATENCY_BOUNDS_SECS,
@@ -286,28 +286,6 @@ impl Checkpointable for IncrementalTracker {
             .collect::<Result<_, CheckpointError>>()?;
         IncrementalTracker::from_checkpoint_parts(run, probes)
             .map_err(CheckpointError::InvalidValue)
-    }
-}
-
-impl Checkpointable for QueueModel {
-    fn encode(&self, w: &mut Writer) {
-        self.drain_rate.encode(w);
-        w.put_u64(self.high_watermark);
-        w.put_u64(self.low_watermark);
-        self.per_shard_drain.encode(w);
-    }
-
-    fn decode(r: &mut Reader<'_>) -> Result<Self, CheckpointError> {
-        let model = QueueModel {
-            drain_rate: Checkpointable::decode(r)?,
-            high_watermark: r.u64()?,
-            low_watermark: r.u64()?,
-            per_shard_drain: Checkpointable::decode(r)?,
-        };
-        if !model.is_valid() {
-            return Err(CheckpointError::InvalidValue("queue watermarks"));
-        }
-        Ok(model)
     }
 }
 
@@ -650,30 +628,6 @@ mod tests {
             admitted: vec![prefix("2001:db8:41::/48")],
             evicted: vec![prefix("2001:db8:42::/48"), prefix("2001:db8:43::/48")],
         });
-    }
-
-    #[test]
-    fn pacing_state_roundtrips() {
-        roundtrip(QueueModel::unbounded());
-        roundtrip(QueueModel {
-            high_watermark: 9,
-            low_watermark: 3,
-            ..QueueModel::per_shard_drain([4, 5])
-        });
-    }
-
-    #[test]
-    fn invalid_pacing_state_is_a_typed_error() {
-        let mut w = Writer::new();
-        // drain_rate: None, high == low watermarks, no per-shard overrides.
-        Option::<u64>::None.encode(&mut w);
-        w.put_u64(4);
-        w.put_u64(4);
-        Vec::<u64>::new().encode(&mut w);
-        assert_eq!(
-            decode_value::<QueueModel>(&w.into_bytes()),
-            Err(CheckpointError::InvalidValue("queue watermarks"))
-        );
     }
 
     #[test]

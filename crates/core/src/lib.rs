@@ -64,7 +64,7 @@ pub use rotation_detect::{RotationDetection, RotationEvent, WindowedRotationDete
 pub use rotation_pool::RotationPoolInference;
 pub use seed_expansion::{SeedExpansion, WatchRevision};
 pub use stats::Cdf;
-pub use tracker::{IncrementalTracker, TrackedDevice, Tracker, TrackerConfig, TrackingReport};
+pub use tracker::{IncrementalTracker, TrackedDevice, Tracker, TrackingReport};
 
 pub use scent_bgp::{Asn, CountryCode, PrefixTable, Rib};
 pub use scent_ipv6::{Eui64, Ipv6Prefix, MacAddr};

@@ -41,23 +41,11 @@ use crate::stats::{mean, std_dev};
 /// Hour of day at which each daily tracking round starts.
 const START_HOUR: u64 = 12;
 
-/// Tracker configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct TrackerConfig {
-    /// Probe budget per second (10 kpps in the paper).
-    pub packets_per_second: u64,
-    /// Seed controlling target generation and probing order.
-    pub seed: u64,
-}
+/// Probe budget per second of a tracking round (10 kpps in the paper).
+const PACKETS_PER_SECOND: u64 = 10_000;
 
-impl Default for TrackerConfig {
-    fn default() -> Self {
-        TrackerConfig {
-            packets_per_second: 10_000,
-            seed: 0x7261c,
-        }
-    }
-}
+/// Seed controlling device selection, target generation and probing order.
+const SEED: u64 = 0x7261c;
 
 /// A device selected for tracking, along with the inferences the attacker
 /// uses to find it again.
@@ -202,19 +190,11 @@ impl TrackingReport {
     }
 }
 
-/// The tracker.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct Tracker {
-    /// Configuration.
-    pub config: TrackerConfig,
-}
+/// The tracker: the paper's §6 experiment, at its 10 kpps budget.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Tracker;
 
 impl Tracker {
-    /// Create a tracker.
-    pub fn new(config: TrackerConfig) -> Self {
-        Tracker { config }
-    }
-
     /// Select devices to track from reconnaissance inferences, mirroring the
     /// §6 selection rules: at most one device per AS and per country,
     /// excluding identifiers seen in multiple ASes, and optionally requiring
@@ -239,7 +219,7 @@ impl Tracker {
         // Deterministic ordering, then a seeded shuffle for "random"
         // selection.
         candidates.sort_by_key(|(eui, _)| eui.as_u64());
-        scent_prober::permutation::seeded_shuffle(&mut candidates, self.config.seed);
+        scent_prober::permutation::seeded_shuffle(&mut candidates, SEED);
 
         let mut selected = Vec::new();
         let mut used_as: HashSet<Asn> = HashSet::new();
@@ -293,7 +273,7 @@ impl Tracker {
         start_day: u64,
         days: u64,
     ) -> TrackingReport {
-        let generator = TargetGenerator::new(self.config.seed ^ 0x7472);
+        let generator = TargetGenerator::new(SEED ^ 0x7472);
         let mut results: Vec<DeviceTrackingResult> = devices
             .iter()
             .map(|device| DeviceTrackingResult {
@@ -326,11 +306,8 @@ impl Tracker {
         round_start: SimTime,
     ) -> DailyResult {
         let targets = generator.one_per_subnet(&device.pool, device.allocation_len);
-        let order = RandomPermutation::new(
-            targets.len() as u64,
-            self.config.seed ^ device.iid.as_u64() ^ day,
-        );
-        let pacer = ProbePacer::new(round_start, self.config.packets_per_second);
+        let order = RandomPermutation::new(targets.len() as u64, SEED ^ device.iid.as_u64() ^ day);
+        let pacer = ProbePacer::new(round_start, PACKETS_PER_SECOND);
         let mut probes_sent = 0u64;
         for index in order.iter() {
             let target = targets[index as usize];
@@ -965,7 +942,7 @@ mod tests {
             Scanner::at_paper_rate(43).scan(&engine, &alloc_targets, SimTime::at(2, 9));
         let allocation = AllocationInference::infer(&[&alloc_scan], engine.rib());
         let pools = RotationPoolInference::infer(&refs, engine.rib());
-        let tracker = Tracker::new(TrackerConfig::default());
+        let tracker = Tracker;
         let devices = tracker.select_devices(
             &allocation,
             &pools,
@@ -997,7 +974,7 @@ mod tests {
     #[test]
     fn tracking_finds_rotating_device_daily_with_bounded_probes() {
         let (engine, devices) = build_tracking_setup();
-        let tracker = Tracker::new(TrackerConfig::default());
+        let tracker = Tracker;
         let report = tracker.track(&engine, &devices, 10, 7);
         assert_eq!(report.devices.len(), 1);
         let result = &report.devices[0];
@@ -1037,7 +1014,7 @@ mod tests {
         let refs: Vec<&Scan> = scans.iter().collect();
         let allocation = AllocationInference::infer(&refs, engine.rib());
         let pools = RotationPoolInference::infer(&refs, engine.rib());
-        let tracker = Tracker::new(TrackerConfig::default());
+        let tracker = Tracker;
         // Excluding every candidate IID leaves nothing to select.
         let all: HashSet<Eui64> = pools.iid_asn.keys().copied().collect();
         let none = tracker.select_devices(

@@ -36,6 +36,11 @@ pub(crate) const MERGE_MIN_PROBES: u64 = 16;
 /// Wilson critical value, permille (1960 ≈ 95% two-sided).
 pub(crate) const Z_PERMILLE: u16 = 1960;
 
+/// Bits added per tree level: a split materializes `2^BRANCH_BITS`
+/// children (nibble steps, /32 → /36 → /40 → /44 → /48), clamped so no node
+/// is ever longer than /48.
+pub(crate) const BRANCH_BITS: u8 = 4;
+
 /// Evidence half-life, as a per-boundary right-shift of every count (1 =
 /// halve each boundary). Decay is what lets the tree re-open certificates
 /// over a *moving* occupancy band: a /48 the band left decays from dense
@@ -43,8 +48,8 @@ pub(crate) const Z_PERMILLE: u16 = 1960;
 /// still being re-swept because its certificate decayed too.
 pub(crate) const DECAY_SHIFT: u8 = 1;
 
-/// Configuration of the adaptive discovery tree: how much it probes and how
-/// finely it splits.
+/// Configuration of the adaptive discovery tree: how much it probes and
+/// where it may not.
 ///
 /// The certificate and decay policy is fixed, tuned for announcement-rooted
 /// discovery of scaled-down worlds (/32 announcements, /48 bands, /56
@@ -66,10 +71,6 @@ pub struct DiscoveryConfig {
     /// dense-confidence — discovery converges within a single boundary
     /// instead of leaking an epoch per tree level. Must be non-zero.
     pub rounds: u32,
-    /// Bits added per tree level: a split materializes `2^branch_bits`
-    /// children (nibble steps by default, /32 → /36 → /40 → /44 → /48),
-    /// clamped so no node is ever longer than /48.
-    pub branch_bits: u8,
     /// Prefixes excluded from all probing. Consulted by the detection-phase
     /// target stream, the boundary re-expansion and the discovery sweep
     /// before any probe is emitted.
@@ -82,7 +83,6 @@ impl DiscoveryConfig {
         DiscoveryConfig {
             probe_budget: 4096,
             rounds: 2,
-            branch_bits: 4,
             blocklist: Blocklist::default(),
         }
     }
@@ -118,7 +118,7 @@ impl DiscoveryConfig {
     pub fn fingerprint_into(&self, w: &mut Writer) {
         w.put_u64(self.probe_budget);
         w.put_u32(self.rounds);
-        w.put_u8(self.branch_bits);
+        w.put_u8(BRANCH_BITS);
         w.put_u64(SPLIT_HITS);
         w.put_u16(DENSE_PERMILLE);
         w.put_u64(DENSE_MIN_PROBES);
@@ -179,10 +179,6 @@ mod tests {
             },
             DiscoveryConfig {
                 rounds: 9,
-                ..base.clone()
-            },
-            DiscoveryConfig {
-                branch_bits: 2,
                 ..base.clone()
             },
         ];

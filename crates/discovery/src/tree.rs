@@ -40,7 +40,7 @@ use scent_prober::{ProbeRecord, TargetGenerator};
 use scent_simnet::det::hash3;
 use serde::{Deserialize, Serialize};
 
-use crate::config::{DiscoveryConfig, DECAY_SHIFT, SPLIT_HITS};
+use crate::config::{DiscoveryConfig, BRANCH_BITS, DECAY_SHIFT, SPLIT_HITS};
 
 /// Deepest prefix the tree refines to: the /48 is the paper's unit of
 /// customer-pool inference, and the watch list the tree feeds is /48-keyed.
@@ -51,6 +51,12 @@ const LEAF_LEN: u8 = 48;
 /// shares a boundary's budget, large enough to reach a dense certificate
 /// ([`DENSE_MIN_PROBES`](crate::config::DENSE_MIN_PROBES)) in one round.
 const CHUNK: u64 = 16;
+
+/// The length of `parent`'s children: [`BRANCH_BITS`] longer, never past
+/// [`LEAF_LEN`].
+fn child_len(parent: &Ipv6Prefix) -> u8 {
+    (parent.len() + BRANCH_BITS).min(LEAF_LEN)
+}
 
 /// Evidence held by one tree node.
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
@@ -315,14 +321,13 @@ impl DiscoveryTree {
     /// through split nodes. `None` when no root covers the address. Roots
     /// are sorted and disjoint, so the covering root — if any — is the last
     /// one whose network is not above the address.
-    pub(crate) fn leaf_of(&self, cfg: &DiscoveryConfig, addr: Ipv6Addr) -> Option<Ipv6Prefix> {
+    pub(crate) fn leaf_of(&self, addr: Ipv6Addr) -> Option<Ipv6Prefix> {
         let after = self.roots.partition_point(|root| root.network() <= addr);
         let mut current = *self.roots[..after]
             .last()
             .filter(|root| root.contains(addr))?;
         while self.nodes.get(&current).is_some_and(|node| node.split) {
-            let child_len = (current.len() + cfg.branch_bits).min(LEAF_LEN);
-            current = Ipv6Prefix::new(addr, child_len).expect("child length is valid");
+            current = Ipv6Prefix::new(addr, child_len(&current)).expect("child length is valid");
         }
         Some(current)
     }
@@ -344,13 +349,14 @@ impl DiscoveryTree {
     /// Fold one epoch of per-/48 density evidence into the covering leaves —
     /// step 2 of the boundary cycle. Each entry is `(watched /48, probes,
     /// unique EUI-64 responders)`; the caller must present entries in a
-    /// deterministic order (the monitor sorts by prefix).
-    pub fn fold_density<I>(&mut self, cfg: &DiscoveryConfig, entries: I)
+    /// deterministic order (the monitor sorts by prefix). The branching is
+    /// fixed, so `_cfg` is not read.
+    pub fn fold_density<I>(&mut self, _cfg: &DiscoveryConfig, entries: I)
     where
         I: IntoIterator<Item = (Ipv6Prefix, u64, u64)>,
     {
         for (prefix, probes, uniques) in entries {
-            let Some(leaf) = self.leaf_of(cfg, prefix.network()) else {
+            let Some(leaf) = self.leaf_of(prefix.network()) else {
                 continue;
             };
             let hits = uniques.min(probes);
@@ -516,13 +522,14 @@ impl DiscoveryTree {
     /// The monitor folds by plan index instead ([`DiscoveryTree::fold_plan`],
     /// no per-record descent). This form stays as that fold's differential
     /// oracle (`tests/proptests.rs`) and because the frozen benchmark
-    /// harness (`e2ebench/src/traced.rs`) names it.
-    pub fn fold_probes<'r, I>(&mut self, cfg: &DiscoveryConfig, records: I)
+    /// harness (`e2ebench/src/traced.rs`) names it — `_cfg` too, which the
+    /// fixed branching leaves unread.
+    pub fn fold_probes<'r, I>(&mut self, _cfg: &DiscoveryConfig, records: I)
     where
         I: IntoIterator<Item = &'r ProbeRecord>,
     {
         for record in records {
-            let Some(leaf) = self.leaf_of(cfg, record.target) else {
+            let Some(leaf) = self.leaf_of(record.target) else {
                 continue;
             };
             self.probes += 1;
@@ -546,7 +553,7 @@ impl DiscoveryTree {
     /// cycle.
     ///
     /// **Split**: a leaf shorter than /48 whose attributed hits reach
-    /// the policy's split count (one hit) materializes all `2^branch_bits`
+    /// the policy's split count (one hit) materializes all `2^BRANCH_BITS`
     /// children and partitions its /48 attribution among them — each child
     /// inherits the hits observed in its subtree as `(hits, trials)` seed
     /// evidence, so the split cascades level by level straight down to the
@@ -571,7 +578,7 @@ impl DiscoveryTree {
                 break;
             }
             for parent in candidates {
-                self.split_node(cfg, parent);
+                self.split_node(parent);
             }
         }
         loop {
@@ -585,17 +592,13 @@ impl DiscoveryTree {
                 break;
             }
             for parent in collapsible {
-                self.merge_node(cfg, parent);
+                self.merge_node(parent);
             }
         }
     }
 
-    fn child_len(&self, cfg: &DiscoveryConfig, parent: &Ipv6Prefix) -> u8 {
-        (parent.len() + cfg.branch_bits).min(LEAF_LEN)
-    }
-
-    fn split_node(&mut self, cfg: &DiscoveryConfig, parent: Ipv6Prefix) {
-        let child_len = self.child_len(cfg, &parent);
+    fn split_node(&mut self, parent: Ipv6Prefix) {
+        let child_len = child_len(&parent);
         let attribution = {
             let node = self.nodes.get_mut(&parent).expect("split candidate exists");
             node.split = true;
@@ -618,7 +621,7 @@ impl DiscoveryTree {
     }
 
     fn children_all_quiet(&self, cfg: &DiscoveryConfig, parent: &Ipv6Prefix) -> bool {
-        let child_len = self.child_len(cfg, parent);
+        let child_len = child_len(parent);
         parent
             .subnets(child_len)
             .expect("child length is valid")
@@ -631,8 +634,8 @@ impl DiscoveryTree {
             })
     }
 
-    fn merge_node(&mut self, cfg: &DiscoveryConfig, parent: Ipv6Prefix) {
-        let child_len = self.child_len(cfg, &parent);
+    fn merge_node(&mut self, parent: Ipv6Prefix) {
+        let child_len = child_len(&parent);
         let mut trials = 0u64;
         let mut hits = 0u64;
         for child in parent.subnets(child_len).expect("child length is valid") {
@@ -788,7 +791,6 @@ mod tests {
 
     #[test]
     fn leaf_of_finds_the_one_covering_root_or_none() {
-        let cfg = cfg();
         let roots = [
             p("2001:db8::/32"),
             p("2803:9810:100::/48"),
@@ -796,8 +798,8 @@ mod tests {
         ];
         let tree = DiscoveryTree::from_announcements(roots, 7);
         for root in roots {
-            assert_eq!(tree.leaf_of(&cfg, root.network()), Some(root));
-            assert_eq!(tree.leaf_of(&cfg, root.last_address()), Some(root));
+            assert_eq!(tree.leaf_of(root.network()), Some(root));
+            assert_eq!(tree.leaf_of(root.last_address()), Some(root));
         }
         // Below the first root, in the gaps between roots, above the last.
         for outside in [
@@ -806,10 +808,10 @@ mod tests {
             "2803:9810:101::",
             "2a02:27b1::",
         ] {
-            assert_eq!(tree.leaf_of(&cfg, outside.parse().unwrap()), None);
+            assert_eq!(tree.leaf_of(outside.parse().unwrap()), None);
         }
         let empty = DiscoveryTree::from_announcements(Vec::new(), 7);
-        assert_eq!(empty.leaf_of(&cfg, "2001:db8::1".parse().unwrap()), None);
+        assert_eq!(empty.leaf_of("2001:db8::1".parse().unwrap()), None);
     }
 
     #[test]
@@ -855,7 +857,7 @@ mod tests {
         // /32 → /36 → /40 → /44 → /48: four splits, and the responding /48
         // is now a leaf carrying the hit as seed evidence.
         assert_eq!(tree.report(&cfg).splits, 4);
-        let leaf = tree.leaf_of(&cfg, target).unwrap();
+        let leaf = tree.leaf_of(target).unwrap();
         assert_eq!(leaf, p("2001:db8:1d05::/48"));
         let node = tree.node(&leaf).unwrap();
         assert_eq!((node.hits, node.trials), (1, 1));

@@ -3,7 +3,7 @@
 use std::collections::HashSet;
 
 use scent_core::report::TextTable;
-use scent_core::{CampaignStats, Pipeline, PipelineConfig, Tracker, TrackerConfig};
+use scent_core::{CampaignStats, Pipeline, PipelineConfig, Tracker};
 use scent_simnet::{scenarios, Engine};
 
 use crate::campaign::{CampaignData, Scale, WORLD_SEED};
@@ -237,7 +237,7 @@ pub fn run_table2() -> String {
 /// (Figure 13a). Shared by `table2` and `fig13`.
 pub(crate) fn tracking_reports() -> (scent_core::TrackingReport, scent_core::TrackingReport) {
     let data = CampaignData::collect(Scale::from_env());
-    let tracker = Tracker::new(TrackerConfig::default());
+    let tracker = Tracker;
     // Exclude multi-AS identifiers (§5.5 pathologies), as the paper does.
     let pathology = scent_core::PathologyReport::analyse(&data.scan_refs(), data.engine.rib());
     let multi_as: HashSet<_> = pathology.multi_as.keys().copied().collect();

@@ -20,7 +20,7 @@
 pub mod registry;
 pub mod vendors;
 
-pub use registry::{OuiRegistry, RegistryEntry};
+pub use registry::OuiRegistry;
 pub use vendors::{builtin_registry, CpeVendor, ALL_VENDORS};
 
 pub use scent_ipv6::{MacAddr, Oui};

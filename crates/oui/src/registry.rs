@@ -6,15 +6,6 @@ use serde::{Deserialize, Serialize};
 
 use scent_ipv6::{Eui64, MacAddr, Oui};
 
-/// A single registry assignment.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct RegistryEntry {
-    /// The assigned OUI.
-    pub oui: Oui,
-    /// The organization the OUI is registered to.
-    pub(crate) organization: String,
-}
-
 /// An in-memory OUI registry.
 ///
 /// Lookups return the registered organization name, or `None` for
@@ -61,24 +52,6 @@ impl OuiRegistry {
     pub fn lookup_eui64(&self, eui: Eui64) -> Option<&str> {
         self.lookup_mac(eui.to_mac())
     }
-
-    /// Iterate over all entries in OUI order.
-    pub fn iter(&self) -> impl Iterator<Item = RegistryEntry> + '_ {
-        self.entries.iter().map(|(&oui, org)| RegistryEntry {
-            oui: Oui::from_u32(oui),
-            organization: org.clone(),
-        })
-    }
-}
-
-impl FromIterator<RegistryEntry> for OuiRegistry {
-    fn from_iter<T: IntoIterator<Item = RegistryEntry>>(iter: T) -> Self {
-        let mut registry = OuiRegistry::new();
-        for entry in iter {
-            registry.insert(entry.oui, entry.organization);
-        }
-        registry
-    }
 }
 
 #[cfg(test)]
@@ -109,24 +82,5 @@ mod tests {
             Some("First".to_string())
         );
         assert_eq!(reg.lookup(Oui::from_u32(0x123456)), Some("Second"));
-    }
-
-    #[test]
-    fn from_iterator() {
-        let entries = vec![
-            RegistryEntry {
-                oui: Oui::from_u32(0xaabbcc),
-                organization: "Vendor A".into(),
-            },
-            RegistryEntry {
-                oui: Oui::from_u32(0x112233),
-                organization: "Vendor B".into(),
-            },
-        ];
-        let reg: OuiRegistry = entries.into_iter().collect();
-        assert_eq!(reg.len(), 2);
-        let collected: Vec<_> = reg.iter().collect();
-        // Iteration is ordered by OUI value.
-        assert_eq!(collected[0].oui, Oui::from_u32(0x112233));
     }
 }

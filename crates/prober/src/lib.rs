@@ -174,7 +174,7 @@ mod tests {
         let mut world = scenarios::versatel_like(3);
         world.providers[0].loss = 0.3;
         let engine = Engine::build(world).unwrap();
-        let core_hops = engine.config().providers[0].core_hops;
+        let core_hops = 3; // the simulator's provider-core depth
         let generator = TargetGenerator::new(5);
         let announced = engine.rib().entries()[0].prefix;
         let outside_pools: Vec<Ipv6Addr> = (generator.one_per_subnet(&announced, 44).into_iter())

@@ -64,7 +64,7 @@ impl ProbePacer {
 /// bit-identical to the single-producer run with feedback **on**.
 ///
 /// The model is the only switch: a streamed run paces against it exactly
-/// when it can throttle ([`QueueModel::can_throttle`]: some shard drains at
+/// when it can throttle ([`QueueModel::can_throttle`]: the shards drain at
 /// a finite rate). The default, [`QueueModel::unbounded`], cannot, so a run
 /// keeps the paper's fixed rate unless it is given a drain rate.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -79,12 +79,6 @@ pub struct QueueModel {
     /// Depth at or below which a feedback instant recovers (additive). Must
     /// be strictly below [`QueueModel::high_watermark`].
     pub low_watermark: u64,
-    /// Per-shard drain-rate overrides (e.g. calibrated from the
-    /// `shard_ingest` measurements): shard `i` drains at
-    /// `per_shard_drain[i]` observations per virtual second; shards past the
-    /// end of the vector fall back to [`QueueModel::drain_rate`]. Empty
-    /// means every shard drains uniformly.
-    pub per_shard_drain: Vec<u64>,
 }
 
 impl QueueModel {
@@ -95,7 +89,6 @@ impl QueueModel {
             drain_rate: None,
             high_watermark: 1024,
             low_watermark: 128,
-            per_shard_drain: Vec::new(),
         }
     }
 
@@ -108,55 +101,17 @@ impl QueueModel {
         }
     }
 
-    /// A consumer whose shards drain at individually measured rates (e.g.
-    /// loaded from the `shard_ingest` calibration artifact), with the
-    /// default watermarks. Shard `i` drains at the `i`th rate; shards beyond
-    /// the list fall back to an infinitely fast drain (no rate configured),
-    /// so pass one rate per shard.
-    pub fn per_shard_drain<I: IntoIterator<Item = u64>>(rates: I) -> Self {
-        QueueModel {
-            per_shard_drain: rates.into_iter().collect(),
-            ..Self::unbounded()
-        }
-    }
-
-    /// [`QueueModel::per_shard_drain`] built straight from a calibration
-    /// measurement: `ns_per_obs[i]` is shard `i`'s measured ingest cost in
-    /// nanoseconds per observation (the `shard_ingest` bench artifact), and
-    /// the drain rate becomes the observations that shard retires per
-    /// virtual second (`1e9 / ns`, floored, clamped to at least 1 so a
-    /// pathological measurement can never model a stuck consumer; a zero
-    /// measurement is treated as 1 ns). Default watermarks.
-    ///
-    /// The mapping itself is pure arithmetic, so feeding wall-clock
-    /// calibration numbers in keeps the resulting AIMD trajectory a
-    /// deterministic function of the *model* — runs stay byte-identical
-    /// across producer counts for any calibration input.
-    pub fn calibrated<I: IntoIterator<Item = u64>>(ns_per_obs: I) -> Self {
-        Self::per_shard_drain(
-            ns_per_obs
-                .into_iter()
-                .map(|ns| (1_000_000_000 / ns.max(1)).max(1)),
-        )
-    }
-
-    /// The drain rate in force for `shard`: its per-shard override if one is
-    /// configured, otherwise the uniform [`QueueModel::drain_rate`].
-    pub(crate) fn drain_for(&self, shard: usize) -> Option<u64> {
-        self.per_shard_drain.get(shard).copied().or(self.drain_rate)
-    }
-
     /// Whether the watermarks are ordered sensibly (`low < high`).
     pub fn is_valid(&self) -> bool {
         self.low_watermark < self.high_watermark
     }
 
-    /// Whether some shard drains at a finite rate, so a queue can build up
+    /// Whether the shards drain at a finite rate, so a queue can build up
     /// and the model can back the rate off. A model that cannot throttle
     /// paces exactly like the fixed rate, so a run paces against its queue
     /// model exactly when this holds.
     pub fn can_throttle(&self) -> bool {
-        self.drain_rate.is_some() || !self.per_shard_drain.is_empty()
+        self.drain_rate.is_some()
     }
 }
 
@@ -174,7 +129,7 @@ impl Default for QueueModel {
 /// long-running monitor instead has consumers (inference shards) that can
 /// fall behind. Every observation enqueues one unit on its shard's virtual
 /// queue, and a shard's depth at a virtual instant is its enqueue count
-/// minus what `QueueModel::drain_for` it retired since the pacer started
+/// minus what [`QueueModel::drain_rate`] retired since the pacer started
 /// (saturating at zero) — a pure function of the position sequence and
 /// virtual time, never of a real channel. Each time the cursor rolls over
 /// to a new send second, the maximum shard depth decides: at or above the
@@ -284,9 +239,9 @@ impl QueuePacer {
         }
     }
 
-    /// The maximum shard depth at the pacer's current virtual instant. Each
-    /// shard drains at `QueueModel::drain_for` its index, so asymmetric
-    /// per-shard calibrations feed back through the slowest shard.
+    /// The maximum shard depth at the pacer's current virtual instant. Every
+    /// shard drains at [`QueueModel::drain_rate`], so the fullest queue is
+    /// the one the pacer feeds back.
     pub fn depth(&self) -> u64 {
         (0..self.enqueued.len())
             .map(|shard| self.shard_depth(shard))
@@ -296,7 +251,7 @@ impl QueuePacer {
 
     /// The depth of one shard's queue at the current virtual instant.
     fn shard_depth(&self, shard: usize) -> u64 {
-        let Some(rate) = self.model.drain_for(shard) else {
+        let Some(rate) = self.model.drain_rate else {
             return 0;
         };
         let retired = self.cursor.since(self.epoch).as_secs().saturating_mul(rate);
@@ -332,7 +287,6 @@ mod tests {
             drain_rate: Some(10),
             high_watermark: 50,
             low_watermark: 5,
-            ..QueueModel::unbounded()
         }
     }
 
@@ -417,7 +371,6 @@ mod tests {
             drain_rate: Some(3),
             high_watermark: 10,
             low_watermark: 2,
-            ..QueueModel::unbounded()
         };
         for (model, shards) in [(QueueModel::unbounded(), 1), (tight.clone(), 1), (tight, 3)] {
             for pre in [0u64, 1, 3, 7, 8, 9, 40] {
@@ -497,7 +450,6 @@ mod tests {
         // Which is why a run paces against a model only if it can throttle.
         assert!(!QueueModel::unbounded().can_throttle());
         assert!(QueueModel::with_drain_rate(1).can_throttle());
-        assert!(QueueModel::per_shard_drain([7]).can_throttle());
         for shards in [1usize, 2, 5] {
             let start = SimTime::at(3, 7);
             let fixed = ProbePacer::new(start, 100);
@@ -522,7 +474,6 @@ mod tests {
             drain_rate: Some(3),
             high_watermark: 10,
             low_watermark: 2,
-            ..QueueModel::unbounded()
         };
         let mut paced = QueuePacer::new(SimTime::at(0, 0), 8, 2, model.clone());
         let mut skipped = QueuePacer::new(SimTime::at(0, 0), 8, 2, model);
@@ -556,7 +507,6 @@ mod tests {
                 drain_rate: drain,
                 high_watermark: 16,
                 low_watermark: 4,
-                ..QueueModel::unbounded()
             };
             let mut pacer = QueuePacer::new(SimTime::EPOCH, 1024, 3, model);
             let floor = 1024 / 64;
@@ -583,7 +533,6 @@ mod tests {
             drain_rate: Some(10),
             high_watermark: 50,
             low_watermark: 5,
-            ..QueueModel::unbounded()
         };
         let run = || {
             let mut pacer = QueuePacer::new(SimTime::EPOCH, 100, 1, model.clone());
@@ -657,104 +606,26 @@ mod tests {
                 drain_rate: Some(1),
                 high_watermark: 4,
                 low_watermark: 4,
-                ..QueueModel::unbounded()
             },
         );
-    }
-
-    /// Satellite: per-shard drain overrides apply per index and fall back to
-    /// the uniform rate past the end of the list.
-    #[test]
-    fn per_shard_drain_overrides_apply_per_index() {
-        let mut model = QueueModel::per_shard_drain([5, 50]);
-        assert_eq!(model.drain_for(0), Some(5));
-        assert_eq!(model.drain_for(1), Some(50));
-        assert_eq!(model.drain_for(2), None, "no uniform fallback configured");
-        model.drain_rate = Some(7);
-        assert_eq!(model.drain_for(2), Some(7), "uniform fallback");
-        assert_eq!(model.drain_for(0), Some(5), "override still wins");
-        assert!(model.is_valid());
-    }
-
-    /// Satellite: `calibrated` maps measured ns-per-observation straight to
-    /// per-shard drain rates — `1e9 / ns`, floored, never zero — so the
-    /// `shard_ingest` calibration artifact can feed the model directly.
-    #[test]
-    fn calibrated_maps_ns_per_observation_to_drain_rates() {
-        // 1487 ns/obs and 1283 ns/obs: the seeded baseline.json magnitudes.
-        let model = QueueModel::calibrated([1_487, 1_283]);
-        assert_eq!(model.drain_for(0), Some(672_494), "1e9 / 1487, floored");
-        assert_eq!(model.drain_for(1), Some(779_423), "1e9 / 1283, floored");
-        assert_eq!(model.drain_for(2), None, "one rate per measured shard");
-        assert!(model.is_valid(), "default watermarks ride along");
-        // Degenerate measurements clamp instead of modelling a stuck or
-        // infinitely fast consumer.
-        let edge = QueueModel::calibrated([0, u64::MAX, 1_000_000_000, 2_000_000_000]);
-        assert_eq!(edge.drain_for(0), Some(1_000_000_000), "0 ns reads as 1 ns");
-        assert_eq!(edge.drain_for(1), Some(1), "slower than 1/s clamps to 1");
-        assert_eq!(edge.drain_for(2), Some(1));
-        assert_eq!(edge.drain_for(3), Some(1), "floor would be 0; clamps to 1");
-    }
-
-    /// Satellite: asymmetric per-shard drain rates keep the pace/skip
-    /// equivalence — a producer owning a strided slice replays the identical
-    /// rate trajectory, so feedback over an asymmetric consumer fleet stays
-    /// producer-invariant.
-    #[test]
-    fn asymmetric_per_shard_drain_is_producer_invariant() {
-        let model = QueueModel {
-            high_watermark: 12,
-            low_watermark: 2,
-            ..QueueModel::per_shard_drain([2, 40, 9])
-        };
-        let mut solo = QueuePacer::new(SimTime::at(1, 3), 16, 3, model.clone());
-        // Three "producers", each pacing its own stride and skipping foreign
-        // positions — the multi-producer discipline.
-        let mut fleet: Vec<QueuePacer> = (0..3)
-            .map(|_| QueuePacer::new(SimTime::at(1, 3), 16, 3, model.clone()))
-            .collect();
-        let mut throttled = false;
-        for i in 0..2_000u64 {
-            let shard = (i % 3) as usize;
-            let t = solo.pace(shard);
-            throttled |= solo.rate() < 16;
-            for (producer, pacer) in fleet.iter_mut().enumerate() {
-                if i as usize % 3 == producer {
-                    assert_eq!(pacer.pace(shard), t, "position {i} producer {producer}");
-                } else {
-                    pacer.skip(shard);
-                }
-            }
-            for pacer in &fleet {
-                assert_eq!(pacer, &solo, "position {i}");
-            }
-        }
-        assert!(throttled, "the slow shard must throttle the fleet");
-        // The slowest shard dominates the depth signal.
-        assert!(solo.shard_depth(0) >= solo.shard_depth(1));
     }
 
     use proptest::prelude::*;
 
     proptest! {
         // Random sequences of pace, skip, bulk skip and window entry over
-        // random budgets, 1–4 shards and unbounded, uniform or per-shard
-        // drain models: a pacer that bulk-skips stays equal, state for
-        // state, to one that accounts every position on its own.
+        // random budgets, 1–4 shards and unbounded or draining models: a
+        // pacer that bulk-skips stays equal, state for state, to one that
+        // accounts every position on its own.
         #[test]
         fn bulk_skip_matches_per_position_reference(
             ops in collection::vec((any::<u64>(), any::<u64>()), 1..120),
             rate in 1u64..300,
             shards in 1usize..5,
-            drain in (0u64..3, 0u64..40),
+            drain in (any::<bool>(), 0u64..40),
         ) {
             let model = QueueModel {
-                drain_rate: (drain.0 == 1).then_some(drain.1),
-                per_shard_drain: if drain.0 == 2 {
-                    (0..shards as u64).map(|i| (drain.1 + 7 * i) % 40).collect()
-                } else {
-                    Vec::new()
-                },
+                drain_rate: drain.0.then_some(drain.1),
                 high_watermark: 12 + drain.1,
                 low_watermark: drain.1 / 2,
             };

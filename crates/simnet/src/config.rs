@@ -222,16 +222,13 @@ pub struct ProviderConfig {
     pub response_rate: f64,
     /// Independent per-probe loss probability.
     pub loss: f64,
-    /// Number of provider-core router hops between the vantage point and the
-    /// CPE (used by the traceroute model).
-    pub core_hops: u8,
     /// Explicitly planted devices.
     pub planted: Vec<PlantedCpe>,
 }
 
 impl ProviderConfig {
     /// A provider with sensible defaults: fully EUI-64, fully responsive,
-    /// lossless, three core hops, no planted devices.
+    /// lossless, no planted devices.
     pub fn new(
         asn: impl Into<Asn>,
         name: &str,
@@ -253,7 +250,6 @@ impl ProviderConfig {
             eui64_fraction: 1.0,
             response_rate: 1.0,
             loss: 0.0,
-            core_hops: 3,
             planted: Vec::new(),
         }
     }
@@ -358,10 +354,9 @@ pub struct WorldConfig {
     /// disables rate limiting.
     pub icmp_rate_limit_per_sec: Option<u32>,
     /// Fraction of generated (non-planted) CPE that join after day 0 or leave
-    /// before the end of the simulation horizon, modelling subscriber churn.
+    /// before the end of the 600-day simulation horizon, modelling
+    /// subscriber churn.
     pub churn_fraction: f64,
-    /// Simulation horizon in days used when drawing churn dates.
-    pub horizon_days: u64,
 }
 
 impl WorldConfig {
@@ -373,7 +368,6 @@ impl WorldConfig {
             seed,
             icmp_rate_limit_per_sec: None,
             churn_fraction: 0.02,
-            horizon_days: 600,
         }
     }
 

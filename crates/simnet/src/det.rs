@@ -61,7 +61,7 @@ pub fn coin(hash: u64, p: f64) -> bool {
 
 /// A deterministic uniform draw in `0..bound` (`bound` must be non-zero).
 #[inline]
-pub fn uniform(hash: u64, bound: u64) -> u64 {
+pub(crate) fn uniform(hash: u64, bound: u64) -> u64 {
     debug_assert!(bound > 0, "uniform bound must be non-zero");
     // 128-bit multiply-shift avoids modulo bias.
     ((hash as u128 * bound as u128) >> 64) as u64

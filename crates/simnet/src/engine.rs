@@ -27,6 +27,10 @@ use crate::pool_index::PoolIndex;
 use crate::population::{CpeId, CpeRecord, PoolPopulation};
 use crate::time::SimTime;
 
+/// Provider-core router hops between the vantage point and a CPE, the same
+/// in every provider (the traceroute model).
+const CORE_HOPS: u8 = 3;
+
 /// The kind of response a probe elicited.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum ReplyKind {
@@ -366,7 +370,7 @@ impl Engine {
         let Some(provider) = self.provider_of(target) else {
             return Vec::new();
         };
-        let core_hops = provider.core_hops.min(max_hops);
+        let core_hops = CORE_HOPS.min(max_hops);
         let mut hops = Vec::with_capacity(usize::from(core_hops) + 1);
         hops.extend((1..=core_hops).map(|ttl| TraceHop {
             ttl,
@@ -389,7 +393,7 @@ impl Engine {
     /// was not lost. Sends the same one probe `trace` sends.
     pub fn last_hop(&self, target: Ipv6Addr, t: SimTime, max_hops: u8) -> Option<Ipv6Addr> {
         let provider = self.provider_of(target)?;
-        let core_hops = provider.core_hops.min(max_hops);
+        let core_hops = CORE_HOPS.min(max_hops);
         if core_hops < max_hops {
             if let Some(reply) = self.probe(target, t) {
                 return Some(reply.source);
@@ -929,8 +933,7 @@ mod tests {
         let id = CpeId { pool: 0, index: 2 };
         let target = target_inside(&engine, id, t);
         let hops = engine.trace(target, t, 32);
-        let provider = &engine.config().providers[0];
-        assert_eq!(hops.len(), provider.core_hops as usize + 1);
+        assert_eq!(hops.len(), usize::from(CORE_HOPS) + 1);
         let last = hops.last().unwrap().addr.unwrap();
         assert_eq!(last, engine.current_wan_address(id, t).unwrap());
         // Core hops are statically addressed, never EUI-64.
@@ -946,8 +949,7 @@ mod tests {
         let engine = engine();
         let t = SimTime::at(1, 12);
         let hops = engine.trace("2001:16b8:4000::1".parse().unwrap(), t, 32);
-        let provider = &engine.config().providers[0];
-        assert_eq!(hops.len(), provider.core_hops as usize);
+        assert_eq!(hops.len(), usize::from(CORE_HOPS));
         assert!(hops.iter().all(|h| h.addr.is_some()));
         // Unrouted space yields nothing at all.
         assert!(engine.trace("3fff::1".parse().unwrap(), t, 32).is_empty());

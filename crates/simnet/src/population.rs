@@ -292,6 +292,9 @@ impl PoolPopulation {
     }
 }
 
+/// The simulation horizon in days that churn dates are drawn from.
+const HORIZON_DAYS: u64 = 600;
+
 /// Draw churn dates for a device: most devices are online for the whole
 /// horizon; a `churn_fraction` of devices either join late or leave early.
 fn churn_dates(world: &WorldConfig, h: u64) -> (u64, u64) {
@@ -299,7 +302,7 @@ fn churn_dates(world: &WorldConfig, h: u64) -> (u64, u64) {
         return (0, u64::MAX);
     }
     let h2 = crate::det::splitmix64(h);
-    let day = 1 + uniform(h2, world.horizon_days.max(2) - 1);
+    let day = 1 + uniform(h2, HORIZON_DAYS - 1);
     if h2 & 1 == 0 {
         (day, u64::MAX) // joins late
     } else {

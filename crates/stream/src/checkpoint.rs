@@ -31,7 +31,7 @@ use scent_ipv6::Ipv6Prefix;
 use scent_prober::WorldView;
 use scent_telemetry::DeterministicSnapshot;
 
-use crate::monitor::MonitorConfig;
+use crate::monitor::{MonitorConfig, MAX_TRACKED};
 use crate::shard::ShardInference;
 
 /// A cooperative stop request, checked by the monitor at epoch boundaries.
@@ -158,7 +158,9 @@ impl MonitorSnapshot {
 /// count) so a restored report never silently claims a configuration it was
 /// not produced under. The shard count is one of them, so a snapshot only
 /// ever resumes into the shard count — and, through the world fingerprint,
-/// the shard map — it was taken under.
+/// the shard map — it was taken under. A constant that replaced a field is
+/// written in the field's slot, so the fingerprint moves only if its value
+/// does.
 pub fn config_fingerprint(cfg: &MonitorConfig, watched_48s: &[Ipv6Prefix]) -> u64 {
     let mut w = Writer::new();
     w.put_usize(cfg.shards);
@@ -169,8 +171,13 @@ pub fn config_fingerprint(cfg: &MonitorConfig, watched_48s: &[Ipv6Prefix]) -> u6
     w.put_u64(cfg.windows);
     w.put_u64(cfg.window_interval.as_secs());
     w.put_u64(cfg.start.as_secs());
-    w.put_usize(cfg.max_tracked);
-    cfg.queue_model.encode(&mut w);
+    w.put_usize(MAX_TRACKED);
+    // The queue model, as its codec wrote it: drain rate, watermarks, then
+    // the retired per-shard drain list, always empty.
+    cfg.queue_model.drain_rate.encode(&mut w);
+    w.put_u64(cfg.queue_model.high_watermark);
+    w.put_u64(cfg.queue_model.low_watermark);
+    w.put_usize(0);
     cfg.retention_windows.encode(&mut w);
     match &cfg.churn {
         None => w.put_bool(false),

@@ -70,9 +70,6 @@ pub enum ConfigError {
     ZeroDiscoveryBudget,
     /// Adaptive discovery with zero plan/probe/fold rounds per boundary.
     ZeroDiscoveryRounds,
-    /// Adaptive discovery with a branch factor outside 1..=8 bits per tree
-    /// level.
-    InvalidDiscoveryBranch,
     /// A [`StreamMonitor`](crate::monitor::StreamMonitor) run over an empty
     /// watch list with discovery off: nothing would ever be probed.
     /// Discovery bootstraps an empty list from the announcement topology; a
@@ -132,7 +129,6 @@ impl std::fmt::Display for ConfigError {
             DiscoveryRequiresChurn => "adaptive discovery requires watch-list churn",
             ZeroDiscoveryBudget => "adaptive discovery needs a non-zero probe_budget",
             ZeroDiscoveryRounds => "adaptive discovery needs at least one round per boundary",
-            InvalidDiscoveryBranch => "adaptive discovery branch_bits must be in 1..=8",
             EmptyWatchList => "a monitor needs watched /48s or adaptive discovery",
         })
     }

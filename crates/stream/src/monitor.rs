@@ -106,6 +106,9 @@ impl Default for WatchChurn {
     }
 }
 
+/// Cap on devices folded into a monitor's tracking report.
+pub(crate) const MAX_TRACKED: usize = 8;
+
 /// Continuous monitor configuration.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct MonitorConfig {
@@ -131,10 +134,8 @@ pub struct MonitorConfig {
     pub window_interval: SimDuration,
     /// Virtual time of the first window.
     pub start: SimTime,
-    /// Cap on devices folded into the tracking report.
-    pub max_tracked: usize,
     /// The deterministic virtual-queue model the prober's virtual-time rate
-    /// adapts to (AIMD): per-shard drain rate plus the depth watermarks that
+    /// adapts to (AIMD): each shard's drain rate plus the depth watermarks that
     /// trigger multiplicative back-off and additive recovery. The prober
     /// paces against it exactly when it can throttle
     /// ([`QueueModel::can_throttle`]). The default
@@ -201,7 +202,6 @@ impl Default for MonitorConfig {
             windows: 7,
             window_interval: SimDuration::from_days(1),
             start: SimTime::at(10, 9),
-            max_tracked: 8,
             queue_model: QueueModel::default(),
             retention_windows: None,
             churn: None,
@@ -258,7 +258,6 @@ impl MonitorConfig {
                 (churn.is_none(), DiscoveryRequiresChurn),
                 (d.probe_budget == 0, ZeroDiscoveryBudget),
                 (d.rounds == 0, ZeroDiscoveryRounds),
-                (!(1..=8).contains(&d.branch_bits), InvalidDiscoveryBranch),
             ])?;
         }
         Ok(())
@@ -1192,7 +1191,7 @@ impl<'a, B: ProbeTransport + WorldView + ?Sized> MonitorSession<'a, B> {
             self.world.rib(),
             self.world.as_registry(),
             windows,
-            self.config.max_tracked,
+            MAX_TRACKED,
         );
 
         let discovery = match (&self.discovery, &self.config.discovery) {
@@ -1416,7 +1415,6 @@ mod tests {
                 drain_rate: Some(16),
                 high_watermark: 64,
                 low_watermark: 8,
-                ..QueueModel::unbounded()
             },
             ..MonitorConfig::default()
         });
@@ -1437,85 +1435,55 @@ mod tests {
 
     /// The tentpole contract: AIMD feedback on, any producer count — the
     /// merged run is byte-identical to the single-producer run, including
-    /// the deterministic `final_rate`.
+    /// the deterministic `final_rate`. Twice: windows a day apart, whose
+    /// idle gaps drain the virtual queues between windows, and back-to-back
+    /// windows (1 s interval) under a 1/s drain, which deny those gaps, so
+    /// the backlog persists from window to window and pins the rate near
+    /// the floor — the back-off is non-vacuous wherever the AIMD
+    /// oscillation happens to end.
     #[test]
     fn throttled_monitor_is_producer_invariant() {
         let world = scenarios::continuous_world(41);
-        let config = |producers: usize| MonitorConfig {
-            windows: 3,
-            shards: 2,
-            producers,
-            packets_per_second: 128,
-            queue_model: QueueModel {
-                drain_rate: Some(16),
-                high_watermark: 64,
-                low_watermark: 8,
-                ..QueueModel::unbounded()
-            },
-            ..MonitorConfig::default()
-        };
         let engine = Engine::build(world.clone()).unwrap();
         let watched: Vec<Ipv6Prefix> = watched_48s(&engine).into_iter().take(2).collect();
-        let single = StreamMonitor::new(config(1))
-            .run(&engine, &watched)
-            .unwrap();
-        assert!(
-            single.final_rate < 128,
-            "throttling must be non-vacuous for the equality to prove anything"
-        );
-        // Three does not divide the 512-position window, so the producer
-        // that probes the last position is not the last producer.
-        for producers in [2usize, 3, 4, 8] {
-            let engine = Engine::build(world.clone()).unwrap();
-            let mut sharded = StreamMonitor::new(config(producers))
+        for (window_interval, drain_rate) in [
+            (SimDuration::from_days(1), 16),
+            (SimDuration::from_secs(1), 1),
+        ] {
+            let config = |producers: usize| MonitorConfig {
+                windows: 3,
+                shards: 2,
+                producers,
+                packets_per_second: 128,
+                window_interval,
+                queue_model: QueueModel {
+                    drain_rate: Some(drain_rate),
+                    high_watermark: 64,
+                    low_watermark: 8,
+                },
+                ..MonitorConfig::default()
+            };
+            let single = StreamMonitor::new(config(1))
                 .run(&engine, &watched)
                 .unwrap();
-            sharded.backpressure_stalls = single.backpressure_stalls;
-            assert_eq!(single, sharded, "producers={producers}");
-        }
-    }
-
-    /// Satellite: a queue model *calibrated* from measured ns-per-observation
-    /// ingest costs (the `shard_ingest` bench artifact) is just per-shard
-    /// drain rates, so it drives the same producer-invariant AIMD machinery
-    /// as hand-written models — asymmetric shards included.
-    #[test]
-    fn calibrated_feedback_is_producer_invariant() {
-        let world = scenarios::continuous_world(41);
-        // 40 ms and a full second per observation calibrate to 25/s and 1/s.
-        // Back-to-back windows (1 s interval) deny the idle gaps that would
-        // drain the virtual queues between windows, so the 1/s shard's
-        // backlog persists and pins the rate near the floor — the back-off
-        // is non-vacuous wherever the AIMD oscillation happens to end.
-        let config = |producers: usize| MonitorConfig {
-            windows: 3,
-            shards: 2,
-            producers,
-            packets_per_second: 128,
-            window_interval: SimDuration::from_secs(1),
-            queue_model: QueueModel {
-                high_watermark: 64,
-                low_watermark: 8,
-                ..QueueModel::calibrated([40_000_000, 1_000_000_000])
-            },
-            ..MonitorConfig::default()
-        };
-        let engine = Engine::build(world.clone()).unwrap();
-        let watched: Vec<Ipv6Prefix> = watched_48s(&engine).into_iter().take(2).collect();
-        let single = StreamMonitor::new(config(1))
-            .run(&engine, &watched)
-            .unwrap();
-        assert!(
-            single.final_rate < 128,
-            "a calibrated 10/s shard must throttle a 128 pps prober"
-        );
-        for producers in [2usize, 3, 4, 8] {
-            let engine = Engine::build(world.clone()).unwrap();
-            let mut sharded = StreamMonitor::new(config(producers))
-                .run(&engine, &watched)
-                .unwrap();
-            sharded.backpressure_stalls = single.backpressure_stalls;
-            assert_eq!(single, sharded, "producers={producers}");
+            assert!(
+                single.final_rate < 128,
+                "throttling must be non-vacuous for the equality to prove anything \
+                 (interval {window_interval:?})"
+            );
+            // Three does not divide the 512-position window, so the producer
+            // that probes the last position is not the last producer.
+            for producers in [2usize, 3, 4, 8] {
+                let engine = Engine::build(world.clone()).unwrap();
+                let mut sharded = StreamMonitor::new(config(producers))
+                    .run(&engine, &watched)
+                    .unwrap();
+                sharded.backpressure_stalls = single.backpressure_stalls;
+                assert_eq!(
+                    single, sharded,
+                    "producers={producers} interval={window_interval:?}"
+                );
+            }
         }
     }
 
@@ -1538,7 +1506,6 @@ mod tests {
                     drain_rate: Some(16),
                     high_watermark: 64,
                     low_watermark: 8,
-                    ..QueueModel::unbounded()
                 },
                 checkpoint_every: Some(1),
                 ..MonitorConfig::default()
@@ -1559,12 +1526,11 @@ mod tests {
         let watched = watched_48s(&engine);
         let monitor = StreamMonitor::new(MonitorConfig {
             windows: 6,
-            max_tracked: 5,
             ..MonitorConfig::default()
         });
         let report = monitor.run(&engine, &watched).unwrap();
         assert!(!report.tracking.devices.is_empty());
-        assert!(report.tracking.devices.len() <= 5);
+        assert!(report.tracking.devices.len() <= MAX_TRACKED);
         for result in &report.tracking.devices {
             assert_eq!(result.daily.len(), 6);
             assert!(result.days_found() > 0);

@@ -100,7 +100,6 @@ mod tests {
             drain_rate: Some(16),
             high_watermark: 64,
             low_watermark: 8,
-            ..QueueModel::unbounded()
         };
         let map = ShardMap::new(&engine.rib().entries(), 2);
         let generator = TargetGenerator::new(0x57ae);

@@ -396,7 +396,6 @@ mod tests {
                 drain_rate: Some(2_000),
                 high_watermark: 4_096,
                 low_watermark: 512,
-                ..QueueModel::unbounded()
             },
         };
         let single = {

@@ -494,7 +494,6 @@ mod tests {
             drain_rate: Some(16),
             high_watermark: 48,
             low_watermark: 8,
-            ..QueueModel::unbounded()
         }
     }
 
@@ -750,7 +749,6 @@ mod tests {
             drain_rate: Some(8),
             high_watermark: 32,
             low_watermark: 4,
-            ..QueueModel::unbounded()
         };
         let all = TargetGenerator::new(4).one_per_subnet(&watched, 56);
         // Producers `k` of `producers` over `windows` windows of `targets`:

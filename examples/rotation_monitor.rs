@@ -69,7 +69,6 @@ fn run() -> Result<(), ScentError> {
         windows: 14,
         window_interval: SimDuration::from_days(1),
         start,
-        max_tracked: 5,
         churn: Some(WatchChurn {
             refresh_every: 1,
             watch_capacity: 3,

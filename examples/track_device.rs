@@ -6,7 +6,7 @@
 
 use std::collections::HashSet;
 
-use followscent::core::{AllocationInference, RotationPoolInference, Tracker, TrackerConfig};
+use followscent::core::{AllocationInference, RotationPoolInference, Tracker};
 use followscent::prober::{Scanner, TargetGenerator};
 use followscent::simnet::{scenarios, Engine, SimDuration, SimTime};
 
@@ -50,7 +50,7 @@ fn main() {
 
     // Select up to ten devices (one per AS/country, rotating ones preferred)
     // and track them for a week.
-    let tracker = Tracker::new(TrackerConfig::default());
+    let tracker = Tracker;
     let devices = tracker.select_devices(
         &allocation,
         &pools,

@@ -26,7 +26,6 @@ fn throttling_model() -> QueueModel {
         drain_rate: Some(16),
         high_watermark: 64,
         low_watermark: 8,
-        ..QueueModel::unbounded()
     }
 }
 
@@ -48,7 +47,6 @@ fn main() -> Result<(), ScentError> {
                 drain_rate: Some(2_000),
                 high_watermark: 4_096,
                 low_watermark: 512,
-                ..QueueModel::unbounded()
             },
         })
         .run(&engine)?;

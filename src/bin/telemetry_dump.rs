@@ -78,7 +78,6 @@ fn main() -> Result<(), ScentError> {
                 drain_rate: Some(2_000),
                 high_watermark: 4_096,
                 low_watermark: 512,
-                ..QueueModel::unbounded()
             },
         })
         .run_observed(&engine, Some(&registry))?;
@@ -109,7 +108,6 @@ fn main() -> Result<(), ScentError> {
                 drain_rate: Some(16),
                 high_watermark: 64,
                 low_watermark: 8,
-                ..QueueModel::unbounded()
             },
             churn: Some(WatchChurn {
                 refresh_every: 1,

@@ -405,14 +405,6 @@ fn misconfigured_discovery_is_a_typed_error() {
         refused(churned(zero_rounds)),
         StreamError::Config(ConfigError::ZeroDiscoveryRounds)
     );
-    let wide_branch = DiscoveryConfig {
-        branch_bits: 9,
-        ..DiscoveryConfig::paper_scale()
-    };
-    assert_eq!(
-        refused(churned(wide_branch)),
-        StreamError::Config(ConfigError::InvalidDiscoveryBranch)
-    );
 
     // An empty watch list alone is still an error without discovery...
     assert_eq!(

@@ -5,7 +5,7 @@ use std::collections::HashSet;
 
 use followscent::bgp::Asn;
 use followscent::core::{
-    AllocationInference, Pipeline, PipelineConfig, RotationPoolInference, Tracker, TrackerConfig,
+    AllocationInference, Pipeline, PipelineConfig, RotationPoolInference, Tracker,
 };
 use followscent::ipv6::Eui64;
 use followscent::prober::{Scan, Scanner, TargetGenerator};
@@ -48,7 +48,7 @@ fn end_to_end_tracking_defeats_prefix_rotation() {
 
     // Track three devices for five days; they must be re-identified despite
     // daily prefix rotation.
-    let tracker = Tracker::new(TrackerConfig::default());
+    let tracker = Tracker;
     let mut devices = tracker.select_devices(
         &allocation,
         &pools,
@@ -218,7 +218,6 @@ fn a_rotation_event_key_names_one_event() {
             drain_rate: Some(16),
             high_watermark: 64,
             low_watermark: 8,
-            ..QueueModel::unbounded()
         },
         ..MonitorConfig::default()
     };

@@ -372,7 +372,6 @@ fn every_config_error_is_refused_before_anything_probes() {
         drain_rate,
         high_watermark: 4,
         low_watermark: 4,
-        ..QueueModel::unbounded()
     };
     let cases = vec![
         (
@@ -534,13 +533,6 @@ fn every_config_error_is_refused_before_anything_probes() {
             })),
             ZeroDiscoveryRounds,
         ),
-        (
-            on(discovering(DiscoveryConfig {
-                branch_bits: 9,
-                ..DiscoveryConfig::paper_scale()
-            })),
-            InvalidDiscoveryBranch,
-        ),
         // Only discovery could ever fill an empty watch list.
         (
             Run::Monitor(Box::new(monitor.clone()), Vec::new()),
@@ -564,11 +556,10 @@ fn every_config_error_is_refused_before_anything_probes() {
         DiscoveryRequiresChurn => 11,
         ZeroDiscoveryBudget => 12,
         ZeroDiscoveryRounds => 13,
-        InvalidDiscoveryBranch => 14,
-        EmptyWatchList => 15,
-        GranularityTooFine => 16,
+        EmptyWatchList => 14,
+        GranularityTooFine => 15,
     };
-    let mut covered = [false; 17];
+    let mut covered = [false; 16];
     for (_, rule) in &cases {
         covered[slot(rule)] = true;
     }

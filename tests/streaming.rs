@@ -213,7 +213,6 @@ fn throttling_model() -> QueueModel {
         drain_rate: Some(16),
         high_watermark: 64,
         low_watermark: 8,
-        ..QueueModel::unbounded()
     }
 }
 
@@ -261,7 +260,6 @@ fn feedback_on_pipeline_is_producer_invariant_on_live_and_recorded_backends() {
                     drain_rate: Some(2_000),
                     high_watermark: 4_096,
                     low_watermark: 512,
-                    ..QueueModel::unbounded()
                 },
             })
             .run(world)
@@ -486,7 +484,6 @@ proptest! {
             drain_rate: Some(drain_rate),
             high_watermark: 64,
             low_watermark: 8,
-            ..QueueModel::unbounded()
         };
         let world = scenarios::continuous_world(world_seed);
         let engine = Engine::build(world.clone()).unwrap();

@@ -35,7 +35,6 @@ fn throttling_model() -> QueueModel {
         drain_rate: Some(16),
         high_watermark: 64,
         low_watermark: 8,
-        ..QueueModel::unbounded()
     }
 }
 
