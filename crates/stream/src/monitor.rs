@@ -1433,58 +1433,71 @@ mod tests {
         assert_eq!(report, again);
     }
 
-    /// The tentpole contract: AIMD feedback on, any producer count — the
-    /// merged run is byte-identical to the single-producer run, including
-    /// the deterministic `final_rate`. Twice: windows a day apart, whose
-    /// idle gaps drain the virtual queues between windows, and back-to-back
-    /// windows (1 s interval) under a 1/s drain, which deny those gaps, so
-    /// the backlog persists from window to window and pins the rate near
-    /// the floor — the back-off is non-vacuous wherever the AIMD
-    /// oscillation happens to end.
-    #[test]
-    fn throttled_monitor_is_producer_invariant() {
+    /// Runs a 2-shard, 128 pps monitor with AIMD feedback at 1 and at 2, 3,
+    /// 4 and 8 producers, and asserts that every merged report equals the
+    /// single-producer one, `final_rate` included, and that the feedback
+    /// did throttle the prober.
+    fn assert_throttled_monitor_is_producer_invariant(
+        window_interval: SimDuration,
+        drain_rate: u64,
+    ) {
         let world = scenarios::continuous_world(41);
+        let config = |producers: usize| MonitorConfig {
+            windows: 3,
+            shards: 2,
+            producers,
+            packets_per_second: 128,
+            window_interval,
+            queue_model: QueueModel {
+                drain_rate: Some(drain_rate),
+                high_watermark: 64,
+                low_watermark: 8,
+            },
+            ..MonitorConfig::default()
+        };
         let engine = Engine::build(world.clone()).unwrap();
         let watched: Vec<Ipv6Prefix> = watched_48s(&engine).into_iter().take(2).collect();
-        for (window_interval, drain_rate) in [
-            (SimDuration::from_days(1), 16),
-            (SimDuration::from_secs(1), 1),
-        ] {
-            let config = |producers: usize| MonitorConfig {
-                windows: 3,
-                shards: 2,
-                producers,
-                packets_per_second: 128,
-                window_interval,
-                queue_model: QueueModel {
-                    drain_rate: Some(drain_rate),
-                    high_watermark: 64,
-                    low_watermark: 8,
-                },
-                ..MonitorConfig::default()
-            };
-            let single = StreamMonitor::new(config(1))
+        let single = StreamMonitor::new(config(1))
+            .run(&engine, &watched)
+            .unwrap();
+        assert!(
+            single.final_rate < 128,
+            "throttling must be non-vacuous for the equality to prove anything \
+             (interval {window_interval:?})"
+        );
+        // Three does not divide the 512-position window, so the producer
+        // that probes the last position is not the last producer.
+        for producers in [2usize, 3, 4, 8] {
+            let engine = Engine::build(world.clone()).unwrap();
+            let mut sharded = StreamMonitor::new(config(producers))
                 .run(&engine, &watched)
                 .unwrap();
-            assert!(
-                single.final_rate < 128,
-                "throttling must be non-vacuous for the equality to prove anything \
-                 (interval {window_interval:?})"
+            sharded.backpressure_stalls = single.backpressure_stalls;
+            assert_eq!(
+                single, sharded,
+                "producers={producers} interval={window_interval:?}"
             );
-            // Three does not divide the 512-position window, so the producer
-            // that probes the last position is not the last producer.
-            for producers in [2usize, 3, 4, 8] {
-                let engine = Engine::build(world.clone()).unwrap();
-                let mut sharded = StreamMonitor::new(config(producers))
-                    .run(&engine, &watched)
-                    .unwrap();
-                sharded.backpressure_stalls = single.backpressure_stalls;
-                assert_eq!(
-                    single, sharded,
-                    "producers={producers} interval={window_interval:?}"
-                );
-            }
         }
+    }
+
+    /// The tentpole contract: AIMD feedback on, any producer count — the
+    /// merged run is byte-identical to the single-producer run, including
+    /// the deterministic `final_rate`. Windows a day apart, whose idle gaps
+    /// drain the virtual queues between windows.
+    #[test]
+    fn throttled_monitor_is_producer_invariant() {
+        assert_throttled_monitor_is_producer_invariant(SimDuration::from_days(1), 16);
+    }
+
+    /// The same contract under a slow drain: back-to-back windows (1 s
+    /// interval) at 1/s, the rate a one-second-per-observation ingest cost
+    /// calibrates to. They deny the idle gaps that would drain the virtual
+    /// queues, so the backlog persists from window to window and pins the
+    /// rate near the floor — the back-off is non-vacuous wherever the AIMD
+    /// oscillation happens to end.
+    #[test]
+    fn calibrated_feedback_is_producer_invariant() {
+        assert_throttled_monitor_is_producer_invariant(SimDuration::from_secs(1), 1);
     }
 
     /// Each epoch's pacer and virtual queues start at the epoch's own first
