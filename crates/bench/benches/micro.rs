@@ -1,7 +1,8 @@
 //! Micro-benchmarks of the substrate operations every campaign is built from:
 //! EUI-64 conversion, prefix arithmetic, longest-prefix match (one fixed
 //! address under `rib/`, a probe pass's permuted targets under `lpm/`),
-//! target generation, a discovery round's plan and sweep (`discovery/`), the
+//! target generation, a discovery round's plan and sweep, bare and routed
+//! (`discovery/`), the
 //! simulated-engine probe path (one pool in list order under `engine/probe`, a
 //! probe pass's permuted targets under `engine/probe_permuted`, the slot → device step
 //! alone under `population/`), the seed traceroute over the same pool (the
@@ -20,6 +21,7 @@ use scent_discovery::{DiscoveryConfig, DiscoveryTree, SweepPlan};
 use scent_ipv6::{addr_from_u128, addr_to_u128, Eui64, Ipv6Prefix, MacAddr};
 use scent_prober::{Scanner, TargetGenerator, TargetStream};
 use scent_simnet::{scenarios, Engine, SimTime, WorldScale};
+use scent_stream::{IngestEngine, IngestOptions, Observation, Phase, ShardMap, ShardPool};
 
 fn bench_eui64(c: &mut Criterion) {
     let mac = MacAddr::new([0x38, 0x10, 0xd5, 0xaa, 0xbb, 0xcc]);
@@ -130,7 +132,9 @@ fn bench_targets(c: &mut Criterion) {
 /// each iteration, since planning advances its cursors — and its sweep,
 /// the scanner's probing loop over that plan's targets in the boundary
 /// scanner's permuted order against the engine, with a visitor that only
-/// counts (no routing, no outcome bits).
+/// counts (no routing, no outcome bits) — and that sweep as a boundary sends
+/// it (`discovery/sweep_routed`): every record routed as an expansion-phase
+/// observation through a one-shard `ShardPool` lease, then released.
 fn bench_discovery(c: &mut Criterion) {
     let engine = Engine::build(scenarios::churn_world(7)).unwrap();
     let announced = engine.rib().entries().into_iter().map(|entry| entry.prefix);
@@ -155,6 +159,32 @@ fn bench_discovery(c: &mut Criterion) {
     assert_eq!(sweep(&plan), 131_072);
     c.bench_function("discovery/sweep_round", |b| {
         b.iter(|| sweep(black_box(&plan)))
+    });
+    let map = ShardMap::new(&engine.rib().entries(), 1);
+    let mut pool = ShardPool::open(1);
+    let mut routed = |plan: &SweepPlan| {
+        let mut lease = IngestEngine::lease(&mut pool, map.clone(), IngestOptions::default());
+        let router = lease.router();
+        let mut seq = 0;
+        let at = |index: usize| plan.targets()[index];
+        scanner.scan_each(&engine, plan.len(), at, SimTime::at(1, 0), |_, record| {
+            router.route(Observation {
+                phase: Phase::Expansion,
+                tenant: 0,
+                window: 0,
+                seq,
+                target: record.target,
+                sent_at: record.sent_at,
+                response: record.response,
+            });
+            seq += 1;
+        });
+        let states = lease.release().expect("no worker dies");
+        states[0].observations
+    };
+    assert_eq!(routed(&plan), 131_072);
+    c.bench_function("discovery/sweep_routed", |b| {
+        b.iter(|| routed(black_box(&plan)))
     });
 }
 

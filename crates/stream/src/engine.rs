@@ -57,7 +57,11 @@
 //! observation's shard with [`ShardMap::shard_for`] — the one routing rule,
 //! shared with the virtual-queue pacer. A monitor's boundary probes —
 //! re-expansion and discovery sweep alike — are routed through the epoch's
-//! same lease, so every probe the monitor sends is an observation.
+//! same lease, so every probe the monitor sends is an observation. Being
+//! expansion-phase, they are tallied per shard by the router and never
+//! reach a worker: the release folds each shard's tally (a count and the
+//! /48s its EUI-64 answers validate) into the state the worker yields, so
+//! the workers fold only the density and detection passes.
 
 use std::sync::atomic::Ordering;
 use std::sync::mpsc::{Receiver, SyncSender};
@@ -80,10 +84,11 @@ use crate::source::ContinuousStream;
 /// Observations accumulated per router → shard channel message. A constant,
 /// not a knob, and batching never changes a report — per-shard delivery order
 /// is the same at any size. It is sized for the hand-off: a parked worker is
-/// woken once per 4 096 observations. Most of a discovery sweep's probes go
-/// unanswered, so the worker has little to fold for them and the wake-up was
-/// most of a smaller batch's cost (docs/PERFORMANCE.md, "What a hand-off
-/// costs").
+/// woken once per 4 096 observations. It was chosen when a discovery sweep's
+/// mostly unanswered probes were shipped too, and the wake-up was most of a
+/// smaller batch's cost (docs/PERFORMANCE.md, "What a hand-off costs"); the
+/// sweep is now tallied by the router, so only density and detection
+/// passes fill batches.
 pub(crate) const OBSERVATION_BATCH: usize = 4096;
 
 /// Observations a shard's queue holds: 16 messages of [`OBSERVATION_BATCH`],
@@ -525,12 +530,19 @@ impl<'a> IngestEngine<'a> {
 
     /// End the lease and hand back the shard states, in shard order: every
     /// buffered batch is delivered, every worker yields the state it adopted
-    /// — by move — and the pool is ready for its next lessee. A worker that
+    /// — by move — the router's tally of each shard's expansion-phase
+    /// observations is folded into that shard's state, and the pool is
+    /// ready for its next lessee. A worker that
     /// died is reported as [`StreamError::ShardPanicked`] (the first, in
     /// shard order), never re-raised on this thread; the survivors drain
     /// first, and every thread of the pool is joined before this returns.
     pub fn release(self) -> Result<Vec<ShardInference>, StreamError> {
-        self.pool.collect(self.router.yield_states(), self.observer)
+        let (lanes, tallies) = self.router.yield_states();
+        let mut states = self.pool.collect(lanes, self.observer)?;
+        for (state, tally) in states.iter_mut().zip(tallies) {
+            tally.fold_into(state);
+        }
+        Ok(states)
     }
 }
 
@@ -560,23 +572,37 @@ mod tests {
             .collect()
     }
 
-    #[test]
-    fn workers_flush_and_return_state() {
-        let rib = scent_bgp::Rib::new();
+    /// A density observation answered by an EUI-64 source in its /48.
+    fn answered_density(seq: u64) -> Observation {
+        Observation {
+            phase: Phase::Density,
+            ..answered_expansion(seq)
+        }
+    }
+
+    /// An expansion observation answered by an EUI-64 source: it validates
+    /// `2001:db8:1::/48`.
+    fn answered_expansion(seq: u64) -> Observation {
         let source = Eui64::from_mac("c8:0e:14:01:02:03".parse().unwrap())
             .with_prefix64(0x2001_0db8_0001_0000);
-        let obs = Observation {
+        Observation {
             phase: Phase::Expansion,
             tenant: 0,
             window: 0,
-            seq: 0,
+            seq,
             target: "2001:db8:1::1".parse().unwrap(),
             sent_at: SimTime::at(1, 0),
             response: Some(scent_prober::ResponseRecord {
                 source,
                 kind: scent_simnet::ReplyKind::TimeExceeded,
             }),
-        };
+        }
+    }
+
+    #[test]
+    fn workers_flush_and_return_state() {
+        let rib = scent_bgp::Rib::new();
+        let obs = answered_density(0);
         let map = ShardMap::new(&rib.entries(), 2);
         let owner = map.shard_for(obs.target);
         let mut pool = ShardPool::open(2);
@@ -585,7 +611,7 @@ mod tests {
         // A phase boundary: the release delivers the partial batch and sees
         // it (FIFO), and the next lease carries the states on by move.
         let partial = engine.release().unwrap();
-        assert_eq!(partial[owner].validated.len(), 1);
+        assert_eq!(partial[owner].density.len(), 1);
         let options = IngestOptions {
             initial: Some(partial),
             ..IngestOptions::default()
@@ -594,8 +620,176 @@ mod tests {
         engine.router().route(obs);
         let finals = engine.release().unwrap();
         assert_eq!(finals[owner].observations, 2);
-        assert_eq!(finals[owner].validated.len(), 1);
+        assert_eq!(finals[owner].density.len(), 1);
+        assert_eq!(finals[owner].density[&obs.target_48()].probes, 2);
         assert_eq!(finals[1 - owner].observations, 0);
+    }
+
+    /// Expansion-phase observations never reach a worker: a lease that
+    /// routes nothing else takes no batch buffer, and a worker poisoned to
+    /// panic on its first non-empty batch survives it — its yield is all it
+    /// receives. The release still hands back what they contribute, and the
+    /// next lease carries it on by move.
+    #[test]
+    fn a_lease_of_expansion_observations_ships_nothing() {
+        let map = ShardMap::new(&scent_bgp::Rib::new().entries(), 2);
+        let obs = answered_expansion(0);
+        let owner = map.shard_for(obs.target);
+        let mut pool = ShardPool::open(2);
+        let mut carried = None;
+        for lease in 1..=2u64 {
+            let options = IngestOptions {
+                initial: carried.take(),
+                inject_panic: Some(owner),
+                ..IngestOptions::default()
+            };
+            let mut engine = IngestEngine::lease(&mut pool, map.clone(), options);
+            let counters = engine.router().buffer_counters();
+            engine.router().route(obs);
+            let silent = Observation {
+                seq: 1,
+                response: None,
+                ..obs
+            };
+            engine.router().route(silent);
+            assert_eq!(engine.router().routed(), 2);
+            assert_eq!(counters.allocated() + counters.recycled(), 0);
+            let states = engine.release().expect("no worker saw a batch");
+            assert_eq!(states[owner].observations, 2 * lease);
+            assert_eq!(states[owner].validated.len(), 1);
+            assert_eq!(states[1 - owner].observations, 0);
+            assert!(states[1 - owner].validated.is_empty());
+            carried = Some(states);
+        }
+    }
+
+    /// A small deterministic generator for the tally's differential test.
+    struct Draws(u64);
+
+    impl Draws {
+        fn below(&mut self, n: u64) -> u64 {
+            self.0 += 1;
+            scent_simnet::det::splitmix64(self.0) % n
+        }
+    }
+
+    /// A random stream over six /32s (four announced, two not) and three
+    /// windows: expansion observations (EUI-64 answers, non-EUI answers,
+    /// silence) mixed with density and detection ones, whose identifiers
+    /// wander between /48s.
+    fn mixed_phases(seed: u64, len: usize) -> Vec<Observation> {
+        const NETS: [u64; 6] = [
+            0x2001_16b8,
+            0x2a02_27b0,
+            0x2803_9810,
+            0x2a01_0c00,
+            0x2001_0db8,
+            0x2c0f_f248,
+        ];
+        let mut draws = Draws(seed << 32);
+        let addr = |prefix64: u64, iid: u128| {
+            scent_ipv6::addr_from_u128((u128::from(prefix64) << 64) | iid)
+        };
+        (0..len as u64)
+            .map(|seq| {
+                let net = NETS[draws.below(6) as usize];
+                // Three /48s a net, eight /64s a /48.
+                let prefix64 = (net << 32) | (draws.below(3) << 16) | draws.below(8);
+                let target = addr(prefix64, 1);
+                let phase = match draws.below(3) {
+                    0 => Phase::Expansion,
+                    1 => Phase::Density,
+                    _ => Phase::Detection,
+                };
+                let source = match draws.below(4) {
+                    0 => None,
+                    1 => Some(addr(prefix64, 0xbeef)),
+                    _ => {
+                        let mac = format!("c8:0e:14:00:00:{:02x}", draws.below(12));
+                        let eui = Eui64::from_mac(mac.parse().unwrap());
+                        Some(eui.with_prefix64(prefix64))
+                    }
+                };
+                Observation {
+                    phase,
+                    tenant: 0,
+                    window: seq * 3 / len as u64,
+                    seq,
+                    target,
+                    sent_at: SimTime::at(1, seq),
+                    response: source.map(|source| scent_prober::ResponseRecord {
+                        source,
+                        kind: scent_simnet::ReplyKind::TimeExceeded,
+                    }),
+                }
+            })
+            .collect()
+    }
+
+    /// The router's tally is the worker's fold of the observations it keeps:
+    /// over 1, 2 and 3 shards, with states carried across two leases and in
+    /// both shard flavours, every released state equals
+    /// [`ShardInference::ingest`] applied to its shard's own subsequence.
+    #[test]
+    fn tallied_states_equal_the_fold_of_each_shards_subsequence() {
+        use scent_checkpoint::encode_value;
+
+        const ANNOUNCED: [&str; 4] = [
+            "2001:16b8::/32",
+            "2a02:27b0::/32",
+            "2803:9810::/32",
+            "2a01:c00::/26",
+        ];
+        let mut rib = scent_bgp::Rib::new();
+        for (asn, net) in (64_500..).zip(ANNOUNCED) {
+            rib.announce(net.parse().unwrap(), scent_bgp::Asn(asn));
+        }
+        let flavours = [ShardInference::new(), ShardInference::without_census()];
+        for seed in 0..6u64 {
+            let stream = mixed_phases(seed, 600);
+            let expanded = stream.iter().filter(|o| o.phase == Phase::Expansion);
+            assert!(expanded.count() > 100, "seed {seed}");
+            for (shards, empty) in (1..=3usize).flat_map(|n| flavours.iter().map(move |e| (n, e))) {
+                let at = format!("seed {seed}, {shards} shards");
+                let map = ShardMap::new(&rib.entries(), shards);
+                let mut want = vec![empty.clone(); shards];
+                for obs in &stream {
+                    want[map.shard_for(obs.target)].ingest(obs);
+                }
+                // Every part of the fold is exercised.
+                let busy = want.iter().filter(|s| s.observations > 0).count();
+                assert!(busy >= shards.min(2), "{at}: {busy} busy");
+                assert!(want.iter().any(|s| !s.validated.is_empty()), "{at}");
+                assert!(want.iter().any(|s| !s.events.is_empty()), "{at}");
+
+                let mut pool = ShardPool::open(shards);
+                let mut carried = Some(vec![empty.clone(); shards]);
+                for half in stream.chunks(stream.len() / 2) {
+                    let options = IngestOptions {
+                        initial: carried.take(),
+                        ..IngestOptions::default()
+                    };
+                    let mut engine = IngestEngine::lease(&mut pool, map.clone(), options);
+                    for obs in half {
+                        engine.router().route(*obs);
+                    }
+                    carried = Some(engine.release().unwrap());
+                }
+                let got = carried.expect("two leases released");
+                for (mut got, mut want) in got.into_iter().zip(want) {
+                    assert_eq!(got.observations, want.observations, "{at}");
+                    assert_eq!(got.validated, want.validated, "{at}");
+                    assert_eq!(got.density, want.density, "{at}");
+                    assert_eq!(got.events, want.events, "{at}");
+                    assert_eq!(got.address_statistics(), want.address_statistics());
+                    got.tracker.fold();
+                    want.tracker.fold();
+                    let tracker = |state: &ShardInference| encode_value(&state.tracker);
+                    assert_eq!(tracker(&got), tracker(&want), "{at}");
+                    assert_eq!(encode_value(&got), encode_value(&want), "{at}");
+                }
+            }
+        }
     }
 
     /// The queue holds what the one production setting of the retired
@@ -635,26 +829,13 @@ mod tests {
     fn a_lease_holds_no_more_buffers_than_the_pool_is_sized_for() {
         const BATCHES: u64 = 40;
         let ceiling = (QUEUE_OBSERVATIONS / OBSERVATION_BATCH + 2) as u64;
-        let source = Eui64::from_mac("c8:0e:14:01:02:03".parse().unwrap())
-            .with_prefix64(0x2001_0db8_0001_0000);
         let mut pool = ShardPool::open(1);
         for lease in 1..=2 {
             let map = ShardMap::new(&scent_bgp::Rib::new().entries(), 1);
             let mut engine = IngestEngine::lease(&mut pool, map, IngestOptions::default());
             let counters = engine.router().buffer_counters();
             for seq in 0..BATCHES * OBSERVATION_BATCH as u64 {
-                engine.router().route(Observation {
-                    phase: Phase::Expansion,
-                    tenant: 0,
-                    window: 0,
-                    seq,
-                    target: "2001:db8:1::1".parse().unwrap(),
-                    sent_at: SimTime::at(1, 0),
-                    response: Some(scent_prober::ResponseRecord {
-                        source,
-                        kind: scent_simnet::ReplyKind::TimeExceeded,
-                    }),
-                });
+                engine.router().route(answered_density(seq));
                 let allocated = counters.allocated();
                 assert!(allocated <= ceiling, "{allocated} buffers allocated");
             }

@@ -19,7 +19,17 @@
 //! blocks (delivering every observation) and counts the stall
 //! ([`ShardRouter::stalls`]).
 //!
-//! Observations are *batched* per channel message: the router accumulates
+//! An expansion-phase observation — a boundary re-expansion's, a discovery
+//! sweep's, a pipeline's expansion pass's — never reaches a worker. All a
+//! shard would make of it is one more observation and, for an EUI-64
+//! answer, one validated /48, so the router keeps that per shard in an
+//! `ExpansionTally` and the lease's release folds each tally into the state
+//! its worker yields. The observation is still resolved, counted in
+//! [`ShardRouter::routed`] and reported to the observer like any other;
+//! its shard's counts are reported as ingested progress at the same time,
+//! since no worker will report them.
+//!
+//! The other observations are *batched* per channel message: the router accumulates
 //! up to N observations per shard and delivers them as one
 //! [`ShardMsg::ObserveBatch`], amortizing the per-message channel overhead
 //! that dominates at high ingest rates. Per-shard delivery order is the same
@@ -61,8 +71,8 @@ use scent_simnet::SimTime;
 use scent_telemetry::{RoutedRun, StreamObserver};
 
 use crate::buffer::{batch_pool, BatchPool, BatchReturn, PoolCounters};
-use crate::observation::Observation;
-use crate::shard::{ShardInference, ShardMsg};
+use crate::observation::{Observation, Phase};
+use crate::shard::{ExpansionTally, ShardInference, ShardMsg};
 
 /// Recycle-channel slots per shard when [`ShardRouter::with_map`]'s caller
 /// doesn't size the pool ([`ShardRouter::with_pool_slots`]): enough transit
@@ -232,6 +242,8 @@ struct PendingRun {
     first_send: SimTime,
     last_send: SimTime,
     per_shard: Vec<u64>,
+    /// Of `per_shard`, the observations the router tallied itself.
+    tallied: Vec<u64>,
 }
 
 impl PendingRun {
@@ -243,12 +255,20 @@ impl PendingRun {
             first_send: SimTime::EPOCH,
             last_send: SimTime::EPOCH,
             per_shard: vec![0; shards],
+            tallied: vec![0; shards],
         }
     }
 
-    /// Count one routed observation in; a window's first is reported at
-    /// once and alone, after whatever the previous window left pending.
-    fn note(&mut self, shard: usize, obs: &Observation, observer: &dyn StreamObserver) {
+    /// Count one routed observation in — `tallied` if it goes to its
+    /// shard's tally rather than its worker; a window's first is reported
+    /// at once and alone, after whatever the previous window left pending.
+    fn note(
+        &mut self,
+        shard: usize,
+        obs: &Observation,
+        tallied: bool,
+        observer: &dyn StreamObserver,
+    ) {
         let opens = self.window != Some(obs.window);
         if opens {
             self.report(observer);
@@ -261,15 +281,24 @@ impl PendingRun {
         self.responses += u64::from(obs.response.is_some());
         self.last_send = obs.sent_at;
         self.per_shard[shard] += 1;
+        self.tallied[shard] += u64::from(tallied);
         if opens {
             self.report(observer);
         }
     }
 
-    /// Hand the pending run to the observer, if it holds anything.
+    /// Hand the pending run to the observer, if it holds anything. Its
+    /// tallied observations are reported as ingested first: no worker will
+    /// report them, and the channel-depth proxy (routed minus ingested)
+    /// must not read them as queued.
     fn report(&mut self, observer: &dyn StreamObserver) {
         if self.observations == 0 {
             return;
+        }
+        for (shard, tallied) in self.tallied.iter_mut().enumerate() {
+            if *tallied > 0 {
+                observer.on_shard_progress(shard, std::mem::take(tallied));
+            }
         }
         observer.on_routed_run(&RoutedRun {
             window: self.window.expect("a counted observation set the window"),
@@ -301,6 +330,8 @@ pub struct ShardRouter<'t> {
     stalls: u64,
     routed: u64,
     run: PendingRun,
+    /// Per shard, the expansion-phase observations kept from its worker.
+    tallies: Vec<ExpansionTally>,
     observer: Option<&'t dyn StreamObserver>,
     dead: Option<usize>,
 }
@@ -343,6 +374,7 @@ impl<'t> ShardRouter<'t> {
         };
         ShardRouter {
             run: PendingRun::new(run_shards),
+            tallies: vec![ExpansionTally::default(); lanes.shards()],
             map,
             lanes,
             stalls: 0,
@@ -367,13 +399,14 @@ impl<'t> ShardRouter<'t> {
     /// End the lease: ask every worker for its state back, handing it its
     /// last buffered batch in the same message (FIFO channels: each answers
     /// after folding everything routed before). The lanes return to their
-    /// pool, which collects the answers.
-    pub(crate) fn yield_states(mut self) -> Lanes {
+    /// pool, which collects the answers; the tallies, one per shard, are
+    /// for the states collected.
+    pub(crate) fn yield_states(mut self) -> (Lanes, Vec<ExpansionTally>) {
         for shard in 0..self.lanes.shards() {
             let last = std::mem::take(&mut self.lanes.buffers[shard]);
             self.deliver(shard, ShardMsg::Yield(last));
         }
-        self.lanes
+        (self.lanes, self.tallies)
     }
 
     /// Hand the observer whatever routed observations it has not seen yet,
@@ -432,17 +465,26 @@ impl<'t> ShardRouter<'t> {
 
     /// Buffer one observation for its shard, first delivering the shard's
     /// batch if it is full. Blocks when a delivery finds the shard's queue
-    /// full (counted in [`ShardRouter::stalls`]).
+    /// full (counted in [`ShardRouter::stalls`]). An expansion-phase
+    /// observation goes to its shard's tally instead, and is never
+    /// delivered (see the [module docs](self)).
     pub fn route(&mut self, obs: Observation) {
         let shard = self.map.shard_for(obs.target);
         self.routed += 1;
+        if obs.phase == Phase::Expansion {
+            if let Some(observer) = self.observer {
+                self.run.note(shard, &obs, true, observer);
+            }
+            self.tallies[shard].add(&obs);
+            return;
+        }
         if self.lanes.buffers[shard].len() >= self.lanes.batch {
             // Delivered when the next observation needs the room, so a
             // lease's last batch is left for the yield to carry.
             self.flush_buffer(shard);
         }
         if let Some(observer) = self.observer {
-            self.run.note(shard, &obs, observer);
+            self.run.note(shard, &obs, false, observer);
         }
         let buffer = &mut self.lanes.buffers[shard];
         if buffer.capacity() == 0 {
@@ -532,7 +574,8 @@ impl<'t> ShardRouter<'t> {
     }
 
     /// Deliver any buffered batches, then drop the senders, letting workers
-    /// drain and exit.
+    /// drain and exit. Tallied expansion observations are dropped: only a
+    /// lease's release has states to fold them into.
     pub fn shutdown(mut self) {
         self.flush_all_buffers();
     }
@@ -541,7 +584,6 @@ impl<'t> ShardRouter<'t> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::observation::Phase;
     use scent_bgp::{Asn, Rib};
     use scent_simnet::SimTime;
 

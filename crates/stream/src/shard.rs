@@ -75,6 +75,41 @@ pub enum ShardMsg {
     Compact(u64),
 }
 
+/// What an expansion-phase observation contributes to a shard's state
+/// besides its count: the /48 it validates, when an EUI-64 source answered
+/// it. The one rule, read by [`ShardInference::ingest`] and by the router's
+/// [`ExpansionTally`] alike.
+fn validated_48(obs: &Observation) -> Option<Ipv6Prefix> {
+    (SeedExpansion::classify_record(obs.source()) == Some(true)).then(|| obs.target_48())
+}
+
+/// Expansion-phase observations the router kept back from one shard's
+/// worker: their count and the /48s they validated — all that
+/// [`ShardInference::ingest`] would have made of them. An expansion
+/// observation touches no other field, so folding the tally into the
+/// state the worker yields ([`ExpansionTally::fold_into`]) leaves it as
+/// ingesting them in routing order would have.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct ExpansionTally {
+    observations: u64,
+    validated: BTreeSet<Ipv6Prefix>,
+}
+
+impl ExpansionTally {
+    /// Count one expansion-phase observation in.
+    pub(crate) fn add(&mut self, obs: &Observation) {
+        debug_assert_eq!(obs.phase, Phase::Expansion);
+        self.observations += 1;
+        self.validated.extend(validated_48(obs));
+    }
+
+    /// Merge the tally into the state its shard's worker yielded.
+    pub(crate) fn fold_into(mut self, state: &mut ShardInference) {
+        state.observations += self.observations;
+        state.validated.append(&mut self.validated);
+    }
+}
+
 /// The distinct-address census of the one-shot pipeline's report: response
 /// addresses and EUI-64 identifiers over the density and detection phases.
 /// It only ever grows, and no [`MonitorReport`](crate::MonitorReport) field
@@ -168,9 +203,7 @@ impl ShardInference {
         self.observations += 1;
         match obs.phase {
             Phase::Expansion => {
-                if SeedExpansion::classify_record(obs.source()) == Some(true) {
-                    self.validated.insert(obs.target_48());
-                }
+                self.validated.extend(validated_48(obs));
                 None
             }
             Phase::Density => {

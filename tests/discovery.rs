@@ -189,6 +189,34 @@ fn discovery_is_invariant_across_shards_producers_and_backends() {
     }
 }
 
+/// A boundary's sweep never queues at a shard: the router tallies its
+/// expansion-phase probes and reports them as ingested as it routes them, so
+/// the profile tier's channel-depth proxy (routed minus ingested) of an
+/// observed discovery run stays within a shard's queue of 65 536
+/// observations, although the one boundary routes 262 144 sweep probes.
+#[test]
+fn a_sweep_reads_no_deeper_than_a_shard_queue() {
+    let engine = Engine::build(scenarios::churn_world(13)).unwrap();
+    let registry = Telemetry::new();
+    let config = discovery_config(full_sweep_discovery(), 1, 1, 2);
+    let report = StreamMonitor::new(config)
+        .run_observed(&engine, &[], Some(&registry))
+        .expect("valid discovery monitor configuration");
+    let swept = report.discovery.expect("discovery on").probes;
+    assert_eq!(swept, 262_144, "one boundary, fully swept");
+    let snapshot = registry.snapshot();
+    assert!(snapshot.deterministic.observations > swept);
+    let topology = &snapshot.topology;
+    assert_eq!(topology.routed_per_shard, topology.ingested_per_shard);
+    let profile = telemetry::profile_text(&snapshot.profile);
+    let high_water: u64 = (profile.lines())
+        .find_map(|line| line.strip_prefix("scent_channel_high_water "))
+        .expect("the profile tier exports the high-water mark")
+        .parse()
+        .unwrap();
+    assert!(high_water <= 65_536, "high-water {high_water}");
+}
+
 /// Suspend/resume mid-discovery is invisible: a run stopped at an epoch
 /// boundary (tree state checkpointed alongside every other piece of
 /// incremental monitor state) and resumed from the snapshot produces a
