@@ -24,8 +24,9 @@
 //!
 //! The integration lives in `scent-stream`: the continuous monitor drives
 //! one decay/fold/sweep/rebalance cycle per epoch boundary, routes the sweep
-//! probes through the inference shards as `Phase::Expansion` observations
-//! (so validated-/48 state grows live in reports), feeds the tree's dense
+//! probes as `Phase::Expansion` observations, which the router tallies per
+//! shard rather than shipping to the shard workers (so validated-/48 state
+//! grows live in reports at no fold's cost), feeds the tree's dense
 //! /48s into the watch-list revision, and carries the tree through
 //! checkpoint/restore byte-identically.
 //!

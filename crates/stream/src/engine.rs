@@ -117,7 +117,8 @@ pub struct IngestOptions<'t> {
     /// hands back what its snapshot held. `None` starts every shard empty.
     pub initial: Option<Vec<ShardInference>>,
     /// Fault injection: this shard's worker panics on its first non-empty
-    /// batch.
+    /// batch (expansion-phase observations never reach it: the router
+    /// tallies them).
     pub inject_panic: Option<usize>,
 }
 

@@ -948,9 +948,11 @@ impl<'a, B: ProbeTransport + WorldView + ?Sized> MonitorSession<'a, B> {
     /// The boundary's probes, on the live lease (nothing without
     /// [`MonitorConfig::churn`]): the re-expansion of the blocks around the
     /// watched space, then the discovery cycle. Both go through one
-    /// [`BoundaryProbes`], so every probe is routed into the shards as an
-    /// expansion-phase observation — each validated /48 lands in the shards'
-    /// state in the same run — and their `seq`s run on from one to the next.
+    /// [`BoundaryProbes`], so every probe is routed as an expansion-phase
+    /// observation — which the router tallies for its shard instead of
+    /// shipping it to the worker, so each validated /48 lands in that
+    /// shard's state at the epoch's release — and their `seq`s run on from
+    /// one to the next.
     /// Merge-side only (every producer has drained), so invariant across
     /// producer counts by construction. Returns what the revision takes from
     /// the re-expansion: its probe count and its validated /48s.
@@ -1217,11 +1219,12 @@ impl<'a, B: ProbeTransport + WorldView + ?Sized> MonitorSession<'a, B> {
     }
 }
 
-/// A boundary's probes on their way into the shards: each is sent from the
+/// A boundary's probes on their way to the router: each is sent from the
 /// boundary `at` and routed as an expansion-phase observation of the
 /// closing epoch's last `window`, its `seq` one past the boundary's
 /// previous probe — so the re-expansion and every discovery round share one
-/// run of `seq`s.
+/// run of `seq`s. The router tallies each for its shard (a count and the
+/// /48 an EUI-64 answer validates); no worker folds them.
 struct BoundaryProbes<'r, 'l, B: ?Sized> {
     world: &'r B,
     router: &'r mut ShardRouter<'l>,
@@ -1234,7 +1237,7 @@ struct BoundaryProbes<'r, 'l, B: ?Sized> {
 
 impl<B: ProbeTransport + ?Sized> BoundaryProbes<'_, '_, B> {
     /// Probe the `n` targets `target_at(0..n)` in `scanner`'s order
-    /// ([`Scanner::scan_each`]) and route each record into the shards.
+    /// ([`Scanner::scan_each`]) and route each record to its shard's tally.
     /// Returns, by list index, whether each target answered from an EUI-64
     /// source ([`SeedExpansion::classify_record`]), in the session's one
     /// outcome buffer; nothing the size of the sweep is allocated.

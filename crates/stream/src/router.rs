@@ -29,8 +29,8 @@
 //! its shard's counts are reported as ingested progress at the same time,
 //! since no worker will report them.
 //!
-//! The other observations are *batched* per channel message: the router accumulates
-//! up to N observations per shard and delivers them as one
+//! The other observations are *batched* per channel message: the router
+//! accumulates up to N observations per shard and delivers them as one
 //! [`ShardMsg::ObserveBatch`], amortizing the per-message channel overhead
 //! that dominates at high ingest rates. Per-shard delivery order is the same
 //! at any batch size (a batch of one is a one-element `ObserveBatch`), so
@@ -472,10 +472,7 @@ impl<'t> ShardRouter<'t> {
         let shard = self.map.shard_for(obs.target);
         self.routed += 1;
         if obs.phase == Phase::Expansion {
-            if let Some(observer) = self.observer {
-                self.run.note(shard, &obs, true, observer);
-            }
-            self.tallies[shard].add(&obs);
+            self.tally(shard, &obs);
             return;
         }
         if self.lanes.buffers[shard].len() >= self.lanes.batch {
@@ -493,6 +490,17 @@ impl<'t> ShardRouter<'t> {
             *buffer = self.lanes.pool.take();
         }
         buffer.push(obs);
+    }
+
+    /// Count an expansion-phase observation into its shard's tally. Kept
+    /// out of line, so that `route`'s batching path — the density and
+    /// detection passes' — compiles as it did before there was a tally.
+    #[inline(never)]
+    fn tally(&mut self, shard: usize, obs: &Observation) {
+        if let Some(observer) = self.observer {
+            self.run.note(shard, obs, true, observer);
+        }
+        self.tallies[shard].add(obs);
     }
 
     /// Send one message, blocking on a full queue and counting the stall.
