@@ -330,7 +330,9 @@ pub struct ShardRouter<'t> {
     stalls: u64,
     routed: u64,
     run: PendingRun,
-    /// Per shard, the expansion-phase observations kept from its worker.
+    /// Per shard, the expansion-phase observations kept from its worker;
+    /// empty until the lease routes its first, so a lease that routes none
+    /// allocates nothing for them.
     tallies: Vec<ExpansionTally>,
     observer: Option<&'t dyn StreamObserver>,
     dead: Option<usize>,
@@ -374,7 +376,7 @@ impl<'t> ShardRouter<'t> {
         };
         ShardRouter {
             run: PendingRun::new(run_shards),
-            tallies: vec![ExpansionTally::default(); lanes.shards()],
+            tallies: Vec::new(),
             map,
             lanes,
             stalls: 0,
@@ -399,8 +401,9 @@ impl<'t> ShardRouter<'t> {
     /// End the lease: ask every worker for its state back, handing it its
     /// last buffered batch in the same message (FIFO channels: each answers
     /// after folding everything routed before). The lanes return to their
-    /// pool, which collects the answers; the tallies, one per shard, are
-    /// for the states collected.
+    /// pool, which collects the answers; the tallies, one per shard (none
+    /// if the lease routed no expansion-phase observation), are for the
+    /// states collected.
     pub(crate) fn yield_states(mut self) -> (Lanes, Vec<ExpansionTally>) {
         for shard in 0..self.lanes.shards() {
             let last = std::mem::take(&mut self.lanes.buffers[shard]);
@@ -499,6 +502,9 @@ impl<'t> ShardRouter<'t> {
     fn tally(&mut self, shard: usize, obs: &Observation) {
         if let Some(observer) = self.observer {
             self.run.note(shard, obs, true, observer);
+        }
+        if self.tallies.is_empty() {
+            self.tallies = vec![ExpansionTally::default(); self.lanes.shards()];
         }
         self.tallies[shard].add(obs);
     }
