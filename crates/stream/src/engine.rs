@@ -84,11 +84,11 @@ use crate::source::ContinuousStream;
 /// Observations accumulated per router → shard channel message. A constant,
 /// not a knob, and batching never changes a report — per-shard delivery order
 /// is the same at any size. It is sized for the hand-off: a parked worker is
-/// woken once per 4 096 observations. It was chosen when a discovery sweep's
-/// mostly unanswered probes were shipped too, and the wake-up was most of a
-/// smaller batch's cost (docs/PERFORMANCE.md, "What a hand-off costs"); the
-/// sweep is now tallied by the router, so only density and detection
-/// passes fill batches.
+/// woken once per 4 096 observations. The size was measured on discovery
+/// sweeps, whose wake-ups were most of a smaller batch's cost
+/// (docs/PERFORMANCE.md, "What a hand-off costs"); the router now tallies
+/// sweeps instead of shipping them, and whether the density and detection
+/// passes that fill batches want a smaller one is not yet measured.
 pub(crate) const OBSERVATION_BATCH: usize = 4096;
 
 /// Observations a shard's queue holds: 16 messages of [`OBSERVATION_BATCH`],
@@ -533,10 +533,10 @@ impl<'a> IngestEngine<'a> {
     /// buffered batch is delivered, every worker yields the state it adopted
     /// — by move — the router's tally of each shard's expansion-phase
     /// observations is folded into that shard's state, and the pool is
-    /// ready for its next lessee. A worker that
-    /// died is reported as [`StreamError::ShardPanicked`] (the first, in
-    /// shard order), never re-raised on this thread; the survivors drain
-    /// first, and every thread of the pool is joined before this returns.
+    /// ready for its next lessee. A worker that died is reported as
+    /// [`StreamError::ShardPanicked`] (the first, in shard order), never
+    /// re-raised on this thread; the survivors drain first, and every
+    /// thread of the pool is joined before this returns.
     pub fn release(self) -> Result<Vec<ShardInference>, StreamError> {
         let (lanes, tallies) = self.router.yield_states();
         let mut states = self.pool.collect(lanes, self.observer)?;
