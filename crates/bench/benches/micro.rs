@@ -310,21 +310,9 @@ fn bench_detector(c: &mut Criterion) {
     });
 }
 
-/// The identifier tracker a `steady_watch` run ends with, unfolded: 6 672
-/// identifiers under the 128 /48s a monitor epoch watches, each sighted once
-/// a window over 4 windows at a /64 that rotates every window, bar one
-/// sighting in 180 — 26 540 sightings. A window meets its identifiers in a
-/// permuted order, and the identifiers' MACs are a few vendors' OUIs over
-/// scattered device bytes.
-fn steady_watch_tracker(engine: &Engine) -> IncrementalTracker {
-    const IDENTIFIERS: u64 = 6_672;
-    const WINDOWS: u64 = 4;
-    const OUIS: [[u8; 3]; 4] = [
-        [0x38, 0x10, 0xd5],
-        [0xc8, 0x0e, 0x14],
-        [0x00, 0x1f, 0x3f],
-        [0xe0, 0x28, 0x6d],
-    ];
+/// The first 128 pool /48s of `engine` as network bits: where
+/// [`monitor_tracker`]'s identifiers answer.
+fn watched_nets(engine: &Engine) -> Vec<u64> {
     let stream = monitor_pass(engine);
     let nets: Vec<u64> = (0..stream.window_len())
         .map(|pos| (addr_to_u128(stream.target_at(pos)) >> 80) as u64)
@@ -332,13 +320,30 @@ fn steady_watch_tracker(engine: &Engine) -> IncrementalTracker {
         .into_iter()
         .collect();
     assert_eq!(nets.len(), 128);
+    nets
+}
+
+/// An unfolded monitor tracker: `identifiers` identifiers under the /48s
+/// `nets`, each sighted once a window over 4 windows at a /64 that rotates
+/// every window — bar one sighting in 180 when `gaps`. A window meets its
+/// identifiers in a permuted order, and the identifiers' MACs are a few
+/// vendors' OUIs over scattered device bytes.
+fn monitor_tracker(nets: &[u64], identifiers: u64, gaps: bool) -> IncrementalTracker {
+    const WINDOWS: u64 = 4;
+    const OUIS: [[u8; 3]; 4] = [
+        [0x38, 0x10, 0xd5],
+        [0xc8, 0x0e, 0x14],
+        [0x00, 0x1f, 0x3f],
+        [0xe0, 0x28, 0x6d],
+    ];
     let mut tracker = IncrementalTracker::new();
     let mut seq = 0;
     for window in 0..WINDOWS {
-        for step in 0..IDENTIFIERS {
-            // 2 477 is prime to the identifier count: a permutation.
-            let id = (step * 2_477 + window * 1_009) % IDENTIFIERS;
-            if (id + window * 7) % 180 == 0 {
+        for step in 0..identifiers {
+            // 2 477 is a prime and no factor of either shape's identifier
+            // count: a permutation.
+            let id = (step * 2_477 + window * 1_009) % identifiers;
+            if gaps && (id + window * 7) % 180 == 0 {
                 continue;
             }
             let scatter = id.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 40;
@@ -347,8 +352,8 @@ fn steady_watch_tracker(engine: &Engine) -> IncrementalTracker {
             let eui = Eui64::from_mac(MacAddr::new([
                 oui[0], oui[1], oui[2], device[0], device[1], device[2],
             ]));
-            let prefix64 =
-                nets[(id % 128) as usize] << 16 | (id.wrapping_mul(31) + window * 97) & 0xffff;
+            let net = nets[(id % nets.len() as u64) as usize];
+            let prefix64 = net << 16 | (id.wrapping_mul(31) + window * 97) & 0xffff;
             let source = eui.with_prefix64(prefix64);
             tracker.observe(window, seq, source, Some(source));
             seq += 1;
@@ -357,14 +362,18 @@ fn steady_watch_tracker(engine: &Engine) -> IncrementalTracker {
     tracker
 }
 
-/// The end of a monitor run's tracker in the `steady_watch` shape:
-/// `tracker/fold` is the one fold of its 26 540 pending sightings (on a
-/// fresh copy each iteration, whose clone it includes), `tracker/finish` the
-/// report over the folded run — the walk over its identifiers, their
-/// ranking and the 8 devices a monitor reports by default.
+/// The end of a monitor run's tracker. In the `steady_watch` shape (6 672
+/// identifiers under 128 /48s, 26 540 sightings), `tracker/fold` is the one
+/// fold of its pending sightings (on a fresh copy each iteration, whose
+/// clone it includes) and `tracker/finish` the report over the folded run —
+/// the walk over its identifiers, their ranking and the 8 devices a monitor
+/// reports by default. `tracker/fold_small` is the fold in a `tenants_64`
+/// session's shape: 268 identifiers under two /48s, every one sighted in
+/// each of 4 windows, 1 072 sightings.
 fn bench_tracker(c: &mut Criterion) {
     let engine = paper_engine();
-    let unfolded = steady_watch_tracker(&engine);
+    let nets = watched_nets(&engine);
+    let unfolded = monitor_tracker(&nets, 6_672, true);
     c.bench_function("tracker/fold", |b| {
         b.iter(|| {
             let mut tracker = unfolded.clone();
@@ -379,6 +388,16 @@ fn bench_tracker(c: &mut Criterion) {
     c.bench_function("tracker/finish", |b| {
         b.iter(|| folded.finish(engine.rib(), engine.as_registry(), 4, 8))
     });
+    let small = monitor_tracker(&nets[..2], 268, false);
+    c.bench_function("tracker/fold_small", |b| {
+        b.iter(|| {
+            let mut tracker = small.clone();
+            tracker.fold();
+            tracker
+        })
+    });
+    let mut folded = small;
+    assert_eq!(folded.identifiers_seen(), 268);
 }
 
 criterion_group! {

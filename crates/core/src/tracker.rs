@@ -406,10 +406,16 @@ const CHUNK: usize = 256;
 /// A tail shorter than this (1 MiB of sightings) does not fold on its own,
 /// so a run that reads its tracker once folds it once.
 const FOLD_FLOOR: usize = 1 << 15;
-/// The most sightings one fold orders. A fold tells equal-`seq` arrivals
-/// apart by their ordinal, which it writes into the identifier's 16 `ff:fe`
-/// marker bits while it sorts.
+/// The most sightings one fold orders: a pending sighting's arrival
+/// ordinal, and an identifier's rank among its own sightings, fit in 16
+/// bits.
 const FOLD_LIMIT: usize = 1 << 16;
+/// The longest tail a fold orders by sorting packed keys in a stack array
+/// (16 KiB); a longer one takes the radix passes. Each key sort costs a
+/// log of the tail per sighting, each radix pass the same at any size, so
+/// the keys win on a short tail (a `tenants_64` session's 1 072) and the
+/// passes on a long one (`steady_watch`'s 26 540).
+const KEY_FOLD: usize = 2_048;
 /// The `ff:fe` marker of an EUI-64 interface ID: bytes 3 and 4.
 const MARKER_SHIFT: u32 = 24;
 const MARKER_MASK: u64 = 0xffff << MARKER_SHIFT;
@@ -424,15 +430,24 @@ fn radix_byte(entry: &LoggedSighting, shift: u32) -> usize {
     (entry.eui.0 >> shift) as u8 as usize
 }
 
-/// How many entries open `entries` (not empty) with its first entry's `key`:
-/// a forward scan, as an identifier's sightings are a few entries long.
-fn identifier_len<K: PartialEq>(
-    entries: &[LoggedSighting],
-    key: impl Fn(&LoggedSighting) -> K,
-) -> usize {
-    let first = key(&entries[0]);
+/// The key `entry`, the `ordinal`-th pending sighting, sorts by: its
+/// identifier's six non-marker bytes in the top 48 bits, most significant
+/// first, and the ordinal in the low 16. Every pending identifier carries
+/// the same marker, so the keys order identifiers as [`Eui64`] does, and
+/// one identifier's sightings by arrival; no two keys are equal.
+#[inline]
+fn fold_key(entry: &LoggedSighting, ordinal: usize) -> u64 {
+    let eui = entry.eui.0;
+    eui & !0 << 40 | (eui & 0xff_ffff) << 16 | ordinal as u64
+}
+
+/// How many entries open `entries` (not empty) with its first entry's
+/// identifier: a forward scan, as an identifier's sightings are a few
+/// entries long.
+fn identifier_len(entries: &[LoggedSighting]) -> usize {
+    let first = entries[0].eui;
     (entries[1..].iter())
-        .position(|entry| key(entry) != first)
+        .position(|entry| entry.eui != first)
         .map_or(entries.len(), |at| at + 1)
 }
 
@@ -468,8 +483,10 @@ impl Tail {
         self.chunks[..self.used].iter().flatten()
     }
 
-    fn iter_mut(&mut self) -> impl Iterator<Item = &mut LoggedSighting> {
-        self.chunks[..self.used].iter_mut().flatten()
+    /// The `at`-th sighting in arrival order.
+    #[inline]
+    fn get(&self, at: usize) -> LoggedSighting {
+        self.chunks[at / CHUNK][at % CHUNK]
     }
 
     fn clear(&mut self) {
@@ -618,17 +635,20 @@ impl IncrementalTracker {
 
     /// Fold the tail into the run, in place.
     ///
-    /// A stable LSD radix sort orders the tail by identifier, one pass per
-    /// non-marker byte of the interface ID, least significant first; a pass
-    /// is skipped when every pending sighting has the same byte there. The
-    /// passes alternate between the run's spare capacity (which the merge
-    /// needs anyway) and the tail's chunks, which hold the pending entries
-    /// already, and the last lands in the run. Each identifier's few
-    /// sightings, still in arrival order, are then ordered in place by
-    /// window, `seq` and the arrival ordinal the fold wrote into their
-    /// `ff:fe` bits, the first of each window is kept, and the sorted,
-    /// unique tail goes back into the tail's chunks for the merge to read.
-    /// A fold allocates nothing but the run's growth.
+    /// The tail is first copied into the run's spare capacity grouped by
+    /// identifier, ascending, each identifier's sightings in arrival order.
+    /// A tail of up to [`KEY_FOLD`] sightings gets there by one sort of
+    /// packed `u64` keys ([`fold_key`]) in a stack array and one gather; a
+    /// longer one by a stable LSD radix sort, one pass per non-marker byte
+    /// of the interface ID, least significant first (a pass is skipped when
+    /// every pending sighting has the same byte there), the passes
+    /// alternating between the run's spare capacity and the tail's chunks
+    /// so that the last lands in the run. Each identifier's few sightings
+    /// are then ordered in place by window, `seq` and arrival rank, which
+    /// the fold writes into their `ff:fe` bits, the first of each window is
+    /// kept, and the sorted, unique tail goes back into the tail's chunks
+    /// for the merge to read. A fold allocates nothing but the run's
+    /// growth.
     pub fn fold(&mut self) {
         let kept = self.run.len();
         let pending = self.tail.len;
@@ -636,62 +656,24 @@ impl IncrementalTracker {
             return;
         }
         assert!(pending <= FOLD_LIMIT, "the tail folds at FOLD_LIMIT");
-        // One read of the tail writes each entry's arrival ordinal into its
-        // marker bits and counts every radix byte; then the run takes a copy,
-        // so the passes can start from either side.
         self.run.reserve_exact(pending);
-        let mut counts = [[0u32; 256]; RADIX_SHIFTS.len()];
-        (self.tail.iter_mut().enumerate()).for_each(|(ordinal, entry)| {
-            entry.eui.0 = entry.eui.0 & !MARKER_MASK | (ordinal as u64) << MARKER_SHIFT;
-            for (count, shift) in counts.iter_mut().zip(RADIX_SHIFTS) {
-                count[radix_byte(entry, shift)] += 1;
-            }
-        });
-        self.run.extend(self.tail.iter());
-        // A byte every pending sighting shares orders nothing. The passes
-        // start from whichever copy puts the last of them in the run.
-        let first = self.run[kept];
-        let passes = || {
-            (counts.iter().zip(RADIX_SHIFTS))
-                .filter(|(count, shift)| count[radix_byte(&first, *shift)] as usize != pending)
-        };
-        let mut in_run = passes().count() % 2 == 0;
-        for (count, shift) in passes() {
-            // Where each byte value's next entry goes: its bucket's start.
-            let mut next = [0usize; 256];
-            let mut start = 0;
-            for (next, &count) in next.iter_mut().zip(count) {
-                *next = start;
-                start += count as usize;
-            }
-            let mut place = |entry: &LoggedSighting| {
-                let slot = &mut next[radix_byte(entry, shift)];
-                *slot += 1;
-                *slot - 1
-            };
-            if in_run {
-                for entry in &self.run[kept..] {
-                    let at = place(entry);
-                    self.tail.chunks[at / CHUNK][at % CHUNK] = *entry;
-                }
-            } else {
-                let run = &mut self.run[kept..];
-                self.tail
-                    .iter()
-                    .for_each(|entry| run[place(entry)] = *entry);
-            }
-            in_run = !in_run;
+        if pending <= KEY_FOLD {
+            self.order_by_keys();
+        } else {
+            self.order_by_radix();
         }
-        debug_assert!(in_run, "the last pass writes the run");
         // Each identifier's sightings go by window, `seq`, then arrival, and
         // the first of each window stays. Every tail identifier came through
         // `Eui64::from_addr`, so the marker it gets back is the one it had.
         let mut unique = kept;
         let mut at = kept;
         while at < kept + pending {
-            let len = identifier_len(&self.run[at..kept + pending], |e| e.eui.0 & !MARKER_MASK);
+            let len = identifier_len(&self.run[at..kept + pending]);
             let sightings = &mut self.run[at..at + len];
             if len > 1 {
+                for (rank, entry) in sightings.iter_mut().enumerate() {
+                    entry.eui.0 = entry.eui.0 & !MARKER_MASK | (rank as u64) << MARKER_SHIFT;
+                }
                 sightings.sort_unstable_by_key(|e| (e.window, e.seq, e.eui.0 & MARKER_MASK));
             }
             let mut window = None;
@@ -728,6 +710,70 @@ impl IncrementalTracker {
         self.tail.clear();
     }
 
+    /// Append the tail (at most [`KEY_FOLD`] sightings) to the run by
+    /// identifier, each identifier's sightings in arrival order: one
+    /// unstable sort of unique keys, so one order, and one gather.
+    fn order_by_keys(&mut self) {
+        let mut keys = [0u64; KEY_FOLD];
+        let keys = &mut keys[..self.tail.len];
+        for (ordinal, (key, entry)) in keys.iter_mut().zip(self.tail.iter()).enumerate() {
+            *key = fold_key(entry, ordinal);
+        }
+        keys.sort_unstable();
+        let tail = &self.tail;
+        (self.run).extend(keys.iter().map(|key| tail.get(*key as u16 as usize)));
+    }
+
+    /// Append the tail to the run by identifier, each identifier's
+    /// sightings in arrival order: a stable LSD radix sort.
+    fn order_by_radix(&mut self) {
+        // One read of the tail counts every radix byte into the run's copy,
+        // so the passes can start from either side.
+        let kept = self.run.len();
+        let pending = self.tail.len;
+        let mut counts = [[0u32; 256]; RADIX_SHIFTS.len()];
+        self.run.extend(self.tail.iter().inspect(|entry| {
+            for (count, shift) in counts.iter_mut().zip(RADIX_SHIFTS) {
+                count[radix_byte(entry, shift)] += 1;
+            }
+        }));
+        // A byte every pending sighting shares orders nothing. The passes
+        // start from whichever copy puts the last of them in the run.
+        let first = self.run[kept];
+        let passes = || {
+            (counts.iter().zip(RADIX_SHIFTS))
+                .filter(|(count, shift)| count[radix_byte(&first, *shift)] as usize != pending)
+        };
+        let mut in_run = passes().count() % 2 == 0;
+        for (count, shift) in passes() {
+            // Where each byte value's next entry goes: its bucket's start.
+            let mut next = [0usize; 256];
+            let mut start = 0;
+            for (next, &count) in next.iter_mut().zip(count) {
+                *next = start;
+                start += count as usize;
+            }
+            let mut place = |entry: &LoggedSighting| {
+                let slot = &mut next[radix_byte(entry, shift)];
+                *slot += 1;
+                *slot - 1
+            };
+            if in_run {
+                for entry in &self.run[kept..] {
+                    let at = place(entry);
+                    self.tail.chunks[at / CHUNK][at % CHUNK] = *entry;
+                }
+            } else {
+                let run = &mut self.run[kept..];
+                self.tail
+                    .iter()
+                    .for_each(|entry| run[place(entry)] = *entry);
+            }
+            in_run = !in_run;
+        }
+        debug_assert!(in_run, "the last pass writes the run");
+    }
+
     /// Each sighted identifier's sightings, ascending by identifier: the
     /// run cut where the identifier changes, found by a forward scan (an
     /// identifier has a sighting per retained window, so its end is a few
@@ -738,7 +784,7 @@ impl IncrementalTracker {
             if rest.is_empty() {
                 return None;
             }
-            let (sightings, after) = rest.split_at(identifier_len(rest, |e| e.eui));
+            let (sightings, after) = rest.split_at(identifier_len(rest));
             rest = after;
             Some(sightings)
         })
@@ -1137,27 +1183,29 @@ mod tests {
     /// the tie an equal `seq` leaves is broken by arrival: over thousands of
     /// tied sightings (far past the sizes an unstable sort handles stably by
     /// insertion), each `(identifier, window)` keeps the first of its lowest
-    /// `seq`.
+    /// `seq` — on a tail the keys order and on one the radix passes do.
     #[test]
     fn a_fold_keeps_the_first_arrival_of_an_equal_seq() {
-        let mut tracker = IncrementalTracker::new();
-        let mut expected = std::collections::BTreeMap::new();
-        for i in 0..8_192u64 {
-            let (eui, _) = eui_at((i % 61) as u8, 0);
-            let (window, seq, prefix64) = (i % 3, (i / 7) % 3, 0x2001_0db8_0005_0000 + i);
-            let source = eui.with_prefix64(prefix64);
-            tracker.observe(window, seq, source, Some(source));
-            let kept = expected.entry((eui, window)).or_insert((seq, prefix64));
-            if seq < kept.0 {
-                *kept = (seq, prefix64);
+        for sightings in [KEY_FOLD as u64, 8_192] {
+            let mut tracker = IncrementalTracker::new();
+            let mut expected = std::collections::BTreeMap::new();
+            for i in 0..sightings {
+                let (eui, _) = eui_at((i % 61) as u8, 0);
+                let (window, seq, prefix64) = (i % 3, (i / 7) % 3, 0x2001_0db8_0005_0000 + i);
+                let source = eui.with_prefix64(prefix64);
+                tracker.observe(window, seq, source, Some(source));
+                let kept = expected.entry((eui, window)).or_insert((seq, prefix64));
+                if seq < kept.0 {
+                    *kept = (seq, prefix64);
+                }
             }
+            tracker.fold();
+            let folded: std::collections::BTreeMap<_, _> = (tracker.run.iter())
+                .map(|e| ((e.eui, e.window), (e.seq, e.prefix64)))
+                .collect();
+            assert_eq!(tracker.run.len(), expected.len());
+            assert_eq!(folded, expected, "{sightings} sightings");
         }
-        tracker.fold();
-        let folded: std::collections::BTreeMap<_, _> = (tracker.run.iter())
-            .map(|e| ((e.eui, e.window), (e.seq, e.prefix64)))
-            .collect();
-        assert_eq!(tracker.run.len(), expected.len());
-        assert_eq!(folded, expected);
     }
 
     #[test]

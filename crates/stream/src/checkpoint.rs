@@ -26,6 +26,7 @@ use std::sync::Arc;
 use scent_checkpoint::{
     decode_snapshot, encode_snapshot, CheckpointError, Checkpointable, Reader, Writer,
 };
+use scent_core::rotation_detect::RotationEvent;
 use scent_core::WatchRevision;
 use scent_ipv6::Ipv6Prefix;
 use scent_prober::WorldView;
@@ -240,7 +241,12 @@ impl Checkpointable for ShardInference {
         state.validated = Checkpointable::decode(r)?;
         state.density = Checkpointable::decode(r)?;
         state.detector = Checkpointable::decode(r)?;
-        state.events = Checkpointable::decode(r)?;
+        let events: Vec<RotationEvent> = Checkpointable::decode(r)?;
+        let key = |e: &RotationEvent| (e.window, e.seq);
+        if events.windows(2).any(|pair| key(&pair[0]) >= key(&pair[1])) {
+            return Err(CheckpointError::InvalidValue("events out of order"));
+        }
+        state.set_events(events);
         state.tracker = Checkpointable::decode(r)?;
         state.observations = r.u64()?;
         Ok(state)

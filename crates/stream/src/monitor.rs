@@ -25,7 +25,7 @@ use serde::{Deserialize, Serialize};
 
 use scent_checkpoint::{CheckpointError, CheckpointSink};
 use scent_core::density::DensityAccumulator;
-use scent_core::rotation_detect::{rotating_48s, RotationEvent};
+use scent_core::rotation_detect::RotationEvent;
 use scent_core::{FastMap, SeedExpansion, TrackingReport, WatchRevision};
 use scent_discovery::{DiscoveryConfig, DiscoveryReport, DiscoveryTree};
 use scent_ipv6::Ipv6Prefix;
@@ -1178,16 +1178,22 @@ impl<'a, B: ProbeTransport + WorldView + ?Sized> MonitorSession<'a, B> {
                 telemetry.on_shard_final(shard, state.observations);
             }
         }
+        let sharded = self.states.len() > 1;
         let mut merged = ShardInference::merge_all(self.states);
         if let (Some(telemetry), Some(started)) = (self.observer, self.started) {
             telemetry.on_wall_span("monitor_run", started.elapsed().as_nanos() as u64);
         }
 
-        // `(window, seq)` names one probe, and a probe yields at most one
-        // event, so keys are unique and the unstable sort has exactly one
-        // order to produce — without the stable sort's n/2 merge buffer.
+        // Each shard retained its events in `(window, seq)` order, so one
+        // shard's are the report's as they stand; several shards' are
+        // sorted. `(window, seq)` names one probe, and a probe yields at
+        // most one event, so keys are unique and the unstable sort has
+        // exactly one order to produce — without the stable sort's n/2
+        // merge buffer.
         let key = |e: &RotationEvent| (e.window, e.seq);
-        merged.events.sort_unstable_by_key(key);
+        if sharded {
+            merged.events.sort_unstable_by_key(key);
+        }
         debug_assert!(merged.events.windows(2).all(|w| key(&w[0]) < key(&w[1])));
         let tracking = merged.tracker.finish(
             self.world.rib(),
@@ -1204,7 +1210,7 @@ impl<'a, B: ProbeTransport + WorldView + ?Sized> MonitorSession<'a, B> {
         MonitorReport {
             windows,
             observations: merged.observations,
-            rotating_48s: rotating_48s(&merged.events),
+            rotating_48s: merged.rotating_48s(),
             events: merged.events,
             tracking,
             backpressure_stalls: self.stalls,

@@ -24,7 +24,6 @@
 use serde::{Deserialize, Serialize};
 
 use scent_core::pipeline::{RotatingCounts, DENSITY_GRANULARITY, EXPANSION_TIME, SEED_TIME};
-use scent_core::rotation_detect::rotating_48s;
 use scent_core::{
     DensityAccumulator, DensityReport, PipelineConfig, PipelineReport, SeedExpansion,
 };
@@ -299,7 +298,7 @@ impl StreamPipeline {
         }
         let merged = ShardInference::merge_all(states);
 
-        let rotating_48s = rotating_48s(&merged.events);
+        let rotating_48s = merged.rotating_48s();
         let rotating_counts =
             RotatingCounts::tally(world.rib(), world.as_registry(), &rotating_48s);
         let (total_addresses, eui64_addresses, unique_iids) = merged.address_statistics();

@@ -44,7 +44,7 @@ use scent_core::fasthash::{FastMap, FastSet};
 use scent_core::rotation_detect::{RotationEvent, WindowedRotationDetector};
 use scent_core::tracker::IncrementalTracker;
 use scent_core::SeedExpansion;
-use scent_ipv6::{Eui64, Ipv6Prefix};
+use scent_ipv6::{addr_to_u128, Eui64, Ipv6Prefix};
 
 use crate::observation::{Observation, Phase};
 
@@ -110,6 +110,13 @@ impl ExpansionTally {
     }
 }
 
+/// The network bits of the /48 `event`'s target is in: what
+/// [`ShardInference`] keeps of a retained event for the report's rotating
+/// /48s.
+fn event_48(event: &RotationEvent) -> u64 {
+    (addr_to_u128(event.change.target) >> 80) as u64
+}
+
 /// The distinct-address census of the one-shot pipeline's report: response
 /// addresses and EUI-64 identifiers over the density and detection phases.
 /// It only ever grows, and no [`MonitorReport`](crate::MonitorReport) field
@@ -145,8 +152,14 @@ pub struct ShardInference {
     /// ingests a target reads its entry, so [`Self::merge`] does not merge
     /// detectors: a merged state keeps the first state's.
     pub detector: WindowedRotationDetector,
-    /// Every rotation event detected, in per-shard emission order.
-    pub events: Vec<RotationEvent>,
+    /// Every rotation event detected and retained, in emission order,
+    /// which is `(window, seq)` order: a shard is routed its observations
+    /// in probing order. Written only beside [`Self::rotating`].
+    pub(crate) events: Vec<RotationEvent>,
+    /// The /48 network bits ([`event_48`]) of every retained event's
+    /// target: the run's rotating /48s, kept as events are retained so the
+    /// report does not re-read the events. Derived, so never encoded.
+    rotating: FastSet<u64>,
     /// Passive per-identifier tracking, an append-only log its readers fold
     /// — fed by a monitor shard only; a pipeline shard's stays empty.
     pub tracker: IncrementalTracker,
@@ -183,6 +196,7 @@ impl ShardInference {
             density: FastMap::default(),
             detector: WindowedRotationDetector::new(),
             events: Vec::new(),
+            rotating: FastSet::default(),
             tracker: IncrementalTracker::new(),
             census: None,
             observations: 0,
@@ -220,7 +234,9 @@ impl ShardInference {
                 let event = self
                     .detector
                     .observe(obs.window, obs.seq, obs.target, obs.source());
-                self.events.extend(event);
+                if let Some(event) = event {
+                    self.retain(event);
+                }
                 match &mut self.census {
                     Some(census) => census.note(obs.source()),
                     None => self
@@ -230,6 +246,41 @@ impl ShardInference {
                 event
             }
         }
+    }
+
+    /// Keep `event`, which a shard emits in `(window, seq)` order.
+    fn retain(&mut self, event: RotationEvent) {
+        debug_assert!(
+            (self.events.last()).map_or(true, |last| (last.window, last.seq)
+                < (event.window, event.seq)),
+            "events are retained in (window, seq) order"
+        );
+        self.rotating.insert(event_48(&event));
+        self.events.push(event);
+    }
+
+    /// Every rotation event detected and retained, in `(window, seq)`
+    /// order but after a merge, which concatenates.
+    pub fn events(&self) -> &[RotationEvent] {
+        &self.events
+    }
+
+    /// Adopt `events` — in `(window, seq)` order, as a shard retained
+    /// them — and the rotating /48s they flag.
+    pub(crate) fn set_events(&mut self, events: Vec<RotationEvent>) {
+        self.rotating = events.iter().map(event_48).collect();
+        self.events = events;
+    }
+
+    /// The /48s containing a retained event's target, ascending: what
+    /// `rotation_detect::rotating_48s` derives from [`Self::events`], read
+    /// off the set kept beside them.
+    pub(crate) fn rotating_48s(&self) -> Vec<Ipv6Prefix> {
+        let mut nets: Vec<u64> = self.rotating.iter().copied().collect();
+        nets.sort_unstable();
+        (nets.into_iter())
+            .map(|net| Ipv6Prefix::from_bits(u128::from(net) << 80, 48).expect("48 is valid"))
+            .collect()
     }
 
     /// Merge another shard's state into this one. Per-prefix and
@@ -242,7 +293,10 @@ impl ShardInference {
         for (prefix, accumulator) in other.density {
             self.density.entry(prefix).or_default().merge(accumulator);
         }
+        // Each state's events are in order, their concatenation is not:
+        // whoever reads the merged events in order sorts them.
         self.events.extend(other.events);
+        self.rotating.extend(other.rotating);
         self.tracker.merge(other.tracker);
         if let (Some(mine), Some(theirs)) = (&mut self.census, other.census) {
             mine.addresses.extend(theirs.addresses);
@@ -284,7 +338,12 @@ impl ShardInference {
     /// detector is untouched — its memory is O(targets), not O(windows).
     pub fn compact_before(&mut self, window: u64) {
         self.tracker.compact_before(window);
+        let retained = self.events.len();
         self.events.retain(|e| e.window >= window);
+        if self.events.len() < retained {
+            self.rotating.clear();
+            self.rotating.extend(self.events.iter().map(event_48));
+        }
     }
 }
 
@@ -459,6 +518,68 @@ mod tests {
         assert_eq!(pipeline.tracker.identifiers_seen(), 0);
         assert_eq!(pipeline.tracker.probe_counts().count(), 0);
         assert_eq!(monitor.tracker.identifiers_seen(), 16);
+    }
+
+    /// The rotating /48s a shard keeps beside its events are always the
+    /// ones its events flag — `rotation_detect::rotating_48s`, the rule
+    /// they replace at the report — as events are retained, merged,
+    /// compacted away and decoded.
+    #[test]
+    fn the_kept_rotating_48s_follow_the_events() {
+        use scent_checkpoint::{decode_value, encode_value};
+        use scent_core::rotation_detect::rotating_48s;
+
+        let nets = |nets: &[u16]| -> Vec<Ipv6Prefix> {
+            (nets.iter())
+                .map(|net| format!("2001:db8:{net:x}::/48").parse().unwrap())
+                .collect()
+        };
+        // The target in /48 `net` answers from a /64 that moves in exactly
+        // the windows `moves` lists.
+        let shard = |targets: &[(u16, &[u64])]| {
+            let mut state = ShardInference::without_census();
+            for window in 0..3u64 {
+                for (seq, (net, moves)) in targets.iter().enumerate() {
+                    let moved = moves.iter().filter(|&&w| w <= window).count() as u64;
+                    let prefix64 = 0x2001_0db8_0000_0000 | u64::from(*net) << 16 | moved;
+                    let target = format!("2001:db8:{net:x}::1");
+                    let source = eui_addr(prefix64);
+                    state.ingest(&obs(
+                        Phase::Detection,
+                        window,
+                        seq as u64,
+                        &target,
+                        Some(&source),
+                    ));
+                }
+            }
+            assert_eq!(state.rotating_48s(), rotating_48s(&state.events));
+            state
+        };
+        let mut state = shard(&[(1, &[1]), (2, &[2]), (3, &[])]);
+        assert_eq!(state.rotating_48s(), nets(&[1, 2]));
+
+        let merged = ShardInference::merge_all([state.clone(), shard(&[(4, &[1, 2])])]);
+        assert_eq!(merged.rotating_48s(), nets(&[1, 2, 4]));
+        assert_eq!(merged.rotating_48s(), rotating_48s(&merged.events));
+
+        // Compacting away window 1 forgets the /48 only its event flagged.
+        state.compact_before(2);
+        assert_eq!(state.rotating_48s(), nets(&[2]));
+        assert_eq!(state.rotating_48s(), rotating_48s(&state.events));
+
+        // The set is not encoded; a decoded shard rebuilds it.
+        let decoded: ShardInference = decode_value(&encode_value(&state)).unwrap();
+        assert_eq!(decoded.rotating_48s(), state.rotating_48s());
+        assert_eq!(decoded.events(), state.events());
+        // A merged state's events are two runs, not a shard's one: a
+        // snapshot holds shards, and the codec refuses them.
+        assert_eq!(
+            decode_value::<ShardInference>(&encode_value(&merged)).err(),
+            Some(scent_checkpoint::CheckpointError::InvalidValue(
+                "events out of order"
+            ))
+        );
     }
 
     #[test]

@@ -23,7 +23,8 @@
 //! detector to its footprint: at most 32 bytes a watched target in the
 //! monitor's shape, and no more than the 90 its keyed layout took in any
 //! other. A ninth holds a watch list's target stream to one request for each
-//! of its three lists.
+//! of its three lists, and a tenth a short tracker tail's fold to one, the
+//! run's.
 //!
 //! This is an integration-test binary on purpose: a `#[global_allocator]`
 //! is process-wide, and the library forbids `unsafe` (`GlobalAlloc` needs
@@ -572,6 +573,44 @@ fn a_tracker_folds_new_identifiers_without_allocating_per_identifier() {
         allocations <= 64,
         "folding {IDENTIFIERS} new identifiers allocated {allocations} times"
     );
+}
+
+/// A short tail folds with one request, the run's exact size: a
+/// `tenants_64` session's tracker (268 identifiers sighted once in each of
+/// 4 windows, 1 072 sightings) is ordered by keys in a stack array and
+/// gathered straight into the run, so the fold asks for the run's 1 072 ×
+/// 32 B and nothing else — a heap vector of keys would be a second request
+/// every session.
+#[test]
+fn a_short_tail_folds_with_one_request_for_the_run() {
+    const IDENTIFIERS: u64 = 268;
+    const WINDOWS: u64 = 4;
+
+    let mut tracker = scent_core::IncrementalTracker::new();
+    let mut seq = 0;
+    for window in 0..WINDOWS {
+        for step in 0..IDENTIFIERS {
+            // 97 is prime to the identifier count: a permutation.
+            let i = (step * 97 + window * 31) % IDENTIFIERS;
+            let mac = MacAddr::new([0xc8, 0x0e, 0x14, (i * 37) as u8, (i >> 8) as u8, i as u8]);
+            let prefix64 = 0x2001_16b8_0000_0000 + (i << 8) + window;
+            let source = Eui64::from_mac(mac).with_prefix64(prefix64);
+            let target = scent_ipv6::addr_from_u128((prefix64 as u128) << 64 | 1);
+            tracker.observe(window, seq, target, Some(source));
+            seq += 1;
+        }
+    }
+    let before = (thread_allocations(), thread_bytes());
+    tracker.fold();
+    let asked = (thread_allocations() - before.0, thread_bytes() - before.1);
+    let run =
+        IDENTIFIERS * WINDOWS * std::mem::size_of::<scent_core::tracker::LoggedSighting>() as u64;
+    assert_eq!(
+        asked,
+        (1, run),
+        "the fold asked {asked:?}; the run is {run} B"
+    );
+    assert_eq!(tracker.identifiers_seen(), IDENTIFIERS as usize);
 }
 
 /// One monitor window over `watched` /48s of `2a02:27b0::/32`: one target

@@ -837,7 +837,7 @@ fn every_cut_of_a_sealed_body_is_a_typed_error() {
     assert!(snapshot.telemetry.is_some() && snapshot.discovery.is_some());
     assert!(!snapshot.revisions.is_empty() && snapshot.shards.len() == 2);
     assert!(snapshot.shards.iter().all(|s| s.observations > 0));
-    assert!(snapshot.shards.iter().any(|s| !s.events.is_empty()));
+    assert!(snapshot.shards.iter().any(|s| !s.events().is_empty()));
     let bytes = snapshot.to_bytes();
     let body = body_of(&bytes);
     assert!(MonitorSnapshot::from_bytes(&seal(body)).is_ok());

@@ -5,7 +5,7 @@
 //! recorded replay) and property-tested over random worlds, target lists and
 //! producer counts.
 
-use followscent::core::rotation_detect::ChangedTarget;
+use followscent::core::rotation_detect::{rotating_48s, ChangedTarget, RotationEvent};
 use followscent::core::{Pipeline, PipelineConfig, PipelineReport, RotationDetection};
 use followscent::ipv6::Ipv6Prefix;
 use followscent::prober::{
@@ -15,7 +15,8 @@ use followscent::prober::{
 use followscent::simnet::{scenarios, Engine, SimTime, WorldScale};
 use followscent::stream::{
     spawn_producers, ContinuousStream, LimitedSource, MergedClock, MonitorConfig, MonitorReport,
-    Observation, ObservationSource, StreamConfig, StreamMonitor, StreamPipeline, WatchChurn,
+    MonitorSession, MonitorSnapshot, Observation, ObservationSource, StreamConfig, StreamMonitor,
+    StreamPipeline, WatchChurn,
 };
 use proptest::prelude::*;
 
@@ -630,4 +631,114 @@ fn continuous_monitor_agrees_with_batch_detection() {
     assert!(!batched.is_empty(), "non-vacuous agreement");
     assert_eq!(streamed, batched);
     assert_eq!(report.rotating_48s, batch.rotating_48s);
+}
+
+/// What a monitor report promises whoever reads its events: they are
+/// strictly ascending by `(window, seq)` — one shard's as the shard
+/// retained them, several shards' merged — and `rotating_48s` is exactly
+/// the /48s they flag, however the shards kept them.
+fn assert_events_in_order(report: &MonitorReport, at: &str) {
+    assert!(!report.events.is_empty(), "{at}: rotation must emit events");
+    let key = |e: &RotationEvent| (e.window, e.seq);
+    assert!(
+        report.events.windows(2).all(|w| key(&w[0]) < key(&w[1])),
+        "{at}: events out of order"
+    );
+    assert_eq!(report.rotating_48s, rotating_48s(&report.events), "{at}");
+}
+
+/// The event-order contract across topologies: the monitor on the paper
+/// world and on the churn world at shards 1–3 × producers 1–3, with
+/// retention compacting the kept events, and the streamed pipeline's
+/// rotating /48s — read off its shards' kept sets — equal to the batch
+/// pipeline's.
+#[test]
+fn events_stay_in_order_and_flag_the_rotating_48s_at_every_topology() {
+    let paper = Engine::build(scenarios::paper_world(2024, WorldScale::small())).unwrap();
+    let paper_watch: Vec<Ipv6Prefix> = pool_48s(&paper).into_iter().take(8).collect();
+    let churning = Engine::build(scenarios::churn_world(13)).unwrap();
+    let churn_watch = vec![
+        churn_world_dense_48(&churning, SimTime::at(10, 9)),
+        churning.pools()[1].config.prefix,
+    ];
+    let churn = WatchChurn {
+        refresh_every: 1,
+        watch_capacity: 3,
+        ..WatchChurn::default()
+    };
+    let reference = batch(&paper);
+    assert!(!reference.rotating_48s.is_empty(), "non-vacuous equality");
+    for shards in 1..=3usize {
+        for producers in 1..=3usize {
+            let at = format!("shards={shards} producers={producers}");
+            let report = monitor_with(&paper, &paper_watch, shards, producers, 3);
+            assert_events_in_order(&report, &format!("paper world, {at}"));
+            let report = monitor_churn(&churning, &churn_watch, shards, producers, 4, churn);
+            assert_events_in_order(&report, &format!("churn world, {at}"));
+            assert_eq!(streamed(&paper, shards, producers), reference, "{at}");
+        }
+    }
+
+    // Retention drops the oldest windows' events, and the /48s only they
+    // flagged with them: entering the last of five windows compacts
+    // everything before window 2.
+    let config = MonitorConfig {
+        shards: 2,
+        windows: 5,
+        ..MonitorConfig::default()
+    };
+    let full = monitor_run(&paper, &paper_watch, config.clone());
+    let retained = monitor_run(
+        &paper,
+        &paper_watch,
+        MonitorConfig {
+            retention_windows: Some(2),
+            ..config
+        },
+    );
+    assert_events_in_order(&retained, "retention");
+    let tail: Vec<RotationEvent> = (full.events.iter())
+        .filter(|e| e.window >= 2)
+        .copied()
+        .collect();
+    assert!(tail.len() < full.events.len(), "retention dropped events");
+    assert_eq!(retained.events, tail);
+}
+
+/// The contract holds across a checkpoint: a session suspended at a
+/// boundary, encoded, decoded and resumed reports the uninterrupted run's
+/// events and rotating /48s, in order — the decoded shards rebuild what
+/// they keep beside their events, which the snapshot does not carry.
+#[test]
+fn events_stay_in_order_across_checkpoint_and_resume() {
+    let engine = Engine::build(scenarios::paper_world(2024, WorldScale::small())).unwrap();
+    let watched: Vec<Ipv6Prefix> = pool_48s(&engine).into_iter().take(8).collect();
+    for shards in 1..=2usize {
+        let config = MonitorConfig {
+            shards,
+            windows: 4,
+            checkpoint_every: Some(1),
+            ..MonitorConfig::default()
+        };
+        let mut whole = MonitorSession::new(&engine, config.clone(), watched.clone(), None);
+        let mut first = MonitorSession::new(&engine, config.clone(), watched.clone(), None);
+        for _ in 0..2 {
+            whole.run_epoch(10_000).unwrap();
+            first.run_epoch(10_000).unwrap();
+        }
+        let bytes = first.snapshot().to_bytes();
+        let snapshot = MonitorSnapshot::from_bytes(&bytes).expect("snapshot parses");
+        let mut resumed = MonitorSession::new(&engine, config, watched.clone(), None)
+            .resume(snapshot)
+            .expect("snapshot resumes");
+        while !whole.is_done() {
+            whole.run_epoch(10_000).unwrap();
+            resumed.run_epoch(10_000).unwrap();
+        }
+        assert!(resumed.is_done());
+        let (mut whole, mut resumed) = (whole.finish(), resumed.finish());
+        (whole.backpressure_stalls, resumed.backpressure_stalls) = (0, 0);
+        assert_events_in_order(&resumed, &format!("resumed, shards={shards}"));
+        assert_eq!(resumed, whole, "shards={shards}");
+    }
 }

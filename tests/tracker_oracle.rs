@@ -432,6 +432,113 @@ fn a_tail_of_several_chunks_folds_into_a_run() {
     }
 }
 
+/// The longest tail a fold orders by packed keys (`tracker::KEY_FOLD`);
+/// one sighting more takes the radix passes.
+const KEY_FOLD: usize = 2_048;
+/// The tail that folds on its own at `observe` (`tracker::FOLD_FLOOR`).
+const FOLD_FLOOR: usize = 1 << 15;
+
+/// Sighting `i` of a tail: consecutive pairs sight one identifier at one
+/// `(window, seq)` under different /64s, so every tie is an equal `seq`
+/// the fold breaks by arrival; 211 identifiers that share radix bytes
+/// ([`identifier`]) recur over shuffled windows and `seq`s.
+fn tail_sighting(i: u64) -> (u64, u64, Ipv6Addr) {
+    let pair = i / 2;
+    let eui = identifier(pair * 7 % 211);
+    let (window, seq) = ((pair * 5 + 3) % WINDOWS, (pair / 3) % 4);
+    (window, seq, eui.with_prefix64(PREFIX64S[i as usize % 5]))
+}
+
+/// Tails at the edges of both fold paths, and at the floor where a tail
+/// folds on its own, each folded into an empty run and into a non-empty
+/// one: the fold's run, its bytes and its report are the reference's.
+#[test]
+fn tails_at_the_fold_paths_edges_fold_as_the_reference() {
+    let (rib, registry) = world();
+    let target: Ipv6Addr = "2001:db8:1::1".parse().unwrap();
+    for len in [
+        1,
+        KEY_FOLD - 1,
+        KEY_FOLD,
+        KEY_FOLD + 1,
+        FOLD_FLOOR - 1,
+        FOLD_FLOOR,
+    ] {
+        for warm in [0u64, 40] {
+            let mut new = IncrementalTracker::new();
+            let mut reference = ReferenceTracker::default();
+            let mut observe = |new: &mut IncrementalTracker, window, seq, source| {
+                new.observe(window, seq, target, Some(source));
+                reference.observe(window, seq, target, Some(source));
+            };
+            for i in 0..warm {
+                let source = identifier(i % 24).with_prefix64(PREFIX64S[i as usize % 5]);
+                observe(&mut new, i % WINDOWS, i % 3, source);
+            }
+            if warm > 0 {
+                assert!(new.identifiers_seen() > 0, "the run is not empty");
+            }
+            for i in 0..len as u64 {
+                let (window, seq, source) = tail_sighting(i);
+                observe(&mut new, window, seq, source);
+            }
+            let at = format!("tail {len}, run warmed by {warm}");
+            // Only the floor folds the tail before a reader does.
+            assert_eq!(new.sightings().is_some(), len == FOLD_FLOOR, "{at}");
+            assert_eq!(encode_value(&new), reference.encode(), "{at}");
+            assert_eq!(new.identifiers_seen(), reference.identifiers_seen());
+            for max_devices in [1, usize::MAX] {
+                assert_eq!(
+                    new.finish(&rib, &registry, WINDOWS + 1, max_devices),
+                    reference.finish(&rib, &registry, WINDOWS + 1, max_devices),
+                    "{at}, max_devices {max_devices}"
+                );
+            }
+        }
+    }
+}
+
+/// A run that folds after every window: each fold merges a window's tail
+/// into the run the earlier windows left, and the tail re-sights some of
+/// the previous window's `(identifier, window)` pairs at lower and higher
+/// `seq`s, so the merge both replaces and keeps entries of the run. After
+/// every window the fold equals the reference.
+#[test]
+fn a_run_folded_after_every_window_equals_the_reference() {
+    let (rib, registry) = world();
+    let target: Ipv6Addr = "2001:db8:1::1".parse().unwrap();
+    let mut new = IncrementalTracker::new();
+    let mut reference = ReferenceTracker::default();
+    for window in 0..WINDOWS {
+        // The window's identifiers: the earlier windows' and new ones.
+        let identifiers = 40 * (window + 1);
+        for step in 0..identifiers {
+            let id = (step * 17 + window) % identifiers;
+            let seq = 2 + (step * 7 + window) % 5;
+            let prefix64 = PREFIX64S[(id + window) as usize % PREFIX64S.len()];
+            let source = identifier(id).with_prefix64(prefix64);
+            new.observe(window, seq, target, Some(source));
+            reference.observe(window, seq, target, Some(source));
+            if window > 0 && step % 3 == 0 {
+                // Late sightings of the previous window, at a lower `seq`
+                // (replacing the run's entry) or a higher one (ignored).
+                let late = [1, 9][(step / 3 % 2) as usize];
+                let moved = identifier(id).with_prefix64(PREFIX64S[(id as usize + 3) % 6]);
+                new.observe(window - 1, late, target, Some(moved));
+                reference.observe(window - 1, late, target, Some(moved));
+            }
+        }
+        new.fold();
+        assert!(new.sightings().is_some(), "window {window} folded");
+        assert_eq!(encode_value(&new), reference.encode(), "window {window}");
+        assert_eq!(
+            new.finish(&rib, &registry, WINDOWS, usize::MAX),
+            reference.finish(&rib, &registry, WINDOWS, usize::MAX),
+            "window {window}"
+        );
+    }
+}
+
 /// Sightings that are not strictly ascending by window cannot have been
 /// written by the codec; decoding them is a typed error, not a tracker whose
 /// binary searches would silently miss.
