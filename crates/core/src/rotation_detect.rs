@@ -118,11 +118,22 @@ pub fn rotating_48s(events: &[RotationEvent]) -> Vec<Ipv6Prefix> {
     // Deduplicated as /48 network bits on the fast hasher, in a set that
     // grows with the /48s: a monitor's run has hundreds of events per /48,
     // so a set sized by the events would be mostly empty.
-    let mut rotating: FastSet<u64> = FastSet::default();
-    for event in events {
-        rotating.insert((addr_to_u128(event.change.target) >> 80) as u64);
-    }
-    let mut nets: Vec<u64> = rotating.into_iter().collect();
+    let rotating: FastSet<u64> = events.iter().map(event_48).collect();
+    prefixes_48(rotating)
+}
+
+/// The network bits of the /48 `event` flags — its target's — as the
+/// address's top 48 bits: what a set of rotating /48s holds. Inlined: a
+/// shard calls it once per retained event.
+#[inline]
+pub fn event_48(event: &RotationEvent) -> u64 {
+    (addr_to_u128(event.change.target) >> 80) as u64
+}
+
+/// The /48s whose network bits ([`event_48`]) `nets` holds, each once,
+/// ascending.
+pub fn prefixes_48(nets: impl IntoIterator<Item = u64>) -> Vec<Ipv6Prefix> {
+    let mut nets: Vec<u64> = nets.into_iter().collect();
     nets.sort_unstable();
     (nets.into_iter())
         .map(|net| Ipv6Prefix::from_bits(u128::from(net) << 80, 48).expect("48 is valid"))

@@ -411,10 +411,11 @@ const FOLD_FLOOR: usize = 1 << 15;
 /// bits.
 const FOLD_LIMIT: usize = 1 << 16;
 /// The longest tail a fold orders by sorting packed keys in a stack array
-/// (16 KiB); a longer one takes the radix passes. Each key sort costs a
-/// log of the tail per sighting, each radix pass the same at any size, so
-/// the keys win on a short tail (a `tenants_64` session's 1 072) and the
-/// passes on a long one (`steady_watch`'s 26 540).
+/// (16 KiB): on a `tenants_64` session's 1 072 sightings the key sort is
+/// about 1.4× faster than the radix passes. A longer tail takes the
+/// passes, as its keys (8 B a sighting, 512 KiB at [`FOLD_LIMIT`]) would
+/// fit neither a shard thread's stack, where `observe` folds, nor the heap,
+/// as a fold allocates only the run's growth.
 const KEY_FOLD: usize = 2_048;
 /// The `ff:fe` marker of an EUI-64 interface ID: bytes 3 and 4.
 const MARKER_SHIFT: u32 = 24;

@@ -41,10 +41,10 @@ use std::net::Ipv6Addr;
 
 use scent_core::density::DensityAccumulator;
 use scent_core::fasthash::{FastMap, FastSet};
-use scent_core::rotation_detect::{RotationEvent, WindowedRotationDetector};
+use scent_core::rotation_detect::{event_48, prefixes_48, RotationEvent, WindowedRotationDetector};
 use scent_core::tracker::IncrementalTracker;
 use scent_core::SeedExpansion;
-use scent_ipv6::{addr_to_u128, Eui64, Ipv6Prefix};
+use scent_ipv6::{Eui64, Ipv6Prefix};
 
 use crate::observation::{Observation, Phase};
 
@@ -108,13 +108,6 @@ impl ExpansionTally {
         state.observations += self.observations;
         state.validated.append(&mut self.validated);
     }
-}
-
-/// The network bits of the /48 `event`'s target is in: what
-/// [`ShardInference`] keeps of a retained event for the report's rotating
-/// /48s.
-fn event_48(event: &RotationEvent) -> u64 {
-    (addr_to_u128(event.change.target) >> 80) as u64
 }
 
 /// The distinct-address census of the one-shot pipeline's report: response
@@ -276,11 +269,7 @@ impl ShardInference {
     /// `rotation_detect::rotating_48s` derives from [`Self::events`], read
     /// off the set kept beside them.
     pub(crate) fn rotating_48s(&self) -> Vec<Ipv6Prefix> {
-        let mut nets: Vec<u64> = self.rotating.iter().copied().collect();
-        nets.sort_unstable();
-        (nets.into_iter())
-            .map(|net| Ipv6Prefix::from_bits(u128::from(net) << 80, 48).expect("48 is valid"))
-            .collect()
+        prefixes_48(self.rotating.iter().copied())
     }
 
     /// Merge another shard's state into this one. Per-prefix and

@@ -435,8 +435,11 @@ fn a_watch_lists_target_stream_asks_for_each_of_its_lists_once() {
 /// sweep's probes are expansion-phase, so the router tallies them and never
 /// fills a batch buffer: the epoch (which, watching nothing yet, routes
 /// nothing else) asks for no 256 KiB buffer at all, and allocates
-/// 5 960 632 B, or 144 B more in some unpinned runs — the only two values
-/// pinned and unpinned runs read. While the sweep was shipped to the worker
+/// 5 960 296 B plus the vector the released shard state comes back in (one
+/// `ShardInference`: 336 B, 368 B since a shard keeps its rotating /48s,
+/// so 5 960 632 B then and 5 960 664 B now), or 144 B more in some
+/// unpinned runs — the only two values pinned and unpinned runs read. While
+/// the sweep was shipped to the worker
 /// the epoch allocated 6.2–8.6 MB: one buffer each time the router ran
 /// ahead of its worker, 1–10 of the 18 a one-shard pool is sized for. The
 /// outcome bits are one buffer the session refills, not one a round. Grown
@@ -447,7 +450,7 @@ fn a_watch_lists_target_stream_asks_for_each_of_its_lists_once() {
 #[test]
 fn a_discovery_boundary_never_materialises_its_sweep() {
     const ROUND: u64 = 131_072;
-    const EPOCH_BYTES: u64 = 5_960_632;
+    const EPOCH_BYTES: u64 = 5_960_296 + std::mem::size_of::<ShardInference>() as u64;
 
     let engine = scent_simnet::Engine::build(scent_simnet::scenarios::churn_world(7)).unwrap();
     let config = MonitorConfig {

@@ -633,6 +633,17 @@ fn continuous_monitor_agrees_with_batch_detection() {
     assert_eq!(report.rotating_48s, batch.rotating_48s);
 }
 
+/// Two /48s of each of the first eight pools of `engine`'s world: a watch
+/// list over several announcements, so a sharded monitor's events come
+/// from more than one shard.
+fn spread_watch(engine: &Engine) -> Vec<Ipv6Prefix> {
+    (engine.pools().iter())
+        .filter(|pool| pool.config.prefix.len() <= 48)
+        .take(8)
+        .flat_map(|pool| pool.config.prefix.subnets(48).unwrap().take(2))
+        .collect()
+}
+
 /// What a monitor report promises whoever reads its events: they are
 /// strictly ascending by `(window, seq)` — one shard's as the shard
 /// retained them, several shards' merged — and `rotating_48s` is exactly
@@ -655,7 +666,7 @@ fn assert_events_in_order(report: &MonitorReport, at: &str) {
 #[test]
 fn events_stay_in_order_and_flag_the_rotating_48s_at_every_topology() {
     let paper = Engine::build(scenarios::paper_world(2024, WorldScale::small())).unwrap();
-    let paper_watch: Vec<Ipv6Prefix> = pool_48s(&paper).into_iter().take(8).collect();
+    let paper_watch = spread_watch(&paper);
     let churning = Engine::build(scenarios::churn_world(13)).unwrap();
     let churn_watch = vec![
         churn_world_dense_48(&churning, SimTime::at(10, 9)),
@@ -712,7 +723,7 @@ fn events_stay_in_order_and_flag_the_rotating_48s_at_every_topology() {
 #[test]
 fn events_stay_in_order_across_checkpoint_and_resume() {
     let engine = Engine::build(scenarios::paper_world(2024, WorldScale::small())).unwrap();
-    let watched: Vec<Ipv6Prefix> = pool_48s(&engine).into_iter().take(8).collect();
+    let watched = spread_watch(&engine);
     for shards in 1..=2usize {
         let config = MonitorConfig {
             shards,
@@ -727,10 +738,19 @@ fn events_stay_in_order_across_checkpoint_and_resume() {
             first.run_epoch(10_000).unwrap();
         }
         let bytes = first.snapshot().to_bytes();
-        let snapshot = MonitorSnapshot::from_bytes(&bytes).expect("snapshot parses");
-        let mut resumed = MonitorSession::new(&engine, config, watched.clone(), None)
-            .resume(snapshot)
-            .expect("snapshot resumes");
+        let resume = || {
+            let snapshot = MonitorSnapshot::from_bytes(&bytes).expect("snapshot parses");
+            MonitorSession::new(&engine, config.clone(), watched.clone(), None)
+                .resume(snapshot)
+                .expect("snapshot resumes")
+        };
+        // Finished at once, the decoded shards report what the suspended
+        // ones would have.
+        let (mut suspended, mut decoded) = (first.finish(), resume().finish());
+        (suspended.backpressure_stalls, decoded.backpressure_stalls) = (0, 0);
+        assert_events_in_order(&decoded, &format!("decoded, shards={shards}"));
+        assert_eq!(decoded, suspended, "shards={shards}");
+        let mut resumed = resume();
         while !whole.is_done() {
             whole.run_epoch(10_000).unwrap();
             resumed.run_epoch(10_000).unwrap();

@@ -9,8 +9,10 @@
 //! decode of an unfolded tracker, the two must produce equal reports at
 //! every device cap, equal counters, and equal checkpoint bytes — the
 //! snapshot format did not change with the layout. Identifiers differ in
-//! all six bytes a fold's radix passes read, and one pinned case folds a
-//! tail of several chunks into a non-empty run.
+//! all six bytes a fold orders by, some sharing some of them. Pinned cases
+//! fold a tail of several chunks into a non-empty run, tails at the edges
+//! of the key-sorted and radix-sorted folds and at the floor where a tail
+//! folds itself, and a run folded after every window.
 
 use std::collections::BTreeMap;
 use std::net::Ipv6Addr;
