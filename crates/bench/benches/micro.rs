@@ -365,39 +365,36 @@ fn monitor_tracker(nets: &[u64], identifiers: u64, gaps: bool) -> IncrementalTra
 /// The end of a monitor run's tracker. In the `steady_watch` shape (6 672
 /// identifiers under 128 /48s, 26 540 sightings), `tracker/fold` is the one
 /// fold of its pending sightings (on a fresh copy each iteration, whose
-/// clone it includes) and `tracker/finish` the report over the folded run —
-/// the walk over its identifiers, their ranking and the 8 devices a monitor
-/// reports by default. `tracker/fold_small` is the fold in a `tenants_64`
-/// session's shape: 268 identifiers under two /48s, every one sighted in
-/// each of 4 windows, 1 072 sightings.
+/// clone it includes) and `tracker/finish` the report a monitor's finish
+/// reads off the same unfolded tracker — the count of its identifiers'
+/// windows, their ranking and the gather of the 8 devices a monitor reports
+/// by default, clone included. `tracker/fold_small` and
+/// `tracker/finish_small` are the same in a `tenants_64` session's shape:
+/// 268 identifiers under two /48s, every one sighted in each of 4 windows,
+/// 1 072 sightings.
 fn bench_tracker(c: &mut Criterion) {
     let engine = paper_engine();
     let nets = watched_nets(&engine);
-    let unfolded = monitor_tracker(&nets, 6_672, true);
-    c.bench_function("tracker/fold", |b| {
-        b.iter(|| {
-            let mut tracker = unfolded.clone();
-            tracker.fold();
-            tracker
-        })
-    });
-    let mut folded = unfolded;
-    assert_eq!(folded.identifiers_seen(), 6_672);
-    let report = folded.finish(engine.rib(), engine.as_registry(), 4, 8);
-    assert_eq!(report.devices.len(), 8, "the watched /48s are routed");
-    c.bench_function("tracker/finish", |b| {
-        b.iter(|| folded.finish(engine.rib(), engine.as_registry(), 4, 8))
-    });
-    let small = monitor_tracker(&nets[..2], 268, false);
-    c.bench_function("tracker/fold_small", |b| {
-        b.iter(|| {
-            let mut tracker = small.clone();
-            tracker.fold();
-            tracker
-        })
-    });
-    let mut folded = small;
-    assert_eq!(folded.identifiers_seen(), 268);
+    for (name, tracker, identifiers) in [
+        ("", monitor_tracker(&nets, 6_672, true), 6_672),
+        ("_small", monitor_tracker(&nets[..2], 268, false), 268),
+    ] {
+        c.bench_function(format!("tracker/fold{name}"), |b| {
+            b.iter(|| {
+                let mut tracker = tracker.clone();
+                tracker.fold();
+                tracker
+            })
+        });
+        let report = tracker
+            .clone()
+            .finish(engine.rib(), engine.as_registry(), 4, 8);
+        assert_eq!(report.devices.len(), 8, "the watched /48s are routed");
+        assert_eq!(tracker.clone().identifiers_seen(), identifiers);
+        c.bench_function(format!("tracker/finish{name}"), |b| {
+            b.iter(|| (tracker.clone()).finish(engine.rib(), engine.as_registry(), 4, 8))
+        });
+    }
 }
 
 criterion_group! {

@@ -19,9 +19,10 @@
 //! canonical run, ascending by identifier and window. There is no
 //! identifier-keyed map and no allocation per identifier, so many trackers
 //! interleaved on one thread keep a small, contiguous footprint. Readers —
-//! compaction, merge, the report, the checkpoint codec — fold first and then
-//! walk the one run. The log and the per-/48 probe counts are all it keeps:
-//! the report reads nothing else.
+//! compaction, merge, the checkpoint codec — fold first and then walk the
+//! one run; the report reads the run and the tail as they stand. The log
+//! and the per-/48 probe counts are all it keeps: the report reads nothing
+//! else.
 
 use std::collections::HashSet;
 use std::net::Ipv6Addr;
@@ -511,7 +512,7 @@ impl Tail {
 /// window)`, ascending, the earliest `seq` kept. The tail folds when it
 /// outgrows the run (amortized, so memory stays proportional to identifiers
 /// × windows however often one device answers), and every reader of
-/// sightings folds it first, in place.
+/// sightings but the report folds it first, in place.
 ///
 /// State is mergeable across shards: identifiers are routed by announced
 /// prefix, so one identifier's history always lives in a single shard, and
@@ -791,14 +792,23 @@ impl IncrementalTracker {
         })
     }
 
-    /// Fold the accumulated state into the batch [`TrackingReport`] shape.
+    /// The accumulated state in the batch [`TrackingReport`] shape.
     ///
-    /// Devices are the up-to-`max_devices` identifiers seen in the most
-    /// windows (ties broken by identifier, so shard count never changes the
-    /// selection). Each device's daily probe count is the number of passive
-    /// observations that landed in its inferred pool that window — the
-    /// streaming analogue of the active tracker's per-round probe cost.
-    /// Folds first, in place.
+    /// Devices are the up-to-`max_devices` routable identifiers seen in the
+    /// most windows (ties broken by identifier, so shard count never changes
+    /// the selection). Each device's daily probe count is the number of
+    /// passive observations that landed in its inferred pool that window —
+    /// the streaming analogue of the active tracker's per-round probe cost.
+    ///
+    /// The report reads the run and the unfolded tail as they stand, in
+    /// three passes: one counts each identifier's windows in a scratch
+    /// table (on the stack for up to 768 identifiers, on the heap past them),
+    /// a top-k selection ranks the routable ones, and one more gathers the
+    /// chosen identifiers' sightings, keeping per window the lowest `seq`
+    /// and on an equal `seq` the first arrival, run before tail. Only a
+    /// tail in which some identifier's windows go backwards — which a
+    /// monitor shard, routed in probing order, never holds — is folded
+    /// first, in place.
     pub fn finish(
         &mut self,
         rib: &Rib,
@@ -806,66 +816,196 @@ impl IncrementalTracker {
         windows: u64,
         max_devices: usize,
     ) -> TrackingReport {
-        self.fold();
-        // Devices go by sightings, most first, then by identifier. The walk
-        // meets identifiers in ascending order, so a stable counting sort by
-        // sighting count ranks them without comparing identifiers.
-        let mut next: Vec<usize> = Vec::new();
-        for sightings in self.identifiers() {
-            if next.len() <= sightings.len() {
-                next.resize(sightings.len() + 1, 0);
-            }
-            next[sightings.len()] += 1;
+        assert!(
+            self.run.len() + self.tail.len <= u32::MAX as usize,
+            "a sighting's position fits a count slot"
+        );
+        let mut stack = [Slot::default(); STACK_SLOTS];
+        let mut counts = Counts::over(&mut stack);
+        if !self.count_windows(&mut counts) {
+            self.fold();
+            counts.clear();
+            let ordered = self.count_windows(&mut counts);
+            debug_assert!(ordered, "a run's windows ascend");
         }
-        // Each count's first place: after every identifier sighted more.
-        let mut start = 0;
-        for place in next.iter_mut().rev() {
-            (*place, start) = (start, start + *place);
-        }
-        let mut ranked: Vec<&[LoggedSighting]> = vec![&[]; start];
-        for sightings in self.identifiers() {
-            ranked[next[sightings.len()]] = sightings;
-            next[sightings.len()] += 1;
+        let slots = counts.slots();
+        let ranked = self.rank(slots, rib, max_devices);
+        let ranked = &mut slots[..ranked];
+
+        let mut devices = Vec::with_capacity(ranked.len());
+        for (device, slot) in ranked.iter_mut().enumerate() {
+            let first = self.entry(slot.first).address();
+            let asn = rib.origin(first).expect("ranked identifiers are routable");
+            devices.push(DeviceTrackingResult {
+                device: TrackedDevice {
+                    iid: Eui64(slot.eui),
+                    asn,
+                    country: registry.country(asn),
+                    bgp_prefix_len: rib.encompassing_prefix_len(first),
+                    first_observed: first,
+                    allocation_len: 64,
+                    // Set once the days are gathered.
+                    pool: common_pool(std::iter::once(first)),
+                },
+                daily: Vec::with_capacity((slot.count as u64).max(windows) as usize),
+            });
+            slot.last = device as u64;
         }
 
-        let mut devices = Vec::new();
-        for sightings in ranked {
-            if devices.len() >= max_devices {
-                break;
+        // Most sightings are of identifiers not chosen: a bit per chosen
+        // identifier's last byte turns nearly all of them away unsearched.
+        ranked.sort_unstable_by_key(|slot| slot.eui);
+        let mut last_bytes = [0u64; 4];
+        for slot in ranked.iter() {
+            last_bytes[slot.eui as u8 as usize / 64] |= 1 << (slot.eui % 64);
+        }
+        let device = |eui: Eui64| {
+            let byte = eui.0 as u8 as usize;
+            if last_bytes[byte / 64] & 1 << (byte % 64) == 0 {
+                return None;
             }
-            let first = sightings[0].address();
-            // Unroutable identifiers are skipped *without* consuming a report
-            // slot, so the cap always yields the best routable devices.
-            let Some(asn) = rib.origin(first) else {
-                continue;
-            };
-            let pool = common_pool(sightings.iter().map(LoggedSighting::address));
-            let device = TrackedDevice {
-                iid: sightings[0].eui,
-                asn,
-                country: registry.country(asn),
-                bgp_prefix_len: rib.encompassing_prefix_len(first),
-                first_observed: first,
-                allocation_len: 64,
-                pool,
-            };
-            let daily = (0..windows)
-                .map(|window| {
-                    let address = sightings
-                        .binary_search_by_key(&window, |s| s.window)
-                        .ok()
-                        .map(|at| sightings[at].address());
-                    DailyResult {
-                        day: window,
-                        found: address.is_some(),
-                        probes_sent: self.pool_probes(window, &pool),
-                        address,
+            (ranked.binary_search_by_key(&eui.0, |slot| slot.eui))
+                .ok()
+                .map(|at| ranked[at].last as usize)
+        };
+        // Gather each chosen identifier's sightings into its days, a found
+        // day per window in window order. Until the device is finished, a
+        // day's `probes_sent` holds its kept sighting's `seq`.
+        let mut keep = |device: usize, entry: &LoggedSighting| {
+            let daily = &mut devices[device].daily;
+            match daily.last_mut() {
+                Some(day) if day.day == entry.window => {
+                    if entry.seq < day.probes_sent {
+                        (day.probes_sent, day.address) = (entry.seq, Some(entry.address()));
                     }
-                })
-                .collect();
-            devices.push(DeviceTrackingResult { device, daily });
+                }
+                _ => daily.push(DailyResult {
+                    day: entry.window,
+                    found: true,
+                    probes_sent: entry.seq,
+                    address: Some(entry.address()),
+                }),
+            }
+        };
+        for sightings in self.identifiers() {
+            if let Some(device) = device(sightings[0].eui) {
+                sightings.iter().for_each(|entry| keep(device, entry));
+            }
+        }
+        for entry in self.tail.iter() {
+            if let Some(device) = device(entry.eui) {
+                keep(device, entry);
+            }
+        }
+
+        for result in &mut devices {
+            let daily = &mut result.daily;
+            let pool = common_pool(daily.iter().filter_map(|day| day.address));
+            result.device.pool = pool;
+            // Days past the report's windows shape the pool and no more. The
+            // found days spread out to their windows from the back, each
+            // moving up, and every window gets its probes.
+            daily.truncate(daily.partition_point(|day| day.day < windows));
+            let mut found = daily.len();
+            let unfound = DailyResult {
+                day: 0,
+                found: false,
+                probes_sent: 0,
+                address: None,
+            };
+            daily.resize(windows as usize, unfound);
+            for window in (0..windows).rev() {
+                let address = (found > 0 && daily[found - 1].day == window).then(|| {
+                    found -= 1;
+                    daily[found].address
+                });
+                daily[window as usize] = DailyResult {
+                    day: window,
+                    found: address.is_some(),
+                    probes_sent: self.pool_probes(window, &pool),
+                    address: address.flatten(),
+                };
+            }
         }
         TrackingReport { devices }
+    }
+
+    /// Count each identifier's windows into `counts`, reading the run and
+    /// then the tail: a slot keeps the identifier's last window and where
+    /// its first window's kept sighting is. False, leaving `counts` partly
+    /// filled, if some identifier's windows go backwards.
+    fn count_windows(&self, counts: &mut Counts) -> bool {
+        let mut at = 0;
+        for sightings in self.identifiers() {
+            *counts.slot(sightings[0].eui.0) = Slot {
+                eui: sightings[0].eui.0,
+                last: sightings[sightings.len() - 1].window,
+                count: sightings.len() as u32,
+                first: at as u32,
+            };
+            at += sightings.len();
+        }
+        for entry in self.tail.iter() {
+            let slot = counts.slot(entry.eui.0);
+            if slot.count == 0 {
+                *slot = Slot {
+                    eui: entry.eui.0,
+                    last: entry.window,
+                    count: 1,
+                    first: at as u32,
+                };
+            } else if entry.window > slot.last {
+                (slot.count, slot.last) = (slot.count + 1, entry.window);
+            } else if entry.window < slot.last {
+                return false;
+            } else if slot.count == 1 && entry.seq < self.entry(slot.first).seq {
+                slot.first = at as u32;
+            }
+            at += 1;
+        }
+        true
+    }
+
+    /// Move the up-to-`max` best routable identifiers of the count table
+    /// `slots` to its front, most windows first, then by identifier, and
+    /// return how many there are. One pass admits a routable identifier
+    /// that beats the bar — the `max`-th best admitted at the last cut —
+    /// and cuts the admitted back to the best `max` whenever they reach
+    /// twice that, so unroutable identifiers take no place however many
+    /// outrank the routable ones.
+    fn rank(&self, slots: &mut [Slot], rib: &Rib, max: usize) -> usize {
+        if max == 0 {
+            return 0;
+        }
+        // The bar as (count, identifier); the first turns away empty slots
+        // only. A table is about half empty in no order, so the test is
+        // branch-free: a branch for emptiness mispredicted every other slot.
+        let (mut admitted, mut bar) = (0, (0, 0));
+        for at in 0..slots.len() {
+            let slot = slots[at];
+            let beats = (slot.count > bar.0) | (slot.count == bar.0) & (slot.eui < bar.1);
+            if !beats || rib.origin(self.entry(slot.first).address()).is_none() {
+                continue;
+            }
+            slots[admitted] = slot;
+            admitted += 1;
+            if admitted == max.saturating_mul(2) {
+                slots[..admitted].select_nth_unstable_by_key(max - 1, Slot::rank_key);
+                admitted = max;
+                bar = (slots[max - 1].count, slots[max - 1].eui);
+            }
+        }
+        slots[..admitted].sort_unstable_by_key(Slot::rank_key);
+        admitted.min(max)
+    }
+
+    /// The `at`-th sighting of the run followed by the tail.
+    fn entry(&self, at: u32) -> LoggedSighting {
+        let at = at as usize;
+        match at.checked_sub(self.run.len()) {
+            None => self.run[at],
+            Some(pending) => self.tail.get(pending),
+        }
     }
 
     /// Passive probes attributable to `pool` during `window`: the probes of
@@ -884,6 +1024,114 @@ impl IncrementalTracker {
                 .sum()
         }
     }
+}
+
+/// Count slots of the table [`IncrementalTracker::finish`] starts on the
+/// stack (24 KiB): 768 identifiers fill it three quarters, against a
+/// `tenants_64` session's 268.
+const STACK_SLOTS: usize = 1_024;
+/// The slots a count takes when it outgrows the stack (384 KiB, 12 288
+/// identifiers); past that it grows four times over. A `steady_watch`
+/// run's 6 672 identifiers fit, so its finish asks for this one table
+/// against the fold's 829 KiB run: growing four times over from the stack
+/// asked for 480 KiB and, in two steps each re-inserting the count and
+/// touching fresh pages, read that finish 1.3–1.6× slower (the least of 60
+/// finishes, builds alternated).
+const HEAP_SLOTS: usize = 16_384;
+
+/// One identifier in [`IncrementalTracker::finish`]'s count; empty while
+/// its count is 0. Once ranked, `last` is the device it became.
+#[derive(Debug, Clone, Copy, Default)]
+struct Slot {
+    eui: u64,
+    /// The last window read.
+    last: u64,
+    /// The windows read.
+    count: u32,
+    /// The position of its first window's kept sighting in the run followed
+    /// by the tail.
+    first: u32,
+}
+
+impl Slot {
+    /// The ranking, ascending: most windows first, then by identifier.
+    fn rank_key(&self) -> u128 {
+        ((u32::MAX - self.count) as u128) << 64 | self.eui as u128
+    }
+}
+
+/// An open-addressing table of [`Slot`]s keyed by identifier, linearly
+/// probed and at most three quarters full: in a stack array until it
+/// outgrows it, then on the heap.
+struct Counts<'s> {
+    stack: &'s mut [Slot],
+    heap: Vec<Slot>,
+    len: usize,
+}
+
+impl<'s> Counts<'s> {
+    fn over(stack: &'s mut [Slot]) -> Self {
+        Counts {
+            stack,
+            heap: Vec::new(),
+            len: 0,
+        }
+    }
+
+    #[inline(always)]
+    fn slots(&mut self) -> &mut [Slot] {
+        if self.heap.is_empty() {
+            self.stack
+        } else {
+            &mut self.heap
+        }
+    }
+
+    /// `eui`'s slot, claimed with a count of 0 if it had none.
+    #[inline(always)]
+    fn slot(&mut self, eui: u64) -> &mut Slot {
+        let mut at = probe(self.slots(), eui);
+        if self.slots()[at].count == 0 {
+            if (self.len + 1) * 4 > self.slots().len() * 3 {
+                self.grow();
+                at = probe(self.slots(), eui);
+            }
+            self.len += 1;
+            self.slots()[at].eui = eui;
+        }
+        &mut self.slots()[at]
+    }
+
+    #[cold]
+    fn grow(&mut self) {
+        let slots = self.slots();
+        let mut grown = vec![Slot::default(); (slots.len() * 4).max(HEAP_SLOTS)];
+        for slot in slots.iter().filter(|slot| slot.count > 0) {
+            let at = probe(&grown, slot.eui);
+            grown[at] = *slot;
+        }
+        self.heap = grown;
+    }
+
+    fn clear(&mut self) {
+        self.slots().fill(Slot::default());
+        self.len = 0;
+    }
+}
+
+/// Where `eui` is in `slots` (a power of two long, never full), or the
+/// empty slot its probe ends at. An identifier's varying bytes are its low
+/// three and its top three: folding the halves and one multiply spreads
+/// them over the top bits, which pick the first slot.
+#[inline(always)]
+fn probe(slots: &[Slot], eui: u64) -> usize {
+    let mask = slots.len() - 1;
+    let spread = (eui ^ eui >> 32).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    let mut at = (spread >> (64 - slots.len().trailing_zeros())) as usize;
+    while slots[at].count > 0 && slots[at].eui != eui {
+        at = (at + 1) & mask;
+    }
+    at
 }
 
 /// The network bits of the /48 containing the address `bits`, as the top

@@ -241,7 +241,9 @@ impl ShardPool {
     }
 
     /// End a lease whose router has asked every worker to yield: collect the
-    /// states in shard order and take the lanes back. Every worker is waited
+    /// states in shard order into `states` (empty; the vector the lease's
+    /// starting states came in, so a release allocates none) and take the
+    /// lanes back. Every worker is waited
     /// for even after a death — surviving shards drain first — and the first
     /// dead shard is reported as [`StreamError::ShardPanicked`], with every
     /// thread of the pool joined.
@@ -249,8 +251,8 @@ impl ShardPool {
         &mut self,
         lanes: Lanes,
         observer: Option<&dyn StreamObserver>,
+        mut states: Vec<ShardInference>,
     ) -> Result<Vec<ShardInference>, StreamError> {
-        let mut states = Vec::with_capacity(self.workers.len());
         let mut panicked = None;
         for (shard, worker) in self.workers.iter().enumerate() {
             match worker.yielded.recv() {
@@ -376,6 +378,8 @@ pub struct IngestEngine<'a> {
     router: ShardRouter<'a>,
     pool: &'a mut ShardPool,
     observer: Option<&'a dyn StreamObserver>,
+    /// The emptied vector the starting states came in: the release fills it.
+    states: Vec<ShardInference>,
 }
 
 impl<'a> IngestEngine<'a> {
@@ -385,7 +389,7 @@ impl<'a> IngestEngine<'a> {
     /// one from freshly spawned workers.
     pub fn lease(pool: &'a mut ShardPool, map: ShardMap, options: IngestOptions<'a>) -> Self {
         let shards = map.shards();
-        let initial = match options.initial {
+        let mut states = match options.initial {
             Some(states) => {
                 assert_eq!(states.len(), shards, "one seeded state per shard");
                 states
@@ -393,13 +397,14 @@ impl<'a> IngestEngine<'a> {
             None => vec![ShardInference::new(); shards],
         };
         let mut router = ShardRouter::over(pool.lend(), map, options.observer);
-        for (shard, state) in initial.into_iter().enumerate() {
+        for (shard, state) in states.drain(..).enumerate() {
             router.adopt(shard, state, options.inject_panic == Some(shard));
         }
         IngestEngine {
             router,
             pool,
             observer: options.observer,
+            states,
         }
     }
 
@@ -539,7 +544,7 @@ impl<'a> IngestEngine<'a> {
     /// thread of the pool is joined before this returns.
     pub fn release(self) -> Result<Vec<ShardInference>, StreamError> {
         let (lanes, tallies) = self.router.yield_states();
-        let mut states = self.pool.collect(lanes, self.observer)?;
+        let mut states = self.pool.collect(lanes, self.observer, self.states)?;
         for (state, tally) in states.iter_mut().zip(tallies) {
             tally.fold_into(state);
         }

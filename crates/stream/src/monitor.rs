@@ -1166,11 +1166,12 @@ impl<'a, B: ProbeTransport + WorldView + ?Sized> MonitorSession<'a, B> {
     }
 
     /// Fold the carried shard states into the final [`MonitorReport`]
-    /// covering every window completed so far: the states merge (each
-    /// folding first) and the merged tracker folds its tail in place before
-    /// its report is read — the report reads no move counts, so a
-    /// one-shard session credits no events here. Infallible: failures
-    /// happen in [`MonitorSession::run_epoch`], never here.
+    /// covering every window completed so far: several states merge (each
+    /// folding first), and the tracker's report reads its run and tail as
+    /// they stand, so a one-shard session's tracker is not folded here.
+    /// The report reads no move counts, so a one-shard session credits no
+    /// events here. Infallible: failures happen in
+    /// [`MonitorSession::run_epoch`], never here.
     pub fn finish(self) -> MonitorReport {
         let windows = self.completed_windows();
         for (shard, state) in self.states.iter().enumerate() {

@@ -24,7 +24,9 @@
 //! monitor's shape, and no more than the 90 its keyed layout took in any
 //! other. A ninth holds a watch list's target stream to one request for each
 //! of its three lists, and a tenth a short tracker tail's fold to one, the
-//! run's.
+//! run's. An eleventh and a twelfth hold a tracker's report to reading its
+//! tail unfolded: a short tail's asks only for the report's own vectors,
+//! and a long tail's for less than the run a fold would make.
 //!
 //! This is an integration-test binary on purpose: a `#[global_allocator]`
 //! is process-wide, and the library forbids `unsafe` (`GlobalAlloc` needs
@@ -345,11 +347,12 @@ fn producer_edge_recycles_batch_buffers() {
 
 /// "Allocation-free" holds per epoch too. Epochs 2–4 of a 1 × 1 session
 /// whose watch list stands, on a pool the caller lends, cost the control
-/// thread a small constant (five allocations, 680 bytes, as this was
+/// thread a small constant (four allocations, 344 bytes, as this was
 /// written: the pass's one stream and its source, each in the vector `drive`
-/// takes, the vector the states come back in, and the stream's pacer — its
-/// per-shard enqueue counts and the `Arc` of the one-shard map it paces an
-/// unthrottled model over), never a channel array, a batch buffer (256 KiB:
+/// takes, and the stream's pacer — its per-shard enqueue counts and the
+/// `Arc` of the one-shard map it paces an unthrottled model over; the states
+/// come back in the vector they were lent in), never a channel array, a
+/// batch buffer (256 KiB:
 /// 4 096 observations of 64 B) or the target list (8 KB for these 512
 /// targets) — each of which the first epoch, and every epoch before the
 /// driver owned the workers, did allocate.
@@ -435,10 +438,11 @@ fn a_watch_lists_target_stream_asks_for_each_of_its_lists_once() {
 /// sweep's probes are expansion-phase, so the router tallies them and never
 /// fills a batch buffer: the epoch (which, watching nothing yet, routes
 /// nothing else) asks for no 256 KiB buffer at all, and allocates
-/// 5 960 296 B plus the vector the released shard state comes back in (one
-/// `ShardInference`: 336 B, 368 B since a shard keeps its rotating /48s,
-/// so 5 960 632 B then and 5 960 664 B now), or 144 B more in some
-/// unpinned runs — the only two values pinned and unpinned runs read. While
+/// 5 960 296 B, or 144 B more in some unpinned runs — the only two values
+/// pinned and unpinned runs read. The released shard state comes back in
+/// the vector the session lent its state in; while the release allocated
+/// a vector of its own, the epoch read one `ShardInference` more (336 B,
+/// 368 B since a shard keeps its rotating /48s). While
 /// the sweep was shipped to the worker
 /// the epoch allocated 6.2–8.6 MB: one buffer each time the router ran
 /// ahead of its worker, 1–10 of the 18 a one-shard pool is sized for. The
@@ -450,7 +454,7 @@ fn a_watch_lists_target_stream_asks_for_each_of_its_lists_once() {
 #[test]
 fn a_discovery_boundary_never_materialises_its_sweep() {
     const ROUND: u64 = 131_072;
-    const EPOCH_BYTES: u64 = 5_960_296 + std::mem::size_of::<ShardInference>() as u64;
+    const EPOCH_BYTES: u64 = 5_960_296;
 
     let engine = scent_simnet::Engine::build(scent_simnet::scenarios::churn_world(7)).unwrap();
     let config = MonitorConfig {
@@ -578,23 +582,22 @@ fn a_tracker_folds_new_identifiers_without_allocating_per_identifier() {
     );
 }
 
-/// A short tail folds with one request, the run's exact size: a
-/// `tenants_64` session's tracker (268 identifiers sighted once in each of
-/// 4 windows, 1 072 sightings) is ordered by keys in a stack array and
-/// gathered straight into the run, so the fold asks for the run's 1 072 ×
-/// 32 B and nothing else — a heap vector of keys would be a second request
-/// every session.
-#[test]
-fn a_short_tail_folds_with_one_request_for_the_run() {
-    const IDENTIFIERS: u64 = 268;
+/// An unfolded monitor tracker: `identifiers` identifiers under
+/// `2001:16b8::/32`, each sighted once in each of 4 windows, in a permuted
+/// order, at a /64 that moves every window — bar one sighting in 180 when
+/// `gaps`. Returns the tracker and its sightings.
+fn monitor_tracker(identifiers: u64, gaps: bool) -> (scent_core::IncrementalTracker, u64) {
     const WINDOWS: u64 = 4;
 
     let mut tracker = scent_core::IncrementalTracker::new();
     let mut seq = 0;
     for window in 0..WINDOWS {
-        for step in 0..IDENTIFIERS {
-            // 97 is prime to the identifier count: a permutation.
-            let i = (step * 97 + window * 31) % IDENTIFIERS;
+        for step in 0..identifiers {
+            // 97 is prime to both identifier counts: a permutation.
+            let i = (step * 97 + window * 31) % identifiers;
+            if gaps && (i + window * 7) % 180 == 0 {
+                continue;
+            }
             let mac = MacAddr::new([0xc8, 0x0e, 0x14, (i * 37) as u8, (i >> 8) as u8, i as u8]);
             let prefix64 = 0x2001_16b8_0000_0000 + (i << 8) + window;
             let source = Eui64::from_mac(mac).with_prefix64(prefix64);
@@ -603,17 +606,91 @@ fn a_short_tail_folds_with_one_request_for_the_run() {
             seq += 1;
         }
     }
+    (tracker, seq)
+}
+
+/// The bytes of `sightings` folded into a run.
+fn run_bytes(sightings: u64) -> u64 {
+    sightings * std::mem::size_of::<scent_core::tracker::LoggedSighting>() as u64
+}
+
+/// A short tail folds with one request, the run's exact size: a
+/// `tenants_64` session's tracker (268 identifiers sighted once in each of
+/// 4 windows, 1 072 sightings) is ordered by keys in a stack array and
+/// gathered straight into the run, so the fold asks for the run's 1 072 ×
+/// 32 B and nothing else — a heap vector of keys would be a second request
+/// every session.
+#[test]
+fn a_short_tail_folds_with_one_request_for_the_run() {
+    let (mut tracker, sightings) = monitor_tracker(268, false);
     let before = (thread_allocations(), thread_bytes());
     tracker.fold();
     let asked = (thread_allocations() - before.0, thread_bytes() - before.1);
-    let run =
-        IDENTIFIERS * WINDOWS * std::mem::size_of::<scent_core::tracker::LoggedSighting>() as u64;
+    let run = run_bytes(sightings);
     assert_eq!(
         asked,
         (1, run),
         "the fold asked {asked:?}; the run is {run} B"
     );
-    assert_eq!(tracker.identifiers_seen(), IDENTIFIERS as usize);
+    assert_eq!(tracker.identifiers_seen(), 268);
+}
+
+/// The world a tracker's report routes in: the tracker's /32, announced.
+fn tracker_world() -> (Rib, scent_bgp::AsRegistry) {
+    let mut rib = Rib::new();
+    rib.announce("2001:16b8::/32".parse().unwrap(), Asn(8881));
+    let mut registry = scent_bgp::AsRegistry::new();
+    registry.register(8881, "Versatel", "DE");
+    (rib, registry)
+}
+
+/// A `tenants_64` session's finish reads its tracker's tail where it
+/// lies: the count of the 268 identifiers' windows sits in a stack table,
+/// so the report of its 8 devices asks for the report's own vectors — the
+/// devices and each one's days — and never for the 34 304 B run the
+/// finish folded into before.
+#[test]
+fn a_short_tails_report_asks_only_for_its_own_vectors() {
+    let (mut tracker, sightings) = monitor_tracker(268, false);
+    let (rib, registry) = tracker_world();
+    let before = (thread_allocations(), thread_bytes());
+    let report = tracker.finish(&rib, &registry, 4, 8);
+    let asked = (thread_allocations() - before.0, thread_bytes() - before.1);
+    assert_eq!(report.devices.len(), 8);
+    let own = report.devices.capacity()
+        * std::mem::size_of::<scent_core::tracker::DeviceTrackingResult>()
+        + (report.devices.iter())
+            .map(|device| device.daily.capacity())
+            .sum::<usize>()
+            * std::mem::size_of::<scent_core::tracker::DailyResult>();
+    assert_eq!(
+        asked,
+        (1 + report.devices.len() as u64, own as u64),
+        "the finish asked {asked:?}; the run is {} B",
+        run_bytes(sightings)
+    );
+    assert!(tracker.sightings().is_none(), "the finish folded nothing");
+}
+
+/// A `steady_watch` run's finish (6 672 identifiers, 26 540 sightings; 26 539
+/// here) counts its identifiers in a table that outgrows the stack, and
+/// asks for fewer bytes in all than the 849 248 B run the finish folded
+/// into before.
+#[test]
+fn a_long_tails_report_asks_for_less_than_its_run() {
+    let (mut tracker, sightings) = monitor_tracker(6_672, true);
+    assert_eq!(sightings, 26_539);
+    let (rib, registry) = tracker_world();
+    let before = thread_bytes();
+    let report = tracker.finish(&rib, &registry, 4, 8);
+    let asked = thread_bytes() - before;
+    assert_eq!(report.devices.len(), 8);
+    let run = run_bytes(sightings);
+    assert!(
+        asked < run,
+        "the finish asked {asked} B; the run is {run} B"
+    );
+    assert!(tracker.sightings().is_none(), "the finish folded nothing");
 }
 
 /// One monitor window over `watched` /48s of `2a02:27b0::/32`: one target

@@ -13,6 +13,16 @@
 //! fold a tail of several chunks into a non-empty run, tails at the edges
 //! of the key-sorted and radix-sorted folds and at the floor where a tail
 //! folds itself, and a run folded after every window.
+//!
+//! `finish` reads a tail whose windows ascend per identifier without
+//! folding it, so a second property feeds ordered windows — with a fold
+//! somewhere among them, which may split a window between run and tail —
+//! and checks the report unfolded. Pinned cases for that read: unroutable
+//! identifiers outranking every cap, a window split between run and tail
+//! with an equal and a lower `seq`, a tail whose windows go backwards
+//! (folded first) beside an ordered one, and counts at the edges where
+//! the count table leaves the stack and grows on the heap. Each is checked
+//! at caps 0, 1, 8 and `usize::MAX`.
 
 use std::collections::BTreeMap;
 use std::net::Ipv6Addr;
@@ -559,4 +569,174 @@ fn unordered_sightings_are_refused() {
         decode_value::<IncrementalTracker>(w.as_bytes()).err(),
         Some(CheckpointError::InvalidValue("sightings out of order"))
     );
+}
+
+/// The device caps every read of an unfolded tail is checked at.
+const CAPS: [usize; 4] = [0, 1, 8, usize::MAX];
+
+/// `new`'s report at every cap is the reference's, and reading it folds
+/// `new` exactly when `folds`.
+fn assert_reports_equal(
+    new: &mut IncrementalTracker,
+    reference: &ReferenceTracker,
+    windows: u64,
+    folds: bool,
+    at: &str,
+) {
+    let (rib, registry) = world();
+    let unfolded = new.sightings().is_none();
+    for max_devices in CAPS {
+        assert_eq!(
+            new.finish(&rib, &registry, windows, max_devices),
+            reference.finish(&rib, &registry, windows, max_devices),
+            "{at}, max_devices {max_devices}"
+        );
+        assert_eq!(
+            new.sightings().is_none(),
+            unfolded && !folds,
+            "{at}: the read folded"
+        );
+    }
+}
+
+proptest! {
+    #[test]
+    fn ordered_tails_are_reported_unfolded(
+        ops in proptest::collection::vec(any::<u64>(), 1..300),
+        fold_at in any::<u64>(),
+    ) {
+        let mut new = IncrementalTracker::new();
+        let mut reference = ReferenceTracker::default();
+        let fold_at = fold_at as usize % (ops.len() + 1);
+        for (step, bits) in ops.iter().enumerate() {
+            if step == fold_at {
+                new.fold();
+            }
+            let window = step as u64 * WINDOWS / ops.len() as u64;
+            let target = Ipv6Addr::from(
+                ((PREFIX64S[(bits >> 24) as usize % PREFIX64S.len()] as u128) << 64) | 1,
+            );
+            let source = source(bits >> 32);
+            new.observe(window, (bits >> 16) % 4, target, source);
+            reference.observe(window, (bits >> 16) % 4, target, source);
+        }
+        assert_reports_equal(&mut new, &reference, WINDOWS + 1, false, "ordered");
+    }
+}
+
+/// Identifier `index` of up to 2^24 distinct ones: unlike [`identifier`],
+/// past the 256 a count table's edges need.
+fn wide_identifier(index: u64) -> Eui64 {
+    let [.., a, b, c] = index.to_be_bytes();
+    Eui64::from_mac(MacAddr::new([0x38, 0x10, 0xd5, a, b, c]))
+}
+
+/// Unroutable identifiers, each sighted in more windows than any routable
+/// one and more of them than any fixed cap, are passed over: the cap
+/// yields the best routable devices.
+#[test]
+fn unroutable_identifiers_outranking_every_cap_are_passed_over() {
+    let unroutable = PREFIX64S[5];
+    let mut new = IncrementalTracker::new();
+    let mut reference = ReferenceTracker::default();
+    let target: Ipv6Addr = "2001:db8:1::1".parse().unwrap();
+    for window in 0..WINDOWS {
+        for i in 0..24u64 {
+            // 12 unroutable identifiers in all 7 windows; routable one `i`
+            // in the first `i % 6 + 1`.
+            let prefix64 = match i {
+                0..12 => unroutable,
+                _ if window <= i % 6 => PREFIX64S[i as usize % 5],
+                _ => continue,
+            };
+            let source = identifier(i).with_prefix64(prefix64);
+            new.observe(window, i, target, Some(source));
+            reference.observe(window, i, target, Some(source));
+        }
+    }
+    assert_reports_equal(&mut new, &reference, WINDOWS, false, "unroutable");
+    let (rib, registry) = world();
+    let report = new.finish(&rib, &registry, WINDOWS, 8);
+    assert_eq!(report.devices.len(), 8);
+    assert!(report
+        .devices
+        .iter()
+        .all(|d| rib.origin(d.device.first_observed).is_some()));
+}
+
+/// A tail that folded itself at the floor mid-window: the run holds each
+/// identifier's earliest sighting of window 3 so far, and the tail sights
+/// them again in window 3 — at a lower `seq` (kept), an equal one (the
+/// run's kept) and a higher one (dropped) — before window 4.
+#[test]
+fn a_window_split_between_run_and_tail_keeps_its_earliest_sighting() {
+    let mut new = IncrementalTracker::new();
+    let mut reference = ReferenceTracker::default();
+    let target: Ipv6Addr = "2001:db8:1::1".parse().unwrap();
+    let mut observe = |new: &mut IncrementalTracker, window: u64, seq: u64, source: Ipv6Addr| {
+        new.observe(window, seq, target, Some(source));
+        reference.observe(window, seq, target, Some(source));
+    };
+    for i in 0..FOLD_FLOOR as u64 {
+        let source = identifier(i % 211).with_prefix64(PREFIX64S[i as usize % 5]);
+        observe(&mut new, i * 4 / FOLD_FLOOR as u64, 100 + i % 7, source);
+    }
+    assert!(new.sightings().is_some(), "the floor folded the tail");
+    for (window, i) in (0..211u64).map(|i| (3, i)).chain((0..211).map(|i| (4, i))) {
+        let source = identifier(i).with_prefix64(PREFIX64S[(i as usize + 1) % 5]);
+        observe(&mut new, window, [99, 100, 101][i as usize % 3], source);
+    }
+    assert_reports_equal(&mut new, &reference, WINDOWS, false, "split window");
+}
+
+/// One identifier's late sighting in an earlier window makes a tail the
+/// read cannot count: that tracker's finish folds first, and the report
+/// is still the reference's. The same tail without it is read unfolded.
+#[test]
+fn a_tail_whose_windows_go_backwards_is_folded_first() {
+    let target: Ipv6Addr = "2001:db8:1::1".parse().unwrap();
+    for late in [false, true] {
+        let mut new = IncrementalTracker::new();
+        let mut reference = ReferenceTracker::default();
+        for window in 0..WINDOWS {
+            for i in 0..40u64 {
+                let source = identifier(i).with_prefix64(PREFIX64S[(i + window) as usize % 5]);
+                new.observe(window, i, target, Some(source));
+                reference.observe(window, i, target, Some(source));
+            }
+        }
+        if late {
+            let source = identifier(7).with_prefix64(PREFIX64S[4]);
+            new.observe(2, 0, target, Some(source));
+            reference.observe(2, 0, target, Some(source));
+        }
+        assert_reports_equal(&mut new, &reference, WINDOWS, late, "late {late}");
+    }
+}
+
+/// The count table holds 768 identifiers on the stack, 12 288 in the heap
+/// table it moves to past them, and grows four times over past those:
+/// tails of identifiers either side of both edges, each sighted in a few
+/// windows, read as the reference.
+#[test]
+fn tails_at_the_count_tables_edges_read_as_the_reference() {
+    let target: Ipv6Addr = "2001:db8:1::1".parse().unwrap();
+    for identifiers in [768, 769, 12_288, 12_289] {
+        let mut new = IncrementalTracker::new();
+        let mut reference = ReferenceTracker::default();
+        let mut seq = 0;
+        for window in 0..3u64 {
+            for i in 0..identifiers {
+                if (i + window) % 5 == 0 {
+                    continue;
+                }
+                let source = wide_identifier(i).with_prefix64(PREFIX64S[i as usize % 6]);
+                new.observe(window, seq, target, Some(source));
+                reference.observe(window, seq, target, Some(source));
+                seq += 1;
+            }
+        }
+        let at = format!("{identifiers} identifiers");
+        assert_reports_equal(&mut new, &reference, 3, false, &at);
+    }
 }
