@@ -977,14 +977,13 @@ impl IncrementalTracker {
         if max == 0 {
             return 0;
         }
-        // The bar as (count, identifier); the first turns away empty slots
-        // only. A table is about half empty in no order, so the test is
-        // branch-free: a branch for emptiness mispredicted every other slot.
-        let (mut admitted, mut bar) = (0, (0, 0));
+        // The first bar, an empty slot's key, turns away empty slots only.
+        // A table is about half empty in no order, so one compare serves
+        // both: a branch for emptiness mispredicted every other slot.
+        let (mut admitted, mut bar) = (0, Slot::default().rank_key());
         for at in 0..slots.len() {
             let slot = slots[at];
-            let beats = (slot.count > bar.0) | (slot.count == bar.0) & (slot.eui < bar.1);
-            if !beats || rib.origin(self.entry(slot.first).address()).is_none() {
+            if slot.rank_key() >= bar || rib.origin(self.entry(slot.first).address()).is_none() {
                 continue;
             }
             slots[admitted] = slot;
@@ -992,7 +991,7 @@ impl IncrementalTracker {
             if admitted == max.saturating_mul(2) {
                 slots[..admitted].select_nth_unstable_by_key(max - 1, Slot::rank_key);
                 admitted = max;
-                bar = (slots[max - 1].count, slots[max - 1].eui);
+                bar = slots[max - 1].rank_key();
             }
         }
         slots[..admitted].sort_unstable_by_key(Slot::rank_key);

@@ -243,10 +243,10 @@ impl ShardPool {
     /// End a lease whose router has asked every worker to yield: collect the
     /// states in shard order into `states` (empty; the vector the lease's
     /// starting states came in, so a release allocates none) and take the
-    /// lanes back. Every worker is waited
-    /// for even after a death — surviving shards drain first — and the first
-    /// dead shard is reported as [`StreamError::ShardPanicked`], with every
-    /// thread of the pool joined.
+    /// lanes back. Every worker is waited for even after a death —
+    /// surviving shards drain first — and the first dead shard is reported
+    /// as [`StreamError::ShardPanicked`], with every thread of the pool
+    /// joined.
     fn collect(
         &mut self,
         lanes: Lanes,

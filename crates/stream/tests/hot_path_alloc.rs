@@ -352,10 +352,9 @@ fn producer_edge_recycles_batch_buffers() {
 /// takes, and the stream's pacer — its per-shard enqueue counts and the
 /// `Arc` of the one-shard map it paces an unthrottled model over; the states
 /// come back in the vector they were lent in), never a channel array, a
-/// batch buffer (256 KiB:
-/// 4 096 observations of 64 B) or the target list (8 KB for these 512
-/// targets) — each of which the first epoch, and every epoch before the
-/// driver owned the workers, did allocate.
+/// batch buffer (256 KiB: 4 096 observations of 64 B) or the target list
+/// (8 KB for these 512 targets) — each of which the first epoch, and every
+/// epoch before the driver owned the workers, did allocate.
 #[test]
 fn an_epoch_on_a_lent_pool_allocates_a_small_constant() {
     let engine = scent_simnet::Engine::build(scent_simnet::scenarios::continuous_world(7)).unwrap();
@@ -442,11 +441,11 @@ fn a_watch_lists_target_stream_asks_for_each_of_its_lists_once() {
 /// pinned and unpinned runs read. The released shard state comes back in
 /// the vector the session lent its state in; while the release allocated
 /// a vector of its own, the epoch read one `ShardInference` more (336 B,
-/// 368 B since a shard keeps its rotating /48s). While
-/// the sweep was shipped to the worker
-/// the epoch allocated 6.2–8.6 MB: one buffer each time the router ran
-/// ahead of its worker, 1–10 of the 18 a one-shard pool is sized for. The
-/// outcome bits are one buffer the session refills, not one a round. Grown
+/// 368 B since a shard keeps its rotating /48s). While the sweep was
+/// shipped to the worker the epoch allocated 6.2–8.6 MB: one buffer each
+/// time the router ran ahead of its worker, 1–10 of the 18 a one-shard
+/// pool is sized for. The outcome bits are one buffer the session refills,
+/// not one a round. Grown
 /// by doubling, the plan asked for 1 MiB more a round and took the epoch to
 /// 10.8–11.9 MB; before the sweep was streamed it allocated 44 520 088 B —
 /// per round a 2 MiB target copy, a 1 MiB order and a 6 MiB `Scan` beside

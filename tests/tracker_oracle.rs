@@ -710,7 +710,8 @@ fn a_tail_whose_windows_go_backwards_is_folded_first() {
             new.observe(2, 0, target, Some(source));
             reference.observe(2, 0, target, Some(source));
         }
-        assert_reports_equal(&mut new, &reference, WINDOWS, late, "late {late}");
+        let at = format!("late sighting {late}");
+        assert_reports_equal(&mut new, &reference, WINDOWS, late, &at);
     }
 }
 
