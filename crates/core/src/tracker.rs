@@ -639,8 +639,8 @@ impl IncrementalTracker {
     ///
     /// The tail is first copied into the run's spare capacity grouped by
     /// identifier, ascending, each identifier's sightings in arrival order.
-    /// A tail of up to [`KEY_FOLD`] sightings gets there by one sort of
-    /// packed `u64` keys ([`fold_key`]) in a stack array and one gather; a
+    /// A tail of up to `KEY_FOLD` sightings gets there by one sort of
+    /// packed `u64` keys (`fold_key`) in a stack array and one gather; a
     /// longer one by a stable LSD radix sort, one pass per non-marker byte
     /// of the interface ID, least significant first (a pass is skipped when
     /// every pending sighting has the same byte there), the passes

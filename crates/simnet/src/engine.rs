@@ -18,7 +18,7 @@ use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 
 use scent_bgp::{AsRegistry, Asn, PrefixTable, Rib};
-use scent_ipv6::{addr_to_u128, Eui64, Ipv6Prefix};
+use scent_ipv6::{addr_from_u128, addr_to_u128, Eui64, Ipv6Prefix};
 
 use crate::config::{ProviderConfig, RotationPolicy, WorldConfig};
 use crate::det::{coin, hash2, hash3, mod_inverse_pow2};
@@ -245,39 +245,36 @@ impl Engine {
     /// Ground truth: the prefix currently delegated to a CPE, or `None` if
     /// the device is offline at `t`.
     pub fn current_delegation(&self, id: CpeId, t: SimTime) -> Option<Ipv6Prefix> {
-        let (pool, cpe) = self.cpe(id)?;
-        if !cpe.active_on(t.day()) {
-            return None;
-        }
-        let rotations = rotations_at(&pool.config.rotation, cpe.jitter_secs as u64, t.as_secs());
-        let slot = slot_at(
-            &pool.config.rotation,
-            pool.pool_seed,
-            cpe.initial_slot,
-            pool.config.num_slots(),
-            rotations,
-        );
-        pool.config
-            .prefix
-            .nth_subnet(pool.config.allocation_len, slot as u128)
-            .ok()
+        let (pool, _, slot, _) = self.current_slot(id, t)?;
+        Ipv6Prefix::from_bits(pool.delegation_bits(slot), pool.config.allocation_len).ok()
     }
 
     /// Ground truth: the CPE's WAN address at `t`, or `None` if offline.
     pub fn current_wan_address(&self, id: CpeId, t: SimTime) -> Option<Ipv6Addr> {
+        let (pool, cpe, slot, rotations) = self.current_slot(id, t)?;
+        Some(wan_address(pool, cpe, slot, rotations))
+    }
+
+    /// The CPE with its pool, the slot it holds at `t` and the rotations it
+    /// has seen by then, or `None` if it is offline.
+    fn current_slot(
+        &self,
+        id: CpeId,
+        t: SimTime,
+    ) -> Option<(&PoolPopulation, &CpeRecord, u64, u64)> {
         let (pool, cpe) = self.cpe(id)?;
         if !cpe.active_on(t.day()) {
             return None;
         }
-        let rotations = rotations_at(&pool.config.rotation, cpe.jitter_secs as u64, t.as_secs());
+        let rotations = rotations_at(pool.schedule(), cpe.jitter_secs as u64, t.as_secs());
         let slot = slot_at(
             &pool.config.rotation,
             pool.pool_seed,
             cpe.initial_slot,
-            pool.config.num_slots(),
+            pool.slot_mask(),
             rotations,
         );
-        Some(wan_address(pool, cpe, slot, rotations))
+        Some((pool, cpe, slot, rotations))
     }
 
     /// Send one probe: an ICMPv6 Echo Request to `target` at time `t`.
@@ -287,34 +284,32 @@ impl Engine {
     /// CPE — exactly the silent outcomes an Internet scanner observes.
     pub fn probe(&self, target: Ipv6Addr, t: SimTime) -> Option<ProbeReply> {
         let (pool_gidx, pop) = self.pool_of(target)?;
-        let provider = &self.config.providers[pop.provider_idx];
-
+        // The pool index answers only with a pool containing the target.
+        debug_assert!(pop.config.prefix.contains(target));
         let target_bits = addr_to_u128(target);
-        let alloc = Ipv6Prefix::from_bits(target_bits, pop.config.allocation_len)
-            .expect("allocation length validated at build time");
-        let slot = pop.config.prefix.subnet_index(&alloc)? as u64;
-        let n_slots = pop.config.num_slots();
+        let slot = pop.slot_of(target_bits);
+        let mask = pop.slot_mask();
         let policy = &pop.config.rotation;
 
         // Candidate rotation counts: devices that have already rotated in
         // this period versus devices still waiting out their jitter — both,
         // and the hit's own count, from one quotient.
-        let phase = rotation_phase(policy, t.as_secs());
+        let phase = rotation_phase(pop.schedule(), t.as_secs());
         let max_jitter = phase.map_or(0, |(_, _, max_jitter)| max_jitter);
         let (r_lo, r_hi) = (rotations_in(phase, max_jitter), rotations_in(phase, 0));
         let day = t.day();
 
         let mut hit: Option<(usize, &CpeRecord, u64)> = None;
         for r in candidate_rotations(r_lo, r_hi) {
-            let initial = inverse_slot(policy, pop.pool_seed, slot, n_slots, r);
+            let initial = inverse_slot(policy, pop.pool_seed, slot, mask, r);
             if let Some((idx, cpe)) = pop.by_initial_slot(initial) {
                 let jitter = cpe.jitter_secs as u64;
                 let r_cpe = rotations_in(phase, jitter);
-                debug_assert_eq!(r_cpe, rotations_at(policy, jitter, t.as_secs()));
+                debug_assert_eq!(r_cpe, rotations_at(pop.schedule(), jitter, t.as_secs()));
                 // At the count that was inverted the device holds `slot` by
                 // construction; only another count needs the forward map.
                 let holds = r_cpe == r
-                    || slot_at(policy, pop.pool_seed, cpe.initial_slot, n_slots, r_cpe) == slot;
+                    || slot_at(policy, pop.pool_seed, cpe.initial_slot, mask, r_cpe) == slot;
                 if holds && cpe.active_on(day) {
                     hit = Some((idx, cpe, r_cpe));
                     break;
@@ -334,7 +329,7 @@ impl Engine {
                 (target_bits >> 64) as u64 ^ t.as_secs(),
                 0x6c6f_7373, // "loss"
             ),
-            provider.loss,
+            pop.loss(),
         ) {
             return None;
         }
@@ -351,7 +346,7 @@ impl Engine {
         Some(ProbeReply {
             source,
             kind,
-            asn: provider.asn,
+            asn: pop.asn(),
             cpe: CpeId {
                 pool: pool_gidx as u32,
                 index: cpe_idx as u32,
@@ -457,9 +452,10 @@ impl Engine {
 }
 
 /// The number of rotation events a device with the given jitter has
-/// experienced by `t_secs`.
-fn rotations_at(policy: &RotationPolicy, jitter_secs: u64, t_secs: u64) -> u64 {
-    let Some((period, hour, _)) = policy.schedule_secs() else {
+/// experienced by `t_secs`, on a pool's schedule
+/// ([`PoolPopulation::schedule`]).
+fn rotations_at(schedule: Option<(u64, u64, u64)>, jitter_secs: u64, t_secs: u64) -> u64 {
+    let Some((period, hour, _)) = schedule else {
         return 0;
     };
     match t_secs.checked_sub(hour + jitter_secs) {
@@ -468,12 +464,13 @@ fn rotations_at(policy: &RotationPolicy, jitter_secs: u64, t_secs: u64) -> u64 {
     }
 }
 
-/// Where `t_secs` falls in a pool's rotation schedule: `(whole periods
-/// since the first rotation hour, seconds into the current period, the
-/// pool's jitter bound)`, or `None` before that hour and for a static pool,
-/// when every device has seen no rotation.
-fn rotation_phase(policy: &RotationPolicy, t_secs: u64) -> Option<(u64, u64, u64)> {
-    let (period, hour, max_jitter) = policy.schedule_secs()?;
+/// Where `t_secs` falls in a pool's rotation schedule
+/// ([`PoolPopulation::schedule`]): `(whole periods since the first
+/// rotation hour, seconds into the current period, the pool's jitter
+/// bound)`, or `None` before that hour and for a static pool, when every
+/// device has seen no rotation.
+fn rotation_phase(schedule: Option<(u64, u64, u64)>, t_secs: u64) -> Option<(u64, u64, u64)> {
+    let (period, hour, max_jitter) = schedule?;
     let since = t_secs.checked_sub(hour)?;
     Some((since / period, since % period, max_jitter))
 }
@@ -495,15 +492,15 @@ fn candidate_rotations(lo: u64, hi: u64) -> impl Iterator<Item = u64> {
     std::iter::once(hi).chain(second)
 }
 
-/// The slot a device occupies after `rotations` rotation events.
+/// The slot a device occupies after `rotations` rotation events, in a pool
+/// of `mask + 1` slots.
 fn slot_at(
     policy: &RotationPolicy,
     pool_seed: u64,
     initial_slot: u64,
-    n_slots: u64,
+    mask: u64,
     rotations: u64,
 ) -> u64 {
-    let mask = n_slots - 1;
     match policy {
         RotationPolicy::Static => initial_slot,
         RotationPolicy::DailyIncrement { step_slots, .. } => {
@@ -526,10 +523,9 @@ fn inverse_slot(
     policy: &RotationPolicy,
     pool_seed: u64,
     slot: u64,
-    n_slots: u64,
+    mask: u64,
     rotations: u64,
 ) -> u64 {
-    let mask = n_slots - 1;
     match policy {
         RotationPolicy::Static => slot,
         RotationPolicy::DailyIncrement { step_slots, .. } => {
@@ -556,19 +552,14 @@ fn random_round_params(pool_seed: u64, rotations: u64) -> (u64, u64) {
 
 /// The CPE's WAN address for a given slot and rotation round.
 fn wan_address(pool: &PoolPopulation, cpe: &CpeRecord, slot: u64, rotations: u64) -> Ipv6Addr {
-    let delegated = pool
-        .config
-        .prefix
-        .nth_subnet(pool.config.allocation_len, slot as u128)
-        .expect("slot bounded by pool size");
     // The WAN/periphery interface sits in the first /64 of the delegation.
-    let wan64 = Ipv6Prefix::from_bits(delegated.network_bits(), 64).expect("64 is valid");
+    let wan64 = pool.delegation_bits(slot) >> 64 << 64;
     let iid = if cpe.eui64 {
         Eui64::from_mac(cpe.mac).as_u64()
     } else {
         privacy_iid(pool.pool_seed, cpe, rotations)
     };
-    wan64.addr_with_host_bits(iid as u128)
+    addr_from_u128(wan64 | u128::from(iid))
 }
 
 /// An RFC 4941-style pseudo-random IID, regenerated at every rotation. The
@@ -609,6 +600,7 @@ mod tests {
     use super::*;
     use crate::config::{PlantedCpe, RotationPoolConfig, SlotLayout, WorldConfig};
     use crate::time::SimDuration;
+    use proptest::prelude::*;
     use scent_ipv6::MacAddr;
 
     fn p(s: &str) -> Ipv6Prefix {
@@ -989,10 +981,11 @@ mod tests {
         for &seed in &seeds {
             for policy in &policies {
                 for n_slots in [256u64, 1 << 18] {
+                    let mask = n_slots - 1;
                     for rotations in [0u64, 1, 5, 365] {
                         for slot in [0u64, 1, 100, n_slots - 1] {
-                            let forward = slot_at(policy, seed, slot, n_slots, rotations);
-                            let back = inverse_slot(policy, seed, forward, n_slots, rotations);
+                            let forward = slot_at(policy, seed, slot, mask, rotations);
+                            let back = inverse_slot(policy, seed, forward, mask, rotations);
                             assert_eq!(back, slot, "policy={policy:?} rot={rotations}");
                         }
                     }
@@ -1010,24 +1003,41 @@ mod tests {
             jitter_hours: 3,
         };
         // Before 03:00 on day 0: no rotations yet.
-        assert_eq!(rotations_at(&policy, 0, SimTime::at(0, 2).as_secs()), 0);
+        assert_eq!(
+            rotations_at(policy.schedule_secs(), 0, SimTime::at(0, 2).as_secs()),
+            0
+        );
         // After 03:00 on day 0: one rotation.
-        assert_eq!(rotations_at(&policy, 0, SimTime::at(0, 4).as_secs()), 1);
+        assert_eq!(
+            rotations_at(policy.schedule_secs(), 0, SimTime::at(0, 4).as_secs()),
+            1
+        );
         // Device with 2h jitter rotates at 05:00.
         assert_eq!(
-            rotations_at(&policy, 2 * 3600, SimTime::at(0, 4).as_secs()),
+            rotations_at(
+                policy.schedule_secs(),
+                2 * 3600,
+                SimTime::at(0, 4).as_secs()
+            ),
             0
         );
         assert_eq!(
-            rotations_at(&policy, 2 * 3600, SimTime::at(0, 6).as_secs()),
+            rotations_at(
+                policy.schedule_secs(),
+                2 * 3600,
+                SimTime::at(0, 6).as_secs()
+            ),
             1
         );
         // Ten days later, 11 rotation events have occurred (day 0..10).
-        assert_eq!(rotations_at(&policy, 0, SimTime::at(10, 4).as_secs()), 11);
+        assert_eq!(
+            rotations_at(policy.schedule_secs(), 0, SimTime::at(10, 4).as_secs()),
+            11
+        );
         // The probe's bounds — the counts at the jitter bound and at no
         // jitter — bracket the jitter window.
         let bounds = |t: SimTime| {
-            let phase = rotation_phase(&policy, t.as_secs());
+            let phase = rotation_phase(policy.schedule_secs(), t.as_secs());
             (rotations_in(phase, 3 * 3600), rotations_in(phase, 0))
         };
         assert_eq!(bounds(SimTime::at(0, 4)), (0, 1));
@@ -1066,10 +1076,10 @@ mod tests {
                             rotation + jitter + 1,
                         ];
                         for t in instants {
-                            let phase = rotation_phase(policy, t);
+                            let phase = rotation_phase(policy.schedule_secs(), t);
                             assert_eq!(
                                 rotations_in(phase, jitter),
-                                rotations_at(policy, jitter, t),
+                                rotations_at(policy.schedule_secs(), jitter, t),
                                 "{policy:?} jitter {jitter} t {t}"
                             );
                         }
@@ -1078,7 +1088,153 @@ mod tests {
             }
         }
         // A static pool never rotates.
-        assert_eq!(rotation_phase(&RotationPolicy::Static, 1 << 40), None);
+        assert_eq!(
+            rotation_phase(RotationPolicy::Static.schedule_secs(), 1 << 40),
+            None
+        );
+    }
+
+    /// A provider of pools longer than /48, so their /48 is a split key
+    /// of the pool index: two /50s and a /49 of one /48, each rotating
+    /// its own way.
+    fn split_world() -> WorldConfig {
+        let pool = |prefix: &str, allocation_len, rotation| RotationPoolConfig {
+            prefix: p(prefix),
+            allocation_len,
+            occupancy: 0.6,
+            layout: SlotLayout::Spread,
+            rotation,
+        };
+        let provider = ProviderConfig::new(
+            4713u32,
+            "Starcat",
+            "JP",
+            vec![p("2400:d800::/32")],
+            vec![
+                pool("2400:d800:1::/50", 60, RotationPolicy::Static),
+                pool(
+                    "2400:d800:1:4000::/50",
+                    64,
+                    RotationPolicy::PeriodicRandom {
+                        period_days: 2,
+                        hour: 5,
+                        jitter_hours: 7,
+                    },
+                ),
+                pool(
+                    "2400:d800:1:8000::/49",
+                    58,
+                    RotationPolicy::DailyIncrement {
+                        step_slots: 3,
+                        period_days: 1,
+                        hour: 1,
+                        jitter_hours: 5,
+                    },
+                ),
+            ],
+        );
+        WorldConfig::new(vec![provider], 11)
+    }
+
+    /// A pool shorter than /40, which the pool index keeps in its wide
+    /// table: a sparse /36 of /56s, too sparse for a slot bitmap.
+    fn wide_world() -> WorldConfig {
+        let provider = ProviderConfig::new(
+            6568u32,
+            "Entel Bolivia",
+            "BO",
+            vec![p("2803:9800::/24")],
+            vec![RotationPoolConfig {
+                prefix: p("2803:9810::/36"),
+                allocation_len: 56,
+                occupancy: 0.004,
+                layout: SlotLayout::Spread,
+                rotation: RotationPolicy::DailyIncrement {
+                    step_slots: 4097,
+                    period_days: 1,
+                    hour: 2,
+                    jitter_hours: 6,
+                },
+            }],
+        );
+        WorldConfig::new(vec![provider], 13)
+    }
+
+    /// Every pool shape the oracle covers, built once a test process.
+    fn oracle_engines() -> &'static [Engine] {
+        static ENGINES: std::sync::OnceLock<Vec<Engine>> = std::sync::OnceLock::new();
+        ENGINES.get_or_init(|| {
+            use crate::scenarios::{
+                churn_world, continuous_world, entel_like, paper_world, versatel_like,
+            };
+            let worlds = [
+                paper_world(5, crate::WorldScale::small()),
+                churn_world(5),
+                continuous_world(5),
+                entel_like(5),
+                versatel_like(5),
+                split_world(),
+                wide_world(),
+            ];
+            worlds.map(|world| Engine::build(world).unwrap()).into()
+        })
+    }
+
+    // The pool's precomputed slot, delegation, schedule and provider
+    // constants against the `Ipv6Prefix` arithmetic and the configuration
+    // they replace, and every reply against the ground truth, over every
+    // pool shape: a target anywhere in a drawn pool, and one inside a drawn
+    // device's current delegation.
+    proptest! {
+        #[test]
+        fn precomputed_geometry_equals_the_prefix_arithmetic(
+            picks in collection::vec(any::<u64>(), 1..8),
+            host in any::<u128>(),
+            secs in 0u64..40 * 86_400,
+        ) {
+            let t = SimTime::from_secs(secs);
+            let mut hits = 0;
+            for engine in oracle_engines() {
+                for (k, &pick) in picks.iter().enumerate() {
+                    let pool_idx = pick as usize % engine.pools().len();
+                    let pool = &engine.pools()[pool_idx];
+                    let (prefix, len) = (pool.config.prefix, pool.config.allocation_len);
+                    let provider = &engine.config().providers[pool.provider_idx];
+                    prop_assert_eq!(pool.schedule(), pool.config.rotation.schedule_secs());
+                    prop_assert_eq!((pool.loss(), pool.asn()), (provider.loss, provider.asn));
+
+                    let host = host.rotate_left(17 * k as u32) ^ u128::from(pick);
+                    let anywhere = prefix.addr_with_host_bits(host);
+                    let mut targets = vec![anywhere];
+                    if !pool.is_empty() {
+                        let index = (pick >> 32) as usize % pool.len();
+                        let id = CpeId { pool: pool_idx as u32, index: index as u32 };
+                        targets.extend(
+                            (engine.current_delegation(id, t))
+                                .map(|delegation| delegation.addr_with_host_bits(host)),
+                        );
+                    }
+                    for target in targets {
+                        let bits = addr_to_u128(target);
+                        let allocation = Ipv6Prefix::from_bits(bits, len).unwrap();
+                        let slot = prefix.subnet_index(&allocation).unwrap() as u64;
+                        prop_assert_eq!(pool.slot_of(bits), slot);
+                        prop_assert_eq!(
+                            pool.delegation_bits(slot),
+                            prefix.nth_subnet(len, u128::from(slot)).unwrap().network_bits()
+                        );
+                        let Some(reply) = engine.probe(target, t) else {
+                            continue;
+                        };
+                        hits += 1;
+                        prop_assert_eq!(engine.current_wan_address(reply.cpe, t), Some(reply.source));
+                        let delegation = engine.current_delegation(reply.cpe, t).unwrap();
+                        prop_assert!(delegation.contains(target), "{target} outside {delegation}");
+                    }
+                }
+            }
+            prop_assert!(hits > 0, "no probe was answered at {secs} s");
+        }
     }
 
     fn with_jitter(jitter_hours: u8) -> WorldConfig {

@@ -8,6 +8,7 @@
 
 use serde::{Deserialize, Serialize};
 
+use scent_bgp::Asn;
 use scent_ipv6::{Eui64, MacAddr};
 use scent_oui::ALL_VENDORS;
 
@@ -79,6 +80,31 @@ pub struct PoolPopulation {
     /// from the sorted `cpes` (which it never reorders); `None` for a pool
     /// too sparse to afford it.
     slot_index: Option<SlotIndex>,
+    /// What every probe of the pool would otherwise re-derive from
+    /// `config` and its provider, fixed by [`PoolPopulation::build`].
+    geometry: Geometry,
+}
+
+/// A pool's slot arithmetic, rotation schedule and provider constants,
+/// computed once from its configuration: a probe finds its slot with one
+/// shift and one mask, and a delegation is the pool's bits OR'd with the
+/// slot shifted back, with no `Ipv6Prefix` round trip and no `Result`.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct Geometry {
+    /// The pool prefix's network bits.
+    network: u128,
+    /// `128 − allocation_len`: where an allocation's slot sits in an
+    /// address.
+    slot_shift: u32,
+    /// `num_slots − 1`.
+    slot_mask: u64,
+    /// [`RotationPolicy::schedule_secs`](crate::RotationPolicy) of the
+    /// pool's policy.
+    schedule: Option<(u64, u64, u64)>,
+    /// The owning provider's per-probe loss probability.
+    loss: f64,
+    /// The owning provider's AS.
+    asn: Asn,
 }
 
 /// Which slots of a pool are occupied and where each occupant sits in the
@@ -170,6 +196,48 @@ impl PoolPopulation {
             None => self.search_initial_slot(slot),
         }?;
         Some((idx, &self.cpes[idx]))
+    }
+
+    /// The allocation slot of the pool holding `addr_bits` (an address
+    /// inside the pool): its bits past the pool prefix, down to the
+    /// allocation length.
+    #[inline]
+    pub(crate) fn slot_of(&self, addr_bits: u128) -> u64 {
+        let g = &self.geometry;
+        // A shift of 128 (a /0 pool of /0s) wraps to 0; the mask is 0 then.
+        (addr_bits.wrapping_shr(g.slot_shift) as u64) & g.slot_mask
+    }
+
+    /// The network bits of the allocation at `slot` (below `num_slots`).
+    #[inline]
+    pub(crate) fn delegation_bits(&self, slot: u64) -> u128 {
+        debug_assert!(slot <= self.geometry.slot_mask);
+        self.geometry.network | u128::from(slot).wrapping_shl(self.geometry.slot_shift)
+    }
+
+    /// The pool's `slot_mask`: `num_slots − 1`.
+    #[inline]
+    pub(crate) fn slot_mask(&self) -> u64 {
+        self.geometry.slot_mask
+    }
+
+    /// The pool policy's schedule in seconds, `(period, rotation hour,
+    /// jitter bound)`; `None` for a static pool.
+    #[inline]
+    pub(crate) fn schedule(&self) -> Option<(u64, u64, u64)> {
+        self.geometry.schedule
+    }
+
+    /// The owning provider's per-probe loss probability.
+    #[inline]
+    pub(crate) fn loss(&self) -> f64 {
+        self.geometry.loss
+    }
+
+    /// The owning provider's AS.
+    #[inline]
+    pub(crate) fn asn(&self) -> Asn {
+        self.geometry.asn
     }
 
     /// The sparse pool's lookup, and the check on every indexed answer in a
@@ -288,6 +356,14 @@ impl PoolPopulation {
             slot_index: SlotIndex::build(&cpes, n_slots),
             cpes,
             pool_seed,
+            geometry: Geometry {
+                network: pool.prefix.network_bits(),
+                slot_shift: 128 - u32::from(pool.allocation_len),
+                slot_mask,
+                schedule: pool.rotation.schedule_secs(),
+                loss: provider.loss,
+                asn: provider.asn,
+            },
         }
     }
 }

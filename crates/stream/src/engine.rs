@@ -750,23 +750,40 @@ mod tests {
         for (asn, net) in (64_500..).zip(ANNOUNCED) {
             rib.announce(net.parse().unwrap(), scent_bgp::Asn(asn));
         }
-        let flavours = [ShardInference::new(), ShardInference::without_census()];
+        use scent_core::rotation_detect::rotating_48s;
+
+        // Each flavour, and whether it keeps its events (a monitor shard).
+        let flavours = [
+            (ShardInference::new(), false),
+            (ShardInference::without_census(), true),
+        ];
         for seed in 0..6u64 {
             let stream = mixed_phases(seed, 600);
             let expanded = stream.iter().filter(|o| o.phase == Phase::Expansion);
             assert!(expanded.count() > 100, "seed {seed}");
-            for (shards, empty) in (1..=3usize).flat_map(|n| flavours.iter().map(move |e| (n, e))) {
+            for (shards, (empty, keeps_events)) in
+                (1..=3usize).flat_map(|n| flavours.iter().map(move |e| (n, e)))
+            {
                 let at = format!("seed {seed}, {shards} shards");
                 let map = ShardMap::new(&rib.entries(), shards);
                 let mut want = vec![empty.clone(); shards];
+                let mut detected = vec![Vec::new(); shards];
                 for obs in &stream {
-                    want[map.shard_for(obs.target)].ingest(obs);
+                    let shard = map.shard_for(obs.target);
+                    detected[shard].extend(want[shard].ingest(obs));
                 }
                 // Every part of the fold is exercised.
                 let busy = want.iter().filter(|s| s.observations > 0).count();
                 assert!(busy >= shards.min(2), "{at}: {busy} busy");
                 assert!(want.iter().any(|s| !s.validated.is_empty()), "{at}");
-                assert!(want.iter().any(|s| !s.events.is_empty()), "{at}");
+                assert!(detected.iter().any(|events| !events.is_empty()), "{at}");
+                // A monitor shard keeps its events, a pipeline shard only
+                // the /48s they flag.
+                for (state, events) in want.iter().zip(&detected) {
+                    let kept: &[_] = if *keeps_events { events } else { &[] };
+                    assert_eq!(state.events, kept, "{at}");
+                    assert_eq!(state.rotating_48s(), rotating_48s(events), "{at}");
+                }
 
                 let mut pool = ShardPool::open(shards);
                 let mut carried = Some(vec![empty.clone(); shards]);
@@ -787,6 +804,7 @@ mod tests {
                     assert_eq!(got.validated, want.validated, "{at}");
                     assert_eq!(got.density, want.density, "{at}");
                     assert_eq!(got.events, want.events, "{at}");
+                    assert_eq!(got.rotating_48s(), want.rotating_48s(), "{at}");
                     assert_eq!(got.address_statistics(), want.address_statistics());
                     got.tracker.fold();
                     want.tracker.fold();

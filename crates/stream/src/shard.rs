@@ -22,13 +22,16 @@
 //!
 //! * a **pipeline shard** ([`ShardInference::new`]) keeps the
 //!   distinct-address census, which only the one-shot
-//!   [`PipelineReport`](scent_core::PipelineReport) reads, and **no
-//!   tracker** — no `PipelineReport` field reads one, so its
-//!   [`tracker`](ShardInference::tracker) stays empty;
+//!   [`PipelineReport`](scent_core::PipelineReport) reads, and of its
+//!   rotation events only the /48s they flag — **no tracker and no
+//!   events**: no `PipelineReport` field reads either, so its
+//!   [`tracker`](ShardInference::tracker) and
+//!   [`events`](ShardInference::events) stay empty;
 //! * a **monitor shard** keeps the tracker, which
 //!   [`MonitorReport::tracking`](crate::MonitorReport) is built from, and
-//!   **no census** — which is also what lets [`ShardMsg::Compact`] bound a
-//!   monitor's whole state, not most of it.
+//!   its events, which [`MonitorReport::events`](crate::MonitorReport)
+//!   lists, and **no census** — which is also what lets
+//!   [`ShardMsg::Compact`] bound a monitor's whole state, not most of it.
 //!
 //! The tracker is an append-only log: a detection observation appends one
 //! sighting to its tail and looks no identifier up. So the state a worker
@@ -111,22 +114,21 @@ impl ExpansionTally {
 }
 
 /// The distinct-address census of the one-shot pipeline's report: response
-/// addresses and EUI-64 identifiers over the density and detection phases.
-/// It only ever grows, and no [`MonitorReport`](crate::MonitorReport) field
-/// reads it, so a monitor's shards do not carry one — nor does a snapshot,
-/// which holds monitor shards only.
+/// addresses over the density and detection phases — the EUI-64
+/// identifiers among them are read off the addresses when the report asks
+/// ([`ShardInference::address_statistics`]). It only ever grows, and no
+/// [`MonitorReport`](crate::MonitorReport) field reads it, so a monitor's
+/// shards do not carry one — nor does a snapshot, which holds monitor
+/// shards only.
 #[derive(Debug, Clone, Default)]
 struct Census {
     addresses: FastSet<Ipv6Addr>,
-    iids: FastSet<Eui64>,
 }
 
 impl Census {
     fn note(&mut self, source: Option<Ipv6Addr>) {
-        let Some(source) = source else { return };
-        self.addresses.insert(source);
-        if let Some(eui) = Eui64::from_addr(source) {
-            self.iids.insert(eui);
+        if let Some(source) = source {
+            self.addresses.insert(source);
         }
     }
 }
@@ -145,13 +147,16 @@ pub struct ShardInference {
     /// ingests a target reads its entry, so [`Self::merge`] does not merge
     /// detectors: a merged state keeps the first state's.
     pub detector: WindowedRotationDetector,
-    /// Every rotation event detected and retained, in emission order,
-    /// which is `(window, seq)` order: a shard is routed its observations
-    /// in probing order. Written only beside [`Self::rotating`].
+    /// A monitor shard's every rotation event detected and retained, in
+    /// emission order, which is `(window, seq)` order: a shard is routed
+    /// its observations in probing order. Written only beside
+    /// [`Self::rotating`]. A pipeline shard retains none.
     pub(crate) events: Vec<RotationEvent>,
-    /// The /48 network bits ([`event_48`]) of every retained event's
-    /// target: the run's rotating /48s, kept as events are retained so the
-    /// report does not re-read the events. Derived, so never encoded.
+    /// The /48 network bits ([`event_48`]) of every detected event's
+    /// target: the run's rotating /48s, kept as events are detected so the
+    /// report does not re-read the events. In a monitor shard it is derived
+    /// from the events, so never encoded; in a pipeline shard it is all
+    /// that is kept of them.
     rotating: FastSet<u64>,
     /// Passive per-identifier tracking, an append-only log its readers fold
     /// — fed by a monitor shard only; a pipeline shard's stays empty.
@@ -205,7 +210,8 @@ impl ShardInference {
     }
 
     /// Fold one observation into the state. Returns the rotation event the
-    /// observation triggered, if any (also retained in [`Self::events`]).
+    /// observation triggered, if any (also retained in [`Self::events`] by
+    /// a monitor shard).
     pub fn ingest(&mut self, obs: &Observation) -> Option<RotationEvent> {
         self.observations += 1;
         match obs.phase {
@@ -241,19 +247,25 @@ impl ShardInference {
         }
     }
 
-    /// Keep `event`, which a shard emits in `(window, seq)` order.
+    /// Note the /48 `event` flags and, in a monitor shard, keep the event,
+    /// which a shard emits in `(window, seq)` order.
     fn retain(&mut self, event: RotationEvent) {
+        self.rotating.insert(event_48(&event));
+        if self.census.is_some() {
+            return;
+        }
         debug_assert!(
             (self.events.last()).map_or(true, |last| (last.window, last.seq)
                 < (event.window, event.seq)),
             "events are retained in (window, seq) order"
         );
-        self.rotating.insert(event_48(&event));
         self.events.push(event);
     }
 
-    /// Every rotation event detected and retained, in `(window, seq)`
-    /// order but after a merge, which concatenates.
+    /// Every rotation event a monitor shard detected and retained, in
+    /// `(window, seq)` order but after a merge, which concatenates. Empty
+    /// for a pipeline shard, whose report reads only the rotating /48s
+    /// kept beside them.
     pub fn events(&self) -> &[RotationEvent] {
         &self.events
     }
@@ -265,9 +277,9 @@ impl ShardInference {
         self.events = events;
     }
 
-    /// The /48s containing a retained event's target, ascending: what
-    /// `rotation_detect::rotating_48s` derives from [`Self::events`], read
-    /// off the set kept beside them.
+    /// The /48s containing a detected event's target, ascending: what
+    /// `rotation_detect::rotating_48s` derives from the events
+    /// [`Self::ingest`] returned, read off the set kept as they came.
     pub(crate) fn rotating_48s(&self) -> Vec<Ipv6Prefix> {
         prefixes_48(self.rotating.iter().copied())
     }
@@ -289,7 +301,6 @@ impl ShardInference {
         self.tracker.merge(other.tracker);
         if let (Some(mine), Some(theirs)) = (&mut self.census, other.census) {
             mine.addresses.extend(theirs.addresses);
-            mine.iids.extend(theirs.iids);
         }
         self.observations += other.observations;
     }
@@ -308,23 +319,26 @@ impl ShardInference {
 
     /// Address statistics in the batch pipeline's shape:
     /// `(total addresses, EUI-64 addresses, unique IIDs)` — zeros for a
-    /// monitor shard, which keeps no census. The EUI-64 count is taken here
-    /// rather than kept: exact under merge, where a running counter would
-    /// count a source twice if two shards saw it.
+    /// monitor shard, which keeps no census. Both EUI-64 counts are taken
+    /// here rather than kept: the identifiers of the EUI-64 addresses,
+    /// sorted and deduplicated. Exact under merge, where a running counter
+    /// would count a source twice if two shards saw it.
     pub fn address_statistics(&self) -> (usize, usize, usize) {
         let Some(census) = &self.census else {
             return (0, 0, 0);
         };
-        let eui = |address: &&Ipv6Addr| Eui64::from_addr(**address).is_some();
-        (
-            census.addresses.len(),
-            census.addresses.iter().filter(eui).count(),
-            census.iids.len(),
-        )
+        let mut iids = Vec::with_capacity(census.addresses.len());
+        iids.extend((census.addresses.iter()).filter_map(|&a| Eui64::from_addr(a)));
+        let eui64_addresses = iids.len();
+        iids.sort_unstable();
+        iids.dedup();
+        (census.addresses.len(), eui64_addresses, iids.len())
     }
 
     /// Drop per-window state older than `window` (exclusive). The windowed
-    /// detector is untouched — its memory is O(targets), not O(windows).
+    /// detector is untouched — its memory is O(targets), not O(windows) —
+    /// and so is a pipeline shard's rotating set, which no event backs
+    /// (only a monitor compacts).
     pub fn compact_before(&mut self, window: u64) {
         self.tracker.compact_before(window);
         let retained = self.events.len();
@@ -400,8 +414,12 @@ mod tests {
             .expect("changed EUI response must emit");
         assert_eq!(event.window, 1);
         assert_eq!(monitor.ingest(&second), Some(event));
-        assert_eq!(state.events, vec![event]);
+        // The monitor keeps the event; the pipeline shard only its /48.
         assert_eq!(monitor.events, vec![event]);
+        assert!(state.events.is_empty());
+        let flagged = vec!["2001:db8:1::/48".parse::<Ipv6Prefix>().unwrap()];
+        assert_eq!(state.rotating_48s(), flagged);
+        assert_eq!(monitor.rotating_48s(), flagged);
         assert_eq!(monitor.tracker.identifiers_seen(), 1);
         assert_eq!(state.tracker.identifiers_seen(), 0);
         assert_eq!(monitor.address_statistics(), (0, 0, 0));
@@ -491,18 +509,26 @@ mod tests {
 
     #[test]
     fn pipeline_shard_feeds_no_tracker() {
+        use scent_core::rotation_detect::rotating_48s;
+
         let stream = mixed_stream();
         let mut pipeline = ShardInference::new();
         let mut monitor = ShardInference::without_census();
+        let mut detected = Vec::new();
         for observation in &stream {
-            assert_eq!(pipeline.ingest(observation), monitor.ingest(observation));
+            let event = pipeline.ingest(observation);
+            assert_eq!(event, monitor.ingest(observation));
+            detected.extend(event);
         }
         // What a `PipelineReport` reads is what it was...
-        assert_eq!(pipeline.events.len(), 32);
-        assert_eq!(pipeline.events, monitor.events);
+        assert_eq!(detected.len(), 32);
+        assert_eq!(monitor.events, detected);
+        assert_eq!(pipeline.rotating_48s(), rotating_48s(&detected));
         assert_eq!(pipeline.address_statistics(), (60, 56, 24));
         assert_eq!(pipeline.detector, monitor.detector);
-        // ...and the tracker no report field of its reads was never fed.
+        // ...and the events and the tracker no report field of its reads
+        // were never kept.
+        assert!(pipeline.events.is_empty());
         pipeline.tracker.fold();
         assert_eq!(pipeline.tracker.identifiers_seen(), 0);
         assert_eq!(pipeline.tracker.probe_counts().count(), 0);
@@ -574,20 +600,24 @@ mod tests {
     #[test]
     fn merge_all_equals_the_fold_from_empty_it_replaces() {
         use scent_checkpoint::encode_value;
+        use scent_core::rotation_detect::rotating_48s;
 
         let stream = mixed_stream();
         let flavours = [
-            (ShardInference::new(), (60, 56, 24), 0),
-            (ShardInference::without_census(), (0, 0, 0), 16),
+            (ShardInference::new(), (60, 56, 24), 0, 0),
+            (ShardInference::without_census(), (0, 0, 0), 16, 32),
         ];
-        for (empty, census, identifiers) in flavours {
+        for (empty, census, identifiers, events) in flavours {
             let mut whole = empty.clone();
+            let mut detected = Vec::new();
             for observation in &stream {
-                whole.ingest(observation);
+                detected.extend(whole.ingest(observation));
             }
             assert_eq!(whole.address_statistics(), census);
             assert_eq!(whole.tracker.identifiers_seen(), identifiers);
-            assert_eq!(whole.events.len(), 32);
+            assert_eq!(detected.len(), 32);
+            assert_eq!(whole.events.len(), events);
+            assert_eq!(whole.rotating_48s(), rotating_48s(&detected));
             whole.tracker.fold();
             for splits in 1..=3usize {
                 let mut states = vec![empty.clone(); splits];
@@ -603,6 +633,7 @@ mod tests {
                 folded.detector = states[0].detector.clone();
                 let mut adopted = ShardInference::merge_all(states);
                 assert_eq!(encode_value(&adopted), encode_value(&folded), "{splits}");
+                assert_eq!(adopted.rotating_48s(), whole.rotating_48s());
                 assert_eq!(adopted.address_statistics(), whole.address_statistics());
                 assert_eq!(adopted.observations, whole.observations);
                 adopted.tracker.fold();
